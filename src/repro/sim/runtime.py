@@ -177,15 +177,20 @@ class GroupRuntime:
         self._active: Set[Address] = set()
         self._node_seq: Dict[Address, int] = {}
         self._wire_seq = 0
-        # Derived-state caches, all dropped by _membership_changed():
-        # the member list snapshot, per-member live-neighbor lists, and
-        # per-member far-peer lists (the latter also validated against
-        # the replica's structure stamp, since anti-entropy changes the
-        # known peer set mid-run).
-        self._membership_epoch = 0
+        # Derived-state caches.  _membership_changed() drops the member
+        # list snapshot and the changed leaf subgroup's live-neighbor
+        # lists; the per-member far-peer pools are validated against
+        # the replica's structure stamp on every lookup (anti-entropy
+        # changes the known peer set mid-run) and dropped by
+        # _drop_far_pools() only where a liveness change can show.
         self._members_cache: Optional[List[Address]] = None
         self._neighbors_cache: Dict[Address, List[Address]] = {}
         self._far_cache: Dict[Address, Tuple[int, List[Address]]] = {}
+        # The shallowest depth at which a shared table ever listed an
+        # address as a delegate (absent: only its own leaf-table row,
+        # depth d).  Monotone — replicas may still hold a row the
+        # shared table has since replaced.  Scopes _drop_far_pools().
+        self._listed_depth: Dict[Address, int] = {}
         # Addresses whose replica was torn down by leave() and never
         # re-wired.  Every address a table can mention was wired once
         # (tables only describe members), so "peer has a live replica"
@@ -355,13 +360,22 @@ class GroupRuntime:
                 )
 
     def crash(self, address: Address) -> None:
-        """Silently crash a process (it stays in views until excluded)."""
+        """Silently crash a process (it stays in views until excluded).
+
+        A liveness *transition*: crashing an already-crashed process is
+        a no-op, so the crash round feeding
+        ``detector.exclusion_latency_rounds``, the ``crashes`` counter
+        and the trace all describe the first crash only.
+        """
         node = self.node(address)
+        if address in self._crashed:
+            return
         node.alive = False
         self._crashed.add(address)
         self._crashed_at[address] = self._round
         self._active.discard(address)
         self._membership_changed(address)
+        self._drop_far_pools(address)
         self._m_crashes.inc()
         self._obs.emit(self._round, "crash", address)
 
@@ -404,6 +418,7 @@ class GroupRuntime:
         self._quorum_required.pop(address, None)
         self._active.discard(address)
         self._node_seq.pop(address, None)
+        self._drop_far_pools(address)
         self._refresh_path(address, cause="leave")
         for detector in self._detectors.values():
             detector.unwatch(address)
@@ -448,7 +463,7 @@ class GroupRuntime:
             schedule_round = self._round - 1
             self._injector.begin_round(schedule_round)
             for victim in self._injector.crashes_at(schedule_round):
-                if victim in self._tree and victim not in self._crashed:
+                if victim in self._tree:
                     self.crash(victim)
         timeline = self._obs.timeline
         with (
@@ -622,11 +637,12 @@ class GroupRuntime:
         """(Re)build node, replica and detector state for a member."""
         views = {}
         for prefix in address.prefixes():
-            if prefix not in self._tables:
-                self._tables[prefix] = build_view(
-                    self._tree, prefix, self._clock
-                )
-            views[prefix.depth] = self._tables[prefix]
+            table = self._tables.get(prefix)
+            if table is None:
+                table = build_view(self._tree, prefix, self._clock)
+                self._tables[prefix] = table
+                self._note_delegates(table)
+            views[prefix.depth] = table
         existing = self._nodes.get(address)
         if existing is None:
             self._node_seq[address] = self._wire_seq
@@ -650,7 +666,11 @@ class GroupRuntime:
                 address,
                 {depth: table.clone() for depth, table in views.items()},
             )
-            self._unwired.discard(address)
+            if address in self._unwired:
+                # A departed member is back: it re-enters the pools of
+                # whoever still lists it.
+                self._unwired.remove(address)
+                self._drop_far_pools(address)
         if address not in self._detectors:
             # near_key: the leaf-subgroup component prefix — §2.3 only
             # lets immediate neighbors feed exclusions, so the detector
@@ -679,32 +699,76 @@ class GroupRuntime:
                 if not accusers:
                     del self._accusers[sender]
 
-    def _membership_changed(self, address: Optional[Address] = None) -> None:
-        """Drop every cache derived from membership or liveness.
+    def _membership_changed(self, address: Address) -> None:
+        """Drop the caches derived from the tree or from crash state.
 
-        ``address``, when given, is the member whose join, leave, crash
-        or exclusion caused the change.  A liveness-neighbor list only
-        depends on its leaf subgroup, so only the changed member's
-        subgroup entries are invalidated — rebuilding all n lists after
-        every crash used to be a visible slice of paper-scale runs.
-        ``None`` drops the whole cache.
+        ``address`` is the member whose join, leave, crash or exclusion
+        caused the change.  The member list snapshot goes; a
+        live-neighbor list only depends on its leaf subgroup, so only
+        the changed member's subgroup entries are invalidated —
+        rebuilding all n lists after every crash used to be a visible
+        slice of paper-scale runs.  The far-peer pools are *not*
+        touched here: they filter on liveness, not on tree membership,
+        and have their own scoped rule (:meth:`_drop_far_pools`).
         """
-        self._membership_epoch += 1
         self._members_cache = None
         neighbors_cache = self._neighbors_cache
-        if address is None:
-            neighbors_cache.clear()
-        elif neighbors_cache:
+        if neighbors_cache:
             neighbors_cache.pop(address, None)
             for member in self._tree.subtree_members(
                 address.prefix(self._tree.depth)
             ):
                 neighbors_cache.pop(member, None)
-        # Cleared rather than epoch-keyed: the far-peer entries can
-        # then validate against a single int stamp in the round loop.
-        # (Always wholesale: the pools filter on global liveness, not
-        # on the subgroup.)
-        self._far_cache.clear()
+
+    def _note_delegates(self, table: ViewTable) -> None:
+        """Record who a freshly written shared table lists as delegates.
+
+        Called at every shared-table write (``build_view``,
+        ``replace_rows``); keeps ``_listed_depth`` at the shallowest
+        depth seen per address.  Leaf tables are skipped: their rows
+        are the members themselves, the default scope.
+        """
+        depth = table.depth
+        if depth == self._tree.depth:
+            return
+        listed = self._listed_depth
+        for row in table.rows():
+            for delegate in row.delegates:
+                if listed.get(delegate, self._tree.depth) > depth:
+                    listed[delegate] = depth
+
+    def _drop_far_pools(self, address: Address) -> None:
+        """Invalidate the far-peer pools ``address``'s liveness can show in.
+
+        A member's pool is its ``replica.peers()`` minus ``_crashed``
+        and ``_unwired``.  It changes only when the replica's structure
+        stamp moves (checked on every lookup) or when an address it
+        lists enters or leaves ``_crashed | _unwired`` — a crash, a
+        leave, or the re-wiring of a departed member.  A first-time
+        joiner and an exclusion (the victim stays crashed) move neither
+        set and so invalidate nothing.
+
+        Who can list ``address``?  Replicas only ever hold rows cloned
+        from the shared tables or pulled from another replica's table
+        of the same prefix, so every row anywhere was once written into
+        a shared table; a depth-i table names only processes under its
+        prefix and is held only by the members under that prefix.  With
+        k the shallowest depth a shared table ever listed ``address``
+        at (``_listed_depth``; its own leaf row makes k <= d), every
+        holder sits in the subtree of ``address.prefix(k)`` — dropping
+        that subtree's pools is exact, one leaf subgroup for an
+        ordinary process.  A root-level delegate (k = 1) is known
+        group-wide: the whole cache goes.
+        """
+        far_cache = self._far_cache
+        k = self._listed_depth.get(address, self._tree.depth)
+        if k == 1:
+            far_cache.clear()
+            return
+        # The process itself is out of the subtree once it has left.
+        far_cache.pop(address, None)
+        for member in self._tree.subtree_members(address.prefix(k)):
+            far_cache.pop(member, None)
 
     def _members(self) -> List[Address]:
         """The member list, cached between membership changes.
@@ -748,7 +812,9 @@ class GroupRuntime:
           reused for the far pull unless the near pull installed rows.
         * The far-peer pool lookup is inlined and validated against the
           replica's structure-only stamp (timestamp churn never rebuilds
-          it); ``_membership_changed`` clears the cache wholesale.
+          it); a crash, a leave or a returning member drops only the
+          pools that can list it (``_drop_far_pools``), so steady churn
+          costs its subtree, not n rebuilds per round.
         * Counters accumulate in local ints, flushed once per round —
           identical totals, no per-pull ``inc`` dispatch.
         * Each pull is a bidirectional contact (the peer answered); the
@@ -1069,6 +1135,7 @@ class GroupRuntime:
                 if existing is None:
                     fresh = build_view(self._tree, prefix, self._clock)
                     self._tables[prefix] = fresh
+                    self._note_delegates(fresh)
                     for member in self._tree.subtree_members(prefix):
                         node = self._nodes.get(member)
                         if node is not None:
@@ -1083,6 +1150,7 @@ class GroupRuntime:
                             self._clock,
                         )
                     )
+                    self._note_delegates(existing)
             elif existing is not None:
                 del self._tables[prefix]
                 self._ctx.invalidate_table(existing)
@@ -1099,6 +1167,10 @@ class GroupRuntime:
             return
         self._tree.remove(address)
         self._excluded_at[address] = self._round
+        # Only tree members are in reach of _drop_far_pools: a wrongly
+        # convicted live process may come back through join() with its
+        # replica intact, and must then rebuild its pool.
+        self._far_cache.pop(address, None)
         self._accusers.pop(address, None)
         self._quorum_required.pop(address, None)
         self._m_exclusions.inc()

@@ -6,6 +6,7 @@ from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import MembershipError
 from repro.interests import Event, StaticInterest
+from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.runtime import GroupRuntime
 
 CONFIG = PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
@@ -80,3 +81,27 @@ class TestRuntimeEdges:
         delivered = runtime.delivered_to(event)
         assert set(delivered) <= set(survivors)
         assert len(delivered) >= 0.8 * len(survivors)
+
+    def test_second_crash_of_same_process_is_a_noop(self):
+        registry, trace = MetricsRegistry(), TraceLog()
+        runtime, addresses = make_runtime(
+            detector_timeout=3,
+            observer=Observer(registry=registry, trace=trace),
+        )
+        victim = addresses[-1]
+        runtime.run(2)
+        runtime.crash(victim)
+        runtime.run(2)
+        runtime.crash(victim)           # e.g. a fault plan hitting it again
+        assert registry.snapshot()["membership"]["crashes"] == 1
+        assert len(trace.filter(kind="crash")) == 1
+        runtime.run(12)
+        excluded_at = runtime.exclusion_round(victim)
+        assert excluded_at is not None
+        runtime.crash(victim)           # excluded, still wired: same
+        assert registry.snapshot()["membership"]["crashes"] == 1
+        # The latency is measured from the first crash (round 2), not
+        # re-stamped by the second (round 4).
+        latency = registry.snapshot()["detector"]["exclusion_latency_rounds"]
+        assert latency["count"] == 1
+        assert latency["sum"] == excluded_at - 2
