@@ -26,13 +26,13 @@ Every benchmark records wall-clock seconds and a ``digest`` of the
 observable outcome (delivered sets, report fields), so speedups can be
 claimed only alongside proof that the results did not change.
 
-The CLI writes a JSON report (default ``BENCH_PR1.json`` in the current
-directory).  ``--baseline FILE`` merges a previously captured run —
-e.g. one taken at the pre-optimization commit with this same harness —
-and computes per-benchmark speedups.  ``--mode both`` additionally runs
-the ablation/legacy code paths (full O(n) scans, identity-keyed match
-cache) when the installed code supports the switches, and verifies the
-two modes produce identical digests.
+The CLI writes a JSON report to ``--output FILE``, which is required:
+there is no default path, so a run can never overwrite a committed
+``BENCH_PR<n>.json`` by accident.  ``--baseline FILE`` merges a
+previously captured run — e.g. one taken at the pre-optimization
+commit with this same harness — and computes per-benchmark speedups.
+A benchmark that raises fails the whole run; a report never silently
+lacks a section that was asked for.
 
 Introspection counters (``active_count``, the match-cache hit rates)
 are read from a :class:`~repro.obs.registry.MetricsRegistry` attached
@@ -54,13 +54,28 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.addressing import AddressSpace
+from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
+from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
+from repro.interests.subscriptions import Interest
 from repro.obs import MetricsRegistry, Observer, TimelineRecorder, TraceLog
+from repro.obs.timeline import _rss_kb
+from repro.sim.engine import run_dissemination
+from repro.sim.group import PmcastGroup
 from repro.sim.rng import derive_rng
+from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests, random_subscriptions
 
 __all__ = ["emit_trace", "main", "run_suite"]
@@ -71,6 +86,8 @@ SCHEMA = "repro.bench.perf/v1"
 PAPER_SCALE = {"arity": 22, "depth": 3}
 #: CI scale: a = 5, d = 3 -> n = 125.
 QUICK_SCALE = {"arity": 5, "depth": 3}
+#: p_d of the suite's standard population (and the sharded ladder's).
+MATCHING_RATE = 0.25
 
 
 def _sha1(parts: Sequence[str]) -> str:
@@ -106,84 +123,54 @@ def _peak_rss_kb() -> Optional[int]:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _current_rss_kb() -> Optional[int]:
-    """Resident set size right now in KiB (None where /proc is absent).
-
-    Unlike ``ru_maxrss`` this is not monotone over the process life, so
-    per-scenario footprints stay meaningful even after an earlier
-    benchmark in the same suite peaked higher.
-    """
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError):  # pragma: no cover - non-Linux
-        return None
-    return None
+def _addresses(arity: int, depth: int) -> List[Address]:
+    """Every address of the regular ``arity``^``depth`` space, sorted."""
+    return AddressSpace.regular(arity, depth).enumerate_regular(arity)
 
 
-def _runtime_kwargs(mode: str) -> Dict[str, Any]:
-    """Ablation switches for GroupRuntime, if the code base has them."""
-    if mode == "legacy":
-        return {"active_scheduling": False}
-    return {}
-
-
-def _try_build_runtime(
-    members, config, sim_config, mode: str, registry, fault_plan=None,
-    timeline=None,
-):
-    """Build an observed GroupRuntime, tolerating ablation signatures."""
-    from repro.sim.runtime import GroupRuntime
-
-    kwargs = _runtime_kwargs(mode)
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    try:
-        return GroupRuntime(
-            members,
-            config=config,
-            sim_config=sim_config,
-            observer=Observer(registry=registry, timeline=timeline),
-            **kwargs,
-        )
-    except TypeError:
-        if not kwargs:
-            raise
-        return None  # legacy switch not supported by this code base
-
-
-def bench_round_loop(
-    arity: int, depth: int, seed: int, mode: str, max_rounds: int = 96,
-    timeline: Optional[TimelineRecorder] = None,
-) -> Optional[Dict[str, Any]]:
-    """One live-runtime dissemination at scale: the §2.3 round loop."""
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
+def _population(
+    arity: int, depth: int, seed: int
+) -> Tuple[List[Address], Dict[Address, Interest]]:
+    """The suite's standard group: the regular space, every member
+    interested with probability :data:`MATCHING_RATE` (stream
+    ``perf-interests``)."""
+    addresses = _addresses(arity, depth)
     members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
+        addresses, MATCHING_RATE, derive_rng(seed, "perf-interests")
     )
+    return addresses, members
+
+
+def _round_loop(
+    arity: int,
+    depth: int,
+    seed: int,
+    max_rounds: int,
+    timeline: Optional[TimelineRecorder],
+    fault_plan: Optional[FaultPlan],
+) -> Dict[str, Any]:
+    """Build the §2.3 runtime, publish one event, run until idle."""
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
     registry = MetricsRegistry()
     started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry,
-        timeline=timeline,
+    runtime = GroupRuntime(
+        members,
+        config=config,
+        sim_config=SimConfig(seed=seed),
+        observer=Observer(registry=registry, timeline=timeline),
+        fault_plan=fault_plan,
     )
-    if runtime is None:
-        return None
     build_seconds = time.perf_counter() - started
 
     event = Event({"perf": 1}, event_id=1)
-    publisher = addresses[0]
-    runtime.publish(publisher, event)
+    runtime.publish(addresses[0], event)
     started = time.perf_counter()
     rounds = runtime.run_until_idle(max_rounds=max_rounds)
     loop_seconds = time.perf_counter() - started
     delivered = runtime.delivered_to(event)
     snapshot = registry.snapshot()
-    return {
+    result = {
         "members": len(addresses),
         "build_seconds": round(build_seconds, 4),
         "seconds": round(loop_seconds, 4),
@@ -192,15 +179,29 @@ def bench_round_loop(
         if loop_seconds
         else None,
         "delivered": len(delivered),
-        "digest": _sha1([str(a) for a in delivered] + [str(rounds)]),
         "active_count_final": snapshot["runtime"]["active_count"],
         "cache_stats": snapshot.get("match_cache"),
     }
+    outcome = [str(a) for a in delivered] + [str(rounds)]
+    stats = runtime.fault_stats
+    if stats is not None:
+        result["fault_stats"] = stats
+        outcome += [f"{k}={stats[k]}" for k in sorted(stats)]
+    result["digest"] = _sha1(outcome)
+    return result
+
+
+def bench_round_loop(
+    arity: int, depth: int, seed: int, max_rounds: int = 96,
+    timeline: Optional[TimelineRecorder] = None,
+) -> Dict[str, Any]:
+    """One live-runtime dissemination at scale: the §2.3 round loop."""
+    return _round_loop(arity, depth, seed, max_rounds, timeline, None)
 
 
 def bench_faulted_round_loop(
-    arity: int, depth: int, seed: int, mode: str, max_rounds: int = 96
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, max_rounds: int = 96
+) -> Dict[str, Any]:
     """The ``round_loop`` workload under a standard fault episode.
 
     Measures the per-envelope cost of the :mod:`repro.faults` plane:
@@ -211,14 +212,6 @@ def bench_faulted_round_loop(
     overhead; the ``digest`` folds in the injector counters so replay
     regressions are visible too.
     """
-    from repro.faults import FaultPlan
-
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
-    config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
     plan = (
         FaultPlan(name="perf-episode")
         .with_partition(2, 6, "0", "1")
@@ -226,56 +219,12 @@ def bench_faulted_round_loop(
         .with_delay(3, 5, 2, dest_prefix="3")
         .with_delegate_crash(4, "2", count=1)
     )
-    registry = MetricsRegistry()
-    started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry,
-        fault_plan=plan,
-    )
-    if runtime is None:
-        return None
-    build_seconds = time.perf_counter() - started
-
-    event = Event({"perf": 1}, event_id=1)
-    runtime.publish(addresses[0], event)
-    started = time.perf_counter()
-    rounds = runtime.run_until_idle(max_rounds=max_rounds)
-    loop_seconds = time.perf_counter() - started
-    delivered = runtime.delivered_to(event)
-    stats = runtime.fault_stats or {}
-    return {
-        "members": len(addresses),
-        "build_seconds": round(build_seconds, 4),
-        "seconds": round(loop_seconds, 4),
-        "rounds": rounds,
-        "rounds_per_second": round(rounds / loop_seconds, 2)
-        if loop_seconds
-        else None,
-        "delivered": len(delivered),
-        "fault_stats": stats,
-        "digest": _sha1(
-            [str(a) for a in delivered]
-            + [str(rounds)]
-            + [f"{k}={stats[k]}" for k in sorted(stats)]
-        ),
-    }
+    return _round_loop(arity, depth, seed, max_rounds, None, plan)
 
 
-def bench_engine(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+def bench_engine(arity: int, depth: int, seed: int) -> Dict[str, Any]:
     """One static-group dissemination (the Figure 4/5 inner loop)."""
-    from repro.sim.engine import run_dissemination
-    from repro.sim.group import PmcastGroup
-
-    if mode == "legacy":
-        # run_dissemination owns its context; no ablation switch here.
-        return None
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=3, redundancy=3)
     started = time.perf_counter()
     group = PmcastGroup.build(members, config)
@@ -300,14 +249,10 @@ def bench_engine(
 
 
 def bench_churn_refresh(
-    arity: int, depth: int, seed: int, mode: str, churn_events: int = 8
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, churn_events: int = 8
+) -> Dict[str, Any]:
     """Join/leave bursts: the view-maintenance (_refresh_path) cost."""
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     # Hold some addresses back so there is room to join.
     joiners = addresses[-churn_events:]
     held_back = set(joiners)
@@ -317,11 +262,12 @@ def bench_churn_refresh(
         if address not in held_back
     }
     config = PmcastConfig(fanout=3, redundancy=3)
-    runtime = _try_build_runtime(
-        initial, config, SimConfig(seed=seed), mode, MetricsRegistry()
+    runtime = GroupRuntime(
+        initial,
+        config=config,
+        sim_config=SimConfig(seed=seed),
+        observer=Observer(registry=MetricsRegistry()),
     )
-    if runtime is None:
-        return None
     started = time.perf_counter()
     for address in joiners:
         runtime.join(address, members[address])
@@ -353,16 +299,15 @@ def bench_churn_refresh(
 
 
 def bench_match_cache(
-    arity: int, depth: int, seed: int, mode: str, events: int = 4
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, events: int = 4
+) -> Dict[str, Any]:
     """Content-based workload with churn mid-dissemination.
 
     This is the scenario the cache layering exists for: joins/leaves
     land while events are still in flight, so per-table invalidation
     (vs. a global cache wipe) determines the hit rate.
     """
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
+    addresses = _addresses(arity, depth)
     members = random_subscriptions(
         addresses, derive_rng(seed, "perf-subscriptions")
     )
@@ -375,11 +320,12 @@ def bench_match_cache(
     }
     config = PmcastConfig(fanout=3, redundancy=3)
     registry = MetricsRegistry()
-    runtime = _try_build_runtime(
-        initial, config, SimConfig(seed=seed), mode, registry
+    runtime = GroupRuntime(
+        initial,
+        config=config,
+        sim_config=SimConfig(seed=seed),
+        observer=Observer(registry=registry),
     )
-    if runtime is None:
-        return None
     started = time.perf_counter()
     digests: List[str] = []
     idle_rounds: List[int] = []
@@ -412,8 +358,8 @@ def bench_match_cache(
 
 
 def bench_membership_plane(
-    arity: int, depth: int, seed: int, mode: str, rounds: int = 32
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, rounds: int = 32
+) -> Dict[str, Any]:
     """Pure §2.3 background cost: membership + detection, zero events.
 
     No event is ever published, so every measured cycle is gossip-pull
@@ -429,19 +375,16 @@ def bench_membership_plane(
     observable membership behavior — not just wall-clock — breaks the
     digest against a recorded baseline.
     """
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
     registry = MetricsRegistry()
     started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry
+    runtime = GroupRuntime(
+        members,
+        config=config,
+        sim_config=SimConfig(seed=seed),
+        observer=Observer(registry=registry),
     )
-    if runtime is None:
-        return None
     build_seconds = time.perf_counter() - started
 
     warmup = max(2, rounds // 8)
@@ -502,8 +445,8 @@ def bench_membership_plane(
 
 
 def bench_sweep(
-    arity: int, depth: int, seed: int, mode: str, jobs: Any = "auto"
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, jobs: Any = "auto"
+) -> Dict[str, Any]:
     """Serial vs parallel reliability sweep: the ``--jobs`` dispatch path.
 
     Runs the same :func:`~repro.bench.figures.reliability_sweep` twice —
@@ -518,8 +461,6 @@ def bench_sweep(
     from repro.bench.figures import reliability_sweep
     from repro.par import TrialExecutor, resolve_jobs
 
-    if mode == "legacy":
-        return None
     jobs = resolve_jobs(jobs)
     members = arity ** depth
     # Inverse-scale trials toward a few seconds of serial work, capped:
@@ -563,10 +504,10 @@ def bench_sweep(
 
 
 def bench_scale_loop(
-    arity: int, depth: int, seed: int, mode: str,
+    arity: int, depth: int, seed: int,
     timeline: Optional[TimelineRecorder] = None,
     scale_trace: Optional[str] = None,
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """Million-member scaling of the vectorized round loop.
 
     Two measurements back the two claims of the struct-of-arrays path:
@@ -593,16 +534,8 @@ def bench_scale_loop(
     sampled observability works at 10⁶ members.
     """
     from repro.par.subtree import build_regular_spec, run_sharded_dissemination
-    from repro.sim.engine import run_dissemination
-    from repro.sim.group import PmcastGroup
 
-    if mode == "legacy":
-        return None
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=3, redundancy=3)
     event = Event({"perf": 1}, event_id=7)
 
@@ -643,7 +576,7 @@ def bench_scale_loop(
         spec = build_regular_spec(
             point_arity,
             point_depth,
-            0.25,
+            MATCHING_RATE,
             config=config,
             sim_config=SimConfig(seed=seed, max_rounds=96),
             event_id=event.event_id,
@@ -663,7 +596,9 @@ def bench_scale_loop(
                 else None,
                 "delivery_ratio": round(report.delivery_ratio, 4),
                 "completed": report.rounds < spec.max_rounds,
-                "rss_kb": _current_rss_kb(),
+                # Not monotone like ru_maxrss: stays meaningful after
+                # an earlier benchmark in the suite peaked higher.
+                "rss_kb": _rss_kb(),
                 "peak_rss_kb": _peak_rss_kb(),
             }
         )
@@ -729,7 +664,7 @@ def _traced_scale_point(
     spec = build_regular_spec(
         arity,
         depth,
-        0.25,
+        MATCHING_RATE,
         config=config,
         sim_config=SimConfig(seed=seed, max_rounds=96),
         event_id=event_id,
@@ -773,8 +708,8 @@ VARIANT_GRID = ((0.0, 0.0), (0.05, 0.0), (0.1, 0.05))
 
 
 def bench_variant_compare(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int
+) -> Dict[str, Any]:
     """pmcast vs the dissemination-variant ablations across (ε, τ).
 
     One dissemination per algorithm per grid point — pmcast (the tree
@@ -790,18 +725,10 @@ def bench_variant_compare(
     not just timing — breaks baseline comparison.
     """
     from repro.baselines.flat import flat_gossip_broadcast
-    from repro.sim.engine import run_dissemination
-    from repro.sim.group import PmcastGroup
     from repro.variants.bounded_view import bounded_view_broadcast
     from repro.variants.lazy_pull import lazy_pull_broadcast
 
-    if mode == "legacy":
-        return None
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=3, redundancy=3)
     publisher = addresses[0]
     fanout = 3
@@ -878,8 +805,8 @@ def bench_variant_compare(
 
 
 def bench_net_throughput(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int
+) -> Dict[str, Any]:
     """Sustained event rate of the live-UDP plane (``repro.net.udp``).
 
     Disseminates one event through at least 1000 real UDP processes on
@@ -894,20 +821,11 @@ def bench_net_throughput(
     noise.
     """
     from repro.net.udp import run_udp_dissemination
-    from repro.sim.group import PmcastGroup
 
-    if mode == "legacy":
-        # One execution style only: there is no ablation switch for
-        # the deployment plane.
-        return None
     if arity ** depth < 1000:
         arity, depth = 10, 3
-    rate, fanout, redundancy, period_s = 0.25, 3, 3, 0.02
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, rate, derive_rng(seed, "perf-interests")
-    )
+    rate, fanout, redundancy, period_s = MATCHING_RATE, 3, 3, 0.02
+    addresses, members = _population(arity, depth, seed)
     config = PmcastConfig(fanout=fanout, redundancy=redundancy)
     started = time.perf_counter()
     group = PmcastGroup.build(members, config)
@@ -948,32 +866,44 @@ def bench_net_throughput(
     }
 
 
+class _Bench(NamedTuple):
+    """One registered benchmark."""
+
+    #: Called as ``run(arity, depth, seed, **suite extras it accepts)``.
+    run: Callable[..., Dict[str, Any]]
+    #: Excluded from the default selection (pick with --bench, or the
+    #: --faults shorthand): the faulted loop exists to be compared
+    #: against round_loop, not to gate every run, and the UDP
+    #: throughput bench binds a thousand localhost sockets, which not
+    #: every environment allows.
+    opt_in: bool
+    #: Which suite-level extras (``timeline`` / ``jobs`` /
+    #: ``scale_trace``) the benchmark takes as keyword arguments.
+    accepts: Tuple[str, ...]
+
+
 _BENCHES = {
-    "round_loop": bench_round_loop,
-    "faulted_round_loop": bench_faulted_round_loop,
-    "engine": bench_engine,
-    "churn_refresh": bench_churn_refresh,
-    "match_cache": bench_match_cache,
-    "membership_plane": bench_membership_plane,
-    "sweep": bench_sweep,
-    "scale_loop": bench_scale_loop,
-    "variant_compare": bench_variant_compare,
-    "net_throughput": bench_net_throughput,
+    "round_loop": _Bench(bench_round_loop, False, ("timeline",)),
+    "faulted_round_loop": _Bench(bench_faulted_round_loop, True, ()),
+    "engine": _Bench(bench_engine, False, ()),
+    "churn_refresh": _Bench(bench_churn_refresh, False, ()),
+    "match_cache": _Bench(bench_match_cache, False, ()),
+    "membership_plane": _Bench(bench_membership_plane, False, ()),
+    "sweep": _Bench(bench_sweep, False, ("jobs",)),
+    "scale_loop": _Bench(bench_scale_loop, False, ("timeline", "scale_trace")),
+    "variant_compare": _Bench(bench_variant_compare, False, ()),
+    "net_throughput": _Bench(bench_net_throughput, True, ()),
 }
 
-#: Benchmarks excluded from the default selection (opt in via --bench
-#: or the --faults shorthand): the faulted loop exists to be compared
-#: against round_loop, not to gate every run, and the UDP throughput
-#: bench binds a thousand localhost sockets, which not every
-#: environment allows.
-_OPT_IN = ("faulted_round_loop", "net_throughput")
+
+def _default_benches() -> List[str]:
+    return [name for name, bench in _BENCHES.items() if not bench.opt_in]
 
 
 def run_suite(
     arity: int,
     depth: int,
     seed: int = 0,
-    modes: Sequence[str] = ("current",),
     benches: Optional[Sequence[str]] = None,
     jobs: Any = "auto",
     timeline_path: Optional[str] = None,
@@ -989,11 +919,7 @@ def run_suite(
     re-run its largest ladder point with sampled tracing and merge the
     shard traces there (see :func:`_traced_scale_point`).
     """
-    selected = (
-        list(benches)
-        if benches
-        else [name for name in _BENCHES if name not in _OPT_IN]
-    )
+    selected = list(benches) if benches else _default_benches()
     timeline = (
         TimelineRecorder(
             meta={
@@ -1007,43 +933,25 @@ def run_suite(
         if timeline_path is not None
         else None
     )
+    extras = {"timeline": timeline, "jobs": jobs, "scale_trace": scale_trace}
     results: Dict[str, Any] = {}
-    for mode in modes:
-        mode_results: Dict[str, Any] = {}
-        for name in selected:
-            if name == "sweep":
-                outcome = bench_sweep(arity, depth, seed, mode, jobs=jobs)
-            elif name == "round_loop":
-                outcome = bench_round_loop(
-                    arity, depth, seed, mode, timeline=timeline
-                )
-            elif name == "scale_loop":
-                outcome = bench_scale_loop(
-                    arity,
-                    depth,
-                    seed,
-                    mode,
-                    timeline=timeline,
-                    scale_trace=scale_trace if mode == "current" else None,
-                )
-            else:
-                outcome = _BENCHES[name](arity, depth, seed, mode)
-            if outcome is not None:
-                mode_results[name] = outcome
-        results[mode] = mode_results
+    for name in selected:
+        bench = _BENCHES[name]
+        results[name] = bench.run(
+            arity, depth, seed, **{key: extras[key] for key in bench.accepts}
+        )
     timeline_entries: Optional[int] = None
     if timeline is not None:
         timeline.probe_memory(subsystem="bench")
         timeline_entries = timeline.to_jsonl(timeline_path)
         timeline.close()
-    report: Dict[str, Any] = {
+    return {
         "schema": SCHEMA,
         "config": {
             "arity": arity,
             "depth": depth,
             "members": arity ** depth,
             "seed": seed,
-            "modes": list(modes),
         },
         "environment": _environment(
             artifacts={
@@ -1052,13 +960,10 @@ def run_suite(
                 "scale_trace": scale_trace,
             }
         ),
-        "results": results,
+        # One key, "current": the slot `obs regress`, --baseline and
+        # the committed baselines read results from.
+        "results": {"current": results},
     }
-    if "current" in results and "legacy" in results:
-        report["identity_check"] = _identity_check(
-            results["current"], results["legacy"]
-        )
-    return report
 
 
 def _git_commit() -> Optional[str]:
@@ -1107,19 +1012,6 @@ def _environment(
     return env
 
 
-def _identity_check(
-    current: Dict[str, Any], legacy: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Digests must agree between optimized and legacy code paths."""
-    out: Dict[str, Any] = {}
-    for name in current:
-        left = current[name].get("digest")
-        right = legacy.get(name, {}).get("digest")
-        if left is not None and right is not None:
-            out[name] = {"identical": left == right}
-    return out
-
-
 def emit_trace(path: str, arity: int, depth: int, seed: int = 0) -> int:
     """Write a JSONL trace of one quick engine dissemination.
 
@@ -1127,14 +1019,7 @@ def emit_trace(path: str, arity: int, depth: int, seed: int = 0) -> int:
     ``python -m repro.obs validate``/``summarize`` can check the bench
     environment end to end.  Returns the number of records written.
     """
-    from repro.sim.engine import run_dissemination
-    from repro.sim.group import PmcastGroup
-
-    space = AddressSpace.regular(arity, depth)
-    addresses = space.enumerate_regular(arity)
-    members = bernoulli_interests(
-        addresses, 0.25, derive_rng(seed, "perf-interests")
-    )
+    addresses, members = _population(arity, depth, seed)
     group = PmcastGroup.build(members, PmcastConfig(fanout=3, redundancy=3))
     trace = TraceLog()
     run_dissemination(
@@ -1204,12 +1089,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mode",
-        choices=("current", "legacy", "both"),
-        default="current",
-        help="run the optimized paths, the ablation/legacy paths, or both",
-    )
-    parser.add_argument(
         "--bench",
         action="append",
         choices=sorted(_BENCHES),
@@ -1237,8 +1116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         type=str,
-        default="BENCH_PR1.json",
-        help="output JSON path (default BENCH_PR1.json)",
+        required=True,
+        help="output JSON path (required: nothing is overwritten by "
+        "default)",
     )
     parser.add_argument(
         "--trace",
@@ -1291,7 +1171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.arity is not None:
         scale["arity"] = args.arity
-    modes = ("current", "legacy") if args.mode == "both" else (args.mode,)
     baseline = None
     if args.baseline:
         # Read before the (possibly long) benchmark run: a bad path
@@ -1304,13 +1183,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     benches = args.bench
     if args.faults:
-        benches = list(
-            benches
-            if benches
-            else (n for n in _BENCHES if n not in _OPT_IN)
-        )
+        benches = list(benches or _default_benches())
         if "faulted_round_loop" not in benches:
             benches.append("faulted_round_loop")
+    profiler = None
     if args.profile:
         import cProfile
         import io
@@ -1318,16 +1194,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-        report = run_suite(
-            scale["arity"],
-            scale["depth"],
-            seed=args.seed,
-            modes=modes,
-            benches=benches,
-            jobs=args.jobs,
-            timeline_path=args.timeline,
-            scale_trace=args.scale_trace,
-        )
+    report = run_suite(
+        scale["arity"],
+        scale["depth"],
+        seed=args.seed,
+        benches=benches,
+        jobs=args.jobs,
+        timeline_path=args.timeline,
+        scale_trace=args.scale_trace,
+    )
+    if profiler is not None:
         profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
@@ -1337,17 +1213,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             handle.write(buffer.getvalue())
         report["profiled"] = True
         print(f"wrote cProfile top-30 to {args.profile}")
-    else:
-        report = run_suite(
-            scale["arity"],
-            scale["depth"],
-            seed=args.seed,
-            modes=modes,
-            benches=benches,
-            jobs=args.jobs,
-            timeline_path=args.timeline,
-            scale_trace=args.scale_trace,
-        )
     if baseline is not None:
         _merge_baseline(report, baseline)
     if args.trace:

@@ -19,11 +19,6 @@ The cache has two layers, with different lifetimes:
   :attr:`~repro.membership.views.ViewTable.cache_token` and thereby
   invalidates only that table's entries — churn on one prefix path no
   longer cold-starts matching for the whole group.
-
-``keyed_cache=False`` restores the original behavior — a single
-``(id(table), event_id)`` map with only global invalidation — for
-ablation benchmarks and for tests pinning down the ``id()``-reuse
-hazard the token scheme exists to avoid.
 """
 
 from __future__ import annotations
@@ -97,9 +92,6 @@ class GossipContext:
         threshold_h: the §5.3 tuning threshold applied by every node
             (a group-wide parameter: all processes of a subgroup must
             inflate identically for the tuning to be consistent).
-        keyed_cache: use the churn-surviving two-layer cache (default);
-            ``False`` selects the legacy identity-keyed cache, whose
-            only safe invalidation is :meth:`invalidate` (global).
         registry: an optional :class:`~repro.obs.registry.
             MetricsRegistry`; when given, the live :class:`CacheStats`
             are published under the ``match_cache`` subsystem via a
@@ -112,20 +104,16 @@ class GossipContext:
         self,
         rng: random.Random,
         threshold_h: int = 0,
-        keyed_cache: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.rng = rng
         self._threshold_h = threshold_h
-        self._keyed_cache = keyed_cache
-        # Keyed mode: id(table) -> (cache_token, {event_id -> TableMatch}).
+        # id(table) -> (cache_token, {event_id -> TableMatch}).
         # The token check makes a recycled id harmless — a different
         # table (or a mutated state of this one) never token-matches.
         self._tables: Dict[int, Tuple[int, Dict[int, TableMatch]]] = {}
-        # Keyed mode: (interest fingerprint, event_id) -> verdict.
+        # (interest fingerprint, event_id) -> verdict.
         self._verdicts: Dict[Tuple[int, int], bool] = {}
-        # Legacy mode: (id(table), event_id) -> TableMatch.
-        self._legacy: Dict[Tuple[int, int], TableMatch] = {}
         # Round-bound memo, keyed (table token, rate, config); owned
         # here because bounds share the table-state lifetime.
         self._bounds: Dict[Tuple[int, float, object], int] = {}
@@ -139,11 +127,6 @@ class GossipContext:
     def threshold_h(self) -> int:
         """The tuning threshold in force for this run."""
         return self._threshold_h
-
-    @property
-    def keyed_cache(self) -> bool:
-        """True when the churn-surviving two-layer cache is active."""
-        return self._keyed_cache
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -163,16 +146,6 @@ class GossipContext:
 
     def table_match(self, table: ViewTable, event: Event) -> TableMatch:
         """Memoized ``match_table(table, event, threshold_h)``."""
-        if not self._keyed_cache:
-            key = (id(table), event.event_id)
-            cached = self._legacy.get(key)
-            if cached is None:
-                self._stats.table_misses += 1
-                cached = match_table(table, event, self._threshold_h)
-                self._legacy[key] = cached
-            else:
-                self._stats.table_hits += 1
-            return cached
         token = table.cache_token
         entry = self._tables.get(id(table))
         if entry is None or entry[0] != token:
@@ -210,20 +183,17 @@ class GossipContext:
     def invalidate(self) -> None:
         """Drop all memoized matches (views changed mid-run).
 
-        In keyed mode this is rarely needed — token checks invalidate
-        mutated tables automatically — but it remains the conservative
-        big hammer, and the legacy cache's only correct response to any
-        membership change.  Interest verdicts are *not* dropped: they
-        depend only on interest structure and event content, never on
-        membership.
+        Rarely needed — token checks invalidate mutated tables
+        automatically — but it remains the conservative big hammer.
+        Interest verdicts are *not* dropped: they depend only on
+        interest structure and event content, never on membership.
         """
         self._stats.invalidations += 1
         self._tables.clear()
-        self._legacy.clear()
         self._bounds.clear()
 
     def invalidate_table(self, table: ViewTable) -> None:
-        """Drop memos for one table only (keyed mode's targeted hammer).
+        """Drop memos for one table only (the targeted hammer).
 
         With token keying this is belt-and-braces — a mutated table
         already misses — but it lets long-lived runs release entries
@@ -247,9 +217,9 @@ class GossipContext:
     def forget_event(self, event_id: int) -> None:
         """Release all cache entries for a finished event.
 
-        Long-lived runtimes call this once an event leaves every
-        buffer; without it the per-event entries would accumulate for
-        the context's whole lifetime.
+        Per-event entries otherwise live as long as the context.  No
+        driver in this package calls it yet: ``GroupRuntime`` keeps one
+        context for its whole life and lets them accumulate.
         """
         for __, per_event in self._tables.values():
             per_event.pop(event_id, None)

@@ -162,10 +162,6 @@ class MembershipState:
         """The tuple of table cache tokens: changes iff a table does."""
         return tuple(map(_CACHE_TOKENS, self._seq))
 
-    def addresses_version(self) -> Tuple[int, ...]:
-        """Structure-only version tuple (see :meth:`structure_stamp`)."""
-        return tuple(map(_ADDR_TOKENS, self._seq))
-
     def digest(self) -> Digest:
         """(line, timestamp) pairs for every line, grouped by depth.
 

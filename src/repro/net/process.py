@@ -4,18 +4,20 @@ The component layering of reliable-distributed-programming kernels:
 the protocol state machine (:class:`~repro.core.node.PmcastNode`, plus
 an optional :class:`~repro.membership.failure_detector.FailureDetector`)
 never touches a socket or a clock.  An :class:`AsyncProcess` wraps it
-with the two event-driven entry points every driver speaks:
+with a mailbox and two event-driven entry points:
 
 * :meth:`deliver` — the transport's receive callback appends an
   envelope to the per-process mailbox (no protocol work on the I/O
   path);
-* :meth:`on_timer` — a gossip-timer fire: drain the mailbox through
-  ``node.receive`` (feeding the failure detector's contact log), then
-  ``node.gossip_step`` and hand the fan-out to the transport.
+* :meth:`drain` — apply the mailbox through ``node.receive`` (feeding
+  the failure detector's contact log).
 
-The class is sans-io on purpose: the UDP runtime (:mod:`repro.net.udp`)
-drives it from asyncio tasks, tests drive it directly, and the
-protocol logic stays byte-for-byte the code the round engine runs.
+A gossip-timer fire is the driver's: the UDP runtime
+(:mod:`repro.net.udp`) drains, then calls ``node.gossip_step`` itself
+and hands the fan-out to :attr:`transport`, because it traces and
+counts between the two.  The class is sans-io on purpose: asyncio tasks
+drive it, and the protocol logic stays byte-for-byte the code the
+round engine runs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class AsyncProcess:
             borrows group nodes for a run).
         ctx: this process's gossip context — event-driven processes do
             not share an RNG stream, each draws from its own.
-        transport: where :meth:`on_timer`'s fan-out goes.
+        transport: where the driver sends a timer fire's fan-out.
         detector: optional failure detector fed one
             ``record_contact(sender, now)`` per drained envelope.
     """
@@ -95,21 +97,6 @@ class AsyncProcess:
             drained.append(envelope)
         self.drained += len(drained)
         return drained
-
-    def on_timer(self, now: int = 0) -> List[Envelope]:
-        """One gossip period: drain the mailbox, then fan out.
-
-        Returns the envelopes handed to the transport (possibly empty:
-        a crashed or idle process fires into the void).
-        """
-        self.timer_fires += 1
-        self.drain(now)
-        if not self.node.alive:
-            return []
-        envelopes = self.node.gossip_step(self.ctx)
-        for envelope in envelopes:
-            self.transport.send(envelope)
-        return envelopes
 
     def __repr__(self) -> str:
         return (

@@ -37,22 +37,20 @@ from typing import Dict, List, Optional, Set
 
 from repro.addressing import Address, distance
 from repro.config import SimConfig
-from repro.core.context import GossipContext
-from repro.errors import NetError, SimulationError
-from repro.faults.injector import FaultInjector
+from repro.errors import NetError
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.net.clock import PRIORITY_BOUNDARY, PRIORITY_TIMER, VirtualClock
 from repro.net.scheduler import RoundSchedule, Schedule
 from repro.net.transport import SimTransport
-from repro.obs.sampling import SampledTrace, TraceSampler
+from repro.obs.sampling import TraceSampler
+from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
-from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceLog
-from repro.variants.pmcast import PmcastVariant
+from repro.variants.base import close_trace, crash_step, open_trace
+from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
 
 __all__ = ["run_sim_dissemination"]
 
@@ -106,53 +104,22 @@ def run_sim_dissemination(
             "model requires network latency below the gossip period"
         )
 
-    gossip_rng = derive_rng(sim_config.seed, "gossip", event.event_id)
-    if network is None:
-        network = LossyNetwork(
-            sim_config.loss_probability,
-            derive_rng(sim_config.seed, "network", event.event_id),
-        )
-    if crash_schedule is None:
-        crash_schedule = CrashSchedule.sample(
-            group.addresses(),
-            sim_config.crash_fraction,
-            horizon=sim_config.max_rounds,
-            rng=derive_rng(sim_config.seed, "crash", event.event_id),
-        )
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        injector = FaultInjector(
-            faults,
-            group.tree,
-            derive_rng(sim_config.seed, "faults", event.event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
-        )
-
-    ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
-    if not group.node(publisher).alive:
-        raise SimulationError(f"publisher {publisher} has crashed")
+    network, crash_schedule, injector, ctx = prepare_pmcast_run(
+        group, publisher, event, sim_config,
+        crash_schedule, network, trace, faults,
+    )
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
 
-    emit = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
-        )
-        trace.annotate(**variant.trace_meta())
-        if injector is not None:
-            trace.annotate(fault_plan=injector.plan.to_dict())
-        if event_records:
-            trace.annotate(
-                net={
-                    "schedule": repr(schedule),
-                    "period_us": period_us,
-                    "latency_us": latency_us,
-                }
-            )
+    emit = open_trace(variant, trace, sampler, injector)
     emit_events = event_records and emit is not None
+    if emit_events:
+        trace.annotate(
+            net={
+                "schedule": repr(schedule),
+                "period_us": period_us,
+                "latency_us": latency_us,
+            }
+        )
 
     variant.begin(emit)
 
@@ -194,18 +161,7 @@ def run_sim_dissemination(
                 infection_curve.append(variant.infected_count())
             if round_index >= sim_config.max_rounds:
                 break
-            victims = crash_schedule.crashes_at(round_index)
-            if injector is not None:
-                injector.begin_round(round_index)
-                scheduled_victims = set(victims)
-                victims = victims + [
-                    victim
-                    for victim in injector.crashes_at(round_index)
-                    if victim not in scheduled_victims
-                ]
-            for victim in victims:
-                if variant.crash(victim) and emit is not None:
-                    emit(round_index + 1, "crash", victim)
+            crash_step(variant, crash_schedule, injector, round_index, emit)
             if (
                 not variant.is_active()
                 and not transport.in_flight
@@ -264,10 +220,7 @@ def run_sim_dissemination(
                 ):
                     arm_timer(receiver)
 
-    if trace is not None:
-        trace.annotate(rounds=rounds)
-        if injector is not None:
-            trace.annotate(fault_stats=injector.stats())
+    close_trace(trace, injector, rounds)
     return variant.finalize(
         rounds,
         tuple(infection_curve),

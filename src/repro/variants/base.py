@@ -42,16 +42,19 @@ from repro.addressing import Address, distance
 from repro.config import SimConfig
 from repro.obs.sampling import SampledTrace, TraceSampler
 from repro.obs.timeline import NULL_SPAN, TimelineRecorder
+from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "CONTROL_KINDS",
     "DisseminationVariant",
     "VariantEnvelope",
     "VariantMessage",
+    "close_trace",
+    "crash_step",
+    "open_trace",
     "run_variant",
 ]
 
@@ -234,6 +237,64 @@ class DisseminationVariant(ABC):
             )
 
 
+def open_trace(
+    variant: DisseminationVariant,
+    trace: Optional[TraceLog],
+    sampler: Optional[TraceSampler],
+    injector: Optional[Any],
+) -> Optional[Emit]:
+    """Stamp the run metadata on ``trace``; returns its emit callback.
+
+    ``None`` when the run is untraced.  With a ``sampler`` the callback
+    filters records by hash (fault records bypass it: the injector
+    writes to the log directly).
+    """
+    if trace is None:
+        return None
+    emit = (
+        trace.record
+        if sampler is None
+        else SampledTrace(trace, sampler).record
+    )
+    trace.annotate(**variant.trace_meta())
+    if injector is not None:
+        trace.annotate(fault_plan=injector.plan.to_dict())
+    return emit
+
+
+def crash_step(
+    variant: DisseminationVariant,
+    crash_schedule: CrashSchedule,
+    injector: Optional[Any],
+    round_index: int,
+    emit: Optional[Emit],
+) -> None:
+    """Crash this round's victims: the τ-model schedule's, then the
+    fault plan's (advancing the injector to ``round_index`` first)."""
+    victims = crash_schedule.crashes_at(round_index)
+    if injector is not None:
+        injector.begin_round(round_index)
+        scheduled = set(victims)
+        victims = victims + [
+            victim
+            for victim in injector.crashes_at(round_index)
+            if victim not in scheduled
+        ]
+    for victim in victims:
+        if variant.crash(victim) and emit is not None:
+            emit(round_index + 1, "crash", victim)
+
+
+def close_trace(
+    trace: Optional[TraceLog], injector: Optional[Any], rounds: int
+) -> None:
+    """Stamp the final round count (and fault tallies) on ``trace``."""
+    if trace is not None:
+        trace.annotate(rounds=rounds)
+        if injector is not None:
+            trace.annotate(fault_stats=injector.stats())
+
+
 def run_variant(
     variant: DisseminationVariant,
     sim_config: SimConfig,
@@ -269,34 +330,14 @@ def run_variant(
     Returns:
         the variant's :class:`~repro.sim.metrics.DisseminationReport`.
     """
-    emit: Optional[Emit] = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
-        )
-        trace.annotate(**variant.trace_meta())
-        if injector is not None:
-            trace.annotate(fault_plan=injector.plan.to_dict())
+    emit = open_trace(variant, trace, sampler, injector)
     variant.begin(emit)
 
     infection_curve: List[int] = []
     messages_by_distance = [0] * variant.depth
     rounds = 0
     for round_index in range(sim_config.max_rounds):
-        victims = crash_schedule.crashes_at(round_index)
-        if injector is not None:
-            injector.begin_round(round_index)
-            scheduled = set(victims)
-            victims = victims + [
-                victim
-                for victim in injector.crashes_at(round_index)
-                if victim not in scheduled
-            ]
-        for victim in victims:
-            if variant.crash(victim) and emit is not None:
-                emit(round_index + 1, "crash", victim)
+        crash_step(variant, crash_schedule, injector, round_index, emit)
         if not variant.is_active() and (
             injector is None or not injector.has_pending
         ):
@@ -343,10 +384,7 @@ def run_variant(
 
     if timeline is not None:
         timeline.probe_memory(subsystem=variant.subsystem, round_index=rounds)
-    if trace is not None:
-        trace.annotate(rounds=rounds)
-        if injector is not None:
-            trace.annotate(fault_stats=injector.stats())
+    close_trace(trace, injector, rounds)
     return variant.finalize(
         rounds,
         tuple(infection_curve),

@@ -19,14 +19,70 @@ from repro.config import SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope
 from repro.core.node import PmcastNode
+from repro.errors import SimulationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
+from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
+from repro.sim.rng import derive_rng
 from repro.variants.base import DisseminationVariant, Emit
 
-__all__ = ["PmcastVariant", "assemble_pmcast_report"]
+__all__ = ["PmcastVariant", "assemble_pmcast_report", "prepare_pmcast_run"]
+
+
+def prepare_pmcast_run(
+    group: PmcastGroup,
+    publisher: Address,
+    event: Event,
+    sim_config: SimConfig,
+    crash_schedule: Optional[CrashSchedule],
+    network: Optional[LossyNetwork],
+    trace: Optional[TraceLog],
+    faults: Optional[FaultPlan],
+) -> Tuple[LossyNetwork, CrashSchedule, Optional[FaultInjector], GossipContext]:
+    """The seeded ``(network, crash_schedule, injector, ctx)`` of a run.
+
+    One RNG stream per concern, labelled ``gossip`` / ``network`` /
+    ``crash`` / ``faults`` and keyed by the event id, so a fault plan
+    or an explicit ``crash_schedule``/``network`` leaves the other
+    streams' draws untouched.  The round engine and the event-driven
+    runtime both start here, which is what lets the zero-jitter event
+    run be bit-identical to the round run.  A missing schedule is
+    sampled at ``sim_config.crash_fraction`` over ``max_rounds``, a
+    missing network is ε-lossy at ``sim_config.loss_probability``, and
+    the injector writes its ``fault_*`` records straight into ``trace``.
+    """
+    seed, event_id = sim_config.seed, event.event_id
+    gossip_rng = derive_rng(seed, "gossip", event_id)
+    if network is None:
+        network = LossyNetwork(
+            sim_config.loss_probability,
+            derive_rng(seed, "network", event_id),
+        )
+    if crash_schedule is None:
+        crash_schedule = CrashSchedule.sample(
+            group.addresses(),
+            sim_config.crash_fraction,
+            horizon=sim_config.max_rounds,
+            rng=derive_rng(seed, "crash", event_id),
+        )
+    injector: Optional[FaultInjector] = None
+    if faults is not None:
+        injector = FaultInjector(
+            faults,
+            group.tree,
+            derive_rng(seed, "faults", event_id),
+            emit=trace.record if trace is not None else None,
+            clock_offset=1,
+        )
+    ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
+    if not group.node(publisher).alive:
+        raise SimulationError(f"publisher {publisher} has crashed")
+    return network, crash_schedule, injector, ctx
 
 
 def assemble_pmcast_report(

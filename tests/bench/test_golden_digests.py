@@ -42,7 +42,7 @@ _SUBPROCESS_SCRIPT = """\
 import json
 from repro.bench.perf import run_suite
 report = run_suite(
-    arity=5, depth=3, seed=0, modes=["current"],
+    arity=5, depth=3, seed=0,
     benches=["churn_refresh", "membership_plane"],
 )
 current = report["results"]["current"]
@@ -56,7 +56,6 @@ def quick_suite():
         arity=5,
         depth=3,
         seed=0,
-        modes=["current"],
         benches=sorted(GOLDEN_QUICK),
     )
 
@@ -74,8 +73,7 @@ class TestGoldenQuickDigests:
             arity=5,
             depth=3,
             seed=0,
-            modes=["current"],
-            benches=["churn_refresh", "membership_plane"],
+                benches=["churn_refresh", "membership_plane"],
         )
         current = report["results"]["current"]
         assert current["churn_refresh"]["digest"] == (

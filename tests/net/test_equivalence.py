@@ -30,6 +30,7 @@ from repro.net.scheduler import JitteredSchedule, StragglerSchedule
 from repro.obs import TraceLog
 from repro.par import TrialExecutor
 from repro.sim import (
+    CrashSchedule,
     PmcastGroup,
     bernoulli_interests,
     derive_rng,
@@ -67,28 +68,35 @@ def build_group(arity, depth, seed=11, rate=0.3):
     return group, addresses
 
 
-def engine_run(arity, depth, seed=11, loss=0.05, faults=None):
+def engine_run(
+    arity, depth, seed=11, loss=0.05, faults=None, crashes=None, **sim
+):
     group, addresses = build_group(arity, depth, seed)
     trace = TraceLog()
     report = run_dissemination(
         group,
         addresses[0],
         Event({"golden": 1}, event_id=42),
-        SimConfig(seed=seed, loss_probability=loss),
+        SimConfig(seed=seed, loss_probability=loss, **sim),
+        crash_schedule=crashes,
         trace=trace,
         faults=faults,
     )
     return report, trace
 
 
-def sim_run(arity, depth, seed=11, loss=0.05, faults=None, schedule=None):
+def sim_run(
+    arity, depth, seed=11, loss=0.05, faults=None, schedule=None,
+    crashes=None, **sim,
+):
     group, addresses = build_group(arity, depth, seed)
     trace = TraceLog()
     report = run_sim_dissemination(
         group,
         addresses[0],
         Event({"golden": 1}, event_id=42),
-        SimConfig(seed=seed, loss_probability=loss),
+        SimConfig(seed=seed, loss_probability=loss, **sim),
+        crash_schedule=crashes,
         trace=trace,
         faults=faults,
         schedule=schedule,
@@ -150,6 +158,49 @@ class TestGoldenEquivalence:
 
         engine_report, engine_trace = engine_run(4, 3, faults=plan())
         sim_report, sim_trace = sim_run(4, 3, faults=plan())
+        assert sim_report == engine_report
+        assert trace_digest(sim_trace) == trace_digest(engine_trace)
+
+    def test_sampled_crashes_bit_identical(self):
+        # crash_fraction > 0: both drivers sample the same
+        # CrashSchedule from the "crash" stream and apply it at the
+        # same round boundaries.  The short horizon puts the sampled
+        # crash rounds inside the run.
+        sim = {"crash_fraction": 0.3, "max_rounds": 24}
+        engine_report, engine_trace = engine_run(4, 3, **sim)
+        sim_report, sim_trace = sim_run(4, 3, **sim)
+        assert engine_report.crashed > 0
+        assert any(record.kind == "crash" for record in engine_trace)
+        assert sim_report == engine_report
+        assert trace_digest(sim_trace) == trace_digest(engine_trace)
+
+    def test_scheduled_and_injected_crashes_bit_identical(self):
+        # An explicit schedule merged with the fault plan's victims: a
+        # delegate crash resolved against the tree, and a targeted
+        # crash naming a process the schedule kills in the same round
+        # (crashed once, by the schedule).
+        addresses = AddressSpace.regular(4, 3).enumerate_regular(4)
+        crashes = {addresses[5]: 1, addresses[20]: 2, addresses[41]: 2}
+
+        def plan():
+            return (
+                FaultPlan(name="equiv-crash")
+                .with_delegate_crash(1, "2", count=1)
+                .with_crash(2, addresses[20])
+            )
+
+        engine_report, engine_trace = engine_run(
+            4, 3, faults=plan(), crashes=CrashSchedule(crashes)
+        )
+        sim_report, sim_trace = sim_run(
+            4, 3, faults=plan(), crashes=CrashSchedule(crashes)
+        )
+        crashed = [
+            str(record.process)
+            for record in engine_trace
+            if record.kind == "crash"
+        ]
+        assert len(crashed) == len(set(crashed)) == 4
         assert sim_report == engine_report
         assert trace_digest(sim_trace) == trace_digest(engine_trace)
 

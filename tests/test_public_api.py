@@ -95,3 +95,30 @@ class TestPublicApi:
             SimulationError,
         ):
             assert issubclass(exc, ReproError)
+
+
+class TestRemovedTwins:
+    """One path per mechanism: the ablation options must stay gone."""
+
+    def test_ablation_keywords_are_not_accepted(self):
+        import inspect
+
+        from repro.core import GossipContext
+        from repro.sim import GroupRuntime
+
+        assert "keyed_cache" not in inspect.signature(GossipContext).parameters
+        assert not hasattr(GossipContext, "keyed_cache")
+        assert (
+            "active_scheduling"
+            not in inspect.signature(GroupRuntime).parameters
+        )
+
+    def test_trace_shim_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.trace")
+        # The two names stay re-exported from the package itself.
+        from repro.obs.trace import TraceLog, TraceRecord
+        from repro import sim
+
+        assert sim.TraceLog is TraceLog
+        assert sim.TraceRecord is TraceRecord
