@@ -150,32 +150,26 @@ def reliability_sweep(
     """
     if trials < 1:
         raise ReproError(f"trials {trials} must be >= 1")
-    tasks = [
-        (
-            rate,
-            trial,
-            arity,
-            depth,
-            redundancy,
-            fanout,
-            seed,
-            loss_probability,
-            crash_fraction,
-            threshold_h,
-        )
-        for rate in matching_rates
-        for trial in range(trials)
-    ]
     if executor is None:
         executor = TrialExecutor(jobs=1)
-    outcomes = executor.run(_sweep_trial, tasks, checkpoint=checkpoint)
+    common = (
+        arity, depth, redundancy, fanout,
+        seed, loss_probability, crash_fraction, threshold_h,
+    )
+    grid = executor.run_grid(
+        _sweep_trial,
+        matching_rates,
+        trials,
+        lambda rate, trial: (rate, trial, *common),
+        checkpoint=checkpoint,
+    )
     rows: List[Dict[str, float]] = []
-    for offset, rate in enumerate(matching_rates):
+    for rate, outcomes in grid:
         delivery = 0.0
         false_reception = 0.0
         rounds = 0.0
         messages = 0.0
-        for outcome in outcomes[offset * trials:(offset + 1) * trials]:
+        for outcome in outcomes:
             delivery += outcome["delivery"]
             false_reception += outcome["false_reception"]
             rounds += outcome["rounds"]

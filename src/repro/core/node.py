@@ -41,7 +41,7 @@ from repro.core.buffers import BufferedEvent, DepthBuffers
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
 from repro.core.rate import TableMatch
-from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
+from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
@@ -232,7 +232,7 @@ class PmcastNode:
         self._note_first_reception(event)
         depth = 1
         if self._config.local_interest_shortcut:
-            depth = self._shortcut_depth(event, ctx)
+            depth = self.shortcut_depth(event)
         match = ctx.table_match(self._views[depth], event)
         self._buffers.add(depth, event, match.rate, round=0)
 
@@ -313,28 +313,9 @@ class PmcastNode:
             table,
             rate,
             self._config,
-            lambda: self._compute_round_bound(table, rate),
-        )
-
-    def _compute_round_bound(self, table: ViewTable, rate: float) -> int:
-        effective_n = table.entry_count * rate
-        effective_f = self._config.fanout * rate
-        if self._config.loss_aware_rounds:
-            estimate = loss_adjusted_rounds(
-                effective_n,
-                effective_f,
-                self._config.assumed_loss,
-                self._config.assumed_crash,
-                self._config.pittel_c,
-            )
-        else:
-            estimate = pittel_rounds(
-                effective_n, effective_f, self._config.pittel_c
-            )
-        return round_bound(
-            estimate,
-            self._config.min_rounds_per_depth,
-            self._config.max_rounds_per_depth,
+            lambda: depth_round_bound(
+                table.entry_count, rate, self._config
+            ),
         )
 
     def _emit_gossips(
@@ -405,8 +386,9 @@ class PmcastNode:
         self._buffers.remove(depth, entry.event)
         return True
 
-    def _shortcut_depth(self, event: Event, ctx: GossipContext) -> int:
-        """§3.2: skip root depths where only our own subtree is interested."""
+    def shortcut_depth(self, event: Event) -> int:
+        """§3.2: the depth a publish of ``event`` starts at — root depths
+        where only our own subtree is interested are skipped."""
         depth = 1
         while depth < self._tree_depth:
             table = self._views[depth]

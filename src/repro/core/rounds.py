@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 
+from repro.config import PmcastConfig
 from repro.errors import AnalysisError
 
-__all__ = ["pittel_rounds", "loss_adjusted_rounds", "round_bound"]
+__all__ = ["pittel_rounds", "loss_adjusted_rounds", "round_bound", "depth_round_bound"]
 
 
 def pittel_rounds(n: float, fanout: float, c: float = 0.0) -> float:
@@ -91,3 +92,32 @@ def round_bound(
     if math.isinf(estimate):
         return maximum
     return min(max(int(math.ceil(estimate)), minimum), maximum)
+
+
+def depth_round_bound(
+    entry_count: int, rate: float, config: PmcastConfig
+) -> int:
+    """Figure 3 line 7: ``T(|view|·R·rate, F·rate)`` as an integer bound.
+
+    ``entry_count`` is the view's ``|view|·R`` (its delegate entries),
+    ``rate`` the matching rate the event carries at that depth; the
+    estimate is Eq 11's when ``config.loss_aware_rounds`` else Eq 3's,
+    clamped to the configured per-depth window.
+    """
+    effective_n = entry_count * rate
+    effective_f = config.fanout * rate
+    if config.loss_aware_rounds:
+        estimate = loss_adjusted_rounds(
+            effective_n,
+            effective_f,
+            config.assumed_loss,
+            config.assumed_crash,
+            config.pittel_c,
+        )
+    else:
+        estimate = pittel_rounds(effective_n, effective_f, config.pittel_c)
+    return round_bound(
+        estimate,
+        config.min_rounds_per_depth,
+        config.max_rounds_per_depth,
+    )

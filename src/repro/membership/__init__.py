@@ -20,6 +20,7 @@ from repro.membership.knowledge import (
     build_process_views,
     build_view,
     known_process_count,
+    refresh_path,
     refreshed_rows,
     regular_total_view_size,
     regular_view_sizes,
@@ -35,6 +36,7 @@ __all__ = [
     "CompactViewTable",
     "build_view",
     "refreshed_rows",
+    "refresh_path",
     "build_process_views",
     "build_all_views",
     "known_process_count",

@@ -245,7 +245,6 @@ def exchange(
     gossiper: MembershipState,
     receiver: MembershipState,
     registry: MetricsRegistry = NULL_REGISTRY,
-    counters: Optional[Tuple] = None,
 ) -> int:
     """One gossip-pull interaction: the *gossiper* gets updated.
 
@@ -256,10 +255,7 @@ def exchange(
 
     ``registry`` (``gossip_pull`` subsystem) counts every digest
     exchange, the already-synced fast-path hits, and the view lines
-    actually updated.  A driver issuing millions of exchanges can
-    prefetch those three counters once and pass them as ``counters =
-    (exchanges, synced_exchanges, lines_updated)`` instead of paying a
-    registry lookup per call; the counting semantics are identical.
+    actually updated.
 
     Returns the number of lines the gossiper updated.
     """
@@ -282,28 +278,15 @@ def exchange(
             or _find_group(g_sync[0]) == _find_group(r_sync[0])
         )
     ):
-        if counters is not None:
-            counters[0].inc()
-            counters[1].inc()
-        else:
-            registry.counter("gossip_pull", "exchanges").inc()
-            registry.counter("gossip_pull", "synced_exchanges").inc()
-        return 0
-    if counters is not None:
-        counters[0].inc()
-    else:
         registry.counter("gossip_pull", "exchanges").inc()
+        registry.counter("gossip_pull", "synced_exchanges").inc()
+        return 0
+    registry.counter("gossip_pull", "exchanges").inc()
     changed = _pull(gossiper, receiver, g_stamp, r_stamp)
     if changed < 0:
-        if counters is not None:
-            counters[1].inc()
-        else:
-            registry.counter("gossip_pull", "synced_exchanges").inc()
+        registry.counter("gossip_pull", "synced_exchanges").inc()
         return 0
-    if counters is not None:
-        counters[2].inc(changed)
-    else:
-        registry.counter("gossip_pull", "lines_updated").inc(changed)
+    registry.counter("gossip_pull", "lines_updated").inc(changed)
     return changed
 
 

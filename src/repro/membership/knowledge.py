@@ -15,7 +15,7 @@ The module also implements the closed-form knowledge accounting:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.errors import MembershipError
@@ -26,6 +26,7 @@ from repro.membership.views import ViewRow, ViewTable
 __all__ = [
     "build_view",
     "refreshed_rows",
+    "refresh_path",
     "build_process_views",
     "build_all_views",
     "known_process_count",
@@ -146,6 +147,55 @@ def refreshed_rows(
                 )
             )
     return rows
+
+
+def refresh_path(
+    tree: MembershipTree,
+    tables: Dict[Prefix, ViewTable],
+    changed: Address,
+    timestamp: int,
+    policy: Optional[RegroupPolicy] = None,
+) -> Tuple[List[ViewTable], List[ViewTable], List[ViewTable]]:
+    """Bring the shared tables on ``changed``'s prefix path up to date.
+
+    ``tables`` holds one table per populated prefix and is updated to
+    match ``tree`` after ``changed`` joined, left or changed interest.
+    An existing table is refreshed **in place**
+    (:func:`refreshed_rows` + :meth:`~repro.membership.views.ViewTable.
+    replace_rows`): object identity is preserved, so whoever holds it —
+    every other member under that prefix — needs no re-wiring, and its
+    advancing cache token invalidates exactly its match-cache entries.
+    A prefix the change newly populated gets a fresh table; one it
+    emptied loses its table.
+
+    Returns:
+        ``(written, created, dropped)`` — every table now stamped
+        ``timestamp`` (refreshed or new), the new ones among them, and
+        the tables removed from ``tables``.
+    """
+    written: List[ViewTable] = []
+    created: List[ViewTable] = []
+    dropped: List[ViewTable] = []
+    components = changed.components
+    for prefix in changed.prefixes():
+        table = tables.get(prefix)
+        if tree.is_populated(prefix):
+            if table is None:
+                table = build_view(tree, prefix, timestamp, policy)
+                tables[prefix] = table
+                created.append(table)
+            else:
+                changed_child = components[len(prefix.components)]
+                table.replace_rows(
+                    refreshed_rows(
+                        tree, prefix, table, changed_child, timestamp, policy
+                    )
+                )
+            written.append(table)
+        elif table is not None:
+            del tables[prefix]
+            dropped.append(table)
+    return written, created, dropped
 
 
 def build_process_views(

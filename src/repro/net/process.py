@@ -1,16 +1,14 @@
 """One event-driven process: protocol logic behind a mailbox.
 
 The component layering of reliable-distributed-programming kernels:
-the protocol state machine (:class:`~repro.core.node.PmcastNode`, plus
-an optional :class:`~repro.membership.failure_detector.FailureDetector`)
+the protocol state machine (:class:`~repro.core.node.PmcastNode`)
 never touches a socket or a clock.  An :class:`AsyncProcess` wraps it
 with a mailbox and two event-driven entry points:
 
 * :meth:`deliver` — the transport's receive callback appends an
   envelope to the per-process mailbox (no protocol work on the I/O
   path);
-* :meth:`drain` — apply the mailbox through ``node.receive`` (feeding
-  the failure detector's contact log).
+* :meth:`drain` — apply the mailbox through ``node.receive``.
 
 A gossip-timer fire is the driver's: the UDP runtime
 (:mod:`repro.net.udp`) drains, then calls ``node.gossip_step`` itself
@@ -23,13 +21,12 @@ round engine runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.addressing import Address
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope
 from repro.core.node import PmcastNode
-from repro.membership.failure_detector import FailureDetector
 from repro.net.transport import Transport
 
 __all__ = ["AsyncProcess"]
@@ -44,13 +41,10 @@ class AsyncProcess:
         ctx: this process's gossip context — event-driven processes do
             not share an RNG stream, each draws from its own.
         transport: where the driver sends a timer fire's fan-out.
-        detector: optional failure detector fed one
-            ``record_contact(sender, now)`` per drained envelope.
     """
 
     __slots__ = (
-        "node", "ctx", "transport", "detector", "mailbox",
-        "timer_fires", "drained",
+        "node", "ctx", "transport", "mailbox", "timer_fires", "drained",
     )
 
     def __init__(
@@ -58,12 +52,10 @@ class AsyncProcess:
         node: PmcastNode,
         ctx: GossipContext,
         transport: Transport,
-        detector: Optional[FailureDetector] = None,
     ):
         self.node = node
         self.ctx = ctx
         self.transport = transport
-        self.detector = detector
         self.mailbox: Deque[Envelope] = deque()
         self.timer_fires = 0
         self.drained = 0
@@ -82,7 +74,7 @@ class AsyncProcess:
         """Transport receive callback: enqueue, never run protocol."""
         self.mailbox.append(envelope)
 
-    def drain(self, now: int = 0) -> List[Envelope]:
+    def drain(self) -> List[Envelope]:
         """Apply every queued envelope, in arrival order.
 
         Returns the drained envelopes so the driver can emit per-record
@@ -92,8 +84,6 @@ class AsyncProcess:
         while self.mailbox:
             envelope = self.mailbox.popleft()
             self.node.receive(envelope.message, self.ctx)
-            if self.detector is not None:
-                self.detector.record_contact(envelope.message.sender, now)
             drained.append(envelope)
         self.drained += len(drained)
         return drained

@@ -12,7 +12,7 @@ the ``hard_timeout_s`` wall-clock cap.
 
 The protocol logic is the engine's own :class:`PmcastNode`, untouched,
 and the outcome is scored by the same arithmetic
-(:func:`~repro.variants.pmcast.assemble_pmcast_report`) — so a UDP
+(:func:`~repro.sim.group.assemble_pmcast_report`) — so a UDP
 run's :class:`~repro.sim.metrics.DisseminationReport` is directly
 comparable against the Eqs 12–18 oracle bands, which is exactly what
 the integration test does.  Outcomes are *not* deterministic (kernel
@@ -31,19 +31,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.addressing import Address, distance
 from repro.core.context import GossipContext
 from repro.interests.events import Event
-from repro.membership.failure_detector import FailureDetector
 from repro.net.process import AsyncProcess
 from repro.net.transport import FairLossUdpTransport, UdpEndpointRegistry
-from repro.obs.trace import TraceLog
-from repro.sim.group import PmcastGroup
+from repro.obs.trace import TraceLog, dissemination_meta
+from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
-from repro.variants.pmcast import assemble_pmcast_report
 
 __all__ = ["UdpRunStats", "run_udp_dissemination"]
-
-#: Failure-detector timeout, in periods of silence before suspicion.
-_DETECTOR_TIMEOUT_PERIODS = 3
 
 
 @dataclass(frozen=True)
@@ -145,17 +140,14 @@ async def _run_udp(
     emit = trace.record if trace is not None else None
     if trace is not None:
         trace.annotate(
-            producer="repro.net.udp",
-            publisher=str(publisher),
-            event_id=event.event_id,
-            group_size=group.size,
-            interested=sorted(str(address) for address in interested),
-            interested_count=len(interested),
-            uninterested_count=group.size
-            - len(interested)
-            - (0 if publisher in interested else 1),
-            publisher_interested=publisher in interested,
-            seed=seed,
+            **dissemination_meta(
+                "repro.net.udp",
+                publisher,
+                event.event_id,
+                group.size,
+                interested,
+                seed,
+            ),
             net={
                 "transport": "udp",
                 "period_us": int(period_s * 1_000_000),
@@ -174,9 +166,6 @@ async def _run_udp(
     transports: List[FairLossUdpTransport] = []
     driving: Dict[Address, asyncio.Task] = {}
     stopping = asyncio.Event()
-
-    def elapsed_periods() -> int:
-        return int((loop.time() - started_at) / period_s)
 
     def spawn(process: AsyncProcess) -> None:
         if stopping.is_set() or process.address in driving:
@@ -214,14 +203,7 @@ async def _run_udp(
             derive_rng(seed, "net-gossip", str(address)),
             threshold_h=group.config.threshold_h,
         )
-        processes[address] = AsyncProcess(
-            group.node(address),
-            ctx,
-            transport,
-            detector=FailureDetector(
-                address, timeout=_DETECTOR_TIMEOUT_PERIODS
-            ),
-        )
+        processes[address] = AsyncProcess(group.node(address), ctx, transport)
 
     async def _drive(process: AsyncProcess) -> None:
         address = process.address
@@ -233,7 +215,7 @@ async def _run_udp(
             while not stopping.is_set():
                 node = process.node
                 delivered_before = node.has_delivered(event)
-                drained = process.drain(elapsed_periods())
+                drained = process.drain()
                 sent = []
                 if node.alive:
                     process.timer_fires += 1

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Tuple
 
 from repro.addressing import Address
 from repro.errors import SimulationError
 
-__all__ = ["KINDS", "TRACE_SCHEMA", "TraceRecord", "TraceLog"]
+__all__ = ["KINDS", "TRACE_SCHEMA", "TraceRecord", "TraceLog", "dissemination_meta"]
 
 #: The versioned record schema identifier stamped on every JSONL trace.
 TRACE_SCHEMA = "repro.obs.trace/v1"
@@ -98,6 +98,39 @@ _PEER_OUT = frozenset(
 )
 #: Kinds whose ``peer`` is a source or object (rendered ``<-``).
 _PEER_IN = frozenset(("receive", "suspect", "view_shuffle", "recv"))
+
+
+def dissemination_meta(
+    producer: str,
+    publisher: Address,
+    event_id: int,
+    group_size: int,
+    interested: Collection[Address],
+    seed: int,
+) -> Dict[str, Any]:
+    """The header a single-event dissemination run annotates its trace with.
+
+    Carries what ``python -m repro.obs summarize`` needs to reproduce
+    the run's report ratios — the interested ground truth before anybody
+    crashed, with the publisher counted on neither side of the
+    false-reception ratio.  Every execution style of one run (scalar
+    engine, compat kernel, event-driven runtimes) writes this same
+    header, so offline tooling cannot tell the producers apart by it.
+    """
+    publisher_interested = publisher in interested
+    return {
+        "producer": producer,
+        "publisher": str(publisher),
+        "event_id": event_id,
+        "group_size": group_size,
+        "interested": sorted(str(address) for address in interested),
+        "interested_count": len(interested),
+        "uninterested_count": group_size
+        - len(interested)
+        - (0 if publisher_interested else 1),
+        "publisher_interested": publisher_interested,
+        "seed": seed,
+    }
 
 
 @dataclass(frozen=True)

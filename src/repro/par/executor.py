@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from itertools import islice
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParallelError
@@ -194,6 +195,34 @@ class TrialExecutor:
             if shard is not None:
                 shard.close()
         return results
+
+    def run_grid(
+        self,
+        fn: Callable[[Any], Any],
+        points: Sequence[Any],
+        trials: int,
+        make_task: Callable[[Any, int], Any],
+        checkpoint: Optional[str] = None,
+    ) -> List[Tuple[Any, List[Any]]]:
+        """Run ``trials`` trials of ``fn`` at every grid point.
+
+        The task list is ``make_task(point, trial)`` in point-major,
+        trial-minor order — one :meth:`run` call, so chunking,
+        checkpointing and the any-``jobs`` guarantee are exactly
+        :meth:`run`'s.
+
+        Returns:
+            ``[(point, outcomes)]`` in ``points`` order, ``outcomes``
+            being that point's ``trials`` results in trial order.
+        """
+        points = list(points)
+        tasks = [
+            make_task(point, trial)
+            for point in points
+            for trial in range(trials)
+        ]
+        outcomes = iter(self.run(fn, tasks, checkpoint=checkpoint))
+        return [(point, list(islice(outcomes, trials))) for point in points]
 
     def _record(self, delta: MetricsDelta) -> None:
         merge_delta(self.metrics, delta)

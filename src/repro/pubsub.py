@@ -6,9 +6,10 @@ the API a downstream application actually wants:
 * :class:`PubSubSystem` owns a live group — membership tree, converged
   views, one :class:`~repro.core.node.PmcastNode` per process — and
   offers ``subscribe`` / ``unsubscribe`` / ``publish`` / ``crash``.
-* Membership changes immediately rebuild the affected shared view
-  tables (the converged end-state that gossip-pull anti-entropy reaches
-  in a running deployment; §2.3) and re-wire the touched nodes.
+* Membership changes immediately refresh the affected shared view
+  tables in place (the converged end-state that gossip-pull
+  anti-entropy reaches in a running deployment; §2.3); only a
+  newcomer's node needs wiring.
 * ``publish`` multicasts one event through the simulated network and
   returns its :class:`~repro.sim.metrics.DisseminationReport`;
   ``delivered_to`` answers exactly which subscribers got it.
@@ -28,7 +29,7 @@ from repro.errors import MembershipError, SimulationError
 from repro.interests.events import Event
 from repro.interests.regrouping import RegroupPolicy
 from repro.interests.subscriptions import Interest
-from repro.membership.knowledge import build_view
+from repro.membership.knowledge import refresh_path
 from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
 from repro.sim.engine import run_dissemination
@@ -196,7 +197,7 @@ class PubSubSystem:
         return node
 
     def _refresh(self, changed: Address) -> None:
-        """Rebuild the tables on ``changed``'s prefix path, re-wire nodes.
+        """Refresh the tables on ``changed``'s prefix path, wire a newcomer.
 
         This realizes the *converged* outcome of the §2.3 protocols
         (join contact chain + gossip-pull propagation) in one step; the
@@ -204,31 +205,23 @@ class PubSubSystem:
         :mod:`repro.membership`.
         """
         self._clock += 1
-        for prefix in changed.prefixes():
-            if self._tree.is_populated(prefix):
-                self._tables[prefix] = build_view(
-                    self._tree, prefix, self._clock, self._policy
-                )
-            else:
-                self._tables.pop(prefix, None)
-        # (Re-)wire every node under the changed subtree: shared tables
-        # mean only identity updates, carrying delivery state over.
-        for address in self._tree.members():
-            views = {
-                prefix.depth: self._tables[prefix]
-                for prefix in address.prefixes()
-            }
-            existing = self._nodes.get(address)
-            if existing is None:
-                self._nodes[address] = PmcastNode(
-                    address,
-                    self._tree.interest_of(address),
-                    views,
-                    self._config,
-                )
-            else:
-                for depth, table in views.items():
-                    existing.replace_view(depth, table)
+        refresh_path(
+            self._tree, self._tables, changed, self._clock, self._policy
+        )
+        # Existing tables were refreshed in place, so every node that
+        # holds one already sees the new rows.  A table created on the
+        # path describes a prefix that was empty before the change: the
+        # only member under it is the newcomer, wired here.
+        if changed in self._tree and changed not in self._nodes:
+            self._nodes[changed] = PmcastNode(
+                changed,
+                self._tree.interest_of(changed),
+                {
+                    prefix.depth: self._tables[prefix]
+                    for prefix in changed.prefixes()
+                },
+                self._config,
+            )
 
     def _as_group(self) -> PmcastGroup:
         return PmcastGroup(

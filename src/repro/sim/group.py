@@ -9,7 +9,7 @@ converged table, see :mod:`repro.membership.knowledge`), and one
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig
@@ -21,8 +21,9 @@ from repro.interests.subscriptions import Interest
 from repro.membership.knowledge import build_all_views
 from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
+from repro.sim.metrics import DisseminationReport
 
-__all__ = ["PmcastGroup"]
+__all__ = ["PmcastGroup", "assemble_pmcast_report"]
 
 
 class PmcastGroup:
@@ -118,3 +119,65 @@ class PmcastGroup:
             for address in sorted(self._nodes)
             if self._tree.interest_of(address).matches(event)
         ]
+
+
+def assemble_pmcast_report(
+    group: PmcastGroup,
+    publisher: Address,
+    event: Event,
+    interested: set,
+    infected_count: int,
+    rounds: int,
+    infection_curve: Tuple[int, ...],
+    messages_by_distance: Tuple[int, ...],
+    messages_lost: int,
+    crashed: int,
+    sent_before: int = 0,
+    receptions_before: int = 0,
+) -> DisseminationReport:
+    """Read a run's outcome back out of the group's nodes.
+
+    The report is a pure function of the node state after the last
+    round plus the run-level tallies the caller tracked — shared by
+    :meth:`~repro.variants.pmcast.PmcastVariant.finalize`, the compat
+    kernel (after its ``restore_outcome`` write-back) and the
+    event-driven runtimes in :mod:`repro.net`, so every execution
+    style scores a run with the same arithmetic.
+    """
+    delivered_interested = sum(
+        1
+        for address in interested
+        if group.node(address).has_delivered(event)
+    )
+    uninterested = [
+        address
+        for address in group.addresses()
+        if address not in interested and address != publisher
+    ]
+    received_uninterested = sum(
+        1
+        for address in uninterested
+        if group.node(address).has_received(event)
+    )
+    messages_sent = (
+        sum(node.messages_sent for node in group.nodes()) - sent_before
+    )
+    receptions = (
+        sum(node.receptions for node in group.nodes()) - receptions_before
+    )
+    first_receptions = infected_count - 1  # the publisher never receives
+    return DisseminationReport(
+        group_size=group.size,
+        interested=len(interested),
+        uninterested=len(uninterested),
+        delivered_interested=delivered_interested,
+        received_uninterested=received_uninterested,
+        received_total=infected_count,
+        crashed=crashed,
+        rounds=rounds,
+        messages_sent=messages_sent,
+        messages_lost=messages_lost,
+        duplicate_receptions=max(receptions - first_receptions, 0),
+        infection_curve=infection_curve,
+        messages_by_distance=messages_by_distance,
+    )

@@ -57,7 +57,7 @@ from repro.membership.gossip_pull import (
     _pull,
     exchange,
 )
-from repro.membership.knowledge import build_view, refreshed_rows
+from repro.membership.knowledge import build_view, refresh_path
 from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
 from repro.net.scheduler import Schedule
@@ -290,8 +290,8 @@ class GroupRuntime:
     def active_count(self) -> int:
         """How many processes currently buffer an event (are *infected*).
 
-        This is the per-round event-gossip cost under active-set
-        scheduling; it is maintained in both scheduling modes.
+        This is the per-round event-gossip cost: only these processes
+        are visited by a round's fan-out.
         """
         return len(self._active)
 
@@ -792,8 +792,7 @@ class GroupRuntime:
           identical totals, no per-pull ``inc`` dispatch.
         * Each pull is a bidirectional contact (the peer answered); the
           contact recording and accusation retractions are inlined from
-          ``_record_contact``, and the body is duplicated for the near
-          and far draw instead of looping over a candidates list.
+          ``_record_contact``.
         """
         randbelow = self._membership_rng._randbelow
         replicas = self._replicas
@@ -859,8 +858,9 @@ class GroupRuntime:
             if g_stamp is None:
                 g_stamp = sum(map(_CACHE_TOKENS, replica._seq))
                 replica._stamp_hint = g_stamp
-            if peer_near is not None:
-                peer = peer_near
+            for peer in (peer_near, peer_far):
+                if peer is None:
+                    continue
                 n_pulls += 1
                 n_exchanges += 1
                 peer_state = replicas[peer]
@@ -890,65 +890,9 @@ class GroupRuntime:
                     elif updated:
                         n_lines += updated
                         # The pull installed rows: the cached gossiper
-                        # stamp is stale for the far pull below.
+                        # stamp is stale for the next pull.
                         g_stamp = sum(map(_CACHE_TOKENS, replica._seq))
                         replica._stamp_hint = g_stamp
-                if tracing:
-                    self._obs.emit(
-                        self._round, "pull", address, peer=peer,
-                        value=updated,
-                    )
-                if detector is not None:
-                    detector.record_contact(peer, now)
-                peer_detector = detectors_get(peer)
-                if peer_detector is not None:
-                    peer_detector.record_contact(address, now)
-                if accusers_map:
-                    # Retractions only matter while accusations are
-                    # outstanding — the map is empty in steady state,
-                    # and one truthiness check replaces two lookups.
-                    if detector is not None:
-                        accusers = accusers_get(peer)
-                        if accusers is not None:
-                            accusers.discard(address)
-                            if not accusers:
-                                del accusers_map[peer]
-                    if peer_detector is not None:
-                        accusers = accusers_get(address)
-                        if accusers is not None:
-                            accusers.discard(peer)
-                            if not accusers:
-                                del accusers_map[address]
-            if peer_far is not None:
-                peer = peer_far
-                n_pulls += 1
-                n_exchanges += 1
-                peer_state = replicas[peer]
-                p_stamp = peer_state._stamp_hint
-                if p_stamp is None:
-                    p_stamp = sum(map(_CACHE_TOKENS, peer_state._seq))
-                    peer_state._stamp_hint = p_stamp
-                g_sync = replica._sync_group
-                p_sync = peer_state._sync_group
-                if (
-                    g_sync is not None
-                    and p_sync is not None
-                    and g_sync[1] == g_stamp
-                    and p_sync[1] == p_stamp
-                    and (
-                        g_sync[0] == p_sync[0]
-                        or _find_group(g_sync[0]) == _find_group(p_sync[0])
-                    )
-                ):
-                    updated = 0
-                    n_synced += 1
-                else:
-                    updated = _pull(replica, peer_state, g_stamp, p_stamp)
-                    if updated < 0:
-                        updated = 0
-                        n_synced += 1
-                    elif updated:
-                        n_lines += updated
                 if tracing:
                     self._obs.emit(
                         self._round, "pull", address, peer=peer,
@@ -1076,15 +1020,11 @@ class GroupRuntime:
     def _refresh_path(self, address: Address, cause: str) -> None:
         """Refresh the tables on a changed prefix path, in place.
 
-        Every table on the path is brought to the content a full
-        rebuild at the new clock would produce, but through
-        :meth:`~repro.membership.views.ViewTable.replace_rows` — object
-        identity is preserved, so no other member needs re-wiring, and
-        the advancing cache token invalidates exactly these tables'
-        match-cache entries.  Only rows describing the changed member's
-        subtrees are recomputed; sibling rows are restamped.  A prefix
-        newly populated by a join gets a fresh table wired into the
-        (new) subtree members; one emptied by a removal is dropped.
+        The table half is :func:`~repro.membership.knowledge.
+        refresh_path`; around it the runtime keeps its own books: the
+        delegates every written table lists, a fresh table wired into
+        the (new) members of a prefix a join newly populated, and the
+        match-cache entries of a table a removal emptied.
 
         ``cause`` ("join" / "leave" / "crash" / "interest-update") is
         recorded in the match cache's invalidation-cause breakdown so
@@ -1093,35 +1033,19 @@ class GroupRuntime:
         self._ctx.note_invalidation(cause)
         self._clock += 1
         self._membership_changed(address)
-        touched = 0
-        components = address.components
-        for prefix in address.prefixes():
-            existing = self._tables.get(prefix)
-            touched += 1
-            if self._tree.is_populated(prefix):
-                changed_child = components[len(prefix.components)]
-                if existing is None:
-                    fresh = build_view(self._tree, prefix, self._clock)
-                    self._tables[prefix] = fresh
-                    self._note_delegates(fresh)
-                    for member in self._tree.subtree_members(prefix):
-                        node = self._nodes.get(member)
-                        if node is not None:
-                            node.replace_view(prefix.depth, fresh)
-                else:
-                    existing.replace_rows(
-                        refreshed_rows(
-                            self._tree,
-                            prefix,
-                            existing,
-                            changed_child,
-                            self._clock,
-                        )
-                    )
-                    self._note_delegates(existing)
-            elif existing is not None:
-                del self._tables[prefix]
-                self._ctx.invalidate_table(existing)
+        written, created, dropped = refresh_path(
+            self._tree, self._tables, address, self._clock
+        )
+        for table in written:
+            self._note_delegates(table)
+        for fresh in created:
+            for member in self._tree.subtree_members(fresh.prefix):
+                node = self._nodes.get(member)
+                if node is not None:
+                    node.replace_view(fresh.depth, fresh)
+        for table in dropped:
+            self._ctx.invalidate_table(table)
+        touched = self._tree.depth  # one path prefix per depth
         self._m_refreshes.inc()
         self._m_tables.inc(touched)
         if self._obs.tracing:

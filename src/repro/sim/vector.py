@@ -51,15 +51,15 @@ import numpy as np
 from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
+from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.obs.sampling import SampledTrace, TraceSampler, keep, keep_mask
 from repro.obs.timeline import NULL_SPAN, TimelineRecorder
-from repro.obs.trace import TraceLog
+from repro.obs.trace import TraceLog, dissemination_meta
 from repro.sim.crashes import CrashSchedule
-from repro.sim.group import PmcastGroup
+from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_seed
@@ -150,25 +150,7 @@ class _DepthMatch:
     def bound_for(self, rate: float, config: PmcastConfig) -> int:
         bound = self.bounds.get(rate)
         if bound is None:
-            effective_n = self.entry_count * rate
-            effective_f = config.fanout * rate
-            if config.loss_aware_rounds:
-                estimate = loss_adjusted_rounds(
-                    effective_n,
-                    effective_f,
-                    config.assumed_loss,
-                    config.assumed_crash,
-                    config.pittel_c,
-                )
-            else:
-                estimate = pittel_rounds(
-                    effective_n, effective_f, config.pittel_c
-                )
-            bound = round_bound(
-                estimate,
-                config.min_rounds_per_depth,
-                config.max_rounds_per_depth,
-            )
+            bound = depth_round_bound(self.entry_count, rate, config)
             self.bounds[rate] = bound
         return bound
 
@@ -268,23 +250,6 @@ def _build_compat_spec(
     return spec
 
 
-def _publisher_depth(group: PmcastGroup, publisher: Address, event: Event) -> int:
-    """§3.2 local-interest shortcut, as the scalar ``pmcast`` runs it."""
-    node = group.node(publisher)
-    depth = 1
-    while depth < node.tree_depth:
-        table = node.view(depth)
-        own_infix = publisher.components[depth - 1]
-        interested_infixes = {
-            row.infix for row in table.matching_rows(event)
-        }
-        if interested_infixes <= {own_infix}:
-            depth += 1
-        else:
-            break
-    return depth
-
-
 def try_run_vectorized(
     group: PmcastGroup,
     publisher: Address,
@@ -335,6 +300,8 @@ def try_run_vectorized(
 
     # Ground truth before anybody crashes (exactly the scalar order).
     interested = set(group.interested_members(event))
+    sent_before = sum(node.messages_sent for node in group.nodes())
+    receptions_before = sum(node.receptions for node in group.nodes())
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
     if spec.received[pub]:
@@ -347,7 +314,7 @@ def try_run_vectorized(
     if own_match[pub]:
         delivered[pub] = True
     publish_depth = (
-        _publisher_depth(group, publisher, event)
+        group.node(publisher).shortcut_depth(event)
         if config.local_interest_shortcut
         else 1
     )
@@ -369,17 +336,14 @@ def try_run_vectorized(
         # Byte-identical metadata to the scalar engine's: offline
         # tooling cannot (and must not) tell the producers apart.
         trace.annotate(
-            producer="repro.sim.engine",
-            publisher=str(publisher),
-            event_id=event.event_id,
-            group_size=group.size,
-            interested=sorted(str(address) for address in interested),
-            interested_count=len(interested),
-            uninterested_count=group.size
-            - len(interested)
-            - (0 if publisher in interested else 1),
-            publisher_interested=publisher in interested,
-            seed=sim_config.seed,
+            **dissemination_meta(
+                "repro.sim.engine",
+                publisher,
+                event.event_id,
+                group.size,
+                interested,
+                sim_config.seed,
+            )
         )
         emit(0, "publish", publisher, event_id=event.event_id)
         if delivered[pub]:
@@ -600,35 +564,19 @@ def try_run_vectorized(
             buffered=buffered,
         )
 
-    delivered_interested = sum(
-        1 for address in interested if delivered[index_of[address]]
-    )
-    uninterested = [
-        address
-        for address in spec.addresses
-        if address not in interested and address != publisher
-    ]
-    received_uninterested = sum(
-        1 for address in uninterested if received[index_of[address]]
-    )
-    received_total = infected_count
-    messages_sent = sum(sent_count)
-    receptions = sum(recv_count)
-    first_receptions = received_total - 1
-    return DisseminationReport(
-        group_size=group.size,
-        interested=len(interested),
-        uninterested=len(uninterested),
-        delivered_interested=delivered_interested,
-        received_uninterested=received_uninterested,
-        received_total=received_total,
-        crashed=crash_schedule.victim_count,
-        rounds=rounds,
-        messages_sent=messages_sent,
-        messages_lost=network.messages_lost,
-        duplicate_receptions=max(receptions - first_receptions, 0),
-        infection_curve=tuple(infection_curve),
-        messages_by_distance=tuple(messages_by_distance),
+    return assemble_pmcast_report(
+        group,
+        publisher,
+        event,
+        interested,
+        infected_count,
+        rounds,
+        tuple(infection_curve),
+        tuple(messages_by_distance),
+        network.messages_lost,
+        crash_schedule.victim_count,
+        sent_before=sent_before,
+        receptions_before=receptions_before,
     )
 
 

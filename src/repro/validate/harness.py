@@ -19,7 +19,7 @@ then frozen (docs/VALIDATION.md records the calibration numbers), so a
 regression that moves simulation or analysis by more than the known
 model error fails the gate.
 
-Five suites cover the acceptance surface:
+Six suites cover the acceptance surface:
 
 * ``flat`` — flat-group infection ``E[s_t]`` vs Eqs 8–10;
 * ``rounds`` — rounds-to-95%-saturation vs Eq 11;
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
@@ -82,9 +82,6 @@ __all__ = [
 
 #: The versioned report format of :meth:`ValidationReport.to_dict`.
 REPORT_SCHEMA = "repro.validate/v1"
-
-#: The suites, in execution order.
-SUITES = ("flat", "rounds", "tree", "scale", "faults", "variants")
 
 #: The (ε, τ) grid every statistical suite sweeps (≥ 3 settings).
 DEFAULT_SETTINGS: Tuple[Tuple[float, float], ...] = (
@@ -261,17 +258,49 @@ def _check(
     )
 
 
-def _flat_group(
-    n: int, fanout: int, min_rounds: int
+class _Run(NamedTuple):
+    """What :func:`run_conformance` hands every suite runner."""
+
+    settings: Sequence[Tuple[float, float]]
+    #: Per-point batch size; None for a suite registered without one.
+    trials: Optional[int]
+    seed: int
+    executor: TrialExecutor
+    quick: bool
+
+    def grid(
+        self,
+        trial_fn: Callable[[Tuple], Any],
+        *constants: Any,
+        points: Optional[Sequence[Tuple]] = None,
+    ) -> List[Tuple[Tuple, List[Any]]]:
+        """``[(point, outcomes)]`` of ``trials`` runs of ``trial_fn`` at
+        each point (the (ε, τ) settings by default), one task
+        ``(*point, trial, seed, *constants)`` per run."""
+        return self.executor.run_grid(
+            trial_fn,
+            self.settings if points is None else points,
+            self.trials,
+            lambda point, trial: (*point, trial, self.seed, *constants),
+        )
+
+
+def _all_interested_group(
+    arity: int,
+    depth: int,
+    redundancy: int,
+    fanout: int,
+    min_rounds: int = 2,
 ) -> Tuple[PmcastGroup, List[Address]]:
-    """A depth-1 (flat) group of ``n`` all-interested processes."""
-    space = AddressSpace.regular(n, 1)
+    """A regular group whose every member is interested (depth 1 =
+    the flat group of Eqs 8-11)."""
+    space = AddressSpace.regular(arity, depth)
     members = {
         address: StaticInterest(True)
-        for address in space.enumerate_regular(n)
+        for address in space.enumerate_regular(arity)
     }
     config = PmcastConfig(
-        fanout=fanout, redundancy=1, min_rounds_per_depth=min_rounds
+        fanout=fanout, redundancy=redundancy, min_rounds_per_depth=min_rounds
     )
     return PmcastGroup.build(members, config), sorted(members)
 
@@ -300,9 +329,7 @@ def _sample_crashes(
 
 def _infected_after(curve: Sequence[int], rounds: int) -> int:
     """``s_t`` from an infection curve (the curve freezes when idle)."""
-    if not curve:
-        return 1
-    if rounds <= 0:
+    if not curve or rounds <= 0:
         return 1
     return curve[min(rounds, len(curve)) - 1]
 
@@ -311,16 +338,17 @@ def _infected_after(curve: Sequence[int], rounds: int) -> int:
 
 
 def _flat_trial(task: Tuple) -> List[int]:
-    """One flat-suite trial: the infection curve of one seeded run.
+    """One flat-group trial: the infection curve of one seeded run.
 
-    A pure function of its task tuple (the parallel unit of work): the
-    trial seed derives from ``(seed, ("flat", eps, tau), trial)``, so
-    the curve is independent of worker scheduling and bit-identical to
-    the historical serial loop.
+    A pure function of its task tuple (the parallel unit of work of
+    the ``flat`` and ``rounds`` suites): the trial seed derives from
+    ``(seed, (suite, eps, tau), trial)``, so the curve is independent
+    of worker scheduling and bit-identical to the historical serial
+    loop.
     """
-    eps, tau, trial, seed, n, fanout, min_rounds, horizon = task
-    trial_seed = derive_seed(seed, ("flat", eps, tau), trial)
-    group, addresses = _flat_group(n, fanout, min_rounds=min_rounds)
+    eps, tau, trial, seed, n, fanout, min_rounds, horizon, suite = task
+    trial_seed = derive_seed(seed, (suite, eps, tau), trial)
+    group, addresses = _all_interested_group(n, 1, 1, fanout, min_rounds)
     publisher = addresses[0]
     schedule = _sample_crashes(
         addresses, publisher, tau, horizon, trial_seed
@@ -332,28 +360,17 @@ def _flat_trial(task: Tuple) -> List[int]:
         SimConfig(seed=trial_seed, loss_probability=eps),
         crash_schedule=schedule,
     )
-    worker_registry().counter("validate.flat", "trials").inc()
+    worker_registry().counter(f"validate.{suite}", "trials").inc()
     return list(report.infection_curve)
 
 
-def _run_flat_suite(
-    settings: Sequence[Tuple[float, float]],
-    trials: int,
-    seed: int,
-    executor: TrialExecutor,
-) -> List[CheckResult]:
+def _run_flat_suite(run: _Run) -> Iterator[CheckResult]:
     n, fanout = 40, 3
     windows = (2, 4, 6)
     horizon = max(windows)
-    tasks = [
-        (eps, tau, trial, seed, n, fanout, horizon + 2, horizon)
-        for eps, tau in settings
-        for trial in range(trials)
-    ]
-    all_curves = executor.run(_flat_trial, tasks)
-    checks: List[CheckResult] = []
-    for offset, (eps, tau) in enumerate(settings):
-        curves = all_curves[offset * trials:(offset + 1) * trials]
+    for (eps, tau), curves in run.grid(
+        _flat_trial, n, fanout, horizon + 2, horizon, "flat"
+    ):
         for rounds in windows:
             predicted = oracles.flat_infection_prediction(
                 n, fanout, rounds, eps, tau
@@ -361,48 +378,29 @@ def _run_flat_suite(
             samples = [
                 float(_infected_after(curve, rounds)) for curve in curves
             ]
-            checks.append(
-                _check(
-                    "flat",
-                    f"infected[t={rounds},eps={eps},tau={tau}]",
-                    oracles.EQUATIONS["flat_infection"],
-                    predicted,
-                    samples,
-                    FLAT_BAND,
-                    {
-                        "n": n,
-                        "fanout": fanout,
-                        "rounds": rounds,
-                        "eps": eps,
-                        "tau": tau,
-                    },
-                )
+            yield _check(
+                "flat",
+                f"infected[t={rounds},eps={eps},tau={tau}]",
+                oracles.EQUATIONS["flat_infection"],
+                predicted,
+                samples,
+                FLAT_BAND,
+                {
+                    "n": n,
+                    "fanout": fanout,
+                    "rounds": rounds,
+                    "eps": eps,
+                    "tau": tau,
+                },
             )
-    return checks
 
 
 # -- the rounds suite (Eq 11) --------------------------------------------
 
 
-def _rounds_trial(task: Tuple) -> Optional[float]:
-    """One rounds-suite trial: rounds to 95% saturation (None if the
-    run produced no infection curve)."""
-    eps, tau, trial, seed, n, fanout, min_rounds, horizon = task
-    trial_seed = derive_seed(seed, ("rounds", eps, tau), trial)
-    group, addresses = _flat_group(n, fanout, min_rounds=min_rounds)
-    publisher = addresses[0]
-    schedule = _sample_crashes(
-        addresses, publisher, tau, horizon, trial_seed
-    )
-    report = run_dissemination(
-        group,
-        publisher,
-        Event({}, event_id=1),
-        SimConfig(seed=trial_seed, loss_probability=eps),
-        crash_schedule=schedule,
-    )
-    worker_registry().counter("validate.rounds", "trials").inc()
-    curve = report.infection_curve
+def _saturation_round(curve: Sequence[int]) -> Optional[float]:
+    """Rounds to 95% saturation (None if the run produced no
+    infection curve)."""
     if not curve:
         return None
     final = curve[-1]
@@ -415,45 +413,75 @@ def _rounds_trial(task: Tuple) -> Optional[float]:
     return float(saturation)
 
 
-def _run_rounds_suite(
-    settings: Sequence[Tuple[float, float]],
-    trials: int,
-    seed: int,
-    executor: TrialExecutor,
-) -> List[CheckResult]:
+def _run_rounds_suite(run: _Run) -> Iterator[CheckResult]:
     n, fanout = 64, 3
     horizon = 12
-    tasks = [
-        (eps, tau, trial, seed, n, fanout, 24, horizon)
-        for eps, tau in settings
-        for trial in range(trials)
-    ]
-    outcomes = executor.run(_rounds_trial, tasks)
-    checks: List[CheckResult] = []
-    for offset, (eps, tau) in enumerate(settings):
+    for (eps, tau), curves in run.grid(
+        _flat_trial, n, fanout, 24, horizon, "rounds"
+    ):
         samples = [
             saturation
-            for saturation in outcomes[offset * trials:(offset + 1) * trials]
+            for saturation in map(_saturation_round, curves)
             if saturation is not None
         ]
         predicted = oracles.saturation_rounds_prediction(
             n, fanout, eps, tau
         )
-        checks.append(
-            _check(
-                "rounds",
-                f"saturation[eps={eps},tau={tau}]",
-                oracles.EQUATIONS["saturation_rounds"],
-                predicted,
-                samples,
-                ROUNDS_BAND,
-                {"n": n, "fanout": fanout, "eps": eps, "tau": tau},
-            )
+        yield _check(
+            "rounds",
+            f"saturation[eps={eps},tau={tau}]",
+            oracles.EQUATIONS["saturation_rounds"],
+            predicted,
+            samples,
+            ROUNDS_BAND,
+            {"n": n, "fanout": fanout, "eps": eps, "tau": tau},
         )
-    return checks
 
 
 # -- the tree suite (Eqs 12-18) ------------------------------------------
+
+
+#: The arguments of the Eqs 12-18 oracles, in call order, under the
+#: names the checks record them by.
+_TREE_MODEL = (
+    "matching_rate", "arity", "depth", "redundancy", "fanout", "eps", "tau",
+)
+
+
+def _tree_checks(
+    suite: str,
+    label: str,
+    model: Tuple,
+    ratios: Sequence[Sequence[float]],
+    **extra_params: Any,
+) -> Iterator[CheckResult]:
+    """The Eqs 12-18 check pair of one grid point of ``suite``.
+
+    ``model`` holds the oracle arguments in :data:`_TREE_MODEL` order,
+    ``ratios`` one ``(delivery, false_reception)`` pair per trial;
+    ``label`` is what tells the point apart in the check names beside
+    ε and τ.
+    """
+    eps, tau = model[-2:]
+    params = dict(extra_params, **dict(zip(_TREE_MODEL, model)))
+    yield _check(
+        suite,
+        f"delivery[{label},eps={eps},tau={tau}]",
+        oracles.EQUATIONS["tree_delivery"],
+        oracles.tree_delivery_prediction(*model),
+        [ratio[0] for ratio in ratios],
+        TREE_DELIVERY_BAND,
+        params,
+    )
+    yield _check(
+        suite,
+        f"false_reception[{label},eps={eps},tau={tau}]",
+        oracles.EQUATIONS["tree_false_reception"],
+        oracles.tree_false_reception_prediction(*model),
+        [ratio[1] for ratio in ratios],
+        TREE_FALSE_BAND,
+        params,
+    )
 
 
 def _tree_trial(task: Tuple) -> Optional[List[float]]:
@@ -504,72 +532,23 @@ def _tree_trial(task: Tuple) -> Optional[List[float]]:
     return [report.delivery_ratio, report.false_reception_ratio]
 
 
-def _run_tree_suite(
-    settings: Sequence[Tuple[float, float]],
-    trials: int,
-    seed: int,
-    executor: TrialExecutor,
-) -> List[CheckResult]:
+def _run_tree_suite(run: _Run) -> Iterator[CheckResult]:
     arity, depth, redundancy, fanout = 5, 3, 3, 3
     matching_rates = (0.25, 0.75)
     horizon = 12
-    grid = [
-        (eps, tau, p_d)
-        for eps, tau in settings
-        for p_d in matching_rates
+    points = [
+        (eps, tau, p_d) for eps, tau in run.settings for p_d in matching_rates
     ]
-    tasks = [
-        (eps, tau, p_d, trial, seed, arity, depth, redundancy, fanout,
-         horizon)
-        for eps, tau, p_d in grid
-        for trial in range(trials)
-    ]
-    outcomes = executor.run(_tree_trial, tasks)
-    checks: List[CheckResult] = []
-    for offset, (eps, tau, p_d) in enumerate(grid):
-        ratios = [
-            outcome
-            for outcome in outcomes[offset * trials:(offset + 1) * trials]
-            if outcome is not None
-        ]
-        delivery_samples = [ratio[0] for ratio in ratios]
-        false_samples = [ratio[1] for ratio in ratios]
-        params = {
-            "arity": arity,
-            "depth": depth,
-            "redundancy": redundancy,
-            "fanout": fanout,
-            "matching_rate": p_d,
-            "eps": eps,
-            "tau": tau,
-        }
-        checks.append(
-            _check(
-                "tree",
-                f"delivery[p={p_d},eps={eps},tau={tau}]",
-                oracles.EQUATIONS["tree_delivery"],
-                oracles.tree_delivery_prediction(
-                    p_d, arity, depth, redundancy, fanout, eps, tau
-                ),
-                delivery_samples,
-                TREE_DELIVERY_BAND,
-                params,
-            )
+    grid = run.grid(
+        _tree_trial, arity, depth, redundancy, fanout, horizon, points=points
+    )
+    for (eps, tau, p_d), outcomes in grid:
+        yield from _tree_checks(
+            "tree",
+            f"p={p_d}",
+            (p_d, arity, depth, redundancy, fanout, eps, tau),
+            [outcome for outcome in outcomes if outcome is not None],
         )
-        checks.append(
-            _check(
-                "tree",
-                f"false_reception[p={p_d},eps={eps},tau={tau}]",
-                oracles.EQUATIONS["tree_false_reception"],
-                oracles.tree_false_reception_prediction(
-                    p_d, arity, depth, redundancy, fanout, eps, tau
-                ),
-                false_samples,
-                TREE_FALSE_BAND,
-                params,
-            )
-        )
-    return checks
 
 
 # -- the scale suite (Eqs 12-18 at paper scale and beyond) ---------------
@@ -580,34 +559,26 @@ SCALE_POINTS_FULL = ((22, 3), (47, 3), (100, 3))
 SCALE_POINTS_QUICK = ((22, 3),)
 
 
-def _run_scale_suite(
-    settings: Sequence[Tuple[float, float]],
-    trials: int,
-    seed: int,
-    executor: TrialExecutor,
-    quick: bool,
-) -> List[CheckResult]:
+def _run_scale_suite(run: _Run) -> Iterator[CheckResult]:
     """Large-n delivery / false-reception conformance.
 
     Trials run in the coordinating process; the *waves* of each trial
-    fan out one depth-1 subtree per worker through ``executor``, so a
+    fan out one depth-1 subtree per worker through ``run.executor``, so a
     ``--jobs auto`` conformance run exercises the sharded kernel while
     the report stays byte-identical to a serial one (the kernel's seed
     contract is per ``(shard, round)``, independent of scheduling).
     """
     redundancy, fanout, p_d = 3, 3, 0.25
-    points = SCALE_POINTS_QUICK if quick else SCALE_POINTS_FULL
+    points = SCALE_POINTS_QUICK if run.quick else SCALE_POINTS_FULL
     config = PmcastConfig(
         fanout=fanout, redundancy=redundancy, min_rounds_per_depth=2
     )
-    checks: List[CheckResult] = []
     for arity, depth in points:
-        for eps, tau in settings:
-            delivery_samples: List[float] = []
-            false_samples: List[float] = []
-            for trial in range(trials):
+        for eps, tau in run.settings:
+            ratios: List[Tuple[float, float]] = []
+            for trial in range(run.trials):
                 trial_seed = derive_seed(
-                    seed, ("scale", arity, depth, eps, tau), trial
+                    run.seed, ("scale", arity, depth, eps, tau), trial
                 )
                 spec = build_regular_spec(
                     arity,
@@ -622,50 +593,21 @@ def _run_scale_suite(
                     ),
                     event_id=1,
                 )
-                report = run_sharded_dissemination(spec, executor=executor)
+                report = run_sharded_dissemination(spec, executor=run.executor)
                 worker_registry().counter("validate.scale", "trials").inc()
                 if report.interested == 0:
                     continue
-                delivery_samples.append(report.delivery_ratio)
-                false_samples.append(report.false_reception_ratio)
-            params = {
-                "n": arity ** depth,
-                "arity": arity,
-                "depth": depth,
-                "redundancy": redundancy,
-                "fanout": fanout,
-                "matching_rate": p_d,
-                "eps": eps,
-                "tau": tau,
-            }
+                ratios.append(
+                    (report.delivery_ratio, report.false_reception_ratio)
+                )
             n = arity ** depth
-            checks.append(
-                _check(
-                    "scale",
-                    f"delivery[n={n},eps={eps},tau={tau}]",
-                    oracles.EQUATIONS["tree_delivery"],
-                    oracles.tree_delivery_prediction(
-                        p_d, arity, depth, redundancy, fanout, eps, tau
-                    ),
-                    delivery_samples,
-                    TREE_DELIVERY_BAND,
-                    params,
-                )
+            yield from _tree_checks(
+                "scale",
+                f"n={n}",
+                (p_d, arity, depth, redundancy, fanout, eps, tau),
+                ratios,
+                n=n,
             )
-            checks.append(
-                _check(
-                    "scale",
-                    f"false_reception[n={n},eps={eps},tau={tau}]",
-                    oracles.EQUATIONS["tree_false_reception"],
-                    oracles.tree_false_reception_prediction(
-                        p_d, arity, depth, redundancy, fanout, eps, tau
-                    ),
-                    false_samples,
-                    TREE_FALSE_BAND,
-                    params,
-                )
-            )
-    return checks
 
 
 # -- the variants suite (ablations vs their paired push baseline) --------
@@ -751,24 +693,12 @@ def _variant_trial(task: Tuple) -> List[float]:
     return out
 
 
-def _run_variants_suite(
-    settings: Sequence[Tuple[float, float]],
-    trials: int,
-    seed: int,
-    executor: TrialExecutor,
-) -> List[CheckResult]:
+def _run_variants_suite(run: _Run) -> Iterator[CheckResult]:
     arity, depth, fanout, p_d = 5, 3, 3, 0.3
-    tasks = [
-        (eps, tau, trial, seed, arity, depth, fanout, p_d)
-        for eps, tau in settings
-        for trial in range(trials)
-    ]
-    outcomes = executor.run(_variant_trial, tasks)
-    checks: List[CheckResult] = []
+    grid = run.grid(_variant_trial, arity, depth, fanout, p_d)
     lazy_eq = oracles.EQUATIONS["variant_lazy_pull"]
     bounded_eq = oracles.EQUATIONS["variant_bounded_view"]
-    for offset, (eps, tau) in enumerate(settings):
-        rows = outcomes[offset * trials:(offset + 1) * trials]
+    for (eps, tau), rows in grid:
         params = {
             "n": arity ** depth,
             "fanout": fanout,
@@ -778,29 +708,25 @@ def _run_variants_suite(
         }
         # 1. Lazy delivery tracks its paired push run.  The statistic
         #    is the per-trial difference, so the prediction is 0.
-        checks.append(
-            _check(
-                "variants",
-                f"lazy_delivery_gap[eps={eps},tau={tau}]",
-                lazy_eq,
-                0.0,
-                [row[2] - row[0] for row in rows],
-                VARIANT_DELIVERY_BAND,
-                params,
-            )
+        yield _check(
+            "variants",
+            f"lazy_delivery_gap[eps={eps},tau={tau}]",
+            lazy_eq,
+            0.0,
+            [row[2] - row[0] for row in rows],
+            VARIANT_DELIVERY_BAND,
+            params,
         )
         # 2. ... while spending strictly fewer messages: the per-trial
         #    lazy/push message ratio must sit well below parity.
-        checks.append(
-            _check(
-                "variants",
-                f"lazy_cost_ratio[eps={eps},tau={tau}]",
-                lazy_eq,
-                0.60,
-                [row[3] / max(row[1], 1.0) for row in rows],
-                VARIANT_COST_BAND,
-                params,
-            )
+        yield _check(
+            "variants",
+            f"lazy_cost_ratio[eps={eps},tau={tau}]",
+            lazy_eq,
+            0.60,
+            [row[3] / max(row[1], 1.0) for row in rows],
+            VARIANT_COST_BAND,
+            params,
         )
         # 3. Bounded-view false reception is monotone in view size: a
         #    bigger partial view behaves more like the global one, so
@@ -814,139 +740,121 @@ def _run_variants_suite(
             false_means[index + 1] - false_means[index]
             for index in range(len(false_means) - 1)
         )
-        monotone_params = dict(params, view_sizes=list(VARIANT_VIEW_SIZES))
-        checks.append(
-            _check(
-                "variants",
-                f"bounded_false_monotone[eps={eps},tau={tau}]",
-                bounded_eq,
-                0.0,
-                [min_delta],
-                VARIANT_MONOTONE_BAND,
-                monotone_params,
-            )
+        yield _check(
+            "variants",
+            f"bounded_false_monotone[eps={eps},tau={tau}]",
+            bounded_eq,
+            0.0,
+            [min_delta],
+            VARIANT_MONOTONE_BAND,
+            dict(params, view_sizes=list(VARIANT_VIEW_SIZES)),
         )
         # 4. The largest bounded view approaches the global-view push
         #    baseline's delivery (paired per-trial difference again).
         last = 4 + 2 * (len(VARIANT_VIEW_SIZES) - 1)
-        checks.append(
-            _check(
-                "variants",
-                f"bounded_delivery_gap[eps={eps},tau={tau}]",
-                bounded_eq,
-                0.0,
-                [row[last] - row[0] for row in rows],
-                VARIANT_BOUNDED_DELIVERY_BAND,
-                dict(params, view_size=VARIANT_VIEW_SIZES[-1]),
-            )
+        yield _check(
+            "variants",
+            f"bounded_delivery_gap[eps={eps},tau={tau}]",
+            bounded_eq,
+            0.0,
+            [row[last] - row[0] for row in rows],
+            VARIANT_BOUNDED_DELIVERY_BAND,
+            dict(params, view_size=VARIANT_VIEW_SIZES[-1]),
         )
-    return checks
 
 
 # -- the faults suite (deterministic oracles) ----------------------------
 
 
-def _all_interested_group(
-    arity: int, depth: int, redundancy: int, fanout: int
-) -> Tuple[PmcastGroup, List[Address]]:
-    space = AddressSpace.regular(arity, depth)
-    members = {
-        address: StaticInterest(True)
-        for address in space.enumerate_regular(arity)
-    }
-    config = PmcastConfig(
-        fanout=fanout, redundancy=redundancy, min_rounds_per_depth=2
-    )
-    return PmcastGroup.build(members, config), sorted(members)
+def _run_faults_suite(run: _Run) -> Iterator[CheckResult]:
+    """Deterministic fault-plane oracles: exact outcomes, exact bands.
 
-
-def _run_faults_suite(seed: int) -> List[CheckResult]:
-    """Deterministic fault-plane oracles: exact outcomes, exact bands."""
-    checks: List[CheckResult] = []
-    equation = oracles.EQUATIONS["fault_plane"]
-
-    # 1. A permanent partition isolating subtree 3 -> zero receptions
-    #    inside it.
-    group, addresses = _all_interested_group(4, 2, 2, 3)
-    plan = FaultPlan(name="isolate-3")
+    One row per oracle: (check name, plan, statistic, exact
+    prediction), the statistic read off the run's report and the
+    addresses that hold the event after it.
+    """
+    isolate = FaultPlan(name="isolate-3")
     for other in ("0", "1", "2"):
-        plan = plan.with_partition(0, 512, "3", other)
-    event = Event({}, event_id=1)
-    run_dissemination(
-        group, addresses[0], event, SimConfig(seed=seed), faults=plan
-    )
-    isolated = [a for a in addresses if a.components[0] == 3]
-    leaked = sum(
-        1 for a in isolated if group.node(a).has_received(event)
-    )
-    checks.append(
-        _check(
-            "faults", "partition_isolates_subtree", equation,
-            0.0, [float(leaked)], EXACT, {"plan": plan.name},
+        isolate = isolate.with_partition(0, 512, "3", other)
+    cases = [
+        # A permanent partition isolating subtree 3 -> zero receptions
+        # inside it.
+        (
+            "partition_isolates_subtree",
+            isolate,
+            lambda report, held: sum(a.components[0] == 3 for a in held),
+            0.0,
+        ),
+        # Crashing all R root delegates of subtree 2 (its two smallest
+        # addresses) at round 0 strands the rest of that subtree (no
+        # membership repair in a static run) -> zero receptions among
+        # its survivors.
+        (
+            "delegate_crash_strands_subtree",
+            FaultPlan(name="behead-2").with_delegate_crash(0, "2", count=2),
+            lambda report, held: sum(
+                a.components[0] == 2 and a.components[1] >= 2 for a in held
+            ),
+            0.0,
+        ),
+        # A total blackout burst (p = 1 over the whole run) -> only the
+        # publisher ever holds the event.
+        (
+            "blackout_stops_dissemination",
+            FaultPlan(name="blackout").with_loss_burst(0, 512, 1.0),
+            lambda report, held: report.received_total,
+            1.0,
+        ),
+        # A delay-only plan reorders but loses nothing -> full delivery
+        # on a loss-free network.
+        (
+            "delay_preserves_delivery",
+            FaultPlan(name="delay-only").with_delay(1, 4, 3),
+            lambda report, held: report.delivery_ratio,
+            1.0,
+        ),
+    ]
+    for name, plan, statistic, predicted in cases:
+        group, addresses = _all_interested_group(4, 2, 2, 3)
+        event = Event({}, event_id=1)
+        report = run_dissemination(
+            group, addresses[0], event, SimConfig(seed=run.seed), faults=plan
         )
-    )
-
-    # 2. Crashing all R root delegates of subtree 2 at round 0 strands
-    #    the rest of that subtree (no membership repair in a static
-    #    run) -> zero receptions among its survivors.
-    group, addresses = _all_interested_group(4, 2, 2, 3)
-    plan = FaultPlan(name="behead-2").with_delegate_crash(0, "2", count=2)
-    event = Event({}, event_id=1)
-    run_dissemination(
-        group, addresses[0], event, SimConfig(seed=seed), faults=plan
-    )
-    stranded = [a for a in addresses if a.components[0] == 2][2:]
-    reached = sum(
-        1 for a in stranded if group.node(a).has_received(event)
-    )
-    checks.append(
-        _check(
-            "faults", "delegate_crash_strands_subtree", equation,
-            0.0, [float(reached)], EXACT, {"plan": plan.name},
-        )
-    )
-
-    # 3. A total blackout burst (p = 1 over the whole run) -> only the
-    #    publisher ever holds the event.
-    group, addresses = _all_interested_group(4, 2, 2, 3)
-    plan = FaultPlan(name="blackout").with_loss_burst(0, 512, 1.0)
-    event = Event({}, event_id=1)
-    report = run_dissemination(
-        group, addresses[0], event, SimConfig(seed=seed), faults=plan
-    )
-    checks.append(
-        _check(
-            "faults", "blackout_stops_dissemination", equation,
-            1.0, [float(report.received_total)], EXACT,
+        held = [a for a in addresses if group.node(a).has_received(event)]
+        yield _check(
+            "faults",
+            name,
+            oracles.EQUATIONS["fault_plane"],
+            predicted,
+            [float(statistic(report, held))],
+            EXACT,
             {"plan": plan.name},
         )
-    )
-
-    # 4. A delay-only plan reorders but loses nothing -> full delivery
-    #    on a loss-free network.
-    group, addresses = _all_interested_group(4, 2, 2, 3)
-    plan = FaultPlan(name="delay-only").with_delay(1, 4, 3)
-    event = Event({}, event_id=1)
-    report = run_dissemination(
-        group, addresses[0], event, SimConfig(seed=seed), faults=plan
-    )
-    checks.append(
-        _check(
-            "faults", "delay_preserves_delivery", equation,
-            1.0, [report.delivery_ratio], EXACT, {"plan": plan.name},
-        )
-    )
-    return checks
 
 
-#: Per-suite default trial counts: (full, quick).
-_TRIALS = {
-    "flat": (40, 12),
-    "rounds": (30, 10),
-    "tree": (25, 8),
-    "scale": (3, 3),
-    "variants": (12, 6),
+# -- the registry --------------------------------------------------------
+
+
+#: Every suite, in execution order: name -> (calibrated ``(full,
+#: quick)`` trials per grid point, runner yielding the checks).  A
+#: deterministic suite registers None for the counts: its runner sees
+#: ``run.trials`` = None and ``--trials`` does not apply to it.  Adding
+#: a suite is one entry here — :data:`SUITES`, the CLI's ``--suite``
+#: choices and :func:`run_conformance`'s dispatch all derive from it.
+_REGISTRY: Dict[
+    str,
+    Tuple[Optional[Tuple[int, int]], Callable[[_Run], Iterator[CheckResult]]],
+] = {
+    "flat": ((40, 12), _run_flat_suite),
+    "rounds": ((30, 10), _run_rounds_suite),
+    "tree": ((25, 8), _run_tree_suite),
+    "scale": ((3, 3), _run_scale_suite),
+    "faults": (None, _run_faults_suite),
+    "variants": ((12, 6), _run_variants_suite),
 }
+
+#: The suite names, in execution order.
+SUITES = tuple(_REGISTRY)
 
 
 def run_conformance(
@@ -988,7 +896,7 @@ def run_conformance(
     """
     chosen = tuple(suites) if suites else SUITES
     for suite in chosen:
-        if suite not in SUITES:
+        if suite not in _REGISTRY:
             raise ValidationError(
                 f"unknown suite {suite!r}; choose from {SUITES}"
             )
@@ -1000,36 +908,21 @@ def run_conformance(
         executor = TrialExecutor(jobs=jobs)  # type: ignore[arg-type]
     checks: List[CheckResult] = []
     try:
-        for suite in SUITES:
+        for suite, (calibrated, runner) in _REGISTRY.items():
             if suite not in chosen:
                 continue
-            if suite == "faults":
-                checks.extend(_run_faults_suite(seed))
-                continue
-            full, fast = _TRIALS[suite]
-            count = (
-                trials if trials is not None else (fast if quick else full)
-            )
-            if count < 2:
-                raise ValidationError(
-                    f"suite {suite!r} needs at least 2 trials, got {count}"
+            count = None
+            if calibrated is not None:
+                full, fast = calibrated
+                count = (
+                    trials if trials is not None else (fast if quick else full)
                 )
-            if suite == "flat":
-                checks.extend(_run_flat_suite(grid, count, seed, executor))
-            elif suite == "rounds":
-                checks.extend(
-                    _run_rounds_suite(grid, count, seed, executor)
-                )
-            elif suite == "tree":
-                checks.extend(_run_tree_suite(grid, count, seed, executor))
-            elif suite == "scale":
-                checks.extend(
-                    _run_scale_suite(grid, count, seed, executor, quick)
-                )
-            elif suite == "variants":
-                checks.extend(
-                    _run_variants_suite(grid, count, seed, executor)
-                )
+                if count < 2:
+                    raise ValidationError(
+                        f"suite {suite!r} needs at least 2 trials, "
+                        f"got {count}"
+                    )
+            checks.extend(runner(_Run(grid, count, seed, executor, quick)))
     finally:
         if owns_executor:
             executor.close()

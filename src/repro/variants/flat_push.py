@@ -37,6 +37,7 @@ from repro.core.rounds import pittel_rounds, round_bound
 from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
@@ -136,20 +137,16 @@ class FlatPushVariant(DisseminationVariant):
         return self.publisher.depth
 
     def trace_meta(self) -> Dict[str, Any]:
-        return {
-            "producer": self.producer,
-            "variant": self.name,
-            "publisher": str(self.publisher),
-            "event_id": self.event.event_id,
-            "group_size": len(self.addresses),
-            "interested": sorted(str(a) for a in self.interested),
-            "interested_count": len(self.interested),
-            "uninterested_count": len(self.addresses)
-            - len(self.interested)
-            - (0 if self.publisher in self.interested else 1),
-            "publisher_interested": self.publisher in self.interested,
-            "seed": self.seed,
-        }
+        meta = dissemination_meta(
+            self.producer,
+            self.publisher,
+            self.event.event_id,
+            len(self.addresses),
+            self.interested,
+            self.seed,
+        )
+        meta["variant"] = self.name
+        return meta
 
     def begin(self, emit: Optional[Emit]) -> None:
         if emit is not None:

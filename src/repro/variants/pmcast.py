@@ -23,15 +23,15 @@ from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.obs.trace import TraceLog
+from repro.obs.trace import TraceLog, dissemination_meta
 from repro.sim.crashes import CrashSchedule
-from repro.sim.group import PmcastGroup
+from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
 from repro.variants.base import DisseminationVariant, Emit
 
-__all__ = ["PmcastVariant", "assemble_pmcast_report", "prepare_pmcast_run"]
+__all__ = ["PmcastVariant", "prepare_pmcast_run"]
 
 
 def prepare_pmcast_run(
@@ -85,67 +85,6 @@ def prepare_pmcast_run(
     return network, crash_schedule, injector, ctx
 
 
-def assemble_pmcast_report(
-    group: PmcastGroup,
-    publisher: Address,
-    event: Event,
-    interested: set,
-    infected_count: int,
-    rounds: int,
-    infection_curve: Tuple[int, ...],
-    messages_by_distance: Tuple[int, ...],
-    messages_lost: int,
-    crashed: int,
-    sent_before: int = 0,
-    receptions_before: int = 0,
-) -> DisseminationReport:
-    """Read a run's outcome back out of the group's nodes.
-
-    The report is a pure function of the node state after the last
-    round plus the run-level tallies the caller tracked — shared by
-    :meth:`PmcastVariant.finalize` and the event-driven runtimes in
-    :mod:`repro.net`, so every execution style scores a run with the
-    same arithmetic.
-    """
-    delivered_interested = sum(
-        1
-        for address in interested
-        if group.node(address).has_delivered(event)
-    )
-    uninterested = [
-        address
-        for address in group.addresses()
-        if address not in interested and address != publisher
-    ]
-    received_uninterested = sum(
-        1
-        for address in uninterested
-        if group.node(address).has_received(event)
-    )
-    messages_sent = (
-        sum(node.messages_sent for node in group.nodes()) - sent_before
-    )
-    receptions = (
-        sum(node.receptions for node in group.nodes()) - receptions_before
-    )
-    first_receptions = infected_count - 1  # the publisher never receives
-    return DisseminationReport(
-        group_size=group.size,
-        interested=len(interested),
-        uninterested=len(uninterested),
-        delivered_interested=delivered_interested,
-        received_uninterested=received_uninterested,
-        received_total=infected_count,
-        crashed=crashed,
-        rounds=rounds,
-        messages_sent=messages_sent,
-        messages_lost=messages_lost,
-        duplicate_receptions=max(receptions - first_receptions, 0),
-        infection_curve=infection_curve,
-        messages_by_distance=messages_by_distance,
-    )
-
-
 class PmcastVariant(DisseminationVariant):
     """Tree-structured gossip over a wired :class:`PmcastGroup`.
 
@@ -190,20 +129,14 @@ class PmcastVariant(DisseminationVariant):
         return self.group.tree.depth
 
     def trace_meta(self) -> Dict[str, Any]:
-        interested = self.interested
-        return {
-            "producer": self.producer,
-            "publisher": str(self.publisher),
-            "event_id": self.event.event_id,
-            "group_size": self.group.size,
-            "interested": sorted(str(address) for address in interested),
-            "interested_count": len(interested),
-            "uninterested_count": self.group.size
-            - len(interested)
-            - (0 if self.publisher in interested else 1),
-            "publisher_interested": self.publisher in interested,
-            "seed": self.seed,
-        }
+        return dissemination_meta(
+            self.producer,
+            self.publisher,
+            self.event.event_id,
+            self.group.size,
+            self.interested,
+            self.seed,
+        )
 
     def begin(self, emit: Optional[Emit]) -> None:
         self.origin.pmcast(self.event, self.ctx)

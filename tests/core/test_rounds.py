@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
+from repro.config import PmcastConfig
+from repro.core.rounds import (
+    depth_round_bound,
+    loss_adjusted_rounds,
+    pittel_rounds,
+    round_bound,
+)
 from repro.errors import AnalysisError
 
 
@@ -96,3 +102,30 @@ class TestRoundBound:
     def test_bound_respects_clamp(self, estimate, minimum, maximum):
         bound = round_bound(estimate, minimum, maximum)
         assert minimum <= bound <= maximum
+
+
+class TestDepthRoundBound:
+    """Figure 3 line 7, the one definition every execution path uses."""
+
+    def test_is_the_clamped_pittel_estimate(self):
+        config = PmcastConfig(
+            fanout=3, min_rounds_per_depth=2, max_rounds_per_depth=9
+        )
+        assert depth_round_bound(66, 0.5, config) == round_bound(
+            pittel_rounds(33.0, 1.5, config.pittel_c), 2, 9
+        )
+        # Nobody interested: T(0, 0) = 0, floored at the minimum.
+        assert depth_round_bound(66, 0.0, config) == 2
+
+    def test_loss_aware_config_uses_eq_11(self):
+        config = PmcastConfig(
+            fanout=3,
+            loss_aware_rounds=True,
+            assumed_loss=0.2,
+            assumed_crash=0.1,
+        )
+        assert depth_round_bound(66, 1.0, config) == round_bound(
+            loss_adjusted_rounds(66.0, 3.0, 0.2, 0.1, config.pittel_c),
+            config.min_rounds_per_depth,
+            config.max_rounds_per_depth,
+        )

@@ -45,6 +45,45 @@ class TestSubscribe:
             system.unsubscribe(Address((0, 0, 0)))
 
 
+class TestRefreshInPlace:
+    def test_second_subscribe_keeps_tables_and_nodes(self):
+        system = populated_system()
+        first = Address((0, 0, 7))
+        system.subscribe(first, parse_subscription("topic >= 1"))
+        tables = dict(system._tables)
+        nodes = dict(system._nodes)
+        newcomer = Address((0, 0, 8))
+        system.subscribe(newcomer, parse_subscription("topic >= 1"))
+        # Refreshed in place: no table on (or off) the path is a new
+        # object, and the only node built is the newcomer's.
+        assert set(system._tables) == set(tables)
+        for prefix, table in tables.items():
+            assert system._tables[prefix] is table
+        assert set(system._nodes) - set(nodes) == {newcomer}
+        for address, node in nodes.items():
+            assert system._nodes[address] is node
+        # ... and everybody sees the newcomer through the shared table.
+        leaf = newcomer.prefixes()[-1]
+        assert system.node(first).view(leaf.depth) is tables[leaf]
+        assert tables[leaf].has_row(8)
+        assert system.node(newcomer).view(leaf.depth) is tables[leaf]
+
+    def test_new_subgroup_is_wired_into_the_newcomer_only(self):
+        system = populated_system()
+        nodes = dict(system._nodes)
+        newcomer = Address((5, 0, 0))
+        system.subscribe(newcomer, parse_subscription("topic >= 1"))
+        assert set(system._nodes) - set(nodes) == {newcomer}
+        for prefix in newcomer.prefixes():
+            assert (
+                system.node(newcomer).view(prefix.depth)
+                is system._tables[prefix]
+            )
+        event = Event({"topic": 2})
+        system.publish(Address((0, 0, 1)), event)
+        assert newcomer in system.delivered_to(event)
+
+
 class TestPublish:
     def test_selective_delivery(self):
         system = populated_system()

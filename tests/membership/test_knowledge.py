@@ -193,3 +193,45 @@ class TestRefreshedRows:
         tree.remove(Address((0, 1)))
         with pytest.raises(MembershipError):
             refreshed_rows(tree, Prefix((0,)), existing, 0, timestamp=1)
+
+
+class TestRefreshPath:
+    """The in-place path refresh shared by GroupRuntime and PubSubSystem."""
+
+    def test_join_refreshes_in_place_and_creates_the_new_prefix(self):
+        from repro.membership import refresh_path
+
+        tree = regular_tree(arity=3, depth=3)
+        tables = build_all_views(tree, timestamp=1)
+        before = dict(tables)
+        newcomer = Address((1, 5, 0))       # subgroup 1.5 is new
+        tree.add(newcomer, StaticInterest(False))
+        written, created, dropped = refresh_path(
+            tree, tables, newcomer, timestamp=2
+        )
+        assert [t.prefix for t in written] == list(newcomer.prefixes())
+        assert [t.prefix for t in created] == [Prefix((1, 5))]
+        assert dropped == []
+        for prefix in newcomer.prefixes():
+            if prefix in before:
+                assert tables[prefix] is before[prefix]
+            assert (
+                tables[prefix].rows() == build_view(tree, prefix, 2).rows()
+            )
+
+    def test_leave_drops_the_emptied_prefix(self):
+        from repro.membership import refresh_path
+
+        tree = regular_tree(arity=2, depth=2)
+        tables = build_all_views(tree, timestamp=1)
+        emptied = tables[Prefix((0,))]
+        tree.remove(Address((0, 0)))
+        refresh_path(tree, tables, Address((0, 0)), timestamp=2)
+        assert tables[Prefix((0,))] is emptied
+        tree.remove(Address((0, 1)))
+        written, created, dropped = refresh_path(
+            tree, tables, Address((0, 1)), timestamp=3
+        )
+        assert dropped == [emptied] and Prefix((0,)) not in tables
+        assert [t.prefix for t in written] == [Prefix(())] and created == []
+        assert tables[Prefix(())].rows() == build_view(tree, Prefix(()), 3).rows()

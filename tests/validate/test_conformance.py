@@ -8,9 +8,16 @@ settings per equation family.  They are excluded from tier-1 by the
 dedicated CI conformance job.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.validate import DEFAULT_SETTINGS, EQUATIONS, run_conformance
+
+#: ``python -m repro.validate --quick --seed 2002 --jobs 1 --output``
+#: as written at PR 13 (e35af81); CI diffs the CLI's file against it.
+PINNED_REPORT = Path(__file__).parent / "data" / "quick_2002.json"
 
 pytestmark = pytest.mark.statistical
 
@@ -52,3 +59,10 @@ class TestConformance:
     def test_report_is_bit_reproducible(self, quick_report):
         again = run_conformance(quick=True, seed=2002)
         assert quick_report.to_dict() == again.to_dict()
+
+    def test_report_matches_the_pinned_one(self, quick_report):
+        # Re-running pins nothing across commits; the committed report
+        # does: any drift in a seed label, a band, a statistic or a
+        # report field shows up here as a diff.
+        pinned = json.loads(PINNED_REPORT.read_text(encoding="utf-8"))
+        assert json.loads(json.dumps(quick_report.to_dict())) == pinned

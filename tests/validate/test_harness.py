@@ -11,6 +11,8 @@ from repro.validate import (
     ValidationReport,
     run_conformance,
 )
+from repro.validate.cli import _build_parser
+from repro.validate.harness import _REGISTRY
 
 
 def check(passed=True, suite="flat", name="c", **over):
@@ -115,3 +117,22 @@ class TestRunConformance:
         assert SUITES == (
             "flat", "rounds", "tree", "scale", "faults", "variants"
         )
+        assert SUITES == tuple(_REGISTRY)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_registered_suite_runs(self, suite):
+        # The smallest batch on a one-setting grid: every registry
+        # entry must be runnable on its own and label its checks.
+        report = run_conformance(
+            suites=(suite,), trials=2, settings=((0.0, 0.0),), quick=True
+        )
+        assert len(report.checks) >= 1
+        assert report.suites() == (suite,)
+
+    def test_cli_choices_are_the_registry(self):
+        (action,) = [
+            action
+            for action in _build_parser()._actions
+            if action.dest == "suite"
+        ]
+        assert tuple(action.choices) == tuple(_REGISTRY)
