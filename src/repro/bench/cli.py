@@ -6,6 +6,7 @@ Examples::
     python -m repro.bench --figure 4 --jobs 4           # 4 worker procs
     python -m repro.bench --all --jobs auto
     python -m repro.bench --all --arity 10 --trials 2   # quick pass
+    python -m repro.bench --experiment variants         # (ε, τ) table
 
 ``--arity``/``--trials`` shrink the experiment for quick sanity runs;
 defaults regenerate the paper-scale figures (n ≈ 10 000 — expect a few
@@ -22,12 +23,18 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from repro.bench import figures
-from repro.bench.extras import baselines_experiment, locality_experiment
+from repro.bench import extras, figures
 from repro.errors import ReproError
 from repro.par import TrialExecutor
 
 __all__ = ["main"]
+
+
+_EXPERIMENTS = {
+    "locality": extras.locality_experiment,
+    "baselines": extras.baselines_experiment,
+    "variants": extras.variants_experiment,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--experiment",
-        choices=("locality", "baselines"),
+        choices=sorted(_EXPERIMENTS),
         action="append",
         help="run an extra (non-figure) experiment (repeatable)",
     )
@@ -151,6 +158,15 @@ def _run_figure(
     raise ValueError(f"unknown figure {number}")
 
 
+def _run_experiment(
+    name: str, args: argparse.Namespace, executor: TrialExecutor
+) -> str:
+    kwargs = {"seed": args.seed}
+    if args.arity is not None:
+        kwargs["arity"] = args.arity
+    return _EXPERIMENTS[name](**kwargs).render()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
@@ -168,38 +184,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             "pass --figure N (repeatable), --experiment NAME or --all"
         )
+    # One table, one error path: (label, past participle, runner, key).
+    selected = [
+        (f"figure {number}", "regenerated", _run_figure, number)
+        for number in numbers
+    ] + [
+        (f"experiment {name}", "ran", _run_experiment, name)
+        for name in args.experiment or ()
+    ]
     try:
         executor = TrialExecutor(jobs=args.jobs)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with executor:
-        for number in numbers:
+        for label, done, runner, key in selected:
             started = time.time()
             try:
-                table = _run_figure(number, args, executor)
+                table = runner(key, args, executor)
             except ReproError as exc:
-                # E.g. a corrupt/mismatched checkpoint shard: report
-                # cleanly like any other usage/environment error.
+                # E.g. an arity no address space accepts, or a
+                # corrupt/mismatched checkpoint shard: report cleanly
+                # like any other usage/environment error.
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             print(table)
-            print(
-                f"[figure {number} regenerated in "
-                f"{time.time() - started:.1f}s]"
-            )
-            print()
-        for name in args.experiment or ():
-            started = time.time()
-            kwargs = {"seed": args.seed}
-            if args.arity is not None:
-                kwargs["arity"] = args.arity
-            runner = {
-                "locality": locality_experiment,
-                "baselines": baselines_experiment,
-            }[name]
-            print(runner(**kwargs).render())
-            print(f"[experiment {name} ran in {time.time() - started:.1f}s]")
+            print(f"[{label} {done} in {time.time() - started:.1f}s]")
             print()
         if numbers:
             # stderr, so stdout stays bit-identical for every --jobs value.

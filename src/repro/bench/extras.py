@@ -8,15 +8,20 @@ reproducible experiments:
   messages by sender-destination distance, pmcast vs flat flooding;
 * :func:`baselines_experiment` — §1's comparison matrix: delivery,
   false reception, messages and per-process knowledge for pmcast and
-  the three alternatives.
+  the three alternatives;
+* :func:`variants_experiment` — pmcast against the dissemination
+  variants (flat push, lazy pull, bounded view) across an (ε, τ) grid
+  (docs/VARIANTS.md).
 
-Both return an :class:`ExperimentResult` whose ``render()`` prints the
+Each returns an :class:`ExperimentResult` whose ``render()`` prints the
 same table the benchmarks assert on; the CLI exposes them via
 ``python -m repro.bench --experiment locality`` etc.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -37,8 +42,18 @@ from repro.sim import (
     derive_rng,
     run_dissemination,
 )
+from repro.variants import bounded_view_broadcast, lazy_pull_broadcast
 
-__all__ = ["ExperimentResult", "locality_experiment", "baselines_experiment"]
+__all__ = [
+    "ExperimentResult",
+    "locality_experiment",
+    "baselines_experiment",
+    "variants_experiment",
+]
+
+#: The (ε, τ) grid :func:`variants_experiment` sweeps (the validate
+#: harness's quick grid, so its rows and the conformance bands line up).
+VARIANT_GRID = ((0.0, 0.0), (0.05, 0.0), (0.1, 0.05))
 
 
 @dataclass
@@ -69,6 +84,15 @@ class ExperimentResult:
             if row[key_column] == key:
                 return row
         raise ReproError(f"no row with {key_column}={key!r}")
+
+    def digest(self) -> str:
+        """sha1 over the rows (canonical JSON, one per line): what a
+        golden test pins, so *any* changed cell shows."""
+        lines = hashlib.sha1()
+        for row in self.rows:
+            lines.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+            lines.update(b"\n")
+        return lines.hexdigest()
 
     def render(self) -> str:
         """The aligned ASCII table."""
@@ -230,4 +254,85 @@ def baselines_experiment(
         "global knowledge; genuine filtering on the tree isolates "
         "interested processes behind uninterested delegates."
     )
+    return result
+
+
+def variants_experiment(
+    arity: int = 5,
+    depth: int = 3,
+    matching_rate: float = 0.25,
+    fanout: int = 3,
+    redundancy: int = 3,
+    seed: int = 0,
+) -> ExperimentResult:
+    """pmcast vs the dissemination variants across :data:`VARIANT_GRID`.
+
+    One dissemination per algorithm per grid point — pmcast (the tree
+    engine), pure flat push, lazy push-then-pull and bounded-view
+    gossip — all over the same member population and master seed.
+    The defaults are the pinned configuration: at 5^3, seed 0, the rows
+    hash (:meth:`ExperimentResult.digest`) to the value
+    ``tests/bench/test_golden_digests.py`` holds, so a behaviour change
+    in any variant — not only in pmcast — fails tier-1.
+    """
+    addresses = AddressSpace.regular(arity, depth).enumerate_regular(arity)
+    # The stream name, event and knobs below are part of the pin.
+    members = bernoulli_interests(
+        addresses, matching_rate, derive_rng(seed, "perf-interests")
+    )
+    config = PmcastConfig(fanout=fanout, redundancy=redundancy)
+    publisher = addresses[0]
+    result = ExperimentResult(
+        title=(
+            f"Dissemination variants at n={len(addresses)}, "
+            f"p_d={matching_rate}, F={fanout} (one seeded run per cell):"
+        ),
+        columns=["algorithm", "eps", "tau", "delivery_ratio",
+                 "false_reception_ratio", "messages_sent",
+                 "control_messages", "cost_per_delivery", "rounds"],
+    )
+    lazy_wins = 0
+    for eps, tau in VARIANT_GRID:
+        event = Event({"perf": 1}, event_id=7)
+        sim = SimConfig(seed=seed, loss_probability=eps, crash_fraction=tau)
+        # Node state mutates during a run: a fresh group per grid point.
+        pmcast = run_dissemination(
+            PmcastGroup.build(members, config), publisher, event, sim
+        )
+        push = flat_gossip_broadcast(
+            members, publisher, event, fanout, sim_config=sim
+        )
+        lazy = lazy_pull_broadcast(
+            members, publisher, event, fanout, sim_config=sim,
+            infection_threshold=0.5, pull_fanout=2, retry_budget=8,
+        )
+        bounded = bounded_view_broadcast(
+            members, publisher, event, fanout, sim_config=sim,
+            view_size=8, shuffle_size=2,
+        )
+        for algorithm, report in (
+            ("pmcast", pmcast), ("flat_push", push),
+            ("lazy_pull", lazy), ("bounded_view", bounded),
+        ):
+            result.add_row(
+                algorithm=algorithm,
+                eps=eps,
+                tau=tau,
+                delivery_ratio=round(report.delivery_ratio, 4),
+                false_reception_ratio=round(report.false_reception_ratio, 4),
+                messages_sent=report.messages_sent,
+                control_messages=report.control_messages,
+                cost_per_delivery=round(report.cost_per_delivery, 2),
+                rounds=report.rounds,
+            )
+        if (
+            lazy.delivery_ratio >= pmcast.delivery_ratio
+            and lazy.messages_sent < pmcast.messages_sent
+        ):
+            lazy_wins += 1
+    result.notes.append(
+        f"lazy_pull delivers at least pmcast's ratio on strictly fewer "
+        f"messages at {lazy_wins} of {len(VARIANT_GRID)} grid points."
+    )
+    result.notes.append(f"rows sha1: {result.digest()}")
     return result

@@ -22,10 +22,8 @@ which match.  This subpackage is that substrate:
 * :mod:`repro.obs.timeline` — the ``repro.obs.timeline/v1`` wall-clock
   phase-span schema (:class:`TimelineRecorder`) plus RSS/tracemalloc
   probes, strictly out of band;
-* :mod:`repro.obs.regress` — per-scenario bench-report comparison with
-  a noise tolerance, behind ``python -m repro.obs regress``;
 * :mod:`repro.obs.cli` — ``python -m repro.obs
-  summarize|diff|validate|render|merge|regress`` for offline analysis.
+  summarize|diff|validate|render|merge`` for offline analysis.
 
 See ``docs/OBSERVABILITY.md`` for the record schema and examples.
 """

@@ -14,17 +14,14 @@ Subcommands:
 * ``diff A B`` — localize where two runs diverge: the first differing
   record, per-kind count deltas, and per-round send deltas.
 * ``validate TRACE`` — schema check without materializing the trace
-  (exit code 1 on any problem); what the CI smoke job runs.
+  (exit code 1 on any problem).
 * ``render TRACE`` — the human-readable timeline.
 * ``merge OUT SHARD [SHARD...]`` — reassemble per-shard trace files
   (``trace-shardNNNN.jsonl``, in sorted shard order) into one globally
   round-monotone trace.
-* ``regress BASELINE CURRENT [MORE...]`` — compare bench JSON reports
-  per scenario with a noise tolerance; exit code 1 when a gated
-  scenario regressed (the CI perf gate).
 
-``--json`` on ``summarize``/``diff``/``regress`` prints the
-machine-readable structure instead of text.
+``--json`` on ``summarize``/``diff`` prints the machine-readable
+structure instead of text.
 """
 
 from __future__ import annotations
@@ -35,12 +32,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.obs.regress import (
-    DEFAULT_TOLERANCE,
-    compare_benches,
-    compare_trajectory,
-    load_bench,
-)
 from repro.obs.sampling import rescale
 from repro.obs.sink import (
     iter_records,
@@ -446,34 +437,6 @@ def _print_diff(diff: Dict[str, Any]) -> None:
               f"{diff['send_round_deltas']}")
 
 
-def _print_regress(outcome: Dict[str, Any]) -> None:
-    steps = outcome.get("steps") or [outcome]
-    for step in steps:
-        if "from" in step:
-            print(f"step {step['from']} -> {step['to']}:")
-        for name, entry in sorted(step["scenarios"].items()):
-            ratio = entry.get("ratio")
-            flag = ""
-            if entry.get("regressed"):
-                flag = "  REGRESSED"
-            elif entry.get("improved"):
-                flag = "  improved"
-            if not entry.get("gated"):
-                flag += "  (not gated)"
-            if entry.get("digest_changed"):
-                flag += "  [digest changed]"
-            rendered = "n/a" if ratio is None else f"{ratio:.3f}x"
-            print(
-                f"  {name:<20} {entry['baseline']} -> {entry['current']} "
-                f"({rendered}){flag}"
-            )
-    verdict = "ok" if outcome["ok"] else "REGRESSION"
-    print(
-        f"{verdict} (metric={outcome['metric']}, "
-        f"tolerance={outcome['tolerance']})"
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -521,39 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="shard trace files, in sorted shard order",
     )
-
-    regress = commands.add_parser(
-        "regress",
-        help="compare bench JSON reports; exit 1 when a gated "
-        "scenario regressed",
-    )
-    regress.add_argument(
-        "reports",
-        nargs="+",
-        help="bench reports, oldest first (two compare baseline vs "
-        "current; more compare the whole trajectory pairwise)",
-    )
-    regress.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative slowdown allowed before a scenario counts as "
-        f"regressed (default {DEFAULT_TOLERANCE})",
-    )
-    regress.add_argument(
-        "--gate",
-        action="append",
-        dest="gates",
-        metavar="SCENARIO",
-        help="scenario allowed to fail the comparison (repeatable; "
-        "default: every shared scenario gates)",
-    )
-    regress.add_argument(
-        "--metric",
-        default="seconds",
-        help="per-scenario field to compare (default seconds)",
-    )
-    regress.add_argument("--json", action="store_true")
     return parser
 
 
@@ -589,35 +519,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{args.out}: merged {written} records "
                 f"from {len(args.shards)} shard(s)"
             )
-        elif args.command == "regress":
-            if len(args.reports) < 2:
-                print(
-                    "error: regress needs a baseline and a current report",
-                    file=sys.stderr,
-                )
-                return 2
-            reports = [load_bench(path) for path in args.reports]
-            if len(reports) == 2:
-                outcome = compare_benches(
-                    reports[0],
-                    reports[1],
-                    tolerance=args.tolerance,
-                    gates=args.gates,
-                    metric=args.metric,
-                )
-            else:
-                outcome = compare_trajectory(
-                    reports,
-                    tolerance=args.tolerance,
-                    gates=args.gates,
-                    metric=args.metric,
-                    labels=list(args.reports),
-                )
-            if args.json:
-                print(json.dumps(outcome, indent=2, sort_keys=True))
-            else:
-                _print_regress(outcome)
-            return 0 if outcome["ok"] else 1
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,3 +45,28 @@ class TestCli:
     def test_invalid_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["--figure", "9"])
+
+    @pytest.mark.parametrize(
+        "selection",
+        [["--figure", "4"], ["--experiment", "baselines"],
+         ["--experiment", "variants"]],
+    )
+    def test_bad_arity_is_a_clean_error(self, selection, capsys):
+        # Figures and experiments share one error path: a ReproError
+        # is a usage error (exit 2, one line), never a traceback.
+        code = main(selection + ["--arity", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: arity 0 must be >= 1\n"
+        assert captured.out == ""
+
+    def test_variants_experiment_prints_its_digest(self, capsys):
+        code = main(["--experiment", "variants"])
+        captured = capsys.readouterr()
+        assert code == 0
+        for algorithm in ("pmcast", "flat_push", "lazy_pull", "bounded_view"):
+            assert algorithm in captured.out
+        assert (
+            "rows sha1: 928b1b413447f5834c1e1012a17bf8937339e1f3"
+            in captured.out
+        )

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.bench.extras import (
+    VARIANT_GRID,
     ExperimentResult,
     baselines_experiment,
     locality_experiment,
+    variants_experiment,
 )
 from repro.errors import ReproError
 
@@ -68,6 +70,32 @@ class TestBaselinesExperiment:
         for name in ("pmcast", "flood broadcast", "genuine flat",
                      "genuine tree", "subset groups"):
             assert name in rendered
+
+
+class TestVariantsExperiment:
+    def test_lazy_pull_matches_pmcast_on_fewer_messages(self):
+        # docs/VARIANTS.md's acceptance claim: on at least one (eps, tau)
+        # grid point lazy pull delivers no worse than pmcast while
+        # sending strictly fewer messages.
+        result = variants_experiment()
+        assert len(result.rows) == 4 * len(VARIANT_GRID)
+        cell = {
+            (row["algorithm"], row["eps"], row["tau"]): row
+            for row in result.rows
+        }
+        assert any(
+            cell["lazy_pull", eps, tau]["delivery_ratio"]
+            >= cell["pmcast", eps, tau]["delivery_ratio"]
+            and cell["lazy_pull", eps, tau]["messages_sent"]
+            < cell["pmcast", eps, tau]["messages_sent"]
+            for eps, tau in VARIANT_GRID
+        )
+
+    def test_digest_moves_with_any_cell(self):
+        result = variants_experiment(arity=3, depth=2)
+        before = result.digest()
+        result.rows[-1]["rounds"] += 1
+        assert result.digest() != before
 
 
 class TestCliExperiments:

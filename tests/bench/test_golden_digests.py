@@ -1,4 +1,4 @@
-"""Golden-seed digests for the benchmark scenarios (PR 5 pins).
+"""Golden-seed digests for the ``GroupRuntime`` scenarios (PR 5 pins).
 
 The membership-plane overhaul promises *bit-identical observable
 behavior*: same deliveries, same exclusion rounds, same counter values,
@@ -8,12 +8,18 @@ tree, so any future change to caching, iteration order, or RNG call
 sequence that perturbs observable behavior fails loudly here instead
 of silently re-randomizing recorded figures.
 
+The scenarios are the ones the ledger (``benchmarks/ledger/``) does not
+pin: it times the same paths at paper scale, these hold their outcomes
+still.  Each builds its group, drives it and returns the sha1 of what
+an observer could see; nothing is timed.
+
 A subprocess check re-derives two of the digests under different
 ``PYTHONHASHSEED`` values: digests must never depend on Python's
 per-process string-hash randomization (the determinism contract of
 docs/VALIDATION.md).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,7 +27,14 @@ import sys
 
 import pytest
 
-from repro.bench.perf import run_suite
+from repro.addressing import AddressSpace
+from repro.bench.extras import variants_experiment
+from repro.config import PmcastConfig, SimConfig
+from repro.interests.events import Event
+from repro.obs import MetricsRegistry, Observer
+from repro.sim.rng import derive_rng
+from repro.sim.runtime import GroupRuntime
+from repro.sim.workload import bernoulli_interests, random_subscriptions
 
 #: Quick-scale (arity=5, depth=3, seed=0) digests recorded on the tree
 #: *before* the membership-plane hot-path overhaul.  MUST NOT change:
@@ -33,55 +46,201 @@ GOLDEN_QUICK = {
     "match_cache": "c5e2263cb011949d4fbdc68e95ef16f428803ba9",
     "membership_plane": "d72868c8237a4600643077095adbe388fc27b3aa",
     # PR 8: the variant-ablation sweep (pmcast vs flat push vs lazy
-    # pull vs bounded view over the (eps, tau) grid); must equal the
-    # entry committed in benchmarks/data/BENCH_CI_BASELINE.json.
+    # pull vs bounded view over the (eps, tau) grid), i.e. the rows of
+    # `python -m repro.bench --experiment variants`.
     "variant_compare": "928b1b413447f5834c1e1012a17bf8937339e1f3",
 }
 
-_SUBPROCESS_SCRIPT = """\
-import json
-from repro.bench.perf import run_suite
-report = run_suite(
-    arity=5, depth=3, seed=0,
-    benches=["churn_refresh", "membership_plane"],
-)
-current = report["results"]["current"]
-print(json.dumps({name: r["digest"] for name, r in current.items()}))
-"""
+ARITY, DEPTH, SEED = 5, 3, 0
 
 
-@pytest.fixture(scope="module")
-def quick_suite():
-    return run_suite(
-        arity=5,
-        depth=3,
-        seed=0,
-        benches=sorted(GOLDEN_QUICK),
+def _sha1(parts):
+    digest = hashlib.sha1()
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _addresses():
+    return AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY)
+
+
+def _population():
+    """The regular space, every member interested with probability 1/4."""
+    addresses = _addresses()
+    members = bernoulli_interests(
+        addresses, 0.25, derive_rng(SEED, "perf-interests")
+    )
+    return addresses, members
+
+
+def _runtime(members, config, observer=None):
+    return GroupRuntime(
+        members,
+        config=config,
+        sim_config=SimConfig(seed=SEED),
+        observer=observer,
     )
 
 
+def round_loop():
+    """One live-runtime dissemination: the §2.3 round loop."""
+    addresses, members = _population()
+    runtime = _runtime(
+        members, PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
+    )
+    event = Event({"perf": 1}, event_id=1)
+    runtime.publish(addresses[0], event)
+    rounds = runtime.run_until_idle(max_rounds=96)
+    return _sha1(
+        [str(a) for a in runtime.delivered_to(event)] + [str(rounds)]
+    )
+
+
+def churn_refresh(churn_events=8):
+    """A join burst then a leave burst: view maintenance."""
+    addresses, members = _population()
+    # Hold some addresses back so there is room to join.
+    joiners = addresses[-churn_events:]
+    initial = {a: i for a, i in members.items() if a not in joiners}
+    runtime = _runtime(initial, PmcastConfig(fanout=3, redundancy=3))
+    for address in joiners:
+        runtime.join(address, members[address])
+    for address in joiners:
+        runtime.leave(address)
+    # The digest pins the maintenance *outcome*: the surviving member
+    # set plus the timestamped view tables along a stable path (the
+    # table digests carry the logical clock, so a refresh that stamps
+    # differently — or skips a restamp — changes the digest).
+    witness = runtime.node(addresses[0])
+    view_lines = [
+        f"{d}:{sorted(witness.view(d).digest().items())}"
+        for d in range(1, DEPTH + 1)
+    ]
+    return _sha1(
+        sorted(str(a) for a in runtime.tree.members())
+        + [str(runtime.size)]
+        + view_lines
+    )
+
+
+def match_cache(events=4):
+    """Content-based workload with churn mid-dissemination: joins and
+    leaves land while events are still in flight, which is what
+    per-table cache invalidation exists for."""
+    addresses = _addresses()
+    members = random_subscriptions(
+        addresses, derive_rng(SEED, "perf-subscriptions")
+    )
+    churners = addresses[-4:]
+    initial = {a: i for a, i in members.items() if a not in churners}
+    runtime = _runtime(initial, PmcastConfig(fanout=3, redundancy=3))
+    delivered = []
+    for index in range(events):
+        event = Event(
+            {"b": index % 7, "c": 25.0 + index, "z": 1000 * index},
+            event_id=100 + index,
+        )
+        runtime.publish(addresses[0], event)
+        runtime.run(2)
+        churner = churners[index % len(churners)]
+        if churner in runtime.tree:
+            runtime.leave(churner)
+        else:
+            runtime.join(churner, members[churner])
+        runtime.run_until_idle(max_rounds=64)
+        delivered.append(
+            ",".join(str(a) for a in runtime.delivered_to(event))
+        )
+    return _sha1(delivered)
+
+
+def membership_plane(rounds=32):
+    """Membership + detection rounds with zero events in flight; a
+    crash burst after a warmup drives suspicion, accusation and
+    exclusion end to end.
+
+    The digest folds in the victims' exclusion rounds, the final live
+    size and the membership-plane counters, so a caching change that
+    alters *any* observable membership behavior breaks it.
+    """
+    addresses, members = _population()
+    registry = MetricsRegistry()
+    runtime = _runtime(
+        members,
+        PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2),
+        observer=Observer(registry=registry),
+    )
+    warmup = max(2, rounds // 8)
+    victims = [addresses[1], addresses[len(addresses) // 2], addresses[-2]]
+    runtime.run(warmup)
+    for victim in victims:
+        runtime.crash(victim)
+    runtime.run(rounds - warmup)
+
+    snapshot = registry.snapshot()
+    membership = snapshot.get("membership", {})
+    detector = snapshot.get("detector", {})
+    gossip = snapshot.get("gossip_pull", {})
+    exclusions = {str(v): runtime.exclusion_round(v) for v in victims}
+    # Counters default to 0: a counter nobody incremented may simply
+    # not exist in the snapshot, and whether a driver pre-registers it
+    # is an implementation detail the digest must not observe.
+    counter_lines = [
+        f"pulls={membership.get('pulls', 0)}",
+        f"exclusions={membership.get('exclusions', 0)}",
+        f"suspicion_reports={detector.get('suspicion_reports', 0)}",
+        f"accusations={detector.get('accusations', 0)}",
+        f"convictions={detector.get('convictions', 0)}",
+        f"exchanges={gossip.get('exchanges', 0)}",
+        f"synced_exchanges={gossip.get('synced_exchanges', 0)}",
+        f"lines_updated={gossip.get('lines_updated', 0)}",
+    ]
+    return _sha1(
+        [f"{k}={exclusions[k]}" for k in sorted(exclusions)]
+        + [str(runtime.size)]
+        + counter_lines
+    )
+
+
+def variant_compare():
+    return variants_experiment(arity=ARITY, depth=DEPTH, seed=SEED).digest()
+
+
+SCENARIOS = {
+    "round_loop": round_loop,
+    "churn_refresh": churn_refresh,
+    "match_cache": match_cache,
+    "membership_plane": membership_plane,
+    "variant_compare": variant_compare,
+}
+
+
+def run_scenarios(names):
+    """``{name: digest}``; a scenario that raises propagates."""
+    return {name: SCENARIOS[name]() for name in names}
+
+
 class TestGoldenQuickDigests:
-    def test_every_scenario_matches_its_pin(self, quick_suite):
-        current = quick_suite["results"]["current"]
-        observed = {name: current[name]["digest"] for name in GOLDEN_QUICK}
-        assert observed == GOLDEN_QUICK
+    def test_every_scenario_matches_its_pin(self):
+        assert run_scenarios(sorted(GOLDEN_QUICK)) == GOLDEN_QUICK
 
     def test_rerun_is_deterministic(self):
-        # Same seed, same process: a second suite must reproduce the
-        # pins too (no hidden state leaks between suite runs).
-        report = run_suite(
-            arity=5,
-            depth=3,
-            seed=0,
-                benches=["churn_refresh", "membership_plane"],
-        )
-        current = report["results"]["current"]
-        assert current["churn_refresh"]["digest"] == (
-            GOLDEN_QUICK["churn_refresh"]
-        )
-        assert current["membership_plane"]["digest"] == (
-            GOLDEN_QUICK["membership_plane"]
-        )
+        # Same seed, same process: a second run must reproduce the
+        # pins too (no hidden state leaks between runs).
+        names = ["churn_refresh", "membership_plane"]
+        assert run_scenarios(names) == {n: GOLDEN_QUICK[n] for n in names}
+
+    def test_raising_scenario_fails_the_run(self, monkeypatch):
+        # A scenario whose runtime constructor raises must fail the
+        # run — never yield a digest table that silently lacks a row.
+        def broken(*args, **kwargs):
+            raise TypeError("constructor bug")
+
+        monkeypatch.setattr(sys.modules[__name__], "GroupRuntime", broken)
+        with pytest.raises(TypeError, match="constructor bug"):
+            run_scenarios(["round_loop"])
 
 
 class TestHashSeedIndependence:
@@ -99,7 +258,7 @@ class TestHashSeedIndependence:
             env["PYTHONPATH"] = src
             env["PYTHONHASHSEED"] = hash_seed
             result = subprocess.run(
-                [sys.executable, "-c", _SUBPROCESS_SCRIPT],
+                [sys.executable, os.path.abspath(__file__)],
                 env=env,
                 capture_output=True,
                 text=True,
@@ -110,3 +269,8 @@ class TestHashSeedIndependence:
                 "churn_refresh": GOLDEN_QUICK["churn_refresh"],
                 "membership_plane": GOLDEN_QUICK["membership_plane"],
             }, f"digest drift under PYTHONHASHSEED={hash_seed}"
+
+
+if __name__ == "__main__":
+    # The subprocess leg of TestHashSeedIndependence.
+    print(json.dumps(run_scenarios(["churn_refresh", "membership_plane"])))

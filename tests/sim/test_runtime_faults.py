@@ -1,0 +1,82 @@
+"""``GroupRuntime(fault_plan=...)``: the live round loop under faults.
+
+The engine's fault plane has golden tests (``test_golden_faults.py``);
+this file holds the same three promises for the runtime, at 5^3 under
+one clause of every family: every clause injects something, a
+(seed, plan) pair replays exactly, and an empty plan changes nothing.
+"""
+
+from repro.addressing import AddressSpace
+from repro.config import PmcastConfig, SimConfig
+from repro.faults.plan import FaultPlan
+from repro.interests import Event
+from repro.obs import MetricsRegistry, Observer
+from repro.sim.rng import derive_rng
+from repro.sim.runtime import GroupRuntime
+from repro.sim.workload import bernoulli_interests
+
+ARITY, DEPTH, SEED = 5, 3, 0
+ADDRESSES = AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY)
+CONFIG = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
+
+#: A subtree partition, a scoped loss burst, a delay window and a
+#: delegate crash, all inside the ~10 rounds one event is in flight.
+EPISODE = (
+    FaultPlan(name="episode")
+    .with_partition(2, 6, "0", "1")
+    .with_loss_burst(1, 5, 0.2, dest_prefix="2")
+    .with_delay(3, 5, 2, dest_prefix="3")
+    .with_delegate_crash(4, "2", count=1)
+)
+
+
+def disseminate(fault_plan):
+    """One event through a fresh runtime; returns everything observable."""
+    members = bernoulli_interests(
+        ADDRESSES, 0.25, derive_rng(SEED, "interests")
+    )
+    registry = MetricsRegistry()
+    runtime = GroupRuntime(
+        members,
+        config=CONFIG,
+        sim_config=SimConfig(seed=SEED),
+        observer=Observer(registry=registry),
+        fault_plan=fault_plan,
+    )
+    event = Event({"k": 1}, event_id=1)
+    runtime.publish(ADDRESSES[0], event)
+    rounds = runtime.run_until_idle(max_rounds=96)
+    return {
+        "rounds": rounds,
+        "delivered": runtime.delivered_to(event),
+        "fault_stats": runtime.fault_stats,
+        "snapshot": registry.snapshot(),
+    }
+
+
+class TestRuntimeUnderFaults:
+    def test_every_clause_family_injects(self):
+        stats = disseminate(EPISODE)["fault_stats"]
+        assert stats["partition_drops"] > 0
+        assert stats["injected_losses"] > 0
+        assert stats["delayed"] > 0
+        assert stats["released"] == stats["delayed"]
+        assert stats["targeted_crashes"] == 1
+        assert stats["pending"] == 0
+
+    def test_same_seed_and_plan_replay_exactly(self):
+        first, second = disseminate(EPISODE), disseminate(EPISODE)
+        assert first["delivered"] == second["delivered"]
+        assert first["rounds"] == second["rounds"]
+        assert first["fault_stats"] == second["fault_stats"]
+
+    def test_empty_plan_is_no_plan(self):
+        bare, empty = disseminate(None), disseminate(FaultPlan())
+        assert bare["fault_stats"] is None
+        assert empty["delivered"] == bare["delivered"]
+        assert empty["rounds"] == bare["rounds"]
+        # The injector registers a "faults" collector; with nothing to
+        # inject it reads all zero, and every other subsystem is untouched.
+        injected = empty["snapshot"].pop("faults")
+        assert set(injected.values()) == {0}
+        assert empty["snapshot"] == bare["snapshot"]
