@@ -113,19 +113,23 @@ class SimConfig:
             uniformly random round of the run).
         seed: master seed for all randomness of a run.
         max_rounds: hard stop for the simulation loop.
-        vectorized: run eligible disseminations on the struct-of-arrays
-            fast path (:mod:`repro.sim.vector`).  The fast path consumes
-            the same RNG streams in the same order as the scalar loop,
-            so results are bit-identical; runs it cannot express (link
-            rules, traces, fault plans, non-idle nodes) silently fall
-            back to the scalar engine.
+        vectorized: ``True`` (the default) lets
+            :func:`~repro.sim.engine.run_dissemination` dispatch on
+            eligibility: a run the struct-of-arrays compat kernel
+            (:mod:`repro.sim.vector`) can express takes it, bit-identical
+            to the scalar loop in report, trace records and node state;
+            a run it cannot (the engine's docstring lists them) takes
+            the scalar reference loop, counted by reason in
+            ``sim.vector_fallback_<reason>``.  ``False`` means only
+            "the reference loop": what the equivalence tests compare
+            the kernel against.
     """
 
     loss_probability: float = 0.0
     crash_fraction: float = 0.0
     seed: int = 0
     max_rounds: int = 512
-    vectorized: bool = False
+    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability < 1.0:

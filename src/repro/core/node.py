@@ -84,6 +84,16 @@ class PmcastNode:
         views: Dict[int, ViewTable],
         config: PmcastConfig,
     ):
+        self.check_views(address, views)
+        self._install(address, interest, views, config)
+
+    @staticmethod
+    def check_views(address: Address, views: Dict[int, ViewTable]) -> None:
+        """Validate a depth -> table mapping for ``address``.
+
+        The verdict depends on ``address`` only through its prefix path,
+        so it holds for every member of ``address``'s leaf subgroup.
+        """
         depths = sorted(views)
         if not depths or depths != list(range(1, depths[-1] + 1)):
             raise ProtocolError(
@@ -98,11 +108,36 @@ class PmcastNode:
                 raise ProtocolError(
                     f"table {table.prefix} is not on {address}'s prefix path"
                 )
+
+    @classmethod
+    def wired(
+        cls,
+        address: Address,
+        interest: Interest,
+        views: Dict[int, ViewTable],
+        config: PmcastConfig,
+    ) -> "PmcastNode":
+        """Trusted constructor: ``views`` already passed
+        :meth:`check_views` for a member of ``address``'s leaf subgroup.
+        Lets a group builder check the shared tables once per subgroup
+        instead of once per member."""
+        node = cls.__new__(cls)
+        node._install(address, interest, views, config)
+        return node
+
+    def _install(
+        self,
+        address: Address,
+        interest: Interest,
+        views: Dict[int, ViewTable],
+        config: PmcastConfig,
+    ) -> None:
         self._address = address
         self._interest = interest
         self._views = dict(views)
         self._config = config
-        self._tree_depth = depths[-1]
+        # Checked views cover depths 1..d contiguously.
+        self._tree_depth = len(views)
         self._buffers = DepthBuffers(self._tree_depth)
         self._received: Set[int] = set()
         self._delivered: List[Event] = []

@@ -19,6 +19,7 @@ This is also what the churn-heavy example and integration tests drive.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.addressing import Address, AddressSpace, Prefix
@@ -168,11 +169,9 @@ class PubSubSystem:
             raise SimulationError(f"publisher {publisher} is not a member")
         group = self._as_group()
         self._publish_count += 1
-        sim = sim_config or SimConfig(
-            loss_probability=self._sim_config.loss_probability,
-            crash_fraction=self._sim_config.crash_fraction,
+        sim = sim_config or replace(
+            self._sim_config,
             seed=self._sim_config.seed + self._publish_count,
-            max_rounds=self._sim_config.max_rounds,
         )
         return run_dissemination(group, publisher, event, sim)
 

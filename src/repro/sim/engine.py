@@ -10,11 +10,20 @@ left by the previous round's receptions), (3) the lossy network drops
 each envelope independently with probability ε, (4) survivors are
 received.  The run ends when every node is idle (passive garbage
 collection emptied all buffers) or at the ``max_rounds`` safety cap.
+
+Two loops implement that round, and :func:`run_dissemination` picks by
+eligibility, not by request: a run the struct-of-arrays compat kernel
+(:func:`repro.sim.vector.try_run_vectorized`) can express takes it; a
+run it cannot (a fault plan, link rules, a node mid-event, ragged
+address depths, an unpopulated view) takes the scalar reference loop
+(:func:`repro.variants.base.run_variant`) and is counted by reason.
+The two are bit-identical on every eligible run — report, trace
+records, node state — and ``SimConfig(vectorized=False)`` forces the
+reference loop so a test can diff them.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.addressing import Address
@@ -54,7 +63,8 @@ def run_dissemination(
         group: the wired group (see :class:`~repro.sim.group.PmcastGroup`).
         publisher: the PMCAST-ing process.
         event: the event to multicast.
-        sim_config: environment (loss ε, crash τ, seed, round cap).
+        sim_config: environment (loss ε, crash τ, seed, round cap);
+            ``vectorized=False`` forces the reference loop.
         crash_schedule: explicit crash plan; when omitted, one is
             sampled from ``sim_config.crash_fraction`` over a horizon of
             ``max_rounds`` (the analysis model's τ).
@@ -82,13 +92,15 @@ def run_dissemination(
             records are never sampled — they are scripted, sparse, and
             the trace's explanation of any damage.
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
-            registry receives the ``sim.vector_fallback*`` counters
-            when ``vectorized=True`` has to fall back to this scalar
-            loop; its ``sampler``/``timeline`` act as defaults for the
-            corresponding arguments.
+            registry counts, by reason, the runs the kernel could not
+            express (``sim.vector_fallback`` and
+            ``sim.vector_fallback_<reason>``); its ``sampler``/
+            ``timeline`` act as defaults for the corresponding
+            arguments.
         timeline: optional :class:`~repro.obs.timeline.TimelineRecorder`
-            receiving per-round ``fan_out``/``exchange`` wall-clock
-            spans (out of band; never affects the run).
+            receiving per-round ``engine`` ``fan_out``/``exchange``
+            wall-clock spans, plus one ``match`` span when the kernel
+            runs (out of band; never affects the run).
 
     Returns:
         the :class:`~repro.sim.metrics.DisseminationReport` of the run.
@@ -110,17 +122,16 @@ def run_dissemination(
     )
 
     if sim_config.vectorized:
-        reason = None
         if injector is not None:
             reason = "faults"
         elif network.has_link_rules:
             reason = "link_rules"
-        if reason is None:
-            # The struct-of-arrays fast path consumes the same RNG
-            # streams in the same order — and emits the same trace
-            # records — so an eligible run is bit-identical to the
-            # scalar loop below; an ineligible one returns None with
-            # the streams untouched and falls through to it.
+        else:
+            # The struct-of-arrays kernel consumes the same RNG streams
+            # in the same order — and emits the same trace records — so
+            # an eligible run is bit-identical to the reference loop
+            # below; an ineligible one returns None with the streams
+            # untouched and takes that loop instead.
             report = try_run_vectorized(
                 group,
                 publisher,
@@ -139,18 +150,13 @@ def run_dissemination(
             reason = "ineligible"
         registry.counter("sim", "vector_fallback").inc()
         registry.counter("sim", f"vector_fallback_{reason}").inc()
-        warnings.warn(
-            f"SimConfig(vectorized=True) ignored ({reason}): "
-            "falling back to the scalar engine",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
-    # The scalar path is the pmcast dissemination strategy running on
-    # the shared round driver (the strategy seam extracted from this
-    # very loop — see repro.variants.base).  PmcastVariant is an exact
-    # port: same insertion-ordered active set, same RNG draw order,
-    # same trace records, bit-identical reports.
+    # The reference loop is the pmcast dissemination strategy running
+    # on the shared round driver (the strategy seam extracted from this
+    # very loop — see repro.variants.base), and the home of fault plans
+    # and link rules.  PmcastVariant is an exact port: same
+    # insertion-ordered active set, same RNG draw order, same trace
+    # records, bit-identical reports.
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
     return run_variant(
         variant,

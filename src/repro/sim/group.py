@@ -45,6 +45,10 @@ class PmcastGroup:
         self._tables = tables
         self._nodes = nodes
         self._config = config
+        # The membership of a group object is fixed once it is built
+        # (PubSubSystem snapshots a new one per publish), so the sorted
+        # order every run asks for several times is computed once.
+        self._sorted = sorted(nodes)
 
     @classmethod
     def build(
@@ -68,11 +72,18 @@ class PmcastGroup:
         tree = MembershipTree.build(members, redundancy=config.redundancy)
         tables = build_all_views(tree, policy=regroup_policy)
         nodes: Dict[Address, PmcastNode] = {}
+        # The members of a leaf subgroup share every table on their
+        # prefix path, so the depth -> table mapping is assembled and
+        # checked once per subgroup, not once per member.
+        wiring: Dict[Prefix, Dict[int, ViewTable]] = {}
         for address, interest in members.items():
-            views = {
-                prefix.depth: tables[prefix] for prefix in address.prefixes()
-            }
-            nodes[address] = PmcastNode(address, interest, views, config)
+            prefixes = address.prefixes()
+            views = wiring.get(prefixes[-1])
+            if views is None:
+                views = {prefix.depth: tables[prefix] for prefix in prefixes}
+                PmcastNode.check_views(address, views)
+                wiring[prefixes[-1]] = views
+            nodes[address] = PmcastNode.wired(address, interest, views, config)
         return cls(tree, tables, nodes, config)
 
     @property
@@ -102,8 +113,8 @@ class PmcastGroup:
         return iter(self._nodes.values())
 
     def addresses(self) -> List[Address]:
-        """All member addresses, sorted."""
-        return sorted(self._nodes)
+        """All member addresses, sorted (a fresh list each call)."""
+        return list(self._sorted)
 
     def table(self, prefix: Prefix) -> ViewTable:
         """The shared converged view table of a populated prefix."""
@@ -116,7 +127,7 @@ class PmcastGroup:
         """Ground truth: members whose own interest matches ``event``."""
         return [
             address
-            for address in sorted(self._nodes)
+            for address in self.addresses()
             if self._tree.interest_of(address).matches(event)
         ]
 

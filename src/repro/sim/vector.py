@@ -13,10 +13,12 @@ CPython's ``random.sample``, loss draws via
 scalar path's for any eligible run — and so is its trace: the kernel
 emits the same ``repro.obs.trace/v1`` records in the same order (through
 the same optional :class:`~repro.obs.sampling.TraceSampler`), so a
-traced run no longer forces the scalar path.  Selected by
-``SimConfig(vectorized=True)``; ineligible runs (non-idle nodes,
-irregular address depths, link rules, fault plans) fall back to the
-scalar engine, which counts and warns about the fallback.
+traced run takes it too.  It is the path
+:func:`~repro.sim.engine.run_dissemination` takes whenever the run is
+eligible; an ineligible one (a node mid-event, ragged address depths,
+an unpopulated view — or, decided by the engine, link rules and fault
+plans) takes the scalar reference loop and is counted by reason.
+``SimConfig(vectorized=False)`` forces the reference loop.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` /
 :func:`run_shard_wave`) — a fully vectorized numpy round step for the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -159,7 +162,7 @@ class _CompatSpec:
     """Everything the compat round loop needs, in index space."""
 
     __slots__ = (
-        "addresses", "index_of", "components", "tree_depth",
+        "addresses", "nodes", "index_of", "components", "tree_depth",
         "node_matches", "own_match", "alive", "received", "delivered",
     )
 
@@ -170,14 +173,23 @@ def _build_compat_spec(
     """Flatten the group for ``event``, or None if ineligible.
 
     The probe is read-only (table matching draws no randomness), so a
-    None return leaves the run's RNG streams untouched for the scalar
-    fallback.
+    None return leaves the run's RNG streams untouched for the
+    reference loop — and the common declines (a node mid-event, ragged
+    address depths) are settled in one cheap pass before any table is
+    flattened, so an ineligible run pays next to nothing for asking.
     """
     addresses = group.addresses()
-    index_of = {address: i for i, address in enumerate(addresses)}
     tree_depth = group.tree.depth
+    nodes = [group.node(address) for address in addresses]
+    for address, node in zip(addresses, nodes):
+        # A node mid-event lives on the object model, which the
+        # single-event arrays cannot represent.
+        if not node.is_idle or len(address.components) != tree_depth:
+            return None
+    index_of = {address: i for i, address in enumerate(addresses)}
     spec = _CompatSpec()
     spec.addresses = addresses
+    spec.nodes = nodes
     spec.index_of = index_of
     spec.tree_depth = tree_depth
     components: List[Tuple[int, ...]] = []
@@ -189,14 +201,7 @@ def _build_compat_spec(
     matches: Dict[Tuple[int, int], _DepthMatch] = {}
     can_flood = group.config.leaf_flood_threshold <= 1.0
     try:
-        for address in addresses:
-            node = group.node(address)
-            if not node.is_idle:
-                # Another event is mid-flight on the object model; the
-                # single-event arrays cannot represent it.
-                return None
-            if len(address.components) != tree_depth:
-                return None
+        for address, node in zip(addresses, nodes):
             components.append(address.components)
             own_match.append(node.interest.matches(event))
             alive.append(node.alive)
@@ -238,7 +243,7 @@ def _build_compat_spec(
                 per_depth.append(flat)
             node_matches.append(tuple(per_depth))
     except ProtocolError:
-        # e.g. an unpopulated view: let the scalar engine surface it
+        # e.g. an unpopulated view: let the reference loop surface it
         # with its native timing and message.
         return None
     spec.components = components
@@ -263,20 +268,20 @@ def try_run_vectorized(
     registry: Optional[MetricsRegistry] = None,
     timeline: Optional[TimelineRecorder] = None,
 ) -> Optional[DisseminationReport]:
-    """Run one dissemination on the compat kernel, or None to fall back.
+    """Run one dissemination on the compat kernel, or None if ineligible.
 
-    Stream-compatible with the scalar engine: same gossip/loss draws in
-    the same order, same report, the same trace records in the same
+    Stream-compatible with the reference loop: same gossip/loss draws
+    in the same order, same report, the same trace records in the same
     order (optionally filtered through ``sampler``), and the object
     model (node liveness, delivery sets, message counters, leftover
     buffers) is written back so post-run inspection cannot tell the
     paths apart.  ``registry`` receives per-round ``vector.*`` counters;
-    ``timeline`` receives ``match``/``fan_out``/``exchange`` spans —
-    both out of band.
+    ``timeline`` receives ``engine`` ``match``/``fan_out``/``exchange``
+    spans under the names the reference loop uses — both out of band.
     """
     registry = registry_or_null(registry)
     with (
-        timeline.span("match", "vector")
+        timeline.span("match", "engine")
         if timeline is not None
         else NULL_SPAN
     ):
@@ -298,8 +303,9 @@ def try_run_vectorized(
     if pub is None:
         raise SimulationError(f"{publisher} is not in the group")
 
-    # Ground truth before anybody crashes (exactly the scalar order).
-    interested = set(group.interested_members(event))
+    # Ground truth before anybody crashes (exactly the scalar order);
+    # own_match already holds it, in address order.
+    interested = set(compress(spec.addresses, spec.own_match))
     sent_before = sum(node.messages_sent for node in group.nodes())
     receptions_before = sum(node.receptions for node in group.nodes())
 
@@ -314,7 +320,7 @@ def try_run_vectorized(
     if own_match[pub]:
         delivered[pub] = True
     publish_depth = (
-        group.node(publisher).shortcut_depth(event)
+        spec.nodes[pub].shortcut_depth(event)
         if config.local_interest_shortcut
         else 1
     )
@@ -390,7 +396,7 @@ def try_run_vectorized(
         # demotion cascades.
         envelopes: List[Tuple[int, int, int, float, int]] = []
         with (
-            timeline.span("fan_out", "vector", rounds)
+            timeline.span("fan_out", "engine", rounds)
             if timeline is not None
             else NULL_SPAN
         ):
@@ -467,7 +473,7 @@ def try_run_vectorized(
                 messages_by_distance[tree_depth - 1 - common] += 1
 
         with (
-            timeline.span("exchange", "vector", rounds)
+            timeline.span("exchange", "engine", rounds)
             if timeline is not None
             else NULL_SPAN
         ):
@@ -541,7 +547,7 @@ def try_run_vectorized(
             meter_infected.set(infected_count)
 
     if timeline is not None:
-        timeline.probe_memory(subsystem="vector", round_index=rounds)
+        timeline.probe_memory(subsystem="engine", round_index=rounds)
     if trace is not None:
         trace.annotate(rounds=rounds)
     if metering:
@@ -550,11 +556,11 @@ def try_run_vectorized(
 
     # Write the outcome back through the object model so every scalar
     # inspection API stays truthful after a vectorized run.
-    for i, address in enumerate(spec.addresses):
+    for i, node in enumerate(spec.nodes):
         buffered = None
         if buf_depth[i] > 0:
             buffered = (buf_depth[i], buf_rate[i], buf_round[i])
-        group.node(address).restore_outcome(
+        node.restore_outcome(
             event,
             alive=alive[i],
             received=received[i],

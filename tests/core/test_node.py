@@ -57,6 +57,37 @@ class TestConstruction:
                 Address((0, 0)), StaticInterest(True), views, PmcastConfig()
             )
 
+    def test_wired_equals_checked_construction(self):
+        # The trusted constructor a group builder uses after checking a
+        # leaf subgroup's shared views once.
+        members = four_members()
+        tree = MembershipTree.build(members, redundancy=1)
+        views = build_process_views(tree, Address((0, 0)))
+        PmcastNode.check_views(Address((0, 0)), views)
+        config = PmcastConfig()
+        sibling = Address((0, 1))
+        wired = PmcastNode.wired(sibling, members[sibling], views, config)
+        direct = PmcastNode(sibling, members[sibling], views, config)
+        for node in (wired, direct):
+            assert node.address == sibling
+            assert node.tree_depth == 2
+            assert node.alive and node.is_idle
+            assert [node.view(d) for d in (1, 2)] == [views[1], views[2]]
+        # Each node owns its mapping: a membership change on one
+        # sibling never rewires the other.
+        wired.replace_view(2, direct.view(2))
+        views.clear()
+        assert wired.view(1) is direct.view(1)
+
+    def test_check_views_is_what_construction_runs(self):
+        members = four_members()
+        tree = MembershipTree.build(members, redundancy=1)
+        foreign = build_process_views(tree, Address((1, 1)))
+        with pytest.raises(ProtocolError):
+            PmcastNode.check_views(Address((0, 0)), foreign)
+        with pytest.raises(ProtocolError):
+            PmcastNode.check_views(Address((0, 0)), {})
+
 
 class TestPmcast:
     def test_publisher_delivers_to_itself_if_interested(self):

@@ -38,6 +38,28 @@ class TestBuild:
         assert a.view(1) is c.view(1)
         assert a.view(2) is not c.view(2)
 
+    def test_ragged_subgroups_are_wired_per_leaf(self):
+        members = make_members(arity=3, depth=3)
+        for gone in (Address((0, 0, 1)), Address((0, 0, 2)), Address((2, 1, 0))):
+            del members[gone]
+        group = PmcastGroup.build(members, PmcastConfig(redundancy=2))
+        for address in group.addresses():
+            node = group.node(address)
+            for prefix in address.prefixes():
+                assert node.view(prefix.depth) is group.table(prefix)
+        # Siblings share tables but not the mapping that holds them.
+        a, b = group.node(Address((1, 1, 0))), group.node(Address((1, 1, 1)))
+        a.replace_view(3, group.table(Prefix((1, 0))))
+        assert b.view(3) is group.table(Prefix((1, 1)))
+
+    def test_addresses_is_a_fresh_sorted_list(self):
+        group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
+        first = group.addresses()
+        first.reverse()
+        first.pop()
+        assert group.addresses() == sorted(node.address for node in group.nodes())
+        assert group.interested_members(Event({})) == group.addresses()
+
     def test_table_accessor(self):
         group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
         assert group.table(Prefix(())).row_count == 3

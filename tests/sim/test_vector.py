@@ -3,17 +3,22 @@
 Two kernels live in :mod:`repro.sim.vector`:
 
 * the **compat kernel** (``try_run_vectorized``) replays the scalar
-  engine's RNG draws position-for-position, so an eligible run under
-  ``SimConfig(vectorized=True)`` must be *bit-identical* to the scalar
-  loop — same report, same per-node outcome.  The suite sweeps the
-  protocol switch matrix (loss, crashes, §5.3 tuning, §6 leaf flood,
-  §3.2 shortcut) and checks both.
+  reference loop's RNG draws position-for-position and is what
+  ``run_dissemination`` runs whenever the run is eligible, so a
+  default-config run must be *bit-identical* to the same run under
+  ``SimConfig(vectorized=False)`` — same report, same trace records,
+  same per-node outcome.  The suite sweeps the protocol switch matrix
+  (loss, crashes, §5.3 tuning, §6 leaf flood, §3.2 shortcut), then
+  draws the whole configuration space with Hypothesis; an ineligible
+  run (fault plan, link rules, a node mid-event) must take the
+  reference loop without a warning, counted once by reason.
 * the **regular-tree kernel** (``RegularTreeSpec``/``run_shard_wave``)
   has its own per-``(shard, round)`` seed contract; its transition
   invariants are property-tested here (the statistical validation
   lives in the conformance harness's ``scale`` suite).
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -31,6 +36,10 @@ from repro.config import PmcastConfig, SimConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.interests.events import Event
+from repro.obs import MetricsRegistry, Observer, TraceLog
+from repro.obs.sampling import TraceSampler
+from repro.obs.timeline import TimelineRecorder
+from repro.pubsub import PubSubSystem
 from repro.sim import (
     PmcastGroup,
     RegularTreeSpec,
@@ -41,6 +50,8 @@ from repro.sim import (
     run_dissemination,
     run_shard_wave,
 )
+from repro.sim import vector
+from repro.sim.network import LossyNetwork
 from repro.sim.vector import sample_positions
 
 
@@ -73,30 +84,42 @@ def _build_group(config, seed=11, arity=4, depth=3):
     return PmcastGroup.build(members, config), addresses
 
 
-def _run_pair(config, sim_kwargs, seed=11, arity=4, depth=3, faults=None):
-    """The same dissemination, scalar then vectorized, on fresh groups."""
+def _node_state(group, addresses, event):
+    """What post-run inspection can see of every node."""
+    state = {}
+    for address in addresses:
+        node = group.node(address)
+        buffered = tuple(
+            (depth, entry.event.event_id, entry.rate, entry.round)
+            for depth in range(1, node.tree_depth + 1)
+            for entry in node.buffers.entries(depth)
+        )
+        state[str(address)] = (
+            node.alive,
+            node.has_received(event),
+            node.has_delivered(event),
+            node.messages_sent,
+            node.receptions,
+            buffered,
+        )
+    return state
+
+
+def _run_pair(config, sim_kwargs, seed=11, arity=4, depth=3, **run_kwargs):
+    """The same dissemination on fresh groups: the reference loop
+    (``vectorized=False``), then whatever the default config takes."""
     event = Event({"golden": 1}, event_id=42)
     outcomes = []
-    for vectorized in (False, True):
+    for flag in ({"vectorized": False}, {}):
         group, addresses = _build_group(config, seed, arity, depth)
         report = run_dissemination(
             group,
             addresses[0],
             event,
-            SimConfig(seed=seed, vectorized=vectorized, **sim_kwargs),
-            faults=faults,
+            SimConfig(seed=seed, **flag, **sim_kwargs),
+            **run_kwargs,
         )
-        nodes = {
-            str(a): (
-                group.node(a).alive,
-                group.node(a).has_received(event),
-                group.node(a).has_delivered(event),
-                group.node(a).messages_sent,
-                group.node(a).receptions,
-            )
-            for a in addresses
-        }
-        outcomes.append((report, nodes))
+        outcomes.append((report, _node_state(group, addresses, event)))
     return outcomes
 
 
@@ -147,55 +170,44 @@ class TestCompatBitIdentity:
         assert vector[0] == scalar[0]
 
     def test_faulted_run_falls_back_and_stays_equal(self):
-        # A fault plan disables the fast path (the injector owns the
-        # transmit step); vectorized=True must still reproduce the
-        # scalar faulted run exactly because the dispatch declines
-        # before touching any RNG stream.  The decline is loud: one
-        # RuntimeWarning naming the reason.
+        # A fault plan is the reference loop's business (the injector
+        # owns the transmit step): the default config must reproduce
+        # the vectorized=False faulted run exactly, because the dispatch
+        # declines before touching any RNG stream — and it is ordinary
+        # dispatch, not an ignored request, so nothing warns.
         config = PmcastConfig(fanout=2, redundancy=2)
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
-        with pytest.warns(RuntimeWarning, match="faults"):
-            scalar, vector = _run_pair(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar, default = _run_pair(
                 config, {"loss_probability": 0.05}, faults=plan
             )
-        assert vector[0] == scalar[0]
-        assert vector[1] == scalar[1]
+        assert default == scalar
 
     def test_link_rules_fall_back(self):
-        from repro.sim.network import LossyNetwork
-
         config = PmcastConfig(fanout=2, redundancy=2)
-        event = Event({"golden": 1}, event_id=42)
-        reports = []
-        for vectorized in (False, True):
-            group, addresses = _build_group(config)
-            network = LossyNetwork(0.0, derive_rng(11, "network", 42))
-            network.block(
-                lambda sender, dest: (sender, dest)
-                == (addresses[1], addresses[2])
-            )
-            if vectorized:
-                with pytest.warns(RuntimeWarning, match="link_rules"):
-                    reports.append(
-                        run_dissemination(
-                            group,
-                            addresses[0],
-                            event,
-                            SimConfig(seed=11, vectorized=vectorized),
-                            network=network,
-                        )
-                    )
-            else:
-                reports.append(
-                    run_dissemination(
-                        group,
-                        addresses[0],
-                        event,
-                        SimConfig(seed=11, vectorized=vectorized),
-                        network=network,
-                    )
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for flag in ({"vectorized": False}, {}):
+                group, addresses = _build_group(config)
+                event = Event({"golden": 1}, event_id=42)
+                network = LossyNetwork(0.0, derive_rng(11, "network", 42))
+                network.block(
+                    lambda sender, dest: (sender, dest)
+                    == (addresses[1], addresses[2])
                 )
-        assert reports[0] == reports[1]
+                report = run_dissemination(
+                    group,
+                    addresses[0],
+                    event,
+                    SimConfig(seed=11, **flag),
+                    network=network,
+                )
+                outcomes.append(
+                    (report, _node_state(group, addresses, event))
+                )
+        assert outcomes[0] == outcomes[1]
 
     def test_hash_seed_independent(self):
         digests = []
@@ -218,7 +230,7 @@ class TestCompatBitIdentity:
             )
             report = run_dissemination(
                 group, addresses[0], Event({"golden": 1}, event_id=42),
-                SimConfig(seed=11, loss_probability=0.05, vectorized=True),
+                SimConfig(seed=11, loss_probability=0.05),
             )
             print(report)
             """
@@ -236,77 +248,169 @@ class TestCompatBitIdentity:
 
 
 class TestFallbackObservability:
-    """Silent fallback is banned: counter + reason label + warning."""
+    """An ineligible run is ordinary dispatch: no warning, the reason
+    counter incremented once, the outcome equal to ``vectorized=False``."""
 
-    def _run(self, registry, faults=None, network=None, **sim_kwargs):
-        from repro.obs import Observer
-
-        config = PmcastConfig(fanout=2, redundancy=2)
-        group, addresses = _build_group(config)
-        return run_dissemination(
-            group,
-            addresses[0],
-            Event({"golden": 1}, event_id=42),
-            SimConfig(seed=11, vectorized=True, **sim_kwargs),
-            faults=faults,
-            network=network,
-            observer=Observer(registry=registry),
-        )
-
-    def test_eligible_run_is_silent_and_uncounted(self):
-        from repro.obs import MetricsRegistry
-
+    def _run(self, faults=None, rules=False, group=None, **sim_kwargs):
+        """One run under ``simplefilter("error")`` -> (registry, outcome)."""
         registry = MetricsRegistry()
+        if group is None:
+            group, __ = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        addresses = group.addresses()
+        event = Event({"golden": 1}, event_id=42)
+        network = None
+        if rules:
+            network = LossyNetwork(0.0, derive_rng(11, "network", 42))
+            network.block(lambda sender, dest: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self._run(registry, loss_probability=0.05)
-        assert registry.counter("sim", "vector_fallback").value == 0
+            report = run_dissemination(
+                group,
+                addresses[0],
+                event,
+                SimConfig(seed=11, **sim_kwargs),
+                faults=faults,
+                network=network,
+                observer=Observer(registry=registry),
+            )
+        return registry, (report, _node_state(group, addresses, event))
+
+    def _fallbacks(self, registry):
+        return {
+            reason: registry.counter("sim", f"vector_fallback{reason}").value
+            for reason in ("", "_faults", "_link_rules", "_ineligible")
+        }
+
+    def test_eligible_run_is_silent_and_uncounted(self):
+        registry, __ = self._run(loss_probability=0.05)
+        assert set(self._fallbacks(registry).values()) == {0}
+        assert registry.counter("vector", "runs").value == 1
+
+    def test_reference_loop_is_uncounted(self):
+        # vectorized=False is a choice, not a fallback.
+        registry, __ = self._run(vectorized=False)
+        assert set(self._fallbacks(registry).values()) == {0}
+        assert registry.counter("vector", "runs").value == 0
 
     def test_fault_fallback_counted_by_reason(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
-        with pytest.warns(RuntimeWarning, match="faults"):
-            self._run(registry, faults=plan)
-        assert registry.counter("sim", "vector_fallback").value == 1
-        assert (
-            registry.counter("sim", "vector_fallback_faults").value == 1
-        )
-        assert (
-            registry.counter("sim", "vector_fallback_link_rules").value
-            == 0
-        )
+        registry, outcome = self._run(faults=plan)
+        assert self._fallbacks(registry) == {
+            "": 1, "_faults": 1, "_link_rules": 0, "_ineligible": 0,
+        }
+        assert outcome == self._run(faults=plan, vectorized=False)[1]
 
     def test_link_rule_fallback_counted_by_reason(self):
-        from repro.obs import MetricsRegistry
-        from repro.sim.network import LossyNetwork
+        registry, outcome = self._run(rules=True)
+        assert self._fallbacks(registry) == {
+            "": 1, "_faults": 0, "_link_rules": 1, "_ineligible": 0,
+        }
+        assert outcome == self._run(rules=True, vectorized=False)[1]
 
-        registry = MetricsRegistry()
-        network = LossyNetwork(0.0, derive_rng(11, "network", 42))
-        network.block(lambda sender, dest: False)
-        with pytest.warns(RuntimeWarning, match="link_rules"):
-            self._run(registry, network=network)
-        assert (
-            registry.counter("sim", "vector_fallback_link_rules").value
-            == 1
+    def _mid_event_group(self):
+        """A group whose first event was cut off by the round cap, so
+        live nodes still buffer it."""
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        run_dissemination(
+            group,
+            addresses[5],
+            Event({"golden": 1}, event_id=7),
+            SimConfig(seed=3, max_rounds=2, vectorized=False),
         )
+        assert any(not node.is_idle for node in group.nodes())
+        return group
+
+    def test_buffered_event_is_ineligible_before_any_flattening(
+        self, monkeypatch
+    ):
+        reference = self._run(group=self._mid_event_group(), vectorized=False)
+        # Declined by the cheap pass: not one table is flattened.
+        monkeypatch.setattr(
+            vector,
+            "_DepthMatch",
+            lambda *args: pytest.fail("flattened an ineligible run"),
+        )
+        registry, outcome = self._run(group=self._mid_event_group())
+        assert self._fallbacks(registry) == {
+            "": 1, "_faults": 0, "_link_rules": 0, "_ineligible": 1,
+        }
+        assert outcome == reference[1]
+
+
+class TestPubSubPublish:
+    """The kernel as ``PubSubSystem.publish`` now meets it: several
+    events, one after the other, on one set of nodes."""
+
+    def _publish_twice(self, **flag):
+        system = PubSubSystem(
+            depth=3,
+            config=PmcastConfig(fanout=2, redundancy=2),
+            sim_config=SimConfig(seed=5, loss_probability=0.05, **flag),
+        )
+        space = AddressSpace.regular(4, 3)
+        members = bernoulli_interests(
+            space.enumerate_regular(4), 0.4, derive_rng(5, "pubsub-int")
+        )
+        for address, interest in members.items():
+            system.subscribe(address, interest)
+        addresses = system.members()
+        events = [Event({"n": n}, event_id=100 + n) for n in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [
+                system.publish(addresses[3 * n], event)
+                for n, event in enumerate(events)
+            ]
+        state = [
+            (
+                system.delivered_to(event),
+                [
+                    (
+                        system.node(a).has_received(event),
+                        system.node(a).messages_sent,
+                        system.node(a).receptions,
+                        system.node(a).is_idle,
+                    )
+                    for a in addresses
+                ],
+            )
+            for event in events
+        ]
+        return reports, state
+
+    def test_two_publishes_equal_the_reference_loop(self, monkeypatch):
+        from repro.sim import engine
+
+        kernel_ran = []
+
+        def spy(*args, **kwargs):
+            report = vector.try_run_vectorized(*args, **kwargs)
+            kernel_ran.append(report is not None)
+            return report
+
+        monkeypatch.setattr(engine, "try_run_vectorized", spy)
+        default = self._publish_twice()
+        # Both publishes were eligible (the first left every node idle)...
+        assert kernel_ran == [True, True]
+        # ...and equal the reference loop, which never asks the kernel
+        # (publish() must hand the system's whole SimConfig down).
+        assert default == self._publish_twice(vectorized=False)
+        assert kernel_ran == [True, True]
+        assert all(report.received_total > 1 for report in default[0])
 
 
 class TestTracedBitIdentity:
     """Sampled or not, both engines must emit the same records."""
 
     def _traced_run(self, config, sim_kwargs, vectorized, rate=None):
-        from repro.obs import TraceLog
-        from repro.obs.sampling import TraceSampler
-
         group, addresses = _build_group(config)
         trace = TraceLog()
+        flag = {} if vectorized else {"vectorized": False}
         report = run_dissemination(
             group,
             addresses[0],
             Event({"golden": 1}, event_id=42),
-            SimConfig(seed=11, vectorized=vectorized, **sim_kwargs),
+            SimConfig(seed=11, **flag, **sim_kwargs),
             trace=trace,
             sampler=TraceSampler(rate) if rate is not None else None,
         )
@@ -345,6 +449,149 @@ class TestTracedBitIdentity:
             tuple(sorted(r)) for r in (d.items() for d in scalar_records)
         } <= full_set
         assert 0 < len(scalar) < len(full)
+
+
+@st.composite
+def _scenarios(draw):
+    """One dissemination drawn from the whole configuration space."""
+    arity = draw(st.integers(2, 5))
+    depth = draw(st.integers(2, 3))
+    min_rounds = draw(st.integers(0, 2))
+    return {
+        "arity": arity,
+        "depth": depth,
+        # Ragged subgroups, equal address depth.
+        "removed": draw(st.sampled_from([0.0, 0.1, 0.4])),
+        "matching": draw(st.sampled_from([0.1, 0.3, 0.6, 1.0])),
+        "population_seed": draw(st.integers(0, 2 ** 16)),
+        "config": PmcastConfig(
+            fanout=draw(st.integers(1, 4)),
+            redundancy=draw(st.integers(1, 3)),
+            threshold_h=draw(st.integers(0, 3)),
+            leaf_flood_threshold=draw(st.sampled_from([2.0, 1.0, 0.5, 0.2])),
+            local_interest_shortcut=draw(st.booleans()),
+            min_rounds_per_depth=min_rounds,
+        ),
+        "loss": draw(st.floats(0.0, 0.3)),
+        "crash": draw(st.floats(0.0, 0.1)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+        "publisher": draw(st.integers(0, arity ** depth - 1)),
+        "second_publisher": draw(
+            st.none() | st.integers(0, arity ** depth - 1)
+        ),
+        "sample_rate": draw(st.sampled_from([0.2, 0.5, 0.9])),
+    }
+
+
+class TestGeneratedEquivalence:
+    """Default dispatch ≡ ``vectorized=False`` on generated runs: the
+    kernel carries every figure and every conformance band, so its
+    proof cannot be eight hand-picked rows."""
+
+    def _play(self, scenario, flag, sampled):
+        rng = random.Random(scenario["population_seed"])
+        space = AddressSpace.regular(scenario["arity"], scenario["depth"])
+        addresses = [
+            address
+            for address in space.enumerate_regular(scenario["arity"])
+            if rng.random() >= scenario["removed"]
+        ] or space.enumerate_regular(scenario["arity"])[:1]
+        members = bernoulli_interests(addresses, scenario["matching"], rng)
+        group = PmcastGroup.build(members, scenario["config"])
+        sim = SimConfig(
+            loss_probability=scenario["loss"],
+            crash_fraction=scenario["crash"],
+            seed=scenario["seed"],
+            **flag,
+        )
+        outcome = []
+        for event_id, pick in enumerate(
+            (scenario["publisher"], scenario["second_publisher"]), start=1
+        ):
+            if pick is None:
+                continue
+            alive = [a for a in addresses if group.node(a).alive]
+            if not alive:
+                continue
+            event = Event({"n": event_id}, event_id=event_id)
+            trace = TraceLog()
+            report = run_dissemination(
+                group,
+                alive[pick % len(alive)],
+                event,
+                sim,
+                trace=trace,
+                sampler=(
+                    TraceSampler(scenario["sample_rate"]) if sampled else None
+                ),
+            )
+            outcome.append(
+                (
+                    report,
+                    dict(trace.meta),
+                    [record.to_dict() for record in trace],
+                    _node_state(group, addresses, event),
+                )
+            )
+        return outcome
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(scenario=_scenarios())
+    def test_default_equals_reference_loop(self, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sampled in (False, True):
+                reference = self._play(
+                    scenario, {"vectorized": False}, sampled
+                )
+                assert self._play(scenario, {}, sampled) == reference
+
+
+class TestTimelineContract:
+    """Both loops time a round under the same names, so a reader of
+    ``TimelineRecorder.totals()`` never learns which one ran."""
+
+    def _spans(self, **flag):
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        timeline = TimelineRecorder()
+        report = run_dissemination(
+            group,
+            addresses[0],
+            Event({"golden": 1}, event_id=42),
+            SimConfig(seed=11, loss_probability=0.05, **flag),
+            timeline=timeline,
+        )
+        return report.rounds, timeline
+
+    def _per_round(self, timeline, phase):
+        return [
+            span["round"]
+            for span in timeline.spans()
+            if span["phase"] == phase
+        ]
+
+    def test_default_run_keys(self):
+        rounds, timeline = self._spans()
+        assert set(timeline.totals()) == {
+            ("engine", "match"), ("engine", "fan_out"), ("engine", "exchange"),
+        }
+        every_round = list(range(1, rounds + 1))
+        assert self._per_round(timeline, "fan_out") == every_round
+        assert self._per_round(timeline, "exchange") == every_round
+        assert self._per_round(timeline, "match") == [None]
+        # The memory probe moved with the spans.
+        assert {entry["subsystem"] for entry in timeline.entries()} == {
+            "engine"
+        }
+
+    def test_reference_loop_keys(self):
+        rounds, timeline = self._spans(vectorized=False)
+        assert set(timeline.totals()) == {
+            ("engine", "fan_out"), ("engine", "exchange"),
+        }
+        every_round = list(range(1, rounds + 1))
+        assert self._per_round(timeline, "fan_out") == every_round
+        assert self._per_round(timeline, "exchange") == every_round
 
 
 class TestRegularTreeSpec:
@@ -481,11 +728,18 @@ class TestShardWaveInvariants:
 
 
 class TestVectorizedConfigFlag:
-    def test_default_off(self):
-        assert SimConfig().vectorized is False
+    def test_default_on(self):
+        assert SimConfig().vectorized is True
 
     def test_flag_round_trips(self):
         assert SimConfig(vectorized=True).vectorized is True
+        assert SimConfig(vectorized=False).vectorized is False
+
+    def test_same_five_fields(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "loss_probability", "crash_fraction", "seed", "max_rounds",
+            "vectorized",
+        ]
 
     def test_invalid_loss_still_rejected(self):
         with pytest.raises(ConfigError):
