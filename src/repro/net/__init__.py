@@ -8,9 +8,10 @@ Two execution styles for the same untouched protocol logic
   over :class:`~repro.net.transport.SimTransport`; bit-identical to
   the round-synchronous engine under the zero-jitter schedule, and a
   jitter/straggler laboratory beyond it.
-* :func:`repro.net.udp.run_udp_dissemination` — real asyncio UDP
-  datagrams on localhost, one :class:`~repro.net.process.AsyncProcess`
-  per member (the ``net_throughput`` bench and the integration tests).
+* :func:`repro.net.udp.run_udp_dissemination` — real UDP datagrams on
+  localhost under one asyncio loop: one socket per member, one
+  :class:`~repro.net.process.AsyncProcess` per member a datagram reached
+  (the ledger's ``udp_live`` workload and the integration tests).
 
 The scheduler seam (:mod:`repro.net.scheduler`) is shared with the
 round loop: ``GroupRuntime(..., schedule=...)`` accepts the same

@@ -13,9 +13,10 @@ with a mailbox and two event-driven entry points:
 A gossip-timer fire is the driver's: the UDP runtime
 (:mod:`repro.net.udp`) drains, then calls ``node.gossip_step`` itself
 and hands the fan-out to :attr:`transport`, because it traces and
-counts between the two.  The class is sans-io on purpose: asyncio tasks
-drive it, and the protocol logic stays byte-for-byte the code the
-round engine runs.
+counts between the two.  The class is sans-io on purpose: event-loop
+callbacks drive it — the runtime builds one only when a member's first
+datagram (or its publish) arrives — and the protocol logic stays
+byte-for-byte the code the round engine runs.
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ class AsyncProcess:
         ctx: this process's gossip context — event-driven processes do
             not share an RNG stream, each draws from its own.
         transport: where the driver sends a timer fire's fan-out.
+        timer_offset_s: the seeded phase of its gossip timer — the wait
+            between (re)starting the timer and its first fire.
     """
 
     __slots__ = (
-        "node", "ctx", "transport", "mailbox", "timer_fires", "drained",
+        "node", "ctx", "transport", "timer_offset_s", "mailbox",
+        "timer_fires", "drained",
     )
 
     def __init__(
@@ -52,10 +56,12 @@ class AsyncProcess:
         node: PmcastNode,
         ctx: GossipContext,
         transport: Transport,
+        timer_offset_s: float = 0.0,
     ):
         self.node = node
         self.ctx = ctx
         self.transport = transport
+        self.timer_offset_s = timer_offset_s
         self.mailbox: Deque[Envelope] = deque()
         self.timer_fires = 0
         self.drained = 0

@@ -16,11 +16,12 @@ same :class:`Transport` contract:
   equal the engine's round batch — same loss draws, in the same RNG
   order, hence bit-identical outcomes (docs/NETWORK.md).  The fault
   injector thus acts at the transport seam, unchanged.
-* :class:`FairLossUdpTransport` — real datagrams over an asyncio UDP
-  endpoint on localhost.  UDP *is* a fair-loss link; an optional
-  software ε adds seeded drops on top so loss-model tests do not
-  depend on kernel buffer pressure.  Wire format: one JSON object per
-  datagram carrying the Figure 3 tuple (:mod:`repro.core.codec`).
+* :class:`FairLossUdpTransport` — real datagrams over a plain
+  non-blocking UDP socket on localhost, read through the event loop's
+  ``add_reader``.  UDP *is* a fair-loss link; an optional software ε
+  adds seeded drops on top so loss-model tests do not depend on kernel
+  buffer pressure.  Wire format: one JSON object per datagram carrying
+  the Figure 3 tuple (:mod:`repro.core.codec`).
 
 Neither transport ever duplicates or forges an envelope — the property
 suite (tests/net/test_properties.py) pins ``delivered ⊆ sent`` and
@@ -32,12 +33,14 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import socket
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.addressing import Address
-from repro.core.codec import decode_message, encode_message
-from repro.core.messages import Envelope
+from repro.core.codec import decode_event, encode_message
+from repro.core.messages import Envelope, GossipMessage
 from repro.errors import NetError
 from repro.net.clock import PRIORITY_FLUSH, VirtualClock
 from repro.sim.network import LossyNetwork
@@ -176,8 +179,18 @@ def encode_envelope(envelope: Envelope) -> bytes:
     ).encode("utf-8")
 
 
+#: Dotted string -> validated address.  Every datagram names two of at
+#: most n members, and a string validated once stays valid, so the wire
+#: path parses each at most once; bounded, because the strings come off
+#: the wire.
+_parse_address = lru_cache(maxsize=1 << 16)(Address.parse)
+
+
 def decode_envelope(data: bytes) -> Envelope:
     """Inverse of :func:`encode_envelope`.
+
+    The message is :func:`repro.core.codec.decode_message`'s, built here
+    so both addresses go through the memoised parser.
 
     Raises:
         NetError: on any malformed datagram — a deployment runtime must
@@ -185,9 +198,16 @@ def decode_envelope(data: bytes) -> Envelope:
     """
     try:
         wire = json.loads(data.decode("utf-8"))
+        msg = wire["msg"]
         return Envelope(
-            destination=Address.parse(wire["to"]),
-            message=decode_message(wire["msg"]),
+            destination=_parse_address(wire["to"]),
+            message=GossipMessage(
+                event=decode_event(msg["event"]),
+                rate=msg["rate"],
+                round=msg["round"],
+                depth=msg["depth"],
+                sender=_parse_address(msg["sender"]),
+            ),
         )
     except Exception as exc:
         raise NetError(f"malformed datagram: {exc}") from exc
@@ -217,29 +237,35 @@ class UdpEndpointRegistry:
         return len(self._endpoints)
 
 
-class _DatagramBridge(asyncio.DatagramProtocol):
-    """Feeds received datagrams to the owning transport's callback."""
-
-    def __init__(self, transport: "FairLossUdpTransport"):
-        self._owner = transport
-
-    def datagram_received(self, data: bytes, addr: object) -> None:
-        self._owner._on_datagram(data)
-
-
 class FairLossUdpTransport(Transport):
     """One process's UDP endpoint: real datagrams on localhost.
 
-    Built with :meth:`create` (binds an ephemeral port and registers
-    it).  ``on_receive`` is invoked on the event loop for every
-    well-formed envelope received; malformed datagrams are counted and
-    dropped, never raised into the loop.
+    Built with :meth:`create` (binds an ephemeral port, registers it and
+    adds the socket to the running loop's readers).  ``on_receive`` is
+    invoked on the event loop for every well-formed envelope addressed
+    to this endpoint.  Anything else ends in exactly one counted
+    disposition and is dropped, never raised into the loop:
+    ``malformed_datagrams`` failed to decode, ``misrouted_datagrams``
+    were well-formed envelopes for another process (this mailbox is not
+    theirs), and ``wire_drops`` are sends the kernel refused on a full
+    buffer — a fair-loss link losing a message, outside the model's ε.
+    ``messages_received`` counts what reached ``on_receive``.
 
     Args:
         loss_probability: software ε applied at *send* with a seeded
             per-transport RNG — deterministic fair-loss injection on
             top of whatever the kernel does.
+        rng: that stream.  It is first drawn from at the first
+            :meth:`send`, so an owner may leave it out and assign
+            :attr:`rng` later: an endpoint that never sends never pays
+            for one.
     """
+
+    __slots__ = (
+        "address", "rng", "messages_received", "malformed_datagrams",
+        "misrouted_datagrams", "wire_drops", "_registry", "_on_receive",
+        "_loss_probability", "_loop", "_sock", "_sent", "_lost",
+    )
 
     def __init__(
         self,
@@ -254,15 +280,15 @@ class FairLossUdpTransport(Transport):
                 f"loss probability {loss_probability} not in [0, 1)"
             )
         self.address = address
+        self.rng = rng
         self._registry = registry
         self._on_receive = on_receive
         self._loss_probability = loss_probability
-        self._rng = rng or random.Random(0)
-        self._endpoint: Optional[asyncio.DatagramTransport] = None
-        self._sent = 0
-        self._lost = 0
-        self._received = 0
-        self._malformed = 0
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._sock: Optional[socket.socket] = None
+        self._sent = self._lost = self.messages_received = 0
+        self.malformed_datagrams = self.misrouted_datagrams = 0
+        self.wire_drops = 0
 
     @classmethod
     async def create(
@@ -274,14 +300,19 @@ class FairLossUdpTransport(Transport):
         rng: Optional[random.Random] = None,
         host: str = "127.0.0.1",
     ) -> "FairLossUdpTransport":
-        """Bind an ephemeral UDP port and register it."""
+        """Bind an ephemeral UDP port, register it, start reading."""
         transport = cls(address, registry, on_receive, loss_probability, rng)
-        loop = asyncio.get_running_loop()
-        endpoint, _protocol = await loop.create_datagram_endpoint(
-            lambda: _DatagramBridge(transport), local_addr=(host, 0)
-        )
-        transport._endpoint = endpoint
-        sock_host, sock_port = endpoint.get_extra_info("sockname")[:2]
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind((host, 0))
+            sock_host, sock_port = sock.getsockname()[:2]
+            transport._loop = asyncio.get_running_loop()
+            transport._loop.add_reader(sock.fileno(), transport._on_readable)
+        except BaseException:
+            sock.close()
+            raise
+        transport._sock = sock
         registry.register(address, sock_host, sock_port)
         return transport
 
@@ -293,42 +324,46 @@ class FairLossUdpTransport(Transport):
     def messages_lost(self) -> int:
         return self._lost
 
-    @property
-    def messages_received(self) -> int:
-        """Well-formed envelopes handed to ``on_receive``."""
-        return self._received
-
-    @property
-    def malformed_datagrams(self) -> int:
-        """Datagrams that failed to decode (counted, then dropped)."""
-        return self._malformed
-
     def send(self, envelope: Envelope) -> None:
-        if self._endpoint is None:
+        if self._sock is None:
             raise NetError(f"transport for {self.address} is not open")
         self._sent += 1
-        if (
-            self._loss_probability > 0.0
-            and self._rng.random() < self._loss_probability
-        ):
-            self._lost += 1
-            return
-        self._endpoint.sendto(
-            encode_envelope(envelope),
-            self._registry.resolve(envelope.destination),
-        )
+        if self._loss_probability > 0.0:
+            if self.rng is None:
+                self.rng = random.Random(0)
+            if self.rng.random() < self._loss_probability:
+                self._lost += 1
+                return
+        try:
+            self._sock.sendto(
+                encode_envelope(envelope),
+                self._registry.resolve(envelope.destination),
+            )
+        except BlockingIOError:
+            self.wire_drops += 1
 
-    def _on_datagram(self, data: bytes) -> None:
+    def _on_readable(self) -> None:
+        # One datagram per readiness event, like asyncio's own endpoint
+        # (a level-triggered selector reports the rest on the next
+        # pass); 64 KiB holds any UDP payload, so nothing is truncated.
+        try:
+            data = self._sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
         try:
             envelope = decode_envelope(data)
         except NetError:
-            self._malformed += 1
+            self.malformed_datagrams += 1
             return
-        self._received += 1
+        if envelope.destination != self.address:
+            self.misrouted_datagrams += 1
+            return
+        self.messages_received += 1
         self._on_receive(envelope)
 
     def close(self) -> None:
-        """Close the endpoint (idempotent)."""
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
+        """Remove the reader and close the socket (idempotent)."""
+        if self._sock is not None:
+            self._loop.remove_reader(self._sock.fileno())
+            self._sock.close()
+            self._sock = None

@@ -1,13 +1,15 @@
 """Deployment-style dissemination over real UDP datagrams on localhost.
 
-One asyncio event loop hosts every member: each gets a bound UDP
-endpoint (:class:`~repro.net.transport.FairLossUdpTransport`), an
-:class:`~repro.net.process.AsyncProcess` mailbox, and — only while it
-has protocol work — a driver task firing its gossip timer every
-``period_s`` (desynchronized by a seeded start offset, so timers do
-not herd).  Datagram receipt enqueues into the mailbox and spawns the
-driver back if it had parked; the run quiesces when no send or receive
-happened for ``quiet_periods`` periods and every driver parked, or at
+One asyncio event loop hosts every member, and a member costs one bound
+non-blocking socket (:class:`~repro.net.transport.FairLossUdpTransport`)
+until a datagram reaches it: its :class:`~repro.net.process.AsyncProcess`
+— mailbox, gossip context, loss stream — is built on its first datagram
+or its publish.  While a process has protocol work its gossip timer is a
+``loop.call_later`` callback that re-arms itself every ``period_s``
+(first fire after a seeded start offset, so timers do not herd) and
+parks when the work runs out; a datagram enqueues into the mailbox and
+restarts a parked timer.  The run quiesces when no send or receive
+happened for ``quiet_periods`` periods and every timer parked, or at
 the ``hard_timeout_s`` wall-clock cap.
 
 The protocol logic is the engine's own :class:`PmcastNode`, untouched,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.addressing import Address, distance
 from repro.core.context import GossipContext
@@ -46,10 +48,12 @@ class UdpRunStats:
     """Throughput-facing counters of one UDP run.
 
     ``events`` counts protocol events processed — timer fires, protocol
-    sends, and drained receptions — the ``net_throughput`` bench's
-    sustained-rate numerator.  ``completed`` is True when the run
+    sends, and drained receptions.  ``completed`` is True when the run
     quiesced on its own (no activity for the configured quiet window)
-    rather than hitting the hard timeout.
+    rather than hitting the hard timeout.  The last three fields sum the
+    endpoints' dispositions of what never became a reception: datagrams
+    that failed to decode, well-formed ones addressed to another member,
+    and sends the kernel refused.
     """
 
     members: int
@@ -60,6 +64,9 @@ class UdpRunStats:
     datagrams_received: int
     receptions: int
     completed: bool
+    malformed_datagrams: int = 0
+    misrouted_datagrams: int = 0
+    wire_drops: int = 0
 
     @property
     def events(self) -> int:
@@ -155,163 +162,149 @@ async def _run_udp(
             },
         )
 
-    counters = {
-        "timer_fires": 0,
-        "messages_sent": 0,
-        "receptions": 0,
-    }
+    def emit_envelope(kind, address, peer, envelope, stamp) -> None:
+        emit(
+            None, kind, address, peer=peer,
+            event_id=envelope.message.event.event_id,
+            depth=envelope.message.depth, time_us=stamp,
+        )
+
+    counters = {"timer_fires": 0, "messages_sent": 0, "receptions": 0}
     messages_by_distance = [0] * depth
     last_activity = [loop.time()]
+    # One scan, then a running count kept where a drain first infects.
+    infected = [sum(1 for node in group.nodes() if node.has_received(event))]
+    transports: Dict[Address, FairLossUdpTransport] = {}
     processes: Dict[Address, AsyncProcess] = {}
-    transports: List[FairLossUdpTransport] = []
-    driving: Dict[Address, asyncio.Task] = {}
-    stopping = asyncio.Event()
+    driving: Set[Address] = set()
+    stopping = [False]
 
-    def spawn(process: AsyncProcess) -> None:
-        if stopping.is_set() or process.address in driving:
-            return
-        driving[process.address] = loop.create_task(_drive(process))
-
-    def make_on_receive(address: Address):
-        def on_receive(envelope) -> None:
-            process = processes[address]
-            process.deliver(envelope)
-            last_activity[0] = loop.time()
-            if emit is not None:
-                emit(
-                    None, "recv", address,
-                    peer=envelope.message.sender,
-                    event_id=envelope.message.event.event_id,
-                    depth=envelope.message.depth,
-                    time_us=now_us(),
-                )
-            spawn(process)
-
-        return on_receive
-
-    for address in addresses:
-        transport = await FairLossUdpTransport.create(
-            address,
-            registry,
-            make_on_receive(address),
-            loss_probability=loss_probability,
-            rng=derive_rng(seed, "net-loss", str(address)),
-            host=host,
-        )
-        transports.append(transport)
+    def materialise(address: Address) -> AsyncProcess:
+        # A member costs a socket until its first datagram (or its
+        # publish); every stream derives from (seed, label, address)
+        # alone, so building them late cannot change a draw.
+        name = str(address)
+        transport = transports[address]
+        transport.rng = derive_rng(seed, "net-loss", name)
         ctx = GossipContext(
-            derive_rng(seed, "net-gossip", str(address)),
+            derive_rng(seed, "net-gossip", name),
             threshold_h=group.config.threshold_h,
         )
-        processes[address] = AsyncProcess(group.node(address), ctx, transport)
+        # Desynchronized start: real deployments' timers are not
+        # phase-aligned, and neither is the localhost herd.
+        offset_s = derive_rng(seed, "net-sched", name).random() * period_s
+        process = processes[address] = AsyncProcess(
+            group.node(address), ctx, transport, timer_offset_s=offset_s
+        )
+        return process
 
-    async def _drive(process: AsyncProcess) -> None:
-        address = process.address
-        offset_rng = derive_rng(seed, "net-sched", str(address))
-        try:
-            # Desynchronized start: real deployments' timers are not
-            # phase-aligned, and neither is the localhost herd.
-            await asyncio.sleep(offset_rng.random() * period_s)
-            while not stopping.is_set():
-                node = process.node
-                delivered_before = node.has_delivered(event)
-                drained = process.drain()
-                sent = []
-                if node.alive:
-                    process.timer_fires += 1
-                    counters["timer_fires"] += 1
-                    sent = node.gossip_step(process.ctx)
-                    for envelope in sent:
-                        hops = distance(
-                            envelope.message.sender, envelope.destination
-                        )
-                        messages_by_distance[max(hops, 1) - 1] += 1
-                        process.transport.send(envelope)
-                if emit is not None:
-                    stamp = now_us()
-                    emit(
-                        None, "timer_fire", address,
-                        event_id=event.event_id, time_us=stamp,
-                    )
-                    for envelope in drained:
-                        emit(
-                            None, "receive", address,
-                            peer=envelope.message.sender,
-                            event_id=envelope.message.event.event_id,
-                            depth=envelope.message.depth,
-                            time_us=stamp,
-                        )
-                    if not delivered_before and node.has_delivered(event):
-                        emit(
-                            None, "deliver", address,
-                            event_id=event.event_id, time_us=stamp,
-                        )
-                    for envelope in sent:
-                        emit(
-                            None, "send", address,
-                            peer=envelope.destination,
-                            event_id=envelope.message.event.event_id,
-                            depth=envelope.message.depth,
-                            time_us=stamp,
-                        )
-                if drained:
-                    counters["receptions"] += len(drained)
-                if sent:
-                    counters["messages_sent"] += len(sent)
-                    last_activity[0] = loop.time()
-                if not process.has_work:
-                    return
-                await asyncio.sleep(period_s)
-        finally:
-            driving.pop(address, None)
+    def spawn(process: AsyncProcess) -> None:
+        if not stopping[0] and process.address not in driving:
+            driving.add(process.address)
+            loop.call_later(process.timer_offset_s, fire, process)
 
-    # PMCAST: seed the publisher's buffers and start its timer.
-    origin_process = processes[publisher]
-    origin_process.node.pmcast(event, origin_process.ctx)
-    if emit is not None:
-        emit(None, "publish", publisher, event_id=event.event_id, time_us=0)
-        if origin_process.node.has_delivered(event):
-            emit(
-                None, "deliver", publisher,
-                event_id=event.event_id, time_us=0,
+    def on_receive(envelope) -> None:
+        # Shared by every endpoint: a transport hands over only what is
+        # addressed to itself, so the destination is the owner.
+        address = envelope.destination
+        process = processes.get(address) or materialise(address)
+        process.deliver(envelope)
+        last_activity[0] = loop.time()
+        if emit is not None:
+            emit_envelope(
+                "recv", address, envelope.message.sender, envelope, now_us()
             )
-    spawn(origin_process)
+        spawn(process)
+
+    def fire(process: AsyncProcess) -> None:
+        """One gossip-timer fire; re-arms itself while there is work."""
+        if stopping[0]:
+            return
+        address, node = process.address, process.node
+        received_before = node.has_received(event)
+        delivered_before = node.has_delivered(event)
+        drained = process.drain()
+        if not received_before and node.has_received(event):
+            infected[0] += 1
+        sent = []
+        if node.alive:
+            process.timer_fires += 1
+            counters["timer_fires"] += 1
+            sent = node.gossip_step(process.ctx)
+            for envelope in sent:
+                hops = distance(envelope.message.sender, envelope.destination)
+                messages_by_distance[max(hops, 1) - 1] += 1
+                process.transport.send(envelope)
+        if emit is not None:
+            stamp = now_us()
+            emit(
+                None, "timer_fire", address,
+                event_id=event.event_id, time_us=stamp,
+            )
+            for envelope in drained:
+                emit_envelope(
+                    "receive", address, envelope.message.sender, envelope, stamp
+                )
+            if not delivered_before and node.has_delivered(event):
+                emit(
+                    None, "deliver", address,
+                    event_id=event.event_id, time_us=stamp,
+                )
+            for envelope in sent:
+                emit_envelope(
+                    "send", address, envelope.destination, envelope, stamp
+                )
+        if drained:
+            counters["receptions"] += len(drained)
+        if sent:
+            counters["messages_sent"] += len(sent)
+            last_activity[0] = loop.time()
+        if process.has_work:
+            loop.call_later(period_s, fire, process)
+        else:
+            driving.discard(address)
 
     infection_curve: List[int] = []
     completed = False
     try:
+        # Every member must be reachable before the first gossip, so
+        # every socket is bound up front — inside the guarded region: a
+        # bind that fails at member k still closes the k - 1 before it.
+        for address in addresses:
+            transports[address] = await FairLossUdpTransport.create(
+                address, registry, on_receive,
+                loss_probability=loss_probability, host=host,
+            )
+
+        # PMCAST: seed the publisher's buffers and start its timer.
+        origin_process = materialise(publisher)
+        origin_process.node.pmcast(event, origin_process.ctx)
+        infected[0] += 1
+        if emit is not None:
+            emit(None, "publish", publisher, event_id=event.event_id, time_us=0)
+            if origin_process.node.has_delivered(event):
+                emit(
+                    None, "deliver", publisher,
+                    event_id=event.event_id, time_us=0,
+                )
+        spawn(origin_process)
+
         while loop.time() - started_at < hard_timeout_s:
             await asyncio.sleep(period_s)
-            infection_curve.append(
-                sum(
-                    1 for node in group.nodes() if node.has_received(event)
-                )
-            )
+            infection_curve.append(infected[0])
             quiet = loop.time() - last_activity[0]
             if not driving and quiet >= quiet_periods * period_s:
                 completed = True
                 break
     finally:
-        stopping.set()
-        for task in list(driving.values()):
-            task.cancel()
-        if driving:
-            await asyncio.gather(
-                *driving.values(), return_exceptions=True
-            )
-        for transport in transports:
+        # A timer callback still pending sees the flag and does nothing.
+        stopping[0] = True
+        for transport in transports.values():
             transport.close()
 
     elapsed = loop.time() - started_at
-    infected_count = sum(
-        1 for node in group.nodes() if node.has_received(event)
-    )
-    messages_lost = sum(
-        transport.messages_lost for transport in transports
-    )
-    datagrams_received = sum(
-        transport.messages_received for transport in transports
-    )
+    endpoints = transports.values()
+    messages_lost = sum(t.messages_lost for t in endpoints)
     rounds = len(infection_curve)
     if trace is not None:
         trace.annotate(rounds=rounds)
@@ -320,7 +313,7 @@ async def _run_udp(
         publisher,
         event,
         interested,
-        infected_count,
+        infected[0],
         rounds,
         tuple(infection_curve),
         tuple(messages_by_distance),
@@ -335,8 +328,11 @@ async def _run_udp(
         timer_fires=counters["timer_fires"],
         messages_sent=counters["messages_sent"],
         messages_lost=messages_lost,
-        datagrams_received=datagrams_received,
+        datagrams_received=sum(t.messages_received for t in endpoints),
         receptions=counters["receptions"],
         completed=completed,
+        malformed_datagrams=sum(t.malformed_datagrams for t in endpoints),
+        misrouted_datagrams=sum(t.misrouted_datagrams for t in endpoints),
+        wire_drops=sum(t.wire_drops for t in endpoints),
     )
     return report, stats

@@ -1,21 +1,28 @@
 """Deployment-style integration: ~200 live UDP processes on localhost.
 
 The whole stack end to end — real datagrams through
-:class:`FairLossUdpTransport`, per-process :class:`AsyncProcess`
-mailboxes, asyncio timer drivers — must disseminate with a delivery
-ratio inside the Eqs 12–18 conformance bands the round simulator is
-validated against.  The run is wall-clock bounded (``hard_timeout_s``)
+:class:`FairLossUdpTransport`, :class:`AsyncProcess` mailboxes built on
+a member's first datagram, timer callbacks on the loop — must
+disseminate with a delivery ratio inside the Eqs 12–18 conformance
+bands the round simulator is validated against.  The run is wall-clock bounded (``hard_timeout_s``)
 so a wedged event loop fails the test instead of hanging CI, and every
 test skips gracefully where UDP sockets are unavailable (sandboxed
 builders).
 """
+
+import asyncio
+import errno
+import socket
+import types
 
 import pytest
 
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig
 from repro.interests.events import Event
-from repro.net import run_udp_dissemination
+from repro.net import AsyncProcess, run_udp_dissemination
+from repro.net import transport as transport_module
+from repro.net import udp as udp_module
 from repro.obs import TraceLog
 from repro.sim import PmcastGroup, bernoulli_interests, derive_rng
 from repro.validate.oracles import tree_delivery_prediction
@@ -116,3 +123,93 @@ class TestUdpLocalhost:
             1 for record in trace if record.kind == "deliver"
         )
         assert deliveries == report.delivered_interested
+
+
+class TestPerDatagramCost:
+    """A member costs a socket; everything else waits for a datagram."""
+
+    def test_processes_materialise_on_first_datagram_with_fresh_streams(
+        self, monkeypatch
+    ):
+        seed, period_s, built, tasks = 11, 0.02, {}, set()
+        group, addresses = build_group(seed)
+
+        class Recording(AsyncProcess):
+            def __init__(self, node, ctx, transport, **kwargs):
+                super().__init__(node, ctx, transport, **kwargs)
+                assert node.address not in built, "a process was built twice"
+                # Nothing has drawn yet: equal states, equal draws.
+                built[node.address] = (
+                    ctx.rng.getstate(), transport.rng.getstate(),
+                    self.timer_offset_s,
+                )
+
+            def drain(self):
+                tasks.add(len(asyncio.all_tasks()))
+                return super().drain()
+
+        monkeypatch.setattr(udp_module, "AsyncProcess", Recording)
+        try:
+            report, stats = run_udp_dissemination(
+                group, addresses[0], Event({"udp": 1}, event_id=9),
+                seed=seed, loss_probability=0.05, period_s=period_s,
+                hard_timeout_s=20.0,
+            )
+        except OSError as exc:
+            pytest.skip(f"UDP sockets unavailable: {exc}")
+        assert stats.completed
+        receivers = {a for a in addresses if group.node(a).receptions}
+        assert set(built) == {addresses[0]} | receivers
+        assert len(built) < group.size, "nobody stayed a bare socket"
+        assert report.received_total == len(built)
+        # Only the runner: no Task per process, per burst or per fire.
+        assert tasks == {1}
+        for address, (gossip, loss, offset_s) in built.items():
+            name = str(address)
+            assert gossip == derive_rng(seed, "net-gossip", name).getstate()
+            assert loss == derive_rng(seed, "net-loss", name).getstate()
+            assert offset_s == (
+                derive_rng(seed, "net-sched", name).random() * period_s
+            )
+        assert (stats.malformed_datagrams, stats.misrouted_datagrams,
+                stats.wire_drops) == (0, 0, 0)
+
+    def test_failed_bind_closes_every_opened_socket(self, monkeypatch):
+        fail_at, opened = 40, []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append((self, self.fileno()))
+
+            def bind(self, address):
+                if len(opened) == fail_at:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                super().bind(address)
+
+        # Only the transport's view of the module: asyncio keeps its own.
+        monkeypatch.setattr(
+            transport_module, "socket",
+            types.SimpleNamespace(
+                socket=Recording, AF_INET=socket.AF_INET,
+                SOCK_DGRAM=socket.SOCK_DGRAM,
+            ),
+        )
+        group, addresses = build_group(13)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            with pytest.raises(OSError) as caught:
+                await udp_module._run_udp(
+                    group, addresses[0], Event({"udp": 1}, event_id=9),
+                    13, 0.0, 0.02, 5, 20.0, None, "127.0.0.1",
+                )
+            assert caught.value.errno == errno.EMFILE
+            assert len(opened) == fail_at
+            assert all(sock.fileno() == -1 for sock, __ in opened)
+            assert not any(loop.remove_reader(fd) for __, fd in opened)
+
+        asyncio.run(scenario())
+        assert not group.node(addresses[0]).has_received(
+            Event({"udp": 1}, event_id=9)
+        ), "published although the group was not reachable"

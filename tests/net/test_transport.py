@@ -1,6 +1,7 @@
 """Transport seam: deterministic flush batching and the UDP endpoint."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -192,7 +193,7 @@ class TestFairLossUdpTransport:
                 pytest.skip(f"UDP sockets unavailable: {exc}")
             try:
                 loop = asyncio.get_running_loop()
-                endpoint = sender._endpoint
+                endpoint = sender._sock
                 endpoint.sendto(
                     b"garbage",
                     sender._registry.resolve(Address.parse("0.0.2")),
@@ -207,6 +208,111 @@ class TestFairLossUdpTransport:
             finally:
                 sender.close()
                 receiver.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "payload, disposition",
+        [
+            (b"garbage", "malformed_datagrams"),
+            (encode_envelope(make_envelope(dest="0.0.2"))[:-9],
+             "malformed_datagrams"),
+            (b'{"to": "0.0.2", "msg": {"event": 7}}', "malformed_datagrams"),
+            (b'{"to": [0, 0, 2], "msg": null}', "malformed_datagrams"),
+            (encode_envelope(make_envelope(dest="0.0.3")),
+             "misrouted_datagrams"),
+            (b"\x00" * 60_000, "malformed_datagrams"),
+        ],
+        ids=["garbage", "truncated-json", "wrong-schema", "unhashable-to",
+             "another-member", "60KB"],
+    )
+    def test_hostile_datagram_ends_in_one_counted_disposition(
+        self, payload, disposition
+    ):
+        """Off a raw socket, past the sender's own encoder: each hostile
+        datagram is counted once, never applied, never raised."""
+
+        async def scenario():
+            try:
+                sender, receiver, received = await _udp_pair()
+            except OSError as exc:
+                pytest.skip(f"UDP sockets unavailable: {exc}")
+            raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                loop = asyncio.get_running_loop()
+                raw.sendto(
+                    payload, sender._registry.resolve(Address.parse("0.0.2"))
+                )
+                for __ in range(100):
+                    if getattr(receiver, disposition):
+                        break
+                    await asyncio.sleep(0.01)
+                counted = {
+                    name: getattr(receiver, name)
+                    for name in ("malformed_datagrams", "misrouted_datagrams",
+                                 "messages_received", "wire_drops")
+                }
+                assert counted.pop(disposition) == 1
+                assert not any(counted.values())
+                assert not received
+                assert loop.is_running()
+                # The endpoint still works afterwards.
+                sender.send(make_envelope(dest="0.0.2"))
+                for __ in range(100):
+                    if received:
+                        break
+                    await asyncio.sleep(0.01)
+                assert len(received) == 1
+            finally:
+                raw.close()
+                sender.close()
+                receiver.close()
+
+        asyncio.run(scenario())
+
+    def test_full_send_buffer_is_a_counted_wire_drop(self):
+        class FullBuffer:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendto(self, data, addr):
+                raise BlockingIOError(11, "send buffer full")
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        async def scenario():
+            try:
+                sender, receiver, received = await _udp_pair()
+            except OSError as exc:
+                pytest.skip(f"UDP sockets unavailable: {exc}")
+            try:
+                sender._sock = FullBuffer(sender._sock)
+                sender.send(make_envelope(dest="0.0.2"))
+                await asyncio.sleep(0.05)
+                assert sender.wire_drops == 1
+                assert sender.messages_sent == 1
+                # Not the model's ε: the loss stream never saw it.
+                assert sender.messages_lost == 0
+                assert not received
+            finally:
+                sender.close()
+                receiver.close()
+
+        asyncio.run(scenario())
+
+    def test_close_is_idempotent_and_removes_the_reader(self):
+        async def scenario():
+            try:
+                sender, receiver, __ = await _udp_pair()
+            except OSError as exc:
+                pytest.skip(f"UDP sockets unavailable: {exc}")
+            loop = asyncio.get_running_loop()
+            descriptors = [sender._sock.fileno(), receiver._sock.fileno()]
+            for transport in (sender, receiver, sender, receiver):
+                transport.close()
+            # remove_reader reports whether a reader was registered.
+            assert not any(loop.remove_reader(fd) for fd in descriptors)
 
         asyncio.run(scenario())
 
