@@ -23,7 +23,7 @@ which match.  This subpackage is that substrate:
   phase-span schema (:class:`TimelineRecorder`) plus RSS/tracemalloc
   probes, strictly out of band;
 * :mod:`repro.obs.cli` — ``python -m repro.obs
-  summarize|diff|validate|render|merge`` for offline analysis.
+  summarize|diff|validate|render`` for offline analysis.
 
 See ``docs/OBSERVABILITY.md`` for the record schema and examples.
 """
@@ -47,7 +47,6 @@ from repro.obs.sampling import (
 from repro.obs.sink import (
     JsonlSink,
     iter_records,
-    merge_traces,
     open_text,
     read_meta,
     read_trace,
@@ -72,7 +71,6 @@ __all__ = [
     "NULL_OBSERVER",
     "JsonlSink",
     "iter_records",
-    "merge_traces",
     "open_text",
     "read_meta",
     "read_trace",

@@ -2,23 +2,23 @@
 
 Subcommands:
 
-* ``summarize TRACE [TRACE...]`` — per-round timelines, per-kind
-  counts, delivery/false-reception ratios (when the trace carries
-  interest ground truth in its header), delivery-latency histogram,
-  membership episode rollup, and any counter snapshot the producer
-  embedded.  Multiple files are treated as shards of one run (the
-  header comes from the first); ``.jsonl.gz`` files load transparently.
-  When the header carries a ``sampling`` block, counts and ratios are
-  rescaled by the sampling rate (Horvitz–Thompson) and marked
-  ``estimated``.
+* ``summarize TRACE`` — per-round timelines, per-kind counts,
+  delivery/false-reception ratios (when the trace carries interest
+  ground truth in its header — the interested list, or counts alone as
+  the sharded kernel writes), delivery-latency histogram, membership
+  episode rollup, and any counter snapshot the producer embedded;
+  ``.jsonl.gz`` files load transparently.  When the header carries a
+  ``sampling`` block, counts and ratios are rescaled by the sampling
+  rate (Horvitz–Thompson) and marked ``estimated``.
 * ``diff A B`` — localize where two runs diverge: the first differing
   record, per-kind count deltas, and per-round send deltas.
 * ``validate TRACE`` — schema check without materializing the trace
   (exit code 1 on any problem).
 * ``render TRACE`` — the human-readable timeline.
-* ``merge OUT SHARD [SHARD...]`` — reassemble per-shard trace files
-  (``trace-shardNNNN.jsonl``, in sorted shard order) into one globally
-  round-monotone trace.
+
+Every plane leaves one trace per run — a sharded run included, whose
+coordinator merges its shards' records before they reach the
+:class:`~repro.obs.probes.Observer` — so every subcommand takes one file.
 
 ``--json`` on ``summarize``/``diff`` prints the machine-readable
 structure instead of text.
@@ -33,13 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.sampling import rescale
-from repro.obs.sink import (
-    iter_records,
-    merge_traces,
-    read_meta,
-    read_trace,
-    validate_trace,
-)
+from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TraceLog
 
 __all__ = ["main", "summarize_trace", "diff_traces"]
@@ -54,35 +48,7 @@ def _load(trace: Union[str, TraceLog]) -> TraceLog:
     return trace if isinstance(trace, TraceLog) else read_trace(trace)
 
 
-def _load_concat(
-    trace: Union[str, TraceLog, Sequence[str]],
-) -> TraceLog:
-    """Load one trace, or several shard files as one logical run.
-
-    Multiple paths are treated as shards of a single run: records are
-    concatenated in the given order and the metadata comes from the
-    first file (minus its ``shard`` key) — the same header ``merge``
-    writes.  Gzipped files load transparently.
-    """
-    if isinstance(trace, (str, TraceLog)):
-        return _load(trace)
-    paths = list(trace)
-    if len(paths) == 1:
-        return _load(paths[0])
-    log = TraceLog()
-    meta = dict(read_meta(paths[0]))
-    meta.pop("shard", None)
-    meta["shards"] = len(paths)
-    log.meta = meta
-    for path in paths:
-        for record in iter_records(path):
-            log.append(record)
-    return log
-
-
-def summarize_trace(
-    trace: Union[str, TraceLog, Sequence[str]],
-) -> Dict[str, Any]:
+def summarize_trace(trace: Union[str, TraceLog]) -> Dict[str, Any]:
     """Roll a trace up into the numbers a report would carry.
 
     When the producer annotated interest ground truth (the engine
@@ -96,10 +62,9 @@ def summarize_trace(
     delivered/receiver tallies are divided by the keep rate and the
     ratios computed from interest *counts* (sampled traces at scale
     carry counts, not the full interested list); those entries are
-    marked ``estimated``.  Multiple paths are summarized as shards of
-    one run (see ``merge``).
+    marked ``estimated``.
     """
-    log = _load_concat(trace)
+    log = _load(trace)
     meta = log.meta
     counts = log.counts()
 
@@ -447,12 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     summarize = commands.add_parser(
         "summarize", help="roll a trace up into report-level numbers"
     )
-    summarize.add_argument(
-        "trace",
-        nargs="+",
-        help="trace file(s); several paths are summarized as shards "
-        "of one run (.jsonl.gz works too)",
-    )
+    summarize.add_argument("trace", help="trace file (.jsonl.gz works too)")
     summarize.add_argument("--json", action="store_true")
 
     diff = commands.add_parser(
@@ -472,18 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     render.add_argument("trace")
     render.add_argument("--limit", type=int, default=None)
-
-    merge = commands.add_parser(
-        "merge",
-        help="reassemble per-shard trace files into one "
-        "round-ordered trace",
-    )
-    merge.add_argument("out", help="merged output path (may end .gz)")
-    merge.add_argument(
-        "shards",
-        nargs="+",
-        help="shard trace files, in sorted shard order",
-    )
     return parser
 
 
@@ -513,12 +461,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{args.trace}: {count} records, schema ok")
         elif args.command == "render":
             print(_load(args.trace).render(limit=args.limit))
-        elif args.command == "merge":
-            written = merge_traces(args.shards, args.out)
-            print(
-                f"{args.out}: merged {written} records "
-                f"from {len(args.shards)} shard(s)"
-            )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

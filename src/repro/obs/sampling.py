@@ -16,7 +16,7 @@ The decision is a pure function of the key:
   ``PYTHONHASHSEED`` values, worker counts, and engines: the scalar
   engine and the vectorized compat kernel — which emit identical record
   streams — produce identical sampled traces, and the sharded kernel's
-  per-shard traces are identical at any ``--jobs``.
+  trace is identical at any worker count.
 * **Per-process coherent.**  All ``send`` records of one sender are
   kept or dropped together (ditto ``receive``/``deliver`` per
   receiver), so a sampled trace contains *complete per-kind

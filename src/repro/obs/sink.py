@@ -18,10 +18,9 @@ materializing anything (the CI smoke job runs it via the
 from __future__ import annotations
 
 import gzip
-import heapq
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.trace import TRACE_SCHEMA, TraceLog, TraceRecord
@@ -33,7 +32,6 @@ __all__ = [
     "read_trace",
     "read_meta",
     "validate_trace",
-    "merge_traces",
 ]
 
 
@@ -41,8 +39,8 @@ def open_text(path: str, mode: str = "r"):
     """Open a text file, transparently gzipped when it ends ``.gz``.
 
     Every loader and writer in the observability plane goes through
-    this helper, so merged shard traces and timelines can be stored
-    compressed without any caller caring.
+    this helper, so traces and timelines can be stored compressed
+    without any caller caring.
     """
     if path.endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
@@ -170,8 +168,8 @@ def read_meta(path: str) -> Dict[str, object]:
     return meta if isinstance(meta, dict) else {}
 
 
-def _iter_dicts(path: str) -> Iterator[Dict[str, object]]:
-    """Stream the raw record dicts of a trace file (header validated)."""
+def iter_records(path: str) -> Iterator[TraceRecord]:
+    """Stream the records of a JSONL trace file, validating the header."""
     with open_text(path, "r") as handle:
         _read_header(handle.readline(), path)
         for number, line in enumerate(handle, start=2):
@@ -184,13 +182,7 @@ def _iter_dicts(path: str) -> Iterator[Dict[str, object]]:
                 raise ObservabilityError(
                     f"{path}:{number}: not JSON"
                 ) from exc
-            yield data
-
-
-def iter_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a JSONL trace file, validating the header."""
-    for data in _iter_dicts(path):
-        yield TraceRecord.from_dict(data)
+            yield TraceRecord.from_dict(data)
 
 
 def read_trace(path: str) -> TraceLog:
@@ -257,50 +249,3 @@ def validate_trace(path: str) -> Tuple[int, List[str]]:
     except OSError as exc:
         return 0, [f"cannot read {path}: {exc}"]
     return count, problems
-
-
-def merge_traces(paths: Sequence[str], out: str) -> int:
-    """Reassemble per-shard trace files into one round-ordered trace.
-
-    ``paths`` are the shard files **in sorted shard order** (the
-    coordinator names them ``trace-shardNNNN.jsonl`` precisely so a
-    sorted directory listing is that order).  Each shard file is
-    round-monotone on its own; the merge is a streaming k-way heap
-    merge keyed ``(round, shard position, sequence)``, so the output is
-    globally round-monotone (``validate`` passes) and byte-identical
-    for any worker count that produced the shards.
-
-    The merged header metadata is the first shard's, minus its
-    ``shard`` key, plus ``shards`` (the input count).  Returns the
-    number of records written; the output may be ``.gz``.
-
-    Raises:
-        ObservabilityError: when ``paths`` is empty or any input is
-            not a well-formed trace file.
-    """
-    if not paths:
-        raise ObservabilityError("merge needs at least one trace file")
-    meta = dict(read_meta(paths[0]))
-    meta.pop("shard", None)
-    meta["shards"] = len(paths)
-
-    def keyed(index: int, path: str):
-        for seq, record in enumerate(_iter_dicts(path)):
-            # Round-less event records (round null, time_us set) keep
-            # their shard-local position under round 0 rather than
-            # crashing the merge; shard kernels emit round-keyed
-            # records, so in practice this is a tolerance path.
-            round_value = record.get("round")
-            key = 0 if round_value is None else int(round_value)
-            yield (key, index, seq), record
-
-    streams = [keyed(index, path) for index, path in enumerate(paths)]
-    written = 0
-    with open_text(out, "w") as handle:
-        header = {"schema": TRACE_SCHEMA, "meta": meta}
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for __, record in heapq.merge(*streams, key=lambda item: item[0]):
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-            written += 1
-    return written

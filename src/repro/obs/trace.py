@@ -47,7 +47,14 @@ from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Tu
 from repro.addressing import Address
 from repro.errors import SimulationError
 
-__all__ = ["KINDS", "TRACE_SCHEMA", "TraceRecord", "TraceLog", "dissemination_meta"]
+__all__ = [
+    "KINDS",
+    "TRACE_SCHEMA",
+    "TraceRecord",
+    "TraceLog",
+    "dissemination_counts",
+    "dissemination_meta",
+]
 
 #: The versioned record schema identifier stamped on every JSONL trace.
 TRACE_SCHEMA = "repro.obs.trace/v1"
@@ -100,6 +107,35 @@ _PEER_OUT = frozenset(
 _PEER_IN = frozenset(("receive", "suspect", "view_shuffle", "recv"))
 
 
+def dissemination_counts(
+    producer: str,
+    publisher: object,
+    event_id: int,
+    group_size: int,
+    interested_count: int,
+    publisher_interested: bool,
+    seed: int,
+) -> Dict[str, Any]:
+    """:func:`dissemination_meta` without the ``interested`` list.
+
+    What a producer at a scale where a million-address list has no place
+    in a header writes (the sharded kernel): ``summarize`` reproduces
+    the report's ratios from the counts and the records alone.
+    """
+    return {
+        "producer": producer,
+        "publisher": str(publisher),
+        "event_id": event_id,
+        "group_size": group_size,
+        "interested_count": interested_count,
+        "uninterested_count": group_size
+        - interested_count
+        - (0 if publisher_interested else 1),
+        "publisher_interested": publisher_interested,
+        "seed": seed,
+    }
+
+
 def dissemination_meta(
     producer: str,
     publisher: Address,
@@ -117,20 +153,17 @@ def dissemination_meta(
     engine, compat kernel, event-driven runtimes) writes this same
     header, so offline tooling cannot tell the producers apart by it.
     """
-    publisher_interested = publisher in interested
-    return {
-        "producer": producer,
-        "publisher": str(publisher),
-        "event_id": event_id,
-        "group_size": group_size,
-        "interested": sorted(str(address) for address in interested),
-        "interested_count": len(interested),
-        "uninterested_count": group_size
-        - len(interested)
-        - (0 if publisher_interested else 1),
-        "publisher_interested": publisher_interested,
-        "seed": seed,
-    }
+    meta = dissemination_counts(
+        producer,
+        publisher,
+        event_id,
+        group_size,
+        len(interested),
+        publisher in interested,
+        seed,
+    )
+    meta["interested"] = sorted(str(address) for address in interested)
+    return meta
 
 
 @dataclass(frozen=True)

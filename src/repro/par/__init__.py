@@ -17,9 +17,10 @@ them across a process pool **without changing a single output bit**:
   :mod:`repro.obs` metric collection, merged order-independently at
   the join point;
 * :mod:`repro.par.subtree` — :func:`run_sharded_dissemination`: one
-  depth-1 subtree per worker over the struct-of-arrays kernel
+  depth-1 subtree per shard of the struct-of-arrays kernel
   (:mod:`repro.sim.vector`), envelopes exchanged at round barriers,
-  aggregates identical at any worker count.
+  report and (single, Observer-delivered) trace identical at any
+  worker count; ``src/`` runs it serially inside a trial.
 
 The determinism contract is locked down by the ``tests/par``
 equivalence suite; see docs/VALIDATION.md ("Parallel execution").

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.par.worker import MetricsDelta
 
-__all__ = ["fold_registry", "merge_delta", "merge_deltas"]
+__all__ = ["merge_delta", "merge_deltas"]
 
 
 def merge_delta(registry: MetricsRegistry, delta: MetricsDelta) -> None:
@@ -49,28 +49,3 @@ def merge_deltas(
     for delta in deltas:
         merge_delta(registry, delta)
     return registry
-
-
-def fold_registry(
-    target: MetricsRegistry, source: MetricsRegistry
-) -> MetricsRegistry:
-    """Fold every instrument of ``source`` into ``target``.
-
-    The same semantics as :func:`merge_delta` (counters add, gauges
-    max, histograms merge bucket-wise), applied registry-to-registry —
-    how an executor's merged worker metrics are surfaced on a caller's
-    :class:`~repro.obs.probes.Observer` registry.  Folding into the
-    null registry is a no-op by construction.
-    """
-    for instrument in source.instruments():
-        subsystem, name = instrument.subsystem, instrument.name
-        if isinstance(instrument, Histogram):
-            target.histogram(
-                subsystem, name, bounds=instrument.bounds
-            ).merge(instrument.as_dict())
-        elif isinstance(instrument, Gauge):
-            gauge = target.gauge(subsystem, name)
-            gauge.set(max(gauge.value, instrument.value))
-        elif isinstance(instrument, Counter):
-            target.counter(subsystem, name).inc(instrument.value)
-    return target

@@ -1,22 +1,31 @@
-"""Sharded subtree simulation: one depth-1 subtree per worker.
+"""Sharded subtree simulation: one depth-1 subtree per shard.
 
 The regular-tree kernel of :mod:`repro.sim.vector` turns a round of
 pmcast into a handful of array operations per depth-1 subtree.  This
-module fans those subtrees out over the existing
-:class:`~repro.par.executor.TrialExecutor` with **envelope exchange at
-round barriers**: each wave, every busy shard runs one synchronous
-round (:func:`~repro.sim.vector.run_shard_wave`), returns the gossip
+module coordinates those subtrees with **envelope exchange at round
+barriers**: each wave, every busy shard runs one synchronous round
+(:func:`~repro.sim.vector.run_shard_wave`), returns the gossip
 envelopes that crossed its boundary (only depth-1 gossip can — deeper
 gossip stays inside the sender's subtree), and the coordinator routes
-them to their destination shards for the next wave.
+them to their destination shards for the next wave.  Waves run in the
+calling process unless a :class:`~repro.par.executor.TrialExecutor` is
+handed in; ``src/`` hands none — fanning waves over workers pickles
+every busy shard out and back each round and measures slower than one
+process, so parallelism is bought one level up, across trials.
+
+The run is observed like every other plane: records reach the caller's
+:class:`~repro.obs.probes.Observer` trace/sink as **one** globally
+round-monotone ``repro.obs.trace/v1`` trace, sampled at the observer's
+rate, under the shared dissemination header (interest *counts*, not the
+list).
 
 Determinism at any worker count is inherited from the SHA-256 seed
 contract: every draw comes from a per-``(shard, round)`` stream derived
 from the master seed, crash plans from per-shard streams, and the
 coordinator merges wave results in shard order (``TrialExecutor.run``
 returns results in task order regardless of scheduling), so the
-aggregate :class:`~repro.sim.metrics.DisseminationReport` is identical
-for ``--jobs 1`` and ``--jobs auto``.
+aggregate :class:`~repro.sim.metrics.DisseminationReport` and the trace
+are identical at any worker count.
 
 Timing note: cross-shard envelopes are applied at the start of the next
 wave, *before* that round's crashes — exactly the protocol state a
@@ -27,34 +36,28 @@ cross-shard receptions one round late; every final count is unaffected.
 
 from __future__ import annotations
 
-import json
-import os
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
 from repro.obs.probes import Observer
-from repro.obs.sampling import SAMPLING_SCHEME
 from repro.obs.timeline import NULL_SPAN, TimelineRecorder
-from repro.obs.trace import TRACE_SCHEMA
+from repro.obs.trace import dissemination_counts
 from repro.par.executor import TrialExecutor
-from repro.par.merge import fold_registry
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_seed
 from repro.sim.vector import (
     RegularTreeSpec,
     ShardState,
-    _index_address,
+    advance_crashes,
     run_shard_wave,
 )
 
-__all__ = [
-    "build_regular_spec",
-    "run_sharded_dissemination",
-    "shard_trace_path",
-]
+__all__ = ["build_regular_spec", "run_sharded_dissemination"]
 
 
 def build_regular_spec(
@@ -65,7 +68,6 @@ def build_regular_spec(
     sim_config: Optional[SimConfig] = None,
     event_id: int = 0,
     publisher: Optional[int] = None,
-    trace_rate: Optional[float] = None,
 ) -> RegularTreeSpec:
     """A regular-tree spec with Bernoulli(``interest_rate``) interests.
 
@@ -97,7 +99,6 @@ def build_regular_spec(
         sim_config=sim_config,
         publisher=publisher,
         event_id=event_id,
-        trace_rate=trace_rate,
     )
 
 
@@ -105,60 +106,51 @@ def _wave_worker(
     task: Tuple[ShardState, Optional[np.ndarray], Optional[np.ndarray], int],
 ) -> Tuple[ShardState, np.ndarray, np.ndarray, bool, int]:
     """Module-level wave step (picklable for the process pool)."""
-    state, inbound_dest, inbound_round, round_index = task
-    return run_shard_wave(state, inbound_dest, inbound_round, round_index)
+    return run_shard_wave(*task)
 
 
-def shard_trace_path(trace_dir: str, shard: int) -> str:
-    """The canonical per-shard trace file path (``trace-shardNNNN.jsonl``)."""
-    return os.path.join(trace_dir, f"trace-shard{shard:04d}.jsonl")
-
-
-def _write_shard_traces(
+def _emit_trace(
     spec: RegularTreeSpec,
     states: Dict[int, ShardState],
     rounds: int,
-    trace_dir: str,
-) -> List[str]:
-    """Write one ``repro.obs.trace/v1`` JSONL file per shard.
+    interested: int,
+    observer: Observer,
+) -> None:
+    """Hand the run's records to ``observer`` as one trace.
 
-    Every shard file carries the full run metadata (plus its ``shard``
-    index), so each is independently summarizable and ``obs merge``
-    can build the merged header from any of them.
+    Each shard's records are round-monotone, so a stable sort of their
+    shard-order concatenation by round is the ``(round, shard,
+    sequence)`` order: globally round-monotone, identical at any worker
+    count.
     """
-    own_match = spec.own_match
-    publisher = spec.publisher
-    interested = int(own_match.sum())
-    publisher_interested = bool(own_match[publisher])
-    meta = {
-        "producer": "repro.par.subtree",
-        "publisher": _index_address(publisher, spec.arity, spec.depth),
-        "event_id": spec.event_id,
-        "group_size": spec.size,
-        "interested_count": interested,
-        "uninterested_count": spec.size
-        - interested
-        - (0 if publisher_interested else 1),
-        "publisher_interested": publisher_interested,
-        "seed": spec.seed,
-        "rounds": rounds,
-        "shards": spec.num_shards,
-        "sampling": {"rate": spec.trace_rate, "scheme": SAMPLING_SCHEME},
-    }
-    os.makedirs(trace_dir, exist_ok=True)
-    paths = []
+    observer.annotate(
+        **dissemination_counts(
+            "repro.par.subtree",
+            spec.address(spec.publisher),
+            spec.event_id,
+            spec.size,
+            interested,
+            bool(spec.own_match[spec.publisher]),
+            spec.seed,
+        ),
+        rounds=rounds,
+        shards=spec.num_shards,
+    )
+    records: List[tuple] = []
     for shard in sorted(states):
-        trace = states[shard].trace
-        records = [] if trace is None else trace["records"]
-        path = shard_trace_path(trace_dir, shard)
-        header = {"schema": TRACE_SCHEMA, "meta": {**meta, "shard": shard}}
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-        paths.append(path)
-    return paths
+        advance_crashes(states[shard], rounds)
+        records.extend(states[shard].trace["records"])
+    records.sort(key=lambda record: record[0])
+    parse = lru_cache(maxsize=None)(Address.parse)  # processes recur
+    for round_index, kind, process, peer, event_id, depth in records:
+        observer.emit(
+            round_index,
+            kind,
+            parse(process),
+            None if peer is None else parse(peer),
+            event_id,
+            depth,
+        )
 
 
 def run_sharded_dissemination(
@@ -166,7 +158,6 @@ def run_sharded_dissemination(
     executor: Optional[TrialExecutor] = None,
     publisher_immune: bool = True,
     observer: Optional[Observer] = None,
-    trace_dir: Optional[str] = None,
     timeline: Optional[TimelineRecorder] = None,
 ) -> DisseminationReport:
     """Disseminate one event over the sharded regular-tree kernel.
@@ -175,20 +166,16 @@ def run_sharded_dissemination(
         spec: the flattened tree (see
             :meth:`~repro.sim.vector.RegularTreeSpec.build` /
             :func:`build_regular_spec`).
-        executor: the wave transport; a private serial executor is used
-            when omitted.  The report is identical at any job count.
+        executor: the wave transport; waves run in the calling process
+            when omitted.  Report, trace and counters are identical at
+            any job count.
         publisher_immune: exempt the publisher from the crash plan (the
             conformance harness's sampling convention).
-        observer: optional :class:`~repro.obs.probes.Observer`; after
-            the run, the executor's merged per-worker ``subtree.*``
-            counters are folded into its registry.
-        trace_dir: directory receiving one ``trace-shardNNNN.jsonl``
-            per shard (see :func:`shard_trace_path`) when
-            ``spec.trace_rate`` is set.  Each shard file is a valid
-            ``repro.obs.trace/v1`` trace (round-monotone); ``python -m
-            repro.obs merge`` reassembles them, in sorted shard order,
-            into one globally round-monotone trace.  Identical at any
-            ``--jobs`` value.
+        observer: optional :class:`~repro.obs.probes.Observer`.  Its
+            trace/sink destinations receive the run as one globally
+            round-monotone trace — every record, or the subset its
+            ``sampler`` keeps — and its registry the run's ``subtree.*``
+            counters.
         timeline: optional :class:`~repro.obs.timeline.TimelineRecorder`
             receiving per-wave ``fan_out``/``exchange`` spans (the
             observer's timeline is used when this is None).
@@ -198,79 +185,77 @@ def run_sharded_dissemination(
     """
     if timeline is None and observer is not None:
         timeline = observer.timeline
-    owned = executor is None
-    if owned:
-        executor = TrialExecutor(jobs=1)
-    try:
-        states: Dict[int, ShardState] = {
-            shard: ShardState.create(spec, shard, publisher_immune)
-            for shard in range(spec.num_shards)
-        }
-        busy = {shard: states[shard].busy for shard in states}
-        infected = {shard: states[shard].infected for shard in states}
-        pending: Dict[int, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
-        shard_size = spec.shard_size
-        infection_curve: List[int] = []
-        rounds = 0
-        for round_index in range(spec.max_rounds):
-            work = sorted(
-                shard
-                for shard in states
-                if busy[shard] or shard in pending
+    trace_rate = None
+    if observer is not None and observer.tracing:
+        sampler = observer.sampler
+        trace_rate = 1.0 if sampler is None else sampler.rate
+    states: Dict[int, ShardState] = {
+        shard: ShardState.create(spec, shard, publisher_immune, trace_rate)
+        for shard in range(spec.num_shards)
+    }
+    busy = {shard: states[shard].busy for shard in states}
+    infected = {shard: states[shard].infected for shard in states}
+    pending: Dict[int, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+    shard_size = spec.shard_size
+    infection_curve: List[int] = []
+    rounds = waves = crossed = 0
+    for round_index in range(spec.max_rounds):
+        work = sorted(
+            shard for shard in states if busy[shard] or shard in pending
+        )
+        if not work:
+            break
+        rounds = round_index + 1
+        waves += len(work)
+        tasks = []
+        for shard in work:
+            if shard in pending:
+                dest_parts, round_parts = pending[shard]
+                inbound_dest = np.concatenate(dest_parts)
+                inbound_round = np.concatenate(round_parts)
+            else:
+                inbound_dest = None
+                inbound_round = None
+            tasks.append(
+                (states[shard], inbound_dest, inbound_round, round_index)
             )
-            if not work:
-                break
-            rounds = round_index + 1
-            tasks = []
-            for shard in work:
-                if shard in pending:
-                    dest_parts, round_parts = pending[shard]
-                    inbound_dest = np.concatenate(dest_parts)
-                    inbound_round = np.concatenate(round_parts)
-                else:
-                    inbound_dest = None
-                    inbound_round = None
-                tasks.append(
-                    (states[shard], inbound_dest, inbound_round, round_index)
-                )
-            with (
-                timeline.span("fan_out", "subtree", rounds)
-                if timeline is not None
-                else NULL_SPAN
-            ):
+        with (
+            timeline.span("fan_out", "subtree", rounds)
+            if timeline is not None
+            else NULL_SPAN
+        ):
+            if executor is None:
+                results = [run_shard_wave(*task) for task in tasks]
+            else:
                 results = executor.run(_wave_worker, tasks)
-            with (
-                timeline.span("exchange", "subtree", rounds)
-                if timeline is not None
-                else NULL_SPAN
-            ):
-                pending = {}
-                for shard, outcome in zip(work, results):
-                    state, out_dest, out_round, is_busy, now_infected = outcome
-                    states[shard] = state
-                    busy[shard] = is_busy
-                    infected[shard] = now_infected
-                    if out_dest.size:
-                        targets = out_dest // shard_size
-                        for target in np.unique(targets):
-                            mask = targets == target
-                            parts = pending.setdefault(int(target), ([], []))
-                            parts[0].append(out_dest[mask])
-                            parts[1].append(out_round[mask])
-            infection_curve.append(sum(infected.values()))
-    finally:
-        if owned:
-            executor.close()
+        with (
+            timeline.span("exchange", "subtree", rounds)
+            if timeline is not None
+            else NULL_SPAN
+        ):
+            pending = {}
+            for shard, outcome in zip(work, results):
+                state, out_dest, out_round, is_busy, now_infected = outcome
+                states[shard] = state
+                busy[shard] = is_busy
+                infected[shard] = now_infected
+                if out_dest.size:
+                    crossed += int(out_dest.size)
+                    targets = out_dest // shard_size
+                    for target in np.unique(targets):
+                        mask = targets == target
+                        parts = pending.setdefault(int(target), ([], []))
+                        parts[0].append(out_dest[mask])
+                        parts[1].append(out_round[mask])
+        infection_curve.append(sum(infected.values()))
     if timeline is not None:
         timeline.probe_memory(subsystem="subtree", round_index=rounds)
-    if observer is not None:
-        fold_registry(observer.registry, executor.metrics)
-    if trace_dir is not None and spec.trace_rate is not None:
-        _write_shard_traces(spec, states, rounds, trace_dir)
 
     own_match = spec.own_match
     publisher = spec.publisher
     interested = int(own_match.sum())
+    if trace_rate is not None:
+        _emit_trace(spec, states, rounds, interested, observer)
     uninterested = spec.size - interested - (0 if own_match[publisher] else 1)
     delivered = 0
     received_uninterested = 0
@@ -291,6 +276,15 @@ def run_sharded_dissemination(
         # The publisher trivially "received" its own event; the false-
         # reception denominator and numerator both exclude it.
         received_uninterested -= 1
+    if observer is not None:
+        for name, value in (
+            ("waves", waves),
+            ("envelopes_sent", sent),
+            ("envelopes_lost", lost),
+            ("cross_shard_envelopes", crossed),
+            ("receptions", recv),
+        ):
+            observer.registry.counter("subtree", name).inc(value)
     return DisseminationReport(
         group_size=spec.size,
         interested=interested,

@@ -33,8 +33,8 @@ derived through the SHA-256 seed contract — deterministic at any
 worker count, but *not* stream-compatible with the scalar engine; this
 kernel is validated statistically against the Eqs 8–18 oracles (the
 ``scale`` conformance suite) rather than by digest.  The sharding
-coordinator that drives :func:`run_shard_wave` over a
-:class:`~repro.par.TrialExecutor` lives in :mod:`repro.par.subtree`.
+coordinator that drives :func:`run_shard_wave` round by round (and
+hands the trace to an Observer) lives in :mod:`repro.par.subtree`.
 
 Determinism rules (both kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
@@ -73,6 +73,7 @@ __all__ = [
     "try_run_vectorized",
     "RegularTreeSpec",
     "ShardState",
+    "advance_crashes",
     "run_shard_wave",
 ]
 
@@ -590,22 +591,6 @@ def try_run_vectorized(
 # Regular-tree kernel: numpy arrays + sharded subtree waves.
 # ---------------------------------------------------------------------------
 
-def _index_address(index: int, arity: int, depth: int) -> str:
-    """The dotted address string of a regular-tree member index.
-
-    The regular space enumerates members in sorted order, so the index
-    is the base-``arity`` reading of the address components — the
-    inverse of the block arithmetic the kernel runs on.  Used to key
-    sampling decisions and trace records by the same strings the
-    object-model engine uses.
-    """
-    parts = [0] * depth
-    for position in range(depth - 1, -1, -1):
-        parts[position] = index % arity
-        index //= arity
-    return ".".join(str(part) for part in parts)
-
-
 @dataclass
 class _DepthTables:
     """Precomputed per-depth matching tables for the regular tree.
@@ -686,11 +671,6 @@ class RegularTreeSpec:
     publisher: int
     own_match: np.ndarray
     tables: List[_DepthTables] = field(default_factory=list)
-    #: Optional trace sampling rate (None = no tracing).  Sampling keys
-    #: are the dotted address strings, so the sampled subset is
-    #: identical at any worker count (and to any other producer that
-    #: traces the same processes at the same rate).
-    trace_rate: Optional[float] = None
 
     @property
     def size(self) -> int:
@@ -705,6 +685,21 @@ class RegularTreeSpec:
     def num_shards(self) -> int:
         return self.arity
 
+    def address(self, index: int) -> str:
+        """The dotted address string of member ``index``.
+
+        The regular space enumerates members in sorted order, so the
+        index is the base-``arity`` reading of the address components —
+        the inverse of the block arithmetic the kernel runs on.  Trace
+        records and sampling decisions are keyed by the same strings
+        the object-model engine uses.
+        """
+        parts = [0] * self.depth
+        for position in range(self.depth - 1, -1, -1):
+            parts[position] = index % self.arity
+            index //= self.arity
+        return ".".join(str(part) for part in parts)
+
     @classmethod
     def build(
         cls,
@@ -715,7 +710,6 @@ class RegularTreeSpec:
         sim_config: Optional[SimConfig] = None,
         publisher: int = 0,
         event_id: int = 0,
-        trace_rate: Optional[float] = None,
     ) -> "RegularTreeSpec":
         config = config or PmcastConfig()
         sim_config = sim_config or SimConfig()
@@ -755,7 +749,6 @@ class RegularTreeSpec:
             max_rounds=sim_config.max_rounds,
             publisher=publisher,
             own_match=own_match,
-            trace_rate=trace_rate,
         )
         spec.tables = spec._build_tables()
         return spec
@@ -814,25 +807,19 @@ def _shard_record(
     event_id: int,
     peer: Optional[str] = None,
     depth: int = 0,
-) -> Dict[str, object]:
-    """One trace record as its JSONL dict (the shape ``TraceRecord.
-    to_dict`` emits, ``value`` omitted because it is always 0 here)."""
-    return {
-        "round": round_index,
-        "kind": kind,
-        "process": process,
-        "peer": peer,
-        "event_id": event_id,
-        "depth": depth,
-    }
+) -> Tuple[int, str, str, Optional[str], int, int]:
+    """One trace record in ``Observer.emit``'s argument order, addresses
+    still dotted strings (plain picklable data; the coordinator parses
+    them when it emits)."""
+    return (round_index, kind, process, peer, event_id, depth)
 
 
 @dataclass
 class ShardState:
     """The mutable struct-of-arrays state of one depth-1 subtree.
 
-    Round-trips through the :class:`~repro.par.TrialExecutor` between
-    waves; carries its spec so a wave task is one self-contained
+    Can round-trip through a :class:`~repro.par.TrialExecutor` between
+    waves: it carries its spec so a wave task is one self-contained
     picklable object.
     """
 
@@ -850,22 +837,32 @@ class ShardState:
     recv: int = 0
     lost: int = 0
     dist: np.ndarray = None  # (depth,) int64 distance buckets
-    #: Trace plumbing when ``spec.trace_rate`` is set: per-kind keep
-    #: masks (bool (B,)), the members' dotted-address strings, and the
-    #: accumulated record dicts.  Plain dicts/lists/arrays so the state
-    #: round-trips through the executor's pickle unchanged.
+    #: Trace plumbing of a traced run: per-kind keep masks (bool (B,)),
+    #: the members' dotted-address strings, and the accumulated records
+    #: (:func:`_shard_record` tuples, round-monotone).  Plain
+    #: dicts/lists/arrays so the state round-trips through the
+    #: executor's pickle unchanged.
     trace: Optional[Dict[str, object]] = None
 
     @classmethod
     def create(
-        cls, spec: RegularTreeSpec, shard: int, publisher_immune: bool = True
+        cls,
+        spec: RegularTreeSpec,
+        shard: int,
+        publisher_immune: bool = True,
+        trace_rate: Optional[float] = None,
     ) -> "ShardState":
         """Initial state: everyone clean, crash plan pre-drawn.
 
         The crash stream is per shard (label ``"vcrash"``), so the plan
         is identical at any worker count.  ``publisher_immune`` mirrors
         the conformance harness's convention of never crashing the
-        publisher (a dead publisher measures nothing).
+        publisher (a dead publisher measures nothing).  ``trace_rate``
+        (None = untraced, 1.0 = every record) is the coordinator's
+        :class:`~repro.obs.probes.Observer` sampling rate; sampling keys
+        are the dotted address strings, so the kept subset is identical
+        at any worker count and to any other producer tracing the same
+        processes at the same rate.
         """
         size = spec.shard_size
         base = shard * size
@@ -893,26 +890,22 @@ class ShardState:
             doom_round=doom_round,
             dist=np.zeros(spec.depth, dtype=np.int64),
         )
-        rate = spec.trace_rate
-        if rate is not None:
-            addresses = [
-                _index_address(base + i, spec.arity, spec.depth)
-                for i in range(size)
-            ]
+        if trace_rate is not None:
+            addresses = [spec.address(base + i) for i in range(size)]
             event_id = spec.event_id
             state.trace = {
                 "addresses": addresses,
                 "records": [],
                 **{
                     kind: np.asarray(
-                        keep_mask(kind, addresses, event_id, rate)
+                        keep_mask(kind, addresses, event_id, trace_rate)
                     )
                     for kind in ("send", "loss", "receive", "deliver")
                 },
                 # Crash is a membership-plane record: the engine emits
                 # it with event_id 0, so the sampling key matches.
                 "crash": np.asarray(
-                    keep_mask("crash", addresses, 0, rate)
+                    keep_mask("crash", addresses, 0, trace_rate)
                 ),
             }
         publisher = spec.publisher
@@ -926,7 +919,7 @@ class ShardState:
             if state.trace is not None:
                 address = state.trace["addresses"][local]
                 records = state.trace["records"]
-                if keep("publish", address, spec.event_id, rate):
+                if keep("publish", address, spec.event_id, trace_rate):
                     records.append(
                         _shard_record(0, "publish", address, spec.event_id)
                     )
@@ -946,8 +939,14 @@ class ShardState:
         return int(self.received.sum())
 
 
-def _advance_crashes(state: ShardState, upto: int) -> None:
-    """Apply every crash scheduled in rounds [cursor, upto)."""
+def advance_crashes(state: ShardState, upto: int) -> None:
+    """Apply every crash scheduled in rounds [cursor, upto).
+
+    A wave advances its own shard; the coordinator of a traced run
+    advances every shard to the run's last round before it reads the
+    records, so a shard that went idle (or never woke) still emits one
+    ``crash`` per victim per round reached, as the engine does.
+    """
     if state.crash_cursor >= upto:
         return
     sel = (
@@ -962,7 +961,7 @@ def _advance_crashes(state: ShardState, upto: int) -> None:
             kept = np.nonzero(sel & trace["crash"])[0]
             if kept.size:
                 # Record at doom_round + 1 (the scalar convention),
-                # ordered by round so the shard file stays monotone.
+                # ordered by round so the shard's records stay monotone.
                 order = np.argsort(state.doom_round[kept], kind="stable")
                 addresses = trace["addresses"]
                 records = trace["records"]
@@ -1086,9 +1085,8 @@ def run_shard_wave(
     depth_count = spec.depth
     fanout = spec.config.fanout
     redundancy = spec.redundancy
-    recv_before = state.recv
 
-    _advance_crashes(state, round_index)
+    advance_crashes(state, round_index)
     if inbound_dest is not None and inbound_dest.size:
         # Cross-shard envelopes were sent during the previous wave
         # (simulation round ``round_index``), so their receive records
@@ -1100,7 +1098,7 @@ def run_shard_wave(
             inbound_round,
             trace_round=round_index,
         )
-    _advance_crashes(state, round_index + 1)
+    advance_crashes(state, round_index + 1)
 
     gen = np.random.default_rng(
         derive_seed(spec.seed, "subtree", spec.event_id, state.shard, round_index)
@@ -1212,7 +1210,6 @@ def run_shard_wave(
 
     total = int(dest.size)
     state.sent += total
-    lost_here = 0
     if total:
         # §2.2 distance accounting, pre-loss.
         common = np.zeros(total, dtype=np.int64)
@@ -1223,8 +1220,7 @@ def run_shard_wave(
         kept = None
         if spec.loss_probability > 0.0:
             kept = gen.random(total) >= spec.loss_probability
-            lost_here = total - int(kept.sum())
-            state.lost += lost_here
+            state.lost += total - int(kept.sum())
         trace = state.trace
         if trace is not None:
             # Send/loss disposition per envelope, pre-filter (the loss
@@ -1243,7 +1239,6 @@ def run_shard_wave(
                 addresses = trace["addresses"]
                 records = trace["records"]
                 event_id = spec.event_id
-                arity = spec.arity
                 trace_round = round_index + 1
                 for position in chosen:
                     records.append(
@@ -1254,9 +1249,7 @@ def run_shard_wave(
                             else "loss",
                             addresses[sender_local[position]],
                             event_id,
-                            peer=_index_address(
-                                int(dest[position]), arity, depth_count
-                            ),
+                            peer=spec.address(int(dest[position])),
                             depth=int(depths[position]),
                         )
                     )
@@ -1275,18 +1268,5 @@ def run_shard_wave(
             rounds[~cross],
             trace_round=round_index + 1,
         )
-
-    # Local import: ``repro.par.__init__`` imports this module while
-    # building the package, so a module-level import would cycle.
-    from repro.par.worker import worker_registry
-
-    registry = worker_registry()
-    registry.counter("subtree", "waves").inc()
-    registry.counter("subtree", "envelopes_sent").inc(total)
-    registry.counter("subtree", "envelopes_lost").inc(lost_here)
-    registry.counter("subtree", "cross_shard_envelopes").inc(
-        int(out_dest.size)
-    )
-    registry.counter("subtree", "receptions").inc(state.recv - recv_before)
 
     return state, out_dest, out_round, state.busy, state.infected

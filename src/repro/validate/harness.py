@@ -559,55 +559,57 @@ SCALE_POINTS_FULL = ((22, 3), (47, 3), (100, 3))
 SCALE_POINTS_QUICK = ((22, 3),)
 
 
-def _run_scale_suite(run: _Run) -> Iterator[CheckResult]:
-    """Large-n delivery / false-reception conformance.
+def _scale_trial(task: Tuple) -> Optional[List[float]]:
+    """One scale-suite trial: ``[delivery, false_reception]`` ratios of
+    one serial sharded run (None when nobody is interested).
 
-    Trials run in the coordinating process; the *waves* of each trial
-    fan out one depth-1 subtree per worker through ``run.executor``, so a
-    ``--jobs auto`` conformance run exercises the sharded kernel while
-    the report stays byte-identical to a serial one (the kernel's seed
-    contract is per ``(shard, round)``, independent of scheduling).
+    Waves stay inside the trial — fanned over workers they pickle every
+    busy shard out and back each round and run slower than one process
+    — so ``--jobs`` buys whole trials, as in every other suite.
     """
-    redundancy, fanout, p_d = 3, 3, 0.25
-    points = SCALE_POINTS_QUICK if run.quick else SCALE_POINTS_FULL
-    config = PmcastConfig(
-        fanout=fanout, redundancy=redundancy, min_rounds_per_depth=2
+    arity, depth, eps, tau, trial, seed, p_d, redundancy, fanout = task
+    spec = build_regular_spec(
+        arity,
+        depth,
+        p_d,
+        config=PmcastConfig(
+            fanout=fanout, redundancy=redundancy, min_rounds_per_depth=2
+        ),
+        sim_config=SimConfig(
+            seed=derive_seed(seed, ("scale", arity, depth, eps, tau), trial),
+            loss_probability=eps,
+            crash_fraction=tau,
+            max_rounds=64,
+        ),
+        event_id=1,
     )
-    for arity, depth in points:
-        for eps, tau in run.settings:
-            ratios: List[Tuple[float, float]] = []
-            for trial in range(run.trials):
-                trial_seed = derive_seed(
-                    run.seed, ("scale", arity, depth, eps, tau), trial
-                )
-                spec = build_regular_spec(
-                    arity,
-                    depth,
-                    p_d,
-                    config=config,
-                    sim_config=SimConfig(
-                        seed=trial_seed,
-                        loss_probability=eps,
-                        crash_fraction=tau,
-                        max_rounds=64,
-                    ),
-                    event_id=1,
-                )
-                report = run_sharded_dissemination(spec, executor=run.executor)
-                worker_registry().counter("validate.scale", "trials").inc()
-                if report.interested == 0:
-                    continue
-                ratios.append(
-                    (report.delivery_ratio, report.false_reception_ratio)
-                )
-            n = arity ** depth
-            yield from _tree_checks(
-                "scale",
-                f"n={n}",
-                (p_d, arity, depth, redundancy, fanout, eps, tau),
-                ratios,
-                n=n,
-            )
+    report = run_sharded_dissemination(spec)
+    worker_registry().counter("validate.scale", "trials").inc()
+    if report.interested == 0:
+        return None
+    return [report.delivery_ratio, report.false_reception_ratio]
+
+
+def _run_scale_suite(run: _Run) -> Iterator[CheckResult]:
+    """Large-n delivery / false-reception conformance."""
+    redundancy, fanout, p_d = 3, 3, 0.25
+    points = [
+        (arity, depth, eps, tau)
+        for arity, depth in (
+            SCALE_POINTS_QUICK if run.quick else SCALE_POINTS_FULL
+        )
+        for eps, tau in run.settings
+    ]
+    grid = run.grid(_scale_trial, p_d, redundancy, fanout, points=points)
+    for (arity, depth, eps, tau), outcomes in grid:
+        n = arity ** depth
+        yield from _tree_checks(
+            "scale",
+            f"n={n}",
+            (p_d, arity, depth, redundancy, fanout, eps, tau),
+            [outcome for outcome in outcomes if outcome is not None],
+            n=n,
+        )
 
 
 # -- the variants suite (ablations vs their paired push baseline) --------

@@ -4,7 +4,7 @@
 round number.  Event-driven runtimes
 have no rounds — their records are keyed by ``time_us`` instead of a
 fabricated round.  These tests pin the whole pipeline: construction,
-ordering, serialization, file validation, summarize and merge.
+ordering, serialization, file validation and summarize.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from repro.addressing import Address
 from repro.errors import SimulationError
 from repro.obs.cli import summarize_trace
-from repro.obs.sink import merge_traces, read_trace, validate_trace
+from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TraceLog, TraceRecord
 
 A1 = Address.parse("0.0.1")
@@ -150,14 +150,3 @@ class TestAnalysis:
         summary = summarize_trace(str(path))
         assert summary["event_records"] == 3
         assert summary["records"] == 4
-
-    def test_merge_tolerates_round_less_records(self, tmp_path):
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        _write_event_trace(first, [100])
-        _write_event_trace(second, [200])
-        out = tmp_path / "merged.jsonl"
-        merged = merge_traces([str(first), str(second)], str(out))
-        assert merged == 4
-        __, problems = validate_trace(str(out))
-        assert problems == []

@@ -200,12 +200,12 @@ class TestCliMain:
         assert "error" in capsys.readouterr().err
 
 
-def sharded_trace(tmp_path, trace_rate, subdir="shards"):
-    """A sharded run with per-shard trace files; returns (report, paths)."""
+def sharded_trace(sampler=None, sink=None):
+    """A sharded run observed into one trace; returns (report, trace)."""
+    from repro.obs import Observer
     from repro.par.subtree import (
         build_regular_spec,
         run_sharded_dissemination,
-        shard_trace_path,
     )
 
     spec = build_regular_spec(
@@ -217,37 +217,27 @@ def sharded_trace(tmp_path, trace_rate, subdir="shards"):
             seed=5, loss_probability=0.05, crash_fraction=0.05
         ),
         event_id=7,
-        trace_rate=trace_rate,
     )
-    trace_dir = str(tmp_path / subdir)
-    report = run_sharded_dissemination(spec, trace_dir=trace_dir)
-    paths = [
-        shard_trace_path(trace_dir, shard)
-        for shard in range(spec.num_shards)
-    ]
-    return report, paths
+    trace = TraceLog()
+    report = run_sharded_dissemination(
+        spec, observer=Observer(trace=trace, sink=sink, sampler=sampler)
+    )
+    return report, trace
 
 
 class TestShardedSummaries:
-    """Multi-file loading, gz transparency, merge, sampled estimates."""
-
-    def test_multi_file_equals_merged(self, tmp_path):
-        report, paths = sharded_trace(tmp_path, trace_rate=1.0)
-        merged = str(tmp_path / "merged.jsonl")
-        assert main(["merge", merged] + paths) == 0
-        assert main(["validate", merged]) == 0
-        from_merged = summarize_trace(merged)
-        from_shards = summarize_trace(paths)
-        assert from_merged["events"] == from_shards["events"]
-        assert from_merged["kind_counts"] == from_shards["kind_counts"]
-        assert from_shards["meta"]["shards"] == len(paths)
-        assert "shard" not in from_shards["meta"]
+    """The sharded kernel's single trace: count-based header, gz
+    transparency, sampled estimates."""
 
     def test_unsampled_shard_trace_reproduces_report(self, tmp_path):
-        report, paths = sharded_trace(tmp_path, trace_rate=1.0)
-        entry = summarize_trace(paths)["events"]["7"]
-        # Exact at rate 1.0 — count-based path, not the interested-list
-        # path (shard headers carry counts only).
+        report, trace = sharded_trace()
+        path = str(tmp_path / "sharded.jsonl")
+        assert trace.to_jsonl(path) == 551
+        assert main(["validate", path]) == 0
+        entry = summarize_trace(path)["events"]["7"]
+        # Exact with no sampler — count-based path, not the
+        # interested-list path (the header carries counts only).
+        assert "interested" not in trace.meta
         assert entry["estimated"] is False
         assert entry["delivery_ratio"] == pytest.approx(
             report.delivery_ratio
@@ -256,11 +246,13 @@ class TestShardedSummaries:
             report.false_reception_ratio
         )
 
-    def test_sampled_trace_estimates_within_tolerance(self, tmp_path):
-        report, paths = sharded_trace(
-            tmp_path, trace_rate=0.5, subdir="sampled"
-        )
-        summary = summarize_trace(paths)
+    def test_sampled_trace_estimates_within_tolerance(self):
+        from repro.obs.sampling import TraceSampler
+
+        report, trace = sharded_trace(TraceSampler(0.5))
+        # The records the parent's rate-0.5 shard files held.
+        assert len(trace) == 340
+        summary = summarize_trace(trace)
         entry = summary["events"]["7"]
         assert entry["estimated"] is True
         assert entry["delivery_ratio"] == pytest.approx(
@@ -283,12 +275,23 @@ class TestShardedSummaries:
         assert summarize_trace(gzipped) == summarize_trace(plain)
         assert main(["validate", gzipped]) == 0
 
-    def test_merge_into_gz(self, tmp_path, capsys):
-        __, paths = sharded_trace(tmp_path, trace_rate=1.0)
-        merged = str(tmp_path / "merged.jsonl.gz")
-        assert main(["merge", merged] + paths) == 0
-        assert "merged" in capsys.readouterr().out
-        assert main(["validate", merged]) == 0
+    def test_sharded_run_streams_into_gz_sink(self, tmp_path):
+        from repro.obs import JsonlSink
+
+        path = str(tmp_path / "sharded.jsonl.gz")
+        with JsonlSink(path) as sink:
+            __, trace = sharded_trace(sink=sink)
+            assert sink.records_written == len(trace)
+        assert main(["validate", path]) == 0
+        assert list(TraceLog.from_jsonl(path)) == list(trace)
+
+    def test_removed_merge_and_multi_path_are_usage_errors(self, capsys):
+        for argv in (["merge", "out.jsonl", "a.jsonl"],
+                     ["summarize", "a.jsonl", "b.jsonl"]):
+            with pytest.raises(SystemExit) as raised:
+                main(argv)
+            assert raised.value.code == 2
+        capsys.readouterr()
 
     def test_sampled_engine_trace_estimates(self):
         from repro.obs.sampling import TraceSampler

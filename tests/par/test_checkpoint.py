@@ -109,7 +109,8 @@ class TestResume:
             reference = executor.run(trial_fn, TASKS, checkpoint=shard)
         # Chop the trailing newline plus a few bytes: the classic shape
         # of a write cut short by a kill.
-        raw = open(shard, "rb").read()
+        with open(shard, "rb") as handle:
+            raw = handle.read()
         with open(shard, "wb") as handle:
             handle.write(raw[:-5])
         with TrialExecutor(jobs=1) as executor:
@@ -133,7 +134,8 @@ class TestCorruption:
 
     def test_garbage_line_raises(self, tmp_path):
         shard = self._complete_shard(tmp_path)
-        lines = open(shard, "r", encoding="utf-8").read().splitlines()
+        with open(shard, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         lines[3] = "{not json"
         with open(shard, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -156,7 +158,8 @@ class TestCorruption:
 
     def test_wrong_schema_raises(self, tmp_path):
         shard = self._complete_shard(tmp_path)
-        lines = open(shard, "r", encoding="utf-8").read().splitlines()
+        with open(shard, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         header = json.loads(lines[0])
         assert header["schema"] == CHECKPOINT_SCHEMA
         header["schema"] = "repro.par/v999"

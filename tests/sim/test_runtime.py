@@ -6,6 +6,7 @@ from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
 from repro.interests import Event, StaticInterest, parse_subscription
+from repro.obs import MetricsRegistry, Observer
 from repro.sim.runtime import GroupRuntime
 
 CONFIG = PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
@@ -150,37 +151,42 @@ class TestContentBasedRuntime:
 
 
 class TestPiggybackMembership:
+    @staticmethod
+    def after_event(**options):
+        """``(staleness, exchanges)`` four rounds after an event left the
+        owner of one freshened leaf line: the total timestamp of every
+        replica's rows, and the anti-entropy exchanges it took."""
+        registry = MetricsRegistry()
+        runtime, addresses = make_runtime(
+            arity=3, depth=2, observer=Observer(registry=registry), **options
+        )
+        # Make one process's leaf line fresher; others are stale.
+        source = runtime._replicas[addresses[0]]
+        bumped = source.tables[2].rows()[0].with_timestamp(50)
+        source.tables[2].upsert(bumped)
+        runtime.publish(addresses[0], Event({}, event_id=777))
+        runtime.run(4)
+        staleness = sum(
+            row.timestamp
+            for address in addresses
+            for table in runtime._replicas[address].tables.values()
+            for row in table.rows()
+        )
+        return staleness, registry.snapshot()["gossip_pull"]["exchanges"]
+
     def test_piggyback_converges_faster_along_event_paths(self):
         """§2.3: membership info piggybacked on event gossip spreads it."""
-
-        def staleness(runtime, addresses):
-            """Total timestamp lag of all replicas vs the freshest line."""
-            lag = 0
-            for address in addresses:
-                replica = runtime._replicas[address]
-                for table in replica.tables.values():
-                    for row in table.rows():
-                        lag += row.timestamp
-            return lag
-
-        results = {}
-        for piggyback in (False, True):
-            runtime, addresses = make_runtime(arity=3, depth=2)
-            runtime._piggyback_membership = piggyback
-            # Make one process's leaf line fresher; others are stale.
-            source = runtime._replicas[addresses[0]]
-            bumped = source.tables[2].rows()[0].with_timestamp(50)
-            source.tables[2].upsert(bumped)
-            event = Event({}, event_id=777)
-            runtime.publish(addresses[0], event)
-            runtime.run(4)
-            results[piggyback] = staleness(runtime, addresses)
-        # Piggybacking can only accelerate propagation of fresh lines.
-        assert results[True] >= results[False]
+        on = self.after_event(piggyback_membership=True)
+        off = self.after_event(piggyback_membership=False)
+        # Piggybacking can only accelerate propagation of fresh lines,
+        # at one extra exchange per received event gossip.
+        assert on[0] >= off[0]
+        assert on[1] > off[1]
 
     def test_piggyback_disabled_by_default(self):
-        runtime, __ = make_runtime()
-        assert not runtime._piggyback_membership
+        assert self.after_event() == self.after_event(
+            piggyback_membership=False
+        )
 
 
 class TestActiveSetScheduling:
