@@ -180,20 +180,8 @@ class GossipContext:
             self._bounds[key] = bound
         return bound
 
-    def invalidate(self) -> None:
-        """Drop all memoized matches (views changed mid-run).
-
-        Rarely needed — token checks invalidate mutated tables
-        automatically — but it remains the conservative big hammer.
-        Interest verdicts are *not* dropped: they depend only on
-        interest structure and event content, never on membership.
-        """
-        self._stats.invalidations += 1
-        self._tables.clear()
-        self._bounds.clear()
-
     def invalidate_table(self, table: ViewTable) -> None:
-        """Drop memos for one table only (the targeted hammer).
+        """Drop memos for one table only.
 
         With token keying this is belt-and-braces — a mutated table
         already misses — but it lets long-lived runs release entries
@@ -213,17 +201,3 @@ class GossipContext:
         """
         causes = self._stats.invalidation_causes
         causes[cause] = causes.get(cause, 0) + 1
-
-    def forget_event(self, event_id: int) -> None:
-        """Release all cache entries for a finished event.
-
-        Per-event entries otherwise live as long as the context.  No
-        driver in this package calls it yet: ``GroupRuntime`` keeps one
-        context for its whole life and lets them accumulate.
-        """
-        for __, per_event in self._tables.values():
-            per_event.pop(event_id, None)
-        if self._verdicts:
-            stale = [key for key in self._verdicts if key[1] == event_id]
-            for key in stale:
-                del self._verdicts[key]

@@ -3,10 +3,12 @@
 :class:`FaultPlan` scripts an episode of structured failures — loss
 bursts, partitions between subtrees, delay/reorder windows, targeted
 and delegate/depth-targeted crashes — as pure, serializable data;
-:class:`FaultInjector` replays it inside
+:class:`FaultInjector` replays it as the *link* of
 :func:`repro.sim.engine.run_dissemination` (``faults=``) or a
-:class:`repro.sim.runtime.GroupRuntime` (``fault_plan=``) from a
-dedicated RNG stream, emitting every injected fault as a
+:class:`repro.sim.runtime.GroupRuntime` (``fault_plan=``) — it wraps
+the run's :class:`~repro.sim.network.LossyNetwork` and presents its
+shape, so drivers call one ``begin_round`` / ``transmit`` either way —
+from a dedicated RNG stream, emitting every injected fault as a
 ``repro.obs.trace/v1`` record.  See ``docs/VALIDATION.md``.
 """
 

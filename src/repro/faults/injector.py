@@ -1,12 +1,15 @@
 """The fault-injection plane: replaying a :class:`FaultPlan` in a run.
 
-The injector sits between the protocol and the network: the engine (or
-:class:`~repro.sim.runtime.GroupRuntime`) hands each round's envelopes
-to :meth:`FaultInjector.transmit` instead of calling
-``network.transmit`` directly.  The injector applies its active clauses
-*before* the network's i.i.d. loss draw — an envelope swallowed by a
-partition never touches the ε stream — so the benign model underneath
-is exactly the one the analysis assumes for the traffic that remains.
+A :class:`FaultInjector` wraps the run's
+:class:`~repro.sim.network.LossyNetwork` and *is* the link: it presents
+the network's shape (``begin_round`` → ``transmit`` →
+``messages_sent``/``messages_lost``/``has_pending``/``last_diverted``/
+``scripted_crashes``/``trace_meta``), so a driver holds one link and
+never asks which it got — the link is chosen once, where it is built.
+The injector applies its active clauses *before* the network's i.i.d.
+loss draw — an envelope swallowed by a partition never touches the ε
+stream — so the benign model underneath is exactly the one the analysis
+assumes for the traffic that remains.
 
 Determinism contract:
 
@@ -22,18 +25,18 @@ Determinism contract:
 
 Every injected fault is emitted as a ``repro.obs.trace/v1`` record
 (kinds ``fault_loss | fault_delay | fault_release | fault_partition |
-fault_heal | fault_crash``) through the ``emit`` callable — pass
-:meth:`TraceLog.record <repro.obs.trace.TraceLog.record>` or
-:meth:`Observer.emit <repro.obs.probes.Observer.emit>`; they share the
-same signature.  ``clock_offset`` aligns record rounds with the
-producer's convention (the engine and runtime both stamp round
-``round_index + 1`` for actions inside 0-based round ``round_index``).
+fault_heal | fault_crash``) through the ``emit`` callable — the run's
+ordinary one (:func:`repro.obs.sampling.emitter`'s, or
+:meth:`Observer.emit <repro.obs.probes.Observer.emit>`); a sampler
+keeps every ``fault_*`` record by its own rule.  Records are stamped
+``round_index + 1`` for actions inside 0-based round ``round_index``,
+the convention of every round driver.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.addressing import Address, Prefix
 from repro.core.messages import Envelope
@@ -75,11 +78,11 @@ def _marker(side: "Prefix") -> Address:
 
 
 class FaultInjector:
-    """Replays one :class:`FaultPlan` against one run.
+    """The link of a faulted run: one :class:`FaultPlan` over one network.
 
     An injector is single-use: it carries per-run state (pending
-    delayed envelopes, partition activation edges, counters) and must
-    not be shared between runs.
+    delayed envelopes, partition activation edges, whom it has already
+    crashed, counters) and must not be shared between runs.
 
     Args:
         plan: the fault script.
@@ -87,12 +90,11 @@ class FaultInjector:
             depth-targeted crash clauses at crash time.
         rng: the dedicated fault stream (derive with a ``"faults"``
             label; never pass the gossip or network stream).
+        network: the ε-loss network every undisturbed envelope goes
+            through.
         emit: optional trace callback with the
             :meth:`TraceLog.record <repro.obs.trace.TraceLog.record>`
             signature; every injected fault produces one record.
-        clock_offset: added to the 0-based round index when emitting
-            (both the engine and the runtime stamp records at
-            ``round_index + 1``).
     """
 
     def __init__(
@@ -100,14 +102,14 @@ class FaultInjector:
         plan: FaultPlan,
         tree: MembershipTree,
         rng: random.Random,
+        network: "LossyNetwork",
         emit: Optional[Emit] = None,
-        clock_offset: int = 1,
     ):
         self._plan = plan
         self._tree = tree
         self._rng = rng
+        self._network = network
         self._emit = emit
-        self._clock_offset = clock_offset
         self._bursts: List[LossBurst] = []
         self._partitions: List[Partition] = []
         self._delays: List[DelayWindow] = []
@@ -122,20 +124,26 @@ class FaultInjector:
             else:
                 self._crash_clauses.append(clause)
         self._partition_up = [False] * len(self._partitions)
+        self._round = 0
         self._pending: Dict[int, List[Envelope]] = {}
         self._diverted: frozenset = frozenset()
+        self._scripted: Set[Address] = set()
         self._injected_losses = 0
         self._partition_drops = 0
         self._delayed = 0
         self._released = 0
-        self._crashes = 0
 
     # -- inspection -------------------------------------------------------
 
     @property
-    def plan(self) -> FaultPlan:
-        """The script being replayed."""
-        return self._plan
+    def messages_sent(self) -> int:
+        """Envelopes that reached the network underneath."""
+        return self._network.messages_sent
+
+    @property
+    def messages_lost(self) -> int:
+        """Envelopes the network's ε dropped (injected losses apart)."""
+        return self._network.messages_lost
 
     @property
     def has_pending(self) -> bool:
@@ -159,6 +167,11 @@ class FaultInjector:
         """
         return self._diverted
 
+    @property
+    def scripted_crashes(self) -> int:
+        """Processes the plan has crashed so far, each counted once."""
+        return len(self._scripted)
+
     def stats(self) -> Dict[str, int]:
         """Injection counters (also a registry collector payload)."""
         return {
@@ -166,66 +179,65 @@ class FaultInjector:
             "partition_drops": self._partition_drops,
             "delayed": self._delayed,
             "released": self._released,
-            "targeted_crashes": self._crashes,
+            "targeted_crashes": len(self._scripted),
             "pending": sum(len(batch) for batch in self._pending.values()),
+        }
+
+    def trace_meta(self) -> Dict[str, object]:
+        """The script and its tallies, for a trace header."""
+        return {
+            "fault_plan": self._plan.to_dict(),
+            "fault_stats": self.stats(),
         }
 
     # -- the per-round hooks ----------------------------------------------
 
-    def begin_round(self, round_index: int) -> None:
-        """Advance partition clauses; emit activation/heal edges.
+    def begin_round(self, round_index: int) -> List[Address]:
+        """Open 0-based round ``round_index``; returns its crash victims.
 
-        Call once per round, before gossip.  Partition membership
-        checks themselves are stateless; this hook only tracks the
-        window edges so traces show when a cut opened and healed.
+        Call once per round, before gossip.  Partition clauses advance
+        (membership checks themselves are stateless; this only tracks
+        the window edges so traces show when a cut opened and healed),
+        then this round's crash clauses resolve to victims, sorted.
+        Delegate- and depth-targeted clauses are resolved against the
+        tree *now*, so the victims are whoever currently holds the
+        targeted role; a process the plan already crashed is skipped —
+        a static tree keeps listing it — so each victim is scripted,
+        recorded (``fault_crash``) and counted once.  The caller
+        actually crashes them.
         """
+        self._round = round_index
         for index, clause in enumerate(self._partitions):
             active = clause.start <= round_index < clause.end
             was = self._partition_up[index]
             if active and not was:
                 self._note(
-                    round_index, "fault_partition",
+                    "fault_partition",
                     _marker(clause.side_a), peer=_marker(clause.side_b),
                 )
             elif was and not active:
                 self._note(
-                    round_index, "fault_heal",
+                    "fault_heal",
                     _marker(clause.side_a), peer=_marker(clause.side_b),
                 )
             self._partition_up[index] = active
-
-    def crashes_at(self, round_index: int) -> List[Address]:
-        """Resolve this round's crash clauses to live victims, sorted.
-
-        Delegate- and depth-targeted clauses are resolved against the
-        tree *now*, so the victims are whoever currently holds the
-        targeted role.  Each victim is emitted as a ``fault_crash``
-        record; the caller is responsible for actually crashing them
-        (and for skipping already-dead processes).
-        """
         victims: List[Address] = []
-        seen = set()
         for clause in self._crash_clauses:
             if clause.round != round_index:
                 continue
             for victim in self._resolve(clause):
-                if victim not in seen and victim in self._tree:
-                    seen.add(victim)
+                if victim not in self._scripted and victim in self._tree:
+                    self._scripted.add(victim)
                     victims.append(victim)
         victims.sort()
         for victim in victims:
-            self._crashes += 1
-            self._note(round_index, "fault_crash", victim)
+            self._note("fault_crash", victim)
         return victims
 
-    def transmit(
-        self,
-        round_index: int,
-        envelopes: List[Envelope],
-        network: "LossyNetwork",
-    ) -> List[Envelope]:
+    def transmit(self, envelopes: List[Envelope]) -> List[Envelope]:
         """Apply active fault clauses, then the network; return arrivals.
 
+        The round is the one the last :meth:`begin_round` opened.
         Order per envelope: partition cut (deterministic) → burst loss
         (one draw against the combined active-burst probability) →
         delay hold (first matching window wins; one draw only when its
@@ -234,6 +246,7 @@ class FaultInjector:
         already "in flight" and bypass both the fault plane and the ε
         stream at release time.
         """
+        round_index = self._round
         released = self._pending.pop(round_index, [])
         diverted = set()
         passed: List[Envelope] = []
@@ -245,8 +258,7 @@ class FaultInjector:
                 self._injected_losses += 1
                 diverted.add(id(envelope))
                 self._note_envelope(
-                    round_index, "fault_loss", envelope,
-                    value=FAULT_LOSS_PARTITION,
+                    "fault_loss", envelope, value=FAULT_LOSS_PARTITION
                 )
                 continue
             burst = self._burst_probability(round_index, sender, destination)
@@ -256,8 +268,7 @@ class FaultInjector:
                 self._injected_losses += 1
                 diverted.add(id(envelope))
                 self._note_envelope(
-                    round_index, "fault_loss", envelope,
-                    value=FAULT_LOSS_BURST,
+                    "fault_loss", envelope, value=FAULT_LOSS_BURST
                 )
                 continue
             delay = self._delay_for(round_index, destination)
@@ -267,19 +278,15 @@ class FaultInjector:
                 self._pending.setdefault(
                     round_index + delay, []
                 ).append(envelope)
-                self._note_envelope(
-                    round_index, "fault_delay", envelope, value=delay
-                )
+                self._note_envelope("fault_delay", envelope, value=delay)
                 continue
             passed.append(envelope)
         self._diverted = frozenset(diverted)
-        delivered = network.transmit(passed)
+        delivered = self._network.transmit(passed)
         if released:
             self._released += len(released)
             for envelope in released:
-                self._note_envelope(
-                    round_index, "fault_release", envelope
-                )
+                self._note_envelope("fault_release", envelope)
             delivered = list(delivered) + released
         return delivered
 
@@ -341,20 +348,15 @@ class FaultInjector:
 
     def _note(
         self,
-        round_index: int,
         kind: str,
         process: Address,
         peer: Optional[Address] = None,
-        value: int = 0,
     ) -> None:
         if self._emit is not None:
-            self._emit(
-                round_index + self._clock_offset, kind, process,
-                peer=peer, value=value,
-            )
+            self._emit(self._round + 1, kind, process, peer=peer)
 
     def _note_envelope(
-        self, round_index: int, kind: str, envelope: Envelope, value: int = 0
+        self, kind: str, envelope: Envelope, value: int = 0
     ) -> None:
         if self._emit is not None:
             # Flat-style variant envelopes carry no gossip depth (the
@@ -362,7 +364,7 @@ class FaultInjector:
             # other flat-plane trace record.
             depth = envelope.message.depth
             self._emit(
-                round_index + self._clock_offset,
+                self._round + 1,
                 kind,
                 envelope.message.sender,
                 peer=envelope.destination,

@@ -13,9 +13,10 @@ that special case **bit-identical** to the engine:
   FIFO tie-break over re-armed and newly armed timers reproduces
   insertion-ordered dict semantics — docs/NETWORK.md walks the proof);
 * everything sent at one instant flushes as one ordered batch through
-  the same :class:`~repro.sim.network.LossyNetwork` (and
-  :class:`~repro.faults.injector.FaultInjector`) calls, so loss draws
-  happen in the engine's order;
+  the same link (:func:`~repro.variants.pmcast.prepare_pmcast_run`'s:
+  the ε network, or the fault plan wrapping it) with the engine's
+  ``begin_round`` → ``transmit`` calls, so loss draws happen in the
+  engine's order;
 * the protocol logic itself is the untouched
   :class:`~repro.variants.pmcast.PmcastVariant` hooks — ``begin`` /
   ``crash`` / ``fan_out_one`` / ``receive`` / ``finalize``.
@@ -43,13 +44,12 @@ from repro.interests.events import Event
 from repro.net.clock import PRIORITY_BOUNDARY, PRIORITY_TIMER, VirtualClock
 from repro.net.scheduler import RoundSchedule, Schedule
 from repro.net.transport import SimTransport
-from repro.obs.sampling import TraceSampler
+from repro.obs.sampling import TraceSampler, emitter
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
-from repro.sim.network import LossyNetwork
-from repro.variants.base import close_trace, crash_step, open_trace
+from repro.variants.base import close_trace, crash_step
 from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
 
 __all__ = ["run_sim_dissemination"]
@@ -62,7 +62,6 @@ def run_sim_dissemination(
     sim_config: Optional[SimConfig] = None,
     schedule: Optional[Schedule] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    network: Optional[LossyNetwork] = None,
     trace: Optional[TraceLog] = None,
     faults: Optional[FaultPlan] = None,
     sampler: Optional[TraceSampler] = None,
@@ -104,13 +103,14 @@ def run_sim_dissemination(
             "model requires network latency below the gossip period"
         )
 
-    network, crash_schedule, injector, ctx = prepare_pmcast_run(
-        group, publisher, event, sim_config,
-        crash_schedule, network, trace, faults,
+    emit = emitter(trace, sampler)
+    link, crash_schedule, ctx = prepare_pmcast_run(
+        group, publisher, event, sim_config, crash_schedule, emit, faults,
     )
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
 
-    emit = open_trace(variant, trace, sampler, injector)
+    if trace is not None:
+        trace.annotate(**variant.trace_meta())
     emit_events = event_records and emit is not None
     if emit_events:
         trace.annotate(
@@ -124,7 +124,7 @@ def run_sim_dissemination(
     variant.begin(emit)
 
     clock = VirtualClock()
-    transport = SimTransport(clock, network, latency_us, injector=injector)
+    transport = SimTransport(clock, link, latency_us)
     #: Processes with an armed timer on the clock (lazy cancellation:
     #: a popped timer for an inactive process is skipped).
     scheduled: Set[Address] = set()
@@ -161,18 +161,18 @@ def run_sim_dissemination(
                 infection_curve.append(variant.infected_count())
             if round_index >= sim_config.max_rounds:
                 break
-            crash_step(variant, crash_schedule, injector, round_index, emit)
+            crash_step(variant, crash_schedule, link, round_index, emit)
             if (
                 not variant.is_active()
                 and not transport.in_flight
-                and (injector is None or not injector.has_pending)
+                and not link.has_pending
             ):
                 break
             rounds = round_index + 1
-            if injector is not None:
-                # The engine invokes the injector's transmit every
-                # round even with an empty fan-out (releasing delayed
-                # envelopes); an empty flush batch reproduces that.
+            if link.has_pending:
+                # The engine calls the link's transmit every round,
+                # empty fan-out or not, and that is what releases a
+                # delayed envelope; an empty flush batch reproduces it.
                 transport.ensure_flush(when_us + latency_us)
             clock.schedule(
                 when_us + period_us, PRIORITY_BOUNDARY,
@@ -200,16 +200,11 @@ def run_sim_dissemination(
 
         else:  # flush
             batch = transport.take(payload[1])
-            delivered = transport.transmit(batch, rounds - 1)
+            delivered = link.transmit(batch)
             if emit is not None:
                 arrived = frozenset(id(envelope) for envelope in delivered)
-                diverted = (
-                    injector.last_diverted
-                    if injector is not None
-                    else frozenset()
-                )
                 variant.emit_dispositions(
-                    batch, arrived, diverted, emit, rounds
+                    batch, arrived, link.last_diverted, emit, rounds
                 )
             for envelope in delivered:
                 variant.receive(envelope, emit, rounds)
@@ -220,12 +215,11 @@ def run_sim_dissemination(
                 ):
                     arm_timer(receiver)
 
-    close_trace(trace, injector, rounds)
+    close_trace(trace, link, rounds)
     return variant.finalize(
         rounds,
         tuple(infection_curve),
         tuple(messages_by_distance),
-        network,
+        link,
         crash_schedule,
-        injector,
     )

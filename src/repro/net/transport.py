@@ -8,14 +8,14 @@ same :class:`Transport` contract:
 * :class:`SimTransport` — deterministic in-process delivery driven by a
   :class:`~repro.net.clock.VirtualClock`.  Sends are *batched by flush
   instant*: every envelope sent at virtual time t is queued until
-  ``t + latency_us`` and then pushed through the seeded
-  :class:`~repro.sim.network.LossyNetwork` (and, when installed, the
-  :class:`~repro.faults.injector.FaultInjector`) **in send order**.
+  ``t + latency_us``; the runtime then takes the batch and pushes it
+  through the run's link — the seeded
+  :class:`~repro.sim.network.LossyNetwork`, or the fault plan wrapping
+  it — **in send order** (``link.transmit(transport.take(t))``).
   Because the round-synchronous engine transmits each round's fan-out
   as one ordered batch, a zero-jitter schedule makes the flush batch
   equal the engine's round batch — same loss draws, in the same RNG
-  order, hence bit-identical outcomes (docs/NETWORK.md).  The fault
-  injector thus acts at the transport seam, unchanged.
+  order, hence bit-identical outcomes (docs/NETWORK.md).
 * :class:`FairLossUdpTransport` — real datagrams over a plain
   non-blocking UDP socket on localhost, read through the event loop's
   ``add_reader``.  UDP *is* a fair-loss link; an optional software ε
@@ -79,12 +79,12 @@ class SimTransport(Transport):
     Args:
         clock: the runtime's virtual clock; flush events are scheduled
             on it with :data:`~repro.net.clock.PRIORITY_FLUSH`.
-        network: the seeded loss model — the *only* source of drops.
+        network: the run's link (the seeded loss model, or the fault
+            plan wrapping it) — read for the sent/lost tallies only;
+            the runtime hands it each batch it takes.
         latency_us: wire latency; the model requires it strictly below
             the gossip period (everything sent in a round arrives in
             that round), which the runtime validates.
-        injector: optional fault injector applied to every flush batch,
-            exactly where the round engine applies it.
     """
 
     def __init__(
@@ -92,14 +92,12 @@ class SimTransport(Transport):
         clock: VirtualClock,
         network: LossyNetwork,
         latency_us: int,
-        injector: Optional[object] = None,
     ):
         if latency_us < 1:
             raise NetError(f"latency_us {latency_us} must be >= 1")
         self._clock = clock
         self._network = network
         self._latency_us = int(latency_us)
-        self._injector = injector
         self._batches: Dict[int, List[Envelope]] = {}
 
     @property
@@ -135,9 +133,9 @@ class SimTransport(Transport):
         """The (possibly empty) batch flushing at ``flush_time_us``.
 
         Creating a batch schedules its flush event.  The runtime also
-        calls this with no sends pending when the fault injector holds
-        delayed envelopes: the engine invokes the injector every round
-        even on an empty fan-out, and the empty flush reproduces that.
+        calls this with no sends pending while the link holds delayed
+        envelopes: the engine transmits every round even on an empty
+        fan-out, and the empty flush reproduces that.
         """
         batch = self._batches.get(flush_time_us)
         if batch is None:
@@ -153,19 +151,6 @@ class SimTransport(Transport):
         if batch is None:
             raise NetError(f"no batch pending at t={flush_time_us}us")
         return batch
-
-    def transmit(
-        self, batch: List[Envelope], round_index: int
-    ) -> List[Envelope]:
-        """Push one flush batch through the loss model, in send order.
-
-        ``round_index`` is the 0-based round the batch belongs to —
-        the fault injector's scheduling key, matching the engine's
-        ``injector.transmit(round_index, ...)`` call.
-        """
-        if self._injector is None:
-            return self._network.transmit(batch)
-        return self._injector.transmit(round_index, batch, self._network)
 
 
 def encode_envelope(envelope: Envelope) -> bytes:

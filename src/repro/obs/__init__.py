@@ -54,6 +54,7 @@ from repro.obs.sink import (
 )
 from repro.obs.timeline import (
     NULL_SPAN,
+    NULL_TIMELINE,
     TIMELINE_SCHEMA,
     TimelineRecorder,
     load_timeline,
@@ -81,6 +82,7 @@ __all__ = [
     "keep_mask",
     "rescale",
     "NULL_SPAN",
+    "NULL_TIMELINE",
     "TIMELINE_SCHEMA",
     "TimelineRecorder",
     "load_timeline",

@@ -9,7 +9,8 @@ Subcommands:
   episode rollup, and any counter snapshot the producer embedded;
   ``.jsonl.gz`` files load transparently.  When the header carries a
   ``sampling`` block, counts and ratios are rescaled by the sampling
-  rate (Horvitz–Thompson) and marked ``estimated``.
+  rate (Horvitz–Thompson) and marked ``estimated``; ``fault_*`` kinds
+  are never sampled, so their counts stay exact.
 * ``diff A B`` — localize where two runs diverge: the first differing
   record, per-kind count deltas, and per-round send deltas.
 * ``validate TRACE`` — schema check without materializing the trace
@@ -32,7 +33,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.obs.sampling import rescale
+from repro.obs.sampling import is_exact, rescale
 from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TraceLog
 
@@ -58,7 +59,8 @@ def summarize_trace(trace: Union[str, TraceLog]) -> Dict[str, Any]:
     the trace is the single source of truth.
 
     A ``sampling`` block in the header (rate < 1) switches the event
-    rollup to Horvitz–Thompson estimates: per-kind counts and
+    rollup to Horvitz–Thompson estimates: per-kind counts (``fault_*``
+    kinds apart: :func:`repro.obs.sampling.is_exact`) and
     delivered/receiver tallies are divided by the keep rate and the
     ratios computed from interest *counts* (sampled traces at scale
     carry counts, not the full interested list); those entries are
@@ -246,7 +248,9 @@ def summarize_trace(trace: Union[str, TraceLog]) -> Dict[str, Any]:
         summary["sampling"] = dict(sampling)
         if estimated:
             summary["kind_counts_estimated"] = {
-                kind: round(rescale(count, rate), 2)
+                kind: count
+                if is_exact(kind)
+                else round(rescale(count, rate), 2)
                 for kind, count in counts.items()
             }
     if isinstance(meta.get("counters"), dict):

@@ -12,9 +12,10 @@ argument instead of separate registry/trace/sink plumbing:
   :class:`~repro.obs.sampling.TraceSampler` first;
 * :attr:`Observer.tracing` is the cheap guard hot loops check before
   assembling per-record arguments;
-* :attr:`Observer.timeline` is the optional
+* :attr:`Observer.timeline` is the
   :class:`~repro.obs.timeline.TimelineRecorder` instrumented loops
-  open wall-clock phase spans on.
+  open wall-clock phase spans on (the shared
+  :data:`~repro.obs.timeline.NULL_TIMELINE` when timing is off).
 
 The module-level :data:`NULL_OBSERVER` is fully disabled: its registry
 is the null registry and ``emit`` returns immediately.  Observation
@@ -31,7 +32,7 @@ from repro.addressing import Address
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.sampling import TraceSampler
 from repro.obs.sink import JsonlSink
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
 from repro.obs.trace import TraceLog, TraceRecord
 
 __all__ = ["Observer", "NULL_OBSERVER"]
@@ -51,7 +52,8 @@ class Observer:
             sampling block is stamped into every destination's
             metadata so offline tooling can rescale.
         timeline: an optional :class:`TimelineRecorder` for wall-clock
-            phase spans (out of band: never sampled, never traced).
+            phase spans (out of band: never sampled, never traced);
+            ``None`` selects the shared null timeline.
     """
 
     __slots__ = ("registry", "trace", "sink", "sampler", "timeline")
@@ -68,7 +70,7 @@ class Observer:
         self.trace = trace
         self.sink = sink
         self.sampler = sampler
-        self.timeline = timeline
+        self.timeline = NULL_TIMELINE if timeline is None else timeline
         if sampler is not None and (trace is not None or sink is not None):
             self.annotate(sampling=sampler.meta())
 

@@ -26,23 +26,31 @@ The decision is a pure function of the key:
   (:func:`rescale`; ``python -m repro.obs summarize`` applies this
   when the trace header carries a ``sampling`` block).
 
+* **Fault records are outside sampling** (:func:`is_exact`).  Every
+  ``fault_*`` record is kept at any rate — they are scripted, sparse,
+  and the trace's explanation of any damage — and ``summarize`` reports
+  those kinds as counted, never divided by the rate.
+
 The stateless :func:`keep` is what array kernels use to precompute
 per-member keep masks (:func:`keep_mask`); the :class:`TraceSampler`
 adds memoization for record-at-a-time emitters, and
 :class:`SampledTrace` wraps a :class:`~repro.obs.trace.TraceLog` with
-the filter applied on :meth:`~SampledTrace.record`.
+the filter applied on :meth:`~SampledTrace.record`; :func:`emitter`
+picks a run's record callable from its ``(trace, sampler)`` pair.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.trace import TraceLog
 
 __all__ = [
     "SAMPLING_SCHEME",
+    "emitter",
+    "is_exact",
     "keep",
     "keep_mask",
     "rescale",
@@ -65,6 +73,16 @@ def _threshold(rate: float) -> int:
     return _SCALE if rate >= 1.0 else int(rate * _SCALE)
 
 
+def is_exact(kind: str) -> bool:
+    """Whether records of ``kind`` are outside sampling (``fault_*``).
+
+    The one statement of the rule: :func:`keep` and
+    :meth:`TraceSampler.keep` keep such a record at any rate, and
+    ``summarize`` leaves its count unscaled.
+    """
+    return kind.startswith("fault_")
+
+
 def keep(kind: str, process: object, event_id: int, rate: float) -> bool:
     """The stateless sampling verdict for one record key.
 
@@ -73,7 +91,7 @@ def keep(kind: str, process: object, event_id: int, rate: float) -> bool:
     verdict.
     """
     threshold = _threshold(rate)
-    if threshold >= _SCALE:
+    if threshold >= _SCALE or is_exact(kind):
         return True
     key = f"{kind}|{process}|{event_id}".encode("utf-8")
     word = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
@@ -89,7 +107,7 @@ def keep_mask(
     one entry per process, each the same verdict :func:`keep` returns.
     """
     threshold = _threshold(rate)
-    if threshold >= _SCALE:
+    if threshold >= _SCALE or is_exact(kind):
         return [True] * len(processes)
     sha256 = hashlib.sha256
     prefix = f"{kind}|".encode("utf-8")
@@ -139,7 +157,7 @@ class TraceSampler:
         verdict = self._memo.get(key)
         if verdict is None:
             raw = f"{key[0]}|{key[1]}|{key[2]}".encode("utf-8")
-            verdict = (
+            verdict = is_exact(kind) or (
                 int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
                 < self._threshold
             )
@@ -191,3 +209,16 @@ class SampledTrace:
     def annotate(self, **meta: object) -> None:
         """Metadata is never sampled; pass straight through."""
         self.trace.annotate(**meta)
+
+
+def emitter(
+    trace: Optional[TraceLog], sampler: Optional[TraceSampler]
+) -> Optional[Callable[..., None]]:
+    """A run's record callable: ``None`` when the run is untraced,
+    ``trace.record`` when it is not sampled, else the sampled facade's
+    (which stamps the sampling block into the trace header)."""
+    if trace is None:
+        return None
+    if sampler is None:
+        return trace.record
+    return SampledTrace(trace, sampler).record

@@ -30,7 +30,7 @@ import contextlib
 import json
 import time
 import tracemalloc
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -38,6 +38,7 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "PHASES",
     "NULL_SPAN",
+    "NULL_TIMELINE",
     "TimelineRecorder",
     "load_timeline",
 ]
@@ -50,9 +51,8 @@ TIMELINE_SCHEMA = "repro.obs.timeline/v1"
 #: own), but analyzers can rely on these names where they appear.
 PHASES = ("match", "membership", "fan_out", "exchange", "memory")
 
-#: A shared reusable no-op context manager: hot loops write
-#: ``with (timeline.span(...) if timeline else NULL_SPAN):`` and pay
-#: nothing when timing is off.
+#: A shared reusable no-op context manager: what
+#: :data:`NULL_TIMELINE` hands out, so untimed loops pay nothing.
 NULL_SPAN = contextlib.nullcontext()
 
 
@@ -190,6 +190,33 @@ class TimelineRecorder:
                 handle.write(json.dumps(entry, sort_keys=True))
                 handle.write("\n")
         return len(self._entries)
+
+
+class _NullTimeline:
+    """The disabled recorder: spans are :data:`NULL_SPAN`, probes no-ops."""
+
+    __slots__ = ()
+
+    def span(
+        self,
+        phase: str,
+        subsystem: str,
+        round_index: Optional[int] = None,
+    ) -> ContextManager[None]:
+        return NULL_SPAN
+
+    def probe_memory(
+        self,
+        subsystem: str = "process",
+        round_index: Optional[int] = None,
+    ) -> None:
+        return None
+
+
+#: The shared disabled timeline: instrumented loops write
+#: ``with timeline.span(...):`` unconditionally, and an
+#: :class:`~repro.obs.probes.Observer` without a recorder carries this.
+NULL_TIMELINE = _NullTimeline()
 
 
 def load_timeline(path: str) -> Tuple[Dict[str, object], List[Dict[str, Any]]]:

@@ -16,7 +16,7 @@ One schema covers both planes of the system:
   detection and anti-entropy;
 * **fault-injection** records (``fault_loss | fault_delay |
   fault_release | fault_partition | fault_heal | fault_crash``) from
-  :class:`repro.faults.injector.FaultInjector`, so a degraded run's
+  a fault plan's link (:mod:`repro.faults`), so a degraded run's
   trace explains *which* scripted fault did the damage;
 * **variant control-plane** records (``pull_request | pull_reply |
   view_shuffle``) from the :mod:`repro.variants` strategies — pull

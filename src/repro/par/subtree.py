@@ -45,7 +45,7 @@ from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
 from repro.obs.probes import Observer
-from repro.obs.timeline import NULL_SPAN, TimelineRecorder
+from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
 from repro.obs.trace import dissemination_counts
 from repro.par.executor import TrialExecutor
 from repro.sim.metrics import DisseminationReport
@@ -183,8 +183,8 @@ def run_sharded_dissemination(
     Returns:
         the aggregate :class:`~repro.sim.metrics.DisseminationReport`.
     """
-    if timeline is None and observer is not None:
-        timeline = observer.timeline
+    if timeline is None:
+        timeline = NULL_TIMELINE if observer is None else observer.timeline
     trace_rate = None
     if observer is not None and observer.tracing:
         sampler = observer.sampler
@@ -219,20 +219,12 @@ def run_sharded_dissemination(
             tasks.append(
                 (states[shard], inbound_dest, inbound_round, round_index)
             )
-        with (
-            timeline.span("fan_out", "subtree", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("fan_out", "subtree", rounds):
             if executor is None:
                 results = [run_shard_wave(*task) for task in tasks]
             else:
                 results = executor.run(_wave_worker, tasks)
-        with (
-            timeline.span("exchange", "subtree", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("exchange", "subtree", rounds):
             pending = {}
             for shard, outcome in zip(work, results):
                 state, out_dest, out_round, is_busy, now_infected = outcome
@@ -248,8 +240,7 @@ def run_sharded_dissemination(
                         parts[0].append(out_dest[mask])
                         parts[1].append(out_round[mask])
         infection_curve.append(sum(infected.values()))
-    if timeline is not None:
-        timeline.probe_memory(subsystem="subtree", round_index=rounds)
+    timeline.probe_memory(subsystem="subtree", round_index=rounds)
 
     own_match = spec.own_match
     publisher = spec.publisher

@@ -14,8 +14,8 @@ collection emptied all buffers) or at the ``max_rounds`` safety cap.
 Two loops implement that round, and :func:`run_dissemination` picks by
 eligibility, not by request: a run the struct-of-arrays compat kernel
 (:func:`repro.sim.vector.try_run_vectorized`) can express takes it; a
-run it cannot (a fault plan, link rules, a node mid-event, ragged
-address depths, an unpopulated view) takes the scalar reference loop
+run it cannot (a fault plan, a node mid-event, ragged address depths,
+an unpopulated view) takes the scalar reference loop
 (:func:`repro.variants.base.run_variant`) and is counted by reason.
 The two are bit-identical on every eligible run — report, trace
 records, node state — and ``SimConfig(vectorized=False)`` forces the
@@ -30,15 +30,13 @@ from repro.addressing import Address
 from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.obs.probes import Observer
-from repro.obs.registry import NULL_REGISTRY
-from repro.obs.sampling import TraceSampler
+from repro.obs.probes import NULL_OBSERVER, Observer
+from repro.obs.sampling import TraceSampler, emitter
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
-from repro.sim.network import LossyNetwork
 from repro.sim.vector import try_run_vectorized
 
 __all__ = ["run_dissemination"]
@@ -50,7 +48,6 @@ def run_dissemination(
     event: Event,
     sim_config: Optional[SimConfig] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    network: Optional[LossyNetwork] = None,
     trace: Optional[TraceLog] = None,
     faults: Optional[FaultPlan] = None,
     sampler: Optional[TraceSampler] = None,
@@ -68,17 +65,14 @@ def run_dissemination(
         crash_schedule: explicit crash plan; when omitted, one is
             sampled from ``sim_config.crash_fraction`` over a horizon of
             ``max_rounds`` (the analysis model's τ).
-        network: an externally configured network (e.g. with partition
-            rules); by default a fresh :class:`LossyNetwork` with
-            ``sim_config.loss_probability``.
         trace: optional :class:`~repro.obs.trace.TraceLog` receiving one
             record per publish/send/loss/receive/delivery/crash, plus
             run metadata (publisher, interest ground truth, final round
             count) in :attr:`~repro.obs.trace.TraceLog.meta` — enough
             for ``python -m repro.obs summarize`` to reproduce this
             function's report offline.
-        faults: optional :class:`~repro.faults.plan.FaultPlan` replayed
-            by a :class:`~repro.faults.injector.FaultInjector` over its
+        faults: optional :class:`~repro.faults.plan.FaultPlan`; the
+            run's link then replays it (:mod:`repro.faults`) over its
             own RNG stream (label ``"faults"``), so a faulted run with
             the same seed leaves the gossip/network/crash draws — and
             therefore every unfaulted result — untouched.  Injected
@@ -89,8 +83,8 @@ def run_dissemination(
             decision, and the sampling block is stamped into the trace
             metadata so ``summarize`` rescales.  Sampling draws no
             randomness, so the report is unchanged.  ``fault_*``
-            records are never sampled — they are scripted, sparse, and
-            the trace's explanation of any damage.
+            records are never sampled
+            (:func:`repro.obs.sampling.is_exact`).
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
             registry counts, by reason, the runs the kernel could not
             express (``sim.vector_fallback`` and
@@ -106,27 +100,24 @@ def run_dissemination(
         the :class:`~repro.sim.metrics.DisseminationReport` of the run.
     """
     sim_config = sim_config or SimConfig()
-    if observer is not None:
-        if sampler is None:
-            sampler = observer.sampler
-        if timeline is None:
-            timeline = observer.timeline
-    registry = observer.registry if observer is not None else NULL_REGISTRY
+    if observer is None:
+        observer = NULL_OBSERVER
+    if sampler is None:
+        sampler = observer.sampler
+    if timeline is None:
+        timeline = observer.timeline
+    registry = observer.registry
     # Imported here: repro.variants itself imports from repro.sim.
     from repro.variants.base import run_variant
     from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
 
-    network, crash_schedule, injector, ctx = prepare_pmcast_run(
+    link, crash_schedule, ctx = prepare_pmcast_run(
         group, publisher, event, sim_config,
-        crash_schedule, network, trace, faults,
+        crash_schedule, emitter(trace, sampler), faults,
     )
 
     if sim_config.vectorized:
-        if injector is not None:
-            reason = "faults"
-        elif network.has_link_rules:
-            reason = "link_rules"
-        else:
+        if hasattr(link, "transmit_flags"):
             # The struct-of-arrays kernel consumes the same RNG streams
             # in the same order — and emits the same trace records — so
             # an eligible run is bit-identical to the reference loop
@@ -138,7 +129,7 @@ def run_dissemination(
                 event,
                 sim_config,
                 ctx,
-                network,
+                link,
                 crash_schedule,
                 trace=trace,
                 sampler=sampler,
@@ -148,23 +139,26 @@ def run_dissemination(
             if report is not None:
                 return report
             reason = "ineligible"
+        else:
+            # A fault plan's link decides envelope by envelope; it has
+            # no draw-only transmit for the kernel to call.
+            reason = "faults"
         registry.counter("sim", "vector_fallback").inc()
         registry.counter("sim", f"vector_fallback_{reason}").inc()
 
     # The reference loop is the pmcast dissemination strategy running
     # on the shared round driver (the strategy seam extracted from this
-    # very loop — see repro.variants.base), and the home of fault plans
-    # and link rules.  PmcastVariant is an exact port: same
-    # insertion-ordered active set, same RNG draw order, same trace
-    # records, bit-identical reports.
+    # very loop — see repro.variants.base), and the home of fault
+    # plans.  PmcastVariant is an exact port: same insertion-ordered
+    # active set, same RNG draw order, same trace records,
+    # bit-identical reports.
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
     return run_variant(
         variant,
         sim_config,
-        network,
+        link,
         crash_schedule,
         trace=trace,
         sampler=sampler,
-        injector=injector,
         timeline=timeline,
     )

@@ -6,16 +6,21 @@ because the model is round-synchronous (latency bound < gossip period
 P), so everything transmitted in a round is either delivered within
 that round or lost.
 
-:class:`LossyNetwork` also supports deterministic *link rules* (drop
-every message between two address sets) for partition-style failure
-injection in the tests — a strict superset of the paper's model that
-defaults to off.
+A :class:`LossyNetwork` is the *link* of an unfaulted run — what a
+round driver calls, in order, once per round: ``begin_round(r)`` (this
+round's scripted crash victims), ``transmit(envelopes)``, and
+afterwards ``messages_sent`` / ``messages_lost`` / ``has_pending`` /
+``last_diverted`` / ``scripted_crashes`` / ``trace_meta()``.  A fault
+plan's link (:mod:`repro.faults`) wraps one and presents the same
+shape with a script behind it; here every scripted answer is
+the trivial one.  Partitions, bursts, delays and targeted crashes are
+fault-plan clauses, never network state.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.addressing import Address
 from repro.core.messages import Envelope
@@ -23,11 +28,9 @@ from repro.errors import SimulationError
 
 __all__ = ["LossyNetwork"]
 
-LinkRule = Callable[[Address, Address], bool]
-
 
 class LossyNetwork:
-    """Per-message Bernoulli loss, plus optional deterministic drops.
+    """Per-message Bernoulli loss: the fair-loss link of §4.1.
 
     Args:
         loss_probability: ε — i.i.d. drop probability per message.
@@ -41,7 +44,6 @@ class LossyNetwork:
             )
         self._loss_probability = loss_probability
         self._rng = rng
-        self._blocked: List[LinkRule] = []
         self._sent = 0
         self._lost = 0
 
@@ -57,40 +59,23 @@ class LossyNetwork:
 
     @property
     def messages_lost(self) -> int:
-        """Envelopes dropped (random loss or partitions)."""
+        """Envelopes dropped by ε."""
         return self._lost
 
-    def block(self, rule: LinkRule) -> None:
-        """Install a deterministic drop rule (failure injection)."""
-        self._blocked.append(rule)
+    #: Nothing is ever held back for a later round.
+    has_pending = False
+    #: Nothing is ever diverted: every envelope is sent or lost.
+    last_diverted: frozenset = frozenset()
+    #: No script, so nobody crashed by one.
+    scripted_crashes = 0
 
-    def partition(self, side_a: Set[Address], side_b: Set[Address]) -> None:
-        """Drop all traffic between two address sets (both directions)."""
-        overlap = side_a & side_b
-        if overlap:
-            raise SimulationError(
-                f"partition sides overlap on {sorted(overlap)[:3]}"
-            )
+    def begin_round(self, round_index: int) -> List[Address]:
+        """Open a round; a bare network scripts no crash victims."""
+        return []
 
-        def rule(sender: Address, destination: Address) -> bool:
-            return (sender in side_a and destination in side_b) or (
-                sender in side_b and destination in side_a
-            )
-
-        self.block(rule)
-
-    def heal(self) -> None:
-        """Remove all deterministic drop rules."""
-        self._blocked.clear()
-
-    @property
-    def has_link_rules(self) -> bool:
-        """True when deterministic drop rules are installed.
-
-        The vectorized fast path cannot evaluate per-address link rules
-        on integer indices, so it checks this before taking over.
-        """
-        return bool(self._blocked)
+    def trace_meta(self) -> Dict[str, object]:
+        """What the link adds to a trace header: nothing."""
+        return {}
 
     def transmit_flags(self, count: int) -> Optional[List[bool]]:
         """Draw ``count`` delivery verdicts without materializing envelopes.
@@ -101,15 +86,7 @@ class LossyNetwork:
         sent/lost counters, so a vectorized run stays stream- and
         metric-identical to the scalar one.  Returns None when ε <= 0
         (everything delivered, nothing drawn).
-
-        Raises:
-            SimulationError: if link rules are installed — those need
-                addresses, which this path does not carry.
         """
-        if self._blocked:
-            raise SimulationError(
-                "transmit_flags cannot evaluate link rules"
-            )
         self._sent += count
         if self._loss_probability <= 0.0:
             return None
@@ -124,12 +101,6 @@ class LossyNetwork:
         delivered: List[Envelope] = []
         for envelope in envelopes:
             self._sent += 1
-            if any(
-                rule(envelope.message.sender, envelope.destination)
-                for rule in self._blocked
-            ):
-                self._lost += 1
-                continue
             if (
                 self._loss_probability > 0.0
                 and self._rng.random() < self._loss_probability

@@ -62,7 +62,6 @@ from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
 from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
-from repro.obs.timeline import NULL_SPAN
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
 
@@ -97,8 +96,9 @@ class GroupRuntime:
             bit-identical to an unobserved one.
         fault_plan: an optional :class:`~repro.faults.plan.FaultPlan`
             replayed across the runtime's rounds by a
-            :class:`~repro.faults.injector.FaultInjector` over a
-            dedicated RNG stream (label ``"runtime-faults"``).
+            :class:`~repro.faults.injector.FaultInjector` — the
+            group's link, wrapping its network — over a dedicated RNG
+            stream (label ``"runtime-faults"``).
             Targeted/delegate/depth crash clauses go through
             :meth:`crash`, so detection and exclusion react exactly as
             they would to any other silent crash.  A run with an empty
@@ -241,23 +241,24 @@ class GroupRuntime:
             threshold_h=self._config.threshold_h,
             registry=self._reg,
         )
-        self._network = LossyNetwork(
+        # The one thing between two processes' event gossip: the ε
+        # network, wrapped below by the fault plan when there is one.
+        self._link = LossyNetwork(
             self._sim_config.loss_probability,
             derive_rng(self._sim_config.seed, "runtime-network"),
         )
         self._membership_rng = derive_rng(
             self._sim_config.seed, "runtime-membership"
         )
-        self._injector: Optional[FaultInjector] = None
         if fault_plan is not None:
-            self._injector = FaultInjector(
+            self._link = FaultInjector(
                 fault_plan,
                 self._tree,
                 derive_rng(self._sim_config.seed, "runtime-faults"),
-                emit=self._obs.emit if self._obs.tracing else None,
-                clock_offset=1,
+                self._link,
+                self._obs.emit if self._obs.tracing else None,
             )
-            self._reg.register_collector("faults", self._injector.stats)
+            self._reg.register_collector("faults", self._link.stats)
         for address in self._tree.members():
             self._wire(address)
         for address in self._tree.members():
@@ -303,7 +304,7 @@ class GroupRuntime:
     @property
     def fault_stats(self) -> Optional[Dict[str, int]]:
         """Injection counters when a fault plan is attached, else None."""
-        return None if self._injector is None else self._injector.stats()
+        return self._link.trace_meta().get("fault_stats")
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         """The registry's rolled-up per-subsystem counters."""
@@ -449,32 +450,16 @@ class GroupRuntime:
         """
         self._round += 1
         self._m_rounds.inc()
-        if self._injector is not None:
-            # The fault plan's round windows are 0-based like the
-            # engine's: clause round r acts in the (r+1)-th step.
-            schedule_round = self._round - 1
-            self._injector.begin_round(schedule_round)
-            for victim in self._injector.crashes_at(schedule_round):
-                if victim in self._tree:
-                    self.crash(victim)
+        # The link's rounds are 0-based like the engine's: a fault
+        # plan's clause round r acts in the (r+1)-th step.
+        for victim in self._link.begin_round(self._round - 1):
+            self.crash(victim)
         timeline = self._obs.timeline
-        with (
-            timeline.span("fan_out", "runtime", self._round)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("fan_out", "runtime", self._round):
             envelopes = self._fan_out_round()
-        with (
-            timeline.span("exchange", "runtime", self._round)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("exchange", "runtime", self._round):
             self._exchange_round(envelopes)
-        with (
-            timeline.span("membership", "runtime", self._round)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("membership", "runtime", self._round):
             self._membership_round()
             self._detection_round()
 
@@ -516,23 +501,14 @@ class GroupRuntime:
 
     def _exchange_round(self, envelopes: List[Envelope]) -> None:
         """Transmit the round's envelopes and apply every arrival."""
-        if self._injector is None:
-            survivors = self._network.transmit(envelopes)
-        else:
-            survivors = self._injector.transmit(
-                self._round - 1, envelopes, self._network
-            )
+        survivors = self._link.transmit(envelopes)
         self._m_sent.inc(len(envelopes))
         # Released (delayed) envelopes can make survivors exceed this
         # round's sends; injected losses are in the "faults" collector.
         self._m_lost.inc(max(len(envelopes) - len(survivors), 0))
         if self._obs.tracing and envelopes:
             arrived = {id(envelope) for envelope in survivors}
-            diverted = (
-                self._injector.last_diverted
-                if self._injector is not None
-                else frozenset()
-            )
+            diverted = self._link.last_diverted
             for envelope in envelopes:
                 if id(envelope) in diverted:
                     continue
@@ -596,10 +572,7 @@ class GroupRuntime:
         the group is not idle while a release is still due.
         """
         for executed in range(max_rounds):
-            pending = (
-                self._injector is not None and self._injector.has_pending
-            )
-            if not pending and not self._active:
+            if not self._link.has_pending and not self._active:
                 return executed
             self.step()
         return max_rounds

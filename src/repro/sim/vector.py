@@ -16,8 +16,9 @@ the same optional :class:`~repro.obs.sampling.TraceSampler`), so a
 traced run takes it too.  It is the path
 :func:`~repro.sim.engine.run_dissemination` takes whenever the run is
 eligible; an ineligible one (a node mid-event, ragged address depths,
-an unpopulated view — or, decided by the engine, link rules and fault
-plans) takes the scalar reference loop and is counted by reason.
+an unpopulated view — or, decided by the engine, a fault plan, whose
+link offers no ``transmit_flags``) takes the scalar reference loop and
+is counted by reason.
 ``SimConfig(vectorized=False)`` forces the reference loop.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` /
@@ -58,8 +59,8 @@ from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.obs.sampling import SampledTrace, TraceSampler, keep, keep_mask
-from repro.obs.timeline import NULL_SPAN, TimelineRecorder
+from repro.obs.sampling import TraceSampler, emitter, keep, keep_mask
+from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
 from repro.obs.trace import TraceLog, dissemination_meta
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup, assemble_pmcast_report
@@ -281,11 +282,9 @@ def try_run_vectorized(
     spans under the names the reference loop uses — both out of band.
     """
     registry = registry_or_null(registry)
-    with (
-        timeline.span("match", "engine")
-        if timeline is not None
-        else NULL_SPAN
-    ):
+    if timeline is None:
+        timeline = NULL_TIMELINE
+    with timeline.span("match", "engine"):
         spec = _build_compat_spec(group, event, ctx)
     if spec is None:
         return None
@@ -333,13 +332,8 @@ def try_run_vectorized(
     sent_count = [0] * n
     recv_count = [0] * n
 
-    emit = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
-        )
+    emit = emitter(trace, sampler)
+    if emit is not None:
         # Byte-identical metadata to the scalar engine's: offline
         # tooling cannot (and must not) tell the producers apart.
         trace.annotate(
@@ -396,11 +390,7 @@ def try_run_vectorized(
         # engine's dict order), depths ascending with same-firing
         # demotion cascades.
         envelopes: List[Tuple[int, int, int, float, int]] = []
-        with (
-            timeline.span("fan_out", "engine", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("fan_out", "engine", rounds):
             next_active: List[int] = []
             for i in active_list:
                 if not in_active[i]:
@@ -473,11 +463,7 @@ def try_run_vectorized(
                     common += 1
                 messages_by_distance[tree_depth - 1 - common] += 1
 
-        with (
-            timeline.span("exchange", "engine", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("exchange", "engine", rounds):
             flags = network.transmit_flags(len(envelopes))
             if emit is not None:
                 # The scalar engine records every envelope's disposition
@@ -547,8 +533,7 @@ def try_run_vectorized(
                 meter_losses.inc(sum(1 for flag in flags if not flag))
             meter_infected.set(infected_count)
 
-    if timeline is not None:
-        timeline.probe_memory(subsystem="engine", round_index=rounds)
+    timeline.probe_memory(subsystem="engine", round_index=rounds)
     if trace is not None:
         trace.annotate(rounds=rounds)
     if metering:

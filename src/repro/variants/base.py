@@ -8,13 +8,14 @@ dissemination variants (:mod:`repro.variants.lazy_pull`,
 1. crash the processes scheduled for this round,
 2. **fan out**: every live process with something to say emits its
    envelopes for the round,
-3. **exchange**: the lossy network (or the fault injector wrapping it)
-   drops each envelope independently, survivors are received.
+3. **exchange**: the link — the lossy network, or the fault plan
+   wrapping it — drops each envelope independently, survivors are
+   received.
 
 What differs between algorithms is *only* who sends to whom and what a
 reception does — the :class:`DisseminationVariant` interface.  The
 driver below (:func:`run_variant`) owns everything else: the round
-loop, crash application, the network/injector hand-off, distance
+loop, crash application, the hand-off to the link, distance
 accounting, the ``repro.obs.trace/v1`` disposition records, timeline
 spans and the infection curve.  The engine's historical behavior is a
 *contract*, not a casualty, of this extraction: running the pmcast
@@ -40,8 +41,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, distance
 from repro.config import SimConfig
-from repro.obs.sampling import SampledTrace, TraceSampler
-from repro.obs.timeline import NULL_SPAN, TimelineRecorder
+from repro.obs.sampling import TraceSampler, emitter
+from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
@@ -54,7 +55,6 @@ __all__ = [
     "VariantMessage",
     "close_trace",
     "crash_step",
-    "open_trace",
     "run_variant",
 ]
 
@@ -201,11 +201,13 @@ class DisseminationVariant(ABC):
         rounds: int,
         infection_curve: Tuple[int, ...],
         messages_by_distance: Tuple[int, ...],
-        network: LossyNetwork,
+        link: LossyNetwork,
         crash_schedule: CrashSchedule,
-        injector: Optional[Any],
     ) -> DisseminationReport:
-        """Assemble the run's :class:`DisseminationReport`."""
+        """Assemble the run's :class:`DisseminationReport`.
+
+        ``link`` is the run's network, or the fault plan wrapping it.
+        """
 
     def emit_dispositions(
         self,
@@ -219,8 +221,8 @@ class DisseminationVariant(ABC):
 
         The default is the engine's convention: ``send`` when the
         network delivered the envelope, ``loss`` when it dropped it,
-        nothing when the fault injector diverted it (the injector
-        emitted its own ``fault_*`` record).  Variants with control
+        nothing when the link diverted it (a fault plan emitted its
+        own ``fault_*`` record).  Variants with control
         traffic override this to emit the :data:`CONTROL_KINDS`.
         """
         for envelope in envelopes:
@@ -237,159 +239,111 @@ class DisseminationVariant(ABC):
             )
 
 
-def open_trace(
-    variant: DisseminationVariant,
-    trace: Optional[TraceLog],
-    sampler: Optional[TraceSampler],
-    injector: Optional[Any],
-) -> Optional[Emit]:
-    """Stamp the run metadata on ``trace``; returns its emit callback.
-
-    ``None`` when the run is untraced.  With a ``sampler`` the callback
-    filters records by hash (fault records bypass it: the injector
-    writes to the log directly).
-    """
-    if trace is None:
-        return None
-    emit = (
-        trace.record
-        if sampler is None
-        else SampledTrace(trace, sampler).record
-    )
-    trace.annotate(**variant.trace_meta())
-    if injector is not None:
-        trace.annotate(fault_plan=injector.plan.to_dict())
-    return emit
-
-
 def crash_step(
     variant: DisseminationVariant,
     crash_schedule: CrashSchedule,
-    injector: Optional[Any],
+    link: LossyNetwork,
     round_index: int,
     emit: Optional[Emit],
 ) -> None:
-    """Crash this round's victims: the τ-model schedule's, then the
-    fault plan's (advancing the injector to ``round_index`` first)."""
+    """Open ``round_index`` on the link and crash the round's victims:
+    the τ-model schedule's, then whoever the link scripted."""
     victims = crash_schedule.crashes_at(round_index)
-    if injector is not None:
-        injector.begin_round(round_index)
-        scheduled = set(victims)
-        victims = victims + [
-            victim
-            for victim in injector.crashes_at(round_index)
-            if victim not in scheduled
-        ]
+    victims = victims + [
+        victim
+        for victim in link.begin_round(round_index)
+        if victim not in victims
+    ]
     for victim in victims:
         if variant.crash(victim) and emit is not None:
             emit(round_index + 1, "crash", victim)
 
 
 def close_trace(
-    trace: Optional[TraceLog], injector: Optional[Any], rounds: int
+    trace: Optional[TraceLog], link: LossyNetwork, rounds: int
 ) -> None:
-    """Stamp the final round count (and fault tallies) on ``trace``."""
+    """Stamp the final round count (and the link's tallies) on ``trace``."""
     if trace is not None:
-        trace.annotate(rounds=rounds)
-        if injector is not None:
-            trace.annotate(fault_stats=injector.stats())
+        trace.annotate(rounds=rounds, **link.trace_meta())
 
 
 def run_variant(
     variant: DisseminationVariant,
     sim_config: SimConfig,
-    network: LossyNetwork,
+    link: LossyNetwork,
     crash_schedule: CrashSchedule,
     trace: Optional[TraceLog] = None,
     sampler: Optional[TraceSampler] = None,
-    injector: Optional[Any] = None,
     timeline: Optional[TimelineRecorder] = None,
 ) -> DisseminationReport:
     """Drive one dissemination strategy through the shared round loop.
 
     The round skeleton — crash step, ``fan_out`` span, ``exchange``
-    span (network or injector), infection curve, trace dispositions —
-    is the engine's, verbatim; the strategy hooks plug into it.  The
-    caller prepares the RNG-bearing collaborators (network, crash
-    schedule, injector) so each variant keeps its own stream labels.
+    span, infection curve, trace dispositions — is the engine's,
+    verbatim; the strategy hooks plug into it.  The caller prepares the
+    RNG-bearing collaborators (link, crash schedule) so each variant
+    keeps its own stream labels.
 
     Args:
         variant: the single-use strategy instance.
         sim_config: supplies ``max_rounds`` (the safety cap).
-        network: the ε-loss network (its RNG stream belongs to the
+        link: the ε-loss network, or the fault plan's link wrapping
+            it (:mod:`repro.faults`; its RNG streams belong to the
             caller's labeling scheme).
+            Per round the driver calls ``begin_round`` then
+            ``transmit``.
         crash_schedule: the τ-model crash plan.
         trace: optional ``repro.obs.trace/v1`` log.
-        sampler: optional trace sampler (fault records are never
-            sampled; they are emitted by the injector directly).
-        injector: optional :class:`repro.faults.injector.FaultInjector`
-            already wired with its emit callback.
+        sampler: optional trace sampler (``fault_*`` records are kept
+            at any rate: :func:`repro.obs.sampling.is_exact`).
         timeline: optional wall-clock recorder receiving per-round
             ``fan_out``/``exchange`` spans under ``variant.subsystem``.
 
     Returns:
         the variant's :class:`~repro.sim.metrics.DisseminationReport`.
     """
-    emit = open_trace(variant, trace, sampler, injector)
+    if timeline is None:
+        timeline = NULL_TIMELINE
+    emit = emitter(trace, sampler)
+    if trace is not None:
+        trace.annotate(**variant.trace_meta())
     variant.begin(emit)
 
     infection_curve: List[int] = []
     messages_by_distance = [0] * variant.depth
     rounds = 0
     for round_index in range(sim_config.max_rounds):
-        crash_step(variant, crash_schedule, injector, round_index, emit)
-        if not variant.is_active() and (
-            injector is None or not injector.has_pending
-        ):
+        crash_step(variant, crash_schedule, link, round_index, emit)
+        if not variant.is_active() and not link.has_pending:
             break
         rounds = round_index + 1
 
-        with (
-            timeline.span("fan_out", variant.subsystem, rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
+        with timeline.span("fan_out", variant.subsystem, rounds):
             envelopes = variant.fan_out(rounds)
             for envelope in envelopes:
                 hops = distance(envelope.message.sender, envelope.destination)
                 messages_by_distance[max(hops, 1) - 1] += 1
 
-        with (
-            timeline.span("exchange", variant.subsystem, rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
-            if injector is None:
-                delivered_envelopes = network.transmit(envelopes)
-            else:
-                delivered_envelopes = injector.transmit(
-                    round_index, envelopes, network
-                )
+        with timeline.span("exchange", variant.subsystem, rounds):
+            delivered_envelopes = link.transmit(envelopes)
             if emit is not None:
                 arrived = frozenset(
                     id(envelope) for envelope in delivered_envelopes
                 )
-                diverted = (
-                    injector.last_diverted
-                    if injector is not None
-                    else frozenset()
-                )
                 variant.emit_dispositions(
-                    envelopes, arrived, diverted, emit, rounds
+                    envelopes, arrived, link.last_diverted, emit, rounds
                 )
             for envelope in delivered_envelopes:
                 variant.receive(envelope, emit, rounds)
 
         infection_curve.append(variant.infected_count())
 
-    if timeline is not None:
-        timeline.probe_memory(subsystem=variant.subsystem, round_index=rounds)
-    close_trace(trace, injector, rounds)
+    timeline.probe_memory(subsystem=variant.subsystem, round_index=rounds)
+    close_trace(trace, link, rounds)
     return variant.finalize(
         rounds,
         tuple(infection_curve),
         tuple(messages_by_distance),
-        network,
+        link,
         crash_schedule,
-        injector,
     )

@@ -283,9 +283,8 @@ class FlatPushVariant(DisseminationVariant):
         rounds: int,
         infection_curve: Tuple[int, ...],
         messages_by_distance: Tuple[int, ...],
-        network: LossyNetwork,
+        link: LossyNetwork,
         crash_schedule: CrashSchedule,
-        injector: Optional[Any],
     ) -> DisseminationReport:
         uninterested = [
             address
@@ -303,15 +302,10 @@ class FlatPushVariant(DisseminationVariant):
                 1 for address in uninterested if address in self.infected
             ),
             received_total=len(self.infected),
-            crashed=crash_schedule.victim_count
-            + (
-                0
-                if injector is None
-                else injector.stats()["targeted_crashes"]
-            ),
+            crashed=crash_schedule.victim_count + link.scripted_crashes,
             rounds=rounds,
             messages_sent=self.messages_sent,
-            messages_lost=network.messages_lost + self.extra_lost,
+            messages_lost=link.messages_lost + self.extra_lost,
             duplicate_receptions=self.duplicate_receptions,
             control_messages=self.control_messages,
             infection_curve=infection_curve,
@@ -342,7 +336,7 @@ def run_flat_style(
     from repro.variants.base import run_variant
 
     event_id = variant.event.event_id
-    network = LossyNetwork(
+    link = LossyNetwork(
         sim_config.loss_probability,
         derive_rng(sim_config.seed, "flat-network", event_id),
     )
@@ -353,25 +347,24 @@ def run_flat_style(
             horizon=max(variant.bound, 1),
             rng=derive_rng(sim_config.seed, "flat-crash", event_id),
         )
-    injector = None
     if faults is not None:
         from repro.faults.injector import FaultInjector
         from repro.membership.tree import MembershipTree
+        from repro.obs.sampling import emitter
 
-        injector = FaultInjector(
+        link = FaultInjector(
             faults,
             MembershipTree.build(variant.members, redundancy=1),
             derive_rng(sim_config.seed, "flat-faults", event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
+            link,
+            emitter(trace, sampler),
         )
     return run_variant(
         variant,
         sim_config,
-        network,
+        link,
         crash_schedule,
         trace=trace,
         sampler=sampler,
-        injector=injector,
         timeline=timeline,
     )

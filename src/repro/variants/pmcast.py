@@ -23,7 +23,7 @@ from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.obs.trace import TraceLog, dissemination_meta
+from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
@@ -40,29 +40,28 @@ def prepare_pmcast_run(
     event: Event,
     sim_config: SimConfig,
     crash_schedule: Optional[CrashSchedule],
-    network: Optional[LossyNetwork],
-    trace: Optional[TraceLog],
+    emit: Optional[Emit],
     faults: Optional[FaultPlan],
-) -> Tuple[LossyNetwork, CrashSchedule, Optional[FaultInjector], GossipContext]:
-    """The seeded ``(network, crash_schedule, injector, ctx)`` of a run.
+) -> Tuple[LossyNetwork, CrashSchedule, GossipContext]:
+    """The seeded ``(link, crash_schedule, ctx)`` of a run.
 
     One RNG stream per concern, labelled ``gossip`` / ``network`` /
     ``crash`` / ``faults`` and keyed by the event id, so a fault plan
-    or an explicit ``crash_schedule``/``network`` leaves the other
-    streams' draws untouched.  The round engine and the event-driven
-    runtime both start here, which is what lets the zero-jitter event
-    run be bit-identical to the round run.  A missing schedule is
-    sampled at ``sim_config.crash_fraction`` over ``max_rounds``, a
-    missing network is ε-lossy at ``sim_config.loss_probability``, and
-    the injector writes its ``fault_*`` records straight into ``trace``.
+    or an explicit ``crash_schedule`` leaves the other streams' draws
+    untouched.  The round engine and the event-driven runtime both
+    start here, which is what lets the zero-jitter event run be
+    bit-identical to the round run.  A missing schedule is sampled at
+    ``sim_config.crash_fraction`` over ``max_rounds``; the link is the
+    ε-lossy network at ``sim_config.loss_probability``, wrapped — here,
+    once — by the injector replaying ``faults`` when a plan is given,
+    which writes its ``fault_*`` records through the run's ``emit``.
     """
     seed, event_id = sim_config.seed, event.event_id
     gossip_rng = derive_rng(seed, "gossip", event_id)
-    if network is None:
-        network = LossyNetwork(
-            sim_config.loss_probability,
-            derive_rng(seed, "network", event_id),
-        )
+    link = LossyNetwork(
+        sim_config.loss_probability,
+        derive_rng(seed, "network", event_id),
+    )
     if crash_schedule is None:
         crash_schedule = CrashSchedule.sample(
             group.addresses(),
@@ -70,19 +69,18 @@ def prepare_pmcast_run(
             horizon=sim_config.max_rounds,
             rng=derive_rng(seed, "crash", event_id),
         )
-    injector: Optional[FaultInjector] = None
     if faults is not None:
-        injector = FaultInjector(
+        link = FaultInjector(
             faults,
             group.tree,
             derive_rng(seed, "faults", event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
+            link,
+            emit,
         )
     ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
     if not group.node(publisher).alive:
         raise SimulationError(f"publisher {publisher} has crashed")
-    return network, crash_schedule, injector, ctx
+    return link, crash_schedule, ctx
 
 
 class PmcastVariant(DisseminationVariant):
@@ -227,9 +225,8 @@ class PmcastVariant(DisseminationVariant):
         rounds: int,
         infection_curve: Tuple[int, ...],
         messages_by_distance: Tuple[int, ...],
-        network: LossyNetwork,
+        link: LossyNetwork,
         crash_schedule: CrashSchedule,
-        injector: Optional[Any],
     ) -> DisseminationReport:
         return assemble_pmcast_report(
             self.group,
@@ -240,9 +237,8 @@ class PmcastVariant(DisseminationVariant):
             rounds,
             infection_curve,
             messages_by_distance,
-            network.messages_lost,
-            crash_schedule.victim_count
-            + (0 if injector is None else injector.stats()["targeted_crashes"]),
+            link.messages_lost,
+            crash_schedule.victim_count + link.scripted_crashes,
             sent_before=self.sent_before,
             receptions_before=self.receptions_before,
         )

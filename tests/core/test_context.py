@@ -39,14 +39,6 @@ class TestGossipContext:
         assert match.inflated
         assert len(match.matching) == 4
 
-    def test_invalidate_clears_cache(self):
-        context = GossipContext(random.Random(0))
-        table = make_table()
-        event = Event({})
-        first = context.table_match(table, event)
-        context.invalidate()
-        assert context.table_match(table, event) is not first
-
 
 class TestKeyedCache:
     def test_mutation_invalidates_without_global_invalidate(self):
@@ -87,7 +79,6 @@ class TestKeyedCache:
         event = Event({})
         context.table_match(table, event)
         misses = context.cache_stats.verdict_misses
-        context.invalidate()
         # A structurally identical table (fresh object, fresh token)
         # reuses every interest verdict.
         rebuilt = make_table()
@@ -123,15 +114,6 @@ class TestKeyedCache:
         snapshot = stats.as_dict()
         assert snapshot["table_hits"] == 1
         assert snapshot["invalidations"] == 0
-
-    def test_forget_event_releases_entries(self):
-        context = GossipContext(random.Random(0))
-        table = make_table()
-        event = Event({})
-        context.table_match(table, event)
-        context.forget_event(event.event_id)
-        context.table_match(table, event)
-        assert context.cache_stats.table_misses == 2
 
     def test_round_bound_memo_per_table_state(self):
         context = GossipContext(random.Random(0))

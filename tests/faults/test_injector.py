@@ -37,8 +37,21 @@ def envelope(sender, destination, event_id=7):
     )
 
 
-def network():
-    return LossyNetwork(0.0, derive_rng(1, "net"))
+def make_link(plan, tree, rng=None, emit=None):
+    """The plan's link over a loss-free network."""
+    return FaultInjector(
+        plan,
+        tree,
+        rng if rng is not None else derive_rng(3, "faults"),
+        LossyNetwork(0.0, derive_rng(1, "net")),
+        emit,
+    )
+
+
+def transmit(link, round_index, envelopes):
+    """What a driver does each round; returns (victims, arrivals)."""
+    victims = link.begin_round(round_index)
+    return victims, link.transmit(envelopes)
 
 
 class TestTransmit:
@@ -46,10 +59,8 @@ class TestTransmit:
         tree, addrs = make_tree()
         rng = derive_rng(3, "faults")
         before = rng.getstate()
-        injector = FaultInjector(FaultPlan(), tree, rng)
-        out = injector.transmit(
-            0, [envelope(addrs[0], addrs[5])], network()
-        )
+        injector = make_link(FaultPlan(), tree, rng)
+        __, out = transmit(injector, 0, [envelope(addrs[0], addrs[5])])
         assert len(out) == 1
         assert rng.getstate() == before
 
@@ -58,36 +69,38 @@ class TestTransmit:
         plan = FaultPlan().with_partition(1, 3, "0", "1")
         rng = derive_rng(3, "faults")
         before = rng.getstate()
-        injector = FaultInjector(plan, tree, rng)
+        injector = make_link(plan, tree, rng)
         cross = envelope(addrs[0], addrs[4])      # 0.x -> 1.x
+        back = envelope(addrs[4], addrs[0])       # 1.x -> 0.x
         outside = envelope(addrs[0], addrs[8])    # 0.x -> 2.x
-        assert len(injector.transmit(0, [cross], network())) == 1
-        assert injector.transmit(1, [cross], network()) == []
-        assert len(injector.transmit(1, [outside], network())) == 1
-        assert len(injector.transmit(3, [cross], network())) == 1
+        assert transmit(injector, 0, [cross])[1] == [cross]
+        assert transmit(injector, 1, [cross, outside]) == ([], [outside])
+        assert transmit(injector, 2, [back])[1] == []
+        assert transmit(injector, 3, [cross, back])[1] == [cross, back]
         # Deterministic clauses never touch the stream.
         assert rng.getstate() == before
-        assert injector.stats()["partition_drops"] == 1
+        assert injector.stats()["partition_drops"] == 2
+        # The tallies a report reads are the network's underneath.
+        assert injector.messages_sent == 4
+        assert injector.messages_lost == 0
 
     def test_full_burst_drops_without_randomness(self):
         tree, addrs = make_tree()
         plan = FaultPlan().with_loss_burst(0, 2, 1.0)
         rng = derive_rng(3, "faults")
         before = rng.getstate()
-        injector = FaultInjector(plan, tree, rng)
-        assert injector.transmit(
-            0, [envelope(addrs[0], addrs[5])], network()
-        ) == []
+        injector = make_link(plan, tree, rng)
+        assert transmit(injector, 0, [envelope(addrs[0], addrs[5])])[1] == []
         assert rng.getstate() == before
 
     def test_partial_burst_draws_once_per_in_scope_envelope(self):
         tree, addrs = make_tree()
         plan = FaultPlan().with_loss_burst(0, 2, 0.5, dest_prefix="1")
         rng = derive_rng(3, "faults")
-        injector = FaultInjector(plan, tree, rng)
+        injector = make_link(plan, tree, rng)
         in_scope = envelope(addrs[0], addrs[4])
         out_of_scope = envelope(addrs[0], addrs[8])
-        injector.transmit(0, [in_scope, out_of_scope], network())
+        transmit(injector, 0, [in_scope, out_of_scope])
         shadow = derive_rng(3, "faults")
         shadow.random()  # exactly one draw: the in-scope envelope
         assert rng.getstate() == shadow.getstate()
@@ -95,13 +108,12 @@ class TestTransmit:
     def test_delay_holds_and_releases(self):
         tree, addrs = make_tree()
         plan = FaultPlan().with_delay(0, 1, 2)
-        injector = FaultInjector(plan, tree, derive_rng(3, "faults"))
+        injector = make_link(plan, tree)
         held = envelope(addrs[0], addrs[5])
-        assert injector.transmit(0, [held], network()) == []
+        assert transmit(injector, 0, [held])[1] == []
         assert injector.has_pending
-        assert injector.transmit(1, [], network()) == []
-        out = injector.transmit(2, [], network())
-        assert out == [held]
+        assert transmit(injector, 1, [])[1] == []
+        assert transmit(injector, 2, [])[1] == [held]
         assert not injector.has_pending
         stats = injector.stats()
         assert stats["delayed"] == 1 and stats["released"] == 1
@@ -109,10 +121,10 @@ class TestTransmit:
     def test_diverted_ids_reported(self):
         tree, addrs = make_tree()
         plan = FaultPlan().with_partition(0, 2, "0", "1")
-        injector = FaultInjector(plan, tree, derive_rng(3, "faults"))
+        injector = make_link(plan, tree)
         cross = envelope(addrs[0], addrs[4])
         kept = envelope(addrs[0], addrs[1])
-        injector.transmit(0, [cross, kept], network())
+        transmit(injector, 0, [cross, kept])
         assert injector.last_diverted == frozenset({id(cross)})
 
 
@@ -122,16 +134,16 @@ class TestCrashResolution:
         from repro.addressing import Prefix
 
         plan = FaultPlan().with_delegate_crash(3, "2", count=2)
-        injector = FaultInjector(plan, tree, derive_rng(3, "faults"))
-        assert injector.crashes_at(0) == []
-        victims = injector.crashes_at(3)
+        injector = make_link(plan, tree)
+        assert injector.begin_round(0) == []
+        victims = injector.begin_round(3)
         assert victims == list(tree.delegates(Prefix((2,)))[:2])
 
     def test_depth_crash_picks_depth_delegates(self):
         tree, addrs = make_tree(redundancy=2)
         plan = FaultPlan().with_depth_crash(1, 2, count=3)
-        injector = FaultInjector(plan, tree, derive_rng(3, "faults"))
-        victims = injector.crashes_at(1)
+        injector = make_link(plan, tree)
+        victims = injector.begin_round(1)
         assert len(victims) == 3
         assert all(tree.is_delegate(v, 2) for v in victims)
         assert victims == sorted(victims)
@@ -143,8 +155,33 @@ class TestCrashResolution:
             .with_crash(0, str(addrs[3]))
             .with_crash(0, "9.9")  # never a member
         )
-        injector = FaultInjector(plan, tree, derive_rng(3, "faults"))
-        assert injector.crashes_at(0) == [addrs[3]]
+        injector = make_link(plan, tree)
+        assert injector.begin_round(0) == [addrs[3]]
+
+    def test_a_process_is_scripted_once(self):
+        # The static tree keeps listing a dead process, so a second
+        # clause naming it — directly, or as the delegate it still is —
+        # must not crash, record or count it again.
+        from repro.addressing import Prefix
+
+        tree, addrs = make_tree(redundancy=2)
+        delegate = tree.delegates(Prefix((2,)))[0]
+        log = TraceLog()
+        plan = (
+            FaultPlan()
+            .with_crash(1, str(addrs[3]))
+            .with_crash(3, str(addrs[3]))
+            .with_delegate_crash(1, "2", count=1)
+            .with_delegate_crash(2, "2", count=1)
+            .with_crash(3, str(delegate))
+        )
+        injector = make_link(plan, tree, emit=log.record)
+        assert injector.begin_round(1) == sorted([addrs[3], delegate])
+        assert injector.begin_round(2) == []
+        assert injector.begin_round(3) == []
+        assert injector.scripted_crashes == 2
+        assert injector.stats()["targeted_crashes"] == 2
+        assert len(log.filter(kind="fault_crash")) == 2
 
 
 class TestTraceEmission:
@@ -158,23 +195,18 @@ class TestTraceEmission:
             .with_delay(0, 1, 1, dest_prefix="3")
             .with_crash(1, str(addrs[-1]))
         )
-        injector = FaultInjector(
-            plan, tree, derive_rng(3, "faults"), emit=log.record,
-            clock_offset=1,
-        )
-        injector.begin_round(0)
-        injector.transmit(
+        injector = make_link(plan, tree, emit=log.record)
+        transmit(
+            injector,
             0,
             [
                 envelope(addrs[0], addrs[4]),   # partition victim
                 envelope(addrs[0], addrs[8]),   # burst victim
                 envelope(addrs[0], addrs[12]),  # delayed
             ],
-            network(),
         )
-        injector.begin_round(1)
-        injector.crashes_at(1)
-        injector.transmit(1, [], network())
+        victims, __ = transmit(injector, 1, [])
+        assert victims == [addrs[-1]]
         injector.begin_round(2)  # partition heals at round 2
         counts = log.counts()
         assert counts["fault_partition"] == 1
@@ -185,7 +217,7 @@ class TestTraceEmission:
         assert counts["fault_crash"] == 1
         losses = {r.value for r in log.filter(kind="fault_loss")}
         assert losses == {FAULT_LOSS_BURST, FAULT_LOSS_PARTITION}
-        # clock_offset=1: schedule round 0 emits trace round 1.
+        # Schedule round 0 emits trace round 1, as every driver does.
         assert {r.round for r in log.filter(kind="fault_loss")} == {1}
 
 

@@ -34,7 +34,7 @@ class TestDesignDocConsistency:
         listed = re.findall(r"^\s{4}(\w+\.py)\s", text, re.MULTILINE)
         package_dirs = {
             "addressing", "interests", "membership", "core", "sim",
-            "analysis", "baselines", "bench", "obs",
+            "analysis", "baselines", "bench", "obs", "faults",
         }
         missing = []
         for name in listed:

@@ -3,14 +3,9 @@
 
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
+from repro.faults import FaultPlan
 from repro.interests import Event, StaticInterest
-from repro.sim import (
-    CrashSchedule,
-    LossyNetwork,
-    PmcastGroup,
-    derive_rng,
-    run_dissemination,
-)
+from repro.sim import CrashSchedule, PmcastGroup, run_dissemination
 
 
 def build_group(arity=4, depth=3, redundancy=3, fanout=3):
@@ -108,36 +103,27 @@ class TestSubgroupWipeout:
         assert not reached
 
 
+def cut_plan(start, end):
+    """Subtrees 0 and 1 cut off from subtrees 2 and 3 during rounds
+    ``[start, end)`` — one partition clause per pair of subtrees."""
+    plan = FaultPlan(name="cut")
+    for side_a in ("0", "1"):
+        for side_b in ("2", "3"):
+            plan = plan.with_partition(start, end, side_a, side_b)
+    return plan
+
+
 class TestPartitionHealing:
     def test_partition_heal_before_expiry_recovers(self):
         group, addresses = build_group()
-        side_b = {a for a in addresses if a.components[0] >= 2}
-        side_a = set(addresses) - side_b
-        network = LossyNetwork(0.0, derive_rng(65, "net"))
-        network.partition(side_a, side_b)
-
-        # Run manually: heal the partition after round 1, while the
-        # root gossip budget (~3 rounds at this size) is still live —
-        # cross-subtree traffic only flows at the root depth.
-        from repro.core import GossipContext
-        from repro.sim.rng import derive_rng as rng
-
-        ctx = GossipContext(rng(65, "gossip"))
-        publisher = addresses[0]
+        # Healed after round 1, while the root gossip budget (~3 rounds
+        # at this size) is still live — cross-subtree traffic only
+        # flows at the root depth.
         event = Event({}, event_id=605)
-        group.node(publisher).pmcast(event, ctx)
-        for round_index in range(64):
-            if round_index == 1:
-                network.heal()
-            envelopes = []
-            for node in group.nodes():
-                envelopes.extend(node.gossip_step(ctx))
-            for envelope in network.transmit(envelopes):
-                group.node(envelope.destination).receive(
-                    envelope.message, ctx
-                )
-            if all(node.is_idle for node in group.nodes()):
-                break
+        run_dissemination(
+            group, addresses[0], event, SimConfig(seed=65),
+            faults=cut_plan(0, 1),
+        )
         delivered = [
             a for a in addresses if group.node(a).has_delivered(event)
         ]
@@ -145,13 +131,11 @@ class TestPartitionHealing:
 
     def test_permanent_partition_contains_the_event(self):
         group, addresses = build_group()
-        side_b = {a for a in addresses if a.components[0] >= 2}
-        side_a = set(addresses) - side_b
-        network = LossyNetwork(0.0, derive_rng(66, "net"))
-        network.partition(side_a, side_b)
         event = Event({}, event_id=606)
         run_dissemination(
-            group, addresses[0], event, SimConfig(seed=66), network=network
+            group, addresses[0], event, SimConfig(seed=66),
+            faults=cut_plan(0, 64),
         )
-        for address in sorted(side_b):
-            assert not group.node(address).has_received(event)
+        for address in addresses:
+            if address.components[0] >= 2:
+                assert not group.node(address).has_received(event)

@@ -73,11 +73,15 @@ class TestSimTransport:
         assert transport.take(150) == [late]
 
     def test_transmit_runs_the_loss_model_in_send_order(self):
+        # The runtime's flush: the taken batch goes to the link, whose
+        # tallies the transport reports.
         network = LossyNetwork(0.0, derive_rng(1, "net"))
-        transport = SimTransport(VirtualClock(), LossyNetwork(0.0, derive_rng(1, "net")), 50)
+        transport = SimTransport(VirtualClock(), network, 50)
         batch = [make_envelope(dest=f"0.1.{i}") for i in range(3)]
-        assert transport.transmit(batch, 0) == batch
-        assert network.messages_lost == 0
+        for envelope in batch:
+            transport.send(envelope)
+        assert network.transmit(transport.take(50)) == batch
+        assert (transport.messages_sent, transport.messages_lost) == (3, 0)
 
     def test_ensure_flush_is_idempotent(self):
         clock = VirtualClock()

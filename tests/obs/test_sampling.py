@@ -13,16 +13,27 @@ import sys
 
 import pytest
 
+from repro.addressing import AddressSpace
+from repro.config import PmcastConfig, SimConfig
 from repro.errors import ObservabilityError
-from repro.obs import TraceLog
+from repro.faults import FaultPlan
+from repro.interests.events import Event
+from repro.obs import Observer, TraceLog
+from repro.obs.cli import summarize_trace
 from repro.obs.sampling import (
     SAMPLING_SCHEME,
     SampledTrace,
     TraceSampler,
+    is_exact,
     keep,
     keep_mask,
     rescale,
 )
+from repro.sim.engine import run_dissemination
+from repro.sim.group import PmcastGroup
+from repro.sim.rng import derive_rng
+from repro.sim.runtime import GroupRuntime
+from repro.sim.workload import bernoulli_interests
 
 
 class TestKeep:
@@ -142,3 +153,74 @@ class TestSampledTrace:
         facade.annotate(rounds=12, producer="test")
         assert log.meta["rounds"] == 12
         assert log.meta["producer"] == "test"
+
+
+class TestFaultRecordsAreExact:
+    """``fault_*`` records are outside sampling by one rule
+    (:func:`repro.obs.sampling.is_exact`), whoever emits them: the same
+    plan keeps every one on the runtime and on the engine at rate 0.1,
+    and ``summarize`` reports those kinds as counted."""
+
+    RATE = 0.1
+
+    def _setup(self):
+        addresses = AddressSpace.regular(5, 3).enumerate_regular(5)
+        members = bernoulli_interests(
+            addresses, 0.25, derive_rng(3, "interests")
+        )
+        config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
+        plan = (
+            FaultPlan(name="partition+burst")
+            .with_partition(1, 8, "0", "1")
+            .with_loss_burst(1, 6, 0.3)
+        )
+        event = Event({"k": 1}, event_id=1)
+        return addresses, members, config, SimConfig(seed=3), plan, event
+
+    @staticmethod
+    def _fault_records(trace):
+        return sum(
+            count
+            for kind, count in trace.counts().items()
+            if kind.startswith("fault_")
+        )
+
+    def test_rule_is_stated_once(self):
+        assert is_exact("fault_loss") and not is_exact("loss")
+        for process in ("0.1.2", "3.0.1"):
+            assert keep("fault_loss", process, 7, 1e-9)
+            assert TraceSampler(1e-9).keep("fault_delay", process, 7)
+        assert keep_mask("fault_crash", ["0.1", "0.2"], 7, 1e-9) == [
+            True, True,
+        ]
+
+    def test_runtime_keeps_every_fault_record(self):
+        addresses, members, config, sim, plan, event = self._setup()
+        kept = []
+        for sampler in (None, TraceSampler(self.RATE)):
+            trace = TraceLog()
+            runtime = GroupRuntime(
+                members, config=config, sim_config=sim,
+                observer=Observer(trace=trace, sampler=sampler),
+                fault_plan=plan,
+            )
+            runtime.publish(addresses[0], event)
+            runtime.run_until_idle(96)
+            kept.append((self._fault_records(trace), len(trace)))
+        assert kept[0][0] == kept[1][0] == 85
+        assert kept[1][1] < kept[0][1]  # everything else is sampled
+
+    def test_engine_keeps_every_fault_record_and_summarize_leaves_them(self):
+        addresses, members, config, sim, plan, event = self._setup()
+        trace = TraceLog()
+        run_dissemination(
+            PmcastGroup.build(members, config), addresses[0], event, sim,
+            trace=trace, faults=plan, sampler=TraceSampler(self.RATE),
+        )
+        assert self._fault_records(trace) == 77
+        counts = trace.counts()
+        estimated = summarize_trace(trace)["kind_counts_estimated"]
+        assert estimated["fault_loss"] == counts["fault_loss"] == 75
+        assert estimated["fault_partition"] == 1
+        # A sampled kind is still rescaled.
+        assert estimated["send"] == pytest.approx(counts["send"] / self.RATE)

@@ -16,6 +16,7 @@ from repro.interests.events import Event
 from repro.obs import Observer, TraceLog
 from repro.obs.timeline import (
     NULL_SPAN,
+    NULL_TIMELINE,
     TIMELINE_SCHEMA,
     TimelineRecorder,
     load_timeline,
@@ -90,6 +91,13 @@ class TestRecorder:
         for __ in range(3):
             with NULL_SPAN:
                 pass
+
+    def test_null_timeline_is_the_untimed_default(self):
+        assert Observer().timeline is NULL_TIMELINE
+        assert NULL_TIMELINE.span("fan_out", "engine", 3) is NULL_SPAN
+        assert NULL_TIMELINE.probe_memory(subsystem="engine") is None
+        recorder = TimelineRecorder()
+        assert Observer(timeline=recorder).timeline is recorder
 
 
 class TestOutOfBand:

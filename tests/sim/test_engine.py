@@ -5,10 +5,10 @@ import pytest
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
+from repro.faults import FaultPlan
 from repro.interests import Event
 from repro.sim import (
     CrashSchedule,
-    LossyNetwork,
     PmcastGroup,
     bernoulli_interests,
     derive_rng,
@@ -179,12 +179,14 @@ class TestLossAndCrashes:
     def test_partitioned_network_blocks_subtree(self):
         group, addresses = build_group(arity=3, rate=1.0)
         side_b = {a for a in addresses if a.components[0] == 2}
-        side_a = set(addresses) - side_b
-        network = LossyNetwork(0.0, derive_rng(1, "net"))
-        network.partition(side_a, side_b)
+        plan = (
+            FaultPlan(name="cut")
+            .with_partition(0, 64, "0", "2")
+            .with_partition(0, 64, "1", "2")
+        )
         event = Event({})
         report = run_dissemination(
-            group, addresses[0], event, SimConfig(seed=4), network=network
+            group, addresses[0], event, SimConfig(seed=4), faults=plan
         )
         for address in sorted(side_b):
             assert not group.node(address).has_received(event)

@@ -89,3 +89,28 @@ class TestGoldenFaultEpisode:
         bare_lines = bare_path.read_bytes().splitlines()[1:]
         empty_lines = empty_path.read_bytes().splitlines()[1:]
         assert bare_lines == empty_lines
+
+
+class TestScriptedCrashCountedOnce:
+    def test_a_victim_named_twice_crashes_and_counts_once(self):
+        # The static tree never drops a dead process, so a second clause
+        # naming it must not add to the report, the trace or the stats.
+        space = AddressSpace.regular(4, 3)
+        addresses = space.enumerate_regular(4)
+        members = bernoulli_interests(
+            addresses, 0.8, derive_rng(3, "golden-faults-int")
+        )
+        group = PmcastGroup.build(
+            members, PmcastConfig(fanout=3, redundancy=2)
+        )
+        victim = addresses[9]
+        plan = FaultPlan().with_crash(1, victim).with_crash(3, victim)
+        trace = TraceLog()
+        report = run_dissemination(
+            group, addresses[0], Event({"golden": "twice"}, event_id=78),
+            SimConfig(seed=3), trace=trace, faults=plan,
+        )
+        counts = trace.counts()
+        assert counts["crash"] == counts["fault_crash"] == 1
+        assert report.crashed == 1
+        assert trace.meta["fault_stats"]["targeted_crashes"] == 1

@@ -54,33 +54,3 @@ class TestLoss:
         assert [e.message.event.event_id for e in a] == [
             e.message.event.event_id for e in b
         ]
-
-
-class TestPartitions:
-    def test_partition_blocks_both_directions(self):
-        network = LossyNetwork(0.0, random.Random(0))
-        side_a = {Address((0, 0)), Address((0, 1))}
-        side_b = {Address((1, 0))}
-        network.partition(side_a, side_b)
-        crossing = [envelope((0, 0), (1, 0)), envelope((1, 0), (0, 1))]
-        internal = [envelope((0, 0), (0, 1))]
-        assert network.transmit(crossing) == []
-        assert network.transmit(internal) == internal
-
-    def test_heal_restores_traffic(self):
-        network = LossyNetwork(0.0, random.Random(0))
-        network.partition({Address((0, 0))}, {Address((1, 0))})
-        network.heal()
-        crossing = [envelope((0, 0), (1, 0))]
-        assert network.transmit(crossing) == crossing
-
-    def test_overlapping_partition_rejected(self):
-        network = LossyNetwork(0.0, random.Random(0))
-        with pytest.raises(SimulationError):
-            network.partition({Address((0, 0))}, {Address((0, 0))})
-
-    def test_custom_block_rule(self):
-        network = LossyNetwork(0.0, random.Random(0))
-        network.block(lambda s, d: d == Address((9, 9)))
-        assert network.transmit([envelope((0, 0), (9, 9))]) == []
-        assert network.messages_lost == 1

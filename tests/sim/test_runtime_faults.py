@@ -10,7 +10,7 @@ from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults.plan import FaultPlan
 from repro.interests import Event
-from repro.obs import MetricsRegistry, Observer
+from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests
@@ -80,3 +80,30 @@ class TestRuntimeUnderFaults:
         injected = empty["snapshot"].pop("faults")
         assert set(injected.values()) == {0}
         assert empty["snapshot"] == bare["snapshot"]
+
+    def test_a_victim_named_twice_is_scripted_once(self):
+        # Same delegate picked by two clauses (and named by a third):
+        # one crash, one fault_crash record, one count.
+        plan = (
+            FaultPlan()
+            .with_delegate_crash(1, "2", count=1)
+            .with_delegate_crash(3, "2", count=1)
+            .with_crash(4, ADDRESSES[60])
+            .with_crash(5, ADDRESSES[60])
+        )
+        members = bernoulli_interests(
+            ADDRESSES, 0.25, derive_rng(SEED, "interests")
+        )
+        trace = TraceLog()
+        runtime = GroupRuntime(
+            members,
+            config=CONFIG,
+            sim_config=SimConfig(seed=SEED),
+            observer=Observer(trace=trace),
+            fault_plan=plan,
+        )
+        runtime.publish(ADDRESSES[0], Event({"k": 1}, event_id=1))
+        runtime.run(8)
+        counts = trace.counts()
+        assert counts["crash"] == counts["fault_crash"] == 2
+        assert runtime.fault_stats["targeted_crashes"] == 2

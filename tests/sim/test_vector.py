@@ -10,8 +10,8 @@ Two kernels live in :mod:`repro.sim.vector`:
   same per-node outcome.  The suite sweeps the protocol switch matrix
   (loss, crashes, §5.3 tuning, §6 leaf flood, §3.2 shortcut), then
   draws the whole configuration space with Hypothesis; an ineligible
-  run (fault plan, link rules, a node mid-event) must take the
-  reference loop without a warning, counted once by reason.
+  run (fault plan, a node mid-event) must take the reference loop
+  without a warning, counted once by reason.
 * the **regular-tree kernel** (``RegularTreeSpec``/``run_shard_wave``)
   has its own per-``(shard, round)`` seed contract; its transition
   invariants are property-tested here (the statistical validation
@@ -51,7 +51,6 @@ from repro.sim import (
     run_shard_wave,
 )
 from repro.sim import vector
-from repro.sim.network import LossyNetwork
 from repro.sim.vector import sample_positions
 
 
@@ -184,30 +183,15 @@ class TestCompatBitIdentity:
             )
         assert default == scalar
 
-    def test_link_rules_fall_back(self):
+    def test_partition_plan_falls_back(self):
+        # A deterministic cut (no fault draw at all) over a loss-free
+        # network: still the reference loop's, still equal.
         config = PmcastConfig(fanout=2, redundancy=2)
-        outcomes = []
+        plan = FaultPlan(name="cut").with_partition(0, 64, "0.0", "0.1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for flag in ({"vectorized": False}, {}):
-                group, addresses = _build_group(config)
-                event = Event({"golden": 1}, event_id=42)
-                network = LossyNetwork(0.0, derive_rng(11, "network", 42))
-                network.block(
-                    lambda sender, dest: (sender, dest)
-                    == (addresses[1], addresses[2])
-                )
-                report = run_dissemination(
-                    group,
-                    addresses[0],
-                    event,
-                    SimConfig(seed=11, **flag),
-                    network=network,
-                )
-                outcomes.append(
-                    (report, _node_state(group, addresses, event))
-                )
-        assert outcomes[0] == outcomes[1]
+            scalar, default = _run_pair(config, {}, faults=plan)
+        assert default == scalar
 
     def test_hash_seed_independent(self):
         digests = []
@@ -251,17 +235,13 @@ class TestFallbackObservability:
     """An ineligible run is ordinary dispatch: no warning, the reason
     counter incremented once, the outcome equal to ``vectorized=False``."""
 
-    def _run(self, faults=None, rules=False, group=None, **sim_kwargs):
+    def _run(self, faults=None, group=None, **sim_kwargs):
         """One run under ``simplefilter("error")`` -> (registry, outcome)."""
         registry = MetricsRegistry()
         if group is None:
             group, __ = _build_group(PmcastConfig(fanout=2, redundancy=2))
         addresses = group.addresses()
         event = Event({"golden": 1}, event_id=42)
-        network = None
-        if rules:
-            network = LossyNetwork(0.0, derive_rng(11, "network", 42))
-            network.block(lambda sender, dest: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_dissemination(
@@ -270,7 +250,6 @@ class TestFallbackObservability:
                 event,
                 SimConfig(seed=11, **sim_kwargs),
                 faults=faults,
-                network=network,
                 observer=Observer(registry=registry),
             )
         return registry, (report, _node_state(group, addresses, event))
@@ -278,7 +257,7 @@ class TestFallbackObservability:
     def _fallbacks(self, registry):
         return {
             reason: registry.counter("sim", f"vector_fallback{reason}").value
-            for reason in ("", "_faults", "_link_rules", "_ineligible")
+            for reason in ("", "_faults", "_ineligible")
         }
 
     def test_eligible_run_is_silent_and_uncounted(self):
@@ -296,16 +275,9 @@ class TestFallbackObservability:
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
         registry, outcome = self._run(faults=plan)
         assert self._fallbacks(registry) == {
-            "": 1, "_faults": 1, "_link_rules": 0, "_ineligible": 0,
+            "": 1, "_faults": 1, "_ineligible": 0,
         }
         assert outcome == self._run(faults=plan, vectorized=False)[1]
-
-    def test_link_rule_fallback_counted_by_reason(self):
-        registry, outcome = self._run(rules=True)
-        assert self._fallbacks(registry) == {
-            "": 1, "_faults": 0, "_link_rules": 1, "_ineligible": 0,
-        }
-        assert outcome == self._run(rules=True, vectorized=False)[1]
 
     def _mid_event_group(self):
         """A group whose first event was cut off by the round cap, so
@@ -332,7 +304,7 @@ class TestFallbackObservability:
         )
         registry, outcome = self._run(group=self._mid_event_group())
         assert self._fallbacks(registry) == {
-            "": 1, "_faults": 0, "_link_rules": 0, "_ineligible": 1,
+            "": 1, "_faults": 0, "_ineligible": 1,
         }
         assert outcome == reference[1]
 
