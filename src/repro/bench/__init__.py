@@ -1,8 +1,9 @@
-"""Figure-regeneration harnesses and their CLI.
+"""Every table this repository publishes, and the one CLI that runs them.
 
 ``python -m repro.bench --figure 4`` (etc.) regenerates the paper's
-evaluation figures; the :mod:`repro.bench.figures` functions are also
-what the pytest benchmarks call at reduced scale.
+evaluation figures and ``--experiment NAME`` every other table of
+EXPERIMENTS.md; both read :data:`repro.bench.cli.REGISTRY`, and
+``tests/bench`` calls the same functions at reduced scale.
 """
 
 from repro.bench.figures import (

@@ -1,4 +1,4 @@
-"""Command-line figure regeneration: ``python -m repro.bench``.
+"""One runner for every figure and table: ``python -m repro.bench``.
 
 Examples::
 
@@ -7,6 +7,7 @@ Examples::
     python -m repro.bench --all --jobs auto
     python -m repro.bench --all --arity 10 --trials 2   # quick pass
     python -m repro.bench --experiment variants         # (ε, τ) table
+    python -m repro.bench --experiment ablations --jobs 2
 
 ``--arity``/``--trials`` shrink the experiment for quick sanity runs;
 defaults regenerate the paper-scale figures (n ≈ 10 000 — expect a few
@@ -21,33 +22,102 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence
 
 from repro.bench import extras, figures
+from repro.bench.series import FigureResult
 from repro.errors import ReproError
 from repro.par import TrialExecutor
 
-__all__ = ["main"]
+__all__ = ["REGISTRY", "FIGURES", "EXPERIMENTS", "main"]
 
-
-_EXPERIMENTS = {
-    "locality": extras.locality_experiment,
-    "baselines": extras.baselines_experiment,
-    "variants": extras.variants_experiment,
+#: CLI flag -> (the runner parameter it feeds, type, help).  ``--jobs``
+#: is not here: it sizes the invocation's one executor, which every
+#: entry that lists ``jobs`` is handed.
+_PARAMETERS = {
+    "arity": ("arity", int, "override the subgroup arity a (default: the "
+              "table's own; paper scale for figures)"),
+    "trials": ("trials", int, "override the number of trials per point"),
+    "seed": ("seed", int, "master seed (default: the table's own)"),
+    "loss": ("loss_probability", float,
+             "message loss probability epsilon (default 0)"),
+    "crash": ("crash_fraction", float, "crash fraction tau (default 0)"),
+    "threshold": ("threshold_h", int,
+                  "tuning threshold h for figure 7 (default 12)"),
+    "checkpoint": ("checkpoint", str, "PREFIX of the JSONL shard files of "
+                   "resumable sweeps: an interrupted run re-invoked with "
+                   "the same arguments skips completed trials and produces "
+                   "identical tables"),
 }
+
+
+class _Table(NamedTuple):
+    """One registry entry: a runner whose result ``render()``s, and the
+    flags it accepts."""
+
+    run: Callable[..., object]
+    accepts: FrozenSet[str]
+
+
+def _figure6(arity: Optional[int] = None, **sweep: object) -> FigureResult:
+    """``--arity`` pins Figure 6's x axis to that one subgroup size."""
+    if arity is not None:
+        sweep["arities"] = (arity,)
+    return figures.figure6(**sweep)
+
+
+_SWEEP = frozenset(
+    {"arity", "trials", "seed", "loss", "crash", "checkpoint", "jobs"}
+)
+_SEEDED = frozenset({"arity", "seed"})
+_GRID = _SEEDED | {"jobs"}
+
+#: Every table this repository publishes, in ``--all`` / execution
+#: order.  Adding one is one entry here: the ``--figure`` and
+#: ``--experiment`` choices, the flag check and the dispatch all derive
+#: from it; ``tests/bench/test_golden_digests.py`` then wants its digest
+#: and ``tests/integration/test_docs.py`` its command in EXPERIMENTS.md.
+REGISTRY: Dict[str, _Table] = {
+    "figure4": _Table(figures.figure4, _SWEEP),
+    "figure5": _Table(figures.figure5, _SWEEP),
+    "figure6": _Table(_figure6, _SWEEP),
+    "figure7": _Table(figures.figure7, _SWEEP | {"threshold"}),
+    "locality": _Table(extras.locality_experiment, _SEEDED),
+    "baselines": _Table(extras.baselines_experiment, _SEEDED),
+    "variants": _Table(extras.variants_experiment, _SEEDED),
+    "rounds_model": _Table(extras.rounds_model, frozenset()),
+    "markov_chain": _Table(extras.markov_chain, frozenset()),
+    "view_sizes": _Table(extras.view_sizes, frozenset()),
+    "throughput": _Table(extras.throughput, _SEEDED),
+    "latency": _Table(extras.latency, _SEEDED),
+    "churn": _Table(extras.churn, _GRID),
+    "fault_sensitivity": _Table(extras.fault_sensitivity, _GRID),
+    "membership_convergence": _Table(
+        extras.membership_convergence, frozenset({"seed", "jobs"})
+    ),
+    "ablations": _Table(extras.ablations, _GRID),
+}
+
+#: The two flags' choices: ``--figure N`` selects ``figureN``,
+#: ``--experiment NAME`` every other key.
+FIGURES = [name for name in REGISTRY if name.startswith("figure")]
+EXPERIMENTS = [name for name in REGISTRY if name not in FIGURES]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the figures of 'Probabilistic Multicast' "
-        "(Eugster & Guerraoui, DSN 2002).",
+        description="Regenerate the figures and tables of 'Probabilistic "
+        "Multicast' (Eugster & Guerraoui, DSN 2002).  A flag a selected "
+        "table does not take is an error, never ignored.",
     )
     parser.add_argument(
         "--figure",
-        type=int,
-        choices=(4, 5, 6, 7),
+        type=lambda number: f"figure{number}",
+        choices=FIGURES,
         action="append",
+        dest="tables",
+        metavar="N",
         help="figure number to regenerate (repeatable)",
     )
     parser.add_argument(
@@ -55,16 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--experiment",
-        choices=sorted(_EXPERIMENTS),
+        choices=EXPERIMENTS,
         action="append",
-        help="run an extra (non-figure) experiment (repeatable)",
+        dest="tables",
+        help="run a non-figure table of EXPERIMENTS.md (repeatable)",
     )
-    parser.add_argument(
-        "--arity",
-        type=int,
-        default=None,
-        help="override the subgroup arity a (default: paper scale)",
-    )
+    for flag, (__, kind, text) in _PARAMETERS.items():
+        parser.add_argument(f"--{flag}", type=kind, help=text)
     parser.add_argument(
         "--depth",
         type=int,
@@ -75,96 +142,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--members",
         type=int,
-        default=None,
         help="size preset: derive --arity as round(N^(1/depth)), e.g. "
         "--members 1000000 -> arity 100; an explicit --arity wins",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="override the number of trials per point",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="master seed (default 0)"
-    )
-    parser.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help="message loss probability epsilon (default 0)",
-    )
-    parser.add_argument(
-        "--crash",
-        type=float,
-        default=0.0,
-        help="crash fraction tau (default 0)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=int,
-        default=12,
-        help="tuning threshold h for figure 7 (default 12)",
     )
     parser.add_argument(
         "--jobs",
         default="1",
         metavar="N|auto",
-        help="worker processes for the sweep trial loops ('auto' = "
-        "usable CPUs); figures are identical for every value "
-        "(default 1)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PREFIX",
-        help="JSONL shard-file prefix for resumable sweeps: an "
-        "interrupted run re-invoked with the same arguments skips "
-        "completed trials and produces identical tables",
+        help="worker processes for the trial loops ('auto' = usable "
+        "CPUs); tables are identical for every value (default 1)",
     )
     return parser
-
-
-def _run_figure(
-    number: int, args: argparse.Namespace, executor: TrialExecutor
-) -> str:
-    common = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "loss_probability": args.loss,
-        "crash_fraction": args.crash,
-    }
-    common = {key: value for key, value in common.items() if value is not None}
-    common["executor"] = executor
-    if args.checkpoint is not None:
-        common["checkpoint"] = f"{args.checkpoint}.fig{number}"
-    if number == 4:
-        if args.arity is not None:
-            common["arity"] = args.arity
-        return figures.figure4(**common).render()
-    if number == 5:
-        if args.arity is not None:
-            common["arity"] = args.arity
-        return figures.figure5(**common).render()
-    if number == 6:
-        if args.arity is not None:
-            common["arities"] = (args.arity,)
-        return figures.figure6(**common).render()
-    if number == 7:
-        if args.arity is not None:
-            common["arity"] = args.arity
-        common["threshold_h"] = args.threshold
-        return figures.figure7(**common).render()
-    raise ValueError(f"unknown figure {number}")
-
-
-def _run_experiment(
-    name: str, args: argparse.Namespace, executor: TrialExecutor
-) -> str:
-    kwargs = {"seed": args.seed}
-    if args.arity is not None:
-        kwargs["arity"] = args.arity
-    return _EXPERIMENTS[name](**kwargs).render()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -175,51 +163,54 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.depth < 1:
             parser.error("--depth must be >= 1")
         args.arity = max(2, round(args.members ** (1.0 / args.depth)))
-    numbers: List[int] = []
-    if args.all:
-        numbers = [4, 5, 6, 7]
-    elif args.figure:
-        numbers = sorted(set(args.figure))
-    elif not args.experiment:
+    chosen = set(args.tables or ()) | set(FIGURES if args.all else ())
+    if not chosen:
         parser.error(
             "pass --figure N (repeatable), --experiment NAME or --all"
         )
-    # One table, one error path: (label, past participle, runner, key).
-    selected = [
-        (f"figure {number}", "regenerated", _run_figure, number)
-        for number in numbers
-    ] + [
-        (f"experiment {name}", "ran", _run_experiment, name)
-        for name in args.experiment or ()
+    selected = [name for name in REGISTRY if name in chosen]
+    given = {
+        flag: getattr(args, flag)
+        for flag in _PARAMETERS
+        if getattr(args, flag) is not None
+    }
+    unused = [
+        f"{name} does not take --{flag}"
+        for name in selected
+        for flag in sorted(given.keys() - REGISTRY[name].accepts)
     ]
+    if unused:
+        print(f"error: {'; '.join(unused)}", file=sys.stderr)
+        return 2
+    forwarded = {_PARAMETERS[flag][0]: value for flag, value in given.items()}
     try:
-        executor = TrialExecutor(jobs=args.jobs)
+        with TrialExecutor(jobs=args.jobs) as executor:
+            for name in selected:
+                run, accepts = REGISTRY[name]
+                kwargs = dict(forwarded)
+                if "checkpoint" in kwargs:
+                    kwargs["checkpoint"] = f"{args.checkpoint}.{name}"
+                if "jobs" in accepts:
+                    kwargs["executor"] = executor
+                started = time.time()
+                print(run(**kwargs).render())
+                print(f"[{name} in {time.time() - started:.1f}s]")
+                print()
+            dispatch = executor.metrics.snapshot().get("par", {})
     except ReproError as exc:
+        # A bad --jobs, an arity no address space accepts, a corrupt or
+        # mismatched checkpoint shard: a usage/environment error like
+        # any other, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with executor:
-        for label, done, runner, key in selected:
-            started = time.time()
-            try:
-                table = runner(key, args, executor)
-            except ReproError as exc:
-                # E.g. an arity no address space accepts, or a
-                # corrupt/mismatched checkpoint shard: report cleanly
-                # like any other usage/environment error.
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(table)
-            print(f"[{label} {done} in {time.time() - started:.1f}s]")
-            print()
-        if numbers:
-            # stderr, so stdout stays bit-identical for every --jobs value.
-            dispatch = executor.metrics.snapshot().get("par", {})
-            print(
-                f"[dispatch: {dispatch.get('trials_run', 0)} trials run, "
-                f"{dispatch.get('trials_resumed', 0)} resumed from "
-                f"checkpoint, jobs={executor.jobs}]",
-                file=sys.stderr,
-            )
+    if dispatch.get("trials_total"):
+        # stderr, so stdout stays bit-identical for every --jobs value.
+        print(
+            f"[dispatch: {dispatch.get('trials_run', 0)} trials run, "
+            f"{dispatch.get('trials_resumed', 0)} resumed from "
+            f"checkpoint, jobs={executor.jobs}]",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -1,46 +1,70 @@
-"""Non-figure experiments, runnable from the CLI and the benches.
+"""Every table of EXPERIMENTS.md that is not one of the paper's figures.
 
-The paper's figures live in :mod:`repro.bench.figures`; this module
-implements the additional quantitative claims of the paper's prose as
-reproducible experiments:
+The figures live in :mod:`repro.bench.figures`; each function here
+returns an :class:`ExperimentResult` and is one ``python -m repro.bench
+--experiment <name>`` entry of :data:`repro.bench.cli.REGISTRY`
+(DESIGN.md's index gives the ids): the paper's prose claims (§3.1
+locality B2, §1 baselines B1, the dissemination variants of
+docs/VARIANTS.md), the analytical models in closed form (A1–A3),
+behaviour the paper's static, failure-free runs cannot show (B3–B6,
+M1) and the ablations of the design knobs.
 
-* :func:`locality_experiment` — §3.1's boundary-crossing claim:
-  messages by sender-destination distance, pmcast vs flat flooding;
-* :func:`baselines_experiment` — §1's comparison matrix: delivery,
-  false reception, messages and per-process knowledge for pmcast and
-  the three alternatives;
-* :func:`variants_experiment` — pmcast against the dissemination
-  variants (flat push, lazy pull, bounded view) across an (ε, τ) grid
-  (docs/VARIANTS.md).
-
-Each returns an :class:`ExperimentResult` whose ``render()`` prints the
-same table the benchmarks assert on; the CLI exposes them via
-``python -m repro.bench --experiment locality`` etc.
+Defaults are the reduced-scale configurations EXPERIMENTS.md quotes and
+``tests/bench/test_golden_digests.py`` pins by digest; nothing here is
+timed.  Tables with independent cells (ablations, fault sensitivity,
+churn levels, convergence points) run them through
+:meth:`~repro.par.executor.TrialExecutor.run_grid`, so ``--jobs``
+applies and cannot change a cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from functools import reduce
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.addressing import AddressSpace
+from repro.addressing import Address, AddressSpace
+from repro.addressing.allocation import AddressAllocator
+from repro.analysis import InfectionChain, tree_total_rounds
 from repro.baselines import (
     BroadcastGroupMapper,
     build_genuine_group,
     flat_genuine_multicast,
     flat_gossip_broadcast,
 )
+from repro.bench.series import render_table
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import ReproError
-from repro.interests import Event
-from repro.membership import regular_total_view_size
+from repro.interests import (
+    Constraint,
+    Event,
+    RegroupPolicy,
+    StaticInterest,
+    Subscription,
+    between,
+)
+from repro.membership import (
+    MembershipState,
+    MembershipTree,
+    build_process_views,
+    regular_total_view_size,
+)
+from repro.membership.gossip_pull import anti_entropy_until_quiescent
+from repro.par.executor import TrialExecutor
 from repro.sim import (
+    CrashSchedule,
+    GroupRuntime,
     PmcastGroup,
+    TraceLog,
     bernoulli_interests,
     derive_rng,
+    poisson_churn,
+    random_event,
     run_dissemination,
+    run_with_churn,
 )
 from repro.variants import bounded_view_broadcast, lazy_pull_broadcast
 
@@ -49,6 +73,15 @@ __all__ = [
     "locality_experiment",
     "baselines_experiment",
     "variants_experiment",
+    "rounds_model",
+    "markov_chain",
+    "view_sizes",
+    "throughput",
+    "latency",
+    "churn",
+    "fault_sensitivity",
+    "membership_convergence",
+    "ablations",
 ]
 
 #: The (ε, τ) grid :func:`variants_experiment` sweeps (the validate
@@ -104,26 +137,7 @@ class ExperimentResult:
         table = [self.columns] + [
             [fmt(row[name]) for name in self.columns] for row in self.rows
         ]
-        widths = [
-            max(len(line[index]) for line in table)
-            for index in range(len(self.columns))
-        ]
-        lines = [self.title]
-        lines.append(
-            " | ".join(
-                cell.rjust(width) for cell, width in zip(table[0], widths)
-            )
-        )
-        lines.append("-+-".join("-" * width for width in widths))
-        for line in table[1:]:
-            lines.append(
-                " | ".join(
-                    cell.rjust(width) for cell, width in zip(line, widths)
-                )
-            )
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        return render_table([self.title], table, self.notes)
 
 
 def locality_experiment(
@@ -336,3 +350,410 @@ def variants_experiment(
     )
     result.notes.append(f"rows sha1: {result.digest()}")
     return result
+
+
+#: Tree depth of every simulated table below (the paper's d = 3).
+DEPTH = 3
+
+
+def _addresses(arity: int) -> List[Address]:
+    return AddressSpace.regular(arity, DEPTH).enumerate_regular(arity)
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _table(
+    title: str, columns: List[str], rows: Iterable[Sequence[object]]
+) -> ExperimentResult:
+    """Rows given in column order; float cells are rounded to the four
+    decimals ``render()`` prints, so the digest pins the printed table."""
+    return ExperimentResult(title, columns, [
+        {
+            name: round(cell, 4) if isinstance(cell, float) else cell
+            for name, cell in zip(columns, row)
+        }
+        for row in rows
+    ])
+
+
+# -- A1–A3: the analytical models (closed form, no seed) -----------------
+
+
+def rounds_model() -> ExperimentResult:
+    """A1 — Eq 13's per-depth round budget at the Figure 4 configuration.
+
+    The leaf budget collapses as p_d -> 1/n (the §5.1 pathology) and
+    the last row shows Eq 11 inflating the budget under loss.
+    """
+    cells = [(rate, 0.0) for rate in (0.001, 0.01, 0.05, 0.2, 0.5, 1.0)]
+    rows = []
+    for rate, eps in cells + [(0.5, 0.1)]:
+        total, per_depth = tree_total_rounds(rate, 22, 3, 3, 2, eps)
+        rows.append((rate, eps, *per_depth, total))
+    return _table(
+        "Eq 13 round budget T_tot = T_1 + T_2 + T_3 "
+        "(a=22, d=3, R=3, F=2; eps > 0 budgets per Eq 11):",
+        ["p_d", "eps", "T_1", "T_2", "T_3", "T_tot"],
+        rows,
+    )
+
+
+def markov_chain() -> ExperimentResult:
+    """A2 — the Eqs 8–10 infection chain for one Figure 4 subgroup view
+    (m_i = 66 entries at p_d = 0.5)."""
+    chain = InfectionChain(33, 1.0)
+    return _table(
+        "Infection over rounds (Eqs 8-10): "
+        "n_eff = 66*0.5 = 33, F_eff = 2*0.5 = 1:",
+        ["round", "expected_infected", "p_all_infected"],
+        [
+            (rounds, chain.expected_after(rounds), float(chain.after(rounds)[-1]))
+            for rounds in (0, 2, 4, 8, 12, 16, 20)
+        ],
+    )
+
+
+def view_sizes() -> ExperimentResult:
+    """A3 — Eq 12's per-process knowledge: the O(d R n^(1/d)) claim."""
+    rows = []
+    for arity, depth in ((10, 3), (22, 3), (40, 3), (10, 4), (22, 4)):
+        m = regular_total_view_size(arity, depth, 3)
+        rows.append((arity, depth, arity ** depth, m, m / arity ** depth))
+    return _table(
+        "Eq 12: per-process knowledge m = R a (d-1) + a (R = 3):",
+        ["a", "d", "n", "m", "m_over_n"],
+        rows,
+    )
+
+
+# -- B3/B4: one seeded run each, as a metric | value table ---------------
+
+
+def throughput(arity: int = 6, seed: int = 0) -> ExperimentResult:
+    """B3 — sustained load on the live runtime: 12 events, one publish a
+    round, §2.3 membership gossip and failure detection running
+    alongside; per-event reliability under contention."""
+    addresses = _addresses(arity)
+    members = bernoulli_interests(addresses, 0.5, derive_rng(seed, "tp"))
+    runtime = GroupRuntime(
+        members,
+        config=PmcastConfig(fanout=2, redundancy=3, min_rounds_per_depth=2),
+        sim_config=SimConfig(seed=seed + 5),
+        detector_timeout=16,
+    )
+    rng = derive_rng(seed, "tp-publish")
+    events = [Event({}, event_id=9000 + index) for index in range(12)]
+    for event in events:
+        runtime.publish(rng.choice(addresses), event)
+        runtime.step()
+    rounds = len(events) + runtime.run_until_idle(max_rounds=128)
+    interested = [
+        sum(interest.matches(event) for interest in members.values())
+        for event in events
+    ]
+    delivered = [len(runtime.delivered_to(event)) for event in events]
+    ratios = [d / max(i, 1) for d, i in zip(delivered, interested)]
+    return _table(
+        f"Sustained load: {len(events)} events injected 1/round into "
+        f"n = {len(addresses)}, p_d = 0.5:",
+        ["metric", "value"],
+        [
+            ("total rounds", rounds),
+            ("deliveries", sum(delivered)),
+            ("(event, subscriber) pairs", sum(interested)),
+            ("mean per-event ratio", _mean(ratios)),
+            ("min per-event ratio", min(ratios)),
+            ("deliveries per round", sum(delivered) / rounds),
+            ("membership exclusions", len(addresses) - runtime.size),
+        ],
+    )
+
+
+def latency(arity: int = 8, seed: int = 0) -> ExperimentResult:
+    """B4 — first-delivery round of every interested process (read off
+    a trace) against the Eq 13 per-depth budget."""
+    addresses = _addresses(arity)
+    members = bernoulli_interests(addresses, 0.5, derive_rng(seed, "lat"))
+    trace = TraceLog()
+    report = run_dissemination(
+        PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=3)),
+        addresses[0],
+        Event({}, event_id=7000 + seed),
+        SimConfig(seed=7000 + seed),
+        trace=trace,
+    )
+    rounds = sorted(record.round for record in trace.deliveries())
+    count = len(rounds)
+    budget, per_depth = tree_total_rounds(0.5, arity, DEPTH, 3, 2)
+    return _table(
+        f"First-delivery round of the interested processes "
+        f"(a={arity}, d={DEPTH}, p_d=0.5, R=3, F=2):",
+        ["metric", "value"],
+        [
+            ("interested deliveries", count),
+            ("mean", _mean(rounds)),
+            ("median", rounds[count // 2]),
+            ("p95", rounds[min(int(count * 0.95), count - 1)]),
+            ("max", rounds[-1]),
+            ("Eq 13 budget T_tot", budget),
+            *((f"T_{depth}", t) for depth, t in enumerate(per_depth, start=1)),
+            ("run length (rounds)", report.rounds),
+        ],
+    )
+
+
+# -- B5/B6/M1/ablations: independent cells through the trial grid --------
+
+
+def _grid(
+    executor: Optional[TrialExecutor],
+    trial: Callable[[Tuple], object],
+    points: Sequence[object],
+    trials: int,
+    *fixed: int,
+) -> List[Tuple]:
+    """``[(point, outcomes)]`` of ``trial((point, index, *fixed))``."""
+    return (executor or TrialExecutor()).run_grid(
+        trial, points, trials, lambda point, index: (point, index, *fixed)
+    )
+
+
+def _churn_trial(task: Tuple) -> Tuple:
+    """One churn intensity: ``level`` joins a round, 0.6 / 0.4 of it
+    leaves / crashes, five publishes judged against the membership at
+    publish time."""
+    level, __, arity, seed = task
+    space = AddressSpace.regular(arity, DEPTH)
+    addresses = space.enumerate_regular(arity)
+    runtime = GroupRuntime(
+        {address: StaticInterest(True) for address in addresses},
+        config=PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2),
+        sim_config=SimConfig(seed=seed),
+        detector_timeout=10,
+    )
+    allocator = AddressAllocator(space, min_subgroup=3)
+    for address in addresses:
+        allocator.reserve(address)
+    schedule = poisson_churn(
+        allocator,
+        list(addresses),
+        lambda rng: StaticInterest(True),
+        rounds=36,
+        join_rate=level,
+        leave_rate=level * 0.6,
+        crash_rate=level * 0.4,
+        rng=random.Random(seed + 1),
+    )
+    publishes = [
+        (at, addresses[at], Event({}, event_id=8000 + at))
+        for at in (3, 9, 15, 21, 27)
+    ]
+    ratios = [
+        len(record["delivered"]) / max(len(record["interested_at_publish"]), 1)
+        for record in run_with_churn(runtime, schedule, publishes, rounds=36)
+        if record["published"]
+    ]
+    return (
+        level, schedule.total_events, runtime.size, _mean(ratios), min(ratios)
+    )
+
+
+def churn(
+    arity: int = 6, seed: int = 10, executor: Optional[TrialExecutor] = None
+) -> ExperimentResult:
+    """B5 — delivery under continuous Poisson churn with the §2.3
+    detectors live (the paper's runs freeze membership, §4.1)."""
+    grid = _grid(executor, _churn_trial, (0.0, 0.25, 0.5, 1.0), 1, arity, seed)
+    return _table(
+        f"Delivery vs churn intensity (n0 = {arity ** DEPTH}, "
+        "36 rounds, 5 publishes):",
+        ["churn_per_round", "changes", "final_n", "mean_delivery",
+         "min_delivery"],
+        [row for __, (row,) in grid],
+    )
+
+
+def _fault_trial(task: Tuple) -> float:
+    """One dissemination at (eps, tau), rounds budgeted by Eq 3
+    (``aware`` false) or by Eq 11 with the true eps / tau."""
+    (loss, crash, aware), trial, arity, seed = task
+    addresses = _addresses(arity)
+    rng = derive_rng(seed, "fault", loss, crash, aware, trial)
+    members = bernoulli_interests(addresses, 0.5, rng)
+    config = PmcastConfig(
+        fanout=2,
+        redundancy=3,
+        loss_aware_rounds=aware,
+        assumed_loss=loss if aware else 0.0,
+        assumed_crash=crash if aware else 0.0,
+    )
+    schedule = CrashSchedule.sample(
+        addresses, crash, horizon=24,
+        rng=derive_rng(seed, "fault-crash", loss, crash, aware, trial),
+    )
+    return run_dissemination(
+        PmcastGroup.build(members, config),
+        rng.choice(addresses),
+        Event({}, event_id=rng.randrange(2**31)),
+        SimConfig(seed=rng.randrange(2**31), loss_probability=loss),
+        crash_schedule=schedule,
+    ).delivery_ratio
+
+
+def fault_sensitivity(
+    arity: int = 8, seed: int = 6, executor: Optional[TrialExecutor] = None
+) -> ExperimentResult:
+    """B6 — delivery vs eps and tau (the paper's figures are
+    failure-free): the plain Eq 3 budget against §3.3's "conservative
+    values", i.e. rounds budgeted with Eq 11."""
+    levels = ((0.0, 0.0), (0.1, 0.0), (0.2, 0.0), (0.3, 0.0),
+              (0.0, 0.05), (0.0, 0.1), (0.2, 0.05))
+    cells = [(*level, aware) for level in levels for aware in (False, True)]
+    delivery = {
+        cell: _mean(ratios)
+        for cell, ratios in _grid(executor, _fault_trial, cells, 3, arity, seed)
+    }
+    return _table(
+        f"Delivery vs failures (n = {arity ** DEPTH}, p_d = 0.5, "
+        "F = 2, 3 trials; 'aware' budgets rounds with Eq 11):",
+        ["eps", "tau", "plain", "aware"],
+        [
+            (loss, crash, delivery[loss, crash, False],
+             delivery[loss, crash, True])
+            for loss, crash in levels
+        ],
+    )
+
+
+def _convergence_trial(task: Tuple) -> Tuple:
+    """Freshen one root-view line on one replica, then gossip-pull
+    until quiescent; converged = every replica's root digest agrees."""
+    (arity, depth, fanout), __, seed = task
+    members = {
+        address: StaticInterest(True)
+        for address in AddressSpace.regular(arity, depth).enumerate_regular(arity)
+    }
+    tree = MembershipTree.build(members, redundancy=2)
+    states = {
+        address: MembershipState(address, build_process_views(tree, address, 0))
+        for address in tree.members()
+    }
+    first = next(iter(states.values())).tables[1]
+    first.upsert(first.rows()[0].with_timestamp(99))
+    rounds = anti_entropy_until_quiescent(
+        states, random.Random(seed + arity * 10 + fanout), fanout=fanout,
+        quiet_rounds=3, max_rounds=256,
+    )
+    digest = first.digest()
+    converged = all(
+        state.tables[1].digest() == digest for state in states.values()
+    )
+    return arity ** depth, arity, depth, fanout, rounds, converged
+
+
+def membership_convergence(
+    seed: int = 0, executor: Optional[TrialExecutor] = None
+) -> ExperimentResult:
+    """M1 — §2.3 anti-entropy rounds until every replica agrees again
+    after one stale view line (epidemic theory: O(log n))."""
+    points = [
+        (arity, depth, fanout)
+        for arity, depth in ((3, 2), (4, 2), (3, 3), (4, 3))
+        for fanout in (1, 2)
+    ]
+    grid = _grid(executor, _convergence_trial, points, 1, seed)
+    return _table(
+        "Anti-entropy rounds to re-converge after one stale root "
+        "line (3 quiet rounds of quiescence detection included):",
+        ["n", "arity", "depth", "fanout", "rounds", "converged"],
+        [row for __, (row,) in grid],
+    )
+
+
+#: (knob, workload, p_d, [(setting, PmcastConfig overrides, compact?)]);
+#: a knob's random streams are labelled ``seed + 1 + its position``.
+_ABLATIONS = (
+    ("redundancy R", "bernoulli", 0.5,
+     [(f"R = {r}", {"redundancy": r}, False) for r in (1, 2, 3, 4)]),
+    ("fanout F", "bernoulli", 0.5,
+     [(f"F = {f}", {"fanout": f}, False) for f in (1, 2, 3, 4)]),
+    ("§3.2 shortcut", "local", 0.5,
+     [("off", {}, False), ("on", {"local_interest_shortcut": True}, False)]),
+    ("§6 leaf flood", "bernoulli", 0.9,
+     [("off", {}, False), ("on", {"leaf_flood_threshold": 0.7}, False)]),
+    ("§6 compaction", "windows", 0.5,
+     [("exact", {}, False), ("near root", {}, True)]),
+)
+
+
+def _ablation_trial(task: Tuple) -> Tuple:
+    """One dissemination under 5 % loss with one knob moved.
+
+    Workloads: ``bernoulli`` — i.i.d. interest at rate p_d; ``local`` —
+    the same inside the publisher's depth-1 subtree and nobody outside
+    (the case §3.2's shortcut exists for); ``windows`` — every
+    subscriber wants four narrow ``c`` windows of the Figure 2
+    universe, so a subgroup's exact summary is more intervals than
+    ``RegroupPolicy.near_root()`` keeps and compaction approximates it.
+    """
+    (__, __, stream, workload, rate, overrides, compact), trial, arity, seed = task
+    addresses = publishers = _addresses(arity)
+    rng = derive_rng(seed + stream, "ablation", workload, rate, trial)
+    if workload == "bernoulli":
+        members = bernoulli_interests(addresses, rate, rng)
+    elif workload == "local":
+        home = rng.randrange(arity)
+        publishers = [a for a in addresses if a.components[0] == home]
+        members = {address: StaticInterest(False) for address in addresses}
+        members.update(bernoulli_interests(publishers, rate, rng))
+    else:
+        members = {
+            address: Subscription({"c": reduce(Constraint.union, [
+                between(low, low + 3.0)
+                for low in [rng.uniform(0.0, 97.0) for __ in range(4)]
+            ])})
+            for address in addresses
+        }
+    group = PmcastGroup.build(
+        members,
+        PmcastConfig(**{"fanout": 2, "redundancy": 3, **overrides}),
+        RegroupPolicy.near_root() if compact else RegroupPolicy.exact(),
+    )
+    event_id = rng.randrange(2**31)
+    event = (
+        random_event(rng, event_id=event_id)
+        if workload == "windows"
+        else Event({}, event_id=event_id)
+    )
+    report = run_dissemination(
+        group, rng.choice(publishers), event,
+        SimConfig(seed=rng.randrange(2**31), loss_probability=0.05),
+    )
+    return (
+        report.delivery_ratio, report.false_reception_ratio,
+        report.messages_sent, report.rounds,
+    )
+
+
+def ablations(
+    arity: int = 8, seed: int = 0, executor: Optional[TrialExecutor] = None
+) -> ExperimentResult:
+    """One design knob per block (DESIGN.md §6), everything else fixed
+    at F = 2, R = 3, 5 % loss; every cell is the mean of 3 trials."""
+    points = [
+        (knob, setting, stream, workload, rate, overrides, compact)
+        for stream, (knob, workload, rate, settings) in enumerate(_ABLATIONS, 1)
+        for setting, overrides, compact in settings
+    ]
+    grid = _grid(executor, _ablation_trial, points, 3, arity, seed)
+    return _table(
+        f"Ablations (n = {arity ** DEPTH}, loss 5%, 3 trials/row):",
+        ["knob", "setting", "delivery", "false_reception", "messages",
+         "rounds"],
+        [
+            (knob, setting, *(_mean(column) for column in zip(*outcomes)))
+            for (knob, setting, *__), outcomes in grid
+        ],
+    )

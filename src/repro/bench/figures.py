@@ -7,8 +7,9 @@ applies) the analytical counterpart — and returns a
 figure's data series.
 
 All functions accept a ``scale``-style override (smaller ``arity`` /
-``trials``) so the pytest benchmarks can exercise the identical code
-path at CI-friendly sizes; the defaults reproduce the paper's captions:
+``trials``) so ``tests/bench`` and quick CLI passes exercise the
+identical code path at CI-friendly sizes; the defaults reproduce the
+paper's captions:
 
 * Figure 4/5/7 — n ≈ 10 000 (a = 22, d = 3), R = 3, F = 2;
 * Figure 6 — d = 3, R = 4, F = 3, subgroup sizes a in [10, 40].
@@ -163,27 +164,110 @@ def reliability_sweep(
         lambda rate, trial: (rate, trial, *common),
         checkpoint=checkpoint,
     )
-    rows: List[Dict[str, float]] = []
-    for rate, outcomes in grid:
-        delivery = 0.0
-        false_reception = 0.0
-        rounds = 0.0
-        messages = 0.0
-        for outcome in outcomes:
-            delivery += outcome["delivery"]
-            false_reception += outcome["false_reception"]
-            rounds += outcome["rounds"]
-            messages += outcome["messages"]
-        rows.append(
-            {
-                "matching_rate": rate,
-                "delivery": delivery / trials,
-                "false_reception": false_reception / trials,
-                "rounds": rounds / trials,
-                "messages": messages / trials,
-            }
-        )
-    return rows
+    return [
+        {
+            "matching_rate": rate,
+            **{
+                column: sum(outcome[column] for outcome in outcomes) / trials
+                for column in ("delivery", "false_reception", "rounds",
+                               "messages")
+            },
+        }
+        for rate, outcomes in grid
+    ]
+
+
+#: The three figures over the p_d axis, as rows for :func:`_pd_figure`:
+#: number -> (title, y label, parameters shown after F, curves as
+#: (label, tuned with threshold h?, sweep column), analytical
+#: counterpart of the first curve, caption note).
+_PD_FIGURES = {
+    4: (
+        "Infected Interested Processes", "Probability of Delivery",
+        ("trials", "loss", "crash"),
+        [("simulated", False, "delivery")],
+        delivery_probability,
+        "paper shape: ~1.0 for p_d >~ 0.3, degrading toward ~0.2-0.4 as "
+        "p_d -> 1/n (the §5.1 small-rate breakdown).",
+    ),
+    5: (
+        "Infected Uninterested Processes", "Probability of Reception",
+        ("trials",),
+        [("simulated", False, "false_reception")],
+        false_reception_estimate,
+        "paper shape: below ~0.12 throughout, peaking at moderate p_d and "
+        "vanishing as p_d -> 1 (delegates are then interested themselves).",
+    ),
+    7: (
+        "Tuned vs Untuned Algorithm", "Probability of Delivery",
+        ("h", "trials"),
+        [
+            ("Original", False, "delivery"),
+            ("Improved", True, "delivery"),
+            ("Original false-reception", False, "false_reception"),
+            ("Improved false-reception", True, "false_reception"),
+        ],
+        None,
+        "paper shape: Improved >= Original everywhere, with the gap "
+        "concentrated at small p_d; tuning raises the uninterested "
+        "reception rate (the §5.3 compromise).",
+    ),
+}
+
+
+def _pd_figure(
+    number: int,
+    arity: int,
+    depth: int,
+    redundancy: int,
+    fanout: int,
+    matching_rates: Sequence[float],
+    trials: int,
+    threshold_h: int,
+    seed: int,
+    loss_probability: float,
+    crash_fraction: float,
+    executor: Optional[TrialExecutor],
+    checkpoint: Optional[str],
+) -> FigureResult:
+    """Row ``number`` of :data:`_PD_FIGURES`: one untuned and/or one
+    tuned :func:`reliability_sweep`, each curve a column of one."""
+    title, y_label, shown, curves, model, note = _PD_FIGURES[number]
+    optional = {
+        "h": threshold_h, "trials": trials,
+        "loss": loss_probability, "crash": crash_fraction,
+    }
+    result = FigureResult(
+        figure=f"Figure {number}",
+        title=title,
+        x_label="p_d",
+        y_label=y_label,
+        parameters={
+            "n": arity ** depth, "a": arity, "d": depth, "R": redundancy,
+            "F": fanout, **{name: optional[name] for name in shown},
+        },
+    )
+    rows = {}
+    for label, tuned, column in curves:
+        if tuned not in rows:
+            family = "tuned" if tuned else "original"
+            rows[tuned] = reliability_sweep(
+                matching_rates, arity, depth, redundancy, fanout, trials,
+                seed, loss_probability, crash_fraction,
+                threshold_h if tuned else 0, executor,
+                None if checkpoint is None else f"{checkpoint}.{family}",
+            )
+        result.add_series(Series.from_pairs(
+            label, [(row["matching_rate"], row[column]) for row in rows[tuned]]
+        ))
+    if model is not None:
+        result.add_series(Series.from_pairs("analysis", [
+            (rate, model(rate, arity, depth, redundancy, fanout,
+                         loss_probability, crash_fraction))
+            for rate in matching_rates
+        ]))
+    result.notes.append(note)
+    return result
 
 
 def figure4(
@@ -205,66 +289,10 @@ def figure4(
     Expected shape: near 1 for large p_d, drooping for small p_d
     (Pittel's asymptote under-estimates rounds for small audiences).
     """
-    rows = reliability_sweep(
-        matching_rates,
-        arity,
-        depth,
-        redundancy,
-        fanout,
-        trials,
-        seed,
-        loss_probability,
-        crash_fraction,
-        executor=executor,
-        checkpoint=checkpoint,
+    return _pd_figure(
+        4, arity, depth, redundancy, fanout, matching_rates, trials, 0,
+        seed, loss_probability, crash_fraction, executor, checkpoint,
     )
-    result = FigureResult(
-        figure="Figure 4",
-        title="Infected Interested Processes",
-        x_label="p_d",
-        y_label="Probability of Delivery",
-        parameters={
-            "n": arity ** depth,
-            "a": arity,
-            "d": depth,
-            "R": redundancy,
-            "F": fanout,
-            "trials": trials,
-            "loss": loss_probability,
-            "crash": crash_fraction,
-        },
-    )
-    result.add_series(
-        Series.from_pairs(
-            "simulated",
-            [(row["matching_rate"], row["delivery"]) for row in rows],
-        )
-    )
-    result.add_series(
-        Series.from_pairs(
-            "analysis",
-            [
-                (
-                    rate,
-                    delivery_probability(
-                        rate,
-                        arity,
-                        depth,
-                        redundancy,
-                        fanout,
-                        loss_probability,
-                        crash_fraction,
-                    ),
-                )
-                for rate in matching_rates
-            ],
-        )
-    )
-    result.notes.append(
-        "paper shape: ~1.0 for p_d >~ 0.3, degrading toward ~0.2-0.4 as "
-        "p_d -> 1/n (the §5.1 small-rate breakdown)."
-    )
-    return result
 
 
 def figure5(
@@ -285,64 +313,10 @@ def figure5(
     Same caption parameters as Figure 4.  Expected shape: bounded by
     ~0.12, humped at small-to-moderate p_d, tending to 0 as p_d -> 1.
     """
-    rows = reliability_sweep(
-        matching_rates,
-        arity,
-        depth,
-        redundancy,
-        fanout,
-        trials,
-        seed,
-        loss_probability,
-        crash_fraction,
-        executor=executor,
-        checkpoint=checkpoint,
+    return _pd_figure(
+        5, arity, depth, redundancy, fanout, matching_rates, trials, 0,
+        seed, loss_probability, crash_fraction, executor, checkpoint,
     )
-    result = FigureResult(
-        figure="Figure 5",
-        title="Infected Uninterested Processes",
-        x_label="p_d",
-        y_label="Probability of Reception",
-        parameters={
-            "n": arity ** depth,
-            "a": arity,
-            "d": depth,
-            "R": redundancy,
-            "F": fanout,
-            "trials": trials,
-        },
-    )
-    result.add_series(
-        Series.from_pairs(
-            "simulated",
-            [(row["matching_rate"], row["false_reception"]) for row in rows],
-        )
-    )
-    result.add_series(
-        Series.from_pairs(
-            "analysis",
-            [
-                (
-                    rate,
-                    false_reception_estimate(
-                        rate,
-                        arity,
-                        depth,
-                        redundancy,
-                        fanout,
-                        loss_probability,
-                        crash_fraction,
-                    ),
-                )
-                for rate in matching_rates
-            ],
-        )
-    )
-    result.notes.append(
-        "paper shape: below ~0.12 throughout, peaking at moderate p_d and "
-        "vanishing as p_d -> 1 (delegates are then interested themselves)."
-    )
-    return result
 
 
 def figure6(
@@ -381,15 +355,8 @@ def figure6(
         points = []
         for arity in arities:
             rows = reliability_sweep(
-                [rate],
-                arity,
-                depth,
-                redundancy,
-                fanout,
-                trials,
-                seed,
-                loss_probability,
-                crash_fraction,
+                [rate], arity, depth, redundancy, fanout, trials, seed,
+                loss_probability, crash_fraction,
                 executor=executor,
                 checkpoint=None
                 if checkpoint is None
@@ -400,26 +367,12 @@ def figure6(
             Series.from_pairs(f"Matching Rate {rate}", points)
         )
     for rate in matching_rates:
-        result.add_series(
-            Series.from_pairs(
-                f"analysis {rate}",
-                [
-                    (
-                        float(arity),
-                        delivery_probability(
-                            rate,
-                            arity,
-                            depth,
-                            redundancy,
-                            fanout,
-                            loss_probability,
-                            crash_fraction,
-                        ),
-                    )
-                    for arity in arities
-                ],
-            )
-        )
+        result.add_series(Series.from_pairs(f"analysis {rate}", [
+            (float(arity), delivery_probability(
+                rate, arity, depth, redundancy, fanout,
+                loss_probability, crash_fraction))
+            for arity in arities
+        ]))
     result.notes.append(
         "paper shape: delivery >= 0.9 across a in [10, 40]; the 0.2 curve "
         "sits below the 0.5 curve."
@@ -448,82 +401,8 @@ def figure7(
     original curve for large p_d; the compromise (more uninterested
     receivers, cf. Figure 5) is reported as extra columns.
     """
-    original = reliability_sweep(
-        matching_rates,
-        arity,
-        depth,
-        redundancy,
-        fanout,
-        trials,
-        seed,
-        loss_probability,
-        crash_fraction,
-        threshold_h=0,
-        executor=executor,
-        checkpoint=None if checkpoint is None else f"{checkpoint}.original",
+    return _pd_figure(
+        7, arity, depth, redundancy, fanout, matching_rates, trials,
+        threshold_h, seed, loss_probability, crash_fraction, executor,
+        checkpoint,
     )
-    improved = reliability_sweep(
-        matching_rates,
-        arity,
-        depth,
-        redundancy,
-        fanout,
-        trials,
-        seed,
-        loss_probability,
-        crash_fraction,
-        threshold_h=threshold_h,
-        executor=executor,
-        checkpoint=None if checkpoint is None else f"{checkpoint}.tuned",
-    )
-    result = FigureResult(
-        figure="Figure 7",
-        title="Tuned vs Untuned Algorithm",
-        x_label="p_d",
-        y_label="Probability of Delivery",
-        parameters={
-            "n": arity ** depth,
-            "a": arity,
-            "d": depth,
-            "R": redundancy,
-            "F": fanout,
-            "h": threshold_h,
-            "trials": trials,
-        },
-    )
-    result.add_series(
-        Series.from_pairs(
-            "Original",
-            [(row["matching_rate"], row["delivery"]) for row in original],
-        )
-    )
-    result.add_series(
-        Series.from_pairs(
-            "Improved",
-            [(row["matching_rate"], row["delivery"]) for row in improved],
-        )
-    )
-    result.add_series(
-        Series.from_pairs(
-            "Original false-reception",
-            [
-                (row["matching_rate"], row["false_reception"])
-                for row in original
-            ],
-        )
-    )
-    result.add_series(
-        Series.from_pairs(
-            "Improved false-reception",
-            [
-                (row["matching_rate"], row["false_reception"])
-                for row in improved
-            ],
-        )
-    )
-    result.notes.append(
-        "paper shape: Improved >= Original everywhere, with the gap "
-        "concentrated at small p_d; tuning raises the uninterested "
-        "reception rate (the §5.3 compromise)."
-    )
-    return result

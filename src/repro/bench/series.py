@@ -13,7 +13,26 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["Series", "FigureResult"]
+__all__ = ["Series", "FigureResult", "render_table"]
+
+
+def render_table(
+    heading: Sequence[str],
+    table: Sequence[Sequence[str]],
+    notes: Sequence[str],
+) -> str:
+    """The ``heading`` lines, then ``table`` (first row = column names)
+    right-aligned over a rule, then one ``note:`` line per note."""
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = list(heading)
+    for row in table:
+        lines.append(
+            " | ".join(cell.rjust(width) for cell, width in zip(row, widths))
+        )
+        if row is table[0]:
+            lines.append("-+-".join("-" * width for width in widths))
+    lines.extend(f"note: {note}" for note in notes)
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -91,32 +110,17 @@ class FigureResult:
                 raise ReproError(
                     f"series of figure {self.figure} have mismatched x grids"
                 )
-        header = [self.x_label] + [series.label for series in self.series]
-        rows = [header]
+        table = [[self.x_label] + [series.label for series in self.series]]
         for index, x in enumerate(xs):
-            row = [f"{x:g}"]
-            for series in self.series:
-                row.append(f"{series.points[index][1]:.{precision}f}")
-            rows.append(row)
-        widths = [
-            max(len(row[column]) for row in rows)
-            for column in range(len(header))
-        ]
-        lines = [
-            f"{self.figure}: {self.title}",
-            "  "
-            + ", ".join(f"{key}={value}" for key, value in self.parameters.items()),
-        ]
-        lines.append(
-            " | ".join(cell.rjust(width) for cell, width in zip(rows[0], widths))
+            table.append([f"{x:g}"] + [
+                f"{series.points[index][1]:.{precision}f}"
+                for series in self.series
+            ])
+        parameters = ", ".join(
+            f"{key}={value}" for key, value in self.parameters.items()
         )
-        lines.append("-+-".join("-" * width for width in widths))
-        for row in rows[1:]:
-            lines.append(
-                " | ".join(
-                    cell.rjust(width) for cell, width in zip(row, widths)
-                )
-            )
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        return render_table(
+            [f"{self.figure}: {self.title}", "  " + parameters],
+            table,
+            self.notes,
+        )

@@ -60,6 +60,53 @@ class TestCli:
         assert captured.err == "error: arity 0 must be >= 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["--experiment", "baselines", "--trials", "7", "--loss", "0.1",
+              "--checkpoint", "X"],
+             "baselines does not take --checkpoint; baselines does not "
+             "take --loss; baselines does not take --trials"),
+            (["--figure", "4", "--figure", "7", "--threshold", "5"],
+             "figure4 does not take --threshold"),
+            (["--experiment", "rounds_model", "--seed", "3"],
+             "rounds_model does not take --seed"),
+            (["--experiment", "membership_convergence", "--members", "64"],
+             "membership_convergence does not take --arity"),
+        ],
+    )
+    def test_a_flag_no_selected_table_takes_is_an_error(
+        self, argv, complaint, capsys
+    ):
+        # Never silently dropped: nothing runs, nothing is printed.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {complaint}\n"
+        assert captured.out == ""
+
+    def test_dispatch_line_whenever_trials_ran(self, capsys):
+        # Experiments over the trial grid report their dispatch too...
+        assert main(["--experiment", "membership_convergence"]) == 0
+        assert capsys.readouterr().err == (
+            "[dispatch: 8 trials run, 0 resumed from checkpoint, jobs=1]\n"
+        )
+        # ...and a closed-form table, which ran none, does not.
+        assert main(["--experiment", "view_sizes", "--jobs", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_grid_tables_identical_for_any_jobs(self, capsys):
+        def stdout(argv, jobs):
+            assert main(argv + ["--jobs", jobs]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if not line.startswith("[")]
+
+        for argv in (
+            ["--experiment", "ablations", "--experiment", "churn",
+             "--experiment", "fault_sensitivity", "--arity", "4"],
+            ["--experiment", "membership_convergence"],
+        ):
+            assert stdout(argv, "2") == stdout(argv, "1")
+
     def test_variants_experiment_prints_its_digest(self, capsys):
         code = main(["--experiment", "variants"])
         captured = capsys.readouterr()

@@ -54,36 +54,47 @@ class TestFigure5:
     def test_shape(self):
         result = figure5(matching_rates=RATES, **SMALL)
         simulated = result.get_series("simulated")
-        # Bounded well below flooding, and vanishing at p_d = 1.
+        # Bounded well below flooding — the ceiling is the delegate
+        # share R/a = 3/6, with slack — and vanishing at p_d = 1.
         assert simulated.y_at(1.0) == pytest.approx(0.0, abs=1e-9)
         for rate in RATES:
-            assert simulated.y_at(rate) < 0.8
+            assert simulated.y_at(rate) <= 1.5 * 3 / 6
+        # The hump: moderate rates touch more uninterested delegates
+        # than either extreme.
+        assert simulated.y_at(0.5) > simulated.y_at(0.1) > simulated.y_at(1.0)
 
 
 class TestFigure6:
     def test_shape(self):
         result = figure6(
-            arities=(5, 8), matching_rates=(0.5, 0.2), trials=2, seed=0
+            arities=(6, 9, 12), matching_rates=(0.5, 0.2), trials=2, seed=0
         )
         high = result.get_series("Matching Rate 0.5")
         low = result.get_series("Matching Rate 0.2")
-        for arity in (5.0, 8.0):
-            assert high.y_at(arity) > 0.8
-            assert high.y_at(arity) >= low.y_at(arity) - 0.1
+        for arity in (6.0, 9.0, 12.0):
+            # Paper shape: delivery >= ~0.9 across the sweep, the
+            # low-rate series at or below the high-rate one.
+            assert high.y_at(arity) > 0.9
+            assert low.y_at(arity) > 0.8
+            assert low.y_at(arity) <= high.y_at(arity) + 0.05
 
 
 class TestFigure7:
     def test_tuning_lifts_small_rates(self):
-        rates = (0.02, 0.5)
+        rates = (0.02, 0.05, 0.5, 1.0)
         result = figure7(
             matching_rates=rates, threshold_h=8, arity=8, trials=3, seed=0
         )
         original = result.get_series("Original")
         improved = result.get_series("Improved")
-        assert improved.y_at(0.02) >= original.y_at(0.02)
-        assert improved.y_at(0.5) == pytest.approx(
-            original.y_at(0.5), abs=0.1
-        )
+        # The gap concentrates at small p_d...
+        assert improved.y_at(0.02) > original.y_at(0.02)
+        assert improved.y_at(0.05) >= original.y_at(0.05) - 0.02
+        # ...and the curves coincide for large p_d.
+        for rate in (0.5, 1.0):
+            assert improved.y_at(rate) == pytest.approx(
+                original.y_at(rate), abs=0.05
+            )
 
     def test_compromise_reported(self):
         result = figure7(

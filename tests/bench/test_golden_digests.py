@@ -13,12 +13,17 @@ pin: it times the same paths at paper scale, these hold their outcomes
 still.  Each builds its group, drives it and returns the sha1 of what
 an observer could see; nothing is timed.
 
-A subprocess check re-derives two of the digests under different
+``GOLDEN_TABLES`` does the same for every table of
+``python -m repro.bench --experiment NAME`` at its default
+configuration: the cells EXPERIMENTS.md quotes cannot drift unnoticed.
+
+A subprocess check re-derives two digests of each kind under different
 ``PYTHONHASHSEED`` values: digests must never depend on Python's
 per-process string-hash randomization (the determinism contract of
 docs/VALIDATION.md).
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +33,7 @@ import sys
 import pytest
 
 from repro.addressing import AddressSpace
-from repro.bench.extras import variants_experiment
+from repro.bench.cli import EXPERIMENTS, REGISTRY
 from repro.config import PmcastConfig, SimConfig
 from repro.interests.events import Event
 from repro.obs import MetricsRegistry, Observer
@@ -45,11 +50,33 @@ GOLDEN_QUICK = {
     "churn_refresh": "4a78d816d5c0657e7c683312b54f543bd9e59bc4",
     "match_cache": "c5e2263cb011949d4fbdc68e95ef16f428803ba9",
     "membership_plane": "d72868c8237a4600643077095adbe388fc27b3aa",
-    # PR 8: the variant-ablation sweep (pmcast vs flat push vs lazy
-    # pull vs bounded view over the (eps, tau) grid), i.e. the rows of
-    # `python -m repro.bench --experiment variants`.
-    "variant_compare": "928b1b413447f5834c1e1012a17bf8937339e1f3",
 }
+
+#: ``ExperimentResult.digest()`` of every registry experiment at its
+#: defaults (``variants`` is PR 8's ``variant_compare`` pin).  Re-record
+#: one only with the old and new rows stated in CHANGES.md.
+GOLDEN_TABLES = {
+    "locality": "4b8b9fb154c6fd35ce423209d00101a226992c70",
+    "baselines": "7c3f9dacfb5e627db27ec31e775aa5fa29224296",
+    "variants": "928b1b413447f5834c1e1012a17bf8937339e1f3",
+    "rounds_model": "0b4fc7ca5d1a02e5288cfc3d375a8d10fae3c4c3",
+    "markov_chain": "29034cce28c1181dd0db26137c35de88d4566494",
+    "view_sizes": "4d83bea2063af5d5c174c7c707317b4f3d4ba80e",
+    "throughput": "3a7fc24bc1fc3e47eff6b31009ee9fb215fb4fcf",
+    "latency": "732490b8e3de1548c4de670df514402ecdbd589b",
+    "churn": "46650d5e0499b847075991d8a1f620d12ca4c7c2",
+    "fault_sensitivity": "56b5ce0860c5012d6f3852ec6899f8a013d2525e",
+    "membership_convergence": "2bda9fa72325518df08653ad3a3d0c4dc2d28f9a",
+    "ablations": "92f8a7f47b3d5a1756e73637f098228bf2d64a2e",
+}
+
+#: What the PYTHONHASHSEED subprocess leg re-derives: two runtime
+#: scenarios and two tables (B3 drives ``GroupRuntime``, M1 the bare
+#: gossip-pull exchange; both cheap enough for the 5 s durations gate).
+HASH_SEED_LEG = (
+    ["churn_refresh", "membership_plane"],
+    ["throughput", "membership_convergence"],
+)
 
 ARITY, DEPTH, SEED = 5, 3, 0
 
@@ -204,22 +231,24 @@ def membership_plane(rounds=32):
     )
 
 
-def variant_compare():
-    return variants_experiment(arity=ARITY, depth=DEPTH, seed=SEED).digest()
-
-
 SCENARIOS = {
     "round_loop": round_loop,
     "churn_refresh": churn_refresh,
     "match_cache": match_cache,
     "membership_plane": membership_plane,
-    "variant_compare": variant_compare,
 }
 
 
 def run_scenarios(names):
     """``{name: digest}``; a scenario that raises propagates."""
     return {name: SCENARIOS[name]() for name in names}
+
+
+@functools.lru_cache(maxsize=None)
+def table(name):
+    """Registry experiment ``name`` at its defaults, run once a process
+    (``test_extras.py`` asserts the claims on these same rows)."""
+    return REGISTRY[name].run()
 
 
 class TestGoldenQuickDigests:
@@ -243,6 +272,15 @@ class TestGoldenQuickDigests:
             run_scenarios(["round_loop"])
 
 
+class TestGoldenTables:
+    def test_every_experiment_has_a_pin(self):
+        assert list(GOLDEN_TABLES) == EXPERIMENTS
+
+    @pytest.mark.parametrize("name", GOLDEN_TABLES)
+    def test_table_matches_its_pin(self, name):
+        assert table(name).digest() == GOLDEN_TABLES[name], table(name).render()
+
+
 class TestHashSeedIndependence:
     def test_digests_survive_hash_randomization(self):
         # Two interpreters with different fixed string-hash seeds must
@@ -264,13 +302,17 @@ class TestHashSeedIndependence:
                 text=True,
                 check=True,
             )
-            observed = json.loads(result.stdout.strip())
-            assert observed == {
-                "churn_refresh": GOLDEN_QUICK["churn_refresh"],
-                "membership_plane": GOLDEN_QUICK["membership_plane"],
+            scenarios, tables = HASH_SEED_LEG
+            assert json.loads(result.stdout.strip()) == {
+                **{name: GOLDEN_QUICK[name] for name in scenarios},
+                **{name: GOLDEN_TABLES[name] for name in tables},
             }, f"digest drift under PYTHONHASHSEED={hash_seed}"
 
 
 if __name__ == "__main__":
     # The subprocess leg of TestHashSeedIndependence.
-    print(json.dumps(run_scenarios(["churn_refresh", "membership_plane"])))
+    scenarios, tables = HASH_SEED_LEG
+    print(json.dumps({
+        **run_scenarios(scenarios),
+        **{name: table(name).digest() for name in tables},
+    }))

@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+from repro.bench.cli import REGISTRY
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
@@ -23,11 +25,20 @@ class TestReadmeQuickstart:
 
 class TestDesignDocConsistency:
     def test_bench_targets_exist(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        targets = set(re.findall(r"benchmarks/(test_\w+\.py)", text))
-        assert targets, "DESIGN.md lists no bench targets"
-        for target in targets:
-            assert (ROOT / "benchmarks" / target).exists(), target
+        # Every `--experiment name` / `--figure n` the docs write is a
+        # registry key, and EXPERIMENTS.md gives the command of every
+        # registry key: a table cannot be cited from, or lost to, a
+        # runner that does not exist.
+        cited = {}
+        for name in ("DESIGN.md", "EXPERIMENTS.md", "README.md"):
+            text = (ROOT / name).read_text()
+            cited[name] = set(re.findall(r"--experiment ([a-z_]+)", text))
+            cited[name].update(
+                f"figure{n}" for n in re.findall(r"--figure (\d+)", text)
+            )
+            assert cited[name], f"{name} cites no bench command"
+            assert cited[name] <= set(REGISTRY), name
+        assert cited["EXPERIMENTS.md"] == set(REGISTRY)
 
     def test_module_inventory_exists(self):
         text = (ROOT / "DESIGN.md").read_text()
