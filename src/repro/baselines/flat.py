@@ -26,7 +26,8 @@ points below build the variant on the historical RNG streams
 (``flat-gossip`` / ``flat-network`` / ``flat-crash``) and drive it
 through :func:`repro.variants.base.run_variant` — reports are
 bit-identical to the pre-extraction loop, and the baselines gained
-``trace``/``sampler``/``faults``/``timeline`` support for free.
+``faults`` and ``observer`` (trace, sink, sampling, timeline) support
+for free.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.addressing import Address
 from repro.config import SimConfig
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
@@ -57,10 +59,8 @@ def _run_flat(
     sim_config: SimConfig,
     restrict_to_interested: bool,
     crash_schedule: Optional[CrashSchedule],
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     variant = FlatPushVariant(
         members,
@@ -75,10 +75,8 @@ def _run_flat(
         variant,
         sim_config,
         crash_schedule=crash_schedule,
-        trace=trace,
-        sampler=sampler,
         faults=faults,
-        timeline=timeline,
+        observer=observer,
     )
 
 
@@ -89,10 +87,8 @@ def flat_gossip_broadcast(
     fanout: int = 2,
     sim_config: Optional[SimConfig] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """pbcast-style broadcast: gossip to anyone, filter at delivery.
 
@@ -109,10 +105,8 @@ def flat_gossip_broadcast(
         sim_config or SimConfig(),
         restrict_to_interested=False,
         crash_schedule=crash_schedule,
-        trace=trace,
-        sampler=sampler,
         faults=faults,
-        timeline=timeline,
+        observer=observer,
     )
 
 
@@ -123,10 +117,8 @@ def flat_genuine_multicast(
     fanout: int = 2,
     sim_config: Optional[SimConfig] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Genuine multicast with (unrealistic) global subscription knowledge.
 
@@ -143,8 +135,6 @@ def flat_genuine_multicast(
         sim_config or SimConfig(),
         restrict_to_interested=True,
         crash_schedule=crash_schedule,
-        trace=trace,
-        sampler=sampler,
         faults=faults,
-        timeline=timeline,
+        observer=observer,
     )

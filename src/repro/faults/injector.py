@@ -26,11 +26,10 @@ Determinism contract:
 Every injected fault is emitted as a ``repro.obs.trace/v1`` record
 (kinds ``fault_loss | fault_delay | fault_release | fault_partition |
 fault_heal | fault_crash``) through the ``emit`` callable — the run's
-ordinary one (:func:`repro.obs.sampling.emitter`'s, or
-:meth:`Observer.emit <repro.obs.probes.Observer.emit>`); a sampler
-keeps every ``fault_*`` record by its own rule.  Records are stamped
-``round_index + 1`` for actions inside 0-based round ``round_index``,
-the convention of every round driver.
+ordinary one, :meth:`Observer.emit <repro.obs.probes.Observer.emit>`,
+whose sampler keeps every ``fault_*`` record by its own rule.  Records
+are stamped ``round_index + 1`` for actions inside 0-based round
+``round_index``, the convention of every round driver.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class FaultInjector:
         network: the ε-loss network every undisturbed envelope goes
             through.
         emit: optional trace callback with the
-            :meth:`TraceLog.record <repro.obs.trace.TraceLog.record>`
+            :meth:`Observer.emit <repro.obs.probes.Observer.emit>`
             signature; every injected fault produces one record.
     """
 

@@ -27,9 +27,11 @@ that special case **bit-identical** to the engine:
 ``repro.obs.trace/v1`` stream, byte for byte, as
 :func:`repro.sim.engine.run_dissemination` — pinned by the golden
 equivalence suite.  Jittered and straggler schedules then explore
-genuinely asynchronous executions the engine cannot express; with
-``event_records=True`` they also emit round-less ``timer_fire``
-records keyed by ``time_us``.
+genuinely asynchronous executions the engine cannot express; traced
+(through the run's :class:`~repro.obs.probes.Observer`), such a run
+also writes round-less ``timer_fire`` records keyed by ``time_us``
+under a ``net`` header block — exactly when the schedule is not
+:attr:`~repro.net.scheduler.Schedule.round_synchronous`.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ from repro.interests.events import Event
 from repro.net.clock import PRIORITY_BOUNDARY, PRIORITY_TIMER, VirtualClock
 from repro.net.scheduler import RoundSchedule, Schedule
 from repro.net.transport import SimTransport
-from repro.obs.sampling import TraceSampler, emitter
-from repro.obs.trace import TraceLog
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
-from repro.variants.base import close_trace, crash_step
+from repro.variants.base import crash_step
 from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
 
 __all__ = ["run_sim_dissemination"]
@@ -62,11 +63,9 @@ def run_sim_dissemination(
     sim_config: Optional[SimConfig] = None,
     schedule: Optional[Schedule] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    trace: Optional[TraceLog] = None,
     faults: Optional[FaultPlan] = None,
-    sampler: Optional[TraceSampler] = None,
     latency_us: Optional[int] = None,
-    event_records: bool = False,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Multicast one event through the group, event by event.
 
@@ -82,10 +81,11 @@ def run_sim_dissemination(
             the group's configured period — the engine-equivalent mode.
         latency_us: virtual wire latency, strictly below the schedule
             period (the paper's latency bound); default half a period.
-        event_records: also emit round-less ``timer_fire`` records
-            (ordered by ``time_us``) into ``trace``.  Off by default
-            because extra records would break byte-identity with the
-            engine's golden traces.
+        observer: receives the engine's records and header; when the
+            schedule is not round-synchronous, also one round-less
+            ``timer_fire`` record per fire (ordered by ``time_us``)
+            and a ``net`` header block — a zero-jitter trace stays
+            byte-identical to the engine's.
         (remaining arguments exactly as in ``run_dissemination``.)
 
     Returns:
@@ -103,17 +103,17 @@ def run_sim_dissemination(
             "model requires network latency below the gossip period"
         )
 
-    emit = emitter(trace, sampler)
+    emit = observer.emit if observer.tracing else None
     link, crash_schedule, ctx = prepare_pmcast_run(
         group, publisher, event, sim_config, crash_schedule, emit, faults,
     )
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
 
-    if trace is not None:
-        trace.annotate(**variant.trace_meta())
-    emit_events = event_records and emit is not None
+    emit_events = emit is not None and not schedule.round_synchronous
+    if emit is not None:
+        observer.annotate(**variant.trace_meta())
     if emit_events:
-        trace.annotate(
+        observer.annotate(
             net={
                 "schedule": repr(schedule),
                 "period_us": period_us,
@@ -215,7 +215,7 @@ def run_sim_dissemination(
                 ):
                     arm_timer(receiver)
 
-    close_trace(trace, link, rounds)
+    observer.annotate(rounds=rounds, **link.trace_meta())
     return variant.finalize(
         rounds,
         tuple(infection_curve),

@@ -19,9 +19,13 @@ run's :class:`~repro.sim.metrics.DisseminationReport` is directly
 comparable against the Eqs 12–18 oracle bands, which is exactly what
 the integration test does.  Outcomes are *not* deterministic (kernel
 scheduling reorders datagrams); determinism lives in the virtual-clock
-runtime (:mod:`repro.net.runtime`).  An optional trace receives
-round-less ``publish``/``timer_fire``/``send``/``recv``/``receive``/
-``deliver`` records ordered by ``time_us``.
+runtime (:mod:`repro.net.runtime`).
+
+The run's :class:`~repro.obs.probes.Observer` receives round-less
+``publish``/``timer_fire``/``send``/``recv``/``receive``/``deliver``
+records ordered by ``time_us`` on its trace and/or sink, and one ``net``
+collector (the :class:`UdpRunStats` counters) on its registry; no
+timeline spans yet (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.core.context import GossipContext
 from repro.interests.events import Event
 from repro.net.process import AsyncProcess
 from repro.net.transport import FairLossUdpTransport, UdpEndpointRegistry
+from repro.obs.probes import Observer, fold_shorthands
 from repro.obs.trace import TraceLog, dissemination_meta
 from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
@@ -90,6 +95,7 @@ def run_udp_dissemination(
     hard_timeout_s: float = 30.0,
     trace: Optional[TraceLog] = None,
     host: str = "127.0.0.1",
+    observer: Optional[Observer] = None,
 ) -> Tuple[DisseminationReport, UdpRunStats]:
     """Multicast one event through live UDP processes; score the outcome.
 
@@ -106,15 +112,20 @@ def run_udp_dissemination(
             periods with no send, receive, or pending mailbox.
         hard_timeout_s: wall-clock cap; hitting it reports
             ``completed=False`` instead of hanging a test or bench.
-        trace: optional round-less event trace (``time_us`` ordered).
+        trace: shorthand for ``observer=Observer(trace=...)``
+            (:func:`~repro.obs.probes.fold_shorthands`).
+        observer: optional :class:`~repro.obs.probes.Observer`: the
+            round-less event trace (``time_us`` ordered) goes to its
+            trace/sink, the run's counters to its registry (``net``).
 
     Returns:
         ``(report, stats)``.
     """
+    observer = fold_shorthands(observer, trace)
     return asyncio.run(
         _run_udp(
             group, publisher, event, seed, loss_probability, period_s,
-            quiet_periods, hard_timeout_s, trace, host,
+            quiet_periods, hard_timeout_s, observer, host,
         )
     )
 
@@ -128,7 +139,7 @@ async def _run_udp(
     period_s: float,
     quiet_periods: int,
     hard_timeout_s: float,
-    trace: Optional[TraceLog],
+    observer: Observer,
     host: str,
 ) -> Tuple[DisseminationReport, UdpRunStats]:
     loop = asyncio.get_running_loop()
@@ -144,9 +155,9 @@ async def _run_udp(
     def now_us() -> int:
         return int((loop.time() - started_at) * 1_000_000)
 
-    emit = trace.record if trace is not None else None
-    if trace is not None:
-        trace.annotate(
+    emit = observer.emit if observer.tracing else None
+    if emit is not None:
+        observer.annotate(
             **dissemination_meta(
                 "repro.net.udp",
                 publisher,
@@ -178,6 +189,24 @@ async def _run_udp(
     processes: Dict[Address, AsyncProcess] = {}
     driving: Set[Address] = set()
     stopping = [False]
+
+    def net_counters() -> Dict[str, int]:
+        """The :class:`UdpRunStats` counters, as of now."""
+        endpoints = transports.values()
+        return {
+            **counters,
+            "messages_lost": sum(t.messages_lost for t in endpoints),
+            "datagrams_received": sum(t.messages_received for t in endpoints),
+            "malformed_datagrams": sum(
+                t.malformed_datagrams for t in endpoints
+            ),
+            "misrouted_datagrams": sum(
+                t.misrouted_datagrams for t in endpoints
+            ),
+            "wire_drops": sum(t.wire_drops for t in endpoints),
+        }
+
+    observer.registry.register_collector("net", net_counters)
 
     def materialise(address: Address) -> AsyncProcess:
         # A member costs a socket until its first datagram (or its
@@ -303,11 +332,11 @@ async def _run_udp(
             transport.close()
 
     elapsed = loop.time() - started_at
-    endpoints = transports.values()
-    messages_lost = sum(t.messages_lost for t in endpoints)
+    totals = net_counters()
+    # The live collector holds every endpoint; its last reading, none.
+    observer.registry.register_collector("net", totals.copy)
     rounds = len(infection_curve)
-    if trace is not None:
-        trace.annotate(rounds=rounds)
+    observer.annotate(rounds=rounds)
     report = assemble_pmcast_report(
         group,
         publisher,
@@ -317,7 +346,7 @@ async def _run_udp(
         rounds,
         tuple(infection_curve),
         tuple(messages_by_distance),
-        messages_lost,
+        totals["messages_lost"],
         crashed=0,
         sent_before=sent_before,
         receptions_before=receptions_before,
@@ -325,14 +354,7 @@ async def _run_udp(
     stats = UdpRunStats(
         members=group.size,
         elapsed_seconds=elapsed,
-        timer_fires=counters["timer_fires"],
-        messages_sent=counters["messages_sent"],
-        messages_lost=messages_lost,
-        datagrams_received=sum(t.messages_received for t in endpoints),
-        receptions=counters["receptions"],
         completed=completed,
-        malformed_datagrams=sum(t.malformed_datagrams for t in endpoints),
-        misrouted_datagrams=sum(t.misrouted_datagrams for t in endpoints),
-        wire_drops=sum(t.wire_drops for t in endpoints),
+        **totals,
     )
     return report, stats

@@ -39,7 +39,6 @@ from repro.obs.registry import (
 )
 from repro.obs.sampling import (
     SAMPLING_SCHEME,
-    SampledTrace,
     TraceSampler,
     keep_mask,
     rescale,
@@ -77,7 +76,6 @@ __all__ = [
     "read_trace",
     "validate_trace",
     "SAMPLING_SCHEME",
-    "SampledTrace",
     "TraceSampler",
     "keep_mask",
     "rescale",

@@ -29,13 +29,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.addressing import Address
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.errors import ObservabilityError
+from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.obs.sampling import TraceSampler
 from repro.obs.sink import JsonlSink
 from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
 from repro.obs.trace import TraceLog, TraceRecord
 
-__all__ = ["Observer", "NULL_OBSERVER"]
+__all__ = ["Observer", "NULL_OBSERVER", "fold_shorthands"]
 
 
 class Observer:
@@ -66,7 +67,7 @@ class Observer:
         sampler: Optional[TraceSampler] = None,
         timeline: Optional[TimelineRecorder] = None,
     ):
-        self.registry = NULL_REGISTRY if registry is None else registry
+        self.registry = registry_or_null(registry)
         self.trace = trace
         self.sink = sink
         self.sampler = sampler
@@ -93,8 +94,14 @@ class Observer:
         event_id: int = 0,
         depth: int = 0,
         value: int = 0,
+        time_us: Optional[int] = None,
     ) -> None:
-        """Record one protocol action on every attached destination."""
+        """Record one protocol action on every attached destination.
+
+        The one place a running driver's record is built: hot loops
+        read ``observer.emit if observer.tracing else None`` once and
+        call that.
+        """
         if self.trace is None and self.sink is None:
             return
         if self.sampler is not None and not self.sampler.keep(
@@ -102,7 +109,7 @@ class Observer:
         ):
             return
         record = TraceRecord(
-            round, kind, process, peer, event_id, depth, value
+            round, kind, process, peer, event_id, depth, value, time_us
         )
         if self.trace is not None:
             self.trace.append(record)
@@ -123,3 +130,37 @@ class Observer:
 
 #: The shared disabled observer: the default for every component.
 NULL_OBSERVER = Observer()
+
+
+def fold_shorthands(
+    observer: Optional[Observer],
+    trace: Optional[TraceLog] = None,
+    timeline: Optional[TimelineRecorder] = None,
+) -> Observer:
+    """The observer a driver runs under, its shorthands folded in.
+
+    A few entry points still take ``trace=`` / ``timeline=`` beside
+    ``observer=`` (the frozen ledger passes them); each calls this on
+    its first line and from there on knows only the observer.  A
+    shorthand is a destination the observer does not name yet — naming
+    one twice is an error, not a precedence rule.
+    """
+    if observer is None:
+        observer = NULL_OBSERVER
+    if trace is None and timeline is None:
+        return observer
+    if trace is not None and observer.trace is not None:
+        raise ObservabilityError(
+            "trace= given twice: as an argument and on the observer"
+        )
+    if timeline is not None and observer.timeline is not NULL_TIMELINE:
+        raise ObservabilityError(
+            "timeline= given twice: as an argument and on the observer"
+        )
+    return Observer(
+        registry=observer.registry,
+        trace=observer.trace if trace is None else trace,
+        sink=observer.sink,
+        sampler=observer.sampler,
+        timeline=observer.timeline if timeline is None else timeline,
+    )

@@ -33,29 +33,26 @@ The decision is a pure function of the key:
 
 The stateless :func:`keep` is what array kernels use to precompute
 per-member keep masks (:func:`keep_mask`); the :class:`TraceSampler`
-adds memoization for record-at-a-time emitters, and
-:class:`SampledTrace` wraps a :class:`~repro.obs.trace.TraceLog` with
-the filter applied on :meth:`~SampledTrace.record`; :func:`emitter`
-picks a run's record callable from its ``(trace, sampler)`` pair.
+adds memoization for record-at-a-time emitters.  A run is sampled by
+handing its driver ``Observer(trace=..., sampler=TraceSampler(rate))``:
+:meth:`Observer.emit <repro.obs.probes.Observer.emit>` applies the
+filter and the observer stamps the sampling block into the header.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.trace import TraceLog
 
 __all__ = [
     "SAMPLING_SCHEME",
-    "emitter",
     "is_exact",
     "keep",
     "keep_mask",
     "rescale",
     "TraceSampler",
-    "SampledTrace",
 ]
 
 #: The versioned sampling scheme stamped into trace headers: decide by
@@ -170,55 +167,3 @@ class TraceSampler:
 
     def __repr__(self) -> str:
         return f"TraceSampler(rate={self.rate})"
-
-
-class SampledTrace:
-    """A :class:`~repro.obs.trace.TraceLog` facade that samples records.
-
-    Emitters call the same ``record``/``annotate`` surface; only
-    records whose key survives the sampler reach the underlying log.
-    Metadata always passes through (and the sampler's own block is
-    stamped at construction, so any trace written through this facade
-    is self-describing).
-    """
-
-    __slots__ = ("trace", "sampler")
-
-    def __init__(self, trace: TraceLog, sampler: TraceSampler):
-        self.trace = trace
-        self.sampler = sampler
-        trace.annotate(sampling=sampler.meta())
-
-    def record(
-        self,
-        round: Optional[int],
-        kind: str,
-        process: object,
-        peer: Optional[object] = None,
-        event_id: int = 0,
-        depth: int = 0,
-        value: int = 0,
-        time_us: Optional[int] = None,
-    ) -> None:
-        """Append one record iff its key survives the sampler."""
-        if self.sampler.keep(kind, process, event_id):
-            self.trace.record(
-                round, kind, process, peer, event_id, depth, value, time_us
-            )
-
-    def annotate(self, **meta: object) -> None:
-        """Metadata is never sampled; pass straight through."""
-        self.trace.annotate(**meta)
-
-
-def emitter(
-    trace: Optional[TraceLog], sampler: Optional[TraceSampler]
-) -> Optional[Callable[..., None]]:
-    """A run's record callable: ``None`` when the run is untraced,
-    ``trace.record`` when it is not sampled, else the sampled facade's
-    (which stamps the sampling block into the trace header)."""
-    if trace is None:
-        return None
-    if sampler is None:
-        return trace.record
-    return SampledTrace(trace, sampler).record

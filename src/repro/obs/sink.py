@@ -6,7 +6,11 @@ tests but wrong for long-lived captures.  :class:`JsonlSink` streams
 records straight to disk — one JSON object per line, after a header
 line carrying the schema tag and run metadata — with an optional
 per-file capacity and rotation, so a runaway run rolls files instead of
-filling the disk.
+filling the disk.  The header is written with the file's first record,
+so it carries everything annotated before the run emitted anything;
+what is annotated later (the final round count, a fault plan's tallies)
+goes into one more header-shaped line when the file is closed or
+rotated, which every loader folds into the metadata.
 
 The loaders are the inverse: :func:`iter_records` streams a file,
 :func:`read_trace` materializes it as a ``TraceLog``, and
@@ -56,7 +60,8 @@ class JsonlSink:
             (``path`` -> ``path.1`` -> ``path.2`` ...) and a fresh one
             is started.  ``None`` disables rotation.
         keep: how many rotated files to keep (older ones are deleted).
-        meta: run metadata written into every file's header line.
+        meta: run metadata written into every file's header line
+            (extended by :meth:`annotate`).
 
     The sink is also a context manager; :meth:`close` is idempotent.
     """
@@ -76,20 +81,29 @@ class JsonlSink:
         self._capacity = capacity
         self._keep = keep
         self._meta = dict(meta or {})
-        self._handle = None
+        #: What was annotated since the live file's header was written
+        #: (``None`` while the header itself is still pending).
+        self._late: Optional[Dict[str, object]] = None
         self._in_file = 0
         self._total = 0
         self._rotations = 0
-        self._open()
-
-    def _open(self) -> None:
         self._handle = open_text(self._path, "w")
-        header = {"schema": TRACE_SCHEMA, "meta": self._meta}
+
+    def _write_meta(self, meta: Dict[str, object]) -> None:
+        header = {"schema": TRACE_SCHEMA, "meta": meta}
         self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-        self._in_file = 0
+
+    def _finish_file(self) -> None:
+        """Write the pending header or the closing line, then close."""
+        if self._late is None:
+            self._write_meta(self._meta)
+        elif self._late:
+            self._write_meta(self._late)
+        self._late = None
+        self._handle.close()
 
     def _rotate(self) -> None:
-        self._handle.close()
+        self._finish_file()
         for index in range(self._keep, 0, -1):
             older = f"{self._path}.{index}"
             if index == self._keep:
@@ -100,7 +114,8 @@ class JsonlSink:
                 os.replace(older, f"{self._path}.{index + 1}")
         os.replace(self._path, f"{self._path}.1")
         self._rotations += 1
-        self._open()
+        self._handle = open_text(self._path, "w")
+        self._in_file = 0
 
     @property
     def path(self) -> str:
@@ -118,8 +133,12 @@ class JsonlSink:
         return self._rotations
 
     def annotate(self, **meta: object) -> None:
-        """Extend the metadata used for *future* file headers."""
+        """Extend the run metadata: into the header while it is still
+        pending, else into the live file's closing line (and every
+        later file's header)."""
         self._meta.update(meta)
+        if self._late is not None:
+            self._late.update(meta)
 
     def emit(self, record: TraceRecord) -> None:
         """Write one record, rotating first if the file is full."""
@@ -127,6 +146,9 @@ class JsonlSink:
             raise ObservabilityError(f"sink {self._path} is closed")
         if self._capacity is not None and self._in_file >= self._capacity:
             self._rotate()
+        if self._late is None:
+            self._write_meta(self._meta)
+            self._late = {}
         self._handle.write(json.dumps(record.to_dict(), sort_keys=True))
         self._handle.write("\n")
         self._in_file += 1
@@ -135,7 +157,7 @@ class JsonlSink:
     def close(self) -> None:
         """Flush and close the live file (idempotent)."""
         if self._handle is not None:
-            self._handle.close()
+            self._finish_file()
             self._handle = None
 
     def __enter__(self) -> "JsonlSink":
@@ -146,10 +168,11 @@ class JsonlSink:
 
 
 def _read_header(line: str, path: str) -> Dict[str, object]:
+    """The metadata dict of a trace file's header line."""
     try:
         header = json.loads(line)
     except ValueError as exc:
-        raise ObservabilityError(f"{path}: header is not JSON") from exc
+        raise ObservabilityError(f"{path}: header line is not JSON") from exc
     if not isinstance(header, dict) or "schema" not in header:
         raise ObservabilityError(f"{path}: first line is not a trace header")
     if header["schema"] != TRACE_SCHEMA:
@@ -157,21 +180,32 @@ def _read_header(line: str, path: str) -> Dict[str, object]:
             f"{path}: unsupported trace schema {header['schema']!r} "
             f"(expected {TRACE_SCHEMA})"
         )
-    return header
-
-
-def read_meta(path: str) -> Dict[str, object]:
-    """The metadata dict from a trace file's header line."""
-    with open_text(path, "r") as handle:
-        header = _read_header(handle.readline(), path)
     meta = header.get("meta", {})
     return meta if isinstance(meta, dict) else {}
 
 
-def iter_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a JSONL trace file, validating the header."""
+def _is_closing_line(data: object) -> bool:
+    """A header-shaped line after the first: what a sink's run
+    annotated after its first record.  Never a record."""
+    return isinstance(data, dict) and "schema" in data and "kind" not in data
+
+
+def read_meta(path: str) -> Dict[str, object]:
+    """A trace file's metadata: its header line's, extended by the
+    closing line a sink wrote for what the run annotated later."""
     with open_text(path, "r") as handle:
-        _read_header(handle.readline(), path)
+        meta = _read_header(handle.readline(), path)
+        for line in handle:
+            if '"schema"' in line:  # no record carries the key
+                meta.update(_read_header(line, path))
+    return meta
+
+
+def _load(path: str, meta: Dict[str, object]) -> Iterator[TraceRecord]:
+    """Stream ``path``'s records, merging its metadata into ``meta`` as
+    the scan passes the header and any closing line."""
+    with open_text(path, "r") as handle:
+        meta.update(_read_header(handle.readline(), path))
         for number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
@@ -182,14 +216,21 @@ def iter_records(path: str) -> Iterator[TraceRecord]:
                 raise ObservabilityError(
                     f"{path}:{number}: not JSON"
                 ) from exc
-            yield TraceRecord.from_dict(data)
+            if _is_closing_line(data):
+                meta.update(_read_header(line, path))
+            else:
+                yield TraceRecord.from_dict(data)
+
+
+def iter_records(path: str) -> Iterator[TraceRecord]:
+    """Stream the records of a JSONL trace file, validating the header."""
+    return _load(path, {})
 
 
 def read_trace(path: str) -> TraceLog:
     """Load a whole JSONL trace file into an indexed :class:`TraceLog`."""
     log = TraceLog()
-    log.meta = read_meta(path)
-    for record in iter_records(path):
+    for record in _load(path, log.meta):
         log.append(record)
     return log
 
@@ -221,7 +262,11 @@ def validate_trace(path: str) -> Tuple[int, List[str]]:
                 if not line:
                     continue
                 try:
-                    record = TraceRecord.from_dict(json.loads(line))
+                    data = json.loads(line)
+                    if _is_closing_line(data):
+                        _read_header(line, path)
+                        continue
+                    record = TraceRecord.from_dict(data)
                 except ValueError:
                     problems.append(f"line {number}: not JSON")
                     continue

@@ -44,8 +44,8 @@ import numpy as np
 from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
-from repro.obs.probes import Observer
-from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
+from repro.obs.probes import Observer, fold_shorthands
+from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import dissemination_counts
 from repro.par.executor import TrialExecutor
 from repro.sim.metrics import DisseminationReport
@@ -174,19 +174,19 @@ def run_sharded_dissemination(
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
             trace/sink destinations receive the run as one globally
             round-monotone trace — every record, or the subset its
-            ``sampler`` keeps — and its registry the run's ``subtree.*``
-            counters.
-        timeline: optional :class:`~repro.obs.timeline.TimelineRecorder`
-            receiving per-wave ``fan_out``/``exchange`` spans (the
-            observer's timeline is used when this is None).
+            ``sampler`` keeps — its registry the run's ``subtree.*``
+            counters, and its timeline per-wave ``fan_out``/``exchange``
+            spans.
+        timeline: shorthand for ``observer=Observer(timeline=...)``
+            (:func:`~repro.obs.probes.fold_shorthands`).
 
     Returns:
         the aggregate :class:`~repro.sim.metrics.DisseminationReport`.
     """
-    if timeline is None:
-        timeline = NULL_TIMELINE if observer is None else observer.timeline
+    observer = fold_shorthands(observer, timeline=timeline)
+    timeline = observer.timeline
     trace_rate = None
-    if observer is not None and observer.tracing:
+    if observer.tracing:
         sampler = observer.sampler
         trace_rate = 1.0 if sampler is None else sampler.rate
     states: Dict[int, ShardState] = {
@@ -267,15 +267,14 @@ def run_sharded_dissemination(
         # The publisher trivially "received" its own event; the false-
         # reception denominator and numerator both exclude it.
         received_uninterested -= 1
-    if observer is not None:
-        for name, value in (
-            ("waves", waves),
-            ("envelopes_sent", sent),
-            ("envelopes_lost", lost),
-            ("cross_shard_envelopes", crossed),
-            ("receptions", recv),
-        ):
-            observer.registry.counter("subtree", name).inc(value)
+    for name, value in (
+        ("waves", waves),
+        ("envelopes_sent", sent),
+        ("envelopes_lost", lost),
+        ("cross_shard_envelopes", crossed),
+        ("receptions", recv),
+    ):
+        observer.registry.counter("subtree", name).inc(value)
     return DisseminationReport(
         group_size=spec.size,
         interested=interested,

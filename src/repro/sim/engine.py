@@ -20,6 +20,11 @@ an unpopulated view) takes the scalar reference loop
 The two are bit-identical on every eligible run — report, trace
 records, node state — and ``SimConfig(vectorized=False)`` forces the
 reference loop so a test can diff them.
+
+Either loop is observed through the one
+:class:`~repro.obs.probes.Observer` the run is handed (trace and/or
+sink, sampler, timeline, registry); ``trace=`` and ``timeline=`` are
+shorthands folded into it on the first line.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from repro.addressing import Address
 from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.obs.probes import NULL_OBSERVER, Observer
-from repro.obs.sampling import TraceSampler, emitter
+from repro.obs.probes import Observer, fold_shorthands
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
@@ -50,7 +54,6 @@ def run_dissemination(
     crash_schedule: Optional[CrashSchedule] = None,
     trace: Optional[TraceLog] = None,
     faults: Optional[FaultPlan] = None,
-    sampler: Optional[TraceSampler] = None,
     observer: Optional[Observer] = None,
     timeline: Optional[TimelineRecorder] = None,
 ) -> DisseminationReport:
@@ -65,55 +68,43 @@ def run_dissemination(
         crash_schedule: explicit crash plan; when omitted, one is
             sampled from ``sim_config.crash_fraction`` over a horizon of
             ``max_rounds`` (the analysis model's τ).
-        trace: optional :class:`~repro.obs.trace.TraceLog` receiving one
-            record per publish/send/loss/receive/delivery/crash, plus
-            run metadata (publisher, interest ground truth, final round
-            count) in :attr:`~repro.obs.trace.TraceLog.meta` — enough
-            for ``python -m repro.obs summarize`` to reproduce this
-            function's report offline.
+        trace: shorthand for ``observer=Observer(trace=...)``
+            (:func:`~repro.obs.probes.fold_shorthands`).
         faults: optional :class:`~repro.faults.plan.FaultPlan`; the
             run's link then replays it (:mod:`repro.faults`) over its
             own RNG stream (label ``"faults"``), so a faulted run with
             the same seed leaves the gossip/network/crash draws — and
             therefore every unfaulted result — untouched.  Injected
-            faults appear in ``trace`` as ``fault_*`` records.
-        sampler: optional :class:`~repro.obs.sampling.TraceSampler`;
-            when set, ``trace`` receives only the records whose
-            ``(kind, process, event_id)`` key survives the hash
-            decision, and the sampling block is stamped into the trace
-            metadata so ``summarize`` rescales.  Sampling draws no
-            randomness, so the report is unchanged.  ``fault_*``
-            records are never sampled
-            (:func:`repro.obs.sampling.is_exact`).
+            faults appear in the trace as ``fault_*`` records.
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
-            registry counts, by reason, the runs the kernel could not
-            express (``sim.vector_fallback`` and
-            ``sim.vector_fallback_<reason>``); its ``sampler``/
-            ``timeline`` act as defaults for the corresponding
-            arguments.
-        timeline: optional :class:`~repro.obs.timeline.TimelineRecorder`
-            receiving per-round ``engine`` ``fan_out``/``exchange``
-            wall-clock spans, plus one ``match`` span when the kernel
-            runs (out of band; never affects the run).
+            trace and/or sink receive one record per publish/send/loss/
+            receive/delivery/crash — all of them, or the subset its
+            sampler keeps (never a ``fault_*`` record:
+            :func:`repro.obs.sampling.is_exact`) — under a header
+            (publisher, interest ground truth, final round count) from
+            which ``python -m repro.obs summarize`` reproduces this
+            function's report.  Its timeline receives per-round
+            ``engine`` ``fan_out``/``exchange`` spans, plus one
+            ``match`` span when the kernel runs; its registry the
+            kernel's ``vector.*`` counters and, by reason, the runs the
+            kernel could not express (``sim.vector_fallback`` and
+            ``sim.vector_fallback_<reason>``).  Observation draws no
+            randomness: the report is the same observed or not.
+        timeline: shorthand for ``observer=Observer(timeline=...)``.
 
     Returns:
         the :class:`~repro.sim.metrics.DisseminationReport` of the run.
     """
+    observer = fold_shorthands(observer, trace, timeline)
     sim_config = sim_config or SimConfig()
-    if observer is None:
-        observer = NULL_OBSERVER
-    if sampler is None:
-        sampler = observer.sampler
-    if timeline is None:
-        timeline = observer.timeline
     registry = observer.registry
     # Imported here: repro.variants itself imports from repro.sim.
     from repro.variants.base import run_variant
     from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
 
+    emit = observer.emit if observer.tracing else None
     link, crash_schedule, ctx = prepare_pmcast_run(
-        group, publisher, event, sim_config,
-        crash_schedule, emitter(trace, sampler), faults,
+        group, publisher, event, sim_config, crash_schedule, emit, faults,
     )
 
     if sim_config.vectorized:
@@ -131,10 +122,7 @@ def run_dissemination(
                 ctx,
                 link,
                 crash_schedule,
-                trace=trace,
-                sampler=sampler,
-                registry=registry,
-                timeline=timeline,
+                observer,
             )
             if report is not None:
                 return report
@@ -153,12 +141,4 @@ def run_dissemination(
     # active set, same RNG draw order, same trace records,
     # bit-identical reports.
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
-    return run_variant(
-        variant,
-        sim_config,
-        link,
-        crash_schedule,
-        trace=trace,
-        sampler=sampler,
-        timeline=timeline,
-    )
+    return run_variant(variant, sim_config, link, crash_schedule, observer)

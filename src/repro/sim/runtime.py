@@ -64,6 +64,7 @@ from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
+from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime"]
 
@@ -507,19 +508,13 @@ class GroupRuntime:
         # round's sends; injected losses are in the "faults" collector.
         self._m_lost.inc(max(len(envelopes) - len(survivors), 0))
         if self._obs.tracing and envelopes:
-            arrived = {id(envelope) for envelope in survivors}
-            diverted = self._link.last_diverted
-            for envelope in envelopes:
-                if id(envelope) in diverted:
-                    continue
-                self._obs.emit(
-                    self._round,
-                    "send" if id(envelope) in arrived else "loss",
-                    envelope.message.sender,
-                    peer=envelope.destination,
-                    event_id=envelope.message.event.event_id,
-                    depth=envelope.message.depth,
-                )
+            emit_dispositions(
+                envelopes,
+                {id(envelope) for envelope in survivors},
+                self._link.last_diverted,
+                self._obs.emit,
+                self._round,
+            )
         for envelope in survivors:
             receiver = self._nodes.get(envelope.destination)
             if receiver is None or not receiver.alive:

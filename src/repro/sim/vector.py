@@ -12,8 +12,8 @@ CPython's ``random.sample``, loss draws via
 :class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
 scalar path's for any eligible run — and so is its trace: the kernel
 emits the same ``repro.obs.trace/v1`` records in the same order (through
-the same optional :class:`~repro.obs.sampling.TraceSampler`), so a
-traced run takes it too.  It is the path
+the same :meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so
+sampled alike), and a traced run takes it too.  It is the path
 :func:`~repro.sim.engine.run_dissemination` takes whenever the run is
 eligible; an ineligible one (a node mid-event, ragged address depths,
 an unpopulated view — or, decided by the engine, a fault plan, whose
@@ -58,10 +58,9 @@ from repro.core.context import GossipContext
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
-from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.obs.sampling import TraceSampler, emitter, keep, keep_mask
-from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
-from repro.obs.trace import TraceLog, dissemination_meta
+from repro.obs.probes import NULL_OBSERVER, Observer
+from repro.obs.sampling import keep, keep_mask
+from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
@@ -265,25 +264,22 @@ def try_run_vectorized(
     ctx: GossipContext,
     network: LossyNetwork,
     crash_schedule: CrashSchedule,
-    trace: Optional[TraceLog] = None,
-    sampler: Optional[TraceSampler] = None,
-    registry: Optional[MetricsRegistry] = None,
-    timeline: Optional[TimelineRecorder] = None,
+    observer: Observer = NULL_OBSERVER,
 ) -> Optional[DisseminationReport]:
     """Run one dissemination on the compat kernel, or None if ineligible.
 
     Stream-compatible with the reference loop: same gossip/loss draws
     in the same order, same report, the same trace records in the same
-    order (optionally filtered through ``sampler``), and the object
+    order (through ``observer.emit``, so sampled alike), and the object
     model (node liveness, delivery sets, message counters, leftover
     buffers) is written back so post-run inspection cannot tell the
-    paths apart.  ``registry`` receives per-round ``vector.*`` counters;
-    ``timeline`` receives ``engine`` ``match``/``fan_out``/``exchange``
-    spans under the names the reference loop uses — both out of band.
+    paths apart.  ``observer.registry`` receives per-round ``vector.*``
+    counters; ``observer.timeline`` receives ``engine`` ``match``/
+    ``fan_out``/``exchange`` spans under the names the reference loop
+    uses — both out of band.
     """
-    registry = registry_or_null(registry)
-    if timeline is None:
-        timeline = NULL_TIMELINE
+    registry = observer.registry
+    timeline = observer.timeline
     with timeline.span("match", "engine"):
         spec = _build_compat_spec(group, event, ctx)
     if spec is None:
@@ -332,11 +328,11 @@ def try_run_vectorized(
     sent_count = [0] * n
     recv_count = [0] * n
 
-    emit = emitter(trace, sampler)
+    emit = observer.emit if observer.tracing else None
     if emit is not None:
         # Byte-identical metadata to the scalar engine's: offline
         # tooling cannot (and must not) tell the producers apart.
-        trace.annotate(
+        observer.annotate(
             **dissemination_meta(
                 "repro.sim.engine",
                 publisher,
@@ -534,8 +530,7 @@ def try_run_vectorized(
             meter_infected.set(infected_count)
 
     timeline.probe_memory(subsystem="engine", round_index=rounds)
-    if trace is not None:
-        trace.annotate(rounds=rounds)
+    observer.annotate(rounds=rounds)
     if metering:
         registry.counter("vector", "runs").inc()
         registry.counter("vector", "receptions").inc(sum(recv_count))

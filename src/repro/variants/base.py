@@ -17,7 +17,10 @@ reception does — the :class:`DisseminationVariant` interface.  The
 driver below (:func:`run_variant`) owns everything else: the round
 loop, crash application, the hand-off to the link, distance
 accounting, the ``repro.obs.trace/v1`` disposition records, timeline
-spans and the infection curve.  The engine's historical behavior is a
+spans and the infection curve — everything observable goes through the
+one :class:`~repro.obs.probes.Observer` the driver is handed
+(``observer.emit`` when tracing, ``observer.annotate``,
+``observer.timeline``).  The engine's historical behavior is a
 *contract*, not a casualty, of this extraction: running the pmcast
 strategy (:class:`repro.variants.pmcast.PmcastVariant`) through this
 driver is bit-identical — same RNG draws, same trace records, same
@@ -37,13 +40,11 @@ Determinism rules every strategy must follow (docs/VARIANTS.md):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, distance
 from repro.config import SimConfig
-from repro.obs.sampling import TraceSampler, emitter
-from repro.obs.timeline import NULL_TIMELINE, TimelineRecorder
-from repro.obs.trace import TraceLog
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
@@ -53,8 +54,8 @@ __all__ = [
     "DisseminationVariant",
     "VariantEnvelope",
     "VariantMessage",
-    "close_trace",
     "crash_step",
+    "emit_dispositions",
     "run_variant",
 ]
 
@@ -219,24 +220,36 @@ class DisseminationVariant(ABC):
     ) -> None:
         """One transport-disposition record per envelope per round.
 
-        The default is the engine's convention: ``send`` when the
-        network delivered the envelope, ``loss`` when it dropped it,
-        nothing when the link diverted it (a fault plan emitted its
-        own ``fault_*`` record).  Variants with control
-        traffic override this to emit the :data:`CONTROL_KINDS`.
+        The default is the engine's convention
+        (:func:`emit_dispositions`).  Variants with control traffic
+        override this to emit the :data:`CONTROL_KINDS`.
         """
-        for envelope in envelopes:
-            if id(envelope) in diverted:
-                continue
-            kind = "send" if id(envelope) in arrived else "loss"
-            emit(
-                rounds,
-                kind,
-                envelope.message.sender,
-                peer=envelope.destination,
-                event_id=envelope.message.event.event_id,
-                depth=envelope.message.depth,
-            )
+        emit_dispositions(envelopes, arrived, diverted, emit, rounds)
+
+
+def emit_dispositions(
+    envelopes: Sequence[Any],
+    arrived: Collection[int],
+    diverted: Collection[int],
+    emit: Emit,
+    rounds: int,
+) -> None:
+    """The engine's disposition records for one round's envelopes:
+    ``send`` when the network delivered the envelope (its ``id`` is in
+    ``arrived``), ``loss`` when it dropped it, nothing when the link
+    diverted it (a fault plan emitted its own ``fault_*`` record)."""
+    for envelope in envelopes:
+        if id(envelope) in diverted:
+            continue
+        kind = "send" if id(envelope) in arrived else "loss"
+        emit(
+            rounds,
+            kind,
+            envelope.message.sender,
+            peer=envelope.destination,
+            event_id=envelope.message.event.event_id,
+            depth=envelope.message.depth,
+        )
 
 
 def crash_step(
@@ -259,22 +272,12 @@ def crash_step(
             emit(round_index + 1, "crash", victim)
 
 
-def close_trace(
-    trace: Optional[TraceLog], link: LossyNetwork, rounds: int
-) -> None:
-    """Stamp the final round count (and the link's tallies) on ``trace``."""
-    if trace is not None:
-        trace.annotate(rounds=rounds, **link.trace_meta())
-
-
 def run_variant(
     variant: DisseminationVariant,
     sim_config: SimConfig,
     link: LossyNetwork,
     crash_schedule: CrashSchedule,
-    trace: Optional[TraceLog] = None,
-    sampler: Optional[TraceSampler] = None,
-    timeline: Optional[TimelineRecorder] = None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Drive one dissemination strategy through the shared round loop.
 
@@ -293,20 +296,20 @@ def run_variant(
             Per round the driver calls ``begin_round`` then
             ``transmit``.
         crash_schedule: the τ-model crash plan.
-        trace: optional ``repro.obs.trace/v1`` log.
-        sampler: optional trace sampler (``fault_*`` records are kept
-            at any rate: :func:`repro.obs.sampling.is_exact`).
-        timeline: optional wall-clock recorder receiving per-round
-            ``fan_out``/``exchange`` spans under ``variant.subsystem``.
+        observer: what the run is observed through — its trace/sink
+            get the ``repro.obs.trace/v1`` records (sampled by its
+            sampler; ``fault_*`` records are kept at any rate:
+            :func:`repro.obs.sampling.is_exact`), its timeline the
+            per-round ``fan_out``/``exchange`` spans under
+            ``variant.subsystem``.
 
     Returns:
         the variant's :class:`~repro.sim.metrics.DisseminationReport`.
     """
-    if timeline is None:
-        timeline = NULL_TIMELINE
-    emit = emitter(trace, sampler)
-    if trace is not None:
-        trace.annotate(**variant.trace_meta())
+    timeline = observer.timeline
+    emit = observer.emit if observer.tracing else None
+    if emit is not None:
+        observer.annotate(**variant.trace_meta())
     variant.begin(emit)
 
     infection_curve: List[int] = []
@@ -339,7 +342,7 @@ def run_variant(
         infection_curve.append(variant.infected_count())
 
     timeline.probe_memory(subsystem=variant.subsystem, round_index=rounds)
-    close_trace(trace, link, rounds)
+    observer.annotate(rounds=rounds, **link.trace_meta())
     return variant.finalize(
         rounds,
         tuple(infection_curve),

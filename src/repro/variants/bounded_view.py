@@ -32,6 +32,7 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
@@ -187,10 +188,8 @@ def bounded_view_broadcast(
     crash_schedule: Optional[CrashSchedule] = None,
     view_size: int = 8,
     shuffle_size: int = 2,
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Disseminate one event gossiping over bounded partial views.
 
@@ -219,8 +218,6 @@ def bounded_view_broadcast(
         variant,
         sim_config,
         crash_schedule=crash_schedule,
-        trace=trace,
-        sampler=sampler,
         faults=faults,
-        timeline=timeline,
+        observer=observer,
     )

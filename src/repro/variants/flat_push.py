@@ -37,6 +37,7 @@ from repro.core.rounds import pittel_rounds, round_bound
 from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
@@ -317,10 +318,8 @@ def run_flat_style(
     variant: FlatPushVariant,
     sim_config,
     crash_schedule: Optional[CrashSchedule] = None,
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Drive a flat-style variant with the flat baselines' RNG scheme.
 
@@ -350,21 +349,12 @@ def run_flat_style(
     if faults is not None:
         from repro.faults.injector import FaultInjector
         from repro.membership.tree import MembershipTree
-        from repro.obs.sampling import emitter
 
         link = FaultInjector(
             faults,
             MembershipTree.build(variant.members, redundancy=1),
             derive_rng(sim_config.seed, "flat-faults", event_id),
             link,
-            emitter(trace, sampler),
+            observer.emit if observer.tracing else None,
         )
-    return run_variant(
-        variant,
-        sim_config,
-        link,
-        crash_schedule,
-        trace=trace,
-        sampler=sampler,
-        timeline=timeline,
-    )
+    return run_variant(variant, sim_config, link, crash_schedule, observer)

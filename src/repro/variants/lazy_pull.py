@@ -43,6 +43,7 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
@@ -234,10 +235,8 @@ def lazy_pull_broadcast(
     pull_fanout: int = 2,
     retry_budget: int = 8,
     store_horizon: Optional[int] = None,
-    trace=None,
-    sampler=None,
     faults=None,
-    timeline=None,
+    observer: Observer = NULL_OBSERVER,
 ) -> DisseminationReport:
     """Disseminate one event with push-then-pull recovery.
 
@@ -263,8 +262,6 @@ def lazy_pull_broadcast(
         variant,
         sim_config,
         crash_schedule=crash_schedule,
-        trace=trace,
-        sampler=sampler,
         faults=faults,
-        timeline=timeline,
+        observer=observer,
     )

@@ -124,7 +124,7 @@ class TestEveryEnvelopeHasOneDisposition:
         loop_trace = TraceLog()
         loop_report = run_sim_dissemination(
             PmcastGroup.build(members(seed), CONFIG), ADDRESSES[0], EVENT,
-            sim, trace=loop_trace, faults=plan,
+            sim, faults=plan, observer=Observer(trace=loop_trace),
         )
         assert loop_report == engine_report
         assert trace_bytes(loop_trace, tmp / "loop.jsonl") == trace_bytes(

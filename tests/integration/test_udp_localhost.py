@@ -23,7 +23,20 @@ from repro.interests.events import Event
 from repro.net import AsyncProcess, run_udp_dissemination
 from repro.net import transport as transport_module
 from repro.net import udp as udp_module
-from repro.obs import TraceLog
+from repro.obs import (
+    NULL_OBSERVER,
+    SAMPLING_SCHEME,
+    JsonlSink,
+    MetricsRegistry,
+    Observer,
+    TraceLog,
+    TraceSampler,
+    iter_records,
+    read_meta,
+    validate_trace,
+)
+from repro.obs.cli import summarize_trace
+from repro.obs.sampling import keep
 from repro.sim import PmcastGroup, bernoulli_interests, derive_rng
 from repro.validate.oracles import tree_delivery_prediction
 
@@ -51,7 +64,7 @@ def build_group(seed):
     return group, addresses
 
 
-def run_udp(seed, trace=None, loss_probability=0.0):
+def run_udp(seed, trace=None, loss_probability=0.0, observer=None):
     group, addresses = build_group(seed)
     try:
         report, stats = run_udp_dissemination(
@@ -63,6 +76,7 @@ def run_udp(seed, trace=None, loss_probability=0.0):
             period_s=0.02,
             hard_timeout_s=20.0,
             trace=trace,
+            observer=observer,
         )
     except OSError as exc:
         pytest.skip(f"UDP sockets unavailable: {exc}")
@@ -105,9 +119,6 @@ class TestUdpLocalhost:
         assert report.messages_lost <= report.messages_sent
 
     def test_trace_validates_and_summarizes(self, tmp_path):
-        from repro.obs.cli import summarize_trace
-        from repro.obs.sink import validate_trace
-
         trace = TraceLog()
         report, __ = run_udp(seed=8, trace=trace)
         path = tmp_path / "udp.jsonl"
@@ -123,6 +134,50 @@ class TestUdpLocalhost:
             1 for record in trace if record.kind == "deliver"
         )
         assert deliveries == report.delivered_interested
+
+    def test_sampled_run_streams_to_a_gz_sink(self, tmp_path):
+        """The structural half of tests/obs/test_observer_matrix.py (a
+        UDP run is not reproducible record for record): the plane
+        reaches a sink, sampling is the observer's, and what the run
+        annotates last arrives through the sink's closing line."""
+        path = str(tmp_path / "udp.jsonl.gz")
+        rate = 0.25
+        with JsonlSink(path) as sink:
+            report, stats = run_udp(
+                seed=8, observer=Observer(sink=sink, sampler=TraceSampler(rate))
+            )
+            written = sink.records_written
+        count, problems = validate_trace(path)
+        assert problems == [] and count == written > 0
+        meta = read_meta(path)
+        assert meta["sampling"] == {"rate": rate, "scheme": SAMPLING_SCHEME}
+        assert meta["producer"] == "repro.net.udp"
+        assert meta["rounds"] == report.rounds  # annotated after the run
+        kinds = set()
+        for record in iter_records(path):
+            assert keep(record.kind, record.process, record.event_id, rate)
+            kinds.add(record.kind)
+        assert {"timer_fire", "send", "recv", "receive"} <= kinds
+        # Sends are sampled by sender: far fewer than were sent.
+        summary = summarize_trace(path)
+        assert summary["sampling"]["rate"] == rate
+        assert summary["kind_counts"]["send"] < stats.messages_sent
+
+    def test_registry_reads_the_run_stats(self):
+        registry = MetricsRegistry()
+        __, stats = run_udp(
+            seed=7, loss_probability=0.05, observer=Observer(registry=registry)
+        )
+        rows = registry.snapshot()["net"]
+        assert rows == {
+            name: getattr(stats, name)
+            for name in (
+                "timer_fires", "messages_sent", "messages_lost",
+                "datagrams_received", "receptions", "malformed_datagrams",
+                "misrouted_datagrams", "wire_drops",
+            )
+        }
+        assert rows["messages_lost"] > 0 and rows["receptions"] > 0
 
 
 class TestPerDatagramCost:
@@ -202,7 +257,7 @@ class TestPerDatagramCost:
             with pytest.raises(OSError) as caught:
                 await udp_module._run_udp(
                     group, addresses[0], Event({"udp": 1}, event_id=9),
-                    13, 0.0, 0.02, 5, 20.0, None, "127.0.0.1",
+                    13, 0.0, 0.02, 5, 20.0, NULL_OBSERVER, "127.0.0.1",
                 )
             assert caught.value.errno == errno.EMFILE
             assert len(opened) == fail_at

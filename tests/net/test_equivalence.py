@@ -27,7 +27,7 @@ from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.net import run_sim_dissemination
 from repro.net.scheduler import JitteredSchedule, StragglerSchedule
-from repro.obs import TraceLog
+from repro.obs import Observer, TraceLog
 from repro.par import TrialExecutor
 from repro.sim import (
     CrashSchedule,
@@ -97,9 +97,9 @@ def sim_run(
         Event({"golden": 1}, event_id=42),
         SimConfig(seed=seed, loss_probability=loss, **sim),
         crash_schedule=crashes,
-        trace=trace,
         faults=faults,
         schedule=schedule,
+        observer=Observer(trace=trace),
     )
     return report, trace
 

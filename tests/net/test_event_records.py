@@ -11,11 +11,21 @@ import json
 
 import pytest
 
-from repro.addressing import Address
+from repro.addressing import Address, AddressSpace
+from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
+from repro.interests.events import Event
+from repro.net import (
+    JitteredSchedule,
+    RoundSchedule,
+    StragglerSchedule,
+    run_sim_dissemination,
+)
+from repro.obs import Observer
 from repro.obs.cli import summarize_trace
 from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TraceLog, TraceRecord
+from repro.sim import PmcastGroup, bernoulli_interests, derive_rng, run_dissemination
 
 A1 = Address.parse("0.0.1")
 A2 = Address.parse("0.0.2")
@@ -150,3 +160,66 @@ class TestAnalysis:
         summary = summarize_trace(str(path))
         assert summary["event_records"] == 3
         assert summary["records"] == 4
+
+
+class TestEventLoopWritesThemWhenItHasNoRounds:
+    """``run_sim_dissemination`` derives what ``event_records=`` used to
+    ask: ``timer_fire`` records and the ``net`` header block are written
+    iff the traced schedule is not round-synchronous."""
+
+    PERIOD_US = 100_000
+
+    def arguments(self):
+        addresses = AddressSpace.regular(4, 3).enumerate_regular(4)
+        members = bernoulli_interests(addresses, 0.3, derive_rng(11, "ev"))
+        return (
+            PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=2)),
+            addresses[0],
+            Event({"ev": 1}, event_id=42),
+            SimConfig(seed=11, loss_probability=0.05),
+        )
+
+    def run(self, schedule, tmp_path):
+        trace = TraceLog()
+        run_sim_dissemination(
+            *self.arguments(), schedule=schedule,
+            observer=Observer(trace=trace),
+        )
+        path = str(tmp_path / "loop.jsonl")
+        trace.to_jsonl(path)
+        return trace, path
+
+    @pytest.mark.parametrize("schedule", [
+        JitteredSchedule(jitter=0.4, seed=3, period_us=PERIOD_US),
+        StragglerSchedule(fraction=0.25, factor=2, seed=3,
+                          period_us=PERIOD_US),
+    ], ids=["jittered", "straggler"])
+    def test_on_without_being_asked(self, schedule, tmp_path):
+        trace, path = self.run(schedule, tmp_path)
+        count, problems = validate_trace(path)
+        assert problems == [] and count == len(trace)
+        fires = trace.filter(kind="timer_fire")
+        assert summarize_trace(path)["event_records"] == len(fires) > 0
+        assert all(
+            record.round is None and record.time_us > 0 for record in fires
+        )
+        assert trace.meta["net"] == {
+            "schedule": repr(schedule),
+            "period_us": self.PERIOD_US,
+            "latency_us": self.PERIOD_US // 2,
+        }
+
+    @pytest.mark.parametrize("schedule", [
+        RoundSchedule(period_us=PERIOD_US),
+        JitteredSchedule(jitter=0.0, seed=3, period_us=PERIOD_US),
+    ], ids=["round", "zero_jitter"])
+    def test_off_so_the_trace_is_the_engines(self, schedule, tmp_path):
+        trace, path = self.run(schedule, tmp_path)
+        assert "event_records" not in summarize_trace(path)
+        assert "net" not in trace.meta
+        engine = TraceLog()
+        run_dissemination(*self.arguments(), trace=engine)
+        engine_path = str(tmp_path / "engine.jsonl")
+        engine.to_jsonl(engine_path)
+        with open(path, "rb") as ours, open(engine_path, "rb") as theirs:
+            assert ours.read() == theirs.read()

@@ -14,7 +14,7 @@ import pytest
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.interests.events import Event
-from repro.obs import TraceLog
+from repro.obs import Observer, TraceLog
 from repro.obs.cli import diff_traces, main, summarize_trace
 from repro.sim import CrashSchedule, PmcastGroup, run_dissemination
 from repro.sim.rng import derive_rng
@@ -202,7 +202,6 @@ class TestCliMain:
 
 def sharded_trace(sampler=None, sink=None):
     """A sharded run observed into one trace; returns (report, trace)."""
-    from repro.obs import Observer
     from repro.par.subtree import (
         build_regular_spec,
         run_sharded_dissemination,
@@ -310,8 +309,7 @@ class TestShardedSummaries:
             addresses[0],
             Event({"cli": 1}, event_id=42),
             SimConfig(seed=11, loss_probability=0.05),
-            trace=trace,
-            sampler=TraceSampler(0.6),
+            observer=Observer(trace=trace, sampler=TraceSampler(0.6)),
         )
         entry = summarize_trace(trace)["events"]["42"]
         assert entry["estimated"] is True

@@ -67,6 +67,16 @@ class TestObserver:
         assert compact(loaded) == compact(trace)
 
 
+    def test_emit_carries_time_us(self):
+        """Round-less (event-plane) records go through the same emit."""
+        trace = TraceLog()
+        Observer(trace=trace).emit(
+            None, "timer_fire", Address((0, 1)), event_id=2, time_us=1500
+        )
+        (record,) = trace
+        assert (record.round, record.time_us) == (None, 1500)
+
+
 class TestGoldenDisseminationTrace:
     """Seeded 2-depth dissemination: the exact probe sequence."""
 

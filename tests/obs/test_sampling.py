@@ -22,7 +22,6 @@ from repro.obs import Observer, TraceLog
 from repro.obs.cli import summarize_trace
 from repro.obs.sampling import (
     SAMPLING_SCHEME,
-    SampledTrace,
     TraceSampler,
     is_exact,
     keep,
@@ -113,11 +112,13 @@ class TestKeep:
 
 
 class TestSampledTrace:
+    """The sampled trace ``Observer(trace=..., sampler=...)`` writes."""
+
     def test_filters_records_and_stamps_meta(self):
         full = TraceLog()
         sampled_log = TraceLog()
         sampler = TraceSampler(0.5)
-        facade = SampledTrace(sampled_log, sampler)
+        facade = Observer(trace=sampled_log, sampler=sampler)
         assert sampled_log.meta["sampling"] == {
             "rate": 0.5,
             "scheme": SAMPLING_SCHEME,
@@ -125,7 +126,7 @@ class TestSampledTrace:
         for i in range(40):
             process = f"0.{i}"
             full.record(1, "send", process, peer="1.0", event_id=3)
-            facade.record(1, "send", process, peer="1.0", event_id=3)
+            facade.emit(1, "send", process, peer="1.0", event_id=3)
         kept = {str(r.process) for r in sampled_log}
         expected = {
             f"0.{i}" for i in range(40) if keep("send", f"0.{i}", 3, 0.5)
@@ -136,8 +137,8 @@ class TestSampledTrace:
     def test_sampled_subset_of_full(self):
         sampler = TraceSampler(0.4)
         full, sampled_log = TraceLog(), TraceLog()
-        facade = SampledTrace(sampled_log, sampler)
-        for emit in (full.record, facade.record):
+        facade = Observer(trace=sampled_log, sampler=sampler)
+        for emit in (full.record, facade.emit):
             emit(0, "publish", "0.0", event_id=2)
             for i in range(20):
                 emit(1, "receive", f"1.{i}", peer="0.0", event_id=2)
@@ -149,7 +150,7 @@ class TestSampledTrace:
 
     def test_annotate_passes_through(self):
         log = TraceLog()
-        facade = SampledTrace(log, TraceSampler(0.1))
+        facade = Observer(trace=log, sampler=TraceSampler(0.1))
         facade.annotate(rounds=12, producer="test")
         assert log.meta["rounds"] == 12
         assert log.meta["producer"] == "test"
@@ -215,7 +216,8 @@ class TestFaultRecordsAreExact:
         trace = TraceLog()
         run_dissemination(
             PmcastGroup.build(members, config), addresses[0], event, sim,
-            trace=trace, faults=plan, sampler=TraceSampler(self.RATE),
+            faults=plan,
+            observer=Observer(trace=trace, sampler=TraceSampler(self.RATE)),
         )
         assert self._fault_records(trace) == 77
         counts = trace.counts()

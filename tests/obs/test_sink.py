@@ -23,6 +23,15 @@ def record(round=0, kind="send", process=(0, 0), peer=(0, 1), **kwargs):
     )
 
 
+def lines_of(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def header_line(path):
+    return lines_of(path)[0]
+
+
 class TestJsonlSink:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -90,8 +99,53 @@ class TestJsonlSink:
             sink.emit(record(round=0))
             sink.annotate(late=True)
             sink.emit(record(round=1))  # rotates, new header
-        assert read_meta(path + ".1") == {}
-        assert read_meta(path) == {"late": True}
+        # The rotated file learns it from its closing line, the live
+        # one from its header.
+        assert header_line(path + ".1")["meta"] == {}
+        assert read_meta(path + ".1") == {"late": True}
+        assert header_line(path)["meta"] == {"late": True}
+        assert len(lines_of(path)) == 2  # nothing late: no closing line
+
+    def test_header_waits_for_the_first_record(self, tmp_path):
+        """What a run annotates before it emits anything — the sampling
+        block, the dissemination header — is in the header line; the
+        parent wrote ``meta == {}`` at construction."""
+        path = str(tmp_path / "trace.jsonl")
+        with JsonlSink(path) as sink:
+            sink.annotate(sampling={"rate": 0.5}, producer="test")
+            sink.emit(record(round=1))
+            sink.annotate(rounds=13)
+        header, only, closing = lines_of(path)
+        assert header["meta"] == {"sampling": {"rate": 0.5}, "producer": "test"}
+        assert only["kind"] == "send"
+        assert closing == {"schema": TRACE_SCHEMA, "meta": {"rounds": 13}}
+        expected = {"sampling": {"rate": 0.5}, "producer": "test", "rounds": 13}
+        assert read_meta(path) == expected
+        log = read_trace(path)
+        assert log.meta == expected and len(log) == 1
+        assert len(list(iter_records(path))) == 1
+        assert validate_trace(path) == (1, [])
+
+    def test_recordless_sink_still_writes_its_header(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        with JsonlSink(path, meta={"seed": 7}) as sink:
+            sink.annotate(rounds=0)
+        assert lines_of(path) == [
+            {"schema": TRACE_SCHEMA, "meta": {"seed": 7, "rounds": 0}}
+        ]
+        assert validate_trace(path) == (0, [])
+
+    def test_closing_line_with_a_foreign_schema_is_a_problem(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            json.dumps({"schema": TRACE_SCHEMA, "meta": {}}) + "\n"
+            + json.dumps(record().to_dict()) + "\n"
+            + json.dumps({"schema": "other/v9", "meta": {"rounds": 1}}) + "\n"
+        )
+        count, problems = validate_trace(str(path))
+        assert count == 1 and len(problems) == 1 and "other/v9" in problems[0]
+        with pytest.raises(ObservabilityError):
+            read_trace(str(path))
 
 
 class TestLoaders:

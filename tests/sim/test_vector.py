@@ -383,8 +383,10 @@ class TestTracedBitIdentity:
             addresses[0],
             Event({"golden": 1}, event_id=42),
             SimConfig(seed=11, **flag, **sim_kwargs),
-            trace=trace,
-            sampler=TraceSampler(rate) if rate is not None else None,
+            observer=Observer(
+                trace=trace,
+                sampler=TraceSampler(rate) if rate is not None else None,
+            ),
         )
         return report, trace
 
@@ -492,9 +494,12 @@ class TestGeneratedEquivalence:
                 alive[pick % len(alive)],
                 event,
                 sim,
-                trace=trace,
-                sampler=(
-                    TraceSampler(scenario["sample_rate"]) if sampled else None
+                observer=Observer(
+                    trace=trace,
+                    sampler=(
+                        TraceSampler(scenario["sample_rate"])
+                        if sampled else None
+                    ),
                 ),
             )
             outcome.append(

@@ -122,3 +122,47 @@ class TestRemovedTwins:
 
         assert sim.TraceLog is TraceLog
         assert sim.TraceRecord is TraceRecord
+
+    def test_one_way_to_observe_a_run(self):
+        """Drivers take ``observer=``; ``trace=`` / ``timeline=`` live on
+        only as the four shorthands the frozen ledger passes, and
+        ``sampler`` is the Observer's alone."""
+        import ast
+        import inspect
+        import pathlib
+
+        import repro
+        from repro.net import run_sim_dissemination
+        from repro.obs import sampling
+        from repro.sim import try_run_vectorized
+
+        assert not hasattr(sampling, "SampledTrace")
+        assert not hasattr(sampling, "emitter")
+        assert not hasattr(repro.obs, "SampledTrace")
+        assert "event_records" not in inspect.signature(
+            run_sim_dissemination
+        ).parameters
+        assert "registry" not in inspect.signature(
+            try_run_vectorized
+        ).parameters
+
+        root = pathlib.Path(repro.__file__).parent
+        found = set()
+        for path in root.rglob("*.py"):
+            if path.parent.name == "obs":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                arguments = node.args
+                for arg in (
+                    arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                ):
+                    if arg.arg in ("trace", "timeline", "sampler"):
+                        found.add((node.name, arg.arg))
+        assert found == {
+            ("run_dissemination", "trace"),
+            ("run_dissemination", "timeline"),
+            ("run_udp_dissemination", "trace"),
+            ("run_sharded_dissemination", "timeline"),
+        }

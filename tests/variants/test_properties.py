@@ -244,7 +244,7 @@ class TestFaultPlane:
         # message's depth (None for flat-style variants) straight into
         # TraceRecord and crash on the first injected loss.
         from repro.faults import FaultPlan
-        from repro.obs import TraceLog
+        from repro.obs import Observer, TraceLog
 
         addresses, members = make_members()
         event = Event({}, event_id=8)
@@ -256,7 +256,7 @@ class TestFaultPlane:
         trace = TraceLog()
         report = lazy_pull_broadcast(
             members, addresses[0], event, 2, SimConfig(seed=3),
-            faults=plan, trace=trace,
+            faults=plan, observer=Observer(trace=trace),
         )
         fault_records = [
             r for r in iter(trace) if r.kind.startswith("fault_")
