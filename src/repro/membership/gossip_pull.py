@@ -16,7 +16,6 @@ convergence tests.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from operator import attrgetter
@@ -42,55 +41,33 @@ __all__ = [
 # tuples per line.
 Digest = Dict[int, Dict[int, int]]
 
-# C-speed token readers for the version stamps: exchange() reads both
-# parties' stamps on every interaction, so the per-call cost of a
-# Python-level generator frame + property dispatch actually shows up
-# in paper-scale profiles.
+# C-speed token readers: the version keys below are read on every
+# interaction of a long-running group.
 _CACHE_TOKENS = attrgetter("_token")
 _ADDR_TOKENS = attrgetter("_addr_token")
 
-#: Sync-group identifiers (see :meth:`MembershipState.digest`); an id
-#: marks a set of states whose digests were verified pairwise equal.
-_SYNC_GROUPS = itertools.count(1)
-
-#: Union-find parents over sync-group ids.  When two *different*
-#: groups are verified digest-equal, they are unioned: every state in
-#: either group can then fast-path against every state in the other
-#: without its id being rewritten.  Without this, ids fragment — after
-#: a churn event, converging states pair up into many small groups and
-#: every cross-group exchange pays a full digest comparison even though
-#: the digests are equal (measured: >80% of paper-scale exchanges).
-#: An id absent from the map is its own root.
-_GROUP_PARENT: Dict[int, int] = {}
-
-
-def _find_group(group_id: int) -> int:
-    """The canonical root of a sync-group id, with path compression."""
-    parent = _GROUP_PARENT
-    root = parent.get(group_id)
-    if root is None:
-        return group_id
-    while True:
-        above = parent.get(root)
-        if above is None:
-            break
-        root = above
-    while group_id != root:
-        above = parent[group_id]
-        parent[group_id] = root
-        group_id = above
-    return root
+#: What pulling one table version from another gives, memoised on the
+#: puller's version (:func:`_merge`): the resulting table (``None`` =
+#: the puller's own, nothing installed), lines installed, digests equal.
+_Merge = Tuple[Optional[ViewTable], int, bool]
 
 
 @dataclass
 class MembershipState:
     """One process's membership knowledge: a table per depth 1..d.
 
-    ``digest()`` and ``peers()`` are recomputed on every anti-entropy
-    interaction in a long-running group, yet only change when a table
-    does; both are memoized against the monotone content/structure
-    stamps (:meth:`content_stamp`, :meth:`structure_stamp`).  Treat the
-    returned containers as read-only.
+    A state never writes into a table: :meth:`apply` and
+    :func:`exchange` *replace* ``tables[depth]`` with another frozen
+    version (copy-on-write), so states may share table objects — in a
+    long-running group every replica holding the same lines of a
+    subgroup holds the same object, and "same object" is the sync test.
+    A hand-built state may own writable tables and mutate them
+    directly; every memo here is keyed on tokens, which follow.
+
+    ``digest()`` and ``peers()`` only change when a table does; both
+    are memoized against the table tokens (:meth:`version`, and the
+    structure-only ``addresses_token`` tuple, which timestamp churn
+    leaves alone).  Treat the returned containers as read-only.
     """
 
     owner: Address
@@ -106,81 +83,42 @@ class MembershipState:
                 raise MembershipError(
                     f"table {table.prefix} is not on {self.owner}'s path"
                 )
-        self._digest_stamp: int = -1
+        self._digest_version: Tuple[int, ...] = ()
         self._digest_memo: Digest = {}
-        self._peers_stamp: int = -1
+        self._peers_version: Tuple[int, ...] = ()
         self._peers_memo: List[Address] = []
-        # The tables as a flat tuple: the stamp computations walk it on
-        # every exchange, and a tuple iterates measurably faster than a
-        # dict view.  Valid because a state's table *set* is fixed at
-        # construction (only table contents mutate); nothing in the
-        # package assigns into ``state.tables`` afterwards.
+        # The tables as a flat tuple, rebuilt whenever one is replaced:
+        # two states hold the same versions iff their tuples match
+        # element by element under ``is``, and a tuple iterates
+        # measurably faster than a dict view.  The *set* of depths is
+        # fixed at construction.
         self._seq: Tuple[ViewTable, ...] = tuple(self.tables.values())
-        # Sync group: ``(group_id, content_stamp)`` recorded when this
-        # state's digest was last verified equal to another state's.
-        # Digest equality is transitive, so any two states carrying the
-        # same group id — each validated by its own unchanged stamp —
-        # are provably digest-equal without rebuilding or comparing
-        # digests.  Unlike a per-partner memo this lets a *first-time*
-        # pairing (the common case for randomized far pulls) take the
-        # synced fast path.  Never invalidated explicitly: stamps are
-        # monotone, so any table mutation falsifies the stored stamp.
-        self._sync_group: Optional[Tuple[int, int]] = None
-        # Owner-maintained stamp memos.  ``None`` means "recompute".
-        # Only :meth:`apply` mutates tables on states whose owner fills
-        # these (the simulator's replicas), so it is the single
-        # invalidation point; states whose tables are mutated directly
-        # (hand-built fixtures) are fine as long as nothing fills the
-        # hints for them — the public stamp methods never read these.
-        self._stamp_hint: Optional[int] = None
-        self._struct_hint: Optional[int] = None
-
-    def content_stamp(self) -> int:
-        """Monotone int summarizing table contents: the sum of the
-        per-table cache tokens.
-
-        Tokens only ever grow (they are drawn from a global monotone
-        counter), so the sum is strictly increasing under mutation and
-        *equality of stamps proves the tables are unchanged* — the
-        property every memo in this module validates against.  Cheaper
-        than :meth:`version` (no tuple allocation) on hot paths.
-        """
-        return sum(map(_CACHE_TOKENS, self._seq))
-
-    def structure_stamp(self) -> int:
-        """Structure-only stamp: changes iff a table's *membership*
-        (infix -> delegates mapping) does.
-
-        Anti-entropy mostly restamps timestamps; those mutations advance
-        :meth:`content_stamp` but not this sum, so caches of *who is in
-        the tables* — :meth:`peers`, the runtime's far-peer pools —
-        survive timestamp churn.
-        """
-        return sum(map(_ADDR_TOKENS, self._seq))
 
     def version(self) -> Tuple[int, ...]:
-        """The tuple of table cache tokens: changes iff a table does."""
+        """The tuple of table cache tokens: changes iff a table does
+        (by replacement or, for a writable table, by mutation).
+
+        A token names one state of one table and is never reused, but
+        a state can *adopt* a version older than the one it held, so
+        only equality of the whole tuple means anything — tokens do not
+        order versions and their sum identifies nothing.
+        """
         return tuple(map(_CACHE_TOKENS, self._seq))
 
     def digest(self) -> Digest:
         """(line, timestamp) pairs for every line, grouped by depth.
 
         Zero-copy: the per-depth maps *are* the tables' own memoized
-        digest maps, so rebuilding after a mutation costs one small
-        outer dict.  Staleness is caught by the monotone content stamp.
+        digest maps, so rebuilding after a change costs one small
+        outer dict.
         """
-        stamp = sum(map(_CACHE_TOKENS, self._seq))
-        if stamp != self._digest_stamp:
-            return self._rebuild_digest(stamp)
+        version = self.version()
+        if version != self._digest_version:
+            self._digest_memo = {
+                depth: table.digest() for depth, table in self.tables.items()
+            }
+            self._digest_version = version
         return self._digest_memo
-
-    def _rebuild_digest(self, stamp: int) -> Digest:
-        out = {
-            depth: table.digest() for depth, table in self.tables.items()
-        }
-        self._digest_memo = out
-        self._digest_stamp = stamp
-        return out
 
     def fresher_rows(self, digest: Digest) -> List[Tuple[int, ViewRow]]:
         """Lines where this process is strictly fresher than ``digest``.
@@ -189,46 +127,49 @@ class MembershipState:
         gossiper has never seen is the extreme case of a smaller
         timestamp.
         """
-        updates: List[Tuple[int, ViewRow]] = []
-        for depth, table in self.tables.items():
-            known = digest.get(depth)
-            if known is None:
-                for row in table.rows():
-                    updates.append((depth, row))
-                continue
-            known_get = known.get
-            for row in table.rows():
-                timestamp = known_get(row.infix)
-                if timestamp is None or timestamp < row.timestamp:
-                    updates.append((depth, row))
-        return updates
+        return [
+            (depth, row)
+            for depth, table in self.tables.items()
+            for row in _fresher(table, digest.get(depth) or {})
+        ]
 
     def apply(self, updates: Sequence[Tuple[int, ViewRow]]) -> int:
         """Install every update line that is fresher than ours.
 
-        Returns the number of lines actually changed.  Lines for depths
-        this process does not maintain (different prefix path) are
-        ignored — each process only keeps the tables along its own
-        prefix chain.
+        Copy-on-write: a table that takes a line is replaced by a new
+        frozen version, never written, so nobody sharing the old one
+        sees the change.  Returns the number of lines actually changed.
+        Lines for depths this process does not maintain (different
+        prefix path) are ignored — each process only keeps the tables
+        along its own prefix chain.
         """
         changed = 0
+        taken: Dict[int, Dict[int, ViewRow]] = {}
         for depth, row in updates:
             table = self.tables.get(depth)
             if table is None:
                 continue
-            if table.has_row(row.infix) and not row.newer_than(table.row(row.infix)):
+            lines = taken.setdefault(depth, {})
+            held = lines.get(row.infix)
+            if held is None and table.has_row(row.infix):
+                held = table.row(row.infix)
+            if held is not None and not row.newer_than(held):
                 continue
-            table.upsert(row)
+            lines[row.infix] = row
             changed += 1
         if changed:
-            self._stamp_hint = None
-            self._struct_hint = None
+            for depth, lines in taken.items():
+                if lines:
+                    self.tables[depth] = self.tables[depth].overlay(
+                        lines.values()
+                    )
+            self._seq = tuple(self.tables.values())
         return changed
 
     def peers(self) -> List[Address]:
         """Every process appearing in any table (gossip candidates)."""
-        stamp = sum(map(_ADDR_TOKENS, self._seq))
-        if stamp != self._peers_stamp:
+        version = tuple(map(_ADDR_TOKENS, self._seq))
+        if version != self._peers_version:
             seen = []
             seen_set = set()
             for table in self._seq:
@@ -237,8 +178,20 @@ class MembershipState:
                         seen_set.add(address)
                         seen.append(address)
             self._peers_memo = seen
-            self._peers_stamp = stamp
+            self._peers_version = version
         return self._peers_memo
+
+
+def _fresher(table: ViewTable, known: Dict[int, int]) -> List[ViewRow]:
+    """The lines of ``table`` that ``known`` (infix -> timestamp) lacks
+    or holds with a smaller timestamp."""
+    known_get = known.get
+    fresher = []
+    for row in table.rows():
+        timestamp = known_get(row.infix)
+        if timestamp is None or timestamp < row.timestamp:
+            fresher.append(row)
+    return fresher
 
 
 def exchange(
@@ -254,35 +207,14 @@ def exchange(
     common prefix path).
 
     ``registry`` (``gossip_pull`` subsystem) counts every digest
-    exchange, the already-synced fast-path hits, and the view lines
-    actually updated.
+    exchange, the already-synced ones (every table the pair shares is
+    the same version, or digest-equal), and the view lines actually
+    updated.
 
     Returns the number of lines the gossiper updated.
     """
-    # Sync-group fast path: if both parties belong to the same verified
-    # digest-equality group and neither has mutated since verification
-    # (stamps are monotone, so equality proves it), the digests are
-    # still equal — skip building/comparing them.  Works for partners
-    # that have never met: equality is transitive across the group.
-    g_stamp = sum(map(_CACHE_TOKENS, gossiper._seq))
-    r_stamp = sum(map(_CACHE_TOKENS, receiver._seq))
-    g_sync = gossiper._sync_group
-    r_sync = receiver._sync_group
-    if (
-        g_sync is not None
-        and r_sync is not None
-        and g_sync[1] == g_stamp
-        and r_sync[1] == r_stamp
-        and (
-            g_sync[0] == r_sync[0]
-            or _find_group(g_sync[0]) == _find_group(r_sync[0])
-        )
-    ):
-        registry.counter("gossip_pull", "exchanges").inc()
-        registry.counter("gossip_pull", "synced_exchanges").inc()
-        return 0
     registry.counter("gossip_pull", "exchanges").inc()
-    changed = _pull(gossiper, receiver, g_stamp, r_stamp)
+    changed = _pull(gossiper, receiver)
     if changed < 0:
         registry.counter("gossip_pull", "synced_exchanges").inc()
         return 0
@@ -290,64 +222,63 @@ def exchange(
     return changed
 
 
-def _pull(
-    gossiper: MembershipState,
-    receiver: MembershipState,
-    g_stamp: int,
-    r_stamp: int,
-) -> int:
-    """Digest comparison + transfer, given precomputed content stamps.
+def _pull(gossiper: MembershipState, receiver: MembershipState) -> int:
+    """Digest comparison + transfer over the tables the pair shares.
 
     The counter-free core of :func:`exchange`, shared with the
-    simulator's inlined fast path (which computes the stamps anyway for
-    the sync-group check and counts in batched locals).  Returns ``-1``
-    when the digests are equal — the synced case, with the sync-group
-    bookkeeping updated — else the number of lines the gossiper
-    installed.
+    simulator's membership round.  Per shared depth (same prefix): the
+    same object is in sync by construction; otherwise the outcome of
+    this version pulling from that one is computed once
+    (:func:`_merge`), kept on the gossiper's version, and every state
+    making the same transition reuses it — the gossiper's table is
+    *replaced* by the outcome, nothing is written.  Tables the two do
+    not share (different subtrees) never enter: they can neither flow
+    nor make the pair unsynced.
+
+    Returns ``-1`` when every shared table is the same version or
+    digest-equal — the synced case — else the number of lines the
+    gossiper installed.
     """
-    if gossiper._digest_stamp == g_stamp:
-        digest = gossiper._digest_memo
-    else:
-        digest = gossiper._rebuild_digest(g_stamp)
-    if receiver._digest_stamp == r_stamp:
-        receiver_digest = receiver._digest_memo
-    else:
-        receiver_digest = receiver._rebuild_digest(r_stamp)
-    # Already-synced pairs dominate a converged group's exchanges;
-    # equal digests mean fresher_rows would return nothing.
-    if digest == receiver_digest:
-        # Join (or found) a sync group; two still-valid groups proven
-        # equal are *unioned* so equality knowledge accumulates instead
-        # of fragmenting into disjoint ids.
-        g_sync = gossiper._sync_group
-        r_sync = receiver._sync_group
-        g_valid = g_sync is not None and g_sync[1] == g_stamp
-        r_valid = r_sync is not None and r_sync[1] == r_stamp
-        if g_valid:
-            if r_valid:
-                g_root = _find_group(g_sync[0])
-                group_id = _find_group(r_sync[0])
-                if g_root != group_id:
-                    _GROUP_PARENT[g_root] = group_id
-            else:
-                group_id = _find_group(g_sync[0])
-        elif r_valid:
-            group_id = _find_group(r_sync[0])
-        else:
-            group_id = next(_SYNC_GROUPS)
-        gossiper._sync_group = (group_id, g_stamp)
-        receiver._sync_group = (group_id, r_stamp)
-        return -1
-    updates = receiver.fresher_rows(digest)
-    # Restrict to tables the two processes share (same prefix at a depth);
-    # rows for a foreign subtree would silently corrupt the gossiper's view.
-    shared = [
-        (depth, row)
-        for depth, row in updates
-        if depth in gossiper.tables
-        and gossiper.tables[depth].prefix == receiver.tables[depth].prefix
-    ]
-    return gossiper.apply(shared)
+    tables = gossiper.tables
+    installed = 0
+    synced = True
+    for depth, theirs in receiver.tables.items():
+        mine = tables.get(depth)
+        if mine is None or mine is theirs or mine.prefix != theirs.prefix:
+            continue
+        # A table its owner may still write is never adopted as-is.
+        theirs = theirs.snapshot()
+        outcome = mine._pulls.get(theirs._token)
+        if outcome is None:
+            outcome = mine._pulls[theirs._token] = _merge(mine, theirs)
+        merged, lines, equal = outcome
+        if lines:
+            tables[depth] = merged
+            installed += lines
+        elif not equal:
+            synced = False
+    if installed:
+        gossiper._seq = tuple(tables.values())
+        return installed
+    return -1 if synced else 0
+
+
+def _merge(mine: ViewTable, theirs: ViewTable) -> _Merge:
+    """A holder of ``mine`` pulls from a holder of frozen ``theirs``.
+
+    The §2.3 rule, line by line: take every line ``mine`` lacks or
+    holds with a smaller timestamp.  The result is ``theirs`` itself
+    when that supersedes every line of ``mine`` (adoption — the two
+    holders then share one object), a new frozen table for a true mix.
+    """
+    known = mine.digest()
+    fresher = _fresher(theirs, known)
+    if not fresher:
+        return None, 0, known == theirs.digest()
+    merged = mine.overlay(fresher)
+    if merged.rows() == theirs.rows():
+        merged = theirs
+    return merged, len(fresher), False
 
 
 def anti_entropy_round(

@@ -22,6 +22,13 @@ memoized and invalidated on mutation.  Every mutation also advances the
 table's :attr:`ViewTable.cache_token`, a process-wide unique version
 number: unlike ``id()``, a token is never reused after the table (or a
 table state) is gone, so external caches may key on it safely.
+
+A table can also be **frozen** (:meth:`ViewTable.freeze`): a version
+that never changes again, safe to share between every process that
+holds exactly these lines.  Membership replicas hold only frozen
+tables — :meth:`ViewTable.snapshot` of a writable one,
+:meth:`ViewTable.overlay` for a version with lines installed — and a
+write through one raises instead of freshening every holder at once.
 """
 
 from __future__ import annotations
@@ -103,6 +110,9 @@ class ViewTable:
         "_memo_addresses",
         "_memo_entry_count",
         "_memo_digest",
+        "_memo_snapshot",
+        "_frozen",
+        "_pulls",
     )
 
     def __init__(
@@ -127,6 +137,7 @@ class ViewTable:
             self._rows[row.infix] = row
         self._token = next(_TOKENS)
         self._addr_token = next(_TOKENS)
+        self._frozen = False
         self._clear_memos()
 
     def _clear_memos(self) -> None:
@@ -135,11 +146,23 @@ class ViewTable:
         self._memo_addresses: Optional[List[Address]] = None
         self._memo_entry_count: Optional[int] = None
         self._memo_digest: Optional[Dict[int, int]] = None
+        self._memo_snapshot: Optional["ViewTable"] = None
+        # What pulling from another version (by its cache token) gives
+        # a holder of this one; filled by repro.membership.gossip_pull,
+        # and gone with this version like every other memo.
+        self._pulls: Dict[int, tuple] = {}
 
     def _touch(self) -> None:
         """Version bump + memo drop: every mutation funnels through here."""
         self._token = next(_TOKENS)
         self._clear_memos()
+
+    def _writable(self) -> None:
+        if self._frozen:
+            raise MembershipError(
+                f"view of {self._prefix} is a frozen, shared version; "
+                "install lines with overlay() or MembershipState.apply()"
+            )
 
     @property
     def cache_token(self) -> int:
@@ -223,6 +246,7 @@ class ViewTable:
 
     def upsert(self, row: ViewRow) -> None:
         """Insert or replace the line for ``row.infix``."""
+        self._writable()
         old = self._rows.get(row.infix)
         self._rows[row.infix] = row
         if old is not None and old.delegates == row.delegates:
@@ -239,6 +263,7 @@ class ViewTable:
 
     def discard(self, infix: int) -> None:
         """Drop the line for ``infix`` if present (leave/failure)."""
+        self._writable()
         if self._rows.pop(infix, None) is not None:
             self._touch()
             self._addr_token = next(_TOKENS)
@@ -253,6 +278,7 @@ class ViewTable:
         :attr:`addresses_token` advances only if the infix -> delegates
         structure actually changed.
         """
+        self._writable()
         fresh: Dict[int, ViewRow] = {}
         for row in rows:
             if row.infix in fresh:
@@ -318,8 +344,47 @@ class ViewTable:
         return self._memo_digest
 
     def clone(self) -> "ViewTable":
-        """An independent copy (rows are immutable, so sharing is safe)."""
-        return ViewTable(self._prefix, self._tree_depth, self.rows())
+        """An independent writable copy (rows are immutable, so sharing
+        them is safe).  Same infix -> delegates mapping, so it carries
+        :attr:`addresses_token` and the memos keyed on it."""
+        copy = ViewTable(self._prefix, self._tree_depth, self._rows.values())
+        copy._addr_token = self._addr_token
+        copy._memo_addresses = self._memo_addresses
+        copy._memo_entry_count = self._memo_entry_count
+        return copy
+
+    def freeze(self) -> "ViewTable":
+        """Make this table a version: every later write raises
+        :class:`~repro.errors.MembershipError`.  Returns the table."""
+        self._frozen = True
+        return self
+
+    def snapshot(self) -> "ViewTable":
+        """A frozen table with exactly these lines: this one when it is
+        frozen, else one copy per state of it (dropped on mutation)."""
+        if self._frozen:
+            return self
+        if self._memo_snapshot is None:
+            self._memo_snapshot = self.clone().freeze()
+        return self._memo_snapshot
+
+    def overlay(self, rows: Sequence[ViewRow]) -> "ViewTable":
+        """A new frozen table: these lines with ``rows`` installed over
+        them.  :attr:`addresses_token` carries over unless a row brings
+        a new infix or new delegates, exactly as under :meth:`upsert`.
+        """
+        copy = self.clone()
+        lines = copy._rows
+        restructured = False
+        for row in rows:
+            old = lines.get(row.infix)
+            lines[row.infix] = row
+            if old is None or old.delegates != row.delegates:
+                restructured = True
+        if restructured:
+            copy._addr_token = next(_TOKENS)
+            copy._memo_addresses = copy._memo_entry_count = None
+        return copy.freeze()
 
     def __iter__(self) -> Iterator[ViewRow]:
         return iter(self.rows())

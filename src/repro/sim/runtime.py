@@ -51,9 +51,7 @@ from repro.interests.subscriptions import Interest
 from repro.membership.failure_detector import FailureDetector
 from repro.membership.gossip_pull import (
     _ADDR_TOKENS,
-    _CACHE_TOKENS,
     MembershipState,
-    _find_group,
     _pull,
     exchange,
 )
@@ -173,12 +171,14 @@ class GroupRuntime:
         # Derived-state caches.  _membership_changed() drops the member
         # list snapshot and the changed leaf subgroup's live-neighbor
         # lists; the per-member far-peer pools are validated against
-        # the replica's structure stamp on every lookup (anti-entropy
-        # changes the known peer set mid-run) and dropped by
-        # _drop_far_pools() only where a liveness change can show.
+        # the replica's addresses_token tuple on every lookup
+        # (anti-entropy changes the known peer set mid-run) and dropped
+        # by _drop_far_pools() only where a liveness change can show.
         self._members_cache: Optional[List[Address]] = None
         self._neighbors_cache: Dict[Address, List[Address]] = {}
-        self._far_cache: Dict[Address, Tuple[int, List[Address]]] = {}
+        self._far_cache: Dict[
+            Address, Tuple[Tuple[int, ...], List[Address]]
+        ] = {}
         # The shallowest depth at which a shared table ever listed an
         # address as a delegate (absent: only its own leaf-table row,
         # depth d).  Monotone — replicas may still hold a row the
@@ -598,14 +598,16 @@ class GroupRuntime:
             for depth, table in views.items():
                 existing.replace_view(depth, table)
         if address not in self._replicas:
-            # The replica holds private clones: staleness is
-            # per-process.  The shared path tables carry exactly the
-            # rows a fresh per-process build would produce (they were
-            # built or refreshed at the current clock), so cloning them
-            # replaces the per-member O(n) view derivation.
+            # Staleness is per-process, yet the replica shares its
+            # tables: it holds the frozen snapshot of each shared path
+            # table's current state (one per state, whoever asks), and a
+            # pull moves it to another version without writing any.
+            # The shared tables carry exactly the rows a fresh
+            # per-process build would produce (built or refreshed at
+            # the current clock).
             self._replicas[address] = MembershipState(
                 address,
-                {depth: table.clone() for depth, table in views.items()},
+                {depth: table.snapshot() for depth, table in views.items()},
             )
             if address in self._unwired:
                 # A departed member is back: it re-enters the pools of
@@ -682,14 +684,14 @@ class GroupRuntime:
         """Invalidate the far-peer pools ``address``'s liveness can show in.
 
         A member's pool is its ``replica.peers()`` minus ``_crashed``
-        and ``_unwired``.  It changes only when the replica's structure
-        stamp moves (checked on every lookup) or when an address it
-        lists enters or leaves ``_crashed | _unwired`` — a crash, a
-        leave, or the re-wiring of a departed member.  A first-time
+        and ``_unwired``.  It changes only when one of the replica's
+        tables changes structure (checked on every lookup) or when an
+        address it lists enters or leaves ``_crashed | _unwired`` — a
+        crash, a leave, or the re-wiring of a departed member.  A first-time
         joiner and an exclusion (the victim stays crashed) move neither
         set and so invalidate nothing.
 
-        Who can list ``address``?  Replicas only ever hold rows cloned
+        Who can list ``address``?  Replicas only ever hold rows taken
         from the shared tables or pulled from another replica's table
         of the same prefix, so every row anywhere was once written into
         a shared table; a depth-i table names only processes under its
@@ -745,17 +747,17 @@ class GroupRuntime:
           (CPython's implementation); drawing through ``_randbelow``
           keeps the RNG stream bit-identical while skipping a Python
           frame per draw.
-        * The synced-exchange fast path of
-          :func:`~repro.membership.gossip_pull.exchange` is inlined:
-          the content stamps feed the sync-group check here, and only a
-          miss pays the :func:`~repro.membership.gossip_pull._pull`
-          call.  The gossiper's stamp is computed once per member and
-          reused for the far pull unless the near pull installed rows.
+        * Replicas share frozen table versions, so a pair is in sync
+          when the tables down their common path are the same objects:
+          the two ``_seq`` tuples (depth 1..d, as ``_wire`` fills them)
+          are walked by ``is`` here, and only a pair that differs on a
+          table it shares pays the
+          :func:`~repro.membership.gossip_pull._pull` call.
         * The far-peer pool lookup is inlined and validated against the
-          replica's structure-only stamp (timestamp churn never rebuilds
-          it); a crash, a leave or a returning member drops only the
-          pools that can list it (``_drop_far_pools``), so steady churn
-          costs its subtree, not n rebuilds per round.
+          replica's ``addresses_token`` tuple (timestamp churn never
+          rebuilds it); a crash, a leave or a returning member drops
+          only the pools that can list it (``_drop_far_pools``), so
+          steady churn costs its subtree, not n rebuilds per round.
         * Counters accumulate in local ints, flushed once per round —
           identical totals, no per-pull ``inc`` dispatch.
         * Each pull is a bidirectional contact (the peer answered); the
@@ -786,10 +788,7 @@ class GroupRuntime:
                 near = self._live_neighbors(address)
             peer_near = near[randbelow(len(near))] if near else None
             # Far-peer pool: live peers from the replica's own tables.
-            structure = replica._struct_hint
-            if structure is None:
-                structure = sum(map(_ADDR_TOKENS, replica._seq))
-                replica._struct_hint = structure
+            structure = tuple(map(_ADDR_TOKENS, replica._seq))
             entry = far_cache_get(address)
             if entry is not None and entry[0] == structure:
                 far = entry[1]
@@ -822,45 +821,26 @@ class GroupRuntime:
             if peer_near is None and peer_far is None:
                 continue
             detector = detectors_get(address)
-            g_stamp = replica._stamp_hint
-            if g_stamp is None:
-                g_stamp = sum(map(_CACHE_TOKENS, replica._seq))
-                replica._stamp_hint = g_stamp
             for peer in (peer_near, peer_far):
                 if peer is None:
                     continue
                 n_pulls += 1
                 n_exchanges += 1
                 peer_state = replicas[peer]
-                p_stamp = peer_state._stamp_hint
-                if p_stamp is None:
-                    p_stamp = sum(map(_CACHE_TOKENS, peer_state._seq))
-                    peer_state._stamp_hint = p_stamp
-                g_sync = replica._sync_group
-                p_sync = peer_state._sync_group
-                if (
-                    g_sync is not None
-                    and p_sync is not None
-                    and g_sync[1] == g_stamp
-                    and p_sync[1] == p_stamp
-                    and (
-                        g_sync[0] == p_sync[0]
-                        or _find_group(g_sync[0]) == _find_group(p_sync[0])
-                    )
-                ):
+                updated = -1
+                for mine, theirs in zip(replica._seq, peer_state._seq):
+                    if mine is not theirs:
+                        # Either the paths fork here (every deeper
+                        # table is another subgroup's too) or the pair
+                        # holds two versions of a table it shares.
+                        if mine._prefix == theirs._prefix:
+                            updated = _pull(replica, peer_state)
+                        break
+                if updated < 0:
                     updated = 0
                     n_synced += 1
                 else:
-                    updated = _pull(replica, peer_state, g_stamp, p_stamp)
-                    if updated < 0:
-                        updated = 0
-                        n_synced += 1
-                    elif updated:
-                        n_lines += updated
-                        # The pull installed rows: the cached gossiper
-                        # stamp is stale for the next pull.
-                        g_stamp = sum(map(_CACHE_TOKENS, replica._seq))
-                        replica._stamp_hint = g_stamp
+                    n_lines += updated
                 if tracing:
                     self._obs.emit(
                         self._round, "pull", address, peer=peer,

@@ -11,10 +11,12 @@ from repro.interests import StaticInterest
 from repro.membership import (
     MembershipState,
     MembershipTree,
+    build_all_views,
     build_process_views,
     exchange,
 )
 from repro.membership.gossip_pull import anti_entropy_until_quiescent
+from repro.obs import MetricsRegistry
 
 
 def make_tree(arity=2, depth=3, redundancy=1):
@@ -197,72 +199,114 @@ class TestStateMemoization:
         assert exchange(a, b) == 0
 
 
+def make_shared_states(tree):
+    """States wired like the runtime's replicas: every holder of a
+    subgroup's table holds the same frozen object."""
+    versions = {
+        prefix: table.freeze()
+        for prefix, table in build_all_views(tree).items()
+    }
+    return {
+        address: MembershipState(
+            address,
+            {prefix.depth: versions[prefix] for prefix in address.prefixes()},
+        )
+        for address in tree.members()
+    }
+
+
+def synced_count(registry):
+    return registry.snapshot()["gossip_pull"].get("synced_exchanges", 0)
+
+
 class TestSyncGroups:
-    """The transitive digest-equality groups on the exchange fast path."""
+    """Sync is version identity: holders of one frozen table object are
+    in sync on it by construction, and a pull moves a pointer."""
 
     def test_verified_equal_pair_shares_a_group(self):
-        tree = make_tree()
-        states = make_states(tree)
-        a, b = list(states.values())[:2]
-        assert a._sync_group is None
-        assert exchange(a, b) == 0              # digests compared equal
-        assert a._sync_group is not None
-        assert a._sync_group[0] == b._sync_group[0]
-        assert a._sync_group[1] == a.content_stamp()
-        assert exchange(a, b) == 0              # group fast path
+        # A first-time pairing of two holders of one version is synced
+        # without a digest ever being built or a merge computed.
+        registry = MetricsRegistry()
+        states = make_shared_states(make_tree())
+        a, b = states[Address((0, 0, 0))], states[Address((0, 0, 1))]
+        assert all(mine is theirs for mine, theirs in zip(a._seq, b._seq))
+        assert exchange(a, b, registry=registry) == 0
+        assert synced_count(registry) == 1
+        for table in a._seq:
+            assert table._memo_digest is None
+            assert table._pulls == {}
 
     def test_equality_is_transitive_across_the_group(self):
-        # a~b and b~c verified directly; a~c must take the fast path
-        # even though a and c never compared digests — their group ids
-        # match and neither mutated since verification.
-        tree = make_tree()
-        states = make_states(tree)
-        a, b, c = list(states.values())[:3]
-        exchange(a, b)
-        exchange(b, c)
-        assert a._sync_group[0] == c._sync_group[0]
+        # c freshens a line; b adopts c's version and a adopts it from
+        # b, so a and c — who never met — hold the same object.
+        registry = MetricsRegistry()
+        states = make_shared_states(make_tree())
+        a = states[Address((0, 0, 0))]
+        b = states[Address((0, 0, 1))]
+        c = states[Address((0, 1, 0))]
+        c.apply([(2, row.with_timestamp(4)) for row in c.tables[2].rows()])
+        assert exchange(b, c) == 2
+        assert exchange(a, b) == 2
+        assert a.tables[2] is c.tables[2]
+        assert exchange(a, c, registry=registry) == 0
+        assert synced_count(registry) == 1
+        assert a.tables[2]._pulls == {}
 
     def test_grouped_and_fresh_paths_count_identically(self):
-        from repro.obs import MetricsRegistry
-
         tree = make_tree()
         states = make_states(tree)
         a, b = list(states.values())[:2]
         registry = MetricsRegistry()
         exchange(a, b, registry=registry)       # digest comparison
-        exchange(a, b, registry=registry)       # group hit
+        exchange(a, b, registry=registry)       # remembered outcome
         snapshot = registry.snapshot()["gossip_pull"]
         assert snapshot["exchanges"] == 2
         assert snapshot["synced_exchanges"] == 2
 
     def test_mutation_on_either_side_leaves_the_group(self):
-        tree = make_tree()
-        states = make_states(tree)
+        registry = MetricsRegistry()
+        states = make_shared_states(make_tree())
         a = states[Address((0, 0, 0))]
         b = states[Address((0, 0, 1))]
-        exchange(a, b)
-        group = b._sync_group
-        leaf_depth = max(b.tables)
-        b.tables[leaf_depth].upsert(
-            b.tables[leaf_depth].rows()[0].with_timestamp(3)
-        )
-        # b's content stamp moved past the stored one, so the group
-        # membership no longer validates; the digests are rebuilt, the
-        # fresh line flows, and the pair re-forms a group.
-        assert b.content_stamp() != group[1]
-        assert exchange(a, b) == 1
-        assert exchange(a, b) == 0
-        assert b._sync_group[1] == b.content_stamp()
+        shared = a.tables[3]
+        assert b.apply([(3, shared.rows()[0].with_timestamp(3))]) == 1
+        # Copy-on-write: b moved to a new version, a's is untouched.
+        assert a.tables[3] is shared and b.tables[3] is not shared
+        assert shared.rows()[0].timestamp == 0
+        assert exchange(a, b, registry=registry) == 1
+        assert synced_count(registry) == 0
+        # b's version superseded every line of a's: a adopted it, and
+        # the pair is one version again.
+        assert a.tables[3] is b.tables[3]
+        assert exchange(a, b, registry=registry) == 0
+        assert synced_count(registry) == 1
 
     def test_structure_stamp_survives_restamps(self):
         tree = make_tree()
         states = make_states(tree)
         state = next(iter(states.values()))
         peers = state.peers()
-        structural = state.structure_stamp()
-        content = state.content_stamp()
+        structural = [t.addresses_token for t in state.tables.values()]
+        version = state.version()
         leaf = state.tables[max(state.tables)]
         leaf.upsert(leaf.rows()[0].with_timestamp(11))
-        assert state.content_stamp() > content  # monotone under mutation
-        assert state.structure_stamp() == structural
+        assert state.version() != version
+        assert [
+            t.addresses_token for t in state.tables.values()
+        ] == structural
         assert state.peers() is peers           # memo kept through churn
+
+    def test_unshared_tables_do_not_unsync_a_pair(self):
+        # Two processes of different depth-1 subtrees share the root
+        # table only.  A restamp of a table the other does not hold can
+        # neither flow nor count: the exchange is synced both ways.
+        registry = MetricsRegistry()
+        states = make_shared_states(make_tree())
+        a, remote = states[Address((0, 0, 0))], states[Address((1, 1, 1))]
+        assert remote.apply(
+            [(3, row.with_timestamp(9)) for row in remote.tables[3].rows()]
+        )
+        assert exchange(a, remote, registry=registry) == 0
+        assert exchange(remote, a, registry=registry) == 0
+        assert synced_count(registry) == 2
+        assert all(row.timestamp == 0 for row in a.tables[3].rows())

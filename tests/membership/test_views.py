@@ -214,3 +214,54 @@ class TestViewTableCaching:
             table.replace_rows([row(1, [(1, 1, 0)]), row(1, [(1, 1, 1)])])
         # The failed swap must not have corrupted the table.
         assert table.row_count == 3
+
+
+class TestFrozenVersions:
+    def make_table(self):
+        return TestViewTable.make_table(self)
+
+    def test_every_write_through_a_frozen_table_raises(self):
+        table = self.make_table()
+        assert table.freeze() is table
+        token = table.cache_token
+        with pytest.raises(MembershipError):
+            table.upsert(row(0, [(1, 0, 0)], timestamp=9))
+        with pytest.raises(MembershipError):
+            table.discard(0)
+        with pytest.raises(MembershipError):
+            table.replace_rows([row(0, [(1, 0, 0)])])
+        assert table.cache_token == token and table.row_count == 3
+        # A clone is its holder's own again.
+        table.clone().discard(0)
+
+    def test_snapshot_is_one_frozen_copy_per_state(self):
+        table = self.make_table()
+        first = table.snapshot()
+        assert first is not table and first is table.snapshot()
+        assert first.snapshot() is first
+        assert first.rows() == table.rows()
+        table.upsert(row(0, [(1, 0, 0), (1, 0, 1)], timestamp=4))
+        second = table.snapshot()
+        assert second is not first
+        assert first.row(0).timestamp == 0 and second.row(0).timestamp == 4
+        assert len({table.cache_token, first.cache_token, second.cache_token}) == 3
+
+    def test_copies_carry_the_structure_token_until_structure_changes(self):
+        table = self.make_table()
+        addresses = table.addresses()
+        copies = [
+            table.clone(),
+            table.snapshot(),
+            table.overlay([row(1, [(1, 1, 0), (1, 1, 1)], timestamp=8)]),
+        ]
+        for copy in copies:
+            assert copy.addresses_token == table.addresses_token
+            assert copy.addresses() is addresses
+        assert copies[2].row(1).timestamp == 8
+        assert table.row(1).timestamp == 0
+        moved = table.overlay([row(1, [(1, 1, 5)]), row(9, [(1, 9, 0)])])
+        assert moved.addresses_token != table.addresses_token
+        assert Address((1, 9, 0)) in moved.addresses()
+        assert moved.entry_count == 6
+        with pytest.raises(MembershipError):
+            moved.discard(9)

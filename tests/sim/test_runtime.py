@@ -163,7 +163,7 @@ class TestPiggybackMembership:
         # Make one process's leaf line fresher; others are stale.
         source = runtime._replicas[addresses[0]]
         bumped = source.tables[2].rows()[0].with_timestamp(50)
-        source.tables[2].upsert(bumped)
+        source.apply([(2, bumped)])
         runtime.publish(addresses[0], Event({}, event_id=777))
         runtime.run(4)
         staleness = sum(

@@ -51,7 +51,9 @@ def assert_pools_exact(runtime):
     for address, (stamp, pool) in runtime._far_cache.items():
         assert address in runtime.tree, f"{address} cached but not a member"
         replica = runtime._replicas[address]
-        if stamp == replica.structure_stamp():
+        if stamp == tuple(
+            table.addresses_token for table in replica.tables.values()
+        ):
             assert pool == [p for p in replica.peers() if p not in down], (
                 f"stale far pool for {address}"
             )

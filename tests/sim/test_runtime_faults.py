@@ -6,10 +6,12 @@ one clause of every family: every clause injects something, a
 (seed, plan) pair replays exactly, and an empty plan changes nothing.
 """
 
+import hashlib
+
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults.plan import FaultPlan
-from repro.interests import Event
+from repro.interests import Event, StaticInterest
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
@@ -107,3 +109,65 @@ class TestRuntimeUnderFaults:
         counts = trace.counts()
         assert counts["crash"] == counts["fault_crash"] == 2
         assert runtime.fault_stats["targeted_crashes"] == 2
+
+
+#: Round -> what happens before its step: joins (three never-members
+#: and two returning leavers), leaves, crashes and publishes, so view
+#: lines of every age are in flight between replicas at once.
+HELD_BACK = (ADDRESSES[7], ADDRESSES[60], ADDRESSES[124])
+CHURN = {
+    1: [("publish", ADDRESSES[0])],
+    2: [("join", HELD_BACK[0]), ("crash", ADDRESSES[31])],
+    4: [("leave", ADDRESSES[1]), ("publish", ADDRESSES[90])],
+    6: [("join", HELD_BACK[1]), ("leave", ADDRESSES[55])],
+    8: [("crash", ADDRESSES[100]), ("join", ADDRESSES[1])],
+    11: [("join", HELD_BACK[2]), ("publish", ADDRESSES[40])],
+    14: [("leave", ADDRESSES[26]), ("crash", ADDRESSES[2])],
+    17: [("join", ADDRESSES[55]), ("publish", HELD_BACK[0])],
+}
+
+
+class TestChurnedTraceBytes:
+    def test_membership_plane_changes_keep_every_trace_byte(self, tmp_path):
+        # Recorded at 620fbc9, when every replica held private clones
+        # and pulled row by row: each pull record's value (lines
+        # installed) is in these bytes, so is every suspicion and
+        # exclusion the contacts led to.
+        members = bernoulli_interests(
+            ADDRESSES, 0.25, derive_rng(SEED, "interests")
+        )
+        for address in HELD_BACK:
+            del members[address]
+        trace, registry = TraceLog(), MetricsRegistry()
+        runtime = GroupRuntime(
+            members,
+            config=CONFIG,
+            sim_config=SimConfig(seed=SEED, loss_probability=0.05),
+            detector_timeout=4,
+            observer=Observer(trace=trace, registry=registry),
+        )
+        published = 0
+        for round_index in range(1, 33):
+            for kind, address in CHURN.get(round_index, ()):
+                if kind == "publish":
+                    published += 1
+                    runtime.publish(
+                        address, Event({"k": published}, event_id=published)
+                    )
+                elif kind == "join":
+                    runtime.join(address, StaticInterest(True))
+                else:
+                    getattr(runtime, kind)(address)
+            runtime.step()
+        path = tmp_path / "churned.jsonl"
+        assert trace.to_jsonl(str(path)) == 11710
+        assert (
+            hashlib.sha1(path.read_bytes()).hexdigest()
+            == "974041a49db8cf962c1df772572f3d582f76ccf5"
+        )
+        gossip = registry.snapshot()["gossip_pull"]
+        assert gossip["exchanges"] == 7750
+        assert gossip["lines_updated"] == 2950
+        # 5562 at 620fbc9, which compared tables the pair does not share.
+        assert gossip["synced_exchanges"] == 6852
+        assert registry.snapshot()["membership"]["exclusions"] == 3
