@@ -18,6 +18,13 @@ effective size ``n`` with effective fanout ``F``:
 Effective sizes from the paper are often fractional (``n·p_d``); the
 chain needs integer states, so sizes are rounded half-up, with a floor
 of one process (the publisher).  All heavy lifting is vectorized numpy.
+
+The binomials (Eq 9's coefficient, Eq 16's pmf) are computed here, in
+logs, from one ``log(i!)`` table filled with ``math.lgamma`` — numpy is
+the package's only dependency.  Against exact rational arithmetic a pmf
+entry is within 1e-12 relative for n ≤ 300 and 1e-10 at n = 10 648 (a
+few ulps of ``log(n!)``, all a double can hold); rows and pmfs are
+renormalised by their callers.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.errors import AnalysisError
 
@@ -70,9 +76,52 @@ def reach_probability(
     return choose * (1.0 - loss_probability) * (1.0 - crash_fraction)
 
 
-def _log_binomial(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """log C(n, k) element-wise (gammaln keeps big groups stable)."""
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+#: ``log(i!)`` for ``i = 0 .. len - 1`` from ``math.lgamma``, grown by
+#: doubling on demand.
+_log_factorials = np.zeros(2)
+
+
+def _log_binomial(n, k) -> np.ndarray:
+    """log C(n, k) element-wise, for integer counts ``0 <= k <= n``.
+
+    Three reads of the ``log(i!)`` table: the arguments are counts, so
+    each entry is right to the ulp and the difference is off by a few
+    ulps of ``log(n!)`` — under 1e-12 of the value itself
+    (tests/analysis/test_binomial.py).  Staying in logs is what keeps
+    big groups stable.
+    """
+    global _log_factorials
+    n = np.asarray(n, dtype=np.intp)
+    k = np.asarray(k, dtype=np.intp)
+    top = int(n.max(initial=0))
+    if top >= len(_log_factorials):
+        _log_factorials = np.array(
+            [
+                math.lgamma(i + 1.0)
+                for i in range(max(top + 1, 2 * len(_log_factorials)))
+            ]
+        )
+    table = _log_factorials
+    return table[n] - table[k] - table[n - k]
+
+
+def _binomial_pmf(n: int, r: float) -> np.ndarray:
+    """``P[Binom(n, r) = k]`` for ``k = 0..n`` (Eq 16's inner term).
+
+    ``exp(log C(n, k) + k log r + (n - k) log1p(-r))`` with the
+    ``r = 0`` / ``r = 1`` ends exact; the relative error of an entry is
+    the absolute error of its exponent, a few ulps of its largest term.
+    """
+    if 0.0 < r < 1.0:
+        ks = np.arange(n + 1)
+        return np.exp(
+            _log_binomial(n, ks)
+            + ks * math.log(r)
+            + (n - ks) * math.log1p(-r)
+        )
+    pmf = np.zeros(n + 1)
+    pmf[n if r >= 1.0 else 0] = 1.0
+    return pmf
 
 
 def transition_matrix(
@@ -108,9 +157,7 @@ def transition_matrix(
         log_q = np.log(q) if q > 0.0 else -np.inf
         with np.errstate(invalid="ignore"):
             log_terms = (
-                _log_binomial(
-                    np.full_like(ks, size - j, dtype=float), fresh.astype(float)
-                )
+                _log_binomial(size - j, fresh)
                 + fresh * log_hit
                 + (j * missed) * log_q
             )

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.stats import binom
 
-from repro.analysis.markov import InfectionChain
+from repro.analysis.markov import InfectionChain, _binomial_pmf
 from repro.core.rounds import loss_adjusted_rounds, round_bound
 from repro.errors import AnalysisError
 
@@ -279,9 +278,8 @@ def entity_count_distribution(
             if susceptible <= 0:
                 fresh[0] += weight
                 continue
-            ks = np.arange(susceptible + 1)
-            fresh[: susceptible + 1] += weight * binom.pmf(
-                ks, susceptible, r_i
+            fresh[: susceptible + 1] += weight * _binomial_pmf(
+                susceptible, r_i
             )
         total = fresh.sum()
         if total > 0:

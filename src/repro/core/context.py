@@ -23,6 +23,7 @@ The cache has two layers, with different lifetimes:
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -122,6 +123,19 @@ class GossipContext:
             registry.register_collector(
                 "match_cache", self._stats.as_dict
             )
+
+    def fork(self, rng: random.Random) -> "GossipContext":
+        """A sibling sharing this context's match cache, owning ``rng``.
+
+        For drivers whose processes do not share a random stream (the
+        UDP runtime): table matches, verdicts, round bounds and their
+        counters depend only on (table state, event), never on who asks,
+        so every process of a run reads and fills the same memos while
+        drawing destinations from its own stream.
+        """
+        sibling = copy.copy(self)
+        sibling.rng = rng
+        return sibling
 
     @property
     def threshold_h(self) -> int:

@@ -40,7 +40,9 @@ class AsyncProcess:
         node: the protocol state machine (borrowed, like the engine
             borrows group nodes for a run).
         ctx: this process's gossip context — event-driven processes do
-            not share an RNG stream, each draws from its own.
+            not share an RNG stream, each draws from its own (the match
+            cache behind it may be a run-wide one:
+            :meth:`~repro.core.context.GossipContext.fork`).
         transport: where the driver sends a timer fire's fan-out.
         timer_offset_s: the seeded phase of its gossip timer — the wait
             between (re)starting the timer and its first fire.

@@ -36,12 +36,14 @@ import random
 import socket
 from abc import ABC, abstractmethod
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.addressing import Address
-from repro.core.codec import decode_event, encode_message
+from repro.core.codec import decode_event, encode_event
 from repro.core.messages import Envelope, GossipMessage
 from repro.errors import NetError
+from repro.interests.events import Event
 from repro.net.clock import PRIORITY_FLUSH, VirtualClock
 from repro.sim.network import LossyNetwork
 
@@ -153,15 +155,36 @@ class SimTransport(Transport):
         return batch
 
 
+def _event_json(event: Event) -> str:
+    return json.dumps(encode_event(event), sort_keys=True)
+
+
+def _splice(envelope: Envelope, event_json: str) -> bytes:
+    """The datagram around an already serialised event sub-object.
+
+    Byte for byte ``json.dumps({"to": ..., "msg": encode_message(...)},
+    sort_keys=True)``: keys in sorted order, default separators, the
+    address strings JSON-escaped, the numbers as ``json`` writes them.
+    """
+    message = envelope.message
+    rate = message.rate
+    return (
+        '{"msg": {"depth": %d, "event": %s, "rate": %s, "round": %d, '
+        '"sender": %s}, "to": %s}'
+        % (
+            message.depth,
+            event_json,
+            float.__repr__(rate) if type(rate) is float else json.dumps(rate),
+            message.round,
+            _json_string(str(message.sender)),
+            _json_string(str(envelope.destination)),
+        )
+    ).encode("ascii")
+
+
 def encode_envelope(envelope: Envelope) -> bytes:
     """One envelope as one UDP datagram payload."""
-    return json.dumps(
-        {
-            "to": str(envelope.destination),
-            "msg": encode_message(envelope.message),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    return _splice(envelope, _event_json(envelope.message.event))
 
 
 #: Dotted string -> validated address.  Every datagram names two of at
@@ -208,6 +231,20 @@ class UdpEndpointRegistry:
 
     def __init__(self) -> None:
         self._endpoints: Dict[Address, Tuple[str, int]] = {}
+        # event id -> its serialised sub-object.  Per run, never per
+        # process: an id names one event only within a run (the
+        # protocol's own dedup rule), and a later run may reuse it.
+        self._event_json: Dict[int, str] = {}
+
+    def encode(self, envelope: Envelope) -> bytes:
+        """:func:`encode_envelope`, serialising each event of the run
+        once: every datagram of a dissemination carries the same event,
+        so only the five fields around it are formatted per send."""
+        event = envelope.message.event
+        event_json = self._event_json.get(event.event_id)
+        if event_json is None:
+            event_json = self._event_json[event.event_id] = _event_json(event)
+        return _splice(envelope, event_json)
 
     def register(self, address: Address, host: str, port: int) -> None:
         self._endpoints[address] = (host, port)
@@ -243,7 +280,8 @@ class FairLossUdpTransport(Transport):
         rng: that stream.  It is first drawn from at the first
             :meth:`send`, so an owner may leave it out and assign
             :attr:`rng` later: an endpoint that never sends never pays
-            for one.
+            for one.  A lossy endpoint still without one at that send
+            raises :class:`~repro.errors.NetError`.
     """
 
     __slots__ = (
@@ -312,16 +350,21 @@ class FairLossUdpTransport(Transport):
     def send(self, envelope: Envelope) -> None:
         if self._sock is None:
             raise NetError(f"transport for {self.address} is not open")
+        lossy = self._loss_probability > 0.0
+        if lossy and self.rng is None:
+            # Never a default stream: every endpoint left without one
+            # would replay the same loss sequence.
+            raise NetError(
+                f"lossy transport for {self.address} has no loss stream: "
+                "pass rng= or assign .rng before the first send"
+            )
         self._sent += 1
-        if self._loss_probability > 0.0:
-            if self.rng is None:
-                self.rng = random.Random(0)
-            if self.rng.random() < self._loss_probability:
-                self._lost += 1
-                return
+        if lossy and self.rng.random() < self._loss_probability:
+            self._lost += 1
+            return
         try:
             self._sock.sendto(
-                encode_envelope(envelope),
+                self._registry.encode(envelope),
                 self._registry.resolve(envelope.destination),
             )
         except BlockingIOError:

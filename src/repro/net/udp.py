@@ -3,8 +3,10 @@
 One asyncio event loop hosts every member, and a member costs one bound
 non-blocking socket (:class:`~repro.net.transport.FairLossUdpTransport`)
 until a datagram reaches it: its :class:`~repro.net.process.AsyncProcess`
-— mailbox, gossip context, loss stream — is built on its first datagram
-or its publish.  While a process has protocol work its gossip timer is a
+— mailbox, gossip stream, loss stream — is built on its first datagram
+or its publish.  The match cache is the run's, not the process's: every
+context is a :meth:`~repro.core.context.GossipContext.fork` of one.
+While a process has protocol work its gossip timer is a
 ``loop.call_later`` callback that re-arms itself every ``period_s``
 (first fire after a seeded start offset, so timers do not herd) and
 parks when the work runs out; a datagram enqueues into the mailbox and
@@ -185,6 +187,11 @@ async def _run_udp(
     last_activity = [loop.time()]
     # One scan, then a running count kept where a drain first infects.
     infected = [sum(1 for node in group.nodes() if node.has_received(event))]
+    # One match cache for the run; each process forks it around its own
+    # stream (this one is never drawn from).
+    match_cache = GossipContext(
+        derive_rng(seed, "net-gossip"), threshold_h=group.config.threshold_h
+    )
     transports: Dict[Address, FairLossUdpTransport] = {}
     processes: Dict[Address, AsyncProcess] = {}
     driving: Set[Address] = set()
@@ -215,10 +222,7 @@ async def _run_udp(
         name = str(address)
         transport = transports[address]
         transport.rng = derive_rng(seed, "net-loss", name)
-        ctx = GossipContext(
-            derive_rng(seed, "net-gossip", name),
-            threshold_h=group.config.threshold_h,
-        )
+        ctx = match_cache.fork(derive_rng(seed, "net-gossip", name))
         # Desynchronized start: real deployments' timers are not
         # phase-aligned, and neither is the localhost herd.
         offset_s = derive_rng(seed, "net-sched", name).random() * period_s

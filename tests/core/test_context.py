@@ -134,3 +134,43 @@ class TestKeyedCache:
             table, 1.0, "cfg", lambda: calls.append(1) or 9
         )
         assert len(calls) == 2
+
+
+class TestFork:
+    def test_siblings_share_the_match_cache(self):
+        root = GossipContext(random.Random(0), threshold_h=4)
+        left = root.fork(random.Random(1))
+        right = root.fork(random.Random(2))
+        table = make_table()
+        event = Event({})
+        match = left.table_match(table, event)
+        assert right.table_match(table, event) is match
+        assert root.table_match(table, event) is match
+        assert match.inflated                   # the threshold came along
+        calls = []
+        for context in (left, right, root):
+            bound = context.round_bound_memo(
+                table, 1.0, "cfg", lambda: calls.append(1) or 7
+            )
+            assert bound == 7
+        assert len(calls) == 1
+        # A structurally identical table: every verdict is a shared hit.
+        verdict_misses = root.cache_stats.verdict_misses
+        right.table_match(make_table(), event)
+        stats = root.cache_stats
+        assert stats is left.cache_stats is right.cache_stats
+        assert (stats.table_misses, stats.table_hits) == (2, 2)
+        assert stats.verdict_misses == verdict_misses
+        # Invalidation through one sibling is seen by the others.
+        left.invalidate_table(table)
+        assert right.table_match(table, event) is not match
+
+    def test_siblings_never_share_a_stream(self):
+        root = GossipContext(random.Random(0))
+        mine, theirs = random.Random(1), random.Random(2)
+        left, right = root.fork(mine), root.fork(theirs)
+        assert left.rng is mine and right.rng is theirs
+        assert root.rng is not mine and root.rng is not theirs
+        before = (root.rng.getstate(), theirs.getstate())
+        left.rng.random()
+        assert (root.rng.getstate(), theirs.getstate()) == before

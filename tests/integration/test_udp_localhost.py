@@ -186,7 +186,7 @@ class TestPerDatagramCost:
     def test_processes_materialise_on_first_datagram_with_fresh_streams(
         self, monkeypatch
     ):
-        seed, period_s, built, tasks = 11, 0.02, {}, set()
+        seed, period_s, built, tasks, caches = 11, 0.02, {}, set(), []
         group, addresses = build_group(seed)
 
         class Recording(AsyncProcess):
@@ -198,6 +198,7 @@ class TestPerDatagramCost:
                     ctx.rng.getstate(), transport.rng.getstate(),
                     self.timer_offset_s,
                 )
+                caches.append(ctx.cache_stats)
 
             def drain(self):
                 tasks.add(len(asyncio.all_tasks()))
@@ -219,6 +220,15 @@ class TestPerDatagramCost:
         assert report.received_total == len(built)
         # Only the runner: no Task per process, per burst or per fire.
         assert tasks == {1}
+        # One match cache for the run: a table is filled once, not once
+        # per process holding it.
+        assert all(stats_ is caches[0] for stats_ in caches)
+        tables = {
+            id(group.node(address).view(depth))
+            for address in built
+            for depth in range(1, group.tree.depth + 1)
+        }
+        assert caches[0].table_misses <= len(tables)
         for address, (gossip, loss, offset_s) in built.items():
             name = str(address)
             assert gossip == derive_rng(seed, "net-gossip", name).getstate()

@@ -1,11 +1,14 @@
 """Transport seam: deterministic flush batching and the UDP endpoint."""
 
 import asyncio
+import json
 import socket
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.addressing import Address
+from repro.core.codec import encode_message
 from repro.core.messages import Envelope, GossipMessage
 from repro.errors import NetError
 from repro.interests.events import Event
@@ -116,6 +119,49 @@ class TestWireFormat:
         with pytest.raises(NetError):
             decode_envelope(data)
 
+    @given(
+        attributes=st.dictionaries(
+            st.text(min_size=1, max_size=6),
+            st.one_of(
+                st.integers(-(2 ** 70), 2 ** 70),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1e-7, -0.0, 1e22, 5e-324]),
+                st.text(max_size=8),
+            ),
+            max_size=4,
+        ),
+        rate=st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([0, 1, 1e-7, 1 / 3])
+        ),
+        round_index=st.integers(0, 10 ** 6),
+        depth=st.integers(1, 9),
+    )
+    def test_one_pass_encoder_is_the_json_dumps_bytes(
+        self, attributes, rate, round_index, depth
+    ):
+        """The format-string encoder against the encoder it replaced."""
+        envelope = Envelope(
+            destination=Address.parse("10.0.21"),
+            message=GossipMessage(
+                event=Event(attributes, event_id=round_index),
+                rate=rate, round=round_index, depth=depth,
+                sender=Address.parse("3.14.15"),
+            ),
+        )
+        reference = json.dumps(
+            {
+                "to": str(envelope.destination),
+                "msg": encode_message(envelope.message),
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        assert encode_envelope(envelope) == reference
+        assert UdpEndpointRegistry().encode(envelope) == reference
+        decoded = decode_envelope(reference)
+        assert decoded == envelope
+        assert decoded.message.event.attributes == attributes
+        assert str(decoded.message.rate) == str(rate)
+
 
 class TestUdpEndpointRegistry:
     def test_register_and_resolve(self):
@@ -129,6 +175,34 @@ class TestUdpEndpointRegistry:
     def test_unknown_address_raises(self):
         with pytest.raises(NetError):
             UdpEndpointRegistry().resolve(Address.parse("0.0.1"))
+
+    def test_event_memo_dies_with_the_run(self):
+        """``Event`` equality is by id: a reused id must never be served
+        another run's payload, and never by the memo-less function."""
+        first, second = (
+            Envelope(
+                Address.parse("0.0.2"),
+                GossipMessage(
+                    Event({"k": value}, event_id=7), 0.5, 0, 1,
+                    Address.parse("0.0.1"),
+                ),
+            )
+            for value in ("first", "second")
+        )
+        assert first.message.event == second.message.event
+        for encode in (
+            encode_envelope,
+            lambda envelope: UdpEndpointRegistry().encode(envelope),
+        ):
+            values = [
+                decode_envelope(encode(envelope)).message.event["k"]
+                for envelope in (first, second)
+            ]
+            assert values == ["first", "second"]
+        # Within one run the id *is* the event, serialised once.
+        run = UdpEndpointRegistry()
+        assert run.encode(first) == encode_envelope(first)
+        assert run.encode(first) == encode_envelope(first)
 
 
 async def _udp_pair(loss_probability=0.0, rng=None):
@@ -183,6 +257,30 @@ class TestFairLossUdpTransport:
                 await asyncio.sleep(0.05)
                 assert sender.messages_lost == 20
                 assert not received
+            finally:
+                sender.close()
+                receiver.close()
+
+        asyncio.run(scenario())
+
+    def test_lossy_endpoint_without_a_stream_raises_at_first_send(self):
+        """No shared ``random.Random(0)`` behind the caller's back."""
+        async def scenario():
+            try:
+                sender, receiver, received = await _udp_pair(
+                    loss_probability=0.5
+                )
+            except OSError as exc:
+                pytest.skip(f"UDP sockets unavailable: {exc}")
+            try:
+                with pytest.raises(NetError, match="no loss stream"):
+                    sender.send(make_envelope(dest="0.0.2"))
+                assert sender.rng is None
+                assert (sender.messages_sent, sender.messages_lost) == (0, 0)
+                # Assigning the stream late is the supported order.
+                sender.rng = derive_rng(3, "loss")
+                sender.send(make_envelope(dest="0.0.2"))
+                assert sender.messages_sent == 1
             finally:
                 sender.close()
                 receiver.close()

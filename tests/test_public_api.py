@@ -166,3 +166,27 @@ class TestRemovedTwins:
             ("run_udp_dissemination", "trace"),
             ("run_sharded_dissemination", "timeline"),
         }
+
+    def test_nothing_imports_scipy(self):
+        """numpy is the one dependency: the package, its analysis and
+        both CLIs' modules load in a fresh interpreter without scipy."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro, repro.analysis, repro.validate, "
+                "repro.bench, repro.net, repro.obs; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))",
+            ],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
