@@ -5,51 +5,32 @@ keeps track of the last time it was contacted by its most immediate
 neighbor processes."
 
 :class:`FailureDetector` is that bookkeeping for one process: it
-records contacts (any gossip counts), reports which neighbors exceeded
-the timeout, and supports the optional leaf-subgroup hardening of §6 —
-requiring ``confirmations`` independent suspicions before a process is
-excluded ("possibly even perform a form of agreement before excluding a
-suspected process from their views").
+records contacts (any gossip counts) and reports which neighbors
+exceeded the timeout.  :class:`SuspicionQuorum` is the optional
+leaf-subgroup hardening of §6 — ``quorum`` independent suspicions
+before a process is excluded ("possibly even perform a form of
+agreement before excluding a suspected process from their views").
+:class:`ContactTable` is both for a whole group at once, as arrays —
+what a long-running :class:`~repro.sim.runtime.GroupRuntime` keeps;
+the two classes are its reference.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.addressing import Address, component_key
+import numpy as np
+
+from repro.addressing import Address, Prefix, component_key
 from repro.errors import MembershipError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
-__all__ = ["FailureDetector", "SuspicionQuorum"]
+__all__ = ["ContactTable", "FailureDetector", "SuspicionQuorum"]
 
 
 class FailureDetector:
-    """Heartbeat-style detector over a process's immediate neighbors.
-
-    The suspect set is maintained *incrementally*: neighbors are
-    bucketed by last-contact time, and promotion sweeps whole buckets
-    as the query frontier passes them, instead of rescanning every
-    neighbor.  Buckets use *lazy deletion*: a re-contacted neighbor is
-    simply filed under its new time (one set-add into the current
-    round's bucket), and the stale entry is discarded at promotion by
-    checking it against the authoritative last-contact map — the hot
-    :meth:`record_contact` path does no bucket surgery.
-
-    Suspicion is encoded in the last-contact map itself: an alive
-    neighbor maps to its contact time ``t`` (clocks are non-negative
-    round counts), a suspect to ``~t`` (the one's complement, always
-    negative).  The encoding removes the separate suspect-set
-    membership test from both the contact path and the promotion
-    check; the sorted suspect materialization is lazy (memoized per
-    generation), and the ``near_key`` slice is kept sorted
-    incrementally by bisect.  With monotonically advancing queries
-    (the simulator's round clock) a :meth:`near_suspects` call is
-    O(promotions) — never a rescan, never a re-sort.  The
-    :attr:`generation` counter advances when the suspect set changes,
-    so callers can key their own caches on it (equal generations
-    guarantee an equal suspect set).
+    """Heartbeat-style detector over a process's immediate neighbors: a
+    last-contact map, scanned at query time.
 
     Args:
         owner: the monitoring process.
@@ -57,13 +38,8 @@ class FailureDetector:
         registry: optional metrics registry; the ``detector`` subsystem
             counts suspicion reports across every detector sharing it.
         near_key: optional component-key prefix (the owner's leaf
-            subgroup).  When given, the detector additionally maintains
-            the subgroup-restricted slice of the suspect list so
-            :meth:`near_suspects` answers without any per-query
-            filtering — only *immediate neighbors* may feed exclusions
-            (§2.3), and refiltering the full list (dominated by
-            permanently silent far gossip partners) every round used to
-            dominate the detection round.
+            subgroup) for :meth:`near_suspects` — only *immediate
+            neighbors* may feed exclusions (§2.3).
     """
 
     def __init__(
@@ -78,34 +54,10 @@ class FailureDetector:
         self._owner = owner
         self._timeout = timeout
         self._near_key = tuple(near_key) if near_key is not None else None
-        self._near_len = len(near_key) if near_key is not None else 0
-        self._near_sorted: List[Address] = []
         self._suspicion_reports = registry.counter(
             "detector", "suspicion_reports"
         )
-        # neighbor -> last contact time t if alive, ~t if suspect.
         self._last_contact: Dict[Address, int] = {}
-        # last-contact time -> neighbors filed at that time, plus a
-        # min-heap of bucket times (each pushed once at bucket
-        # creation).  Entries are deleted *lazily*: a re-contacted
-        # neighbor stays filed under its old time too, and promotion
-        # drops any entry whose time no longer matches the
-        # authoritative ``_last_contact`` value (a suspect's encoded
-        # value is negative and can never match a filed time).
-        self._buckets: Dict[int, Set[Address]] = {}
-        self._heap: List[int] = []
-        # len of the suspect set = count of negative last-contact
-        # entries; the sorted materialization is lazy (memoized per
-        # generation) — :meth:`near_suspects`, the simulator's hot
-        # path, only ever needs the count and the near slice.
-        self._suspect_count = 0
-        self._sorted_memo: List[Address] = []
-        self._sorted_generation = 0
-        # Highest `now - timeout` this detector was queried with (None
-        # before the first query); the suspect encoding answers exactly
-        # {n : last_contact[n] < _frontier}.
-        self._frontier: Optional[int] = None
-        self._generation = 0
 
     @property
     def owner(self) -> Address:
@@ -117,134 +69,25 @@ class FailureDetector:
         """Rounds of silence before suspicion."""
         return self._timeout
 
-    @property
-    def generation(self) -> int:
-        """Advances exactly when the suspect set changes.
-
-        Key caches derived from :meth:`suspects` on this value: equal
-        generations guarantee an equal suspect set.
-        """
-        return self._generation
-
-    def _mark_suspect(self, neighbor: Address) -> None:
-        """Suspect-set bookkeeping (count, near slice, generation)."""
-        self._suspect_count += 1
-        near_key = self._near_key
-        if (
-            near_key is not None
-            and component_key(neighbor)[: self._near_len] == near_key
-        ):
-            bisect.insort(self._near_sorted, neighbor, key=component_key)
-        self._generation += 1
-
-    def _clear_suspect(self, neighbor: Address) -> None:
-        self._suspect_count -= 1
-        near_key = self._near_key
-        if (
-            near_key is not None
-            and component_key(neighbor)[: self._near_len] == near_key
-        ):
-            index = bisect.bisect_left(
-                self._near_sorted,
-                component_key(neighbor),
-                key=component_key,
-            )
-            del self._near_sorted[index]
-        self._generation += 1
-
-    def _file(self, neighbor: Address, now: int) -> None:
-        """File an alive neighbor under its (new) contact time."""
-        bucket = self._buckets.get(now)
-        if bucket is None:
-            self._buckets[now] = {neighbor}
-            heapq.heappush(self._heap, now)
-        else:
-            bucket.add(neighbor)
-
-    def _enroll(self, neighbor: Address, now: int) -> None:
-        """Start tracking a (re)appeared neighbor as of time ``now``."""
-        frontier = self._frontier
-        if frontier is not None and now < frontier:
-            # Back-dated relative to the last query: already stale.
-            self._last_contact[neighbor] = ~now
-            self._mark_suspect(neighbor)
-        else:
-            self._last_contact[neighbor] = now
-            self._file(neighbor, now)
-
     def watch(self, neighbor: Address, now: int) -> None:
         """Start monitoring a neighbor as of time ``now``."""
         if neighbor == self._owner:
             raise MembershipError("a process does not monitor itself")
-        if neighbor not in self._last_contact:
-            self._enroll(neighbor, now)
+        self._last_contact.setdefault(neighbor, now)
 
     def unwatch(self, neighbor: Address) -> None:
         """Stop monitoring (the neighbor left or was excluded)."""
-        previous = self._last_contact.pop(neighbor, None)
-        if previous is not None and previous < 0:
-            self._clear_suspect(neighbor)
-        # A bucket entry may remain; promotion discards it lazily (the
-        # last-contact lookup no longer matches its filed time).
+        self._last_contact.pop(neighbor, None)
 
     def record_contact(self, neighbor: Address, now: int) -> None:
         """Note that ``neighbor`` contacted us at time ``now``.
 
         Contacts from unwatched processes start a watch implicitly —
-        any gossip proves liveness.
+        any gossip proves liveness; an older contact changes nothing.
         """
-        last_contact = self._last_contact
-        previous = last_contact.get(neighbor)
-        if previous is None:
-            # Only an unseen neighbor can be the owner (the owner is
-            # never enrolled, so a hit in the map proves otherwise) —
-            # the equality check is paid on this branch alone instead
-            # of on every contact.  Enrollment is inlined: randomized
-            # far pulls make first-ever contacts a steady fraction of
-            # all contacts at paper scale, not a cold path.
-            if neighbor == self._owner:
-                return
-            frontier = self._frontier
-            if frontier is not None and now < frontier:
-                # Back-dated relative to the last query: already stale.
-                last_contact[neighbor] = ~now
-                self._mark_suspect(neighbor)
-            else:
-                last_contact[neighbor] = now
-                buckets = self._buckets
-                bucket = buckets.get(now)
-                if bucket is None:
-                    buckets[now] = {neighbor}
-                    heapq.heappush(self._heap, now)
-                else:
-                    bucket.add(neighbor)
-        elif previous >= 0:
-            # Alive: record and re-file.  (An alive neighbor's contact
-            # time is never behind the frontier — promotion would have
-            # claimed it — so no staleness check is needed, and the
-            # bucket filing is inlined: two contacts per pull per live
-            # member per round make a helper frame measurable.)
-            if now > previous:
-                last_contact[neighbor] = now
-                buckets = self._buckets
-                bucket = buckets.get(now)
-                if bucket is None:
-                    buckets[now] = {neighbor}
-                    heapq.heappush(self._heap, now)
-                else:
-                    bucket.add(neighbor)
-        elif now > ~previous:
-            frontier = self._frontier
-            if frontier is not None and now < frontier:
-                # Heard from again, but still past the timeout: stays
-                # a suspect, at the newer contact time.  Two generation
-                # ticks — the set left and re-entered suspicion.
-                last_contact[neighbor] = ~now
-                self._generation += 2
-            else:
-                last_contact[neighbor] = now
-                self._clear_suspect(neighbor)
-                self._file(neighbor, now)
+        previous = self._last_contact.get(neighbor)
+        if neighbor != self._owner and (previous is None or now > previous):
+            self._last_contact[neighbor] = now
 
     def watched(self) -> List[Address]:
         """Monitored neighbors, sorted."""
@@ -253,126 +96,280 @@ class FailureDetector:
     def last_contact(self, neighbor: Address) -> int:
         """The last time ``neighbor`` was heard from."""
         try:
-            value = self._last_contact[neighbor]
+            return self._last_contact[neighbor]
         except KeyError:
             raise MembershipError(
                 f"{self._owner} does not monitor {neighbor}"
             ) from None
-        return value if value >= 0 else ~value
 
-    def _advance(self, target: int) -> None:
-        """Promote every bucket the frontier passed into the suspect set."""
-        heap, buckets = self._heap, self._buckets
-        last_contact = self._last_contact
-        while heap and heap[0] < target:
-            filed = heapq.heappop(heap)
-            for neighbor in buckets.pop(filed):
-                # Lazy deletion: only entries still matching the
-                # authoritative contact time are real promotions (an
-                # unwatched neighbor misses, a re-contacted one filed
-                # afresh, and a suspect's value is negative).
-                if last_contact.get(neighbor) == filed:
-                    last_contact[neighbor] = ~filed
-                    self._mark_suspect(neighbor)
-        self._frontier = target
+    def suspects(self, now: int) -> List[Address]:
+        """Neighbors silent for more than the timeout, sorted."""
+        out = sorted(
+            (
+                neighbor
+                for neighbor, last in self._last_contact.items()
+                if now - last > self._timeout
+            ),
+            key=component_key,
+        )
+        if out:
+            self._suspicion_reports.inc(len(out))
+        return out
 
-    def _near_suspects_core(self, now: int) -> Tuple[List[Address], int]:
-        """(near slice, full reportable count) — no counter side effects.
-
-        The simulator's detection round batches the suspicion-reports
-        counter across all detectors; :meth:`near_suspects` wraps this
-        with the per-call increment.
-        """
+    def near_suspects(self, now: int) -> List[Address]:
+        """The same-subgroup slice of :meth:`suspects` (which counts
+        the *full* list as suspicion reports).  Requires ``near_key``."""
         near_key = self._near_key
         if near_key is None:
             raise MembershipError(
                 f"{self._owner}'s detector was built without a near_key"
             )
+        return [
+            neighbor
+            for neighbor in self.suspects(now)
+            if component_key(neighbor)[: len(near_key)] == near_key
+        ]
+
+
+#: The last contact of a pair nobody watches: below no threshold.
+_UNWATCHED = np.iinfo(np.int32).max
+#: A far pair's key is ``monitor << 32 | neighbor``.
+_NEIGHBOR_BITS = (1 << 32) - 1
+
+
+def _fit(array: np.ndarray, shape: Tuple[int, ...], fill) -> np.ndarray:
+    """``array`` if it holds ``shape``, else a copy grown (by doubling)
+    to hold it, new cells ``fill``."""
+    if all(need <= have for need, have in zip(shape, array.shape)):
+        return array
+    grown = [
+        max(need, 2 * have) if need > have else have
+        for need, have in zip(shape, array.shape)
+    ]
+    out = np.full(grown, fill, array.dtype)
+    out[tuple(map(slice, array.shape))] = array
+    return out
+
+
+class ContactTable:
+    """Every process's :class:`FailureDetector` of one group, as arrays,
+    with the accusations of a :class:`SuspicionQuorum` beside them.
+
+    A *slot* is a dense id per address (:meth:`slot`), kept across a
+    leave and a re-join.  The last contact of a watched (monitor,
+    neighbor) pair lives in one of two stores:
+
+    * **near** — the pair shares a leaf subgroup, the only neighbors
+      that may accuse (§2.3): a ``slots x leaf width`` matrix, the
+      neighbor's column being its place in its leaf;
+    * **far** — anyone else a process gossiped with: a sorted
+      ``monitor << 32 | neighbor`` key array beside the times.  Far
+      suspects never accuse, yet they count as suspicion reports, so
+      they are kept exactly.
+
+    An unwatched pair holds a time below no threshold, so suspicion is
+    one ``last < now - timeout`` compare.  Accusations are a flag
+    matrix shaped like the near one (accuser, column of the suspect),
+    plus per suspect the quorum captured at its first accusation:
+    ``quorum``, else all its live neighbors then.  An accusation
+    outlives its accuser's detector: one by a process that since
+    crashed or left counts until that process, back in the group, hears
+    from the suspect.  ``now`` is the group's round clock and never
+    goes back.
+    """
+
+    def __init__(self, timeout: int, depth: int, quorum: Optional[int] = None):
+        if timeout < 1:
+            raise MembershipError(f"timeout {timeout} must be >= 1")
+        if quorum is not None and quorum < 1:
+            raise MembershipError(f"quorum {quorum} must be >= 1")
+        self._timeout = timeout
+        self._depth = depth
+        self._quorum = quorum
+        #: address -> slot and slot -> address; read-only outside.
+        self.slot_of: Dict[Address, int] = {}
+        self.addresses: List[Address] = []
+        self._leaves: Dict[Prefix, int] = {}
+        self._width: List[int] = []  # columns handed out, per leaf
+        # Per slot: its leaf, its column there, its last component (the
+        # component order within a leaf) and its captured quorum.
+        self._leaf = np.zeros(0, np.int64)
+        self._col = np.zeros(0, np.int64)
+        self._last = np.zeros(0, np.int64)
+        self._required = np.zeros(0, np.int64)  # 0 = none captured
+        self._leaf_slots = np.full((0, 1), -1, np.int64)  # -1: no slot
+        self._near = np.full((0, 1), _UNWATCHED, np.int32)
+        self._accused = np.zeros((0, 1), bool)
+        self._far_keys = np.zeros(0, np.int64)
+        self._far_last = np.zeros(0, np.int32)
+
+    def slot(self, address: Address) -> int:
+        """The slot of ``address``, handed out on first sight."""
+        slot = self.slot_of.get(address)
+        if slot is not None:
+            return slot
+        slot = self.slot_of[address] = len(self.addresses)
+        self.addresses.append(address)
+        prefix = address.prefix(self._depth)
+        leaf = self._leaves.setdefault(prefix, len(self._leaves))
+        if leaf == len(self._width):
+            self._width.append(0)
+        col = self._width[leaf]
+        self._width[leaf] += 1
+        if slot >= len(self._leaf) or col >= self._near.shape[1] or leaf >= len(self._leaf_slots):
+            for name in ("_leaf", "_col", "_last", "_required"):
+                setattr(self, name, _fit(getattr(self, name), (slot + 1,), 0))
+            self._near = _fit(self._near, (slot + 1, col + 1), _UNWATCHED)
+            self._accused = _fit(self._accused, (slot + 1, col + 1), False)
+            self._leaf_slots = _fit(self._leaf_slots, (leaf + 1, col + 1), -1)
+        self._leaf[slot], self._col[slot] = leaf, col
+        self._last[slot] = component_key(address)[-1]
+        self._leaf_slots[leaf, col] = slot
+        return slot
+
+    def _mates(self, slots) -> np.ndarray:
+        """The slots of each one's leaf, -1 padded (itself included)."""
+        return self._leaf_slots[self._leaf[slots]]
+
+    def watch(self, monitors: Sequence[int], neighbors: Sequence[int], now: int) -> None:
+        """``monitors[i]`` starts watching ``neighbors[i]`` as of ``now``
+        (a pair already watched keeps its last contact)."""
+        monitors = np.asarray(monitors, np.int64)
+        neighbors = np.asarray(neighbors, np.int64)
+        if np.any(monitors == neighbors):
+            raise MembershipError("a process does not monitor itself")
+        near = self._leaf[monitors] == self._leaf[neighbors]
+        rows, cols = monitors[near], self._col[neighbors[near]]
+        fresh = self._near[rows, cols] == _UNWATCHED
+        self._near[rows[fresh], cols[fresh]] = now
+        far = ~near
+        self._far_set((monitors[far] << 32) | neighbors[far], now, True)
+
+    def contact(self, owners: Sequence[int], senders: Sequence[int], now: int) -> None:
+        """``owners[i]`` heard from ``senders[i]`` at ``now``: a watch
+        starts if there was none, and the owner's accusation of the
+        sender is retracted.  Hearing from oneself records nothing."""
+        owners = np.asarray(owners, np.int64)
+        senders = np.asarray(senders, np.int64)
+        others = owners != senders
+        owners, senders = owners[others], senders[others]
+        near = self._leaf[owners] == self._leaf[senders]
+        rows, cols = owners[near], self._col[senders[near]]
+        self._near[rows, cols] = now
+        self._accused[rows, cols] = False
+        far = ~near
+        self._far_set((owners[far] << 32) | senders[far], now, False)
+
+    def _far_set(self, keys: np.ndarray, now: int, only_new: bool) -> None:
+        keys = np.sort(keys)
+        keys = keys[np.append(True, keys[1:] != keys[:-1])[: len(keys)]]
+        at = np.searchsorted(self._far_keys, keys)
+        found = np.zeros(len(keys), bool)
+        inside = at < len(self._far_keys)
+        found[inside] = self._far_keys[at[inside]] == keys[inside]
+        hits = at[found]
+        if only_new:
+            hits = hits[self._far_last[hits] == _UNWATCHED]
+        self._far_last[hits] = now
+        if not found.all():
+            at, keys = at[~found], keys[~found]
+            self._far_keys = np.insert(self._far_keys, at, keys)
+            self._far_last = np.insert(self._far_last, at, now)
+
+    def unwatch(self, slot: int) -> None:
+        """Nobody watches or accuses ``slot`` any more (it left or was
+        excluded); its captured quorum goes too."""
+        mates, col = self._mates(slot), self._col[slot]
+        self._near[mates[mates >= 0], col] = _UNWATCHED
+        self._accused[mates[mates >= 0], col] = False
+        self._required[slot] = 0
+        self._far_last[(self._far_keys & _NEIGHBOR_BITS) == slot] = _UNWATCHED
+
+    def forget(self, slot: int) -> None:
+        """``slot``'s own detector is gone (it left): it watches nobody.
+        The accusations it made stay."""
+        self._near[slot] = _UNWATCHED
+        low, high = np.searchsorted(self._far_keys, [slot << 32, (slot + 1) << 32])
+        self._far_last[low:high] = _UNWATCHED
+
+    def suspect_counts(self, monitors: np.ndarray, now: int) -> np.ndarray:
+        """How many neighbors, near and far, each of ``monitors``
+        suspects."""
         target = now - self._timeout
-        frontier = self._frontier
-        if frontier is None or target > frontier:
-            heap = self._heap
-            if heap and heap[0] < target:
-                self._advance(target)
-            else:
-                self._frontier = target
-        elif target < frontier:
-            # Backward query: answer statelessly (see suspects()).
-            near_len = self._near_len
-            full = self._stateless_suspects(now)
-            return (
-                [
-                    neighbor
-                    for neighbor in full
-                    if component_key(neighbor)[:near_len] == near_key
-                ],
-                len(full),
-            )
-        return self._near_sorted, self._suspect_count
+        near = np.count_nonzero(self._near[monitors] < target, axis=1)
+        stale = self._far_keys[self._far_last < target] >> 32
+        return near + np.bincount(stale, minlength=len(self.addresses))[monitors]
 
-    def near_suspects(self, now: int) -> List[Address]:
-        """The same-subgroup slice of :meth:`suspects`, pre-filtered.
+    def _stale_near(self, monitors: np.ndarray, now: int):
+        """(row in ``monitors``, column, suspect slot) of every stale
+        near pair, row by row."""
+        rows, cols = np.nonzero(self._near[monitors] < now - self._timeout)
+        return rows, cols, self._leaf_slots[self._leaf[monitors[rows]], cols]
 
-        Counting semantics are identical to :meth:`suspects` — the
-        suspicion-reports counter reflects the *full* suspect list —
-        only the returned list is restricted to neighbors matching the
-        ``near_key`` prefix.  Requires construction with ``near_key``.
-        Shared with internal state — treat it as read-only.
+    def near_suspects(self, monitors: np.ndarray, now: int) -> List[List[int]]:
+        """Per monitor, its suspect leaf-mates' slots in component order."""
+        rows, __, suspects = self._stale_near(monitors, now)
+        order = np.lexsort((self._last[suspects], rows))
+        rows, suspects = rows[order], suspects[order].tolist()
+        bounds = np.searchsorted(rows, np.arange(len(monitors) + 1)).tolist()
+        return [suspects[low:high] for low, high in zip(bounds, bounds[1:])]
+
+    def accusers(self, suspects: np.ndarray) -> np.ndarray:
+        """How many slots accuse each of ``suspects``."""
+        mates = self._mates(suspects)
+        held = self._accused[mates, self._col[suspects, None]] & (mates >= 0)
+        return np.count_nonzero(held, axis=1)
+
+    def _quorums(self, suspects: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Each suspect's quorum — the captured one, else the one an
+        accusation now would capture (``live``: the slots that may
+        concur, i.e. members that have not crashed)."""
+        required = self._required[suspects]
+        if self._quorum is not None:
+            return np.where(required > 0, required, self._quorum)
+        mates = self._mates(suspects)
+        neighbors = np.count_nonzero(live[mates] & (mates >= 0), axis=1)
+        neighbors -= live[suspects]
+        return np.where(required > 0, required, np.maximum(neighbors, 1))
+
+    def accuse(self, monitor: int, suspect: int, live: np.ndarray) -> Tuple[bool, int]:
+        """``monitor`` accuses ``suspect``.  Returns (a new accusation,
+        the suspect's quorum) — see :meth:`_quorums` for ``live``."""
+        col = self._col[suspect]
+        new = not self._accused[monitor, col]
+        self._accused[monitor, col] = True
+        if not self._required[suspect]:
+            self._required[suspect] = self._quorums(np.array([suspect]), live)[0]
+        return new, int(self._required[suspect])
+
+    def accuse_all(
+        self, monitors: np.ndarray, now: int, members: np.ndarray
+    ) -> Optional[int]:
+        """Every one of ``monitors`` — the live processes — accuses each
+        suspect leaf-mate that is a member (``members`` flags slots),
+        unless that would convict someone.
+
+        Returns the number of new accusations, or ``None`` with nothing
+        recorded when a suspect would reach its quorum: a conviction
+        changes the group mid-round, so such a round is the caller's
+        to play one accusation at a time.
         """
-        out, count = self._near_suspects_core(now)
-        if count:
-            self._suspicion_reports.inc(count)
-        return out
-
-    def _stateless_suspects(self, now: int) -> List[Address]:
-        """Suspects for a backward query, without touching the frontier."""
-        timeout = self._timeout
-        return sorted(
-            (
-                neighbor
-                for neighbor, value in self._last_contact.items()
-                if now - (value if value >= 0 else ~value) > timeout
-            ),
-            key=component_key,
-        )
-
-    def suspects(self, now: int) -> List[Address]:
-        """Neighbors silent for more than the timeout, sorted.
-
-        The returned list is shared with the internal sorted suspect
-        list — treat it as read-only.
-        """
-        target = now - self._timeout  # suspect iff last_contact < target
-        frontier = self._frontier
-        if frontier is None or target > frontier:
-            heap = self._heap
-            if heap and heap[0] < target:
-                self._advance(target)
-            else:
-                self._frontier = target
-        elif target < frontier:
-            # The clock went backwards relative to the frontier (never
-            # the simulator; only ad-hoc queries).  Answer statelessly
-            # so the incremental state keeps tracking the frontier.
-            out = self._stateless_suspects(now)
-            if out:
-                self._suspicion_reports.inc(len(out))
-            return out
-        generation = self._generation
-        if self._sorted_generation != generation:
-            self._sorted_memo = sorted(
-                (
-                    neighbor
-                    for neighbor, value in self._last_contact.items()
-                    if value < 0
-                ),
-                key=component_key,
-            )
-            self._sorted_generation = generation
-        out = self._sorted_memo
-        if out:
-            self._suspicion_reports.inc(len(out))
-        return out
+        rows, cols, suspects = self._stale_near(monitors, now)
+        accusers = monitors[rows]
+        new = members[suspects] & ~self._accused[accusers, cols]
+        if not new.any():
+            return 0
+        accusers, cols, suspects = accusers[new], cols[new], suspects[new]
+        gained = np.bincount(suspects)
+        touched = np.flatnonzero(gained)
+        live = np.zeros(len(self.addresses), bool)
+        live[monitors] = True
+        required = self._quorums(touched, live)
+        if np.any(self.accusers(touched) + gained[touched] >= required):
+            return None
+        self._accused[accusers, cols] = True
+        self._required[touched] = required
+        return len(accusers)
 
 
 class SuspicionQuorum:

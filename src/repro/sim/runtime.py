@@ -13,11 +13,11 @@ every round, alongside the Figure 3 event gossip,
   alive ("every process keeps track of the last time it was contacted
   by its most immediate neighbor processes");
 * when every live neighbor of a silent process has been suspecting it
-  past the timeout (the §6 leaf-subgroup *agreement* hardening — the
-  runtime keeps the per-suspect accuser sets of
-  :class:`~repro.membership.failure_detector.SuspicionQuorum` in
-  flattened form), the process is **excluded**: removed from the
-  membership and from the views along its prefix path.
+  past the timeout (the §6 leaf-subgroup *agreement* hardening), the
+  process is **excluded**: removed from the membership and from the
+  views along its prefix path.  Every process's detector and the
+  accusations live in one group-wide
+  :class:`~repro.membership.failure_detector.ContactTable`.
 
 Processes crash silently through :meth:`GroupRuntime.crash`; the
 runtime exposes how long detection and exclusion took, and publishes
@@ -36,9 +36,13 @@ order — the same order the full scan would use.
 
 from __future__ import annotations
 
+from itertools import compress, count, repeat
+from operator import is_not
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.addressing import Address, Prefix, component_key
+import numpy as np
+
+from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope
@@ -48,9 +52,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
-from repro.membership.failure_detector import FailureDetector
+from repro.membership.failure_detector import ContactTable
 from repro.membership.gossip_pull import (
     _ADDR_TOKENS,
+    _CACHE_TOKENS,
     MembershipState,
     _pull,
     exchange,
@@ -128,10 +133,13 @@ class GroupRuntime:
     ):
         if not members:
             raise SimulationError("cannot start an empty runtime")
+        if exclusion_quorum is not None and exclusion_quorum < 1:
+            raise SimulationError(
+                f"exclusion_quorum {exclusion_quorum} must be >= 1 "
+                "(None = every live neighbor)"
+            )
         self._config = config or PmcastConfig()
         self._sim_config = sim_config or SimConfig()
-        self._detector_timeout = detector_timeout
-        self._exclusion_quorum = exclusion_quorum
         self._piggyback_membership = piggyback_membership
         self._schedule = schedule
         self._schedule_keys: Dict[Address, str] = {}
@@ -141,21 +149,25 @@ class GroupRuntime:
         self._tables: Dict[Prefix, ViewTable] = {}
         self._nodes: Dict[Address, PmcastNode] = {}
         self._replicas: Dict[Address, MembershipState] = {}
-        self._detectors: Dict[Address, FailureDetector] = {}
-        # Suspicion quorums, flattened (paper §6): per-suspect accuser
-        # sets plus the quorum size captured when a suspect was first
-        # accused.  Semantically a Dict[Address, SuspicionQuorum], but
-        # the round loops touch these maps per pull and per suspicion —
-        # plain dicts skip a method dispatch and an inner-dict hop on
-        # every one of those operations.  An accuser-set entry is
-        # dropped when its last accusation is retracted; the captured
-        # quorum size persists until the suspect leaves or is excluded,
-        # exactly like the per-suspect quorum objects did.
-        self._accusers: Dict[Address, Set[Address]] = {}
-        self._quorum_required: Dict[Address, int] = {}
-        # Materialized with the first accusation — parity with the lazy
-        # SuspicionQuorum construction this replaces, so registry
-        # snapshots show the counters in exactly the same runs.
+        # The same replicas by slot (None once their owner left).
+        self._replica_at: List[Optional[MembershipState]] = []
+        # Every process's failure detector and the §6 accusations, one
+        # slot per address ever wired (kept across leave and re-join).
+        self._contacts = ContactTable(
+            detector_timeout, self._tree.depth, exclusion_quorum
+        )
+        # Per slot and depth: the cache token of the table the replica
+        # holds, and an id of that table's prefix.  Two replicas are in
+        # sync iff their tokens agree wherever their prefixes do, so a
+        # round's pulls are sorted out in one array compare.  The tokens
+        # are those of the ``_seq`` tuple kept beside them (a replica
+        # replaces the tuple whenever it changes a table).
+        self._tokens = np.zeros((0, self._tree.depth), np.int64)
+        self._tokens_of: List[Optional[tuple]] = []
+        self._prefix_ids = np.zeros((0, self._tree.depth), np.int64)
+        self._prefix_id: Dict[Prefix, int] = {}
+        # Materialized with the first accusation, so registry snapshots
+        # show the counters in exactly the runs that accuse.
         self._m_accusations = None
         self._m_convictions = None
         self._excluded_at: Dict[Address, int] = {}
@@ -168,13 +180,16 @@ class GroupRuntime:
         self._active: Set[Address] = set()
         self._node_seq: Dict[Address, int] = {}
         self._wire_seq = 0
-        # Derived-state caches.  _membership_changed() drops the member
-        # list snapshot and the changed leaf subgroup's live-neighbor
-        # lists; the per-member far-peer pools are validated against
-        # the replica's addresses_token tuple on every lookup
-        # (anti-entropy changes the known peer set mid-run) and dropped
-        # by _drop_far_pools() only where a liveness change can show.
-        self._members_cache: Optional[List[Address]] = None
+        # Derived-state caches.  _membership_changed() drops the live
+        # member snapshot (_live) and the changed leaf subgroup's
+        # live-neighbor lists; the per-member far-peer pools are
+        # validated against the replica's addresses_token tuple on every
+        # lookup (anti-entropy changes the known peer set mid-run) and
+        # dropped by _drop_far_pools() only where a liveness change can
+        # show.
+        self._live_cache: Optional[
+            Tuple[List[Address], np.ndarray, np.ndarray]
+        ] = None
         self._neighbors_cache: Dict[Address, List[Address]] = {}
         self._far_cache: Dict[
             Address, Tuple[Tuple[int, ...], List[Address]]
@@ -260,16 +275,12 @@ class GroupRuntime:
                 self._obs.emit if self._obs.tracing else None,
             )
             self._reg.register_collector("faults", self._link.stats)
-        for address in self._tree.members():
-            self._wire(address)
-        for address in self._tree.members():
-            self._watch_neighbors(address)
-        # Fetched after wiring: every detector's constructor already
-        # materialized this counter, so this is a pure lookup — the
-        # detection round batches suspicion reports into it per round.
         self._m_suspicion_reports = self._reg.counter(
             "detector", "suspicion_reports"
         )
+        for address in self._tree.members():
+            self._wire(address)
+        self._watch_neighbors(list(self._tree.members()))
 
     # -- inspection -------------------------------------------------------
 
@@ -391,9 +402,12 @@ class GroupRuntime:
         self._obs.emit(self._round, "join", address)
         self._refresh_path(address, cause="join")
         self._wire(address)
-        self._watch_neighbors(address)
-        for neighbor in self._live_neighbors(address):
-            self._detectors[neighbor].watch(address, now=self._round)
+        self._watch_neighbors([address])
+        slot_of = self._contacts.slot_of
+        live = [slot_of[neighbor] for neighbor in self._live_neighbors(address)]
+        self._contacts.watch(
+            live, [slot_of[address]] * len(live), now=self._round
+        )
 
     def leave(self, address: Address) -> None:
         """Gracefully remove a process from the running group."""
@@ -405,17 +419,16 @@ class GroupRuntime:
         self._crashed.discard(address)
         self._crashed_at.pop(address, None)
         self._nodes.pop(address, None)
+        slot = self._contacts.slot_of[address]
         if self._replicas.pop(address, None) is not None:
+            self._replica_at[slot] = None
             self._unwired.add(address)
-        self._detectors.pop(address, None)
-        self._accusers.pop(address, None)
-        self._quorum_required.pop(address, None)
+        self._contacts.forget(slot)
         self._active.discard(address)
         self._node_seq.pop(address, None)
         self._drop_far_pools(address)
         self._refresh_path(address, cause="leave")
-        for detector in self._detectors.values():
-            detector.unwatch(address)
+        self._contacts.unwatch(slot)
 
     def update_interest(self, address: Address, interest: Interest) -> None:
         """Re-subscribe a live member (§2.3 "subscriptions and
@@ -459,9 +472,9 @@ class GroupRuntime:
         with timeline.span("fan_out", "runtime", self._round):
             envelopes = self._fan_out_round()
         with timeline.span("exchange", "runtime", self._round):
-            self._exchange_round(envelopes)
+            heard = self._exchange_round(envelopes)
         with timeline.span("membership", "runtime", self._round):
-            self._membership_round()
+            self._membership_round(heard)
             self._detection_round()
 
     def _fires_for(self, address: Address) -> int:
@@ -500,8 +513,16 @@ class GroupRuntime:
                 self._active.discard(address)
         return envelopes
 
-    def _exchange_round(self, envelopes: List[Envelope]) -> None:
-        """Transmit the round's envelopes and apply every arrival."""
+    def _exchange_round(
+        self, envelopes: List[Envelope]
+    ) -> Tuple[List[Address], List[Address]]:
+        """Transmit the round's envelopes and apply every arrival.
+
+        Returns who heard from whom — (receivers, senders), one pair per
+        applied arrival — for the round's contact table update.
+        """
+        receivers: List[Address] = []
+        senders: List[Address] = []
         survivors = self._link.transmit(envelopes)
         self._m_sent.inc(len(envelopes))
         # Released (delayed) envelopes can make survivors exceed this
@@ -546,14 +567,14 @@ class GroupRuntime:
                 )
             if not receiver.is_idle:
                 self._active.add(envelope.destination)
-            self._record_contact(
-                envelope.destination, envelope.message.sender
-            )
+            receivers.append(envelope.destination)
+            senders.append(envelope.message.sender)
             if self._piggyback_membership:
                 sender_replica = self._replicas.get(envelope.message.sender)
                 receiver_replica = self._replicas.get(envelope.destination)
                 if sender_replica is not None and receiver_replica is not None:
                     exchange(receiver_replica, sender_replica, self._reg)
+        return receivers, senders
 
     def run(self, rounds: int) -> None:
         """Execute several rounds."""
@@ -605,48 +626,64 @@ class GroupRuntime:
             # The shared tables carry exactly the rows a fresh
             # per-process build would produce (built or refreshed at
             # the current clock).
-            self._replicas[address] = MembershipState(
+            replica = self._replicas[address] = MembershipState(
                 address,
                 {depth: table.snapshot() for depth, table in views.items()},
             )
+            slot = self._contacts.slot(address)
+            if slot == len(self._replica_at):  # a first-time member
+                self._replica_at.append(None)
+                self._tokens_of.append(None)
+                if slot == len(self._tokens):
+                    spare = np.zeros((max(slot, 64), self._tree.depth), np.int64)
+                    self._tokens = np.concatenate((self._tokens, spare))
+                    self._prefix_ids = np.concatenate((self._prefix_ids, spare))
+                self._prefix_ids[slot] = [
+                    self._prefix_id.setdefault(prefix, len(self._prefix_id))
+                    for prefix in address.prefixes()
+                ]
+            self._replica_at[slot] = replica
             if address in self._unwired:
                 # A departed member is back: it re-enters the pools of
                 # whoever still lists it.
                 self._unwired.remove(address)
                 self._drop_far_pools(address)
-        if address not in self._detectors:
-            # near_key: the leaf-subgroup component prefix — §2.3 only
-            # lets immediate neighbors feed exclusions, so the detector
-            # maintains that slice of its suspect list incrementally.
-            self._detectors[address] = FailureDetector(
-                address,
-                self._detector_timeout,
-                registry=self._reg,
-                near_key=component_key(address)[: self._tree.depth - 1],
+
+    def _versions(self) -> np.ndarray:
+        """``_tokens``, first brought up to date for every replica whose
+        ``_seq`` is not the tuple they were read from."""
+        seqs = list(map(getattr, self._replica_at, repeat("_seq"), repeat(None)))
+        for slot in compress(count(), map(is_not, seqs, self._tokens_of)):
+            if seqs[slot] is not None:
+                self._tokens[slot] = tuple(map(_CACHE_TOKENS, seqs[slot]))
+        self._tokens_of = seqs
+        return self._tokens
+
+    def _watch_neighbors(self, addresses: List[Address]) -> None:
+        """Each of ``addresses`` starts watching its leaf subgroup."""
+        slot_of = self._contacts.slot_of.__getitem__
+        watching: Dict[Prefix, List[int]] = {}
+        for address in addresses:
+            leaf = address.prefix(self._tree.depth)
+            watching.setdefault(leaf, []).append(slot_of(address))
+        monitors, neighbors = [], []
+        for leaf, slots in watching.items():
+            mates = np.fromiter(
+                map(slot_of, self._tree.subtree_members(leaf)), np.int64
             )
-
-    def _watch_neighbors(self, address: Address) -> None:
-        detector = self._detectors[address]
-        prefix = address.prefix(self._tree.depth)
-        for neighbor in self._tree.subtree_members(prefix):
-            if neighbor != address:
-                detector.watch(neighbor, now=self._round)
-
-    def _record_contact(self, owner: Address, sender: Address) -> None:
-        detector = self._detectors.get(owner)
-        if detector is not None:
-            detector.record_contact(sender, now=self._round)
-            accusers = self._accusers.get(sender)
-            if accusers is not None:
-                accusers.discard(owner)
-                if not accusers:
-                    del self._accusers[sender]
+            pairs = np.repeat(slots, len(mates)), np.tile(mates, len(slots))
+            others = pairs[0] != pairs[1]
+            monitors.append(pairs[0][others])
+            neighbors.append(pairs[1][others])
+        self._contacts.watch(
+            np.concatenate(monitors), np.concatenate(neighbors), now=self._round
+        )
 
     def _membership_changed(self, address: Address) -> None:
         """Drop the caches derived from the tree or from crash state.
 
         ``address`` is the member whose join, leave, crash or exclusion
-        caused the change.  The member list snapshot goes; a
+        caused the change.  The live-member snapshot goes; a
         live-neighbor list only depends on its leaf subgroup, so only
         the changed member's subgroup entries are invalidated —
         rebuilding all n lists after every crash used to be a visible
@@ -654,7 +691,7 @@ class GroupRuntime:
         touched here: they filter on liveness, not on tree membership,
         and have their own scoped rule (:meth:`_drop_far_pools`).
         """
-        self._members_cache = None
+        self._live_cache = None
         neighbors_cache = self._neighbors_cache
         if neighbors_cache:
             neighbors_cache.pop(address, None)
@@ -713,17 +750,22 @@ class GroupRuntime:
         for member in self._tree.subtree_members(address.prefix(k)):
             far_cache.pop(member, None)
 
-    def _members(self) -> List[Address]:
-        """The member list, cached between membership changes.
-
-        Callers iterating it while excluding members (detection) keep a
-        reference to the old list — the same snapshot semantics as the
-        per-round ``list(...)`` copy this replaces; the cache slot is
-        *replaced*, never mutated in place.
-        """
-        if self._members_cache is None:
-            self._members_cache = list(self._tree.members())
-        return self._members_cache
+    def _live(self) -> Tuple[List[Address], np.ndarray, np.ndarray]:
+        """(live members in member order, their slots, a per-slot
+        "is a member" flag): a round's pullers, its monitors, and who
+        may be accused.  Cached between membership changes; the cache
+        slot is *replaced*, never mutated, so a detection round that
+        excludes members keeps walking its round-start snapshot."""
+        if self._live_cache is None:
+            crashed = self._crashed
+            live = [a for a in self._tree.members() if a not in crashed]
+            slot_of = self._contacts.slot_of.__getitem__
+            slots = np.fromiter(map(slot_of, live), np.int64, len(live))
+            flags = np.zeros(len(self._contacts.addresses), bool)
+            flags[slots] = True
+            flags[[slot_of(a) for a in crashed if a in self._tree]] = True
+            self._live_cache = (live, slots, flags)
+        return self._live_cache
 
     def _live_neighbors(self, address: Address) -> List[Address]:
         cached = self._neighbors_cache.get(address)
@@ -737,56 +779,49 @@ class GroupRuntime:
             self._neighbors_cache[address] = cached
         return cached
 
-    def _membership_round(self) -> None:
-        """Dedicated membership gossips: one near pull, one far pull.
+    def _membership_round(
+        self, heard: Tuple[List[Address], List[Address]]
+    ) -> None:
+        """Dedicated membership gossips — one near pull, one far pull
+        per live member — then every contact of the round.
 
-        This is the simulator's hottest loop at paper scale, and it is
-        written accordingly:
+        One walk over the live members draws every peer, near then far:
 
         * rng.choice(seq) is exactly ``seq[rng._randbelow(len(seq))]``
           (CPython's implementation); drawing through ``_randbelow``
           keeps the RNG stream bit-identical while skipping a Python
-          frame per draw.
-        * Replicas share frozen table versions, so a pair is in sync
-          when the tables down their common path are the same objects:
-          the two ``_seq`` tuples (depth 1..d, as ``_wire`` fills them)
-          are walked by ``is`` here, and only a pair that differs on a
-          table it shares pays the
-          :func:`~repro.membership.gossip_pull._pull` call.
+          frame per draw.  A pull draws nothing, so drawing every peer
+          first consumes the stream exactly as interleaving would.
         * The far-peer pool lookup is inlined and validated against the
           replica's ``addresses_token`` tuple (timestamp churn never
           rebuilds it); a crash, a leave or a returning member drops
           only the pools that can list it (``_drop_far_pools``), so
           steady churn costs its subtree, not n rebuilds per round.
-        * Counters accumulate in local ints, flushed once per round —
-          identical totals, no per-pull ``inc`` dispatch.
-        * Each pull is a bidirectional contact (the peer answered); the
-          contact recording and accusation retractions are inlined from
-          ``_record_contact``.
+
+        The pulls then run in draw order (:meth:`_pull_round`).  Each
+        pull is a contact both ways (the peer answered) and each event
+        arrival (``heard``) one way; the round's contacts reach the
+        contact table in one batch, before detection reads it.
         """
         randbelow = self._membership_rng._randbelow
-        replicas = self._replicas
+        replica_at = self._replica_at
         crashed = self._crashed
         unwired = self._unwired
-        tracing = self._obs.tracing
-        detectors = self._detectors
-        detectors_get = detectors.get
-        accusers_map = self._accusers
-        accusers_get = accusers_map.get
         far_cache = self._far_cache
         far_cache_get = far_cache.get
         neighbors_get = self._neighbors_cache.get
-        now = self._round
-        n_pulls = n_exchanges = n_synced = n_lines = 0
+        live, live_slots, __ = self._live()
+        gossipers: List[int] = []  # slots
+        peers: List[Address] = []
         n_far_hits = n_far_misses = 0
-        for address in self._members():
-            if address in crashed:
-                continue
-            replica = replicas[address]
+        for address, slot in zip(live, live_slots.tolist()):
+            replica = replica_at[slot]
             near = neighbors_get(address)
             if near is None:
                 near = self._live_neighbors(address)
-            peer_near = near[randbelow(len(near))] if near else None
+            if near:
+                gossipers.append(slot)
+                peers.append(near[randbelow(len(near))])
             # Far-peer pool: live peers from the replica's own tables.
             structure = tuple(map(_ADDR_TOKENS, replica._seq))
             entry = far_cache_get(address)
@@ -799,171 +834,188 @@ class GroupRuntime:
                 # the filter is the identity and the peers() list is
                 # shared outright — it is replaced, never mutated, on
                 # change, and this entry is dropped with it.
-                peers = replica.peers()
+                pool = replica.peers()
                 if crashed:
                     if unwired:
                         far = [
                             peer
-                            for peer in peers
+                            for peer in pool
                             if peer not in unwired and peer not in crashed
                         ]
                     else:
-                        far = [
-                            peer for peer in peers if peer not in crashed
-                        ]
+                        far = [peer for peer in pool if peer not in crashed]
                 elif unwired:
-                    far = [peer for peer in peers if peer not in unwired]
+                    far = [peer for peer in pool if peer not in unwired]
                 else:
-                    far = peers
+                    far = pool
                 far_cache[address] = (structure, far)
                 n_far_misses += 1
-            peer_far = far[randbelow(len(far))] if far else None
-            if peer_near is None and peer_far is None:
-                continue
-            detector = detectors_get(address)
-            for peer in (peer_near, peer_far):
-                if peer is None:
-                    continue
-                n_pulls += 1
-                n_exchanges += 1
-                peer_state = replicas[peer]
-                updated = -1
-                for mine, theirs in zip(replica._seq, peer_state._seq):
-                    if mine is not theirs:
-                        # Either the paths fork here (every deeper
-                        # table is another subgroup's too) or the pair
-                        # holds two versions of a table it shares.
-                        if mine._prefix == theirs._prefix:
-                            updated = _pull(replica, peer_state)
-                        break
-                if updated < 0:
-                    updated = 0
-                    n_synced += 1
-                else:
-                    n_lines += updated
-                if tracing:
-                    self._obs.emit(
-                        self._round, "pull", address, peer=peer,
-                        value=updated,
-                    )
-                if detector is not None:
-                    detector.record_contact(peer, now)
-                peer_detector = detectors_get(peer)
-                if peer_detector is not None:
-                    peer_detector.record_contact(address, now)
-                if accusers_map:
-                    # Retractions only matter while accusations are
-                    # outstanding — the map is empty in steady state,
-                    # and one truthiness check replaces two lookups.
-                    if detector is not None:
-                        accusers = accusers_get(peer)
-                        if accusers is not None:
-                            accusers.discard(address)
-                            if not accusers:
-                                del accusers_map[peer]
-                    if peer_detector is not None:
-                        accusers = accusers_get(address)
-                        if accusers is not None:
-                            accusers.discard(peer)
-                            if not accusers:
-                                del accusers_map[address]
-        if n_pulls:
-            self._m_pulls.inc(n_pulls)
-        counters = self._x_counters
-        if n_exchanges:
-            counters[0].inc(n_exchanges)
-        if n_synced:
-            counters[1].inc(n_synced)
-        if n_lines:
-            counters[2].inc(n_lines)
+            if far:
+                gossipers.append(slot)
+                peers.append(far[randbelow(len(far))])
         if n_far_hits:
             self._m_far_hits.inc(n_far_hits)
         if n_far_misses:
             self._m_far_misses.inc(n_far_misses)
+        slot_of = self._contacts.slot_of.__getitem__
+        g = np.array(gossipers, np.int64)
+        p = np.fromiter(map(slot_of, peers), np.int64, len(peers))
+        if len(g):
+            self._pull_round(g, p, peers)
+        receivers, senders = heard
+        r = np.fromiter(map(slot_of, receivers), np.int64, len(receivers))
+        s = np.fromiter(map(slot_of, senders), np.int64, len(senders))
+        self._contacts.contact(
+            np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
+        )
+
+    def _pull_round(
+        self, g: np.ndarray, p: np.ndarray, peers: List[Address]
+    ) -> None:
+        """Slot ``g[j]`` pulls from slot ``p[j]`` (``peers[j]``), in
+        ``j`` order.
+
+        Replicas share frozen table versions, so a pair is in sync when
+        it holds the same version of every table it shares (same
+        prefix).  One compare over the round-start versions
+        (``_tokens``, ``_prefix_ids``) finds the pairs that are not; only
+        those pay a :func:`~repro.membership.gossip_pull._pull`, plus
+        any pair one of whose replicas an earlier pull this round
+        changed.  Every other pull is synced, exactly as a pull-by-pull
+        walk would find it.
+        """
+        tokens, prefix_ids = self._versions(), self._prefix_ids
+        unsynced = (
+            (tokens[g] != tokens[p]) & (prefix_ids[g] == prefix_ids[p])
+        ).any(axis=1)
+        replica_at = self._replica_at
+        outcomes: Dict[int, int] = {}  # pull index -> _pull's answer
+        changed = bytearray(len(tokens))  # per slot: took lines this round
+        for j, (needed, gossiper, peer) in enumerate(
+            zip(unsynced.tolist(), g.tolist(), p.tolist())
+        ):
+            if needed or changed[gossiper] or changed[peer]:
+                outcome = outcomes[j] = _pull(
+                    replica_at[gossiper], replica_at[peer]
+                )
+                if outcome > 0:
+                    changed[gossiper] = 1
+        pulls, answered = len(g), list(outcomes.values())
+        self._m_pulls.inc(pulls)
+        exchanges, synced, lines = self._x_counters
+        exchanges.inc(pulls)
+        n_synced = pulls - sum(outcome >= 0 for outcome in answered)
+        if n_synced:
+            synced.inc(n_synced)
+        n_lines = sum(outcome for outcome in answered if outcome > 0)
+        if n_lines:
+            lines.inc(n_lines)
+        if self._obs.tracing:
+            emit = self._obs.emit
+            addresses = self._contacts.addresses
+            for j, (gossiper, peer) in enumerate(zip(g.tolist(), peers)):
+                emit(
+                    self._round, "pull", addresses[gossiper], peer=peer,
+                    value=max(outcomes.get(j, -1), 0),
+                )
 
     def _detection_round(self) -> None:
         """Collect suspicions; exclude once the quorum concurs.
 
         Only *immediate neighbors* accuse (§2.3 monitors "its most
-        immediate neighbor processes"): a detector may hold stale
+        immediate neighbor processes"): a detector also holds stale
         last-contact entries for distant peers it merely gossiped with
-        once, and those must not feed exclusions.  Each detector
-        maintains the same-subgroup slice of its suspect list
-        incrementally (``near_key``), so no per-round filtering happens
-        here at all — far peers that went permanently silent dominate
-        the raw suspect list and refiltering them every round used to
-        dominate the whole round loop.
+        once; those count as suspicion reports but never feed
+        exclusions.  A round that convicts nobody and is not traced is
+        settled in arrays (:meth:`~repro.membership.failure_detector.
+        ContactTable.accuse_all`); any other is played accusation by
+        accusation (:meth:`_play_detection`).
+        """
+        live, slots, members = self._live()
+        counts = self._contacts.suspect_counts(slots, self._round)
+        if not self._obs.tracing:
+            accused = self._contacts.accuse_all(slots, self._round, members)
+            if accused is not None:
+                self._count_detection(int(counts.sum()), accused, 0)
+                return
+        self._play_detection(live, slots, counts)
+
+    def _play_detection(
+        self, live: List[Address], slots: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """The detection round, one accusation at a time.
+
+        Monitors take turns in member order; each accuses its suspect
+        leaf-mates in component order.  Three behaviours follow, and
+        the array form of the round must agree with all of them:
+
+        1. accusations made by monitors that since crashed or left stay
+           counted until retracted (the accuser hears from the suspect);
+        2. a conviction excludes the suspect at once and ends that
+           monitor's turn; later monitors find it out of the tree (and
+           no longer watch it, so it leaves their report counts too);
+        3. suspects are accused in component order.
         """
         tracing = self._obs.tracing
-        detectors = self._detectors
-        accusers_map = self._accusers
-        accusers_get = accusers_map.get
-        required_map = self._quorum_required
-        crashed = self._crashed
+        contacts = self._contacts
+        addresses = contacts.addresses
         now = self._round
         # tree.__contains__ is a Python-level frame; the accusation
-        # loop runs it for every (monitor, suspect) pair per round.
+        # loop runs it for every (monitor, suspect) pair.
         in_tree = self._tree._interests.__contains__
-        n_accusations = n_convictions = 0
-        n_reports = 0
-        target = now - self._detector_timeout
-        for address in self._members():
-            if address in crashed:
-                continue
-            detector = detectors[address]
-            # Inlined fast path of _near_suspects_core: the round clock
-            # is monotone, so the frontier only ever moves forward and
-            # almost never has a bucket to promote.  Anything else
-            # (fresh detector, backward ad-hoc query) delegates.
-            frontier = detector._frontier
-            if frontier is not None and target > frontier:
-                heap = detector._heap
-                if heap and heap[0] < target:
-                    detector._advance(target)
-                else:
-                    detector._frontier = target
-                filtered = detector._near_sorted
-                n_reports += detector._suspect_count
-            else:
-                filtered, reportable = detector._near_suspects_core(now)
-                n_reports += reportable
-            for suspect in filtered:
+        may_concur = np.zeros(len(addresses), bool)
+        may_concur[slots] = True
+        reports = dict(zip(slots.tolist(), counts.tolist()))
+        suspect_lists = contacts.near_suspects(slots, now)
+        # Accuser counts of everyone who may be accused, kept up to date
+        # here as accusations land.
+        touched = sorted(set().union(*suspect_lists))
+        accusers = dict(
+            zip(touched, contacts.accusers(np.array(touched, np.int64)).tolist())
+        )
+        n_reports = n_accusations = n_convictions = 0
+        for address, slot, suspects in zip(live, slots.tolist(), suspect_lists):
+            n_reports += reports[slot]
+            for suspect_slot in suspects:
+                suspect = addresses[suspect_slot]
                 if not in_tree(suspect):
                     continue
-                accusers = accusers_get(suspect)
-                if accusers is None:
-                    accusers = accusers_map[suspect] = set()
-                    if suspect not in required_map:
-                        required_map[suspect] = self._exclusion_quorum or max(
-                            len(self._live_neighbors(suspect)), 1
-                        )
-                    if self._m_accusations is None:
-                        self._m_accusations = self._reg.counter(
-                            "detector", "accusations"
-                        )
-                        self._m_convictions = self._reg.counter(
-                            "detector", "convictions"
-                        )
-                if address not in accusers:
-                    accusers.add(address)
+                new, required = contacts.accuse(slot, suspect_slot, may_concur)
+                if new:
                     n_accusations += 1
-                convicted = len(accusers) >= required_map[suspect]
-                if convicted:
-                    n_convictions += 1
+                    accusers[suspect_slot] += 1
                 if tracing:
                     self._obs.emit(
                         self._round, "suspect", address, peer=suspect,
-                        value=len(accusers),
+                        value=accusers[suspect_slot],
                     )
-                if convicted:
+                if accusers[suspect_slot] >= required:
+                    n_convictions += 1
+                    may_concur[suspect_slot] = False
                     self._exclude(suspect)
+                    # Nobody watches the excluded process any more: it
+                    # leaves the later monitors' report counts.
+                    counts = contacts.suspect_counts(slots, now)
+                    reports = dict(zip(slots.tolist(), counts.tolist()))
                     break
-        if n_reports:
-            self._m_suspicion_reports.inc(n_reports)
-        if n_accusations:
-            self._m_accusations.inc(n_accusations)
-        if n_convictions:
-            self._m_convictions.inc(n_convictions)
+        self._count_detection(n_reports, n_accusations, n_convictions)
+
+    def _count_detection(
+        self, reports: int, accusations: int, convictions: int
+    ) -> None:
+        if reports:
+            self._m_suspicion_reports.inc(reports)
+        if accusations:
+            if self._m_accusations is None:
+                self._m_accusations = self._reg.counter(
+                    "detector", "accusations"
+                )
+                self._m_convictions = self._reg.counter(
+                    "detector", "convictions"
+                )
+            self._m_accusations.inc(accusations)
+        if convictions:
+            self._m_convictions.inc(convictions)
 
     def _refresh_path(self, address: Address, cause: str) -> None:
         """Refresh the tables on a changed prefix path, in place.
@@ -1011,8 +1063,6 @@ class GroupRuntime:
         # convicted live process may come back through join() with its
         # replica intact, and must then rebuild its pool.
         self._far_cache.pop(address, None)
-        self._accusers.pop(address, None)
-        self._quorum_required.pop(address, None)
         self._m_exclusions.inc()
         crashed_at = self._crashed_at.get(address)
         if crashed_at is not None:
@@ -1020,5 +1070,4 @@ class GroupRuntime:
         if self._obs.tracing:
             self._obs.emit(self._round, "exclude", address)
         self._refresh_path(address, cause="crash")
-        for detector in self._detectors.values():
-            detector.unwatch(address)
+        self._contacts.unwatch(self._contacts.slot_of[address])

@@ -2,11 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.addressing import Address
+from repro.addressing import Address, component_key
 from repro.errors import MembershipError
 from repro.membership import FailureDetector, SuspicionQuorum
+from repro.membership.failure_detector import ContactTable
 
 OWNER = Address((0, 0, 0))
 PEER = Address((0, 0, 1))
@@ -107,7 +111,7 @@ class TestSuspicionQuorum:
 
 
 class TestContactFloorFastPath:
-    """suspects() is O(1) via a min-contact lower bound; pin correctness."""
+    """Suspicion follows the oldest contacts, through watches and unwatches."""
 
     def test_suspect_found_after_quiet_stretch(self):
         detector = FailureDetector(OWNER, timeout=3)
@@ -142,38 +146,15 @@ class TestContactFloorFastPath:
 
 
 class TestIncrementalDetector:
-    """The bucketed suspect set and its generation counter."""
-
-    def test_generation_advances_only_on_suspect_set_change(self):
-        detector = FailureDetector(OWNER, timeout=2)
-        detector.watch(PEER, now=0)
-        detector.watch(OTHER, now=0)
-        before = detector.generation
-        assert detector.suspects(2) == []          # nothing promoted
-        assert detector.generation == before
-        assert detector.suspects(3) == [PEER, OTHER]
-        promoted = detector.generation
-        assert promoted != before
-        # Re-querying the same suspect set: memoized, no new generation.
-        assert detector.suspects(4) == [PEER, OTHER]
-        assert detector.generation == promoted
-        detector.record_contact(PEER, now=4)       # leaves the set
-        assert detector.generation != promoted
-
-    def test_memo_list_is_stable_across_quiet_queries(self):
-        detector = FailureDetector(OWNER, timeout=1)
-        detector.watch(PEER, now=0)
-        first = detector.suspects(5)
-        second = detector.suspects(6)
-        assert first is second                     # memoized, read-only
+    """Queries at any clock, back-dated watches, and a randomized scan."""
 
     def test_non_monotonic_query_answers_statelessly(self):
         detector = FailureDetector(OWNER, timeout=2)
         detector.watch(PEER, now=0)
         detector.record_contact(OTHER, now=8)
-        assert detector.suspects(9) == [PEER]      # frontier now 7
-        # An earlier clock must still answer correctly without
-        # corrupting the incremental frontier state.
+        assert detector.suspects(9) == [PEER]
+        # An earlier clock must still answer correctly, and a later
+        # query must not remember it.
         assert detector.suspects(3) == [PEER]
         assert detector.suspects(2) == []
         assert detector.suspects(9) == [PEER]
@@ -182,14 +163,14 @@ class TestIncrementalDetector:
     def test_back_dated_contact_goes_straight_to_suspects(self):
         detector = FailureDetector(OWNER, timeout=1)
         detector.watch(PEER, now=10)
-        assert detector.suspects(20) == [PEER]     # frontier at 19
+        assert detector.suspects(20) == [PEER]
         detector.record_contact(OTHER, now=5)      # implicit, stale watch
         assert detector.suspects(20) == [PEER, OTHER]
 
     def test_randomized_equivalence_with_reference_scan(self):
         # Drive random watch/contact/unwatch/query traffic through the
-        # incremental detector and a naive dict, and require identical
-        # suspect reports at every monotone query point.
+        # detector and a naive dict, and require identical suspect
+        # reports at every monotone query point.
         rng = random.Random(20020405)
         detector = FailureDetector(OWNER, timeout=4)
         reference = {}
@@ -221,3 +202,211 @@ class TestIncrementalDetector:
             n for n, last in reference.items() if now - last > 4
         )
         assert detector.suspects(now) == expected
+
+
+# -- the group contact table ---------------------------------------------
+
+#: Four leaf subgroups of a depth-3 space, with gaps in the last
+#: component so that a leaf's columns are not its component order.
+GROUP = [
+    Address((x, y, z))
+    for x, y in [(0, 0), (0, 1), (1, 0), (2, 2)]
+    for z in (0, 2, 3, 7, 9)
+]
+TIMEOUT = 3
+INDEX = st.integers(0, len(GROUP) - 1)
+PAIR = st.tuples(INDEX, INDEX)
+TRAFFIC = st.lists(
+    st.one_of(
+        st.tuples(st.just("contacts"), st.lists(PAIR, max_size=12)),
+        st.tuples(st.just("watch"), st.lists(PAIR, max_size=6)),
+        st.tuples(st.just("watch-leaf"), INDEX),
+        st.tuples(st.just("unwatch"), INDEX),
+        st.tuples(st.just("crash"), INDEX),
+        st.tuples(st.just("leave"), INDEX),
+        st.tuples(st.just("return"), INDEX),
+        st.tuples(st.just("tick"), st.integers(0, 3)),
+        st.tuples(st.just("tick"), st.integers(2, 5)),
+        st.tuples(st.just("query"), st.none()),
+    ),
+    max_size=80,
+)
+
+
+def near_key(address):
+    return component_key(address)[:2]
+
+
+class TestContactTableMatchesReferenceDetectors:
+    """One ContactTable == N independent FailureDetectors (the
+    last-contact dict + sorted scan), under generated traffic."""
+
+    @given(
+        order=st.permutations(range(len(GROUP))),
+        traffic=TRAFFIC,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_near_slices_and_report_counts(self, order, traffic):
+        table = ContactTable(TIMEOUT, depth=3)
+        # Slots are handed out in a drawn order, not component order.
+        slots = {GROUP[i]: table.slot(GROUP[i]) for i in order}
+        detectors = {
+            address: FailureDetector(address, TIMEOUT, near_key=near_key(address))
+            for address in GROUP
+        }
+        crashed = set()
+        now = 0
+
+        def live():
+            return sorted(
+                (a for a in detectors if a not in crashed), key=component_key
+            )
+
+        for kind, arg in traffic:
+            if kind == "watch-leaf":
+                # As a joining process does: its whole leaf subgroup.
+                kind = "watch"
+                leaf = GROUP[arg].prefix(3)
+                arg = [
+                    (arg, i)
+                    for i, a in enumerate(GROUP)
+                    if a.prefix(3) == leaf and i != arg
+                ]
+            if kind in ("contacts", "watch"):
+                # A crashed or departed process hears nothing.
+                pairs = [
+                    (GROUP[m], GROUP[n])
+                    for m, n in arg
+                    if GROUP[m] in detectors and GROUP[m] not in crashed
+                    and (kind == "contacts" or m != n)
+                ]
+                owners = [slots[m] for m, __ in pairs]
+                others = [slots[n] for __, n in pairs]
+                if kind == "contacts":
+                    table.contact(owners, others, now)
+                    for m, n in pairs:
+                        detectors[m].record_contact(n, now)
+                else:
+                    table.watch(owners, others, now)
+                    for m, n in pairs:
+                        detectors[m].watch(n, now)
+            elif kind == "unwatch":
+                table.unwatch(slots[GROUP[arg]])
+                for detector in detectors.values():
+                    detector.unwatch(GROUP[arg])
+            elif kind == "crash":
+                crashed.add(GROUP[arg])
+            elif kind == "leave":
+                if detectors.pop(GROUP[arg], None) is not None:
+                    table.forget(slots[GROUP[arg]])
+                crashed.discard(GROUP[arg])
+            elif kind == "return":
+                address = GROUP[arg]
+                if address not in detectors:
+                    detectors[address] = FailureDetector(
+                        address, TIMEOUT, near_key=near_key(address)
+                    )
+            elif kind == "tick":
+                now += arg
+            monitors = live()
+            if kind != "query" or not monitors:
+                continue
+            ids = np.array([slots[a] for a in monitors], np.int64)
+            counts = table.suspect_counts(ids, now).tolist()
+            near = table.near_suspects(ids, now)
+            for monitor, count, suspects in zip(monitors, counts, near):
+                reference = detectors[monitor]
+                assert count == len(reference.suspects(now)), monitor
+                assert [table.addresses[s] for s in suspects] == (
+                    reference.near_suspects(now)
+                ), monitor
+
+
+class TestContactTable:
+    def setup_method(self):
+        self.table = ContactTable(timeout=2, depth=3)
+        self.a, self.b, self.c = (
+            self.table.slot(Address((0, 0, i))) for i in range(3)
+        )
+        self.far = self.table.slot(Address((1, 0, 0)))
+
+    def test_a_slot_is_kept_for_good(self):
+        assert self.table.slot(Address((0, 0, 1))) == self.b
+        assert self.table.addresses[self.far] == Address((1, 0, 0))
+
+    def test_far_pairs_are_reported_but_never_near(self):
+        table, a = self.table, self.a
+        table.contact([a, a], [self.b, self.far], now=0)
+        monitors = np.array([a])
+        assert table.suspect_counts(monitors, 3).tolist() == [2]
+        assert table.near_suspects(monitors, 3) == [[self.b]]
+
+    def test_a_forgotten_detector_watches_nobody(self):
+        table = self.table
+        table.contact([self.a, self.a, self.b], [self.b, self.far, self.a], now=0)
+        table.forget(self.a)
+        monitors = np.array([self.a, self.b])
+        assert table.suspect_counts(monitors, 9).tolist() == [0, 1]
+        assert table.near_suspects(monitors, 9) == [[], [self.a]]
+
+    def test_near_suspects_come_in_component_order(self):
+        table = ContactTable(timeout=1, depth=2)
+        late, early, monitor = (
+            table.slot(Address((0, c))) for c in (5, 1, 3)
+        )
+        table.watch([monitor, monitor], [late, early], now=0)
+        monitors = np.array([monitor])
+        assert table.near_suspects(monitors, 1) == [[]]  # exactly the timeout
+        assert table.near_suspects(monitors, 2) == [[early, late]]
+
+    def test_an_unwatch_reaches_both_stores(self):
+        table = self.table
+        table.contact([self.a, self.b, self.far], [self.far, self.c, self.a], now=0)
+        table.unwatch(self.far)
+        table.unwatch(self.c)
+        monitors = np.array([self.a, self.b, self.far])
+        assert table.suspect_counts(monitors, 9).tolist() == [0, 0, 1]
+
+    def accusers(self, slot):
+        return int(self.table.accusers(np.array([slot]))[0])
+
+    def test_an_accusation_outlives_its_accusers_detector(self):
+        table, live = self.table, np.ones(4, bool)
+        table.watch([self.a], [self.c], now=0)
+        # Two live leaf-mates: the quorum is both of them.
+        assert table.accuse(self.a, self.c, live) == (True, 2)
+        assert table.accuse(self.a, self.c, live) == (False, 2)
+        table.forget(self.a)  # the accuser left: its detector is gone
+        assert table.accuse(self.b, self.c, live) == (True, 2)
+        assert self.accusers(self.c) == 2
+        table.unwatch(self.c)  # excluded: nobody accuses it any more
+        assert self.accusers(self.c) == 0
+        live[self.b] = False
+        assert table.accuse(self.b, self.c, live) == (True, 1)
+
+    def test_hearing_from_the_suspect_retracts(self):
+        table, live = self.table, np.ones(4, bool)
+        table.accuse(self.a, self.c, live)
+        table.accuse(self.b, self.c, live)
+        table.contact([self.a], [self.c], now=5)
+        assert self.accusers(self.c) == 1
+
+    def test_accuse_all_stops_short_of_a_conviction(self):
+        table = ContactTable(timeout=2, depth=3, quorum=2)
+        a, b, c = (table.slot(Address((0, 0, i))) for i in range(3))
+        table.watch([a, b], [c, c], now=0)
+        members = np.ones(3, bool)
+        assert table.accuse_all(np.array([a]), 3, members) == 1
+        assert table.accuse_all(np.array([a]), 4, members) == 0
+        # b's accusation would make two: nothing is recorded.
+        assert table.accuse_all(np.array([a, b]), 4, members) is None
+        assert table.accuse(b, c, members) == (True, 2)
+        assert table.accusers(np.array([c])).tolist() == [2]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(MembershipError):
+            ContactTable(timeout=0, depth=3)
+        with pytest.raises(MembershipError):
+            ContactTable(timeout=2, depth=3, quorum=0)
+        with pytest.raises(MembershipError):
+            self.table.watch([self.a], [self.a], now=0)

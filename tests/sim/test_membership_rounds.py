@@ -30,7 +30,7 @@ import pytest
 
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
-from repro.interests import Event, StaticInterest
+from repro.interests import Event
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime

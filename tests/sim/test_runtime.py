@@ -105,6 +105,13 @@ class TestFailureDetection:
         runtime.run(30)
         assert victim not in runtime.tree
 
+    @pytest.mark.parametrize("quorum", [0, -1])
+    def test_a_quorum_below_one_is_rejected(self, quorum):
+        # "Every live neighbor" is None; 0 must not mean it, nor -1 a
+        # quorum the first accusation meets.
+        with pytest.raises(SimulationError, match="exclusion_quorum"):
+            make_runtime(exclusion_quorum=quorum)
+
 
 class TestMembershipGossip:
     def test_replicas_receive_contacts(self):
@@ -123,6 +130,23 @@ class TestMembershipGossip:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             GroupRuntime({})
+
+    def test_a_line_applied_to_one_replica_spreads(self):
+        # The round sorts out synced pairs from the versions each
+        # replica holds; a replica changed from outside a round must
+        # show there as changed.
+        runtime, addresses = make_runtime()
+        runtime.run(3)
+        source = runtime._replicas[addresses[0]]
+        fresher = source.tables[2].rows()[0].with_timestamp(50)
+        source.apply([(2, fresher)])
+        runtime.run(8)
+        holders = [
+            address
+            for address in addresses[:3]  # the leaf subgroup of 0.0
+            if runtime._replicas[address].tables[2].rows()[0].timestamp == 50
+        ]
+        assert holders == addresses[:3]
 
 
 class TestContentBasedRuntime:
