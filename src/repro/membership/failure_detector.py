@@ -261,7 +261,7 @@ class ContactTable:
         self._far_set((owners[far] << 32) | senders[far], now, False)
 
     def _far_set(self, keys: np.ndarray, now: int, only_new: bool) -> None:
-        keys = np.sort(keys)
+        keys = np.sort(keys)  # and without repeats:
         keys = keys[np.append(True, keys[1:] != keys[:-1])[: len(keys)]]
         at = np.searchsorted(self._far_keys, keys)
         found = np.zeros(len(keys), bool)

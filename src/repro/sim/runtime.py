@@ -861,7 +861,7 @@ class GroupRuntime:
         g = np.array(gossipers, np.int64)
         p = np.fromiter(map(slot_of, peers), np.int64, len(peers))
         if len(g):
-            self._pull_round(g, p, peers)
+            self._pull_round(g, p)
         receivers, senders = heard
         r = np.fromiter(map(slot_of, receivers), np.int64, len(receivers))
         s = np.fromiter(map(slot_of, senders), np.int64, len(senders))
@@ -869,11 +869,8 @@ class GroupRuntime:
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
         )
 
-    def _pull_round(
-        self, g: np.ndarray, p: np.ndarray, peers: List[Address]
-    ) -> None:
-        """Slot ``g[j]`` pulls from slot ``p[j]`` (``peers[j]``), in
-        ``j`` order.
+    def _pull_round(self, g: np.ndarray, p: np.ndarray) -> None:
+        """Slot ``g[j]`` pulls from slot ``p[j]``, in ``j`` order.
 
         Replicas share frozen table versions, so a pair is in sync when
         it holds the same version of every table it shares (same
@@ -913,10 +910,10 @@ class GroupRuntime:
         if self._obs.tracing:
             emit = self._obs.emit
             addresses = self._contacts.addresses
-            for j, (gossiper, peer) in enumerate(zip(g.tolist(), peers)):
+            for j, (gossiper, peer) in enumerate(zip(g.tolist(), p.tolist())):
                 emit(
-                    self._round, "pull", addresses[gossiper], peer=peer,
-                    value=max(outcomes.get(j, -1), 0),
+                    self._round, "pull", addresses[gossiper],
+                    peer=addresses[peer], value=max(outcomes.get(j, -1), 0),
                 )
 
     def _detection_round(self) -> None:
@@ -969,7 +966,7 @@ class GroupRuntime:
         suspect_lists = contacts.near_suspects(slots, now)
         # Accuser counts of everyone who may be accused, kept up to date
         # here as accusations land.
-        touched = sorted(set().union(*suspect_lists))
+        touched = list(set().union(*suspect_lists))
         accusers = dict(
             zip(touched, contacts.accusers(np.array(touched, np.int64)).tolist())
         )
