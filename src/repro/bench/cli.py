@@ -25,7 +25,7 @@ import time
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence
 
 from repro.bench import extras, figures
-from repro.bench.series import FigureResult
+from repro.bench.extras import ExperimentResult
 from repro.errors import ReproError
 from repro.par import TrialExecutor
 
@@ -52,14 +52,14 @@ _PARAMETERS = {
 
 
 class _Table(NamedTuple):
-    """One registry entry: a runner whose result ``render()``s, and the
-    flags it accepts."""
+    """One registry entry: a runner returning an ``ExperimentResult``,
+    and the flags it accepts."""
 
-    run: Callable[..., object]
+    run: Callable[..., ExperimentResult]
     accepts: FrozenSet[str]
 
 
-def _figure6(arity: Optional[int] = None, **sweep: object) -> FigureResult:
+def _figure6(arity: Optional[int] = None, **sweep: object) -> ExperimentResult:
     """``--arity`` pins Figure 6's x axis to that one subgroup size."""
     if arity is not None:
         sweep["arities"] = (arity,)
@@ -133,17 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag, (__, kind, text) in _PARAMETERS.items():
         parser.add_argument(f"--{flag}", type=kind, help=text)
     parser.add_argument(
-        "--depth",
-        type=int,
-        default=3,
-        help="tree depth d used by --members to derive the arity "
-        "(default 3, the paper's hierarchy depth)",
-    )
-    parser.add_argument(
         "--members",
         type=int,
-        help="size preset: derive --arity as round(N^(1/depth)), e.g. "
-        "--members 1000000 -> arity 100; an explicit --arity wins",
+        help="size preset: derive --arity as round(N^(1/3)) (every table "
+        "is d = 3), e.g. --members 1000000 -> arity 100; an explicit "
+        "--arity wins",
     )
     parser.add_argument(
         "--jobs",
@@ -160,9 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.members is not None and args.arity is None:
-        if args.depth < 1:
-            parser.error("--depth must be >= 1")
-        args.arity = max(2, round(args.members ** (1.0 / args.depth)))
+        args.arity = max(2, round(args.members ** (1.0 / extras.DEPTH)))
     chosen = set(args.tables or ()) | set(FIGURES if args.all else ())
     if not chosen:
         parser.error(

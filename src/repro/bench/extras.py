@@ -1,8 +1,11 @@
-"""Every table of EXPERIMENTS.md that is not one of the paper's figures.
+"""The one result type, and every table of EXPERIMENTS.md that is not
+one of the paper's figures.
 
-The figures live in :mod:`repro.bench.figures`; each function here
-returns an :class:`ExperimentResult` and is one ``python -m repro.bench
---experiment <name>`` entry of :data:`repro.bench.cli.REGISTRY`
+Every table this repository prints is an :class:`ExperimentResult`;
+the figures (:mod:`repro.bench.figures`) are tables too, whose first
+column is the x axis.  Each function here is one ``python -m
+repro.bench --experiment <name>`` entry of
+:data:`repro.bench.cli.REGISTRY`
 (DESIGN.md's index gives the ids): the paper's prose claims (§3.1
 locality B2, §1 baselines B1, the dissemination variants of
 docs/VARIANTS.md), the analytical models in closed form (A1–A3),
@@ -35,7 +38,6 @@ from repro.baselines import (
     flat_genuine_multicast,
     flat_gossip_broadcast,
 )
-from repro.bench.series import render_table
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import ReproError
 from repro.interests import (
@@ -91,7 +93,11 @@ VARIANT_GRID = ((0.0, 0.0), (0.05, 0.0), (0.1, 0.05))
 
 @dataclass
 class ExperimentResult:
-    """A titled table: ordered column names and one dict per row."""
+    """A titled table: ordered column names and one dict per row.
+
+    The title may span lines: a figure's carries its caption and its
+    parameter line.
+    """
 
     title: str
     columns: List[str]
@@ -128,16 +134,40 @@ class ExperimentResult:
         return lines.hexdigest()
 
     def render(self) -> str:
-        """The aligned ASCII table."""
-        def fmt(value: object) -> str:
-            if isinstance(value, float):
-                return f"{value:.4f}"
-            return str(value)
-
+        """The title, the table right-aligned with a rule under the
+        column names (floats to four decimals), one ``note:`` line per
+        note."""
         table = [self.columns] + [
-            [fmt(row[name]) for name in self.columns] for row in self.rows
+            [
+                f"{row[name]:.4f}" if isinstance(row[name], float)
+                else str(row[name])
+                for name in self.columns
+            ]
+            for row in self.rows
         ]
-        return render_table([self.title], table, self.notes)
+        widths = [max(len(cells[i]) for cells in table)
+                  for i in range(len(self.columns))]
+        lines = [
+            " | ".join(cell.rjust(width) for cell, width in zip(cells, widths))
+            for cells in table
+        ]
+        lines.insert(1, "-+-".join("-" * width for width in widths))
+        notes = [f"note: {note}" for note in self.notes]
+        return "\n".join([self.title, *lines, *notes])
+
+
+def _table(
+    title: str, columns: List[str], rows: Iterable[Sequence[object]]
+) -> ExperimentResult:
+    """Rows given in column order; float cells are rounded to the four
+    decimals ``render()`` prints, so the digest pins the printed table."""
+    return ExperimentResult(title, columns, [
+        {
+            name: round(cell, 4) if isinstance(cell, float) else cell
+            for name, cell in zip(columns, row)
+        }
+        for row in rows
+    ])
 
 
 def locality_experiment(
@@ -174,26 +204,19 @@ def locality_experiment(
         fanout,
         SimConfig(seed=seed + 82),
     )
-    columns = (
-        ["protocol"]
-        + [f"distance {i + 1}" for i in range(depth)]
-        + ["widest_fraction", "delivery"]
+    result = _table(
+        "Messages by sender-destination distance "
+        f"(a={arity}, d={depth}, p_d={matching_rate}, F={fanout}; "
+        f"distance {depth} crosses the widest boundary):",
+        ["protocol", *(f"distance {i + 1}" for i in range(depth)),
+         "widest_fraction", "delivery"],
+        [
+            (name, *report.messages_by_distance,
+             report.boundary_crossing_fraction, report.delivery_ratio)
+            for name, report in (("pmcast", pmcast_report),
+                                 ("flood", flood_report))
+        ],
     )
-    result = ExperimentResult(
-        title=(
-            "Messages by sender-destination distance "
-            f"(a={arity}, d={depth}, p_d={matching_rate}, F={fanout}; "
-            f"distance {depth} crosses the widest boundary):"
-        ),
-        columns=columns,
-    )
-    for name, report in (("pmcast", pmcast_report), ("flood", flood_report)):
-        values: Dict[str, object] = {"protocol": name}
-        for index in range(depth):
-            values[f"distance {index + 1}"] = report.messages_by_distance[index]
-        values["widest_fraction"] = report.boundary_crossing_fraction
-        values["delivery"] = report.delivery_ratio
-        result.add_row(**values)
     result.notes.append(
         "§3.1: 'the expensive crossing of boundaries between remote "
         "(sub)networks only occurs a reasonable number of times'."
@@ -241,28 +264,22 @@ def baselines_experiment(
 
     n = len(addresses)
     tree_knowledge = regular_total_view_size(arity, depth, redundancy)
-    result = ExperimentResult(
-        title=(
-            f"Baselines at p_d={matching_rate}, n={n}, F={fanout} "
-            "(knowledge = membership entries per process):"
-        ),
-        columns=["protocol", "delivery", "false_reception", "messages",
-                 "knowledge"],
+    result = _table(
+        f"Baselines at p_d={matching_rate}, n={n}, F={fanout} "
+        "(knowledge = membership entries per process):",
+        ["protocol", "delivery", "false_reception", "messages", "knowledge"],
+        [
+            (name, report.delivery_ratio, report.false_reception_ratio,
+             report.messages_sent, knowledge)
+            for name, report, knowledge in (
+                ("pmcast", pmcast_report, tree_knowledge),
+                ("flood broadcast", flood, n - 1),
+                ("genuine flat", genuine_flat, n - 1),
+                ("genuine tree", genuine_tree, tree_knowledge),
+                ("subset groups", groups_report, n - 1),
+            )
+        ],
     )
-    for name, report, knowledge in (
-        ("pmcast", pmcast_report, tree_knowledge),
-        ("flood broadcast", flood, n - 1),
-        ("genuine flat", genuine_flat, n - 1),
-        ("genuine tree", genuine_tree, tree_knowledge),
-        ("subset groups", groups_report, n - 1),
-    ):
-        result.add_row(
-            protocol=name,
-            delivery=report.delivery_ratio,
-            false_reception=report.false_reception_ratio,
-            messages=report.messages_sent,
-            knowledge=knowledge,
-        )
     result.notes.append(
         "§1: flooding touches everyone; genuine/per-subset schemes need "
         "global knowledge; genuine filtering on the tree isolates "
@@ -362,20 +379,6 @@ def _addresses(arity: int) -> List[Address]:
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
-
-
-def _table(
-    title: str, columns: List[str], rows: Iterable[Sequence[object]]
-) -> ExperimentResult:
-    """Rows given in column order; float cells are rounded to the four
-    decimals ``render()`` prints, so the digest pins the printed table."""
-    return ExperimentResult(title, columns, [
-        {
-            name: round(cell, 4) if isinstance(cell, float) else cell
-            for name, cell in zip(columns, row)
-        }
-        for row in rows
-    ])
 
 
 # -- A1–A3: the analytical models (closed form, no seed) -----------------

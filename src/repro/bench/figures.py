@@ -2,9 +2,11 @@
 
 Each ``figure*`` function re-runs the corresponding experiment — same
 parameters as the caption, simulation plus (where the paper's analysis
-applies) the analytical counterpart — and returns a
-:class:`~repro.bench.series.FigureResult` whose rendered table is the
-figure's data series.
+applies) the analytical counterpart — and returns the
+:class:`~repro.bench.extras.ExperimentResult` every table returns: the
+first column is the x axis (each cell the axis value as printed), one
+column per curve, and the title carries the caption and the parameter
+line.
 
 All functions accept a ``scale``-style override (smaller ``arity`` /
 ``trials``) so ``tests/bench`` and quick CLI passes exercise the
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import AddressSpace
 from repro.analysis import delivery_probability, false_reception_estimate
-from repro.bench.series import FigureResult, Series
+from repro.bench.extras import ExperimentResult, _table
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import ReproError
 from repro.interests.events import Event
@@ -177,30 +179,42 @@ def reliability_sweep(
     ]
 
 
+def _figure(
+    number: int,
+    caption: str,
+    parameters: Dict[str, object],
+    columns: List[str],
+    rows: List[Sequence[object]],
+    note: str,
+) -> ExperimentResult:
+    """Figure ``number`` as a table: the caption and one ``key=value``
+    parameter line make the title, ``rows`` are in column order."""
+    line = ", ".join(f"{key}={value}" for key, value in parameters.items())
+    result = _table(f"Figure {number}: {caption}\n  {line}", columns, rows)
+    result.notes.append(note)
+    return result
+
+
 #: The three figures over the p_d axis, as rows for :func:`_pd_figure`:
-#: number -> (title, y label, parameters shown after F, curves as
-#: (label, tuned with threshold h?, sweep column), analytical
-#: counterpart of the first curve, caption note).
+#: number -> (caption, curves as (label, tuned with threshold h?, sweep
+#: column), analytical counterpart of the first curve, caption note).
 _PD_FIGURES = {
     4: (
-        "Infected Interested Processes", "Probability of Delivery",
-        ("trials", "loss", "crash"),
+        "Infected Interested Processes",
         [("simulated", False, "delivery")],
         delivery_probability,
         "paper shape: ~1.0 for p_d >~ 0.3, degrading toward ~0.2-0.4 as "
         "p_d -> 1/n (the §5.1 small-rate breakdown).",
     ),
     5: (
-        "Infected Uninterested Processes", "Probability of Reception",
-        ("trials",),
+        "Infected Uninterested Processes",
         [("simulated", False, "false_reception")],
         false_reception_estimate,
         "paper shape: below ~0.12 throughout, peaking at moderate p_d and "
         "vanishing as p_d -> 1 (delegates are then interested themselves).",
     ),
     7: (
-        "Tuned vs Untuned Algorithm", "Probability of Delivery",
-        ("h", "trials"),
+        "Tuned vs Untuned Algorithm",
         [
             ("Original", False, "delivery"),
             ("Improved", True, "delivery"),
@@ -229,45 +243,42 @@ def _pd_figure(
     crash_fraction: float,
     executor: Optional[TrialExecutor],
     checkpoint: Optional[str],
-) -> FigureResult:
+) -> ExperimentResult:
     """Row ``number`` of :data:`_PD_FIGURES`: one untuned and/or one
     tuned :func:`reliability_sweep`, each curve a column of one."""
-    title, y_label, shown, curves, model, note = _PD_FIGURES[number]
-    optional = {
-        "h": threshold_h, "trials": trials,
-        "loss": loss_probability, "crash": crash_fraction,
+    caption, curves, model, note = _PD_FIGURES[number]
+    sweeps = {
+        tuned: reliability_sweep(
+            matching_rates, arity, depth, redundancy, fanout, trials,
+            seed, loss_probability, crash_fraction,
+            threshold_h if tuned else 0, executor,
+            None if checkpoint is None
+            else f"{checkpoint}.{'tuned' if tuned else 'original'}",
+        )
+        for tuned in sorted({tuned for __, tuned, __ in curves})
     }
-    result = FigureResult(
-        figure=f"Figure {number}",
-        title=title,
-        x_label="p_d",
-        y_label=y_label,
-        parameters={
-            "n": arity ** depth, "a": arity, "d": depth, "R": redundancy,
-            "F": fanout, **{name: optional[name] for name in shown},
-        },
-    )
-    rows = {}
-    for label, tuned, column in curves:
-        if tuned not in rows:
-            family = "tuned" if tuned else "original"
-            rows[tuned] = reliability_sweep(
-                matching_rates, arity, depth, redundancy, fanout, trials,
-                seed, loss_probability, crash_fraction,
-                threshold_h if tuned else 0, executor,
-                None if checkpoint is None else f"{checkpoint}.{family}",
-            )
-        result.add_series(Series.from_pairs(
-            label, [(row["matching_rate"], row[column]) for row in rows[tuned]]
-        ))
+    columns = ["p_d"] + [label for label, __, __ in curves]
     if model is not None:
-        result.add_series(Series.from_pairs("analysis", [
-            (rate, model(rate, arity, depth, redundancy, fanout,
-                         loss_probability, crash_fraction))
-            for rate in matching_rates
-        ]))
-    result.notes.append(note)
-    return result
+        columns.append("analysis")
+    rows = []
+    for index, rate in enumerate(matching_rates):
+        row = [f"{rate:g}"] + [
+            sweeps[tuned][index][column] for __, tuned, column in curves
+        ]
+        if model is not None:
+            row.append(model(rate, arity, depth, redundancy, fanout,
+                             loss_probability, crash_fraction))
+        rows.append(row)
+    return _figure(
+        number, caption,
+        {
+            "n": arity ** depth, "a": arity, "d": depth, "R": redundancy,
+            "F": fanout, **({"h": threshold_h} if True in sweeps else {}),
+            "trials": trials, "loss": loss_probability,
+            "crash": crash_fraction,
+        },
+        columns, rows, note,
+    )
 
 
 def figure4(
@@ -282,7 +293,7 @@ def figure4(
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
     checkpoint: Optional[str] = None,
-) -> FigureResult:
+) -> ExperimentResult:
     """Figure 4 — P(delivery) for interested processes vs p_d.
 
     Caption parameters: n ≈ 10 000 (a = 22), d = 3, R = 3, F = 2.
@@ -307,7 +318,7 @@ def figure5(
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
     checkpoint: Optional[str] = None,
-) -> FigureResult:
+) -> ExperimentResult:
     """Figure 5 — P(reception) for uninterested processes vs p_d.
 
     Same caption parameters as Figure 4.  Expected shape: bounded by
@@ -331,53 +342,47 @@ def figure6(
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
     checkpoint: Optional[str] = None,
-) -> FigureResult:
+) -> ExperimentResult:
     """Figure 6 — scalability: P(delivery) vs subgroup size a.
 
     Caption parameters: d = 3, R = 4, F = 3; series for matching rates
     0.5 and 0.2.  Expected shape: >= ~0.9 everywhere, roughly flat or
     improving with a; the 0.2 series below the 0.5 series.
     """
-    result = FigureResult(
-        figure="Figure 6",
-        title="Scalability",
-        x_label="a",
-        y_label="Probability of Delivery",
-        parameters={
-            "d": depth,
-            "R": redundancy,
-            "F": fanout,
-            "trials": trials,
-            "n": f"a^{depth}",
+    delivery = {
+        (rate, arity): reliability_sweep(
+            [rate], arity, depth, redundancy, fanout, trials, seed,
+            loss_probability, crash_fraction,
+            executor=executor,
+            checkpoint=None
+            if checkpoint is None
+            else f"{checkpoint}.p{rate}-a{arity}",
+        )[0]["delivery"]
+        for rate in matching_rates
+        for arity in arities
+    }
+    return _figure(
+        6, "Scalability",
+        {
+            "d": depth, "R": redundancy, "F": fanout, "trials": trials,
+            "n": f"a^{depth}", "loss": loss_probability,
+            "crash": crash_fraction,
         },
-    )
-    for rate in matching_rates:
-        points = []
-        for arity in arities:
-            rows = reliability_sweep(
-                [rate], arity, depth, redundancy, fanout, trials, seed,
-                loss_probability, crash_fraction,
-                executor=executor,
-                checkpoint=None
-                if checkpoint is None
-                else f"{checkpoint}.p{rate}-a{arity}",
-            )
-            points.append((float(arity), rows[0]["delivery"]))
-        result.add_series(
-            Series.from_pairs(f"Matching Rate {rate}", points)
-        )
-    for rate in matching_rates:
-        result.add_series(Series.from_pairs(f"analysis {rate}", [
-            (float(arity), delivery_probability(
-                rate, arity, depth, redundancy, fanout,
-                loss_probability, crash_fraction))
+        ["a"] + [f"Matching Rate {rate}" for rate in matching_rates]
+        + [f"analysis {rate}" for rate in matching_rates],
+        [
+            [f"{arity:g}"]
+            + [delivery[rate, arity] for rate in matching_rates]
+            + [
+                delivery_probability(rate, arity, depth, redundancy, fanout,
+                                     loss_probability, crash_fraction)
+                for rate in matching_rates
+            ]
             for arity in arities
-        ]))
-    result.notes.append(
+        ],
         "paper shape: delivery >= 0.9 across a in [10, 40]; the 0.2 curve "
-        "sits below the 0.5 curve."
+        "sits below the 0.5 curve.",
     )
-    return result
 
 
 def figure7(
@@ -393,7 +398,7 @@ def figure7(
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
     checkpoint: Optional[str] = None,
-) -> FigureResult:
+) -> ExperimentResult:
     """Figure 7 — tuned (threshold h) vs untuned delivery vs p_d.
 
     Same caption parameters as Figure 4.  Expected shape: the improved

@@ -20,7 +20,12 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-from repro.validate.harness import SUITES, ValidationReport, run_conformance
+from repro.validate.harness import (
+    DETERMINISTIC_SUITES,
+    SUITES,
+    ValidationReport,
+    run_conformance,
+)
 
 __all__ = ["main"]
 
@@ -75,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=None,
-        help="override the per-setting simulation count",
+        help="override the per-setting simulation count (an error if "
+        "every selected suite is deterministic)",
     )
     parser.add_argument(
         "--quick",
@@ -112,6 +118,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Positional suites and repeated --suite flags merge (preserving
     # SUITES execution order; run_conformance ignores duplicates).
     chosen = list(args.suites) + list(args.suite or [])
+    if args.trials is not None and chosen and set(chosen) <= set(
+        DETERMINISTIC_SUITES
+    ):
+        # The bench CLI's rule: a flag no selected suite takes is an
+        # error, never silently dropped.
+        print(
+            f"error: {', '.join(sorted(set(chosen)))} does not take "
+            "--trials (deterministic)",
+            file=sys.stderr,
+        )
+        return 2
     try:
         report = run_conformance(
             suites=chosen or None,

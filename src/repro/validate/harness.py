@@ -72,6 +72,7 @@ from repro.validate import oracles
 __all__ = [
     "REPORT_SCHEMA",
     "SUITES",
+    "DETERMINISTIC_SUITES",
     "DEFAULT_SETTINGS",
     "FULL_SETTINGS",
     "ToleranceBand",
@@ -857,6 +858,11 @@ _REGISTRY: Dict[
 
 #: The suite names, in execution order.
 SUITES = tuple(_REGISTRY)
+
+#: The deterministic suites: ``--trials`` does not apply to them.
+DETERMINISTIC_SUITES = tuple(
+    name for name, (counts, __) in _REGISTRY.items() if counts is None
+)
 
 
 def run_conformance(

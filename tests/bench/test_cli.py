@@ -46,6 +46,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--figure", "9"])
 
+    def test_depth_flag_is_gone(self, capsys):
+        # Every table is d = 3: --members derives the arity for it, and
+        # a --depth no table runs is a usage error, not ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--experiment", "view_sizes", "--depth", "4"])
+        assert exit_info.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["5", "6", "7"])
+    def test_failure_parameters_are_stated(self, number, capsys):
+        # A lossy figure cannot be mistaken for a failure-free one.
+        code = main(["--figure", number, "--arity", "4", "--trials", "1",
+                     "--loss", "0.1"])
+        assert code == 0
+        assert ", loss=0.1, crash=0.0\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "selection",
         [["--figure", "4"], ["--experiment", "baselines"],

@@ -2,7 +2,9 @@
 
 These run the same code paths as the paper-scale regeneration
 (``python -m repro.bench --figure N``) on a smaller tree so they fit in
-a test run, and assert the figures' qualitative shapes.
+a test run, and assert the figures' qualitative shapes.  A figure is an
+``ExperimentResult`` whose first column is the x axis, each cell the
+axis value as printed.
 """
 
 import pytest
@@ -12,6 +14,11 @@ from repro.errors import ReproError
 
 SMALL = dict(arity=6, trials=2, seed=0)
 RATES = (0.1, 0.5, 1.0)
+
+
+def y_at(result, column, x):
+    """The ``column`` cell of the row at x axis value ``x``."""
+    return result.row(result.columns[0], f"{x:g}")[column]
 
 
 class TestReliabilitySweep:
@@ -40,28 +47,31 @@ class TestReliabilitySweep:
 class TestFigure4:
     def test_shape(self):
         result = figure4(matching_rates=RATES, **SMALL)
-        simulated = result.get_series("simulated")
         # High matching rates deliver nearly always; the small rate sits
         # below (the §5.1 droop).
-        assert simulated.y_at(1.0) > 0.95
-        assert simulated.y_at(0.5) > 0.9
-        assert simulated.y_at(0.1) <= simulated.y_at(1.0)
-        # The analytical series exists on the same grid.
-        assert result.get_series("analysis").xs == simulated.xs
+        assert y_at(result, "simulated", 1.0) > 0.95
+        assert y_at(result, "simulated", 0.5) > 0.9
+        assert y_at(result, "simulated", 0.1) <= y_at(result, "simulated", 1.0)
+        # The analytical curve is a column on the same x grid.
+        assert result.columns == ["p_d", "simulated", "analysis"]
+        assert result.column("p_d") == ["0.1", "0.5", "1"]
 
 
 class TestFigure5:
     def test_shape(self):
         result = figure5(matching_rates=RATES, **SMALL)
-        simulated = result.get_series("simulated")
         # Bounded well below flooding — the ceiling is the delegate
         # share R/a = 3/6, with slack — and vanishing at p_d = 1.
-        assert simulated.y_at(1.0) == pytest.approx(0.0, abs=1e-9)
+        assert y_at(result, "simulated", 1.0) == pytest.approx(0.0, abs=1e-9)
         for rate in RATES:
-            assert simulated.y_at(rate) <= 1.5 * 3 / 6
+            assert y_at(result, "simulated", rate) <= 1.5 * 3 / 6
         # The hump: moderate rates touch more uninterested delegates
         # than either extreme.
-        assert simulated.y_at(0.5) > simulated.y_at(0.1) > simulated.y_at(1.0)
+        assert (
+            y_at(result, "simulated", 0.5)
+            > y_at(result, "simulated", 0.1)
+            > y_at(result, "simulated", 1.0)
+        )
 
 
 class TestFigure6:
@@ -69,14 +79,14 @@ class TestFigure6:
         result = figure6(
             arities=(6, 9, 12), matching_rates=(0.5, 0.2), trials=2, seed=0
         )
-        high = result.get_series("Matching Rate 0.5")
-        low = result.get_series("Matching Rate 0.2")
-        for arity in (6.0, 9.0, 12.0):
+        for arity in (6, 9, 12):
+            high = y_at(result, "Matching Rate 0.5", arity)
+            low = y_at(result, "Matching Rate 0.2", arity)
             # Paper shape: delivery >= ~0.9 across the sweep, the
             # low-rate series at or below the high-rate one.
-            assert high.y_at(arity) > 0.9
-            assert low.y_at(arity) > 0.8
-            assert low.y_at(arity) <= high.y_at(arity) + 0.05
+            assert high > 0.9
+            assert low > 0.8
+            assert low <= high + 0.05
 
 
 class TestFigure7:
@@ -85,22 +95,25 @@ class TestFigure7:
         result = figure7(
             matching_rates=rates, threshold_h=8, arity=8, trials=3, seed=0
         )
-        original = result.get_series("Original")
-        improved = result.get_series("Improved")
+
+        def original(rate):
+            return y_at(result, "Original", rate)
+
+        def improved(rate):
+            return y_at(result, "Improved", rate)
+
         # The gap concentrates at small p_d...
-        assert improved.y_at(0.02) > original.y_at(0.02)
-        assert improved.y_at(0.05) >= original.y_at(0.05) - 0.02
+        assert improved(0.02) > original(0.02)
+        assert improved(0.05) >= original(0.05) - 0.02
         # ...and the curves coincide for large p_d.
         for rate in (0.5, 1.0):
-            assert improved.y_at(rate) == pytest.approx(
-                original.y_at(rate), abs=0.05
-            )
+            assert improved(rate) == pytest.approx(original(rate), abs=0.05)
 
     def test_compromise_reported(self):
         result = figure7(
             matching_rates=(0.02,), threshold_h=8, arity=8, trials=2, seed=1
         )
-        original_fr = result.get_series("Original false-reception")
-        improved_fr = result.get_series("Improved false-reception")
         # Tuning gossips to non-interested processes: reception rises.
-        assert improved_fr.y_at(0.02) >= original_fr.y_at(0.02)
+        assert y_at(result, "Improved false-reception", 0.02) >= y_at(
+            result, "Original false-reception", 0.02
+        )

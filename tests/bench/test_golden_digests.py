@@ -14,8 +14,11 @@ still.  Each builds its group, drives it and returns the sha1 of what
 an observer could see; nothing is timed.
 
 ``GOLDEN_TABLES`` does the same for every table of
-``python -m repro.bench --experiment NAME`` at its default
-configuration: the cells EXPERIMENTS.md quotes cannot drift unnoticed.
+``python -m repro.bench``: each ``--experiment NAME`` at its default
+configuration, each figure at the quick pass ``--arity 5 --trials 2``
+(the paper-scale figures are CI's ``paper-scale`` job, diffed against
+``figures_full.txt``): the cells EXPERIMENTS.md quotes cannot drift
+unnoticed.
 
 A subprocess check re-derives two digests of each kind under different
 ``PYTHONHASHSEED`` values: digests must never depend on Python's
@@ -33,7 +36,7 @@ import sys
 import pytest
 
 from repro.addressing import AddressSpace
-from repro.bench.cli import EXPERIMENTS, REGISTRY
+from repro.bench.cli import FIGURES, REGISTRY
 from repro.config import PmcastConfig, SimConfig
 from repro.interests.events import Event
 from repro.obs import MetricsRegistry, Observer
@@ -52,12 +55,17 @@ GOLDEN_QUICK = {
     "membership_plane": "d72868c8237a4600643077095adbe388fc27b3aa",
 }
 
-#: ``ExperimentResult.digest()`` of every registry experiment at its
-#: defaults (``variants`` is PR 8's ``variant_compare`` pin).  Re-record
-#: one only with the old and new rows stated in CHANGES.md.
+#: ``ExperimentResult.digest()`` of every registry entry: the figures at
+#: :data:`FIGURE_PASS`, every experiment at its defaults (``variants``
+#: is the former ``variant_compare`` pin).  Re-record one only with the
+#: old and new rows stated in CHANGES.md.
 GOLDEN_TABLES = {
-    "locality": "4b8b9fb154c6fd35ce423209d00101a226992c70",
-    "baselines": "7c3f9dacfb5e627db27ec31e775aa5fa29224296",
+    "figure4": "ac42d82c46187e92033b969c8f351cd2472988be",
+    "figure5": "9ae00cf967de5d46e11c686d5683c4faedb9cc18",
+    "figure6": "8bc631b8b179e211e8367f397050b8ab00a53efc",
+    "figure7": "7e49c710d50934fa19a8f5eb7836552496441e96",
+    "locality": "0a8fccd498e131c09f57c8afd3ac6bdaef7a3c65",
+    "baselines": "303c0ba60147062073102b720223f3623218c5ae",
     "variants": "928b1b413447f5834c1e1012a17bf8937339e1f3",
     "rounds_model": "0b4fc7ca5d1a02e5288cfc3d375a8d10fae3c4c3",
     "markov_chain": "29034cce28c1181dd0db26137c35de88d4566494",
@@ -70,12 +78,18 @@ GOLDEN_TABLES = {
     "ablations": "92f8a7f47b3d5a1756e73637f098228bf2d64a2e",
 }
 
+#: The reduced configuration the figures are pinned at (they default to
+#: paper scale, minutes a figure).
+FIGURE_PASS = {"arity": 5, "trials": 2}
+
 #: What the PYTHONHASHSEED subprocess leg re-derives: two runtime
-#: scenarios and two tables (B3 drives ``GroupRuntime``, M1 the bare
-#: gossip-pull exchange; both cheap enough for the 5 s durations gate).
+#: scenarios and three tables (B3 drives ``GroupRuntime``, M1 the bare
+#: gossip-pull exchange, Figure 4 the reliability sweep, whose output
+#: once moved with the hash seed; all cheap enough for the 5 s
+#: durations gate).
 HASH_SEED_LEG = (
     ["churn_refresh", "membership_plane"],
-    ["throughput", "membership_convergence"],
+    ["throughput", "membership_convergence", "figure4"],
 )
 
 ARITY, DEPTH, SEED = 5, 3, 0
@@ -246,9 +260,9 @@ def run_scenarios(names):
 
 @functools.lru_cache(maxsize=None)
 def table(name):
-    """Registry experiment ``name`` at its defaults, run once a process
-    (``test_extras.py`` asserts the claims on these same rows)."""
-    return REGISTRY[name].run()
+    """Registry entry ``name`` at its pinned configuration, run once a
+    process (``test_extras.py`` asserts the claims on these same rows)."""
+    return REGISTRY[name].run(**(FIGURE_PASS if name in FIGURES else {}))
 
 
 class TestGoldenQuickDigests:
@@ -274,7 +288,7 @@ class TestGoldenQuickDigests:
 
 class TestGoldenTables:
     def test_every_experiment_has_a_pin(self):
-        assert list(GOLDEN_TABLES) == EXPERIMENTS
+        assert list(GOLDEN_TABLES) == list(REGISTRY)
 
     @pytest.mark.parametrize("name", GOLDEN_TABLES)
     def test_table_matches_its_pin(self, name):

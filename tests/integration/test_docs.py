@@ -2,10 +2,40 @@
 
 import pathlib
 import re
+from decimal import ROUND_HALF_UP, Decimal
 
 from repro.bench.cli import REGISTRY
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: EXPERIMENTS.md figure table: measured column -> figures_full.txt column.
+MEASURED_COLUMNS = {
+    "Figure 4": {"measured (simulated)": "simulated",
+                 "measured (analysis, Eq 18)": "analysis"},
+    "Figure 5": {"measured (simulated)": "simulated",
+                 "measured (analysis)": "analysis"},
+    "Figure 6": {"measured 0.5": "Matching Rate 0.5",
+                 "measured 0.2": "Matching Rate 0.2"},
+    "Figure 7": {"Original measured": "Original",
+                 "Improved measured": "Improved"},
+}
+
+
+def _raw_figures(text):
+    """``{"Figure N": {x: {column: cell}}}`` of ``python -m repro.bench``
+    output: a caption line, a parameter line, the column names, a rule,
+    then one row per x value until the notes."""
+    figures = {}
+    for block in text.split("\n\n"):
+        lines = block.strip().splitlines()
+        if not lines or not lines[0].startswith("Figure "):
+            continue
+        split = [[cell.strip() for cell in line.split("|")] for line in lines[2:]]
+        header, rows = split[0], [row for row in split[2:] if len(row) > 1]
+        figures[lines[0].split(":")[0]] = {
+            row[0]: dict(zip(header, row)) for row in rows
+        }
+    return figures
 
 
 class TestReadmeQuickstart:
@@ -62,6 +92,29 @@ class TestDesignDocConsistency:
         text = (ROOT / "EXPERIMENTS.md").read_text()
         for figure in ("Figure 4", "Figure 5", "Figure 6", "Figure 7"):
             assert figure in text
+
+    def test_figure_tables_quote_the_raw_output(self):
+        # Every measured cell of EXPERIMENTS.md's Figure 4-7 tables is
+        # the figures_full.txt cell (which CI's paper-scale job
+        # regenerates) at the precision quoted.
+        raw = _raw_figures((ROOT / "figures_full.txt").read_text())
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        for figure, measured in MEASURED_COLUMNS.items():
+            section = text.split(f"## {figure} ")[1].split("\n## ")[0]
+            header, *rows = [
+                [cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines()
+                if line.startswith("|") and not line.startswith("|--")
+            ]
+            assert set(measured) <= set(header), figure
+            for row in rows:
+                x = f"{float(row[0]):g}"
+                for column, raw_column in measured.items():
+                    quoted = Decimal(row[header.index(column)])
+                    cell = raw[figure][x][raw_column]
+                    assert quoted == Decimal(cell).quantize(
+                        quoted, rounding=ROUND_HALF_UP
+                    ), (figure, x, column, cell)
 
     def test_protocol_doc_covers_every_figure3_line(self):
         text = (ROOT / "docs" / "PROTOCOL.md").read_text()

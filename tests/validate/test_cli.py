@@ -34,6 +34,21 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr
 
+    def test_trials_on_deterministic_suites_is_a_usage_error(self):
+        # Never silently dropped: nothing runs.
+        result = run_cli("faults", "--trials", "5")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: faults does not take --trials (deterministic)\n"
+        )
+        assert result.stdout == ""
+
+    def test_trials_apply_when_one_selected_suite_takes_them(self):
+        result = run_cli("flat", "faults", "--trials", "5")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "(flat, faults)" in result.stdout
+        assert "trials=5" in result.stdout
+
     def test_output_writes_schema_report(self, tmp_path):
         path = tmp_path / "report.json"
         result = run_cli(
