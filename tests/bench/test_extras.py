@@ -45,42 +45,6 @@ class TestExperimentResult:
             result.row("name", "z")
 
 
-class TestFigureTables:
-    """A figure is an ``ExperimentResult``: the x axis is the first
-    column, one column per curve, caption and parameters in the title."""
-
-    def make(self):
-        result = ExperimentResult("Figure X: Test\n  n=100", ["p_d", "a", "b"])
-        result.add_row(p_d="0.1", a=0.5, b=0.4)
-        result.add_row(p_d="0.2", a=0.6, b=0.3)
-        result.notes.append("shape holds")
-        return result
-
-    def test_axis_and_curves_are_columns(self):
-        result = self.make()
-        assert result.column("p_d") == ["0.1", "0.2"]
-        assert result.column("a") == [0.5, 0.6]
-        with pytest.raises(ReproError):
-            result.column("missing")
-
-    def test_row_at_an_axis_value(self):
-        result = self.make()
-        assert result.row("p_d", "0.2")["a"] == 0.6
-        with pytest.raises(ReproError):
-            result.row("p_d", "0.3")
-
-    def test_render_layout(self):
-        assert self.make().render().splitlines() == [
-            "Figure X: Test",
-            "  n=100",
-            "p_d |      a |      b",
-            "----+--------+-------",
-            "0.1 | 0.5000 | 0.4000",
-            "0.2 | 0.6000 | 0.3000",
-            "note: shape holds",
-        ]
-
-
 class TestLocalityExperiment:
     def test_pmcast_beats_flood_on_boundary_traffic(self):
         result = locality_experiment(arity=5, depth=3, seed=1)

@@ -1,61 +1,59 @@
-"""Tests for the figure result containers."""
+"""Tests for figure-shaped tables.
+
+A figure is an ``ExperimentResult``: the x axis is the first column,
+one column per curve, caption and parameter line in the title.
+"""
 
 import pytest
 
-from repro.bench import FigureResult, Series
+from repro.bench import ExperimentResult
 from repro.errors import ReproError
 
 
+def make_figure():
+    result = ExperimentResult("Figure X: Test\n  n=100", ["p_d", "a", "b"])
+    result.add_row(p_d="0.1", a=0.5, b=0.4)
+    result.add_row(p_d="0.2", a=0.6, b=0.3)
+    return result
+
+
 class TestSeries:
+    """One curve: the axis column paired row by row with a curve column."""
+
     def test_coordinates(self):
-        series = Series.from_pairs("s", [(0.1, 0.5), (0.2, 0.9)])
-        assert series.xs == (0.1, 0.2)
-        assert series.ys == (0.5, 0.9)
+        result = make_figure()
+        assert result.column("p_d") == ["0.1", "0.2"]
+        assert result.column("a") == [0.5, 0.6]
 
     def test_y_at(self):
-        series = Series.from_pairs("s", [(0.1, 0.5)])
-        assert series.y_at(0.1) == 0.5
+        result = make_figure()
+        assert result.row("p_d", "0.1")["a"] == 0.5
         with pytest.raises(ReproError):
-            series.y_at(0.3)
+            result.row("p_d", "0.3")
 
 
 class TestFigureResult:
-    def make_result(self):
-        result = FigureResult(
-            figure="Figure X",
-            title="Test",
-            x_label="p_d",
-            y_label="P",
-            parameters={"n": 100},
-        )
-        result.add_series(Series.from_pairs("a", [(0.1, 0.5), (0.2, 0.6)]))
-        result.add_series(Series.from_pairs("b", [(0.1, 0.4), (0.2, 0.3)]))
-        return result
+    """The whole figure: curves by label, rendered with caption,
+    parameters and notes."""
 
     def test_get_series(self):
-        result = self.make_result()
-        assert result.get_series("a").y_at(0.2) == 0.6
+        result = make_figure()
+        assert result.row("p_d", "0.2")["a"] == 0.6
+        assert result.column("b") == [0.4, 0.3]
         with pytest.raises(ReproError):
-            result.get_series("missing")
+            result.column("missing")
 
     def test_render_contains_rows_and_header(self):
-        rendered = self.make_result().render(precision=2)
-        assert "Figure X" in rendered
-        assert "n=100" in rendered
-        assert "p_d" in rendered and " a " in rendered
-        assert "0.1" in rendered and "0.60" in rendered
+        assert make_figure().render().splitlines() == [
+            "Figure X: Test",
+            "  n=100",
+            "p_d |      a |      b",
+            "----+--------+-------",
+            "0.1 | 0.5000 | 0.4000",
+            "0.2 | 0.6000 | 0.3000",
+        ]
 
     def test_render_notes(self):
-        result = self.make_result()
+        result = make_figure()
         result.notes.append("shape holds")
-        assert "note: shape holds" in result.render()
-
-    def test_render_rejects_mismatched_grids(self):
-        result = self.make_result()
-        result.add_series(Series.from_pairs("c", [(0.9, 1.0)]))
-        with pytest.raises(ReproError):
-            result.render()
-
-    def test_render_rejects_empty(self):
-        with pytest.raises(ReproError):
-            FigureResult("F", "t", "x", "y").render()
+        assert result.render().splitlines()[-1] == "note: shape holds"
