@@ -45,11 +45,6 @@ class BroadcastGroupMapper:
         self._rebuilds = 0
 
     @property
-    def member_count(self) -> int:
-        """n — also the per-process knowledge this scheme requires."""
-        return len(self._members)
-
-    @property
     def group_count(self) -> int:
         """Distinct broadcast groups established so far (<= 2^n)."""
         return len(self._groups)

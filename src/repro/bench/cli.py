@@ -188,18 +188,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(run(**kwargs).render())
                 print(f"[{name} in {time.time() - started:.1f}s]")
                 print()
-            dispatch = executor.metrics.snapshot().get("par", {})
     except ReproError as exc:
         # A bad --jobs, an arity no address space accepts, a corrupt or
         # mismatched checkpoint shard: a usage/environment error like
         # any other, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if dispatch.get("trials_total"):
+    if executor.trials_total:
         # stderr, so stdout stays bit-identical for every --jobs value.
         print(
-            f"[dispatch: {dispatch.get('trials_run', 0)} trials run, "
-            f"{dispatch.get('trials_resumed', 0)} resumed from "
+            f"[dispatch: {executor.trials_run} trials run, "
+            f"{executor.trials_resumed} resumed from "
             f"checkpoint, jobs={executor.jobs}]",
             file=sys.stderr,
         )

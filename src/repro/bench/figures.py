@@ -29,14 +29,13 @@ from repro.config import PmcastConfig, SimConfig
 from repro.errors import ReproError
 from repro.interests.events import Event
 from repro.par.executor import TrialExecutor
-from repro.par.seeds import derive_rng
-from repro.par.worker import worker_registry
 from repro.sim import (
     CrashSchedule,
     PmcastGroup,
     bernoulli_interests,
     run_dissemination,
 )
+from repro.sim.rng import derive_rng
 
 __all__ = [
     "DEFAULT_RATES",
@@ -69,8 +68,8 @@ def _sweep_trial(task: Tuple) -> Dict[str, float]:
     A pure function of its task tuple: every random stream derives
     from the (seed, grid point, trial) labels inside it, so the result
     does not depend on which worker runs the trial or in what order
-    (see :mod:`repro.par.seeds`).  The streams are bit-identical to
-    the historical serial sweep loop.
+    (see :func:`repro.sim.rng.derive_rng`).  The streams are
+    bit-identical to the historical serial sweep loop.
     """
     (
         rate,
@@ -88,7 +87,7 @@ def _sweep_trial(task: Tuple) -> Dict[str, float]:
     config = PmcastConfig(
         fanout=fanout, redundancy=redundancy, threshold_h=threshold_h
     )
-    interest_rng = derive_rng(seed, ("interests", rate), trial)
+    interest_rng = derive_rng(seed, "interests", rate, trial)
     members = bernoulli_interests(addresses, rate, interest_rng)
     group = PmcastGroup.build(members, config)
     publisher = interest_rng.choice(addresses)
@@ -96,25 +95,22 @@ def _sweep_trial(task: Tuple) -> Dict[str, float]:
     # streams — and therefore the whole sweep — reproducible.
     event = Event(
         {"sweep": 1},
-        event_id=derive_rng(seed, ("event", rate), trial).randrange(2**31),
+        event_id=derive_rng(seed, "event", rate, trial).randrange(2**31),
     )
     sim = SimConfig(
         loss_probability=loss_probability,
         crash_fraction=0.0,
-        seed=derive_rng(seed, ("sim", rate), trial).randrange(2**31),
+        seed=derive_rng(seed, "sim", rate, trial).randrange(2**31),
     )
     schedule = CrashSchedule.sample(
         addresses,
         crash_fraction,
         horizon=32,
-        rng=derive_rng(seed, ("crash", rate), trial),
+        rng=derive_rng(seed, "crash", rate, trial),
     )
     report = run_dissemination(
         group, publisher, event, sim, crash_schedule=schedule
     )
-    registry = worker_registry()
-    registry.counter("bench.sweep", "trials").inc()
-    registry.histogram("bench.sweep", "rounds").observe(report.rounds)
     return {
         "delivery": report.delivery_ratio,
         "false_reception": report.false_reception_ratio,

@@ -128,18 +128,6 @@ class DepthBuffers:
         """A snapshot of ``gossips[depth]`` (stable iteration order)."""
         return list(self._bucket(depth).values())
 
-    def active_depths(self) -> List[int]:
-        """Depths with at least one buffered event, ascending.
-
-        The GOSSIP task walks only these instead of probing all ``d``
-        buffers every round.
-        """
-        return [
-            index
-            for index, bucket in enumerate(self._buffers, start=1)
-            if bucket
-        ]
-
     def entry(self, depth: int, event: Event) -> BufferedEvent:
         """The buffered triple for ``event`` at ``depth``."""
         entry = self._bucket(depth).get(event.event_id)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.addressing import Address, Prefix
-from repro.errors import FaultError
+from repro.errors import AddressError, FaultError
 
 __all__ = [
     "FAULT_SCHEMA",
@@ -274,28 +274,27 @@ def _clause_to_dict(clause: Clause) -> Dict[str, Any]:
     return out
 
 
-def _clause_from_dict(data: Mapping[str, Any]) -> Clause:
-    try:
-        tag = data["type"]
-        cls = _TAG_CLAUSES[tag]
-    except KeyError:
-        raise FaultError(
-            f"unknown fault clause type {data.get('type')!r}"
-        ) from None
+def _clause_from_dict(data: Any) -> Clause:
+    if not isinstance(data, Mapping):
+        raise FaultError(f"fault clause {data!r} is not an object")
+    tag = data.get("type")
+    cls = _TAG_CLAUSES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise FaultError(f"unknown fault clause type {tag!r}")
     kwargs: Dict[str, Any] = {}
-    for spec in fields(cls):
-        if spec.name not in data:
-            continue
-        value = data[spec.name]
-        if spec.name in ("prefix", "side_a", "side_b", "sender_prefix",
-                         "dest_prefix"):
-            value = Prefix.parse(str(value))
-        elif spec.name == "address":
-            value = Address.parse(str(value))
-        kwargs[spec.name] = value
     try:
+        for spec in fields(cls):
+            if spec.name not in data:
+                continue
+            value = data[spec.name]
+            if spec.name in ("prefix", "side_a", "side_b", "sender_prefix",
+                             "dest_prefix"):
+                value = Prefix.parse(str(value))
+            elif spec.name == "address":
+                value = Address.parse(str(value))
+            kwargs[spec.name] = value
         return cls(**kwargs)
-    except TypeError as exc:
+    except (AddressError, TypeError) as exc:
         raise FaultError(f"malformed fault clause {dict(data)!r}") from exc
 
 
@@ -437,6 +436,8 @@ class FaultPlan:
         Raises:
             FaultError: on a schema mismatch or malformed clause.
         """
+        if not isinstance(data, Mapping):
+            raise FaultError("fault plan must be an object")
         schema = data.get("schema", FAULT_SCHEMA)
         if schema != FAULT_SCHEMA:
             raise FaultError(f"unsupported fault schema {schema!r}")
@@ -459,6 +460,4 @@ class FaultPlan:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FaultError(f"fault plan is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FaultError("fault plan JSON must be an object")
         return cls.from_dict(data)

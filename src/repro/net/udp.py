@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.addressing import Address, distance
 from repro.core.context import GossipContext
+from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.net.process import AsyncProcess
 from repro.net.transport import FairLossUdpTransport, UdpEndpointRegistry
@@ -122,7 +123,13 @@ def run_udp_dissemination(
 
     Returns:
         ``(report, stats)``.
+
+    Raises:
+        SimulationError: if ``publisher`` is not a live member — checked
+            before any socket is bound, as the simulated drivers do.
     """
+    if not group.node(publisher).alive:
+        raise SimulationError(f"publisher {publisher} has crashed")
     observer = fold_shorthands(observer, trace)
     return asyncio.run(
         _run_udp(

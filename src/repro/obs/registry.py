@@ -26,7 +26,7 @@ JSON output and benchmark harnesses.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
 
@@ -161,27 +161,6 @@ class Histogram:
             "buckets": list(self._counts),
         }
 
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold another histogram's :meth:`as_dict` snapshot into this one.
-
-        Bucket-wise addition — commutative and associative, so merging
-        per-worker snapshots in any completion order yields the same
-        result (the parallel executor's join relies on this).
-
-        Raises:
-            ObservabilityError: if the snapshot's bounds differ from
-                this histogram's (merging them would silently misbucket).
-        """
-        if tuple(snapshot["bounds"]) != self.bounds:  # type: ignore[arg-type]
-            raise ObservabilityError(
-                f"cannot merge histogram {self.subsystem}.{self.name}: "
-                f"bounds {snapshot['bounds']!r} != {list(self.bounds)!r}"
-            )
-        self._count += snapshot["count"]  # type: ignore[operator]
-        self._sum += snapshot["sum"]  # type: ignore[operator]
-        for index, count in enumerate(snapshot["buckets"]):  # type: ignore[arg-type]
-            self._counts[index] += count
-
     def __repr__(self) -> str:
         return (
             f"Histogram({self.subsystem}.{self.name} "
@@ -246,10 +225,6 @@ class MetricsRegistry:
         its collector (a rebuilt component supersedes the old one).
         """
         self._collectors[subsystem] = collect
-
-    def instruments(self) -> List[object]:
-        """Every registered instrument (inspection/tests)."""
-        return list(self._instruments.values())
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Roll every instrument and collector up into nested dicts."""

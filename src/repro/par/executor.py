@@ -8,37 +8,31 @@ guarantee: **the returned result list is identical for every
 ``jobs`` value.**  Three properties deliver that:
 
 1. trials are pure functions of their task (all randomness derives
-   from seeds inside the task — see :mod:`repro.par.seeds`);
+   from seeds inside the task — ``repro.sim.rng.derive_seed(root,
+   *grid_point, trial)``);
 2. results are reassembled by task *index*, never by completion order;
 3. aggregation happens in the caller, over the ordered result list —
    exactly the order the historical serial loops used.
 
-Dispatch is *chunked*: contiguous runs of tasks travel to a worker in
-one submission, amortising pickling overhead.  Each completed chunk
-may be appended to a JSONL **checkpoint shard**
-(:mod:`repro.par.checkpoint`), from which an interrupted sweep
-resumes without recomputing finished trials — and, because results
-are replayed verbatim, with byte-identical final aggregates.
-
-Per-worker :mod:`repro.obs` metrics (whatever trial functions record
-through :func:`repro.par.worker.worker_registry`, plus the executor's
-own dispatch counters) ride back with each chunk and are merged
-order-independently at the join point (:mod:`repro.par.merge`); the
-merged registry is available as :attr:`TrialExecutor.metrics`.
+Dispatch is *chunked*: contiguous runs of tasks, about four chunks per
+worker, travel to a worker in one submission, amortising pickling
+overhead.  Each completed trial may be appended to a JSONL
+**checkpoint shard** (:mod:`repro.par.checkpoint`), from which an
+interrupted sweep resumes without recomputing finished trials — and,
+because results are replayed verbatim, with byte-identical final
+aggregates.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from itertools import islice
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParallelError
-from repro.obs.registry import MetricsRegistry
 from repro.par.checkpoint import ShardFile, run_fingerprint, task_key
-from repro.par.merge import merge_delta
-from repro.par.worker import MetricsDelta, drain_metrics
 
 __all__ = ["TrialExecutor", "resolve_jobs"]
 
@@ -77,12 +71,9 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
     return jobs
 
 
-def _run_chunk(
-    fn: Callable[[Any], Any], chunk: _Chunk
-) -> Tuple[List[Tuple[int, Any]], MetricsDelta]:
-    """Worker-side chunk body: run each trial, drain worker metrics."""
-    results = [(index, fn(task)) for index, task in chunk]
-    return results, drain_metrics()
+def _run_chunk(fn: Callable[[Any], Any], chunk: _Chunk) -> _Chunk:
+    """Worker-side chunk body: (index, result) for each trial."""
+    return [(index, fn(task)) for index, task in chunk]
 
 
 class TrialExecutor:
@@ -93,27 +84,21 @@ class TrialExecutor:
             (usable CPUs).  ``1`` runs everything in-process with no
             pool, no pickling and no subprocesses: the fallback path
             and the reference semantics the parallel path must match.
-        chunk_size: trials per dispatched chunk; by default sized so
-            each worker receives ~4 chunks (latency/throughput
-            compromise), clamped to at least 1.
 
     The executor is reusable across :meth:`run` calls (one pool serves
     a whole ``--all`` figure regeneration) and is a context manager;
-    :meth:`close` shuts the pool down.
+    :meth:`close` shuts the pool down.  Across those calls it counts
+    ``trials_total`` (tasks handed to :meth:`run`), ``trials_resumed``
+    (replayed from a checkpoint) and ``trials_run`` (computed) — the
+    ``[dispatch: …]`` line of ``python -m repro.bench``.
     """
 
-    def __init__(
-        self,
-        jobs: Union[int, str, None] = 1,
-        chunk_size: Optional[int] = None,
-    ):
+    def __init__(self, jobs: Union[int, str, None] = 1):
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ParallelError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        self.metrics = MetricsRegistry()
+        self.trials_total = 0
+        self.trials_resumed = 0
+        self.trials_run = 0
         self._pool: Optional[ProcessPoolExecutor] = None
-        self.metrics.gauge("par", "jobs").set(self.jobs)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -178,19 +163,19 @@ class TrialExecutor:
             for index, task in enumerate(tasks)
             if index not in done
         ]
-        counters = self.metrics
-        counters.counter("par", "trials_total").inc(len(tasks))
-        counters.counter("par", "trials_resumed").inc(len(done))
-        counters.counter("par", "trials_run")  # materialise at 0
+        self.trials_total += len(tasks)
+        self.trials_resumed += len(done)
         if not pending:
             return results
         try:
             if shard is not None:
                 shard.open_for_append()
-            if self.jobs == 1:
-                self._run_serial(fn, pending, results, shard)
-            else:
-                self._run_pool(fn, pending, results, shard)
+            with closing(self._completions(fn, pending)) as completions:
+                for index, result in completions:
+                    results[index] = result
+                    self.trials_run += 1
+                    if shard is not None:
+                        shard.append(index, result)
         finally:
             if shard is not None:
                 shard.close()
@@ -224,63 +209,32 @@ class TrialExecutor:
         outcomes = iter(self.run(fn, tasks, checkpoint=checkpoint))
         return [(point, list(islice(outcomes, trials))) for point in points]
 
-    def _record(self, delta: MetricsDelta) -> None:
-        merge_delta(self.metrics, delta)
+    def _completions(
+        self, fn: Callable[[Any], Any], pending: _Chunk
+    ) -> Iterator[Tuple[int, Any]]:
+        """``(index, result)`` for every pending trial, as each finishes.
 
-    def _run_serial(
-        self,
-        fn: Callable[[Any], Any],
-        pending: _Chunk,
-        results: List[Any],
-        shard: Optional[ShardFile],
-    ) -> None:
-        """In-process execution: one task at a time, in task order."""
-        for index, task in pending:
-            chunk_results, delta = _run_chunk(fn, [(index, task)])
-            self._record(delta)
-            self.metrics.counter("par", "trials_run").inc()
-            __, result = chunk_results[0]
-            results[index] = result
-            if shard is not None:
-                shard.append(index, result)
-
-    def _run_pool(
-        self,
-        fn: Callable[[Any], Any],
-        pending: _Chunk,
-        results: List[Any],
-        shard: Optional[ShardFile],
-    ) -> None:
-        """Pool execution: chunked submission, index-keyed reassembly.
-
-        Chunk completions are consumed as they happen (nondeterministic
-        order); checkpoint appends and metric merges occur at that
-        moment, which is exactly why both are order-independent.
+        Serial: in task order.  Pool: chunk by chunk in completion
+        order (nondeterministic) — which is why checkpoint appends are
+        keyed by index and never by position.
         """
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(pending) // (self.jobs * 4)))
-        chunks = [
-            pending[start:start + size]
-            for start in range(0, len(pending), size)
-        ]
+        if self.jobs == 1:
+            for index, task in pending:
+                yield index, fn(task)
+            return
+        size = max(1, -(-len(pending) // (self.jobs * 4)))
         pool = self._ensure_pool()
-        futures = {pool.submit(_run_chunk, fn, chunk) for chunk in chunks}
-        self.metrics.counter("par", "chunks_dispatched").inc(len(chunks))
+        futures = {
+            pool.submit(_run_chunk, fn, pending[start:start + size])
+            for start in range(0, len(pending), size)
+        }
         try:
             while futures:
                 completed, futures = wait(
                     futures, return_when=FIRST_COMPLETED
                 )
                 for future in completed:
-                    chunk_results, delta = future.result()
-                    self._record(delta)
-                    for index, result in chunk_results:
-                        results[index] = result
-                        self.metrics.counter("par", "trials_run").inc()
-                        if shard is not None:
-                            shard.append(index, result)
-        except BaseException:
+                    yield from future.result()
+        finally:
             for future in futures:
                 future.cancel()
-            raise

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address
 from repro.addressing.allocation import AddressAllocator
-from repro.errors import AddressError, SimulationError
+from repro.errors import AddressError, MembershipError, SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
 from repro.sim.runtime import GroupRuntime
@@ -87,10 +87,12 @@ class ChurnSchedule:
                     runtime.join(event.address, event.interest)
                 elif event.action == "leave":
                     runtime.leave(event.address)
-                else:
+                elif runtime.node(event.address).alive:
                     runtime.crash(event.address)
+                else:
+                    continue
                 applied += 1
-            except SimulationError:
+            except (MembershipError, SimulationError):
                 continue
         return applied
 

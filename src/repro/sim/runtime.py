@@ -318,10 +318,6 @@ class GroupRuntime:
         """Injection counters when a fault plan is attached, else None."""
         return self._link.trace_meta().get("fault_stats")
 
-    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """The registry's rolled-up per-subsystem counters."""
-        return self._reg.snapshot()
-
     def node(self, address: Address) -> PmcastNode:
         """The protocol node of a (possibly crashed) process."""
         try:

@@ -57,16 +57,14 @@ from repro.errors import ValidationError
 from repro.faults import FaultPlan
 from repro.interests import Event, StaticInterest
 from repro.par.executor import TrialExecutor
-from repro.par.seeds import derive_seed
 from repro.par.subtree import build_regular_spec, run_sharded_dissemination
-from repro.par.worker import worker_registry
 from repro.sim import (
     CrashSchedule,
     PmcastGroup,
     bernoulli_interests,
     run_dissemination,
 )
-from repro.sim.rng import derive_rng
+from repro.sim.rng import derive_rng, derive_seed
 from repro.validate import oracles
 
 __all__ = [
@@ -348,7 +346,7 @@ def _flat_trial(task: Tuple) -> List[int]:
     loop.
     """
     eps, tau, trial, seed, n, fanout, min_rounds, horizon, suite = task
-    trial_seed = derive_seed(seed, (suite, eps, tau), trial)
+    trial_seed = derive_seed(seed, suite, eps, tau, trial)
     group, addresses = _all_interested_group(n, 1, 1, fanout, min_rounds)
     publisher = addresses[0]
     schedule = _sample_crashes(
@@ -361,7 +359,6 @@ def _flat_trial(task: Tuple) -> List[int]:
         SimConfig(seed=trial_seed, loss_probability=eps),
         crash_schedule=schedule,
     )
-    worker_registry().counter(f"validate.{suite}", "trials").inc()
     return list(report.infection_curve)
 
 
@@ -505,7 +502,7 @@ def _tree_trial(task: Tuple) -> Optional[List[float]]:
     )
     space = AddressSpace.regular(arity, depth)
     addresses = sorted(space.enumerate_regular(arity))
-    trial_seed = derive_seed(seed, ("tree", eps, tau, p_d), trial)
+    trial_seed = derive_seed(seed, "tree", eps, tau, p_d, trial)
     members = bernoulli_interests(
         addresses, p_d, derive_rng(trial_seed, "interests")
     )
@@ -529,7 +526,6 @@ def _tree_trial(task: Tuple) -> Optional[List[float]]:
         SimConfig(seed=trial_seed, loss_probability=eps),
         crash_schedule=schedule,
     )
-    worker_registry().counter("validate.tree", "trials").inc()
     return [report.delivery_ratio, report.false_reception_ratio]
 
 
@@ -577,7 +573,7 @@ def _scale_trial(task: Tuple) -> Optional[List[float]]:
             fanout=fanout, redundancy=redundancy, min_rounds_per_depth=2
         ),
         sim_config=SimConfig(
-            seed=derive_seed(seed, ("scale", arity, depth, eps, tau), trial),
+            seed=derive_seed(seed, "scale", arity, depth, eps, tau, trial),
             loss_probability=eps,
             crash_fraction=tau,
             max_rounds=64,
@@ -585,7 +581,6 @@ def _scale_trial(task: Tuple) -> Optional[List[float]]:
         event_id=1,
     )
     report = run_sharded_dissemination(spec)
-    worker_registry().counter("validate.scale", "trials").inc()
     if report.interested == 0:
         return None
     return [report.delivery_ratio, report.false_reception_ratio]
@@ -650,7 +645,7 @@ def _variant_trial(task: Tuple) -> List[float]:
     from repro.variants.lazy_pull import lazy_pull_broadcast
 
     eps, tau, trial, seed, arity, depth, fanout, p_d = task
-    trial_seed = derive_seed(seed, ("variants", eps, tau), trial)
+    trial_seed = derive_seed(seed, "variants", eps, tau, trial)
     space = AddressSpace.regular(arity, depth)
     addresses = sorted(space.enumerate_regular(arity))
     members = bernoulli_interests(
@@ -692,7 +687,6 @@ def _variant_trial(task: Tuple) -> List[float]:
         )
         out.append(bounded.delivery_ratio)
         out.append(bounded.false_reception_ratio)
-    worker_registry().counter("validate.variants", "trials").inc()
     return out
 
 

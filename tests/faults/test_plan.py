@@ -1,6 +1,8 @@
 """FaultPlan: clause validation, builders, serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addressing import Address, Prefix
 from repro.errors import FaultError
@@ -13,6 +15,39 @@ from repro.faults import (
     LossBurst,
     Partition,
     TargetedCrash,
+)
+
+#: JSON-shaped values, biased toward what a clause field could hold.
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "1.2", "3.1", "x.y", ""]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+FIELDS = [
+    "start", "end", "probability", "delay", "round", "count", "depth",
+    "prefix", "side_a", "side_b", "sender_prefix", "dest_prefix", "address",
+]
+TAGS = [
+    "loss_burst", "partition", "delay", "targeted_crash", "delegate_crash",
+    "depth_crash",
+]
+CLAUSES = st.builds(
+    lambda tag, rest: {**rest, "type": tag},
+    st.sampled_from(TAGS) | JSON,
+    st.dictionaries(st.sampled_from(FIELDS), JSON, max_size=5),
+)
+PLANS = JSON | st.builds(
+    lambda clauses, rest: {**rest, "clauses": clauses},
+    st.lists(CLAUSES | JSON, max_size=3) | JSON,
+    st.dictionaries(
+        st.sampled_from(["schema", "name"]), st.just(FAULT_SCHEMA) | JSON
+    ),
 )
 
 
@@ -127,3 +162,25 @@ class TestPlan:
             FaultPlan.from_json("not json")
         with pytest.raises(FaultError):
             FaultPlan.from_json("[1, 2]")
+
+    def test_non_object_and_unparseable_clauses_raise_fault_error(self):
+        for clause in (
+            5,
+            ["partition"],
+            {"type": ["partition"]},
+            {"type": "targeted_crash", "round": 1, "address": "x.y"},
+            {"type": "delegate_crash", "round": 1, "prefix": "a"},
+        ):
+            with pytest.raises(FaultError):
+                FaultPlan.from_dict({"clauses": [clause]})
+        with pytest.raises(FaultError):
+            FaultPlan.from_dict([])
+
+    @given(data=PLANS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_returns_a_plan_or_raises_fault_error(self, data):
+        try:
+            plan = FaultPlan.from_dict(data)
+        except FaultError:
+            return
+        assert isinstance(plan, FaultPlan)

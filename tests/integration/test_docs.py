@@ -71,22 +71,25 @@ class TestDesignDocConsistency:
         assert cited["EXPERIMENTS.md"] == set(REGISTRY)
 
     def test_module_inventory_exists(self):
+        # §3 "Package layout" lists every module of every subpackage,
+        # under its package, and nothing that does not exist.
         text = (ROOT / "DESIGN.md").read_text()
-        listed = re.findall(r"^\s{4}(\w+\.py)\s", text, re.MULTILINE)
-        package_dirs = {
-            "addressing", "interests", "membership", "core", "sim",
-            "analysis", "baselines", "bench", "obs", "faults",
+        layout = text.split("## 3. Package layout", 1)[1].split("```")[1]
+        listed, package = set(), None
+        for line in layout.splitlines():
+            heading = re.match(r"^  (\w+)/$", line)
+            if heading:
+                package = heading.group(1)
+            module = re.match(r"^    (\w+\.py)\s", line)
+            if module:
+                listed.add(f"{package}/{module.group(1)}")
+        modules = {
+            f"{path.parent.name}/{path.name}"
+            for path in (ROOT / "src" / "repro").glob("*/*.py")
+            if not path.name.startswith("__")
         }
-        missing = []
-        for name in listed:
-            hits = list((ROOT / "src" / "repro").rglob(name))
-            hits = [
-                h for h in hits
-                if h.parent.name in package_dirs or h.parent.name == "repro"
-            ]
-            if not hits:
-                missing.append(name)
-        assert not missing, f"DESIGN.md lists unknown modules: {missing}"
+        assert sorted(listed - modules) == [], "listed but missing"
+        assert sorted(modules - listed) == [], "not listed"
 
     def test_experiments_doc_mentions_every_figure(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()

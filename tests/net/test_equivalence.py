@@ -21,11 +21,12 @@ import sys
 
 import pytest
 
-from repro.addressing import AddressSpace
+from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
+from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.net import run_sim_dissemination
+from repro.net import run_sim_dissemination, udp
 from repro.net.scheduler import JitteredSchedule, StragglerSchedule
 from repro.obs import Observer, TraceLog
 from repro.par import TrialExecutor
@@ -217,6 +218,43 @@ class TestGoldenEquivalence:
             second, __ = sim_run(4, 3, loss=0.0, schedule=schedule)
             assert first == second
             assert first.received_total >= base.received_total - 3
+
+
+class TestPublisherIsCheckedFirst:
+    """Every driver refuses a publisher that is not a live member with
+    a :class:`SimulationError` — the UDP one before it binds a socket."""
+
+    DRIVERS = {
+        "engine": lambda group, publisher, event: run_dissemination(
+            group, publisher, event, SimConfig(seed=11)
+        ),
+        "event_loop": lambda group, publisher, event: run_sim_dissemination(
+            group, publisher, event, SimConfig(seed=11)
+        ),
+        "udp": lambda group, publisher, event: udp.run_udp_dissemination(
+            group, publisher, event, seed=11
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_sockets(self, monkeypatch):
+        def bind_sockets(*args):
+            raise AssertionError("the UDP run started")
+
+        monkeypatch.setattr(udp, "_run_udp", bind_sockets)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_non_member(self, driver):
+        group, __ = build_group(4, 2)
+        with pytest.raises(SimulationError, match="not in the group"):
+            self.DRIVERS[driver](group, Address((9, 9)), Event({}, event_id=1))
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_crashed(self, driver):
+        group, addresses = build_group(4, 2)
+        group.node(addresses[0]).alive = False
+        with pytest.raises(SimulationError, match="has crashed"):
+            self.DRIVERS[driver](group, addresses[0], Event({}, event_id=1))
 
 
 _SUBPROCESS_SNIPPET = """

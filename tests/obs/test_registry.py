@@ -109,7 +109,6 @@ class TestNullRegistry:
         registry.counter("x", "a").inc()
         registry.register_collector("x", lambda: {"boom": 1})
         assert registry.snapshot() == {}
-        assert registry.instruments() == []
 
     def test_registry_or_null(self):
         assert registry_or_null(None) is NULL_REGISTRY

@@ -20,7 +20,7 @@ from repro.par import (
     task_key,
 )
 from repro.par.checkpoint import run_fingerprint
-from repro.par.seeds import derive_rng
+from repro.sim.rng import derive_rng
 
 TASKS = [("p", rate, trial) for rate in (0.1, 0.5) for trial in range(4)]
 
@@ -31,7 +31,7 @@ _FAIL = set()
 def trial_fn(task):
     """A deterministic trial: a few draws from the task's own stream."""
     _, rate, trial = task
-    rng = derive_rng(11, ("chk", rate), trial)
+    rng = derive_rng(11, "chk", rate, trial)
     return {"rate": rate, "trial": trial, "value": rng.random()}
 
 
@@ -49,10 +49,9 @@ class TestResume:
             first = executor.run(trial_fn, TASKS, checkpoint=shard)
         with TrialExecutor(jobs=1) as executor:
             second = executor.run(trial_fn, TASKS, checkpoint=shard)
-            snapshot = executor.metrics.snapshot()["par"]
         assert second == first
-        assert snapshot["trials_resumed"] == len(TASKS)
-        assert snapshot["trials_run"] == 0
+        assert executor.trials_resumed == len(TASKS)
+        assert executor.trials_run == 0
 
     def test_kill_after_k_shards_then_resume_is_byte_identical(
         self, tmp_path
@@ -82,9 +81,8 @@ class TestResume:
         # uninterrupted run byte for byte.
         with TrialExecutor(jobs=1) as executor:
             resumed = executor.run(flaky_fn, TASKS, checkpoint=shard)
-            snapshot = executor.metrics.snapshot()["par"]
-        assert snapshot["trials_resumed"] == 5
-        assert snapshot["trials_run"] == 3
+        assert executor.trials_resumed == 5
+        assert executor.trials_run == 3
         assert json.dumps(resumed, sort_keys=True) == json.dumps(
             reference, sort_keys=True
         )
@@ -115,9 +113,8 @@ class TestResume:
             handle.write(raw[:-5])
         with TrialExecutor(jobs=1) as executor:
             resumed = executor.run(trial_fn, TASKS, checkpoint=shard)
-            snapshot = executor.metrics.snapshot()["par"]
         assert resumed == reference
-        assert snapshot["trials_run"] == 1  # only the damaged entry
+        assert executor.trials_run == 1  # only the damaged entry
 
 
 class TestCorruption:

@@ -18,8 +18,8 @@ from repro.interests.events import Event
 from repro.obs import TraceLog
 from repro.obs.cli import summarize_trace
 from repro.par import TrialExecutor
-from repro.par.seeds import derive_rng, derive_seed
 from repro.sim import PmcastGroup, bernoulli_interests, run_dissemination
+from repro.sim.rng import derive_rng, derive_seed
 from repro.validate import cli as validate_cli
 from repro.validate.harness import run_conformance
 
@@ -43,10 +43,10 @@ def trace_trial(task):
     which process produced the trace.
     """
     rate, trial = task
-    seed = derive_seed(17, ("trace", rate), trial)
+    seed = derive_seed(17, "trace", rate, trial)
     addresses = AddressSpace.regular(4, 3).enumerate_regular(4)
     members = bernoulli_interests(
-        addresses, rate, derive_rng(17, ("trace-interests", rate), trial)
+        addresses, rate, derive_rng(17, "trace-interests", rate, trial)
     )
     group = PmcastGroup.build(
         members, PmcastConfig(fanout=2, redundancy=2)
@@ -81,12 +81,15 @@ class TestSweepEquivalence:
         )
 
     def test_chunking_does_not_leak_into_results(self):
-        with TrialExecutor(jobs=1) as executor:
-            reference = reliability_sweep(executor=executor, **SWEEP)
-        for chunk_size in (1, 2, 5):
-            with TrialExecutor(jobs=2, chunk_size=chunk_size) as executor:
+        # Two workers take about four chunks each, so 6, 18 and 36
+        # tasks travel one, three and five to a chunk.
+        for trials in (3, 9, 18):
+            sweep = dict(SWEEP, trials=trials)
+            with TrialExecutor(jobs=1) as executor:
+                reference = reliability_sweep(executor=executor, **sweep)
+            with TrialExecutor(jobs=2) as executor:
                 assert reliability_sweep(
-                    executor=executor, **SWEEP
+                    executor=executor, **sweep
                 ) == reference
 
     def test_default_executor_matches_explicit_serial(self):
@@ -171,7 +174,7 @@ class TestTraceSummaryEquivalence:
         tasks = [(rate, trial) for rate in (0.2, 0.6) for trial in (0, 1)]
         with TrialExecutor(jobs=1) as executor:
             serial = executor.run(trace_trial, tasks)
-        with TrialExecutor(jobs=3, chunk_size=1) as executor:
+        with TrialExecutor(jobs=3) as executor:
             parallel = executor.run(trace_trial, tasks)
         assert json.dumps(parallel, sort_keys=True) == json.dumps(
             serial, sort_keys=True

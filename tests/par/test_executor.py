@@ -1,13 +1,10 @@
-"""TrialExecutor mechanics: ordering, chunking, metrics, failure modes."""
+"""TrialExecutor mechanics: ordering, chunking, dispatch counts, failures."""
 
 import pytest
 
 from repro.errors import ParallelError
 from repro.par import TrialExecutor, resolve_jobs
-from repro.par.merge import merge_delta, merge_deltas
-from repro.par.seeds import derive_rng
-from repro.par.worker import drain_metrics, worker_registry
-from repro.obs.registry import MetricsRegistry
+from repro.sim.rng import derive_rng
 
 
 def echo_fn(task):
@@ -16,15 +13,7 @@ def echo_fn(task):
 
 def draw_fn(task):
     rate, trial = task
-    return derive_rng(23, ("exec", rate), trial).random()
-
-
-def instrumented_fn(task):
-    registry = worker_registry()
-    registry.counter("t", "calls").inc()
-    registry.gauge("t", "last").set(task)
-    registry.histogram("t", "values", bounds=(1, 2, 4)).observe(task)
-    return task * task
+    return derive_rng(23, "exec", rate, trial).random()
 
 
 def failing_fn(task):
@@ -50,10 +39,6 @@ class TestResolveJobs:
         with pytest.raises(ParallelError):
             resolve_jobs(bad)
 
-    def test_bad_chunk_size(self):
-        with pytest.raises(ParallelError):
-            TrialExecutor(jobs=1, chunk_size=0)
-
 
 class TestOrdering:
     def test_results_in_task_order_serial(self):
@@ -61,9 +46,9 @@ class TestOrdering:
             assert executor.run(echo_fn, TASKS) == TASKS
 
     def test_results_in_task_order_pool(self):
-        # chunk_size=1 maximises scheduling nondeterminism: ten chunks
-        # racing over three workers, reassembled by index.
-        with TrialExecutor(jobs=3, chunk_size=1) as executor:
+        # Ten tasks over three workers is one task a chunk: ten chunks
+        # racing, reassembled by index.
+        with TrialExecutor(jobs=3) as executor:
             assert executor.run(echo_fn, TASKS) == TASKS
 
     def test_pool_matches_serial_for_seeded_trials(self):
@@ -108,7 +93,7 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_matches_the_old_slicing(self, jobs):
-        with TrialExecutor(jobs=jobs, chunk_size=1) as executor:
+        with TrialExecutor(jobs=jobs) as executor:
             grid = executor.run_grid(
                 draw_fn, self.POINTS, self.TRIALS, self.make_task
             )
@@ -141,10 +126,9 @@ class TestRunGrid:
                 self.make_task,
                 checkpoint=shard,
             )
-            snapshot = executor.metrics.snapshot()["par"]
         assert resumed == first
-        assert snapshot["trials_run"] == 0
-        assert snapshot["trials_resumed"] == len(self.POINTS) * self.TRIALS
+        assert executor.trials_run == 0
+        assert executor.trials_resumed == len(self.POINTS) * self.TRIALS
 
     def test_empty_grid(self):
         with TrialExecutor(jobs=1) as executor:
@@ -152,55 +136,13 @@ class TestRunGrid:
 
 
 class TestMetrics:
-    def _run(self, jobs):
-        with TrialExecutor(jobs=jobs) as executor:
-            executor.run(instrumented_fn, [1, 2, 3, 4, 5])
-            return executor.metrics.snapshot()
-
     def test_dispatch_counters_serial(self):
-        snapshot = self._run(1)["par"]
-        assert snapshot["trials_total"] == 5
-        assert snapshot["trials_run"] == 5
-        assert snapshot["trials_resumed"] == 0
-
-    def test_worker_metrics_merge_is_jobs_independent(self):
-        serial = self._run(1)
-        parallel = self._run(3)
-        # The dispatch bookkeeping legitimately differs (chunk count,
-        # jobs gauge); everything the trials recorded must not.
-        for snapshot in (serial, parallel):
-            snapshot["par"].pop("chunks_dispatched", None)
-            snapshot["par"].pop("jobs", None)
-        assert serial == parallel
-        assert serial["t"]["calls"] == 5
-        assert serial["t"]["values"]["count"] == 5
-
-    def test_gauge_merges_by_max(self):
-        assert self._run(3)["t"]["last"] == 5
-
-    def test_merge_deltas_order_independent(self):
-        deltas = []
-        for value in (1, 2, 3):
-            registry = worker_registry()
-            registry.counter("m", "n").inc(value)
-            registry.histogram("m", "h", bounds=(1, 2)).observe(value)
-            deltas.append(drain_metrics())
-        forward = MetricsRegistry()
-        merge_deltas(forward, deltas)
-        backward = MetricsRegistry()
-        merge_deltas(backward, list(reversed(deltas)))
-        assert forward.snapshot() == backward.snapshot()
-
-    def test_merge_delta_rejects_mismatched_bounds(self):
-        from repro.errors import ObservabilityError
-
-        registry = worker_registry()
-        registry.histogram("m", "h", bounds=(1, 2)).observe(1)
-        delta = drain_metrics()
-        target = MetricsRegistry()
-        target.histogram("m", "h", bounds=(5, 6))
-        with pytest.raises(ObservabilityError, match="bounds"):
-            merge_delta(target, delta)
+        with TrialExecutor(jobs=1) as executor:
+            executor.run(echo_fn, [1, 2, 3, 4, 5])
+            executor.run(echo_fn, [6, 7])
+        assert executor.trials_total == 7
+        assert executor.trials_run == 7
+        assert executor.trials_resumed == 0
 
 
 class TestFailures:

@@ -1,13 +1,15 @@
 """The seed-derivation contract (docs/VALIDATION.md, "Parallel execution").
 
-Three properties make parallel sweeps trustworthy, and each is pinned
-here: seeds are *injective* over distinct (grid point, trial) pairs,
-*stable* across runs, platforms and ``PYTHONHASHSEED`` values, and
-*independent* of call order and worker scheduling.  Golden values guard
-against any accidental change to the hash construction — changing them
-silently re-randomizes every published figure.
+A trial's seed is ``repro.sim.rng.derive_seed(root, *grid_point,
+trial)``.  Three properties make parallel sweeps trustworthy, and each
+is pinned here: seeds are *injective* over distinct (grid point, trial)
+pairs, *stable* across runs, platforms and ``PYTHONHASHSEED`` values,
+and *independent* of call order and worker scheduling.  Golden values
+guard against any accidental change to the hash construction — changing
+them silently re-randomizes every published figure.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -15,8 +17,7 @@ import sys
 
 from hypothesis import given, strategies as st
 
-from repro.par.seeds import derive_rng, derive_seed, normalize_grid_point
-from repro.sim.rng import derive_seed as labelled_derive_seed
+from repro.sim.rng import derive_rng, derive_seed
 
 #: Pinned (root_seed, grid_point, trial) -> seed values.  These MUST
 #: NOT change: every recorded figure table and conformance verdict was
@@ -25,7 +26,7 @@ GOLDEN = [
     ((0, ("flat", 0.05, 0.0), 0), 6741546571517483831),
     ((2002, ("tree", 0.05, 0.0, 0.2), 7), 17280391443641798245),
     ((42, ("interests", 0.1), 3), 7525971066502268185),
-    ((1, "x", 0), 15922116855202296023),
+    ((1, ("x",), 0), 15922116855202296023),
 ]
 
 label = st.one_of(
@@ -34,7 +35,6 @@ label = st.one_of(
     st.text(max_size=8),
 )
 grid_point = st.one_of(
-    label,
     st.tuples(label),
     st.tuples(label, label),
     st.tuples(label, label, label),
@@ -45,18 +45,17 @@ root = st.integers(min_value=0, max_value=2 ** 31)
 
 class TestGolden:
     def test_pinned_values(self):
-        for (args, expected) in GOLDEN:
-            assert derive_seed(*args) == expected
+        for ((root_seed, point, t), expected) in GOLDEN:
+            assert derive_seed(root_seed, *point, t) == expected
 
     def test_matches_historical_labelled_form(self):
-        # The facade must expand a grid-point tuple into exactly the
-        # label sequence the serial sweeps always passed.
-        assert derive_seed(7, ("flat", 0.05, 0.0), 3) == (
-            labelled_derive_seed(7, "flat", 0.05, 0.0, 3)
-        )
-        assert derive_seed(7, "solo", 0) == labelled_derive_seed(
-            7, "solo", 0
-        )
+        # The construction itself: SHA-256 over the repr of the label
+        # tuple, first eight bytes big-endian.
+        for ((root_seed, point, t), expected) in GOLDEN:
+            digest = hashlib.sha256(
+                repr((root_seed, *point, t)).encode("utf-8")
+            ).digest()
+            assert int.from_bytes(digest[:8], "big") == expected
 
 
 class TestStability:
@@ -64,8 +63,8 @@ class TestStability:
         # Two interpreters with different (fixed) hash seeds must agree
         # with each other and with this process.
         script = (
-            "from repro.par.seeds import derive_seed; "
-            "print(derive_seed(0, ('flat', 0.05, 0.0), 0))"
+            "from repro.sim.rng import derive_seed; "
+            "print(derive_seed(0, 'flat', 0.05, 0.0, 0))"
         )
         import repro
 
@@ -89,34 +88,32 @@ class TestStability:
 
     @given(root, grid_point, trial)
     def test_repeated_calls_agree(self, root_seed, point, t):
-        assert derive_seed(root_seed, point, t) == derive_seed(
-            root_seed, point, t
+        assert derive_seed(root_seed, *point, t) == derive_seed(
+            root_seed, *point, t
         )
 
     @given(root, grid_point, trial)
     def test_seed_is_64_bit(self, root_seed, point, t):
-        seed = derive_seed(root_seed, point, t)
+        seed = derive_seed(root_seed, *point, t)
         assert 0 <= seed < 2 ** 64
 
 
 class TestInjectivity:
     @given(root, grid_point, trial, grid_point, trial)
     def test_distinct_inputs_distinct_seeds(self, root_seed, p1, t1, p2, t2):
-        key1 = (normalize_grid_point(p1), t1)
-        key2 = (normalize_grid_point(p2), t2)
-        if repr(key1) == repr(key2):
-            assert derive_seed(root_seed, p1, t1) == derive_seed(
-                root_seed, p2, t2
+        if repr((*p1, t1)) == repr((*p2, t2)):
+            assert derive_seed(root_seed, *p1, t1) == derive_seed(
+                root_seed, *p2, t2
             )
         else:
-            assert derive_seed(root_seed, p1, t1) != derive_seed(
-                root_seed, p2, t2
+            assert derive_seed(root_seed, *p1, t1) != derive_seed(
+                root_seed, *p2, t2
             )
 
     @given(root, root, grid_point, trial)
     def test_distinct_roots_distinct_seeds(self, r1, r2, point, t):
         if r1 != r2:
-            assert derive_seed(r1, point, t) != derive_seed(r2, point, t)
+            assert derive_seed(r1, *point, t) != derive_seed(r2, *point, t)
 
 
 class TestSchedulingIndependence:
@@ -129,32 +126,32 @@ class TestSchedulingIndependence:
     def test_order_of_derivation_is_irrelevant(self, keys, shuffler):
         # Derive in task order, then in a shuffled "completion order":
         # the mapping is identical — seeds carry no call-sequence state.
-        in_order = {key: derive_seed(9, key[0], key[1]) for key in keys}
+        in_order = {key: derive_seed(9, *key[0], key[1]) for key in keys}
         shuffled = list(keys)
         shuffler.shuffle(shuffled)
         out_of_order = {
-            key: derive_seed(9, key[0], key[1]) for key in shuffled
+            key: derive_seed(9, *key[0], key[1]) for key in shuffled
         }
         assert in_order == out_of_order
 
     def test_interleaved_streams_do_not_couple(self):
-        lone = derive_rng(3, ("a",), 0).random()
-        rng_a = derive_rng(3, ("a",), 0)
-        rng_b = derive_rng(3, ("b",), 0)
+        lone = derive_rng(3, "a", 0).random()
+        rng_a = derive_rng(3, "a", 0)
+        rng_b = derive_rng(3, "b", 0)
         rng_b.random()  # advancing b must not perturb a
         assert rng_a.random() == lone
 
 
 class TestNormalization:
     def test_tuple_list_scalar_equivalence(self):
-        assert normalize_grid_point(("a", 0.5)) == ("a", 0.5)
-        assert normalize_grid_point(["a", 0.5]) == ("a", 0.5)
-        assert normalize_grid_point(0.5) == (0.5,)
-        assert derive_seed(1, [0.5], 2) == derive_seed(1, (0.5,), 2)
-        assert derive_seed(1, 0.5, 2) == derive_seed(1, (0.5,), 2)
+        # The retired grid-point form took a tuple, a list or a bare
+        # scalar and derived one seed for all three; spreading the point
+        # into labels reproduces that seed, so no stream moved.
+        assert derive_seed(1, 0.5, 2) == 9904427091299946893
+        assert derive_seed(1, "a", 0.5, 2) == 10632971044955286778
 
     def test_derive_rng_streams_match_seed(self):
-        seed = derive_seed(5, ("p", 0.1), 4)
-        assert derive_rng(5, ("p", 0.1), 4).random() == random.Random(
+        seed = derive_seed(5, "p", 0.1, 4)
+        assert derive_rng(5, "p", 0.1, 4).random() == random.Random(
             seed
         ).random()

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addressing import Address, AddressSpace
 from repro.addressing.allocation import AddressAllocator
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
 from repro.interests import Event, StaticInterest
+from repro.obs import MetricsRegistry, Observer
 from repro.sim.churn import (
     ChurnEvent,
     ChurnSchedule,
@@ -20,7 +23,7 @@ from repro.sim.runtime import GroupRuntime
 CONFIG = PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
 
 
-def make_runtime(arity=3, depth=2):
+def make_runtime(arity=3, depth=2, detector_timeout=10, observer=None):
     space = AddressSpace.regular(arity, depth)
     members = {
         address: StaticInterest(True)
@@ -28,9 +31,28 @@ def make_runtime(arity=3, depth=2):
     }
     runtime = GroupRuntime(
         members, config=CONFIG, sim_config=SimConfig(seed=23),
-        detector_timeout=10,
+        detector_timeout=detector_timeout, observer=observer,
     )
     return runtime, sorted(members), space
+
+
+#: Churn scripts over the 3^2 group plus a fourth, initially empty,
+#: subgroup: any action on any of 12 addresses in rounds 0-5.
+CHURN_SCRIPTS = st.lists(
+    st.builds(
+        lambda round_index, action, first, second: ChurnEvent(
+            round_index,
+            action,
+            Address((first, second)),
+            StaticInterest(True) if action == "join" else None,
+        ),
+        st.integers(0, 5),
+        st.sampled_from(["join", "leave", "crash"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    ),
+    max_size=16,
+)
 
 
 class TestRuntimeJoinLeave:
@@ -117,6 +139,50 @@ class TestChurnSchedule:
             [ChurnEvent(0, "leave", Address((9, 9)))]
         )
         assert schedule.apply(runtime, 0) == 0
+
+    def test_crash_after_leave_is_skipped(self):
+        runtime, addresses, __ = make_runtime()
+        schedule = ChurnSchedule(
+            [
+                ChurnEvent(0, "leave", addresses[0]),
+                ChurnEvent(1, "crash", addresses[0]),
+                ChurnEvent(1, "crash", Address((9, 9))),
+            ]
+        )
+        assert schedule.apply(runtime, 0) == 1
+        assert schedule.apply(runtime, 1) == 0
+        records = run_with_churn(
+            make_runtime()[0],
+            schedule,
+            [(2, addresses[1], Event({}, event_id=800))],
+            rounds=3,
+        )
+        assert records[0]["published"] is True
+
+    @given(script=CHURN_SCRIPTS)
+    @settings(max_examples=40, deadline=None)
+    def test_apply_counts_exactly_the_accepted_changes(self, script):
+        # The runtime's own membership counters are the referee: a
+        # change counts iff the runtime performed it.  A short detector
+        # timeout lets crashed members be excluded mid-script too.
+        registry = MetricsRegistry()
+        runtime, __, ___ = make_runtime(
+            detector_timeout=2, observer=Observer(registry=registry)
+        )
+        schedule = ChurnSchedule(script)
+
+        def performed():
+            counters = registry.snapshot()["membership"]
+            return sum(
+                counters.get(name, 0)
+                for name in ("joins", "leaves", "crashes")
+            )
+
+        for round_index in range(6):
+            before = performed()
+            applied = schedule.apply(runtime, round_index)
+            assert applied == performed() - before
+            runtime.step()
 
 
 class TestPoissonChurn:
