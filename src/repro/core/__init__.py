@@ -11,7 +11,7 @@ from repro.core.buffers import BufferedEvent, DepthBuffers
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
 from repro.core.node import PmcastNode
-from repro.core.rate import TableMatch, match_table
+from repro.core.rate import TableMatch, match_table, sample_positions
 from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
 from repro.core.tuning import choose_threshold, inflate_audience
 
@@ -26,6 +26,7 @@ __all__ = [
     "PmcastNode",
     "TableMatch",
     "match_table",
+    "sample_positions",
     "pittel_rounds",
     "loss_adjusted_rounds",
     "round_bound",

@@ -10,8 +10,8 @@ the bound itself is computed by the node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.interests.events import Event
@@ -21,24 +21,11 @@ __all__ = ["BufferedEvent", "DepthBuffers"]
 
 @dataclass(slots=True)
 class BufferedEvent:
-    """One ``(event, rate, round)`` triple of a gossip buffer.
-
-    The two trailing fields are a per-entry scratch cache for the
-    node's GOSSIP task: the candidate list (view entries minus self)
-    for the last :class:`~repro.core.rate.TableMatch` this entry was
-    gossiped under.  They are excluded from equality — two triples are
-    the same buffered state regardless of scratch contents.
-    """
+    """One ``(event, rate, round)`` triple of a gossip buffer."""
 
     event: Event
     rate: float
     round: int
-    cached_for: Optional[Any] = field(
-        default=None, repr=False, compare=False
-    )
-    cached_candidates: Optional[List[Any]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -146,7 +133,11 @@ class DepthBuffers:
         return len(self._located)
 
     def __iter__(self) -> Iterator[Tuple[int, BufferedEvent]]:
-        """Yield ``(depth, entry)`` pairs over all buffers, depth-ascending."""
+        """Yield ``(depth, entry)`` pairs over all buffers, depth-ascending.
+
+        Each buffer is snapshotted only when the walk reaches it, so an
+        entry demoted mid-walk is yielded again at its new depth.
+        """
         for index, bucket in enumerate(self._buffers, start=1):
             for entry in list(bucket.values()):
                 yield index, entry

@@ -18,7 +18,10 @@ The cache has two layers, with different lifetimes:
   list, so it dies with the table *state*: any mutation advances
   :attr:`~repro.membership.views.ViewTable.cache_token` and thereby
   invalidates only that table's entries — churn on one prefix path no
-  longer cold-starts matching for the whole group.
+  longer cold-starts matching for the whole group.  The Figure 3 line 7
+  round bounds are memoized on the match itself
+  (:meth:`~repro.core.rate.TableMatch.round_bound`), so they share this
+  lifetime.
 """
 
 from __future__ import annotations
@@ -115,9 +118,6 @@ class GossipContext:
         self._tables: Dict[int, Tuple[int, Dict[int, TableMatch]]] = {}
         # (interest fingerprint, event_id) -> verdict.
         self._verdicts: Dict[Tuple[int, int], bool] = {}
-        # Round-bound memo, keyed (table token, rate, config); owned
-        # here because bounds share the table-state lifetime.
-        self._bounds: Dict[Tuple[int, float, object], int] = {}
         self._stats = CacheStats()
         if registry is not None:
             registry.register_collector(
@@ -128,10 +128,10 @@ class GossipContext:
         """A sibling sharing this context's match cache, owning ``rng``.
 
         For drivers whose processes do not share a random stream (the
-        UDP runtime): table matches, verdicts, round bounds and their
-        counters depend only on (table state, event), never on who asks,
-        so every process of a run reads and fills the same memos while
-        drawing destinations from its own stream.
+        UDP runtime): table matches (round bounds included), verdicts
+        and their counters depend only on (table state, event), never
+        on who asks, so every process of a run reads and fills the same
+        memos while drawing destinations from its own stream.
         """
         sibling = copy.copy(self)
         sibling.rng = rng
@@ -176,23 +176,6 @@ class GossipContext:
         else:
             self._stats.table_hits += 1
         return match
-
-    def round_bound_memo(
-        self, table: ViewTable, rate: float, config: object, compute
-    ) -> int:
-        """Memoize a per-(table state, rate, config) round bound.
-
-        The Figure 3 line 7 bound depends only on the table's entry
-        count, the propagated rate and static config, so it is constant
-        per table state; nodes recomputing it every round for every
-        buffered event go through here instead.
-        """
-        key = (table.cache_token, rate, config)
-        bound = self._bounds.get(key)
-        if bound is None:
-            bound = compute()
-            self._bounds[key] = bound
-        return bound
 
     def invalidate_table(self, table: ViewTable) -> None:
         """Drop memos for one table only.

@@ -40,8 +40,7 @@ from repro.config import PmcastConfig
 from repro.core.buffers import BufferedEvent, DepthBuffers
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
-from repro.core.rate import TableMatch
-from repro.core.rounds import depth_round_bound
+from repro.core.rate import TableMatch, sample_positions
 from repro.errors import ProtocolError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
@@ -303,25 +302,23 @@ class PmcastNode:
         if not self.alive or self._buffers.is_empty:
             return []
         out: List[Envelope] = []
-        # Walk all depths, not a snapshot of the populated ones: a
-        # demotion at depth i must be gossiped at depth i+1 within this
-        # same firing (Figure 3's in-place loop).
-        for depth in range(1, self._tree_depth + 1):
-            for entry in self._buffers.entries(depth):
-                match = ctx.table_match(self._views[depth], entry.event)
-                if self._try_leaf_flood(depth, entry, match, out):
-                    continue
-                bound = self._round_bound(depth, entry.rate, ctx)
-                if entry.round < bound:
-                    entry.round += 1
-                    self._emit_gossips(depth, entry, match, ctx, out)
-                elif depth < self._tree_depth:
-                    next_match = ctx.table_match(
-                        self._views[depth + 1], entry.event
-                    )
-                    self._buffers.demote(depth, entry.event, next_match.rate)
-                else:
-                    self._buffers.remove(depth, entry.event)
+        views = self._views
+        leaf = self._tree_depth
+        config = self._config
+        # A buffer is snapshotted only when the walk reaches it, so a
+        # demotion is seen at its new depth.
+        for depth, entry in self._buffers:
+            match = ctx.table_match(views[depth], entry.event)
+            if depth == leaf and match.rate >= config.leaf_flood_threshold:
+                self._leaf_flood(depth, entry, match, out)
+            elif entry.round < match.round_bound(entry.rate, config):
+                entry.round += 1
+                self._emit_gossips(depth, entry, match, ctx, out)
+            elif depth < leaf:
+                next_match = ctx.table_match(views[depth + 1], entry.event)
+                self._buffers.demote(depth, entry.event, next_match.rate)
+            else:
+                self._buffers.remove(depth, entry.event)
         self._messages_sent += len(out)
         return out
 
@@ -334,25 +331,6 @@ class PmcastNode:
             self._delivered.append(event)
             self._delivered_ids.add(event.event_id)
 
-    def _round_bound(
-        self, depth: int, rate: float, ctx: GossipContext
-    ) -> int:
-        """Line 7: ``T(|view[depth]|·R·rate, F·rate)`` as an integer bound.
-
-        Constant per (table state, rate, config), so the shared context
-        memoizes it — every process of a subgroup would otherwise
-        recompute the identical Pittel estimate every round.
-        """
-        table = self._views[depth]
-        return ctx.round_bound_memo(
-            table,
-            rate,
-            self._config,
-            lambda: depth_round_bound(
-                table.entry_count, rate, self._config
-            ),
-        )
-
     def _emit_gossips(
         self,
         depth: int,
@@ -361,53 +339,50 @@ class PmcastNode:
         ctx: GossipContext,
         out: List[Envelope],
     ) -> None:
-        """Lines 9–14: draw F destinations, send to the interested ones."""
-        # The candidate list is fixed per (entry, match); matches are
-        # memoized per table state, so identity-checking the match
-        # makes the scratch cache exactly as fresh as the view.
-        if entry.cached_for is match:
-            candidates = entry.cached_candidates
-        else:
-            candidates = [
-                address
-                for address in match.entries
-                if address != self._address
-            ]
-            entry.cached_for = match
-            entry.cached_candidates = candidates
-        if not candidates:
-            return
-        message = GossipMessage(
-            event=entry.event,
-            rate=entry.rate,
-            round=entry.round,
-            depth=depth,
-            sender=self._address,
-        )
-        count = min(self._config.fanout, len(candidates))
-        for destination in ctx.rng.sample(candidates, count):
-            if match.is_interested(destination):
-                out.append(Envelope(destination, message))
+        """Lines 9–14: draw F destinations, send to the interested ones.
 
-    def _try_leaf_flood(
+        The F draws are positions over the view minus ourselves: the
+        ``random.sample`` of a candidate list, made without building
+        one (entries past our own position shift up by one), and line
+        13's check reads the match's verdict mask.
+        """
+        own = match.positions.get(self._address, -1)
+        size = len(match.entries) - (own >= 0)
+        if not size:
+            return
+        entries = match.entries
+        mask = match.mask
+        message = None  # built at the first interested draw, if any
+        count = min(self._config.fanout, size)
+        for j in sample_positions(ctx.rng._randbelow, size, count):
+            if 0 <= own <= j:
+                j += 1
+            if mask[j]:
+                if message is None:
+                    message = GossipMessage(
+                        event=entry.event,
+                        rate=entry.rate,
+                        round=entry.round,
+                        depth=depth,
+                        sender=self._address,
+                    )
+                out.append(Envelope(entries[j], message))
+
+    def _leaf_flood(
         self,
         depth: int,
         entry: BufferedEvent,
         match: TableMatch,
         out: List[Envelope],
-    ) -> bool:
+    ) -> None:
         """§6 extension 1: flood a leaf subgroup dense with interest.
 
-        When enabled (threshold <= 1) and the leaf matching rate reaches
-        the threshold, the event is sent once to every interested
-        neighbor and retired locally.  Receivers flood once themselves
-        (first buffering) and then retire too, so a leaf subgroup costs
-        at most one message per (holder, neighbor) pair.
+        Taken (threshold <= 1) when the leaf matching rate reaches the
+        threshold: the event is sent once to every interested neighbor
+        and retired locally.  Receivers flood once themselves (first
+        buffering) and then retire too, so a leaf subgroup costs at
+        most one message per (holder, neighbor) pair.
         """
-        if depth != self._tree_depth:
-            return False
-        if match.rate < self._config.leaf_flood_threshold:
-            return False
         message = GossipMessage(
             event=entry.event,
             rate=entry.rate,
@@ -419,7 +394,6 @@ class PmcastNode:
             if destination != self._address:
                 out.append(Envelope(destination, message))
         self._buffers.remove(depth, entry.event)
-        return True
 
     def shortcut_depth(self, event: Event) -> int:
         """§3.2: the depth a publish of ``event`` starts at — root depths

@@ -9,24 +9,35 @@ susceptible *on behalf of* the processes it represents (§3.1).
 :func:`match_table` also applies the §5.3 tuning: when fewer than ``h``
 entries are interested, the first ``h`` entries of the view are treated
 as interested as well (see :mod:`repro.core.tuning`).
+
+A :class:`TableMatch` also carries its flat form — entry positions, the
+per-entry verdict mask and a round-bound memo — which is what a GOSSIP
+firing reads: lines 9–14 draw F *positions* with
+:func:`sample_positions` (CPython's ``random.sample`` over
+``range(n)``), so the scalar step and the compat kernel
+(:mod:`repro.sim.vector`) consume a stream identically without ever
+building a candidate list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Tuple
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.addressing import Address
+from repro.config import PmcastConfig
+from repro.core.rounds import depth_round_bound
 from repro.core.tuning import inflate_audience
 from repro.errors import ProtocolError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
-__all__ = ["TableMatch", "match_table"]
+__all__ = ["TableMatch", "match_table", "sample_positions"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableMatch:
     """The outcome of matching one event against one view table.
 
@@ -40,6 +51,12 @@ class TableMatch:
         rate: the effective matching rate ``|matching| / |entries|``
             used for the round bound and propagated in gossips.
         inflated: True when the §5.3 tuning kicked in.
+        positions: entry -> its index in ``entries``.
+        mask: per entry, whether it is in ``matching`` (line 13's check
+            by position).
+
+    ``positions``, ``mask`` and the :meth:`round_bound` memo are derived
+    once per match and take no part in equality or hashing.
     """
 
     entries: Tuple[Address, ...]
@@ -47,6 +64,23 @@ class TableMatch:
     natural_hits: int
     rate: float
     inflated: bool
+    positions: Dict[Address, int] = field(
+        init=False, repr=False, compare=False
+    )
+    mask: Tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _bounds: Dict[float, int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        entries = self.entries
+        object.__setattr__(
+            self, "positions", dict(zip(entries, range(len(entries))))
+        )
+        object.__setattr__(
+            self, "mask", tuple(map(self.matching.__contains__, entries))
+        )
+        object.__setattr__(self, "_bounds", {})
 
     @property
     def total(self) -> int:
@@ -56,6 +90,62 @@ class TableMatch:
     def is_interested(self, address: Address) -> bool:
         """True if ``address`` should be sent the event (line 13)."""
         return address in self.matching
+
+    def round_bound(self, rate: float, config: PmcastConfig) -> int:
+        """Line 7: ``T(|entries|·rate, F·rate)`` for an entry buffered
+        at ``rate``, memoized per rate.
+
+        The bound depends on the table only through its entry count, so
+        it lives as long as this match.  A match is cached by one run's
+        :class:`~repro.core.context.GossipContext`, whose processes
+        share one ``config``; the memo is keyed by the rate alone.
+        """
+        bound = self._bounds.get(rate)
+        if bound is None:
+            bound = depth_round_bound(len(self.entries), rate, config)
+            self._bounds[rate] = bound
+        return bound
+
+
+def sample_positions(randbelow, n: int, k: int) -> List[int]:
+    """Draw ``k`` distinct positions from ``range(n)``, mirroring
+    ``random.Random.sample``.
+
+    This is CPython's ``Random.sample`` with the population replaced by
+    positions: the same ``setsize`` heuristic, the same pool-shuffle /
+    selection-set branches, the same number and order of
+    ``_randbelow`` draws.  Because ``sample`` only consumes randomness
+    as a function of ``(len(population), k)``, feeding the same
+    underlying ``Random`` through this mirror yields positions ``j``
+    such that ``population[j]`` reproduces ``sample(population, k)``
+    element for element.
+
+    Raises:
+        ValueError: if ``k`` is negative or larger than ``n``, as
+            ``random.sample`` does.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} of {n} positions")
+    result = [0] * k
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = randbelow(n - i)
+            result[i] = pool[j]
+            pool[j] = pool[n - i - 1]
+    else:
+        selected = set()
+        selected_add = selected.add
+        for i in range(k):
+            j = randbelow(n)
+            while j in selected:
+                j = randbelow(n)
+            selected_add(j)
+            result[i] = j
+    return result
 
 
 def _direct_verdict(interest: Interest, event: Event) -> bool:

@@ -398,6 +398,10 @@ class GroupRuntime:
         self._obs.emit(self._round, "join", address)
         self._refresh_path(address, cause="join")
         self._wire(address)
+        node = self._nodes[address]
+        if node.alive and not node.is_idle:
+            # A wrongly excluded process comes back still buffering.
+            self._active.add(address)
         self._watch_neighbors([address])
         slot_of = self._contacts.slot_of
         live = [slot_of[neighbor] for neighbor in self._live_neighbors(address)]
@@ -494,12 +498,14 @@ class GroupRuntime:
 
         Only buffered nodes are visited (in their stable join order,
         the sender sequence a scan over every node would give the
-        shared gossip RNG); idle nodes drop off the set.
+        shared gossip RNG); idle nodes drop off the set, and so does a
+        live process excluded while buffering (:meth:`join` re-adds it).
         """
         envelopes: List[Envelope] = []
         for address in sorted(self._active, key=self._node_seq.__getitem__):
             node = self._nodes[address]
             if not node.alive or address not in self._tree:
+                self._active.discard(address)
                 continue
             for __ in range(self._fires_for(address)):
                 envelopes.extend(node.gossip_step(self._ctx))

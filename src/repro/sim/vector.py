@@ -6,8 +6,9 @@ Two kernels live here, with different contracts:
 implementation of :func:`repro.sim.engine.run_dissemination`'s round
 loop over dense integer indices instead of the per-member object model.
 It consumes the *same* ``random.Random`` streams in the *same* order as
-the scalar engine (destination draws via a position-level mirror of
-CPython's ``random.sample``, loss draws via
+the scalar engine (destination draws via the scalar step's own
+:func:`~repro.core.rate.sample_positions` over the same flat
+:class:`~repro.core.rate.TableMatch`, loss draws via
 :meth:`~repro.sim.network.LossyNetwork.transmit_flags`), so its
 :class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
 scalar path's for any eligible run — and so is its trace: the kernel
@@ -45,7 +46,6 @@ iterates arrays or insertion-ordered lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, List, Optional, Tuple
@@ -55,7 +55,7 @@ import numpy as np
 from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.rounds import depth_round_bound
+from repro.core.rate import sample_positions
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.probes import NULL_OBSERVER, Observer
@@ -69,7 +69,6 @@ from repro.sim.rng import derive_seed
 
 __all__ = [
     "VectorUnsupported",
-    "sample_positions",
     "try_run_vectorized",
     "RegularTreeSpec",
     "ShardState",
@@ -83,80 +82,28 @@ class VectorUnsupported(SimulationError):
 
 
 # ---------------------------------------------------------------------------
-# The random.sample mirror.
-# ---------------------------------------------------------------------------
-
-def sample_positions(randbelow, n: int, k: int) -> List[int]:
-    """Draw ``k`` distinct positions from ``range(n)``, mirroring
-    ``random.Random.sample``.
-
-    This is CPython's ``Random.sample`` with the population replaced by
-    positions: the same ``setsize`` heuristic, the same pool-shuffle /
-    selection-set branches, the same number and order of
-    ``_randbelow`` draws.  Because ``sample`` only consumes randomness
-    as a function of ``(len(population), k)``, feeding the same
-    underlying ``Random`` through this mirror yields positions ``j``
-    such that ``population[j]`` reproduces ``sample(population, k)``
-    element for element — the keystone of the compat kernel's
-    bit-for-bit digest equality with the scalar engine.
-    """
-    result = [0] * k
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            j = randbelow(n - i)
-            result[i] = pool[j]
-            pool[j] = pool[n - i - 1]
-    else:
-        selected = set()
-        selected_add = selected.add
-        for i in range(k):
-            j = randbelow(n)
-            while j in selected:
-                j = randbelow(n)
-            selected_add(j)
-            result[i] = j
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Compat kernel: bit-identical to the scalar engine.
 # ---------------------------------------------------------------------------
 
 class _DepthMatch:
-    """One (view table, event) match flattened to dense indices.
+    """One (view table, event) match in dense member indices.
 
-    The struct-of-arrays image of :class:`repro.core.rate.TableMatch`:
-    ``entries`` holds member indices in view order, ``mask`` the
-    effective (post-§5.3) interest verdict per entry, ``pos`` the
-    inverse mapping for self-exclusion.  ``bounds`` memoizes the
-    Figure 3 line 7 round bound per propagated rate — the same
-    (entry count, rate, config) function the scalar context memoizes.
+    The index-space image of a :class:`repro.core.rate.TableMatch`,
+    kept as ``match`` (whose ``mask``, ``rate`` and ``round_bound``
+    memo the round loop reads as they are): ``entries`` holds member
+    indices in view order, ``pos`` the inverse mapping for
+    self-exclusion (int keys: cheaper to probe than the match's
+    address-keyed ``positions``), ``flood_targets`` the §6 leaf-flood
+    recipients.
     """
 
-    __slots__ = (
-        "entries", "mask", "pos", "rate", "entry_count",
-        "flood_targets", "bounds",
-    )
+    __slots__ = ("match", "entries", "pos", "flood_targets")
 
-    def __init__(self, entries, mask, pos, rate, flood_targets):
+    def __init__(self, match, entries, pos, flood_targets):
+        self.match = match
         self.entries = entries
-        self.mask = mask
         self.pos = pos
-        self.rate = rate
-        self.entry_count = len(entries)
         self.flood_targets = flood_targets
-        self.bounds: Dict[float, int] = {}
-
-    def bound_for(self, rate: float, config: PmcastConfig) -> int:
-        bound = self.bounds.get(rate)
-        if bound is None:
-            bound = depth_round_bound(self.entry_count, rate, config)
-            self.bounds[rate] = bound
-        return bound
 
 
 class _CompatSpec:
@@ -221,14 +168,7 @@ def _build_compat_spec(
                         if entry_index is None:
                             return None
                         entries.append(entry_index)
-                    mask = [
-                        entry_address in match.matching
-                        for entry_address in match.entries
-                    ]
-                    pos = {
-                        entry: position
-                        for position, entry in enumerate(entries)
-                    }
+                    pos = dict(zip(entries, range(len(entries))))
                     if depth == tree_depth and can_flood:
                         flood_targets = [
                             index_of[target]
@@ -237,9 +177,7 @@ def _build_compat_spec(
                         ]
                     else:
                         flood_targets = []
-                    flat = _DepthMatch(
-                        entries, mask, pos, match.rate, flood_targets
-                    )
+                    flat = _DepthMatch(match, entries, pos, flood_targets)
                     matches[key] = flat
                 per_depth.append(flat)
             node_matches.append(tuple(per_depth))
@@ -324,7 +262,7 @@ def try_run_vectorized(
     buf_round = [0] * n
     buf_rate = [0.0] * n
     buf_depth[pub] = publish_depth
-    buf_rate[pub] = node_matches[pub][publish_depth - 1].rate
+    buf_rate[pub] = node_matches[pub][publish_depth - 1].match.rate
     sent_count = [0] * n
     recv_count = [0] * n
 
@@ -398,10 +336,8 @@ def try_run_vectorized(
                 emitted = 0
                 while True:
                     flat = matches_i[depth - 1]
-                    if (
-                        depth == tree_depth
-                        and flat.rate >= flood_threshold
-                    ):
+                    match = flat.match
+                    if depth == tree_depth and match.rate >= flood_threshold:
                         # §6 leaf flood: round NOT incremented, retire.
                         for target in flat.flood_targets:
                             if target != i:
@@ -411,14 +347,13 @@ def try_run_vectorized(
                                 emitted += 1
                         depth = 0
                         break
-                    bound = flat.bound_for(entry_rate, config)
-                    if entry_round < bound:
+                    if entry_round < match.round_bound(entry_rate, config):
                         entry_round += 1
+                        entries = flat.entries
                         selfpos = flat.pos.get(i, -1)
-                        m = flat.entry_count - (1 if selfpos >= 0 else 0)
+                        m = len(entries) - (selfpos >= 0)
                         if m > 0:
-                            entries = flat.entries
-                            mask = flat.mask
+                            mask = match.mask
                             count = fanout if fanout < m else m
                             for j in sample_positions(randbelow, m, count):
                                 if selfpos >= 0 and j >= selfpos:
@@ -435,7 +370,7 @@ def try_run_vectorized(
                     elif depth < tree_depth:
                         depth += 1
                         entry_round = 0
-                        entry_rate = matches_i[depth - 1].rate
+                        entry_rate = matches_i[depth - 1].match.rate
                     else:
                         depth = 0
                         break

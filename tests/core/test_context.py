@@ -3,9 +3,12 @@
 import random
 
 from repro.addressing import Address, Prefix
-from repro.core import GossipContext
+from repro.config import PmcastConfig
+from repro.core import GossipContext, rate
 from repro.interests import Event, StaticInterest
 from repro.membership import ViewRow, ViewTable
+
+CONFIG = PmcastConfig(fanout=2, redundancy=1)
 
 
 def make_table():
@@ -115,44 +118,48 @@ class TestKeyedCache:
         assert snapshot["table_hits"] == 1
         assert snapshot["invalidations"] == 0
 
-    def test_round_bound_memo_per_table_state(self):
+    def test_round_bound_memo_per_table_state(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            rate, "depth_round_bound", lambda *args: calls.append(args) or 7
+        )
         context = GossipContext(random.Random(0))
         table = make_table()
-        calls = []
-        bound = context.round_bound_memo(
-            table, 1.0, "cfg", lambda: calls.append(1) or 7
-        )
-        again = context.round_bound_memo(
-            table, 1.0, "cfg", lambda: calls.append(1) or 7
-        )
-        assert bound == again == 7
-        assert len(calls) == 1
+        event = Event({})
+        match = context.table_match(table, event)
+        assert match.round_bound(1.0, CONFIG) == 7
+        assert context.table_match(table, event).round_bound(1.0, CONFIG) == 7
+        assert calls == [(4, 1.0, CONFIG)]
+        match.round_bound(0.5, CONFIG)
+        assert len(calls) == 2                  # one entry per rate
         table.upsert(
             ViewRow(9, (Address((0, 9)),), StaticInterest(True), 1)
         )
-        context.round_bound_memo(
-            table, 1.0, "cfg", lambda: calls.append(1) or 9
-        )
-        assert len(calls) == 2
+        context.table_match(table, event).round_bound(1.0, CONFIG)
+        assert calls[-1] == (5, 1.0, CONFIG)    # a new table state
 
 
 class TestFork:
-    def test_siblings_share_the_match_cache(self):
+    def test_siblings_share_the_match_cache(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            rate, "depth_round_bound", lambda *args: calls.append(args) or 7
+        )
         root = GossipContext(random.Random(0), threshold_h=4)
         left = root.fork(random.Random(1))
         right = root.fork(random.Random(2))
         table = make_table()
         event = Event({})
-        match = left.table_match(table, event)
-        assert right.table_match(table, event) is match
-        assert root.table_match(table, event) is match
+        left_match, right_match, root_match = (
+            context.table_match(table, event)
+            for context in (left, right, root)
+        )
+        match = left_match
+        assert right_match is match and root_match is match
         assert match.inflated                   # the threshold came along
-        calls = []
-        for context in (left, right, root):
-            bound = context.round_bound_memo(
-                table, 1.0, "cfg", lambda: calls.append(1) or 7
-            )
-            assert bound == 7
+        # The round bounds ride on the shared match: computed once.
+        for sibling_match in (left_match, right_match, root_match):
+            assert sibling_match.round_bound(1.0, CONFIG) == 7
         assert len(calls) == 1
         # A structurally identical table: every verdict is a shared hit.
         verdict_misses = root.cache_stats.verdict_misses

@@ -233,6 +233,39 @@ class TestActiveSetScheduling:
         runtime.crash(addresses[0])
         assert runtime.active_count == infected - 1
 
+    def test_a_wrongly_excluded_buffering_process_leaves_the_set(self):
+        # Heavy loss and a hair-trigger detector convict live processes,
+        # some of them while they still buffer the event.
+        space = AddressSpace.regular(5, 3)
+        members = {
+            address: StaticInterest(True)
+            for address in space.enumerate_regular(5)
+        }
+        runtime = GroupRuntime(
+            members,
+            config=PmcastConfig(fanout=2, redundancy=2),
+            sim_config=SimConfig(seed=0, loss_probability=0.3),
+            detector_timeout=2,
+            exclusion_quorum=1,
+        )
+        addresses = sorted(members)
+        runtime.publish(addresses[0], Event({}, event_id=1))
+        assert runtime.run_until_idle(max_rounds=200) < 200
+        assert runtime.active_count == 0
+        stranded = [
+            address
+            for address in addresses
+            if address not in runtime.tree
+            and runtime.node(address).alive
+            and not runtime.node(address).is_idle
+        ]
+        assert stranded
+        # Back through join(), such a process gossips its buffer out.
+        runtime.join(stranded[0], StaticInterest(True))
+        assert runtime.active_count == 1
+        assert runtime.run_until_idle(max_rounds=200) > 0
+        assert runtime.node(stranded[0]).is_idle
+
     def test_both_modes_identical_through_churn(self):
         """The active-set walk gives what a scan of every node gave.
 

@@ -51,7 +51,7 @@ from repro.sim import (
     run_shard_wave,
 )
 from repro.sim import vector
-from repro.sim.vector import sample_positions
+from repro.core.rate import sample_positions
 
 
 class TestSamplePositions:
@@ -72,6 +72,19 @@ class TestSamplePositions:
                 random.Random(seed)._randbelow, n, k
             )
             assert mirrored == expected
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (0, 1), (5, -1), (30, 31)])
+    def test_rejects_impossible_sizes_like_random_sample(self, n, k):
+        # A draw below 1 would spin for ever on a real stream
+        # (getrandbits(0) is always 0); the stub fails it instead.
+        def randbelow(bound):
+            assert bound > 0, f"randbelow({bound})"
+            return 0
+
+        with pytest.raises(ValueError):
+            random.Random(0).sample(range(n), k)
+        with pytest.raises(ValueError):
+            sample_positions(randbelow, n, k)
 
 
 def _build_group(config, seed=11, arity=4, depth=3):
