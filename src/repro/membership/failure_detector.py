@@ -227,6 +227,18 @@ class ContactTable:
         self._leaf_slots[leaf, col] = slot
         return slot
 
+    def by_leaf(self, slots: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``slots`` grouped by leaf subgroup, in component order within
+        each leaf; then, per slot of ``slots``, where its leaf starts in
+        that order, its own place in its leaf and its leaf's count."""
+        leaf = self._leaf[slots]
+        order = np.lexsort((self._last[slots], leaf))
+        counts = np.bincount(leaf)
+        base = (np.cumsum(counts) - counts)[leaf]
+        place = np.empty(len(slots), np.int64)
+        place[order] = np.arange(len(slots))
+        return slots[order], base, place - base, counts[leaf]
+
     def _mates(self, slots) -> np.ndarray:
         """The slots of each one's leaf, -1 padded (itself included)."""
         return self._leaf_slots[self._leaf[slots]]

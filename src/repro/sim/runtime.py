@@ -36,8 +36,9 @@ order — the same order the full scan would use.
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
-from operator import is_not
+from array import array
+from itertools import chain, compress, count, repeat
+from operator import getitem, is_not
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -52,7 +53,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
-from repro.membership.failure_detector import ContactTable
+from repro.membership.failure_detector import ContactTable, _fit
 from repro.membership.gossip_pull import (
     _ADDR_TOKENS,
     _CACHE_TOKENS,
@@ -70,6 +71,9 @@ from repro.sim.rng import derive_rng
 from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime"]
+
+#: The runtime's arrays with one row per slot, grown together.
+_PER_SLOT = ("_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_len", "_crashed_flag")
 
 
 class GroupRuntime:
@@ -161,10 +165,13 @@ class GroupRuntime:
         # sync iff their tokens agree wherever their prefixes do, so a
         # round's pulls are sorted out in one array compare.  The tokens
         # are those of the ``_seq`` tuple kept beside them (a replica
-        # replaces the tuple whenever it changes a table).
-        self._tokens = np.zeros((0, self._tree.depth), np.int64)
+        # replaces the tuple whenever it changes a table).  Beside them,
+        # the tables' addresses_tokens, which the far-peer pools key on.
+        depth = self._tree.depth
+        self._tokens = np.zeros((0, depth), np.int64)
+        self._addr_tokens = np.zeros((0, depth), np.int64)
         self._tokens_of: List[Optional[tuple]] = []
-        self._prefix_ids = np.zeros((0, self._tree.depth), np.int64)
+        self._prefix_ids = np.zeros((0, depth), np.int64)
         self._prefix_id: Dict[Prefix, int] = {}
         # Materialized with the first accusation, so registry snapshots
         # show the counters in exactly the runs that accuse.
@@ -180,20 +187,20 @@ class GroupRuntime:
         self._active: Set[Address] = set()
         self._node_seq: Dict[Address, int] = {}
         self._wire_seq = 0
-        # Derived-state caches.  _membership_changed() drops the live
-        # member snapshot (_live) and the changed leaf subgroup's
-        # live-neighbor lists; the per-member far-peer pools are
-        # validated against the replica's addresses_token tuple on every
-        # lookup (anti-entropy changes the known peer set mid-run) and
-        # dropped by _drop_far_pools() only where a liveness change can
-        # show.
-        self._live_cache: Optional[
-            Tuple[List[Address], np.ndarray, np.ndarray]
-        ] = None
-        self._neighbors_cache: Dict[Address, List[Address]] = {}
-        self._far_cache: Dict[
-            Address, Tuple[Tuple[int, ...], List[Address]]
-        ] = {}
+        # The live snapshot (_live), dropped at every membership change,
+        # is read off two arrays kept up to date here: the tree members'
+        # slots in member order (a dict used as an ordered set) and a
+        # per-slot crashed flag (_crashed by slot).
+        self._live_cache: Optional[Tuple[np.ndarray, ...]] = None
+        self._member_slots: Dict[int, None] = {}
+        self._crashed_flag = np.zeros(0, bool)
+        # Far-peer pools by slot: the live peers the replica's tables
+        # list (int32 slots) and the _addr_tokens row they were built
+        # from, -1 once _drop_far_pools() or _exclude() dropped them.  A
+        # pool is current iff that row is the replica's row now.
+        self._far_pool: List[Optional[array]] = []
+        self._far_len = np.zeros(0, np.int64)
+        self._far_from = np.full((0, depth), -1, np.int64)
         # The shallowest depth at which a shared table ever listed an
         # address as a delegate (absent: only its own leaf-table row,
         # depth d).  Monotone — replicas may still hold a row the
@@ -202,9 +209,7 @@ class GroupRuntime:
         # Addresses whose replica was torn down by leave() and never
         # re-wired.  Every address a table can mention was wired once
         # (tables only describe members), so "peer has a live replica"
-        # is exactly "peer not in _unwired" — and while this set is
-        # empty (no leaves in flight) the far-peer pool filter is the
-        # identity and the peers() list is shared outright.
+        # is exactly "peer not in _unwired".
         self._unwired: Set[Address] = set()
         self._obs = observer if observer is not None else NULL_OBSERVER
         self._reg = self._obs.registry
@@ -280,6 +285,9 @@ class GroupRuntime:
         )
         for address in self._tree.members():
             self._wire(address)
+        self._member_slots = dict.fromkeys(
+            map(self._contacts.slot_of.__getitem__, self._tree.members())
+        )
         self._watch_neighbors(list(self._tree.members()))
 
     # -- inspection -------------------------------------------------------
@@ -374,8 +382,9 @@ class GroupRuntime:
         node.alive = False
         self._crashed.add(address)
         self._crashed_at[address] = self._round
+        self._crashed_flag[self._contacts.slot_of[address]] = True
         self._active.discard(address)
-        self._membership_changed(address)
+        self._live_cache = None
         self._drop_far_pools(address)
         self._m_crashes.inc()
         self._obs.emit(self._round, "crash", address)
@@ -398,13 +407,19 @@ class GroupRuntime:
         self._obs.emit(self._round, "join", address)
         self._refresh_path(address, cause="join")
         self._wire(address)
+        slot_of = self._contacts.slot_of
+        self._member_slots[slot_of[address]] = None
         node = self._nodes[address]
         if node.alive and not node.is_idle:
             # A wrongly excluded process comes back still buffering.
             self._active.add(address)
         self._watch_neighbors([address])
-        slot_of = self._contacts.slot_of
-        live = [slot_of[neighbor] for neighbor in self._live_neighbors(address)]
+        crashed = self._crashed
+        live = [
+            slot_of[mate]
+            for mate in self._tree.subtree_members(address.prefix(self._tree.depth))
+            if mate != address and mate not in crashed
+        ]
         self._contacts.watch(
             live, [slot_of[address]] * len(live), now=self._round
         )
@@ -420,6 +435,8 @@ class GroupRuntime:
         self._crashed_at.pop(address, None)
         self._nodes.pop(address, None)
         slot = self._contacts.slot_of[address]
+        del self._member_slots[slot]
+        self._crashed_flag[slot] = False
         if self._replicas.pop(address, None) is not None:
             self._replica_at[slot] = None
             self._unwired.add(address)
@@ -525,11 +542,12 @@ class GroupRuntime:
         """
         receivers: List[Address] = []
         senders: List[Address] = []
+        lost = self._link.messages_lost
         survivors = self._link.transmit(envelopes)
         self._m_sent.inc(len(envelopes))
-        # Released (delayed) envelopes can make survivors exceed this
-        # round's sends; injected losses are in the "faults" collector.
-        self._m_lost.inc(max(len(envelopes) - len(survivors), 0))
+        # The round's ε drops only: a delayed envelope is not lost, and
+        # injected losses are in the "faults" collector.
+        self._m_lost.inc(self._link.messages_lost - lost)
         if self._obs.tracing and envelopes:
             emit_dispositions(
                 envelopes,
@@ -636,10 +654,12 @@ class GroupRuntime:
             if slot == len(self._replica_at):  # a first-time member
                 self._replica_at.append(None)
                 self._tokens_of.append(None)
-                if slot == len(self._tokens):
-                    spare = np.zeros((max(slot, 64), self._tree.depth), np.int64)
-                    self._tokens = np.concatenate((self._tokens, spare))
-                    self._prefix_ids = np.concatenate((self._prefix_ids, spare))
+                self._far_pool.append(None)
+                if slot == len(self._far_len):  # the per-slot arrays double
+                    for name in _PER_SLOT:
+                        held = getattr(self, name)
+                        fill = -1 if name == "_far_from" else 0
+                        setattr(self, name, _fit(held, (slot + 1, *held.shape[1:]), fill))
                 self._prefix_ids[slot] = [
                     self._prefix_id.setdefault(prefix, len(self._prefix_id))
                     for prefix in address.prefixes()
@@ -652,12 +672,16 @@ class GroupRuntime:
                 self._drop_far_pools(address)
 
     def _versions(self) -> np.ndarray:
-        """``_tokens``, first brought up to date for every replica whose
-        ``_seq`` is not the tuple they were read from."""
+        """``_tokens`` (and ``_addr_tokens``), first brought up to date
+        for every replica whose ``_seq`` is not the tuple they were read
+        from."""
         seqs = list(map(getattr, self._replica_at, repeat("_seq"), repeat(None)))
-        for slot in compress(count(), map(is_not, seqs, self._tokens_of)):
-            if seqs[slot] is not None:
-                self._tokens[slot] = tuple(map(_CACHE_TOKENS, seqs[slot]))
+        changed = compress(count(), map(is_not, seqs, self._tokens_of))
+        moved = list(filter(seqs.__getitem__, changed))  # and holding a replica
+        if moved:
+            tables = list(chain.from_iterable(map(seqs.__getitem__, moved)))
+            for tokens, read in ((self._tokens, _CACHE_TOKENS), (self._addr_tokens, _ADDR_TOKENS)):
+                tokens[moved] = np.fromiter(map(read, tables), np.int64).reshape(len(moved), -1)
         self._tokens_of = seqs
         return self._tokens
 
@@ -681,27 +705,6 @@ class GroupRuntime:
             np.concatenate(monitors), np.concatenate(neighbors), now=self._round
         )
 
-    def _membership_changed(self, address: Address) -> None:
-        """Drop the caches derived from the tree or from crash state.
-
-        ``address`` is the member whose join, leave, crash or exclusion
-        caused the change.  The live-member snapshot goes; a
-        live-neighbor list only depends on its leaf subgroup, so only
-        the changed member's subgroup entries are invalidated —
-        rebuilding all n lists after every crash used to be a visible
-        slice of paper-scale runs.  The far-peer pools are *not*
-        touched here: they filter on liveness, not on tree membership,
-        and have their own scoped rule (:meth:`_drop_far_pools`).
-        """
-        self._live_cache = None
-        neighbors_cache = self._neighbors_cache
-        if neighbors_cache:
-            neighbors_cache.pop(address, None)
-            for member in self._tree.subtree_members(
-                address.prefix(self._tree.depth)
-            ):
-                neighbors_cache.pop(member, None)
-
     def _note_delegates(self, table: ViewTable) -> None:
         """Record who a freshly written shared table lists as delegates.
 
@@ -720,15 +723,16 @@ class GroupRuntime:
                     listed[delegate] = depth
 
     def _drop_far_pools(self, address: Address) -> None:
-        """Invalidate the far-peer pools ``address``'s liveness can show in.
+        """Mark stale the far-peer pools ``address``'s liveness can show in.
 
-        A member's pool is its ``replica.peers()`` minus ``_crashed``
-        and ``_unwired``.  It changes only when one of the replica's
-        tables changes structure (checked on every lookup) or when an
-        address it lists enters or leaves ``_crashed | _unwired`` — a
-        crash, a leave, or the re-wiring of a departed member.  A first-time
-        joiner and an exclusion (the victim stays crashed) move neither
-        set and so invalidate nothing.
+        A member's pool is every address its replica's tables list,
+        minus itself, ``_crashed`` and ``_unwired``.  It changes only
+        when one of the replica's tables changes structure (the round's
+        ``_addr_tokens`` compare) or when an address it lists enters or
+        leaves ``_crashed | _unwired`` — a crash, a leave, or the
+        re-wiring of a departed member.  A first-time joiner and an
+        exclusion (the victim stays crashed) move neither set and so
+        invalidate nothing.
 
         Who can list ``address``?  Replicas only ever hold rows taken
         from the shared tables or pulled from another replica's table
@@ -740,46 +744,71 @@ class GroupRuntime:
         holder sits in the subtree of ``address.prefix(k)`` — dropping
         that subtree's pools is exact, one leaf subgroup for an
         ordinary process.  A root-level delegate (k = 1) is known
-        group-wide: the whole cache goes.
+        group-wide: every pool goes.
         """
-        far_cache = self._far_cache
         k = self._listed_depth.get(address, self._tree.depth)
         if k == 1:
-            far_cache.clear()
+            self._far_from[:] = -1
             return
+        slot_of = self._contacts.slot_of
         # The process itself is out of the subtree once it has left.
-        far_cache.pop(address, None)
-        for member in self._tree.subtree_members(address.prefix(k)):
-            far_cache.pop(member, None)
+        holders = [slot_of[address]]
+        holders += map(slot_of.__getitem__, self._tree.subtree_members(address.prefix(k)))
+        self._far_from[holders] = -1
 
-    def _live(self) -> Tuple[List[Address], np.ndarray, np.ndarray]:
-        """(live members in member order, their slots, a per-slot
-        "is a member" flag): a round's pullers, its monitors, and who
-        may be accused.  Cached between membership changes; the cache
-        slot is *replaced*, never mutated, so a detection round that
-        excludes members keeps walking its round-start snapshot."""
+    def _live(self) -> Tuple[np.ndarray, ...]:
+        """(live slots in member order, a per-slot "is a member" flag,
+        then the near pools — :meth:`ContactTable.by_leaf` of the live
+        slots): a round's pullers, who may be accused, and each live
+        member's leaf-mates.  Cached between membership changes; the
+        cache slot is *replaced*, never mutated, so a detection round
+        that excludes members keeps walking its round-start snapshot."""
         if self._live_cache is None:
-            crashed = self._crashed
-            live = [a for a in self._tree.members() if a not in crashed]
-            slot_of = self._contacts.slot_of.__getitem__
-            slots = np.fromiter(map(slot_of, live), np.int64, len(live))
-            flags = np.zeros(len(self._contacts.addresses), bool)
-            flags[slots] = True
-            flags[[slot_of(a) for a in crashed if a in self._tree]] = True
-            self._live_cache = (live, slots, flags)
+            members = np.fromiter(self._member_slots, np.int64, len(self._member_slots))
+            slots = members[~self._crashed_flag[members]]
+            flags = np.zeros(len(self._crashed_flag), bool)
+            flags[members] = True
+            self._live_cache = (slots, flags, *self._contacts.by_leaf(slots))
         return self._live_cache
 
-    def _live_neighbors(self, address: Address) -> List[Address]:
-        cached = self._neighbors_cache.get(address)
-        if cached is None:
-            prefix = address.prefix(self._tree.depth)
-            cached = [
-                neighbor
-                for neighbor in self._tree.subtree_members(prefix)
-                if neighbor != address and neighbor not in self._crashed
-            ]
-            self._neighbors_cache[address] = cached
-        return cached
+    def _build_far_pools(self, stale: np.ndarray) -> None:
+        """Rebuild the far-peer pools of the ``stale`` slots.
+
+        A pool lists, as slots, the first occurrence of every address
+        the replica's tables name (tables in depth order, each in
+        ``addresses()`` order — the order of ``MembershipState.peers``),
+        minus the member itself, the crashed and the departed.  Members
+        holding the same table structures share one listing (and every
+        table its slots), so a pool costs a copy of its listing without
+        the member.  A pool is an ``array("i")``: 4 bytes a peer like an
+        int32 ndarray, but reading one entry gives a plain int, 4 x
+        faster in the draw.
+        """
+        slot_of = self._contacts.slot_of.__getitem__
+        down = self._crashed_flag.copy()
+        down[list(map(slot_of, self._unwired))] = True
+        named_by: Dict[int, List[int]] = {}  # addresses_token -> the table's slots
+        listings: Dict[tuple, Tuple[array, Dict[int, int]]] = {}  # + each one's place
+        rows = self._addr_tokens[stale]
+        pools = self._far_pool
+        for slot, row in zip(stale.tolist(), map(tuple, rows.tolist())):
+            listing = listings.get(row)
+            if listing is None:
+                for table in self._replica_at[slot]._seq:
+                    if table.addresses_token not in named_by:
+                        named_by[table.addresses_token] = list(map(slot_of, table.addresses()))
+                first = dict.fromkeys(chain.from_iterable(map(named_by.__getitem__, row)))
+                named = np.fromiter(first, np.intc, len(first))
+                live = named[~down[named]]
+                listing = listings[row] = (
+                    array("i", live.tobytes()),
+                    dict(zip(live.tolist(), count())),
+                )
+            listed, place = listing
+            at = place.get(slot)
+            pools[slot] = listed if at is None else listed[:at] + listed[at + 1:]
+        self._far_len[stale] = list(map(len, map(pools.__getitem__, stale.tolist())))
+        self._far_from[stale] = rows
 
     def _membership_round(
         self, heard: Tuple[List[Address], List[Address]]
@@ -787,83 +816,53 @@ class GroupRuntime:
         """Dedicated membership gossips — one near pull, one far pull
         per live member — then every contact of the round.
 
-        One walk over the live members draws every peer, near then far:
+        Every peer is drawn by one ``map(randbelow, sizes)``: ``sizes``
+        holds each live member's near-pool size then its far-pool size,
+        in member order, empty pools skipped — the calls, in the order,
+        of a walk drawing ``pool[rng._randbelow(len(pool))]`` per pool
+        (``rng.choice``'s implementation, minus a Python frame per
+        draw).  A pull draws nothing, so drawing every peer first
+        consumes the stream exactly as interleaving would.  Around the
+        draws everything is array work:
 
-        * rng.choice(seq) is exactly ``seq[rng._randbelow(len(seq))]``
-          (CPython's implementation); drawing through ``_randbelow``
-          keeps the RNG stream bit-identical while skipping a Python
-          frame per draw.  A pull draws nothing, so drawing every peer
-          first consumes the stream exactly as interleaving would.
-        * The far-peer pool lookup is inlined and validated against the
-          replica's ``addresses_token`` tuple (timestamp churn never
-          rebuilds it); a crash, a leave or a returning member drops
-          only the pools that can list it (``_drop_far_pools``), so
-          steady churn costs its subtree, not n rebuilds per round.
+        * a near pool is the member's leaf in the live snapshot minus
+          itself: draw ``d`` names ``grouped[base + d + (d >= pos)]``;
+        * a far pool is current iff its ``_far_from`` row equals the
+          replica's ``_addr_tokens`` row (timestamp churn never moves
+          it): one compare checks them all, and only the stale ones
+          are rebuilt (:meth:`_build_far_pools`).  A crash, a leave or
+          a returning member marks stale only the pools that can list
+          it (:meth:`_drop_far_pools`).
 
         The pulls then run in draw order (:meth:`_pull_round`).  Each
         pull is a contact both ways (the peer answered) and each event
         arrival (``heard``) one way; the round's contacts reach the
         contact table in one batch, before detection reads it.
         """
+        tokens = self._versions()
+        slots, __, grouped, base, pos, width = self._live()
+        current = (self._far_from[slots] == self._addr_tokens[slots]).all(axis=1)
+        hits = int(np.count_nonzero(current))
+        self._m_far_hits.inc(hits)
+        if hits < len(slots):
+            self._m_far_misses.inc(len(slots) - hits)
+            self._build_far_pools(slots[~current])
+        sizes = np.column_stack((width - 1, self._far_len[slots])).ravel()
+        drawn = np.flatnonzero(sizes)
         randbelow = self._membership_rng._randbelow
-        replica_at = self._replica_at
-        crashed = self._crashed
-        unwired = self._unwired
-        far_cache = self._far_cache
-        far_cache_get = far_cache.get
-        neighbors_get = self._neighbors_cache.get
-        live, live_slots, __ = self._live()
-        gossipers: List[int] = []  # slots
-        peers: List[Address] = []
-        n_far_hits = n_far_misses = 0
-        for address, slot in zip(live, live_slots.tolist()):
-            replica = replica_at[slot]
-            near = neighbors_get(address)
-            if near is None:
-                near = self._live_neighbors(address)
-            if near:
-                gossipers.append(slot)
-                peers.append(near[randbelow(len(near))])
-            # Far-peer pool: live peers from the replica's own tables.
-            structure = tuple(map(_ADDR_TOKENS, replica._seq))
-            entry = far_cache_get(address)
-            if entry is not None and entry[0] == structure:
-                far = entry[1]
-                n_far_hits += 1
-            else:
-                # "peer has a replica" == "peer not in _unwired" (see
-                # __init__); with no leave in flight and nobody crashed
-                # the filter is the identity and the peers() list is
-                # shared outright — it is replaced, never mutated, on
-                # change, and this entry is dropped with it.
-                pool = replica.peers()
-                if crashed:
-                    if unwired:
-                        far = [
-                            peer
-                            for peer in pool
-                            if peer not in unwired and peer not in crashed
-                        ]
-                    else:
-                        far = [peer for peer in pool if peer not in crashed]
-                elif unwired:
-                    far = [peer for peer in pool if peer not in unwired]
-                else:
-                    far = pool
-                far_cache[address] = (structure, far)
-                n_far_misses += 1
-            if far:
-                gossipers.append(slot)
-                peers.append(far[randbelow(len(far))])
-        if n_far_hits:
-            self._m_far_hits.inc(n_far_hits)
-        if n_far_misses:
-            self._m_far_misses.inc(n_far_misses)
-        slot_of = self._contacts.slot_of.__getitem__
-        g = np.array(gossipers, np.int64)
-        p = np.fromiter(map(slot_of, peers), np.int64, len(peers))
+        draws = np.fromiter(map(randbelow, sizes[drawn].tolist()), np.int64, len(drawn))
+        member, far = drawn >> 1, (drawn & 1).astype(bool)
+        g = slots[member]
+        p = np.empty(len(g), np.int64)
+        near, d = member[~far], draws[~far]
+        p[~far] = grouped[base[near] + d + (d >= pos[near])]
+        pools = map(self._far_pool.__getitem__, g[far].tolist())
+        p[far] = np.fromiter(
+            map(getitem, pools, draws[far].tolist()), np.int64, np.count_nonzero(far)
+        )
         if len(g):
-            self._pull_round(g, p)
+            self._pull_round(g, p, tokens)
+        slot_of = self._contacts.slot_of.__getitem__
         receivers, senders = heard
         r = np.fromiter(map(slot_of, receivers), np.int64, len(receivers))
         s = np.fromiter(map(slot_of, senders), np.int64, len(senders))
@@ -871,19 +870,20 @@ class GroupRuntime:
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
         )
 
-    def _pull_round(self, g: np.ndarray, p: np.ndarray) -> None:
+    def _pull_round(self, g: np.ndarray, p: np.ndarray, tokens: np.ndarray) -> None:
         """Slot ``g[j]`` pulls from slot ``p[j]``, in ``j`` order.
 
         Replicas share frozen table versions, so a pair is in sync when
         it holds the same version of every table it shares (same
-        prefix).  One compare over the round-start versions
-        (``_tokens``, ``_prefix_ids``) finds the pairs that are not; only
-        those pay a :func:`~repro.membership.gossip_pull._pull`, plus
-        any pair one of whose replicas an earlier pull this round
-        changed.  Every other pull is synced, exactly as a pull-by-pull
-        walk would find it.
+        prefix).  One compare over the round-start versions (``tokens``
+        from :meth:`_versions`, ``_prefix_ids``) finds the pairs that
+        are not; only those pay a
+        :func:`~repro.membership.gossip_pull._pull`, plus any pair one
+        of whose replicas an earlier pull this round changed.  Every
+        other pull is synced, exactly as a pull-by-pull walk would find
+        it.
         """
-        tokens, prefix_ids = self._versions(), self._prefix_ids
+        prefix_ids = self._prefix_ids
         unsynced = (
             (tokens[g] != tokens[p]) & (prefix_ids[g] == prefix_ids[p])
         ).any(axis=1)
@@ -930,18 +930,16 @@ class GroupRuntime:
         ContactTable.accuse_all`); any other is played accusation by
         accusation (:meth:`_play_detection`).
         """
-        live, slots, members = self._live()
+        slots, members = self._live()[:2]
         counts = self._contacts.suspect_counts(slots, self._round)
         if not self._obs.tracing:
             accused = self._contacts.accuse_all(slots, self._round, members)
             if accused is not None:
                 self._count_detection(int(counts.sum()), accused, 0)
                 return
-        self._play_detection(live, slots, counts)
+        self._play_detection(slots, counts)
 
-    def _play_detection(
-        self, live: List[Address], slots: np.ndarray, counts: np.ndarray
-    ) -> None:
+    def _play_detection(self, slots: np.ndarray, counts: np.ndarray) -> None:
         """The detection round, one accusation at a time.
 
         Monitors take turns in member order; each accuses its suspect
@@ -973,7 +971,7 @@ class GroupRuntime:
             zip(touched, contacts.accusers(np.array(touched, np.int64)).tolist())
         )
         n_reports = n_accusations = n_convictions = 0
-        for address, slot, suspects in zip(live, slots.tolist(), suspect_lists):
+        for slot, suspects in zip(slots.tolist(), suspect_lists):
             n_reports += reports[slot]
             for suspect_slot in suspects:
                 suspect = addresses[suspect_slot]
@@ -985,7 +983,7 @@ class GroupRuntime:
                     accusers[suspect_slot] += 1
                 if tracing:
                     self._obs.emit(
-                        self._round, "suspect", address, peer=suspect,
+                        self._round, "suspect", addresses[slot], peer=suspect,
                         value=accusers[suspect_slot],
                     )
                 if accusers[suspect_slot] >= required:
@@ -1031,7 +1029,7 @@ class GroupRuntime:
         """
         self._ctx.note_invalidation(cause)
         self._clock += 1
-        self._membership_changed(address)
+        self._live_cache = None
         written, created, dropped = refresh_path(
             self._tree, self._tables, address, self._clock
         )
@@ -1058,10 +1056,12 @@ class GroupRuntime:
             return
         self._tree.remove(address)
         self._excluded_at[address] = self._round
+        slot = self._contacts.slot_of[address]
+        del self._member_slots[slot]
         # Only tree members are in reach of _drop_far_pools: a wrongly
         # convicted live process may come back through join() with its
         # replica intact, and must then rebuild its pool.
-        self._far_cache.pop(address, None)
+        self._far_from[slot] = -1
         self._m_exclusions.inc()
         crashed_at = self._crashed_at.get(address)
         if crashed_at is not None:
@@ -1069,4 +1069,4 @@ class GroupRuntime:
         if self._obs.tracing:
             self._obs.emit(self._round, "exclude", address)
         self._refresh_path(address, cause="crash")
-        self._contacts.unwatch(self._contacts.slot_of[address])
+        self._contacts.unwatch(slot)

@@ -1,11 +1,12 @@
 """Scoped invalidation of the runtime's far-peer pools.
 
 A member's far pool is ``replica.peers()`` minus the crashed and the
-departed.  The runtime caches it per member and, on a crash, a leave
-or the return of a departed member, drops only the pools of the
-subtree that can list the changed process
+departed, held per slot as an array of slots beside the
+``addresses_token`` row it was built from.  On a crash, a leave or the
+return of a departed member the runtime marks stale only the pools of
+the subtree that can list the changed process
 (``GroupRuntime._drop_far_pools``).  These tests pin that rule from
-both sides: every cached pool is always the list a fresh filter would
+both sides: every pool that validates is the list a fresh filter would
 give (soundness), and the pools outside the subtree survive (scope).
 """
 
@@ -45,29 +46,44 @@ def under(prefix_components):
     return {a for a in ADDRESSES if a.components[:width] == prefix_components}
 
 
+def far_pools(runtime):
+    """address -> (addresses_token row, pool) of every pool not dropped."""
+    addresses = runtime._contacts.addresses
+    rows = runtime._far_from[: len(addresses)].tolist()
+    return {
+        addresses[slot]: (tuple(row), runtime._far_pool[slot])
+        for slot, row in enumerate(rows)
+        if -1 not in row
+    }
+
+
+def peers_in(runtime, pool):
+    return [runtime._contacts.addresses[slot] for slot in pool]
+
+
 def assert_pools_exact(runtime):
-    """Every usable cache entry is the freshly filtered peers() list."""
+    """Every pool that validates is the freshly filtered peers() list."""
     down = runtime._crashed | runtime._unwired
-    for address, (stamp, pool) in runtime._far_cache.items():
-        assert address in runtime.tree, f"{address} cached but not a member"
+    for address, (stamp, pool) in far_pools(runtime).items():
+        assert address in runtime.tree, f"{address} pooled but not a member"
         replica = runtime._replicas[address]
         if stamp == tuple(
             table.addresses_token for table in replica.tables.values()
         ):
-            assert pool == [p for p in replica.peers() if p not in down], (
-                f"stale far pool for {address}"
-            )
+            assert peers_in(runtime, pool) == [
+                p for p in replica.peers() if p not in down
+            ], f"stale far pool for {address}"
 
 
 class WholesaleRuntime(GroupRuntime):
-    """The rule this PR replaced: any change clears every pool."""
+    """The rule scoped invalidation replaced: any change drops every pool."""
 
-    def _membership_changed(self, address):
-        super()._membership_changed(address)
-        self._far_cache.clear()
+    def _refresh_path(self, address, cause):
+        super()._refresh_path(address, cause)
+        self._far_from[:] = -1
 
     def _drop_far_pools(self, address):
-        self._far_cache.clear()
+        self._far_from[:] = -1
 
 
 # One scripted operation: (kind, index).  The index picks, modulo the
@@ -199,13 +215,15 @@ class TestInvalidationScope:
     def warmed(self, **kwargs):
         runtime = make_runtime(**kwargs)
         runtime.step()
-        assert set(runtime._far_cache) == set(runtime.tree.members())
-        return runtime, dict(runtime._far_cache)
+        assert set(far_pools(runtime)) == set(runtime.tree.members())
+        return runtime, far_pools(runtime)
 
     def assert_survivors_untouched(self, runtime, before, dropped):
-        assert set(runtime._far_cache) == set(before) - dropped
-        for address, entry in runtime._far_cache.items():
-            assert entry is before[address]
+        now = far_pools(runtime)
+        assert set(now) == set(before) - dropped
+        for address, (stamp, pool) in now.items():
+            assert stamp == before[address][0]
+            assert pool is before[address][1]
 
     def test_ordinary_crash_costs_its_leaf_subgroup(self):
         runtime, before = self.warmed()
@@ -224,19 +242,21 @@ class TestInvalidationScope:
         runtime.step()
         # Whoever listed the leaver rebuilt without it.
         for address in sorted(under((2,)) - {LEAF_DELEGATE}):
-            assert LEAF_DELEGATE not in runtime._far_cache[address][1]
+            assert LEAF_DELEGATE not in peers_in(
+                runtime, far_pools(runtime)[address][1]
+            )
 
     def test_root_delegate_crash_clears_everything(self):
         runtime, __ = self.warmed()
         assert runtime._listed_depth[ROOT_DELEGATE] == 1
         runtime.crash(ROOT_DELEGATE)
-        assert runtime._far_cache == {}
+        assert far_pools(runtime) == {}
 
     def test_exclusion_invalidates_nothing(self):
         runtime, __ = self.warmed()
         runtime.crash(ORDINARY)
         runtime.step()
-        before = dict(runtime._far_cache)
+        before = far_pools(runtime)
         assert ORDINARY not in before
         runtime._exclude(ORDINARY)
         assert ORDINARY not in runtime.tree
@@ -253,13 +273,13 @@ class TestInvalidationScope:
         runtime, __ = self.warmed()
         runtime.leave(ORDINARY)
         runtime.step()
-        before = dict(runtime._far_cache)
+        before = far_pools(runtime)
         runtime.join(ORDINARY, StaticInterest(True))
         self.assert_survivors_untouched(runtime, before, under((2, 3)))
         runtime.step()
         assert_pools_exact(runtime)
         neighbor = Address((2, 3, 0))
-        assert ORDINARY in runtime._far_cache[neighbor][1]
+        assert ORDINARY in peers_in(runtime, far_pools(runtime)[neighbor][1])
 
     def test_listed_depth_is_monotone_across_delegate_turnover(self):
         runtime, __ = self.warmed()

@@ -32,7 +32,7 @@ EPISODE = (
 )
 
 
-def disseminate(fault_plan):
+def disseminate(fault_plan, loss_probability=0.0):
     """One event through a fresh runtime; returns everything observable."""
     members = bernoulli_interests(
         ADDRESSES, 0.25, derive_rng(SEED, "interests")
@@ -41,7 +41,7 @@ def disseminate(fault_plan):
     runtime = GroupRuntime(
         members,
         config=CONFIG,
-        sim_config=SimConfig(seed=SEED),
+        sim_config=SimConfig(seed=SEED, loss_probability=loss_probability),
         observer=Observer(registry=registry),
         fault_plan=fault_plan,
     )
@@ -82,6 +82,18 @@ class TestRuntimeUnderFaults:
         injected = empty["snapshot"].pop("faults")
         assert set(injected.values()) == {0}
         assert empty["snapshot"] == bare["snapshot"]
+
+    def test_a_delayed_envelope_is_not_lost(self):
+        # A delay-only plan holds envelopes and releases every one of
+        # them later; only the link's ε drops are losses.
+        for epsilon in (0.0, 0.1):
+            run = disseminate(FaultPlan().with_delay(1, 6, 2), epsilon)
+            stats, counters = run["fault_stats"], run["snapshot"]["runtime"]
+            assert stats["delayed"] == stats["released"] > 0
+            assert counters["envelopes_sent"] == (
+                counters["receptions"] + counters["envelopes_lost"]
+            )
+            assert (counters["envelopes_lost"] > 0) == (epsilon > 0)
 
     def test_a_victim_named_twice_is_scripted_once(self):
         # Same delegate picked by two clauses (and named by a third):
