@@ -58,10 +58,13 @@ class UdpRunStats:
     ``events`` counts protocol events processed — timer fires, protocol
     sends, and drained receptions.  ``completed`` is True when the run
     quiesced on its own (no activity for the configured quiet window)
-    rather than hitting the hard timeout.  The last three fields sum the
-    endpoints' dispositions of what never became a reception: datagrams
-    that failed to decode, well-formed ones addressed to another member,
-    and sends the kernel refused.
+    rather than hitting the hard timeout.  ``undrained`` counts the
+    received datagrams still queued in a mailbox when the run stopped
+    (0 for a completed run), so ``datagrams_received == receptions +
+    undrained``.  The last three fields sum the endpoints' dispositions
+    of what never became a reception: datagrams that failed to decode,
+    well-formed ones addressed to another member, and sends the kernel
+    refused.
     """
 
     members: int
@@ -72,6 +75,7 @@ class UdpRunStats:
     datagrams_received: int
     receptions: int
     completed: bool
+    undrained: int = 0
     malformed_datagrams: int = 0
     misrouted_datagrams: int = 0
     wire_drops: int = 0
@@ -211,6 +215,7 @@ async def _run_udp(
             **counters,
             "messages_lost": sum(t.messages_lost for t in endpoints),
             "datagrams_received": sum(t.messages_received for t in endpoints),
+            "undrained": sum(len(p.mailbox) for p in processes.values()),
             "malformed_datagrams": sum(
                 t.malformed_datagrams for t in endpoints
             ),

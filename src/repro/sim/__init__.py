@@ -17,9 +17,8 @@ from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runtime import GroupRuntime
 from repro.sim.vector import (
     RegularTreeSpec,
-    ShardState,
+    TreeState,
     VectorUnsupported,
-    run_shard_wave,
     try_run_vectorized,
 )
 from repro.sim.workload import (
@@ -46,9 +45,8 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "RegularTreeSpec",
-    "ShardState",
+    "TreeState",
     "VectorUnsupported",
-    "run_shard_wave",
     "try_run_vectorized",
     "derive_rng",
     "derive_seed",

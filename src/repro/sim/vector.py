@@ -22,21 +22,24 @@ link offers no ``transmit_flags``) takes the scalar reference loop and
 is counted by reason.
 ``SimConfig(vectorized=False)`` forces the reference loop.
 
-**Regular-tree kernel** (:class:`RegularTreeSpec` /
-:func:`run_shard_wave`) — a fully vectorized numpy round step for the
-synthetic full regular tree (n = arity^depth, delegates = the R
-smallest addresses of each subtree, exact-union regrouping).  Member
-state is four flat arrays (``alive``, ``received``, ``buf_depth``,
-``buf_round``); per-(depth, subgroup) matching masks, rates, round
-bounds and flood flags are precomputed tables, valid because every
-entry of a view shares the view's subgroup and therefore its rate.
-Destination draws come from per-(shard, round) ``numpy`` PCG64 streams
-derived through the SHA-256 seed contract — deterministic at any
-worker count, but *not* stream-compatible with the scalar engine; this
+**Regular-tree kernel** (:class:`RegularTreeSpec` / :class:`TreeState`)
+— a fully vectorized numpy round for the synthetic full regular tree
+(n = arity^depth, delegates = the R smallest addresses of each subtree,
+exact-union regrouping).  Member state is flat arrays over the whole
+tree (``alive``, ``received``, ``buf_depth``, ``buf_round``) plus the
+ascending index of alive buffered members; per-(depth, subgroup)
+matching masks, rates, round bounds and flood flags are precomputed
+tables, valid because every entry of a view shares the view's subgroup
+and therefore its rate.  A round is one pass per depth over the
+buffered members (:func:`gossip_pass`, in passes of whole depth-1
+subtrees — *shards*), then one reception pass.  Destination and loss
+draws come from per-(shard, round) ``numpy`` PCG64 streams derived
+through the SHA-256 seed contract — identical however a round is cut
+into passes, but *not* stream-compatible with the scalar engine; this
 kernel is validated statistically against the Eqs 8–18 oracles (the
-``scale`` conformance suite) rather than by digest.  The sharding
-coordinator that drives :func:`run_shard_wave` round by round (and
-hands the trace to an Observer) lives in :mod:`repro.par.subtree`.
+``scale`` conformance suite) rather than by digest.  The driver that
+plays the rounds (and hands the trace to an Observer) lives in
+:mod:`repro.par.subtree`.
 
 Determinism rules (both kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
@@ -71,9 +74,8 @@ __all__ = [
     "VectorUnsupported",
     "try_run_vectorized",
     "RegularTreeSpec",
-    "ShardState",
-    "advance_crashes",
-    "run_shard_wave",
+    "TreeState",
+    "gossip_pass",
 ]
 
 
@@ -503,7 +505,7 @@ def try_run_vectorized(
 
 
 # ---------------------------------------------------------------------------
-# Regular-tree kernel: numpy arrays + sharded subtree waves.
+# Regular-tree kernel: whole-tree numpy arrays, per-shard streams.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -715,98 +717,109 @@ class RegularTreeSpec:
         return tables
 
 
-def _shard_record(
-    round_index: int,
-    kind: str,
-    process: str,
-    event_id: int,
-    peer: Optional[str] = None,
-    depth: int = 0,
-) -> Tuple[int, str, str, Optional[str], int, int]:
-    """One trace record in ``Observer.emit``'s argument order, addresses
-    still dotted strings (plain picklable data; the coordinator parses
-    them when it emits)."""
-    return (round_index, kind, process, peer, event_id, depth)
+#: Most buffered members one gossip pass covers: a pass takes whole
+#: shards while they fit (a bigger shard is a pass of its own), which
+#: bounds its draw and envelope arrays — the busiest round at 100³
+#: buffers ≈ 265 k members.
+_PASS_BUDGET = 1 << 14
 
 
 @dataclass
-class ShardState:
-    """The mutable struct-of-arrays state of one depth-1 subtree.
+class TreeState:
+    """The struct-of-arrays state of one sharded run, whole tree.
 
-    Can round-trip through a :class:`~repro.par.TrialExecutor` between
-    waves: it carries its spec so a wave task is one self-contained
-    picklable object.
+    Per-member arrays over the dense indices plus ``active``, the
+    ascending indices of alive buffered members — all a round reads.
+    A shard (one depth-1 subtree) is a seed unit, not a state unit: it
+    keys the per-round gossip streams and the crash plan, so a run is
+    identical however its rounds are cut into passes.
     """
 
     spec: RegularTreeSpec
-    shard: int
-    base: int
-    alive: np.ndarray       # bool (B,)
-    received: np.ndarray    # bool (B,)
-    buf_depth: np.ndarray   # int8 (B,), 0 = not buffered
-    buf_round: np.ndarray   # int16 (B,)
-    doomed: np.ndarray      # bool (B,)
-    doom_round: np.ndarray  # int32 (B,)
-    crash_cursor: int = 0
+    alive: np.ndarray       # bool (n,)
+    received: np.ndarray    # bool (n,)
+    buf_depth: np.ndarray   # int8 (n,), 0 = not buffered
+    buf_round: np.ndarray   # int16 (n,)
+    doomed: np.ndarray      # bool (n,)
+    doom_round: np.ndarray  # int32 (n,)
+    active: np.ndarray      # int64, ascending
+    #: Doomed members by (doom round, index); round r's victims are
+    #: ``victims[victim_bounds[r]:victim_bounds[r + 1]]``.
+    victims: np.ndarray
+    victim_bounds: np.ndarray
+    #: Shards the last round's cross-shard envelopes reached: they have
+    #: work this round even with nobody buffered.
+    inbound: np.ndarray
+    dist: np.ndarray        # (depth,) int64 distance buckets
+    curve: List[int] = field(default_factory=list)
+    infected: int = 1
+    waves: int = 0
     sent: int = 0
-    recv: int = 0
     lost: int = 0
-    dist: np.ndarray = None  # (depth,) int64 distance buckets
-    #: Trace plumbing of a traced run: per-kind keep masks (bool (B,)),
-    #: the members' dotted-address strings, and the accumulated records
-    #: (:func:`_shard_record` tuples, round-monotone).  Plain
-    #: dicts/lists/arrays so the state round-trips through the
-    #: executor's pickle unchanged.
+    crossed: int = 0
+    recv: int = 0
+    #: Trace plumbing of a traced run: per-kind keep masks (bool (n,)),
+    #: the members' dotted addresses and the records, as ``(round,
+    #: kind, process, peer, event_id, depth)`` with member indices.
     trace: Optional[Dict[str, object]] = None
 
     @classmethod
     def create(
         cls,
         spec: RegularTreeSpec,
-        shard: int,
         publisher_immune: bool = True,
         trace_rate: Optional[float] = None,
-    ) -> "ShardState":
-        """Initial state: everyone clean, crash plan pre-drawn.
+    ) -> "TreeState":
+        """Initial state: the publisher buffered, crash plan pre-drawn.
 
-        The crash stream is per shard (label ``"vcrash"``), so the plan
-        is identical at any worker count.  ``publisher_immune`` mirrors
-        the conformance harness's convention of never crashing the
-        publisher (a dead publisher measures nothing).  ``trace_rate``
-        (None = untraced, 1.0 = every record) is the coordinator's
+        Each shard's plan comes from its own ``"vcrash"`` stream.
+        ``publisher_immune`` mirrors the conformance harness's
+        convention of never crashing the publisher (a dead publisher
+        measures nothing).  ``trace_rate`` (None = untraced, 1.0 =
+        every record) is the coordinator's
         :class:`~repro.obs.probes.Observer` sampling rate; sampling keys
-        are the dotted address strings, so the kept subset is identical
-        at any worker count and to any other producer tracing the same
-        processes at the same rate.
+        are the dotted address strings, so the kept subset is the one
+        any other producer tracing the same processes keeps.
         """
-        size = spec.shard_size
-        base = shard * size
-        rng = np.random.default_rng(
-            derive_seed(spec.seed, "vcrash", spec.event_id, shard)
-        )
-        tau = spec.crash_fraction
-        if tau > 0.0:
-            doomed = rng.random(size) < tau
-            doom_round = rng.integers(
-                0, spec.max_rounds, size, dtype=np.int32
-            )
-        else:
-            doomed = np.zeros(size, dtype=bool)
-            doom_round = np.zeros(size, dtype=np.int32)
+        size, block = spec.size, spec.shard_size
+        doomed = np.zeros(size, dtype=bool)
+        doom_round = np.zeros(size, dtype=np.int32)
+        if spec.crash_fraction > 0.0:
+            for shard in range(spec.num_shards):
+                rng = np.random.default_rng(
+                    derive_seed(spec.seed, "vcrash", spec.event_id, shard)
+                )
+                span = slice(shard * block, (shard + 1) * block)
+                doomed[span] = rng.random(block) < spec.crash_fraction
+                doom_round[span] = rng.integers(
+                    0, spec.max_rounds, block, dtype=np.int32
+                )
+        publisher = spec.publisher
+        if publisher_immune:
+            doomed[publisher] = False
+        victims = np.flatnonzero(doomed)
+        victims = victims[np.argsort(doom_round[victims], kind="stable")]
         state = cls(
             spec=spec,
-            shard=shard,
-            base=base,
             alive=np.ones(size, dtype=bool),
             received=np.zeros(size, dtype=bool),
             buf_depth=np.zeros(size, dtype=np.int8),
             buf_round=np.zeros(size, dtype=np.int16),
             doomed=doomed,
             doom_round=doom_round,
+            active=np.array([publisher], dtype=np.int64),
+            victims=victims,
+            victim_bounds=np.searchsorted(
+                doom_round[victims], np.arange(spec.max_rounds + 1)
+            ),
+            inbound=np.empty(0, dtype=np.int64),
             dist=np.zeros(spec.depth, dtype=np.int64),
         )
+        # PMCAST bootstrap: buffer at depth 1, round 0.
+        state.received[publisher] = True
+        state.buf_depth[publisher] = 1
         if trace_rate is not None:
-            addresses = [spec.address(base + i) for i in range(size)]
+            addresses = [spec.address(i) for i in range(size)]
             event_id = spec.event_id
             state.trace = {
                 "addresses": addresses,
@@ -823,255 +836,312 @@ class ShardState:
                     keep_mask("crash", addresses, 0, trace_rate)
                 ),
             }
-        publisher = spec.publisher
-        if base <= publisher < base + size:
-            local = publisher - base
-            if publisher_immune:
-                state.doomed[local] = False
-            # PMCAST bootstrap: buffer at depth 1, round 0.
-            state.received[local] = True
-            state.buf_depth[local] = 1
-            if state.trace is not None:
-                address = state.trace["addresses"][local]
-                records = state.trace["records"]
-                if keep("publish", address, spec.event_id, trace_rate):
-                    records.append(
-                        _shard_record(0, "publish", address, spec.event_id)
-                    )
-                if spec.own_match[publisher] and state.trace["deliver"][local]:
-                    records.append(
-                        _shard_record(0, "deliver", address, spec.event_id)
-                    )
+            records = state.trace["records"]
+            if keep("publish", addresses[publisher], event_id, trace_rate):
+                records.append((0, "publish", publisher, None, event_id, 0))
+            if spec.own_match[publisher] and state.trace["deliver"][publisher]:
+                records.append((0, "deliver", publisher, None, event_id, 0))
         return state
 
-    @property
-    def busy(self) -> bool:
-        """True while a live member is still gossiping."""
-        return bool((self.alive & (self.buf_depth > 0)).any())
+    def step(
+        self,
+        round_index: int,
+        executor=None,
+        observer: Observer = NULL_OBSERVER,
+    ) -> bool:
+        """Play one synchronous round; False, with nothing played, when
+        no shard has work (a live buffered member or inbound envelopes).
 
-    @property
-    def infected(self) -> int:
-        return int(self.received.sum())
+        The round is the unsharded engine's: crashes, then GOSSIP in
+        passes of whole shards (:func:`gossip_pass`, handed to
+        ``executor.run`` when given), each pass's intra-shard envelopes
+        received at once, first in batch order wins.  Envelopes that
+        crossed a shard boundary are received last, first-wins in
+        (source shard, envelope) order — the start of the next round,
+        before its crashes, so a round-``r`` reception is acted on in
+        round ``r + 1`` as in a monolithic loop — and not at all when
+        the round cap cuts the run.  ``observer.timeline`` receives the
+        round's ``subtree`` ``fan_out``/``exchange`` spans.
+        """
+        spec = self.spec
+        timeline = observer.timeline
+        block = spec.shard_size
+        starts = np.arange(spec.num_shards + 1) * block
+        busy = np.diff(np.searchsorted(self.active, starts)) > 0
+        busy[self.inbound] = True
+        work = int(busy.sum())
+        if not work:
+            return False
+        self.waves += work
+        trace_round = round_index + 1
+        victims = self.victims[
+            self.victim_bounds[round_index]:self.victim_bounds[trace_round]
+        ]
+        if victims.size:
+            self.alive[victims] = False
+            self.active = self.active[self.alive[self.active]]
+            if self.trace is not None:
+                self.trace["records"].extend(
+                    (trace_round, "crash", int(victim), None, 0, 0)
+                    for victim in victims[self.trace["crash"][victims]]
+                )
+        active = self.active
+        cuts = _pass_cuts(np.searchsorted(active, starts), _PASS_BUDGET)
+        spans = list(zip(cuts, cuts[1:]))
+        tasks = (
+            (
+                spec,
+                active[start:stop],
+                self.buf_depth[active[start:stop]],
+                self.buf_round[active[start:stop]],
+                round_index,
+            )
+            for start, stop in spans
+        )
+        kept_active: List[np.ndarray] = [active[:0]]
+        cross_dest: List[np.ndarray] = [active[:0]]
+        cross_round: List[np.ndarray] = [self.buf_round[:0]]
+        with timeline.span("fan_out", "subtree", trace_round):
+            if executor is None:
+                results = map(gossip_pass, tasks)
+            else:
+                results = executor.run(gossip_pass, list(tasks))
+            for (start, stop), result in zip(spans, results):
+                members = active[start:stop]
+                new_depth, new_round, dest, depths, env_rounds, senders, kept, dist = (
+                    result
+                )
+                self.buf_depth[members] = new_depth
+                self.buf_round[members] = new_round
+                kept_active.append(members[new_depth > 0])
+                self.dist += dist
+                self.sent += int(dest.size)
+                if self.trace is not None:
+                    self._trace_sends(trace_round, dest, depths, senders, kept)
+                if kept is not None:
+                    self.lost += int(dest.size - kept.sum())
+                    dest, depths, env_rounds, senders = (
+                        dest[kept], depths[kept], env_rounds[kept], senders[kept]
+                    )
+                local = dest // block == senders // block
+                kept_active.append(
+                    self._receive(
+                        dest[local], depths[local], env_rounds[local], trace_round
+                    )
+                )
+                cross_dest.append(dest[~local])
+                cross_round.append(env_rounds[~local])
+        with timeline.span("exchange", "subtree", trace_round):
+            dest = np.concatenate(cross_dest)
+            self.crossed += int(dest.size)
+            self.inbound = np.unique(dest // block)
+            self.curve.append(self.infected)
+            if trace_round < spec.max_rounds:
+                # Cross-shard gossip is depth-1 gossip.
+                kept_active.append(
+                    self._receive(
+                        dest,
+                        np.ones(dest.size, dtype=np.int8),
+                        np.concatenate(cross_round),
+                        trace_round,
+                    )
+                )
+            self.active = np.sort(np.concatenate(kept_active), kind="stable")
+        return True
 
+    def _receive(
+        self,
+        dest: np.ndarray,
+        depths: np.ndarray,
+        rounds: np.ndarray,
+        trace_round: int,
+    ) -> np.ndarray:
+        """RECEIVE for a batch of envelopes, first in batch order wins;
+        returns the fresh receivers, ascending.
 
-def advance_crashes(state: ShardState, upto: int) -> None:
-    """Apply every crash scheduled in rounds [cursor, upto).
-
-    A wave advances its own shard; the coordinator of a traced run
-    advances every shard to the run's last round before it reads the
-    records, so a shard that went idle (or never woke) still emits one
-    ``crash`` per victim per round reached, as the engine does.
-    """
-    if state.crash_cursor >= upto:
-        return
-    sel = (
-        state.doomed
-        & (state.doom_round >= state.crash_cursor)
-        & (state.doom_round < upto)
-    )
-    if sel.any():
-        state.alive[sel] = False
-        trace = state.trace
+        ``rounds`` are the entries' round counters; ``trace_round`` is
+        the simulation round the receive/deliver records carry.
+        Cross-shard envelopes lose their sender in the exchange, so
+        every sharded receive record carries ``peer: null``.
+        """
+        ok = self.alive[dest]
+        if not ok.all():
+            dest, depths, rounds = dest[ok], depths[ok], rounds[ok]
+        self.recv += int(dest.size)
+        trace = self.trace
+        event_id = self.spec.event_id
         if trace is not None:
-            kept = np.nonzero(sel & trace["crash"])[0]
-            if kept.size:
-                # Record at doom_round + 1 (the scalar convention),
-                # ordered by round so the shard's records stay monotone.
-                order = np.argsort(state.doom_round[kept], kind="stable")
-                addresses = trace["addresses"]
-                records = trace["records"]
-                for local in kept[order]:
-                    records.append(
-                        _shard_record(
-                            int(state.doom_round[local]) + 1,
-                            "crash",
-                            addresses[local],
-                            0,
-                        )
-                    )
-    state.crash_cursor = upto
+            trace["records"].extend(
+                (trace_round, "receive", int(dest[at]), None, event_id,
+                 int(depths[at]))
+                for at in np.flatnonzero(trace["receive"][dest])
+            )
+        fresh = ~self.received[dest]
+        dest, depths, rounds = dest[fresh], depths[fresh], rounds[fresh]
+        uniq, first = np.unique(dest, return_index=True)
+        self.received[uniq] = True
+        self.buf_depth[uniq] = depths[first]
+        self.buf_round[uniq] = rounds[first]
+        self.infected += int(uniq.size)
+        if trace is not None:
+            delivering = trace["deliver"][uniq] & self.spec.own_match[uniq]
+            trace["records"].extend(
+                (trace_round, "deliver", int(member), None, event_id, 0)
+                for member in uniq[delivering]
+            )
+        return uniq
+
+    def _trace_sends(self, trace_round, dest, depths, senders, kept) -> None:
+        """Send/loss disposition per envelope, pre-filter (the loss
+        records need the dropped envelopes), keyed by the sender."""
+        trace = self.trace
+        if kept is None:
+            emitting = trace["send"][senders]
+        else:
+            emitting = np.where(
+                kept, trace["send"][senders], trace["loss"][senders]
+            )
+        event_id = self.spec.event_id
+        trace["records"].extend(
+            (
+                trace_round,
+                "send" if kept is None or kept[at] else "loss",
+                int(senders[at]),
+                int(dest[at]),
+                event_id,
+                int(depths[at]),
+            )
+            for at in np.flatnonzero(emitting)
+        )
 
 
-def _draw_distinct(gen, rows: int, n: int, k: int) -> np.ndarray:
-    """``rows`` independent draws of ``k`` distinct values below ``n``.
+def _pass_cuts(bounds: np.ndarray, budget: int) -> List[int]:
+    """Cut points of ``active`` into passes of whole shards.
 
-    Rejection sampling over whole rows: a row with a repeated value is
-    redrawn until clean, which conditions the uniform i.i.d. matrix on
-    per-row distinctness — the distribution of an ordered sample
-    without replacement.
+    ``bounds[s]`` is where shard ``s`` starts in ``active``; a pass
+    takes shards while it stays within ``budget`` members.
     """
-    draws = gen.integers(0, n, size=(rows, k))
-    while True:
-        ordered = np.sort(draws, axis=1)
-        bad = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if not bad.any():
-            return draws
-        draws[bad] = gen.integers(0, n, size=(int(bad.sum()), k))
+    cuts = [0]
+    last = 0
+    for stop in bounds[1:].tolist():
+        if stop - cuts[-1] > budget and last > cuts[-1]:
+            cuts.append(last)
+        last = stop
+    if last > cuts[-1]:
+        cuts.append(last)
+    return cuts
 
 
-def _apply_receptions(
-    state: ShardState,
-    local: np.ndarray,
-    depths: np.ndarray,
-    rounds: np.ndarray,
-    trace_round: int = 0,
-) -> None:
-    """RECEIVE for a batch of envelopes, first-in-batch-order wins.
+def _segments(keys: np.ndarray):
+    """``(key, start, stop)`` of each run of equal values in ``keys``."""
+    if not keys.size:
+        return []
+    starts = np.flatnonzero(np.diff(keys)) + 1
+    bounds = [0, *starts.tolist(), int(keys.size)]
+    return [
+        (int(keys[start]), start, stop)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
-    ``trace_round`` is the *simulation* round the receptions happen in
-    (the ``rounds`` array is buffer entry-round counters, not rounds);
-    sampled receive/deliver records are stamped with it.  Cross-shard
-    envelopes lose their sender in the exchange, so sharded receive
-    records uniformly carry ``peer: null``.
+
+def _repeats(draws: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``draws`` that hold a repeated value."""
+    ordered = np.sort(draws, axis=1)
+    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+
+
+def _redraw(gen, draws: np.ndarray, rows: np.ndarray, n: int) -> None:
+    """Redraw ``rows`` of ``draws`` (values below ``n``) until each is
+    distinct.
+
+    Rejection sampling per row conditions the uniform i.i.d. row on
+    distinctness — an ordered sample without replacement.  Only the
+    redrawn rows are checked again: the others cannot change.
     """
-    ok = state.alive[local]
-    if not ok.all():
-        local, depths, rounds = local[ok], depths[ok], rounds[ok]
-    state.recv += int(local.size)
-    if not local.size:
-        return
-    trace = state.trace
-    if trace is not None:
-        kept = np.nonzero(trace["receive"][local])[0]
-        if kept.size:
-            addresses = trace["addresses"]
-            records = trace["records"]
-            event_id = state.spec.event_id
-            for position in kept:
-                records.append(
-                    _shard_record(
-                        trace_round,
-                        "receive",
-                        addresses[local[position]],
-                        event_id,
-                        depth=int(depths[position]),
-                    )
-                )
-    fresh = ~state.received[local]
-    if not fresh.any():
-        return
-    local, depths, rounds = local[fresh], depths[fresh], rounds[fresh]
-    uniq, first = np.unique(local, return_index=True)
-    state.received[uniq] = True
-    state.buf_depth[uniq] = depths[first]
-    state.buf_round[uniq] = rounds[first]
-    if trace is not None:
-        spec = state.spec
-        delivering = np.nonzero(
-            trace["deliver"][uniq] & spec.own_match[uniq + state.base]
-        )[0]
-        if delivering.size:
-            addresses = trace["addresses"]
-            records = trace["records"]
-            event_id = spec.event_id
-            for position in delivering:
-                records.append(
-                    _shard_record(
-                        trace_round,
-                        "deliver",
-                        addresses[uniq[position]],
-                        event_id,
-                    )
-                )
+    while rows.size:
+        fresh = gen.integers(0, n, size=(rows.size, draws.shape[1]))
+        draws[rows] = fresh
+        rows = rows[_repeats(fresh)]
 
 
-def run_shard_wave(
-    state: ShardState,
-    inbound_dest: Optional[np.ndarray],
-    inbound_round: Optional[np.ndarray],
-    round_index: int,
-) -> Tuple[ShardState, np.ndarray, np.ndarray, bool, int]:
-    """One synchronous round for one shard.
+def gossip_pass(task: Tuple) -> Tuple:
+    """GOSSIP for the buffered members of a run of whole shards.
 
-    Wave order reproduces the unsharded engine's timing exactly:
-    envelopes that crossed a shard boundary in round ``r`` are applied
-    at the start of wave ``r+1``, *before* round ``r+1``'s crashes —
-    the same protocol state a monolithic round loop reaches, because a
-    round-``r`` reception is only ever acted on in round ``r+1``.
-    (Only the infection curve sees cross-shard receptions one round
-    late; final counts are unaffected.)
+    ``task`` is ``(spec, members, buf_depth, buf_round, round_index)``:
+    ascending alive buffered members and their buffer entries, which
+    the pass advances in place.  Depth by depth, ascending, a member
+    floods (§6), demotes past its round bound — picked up at the next
+    depth in this same pass, the scalar cascade — or draws its fan-out.
+    Shard ``s`` draws from its own ``(s, round)`` stream: per depth one
+    ``integers`` matrix over its no-self rows, then one over the rows
+    whose view holds the gossiper, each followed by the redraw of its
+    repeating rows; last one ``random`` loss flag per envelope of its
+    slice.  Plain picklable data in and out (a module-level function),
+    so ``TrialExecutor.run`` can carry passes.
 
-    Returns ``(state, out_dest, out_round, busy, infected)`` where the
-    out arrays are the surviving cross-shard envelopes (always depth 1
-    — deeper gossip stays inside the sender's depth-1 block).
+    Returns ``(buf_depth, buf_round, dest, depths, rounds, senders,
+    kept, dist)``: the envelopes shard-major, each shard's in the
+    order it drew them (depth-major, flood then no-self then self
+    rows), ``kept`` their loss verdicts (None when lossless) and
+    ``dist`` their §2.2 distance buckets, pre-loss.
     """
-    spec = state.spec
-    base = state.base
+    spec, members, buf_depth, buf_round, round_index = task
     depth_count = spec.depth
     fanout = spec.config.fanout
     redundancy = spec.redundancy
+    block = spec.shard_size
+    gens: Dict[int, np.random.Generator] = {}
 
-    advance_crashes(state, round_index)
-    if inbound_dest is not None and inbound_dest.size:
-        # Cross-shard envelopes were sent during the previous wave
-        # (simulation round ``round_index``), so their receive records
-        # carry the same round as their send records.
-        _apply_receptions(
-            state,
-            inbound_dest - base,
-            np.ones(inbound_dest.size, dtype=np.int8),
-            inbound_round,
-            trace_round=round_index,
-        )
-    advance_crashes(state, round_index + 1)
+    def stream(shard: int) -> np.random.Generator:
+        gen = gens.get(shard)
+        if gen is None:
+            gen = gens[shard] = np.random.default_rng(
+                derive_seed(spec.seed, "subtree", spec.event_id, shard, round_index)
+            )
+        return gen
 
-    gen = np.random.default_rng(
-        derive_seed(spec.seed, "subtree", spec.event_id, state.shard, round_index)
-    )
-
-    env_dest: List[np.ndarray] = []
-    env_depth: List[np.ndarray] = []
-    env_round: List[np.ndarray] = []
-    env_sender: List[np.ndarray] = []
-
+    parts: List[Tuple[np.ndarray, ...]] = []
     for depth in range(1, depth_count + 1):
         table = spec.tables[depth - 1]
-        sel = np.nonzero(state.alive & (state.buf_depth == depth))[0]
-        if sel.size == 0:
+        at = np.flatnonzero(buf_depth == depth)
+        if at.size == 0:
             continue
-        sub = (sel + base) // table.block
-
+        sel = members[at]
+        sub = sel // table.block
         if table.flood is not None:
             flooding = table.flood[sub]
             if flooding.any():
                 flooders = sel[flooding]
                 sub_f = sub[flooding]
-                mask = table.eff_mask[sub_f].copy()
-                selfrel = (flooders + base) % table.block
-                mask[np.arange(flooders.size), selfrel] = False
-                row_idx, col = np.nonzero(mask)
-                env_dest.append(sub_f[row_idx] * table.block + col)
-                env_depth.append(
-                    np.full(row_idx.size, depth, dtype=np.int8)
+                mask = table.eff_mask[sub_f]
+                mask[np.arange(flooders.size), flooders % table.block] = False
+                row, col = np.nonzero(mask)
+                parts.append(
+                    (
+                        sub_f[row] * table.block + col,
+                        np.full(row.size, depth, dtype=np.int8),
+                        buf_round[at[flooding]][row],
+                        flooders[row],
+                    )
                 )
-                env_round.append(
-                    state.buf_round[flooders][row_idx].astype(np.int16)
-                )
-                env_sender.append(flooders[row_idx] + base)
-                state.buf_depth[flooders] = 0
-                sel = sel[~flooding]
-                sub = sub[~flooding]
-                if sel.size == 0:
+                buf_depth[at[flooding]] = 0
+                at, sel, sub = at[~flooding], sel[~flooding], sub[~flooding]
+                if at.size == 0:
                     continue
-
-        bound = table.bound[sub]
-        live = state.buf_round[sel] < bound
-        expired = sel[~live]
-        if expired.size:
-            if depth < depth_count:
-                # Demotion: picked up again at depth+1 in this same
-                # wave, exactly the scalar cascade.
-                state.buf_depth[expired] = depth + 1
-                state.buf_round[expired] = 0
-            else:
-                state.buf_depth[expired] = 0
-        gossipers = sel[live]
-        if gossipers.size == 0:
+        live = buf_round[at] < table.bound[sub]
+        expired = at[~live]
+        if depth < depth_count:
+            # Demotion: picked up again at depth+1 in this same pass.
+            buf_depth[expired] = depth + 1
+            buf_round[expired] = 0
+        else:
+            buf_depth[expired] = 0
+        at, gossipers, sub = at[live], sel[live], sub[live]
+        if at.size == 0:
             continue
-        state.buf_round[gossipers] += 1
-        sub_g = sub[live]
-        rounds_g = state.buf_round[gossipers].astype(np.int16)
-        selfrel = (gossipers + base) % table.block
+        buf_round[at] += 1
+        rounds = buf_round[at]
+        selfrel = gossipers % table.block
         if depth < depth_count:
             child = selfrel // table.child
             remainder = selfrel % table.child
@@ -1082,106 +1152,69 @@ def run_shard_wave(
             selfpos = selfrel
         for has_self in (False, True):
             pick = (selfpos >= 0) == has_self
-            if not pick.any():
-                continue
-            candidates = table.length - (1 if has_self else 0)
-            if candidates <= 0:
+            candidates = table.length - has_self
+            if candidates <= 0 or not pick.any():
                 continue
             rows = int(pick.sum())
             count = min(fanout, candidates)
             if count == candidates:
                 draws = np.tile(np.arange(candidates), (rows, 1))
             else:
-                draws = _draw_distinct(gen, rows, candidates, count)
+                shards = gossipers[pick] // block
+                draws = np.concatenate(
+                    [
+                        stream(shard).integers(
+                            0, candidates, size=(stop - start, count)
+                        )
+                        for shard, start, stop in _segments(shards)
+                    ]
+                )
+                bad = _repeats(draws)
+                for shard, start, stop in _segments(shards[bad]):
+                    _redraw(stream(shard), draws, bad[start:stop], candidates)
             if has_self:
                 draws = draws + (draws >= selfpos[pick][:, None])
-            sub_p = sub_g[pick]
-            keep = table.eff_mask[sub_p[:, None], draws]
-            dest = sub_p[:, None] * table.block + table.template[draws]
+            sub_p = sub[pick]
+            keep_env = table.eff_mask[sub_p[:, None], draws]
             shape = (rows, count)
-            env_dest.append(dest[keep])
-            env_depth.append(
-                np.full(int(keep.sum()), depth, dtype=np.int8)
-            )
-            env_round.append(
-                np.broadcast_to(rounds_g[pick][:, None], shape)[keep]
-            )
-            env_sender.append(
-                np.broadcast_to(
-                    (gossipers[pick] + base)[:, None], shape
-                )[keep]
-            )
-
-    if env_dest:
-        dest = np.concatenate(env_dest)
-        depths = np.concatenate(env_depth)
-        rounds = np.concatenate(env_round)
-        senders = np.concatenate(env_sender)
-    else:
-        dest = np.empty(0, dtype=np.int64)
-        depths = np.empty(0, dtype=np.int8)
-        rounds = np.empty(0, dtype=np.int16)
-        senders = np.empty(0, dtype=np.int64)
-
-    total = int(dest.size)
-    state.sent += total
-    if total:
-        # §2.2 distance accounting, pre-loss.
-        common = np.zeros(total, dtype=np.int64)
-        for level in range(1, depth_count + 1):
-            block = spec.arity ** (depth_count - level)
-            common += senders // block == dest // block
-        np.add.at(state.dist, depth_count - 1 - common, 1)
-        kept = None
-        if spec.loss_probability > 0.0:
-            kept = gen.random(total) >= spec.loss_probability
-            state.lost += total - int(kept.sum())
-        trace = state.trace
-        if trace is not None:
-            # Send/loss disposition per envelope, pre-filter (the loss
-            # records need the dropped envelopes), keyed by the sender.
-            sender_local = senders - base
-            if kept is None:
-                emitting = trace["send"][sender_local]
-            else:
-                emitting = np.where(
-                    kept,
-                    trace["send"][sender_local],
-                    trace["loss"][sender_local],
+            parts.append(
+                (
+                    (sub_p[:, None] * table.block + table.template[draws])[
+                        keep_env
+                    ],
+                    np.full(int(keep_env.sum()), depth, dtype=np.int8),
+                    np.broadcast_to(rounds[pick][:, None], shape)[keep_env],
+                    np.broadcast_to(gossipers[pick][:, None], shape)[keep_env],
                 )
-            chosen = np.nonzero(emitting)[0]
-            if chosen.size:
-                addresses = trace["addresses"]
-                records = trace["records"]
-                event_id = spec.event_id
-                trace_round = round_index + 1
-                for position in chosen:
-                    records.append(
-                        _shard_record(
-                            trace_round,
-                            "send"
-                            if kept is None or kept[position]
-                            else "loss",
-                            addresses[sender_local[position]],
-                            event_id,
-                            peer=spec.address(int(dest[position])),
-                            depth=int(depths[position]),
-                        )
-                    )
-        if kept is not None:
-            dest, depths, rounds = dest[kept], depths[kept], rounds[kept]
+            )
 
-    shard_size = spec.shard_size
-    cross = dest // shard_size != state.shard
-    out_dest = dest[cross]
-    out_round = rounds[cross]
-    if (~cross).any():
-        _apply_receptions(
-            state,
-            dest[~cross] - base,
-            depths[~cross],
-            rounds[~cross],
-            trace_round=round_index + 1,
+    if parts:
+        dest, depths, rounds, senders = (
+            np.concatenate(column) for column in zip(*parts)
         )
-
-    return state, out_dest, out_round, state.busy, state.infected
+    else:
+        dest = senders = members[:0]
+        depths = buf_depth[:0]
+        rounds = buf_round[:0]
+    if members.size and members[0] // block != members[-1] // block:
+        order = np.argsort(senders // block, kind="stable")
+        dest, depths, rounds, senders = (
+            dest[order], depths[order], rounds[order], senders[order]
+        )
+    # §2.2 distance accounting, pre-loss: the common prefix is the
+    # number of levels whose blocks sender and receiver share (never
+    # the leaf level — nobody gossips to itself).
+    common = np.zeros(dest.size, dtype=np.int64)
+    for level in range(1, depth_count):
+        span = spec.arity ** (depth_count - level)
+        common += senders // span == dest // span
+    dist = np.bincount(depth_count - 1 - common, minlength=depth_count)
+    kept = None
+    if spec.loss_probability > 0.0 and dest.size:
+        kept = np.concatenate(
+            [
+                stream(shard).random(stop - start) >= spec.loss_probability
+                for shard, start, stop in _segments(senders // block)
+            ]
+        )
+    return buf_depth, buf_round, dest, depths, rounds, senders, kept, dist

@@ -173,11 +173,33 @@ class TestUdpLocalhost:
             name: getattr(stats, name)
             for name in (
                 "timer_fires", "messages_sent", "messages_lost",
-                "datagrams_received", "receptions", "malformed_datagrams",
-                "misrouted_datagrams", "wire_drops",
+                "datagrams_received", "receptions", "undrained",
+                "malformed_datagrams", "misrouted_datagrams", "wire_drops",
             )
         }
         assert rows["messages_lost"] > 0 and rows["receptions"] > 0
+        assert rows["undrained"] == 0
+
+    def test_a_cut_run_counts_what_its_mailboxes_still_hold(self):
+        """A run stopped by ``hard_timeout_s`` leaves datagrams queued:
+        every received datagram is drained or counted undrained."""
+        group, addresses = build_group(1)
+        registry = MetricsRegistry()
+        try:
+            __, stats = run_udp_dissemination(
+                group,
+                addresses[0],
+                Event({"udp": 1}, event_id=9),
+                seed=1,
+                period_s=0.02,
+                hard_timeout_s=0.05,
+                observer=Observer(registry=registry),
+            )
+        except OSError as exc:
+            pytest.skip(f"UDP sockets unavailable: {exc}")
+        assert not stats.completed
+        assert stats.datagrams_received == stats.receptions + stats.undrained
+        assert registry.snapshot()["net"]["undrained"] == stats.undrained
 
 
 class TestPerDatagramCost:

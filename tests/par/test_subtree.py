@@ -21,7 +21,7 @@ from repro.par import (
     build_regular_spec,
     run_sharded_dissemination,
 )
-from repro.sim.vector import ShardState
+from repro.sim.vector import TreeState
 
 CONFIG = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
 
@@ -230,13 +230,10 @@ class TestShardTraces:
             ),
             event_id=1,
         )
+        state = TreeState.create(spec)
         planned = sorted(
-            (int(state.doom_round[local]) + 1, spec.address(state.base + local))
-            for state in (
-                ShardState.create(spec, shard)
-                for shard in range(spec.num_shards)
-            )
-            for local in np.nonzero(state.doomed)[0]
+            (int(state.doom_round[member]) + 1, spec.address(member))
+            for member in np.flatnonzero(state.doomed)
         )
         report, trace = _traced_run(1.0, jobs=jobs, spec=spec)
         expected = [entry for entry in planned if entry[0] <= report.rounds]

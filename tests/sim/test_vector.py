@@ -12,8 +12,8 @@ Two kernels live in :mod:`repro.sim.vector`:
   draws the whole configuration space with Hypothesis; an ineligible
   run (fault plan, a node mid-event) must take the reference loop
   without a warning, counted once by reason.
-* the **regular-tree kernel** (``RegularTreeSpec``/``run_shard_wave``)
-  has its own per-``(shard, round)`` seed contract; its transition
+* the **regular-tree kernel** (``RegularTreeSpec``/``TreeState``)
+  has its own per-``(shard, round)`` seed contract; its round
   invariants are property-tested here (the statistical validation
   lives in the conformance harness's ``scale`` suite).
 """
@@ -43,12 +43,11 @@ from repro.pubsub import PubSubSystem
 from repro.sim import (
     PmcastGroup,
     RegularTreeSpec,
-    ShardState,
+    TreeState,
     VectorUnsupported,
     bernoulli_interests,
     derive_rng,
     run_dissemination,
-    run_shard_wave,
 )
 from repro.sim import vector
 from repro.core.rate import sample_positions
@@ -630,8 +629,8 @@ class TestRegularTreeSpec:
         assert spec.shard_size == 9
 
 
-class TestShardWaveInvariants:
-    """Hypothesis invariants on the SoA state transitions."""
+class TestTreeRoundInvariants:
+    """Hypothesis invariants on the whole-tree round's transitions."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -640,8 +639,14 @@ class TestShardWaveInvariants:
         fanout=st.integers(min_value=1, max_value=3),
         eps=st.sampled_from([0.0, 0.1, 0.3]),
         tau=st.sampled_from([0.0, 0.1]),
+        budget=st.sampled_from([1, 4, 1 << 14]),
     )
-    def test_transitions(self, seed, arity, fanout, eps, tau):
+    def test_transitions(self, seed, arity, fanout, eps, tau, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vector, "_PASS_BUDGET", budget)
+            self._check(seed, arity, fanout, eps, tau)
+
+    def _check(self, seed, arity, fanout, eps, tau):
         config = PmcastConfig(
             fanout=fanout, redundancy=2, min_rounds_per_depth=1
         )
@@ -655,66 +660,43 @@ class TestShardWaveInvariants:
         spec = RegularTreeSpec.build(
             arity, 2, own, config=config, sim_config=sim
         )
-        states = {
-            shard: ShardState.create(spec, shard)
-            for shard in range(spec.num_shards)
-        }
-        prev = {
-            shard: states[shard].received.copy() for shard in states
-        }
-        pending = {}
+        state = TreeState.create(spec)
+        prev = state.received.copy()
         for round_index in range(spec.max_rounds):
-            work = sorted(
-                shard for shard in states
-                if states[shard].busy or shard in pending
-            )
-            if not work:
+            sent, crossed = state.sent, state.crossed
+            if not state.step(round_index):
+                # No work: nobody alive is buffered, nothing in flight.
+                assert not (state.alive & (state.buf_depth > 0)).any()
+                assert state.inbound.size == 0
                 break
-            incoming = pending
-            pending = {}
-            for shard in work:
-                inbound = incoming.get(shard, (None, None))
-                state, out_dest, out_round, busy, infected = run_shard_wave(
-                    states[shard], inbound[0], inbound[1], round_index
-                )
-                states[shard] = state
-                # Received is monotone: nobody forgets an event.
-                assert np.all(prev[shard] <= state.received)
-                prev[shard] = state.received.copy()
-                # Buffer depths stay inside Figure 3's ladder.
-                assert np.all(
-                    (state.buf_depth >= 0)
-                    & (state.buf_depth <= spec.depth)
-                )
-                # A buffered entry implies a reception (or the publish).
-                assert np.all(state.received[state.buf_depth > 0])
-                # The reported aggregates match the arrays.
-                assert infected == int(state.received.sum())
-                assert busy == bool(
-                    (state.alive & (state.buf_depth > 0)).any()
-                )
-                assert state.lost <= state.sent
-                if out_dest.size:
-                    # Only cross-shard envelopes are exported...
-                    assert np.all(
-                        out_dest // spec.shard_size != shard
-                    )
-                    # ...and they address real members.
-                    assert np.all((out_dest >= 0) & (out_dest < spec.size))
-                    for target in np.unique(out_dest // spec.shard_size):
-                        mask = out_dest // spec.shard_size == target
-                        slot = pending.setdefault(
-                            int(target), ([], [])
-                        )
-                        slot[0].append(out_dest[mask])
-                        slot[1].append(out_round[mask])
-            pending = {
-                shard: (np.concatenate(dests), np.concatenate(rounds))
-                for shard, (dests, rounds) in pending.items()
-            }
+            # Received is monotone: nobody forgets an event.
+            assert np.all(prev <= state.received)
+            prev = state.received.copy()
+            # Buffer depths stay inside Figure 3's ladder.
+            assert np.all(
+                (state.buf_depth >= 0) & (state.buf_depth <= spec.depth)
+            )
+            # A buffered entry implies a reception (or the publish).
+            assert np.all(state.received[state.buf_depth > 0])
+            # The active index is exactly the alive buffered members,
+            # ascending (crashes of the next round not yet applied).
+            assert np.array_equal(
+                state.active,
+                np.flatnonzero(state.alive & (state.buf_depth > 0)),
+            )
+            # Crashes reached so far are exactly the plan's.
+            reached = state.doomed & (state.doom_round <= round_index)
+            assert np.array_equal(~state.alive, reached)
+            assert state.curve[-1] <= int(state.received.sum())
+            assert state.lost <= state.sent
+            assert state.crossed - crossed <= state.sent - sent
+            # Cross-shard envelopes land in real shards.
+            assert np.all(
+                (state.inbound >= 0) & (state.inbound < spec.num_shards)
+            )
         # The loop drained (or hit the cap) without losing count.
-        total = sum(int(state.received.sum()) for state in states.values())
-        assert 1 <= total <= spec.size
+        assert 1 <= int(state.received.sum()) <= spec.size
+        assert state.infected == int(state.received.sum())
 
 
 class TestVectorizedConfigFlag:
