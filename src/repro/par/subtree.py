@@ -30,8 +30,8 @@ identical at any worker count.
 Timing note: cross-shard envelopes land at the round barrier — the
 start of the next round, *before* its crashes — exactly the protocol
 state a monolithic round loop reaches, because a round-``r`` reception
-is only acted on in round ``r+1``.  Only the infection curve registers
-cross-shard receptions one round late; every final count is unaffected.
+is only acted on in round ``r+1``.  The infection curve counts them in
+the round that sent them, as the trace stamps them.
 """
 
 from __future__ import annotations

@@ -935,7 +935,6 @@ class TreeState:
             dest = np.concatenate(cross_dest)
             self.crossed += int(dest.size)
             self.inbound = np.unique(dest // block)
-            self.curve.append(self.infected)
             if trace_round < spec.max_rounds:
                 # Cross-shard gossip is depth-1 gossip.
                 kept_active.append(
@@ -947,6 +946,7 @@ class TreeState:
                     )
                 )
             self.active = np.sort(np.concatenate(kept_active), kind="stable")
+        self.curve.append(self.infected)
         return True
 
     def _receive(

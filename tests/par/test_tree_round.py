@@ -17,6 +17,8 @@ first-receipt counts of the run's own full trace.
 """
 
 import dataclasses
+from collections import Counter
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -396,6 +398,17 @@ def _kernel(spec, publisher_immune=True, trace_rate=None, budget=None):
     return report, registry.snapshot()["subtree"], records
 
 
+def _first_receipts(records, rounds):
+    """Cumulative count of members holding the event after each round,
+    read off a full trace (the publish counts as the first receipt)."""
+    first: Dict[str, int] = {}
+    for round_index, kind, process, *_ in records:
+        if kind in ("publish", "receive"):
+            first.setdefault(process, round_index)
+    per_round = Counter(max(round_index, 1) for round_index in first.values())
+    return list(accumulate(per_round[r] for r in range(1, rounds + 1)))
+
+
 specs = st.builds(
     dict,
     arity=st.integers(2, 6),
@@ -461,6 +474,30 @@ class TestTreeRound:
         got, _, records = _kernel(spec, params["immune"], rate, budget)
         assert _no_curve(got) == _no_curve(report)
         assert records == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=specs)
+    def test_curve_is_the_traced_first_receipts(self, params):
+        """Each round's curve entry counts the members holding the event
+        after it — cross-shard receivers in their send's round."""
+        spec = _build(params)
+        report, _, records = _kernel(spec, params["immune"], 1.0)
+        curve = list(report.infection_curve)
+        assert curve == _first_receipts(records, report.rounds)
+        assert not curve or curve[-1] == report.received_total
+
+    def test_curve_books_cross_shard_receptions_in_their_round(self):
+        spec = build_regular_spec(
+            5, 3, 0.25,
+            config=PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2),
+            sim_config=SimConfig(seed=7, loss_probability=0.05, max_rounds=48),
+            event_id=1,
+        )
+        report, _, records = _kernel(spec, trace_rate=1.0)
+        assert list(report.infection_curve[:4]) == [4, 11, 15, 34]
+        assert list(report.infection_curve) == _first_receipts(
+            records, report.rounds
+        )
 
 
 class TestRedraw:
