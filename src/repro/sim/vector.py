@@ -753,7 +753,7 @@ class TreeState:
     dist: np.ndarray        # (depth,) int64 distance buckets
     curve: List[int] = field(default_factory=list)
     infected: int = 1
-    waves: int = 0
+    waves: int = 0  # shard-rounds with work
     sent: int = 0
     lost: int = 0
     crossed: int = 0
@@ -898,7 +898,7 @@ class TreeState:
             )
             for start, stop in spans
         )
-        kept_active: List[np.ndarray] = [active[:0]]
+        next_active: List[np.ndarray] = [active[:0]]
         cross_dest: List[np.ndarray] = [active[:0]]
         cross_round: List[np.ndarray] = [self.buf_round[:0]]
         with timeline.span("fan_out", "subtree", trace_round):
@@ -913,7 +913,7 @@ class TreeState:
                 )
                 self.buf_depth[members] = new_depth
                 self.buf_round[members] = new_round
-                kept_active.append(members[new_depth > 0])
+                next_active.append(members[new_depth > 0])
                 self.dist += dist
                 self.sent += int(dest.size)
                 if self.trace is not None:
@@ -924,7 +924,7 @@ class TreeState:
                         dest[kept], depths[kept], env_rounds[kept], senders[kept]
                     )
                 local = dest // block == senders // block
-                kept_active.append(
+                next_active.append(
                     self._receive(
                         dest[local], depths[local], env_rounds[local], trace_round
                     )
@@ -937,7 +937,7 @@ class TreeState:
             self.inbound = np.unique(dest // block)
             if trace_round < spec.max_rounds:
                 # Cross-shard gossip is depth-1 gossip.
-                kept_active.append(
+                next_active.append(
                     self._receive(
                         dest,
                         np.ones(dest.size, dtype=np.int8),
@@ -945,7 +945,7 @@ class TreeState:
                         trace_round,
                     )
                 )
-            self.active = np.sort(np.concatenate(kept_active), kind="stable")
+            self.active = np.sort(np.concatenate(next_active), kind="stable")
         self.curve.append(self.infected)
         return True
 
