@@ -560,9 +560,9 @@ def _scale_trial(task: Tuple) -> Optional[List[float]]:
     """One scale-suite trial: ``[delivery, false_reception]`` ratios of
     one serial sharded run (None when nobody is interested).
 
-    Waves stay inside the trial — fanned over workers they pickle every
-    busy shard out and back each round and run slower than one process
-    — so ``--jobs`` buys whole trials, as in every other suite.
+    The run's rounds stay inside the trial — handed to workers, every
+    round's passes would be pickled out and back — so ``--jobs`` buys
+    whole trials, as in every other suite.
     """
     arity, depth, eps, tau, trial, seed, p_d, redundancy, fanout = task
     spec = build_regular_spec(

@@ -126,11 +126,17 @@ class TestSchedulingIndependence:
     def test_order_of_derivation_is_irrelevant(self, keys, shuffler):
         # Derive in task order, then in a shuffled "completion order":
         # the mapping is identical — seeds carry no call-sequence state.
-        in_order = {key: derive_seed(9, *key[0], key[1]) for key in keys}
-        shuffled = list(keys)
+        # Keyed by task index: (0,) and (0.0,) are equal dict keys but
+        # distinct grid points (derive_seed reads their repr).
+        in_order = {
+            index: derive_seed(9, *point, trial)
+            for index, (point, trial) in enumerate(keys)
+        }
+        shuffled = list(range(len(keys)))
         shuffler.shuffle(shuffled)
         out_of_order = {
-            key: derive_seed(9, *key[0], key[1]) for key in shuffled
+            index: derive_seed(9, *keys[index][0], keys[index][1])
+            for index in shuffled
         }
         assert in_order == out_of_order
 
