@@ -13,9 +13,10 @@ them across a process pool **without changing a single output bit**:
   platform, ``PYTHONHASHSEED`` and worker scheduling;
 * :mod:`repro.par.checkpoint` — JSONL shard files for
   checkpoint/resume with byte-identical resumed aggregates;
-* :mod:`repro.par.subtree` — :func:`run_sharded_dissemination`: one
-  depth-1 subtree per shard of the struct-of-arrays kernel
-  (:mod:`repro.sim.vector`), envelopes exchanged at round barriers,
+* :mod:`repro.par.subtree` — :func:`run_sharded_dissemination`: the
+  struct-of-arrays kernel (:mod:`repro.sim.vector`) over one whole-tree
+  state, each round's gossip in passes of whole depth-1 subtrees
+  (shards), cross-shard envelopes received at the round barrier;
   report and (single, Observer-delivered) trace identical at any
   worker count; ``src/`` runs it serially inside a trial.
 

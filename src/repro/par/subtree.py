@@ -8,9 +8,9 @@ Only depth-1 gossip crosses a shard boundary; those envelopes are
 received after every shard's own, at the round barrier.  Passes run in
 the calling process unless a :class:`~repro.par.executor.TrialExecutor`
 is handed in; ``src/`` hands none — shipping passes to workers pickles
-their members out and their envelopes back each round and measures
-slower than one process, so parallelism is bought one level up, across
-trials.
+their members out and their envelopes back each round, and at 10⁶ a
+two-worker pool measures about the one-process time, so parallelism is
+bought one level up, across trials.
 
 The run is observed like every other plane: records reach the caller's
 :class:`~repro.obs.probes.Observer` trace/sink as **one** globally
@@ -106,10 +106,10 @@ def _emit_trace(
 ) -> None:
     """Hand the run's records to ``observer`` as one trace.
 
-    A stable sort by ``(round, shard)`` of the records in the order the
-    round loop appended them is the ``(round, shard, sequence)`` order
-    of the per-shard streams: globally round-monotone, identical at any
-    worker count and pass budget.
+    The round loop appends each shard's records of a round in its
+    sequence order, so a stable sort by ``(round, shard)`` gives the
+    ``(round, shard, sequence)`` order: globally round-monotone,
+    identical at any worker count and pass budget.
     """
     observer.annotate(
         **dissemination_counts(
