@@ -37,8 +37,8 @@ draws come from per-(shard, round) ``numpy`` PCG64 streams derived
 through the SHA-256 seed contract — identical however a round is cut
 into passes, but *not* stream-compatible with the scalar engine; this
 kernel is validated statistically against the Eqs 8–18 oracles (the
-``scale`` conformance suite) rather than by digest.  The driver that
-plays the rounds (and hands the trace to an Observer) lives in
+``scale`` conformance suite) rather than by digest.  The entry point
+that plays the rounds (and hands the trace to an Observer) lives in
 :mod:`repro.par.subtree`.
 
 Determinism rules (both kernels): no wall clock, no ``hash()`` of
