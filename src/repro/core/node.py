@@ -251,6 +251,13 @@ class PmcastNode:
             depth, rate, round_ = buffered
             self._buffers.add(depth, event, rate, round=round_)
 
+    def restore_counts(self, sent_delta: int, receptions_delta: int) -> None:
+        """Add message counts computed out-of-band: the live-round
+        kernel's (:class:`repro.sim.vector.LiveRound`) write-back of a
+        round's gossips sent and received."""
+        self._messages_sent += sent_delta
+        self._receptions += receptions_delta
+
     # -- the three Figure 3 entry points ---------------------------------
 
     def pmcast(self, event: Event, ctx: GossipContext) -> None:

@@ -31,7 +31,9 @@ its GOSSIP task returns immediately without drawing randomness, so the
 active-set walk consumes the shared RNG exactly like the full scan,
 provided the visit *order* matches.  The runtime therefore stamps each
 node with a wiring sequence number and walks the active set in that
-order — the same order the full scan would use.
+order — the same order the full scan would use.  The walk's fan-out and
+exchange run on arrays (:class:`~repro.sim.vector.LiveRound`), draw for
+draw with the per-node loop that stays as the counted fallback.
 """
 
 from __future__ import annotations
@@ -68,12 +70,16 @@ from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
+from repro.sim.vector import LiveEmission, LiveRound
 from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime"]
 
 #: The runtime's arrays with one row per slot, grown together.
-_PER_SLOT = ("_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_len", "_crashed_flag")
+_PER_SLOT = (
+    "_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_len", "_crashed_flag",
+    "_receiving",
+)
 
 
 class GroupRuntime:
@@ -180,12 +186,13 @@ class GroupRuntime:
         self._excluded_at: Dict[Address, int] = {}
         self._crashed: Set[Address] = set()
         self._crashed_at: Dict[Address, int] = {}
-        # Active-set scheduling: the addresses whose nodes buffer at
-        # least one event.  Walked in wiring order (the _nodes insertion
-        # order a full scan would use) so the shared gossip RNG is
-        # consumed exactly as a scan over every node would consume it.
-        self._active: Set[Address] = set()
-        self._node_seq: Dict[Address, int] = {}
+        # Active-set scheduling: the slots whose nodes buffer at least
+        # one event.  Walked in wiring order (_seq_at: the _nodes
+        # insertion order a full scan would use) so the shared gossip
+        # RNG is consumed exactly as a scan over every node would
+        # consume it.
+        self._active: Set[int] = set()
+        self._seq_at: List[int] = []
         self._wire_seq = 0
         # The live snapshot (_live), dropped at every membership change,
         # is read off two arrays kept up to date here: the tree members'
@@ -194,6 +201,10 @@ class GroupRuntime:
         self._live_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._member_slots: Dict[int, None] = {}
         self._crashed_flag = np.zeros(0, bool)
+        # Who an event gossip can reach, by slot: the node (None once
+        # its process left) and whether it is there and alive.
+        self._node_at: List[Optional[PmcastNode]] = []
+        self._receiving = np.zeros(0, bool)
         # Far-peer pools by slot: the live peers the replica's tables
         # list (int32 slots) and the _addr_tokens row they were built
         # from, -1 once _drop_far_pools() or _exclude() dropped them.  A
@@ -216,6 +227,7 @@ class GroupRuntime:
         self._m_rounds = self._reg.counter("runtime", "rounds")
         self._m_sent = self._reg.counter("runtime", "envelopes_sent")
         self._m_lost = self._reg.counter("runtime", "envelopes_lost")
+        self._m_undeliverable = self._reg.counter("runtime", "envelopes_undeliverable")
         self._m_receptions = self._reg.counter("runtime", "receptions")
         self._m_deliveries = self._reg.counter("runtime", "deliveries")
         self._m_publishes = self._reg.counter("runtime", "publishes")
@@ -271,15 +283,25 @@ class GroupRuntime:
         self._membership_rng = derive_rng(
             self._sim_config.seed, "runtime-membership"
         )
+        self._faults: Optional[FaultInjector] = None
         if fault_plan is not None:
-            self._link = FaultInjector(
+            self._faults = FaultInjector(
                 fault_plan,
                 self._tree,
                 derive_rng(self._sim_config.seed, "runtime-faults"),
                 self._link,
                 self._obs.emit if self._obs.tracing else None,
             )
-            self._reg.register_collector("faults", self._link.stats)
+            self._reg.register_collector("faults", self._faults.stats)
+            if len(fault_plan):
+                # An empty plan injects nothing and draws nothing: its
+                # rounds keep the bare network, and so the kernel.
+                self._link = self._faults
+        # The event round on arrays (fan-out and exchange); the
+        # per-node loop below runs only where it cannot.
+        self._kernel = LiveRound(
+            self._ctx, self._config, self._contacts.slot_of, self._tree.depth
+        )
         self._m_suspicion_reports = self._reg.counter(
             "detector", "suspicion_reports"
         )
@@ -324,7 +346,7 @@ class GroupRuntime:
     @property
     def fault_stats(self) -> Optional[Dict[str, int]]:
         """Injection counters when a fault plan is attached, else None."""
-        return self._link.trace_meta().get("fault_stats")
+        return None if self._faults is None else self._faults.stats()
 
     def node(self, address: Address) -> PmcastNode:
         """The protocol node of a (possibly crashed) process."""
@@ -356,8 +378,10 @@ class GroupRuntime:
             raise SimulationError(f"{publisher} has crashed")
         node.pmcast(event, self._ctx)
         if not node.is_idle:
-            self._active.add(publisher)
+            self._active.add(self._contacts.slot_of[publisher])
         self._m_publishes.inc()
+        if self._obs.enabled and node.has_delivered(event):
+            self._m_deliveries.inc()
         if self._obs.tracing:
             self._obs.emit(
                 self._round, "publish", publisher, event_id=event.event_id
@@ -382,8 +406,10 @@ class GroupRuntime:
         node.alive = False
         self._crashed.add(address)
         self._crashed_at[address] = self._round
-        self._crashed_flag[self._contacts.slot_of[address]] = True
-        self._active.discard(address)
+        slot = self._contacts.slot_of[address]
+        self._crashed_flag[slot] = True
+        self._receiving[slot] = False
+        self._active.discard(slot)
         self._live_cache = None
         self._drop_far_pools(address)
         self._m_crashes.inc()
@@ -412,7 +438,7 @@ class GroupRuntime:
         node = self._nodes[address]
         if node.alive and not node.is_idle:
             # A wrongly excluded process comes back still buffering.
-            self._active.add(address)
+            self._active.add(slot_of[address])
         self._watch_neighbors([address])
         crashed = self._crashed
         live = [
@@ -437,12 +463,13 @@ class GroupRuntime:
         slot = self._contacts.slot_of[address]
         del self._member_slots[slot]
         self._crashed_flag[slot] = False
+        self._receiving[slot] = False
+        self._node_at[slot] = None
         if self._replicas.pop(address, None) is not None:
             self._replica_at[slot] = None
             self._unwired.add(address)
         self._contacts.forget(slot)
-        self._active.discard(address)
-        self._node_seq.pop(address, None)
+        self._active.discard(slot)
         self._drop_far_pools(address)
         self._refresh_path(address, cause="leave")
         self._contacts.unwatch(slot)
@@ -485,14 +512,61 @@ class GroupRuntime:
         # plan's clause round r acts in the (r+1)-th step.
         for victim in self._link.begin_round(self._round - 1):
             self.crash(victim)
-        timeline = self._obs.timeline
-        with timeline.span("fan_out", "runtime", self._round):
-            envelopes = self._fan_out_round()
-        with timeline.span("exchange", "runtime", self._round):
-            heard = self._exchange_round(envelopes)
-        with timeline.span("membership", "runtime", self._round):
+        heard = self._event_round()
+        with self._obs.timeline.span("membership", "runtime", self._round):
             self._membership_round(heard)
             self._detection_round()
+
+    def _event_round(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Fan-out and exchange; returns who heard from whom as
+        (receiver, sender) slot arrays, one pair per arrival.
+
+        The kernel (:class:`~repro.sim.vector.LiveRound`) takes every
+        round it can express.  Two kinds it cannot take the per-node
+        loop instead, counted under ``sim.vector_fallback`` and
+        ``sim.vector_fallback_<reason>`` as the engine counts its own:
+        ``faults``, a link with no ``transmit_flags`` (a fault plan
+        decides envelope by envelope), and ``schedule``, a round in
+        which some buffered process fires other than once.
+        """
+        timeline = self._obs.timeline
+        with timeline.span("fan_out", "runtime", self._round):
+            walk = self._walk()
+            reason = self._fallback_reason(walk)
+            if reason is None:
+                emission = self._kernel_fan_out(walk)
+            else:
+                self._reg.counter("sim", "vector_fallback").inc()
+                self._reg.counter("sim", f"vector_fallback_{reason}").inc()
+                envelopes = self._fan_out_round(walk)
+        with timeline.span("exchange", "runtime", self._round):
+            if reason is None:
+                return self._kernel_exchange(emission)
+            return self._exchange_round(envelopes)
+
+    def _fallback_reason(self, walk: List[int]) -> Optional[str]:
+        """Why the kernel cannot take this round, or None."""
+        if not hasattr(self._link, "transmit_flags"):
+            return "faults"
+        if self._schedule is not None:
+            addresses = self._contacts.addresses
+            if any(self._fires_for(addresses[slot]) != 1 for slot in walk):
+                return "schedule"
+        return None
+
+    def _walk(self) -> List[int]:
+        """The active set in wiring order — the sender sequence a scan
+        over every node would give the shared gossip RNG — less the
+        processes that crashed or left the tree, which drop off the set
+        (:meth:`join` re-adds a live process excluded while buffering)."""
+        walk = []
+        node_at, members = self._node_at, self._member_slots
+        for slot in sorted(self._active, key=self._seq_at.__getitem__):
+            if node_at[slot].alive and slot in members:
+                walk.append(slot)
+            else:
+                self._active.discard(slot)
+        return walk
 
     def _fires_for(self, address: Address) -> int:
         """How many gossip steps ``address`` takes this round.
@@ -510,38 +584,98 @@ class GroupRuntime:
             key = self._schedule_keys[address] = str(address)
         return self._schedule.fires_in_round(key, self._round)
 
-    def _fan_out_round(self) -> List[Envelope]:
-        """Collect this round's gossip envelopes from every live node.
+    def _kernel_fan_out(self, walk: List[int]) -> LiveEmission:
+        """The walk's gossip on the kernel; idle nodes drop off the set."""
+        emission = self._kernel.fan_out(list(map(self._node_at.__getitem__, walk)), walk)
+        for position in emission.idle:
+            self._active.discard(walk[position])
+        return emission
 
-        Only buffered nodes are visited (in their stable join order,
-        the sender sequence a scan over every node would give the
-        shared gossip RNG); idle nodes drop off the set, and so does a
-        live process excluded while buffering (:meth:`join` re-adds it).
-        """
+    def _kernel_exchange(self, emission: LiveEmission) -> Tuple[np.ndarray, np.ndarray]:
+        """Transmit the kernel's envelopes and apply every arrival: the
+        counters, records, active set and piggybacked pulls of
+        :meth:`_exchange_round`, from arrays."""
+        link = self._link
+        lost = link.messages_lost
+        flags = link.transmit_flags(len(emission.dest))
+        self._m_sent.inc(len(emission.dest))
+        self._m_lost.inc(link.messages_lost - lost)
+        arrivals = self._kernel.exchange(
+            emission, flags, self._node_at, self._receiving
+        )
+        self._m_undeliverable.inc(arrivals.undeliverable)
+        self._m_receptions.inc(len(arrivals.at))
+        if self._obs.enabled:
+            self._m_deliveries.inc(sum(arrivals.delivered))
+        if self._obs.tracing:
+            self._trace_kernel_round(emission, flags, arrivals)
+        node_at = self._node_at
+        for slot in arrivals.receivers:
+            if not node_at[slot].is_idle:
+                self._active.add(slot)
+        receivers = emission.dest[arrivals.at]
+        senders = emission.sender[arrivals.at]
+        if self._piggyback_membership:
+            replica_at = self._replica_at
+            for receiver, sender in zip(receivers.tolist(), senders.tolist()):
+                sender_replica = replica_at[sender]
+                receiver_replica = replica_at[receiver]
+                if sender_replica is not None and receiver_replica is not None:
+                    exchange(receiver_replica, sender_replica, self._reg)
+        return receivers, senders
+
+    def _trace_kernel_round(self, emission: LiveEmission, flags, arrivals) -> None:
+        """The records :meth:`_exchange_round` emits, in its order: one
+        send/loss disposition per envelope, then per arrival a receive
+        and, at a first reception that delivers, a deliver."""
+        emit, now = self._obs.emit, self._round
+        addresses = self._contacts.addresses
+        dest, sender = emission.dest.tolist(), emission.sender.tolist()
+        row = emission.row.tolist()
+        depths = emission.depths.tolist()
+        entries = emission.entries
+        for i, (to, by, r) in enumerate(zip(dest, sender, row)):
+            emit(
+                now, "send" if flags is None or flags[i] else "loss", addresses[by],
+                peer=addresses[to], event_id=entries[r].event.event_id, depth=depths[r],
+            )
+        delivering = set(compress(arrivals.fresh.tolist(), arrivals.delivered))
+        for n, i in enumerate(arrivals.at.tolist()):
+            event_id = entries[row[i]].event.event_id
+            emit(
+                now, "receive", addresses[dest[i]], peer=addresses[sender[i]],
+                event_id=event_id, depth=depths[row[i]],
+            )
+            if n in delivering:
+                emit(now, "deliver", addresses[dest[i]], event_id=event_id)
+
+    def _fan_out_round(self, walk: List[int]) -> List[Envelope]:
+        """The per-node loop: collect the walk's gossip envelopes, one
+        ``gossip_step`` per fire of each node; idle nodes drop off the
+        set.  The kernel's fallback and reference."""
         envelopes: List[Envelope] = []
-        for address in sorted(self._active, key=self._node_seq.__getitem__):
-            node = self._nodes[address]
-            if not node.alive or address not in self._tree:
-                self._active.discard(address)
-                continue
-            for __ in range(self._fires_for(address)):
+        for slot in walk:
+            node = self._node_at[slot]
+            for __ in range(self._fires_for(node.address)):
                 envelopes.extend(node.gossip_step(self._ctx))
                 if node.is_idle:
                     break
             if node.is_idle:
-                self._active.discard(address)
+                self._active.discard(slot)
         return envelopes
 
     def _exchange_round(
         self, envelopes: List[Envelope]
-    ) -> Tuple[List[Address], List[Address]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Transmit the round's envelopes and apply every arrival.
 
-        Returns who heard from whom — (receivers, senders), one pair per
-        applied arrival — for the round's contact table update.
+        Returns who heard from whom — (receiver, sender) slot arrays,
+        one pair per applied arrival — for the round's contact table
+        update.
         """
-        receivers: List[Address] = []
-        senders: List[Address] = []
+        slot_of = self._contacts.slot_of
+        receivers: List[int] = []
+        senders: List[int] = []
         lost = self._link.messages_lost
         survivors = self._link.transmit(envelopes)
         self._m_sent.inc(len(envelopes))
@@ -556,9 +690,11 @@ class GroupRuntime:
                 self._obs.emit,
                 self._round,
             )
+        undeliverable = 0
         for envelope in survivors:
             receiver = self._nodes.get(envelope.destination)
             if receiver is None or not receiver.alive:
+                undeliverable += 1
                 continue
             freshly_delivered = (
                 self._obs.enabled
@@ -585,16 +721,17 @@ class GroupRuntime:
                     envelope.destination,
                     event_id=envelope.message.event.event_id,
                 )
+            receivers.append(slot_of[envelope.destination])
+            senders.append(slot_of[envelope.message.sender])
             if not receiver.is_idle:
-                self._active.add(envelope.destination)
-            receivers.append(envelope.destination)
-            senders.append(envelope.message.sender)
+                self._active.add(receivers[-1])
             if self._piggyback_membership:
                 sender_replica = self._replicas.get(envelope.message.sender)
                 receiver_replica = self._replicas.get(envelope.destination)
                 if sender_replica is not None and receiver_replica is not None:
                     exchange(receiver_replica, sender_replica, self._reg)
-        return receivers, senders
+        self._m_undeliverable.inc(undeliverable)
+        return np.array(receivers, np.int64), np.array(senders, np.int64)
 
     def run(self, rounds: int) -> None:
         """Execute several rounds."""
@@ -627,8 +764,6 @@ class GroupRuntime:
             views[prefix.depth] = table
         existing = self._nodes.get(address)
         if existing is None:
-            self._node_seq[address] = self._wire_seq
-            self._wire_seq += 1
             self._nodes[address] = PmcastNode(
                 address,
                 self._tree.interest_of(address),
@@ -653,6 +788,8 @@ class GroupRuntime:
             slot = self._contacts.slot(address)
             if slot == len(self._replica_at):  # a first-time member
                 self._replica_at.append(None)
+                self._node_at.append(None)
+                self._seq_at.append(0)
                 self._tokens_of.append(None)
                 self._far_pool.append(None)
                 if slot == len(self._far_len):  # the per-slot arrays double
@@ -665,6 +802,11 @@ class GroupRuntime:
                     for prefix in address.prefixes()
                 ]
             self._replica_at[slot] = replica
+            if existing is None:
+                self._node_at[slot] = self._nodes[address]
+                self._seq_at[slot] = self._wire_seq
+                self._wire_seq += 1
+                self._receiving[slot] = True
             if address in self._unwired:
                 # A departed member is back: it re-enters the pools of
                 # whoever still lists it.
@@ -810,9 +952,7 @@ class GroupRuntime:
         self._far_len[stale] = list(map(len, map(pools.__getitem__, stale.tolist())))
         self._far_from[stale] = rows
 
-    def _membership_round(
-        self, heard: Tuple[List[Address], List[Address]]
-    ) -> None:
+    def _membership_round(self, heard: Tuple[np.ndarray, np.ndarray]) -> None:
         """Dedicated membership gossips — one near pull, one far pull
         per live member — then every contact of the round.
 
@@ -862,10 +1002,7 @@ class GroupRuntime:
         )
         if len(g):
             self._pull_round(g, p, tokens)
-        slot_of = self._contacts.slot_of.__getitem__
-        receivers, senders = heard
-        r = np.fromiter(map(slot_of, receivers), np.int64, len(receivers))
-        s = np.fromiter(map(slot_of, senders), np.int64, len(senders))
+        r, s = heard
         self._contacts.contact(
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
         )
@@ -1042,6 +1179,7 @@ class GroupRuntime:
                     node.replace_view(fresh.depth, fresh)
         for table in dropped:
             self._ctx.invalidate_table(table)
+            self._kernel.forget(table)
         touched = self._tree.depth  # one path prefix per depth
         self._m_refreshes.inc()
         self._m_tables.inc(touched)

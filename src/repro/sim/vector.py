@@ -1,6 +1,7 @@
 """Struct-of-arrays fast paths for the simulation hot loop.
 
-Two kernels live here, with different contracts:
+Three kernels live here.  Two run a single-event dissemination, with
+different contracts:
 
 **Compat kernel** (:func:`try_run_vectorized`) — a flattened re-
 implementation of :func:`repro.sim.engine.run_dissemination`'s round
@@ -41,7 +42,11 @@ kernel is validated statistically against the Eqs 8–18 oracles (the
 that plays the rounds (and hands the trace to an Observer) lives in
 :mod:`repro.par.subtree`.
 
-Determinism rules (both kernels): no wall clock, no ``hash()`` of
+The third, :class:`LiveRound`, is :class:`~repro.sim.runtime.GroupRuntime`'s
+fan-out and exchange over any number of buffered events, draw for draw
+with the runtime's per-node loop, on the compat kernel's flat matches.
+
+Determinism rules (all kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
 the master seed via :func:`repro.sim.rng.derive_seed`, and every loop
 iterates arrays or insertion-ordered lists.
@@ -50,8 +55,8 @@ iterates arrays or insertion-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, compress, repeat
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,6 +64,7 @@ from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.rate import sample_positions
+from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.probes import NULL_OBSERVER, Observer
@@ -96,7 +102,10 @@ class _DepthMatch:
     indices in view order, ``pos`` the inverse mapping for
     self-exclusion (int keys: cheaper to probe than the match's
     address-keyed ``positions``), ``flood_targets`` the §6 leaf-flood
-    recipients.
+    recipients.  The live-round kernel (:class:`LiveRound`) keeps its
+    flats over contact slots, with ``entries`` an array holding -1 at
+    every entry line 13 skips, so one gather both names and filters a
+    round's destinations.
     """
 
     __slots__ = ("match", "entries", "pos", "flood_targets")
@@ -502,6 +511,415 @@ def try_run_vectorized(
         sent_before=sent_before,
         receptions_before=receptions_before,
     )
+
+
+# ---------------------------------------------------------------------------
+# Live-round kernel: GroupRuntime's fan-out and exchange, draw for draw.
+# ---------------------------------------------------------------------------
+
+#: What a row's depth pass decided (Figure 3 lines 6-18).
+_GOSSIP, _DEMOTE, _REMOVE, _FLOOD = range(4)
+
+
+class LiveEmission(NamedTuple):
+    """One live round's envelopes, in send order, and the rows behind them.
+
+    Per envelope: ``dest`` and ``sender`` (contact slots) and ``row``.
+    Per row: the ``entries`` it gossiped (event, rate and round of the
+    GOSSIP message it sends), ``depths``, and ``event_index`` (its event
+    in the round's ``event_list``).  ``idle`` lists the walk positions
+    of the nodes the fan-out emptied, ``live`` the events the walked
+    nodes still buffer.
+    """
+
+    dest: np.ndarray
+    sender: np.ndarray
+    row: np.ndarray
+    entries: List
+    depths: np.ndarray
+    event_index: np.ndarray
+    event_list: List[Event]
+    idle: List[int]
+    live: Set[int]
+
+
+class LiveArrivals(NamedTuple):
+    """What the exchange applied: ``at``, the envelopes that reached a
+    live receiver, in send order; ``fresh``, the indices into ``at`` of
+    the first receptions, and ``delivered`` whether each one was
+    HPDELIVERed; ``receivers``, every receiving slot once;
+    ``undeliverable``, the survivors addressed to a crashed or departed
+    process."""
+
+    at: np.ndarray
+    fresh: np.ndarray
+    delivered: List[bool]
+    receivers: List[int]
+    undeliverable: int
+
+
+class LiveRound:
+    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange
+    on arrays, stream-compatible with the per-node loop it replaces.
+
+    **Rows.**  :meth:`fan_out` reads every buffered entry of the walked
+    nodes into a row, in walk order: node (the caller's order), then
+    depth, then bucket order.  One pass per depth then settles each row
+    of that depth — §6 leaf flood, line 7's bound at the entry's own
+    rate, gossip (round + 1), demotion or removal.  A demoted entry
+    becomes a row of the next pass, after that node's own rows there:
+    the end of the next bucket, where Figure 3's in-place loop finds it
+    in the same step.
+
+    **Draws.**  The gossiping rows draw in walk order, one
+    :func:`~repro.core.rate.sample_positions` per row over the view
+    minus the gossiper — the calls, in the order, of the per-node
+    loop.  Destinations are gathered through the rows' flat matches
+    (:class:`_DepthMatch` over contact slots, -1 where line 13 skips
+    the entry), so one mask keeps the interested ones.
+
+    **Flats.**  Keyed by (table, cache token, event): a flat is
+    replaced at its next lookup once its table's token moved, dropped
+    when :meth:`forget` names its table, and dropped with its event once
+    no walked node buffers it (:meth:`prune`).  A lookup served from a flat counts the
+    ``match_cache`` table hit the scalar step's lookup would; any
+    other goes through :meth:`GossipContext.table_match
+    <repro.core.context.GossipContext.table_match>`, which counts
+    itself — so the counters read per round what the loop's read.
+
+    **Write-back.**  Node objects stay the only state between rounds:
+    :meth:`fan_out` advances round counters, demotes and removes
+    through :class:`~repro.core.buffers.DepthBuffers` and adds the
+    messages sent; :meth:`exchange` buffers first receptions through
+    :meth:`PmcastNode.restore_outcome
+    <repro.core.node.PmcastNode.restore_outcome>` and adds receptions.
+    The read takes a node's buckets and view tables straight off its
+    internals (``_buffers``, ``_views``), in one pass over the walk.
+    The checks the objects make run on the arrays instead:
+    ``GossipMessage``'s fields once per emitting row, ``Envelope``'s
+    no-self-send per envelope, ``receive``'s depth range per arrival.
+    """
+
+    __slots__ = (
+        "_ctx", "_config", "_slot_of", "_depth", "_flats", "_wiring", "_bounds", "_stats",
+    )
+
+    def __init__(
+        self,
+        ctx: GossipContext,
+        config: PmcastConfig,
+        slot_of: Dict[Address, int],
+        tree_depth: int,
+    ):
+        self._ctx = ctx
+        self._config = config
+        self._slot_of = slot_of
+        self._depth = tree_depth
+        # event_id -> {id(table): (cache_token, _DepthMatch)}
+        self._flats: Dict[int, Dict[int, Tuple[int, _DepthMatch]]] = {}
+        # id(table) -> (addresses_token, entry slots, slot -> position):
+        # a match's entries depend on the table's structure only.
+        self._wiring: Dict[int, Tuple[int, np.ndarray, Dict[int, int]]] = {}
+        # entry count -> {rate -> line 7's bound}: the bound depends on
+        # the table through its entry count only.
+        self._bounds: Dict[int, Dict[float, int]] = {}
+        self._stats = ctx.cache_stats
+
+    def forget(self, table) -> None:
+        """Drop every flat of ``table`` (its match-cache entries went)."""
+        self._wiring.pop(id(table), None)
+        for per_event in self._flats.values():
+            per_event.pop(id(table), None)
+
+    def prune(self, live: set) -> None:
+        """Drop the flats of every event not in ``live``."""
+        for event_id in [e for e in self._flats if e not in live]:
+            del self._flats[event_id]
+
+    def _cell(self, table, event: Event, depth: int) -> Tuple:
+        """(flat, entry count, floods?, {rate: bound}) of (``table``,
+        ``event``); the flat is built on first use."""
+        per_event = self._flats.get(event.event_id)
+        if per_event is None:
+            per_event = self._flats[event.event_id] = {}
+        token = table.cache_token
+        held = per_event.get(id(table))
+        if held is not None and held[0] == token:
+            self._stats.table_hits += 1
+            flat = held[1]
+        else:
+            match = self._ctx.table_match(table, event)
+            size = len(match.entries)
+            wiring = self._wiring.get(id(table))
+            if wiring is None or wiring[0] != table.addresses_token:
+                slots = np.fromiter(
+                    map(self._slot_of.__getitem__, match.entries), np.int64, size
+                )
+                wiring = self._wiring[id(table)] = (
+                    table.addresses_token, slots, dict(zip(slots.tolist(), range(size)))
+                )
+            __, slots, pos = wiring
+            if depth == self._depth and self._config.leaf_flood_threshold <= 1.0:
+                flood_targets = np.fromiter(
+                    map(self._slot_of.__getitem__, sorted(match.matching)), np.int64
+                )
+            else:
+                flood_targets = slots[:0]
+            flat = _DepthMatch(
+                match, np.where(np.fromiter(match.mask, bool, size), slots, -1),
+                pos, flood_targets,
+            )
+            per_event[id(table)] = (token, flat)
+        match = flat.match
+        size = len(match.entries)
+        floods = depth == self._depth and match.rate >= self._config.leaf_flood_threshold
+        return flat, size, floods, self._bounds.setdefault(size, {})
+
+    def fan_out(self, nodes: List, slots: List[int]) -> LiveEmission:
+        """GOSSIP for ``nodes`` (live, buffering, in walk order; ``slots``
+        their contact slots), written back as it goes."""
+        depth_count = self._depth
+        config = self._config
+        fanout = config.fanout
+        hits = 0  # lookups served from this round's cells
+        pool: List[np.ndarray] = []  # the entries of the round's flats
+        event_index: Dict[int, int] = {}  # event_id -> its place in event_list
+        event_list: List[Event] = []
+
+        def cell_of(table, event: Event, depth: int) -> Tuple:
+            """The cell plus the round's view of it: its flat's place in
+            the pool, and its event's index."""
+            flat, size, floods, bound_of = self._cell(table, event, depth)
+            pool.append(flat.entries)
+            index = event_index.get(event.event_id)
+            if index is None:
+                index = event_index[event.event_id] = len(event_list)
+                event_list.append(event)
+            return flat, size, floods, bound_of, len(pool) - 1, index
+
+        # Read: rows per depth, each in walk order.
+        walk_by: List[List[int]] = [[] for __ in range(depth_count)]
+        entry_by: List[List] = [[] for __ in range(depth_count)]
+        for w, node in enumerate(nodes):
+            for k, bucket in enumerate(node._buffers._buffers):
+                if bucket:
+                    entry_by[k] += bucket.values()
+                    walk_by[k] += [w] * len(bucket)
+
+        # The depth passes.  Rows are numbered in pass order: a pass's
+        # rows read off the buckets, then the entries the previous pass
+        # demoted into it (to the end of the next bucket) — so a stable
+        # sort by walk position puts each after its node's own rows at
+        # that depth, where Figure 3's in-place loop finds it.
+        row_walk: List[int] = []
+        row_entry: List = []  # the BufferedEvent; its round is the message's
+        row_depth: List[int] = []
+        row_kind: List[int] = []
+        row_index: List[int] = []  # the row's event in event_list
+        # The rows that draw, in pass order: own position in the view
+        # (-1: not in it), draw size, the view's flat in the pool.
+        g_row: List[int] = []
+        g_own: List[int] = []
+        g_size: List[int] = []
+        g_flat: List[int] = []
+        flooding: List[Tuple[int, _DepthMatch]] = []
+        local: Dict[Tuple[int, int], Tuple] = {}  # the round's cells
+        carry: List[Tuple] = []  # (walk position, demoted entry, its cell)
+        row = 0
+        for depth in range(1, depth_count + 1):
+            walk = walk_by[depth - 1]
+            entries = entry_by[depth - 1]
+            leaf = depth == depth_count
+            demoted, carry = carry, []
+            row_walk += walk
+            row_entry += entries
+            row_depth += [depth] * (len(walk) + len(demoted))
+            for w, entry, cell in chain(zip(walk, entries, repeat(None)), demoted):
+                event = entry.event
+                event_id = event.event_id
+                if cell is None:
+                    table = nodes[w]._views[depth]
+                    key = (id(table), event_id)
+                    cell = local.get(key)
+                    if cell is None:
+                        cell = local[key] = cell_of(table, event, depth)
+                    else:
+                        hits += 1
+                else:
+                    row_walk.append(w)
+                    row_entry.append(entry)
+                    hits += 1  # a demoted entry's lookup at its new depth
+                flat, size, floods, bound_of, pooled, index = cell
+                row_index.append(index)
+                if floods:
+                    kind = _FLOOD
+                    flooding.append((row, flat))
+                    nodes[w]._buffers.remove(depth, event)
+                else:
+                    rate = entry.rate
+                    bound = bound_of.get(rate)
+                    if bound is None:
+                        bound = bound_of[rate] = depth_round_bound(size, rate, config)
+                    if entry.round < bound:
+                        kind = _GOSSIP
+                        entry.round += 1
+                        own = flat.pos.get(slots[w], -1)
+                        if size - (own >= 0):
+                            g_row.append(row)
+                            g_own.append(own)
+                            g_size.append(size - (own >= 0))
+                            g_flat.append(pooled)
+                    elif not leaf:
+                        kind = _DEMOTE
+                        table = nodes[w]._views[depth + 1]
+                        key = (id(table), event_id)
+                        below = local.get(key)
+                        if below is None:
+                            below = local[key] = cell_of(table, event, depth + 1)
+                        else:
+                            hits += 1
+                        carry.append((
+                            w,
+                            nodes[w]._buffers.demote(depth, event, below[0].match.rate),
+                            below,
+                        ))
+                    else:
+                        kind = _REMOVE
+                        nodes[w]._buffers.remove(depth, event)
+                row_kind.append(kind)
+                row += 1
+        self._stats.table_hits += hits
+
+        # Draws: the drawing rows in walk order, one sample each.
+        walk_a = np.array(row_walk, np.int64)
+        g_row_a = np.array(g_row, np.int64)
+        order = np.argsort(walk_a[g_row_a], kind="stable")
+        sizes = np.array(g_size, np.int64)[order]
+        counts = np.minimum(sizes, fanout)
+        randbelow = self._ctx.rng._randbelow
+        draws: List[int] = []
+        for size, count in zip(sizes.tolist(), counts.tolist()):
+            draws += sample_positions(randbelow, size, count)
+
+        # Gather: destination slots, -1 where line 13 says no.
+        j = np.array(draws, np.int64)
+        own = np.repeat(np.array(g_own, np.int64)[order], counts)
+        j += (own >= 0) & (j >= own)
+        offsets = np.cumsum([0] + [len(entries) for entries in pool])
+        dest = np.concatenate(pool or [walk_a[:0]])[
+            np.repeat(offsets[np.array(g_flat, np.int64)][order], counts) + j
+        ]
+        keep = dest >= 0
+        env_row, env_dest = np.repeat(g_row_a[order], counts)[keep], dest[keep]
+        if flooding:
+            rows, dests = [env_row], [env_dest]
+            for row, flat in flooding:
+                targets = flat.flood_targets
+                targets = targets[targets != slots[row_walk[row]]]
+                rows.append(np.full(len(targets), row, np.int64))
+                dests.append(targets)
+            env_row = np.concatenate(rows)
+            # Walk order of the rows, each row's envelopes in order.
+            by_walk = np.argsort(walk_a[env_row] * len(walk_a) + env_row, kind="stable")
+            env_row, env_dest = env_row[by_walk], np.concatenate(dests)[by_walk]
+        kind_a = np.array(row_kind, np.int8)
+        env_sender = np.array(slots, np.int64)[walk_a[env_row]]
+        depth_a = np.array(row_depth, np.int64)
+        self._check(env_row, env_dest, env_sender, row_entry, depth_a)
+        sent = np.bincount(walk_a[env_row], minlength=len(nodes))
+        for w in np.flatnonzero(sent).tolist():
+            nodes[w].restore_counts(int(sent[w]), 0)
+
+        index_a = np.array(row_index, np.int64)
+        gossiped = kind_a == _GOSSIP
+        remaining = np.bincount(walk_a[gossiped], minlength=len(nodes))
+        return LiveEmission(
+            env_dest, env_sender, env_row, row_entry, depth_a, index_a, event_list,
+            idle=np.flatnonzero(remaining == 0).tolist(),
+            live={event_list[i].event_id for i in np.unique(index_a[gossiped]).tolist()},
+        )
+
+    @staticmethod
+    def _check(env_row, dest, sender, entries, depths) -> None:
+        """What ``GossipMessage`` checks once per emitting row and
+        ``Envelope`` once per envelope."""
+        if not len(env_row):
+            return
+        rows = np.unique(env_row)
+        emitting = [entries[row] for row in rows.tolist()]
+        rate = np.array([entry.rate for entry in emitting], float)
+        bad = ~((rate >= 0.0) & (rate <= 1.0))
+        if bad.any():
+            raise ProtocolError(f"matching rate {rate[bad][0].item()} not in [0, 1]")
+        round_ = np.array([entry.round for entry in emitting], np.int64)
+        if (round_ < 0).any():
+            raise ProtocolError(f"round {round_[round_ < 0][0].item()} must be >= 0")
+        depth = depths[rows]
+        if (depth < 1).any():
+            raise ProtocolError(f"depth {depth[depth < 1][0].item()} must be >= 1")
+        if (dest == sender).any():
+            raise ProtocolError("a process does not gossip to itself")
+
+    def exchange(
+        self,
+        emission: LiveEmission,
+        flags: Optional[List[bool]],
+        node_at: List,
+        receiving: np.ndarray,
+    ) -> LiveArrivals:
+        """RECEIVE for every envelope the link kept (``flags``, None =
+        all): ``node_at`` is the node by slot, ``receiving`` whether it
+        is there and alive.  First in send order wins a (process,
+        event) pair; every arrival counts one reception; HPDELIVER
+        reads the receiver's interest now.  Written back, and the flat
+        cache pruned to the events still buffered, before it returns."""
+        dest = emission.dest
+        kept = np.ones(len(dest), bool) if flags is None else np.array(flags, bool)
+        at = np.flatnonzero(kept & receiving[dest])
+        receiver = dest[at]
+        rows = emission.row[at]
+        depths = emission.depths[rows]
+        foreign = (depths < 1) | (depths > self._depth)
+        if foreign.any():
+            raise ProtocolError(f"gossip for foreign depth {depths[foreign][0].item()}")
+        receivers, counts = np.unique(receiver, return_counts=True)
+        receivers = receivers.tolist()
+        for slot, count in zip(receivers, counts.tolist()):
+            node_at[slot].restore_counts(0, count)
+        events = emission.event_list
+        n_events = len(events)
+        pairs, first = np.unique(
+            receiver * n_events + emission.event_index[rows], return_index=True
+        )
+        fresh = sorted(
+            at_pair
+            for pair, at_pair in zip(pairs.tolist(), first.tolist())
+            if not node_at[pair // n_events].has_received(events[pair % n_events])
+        )
+        delivered = []
+        buffered = set()  # the events first received here
+        receiver, rows = receiver.tolist(), rows.tolist()
+        for index in fresh:
+            node, row = node_at[receiver[index]], rows[index]
+            entry = emission.entries[row]
+            event = entry.event
+            delivers = node.interest.matches(event)
+            node.restore_outcome(
+                event,
+                alive=True,
+                received=True,
+                delivered=delivers,
+                sent_delta=0,
+                receptions_delta=0,
+                buffered=(int(emission.depths[row]), entry.rate, entry.round),
+            )
+            delivered.append(delivers)
+            buffered.add(event.event_id)
+        self.prune(emission.live | buffered)
+        return LiveArrivals(
+            at, np.array(fresh, np.int64), delivered, receivers,
+            undeliverable=int(np.count_nonzero(kept)) - len(at),
+        )
 
 
 # ---------------------------------------------------------------------------

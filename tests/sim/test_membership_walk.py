@@ -107,9 +107,7 @@ class WalkRuntime(GroupRuntime):
         p = np.fromiter(map(slot_of, peers), np.int64, len(peers))
         if len(g):
             self._pull_round(g, p, self._versions())
-        receivers, senders = heard
-        r = np.fromiter(map(slot_of, receivers), np.int64, len(receivers))
-        s = np.fromiter(map(slot_of, senders), np.int64, len(senders))
+        r, s = heard
         self._contacts.contact(
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
         )

@@ -1,13 +1,18 @@
 """Tests for the live GroupRuntime: gossip + membership + detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
+from repro.faults.plan import FaultPlan
 from repro.interests import Event, StaticInterest, parse_subscription
-from repro.obs import MetricsRegistry, Observer
+from repro.obs import MetricsRegistry, Observer, TraceLog
+from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
+from repro.sim.workload import bernoulli_interests
 
 CONFIG = PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
 
@@ -341,3 +346,95 @@ class TestCacheCorrectnessUnderChurn:
         stats = runtime._ctx.cache_stats
         assert stats.table_hits + stats.table_misses > 0
         assert 0.0 <= stats.table_hit_rate <= 1.0
+
+
+QUICK = sorted(AddressSpace.regular(5, 3).enumerate_regular(5))
+QUICK_CONFIG = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
+
+
+def quick_runtime(seed, **kwargs):
+    members = bernoulli_interests(QUICK, 0.25, derive_rng(seed, "interests"))
+    members[QUICK[0]] = StaticInterest(True)
+    registry = MetricsRegistry()
+    runtime = GroupRuntime(
+        members,
+        config=QUICK_CONFIG,
+        sim_config=SimConfig(seed=seed, loss_probability=0.05),
+        observer=Observer(registry=registry, trace=kwargs.pop("trace", None)),
+        **kwargs,
+    )
+    return runtime, registry
+
+
+def accounted(registry):
+    """envelopes_sent minus every way an envelope can end."""
+    counters = registry.snapshot()["runtime"]
+    return counters["envelopes_sent"] - (
+        counters["receptions"]
+        + counters["envelopes_lost"]
+        + counters["envelopes_undeliverable"]
+    )
+
+
+class TestRuntimeCounters:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_deliveries_count_the_publisher_too(self, seed):
+        trace = TraceLog()
+        runtime, registry = quick_runtime(seed, trace=trace)
+        event = Event({"k": 1}, event_id=1)
+        runtime.publish(QUICK[0], event)
+        runtime.run_until_idle()
+        deliveries = registry.snapshot()["runtime"]["deliveries"]
+        assert deliveries == trace.counts()["deliver"]
+        assert deliveries == len(runtime.delivered_to(event))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["publish", "crash", "leave", "join", "step", "step"]),
+                st.integers(0, 10**6),
+            ),
+            min_size=3,
+            max_size=16,
+        ),
+    )
+    def test_every_envelope_is_received_lost_or_undeliverable(self, seed, script):
+        # A crashed or departed process still gets envelopes (tables
+        # list it until exclusion or refresh): they survive the link
+        # and are counted undeliverable.
+        runtime, registry = quick_runtime(seed)
+        published = 0
+        for kind, pick in script + [("step", 0)] * 4:
+            members = sorted(runtime.tree.members())
+            alive = [a for a in members if runtime.node(a).alive]
+            if kind == "publish" and alive:
+                published += 1
+                runtime.publish(alive[pick % len(alive)], Event({}, event_id=published))
+            elif kind == "crash" and len(alive) > 2:
+                runtime.crash(alive[pick % len(alive)])
+            elif kind == "leave" and len(members) > 2:
+                runtime.leave(members[pick % len(members)])
+            elif kind == "join":
+                outside = [a for a in QUICK if a not in runtime.tree]
+                if outside:
+                    runtime.join(outside[pick % len(outside)], StaticInterest(True))
+            elif kind == "step":
+                runtime.step()
+                assert accounted(registry) == 0
+
+    def test_the_identity_holds_under_a_delay_plan_once_idle(self):
+        plan = FaultPlan().with_delay(1, 6, 2)
+        for seed in range(3):
+            runtime, registry = quick_runtime(seed, fault_plan=plan)
+            runtime.publish(QUICK[0], Event({"k": 1}, event_id=1))
+            runtime.step()
+            runtime.crash(QUICK[31])
+            runtime.crash(QUICK[60])
+            runtime.leave(QUICK[90])
+            runtime.publish(QUICK[40], Event({"k": 2}, event_id=2))
+            runtime.run_until_idle(64)
+            assert runtime.fault_stats["delayed"] > 0
+            assert registry.snapshot()["runtime"]["envelopes_undeliverable"] > 0
+            assert accounted(registry) == 0
