@@ -118,7 +118,9 @@ def state(runtime, registry, trace):
         "nodes": [(str(a), node_state(n)) for a, n in runtime._nodes.items()],
         "active": sorted(runtime._active),
         "gossip rng": runtime._ctx.rng.getstate(),
-        "loss rng": runtime._link._rng.getstate(),
+        # Under a fault plan the link is the injector over the network.
+        "loss rng": getattr(runtime._link, "_network", runtime._link)._rng.getstate(),
+        "fault rng": None if runtime._faults is None else runtime._faults._rng.getstate(),
         "membership rng": runtime._membership_rng.getstate(),
         "registry": registry.snapshot(),
         "trace": None if trace is None else list(trace),
