@@ -49,7 +49,7 @@ TIMELINE_SCHEMA = "repro.obs.timeline/v1"
 #: The canonical per-round phases instrumented code uses.  The schema
 #: does not restrict phases to this tuple (subsystems may add their
 #: own), but analyzers can rely on these names where they appear.
-PHASES = ("match", "membership", "fan_out", "exchange", "memory")
+PHASES = ("membership", "fan_out", "exchange", "memory")
 
 #: A shared reusable no-op context manager: what
 #: :data:`NULL_TIMELINE` hands out, so untimed loops pay nothing.

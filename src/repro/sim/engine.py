@@ -14,9 +14,9 @@ collection emptied all buffers) or at the ``max_rounds`` safety cap.
 Two loops implement that round, and :func:`run_dissemination` picks by
 eligibility, not by request: a run the struct-of-arrays compat kernel
 (:func:`repro.sim.vector.try_run_vectorized`) can express takes it; a
-run it cannot (a fault plan, a node mid-event, ragged address depths,
-an unpopulated view) takes the scalar reference loop
-(:func:`repro.variants.base.run_variant`) and is counted by reason.
+run it cannot (a fault plan, a node still buffering an event) takes the
+scalar reference loop (:func:`repro.variants.base.run_variant`) and is
+counted by reason.
 The two are bit-identical on every eligible run — report, trace
 records, node state — and ``SimConfig(vectorized=False)`` forces the
 reference loop so a test can diff them.
@@ -84,10 +84,10 @@ def run_dissemination(
             (publisher, interest ground truth, final round count) from
             which ``python -m repro.obs summarize`` reproduces this
             function's report.  Its timeline receives per-round
-            ``engine`` ``fan_out``/``exchange`` spans, plus one
-            ``match`` span when the kernel runs; its registry the
-            kernel's ``vector.*`` counters and, by reason, the runs the
-            kernel could not express (``sim.vector_fallback`` and
+            ``engine`` ``fan_out``/``exchange`` spans from either loop;
+            its registry the kernel's ``vector.*`` counters and, by
+            reason, the runs the kernel could not express
+            (``sim.vector_fallback`` and
             ``sim.vector_fallback_<reason>``).  Observation draws no
             randomness: the report is the same observed or not.
         timeline: shorthand for ``observer=Observer(timeline=...)``.

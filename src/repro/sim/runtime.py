@@ -32,8 +32,10 @@ active-set walk consumes the shared RNG exactly like the full scan,
 provided the visit *order* matches.  The runtime therefore stamps each
 node with a wiring sequence number and walks the active set in that
 order — the same order the full scan would use.  The walk's fan-out and
-exchange run on arrays (:class:`~repro.sim.vector.LiveRound`), draw for
-draw with the per-node loop that stays as the counted fallback.
+exchange run on :class:`~repro.sim.vector.LiveRound`, draw for draw
+with the per-node loop, which runs only for a fault plan's rounds (its
+link decides envelope by envelope) and as the test reference.  A
+schedule's extra fires are extra visits in the kernel's walk.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class GroupRuntime:
             the engine's one-fire-per-round cadence bit for bit.
             Jittered and straggler schedules model timers drifting
             across round boundaries or running at a slower cadence;
-            a process firing zero times simply keeps buffering.
+            a process firing zero times simply keeps buffering, and
+            one firing twice takes two gossip steps in a row.
     """
 
     def __init__(
@@ -522,37 +525,25 @@ class GroupRuntime:
         (receiver, sender) slot arrays, one pair per arrival.
 
         The kernel (:class:`~repro.sim.vector.LiveRound`) takes every
-        round it can express.  Two kinds it cannot take the per-node
-        loop instead, counted under ``sim.vector_fallback`` and
-        ``sim.vector_fallback_<reason>`` as the engine counts its own:
-        ``faults``, a link with no ``transmit_flags`` (a fault plan
-        decides envelope by envelope), and ``schedule``, a round in
-        which some buffered process fires other than once.
+        round but those of a link with no ``transmit_flags`` (a fault
+        plan decides envelope by envelope): those take the per-node
+        loop, counted under ``sim.vector_fallback`` and
+        ``sim.vector_fallback_faults`` as the engine counts its own.
         """
         timeline = self._obs.timeline
+        kernel = hasattr(self._link, "transmit_flags")
         with timeline.span("fan_out", "runtime", self._round):
             walk = self._walk()
-            reason = self._fallback_reason(walk)
-            if reason is None:
+            if kernel:
                 emission = self._kernel_fan_out(walk)
             else:
                 self._reg.counter("sim", "vector_fallback").inc()
-                self._reg.counter("sim", f"vector_fallback_{reason}").inc()
+                self._reg.counter("sim", "vector_fallback_faults").inc()
                 envelopes = self._fan_out_round(walk)
         with timeline.span("exchange", "runtime", self._round):
-            if reason is None:
+            if kernel:
                 return self._kernel_exchange(emission)
             return self._exchange_round(envelopes)
-
-    def _fallback_reason(self, walk: List[int]) -> Optional[str]:
-        """Why the kernel cannot take this round, or None."""
-        if not hasattr(self._link, "transmit_flags"):
-            return "faults"
-        if self._schedule is not None:
-            addresses = self._contacts.addresses
-            if any(self._fires_for(addresses[slot]) != 1 for slot in walk):
-                return "schedule"
-        return None
 
     def _walk(self) -> List[int]:
         """The active set in wiring order — the sender sequence a scan
@@ -585,10 +576,19 @@ class GroupRuntime:
         return self._schedule.fires_in_round(key, self._round)
 
     def _kernel_fan_out(self, walk: List[int]) -> LiveEmission:
-        """The walk's gossip on the kernel; idle nodes drop off the set."""
-        emission = self._kernel.fan_out(list(map(self._node_at.__getitem__, walk)), walk)
-        for position in emission.idle:
-            self._active.discard(walk[position])
+        """The walk's gossip on the kernel, each slot visited once per
+        fire (none: it sits the round out, still active); idle nodes
+        drop off the set."""
+        if self._schedule is not None:
+            addresses = self._contacts.addresses
+            walk = [
+                slot for slot in walk for __ in range(self._fires_for(addresses[slot]))
+            ]
+        nodes = list(map(self._node_at.__getitem__, walk))
+        emission = self._kernel.fan_out(nodes, walk)
+        for slot, node in zip(walk, nodes):
+            if node.is_idle:
+                self._active.discard(slot)
         return emission
 
     def _kernel_exchange(self, emission: LiveEmission) -> Tuple[np.ndarray, np.ndarray]:
@@ -633,15 +633,15 @@ class GroupRuntime:
         dest, sender = emission.dest.tolist(), emission.sender.tolist()
         row = emission.row.tolist()
         depths = emission.depths.tolist()
-        entries = emission.entries
+        event_ids = [emission.event_list[i].event_id for i in emission.event_index.tolist()]
         for i, (to, by, r) in enumerate(zip(dest, sender, row)):
             emit(
                 now, "send" if flags is None or flags[i] else "loss", addresses[by],
-                peer=addresses[to], event_id=entries[r].event.event_id, depth=depths[r],
+                peer=addresses[to], event_id=event_ids[r], depth=depths[r],
             )
         delivering = set(compress(arrivals.fresh.tolist(), arrivals.delivered))
         for n, i in enumerate(arrivals.at.tolist()):
-            event_id = entries[row[i]].event.event_id
+            event_id = event_ids[row[i]]
             emit(
                 now, "receive", addresses[dest[i]], peer=addresses[sender[i]],
                 event_id=event_id, depth=depths[row[i]],
@@ -652,7 +652,7 @@ class GroupRuntime:
     def _fan_out_round(self, walk: List[int]) -> List[Envelope]:
         """The per-node loop: collect the walk's gossip envelopes, one
         ``gossip_step`` per fire of each node; idle nodes drop off the
-        set.  The kernel's fallback and reference."""
+        set.  The fault-plan fallback and the test reference."""
         envelopes: List[Envelope] = []
         for slot in walk:
             node = self._node_at[slot]
@@ -1179,7 +1179,7 @@ class GroupRuntime:
                     node.replace_view(fresh.depth, fresh)
         for table in dropped:
             self._ctx.invalidate_table(table)
-            self._kernel.forget(table)
+            self._kernel.flats.forget(table)
         touched = self._tree.depth  # one path prefix per depth
         self._m_refreshes.inc()
         self._m_tables.inc(touched)

@@ -17,11 +17,10 @@ emits the same ``repro.obs.trace/v1`` records in the same order (through
 the same :meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so
 sampled alike), and a traced run takes it too.  It is the path
 :func:`~repro.sim.engine.run_dissemination` takes whenever the run is
-eligible; an ineligible one (a node mid-event, ragged address depths,
-an unpopulated view — or, decided by the engine, a fault plan, whose
-link offers no ``transmit_flags``) takes the scalar reference loop and
-is counted by reason.
-``SimConfig(vectorized=False)`` forces the reference loop.
+eligible; a run on a group where a node still buffers an event (or,
+decided by the engine, under a fault plan, whose link offers no
+``transmit_flags``) takes the scalar reference loop and is counted by
+reason.  ``SimConfig(vectorized=False)`` forces the reference loop.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` / :class:`TreeState`)
 — a fully vectorized numpy round for the synthetic full regular tree
@@ -43,8 +42,11 @@ that plays the rounds (and hands the trace to an Observer) lives in
 :mod:`repro.par.subtree`.
 
 The third, :class:`LiveRound`, is :class:`~repro.sim.runtime.GroupRuntime`'s
-fan-out and exchange over any number of buffered events, draw for draw
-with the runtime's per-node loop, on the compat kernel's flat matches.
+fan-out and exchange over any number of buffered events and any
+schedule, draw for draw with the runtime's per-node loop: its fan-out
+is that loop's walk, over node objects.  It and the compat kernel look
+their destinations up in one kind of flat match (:class:`_Flats`), each
+built when a node first gossips an event at a view.
 
 Determinism rules (all kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
@@ -55,7 +57,7 @@ iterates arrays or insertion-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -90,120 +92,115 @@ class VectorUnsupported(SimulationError):
 
 
 # ---------------------------------------------------------------------------
-# Compat kernel: bit-identical to the scalar engine.
+# Flat matches: one cache for both draw-for-draw kernels.
 # ---------------------------------------------------------------------------
 
 class _DepthMatch:
-    """One (view table, event) match in dense member indices.
+    """One (view table, event) match in dense indices.
 
-    The index-space image of a :class:`repro.core.rate.TableMatch`,
-    kept as ``match`` (whose ``mask``, ``rate`` and ``round_bound``
-    memo the round loop reads as they are): ``entries`` holds member
-    indices in view order, ``pos`` the inverse mapping for
-    self-exclusion (int keys: cheaper to probe than the match's
-    address-keyed ``positions``), ``flood_targets`` the §6 leaf-flood
-    recipients.  The live-round kernel (:class:`LiveRound`) keeps its
-    flats over contact slots, with ``entries`` an array holding -1 at
-    every entry line 13 skips, so one gather both names and filters a
-    round's destinations.
+    The index-space image of a :class:`repro.core.rate.TableMatch`:
+    its ``rate``; ``entries``, the entries' indices in view order, -1
+    at every entry line 13 skips, so one read both names and filters a
+    destination; ``pos`` the inverse mapping for self-exclusion;
+    ``floods`` whether §6's leaf flood applies, and ``flood_targets``
+    its recipients in address order.  ``bounds`` is line 7's bound per
+    rate, shared by every flat with as many entries.
     """
 
-    __slots__ = ("match", "entries", "pos", "flood_targets")
+    __slots__ = ("rate", "entries", "pos", "floods", "flood_targets", "bounds")
 
-    def __init__(self, match, entries, pos, flood_targets):
-        self.match = match
+    def __init__(self, rate, entries, pos, floods, flood_targets, bounds):
+        self.rate = rate
         self.entries = entries
         self.pos = pos
+        self.floods = floods
         self.flood_targets = flood_targets
+        self.bounds = bounds
+
+    def round_bound(self, rate: float, config: PmcastConfig) -> int:
+        """Line 7's bound for an entry buffered at ``rate``."""
+        bound = self.bounds.get(rate)
+        if bound is None:
+            bound = self.bounds[rate] = depth_round_bound(len(self.entries), rate, config)
+        return bound
 
 
-class _CompatSpec:
-    """Everything the compat round loop needs, in index space."""
+class _Flats:
+    """The flat matches of one run or runtime, each built on its first
+    lookup.
 
-    __slots__ = (
-        "addresses", "nodes", "index_of", "components", "tree_depth",
-        "node_matches", "own_match", "alive", "received", "delivered",
-    )
-
-
-def _build_compat_spec(
-    group: PmcastGroup, event: Event, ctx: GossipContext
-) -> Optional[_CompatSpec]:
-    """Flatten the group for ``event``, or None if ineligible.
-
-    The probe is read-only (table matching draws no randomness), so a
-    None return leaves the run's RNG streams untouched for the
-    reference loop — and the common declines (a node mid-event, ragged
-    address depths) are settled in one cheap pass before any table is
-    flattened, so an ineligible run pays next to nothing for asking.
+    ``slot_of`` gives an address its dense index: a member index in the
+    compat kernel, a contact slot in the live round.  A flat is keyed
+    by (table, cache token, event): it is replaced at its next lookup
+    once its table's token moved, dropped when :meth:`forget` names its
+    table, and dropped with its event by :meth:`prune`.  A lookup
+    served from a flat counts the ``match_cache`` table hit the scalar
+    step's lookup would; any other goes through
+    :meth:`GossipContext.table_match
+    <repro.core.context.GossipContext.table_match>`, which counts
+    itself.
     """
-    addresses = group.addresses()
-    tree_depth = group.tree.depth
-    nodes = [group.node(address) for address in addresses]
-    for address, node in zip(addresses, nodes):
-        # A node mid-event lives on the object model, which the
-        # single-event arrays cannot represent.
-        if not node.is_idle or len(address.components) != tree_depth:
-            return None
-    index_of = {address: i for i, address in enumerate(addresses)}
-    spec = _CompatSpec()
-    spec.addresses = addresses
-    spec.nodes = nodes
-    spec.index_of = index_of
-    spec.tree_depth = tree_depth
-    components: List[Tuple[int, ...]] = []
-    own_match: List[bool] = []
-    alive: List[bool] = []
-    received: List[bool] = []
-    delivered: List[bool] = []
-    node_matches: List[Tuple[_DepthMatch, ...]] = []
-    matches: Dict[Tuple[int, int], _DepthMatch] = {}
-    can_flood = group.config.leaf_flood_threshold <= 1.0
-    try:
-        for address, node in zip(addresses, nodes):
-            components.append(address.components)
-            own_match.append(node.interest.matches(event))
-            alive.append(node.alive)
-            received.append(node.has_received(event))
-            delivered.append(node.has_delivered(event))
-            per_depth = []
-            for depth in range(1, tree_depth + 1):
-                table = node.view(depth)
-                key = (depth, id(table))
-                flat = matches.get(key)
-                if flat is None:
-                    match = ctx.table_match(table, event)
-                    entries = []
-                    for entry_address in match.entries:
-                        entry_index = index_of.get(entry_address)
-                        if entry_index is None:
-                            return None
-                        entries.append(entry_index)
-                    pos = dict(zip(entries, range(len(entries))))
-                    if depth == tree_depth and can_flood:
-                        flood_targets = [
-                            index_of[target]
-                            for target in sorted(match.matching)
-                            if target in index_of
-                        ]
-                    else:
-                        flood_targets = []
-                    flat = _DepthMatch(match, entries, pos, flood_targets)
-                    matches[key] = flat
-                per_depth.append(flat)
-            node_matches.append(tuple(per_depth))
-    except ProtocolError:
-        # e.g. an unpopulated view: let the reference loop surface it
-        # with its native timing and message.
-        return None
-    spec.components = components
-    spec.own_match = own_match
-    spec.alive = alive
-    spec.received = received
-    spec.delivered = delivered
-    spec.node_matches = node_matches
-    return spec
 
+    __slots__ = ("_ctx", "_config", "_slot_of", "_flats", "_wiring", "_bounds")
+
+    def __init__(self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int]):
+        self._ctx = ctx
+        self._config = config
+        self._slot_of = slot_of
+        # event_id -> {id(table): (cache_token, _DepthMatch)}
+        self._flats: Dict[int, Dict[int, Tuple[int, _DepthMatch]]] = {}
+        # id(table) -> (addresses_token, entry indices, index -> position):
+        # a match's entries depend on the table's structure only.
+        self._wiring: Dict[int, Tuple[int, List[int], Dict[int, int]]] = {}
+        # entry count -> {rate -> line 7's bound}: the bound depends on
+        # the table through its entry count only.
+        self._bounds: Dict[int, Dict[float, int]] = {}
+
+    def forget(self, table) -> None:
+        """Drop every flat of ``table`` (its match-cache entries went)."""
+        self._wiring.pop(id(table), None)
+        for per_event in self._flats.values():
+            per_event.pop(id(table), None)
+
+    def prune(self, live: set) -> None:
+        """Drop the flats of every event not in ``live``."""
+        for event_id in [e for e in self._flats if e not in live]:
+            del self._flats[event_id]
+
+    def cell(self, table, event: Event) -> _DepthMatch:
+        """The flat of (``table``, ``event``)."""
+        per_event = self._flats.get(event.event_id)
+        if per_event is None:
+            per_event = self._flats[event.event_id] = {}
+        token = table.cache_token
+        held = per_event.get(id(table))
+        if held is not None and held[0] == token:
+            self._ctx.cache_stats.table_hits += 1
+            return held[1]
+        match = self._ctx.table_match(table, event)
+        wiring = self._wiring.get(id(table))
+        if wiring is None or wiring[0] != table.addresses_token:
+            slots = list(map(self._slot_of.__getitem__, match.entries))
+            wiring = self._wiring[id(table)] = (
+                table.addresses_token, slots, dict(zip(slots, range(len(slots))))
+            )
+        __, slots, pos = wiring
+        floods = table.is_leaf_level and match.rate >= self._config.leaf_flood_threshold
+        flat = _DepthMatch(
+            match.rate,
+            [slot if interested else -1 for slot, interested in zip(slots, match.mask)],
+            pos,
+            floods,
+            list(map(self._slot_of.__getitem__, sorted(match.matching))) if floods else [],
+            self._bounds.setdefault(len(slots), {}),
+        )
+        per_event[id(table)] = (token, flat)
+        return flat
+
+
+# ---------------------------------------------------------------------------
+# Compat kernel: bit-identical to the scalar engine.
+# ---------------------------------------------------------------------------
 
 def try_run_vectorized(
     group: PmcastGroup,
@@ -215,34 +212,51 @@ def try_run_vectorized(
     crash_schedule: CrashSchedule,
     observer: Observer = NULL_OBSERVER,
 ) -> Optional[DisseminationReport]:
-    """Run one dissemination on the compat kernel, or None if ineligible.
+    """Run one dissemination on the compat kernel, or None if a node
+    still buffers an event.
 
     Stream-compatible with the reference loop: same gossip/loss draws
     in the same order, same report, the same trace records in the same
     order (through ``observer.emit``, so sampled alike), and the object
     model (node liveness, delivery sets, message counters, leftover
     buffers) is written back so post-run inspection cannot tell the
-    paths apart.  ``observer.registry`` receives per-round ``vector.*``
-    counters; ``observer.timeline`` receives ``engine`` ``match``/
-    ``fan_out``/``exchange`` spans under the names the reference loop
-    uses — both out of band.
+    paths apart.  The decline reads node state only, so it leaves the
+    run's RNG streams untouched for the reference loop.  A node's flat
+    at a depth is looked up when it first gossips there.
+    ``observer.registry`` receives per-round ``vector.*`` counters;
+    ``observer.timeline`` receives ``engine`` ``fan_out``/``exchange``
+    spans under the names the reference loop uses — both out of band.
     """
+    addresses = group.addresses()
+    nodes = [group.node(address) for address in addresses]
+    # A node mid-event lives on the object model, which the
+    # single-event arrays cannot represent.
+    if not all(node.is_idle for node in nodes):
+        return None
     registry = observer.registry
     timeline = observer.timeline
-    with timeline.span("match", "engine"):
-        spec = _build_compat_spec(group, event, ctx)
-    if spec is None:
-        return None
 
-    n = len(spec.addresses)
-    index_of = spec.index_of
-    components = spec.components
-    node_matches = spec.node_matches
-    tree_depth = spec.tree_depth
+    n = len(addresses)
+    index_of = {address: i for i, address in enumerate(addresses)}
+    components = [address.components for address in addresses]
+    own_match = [node.interest.matches(event) for node in nodes]
+    alive = [node.alive for node in nodes]
+    received = [node.has_received(event) for node in nodes]
+    delivered = [node.has_delivered(event) for node in nodes]
+    tree_depth = group.tree.depth
     config = group.config
     fanout = config.fanout
-    flood_threshold = config.leaf_flood_threshold
     randbelow = ctx.rng._randbelow
+    flats = _Flats(ctx, config, index_of)
+    flat_at: List[Optional[_DepthMatch]] = [None] * (n * tree_depth)
+
+    def flat_for(i: int, depth: int) -> _DepthMatch:
+        """Node ``i``'s flat at ``depth``."""
+        at = i * tree_depth + depth - 1
+        flat = flat_at[at]
+        if flat is None:
+            flat = flat_at[at] = flats.cell(nodes[i].view(depth), event)
+        return flat
 
     pub = index_of.get(publisher)
     if pub is None:
@@ -250,22 +264,18 @@ def try_run_vectorized(
 
     # Ground truth before anybody crashes (exactly the scalar order);
     # own_match already holds it, in address order.
-    interested = set(compress(spec.addresses, spec.own_match))
+    interested = set(compress(addresses, own_match))
     sent_before = sum(node.messages_sent for node in group.nodes())
     receptions_before = sum(node.receptions for node in group.nodes())
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
-    if spec.received[pub]:
+    if received[pub]:
         raise ProtocolError(f"event {event.event_id} already published")
-    alive = spec.alive
-    received = spec.received
-    delivered = spec.delivered
-    own_match = spec.own_match
     received[pub] = True
     if own_match[pub]:
         delivered[pub] = True
     publish_depth = (
-        spec.nodes[pub].shortcut_depth(event)
+        nodes[pub].shortcut_depth(event)
         if config.local_interest_shortcut
         else 1
     )
@@ -273,7 +283,7 @@ def try_run_vectorized(
     buf_round = [0] * n
     buf_rate = [0.0] * n
     buf_depth[pub] = publish_depth
-    buf_rate[pub] = node_matches[pub][publish_depth - 1].match.rate
+    buf_rate[pub] = flat_for(pub, publish_depth).rate
     sent_count = [0] * n
     recv_count = [0] * n
 
@@ -313,7 +323,6 @@ def try_run_vectorized(
         meter_losses = registry.counter("vector", "losses")
         meter_infected = registry.gauge("vector", "infected")
 
-    addresses = spec.addresses
     for round_index in range(sim_config.max_rounds):
         for victim in crash_schedule.crashes_at(round_index):
             vi = index_of.get(victim)
@@ -343,12 +352,10 @@ def try_run_vectorized(
                 depth = buf_depth[i]
                 entry_round = buf_round[i]
                 entry_rate = buf_rate[i]
-                matches_i = node_matches[i]
                 emitted = 0
                 while True:
-                    flat = matches_i[depth - 1]
-                    match = flat.match
-                    if depth == tree_depth and match.rate >= flood_threshold:
+                    flat = flat_for(i, depth)
+                    if flat.floods:
                         # §6 leaf flood: round NOT incremented, retire.
                         for target in flat.flood_targets:
                             if target != i:
@@ -358,18 +365,17 @@ def try_run_vectorized(
                                 emitted += 1
                         depth = 0
                         break
-                    if entry_round < match.round_bound(entry_rate, config):
+                    if entry_round < flat.round_bound(entry_rate, config):
                         entry_round += 1
                         entries = flat.entries
                         selfpos = flat.pos.get(i, -1)
                         m = len(entries) - (selfpos >= 0)
                         if m > 0:
-                            mask = match.mask
                             count = fanout if fanout < m else m
                             for j in sample_positions(randbelow, m, count):
                                 if selfpos >= 0 and j >= selfpos:
                                     j += 1
-                                if mask[j]:
+                                if entries[j] >= 0:
                                     envelopes.append(
                                         (
                                             entries[j], depth, entry_round,
@@ -381,7 +387,7 @@ def try_run_vectorized(
                     elif depth < tree_depth:
                         depth += 1
                         entry_round = 0
-                        entry_rate = matches_i[depth - 1].match.rate
+                        entry_rate = flat_for(i, depth).rate
                     else:
                         depth = 0
                         break
@@ -483,7 +489,7 @@ def try_run_vectorized(
 
     # Write the outcome back through the object model so every scalar
     # inspection API stays truthful after a vectorized run.
-    for i, node in enumerate(spec.nodes):
+    for i, node in enumerate(nodes):
         buffered = None
         if buf_depth[i] > 0:
             buffered = (buf_depth[i], buf_rate[i], buf_round[i])
@@ -517,29 +523,25 @@ def try_run_vectorized(
 # Live-round kernel: GroupRuntime's fan-out and exchange, draw for draw.
 # ---------------------------------------------------------------------------
 
-#: What a row's depth pass decided (Figure 3 lines 6-18).
-_GOSSIP, _DEMOTE, _REMOVE, _FLOOD = range(4)
-
-
 class LiveEmission(NamedTuple):
-    """One live round's envelopes, in send order, and the rows behind them.
+    """One live round's envelopes, in send order, and the messages
+    behind them.
 
-    Per envelope: ``dest`` and ``sender`` (contact slots) and ``row``.
-    Per row: the ``entries`` it gossiped (event, rate and round of the
-    GOSSIP message it sends), ``depths``, and ``event_index`` (its event
-    in the round's ``event_list``).  ``idle`` lists the walk positions
-    of the nodes the fan-out emptied, ``live`` the events the walked
-    nodes still buffer.
+    Per envelope: ``dest`` and ``sender`` (contact slots) and ``row``,
+    its message.  Per row, one GOSSIP message as it was sent:
+    ``event_index`` (its event in ``event_list``), ``depths``, ``rates``
+    and ``rounds``.  ``live`` holds the events the walked nodes still
+    buffer.
     """
 
     dest: np.ndarray
     sender: np.ndarray
     row: np.ndarray
-    entries: List
-    depths: np.ndarray
     event_index: np.ndarray
+    depths: np.ndarray
+    rates: List[float]
+    rounds: List[int]
     event_list: List[Event]
-    idle: List[int]
     live: Set[int]
 
 
@@ -559,33 +561,25 @@ class LiveArrivals(NamedTuple):
 
 
 class LiveRound:
-    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange
-    on arrays, stream-compatible with the per-node loop it replaces.
+    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange,
+    stream-compatible with the per-node loop.
 
-    **Rows.**  :meth:`fan_out` reads every buffered entry of the walked
-    nodes into a row, in walk order: node (the caller's order), then
-    depth, then bucket order.  One pass per depth then settles each row
-    of that depth — §6 leaf flood, line 7's bound at the entry's own
-    rate, gossip (round + 1), demotion or removal.  A demoted entry
-    becomes a row of the next pass, after that node's own rows there:
-    the end of the next bucket, where Figure 3's in-place loop finds it
-    in the same step.
+    **The walk.**  :meth:`fan_out` is Figure 3's GOSSIP task for each
+    node in turn, in the order given (a node once per fire): buckets
+    depth-ascending, each snapshotted when the walk reaches it, so an
+    entry demoted to the end of the next bucket is met again in the
+    same visit.  An entry floods (§6), gossips (round + 1, one
+    :func:`~repro.core.rate.sample_positions` over the view minus the
+    gossiper), is demoted or is removed in place — the calls, in the
+    order, of ``gossip_step``.  A destination is kept where its flat
+    holds a slot (-1 where line 13 skips the entry).
 
-    **Draws.**  The gossiping rows draw in walk order, one
-    :func:`~repro.core.rate.sample_positions` per row over the view
-    minus the gossiper — the calls, in the order, of the per-node
-    loop.  Destinations are gathered through the rows' flat matches
-    (:class:`_DepthMatch` over contact slots, -1 where line 13 skips
-    the entry), so one mask keeps the interested ones.
-
-    **Flats.**  Keyed by (table, cache token, event): a flat is
-    replaced at its next lookup once its table's token moved, dropped
-    when :meth:`forget` names its table, and dropped with its event once
-    no walked node buffers it (:meth:`prune`).  A lookup served from a flat counts the
-    ``match_cache`` table hit the scalar step's lookup would; any
-    other goes through :meth:`GossipContext.table_match
-    <repro.core.context.GossipContext.table_match>`, which counts
-    itself — so the counters read per round what the loop's read.
+    **Flats.**  ``flats``, one :class:`_Flats` over contact slots, is
+    kept across rounds: the runtime has it forget a table it refreshes,
+    and :meth:`exchange` prunes it to the events still buffered.
+    A lookup served from the round's cells counts the ``match_cache``
+    table hit the scalar step's lookup would, as one served from a flat
+    does, so the counters read per round what the loop's read.
 
     **Write-back.**  Node objects stay the only state between rounds:
     :meth:`fan_out` advances round counters, demotes and removes
@@ -593,16 +587,14 @@ class LiveRound:
     messages sent; :meth:`exchange` buffers first receptions through
     :meth:`PmcastNode.restore_outcome
     <repro.core.node.PmcastNode.restore_outcome>` and adds receptions.
-    The read takes a node's buckets and view tables straight off its
-    internals (``_buffers``, ``_views``), in one pass over the walk.
-    The checks the objects make run on the arrays instead:
-    ``GossipMessage``'s fields once per emitting row, ``Envelope``'s
-    no-self-send per envelope, ``receive``'s depth range per arrival.
+    The walk reads a node's buckets and view tables straight off its
+    internals (``_buffers``, ``_views``).  The checks the objects make
+    run on the arrays instead: ``GossipMessage``'s fields once per
+    message, ``Envelope``'s no-self-send per envelope, ``receive``'s
+    depth range per arrival.
     """
 
-    __slots__ = (
-        "_ctx", "_config", "_slot_of", "_depth", "_flats", "_wiring", "_bounds", "_stats",
-    )
+    __slots__ = ("_ctx", "_config", "_depth", "flats")
 
     def __init__(
         self,
@@ -613,251 +605,118 @@ class LiveRound:
     ):
         self._ctx = ctx
         self._config = config
-        self._slot_of = slot_of
         self._depth = tree_depth
-        # event_id -> {id(table): (cache_token, _DepthMatch)}
-        self._flats: Dict[int, Dict[int, Tuple[int, _DepthMatch]]] = {}
-        # id(table) -> (addresses_token, entry slots, slot -> position):
-        # a match's entries depend on the table's structure only.
-        self._wiring: Dict[int, Tuple[int, np.ndarray, Dict[int, int]]] = {}
-        # entry count -> {rate -> line 7's bound}: the bound depends on
-        # the table through its entry count only.
-        self._bounds: Dict[int, Dict[float, int]] = {}
-        self._stats = ctx.cache_stats
-
-    def forget(self, table) -> None:
-        """Drop every flat of ``table`` (its match-cache entries went)."""
-        self._wiring.pop(id(table), None)
-        for per_event in self._flats.values():
-            per_event.pop(id(table), None)
-
-    def prune(self, live: set) -> None:
-        """Drop the flats of every event not in ``live``."""
-        for event_id in [e for e in self._flats if e not in live]:
-            del self._flats[event_id]
-
-    def _cell(self, table, event: Event, depth: int) -> Tuple:
-        """(flat, entry count, floods?, {rate: bound}) of (``table``,
-        ``event``); the flat is built on first use."""
-        per_event = self._flats.get(event.event_id)
-        if per_event is None:
-            per_event = self._flats[event.event_id] = {}
-        token = table.cache_token
-        held = per_event.get(id(table))
-        if held is not None and held[0] == token:
-            self._stats.table_hits += 1
-            flat = held[1]
-        else:
-            match = self._ctx.table_match(table, event)
-            size = len(match.entries)
-            wiring = self._wiring.get(id(table))
-            if wiring is None or wiring[0] != table.addresses_token:
-                slots = np.fromiter(
-                    map(self._slot_of.__getitem__, match.entries), np.int64, size
-                )
-                wiring = self._wiring[id(table)] = (
-                    table.addresses_token, slots, dict(zip(slots.tolist(), range(size)))
-                )
-            __, slots, pos = wiring
-            if depth == self._depth and self._config.leaf_flood_threshold <= 1.0:
-                flood_targets = np.fromiter(
-                    map(self._slot_of.__getitem__, sorted(match.matching)), np.int64
-                )
-            else:
-                flood_targets = slots[:0]
-            flat = _DepthMatch(
-                match, np.where(np.fromiter(match.mask, bool, size), slots, -1),
-                pos, flood_targets,
-            )
-            per_event[id(table)] = (token, flat)
-        match = flat.match
-        size = len(match.entries)
-        floods = depth == self._depth and match.rate >= self._config.leaf_flood_threshold
-        return flat, size, floods, self._bounds.setdefault(size, {})
+        self.flats = _Flats(ctx, config, slot_of)
 
     def fan_out(self, nodes: List, slots: List[int]) -> LiveEmission:
-        """GOSSIP for ``nodes`` (live, buffering, in walk order; ``slots``
-        their contact slots), written back as it goes."""
-        depth_count = self._depth
+        """GOSSIP for ``nodes`` (live, in walk order, a node once per
+        fire; ``slots`` their contact slots), written back as it goes."""
+        leaf = self._depth
         config = self._config
         fanout = config.fanout
-        hits = 0  # lookups served from this round's cells
-        pool: List[np.ndarray] = []  # the entries of the round's flats
+        randbelow = self._ctx.rng._randbelow
+        cell = self.flats.cell
+        local: Dict[Tuple[int, int], _DepthMatch] = {}  # the round's cells
+        hits = 0  # lookups served from them
         event_index: Dict[int, int] = {}  # event_id -> its place in event_list
         event_list: List[Event] = []
-
-        def cell_of(table, event: Event, depth: int) -> Tuple:
-            """The cell plus the round's view of it: its flat's place in
-            the pool, and its event's index."""
-            flat, size, floods, bound_of = self._cell(table, event, depth)
-            pool.append(flat.entries)
-            index = event_index.get(event.event_id)
-            if index is None:
-                index = event_index[event.event_id] = len(event_list)
-                event_list.append(event)
-            return flat, size, floods, bound_of, len(pool) - 1, index
-
-        # Read: rows per depth, each in walk order.
-        walk_by: List[List[int]] = [[] for __ in range(depth_count)]
-        entry_by: List[List] = [[] for __ in range(depth_count)]
-        for w, node in enumerate(nodes):
-            for k, bucket in enumerate(node._buffers._buffers):
-                if bucket:
-                    entry_by[k] += bucket.values()
-                    walk_by[k] += [w] * len(bucket)
-
-        # The depth passes.  Rows are numbered in pass order: a pass's
-        # rows read off the buckets, then the entries the previous pass
-        # demoted into it (to the end of the next bucket) — so a stable
-        # sort by walk position puts each after its node's own rows at
-        # that depth, where Figure 3's in-place loop finds it.
-        row_walk: List[int] = []
-        row_entry: List = []  # the BufferedEvent; its round is the message's
-        row_depth: List[int] = []
-        row_kind: List[int] = []
-        row_index: List[int] = []  # the row's event in event_list
-        # The rows that draw, in pass order: own position in the view
-        # (-1: not in it), draw size, the view's flat in the pool.
-        g_row: List[int] = []
-        g_own: List[int] = []
-        g_size: List[int] = []
-        g_flat: List[int] = []
-        flooding: List[Tuple[int, _DepthMatch]] = []
-        local: Dict[Tuple[int, int], Tuple] = {}  # the round's cells
-        carry: List[Tuple] = []  # (walk position, demoted entry, its cell)
-        row = 0
-        for depth in range(1, depth_count + 1):
-            walk = walk_by[depth - 1]
-            entries = entry_by[depth - 1]
-            leaf = depth == depth_count
-            demoted, carry = carry, []
-            row_walk += walk
-            row_entry += entries
-            row_depth += [depth] * (len(walk) + len(demoted))
-            for w, entry, cell in chain(zip(walk, entries, repeat(None)), demoted):
-                event = entry.event
-                event_id = event.event_id
-                if cell is None:
-                    table = nodes[w]._views[depth]
-                    key = (id(table), event_id)
-                    cell = local.get(key)
-                    if cell is None:
-                        cell = local[key] = cell_of(table, event, depth)
+        dest: List[int] = []
+        # Per row: its envelope count, sender, event, depth, rate, round.
+        count: List[int] = []
+        sender: List[int] = []
+        index: List[int] = []
+        depths: List[int] = []
+        rates: List[float] = []
+        rounds: List[int] = []
+        for node, slot in zip(nodes, slots):
+            buffers = node._buffers
+            views = node._views
+            first = len(dest)
+            for depth, bucket in enumerate(buffers._buffers, 1):
+                if not bucket:
+                    continue
+                for entry in list(bucket.values()):
+                    event = entry.event
+                    table = views[depth]
+                    key = (id(table), event.event_id)
+                    flat = local.get(key)
+                    if flat is None:
+                        flat = local[key] = cell(table, event)
                     else:
                         hits += 1
-                else:
-                    row_walk.append(w)
-                    row_entry.append(entry)
-                    hits += 1  # a demoted entry's lookup at its new depth
-                flat, size, floods, bound_of, pooled, index = cell
-                row_index.append(index)
-                if floods:
-                    kind = _FLOOD
-                    flooding.append((row, flat))
-                    nodes[w]._buffers.remove(depth, event)
-                else:
-                    rate = entry.rate
-                    bound = bound_of.get(rate)
-                    if bound is None:
-                        bound = bound_of[rate] = depth_round_bound(size, rate, config)
-                    if entry.round < bound:
-                        kind = _GOSSIP
+                    sent = len(dest)
+                    if flat.floods:
+                        dest += [target for target in flat.flood_targets if target != slot]
+                        buffers.remove(depth, event)
+                    elif entry.round < flat.round_bound(entry.rate, config):
                         entry.round += 1
-                        own = flat.pos.get(slots[w], -1)
-                        if size - (own >= 0):
-                            g_row.append(row)
-                            g_own.append(own)
-                            g_size.append(size - (own >= 0))
-                            g_flat.append(pooled)
-                    elif not leaf:
-                        kind = _DEMOTE
-                        table = nodes[w]._views[depth + 1]
-                        key = (id(table), event_id)
+                        entries = flat.entries
+                        own = flat.pos.get(slot, -1)
+                        size = len(entries) - (own >= 0)
+                        if size:
+                            for j in sample_positions(
+                                randbelow, size, fanout if fanout < size else size
+                            ):
+                                if 0 <= own <= j:
+                                    j += 1
+                                if entries[j] >= 0:
+                                    dest.append(entries[j])
+                    elif depth < leaf:
+                        table = views[depth + 1]
+                        key = (id(table), event.event_id)
                         below = local.get(key)
                         if below is None:
-                            below = local[key] = cell_of(table, event, depth + 1)
+                            below = local[key] = cell(table, event)
                         else:
                             hits += 1
-                        carry.append((
-                            w,
-                            nodes[w]._buffers.demote(depth, event, below[0].match.rate),
-                            below,
-                        ))
+                        buffers.demote(depth, event, below.rate)
                     else:
-                        kind = _REMOVE
-                        nodes[w]._buffers.remove(depth, event)
-                row_kind.append(kind)
-                row += 1
-        self._stats.table_hits += hits
+                        buffers.remove(depth, event)
+                    if len(dest) > sent:
+                        at = event_index.get(event.event_id)
+                        if at is None:
+                            at = event_index[event.event_id] = len(event_list)
+                            event_list.append(event)
+                        count.append(len(dest) - sent)
+                        sender.append(slot)
+                        index.append(at)
+                        depths.append(depth)
+                        rates.append(entry.rate)
+                        rounds.append(entry.round)
+            if len(dest) > first:
+                node.restore_counts(len(dest) - first, 0)
+        self._ctx.cache_stats.table_hits += hits
 
-        # Draws: the drawing rows in walk order, one sample each.
-        walk_a = np.array(row_walk, np.int64)
-        g_row_a = np.array(g_row, np.int64)
-        order = np.argsort(walk_a[g_row_a], kind="stable")
-        sizes = np.array(g_size, np.int64)[order]
-        counts = np.minimum(sizes, fanout)
-        randbelow = self._ctx.rng._randbelow
-        draws: List[int] = []
-        for size, count in zip(sizes.tolist(), counts.tolist()):
-            draws += sample_positions(randbelow, size, count)
-
-        # Gather: destination slots, -1 where line 13 says no.
-        j = np.array(draws, np.int64)
-        own = np.repeat(np.array(g_own, np.int64)[order], counts)
-        j += (own >= 0) & (j >= own)
-        offsets = np.cumsum([0] + [len(entries) for entries in pool])
-        dest = np.concatenate(pool or [walk_a[:0]])[
-            np.repeat(offsets[np.array(g_flat, np.int64)][order], counts) + j
-        ]
-        keep = dest >= 0
-        env_row, env_dest = np.repeat(g_row_a[order], counts)[keep], dest[keep]
-        if flooding:
-            rows, dests = [env_row], [env_dest]
-            for row, flat in flooding:
-                targets = flat.flood_targets
-                targets = targets[targets != slots[row_walk[row]]]
-                rows.append(np.full(len(targets), row, np.int64))
-                dests.append(targets)
-            env_row = np.concatenate(rows)
-            # Walk order of the rows, each row's envelopes in order.
-            by_walk = np.argsort(walk_a[env_row] * len(walk_a) + env_row, kind="stable")
-            env_row, env_dest = env_row[by_walk], np.concatenate(dests)[by_walk]
-        kind_a = np.array(row_kind, np.int8)
-        env_sender = np.array(slots, np.int64)[walk_a[env_row]]
-        depth_a = np.array(row_depth, np.int64)
-        self._check(env_row, env_dest, env_sender, row_entry, depth_a)
-        sent = np.bincount(walk_a[env_row], minlength=len(nodes))
-        for w in np.flatnonzero(sent).tolist():
-            nodes[w].restore_counts(int(sent[w]), 0)
-
-        index_a = np.array(row_index, np.int64)
-        gossiped = kind_a == _GOSSIP
-        remaining = np.bincount(walk_a[gossiped], minlength=len(nodes))
-        return LiveEmission(
-            env_dest, env_sender, env_row, row_entry, depth_a, index_a, event_list,
-            idle=np.flatnonzero(remaining == 0).tolist(),
-            live={event_list[i].event_id for i in np.unique(index_a[gossiped]).tolist()},
+        counts = np.array(count, np.int64)
+        emission = LiveEmission(
+            np.array(dest, np.int64),
+            np.repeat(np.array(sender, np.int64), counts),
+            np.repeat(np.arange(len(count)), counts),
+            np.array(index, np.int64),
+            np.array(depths, np.int64),
+            rates,
+            rounds,
+            event_list,
+            set(chain.from_iterable(node._buffers._located for node in nodes)),
         )
+        self._check(emission)
+        return emission
 
     @staticmethod
-    def _check(env_row, dest, sender, entries, depths) -> None:
-        """What ``GossipMessage`` checks once per emitting row and
+    def _check(emission: LiveEmission) -> None:
+        """What ``GossipMessage`` checks once per message and
         ``Envelope`` once per envelope."""
-        if not len(env_row):
-            return
-        rows = np.unique(env_row)
-        emitting = [entries[row] for row in rows.tolist()]
-        rate = np.array([entry.rate for entry in emitting], float)
+        rate = np.array(emission.rates, float)
         bad = ~((rate >= 0.0) & (rate <= 1.0))
         if bad.any():
             raise ProtocolError(f"matching rate {rate[bad][0].item()} not in [0, 1]")
-        round_ = np.array([entry.round for entry in emitting], np.int64)
+        round_ = np.array(emission.rounds, np.int64)
         if (round_ < 0).any():
             raise ProtocolError(f"round {round_[round_ < 0][0].item()} must be >= 0")
-        depth = depths[rows]
+        depth = emission.depths
         if (depth < 1).any():
             raise ProtocolError(f"depth {depth[depth < 1][0].item()} must be >= 1")
-        if (dest == sender).any():
+        if (emission.dest == emission.sender).any():
             raise ProtocolError("a process does not gossip to itself")
 
     def exchange(
@@ -901,8 +760,7 @@ class LiveRound:
         receiver, rows = receiver.tolist(), rows.tolist()
         for index in fresh:
             node, row = node_at[receiver[index]], rows[index]
-            entry = emission.entries[row]
-            event = entry.event
+            event = events[emission.event_index[row]]
             delivers = node.interest.matches(event)
             node.restore_outcome(
                 event,
@@ -911,11 +769,11 @@ class LiveRound:
                 delivered=delivers,
                 sent_delta=0,
                 receptions_delta=0,
-                buffered=(int(emission.depths[row]), entry.rate, entry.round),
+                buffered=(int(emission.depths[row]), emission.rates[row], emission.rounds[row]),
             )
             delivered.append(delivers)
             buffered.add(event.event_id)
-        self.prune(emission.live | buffered)
+        self.flats.prune(emission.live | buffered)
         return LiveArrivals(
             at, np.array(fresh, np.int64), delivered, receivers,
             undeliverable=int(np.count_nonzero(kept)) - len(at),

@@ -562,12 +562,11 @@ class TestTimelineContract:
     def test_default_run_keys(self):
         rounds, timeline = self._spans()
         assert set(timeline.totals()) == {
-            ("engine", "match"), ("engine", "fan_out"), ("engine", "exchange"),
+            ("engine", "fan_out"), ("engine", "exchange"),
         }
         every_round = list(range(1, rounds + 1))
         assert self._per_round(timeline, "fan_out") == every_round
         assert self._per_round(timeline, "exchange") == every_round
-        assert self._per_round(timeline, "match") == [None]
         # The memory probe moved with the spans.
         assert {entry["subsystem"] for entry in timeline.entries()} == {
             "engine"
