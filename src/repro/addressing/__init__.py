@@ -12,7 +12,6 @@ from repro.addressing.distance import (
     distance,
     same_subgroup,
     shared_prefix_depth,
-    subgroup_of,
 )
 from repro.addressing.space import AddressSpace
 
@@ -25,5 +24,4 @@ __all__ = [
     "distance",
     "shared_prefix_depth",
     "same_subgroup",
-    "subgroup_of",
 ]

@@ -238,18 +238,6 @@ class Address:
             )
         return self._components[index - 1]
 
-    def longest_common_prefix(self, other: "Address") -> Prefix:
-        """Return the longest prefix shared with ``other``."""
-        shared = []
-        for mine, theirs in zip(self._components, other._components):
-            if mine != theirs:
-                break
-            shared.append(mine)
-        # A full address is not a prefix: a prefix has at most d - 1
-        # components, so two equal addresses share the depth-d prefix.
-        max_len = min(self.depth, other.depth) - 1
-        return Prefix(shared[:max_len] if len(shared) > max_len else shared)
-
     @classmethod
     def parse(cls, text: str) -> "Address":
         """Parse a dotted string such as ``"128.178.73.3"``."""

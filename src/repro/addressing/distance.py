@@ -13,7 +13,7 @@ suite checks with hypothesis.
 
 from __future__ import annotations
 
-from repro.addressing.address import Address, Prefix
+from repro.addressing.address import Address
 from repro.errors import AddressError
 
 __all__ = [
@@ -62,8 +62,3 @@ def same_subgroup(left: Address, right: Address, depth: int) -> bool:
     prefix of depth ``i``.
     """
     return left.prefix(depth) == right.prefix(depth)
-
-
-def subgroup_of(address: Address, depth: int) -> Prefix:
-    """The prefix identifying ``address``'s subgroup at tree ``depth``."""
-    return address.prefix(depth)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.addressing.address import Address, Prefix
+from repro.addressing.address import Address
 from repro.errors import AddressError
 
 __all__ = ["AddressSpace"]
@@ -98,25 +98,6 @@ class AddressSpace:
                 )
         return address
 
-    def contains_prefix(self, prefix: Prefix) -> bool:
-        """True if ``prefix`` could be a prefix of an address of this space."""
-        if len(prefix.components) >= self.depth:
-            return False
-        return all(
-            0 <= component < arity
-            for component, arity in zip(prefix.components, self._arities)
-        )
-
-    def enumerate_all(self) -> Iterator[Address]:
-        """Yield every address of the space in lexicographic order.
-
-        Beware: this is ``prod(a_i)`` items; use only on small spaces.
-        """
-        for components in itertools.product(
-            *(range(arity) for arity in self._arities)
-        ):
-            yield Address(components)
-
     def enumerate_regular(self, arity: int) -> List[Address]:
         """Enumerate the regular population of Eq 6 inside this space.
 
@@ -156,21 +137,6 @@ class AddressSpace:
             )
             chosen.add(components)
         return sorted(Address(components) for components in chosen)
-
-    def subgroup_prefixes(self, depth: int) -> Iterator[Prefix]:
-        """Yield every possible prefix of the given tree ``depth``.
-
-        A prefix of depth ``i`` has ``i - 1`` components, so this yields
-        ``prod(a_1 .. a_{i-1})`` prefixes.
-        """
-        if not 1 <= depth <= self.depth:
-            raise AddressError(
-                f"prefix depth {depth} out of range [1, {self.depth}]"
-            )
-        for components in itertools.product(
-            *(range(arity) for arity in self._arities[: depth - 1])
-        ):
-            yield Prefix(components)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AddressSpace):

@@ -89,12 +89,6 @@ class GroupDirectory:
         except KeyError:
             raise MembershipError(f"no view for prefix {prefix}") from None
 
-    def tables_of(self, address: Address) -> Dict[int, ViewTable]:
-        """The per-depth tables along ``address``'s prefix path."""
-        return {
-            prefix.depth: self.table(prefix) for prefix in address.prefixes()
-        }
-
     def refresh_path(self, address: Address) -> None:
         """Rebuild every table on ``address``'s prefix path at a new time.
 

@@ -29,7 +29,7 @@ import bisect
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.addressing import Address, Prefix, component_key
-from repro.errors import ElectionError, MembershipError
+from repro.errors import MembershipError
 from repro.interests.subscriptions import Interest
 
 __all__ = ["MembershipTree"]
@@ -218,20 +218,6 @@ class MembershipTree:
             raise MembershipError(f"prefix {prefix} is not populated")
         return tuple(index.members[: self._redundancy])
 
-    def strict_delegates(self, prefix: Prefix) -> Tuple[Address, ...]:
-        """Like :meth:`delegates` but enforcing the paper's assumption.
-
-        Raises:
-            ElectionError: if the subtree holds fewer than R members.
-        """
-        chosen = self.delegates(prefix)
-        if len(chosen) < self._redundancy:
-            raise ElectionError(
-                f"subgroup {prefix} has only {len(chosen)} member(s), "
-                f"needs R={self._redundancy}"
-            )
-        return chosen
-
     def is_delegate(self, address: Address, depth: int) -> bool:
         """True if ``address`` is a delegate of its subgroup at ``depth``.
 
@@ -285,7 +271,3 @@ class MembershipTree:
             (child, self.delegates(prefix.child(child)))
             for child in self.populated_children(prefix)
         ]
-
-    def root_group(self) -> List[Tuple[int, Tuple[Address, ...]]]:
-        """The group at depth 1 (the root of the compound tree)."""
-        return self.group_at(Prefix(()))

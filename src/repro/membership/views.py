@@ -331,10 +331,6 @@ class ViewTable:
         """The lines whose regrouped interest matches ``event``."""
         return [row for row in self.rows() if row.interest.matches(event)]
 
-    def total_process_count(self) -> int:
-        """Processes represented by the whole table (Eq 4 aggregate)."""
-        return sum(row.process_count for row in self._rows.values())
-
     def digest(self) -> Dict[int, int]:
         """(infix -> timestamp) summary used by gossip-pull exchanges."""
         if self._memo_digest is None:

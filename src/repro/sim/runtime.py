@@ -31,11 +31,12 @@ its GOSSIP task returns immediately without drawing randomness, so the
 active-set walk consumes the shared RNG exactly like the full scan,
 provided the visit *order* matches.  The runtime therefore stamps each
 node with a wiring sequence number and walks the active set in that
-order — the same order the full scan would use.  The walk's fan-out and
-exchange run on :class:`~repro.sim.vector.LiveRound`, draw for draw
-with the per-node loop, which runs only for a fault plan's rounds (its
-link decides envelope by envelope) and as the test reference.  A
-schedule's extra fires are extra visits in the kernel's walk.
+order — the same order the full scan would use.  Every round's fan-out
+and exchange run on :class:`~repro.sim.vector.LiveRound`, draw for draw
+with one ``gossip_step`` per fire and one ``receive`` per arrival.  A
+schedule's extra fires are extra visits in the kernel's walk; a fault
+plan's link sees the round's envelopes, and its survivors are the
+arrivals.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import numpy as np
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.messages import Envelope
 from repro.core.node import PmcastNode
 from repro.errors import MembershipError, SimulationError
 from repro.faults.injector import FaultInjector
@@ -115,10 +115,12 @@ class GroupRuntime:
             :class:`~repro.faults.injector.FaultInjector` — the
             group's link, wrapping its network — over a dedicated RNG
             stream (label ``"runtime-faults"``).
-            Targeted/delegate/depth crash clauses go through
-            :meth:`crash`, so detection and exclusion react exactly as
-            they would to any other silent crash.  A run with an empty
-            plan is bit-identical to a run with none.
+            The round's envelopes cross it as objects, and what it
+            returns (survivors, then releases) is applied as the
+            round's arrivals.  Targeted/delegate/depth crash clauses go
+            through :meth:`crash`, so detection and exclusion react
+            exactly as they would to any other silent crash.  A run
+            with an empty plan is bit-identical to a run with none.
         schedule: an optional :class:`~repro.net.scheduler.Schedule`
             governing *how many* gossip steps each process takes per
             round (:meth:`Schedule.fires_in_round` keyed by the dotted
@@ -300,8 +302,7 @@ class GroupRuntime:
                 # An empty plan injects nothing and draws nothing: its
                 # rounds keep the bare network, and so the kernel.
                 self._link = self._faults
-        # The event round on arrays (fan-out and exchange); the
-        # per-node loop below runs only where it cannot.
+        # The event round on arrays: fan-out and exchange.
         self._kernel = LiveRound(
             self._ctx, self._config, self._contacts.slot_of, self._tree.depth
         )
@@ -521,29 +522,14 @@ class GroupRuntime:
             self._detection_round()
 
     def _event_round(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Fan-out and exchange; returns who heard from whom as
-        (receiver, sender) slot arrays, one pair per arrival.
-
-        The kernel (:class:`~repro.sim.vector.LiveRound`) takes every
-        round but those of a link with no ``transmit_flags`` (a fault
-        plan decides envelope by envelope): those take the per-node
-        loop, counted under ``sim.vector_fallback`` and
-        ``sim.vector_fallback_faults`` as the engine counts its own.
-        """
+        """Fan-out and exchange on the kernel
+        (:class:`~repro.sim.vector.LiveRound`); returns who heard from
+        whom as (receiver, sender) slot arrays, one pair per arrival."""
         timeline = self._obs.timeline
-        kernel = hasattr(self._link, "transmit_flags")
         with timeline.span("fan_out", "runtime", self._round):
-            walk = self._walk()
-            if kernel:
-                emission = self._kernel_fan_out(walk)
-            else:
-                self._reg.counter("sim", "vector_fallback").inc()
-                self._reg.counter("sim", "vector_fallback_faults").inc()
-                envelopes = self._fan_out_round(walk)
+            emission = self._kernel_fan_out(self._walk())
         with timeline.span("exchange", "runtime", self._round):
-            if kernel:
-                return self._kernel_exchange(emission)
-            return self._exchange_round(envelopes)
+            return self._kernel_exchange(emission)
 
     def _walk(self) -> List[int]:
         """The active set in wiring order — the sender sequence a scan
@@ -592,13 +578,32 @@ class GroupRuntime:
         return emission
 
     def _kernel_exchange(self, emission: LiveEmission) -> Tuple[np.ndarray, np.ndarray]:
-        """Transmit the kernel's envelopes and apply every arrival: the
-        counters, records, active set and piggybacked pulls of
-        :meth:`_exchange_round`, from arrays."""
+        """Transmit the kernel's envelopes and apply every arrival.
+
+        The link call is the round's only fork.  The ε network draws one
+        verdict per envelope (``transmit_flags``).  A fault plan decides
+        envelope by envelope: the emission becomes ``Envelope`` objects
+        for its ``transmit``, and what it returns — this round's
+        survivors, then whatever it released from an earlier round — is
+        the emission applied.  Either way the round's ε drops count as
+        lost (a delayed envelope is not lost; injected losses are in the
+        ``faults`` collector)."""
         link = self._link
         lost = link.messages_lost
-        flags = link.transmit_flags(len(emission.dest))
         self._m_sent.inc(len(emission.dest))
+        faulted = not hasattr(link, "transmit_flags")
+        if faulted:
+            envelopes = LiveRound.envelopes(emission, self._contacts.addresses)
+            survivors = link.transmit(envelopes)
+            if self._obs.tracing and envelopes:
+                emit_dispositions(
+                    envelopes, {id(envelope) for envelope in survivors},
+                    link.last_diverted, self._obs.emit, self._round,
+                )
+            emission = LiveRound.carried(survivors, self._contacts.slot_of, emission.live)
+            flags = None
+        else:
+            flags = link.transmit_flags(len(emission.dest))
         self._m_lost.inc(link.messages_lost - lost)
         arrivals = self._kernel.exchange(
             emission, flags, self._node_at, self._receiving
@@ -608,7 +613,9 @@ class GroupRuntime:
         if self._obs.enabled:
             self._m_deliveries.inc(sum(arrivals.delivered))
         if self._obs.tracing:
-            self._trace_kernel_round(emission, flags, arrivals)
+            if not faulted:
+                self._trace_sends(emission, flags)
+            self._trace_arrivals(emission, arrivals)
         node_at = self._node_at
         for slot in arrivals.receivers:
             if not node_at[slot].is_idle:
@@ -624,114 +631,39 @@ class GroupRuntime:
                     exchange(receiver_replica, sender_replica, self._reg)
         return receivers, senders
 
-    def _trace_kernel_round(self, emission: LiveEmission, flags, arrivals) -> None:
-        """The records :meth:`_exchange_round` emits, in its order: one
-        send/loss disposition per envelope, then per arrival a receive
-        and, at a first reception that delivers, a deliver."""
+    def _trace_sends(self, emission: LiveEmission, flags) -> None:
+        """One send/loss disposition per envelope of an ε-only round, in
+        send order (a fault plan's link has them written by
+        :func:`~repro.variants.base.emit_dispositions`)."""
         emit, now = self._obs.emit, self._round
         addresses = self._contacts.addresses
-        dest, sender = emission.dest.tolist(), emission.sender.tolist()
-        row = emission.row.tolist()
+        events, index = emission.event_list, emission.event_index.tolist()
         depths = emission.depths.tolist()
-        event_ids = [emission.event_list[i].event_id for i in emission.event_index.tolist()]
-        for i, (to, by, r) in enumerate(zip(dest, sender, row)):
+        for i, (to, by, r) in enumerate(
+            zip(emission.dest.tolist(), emission.sender.tolist(), emission.row.tolist())
+        ):
             emit(
                 now, "send" if flags is None or flags[i] else "loss", addresses[by],
-                peer=addresses[to], event_id=event_ids[r], depth=depths[r],
+                peer=addresses[to], event_id=events[index[r]].event_id, depth=depths[r],
             )
+
+    def _trace_arrivals(self, emission: LiveEmission, arrivals) -> None:
+        """Per arrival, in send order, a receive and, at a first
+        reception that delivers, a deliver."""
+        emit, now = self._obs.emit, self._round
+        addresses = self._contacts.addresses
+        events, index = emission.event_list, emission.event_index.tolist()
+        dest, sender = emission.dest.tolist(), emission.sender.tolist()
+        row, depths = emission.row.tolist(), emission.depths.tolist()
         delivering = set(compress(arrivals.fresh.tolist(), arrivals.delivered))
         for n, i in enumerate(arrivals.at.tolist()):
-            event_id = event_ids[row[i]]
+            event_id = events[index[row[i]]].event_id
             emit(
                 now, "receive", addresses[dest[i]], peer=addresses[sender[i]],
                 event_id=event_id, depth=depths[row[i]],
             )
             if n in delivering:
                 emit(now, "deliver", addresses[dest[i]], event_id=event_id)
-
-    def _fan_out_round(self, walk: List[int]) -> List[Envelope]:
-        """The per-node loop: collect the walk's gossip envelopes, one
-        ``gossip_step`` per fire of each node; idle nodes drop off the
-        set.  The fault-plan fallback and the test reference."""
-        envelopes: List[Envelope] = []
-        for slot in walk:
-            node = self._node_at[slot]
-            for __ in range(self._fires_for(node.address)):
-                envelopes.extend(node.gossip_step(self._ctx))
-                if node.is_idle:
-                    break
-            if node.is_idle:
-                self._active.discard(slot)
-        return envelopes
-
-    def _exchange_round(
-        self, envelopes: List[Envelope]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Transmit the round's envelopes and apply every arrival.
-
-        Returns who heard from whom — (receiver, sender) slot arrays,
-        one pair per applied arrival — for the round's contact table
-        update.
-        """
-        slot_of = self._contacts.slot_of
-        receivers: List[int] = []
-        senders: List[int] = []
-        lost = self._link.messages_lost
-        survivors = self._link.transmit(envelopes)
-        self._m_sent.inc(len(envelopes))
-        # The round's ε drops only: a delayed envelope is not lost, and
-        # injected losses are in the "faults" collector.
-        self._m_lost.inc(self._link.messages_lost - lost)
-        if self._obs.tracing and envelopes:
-            emit_dispositions(
-                envelopes,
-                {id(envelope) for envelope in survivors},
-                self._link.last_diverted,
-                self._obs.emit,
-                self._round,
-            )
-        undeliverable = 0
-        for envelope in survivors:
-            receiver = self._nodes.get(envelope.destination)
-            if receiver is None or not receiver.alive:
-                undeliverable += 1
-                continue
-            freshly_delivered = (
-                self._obs.enabled
-                and not receiver.has_delivered(envelope.message.event)
-            )
-            receiver.receive(envelope.message, self._ctx)
-            self._m_receptions.inc()
-            if self._obs.tracing:
-                self._obs.emit(
-                    self._round,
-                    "receive",
-                    envelope.destination,
-                    peer=envelope.message.sender,
-                    event_id=envelope.message.event.event_id,
-                    depth=envelope.message.depth,
-                )
-            if freshly_delivered and receiver.has_delivered(
-                envelope.message.event
-            ):
-                self._m_deliveries.inc()
-                self._obs.emit(
-                    self._round,
-                    "deliver",
-                    envelope.destination,
-                    event_id=envelope.message.event.event_id,
-                )
-            receivers.append(slot_of[envelope.destination])
-            senders.append(slot_of[envelope.message.sender])
-            if not receiver.is_idle:
-                self._active.add(receivers[-1])
-            if self._piggyback_membership:
-                sender_replica = self._replicas.get(envelope.message.sender)
-                receiver_replica = self._replicas.get(envelope.destination)
-                if sender_replica is not None and receiver_replica is not None:
-                    exchange(receiver_replica, sender_replica, self._reg)
-        self._m_undeliverable.inc(undeliverable)
-        return np.array(receivers, np.int64), np.array(senders, np.int64)
 
     def run(self, rounds: int) -> None:
         """Execute several rounds."""

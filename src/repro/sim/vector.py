@@ -17,7 +17,7 @@ emits the same ``repro.obs.trace/v1`` records in the same order (through
 the same :meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so
 sampled alike), and a traced run takes it too.  It is the path
 :func:`~repro.sim.engine.run_dissemination` takes whenever the run is
-eligible; a run on a group where a node still buffers an event (or,
+eligible; a run on a group where a live node still buffers an event (or,
 decided by the engine, under a fault plan, whose link offers no
 ``transmit_flags``) takes the scalar reference loop and is counted by
 reason.  ``SimConfig(vectorized=False)`` forces the reference loop.
@@ -42,9 +42,10 @@ that plays the rounds (and hands the trace to an Observer) lives in
 :mod:`repro.par.subtree`.
 
 The third, :class:`LiveRound`, is :class:`~repro.sim.runtime.GroupRuntime`'s
-fan-out and exchange over any number of buffered events and any
-schedule, draw for draw with the runtime's per-node loop: its fan-out
-is that loop's walk, over node objects.  It and the compat kernel look
+fan-out and exchange over any number of buffered events, any schedule
+and any fault plan, draw for draw with a per-node loop (one
+``gossip_step`` per fire, one ``receive`` per surviving envelope): its
+fan-out is that loop's walk, over node objects.  It and the compat kernel look
 their destinations up in one kind of flat match (:class:`_Flats`), each
 built when a node first gossips an event at a view.
 
@@ -65,6 +66,7 @@ import numpy as np
 from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
+from repro.core.messages import Envelope, GossipMessage
 from repro.core.rate import sample_positions
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
@@ -212,8 +214,8 @@ def try_run_vectorized(
     crash_schedule: CrashSchedule,
     observer: Observer = NULL_OBSERVER,
 ) -> Optional[DisseminationReport]:
-    """Run one dissemination on the compat kernel, or None if a node
-    still buffers an event.
+    """Run one dissemination on the compat kernel, or None if a live
+    node still buffers an event.
 
     Stream-compatible with the reference loop: same gossip/loss draws
     in the same order, same report, the same trace records in the same
@@ -229,9 +231,10 @@ def try_run_vectorized(
     """
     addresses = group.addresses()
     nodes = [group.node(address) for address in addresses]
-    # A node mid-event lives on the object model, which the
-    # single-event arrays cannot represent.
-    if not all(node.is_idle for node in nodes):
+    # A live node mid-event lives on the object model, which the
+    # single-event arrays cannot represent.  A crashed one never gossips
+    # or receives again on either path, so its leftover buffer is inert.
+    if any(node.alive and not node.is_idle for node in nodes):
         return None
     registry = observer.registry
     timeline = observer.timeline
@@ -574,6 +577,12 @@ class LiveRound:
     order, of ``gossip_step``.  A destination is kept where its flat
     holds a slot (-1 where line 13 skips the entry).
 
+    **The link.**  :meth:`exchange` applies the verdicts of one
+    ``transmit_flags`` batch.  A link that decides envelope by envelope
+    gets the emission as objects (:meth:`envelopes`), and what it
+    returns, releases from earlier rounds included, is applied as an
+    emission of its own (:meth:`carried`).
+
     **Flats.**  ``flats``, one :class:`_Flats` over contact slots, is
     kept across rounds: the runtime has it forget a table it refreshes,
     and :meth:`exchange` prunes it to the events still buffered.
@@ -718,6 +727,52 @@ class LiveRound:
             raise ProtocolError(f"depth {depth[depth < 1][0].item()} must be >= 1")
         if (emission.dest == emission.sender).any():
             raise ProtocolError("a process does not gossip to itself")
+
+    @staticmethod
+    def envelopes(emission: LiveEmission, addresses: List[Address]) -> List[Envelope]:
+        """The emission as the per-node loop sends it, for a link that
+        decides envelope by envelope: one ``Envelope`` per entry, in send
+        order, its row's ``GossipMessage`` as sent (``addresses``: the
+        address by slot).  Both validate themselves."""
+        events, index = emission.event_list, emission.event_index.tolist()
+        depths = emission.depths.tolist()
+        out: List[Envelope] = []
+        last = -1  # rows are in send order, so a row's envelopes are adjacent
+        for to, by, row in zip(
+            emission.dest.tolist(), emission.sender.tolist(), emission.row.tolist()
+        ):
+            if row != last:
+                last = row
+                message = GossipMessage(
+                    events[index[row]], emission.rates[row], emission.rounds[row],
+                    depths[row], addresses[by],
+                )
+            out.append(Envelope(addresses[to], message))
+        return out
+
+    @staticmethod
+    def carried(
+        survivors: List[Envelope], slot_of: Dict[Address, int], live: Set[int]
+    ) -> LiveEmission:
+        """What a link returned, as the emission :meth:`exchange` applies:
+        one row per survivor, in the order given — this round's envelopes,
+        then any the link released from an earlier round."""
+        messages = [envelope.message for envelope in survivors]
+        events: Dict[int, Event] = {}  # event_id -> event, first seen first
+        for message in messages:
+            events.setdefault(message.event.event_id, message.event)
+        event_at = dict(zip(events, range(len(events))))
+        return LiveEmission(
+            np.array([slot_of[envelope.destination] for envelope in survivors], np.int64),
+            np.array([slot_of[message.sender] for message in messages], np.int64),
+            np.arange(len(messages)),
+            np.array([event_at[message.event.event_id] for message in messages], np.int64),
+            np.array([message.depth for message in messages], np.int64),
+            [message.rate for message in messages],
+            [message.round for message in messages],
+            list(events.values()),
+            live,
+        )
 
     def exchange(
         self,

@@ -116,12 +116,3 @@ class TestComponentAccess:
         with pytest.raises(AddressError):
             Address((10,)).component(2)
 
-    def test_longest_common_prefix(self):
-        left = Address((1, 2, 3))
-        assert left.longest_common_prefix(Address((1, 2, 4))) == Prefix((1, 2))
-        assert left.longest_common_prefix(Address((1, 9, 3))) == Prefix((1,))
-        assert left.longest_common_prefix(Address((7, 2, 3))) == Prefix(())
-
-    def test_lcp_of_equal_addresses_is_depth_d_prefix(self):
-        address = Address((1, 2, 3))
-        assert address.longest_common_prefix(address) == Prefix((1, 2))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.addressing import Address, AddressSpace, Prefix
+from repro.addressing import Address, AddressSpace
 from repro.errors import AddressError
 
 
@@ -56,22 +56,8 @@ class TestMembershipChecks:
         address = Address((1, 2))
         assert space.validate(address) is address
 
-    def test_contains_prefix(self):
-        space = AddressSpace.regular(4, 3)
-        assert space.contains_prefix(Prefix(()))
-        assert space.contains_prefix(Prefix((3, 2)))
-        assert not space.contains_prefix(Prefix((4,)))
-        # A full-depth component tuple is not a prefix.
-        assert not space.contains_prefix(Prefix((1, 2, 3)))
-
 
 class TestEnumeration:
-    def test_enumerate_all_small(self):
-        space = AddressSpace.regular(2, 2)
-        addresses = list(space.enumerate_all())
-        assert len(addresses) == 4
-        assert addresses == sorted(addresses)
-
     def test_enumerate_regular_population(self):
         space = AddressSpace.regular(5, 3)
         population = space.enumerate_regular(3)
@@ -84,17 +70,6 @@ class TestEnumeration:
         space = AddressSpace.regular(3, 2)
         with pytest.raises(AddressError):
             space.enumerate_regular(4)
-
-    def test_subgroup_prefixes_counts(self):
-        space = AddressSpace.regular(3, 3)
-        assert len(list(space.subgroup_prefixes(1))) == 1
-        assert len(list(space.subgroup_prefixes(2))) == 3
-        assert len(list(space.subgroup_prefixes(3))) == 9
-
-    def test_subgroup_prefixes_out_of_range(self):
-        space = AddressSpace.regular(3, 3)
-        with pytest.raises(AddressError):
-            list(space.subgroup_prefixes(4))
 
 
 class TestSampling:

@@ -29,11 +29,6 @@ class TestGroupDirectory:
         assert directory.table(Prefix(())).row_count == 3
         assert directory.table(Prefix((1, 2))).row_count == 3
 
-    def test_tables_of_process(self):
-        directory = make_directory()
-        tables = directory.tables_of(Address((1, 2, 0)))
-        assert sorted(tables) == [1, 2, 3]
-
     def test_unknown_prefix_rejected(self):
         directory = make_directory()
         with pytest.raises(MembershipError):

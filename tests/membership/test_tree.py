@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, AddressSpace, Prefix
-from repro.errors import ElectionError, MembershipError
+from repro.errors import MembershipError
 from repro.interests import StaticInterest
 from repro.membership import MembershipTree
 
@@ -119,15 +119,6 @@ class TestDelegateElection:
         tree = MembershipTree.build(members, redundancy=3)
         assert tree.delegates(Prefix((0,))) == (Address((0, 0)),)
 
-    def test_strict_delegates_enforces_r(self):
-        members = {
-            Address((0, 0)): StaticInterest(True),
-            Address((1, 0)): StaticInterest(True),
-        }
-        tree = MembershipTree.build(members, redundancy=3)
-        with pytest.raises(ElectionError):
-            tree.strict_delegates(Prefix((0,)))
-
     def test_unpopulated_prefix_rejected(self):
         tree = regular_tree()
         with pytest.raises(MembershipError):
@@ -159,7 +150,7 @@ class TestDelegateElection:
 class TestGroupComposition:
     def test_root_group_lists_r_delegates_per_child(self):
         tree = regular_tree(redundancy=2)
-        group = tree.root_group()
+        group = tree.group_at(Prefix(()))
         assert [child for child, __ in group] == [0, 1, 2]
         assert all(len(delegates) == 2 for __, delegates in group)
 

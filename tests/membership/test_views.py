@@ -108,10 +108,6 @@ class TestViewTable:
         assert table.row(1).timestamp == 7
         assert table.row(1).delegates == (Address((1, 1, 5)),)
 
-    def test_total_process_count(self):
-        table = self.make_table()
-        assert table.total_process_count() == 9
-
     def test_digest(self):
         table = ViewTable(
             Prefix((1,)),

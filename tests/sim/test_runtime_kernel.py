@@ -1,24 +1,25 @@
-"""The live round's kernel against the per-node loop it replaces.
+"""The live round's kernel against the per-node loop it replaced.
 
 ``GroupRuntime.step`` runs its fan-out and exchange on
-:class:`repro.sim.vector.LiveRound`.  :class:`LoopRuntime` forces the
+:class:`repro.sim.vector.LiveRound`.  :class:`LoopRuntime` is the
 per-node loop the kernel replaced — one ``gossip_step`` per fire of a
-buffered node, one ``receive`` per envelope — which stays as the
-fault-plan fallback.  Under drawn 5^3 scripts of join / leave / crash /
-re-join / update_interest / publish / step, over drawn protocol and
-link parameters and schedules, every step must leave both runtimes
-with equal node state (buffers in bucket order included), equal active
-sets, equal gossip, loss and membership RNG states, equal registry
-snapshots (``match_cache`` included) and equal traces; a traced script
-ends with equal trace bytes.  The kernel's flat cache must never hold an event
-no buffer holds.
+buffered node, the envelopes through ``link.transmit``, one ``receive``
+per survivor — kept here as the reference.  Under drawn 5^3 scripts of
+join / leave / crash / re-join / update_interest / publish / step, over
+drawn protocol and link parameters, schedules and fault plans, every
+step must leave both runtimes with equal node state (buffers in bucket
+order included), equal active sets, equal gossip, loss, fault and
+membership RNG states, equal registry snapshots (``match_cache``
+included) and equal traces; a traced script ends with equal trace
+bytes.  The kernel's flat cache must never hold an event no buffer
+holds.
 
 A schedule's extra fires are extra visits in the kernel's walk, and a
 round that fires a process zero times leaves it out.  A fault plan's
-link takes the loop, which must give the same results and count one
-``sim.vector_fallback_faults`` per round.
+link decides the kernel's envelopes one by one; no round falls back.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +27,13 @@ from hypothesis import strategies as st
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults.plan import FaultPlan
+from repro.membership.gossip_pull import exchange
 from repro.net.scheduler import JitteredSchedule, RoundSchedule, StragglerSchedule
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import random_event, random_subscriptions
+from repro.variants.base import emit_dispositions
 
 ARITY, DEPTH = 5, 3
 ADDRESSES = sorted(AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY))
@@ -38,15 +41,87 @@ HELD_BACK = (ADDRESSES[7], ADDRESSES[60], ADDRESSES[124], ADDRESSES[31])
 
 
 class LoopRuntime(GroupRuntime):
-    """The per-node loop, forced every round and never counted."""
+    """The per-node loop: the reference the kernel is held to."""
 
     def _event_round(self):
         timeline = self._obs.timeline
         with timeline.span("fan_out", "runtime", self._round):
-            envelopes = self._fan_out_round(self._walk())
+            envelopes = self._fan_out(self._walk())
         with timeline.span("exchange", "runtime", self._round):
-            return self._exchange_round(envelopes)
+            return self._exchange(envelopes)
 
+    def _fan_out(self, walk):
+        """One ``gossip_step`` per fire of each walked node; idle nodes
+        drop off the set."""
+        envelopes = []
+        for slot in walk:
+            node = self._node_at[slot]
+            for __ in range(self._fires_for(node.address)):
+                envelopes.extend(node.gossip_step(self._ctx))
+                if node.is_idle:
+                    break
+            if node.is_idle:
+                self._active.discard(slot)
+        return envelopes
+
+    def _exchange(self, envelopes):
+        """Transmit the envelopes and ``receive`` every survivor, in order."""
+        slot_of = self._contacts.slot_of
+        receivers, senders = [], []
+        lost = self._link.messages_lost
+        survivors = self._link.transmit(envelopes)
+        self._m_sent.inc(len(envelopes))
+        self._m_lost.inc(self._link.messages_lost - lost)
+        if self._obs.tracing and envelopes:
+            emit_dispositions(
+                envelopes, {id(envelope) for envelope in survivors},
+                self._link.last_diverted, self._obs.emit, self._round,
+            )
+        undeliverable = 0
+        for envelope in survivors:
+            message, destination = envelope.message, envelope.destination
+            receiver = self._nodes.get(destination)
+            if receiver is None or not receiver.alive:
+                undeliverable += 1
+                continue
+            fresh = self._obs.enabled and not receiver.has_delivered(message.event)
+            receiver.receive(message, self._ctx)
+            self._m_receptions.inc()
+            if self._obs.tracing:
+                self._obs.emit(
+                    self._round, "receive", destination, peer=message.sender,
+                    event_id=message.event.event_id, depth=message.depth,
+                )
+            if fresh and receiver.has_delivered(message.event):
+                self._m_deliveries.inc()
+                self._obs.emit(self._round, "deliver", destination, event_id=message.event.event_id)
+            receivers.append(slot_of[destination])
+            senders.append(slot_of[message.sender])
+            if not receiver.is_idle:
+                self._active.add(receivers[-1])
+            if self._piggyback_membership:
+                sender_replica = self._replicas.get(message.sender)
+                receiver_replica = self._replicas.get(destination)
+                if sender_replica is not None and receiver_replica is not None:
+                    exchange(receiver_replica, sender_replica, self._reg)
+        self._m_undeliverable.inc(undeliverable)
+        return np.array(receivers, np.int64), np.array(senders, np.int64)
+
+
+PLANS = [
+    None,
+    FaultPlan(),
+    FaultPlan().with_loss_burst(1, 6, 0.4),
+    FaultPlan().with_delay(0, 8, 2, probability=0.5),
+    FaultPlan().with_partition(1, 5, "0", "1").with_delay(2, 6, 1),
+    FaultPlan()
+    .with_loss_burst(0, 9, 1.0, sender_prefix="2")
+    .with_loss_burst(3, 7, 1.0, dest_prefix="3")
+    .with_crash(2, "1.1.1")
+    .with_delegate_crash(3, "4", count=1)
+    .with_depth_crash(4, 2, count=1),
+    FaultPlan().with_delay(1, 12, 3, dest_prefix="4").with_loss_burst(2, 7, 0.2),
+]
 
 PARAMS = st.fixed_dictionaries(
     {
@@ -70,6 +145,7 @@ PARAMS = st.fixed_dictionaries(
                 StragglerSchedule(0.5, 3, seed=1),
             ]
         ),
+        "plan": st.sampled_from(PLANS),
     }
 )
 KINDS = ("publish", "publish", "join", "leave", "crash", "update", "step", "step", "step")
@@ -80,7 +156,7 @@ SCRIPTS = st.lists(
 )
 
 
-def build(cls, params, traced, **kwargs):
+def build(cls, params, traced):
     subscriptions = random_subscriptions(
         ADDRESSES, derive_rng(params["seed"], "kernel-subscriptions")
     )
@@ -103,7 +179,7 @@ def build(cls, params, traced, **kwargs):
         piggyback_membership=params["piggyback"],
         observer=Observer(registry=registry, trace=trace),
         schedule=params.get("schedule"),
-        **kwargs,
+        fault_plan=params.get("plan"),
     )
     return runtime, registry, trace, subscriptions
 
@@ -238,17 +314,13 @@ class TestKernelEqualsTheLoop:
         check_script(params, script, traced=False)
 
 
-def fallback_pair(schedule=None, **kwargs):
+def fallback_pair(schedule=None, plan=None):
     params = dict(
         seed=3, epsilon=0.05, fanout=3, redundancy=2, min_rounds=2,
         shortcut=False, threshold_h=0, flood=2.0, piggyback=False, timeout=4,
-        schedule=schedule,
+        schedule=schedule, plan=plan,
     )
-    return build(GroupRuntime, params, False, **kwargs), build(LoopRuntime, params, False, **kwargs)
-
-
-def without_sim(snapshot):
-    return {name: values for name, values in snapshot.items() if name != "sim"}
+    return build(GroupRuntime, params, False), build(LoopRuntime, params, False)
 
 
 class TestFallbacks:
@@ -265,18 +337,16 @@ class TestFallbacks:
                 fallbacks += before_step(kernel[0])
             kernel[0].step()
             loop[0].step()
-            k_state, l_state = state(*kernel[:3]), state(*loop[:3])
-            k_state["registry"] = without_sim(k_state["registry"])
-            moved = difference(k_state, l_state)
+            moved = difference(state(*kernel[:3]), state(*loop[:3]))
             assert moved is None, moved
         return fallbacks
 
-    def test_a_fault_plan_counts_every_round(self):
+    def test_a_fault_plan_takes_the_kernel(self):
         plan = FaultPlan().with_loss_burst(1, 4, 0.3).with_delay(2, 5, 2)
-        kernel, loop = fallback_pair(fault_plan=plan)
+        kernel, loop = fallback_pair(plan=plan)
         self.run_pair(kernel, loop, 12)
-        sim = kernel[1].snapshot()["sim"]
-        assert sim == {"vector_fallback": 12, "vector_fallback_faults": 12}
+        assert "sim" not in kernel[1].snapshot()
+        assert kernel[0].fault_stats["released"] > 0
 
     def test_a_jittered_schedule_takes_the_kernel(self):
         schedule = JitteredSchedule(jitter=1.5, seed=3)
@@ -302,6 +372,6 @@ class TestFallbacks:
         assert "sim" not in kernel[1].snapshot()
 
     def test_an_empty_plan_takes_the_kernel(self):
-        kernel, loop = fallback_pair(fault_plan=FaultPlan())
+        kernel, loop = fallback_pair(plan=FaultPlan())
         self.run_pair(kernel, loop, 8)
         assert "sim" not in kernel[1].snapshot()

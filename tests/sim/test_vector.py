@@ -50,6 +50,7 @@ from repro.sim import (
     run_dissemination,
 )
 from repro.sim import vector
+from repro.sim.crashes import CrashSchedule
 from repro.core.rate import sample_positions
 
 
@@ -319,6 +320,42 @@ class TestFallbackObservability:
             "": 1, "_faults": 0, "_ineligible": 1,
         }
         assert outcome == reference[1]
+
+
+    def _crashed_holder_group(self):
+        """A group whose first event ran to the end with its publisher
+        crashed in round 1, still buffering the event."""
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        run_dissemination(
+            group,
+            addresses[5],
+            Event({"golden": 1}, event_id=7),
+            SimConfig(seed=3, loss_probability=0.05),
+            crash_schedule=CrashSchedule({addresses[5]: 1}),
+        )
+        nodes = list(group.nodes())
+        assert not group.node(addresses[5]).is_idle
+        assert all(node.is_idle for node in nodes if node.alive)
+        return group, addresses
+
+    def test_a_crashed_nodes_leftover_buffer_takes_the_kernel(self):
+        event = Event({"golden": 2}, event_id=8)
+        outcomes, registries = [], []
+        for flag in ({}, {"vectorized": False}):
+            group, addresses = self._crashed_holder_group()
+            registry, trace = MetricsRegistry(), TraceLog()
+            report = run_dissemination(
+                group,
+                addresses[0],
+                event,
+                SimConfig(seed=11, loss_probability=0.05, **flag),
+                observer=Observer(registry=registry, trace=trace),
+            )
+            outcomes.append((report, _node_state(group, addresses, event), list(trace)))
+            registries.append(registry)
+        assert set(self._fallbacks(registries[0]).values()) == {0}
+        assert registries[0].counter("vector", "runs").value == 1
+        assert outcomes[0] == outcomes[1]
 
 
 class TestPubSubPublish:
