@@ -35,32 +35,13 @@ __all__ = ["build_genuine_group"]
 
 def _genuine_view(tree: MembershipTree, prefix: Prefix) -> ViewTable:
     """A view whose rows only reflect the delegates' own interests."""
+    leaf = prefix.depth == tree.depth
     rows = []
-    if prefix.depth == tree.depth:
-        for address in tree.subtree_members(prefix):
-            rows.append(
-                ViewRow(
-                    infix=address.components[-1],
-                    delegates=(address,),
-                    interest=tree.interest_of(address),
-                    process_count=1,
-                )
-            )
-    else:
-        for child in tree.populated_children(prefix):
-            child_prefix = prefix.child(child)
-            delegates = tree.delegates(child_prefix)
-            summary = regroup(
-                tree.interest_of(delegate) for delegate in delegates
-            )
-            rows.append(
-                ViewRow(
-                    infix=child,
-                    delegates=delegates,
-                    interest=summary,
-                    process_count=tree.subtree_size(child_prefix),
-                )
-            )
+    for child, members in tree.child_subtrees(prefix):
+        delegates = tuple(members[: tree.redundancy])
+        interests = tree.interests_of(delegates)
+        summary = next(interests) if leaf else regroup(interests)
+        rows.append(ViewRow(child, delegates, summary, len(members)))
     return ViewTable(prefix, tree.depth, rows)
 
 

@@ -46,6 +46,7 @@ class DepthBuffers:
     def __init__(self, tree_depth: int):
         if tree_depth < 1:
             raise ProtocolError(f"tree depth {tree_depth} must be >= 1")
+        # PmcastNode._install lays out these same fields inline.
         self._depth = tree_depth
         self._buffers: List[Dict[int, BufferedEvent]] = [
             {} for __ in range(tree_depth)

@@ -33,6 +33,7 @@ Fidelity notes (each tied to a Figure 3 line):
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.addressing import Address
@@ -47,6 +48,18 @@ from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
 __all__ = ["PmcastNode"]
+
+# C-level readers of node state for passes over a whole group (the
+# compat kernel's prologue and the run report): mapped over the nodes,
+# an attrgetter opens no Python frame per node.
+alive_of = attrgetter("alive")
+interest_of = attrgetter("_interest")
+received_ids = attrgetter("_received")
+delivered_ids = attrgetter("_delivered_ids")
+sent_of = attrgetter("_messages_sent")
+receptions_of = attrgetter("_receptions")
+#: event_id -> buffering depth; empty iff the node is idle.
+buffered_ids = attrgetter("_buffers._located")
 
 
 class PmcastNode:
@@ -131,13 +144,19 @@ class PmcastNode:
         views: Dict[int, ViewTable],
         config: PmcastConfig,
     ) -> None:
+        """Set every field in one frame: a group build runs this once
+        per member, so the empty buffers are laid out here rather than
+        through :class:`DepthBuffers`' constructor."""
         self._address = address
         self._interest = interest
         self._views = dict(views)
         self._config = config
         # Checked views cover depths 1..d contiguously.
-        self._tree_depth = len(views)
-        self._buffers = DepthBuffers(self._tree_depth)
+        depth = self._tree_depth = len(views)
+        buffers = self._buffers = DepthBuffers.__new__(DepthBuffers)
+        buffers._depth = depth
+        buffers._buffers = [{} for __ in range(depth)]
+        buffers._located = {}
         self._received: Set[int] = set()
         self._delivered: List[Event] = []
         self._delivered_ids: Set[int] = set()

@@ -15,7 +15,7 @@ The module also implements the closed-form knowledge accounting:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.errors import MembershipError
@@ -56,34 +56,7 @@ def build_view(
     """
     if not tree.is_populated(prefix):
         raise MembershipError(f"prefix {prefix} is not populated")
-    rows: List[ViewRow] = []
-    if prefix.depth == tree.depth:
-        for address in tree.subtree_members(prefix):
-            rows.append(
-                ViewRow(
-                    infix=address.components[-1],
-                    delegates=(address,),
-                    interest=tree.interest_of(address),
-                    process_count=1,
-                    timestamp=timestamp,
-                )
-            )
-    else:
-        for child in tree.populated_children(prefix):
-            child_prefix = prefix.child(child)
-            members = tree.subtree_members(child_prefix)
-            summary = regroup(
-                (tree.interest_of(address) for address in members), policy
-            )
-            rows.append(
-                ViewRow(
-                    infix=child,
-                    delegates=tree.delegates(child_prefix),
-                    interest=summary,
-                    process_count=len(members),
-                    timestamp=timestamp,
-                )
-            )
+    rows = _rows(tree, prefix, tree.child_subtrees(prefix), timestamp, policy)
     return ViewTable(prefix, tree.depth, rows)
 
 
@@ -112,41 +85,38 @@ def refreshed_rows(
     if not tree.is_populated(prefix):
         raise MembershipError(f"prefix {prefix} is not populated")
     rows: List[ViewRow] = []
-    if prefix.depth == tree.depth:
-        for address in tree.subtree_members(prefix):
-            infix = address.components[-1]
-            if infix != changed_child and existing.has_row(infix):
-                rows.append(existing.row(infix).with_timestamp(timestamp))
-            else:
-                rows.append(
-                    ViewRow(
-                        infix=infix,
-                        delegates=(address,),
-                        interest=tree.interest_of(address),
-                        process_count=1,
-                        timestamp=timestamp,
-                    )
-                )
-    else:
-        for child in tree.populated_children(prefix):
-            if child != changed_child and existing.has_row(child):
-                rows.append(existing.row(child).with_timestamp(timestamp))
-                continue
-            child_prefix = prefix.child(child)
-            members = tree.subtree_members(child_prefix)
-            summary = regroup(
-                (tree.interest_of(address) for address in members), policy
-            )
-            rows.append(
-                ViewRow(
-                    infix=child,
-                    delegates=tree.delegates(child_prefix),
-                    interest=summary,
-                    process_count=len(members),
-                    timestamp=timestamp,
-                )
+    for child, members in tree.child_subtrees(prefix):
+        if child != changed_child and existing.has_row(child):
+            rows.append(existing.row(child).with_timestamp(timestamp))
+        else:
+            rows.extend(
+                _rows(tree, prefix, [(child, members)], timestamp, policy)
             )
     return rows
+
+
+def _rows(
+    tree: MembershipTree,
+    prefix: Prefix,
+    children: List[Tuple[int, Sequence[Address]]],
+    timestamp: int,
+    policy: Optional[RegroupPolicy],
+) -> List[ViewRow]:
+    """Fresh rows of ``prefix``'s table for the given ``(child, sorted
+    members)`` subtrees (:meth:`MembershipTree.child_subtrees`)."""
+    interests_of = tree.interests_of
+    if prefix.depth == tree.depth:
+        # A process is its own row, with its own interest.
+        interests = interests_of(members[0] for __, members in children)
+    else:
+        interests = (
+            regroup(interests_of(members), policy) for __, members in children
+        )
+    redundancy = tree.redundancy
+    return [
+        ViewRow(child, tuple(members[:redundancy]), interest, len(members), timestamp)
+        for (child, members), interest in zip(children, interests)
+    ]
 
 
 def refresh_path(
@@ -227,15 +197,19 @@ def build_all_views(
 
     Processes sharing a prefix see identical (converged) tables, so the
     simulator builds each once and shares it — a pure optimization.
+    The tables come in the order the members first reach their
+    prefixes.  A member whose leaf subgroup already has its table adds
+    none, so only a leaf subgroup's first member walks its path.
     """
     tables: Dict[Prefix, ViewTable] = {}
-    seen: set = set()
+    leaf = tree.depth - 1
     for address in tree.members():
-        for prefix in address.prefixes():
-            if prefix in seen:
-                continue
-            seen.add(prefix)
-            tables[prefix] = build_view(tree, prefix, timestamp, policy)
+        prefixes = address.prefixes()
+        if prefixes[leaf] in tables:
+            continue
+        for prefix in prefixes:
+            if prefix not in tables:
+                tables[prefix] = build_view(tree, prefix, timestamp, policy)
     return tables
 
 

@@ -26,38 +26,13 @@ are computed.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.addressing import Address, Prefix, component_key
 from repro.errors import MembershipError
 from repro.interests.subscriptions import Interest
 
 __all__ = ["MembershipTree"]
-
-
-class _SubtreeIndex:
-    """Sorted member addresses per prefix, maintained incrementally.
-
-    The list is kept sorted by :func:`component_key` — the same order
-    as plain ``sorted()`` over addresses, but the bisect probes compare
-    precomputed int tuples instead of calling ``Address.__lt__``.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self) -> None:
-        self.members: List[Address] = []
-
-    def add(self, address: Address) -> None:
-        bisect.insort(self.members, address, key=component_key)
-
-    def remove(self, address: Address) -> None:
-        index = bisect.bisect_left(
-            self.members, component_key(address), key=component_key
-        )
-        if index >= len(self.members) or self.members[index] != address:
-            raise MembershipError(f"{address} is not in this subtree")
-        del self.members[index]
 
 
 class MembershipTree:
@@ -78,7 +53,10 @@ class MembershipTree:
         self._depth = depth
         self._redundancy = redundancy
         self._interests: Dict[Address, Interest] = {}
-        self._index: Dict[Prefix, _SubtreeIndex] = {}
+        # Per populated prefix, its members sorted by component_key (the
+        # order of plain sorted() over addresses, with the bisect probes
+        # comparing precomputed int tuples instead of calling __lt__).
+        self._index: Dict[Prefix, List[Address]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -97,12 +75,21 @@ class MembershipTree:
                 f"member addresses have mixed depths {sorted(depths)}"
             )
         tree = cls(depth=depths.pop(), redundancy=redundancy)
-        for address, interest in members.items():
-            tree.add(address, interest)
+        tree._interests = dict(members)
+        # Appending the members in sorted order leaves every prefix's
+        # list sorted, so the bulk build needs no insort.
+        index = tree._index
+        for address in sorted(members, key=component_key):
+            for prefix in address.prefixes():
+                subtree = index.get(prefix)
+                if subtree is None:
+                    index[prefix] = [address]
+                else:
+                    subtree.append(address)
         return tree
 
     def add(self, address: Address, interest: Interest) -> None:
-        """Add a member (used by the join protocol and the builder)."""
+        """Add a member (the join protocol's path)."""
         if address.depth != self._depth:
             raise MembershipError(
                 f"address {address} has depth {address.depth}, "
@@ -112,18 +99,22 @@ class MembershipTree:
             raise MembershipError(f"{address} is already a member")
         self._interests[address] = interest
         for prefix in address.prefixes():
-            self._index.setdefault(prefix, _SubtreeIndex()).add(address)
+            bisect.insort(
+                self._index.setdefault(prefix, []), address, key=component_key
+            )
 
     def remove(self, address: Address) -> None:
         """Remove a member (leave or detected failure)."""
         if address not in self._interests:
             raise MembershipError(f"{address} is not a member")
         del self._interests[address]
+        key = component_key(address)
         for prefix in address.prefixes():
-            index = self._index[prefix]
-            index.remove(address)
-            if not index.members:
+            subtree = self._index[prefix]
+            if len(subtree) == 1:
                 del self._index[prefix]
+            else:
+                del subtree[bisect.bisect_left(subtree, key, key=component_key)]
 
     def update_interest(self, address: Address, interest: Interest) -> None:
         """Replace a member's interest (a re-subscription)."""
@@ -168,13 +159,45 @@ class MembershipTree:
 
     def subtree_members(self, prefix: Prefix) -> Sequence[Address]:
         """Sorted member addresses sharing ``prefix`` (Eq 4's ``‖·‖`` set)."""
-        index = self._index.get(prefix)
-        return tuple(index.members) if index else ()
+        return tuple(self._index.get(prefix, ()))
 
     def subtree_size(self, prefix: Prefix) -> int:
         """``‖prefix‖``: how many processes the subtree contains (Eq 4)."""
-        index = self._index.get(prefix)
-        return len(index.members) if index else 0
+        return len(self._index.get(prefix, ()))
+
+    def interests_of(self, addresses: Iterable[Address]) -> Iterator[Interest]:
+        """The members' own interests, in the order given."""
+        return map(self._interests.__getitem__, addresses)
+
+    def child_subtrees(
+        self, prefix: Prefix
+    ) -> List[Tuple[int, Sequence[Address]]]:
+        """Per populated child component of ``prefix``, in order, the
+        sorted members of the child subtree — a process alone below a
+        depth-d prefix.
+
+        A child subtree is a run of ``prefix``'s sorted list, so the
+        walk steps over that list one child at a time, never one member
+        at a time.  The member lists are the tree's own: read them, do
+        not keep or change them.
+        """
+        position = len(prefix.components)
+        if position >= self._depth:
+            raise MembershipError(
+                f"prefix {prefix} is already a full-depth prefix"
+            )
+        members = self._index.get(prefix, ())
+        if position == self._depth - 1:
+            return [(address.components[-1], (address,)) for address in members]
+        index = self._index
+        children = []
+        at = 0
+        while at < len(members):
+            first = members[at]
+            subtree = index[first.prefixes()[position + 1]]
+            children.append((first.components[position], subtree))
+            at += len(subtree)
+        return children
 
     def populated_children(self, prefix: Prefix) -> List[int]:
         """The populated child components of ``prefix``, sorted.
@@ -183,23 +206,12 @@ class MembershipTree:
         different x(i) that can be appended to [the prefix] to denote an
         existing prefix" — returned as the concrete component values.
         """
-        if len(prefix.components) >= self._depth:
-            raise MembershipError(
-                f"prefix {prefix} is already a full-depth prefix"
-            )
-        index = self._index.get(prefix)
-        if index is None:
-            return []
-        position = len(prefix.components)
-        seen = sorted({address.components[position] for address in index.members})
-        return seen
+        return [child for child, __ in self.child_subtrees(prefix)]
 
     def branch_factor(self, prefix: Prefix) -> int:
-        """``|prefix|``: the number of populated child subgroups."""
-        if len(prefix.components) == self._depth - 1:
-            # Depth-d prefix: children are the processes themselves.
-            return self.subtree_size(prefix)
-        return len(self.populated_children(prefix))
+        """``|prefix|``: the number of populated child subgroups (at a
+        depth-d prefix, its processes)."""
+        return len(self.child_subtrees(prefix))
 
     # -- delegate election -------------------------------------------------
 
@@ -213,10 +225,10 @@ class MembershipTree:
         group has at least R members, but churn can transiently violate
         that, and electing everyone is the only sensible degraded mode.
         """
-        index = self._index.get(prefix)
-        if index is None:
+        members = self._index.get(prefix)
+        if members is None:
             raise MembershipError(f"prefix {prefix} is not populated")
-        return tuple(index.members[: self._redundancy])
+        return tuple(members[: self._redundancy])
 
     def is_delegate(self, address: Address, depth: int) -> bool:
         """True if ``address`` is a delegate of its subgroup at ``depth``.
@@ -231,43 +243,3 @@ class MembershipTree:
                 f"depth {depth} out of range [1, {self._depth}]"
             )
         return address in self.delegates(address.prefix(depth))
-
-    def highest_depth(self, address: Address) -> int:
-        """The shallowest depth at which ``address`` participates.
-
-        Returns 1 if the address is a delegate all the way to the root
-        (it appears in the root group), and ``d`` if it is delegate of
-        no subgroup (an ordinary leaf process).  A process participates
-        in gossip at every depth from this value down to ``d``.
-        """
-        if address not in self._interests:
-            raise MembershipError(f"{address} is not a member")
-        shallowest = self._depth
-        for depth in range(self._depth - 1, 0, -1):
-            # Delegate *of depth* depth+1 appears in the group *at*
-            # depth `depth`; stop at the first non-delegacy.
-            if self.is_delegate(address, depth + 1):
-                shallowest = depth
-            else:
-                break
-        return shallowest
-
-    def group_at(self, prefix: Prefix) -> List[Tuple[int, Tuple[Address, ...]]]:
-        """The group of a given depth: per child subgroup, its delegates.
-
-        For a prefix of depth ``i < d`` this returns, for each populated
-        child component ``x(i)``, the R delegates representing the child
-        subtree — the population of the compound node of §2.1.  For a
-        depth-d prefix the "delegates" of each child are the single
-        processes themselves.
-        """
-        depth = prefix.depth
-        if depth == self._depth:
-            return [
-                (address.components[-1], (address,))
-                for address in self.subtree_members(prefix)
-            ]
-        return [
-            (child, self.delegates(prefix.child(child)))
-            for child in self.populated_children(prefix)
-        ]

@@ -9,10 +9,13 @@ converged table, see :mod:`repro.membership.knowledge`), and one
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from itertools import repeat
+from operator import contains
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig
+from repro.core import node as node_state
 from repro.core.node import PmcastNode
 from repro.errors import SimulationError
 from repro.interests.events import Event
@@ -47,8 +50,10 @@ class PmcastGroup:
         self._config = config
         # The membership of a group object is fixed once it is built
         # (PubSubSystem snapshots a new one per publish), so the sorted
-        # order every run asks for several times is computed once.
-        self._sorted = sorted(nodes)
+        # order every run asks for several times is read once, off the
+        # tree's root list.
+        self._sorted = tree.subtree_members(Prefix(()))
+        self._in_order = list(map(nodes.__getitem__, self._sorted))
 
     @classmethod
     def build(
@@ -112,6 +117,14 @@ class PmcastGroup:
         """All nodes (unspecified order)."""
         return iter(self._nodes.values())
 
+    def ordered_nodes(self) -> List[PmcastNode]:
+        """All nodes in :meth:`addresses` order (a fresh list each call)."""
+        return list(self._in_order)
+
+    def nodes_at(self, addresses: Iterable[Address]) -> Iterator[PmcastNode]:
+        """The nodes at ``addresses``, in the order given (members only)."""
+        return map(self._nodes.__getitem__, addresses)
+
     def addresses(self) -> List[Address]:
         """All member addresses, sorted (a fresh list each call)."""
         return list(self._sorted)
@@ -155,32 +168,29 @@ def assemble_pmcast_report(
     event-driven runtimes in :mod:`repro.net`, so every execution
     style scores a run with the same arithmetic.
     """
-    delivered_interested = sum(
-        1
-        for address in interested
-        if group.node(address).has_delivered(event)
+    def holding(reader, nodes) -> int:
+        """How many of ``nodes`` hold the event in the set ``reader`` reads."""
+        return sum(map(contains, map(reader, nodes), repeat(event.event_id)))
+
+    interested_nodes = list(group.nodes_at(interested))
+    delivered_interested = holding(node_state.delivered_ids, interested_nodes)
+    # The uninterested are the members neither interested nor the
+    # publisher: their receptions are everyone's less those two sets'.
+    outside = publisher not in interested
+    received_uninterested = (
+        holding(node_state.received_ids, group.nodes())
+        - holding(node_state.received_ids, interested_nodes)
+        - (outside and group.node(publisher).has_received(event))
     )
-    uninterested = [
-        address
-        for address in group.addresses()
-        if address not in interested and address != publisher
-    ]
-    received_uninterested = sum(
-        1
-        for address in uninterested
-        if group.node(address).has_received(event)
-    )
-    messages_sent = (
-        sum(node.messages_sent for node in group.nodes()) - sent_before
-    )
+    messages_sent = sum(map(node_state.sent_of, group.nodes())) - sent_before
     receptions = (
-        sum(node.receptions for node in group.nodes()) - receptions_before
+        sum(map(node_state.receptions_of, group.nodes())) - receptions_before
     )
     first_receptions = infected_count - 1  # the publisher never receives
     return DisseminationReport(
         group_size=group.size,
         interested=len(interested),
-        uninterested=len(uninterested),
+        uninterested=group.size - len(interested) - outside,
         delivered_interested=delivered_interested,
         received_uninterested=received_uninterested,
         received_total=infected_count,

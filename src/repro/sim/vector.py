@@ -58,15 +58,17 @@ iterates arrays or insertion-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import contains
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.addressing import Address
+from repro.addressing import Address, component_key
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
+from repro.core import node as node_state
 from repro.core.rate import sample_positions
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
@@ -230,22 +232,25 @@ def try_run_vectorized(
     spans under the names the reference loop uses — both out of band.
     """
     addresses = group.addresses()
-    nodes = [group.node(address) for address in addresses]
+    nodes = group.ordered_nodes()
+    # Node state is read through node_state's attrgetter maps: no Python
+    # frame per member.
+    alive = list(map(node_state.alive_of, nodes))
     # A live node mid-event lives on the object model, which the
     # single-event arrays cannot represent.  A crashed one never gossips
     # or receives again on either path, so its leftover buffer is inert.
-    if any(node.alive and not node.is_idle for node in nodes):
+    if any(compress(map(node_state.buffered_ids, nodes), alive)):
         return None
     registry = observer.registry
     timeline = observer.timeline
 
     n = len(addresses)
-    index_of = {address: i for i, address in enumerate(addresses)}
-    components = [address.components for address in addresses]
-    own_match = [node.interest.matches(event) for node in nodes]
-    alive = [node.alive for node in nodes]
-    received = [node.has_received(event) for node in nodes]
-    delivered = [node.has_delivered(event) for node in nodes]
+    index_of = dict(zip(addresses, range(n)))
+    components = list(map(component_key, addresses))
+    own_match = [i.matches(event) for i in map(node_state.interest_of, nodes)]
+    ids = repeat(event.event_id)
+    received = list(map(contains, map(node_state.received_ids, nodes), ids))
+    delivered = list(map(contains, map(node_state.delivered_ids, nodes), ids))
     tree_depth = group.tree.depth
     config = group.config
     fanout = config.fanout
@@ -268,8 +273,8 @@ def try_run_vectorized(
     # Ground truth before anybody crashes (exactly the scalar order);
     # own_match already holds it, in address order.
     interested = set(compress(addresses, own_match))
-    sent_before = sum(node.messages_sent for node in group.nodes())
-    receptions_before = sum(node.receptions for node in group.nodes())
+    sent_before = sum(map(node_state.sent_of, nodes))
+    receptions_before = sum(map(node_state.receptions_of, nodes))
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
     if received[pub]:
@@ -282,6 +287,7 @@ def try_run_vectorized(
         if config.local_interest_shortcut
         else 1
     )
+    crashed: List[int] = []
     buf_depth = [0] * n
     buf_round = [0] * n
     buf_rate = [0.0] * n
@@ -334,6 +340,7 @@ def try_run_vectorized(
             if not alive[vi]:
                 continue
             alive[vi] = False
+            crashed.append(vi)
             if in_active[vi]:
                 in_active[vi] = False
                 active_count -= 1
@@ -491,8 +498,14 @@ def try_run_vectorized(
         registry.counter("vector", "receptions").inc(sum(recv_count))
 
     # Write the outcome back through the object model so every scalar
-    # inspection API stays truthful after a vectorized run.
-    for i, node in enumerate(nodes):
+    # inspection API stays truthful after a vectorized run.  Only a node
+    # the run touched — infected (received, sent, buffering) or crashed
+    # — has anything to write; for every other node the call would be
+    # a no-op.
+    touched = set(crashed)
+    touched.update(compress(range(n), infected))
+    for i in touched:
+        node = nodes[i]
         buffered = None
         if buf_depth[i] > 0:
             buffered = (buf_depth[i], buf_rate[i], buf_round[i])

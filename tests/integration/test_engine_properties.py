@@ -146,7 +146,7 @@ class TestEngineInvariants:
             address = node.address
             if address in interested or address == publisher:
                 continue
-            if group.tree.highest_depth(address) < depth:
+            if group.tree.is_delegate(address, depth):
                 continue  # a delegate: susceptible on others' behalf
             # A plain uninterested leaf process must never be touched.
             assert not node.has_received(event)

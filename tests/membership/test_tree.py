@@ -129,36 +129,9 @@ class TestDelegateElection:
         assert tree.is_delegate(Address((0, 0, 0)), 3)
         assert tree.is_delegate(Address((0, 0, 1)), 3)
         assert not tree.is_delegate(Address((0, 0, 2)), 3)
-
-    def test_highest_depth_of_smallest_address_is_root(self):
-        tree = regular_tree(redundancy=2)
-        assert tree.highest_depth(Address((0, 0, 0))) == 1
-
-    def test_highest_depth_of_plain_leaf(self):
-        tree = regular_tree(redundancy=2)
-        assert tree.highest_depth(Address((2, 2, 2))) == 3
-
-    def test_highest_depth_monotone_in_delegacy(self):
-        tree = regular_tree(redundancy=2)
         # Delegate of its leaf group but not further up.
-        address = Address((2, 2, 0))
-        assert tree.is_delegate(address, 3)
-        assert not tree.is_delegate(address, 2)
-        assert tree.highest_depth(address) == 2
-
-
-class TestGroupComposition:
-    def test_root_group_lists_r_delegates_per_child(self):
-        tree = regular_tree(redundancy=2)
-        group = tree.group_at(Prefix(()))
-        assert [child for child, __ in group] == [0, 1, 2]
-        assert all(len(delegates) == 2 for __, delegates in group)
-
-    def test_leaf_group_is_individuals(self):
-        tree = regular_tree()
-        group = tree.group_at(Prefix((1, 1)))
-        assert [child for child, __ in group] == [0, 1, 2]
-        assert all(len(delegates) == 1 for __, delegates in group)
+        assert tree.is_delegate(Address((2, 2, 0)), 3)
+        assert not tree.is_delegate(Address((2, 2, 0)), 2)
 
 
 class TestMutation:
@@ -259,3 +232,49 @@ class TestElectionProperties:
         tree.remove(extra)
         for prefix, delegates in before.items():
             assert tree.delegates(prefix) == delegates
+
+
+def added_one_by_one(members, redundancy):
+    """The reference tree: one ``add`` (the join path) per member, in
+    mapping order."""
+    depth = next(iter(members)).depth
+    tree = MembershipTree(depth=depth, redundancy=redundancy)
+    for address, interest in members.items():
+        tree.add(address, interest)
+    return tree
+
+
+@st.composite
+def shuffled_members(draw):
+    """An irregular member map of a drawn depth, in a drawn order."""
+    depth = draw(st.integers(1, 4))
+    components = st.tuples(*[st.integers(0, 3)] * depth)
+    addresses = draw(
+        st.lists(components, min_size=1, max_size=40, unique=True)
+    )
+    addresses = draw(st.permutations([Address(a) for a in addresses]))
+    return {
+        address: StaticInterest(draw(st.booleans())) for address in addresses
+    }
+
+
+class TestBulkBuild:
+    @given(shuffled_members(), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_build_equals_per_member_adds(self, members, redundancy):
+        bulk = MembershipTree.build(members, redundancy=redundancy)
+        reference = added_one_by_one(members, redundancy)
+        assert list(bulk.members()) == list(reference.members())
+        assert list(bulk.members()) == list(members)
+        prefixes = {prefix for address in members for prefix in address.prefixes()}
+        for prefix in prefixes:
+            expected = sorted(a for a in members if prefix.is_prefix_of(a))
+            assert list(bulk.subtree_members(prefix)) == expected
+            assert list(reference.subtree_members(prefix)) == expected
+            assert bulk.delegates(prefix) == reference.delegates(prefix)
+            position = len(prefix.components)
+            children = sorted({a.components[position] for a in expected})
+            assert bulk.populated_children(prefix) == children
+            assert reference.populated_children(prefix) == children
+        for address, interest in members.items():
+            assert bulk.interest_of(address) is interest

@@ -1,7 +1,7 @@
 """Stateful property testing of MembershipTree under random churn.
 
 A hypothesis rule machine performs arbitrary interleavings of add,
-remove and re-subscribe, checking after every step that the tree's
+remove, re-subscribe and a bulk rebuild from the model, checking after every step that the tree's
 derived structure stays consistent with a naive model:
 
 * subtree members/sizes match brute-force filtering by prefix;
@@ -57,6 +57,18 @@ class TreeMachine(RuleBasedStateMachine):
         address = data.draw(st.sampled_from(sorted(self.model)))
         self.tree.update_interest(address, StaticInterest(interested))
         self.model[address] = interested
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def rebuild(self):
+        # Churn goes on against a bulk-built tree.
+        self.tree = MembershipTree.build(
+            {
+                address: StaticInterest(interested)
+                for address, interested in self.model.items()
+            },
+            REDUNDANCY,
+        )
 
     @invariant()
     def size_matches(self):
