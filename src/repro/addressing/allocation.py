@@ -58,11 +58,6 @@ class AddressAllocator:
         """The space being allocated from."""
         return self._space
 
-    @property
-    def allocated_count(self) -> int:
-        """How many addresses are currently handed out."""
-        return len(self._allocated)
-
     def is_allocated(self, address: Address) -> bool:
         """True if ``address`` is currently handed out."""
         return address in self._allocated

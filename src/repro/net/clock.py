@@ -26,7 +26,7 @@ simply skipped).
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import NetError
 
@@ -86,10 +86,6 @@ class VirtualClock:
         self._seq += 1
         heapq.heappush(self._heap, (int(time_us), int(priority), seq, payload))
         return seq
-
-    def peek(self) -> Optional[Tuple[int, int, int, Any]]:
-        """The next event without popping it, or ``None`` when empty."""
-        return self._heap[0] if self._heap else None
 
     def pop(self) -> Tuple[int, int, int, Any]:
         """Advance to and return the next ``(time, priority, seq, payload)``.

@@ -147,10 +147,6 @@ class Histogram:
         """Mean observed value (0.0 when empty)."""
         return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> Tuple[int, ...]:
-        """Per-bucket counts; the last entry is the overflow bucket."""
-        return tuple(self._counts)
-
     def as_dict(self) -> Dict[str, object]:
         """A plain-dict snapshot."""
         return {

@@ -118,13 +118,6 @@ class DisseminationReport:
         return self.messages_sent / max(self.delivered_interested, 1)
 
     @property
-    def control_fraction(self) -> float:
-        """Fraction of traffic that was control-plane (0 for pure push)."""
-        if self.messages_sent == 0:
-            return 0.0
-        return self.control_messages / self.messages_sent
-
-    @property
     def boundary_crossing_fraction(self) -> float:
         """Fraction of traffic at the maximum distance (widest boundary).
 

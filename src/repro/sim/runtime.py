@@ -37,13 +37,20 @@ with one ``gossip_step`` per fire and one ``receive`` per arrival.  A
 schedule's extra fires are extra visits in the kernel's walk; a fault
 plan's link sees the round's envelopes, and its survivors are the
 arrivals.
+
+The membership round draws each live member's near and far pull
+partner the same way: a pool is a slice of the round's reachable view
+less the member itself.  A near pool is the member's leaf in the live
+snapshot; a far pool is its *listing* — every slot its replica's
+tables name, memoised on their structure — less whoever cannot receive.
+Liveness is one mask per round, so no crash, leave or re-join
+invalidates anything.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, compress, count, repeat
-from operator import getitem, is_not
+from operator import is_not
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -79,8 +86,8 @@ __all__ = ["GroupRuntime"]
 
 #: The runtime's arrays with one row per slot, grown together.
 _PER_SLOT = (
-    "_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_len", "_crashed_flag",
-    "_receiving",
+    "_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_id", "_far_self",
+    "_crashed_flag", "_receiving",
 )
 
 
@@ -177,7 +184,7 @@ class GroupRuntime:
         # round's pulls are sorted out in one array compare.  The tokens
         # are those of the ``_seq`` tuple kept beside them (a replica
         # replaces the tuple whenever it changes a table).  Beside them,
-        # the tables' addresses_tokens, which the far-peer pools key on.
+        # the tables' addresses_tokens, which the far-peer listings key on.
         depth = self._tree.depth
         self._tokens = np.zeros((0, depth), np.int64)
         self._addr_tokens = np.zeros((0, depth), np.int64)
@@ -210,23 +217,19 @@ class GroupRuntime:
         # its process left) and whether it is there and alive.
         self._node_at: List[Optional[PmcastNode]] = []
         self._receiving = np.zeros(0, bool)
-        # Far-peer pools by slot: the live peers the replica's tables
-        # list (int32 slots) and the _addr_tokens row they were built
-        # from, -1 once _drop_far_pools() or _exclude() dropped them.  A
-        # pool is current iff that row is the replica's row now.
-        self._far_pool: List[Optional[array]] = []
-        self._far_len = np.zeros(0, np.int64)
+        # Far-peer listings (:meth:`_point_listings`), a function of an
+        # _addr_tokens row alone: by id, the listing, its row and how
+        # many slots point at it (dropped with the last one); by row,
+        # the id.  Per slot, the listing it draws from (_far_id), the
+        # row that listing was read for (_far_from; the listing is
+        # current iff that row is the replica's row now) and the
+        # member's own place in it (_far_self, -1 if not listed).
+        self._listings: Dict[int, list] = {}
+        self._listing_of: Dict[tuple, int] = {}
+        self._listing_ids = count()
         self._far_from = np.full((0, depth), -1, np.int64)
-        # The shallowest depth at which a shared table ever listed an
-        # address as a delegate (absent: only its own leaf-table row,
-        # depth d).  Monotone — replicas may still hold a row the
-        # shared table has since replaced.  Scopes _drop_far_pools().
-        self._listed_depth: Dict[Address, int] = {}
-        # Addresses whose replica was torn down by leave() and never
-        # re-wired.  Every address a table can mention was wired once
-        # (tables only describe members), so "peer has a live replica"
-        # is exactly "peer not in _unwired".
-        self._unwired: Set[Address] = set()
+        self._far_id = np.full(0, -1, np.int64)
+        self._far_self = np.full(0, -1, np.int64)
         self._obs = observer if observer is not None else NULL_OBSERVER
         self._reg = self._obs.registry
         self._m_rounds = self._reg.counter("runtime", "rounds")
@@ -249,10 +252,11 @@ class GroupRuntime:
         self._h_exclusion = self._reg.histogram(
             "detector", "exclusion_latency_rounds"
         )
-        # Per-round membership-plane cost visibility: how often the
-        # far-peer pools are reused vs rebuilt.  These never enter
-        # benchmark digests (they are new observability, not protocol
-        # behavior).
+        # Per live member per round: whether its far-peer listing was
+        # reused or read again.  Not protocol behaviour (no draw reads
+        # them), yet pinned round by round with the rest of the plane
+        # (tests/sim/data/membership_rounds.json); the ledger reads
+        # their ratio.
         self._m_far_hits = self._reg.counter("membership", "far_cache_hits")
         self._m_far_misses = self._reg.counter(
             "membership", "far_cache_misses"
@@ -415,7 +419,6 @@ class GroupRuntime:
         self._receiving[slot] = False
         self._active.discard(slot)
         self._live_cache = None
-        self._drop_far_pools(address)
         self._m_crashes.inc()
         self._obs.emit(self._round, "crash", address)
 
@@ -471,10 +474,8 @@ class GroupRuntime:
         self._node_at[slot] = None
         if self._replicas.pop(address, None) is not None:
             self._replica_at[slot] = None
-            self._unwired.add(address)
         self._contacts.forget(slot)
         self._active.discard(slot)
-        self._drop_far_pools(address)
         self._refresh_path(address, cause="leave")
         self._contacts.unwatch(slot)
 
@@ -692,7 +693,6 @@ class GroupRuntime:
             if table is None:
                 table = build_view(self._tree, prefix, self._clock)
                 self._tables[prefix] = table
-                self._note_delegates(table)
             views[prefix.depth] = table
         existing = self._nodes.get(address)
         if existing is None:
@@ -723,11 +723,10 @@ class GroupRuntime:
                 self._node_at.append(None)
                 self._seq_at.append(0)
                 self._tokens_of.append(None)
-                self._far_pool.append(None)
-                if slot == len(self._far_len):  # the per-slot arrays double
+                if slot == len(self._receiving):  # the per-slot arrays double
                     for name in _PER_SLOT:
                         held = getattr(self, name)
-                        fill = -1 if name == "_far_from" else 0
+                        fill = -1 if name.startswith("_far") else 0
                         setattr(self, name, _fit(held, (slot + 1, *held.shape[1:]), fill))
                 self._prefix_ids[slot] = [
                     self._prefix_id.setdefault(prefix, len(self._prefix_id))
@@ -739,11 +738,6 @@ class GroupRuntime:
                 self._seq_at[slot] = self._wire_seq
                 self._wire_seq += 1
                 self._receiving[slot] = True
-            if address in self._unwired:
-                # A departed member is back: it re-enters the pools of
-                # whoever still lists it.
-                self._unwired.remove(address)
-                self._drop_far_pools(address)
 
     def _versions(self) -> np.ndarray:
         """``_tokens`` (and ``_addr_tokens``), first brought up to date
@@ -779,57 +773,6 @@ class GroupRuntime:
             np.concatenate(monitors), np.concatenate(neighbors), now=self._round
         )
 
-    def _note_delegates(self, table: ViewTable) -> None:
-        """Record who a freshly written shared table lists as delegates.
-
-        Called at every shared-table write (``build_view``,
-        ``replace_rows``); keeps ``_listed_depth`` at the shallowest
-        depth seen per address.  Leaf tables are skipped: their rows
-        are the members themselves, the default scope.
-        """
-        depth = table.depth
-        if depth == self._tree.depth:
-            return
-        listed = self._listed_depth
-        for row in table.rows():
-            for delegate in row.delegates:
-                if listed.get(delegate, self._tree.depth) > depth:
-                    listed[delegate] = depth
-
-    def _drop_far_pools(self, address: Address) -> None:
-        """Mark stale the far-peer pools ``address``'s liveness can show in.
-
-        A member's pool is every address its replica's tables list,
-        minus itself, ``_crashed`` and ``_unwired``.  It changes only
-        when one of the replica's tables changes structure (the round's
-        ``_addr_tokens`` compare) or when an address it lists enters or
-        leaves ``_crashed | _unwired`` — a crash, a leave, or the
-        re-wiring of a departed member.  A first-time joiner and an
-        exclusion (the victim stays crashed) move neither set and so
-        invalidate nothing.
-
-        Who can list ``address``?  Replicas only ever hold rows taken
-        from the shared tables or pulled from another replica's table
-        of the same prefix, so every row anywhere was once written into
-        a shared table; a depth-i table names only processes under its
-        prefix and is held only by the members under that prefix.  With
-        k the shallowest depth a shared table ever listed ``address``
-        at (``_listed_depth``; its own leaf row makes k <= d), every
-        holder sits in the subtree of ``address.prefix(k)`` — dropping
-        that subtree's pools is exact, one leaf subgroup for an
-        ordinary process.  A root-level delegate (k = 1) is known
-        group-wide: every pool goes.
-        """
-        k = self._listed_depth.get(address, self._tree.depth)
-        if k == 1:
-            self._far_from[:] = -1
-            return
-        slot_of = self._contacts.slot_of
-        # The process itself is out of the subtree once it has left.
-        holders = [slot_of[address]]
-        holders += map(slot_of.__getitem__, self._tree.subtree_members(address.prefix(k)))
-        self._far_from[holders] = -1
-
     def _live(self) -> Tuple[np.ndarray, ...]:
         """(live slots in member order, a per-slot "is a member" flag,
         then the near pools — :meth:`ContactTable.by_leaf` of the live
@@ -845,44 +788,87 @@ class GroupRuntime:
             self._live_cache = (slots, flags, *self._contacts.by_leaf(slots))
         return self._live_cache
 
-    def _build_far_pools(self, stale: np.ndarray) -> None:
-        """Rebuild the far-peer pools of the ``stale`` slots.
+    def _point_listings(self, slots: np.ndarray) -> None:
+        """Point each of ``slots`` at the listing of its replica's tables,
+        counting whose listing is reused and whose is read again.
 
-        A pool lists, as slots, the first occurrence of every address
-        the replica's tables name (tables in depth order, each in
-        ``addresses()`` order — the order of ``MembershipState.peers``),
-        minus the member itself, the crashed and the departed.  Members
-        holding the same table structures share one listing (and every
-        table its slots), so a pool costs a copy of its listing without
-        the member.  A pool is an ``array("i")``: 4 bytes a peer like an
-        int32 ndarray, but reading one entry gives a plain int, 4 x
-        faster in the draw.
+        A listing is the first occurrence of every slot the replica's
+        tables name (tables in depth order, each in ``addresses()``
+        order — the order of ``MembershipState.peers``), the member
+        itself included.  It depends on table structure only, so it is
+        memoised on the replica's ``_addr_tokens`` row (timestamp churn
+        never moves it) and shared by every member holding that row: a
+        member reads one again only when its row moves.  A listing no
+        slot points at any more is dropped.
         """
+        rows = self._addr_tokens[slots]
+        moved = np.flatnonzero((self._far_from[slots] != rows).any(axis=1))
+        self._m_far_hits.inc(len(slots) - len(moved))
+        if not len(moved):
+            return
+        self._m_far_misses.inc(len(moved))
         slot_of = self._contacts.slot_of.__getitem__
-        down = self._crashed_flag.copy()
-        down[list(map(slot_of, self._unwired))] = True
+        listings, listing_of = self._listings, self._listing_of
         named_by: Dict[int, List[int]] = {}  # addresses_token -> the table's slots
-        listings: Dict[tuple, Tuple[array, Dict[int, int]]] = {}  # + each one's place
-        rows = self._addr_tokens[stale]
-        pools = self._far_pool
-        for slot, row in zip(stale.tolist(), map(tuple, rows.tolist())):
-            listing = listings.get(row)
-            if listing is None:
+        stale = slots[moved]
+        for slot, row in zip(stale.tolist(), map(tuple, rows[moved].tolist())):
+            at = listing_of.get(row)
+            if at is None:
                 for table in self._replica_at[slot]._seq:
                     if table.addresses_token not in named_by:
                         named_by[table.addresses_token] = list(map(slot_of, table.addresses()))
                 first = dict.fromkeys(chain.from_iterable(map(named_by.__getitem__, row)))
-                named = np.fromiter(first, np.intc, len(first))
-                live = named[~down[named]]
-                listing = listings[row] = (
-                    array("i", live.tobytes()),
-                    dict(zip(live.tolist(), count())),
-                )
-            listed, place = listing
-            at = place.get(slot)
-            pools[slot] = listed if at is None else listed[:at] + listed[at + 1:]
-        self._far_len[stale] = list(map(len, map(pools.__getitem__, stale.tolist())))
-        self._far_from[stale] = rows
+                at = listing_of[row] = next(self._listing_ids)
+                listings[at] = [np.fromiter(first, np.int64, len(first)), row, 0]
+            listing = listings[at]
+            listing[2] += 1
+            old = int(self._far_id[slot])
+            if old >= 0:
+                listings[old][2] -= 1
+                if not listings[old][2]:
+                    del listing_of[listings.pop(old)[1]]
+            self._far_id[slot] = at
+            own = np.flatnonzero(listing[0] == slot)
+            self._far_self[slot] = own[0] if len(own) else -1
+        self._far_from[stale] = rows[moved]
+
+    def _pools(self, slots: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every pool of the round as a slice of one array.
+
+        Returns ``(pool, start, size, place)``, with a near then a far
+        entry per live member of ``slots``, in member order.  Pool ``k``
+        is read off ``pool`` from ``start[k]`` on, past the member's own
+        entry at offset ``place[k]`` (``place[k] >= size[k]``: the slice
+        does not hold it): draw ``d < size[k]`` names
+        ``pool[start[k] + d + (d >= place[k])]``.
+
+        * A near pool is the member's leaf in the live snapshot
+          (:meth:`_live`).
+        * A far pool is the member's listing (:meth:`_point_listings`)
+          less every slot that cannot receive (``_receiving``: crashed,
+          or departed and not wired again), one mask over the round's
+          distinct listings.  The member itself can receive, so it is in
+          its far slice iff its tables list it.
+        """
+        __, __, grouped, base, pos, width = self._live()
+        ids, which = np.unique(self._far_id[slots], return_inverse=True)
+        listings = [self._listings[at][0] for at in ids.tolist()]
+        named = np.concatenate(listings)
+        up = self._receiving[named]
+        reached = np.concatenate(([0], np.cumsum(up)))  # up entries before each
+        lengths = np.fromiter(map(len, listings), np.int64, len(listings))
+        ends = np.cumsum(lengths)
+        starts = (ends - lengths)[which]
+        first, last = reached[starts], reached[ends[which]]
+        own = self._far_self[slots]
+        listed = own >= 0
+        size = last - first - listed
+        place = np.where(listed, reached[starts + np.maximum(own, 0)] - first, size)
+        pool = np.concatenate((grouped, named[up]))
+        return pool, *(
+            np.column_stack(pair).ravel()
+            for pair in ((base, len(grouped) + first), (width - 1, size), (pos, place))
+        )
 
     def _membership_round(self, heard: Tuple[np.ndarray, np.ndarray]) -> None:
         """Dedicated membership gossips — one near pull, one far pull
@@ -894,17 +880,10 @@ class GroupRuntime:
         of a walk drawing ``pool[rng._randbelow(len(pool))]`` per pool
         (``rng.choice``'s implementation, minus a Python frame per
         draw).  A pull draws nothing, so drawing every peer first
-        consumes the stream exactly as interleaving would.  Around the
-        draws everything is array work:
-
-        * a near pool is the member's leaf in the live snapshot minus
-          itself: draw ``d`` names ``grouped[base + d + (d >= pos)]``;
-        * a far pool is current iff its ``_far_from`` row equals the
-          replica's ``_addr_tokens`` row (timestamp churn never moves
-          it): one compare checks them all, and only the stale ones
-          are rebuilt (:meth:`_build_far_pools`).  A crash, a leave or
-          a returning member marks stale only the pools that can list
-          it (:meth:`_drop_far_pools`).
+        consumes the stream exactly as interleaving would.  Near and far
+        pools are slices of one array (:meth:`_pools`), so every peer is
+        one gather: the draw ``d`` names ``pool[start + d + (d >=
+        place)]``, the member itself skipped.
 
         The pulls then run in draw order (:meth:`_pull_round`).  Each
         pull is a contact both ways (the peer answered) and each event
@@ -912,26 +891,16 @@ class GroupRuntime:
         contact table in one batch, before detection reads it.
         """
         tokens = self._versions()
-        slots, __, grouped, base, pos, width = self._live()
-        current = (self._far_from[slots] == self._addr_tokens[slots]).all(axis=1)
-        hits = int(np.count_nonzero(current))
-        self._m_far_hits.inc(hits)
-        if hits < len(slots):
-            self._m_far_misses.inc(len(slots) - hits)
-            self._build_far_pools(slots[~current])
-        sizes = np.column_stack((width - 1, self._far_len[slots])).ravel()
-        drawn = np.flatnonzero(sizes)
-        randbelow = self._membership_rng._randbelow
-        draws = np.fromiter(map(randbelow, sizes[drawn].tolist()), np.int64, len(drawn))
-        member, far = drawn >> 1, (drawn & 1).astype(bool)
-        g = slots[member]
-        p = np.empty(len(g), np.int64)
-        near, d = member[~far], draws[~far]
-        p[~far] = grouped[base[near] + d + (d >= pos[near])]
-        pools = map(self._far_pool.__getitem__, g[far].tolist())
-        p[far] = np.fromiter(
-            map(getitem, pools, draws[far].tolist()), np.int64, np.count_nonzero(far)
-        )
+        slots = self._live()[0]
+        g = p = slots[:0]
+        if len(slots):  # else every member has crashed: nobody pulls
+            self._point_listings(slots)
+            pool, start, size, place = self._pools(slots)
+            drawn = np.flatnonzero(size)
+            randbelow = self._membership_rng._randbelow
+            d = np.fromiter(map(randbelow, size[drawn].tolist()), np.int64, len(drawn))
+            g = slots[drawn >> 1]
+            p = pool[start[drawn] + d + (d >= place[drawn])]
         if len(g):
             self._pull_round(g, p, tokens)
         r, s = heard
@@ -1087,10 +1056,10 @@ class GroupRuntime:
         """Refresh the tables on a changed prefix path, in place.
 
         The table half is :func:`~repro.membership.knowledge.
-        refresh_path`; around it the runtime keeps its own books: the
-        delegates every written table lists, a fresh table wired into
-        the (new) members of a prefix a join newly populated, and the
-        match-cache entries of a table a removal emptied.
+        refresh_path`; around it the runtime keeps its own books: a
+        fresh table wired into the (new) members of a prefix a join
+        newly populated, and the match-cache entries of a table a
+        removal emptied.
 
         ``cause`` ("join" / "leave" / "crash" / "interest-update") is
         recorded in the match cache's invalidation-cause breakdown so
@@ -1099,11 +1068,9 @@ class GroupRuntime:
         self._ctx.note_invalidation(cause)
         self._clock += 1
         self._live_cache = None
-        written, created, dropped = refresh_path(
+        __, created, dropped = refresh_path(
             self._tree, self._tables, address, self._clock
         )
-        for table in written:
-            self._note_delegates(table)
         for fresh in created:
             for member in self._tree.subtree_members(fresh.prefix):
                 node = self._nodes.get(member)
@@ -1128,10 +1095,6 @@ class GroupRuntime:
         self._excluded_at[address] = self._round
         slot = self._contacts.slot_of[address]
         del self._member_slots[slot]
-        # Only tree members are in reach of _drop_far_pools: a wrongly
-        # convicted live process may come back through join() with its
-        # replica intact, and must then rebuild its pool.
-        self._far_from[slot] = -1
         self._m_exclusions.inc()
         crashed_at = self._crashed_at.get(address)
         if crashed_at is not None:

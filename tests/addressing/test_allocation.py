@@ -16,7 +16,7 @@ class TestBasicAllocation:
         addresses = [allocator.allocate() for __ in range(20)]
         assert len(set(addresses)) == 20
         assert all(space.contains(address) for address in addresses)
-        assert allocator.allocated_count == 20
+        assert all(map(allocator.is_allocated, addresses))
 
     def test_fills_subgroup_to_minimum_before_opening_sibling(self):
         space = AddressSpace.regular(4, 2)

@@ -121,7 +121,6 @@ class TestMessageCostAccounting:
         # Pure push sends no control traffic, so the cost is all
         # payload (the variant comparisons rely on this split).
         assert report.control_messages == 0
-        assert report.control_fraction == 0.0
 
     def test_genuine_cheaper_per_delivery_at_low_rates(self):
         members = make_members(rate=0.1, seed=9)

@@ -75,14 +75,6 @@ class TestGuards:
         with pytest.raises(NetError):
             VirtualClock().pop()
 
-    def test_peek_does_not_advance(self):
-        clock = VirtualClock()
-        assert clock.peek() is None
-        clock.schedule(10, PRIORITY_TIMER, "x")
-        assert clock.peek()[3] == "x"
-        assert clock.now_us == 0
-        assert clock.pending == 1
-
     def test_bool_and_pending(self):
         clock = VirtualClock()
         assert not clock

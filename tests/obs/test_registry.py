@@ -33,7 +33,6 @@ class TestInstruments:
             histogram.observe(value)
         assert histogram.count == 5
         assert histogram.total == 108
-        assert histogram.bucket_counts() == (1, 2, 1, 1)
         assert histogram.mean == pytest.approx(108 / 5)
         as_dict = histogram.as_dict()
         assert as_dict["bounds"] == [1, 2, 4]

@@ -1,14 +1,16 @@
 """The membership round's draws against the per-member walk they replace.
 
 ``GroupRuntime._membership_round`` draws every near and far peer of a
-round with one ``map(randbelow, sizes)`` over slot arrays.
-:class:`WalkRuntime` keeps the walk it replaced as the reference: one
-Python loop over the live members in member order, a near list from
-the tree, a far pool from ``replica.peers()`` cached per member and
-dropped by the same scoped rule.  Under drawn join / leave / crash /
-re-join / publish / step scripts, every round must produce the same
-gossiper and peer slots, leave the membership RNG in the same state and
-count the same far-pool hits and misses.
+round with one ``map(randbelow, sizes)`` and one gather over a round
+array of pools.  :class:`WalkRuntime` keeps the walk it replaced as the
+reference: one Python loop over the live members in member order, a
+near list from the tree, a far list rebuilt every round from
+``replica.peers()`` less the crashed and the replica-less, and a
+per-member memo of the tables' structure that only counts reuse.  Under
+drawn join / leave / crash / re-join / publish / step scripts, every
+round must produce the same gossiper and peer slots, leave the
+membership RNG in the same state and count the same far-listing hits
+and misses.
 """
 
 import numpy as np
@@ -31,52 +33,20 @@ class WalkRuntime(GroupRuntime):
     """The membership round as one walk over the live members."""
 
     def __init__(self, *args, **kwargs):
-        self._walk_pools = {}
+        self._walk_structure = {}
         super().__init__(*args, **kwargs)
-
-    # The walk's pools are dropped at their own call sites, so that a
-    # runtime which forgets to drop its pools cannot take them along.
-    def crash(self, address):
-        first = address not in self._crashed
-        super().crash(address)
-        if first:
-            self._drop_walk_pools(address)
-
-    def leave(self, address):
-        super().leave(address)
-        self._drop_walk_pools(address)
-
-    def join(self, address, interest):
-        returning = address in self._unwired
-        super().join(address, interest)
-        if returning:
-            self._drop_walk_pools(address)
-
-    def _drop_walk_pools(self, address):
-        pools = self._walk_pools
-        k = self._listed_depth.get(address, self._tree.depth)
-        if k == 1:
-            pools.clear()
-            return
-        pools.pop(address, None)
-        for member in self._tree.subtree_members(address.prefix(k)):
-            pools.pop(member, None)
-
-    def _exclude(self, address):
-        if address in self._tree:
-            self._walk_pools.pop(address, None)
-        super()._exclude(address)
 
     def _membership_round(self, heard):
         randbelow = self._membership_rng._randbelow
-        crashed, unwired = self._crashed, self._unwired
+        crashed = self._crashed
         slot_of = self._contacts.slot_of.__getitem__
+        replica_at = self._replica_at
         depth = self._tree.depth
         gossipers, peers = [], []
         hits = misses = 0
         for address in [a for a in self._tree.members() if a not in crashed]:
             slot = slot_of(address)
-            replica = self._replica_at[slot]
+            replica = replica_at[slot]
             near = [
                 mate
                 for mate in self._tree.subtree_members(address.prefix(depth))
@@ -86,18 +56,16 @@ class WalkRuntime(GroupRuntime):
                 gossipers.append(slot)
                 peers.append(near[randbelow(len(near))])
             structure = tuple(table.addresses_token for table in replica._seq)
-            entry = self._walk_pools.get(address)
-            if entry is not None and entry[0] == structure:
-                far = entry[1]
+            if self._walk_structure.get(address) == structure:
                 hits += 1
             else:
-                far = [
-                    peer
-                    for peer in replica.peers()
-                    if peer not in unwired and peer not in crashed
-                ]
-                self._walk_pools[address] = (structure, far)
+                self._walk_structure[address] = structure
                 misses += 1
+            far = [
+                peer
+                for peer in replica.peers()
+                if peer not in crashed and replica_at[slot_of(peer)] is not None
+            ]
             if far:
                 gossipers.append(slot)
                 peers.append(far[randbelow(len(far))])

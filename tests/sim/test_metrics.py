@@ -60,13 +60,6 @@ class TestDisseminationReport:
         r = report(delivered_interested=0)
         assert r.cost_per_delivery == pytest.approx(900.0)
 
-    def test_control_fraction(self):
-        assert report().control_fraction == 0.0
-        r = report(control_messages=90)
-        assert r.control_fraction == pytest.approx(0.1)
-        r = report(messages_sent=0, messages_lost=0, control_messages=0)
-        assert r.control_fraction == 0.0
-
 
 class TestSummaries:
     def test_mean_and_spread(self):

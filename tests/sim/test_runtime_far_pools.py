@@ -1,15 +1,18 @@
-"""Scoped invalidation of the runtime's far-peer pools.
+"""The runtime's far-peer pools, read off the round that draws from them.
 
 A member's far pool is ``replica.peers()`` minus the crashed and the
-departed, held per slot as an array of slots beside the
-``addresses_token`` row it was built from.  On a crash, a leave or the
-return of a departed member the runtime marks stale only the pools of
-the subtree that can list the changed process
-(``GroupRuntime._drop_far_pools``).  These tests pin that rule from
-both sides: every pool that validates is the list a fresh filter would
-give (soundness), and the pools outside the subtree survive (scope).
+departed.  The runtime never builds it as a list: it draws from a slice
+of the round's pool array (``GroupRuntime._pools``), its *listing* —
+every slot the replica's tables name, memoised on the tables' structure
+— less whoever cannot receive.  These tests read every pool the round
+actually draws from and hold it to the list a fresh filter gives, with
+the crashed and the departed taken from the script, not from the
+runtime.  They also pin that the memo changes no draw, what its two
+counters count, and that the listings it holds stay bounded under
+churn.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,6 @@ HELD_BACK = (Address((4, 4, 4)), Address((0, 0, 1)), Address((3, 0, 2)))
 
 ORDINARY = Address((2, 3, 4))       # listed in its own leaf table only
 LEAF_DELEGATE = Address((2, 3, 1))  # last component < R: listed at depth 2
-ROOT_DELEGATE = Address((1, 0, 0))  # among the R smallest under (1,): depth 1
 
 
 def make_runtime(cls=GroupRuntime, seed=5, **kwargs):
@@ -41,55 +43,49 @@ def make_runtime(cls=GroupRuntime, seed=5, **kwargs):
     )
 
 
-def under(prefix_components):
-    width = len(prefix_components)
-    return {a for a in ADDRESSES if a.components[:width] == prefix_components}
+class PoolReader(GroupRuntime):
+    """Notes, per round, what every member's tables list as the round
+    starts to draw, and the near and far pool each live member draws
+    from."""
 
+    def _membership_round(self, heard):
+        self.listed = {
+            address: (
+                list(self.tree.subtree_members(address.prefix(DEPTH))),
+                list(self._replicas[address].peers()),
+            )
+            for address in self.tree.members()
+        }
+        self.drawn_from = {}
+        super()._membership_round(heard)
 
-def far_pools(runtime):
-    """address -> (addresses_token row, pool) of every pool not dropped."""
-    addresses = runtime._contacts.addresses
-    rows = runtime._far_from[: len(addresses)].tolist()
-    return {
-        addresses[slot]: (tuple(row), runtime._far_pool[slot])
-        for slot, row in enumerate(rows)
-        if -1 not in row
-    }
-
-
-def peers_in(runtime, pool):
-    return [runtime._contacts.addresses[slot] for slot in pool]
-
-
-def assert_pools_exact(runtime):
-    """Every pool that validates is the freshly filtered peers() list."""
-    down = runtime._crashed | runtime._unwired
-    for address, (stamp, pool) in far_pools(runtime).items():
-        assert address in runtime.tree, f"{address} pooled but not a member"
-        replica = runtime._replicas[address]
-        if stamp == tuple(
-            table.addresses_token for table in replica.tables.values()
-        ):
-            assert peers_in(runtime, pool) == [
-                p for p in replica.peers() if p not in down
-            ], f"stale far pool for {address}"
+    def _pools(self, slots):
+        pool, start, size, place = super()._pools(slots)
+        addresses = self._contacts.addresses
+        for k, slot in enumerate(np.repeat(slots, 2).tolist()):
+            at, n, own = int(start[k]), int(size[k]), int(place[k])
+            read = [addresses[pool[at + d + (d >= own)]] for d in range(n)]
+            self.drawn_from.setdefault(addresses[slot], []).append(read)
+        return pool, start, size, place
 
 
 class WholesaleRuntime(GroupRuntime):
-    """The rule scoped invalidation replaced: any change drops every pool."""
+    """The memo's opposite: any change makes every member read its
+    listing again."""
 
     def _refresh_path(self, address, cause):
         super()._refresh_path(address, cause)
         self._far_from[:] = -1
 
-    def _drop_far_pools(self, address):
+    def crash(self, address):
+        super().crash(address)
         self._far_from[:] = -1
 
 
 # One scripted operation: (kind, index).  The index picks, modulo the
 # candidates' count, among the addresses the operation applies to, so
 # every drawn script is applicable and shrinks towards small indexes.
-# "step" is listed twice: pools are only (re)built inside rounds.
+# "step" is listed twice: pools are only drawn from inside rounds.
 OPERATIONS = st.lists(
     st.tuples(
         st.sampled_from(
@@ -103,44 +99,53 @@ OPERATIONS = st.lists(
 
 
 class Script:
-    """Applies drawn operations to one or more runtimes in lockstep."""
+    """Applies operations to one or more runtimes in lockstep, keeping
+    its own books of who is crashed and who has departed."""
 
     def __init__(self, *runtimes):
         self.runtimes = runtimes
+        self.wired = set(runtimes[0].tree.members())
+        self.crashed = set()
         self.departed = []
         self.events = []
 
-    def apply(self, kind, index):
-        tree = self.runtimes[0].tree
-        members = sorted(tree.members())
+    def candidates(self, kind):
+        runtime = self.runtimes[0]
+        members = sorted(runtime.tree.members())
         if kind == "step":
-            candidates = [None]
-        elif kind == "publish":
-            candidates = [
-                a for a in members if self.runtimes[0].node(a).alive
-            ]
-        elif kind == "crash":
+            return [None]
+        if kind == "publish":
+            return [a for a in members if a not in self.crashed]
+        if kind == "crash":
             # Any wired process: live, already crashed, or excluded.
-            candidates = sorted(self.runtimes[0]._nodes)
-        elif kind == "leave":
-            candidates = members if len(members) > 1 else []
-        elif kind == "join":
+            return sorted(self.wired - set(self.departed))
+        if kind == "leave":
+            return members if len(members) > 1 else []
+        if kind == "join":
             # Fresh addresses and excluded ones (replica still wired).
-            candidates = [a for a in HELD_BACK if a not in tree] + sorted(
+            return [a for a in HELD_BACK if a not in self.wired] + sorted(
                 a
-                for a in self.runtimes[0]._excluded_at
-                if a not in tree and a not in self.departed
+                for a in self.wired
+                if runtime.exclusion_round(a) is not None
+                and a not in runtime.tree
+                and a not in self.departed
             )
-        else:
-            candidates = [a for a in self.departed if a not in tree]
+        return list(self.departed)
+
+    def apply(self, kind, index):
+        candidates = self.candidates(kind)
         if not candidates:
             return
-        target = candidates[index % len(candidates)]
+        self.do(kind, candidates[index % len(candidates)])
+
+    def do(self, kind, target=None):
+        if kind == "publish":
+            event = Event({}, event_id=9_000 + len(self.events))
+            self.events.append(event)
         for runtime in self.runtimes:
             if kind == "step":
                 runtime.step()
             elif kind == "publish":
-                event = Event({}, event_id=9_000 + len(self.events))
                 runtime.publish(target, event)
             elif kind == "crash":
                 runtime.crash(target)
@@ -148,26 +153,104 @@ class Script:
                 runtime.leave(target)
             else:
                 runtime.join(target, StaticInterest(True))
-        if kind == "publish":
-            self.events.append(event)
+        if kind == "crash":
+            self.crashed.add(target)
         elif kind == "leave":
+            self.crashed.discard(target)
             self.departed.append(target)
+        elif kind in ("join", "rejoin"):
+            self.wired.add(target)
+            if target in self.departed:
+                self.departed.remove(target)
+
+    def assert_pools_exact(self):
+        """The pools of the round just played are the fresh filters."""
+        runtime = self.runtimes[0]
+        crashed, departed = self.crashed, self.departed
+        live = [a for a in runtime.listed if a not in crashed]
+        assert sorted(runtime.drawn_from) == sorted(live), f"round {runtime.round}"
+        for address in live:
+            mates, peers = runtime.listed[address]
+            near, far = runtime.drawn_from[address]
+            assert near == [
+                mate for mate in mates if mate != address and mate not in crashed
+            ], f"near pool of {address}, round {runtime.round}"
+            assert far == [
+                p for p in peers if p not in crashed and p not in departed
+            ], f"far pool of {address}, round {runtime.round}"
+
+
+def exact_run():
+    """A reading runtime whose detector convicts within a few rounds —
+    live processes included (a timeout of two and a quorum of one) —
+    so scripts reach exclusions and re-joins of excluded processes."""
+    return Script(make_runtime(PoolReader, detector_timeout=2, exclusion_quorum=1))
 
 
 class TestPoolsStayExact:
-    # detector_timeout=2 with a quorum of one convicts within a few
-    # rounds — live processes included — so scripts reach exclusions
-    # and the re-join of an excluded process, not just crashes.
     @given(operations=OPERATIONS)
     @settings(max_examples=40, deadline=None)
     def test_every_cached_pool_matches_a_fresh_filter(self, operations):
-        runtime = make_runtime(detector_timeout=2, exclusion_quorum=1)
-        script = Script(runtime)
-        runtime.step()
-        assert_pools_exact(runtime)
+        script = exact_run()
+        script.do("step")
+        script.assert_pools_exact()
         for kind, index in operations:
             script.apply(kind, index)
-            assert_pools_exact(runtime)
+            if kind == "step":
+                script.assert_pools_exact()
+
+    def test_rejoin_after_leave(self):
+        script = exact_run()
+        for target in (ORDINARY, LEAF_DELEGATE):
+            script.do("leave", target)
+            script.do("step")
+            script.assert_pools_exact()
+            assert target not in script.runtimes[0].drawn_from
+        for target in (ORDINARY, LEAF_DELEGATE):
+            script.do("rejoin", target)
+            script.do("step")
+            script.assert_pools_exact()
+        runtime = script.runtimes[0]
+        assert not script.departed
+        # The leaf-mates list the returning members again.
+        assert ORDINARY in runtime.drawn_from[Address((2, 3, 0))][1]
+
+    def test_rejoin_of_a_wrongly_excluded_live_process(self):
+        script = exact_run()
+        runtime = script.runtimes[0]
+        excluded = []
+        while not excluded:
+            script.do("step")
+            script.assert_pools_exact()
+            excluded = [
+                a for a in sorted(script.wired)
+                if runtime.exclusion_round(a) is not None and a not in runtime.tree
+            ]
+            assert runtime.round < 40, "no live process was convicted"
+        # Nobody crashed: every conviction was wrong.
+        for address in excluded:
+            script.do("join", address)
+        script.do("step")
+        script.assert_pools_exact()
+        assert set(excluded) <= set(runtime.drawn_from)
+        for __ in range(3):
+            script.do("step")
+            script.assert_pools_exact()
+
+    def test_a_round_with_every_member_crashed(self):
+        script = exact_run()
+        script.do("step")
+        for address in sorted(script.runtimes[0].tree.members()):
+            script.do("crash", address)
+        for __ in range(3):
+            script.do("step")
+            script.assert_pools_exact()
+            assert script.runtimes[0].drawn_from == {}
+        # A fresh member finds nobody to pull from far, and draws on.
+        script.do("join", HELD_BACK[0])
+        script.do("step")
+        script.assert_pools_exact()
+        assert script.runtimes[0].drawn_from[HELD_BACK[0]] == [[], []]
 
     @given(operations=OPERATIONS)
     @settings(max_examples=25, deadline=None)
@@ -205,94 +288,10 @@ class TestPoolsStayExact:
                     membership.pop("far_cache_misses"),
                 )
             )
-        # Same lookups, answered from the cache at least as often.
+        # Same lookups, answered from the memo at least as often.
         assert sum(reuse[0]) == sum(reuse[1])
         assert reuse[0][0] >= reuse[1][0]
         assert snapshots[0] == snapshots[1]
-
-
-class TestInvalidationScope:
-    def warmed(self, **kwargs):
-        runtime = make_runtime(**kwargs)
-        runtime.step()
-        assert set(far_pools(runtime)) == set(runtime.tree.members())
-        return runtime, far_pools(runtime)
-
-    def assert_survivors_untouched(self, runtime, before, dropped):
-        now = far_pools(runtime)
-        assert set(now) == set(before) - dropped
-        for address, (stamp, pool) in now.items():
-            assert stamp == before[address][0]
-            assert pool is before[address][1]
-
-    def test_ordinary_crash_costs_its_leaf_subgroup(self):
-        runtime, before = self.warmed()
-        runtime.crash(ORDINARY)
-        dropped = under((2, 3))
-        assert len(dropped) == ARITY
-        self.assert_survivors_untouched(runtime, before, dropped)
-
-    def test_leaf_delegate_leaver_costs_the_depth_two_subtree(self):
-        runtime, before = self.warmed()
-        runtime.leave(LEAF_DELEGATE)
-        dropped = under((2,))
-        assert len(dropped) == ARITY * ARITY
-        self.assert_survivors_untouched(runtime, before, dropped)
-        assert_pools_exact(runtime)
-        runtime.step()
-        # Whoever listed the leaver rebuilt without it.
-        for address in sorted(under((2,)) - {LEAF_DELEGATE}):
-            assert LEAF_DELEGATE not in peers_in(
-                runtime, far_pools(runtime)[address][1]
-            )
-
-    def test_root_delegate_crash_clears_everything(self):
-        runtime, __ = self.warmed()
-        assert runtime._listed_depth[ROOT_DELEGATE] == 1
-        runtime.crash(ROOT_DELEGATE)
-        assert far_pools(runtime) == {}
-
-    def test_exclusion_invalidates_nothing(self):
-        runtime, __ = self.warmed()
-        runtime.crash(ORDINARY)
-        runtime.step()
-        before = far_pools(runtime)
-        assert ORDINARY not in before
-        runtime._exclude(ORDINARY)
-        assert ORDINARY not in runtime.tree
-        self.assert_survivors_untouched(runtime, before, set())
-        assert_pools_exact(runtime)
-
-    def test_fresh_joiner_invalidates_nothing(self):
-        runtime, before = self.warmed()
-        runtime.join(HELD_BACK[0], StaticInterest(True))
-        self.assert_survivors_untouched(runtime, before, set())
-        assert_pools_exact(runtime)
-
-    def test_returning_member_reenters_the_pools_that_list_it(self):
-        runtime, __ = self.warmed()
-        runtime.leave(ORDINARY)
-        runtime.step()
-        before = far_pools(runtime)
-        runtime.join(ORDINARY, StaticInterest(True))
-        self.assert_survivors_untouched(runtime, before, under((2, 3)))
-        runtime.step()
-        assert_pools_exact(runtime)
-        neighbor = Address((2, 3, 0))
-        assert ORDINARY in peers_in(runtime, far_pools(runtime)[neighbor][1])
-
-    def test_listed_depth_is_monotone_across_delegate_turnover(self):
-        runtime, __ = self.warmed()
-        successor = Address((2, 3, 3))
-        assert successor not in runtime._listed_depth
-        runtime.leave(LEAF_DELEGATE)
-        # (2,3,3) moved up into the R smallest of its leaf subgroup...
-        assert runtime._listed_depth[successor] == 2
-        runtime.join(LEAF_DELEGATE, StaticInterest(True))
-        # ...and keeps that scope after losing the seat again: replicas
-        # may still hold the row that named it.
-        assert runtime._listed_depth[successor] == 2
-        assert runtime._listed_depth[LEAF_DELEGATE] == 2
 
 
 class TestReuseCounters:
@@ -321,5 +320,26 @@ class TestReuseCounters:
             assert total - seen == live
             seen = total
         assert runtime.exclusion_round(ORDINARY) is not None
-        # Local churn leaves most pools alone.
+        # Local churn leaves most listings alone.
         assert hits > seen // 2
+
+
+class TestListingsStayBounded:
+    def test_long_churn_holds_few_more_listings_than_it_uses(self):
+        # One leave and one join every round for 300 rounds: each moves
+        # the tables on a path, so every round makes new listings.
+        runtime = make_runtime(seed=11)
+        rng = np.random.default_rng(11)
+        departed = list(HELD_BACK)
+        slot_of = runtime._contacts.slot_of
+        for __ in range(300):
+            members = sorted(runtime.tree.members())
+            leaver = members[rng.integers(len(members))]
+            comer = departed.pop(rng.integers(len(departed)))
+            runtime.leave(leaver)
+            departed.append(leaver)
+            runtime.join(comer, StaticInterest(True))
+            runtime.step()
+            live = [slot_of[a] for a in runtime.tree.members()]
+            in_use = len(set(runtime._far_id[live].tolist()))
+            assert len(runtime._listings) <= 2 * in_use + 8, runtime.round
