@@ -2,13 +2,16 @@
 
 A deployment of sensor gateways arranged by region/cluster/unit uses
 pmcast to push alarm events to the operators subscribed to each alarm
-class.  The group composition changes while the system runs:
+class.  The gateways run as one live group (``GroupRuntime``) whose
+composition changes while the system runs:
 
-1. new gateways join through the §2.3 join protocol (contacting the
-   delegates along their prefix path);
-2. a gateway leaves gracefully (its neighbors learn first);
-3. a gateway crashes silently — its neighbors' failure detectors
-   (§2.3) suspect it from missing gossip contact and exclude it;
+1. a new gateway joins (§2.3): the tables on its prefix path are
+   refreshed and it starts watching its leaf subgroup, as they start
+   watching it;
+2. a gateway leaves gracefully;
+3. a gateway crashes silently — its leaf-mates' last-contact failure
+   detectors (§2.3) suspect it once it is silent longer than the timeout,
+   and once all of them concur (§6) it is excluded;
 4. after every change, an alarm is multicast and its delivery measured
    — the tree adapts and dissemination keeps working.
 
@@ -19,15 +22,14 @@ from repro import (
     Address,
     AddressSpace,
     Event,
-    GroupDirectory,
-    MembershipTree,
     PmcastConfig,
-    PmcastGroup,
     SimConfig,
     parse_subscription,
-    run_dissemination,
 )
-from repro.membership import FailureDetector, join, leave
+from repro.sim.runtime import GroupRuntime
+
+#: Rounds of silence a leaf-mate tolerates before it suspects a gateway.
+TIMEOUT = 3
 
 
 def build_members(space: AddressSpace, arity: int):
@@ -43,70 +45,64 @@ def build_members(space: AddressSpace, arity: int):
     return members
 
 
-def measure(members, label: str, seed: int) -> None:
-    """Build a group over the current membership and multicast an alarm."""
-    group = PmcastGroup.build(
-        members, PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
-    )
-    alarm = Event({"severity": 4, "unit": "pump-7"})
+def measure(runtime: GroupRuntime, members, label: str, alarm_id: int) -> None:
+    """Multicast an alarm in the running group and report its delivery."""
+    alarm = Event({"severity": 4, "unit": "pump-7"}, event_id=alarm_id)
     publisher = sorted(members)[0]
-    report = run_dissemination(group, publisher, alarm, SimConfig(seed=seed))
-    print(f"{label:<28} n={report.group_size:<4} "
-          f"delivery={report.delivery_ratio:.2f} "
-          f"false-reception={report.false_reception_ratio:.2f} "
-          f"rounds={report.rounds}")
+    runtime.publish(publisher, alarm)
+    rounds = runtime.run_until_idle()
+    interested = [a for a in members if members[a].matches(alarm)]
+    others = [a for a in members if not members[a].matches(alarm)]
+    delivered = set(runtime.delivered_to(alarm))
+    false = sum(runtime.node(a).has_received(alarm) for a in others)
+    print(f"{label:<28} n={runtime.size:<4} "
+          f"delivery={sum(a in delivered for a in interested) / len(interested):.2f} "
+          f"false-reception={false / len(others) if others else 0.0:.2f} "
+          f"rounds={rounds}")
 
 
 def main() -> None:
     space = AddressSpace.regular(6, 3)   # room to grow
     arity = 4                            # 64 gateways initially
     members = build_members(space, arity)
-
-    tree = MembershipTree.build(dict(members), redundancy=2)
-    directory = GroupDirectory(tree)
-    measure(members, "initial deployment", seed=1)
+    runtime = GroupRuntime(
+        members,
+        PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2),
+        SimConfig(seed=1),
+        detector_timeout=TIMEOUT,
+    )
+    measure(runtime, members, "initial deployment", alarm_id=1)
 
     # -- a new gateway joins region 1 ---------------------------------
     newcomer = Address.parse("1.0.4")
-    contact = Address.parse("1.0.0")
-    result = join(
-        directory, contact, newcomer, parse_subscription("severity >= 2")
-    )
     members[newcomer] = parse_subscription("severity >= 2")
-    print(f"\njoin of {newcomer} contacted {len(result.contact_trace)} "
-          f"processes: {', '.join(str(a) for a in result.contact_trace[:5])}"
-          f"{'...' if len(result.contact_trace) > 5 else ''}")
-    measure(members, "after join", seed=2)
+    runtime.join(newcomer, members[newcomer])
+    print(f"\njoin of {newcomer}: it and its "
+          f"{len(runtime.tree.subtree_members(newcomer.prefix(3))) - 1} "
+          f"leaf-mates now watch each other")
+    measure(runtime, members, "after join", alarm_id=2)
 
     # -- a gateway leaves gracefully -----------------------------------
     leaver = Address.parse("2.3.3")
-    informed = leave(directory, leaver)
+    runtime.leave(leaver)
     del members[leaver]
-    print(f"\nleave of {leaver} informed {len(informed)} immediate "
-          f"neighbors")
-    measure(members, "after leave", seed=3)
+    print(f"\nleave of {leaver}: its prefix path is refreshed")
+    measure(runtime, members, "after leave", alarm_id=3)
 
     # -- a gateway crashes silently ------------------------------------
     victim = Address.parse("3.1.2")
-    # Its depth-d neighbors stop hearing from it; their detectors fire.
-    neighbors = [
-        a for a in directory.tree.subtree_members(victim.prefix(3))
-        if a != victim
-    ]
-    detectors = {a: FailureDetector(a, timeout=3) for a in neighbors}
-    for detector in detectors.values():
-        detector.watch(victim, now=0)
+    mates = len(runtime.tree.subtree_members(victim.prefix(3))) - 1
+    runtime.crash(victim)
+    crashed_at = runtime.round
     # Rounds pass without contact from the victim...
-    suspected_at = None
-    for now in range(1, 10):
-        if all(victim in d.suspects(now) for d in detectors.values()):
-            suspected_at = now
-            break
-    print(f"\ncrash of {victim}: all {len(neighbors)} neighbors suspect "
-          f"it after {suspected_at} silent rounds; excluding it")
-    leave(directory, victim)           # exclusion reuses the removal path
+    while runtime.exclusion_round(victim) is None:
+        runtime.step()
     del members[victim]
-    measure(members, "after crash exclusion", seed=4)
+    excluded_at = runtime.exclusion_round(victim)
+    print(f"\ncrash of {victim}: its {mates} leaf-mates suspect it after "
+          f"more than {TIMEOUT} silent rounds and exclude it "
+          f"{excluded_at - crashed_at} rounds after the crash")
+    measure(runtime, members, "after crash exclusion", alarm_id=4)
 
 
 if __name__ == "__main__":

@@ -124,11 +124,6 @@ class TreeAnalysis:
         """n = a^d."""
         return self.arity ** self.depth
 
-    @property
-    def total_rounds(self) -> int:
-        """Eq 13: ``T_tot = sum_i T_i``."""
-        return sum(self.rounds_per_depth)
-
 
 def analyze_tree(
     matching_rate: float,

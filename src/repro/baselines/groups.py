@@ -10,13 +10,9 @@ composition of the overall group varies."
 
 :class:`BroadcastGroupMapper` implements that scheme honestly: it keeps
 global subscription knowledge, computes each event's exact destination
-subset, memoizes subsets as named broadcast groups, and counts how many
-groups accumulate (the 2^n-bounded blow-up) and how often group state
-must be rebuilt on membership or subscription change.  Dissemination
+subset, and memoizes subsets as named broadcast groups.  Dissemination
 inside a group is a flat gossip among exactly the subset — delivery is
-as good as flat gossip and false reception is zero, which makes the
-*costs* (group count, global knowledge, re-establishment churn) the
-interesting columns in the comparison bench.
+as good as flat gossip and false reception is zero.
 """
 
 from __future__ import annotations
@@ -42,17 +38,6 @@ class BroadcastGroupMapper:
             raise SimulationError("cannot map groups over no members")
         self._members: Dict[Address, Interest] = dict(members)
         self._groups: Dict[FrozenSet[Address], int] = {}
-        self._rebuilds = 0
-
-    @property
-    def group_count(self) -> int:
-        """Distinct broadcast groups established so far (<= 2^n)."""
-        return len(self._groups)
-
-    @property
-    def rebuild_count(self) -> int:
-        """How many times group state was invalidated by churn."""
-        return self._rebuilds
 
     def destination_subset(self, event: Event) -> FrozenSet[Address]:
         """The exact destination subset of ``event`` (global matching)."""
@@ -74,24 +59,6 @@ class BroadcastGroupMapper:
         group_id = len(self._groups)
         self._groups[subset] = group_id
         return group_id, True
-
-    def update_member(self, address: Address, interest: Interest) -> None:
-        """A join or re-subscription: all established groups are stale.
-
-        "[The mapping] might have to be repeated every time the
-        composition of the overall group (interests, processes) varies."
-        """
-        self._members[address] = interest
-        self._groups.clear()
-        self._rebuilds += 1
-
-    def remove_member(self, address: Address) -> None:
-        """A leave/failure: likewise invalidates the group mapping."""
-        if address not in self._members:
-            raise SimulationError(f"{address} is not a member")
-        del self._members[address]
-        self._groups.clear()
-        self._rebuilds += 1
 
     def multicast(
         self,

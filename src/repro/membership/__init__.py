@@ -8,7 +8,6 @@ gossip-pull anti-entropy (:mod:`gossip_pull`), join/leave protocols
 (:mod:`failure_detector`).
 """
 
-from repro.membership.failure_detector import FailureDetector, SuspicionQuorum
 from repro.membership.gossip_pull import (
     MembershipState,
     anti_entropy_round,
@@ -47,6 +46,4 @@ __all__ = [
     "JoinResult",
     "join",
     "leave",
-    "FailureDetector",
-    "SuspicionQuorum",
 ]

@@ -120,19 +120,6 @@ class MembershipState:
             self._digest_version = version
         return self._digest_memo
 
-    def fresher_rows(self, digest: Digest) -> List[Tuple[int, ViewRow]]:
-        """Lines where this process is strictly fresher than ``digest``.
-
-        Lines the digest lacks entirely are also returned — a line the
-        gossiper has never seen is the extreme case of a smaller
-        timestamp.
-        """
-        return [
-            (depth, row)
-            for depth, table in self.tables.items()
-            for row in _fresher(table, digest.get(depth) or {})
-        ]
-
     def apply(self, updates: Sequence[Tuple[int, ViewRow]]) -> int:
         """Install every update line that is fresher than ours.
 

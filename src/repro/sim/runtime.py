@@ -888,7 +888,8 @@ class GroupRuntime:
         The pulls then run in draw order (:meth:`_pull_round`).  Each
         pull is a contact both ways (the peer answered) and each event
         arrival (``heard``) one way; the round's contacts reach the
-        contact table in one batch, before detection reads it.
+        contact table in one batch, before detection reads it, and it
+        keeps those between leaf-mates.
         """
         tokens = self._versions()
         slots = self._live()[0]
@@ -959,14 +960,13 @@ class GroupRuntime:
     def _detection_round(self) -> None:
         """Collect suspicions; exclude once the quorum concurs.
 
-        Only *immediate neighbors* accuse (§2.3 monitors "its most
-        immediate neighbor processes"): a detector also holds stale
-        last-contact entries for distant peers it merely gossiped with
-        once; those count as suspicion reports but never feed
-        exclusions.  A round that convicts nobody and is not traced is
-        settled in arrays (:meth:`~repro.membership.failure_detector.
-        ContactTable.accuse_all`); any other is played accusation by
-        accusation (:meth:`_play_detection`).
+        A process watches and accuses only its *immediate neighbors*,
+        its leaf-mates (§2.3 monitors "its most immediate neighbor
+        processes"); each stale leaf-mate is one suspicion report.  A
+        round that convicts nobody and is not traced is settled in
+        arrays (:meth:`~repro.membership.failure_detector.ContactTable.
+        accuse_all`); any other is played accusation by accusation
+        (:meth:`_play_detection`).
         """
         slots, members = self._live()[:2]
         counts = self._contacts.suspect_counts(slots, self._round)

@@ -125,13 +125,6 @@ class ToleranceBand:
         widen = self.relative * abs(predicted) + self.ci_z * stderr
         return predicted - self.lower - widen, predicted + self.upper + widen
 
-    def admits(
-        self, predicted: float, observed: float, stderr: float = 0.0
-    ) -> bool:
-        """True when ``observed`` falls inside the window."""
-        low, high = self.bounds(predicted, stderr)
-        return low <= observed <= high
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "lower": self.lower,

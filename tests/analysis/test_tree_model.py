@@ -82,7 +82,6 @@ class TestAnalyzeTree:
         assert len(analysis.rounds_per_depth) == 3
         assert len(analysis.node_infection_probabilities) == 3
         assert len(analysis.expected_entities) == 3
-        assert analysis.total_rounds == sum(analysis.rounds_per_depth)
 
     def test_probabilities_in_range(self):
         for rate in (0.01, 0.2, 0.7, 1.0):

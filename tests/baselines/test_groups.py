@@ -5,7 +5,7 @@ import pytest
 from repro.addressing import Address, AddressSpace
 from repro.config import SimConfig
 from repro.errors import SimulationError
-from repro.interests import Event, StaticInterest, Subscription, eq, gt
+from repro.interests import Event, StaticInterest, Subscription, gt
 from repro.baselines import BroadcastGroupMapper
 
 
@@ -35,30 +35,13 @@ class TestMapping:
         second, created_second = mapper.group_for(Event({"b": 3}))
         assert created_first and not created_second
         assert first == second
-        assert mapper.group_count == 1
 
     def test_group_count_grows_with_distinct_subsets(self):
         mapper = BroadcastGroupMapper(content_members())
-        for b in range(6):
-            mapper.group_for(Event({"b": b}))
+        groups = {mapper.group_for(Event({"b": b}))[0] for b in range(6)}
         # b in 0..5 against thresholds 0..4 gives several distinct
         # subsets (the 2^n-bounded blow-up in miniature).
-        assert mapper.group_count >= 4
-
-    def test_churn_invalidates_everything(self):
-        mapper = BroadcastGroupMapper(content_members())
-        mapper.group_for(Event({"b": 3}))
-        assert mapper.group_count == 1
-        mapper.update_member(Address((0, 0)), Subscription({"b": eq(1)}))
-        assert mapper.group_count == 0
-        assert mapper.rebuild_count == 1
-        mapper.remove_member(Address((0, 1)))
-        assert mapper.rebuild_count == 2
-
-    def test_remove_unknown_rejected(self):
-        mapper = BroadcastGroupMapper(content_members())
-        with pytest.raises(SimulationError):
-            mapper.remove_member(Address((9, 9)))
+        assert len(groups) >= 4
 
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):

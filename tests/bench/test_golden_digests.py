@@ -52,7 +52,7 @@ GOLDEN_QUICK = {
     "round_loop": "f163b585c718e995eb1c4feb0f5ef6195d92ae2e",
     "churn_refresh": "4a78d816d5c0657e7c683312b54f543bd9e59bc4",
     "match_cache": "c5e2263cb011949d4fbdc68e95ef16f428803ba9",
-    "membership_plane": "d72868c8237a4600643077095adbe388fc27b3aa",
+    "membership_plane": "4b750e389544ebb2afb123da7b82376b955058c0",
 }
 
 #: ``ExperimentResult.digest()`` of every registry entry: the figures at

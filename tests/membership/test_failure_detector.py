@@ -1,6 +1,7 @@
 """Tests for last-contact failure detection (§2.3) and the §6 quorum."""
 
 import random
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -9,12 +10,77 @@ from hypothesis import strategies as st
 
 from repro.addressing import Address, component_key
 from repro.errors import MembershipError
-from repro.membership import FailureDetector, SuspicionQuorum
 from repro.membership.failure_detector import ContactTable
 
 OWNER = Address((0, 0, 0))
 PEER = Address((0, 0, 1))
 OTHER = Address((0, 0, 2))
+
+
+class FailureDetector:
+    """One process's detector, spelled out: a last-contact map over its
+    leaf-mates (its "most immediate neighbor processes", §2.3), scanned
+    at query time — the reference :class:`ContactTable` is held to.
+
+    A watch of, or a contact from, a process outside the owner's leaf
+    subgroup records nothing.
+    """
+
+    def __init__(self, owner: Address, timeout: int):
+        if timeout < 1:
+            raise MembershipError(f"timeout {timeout} must be >= 1")
+        self._owner = owner
+        self._leaf = owner.prefix(owner.depth)
+        self._timeout = timeout
+        self._last_contact: Dict[Address, int] = {}
+
+    def _is_leaf_mate(self, neighbor: Address) -> bool:
+        return neighbor != self._owner and neighbor.prefix(self._owner.depth) == self._leaf
+
+    def watch(self, neighbor: Address, now: int) -> None:
+        """Start monitoring a leaf-mate as of time ``now``."""
+        if neighbor == self._owner:
+            raise MembershipError("a process does not monitor itself")
+        if self._is_leaf_mate(neighbor):
+            self._last_contact.setdefault(neighbor, now)
+
+    def unwatch(self, neighbor: Address) -> None:
+        """Stop monitoring (the neighbor left or was excluded)."""
+        self._last_contact.pop(neighbor, None)
+
+    def record_contact(self, neighbor: Address, now: int) -> None:
+        """Note that ``neighbor`` contacted us at time ``now``.
+
+        A contact from an unwatched leaf-mate starts a watch — any
+        gossip proves liveness; an older contact changes nothing.
+        """
+        previous = self._last_contact.get(neighbor)
+        if self._is_leaf_mate(neighbor) and (previous is None or now > previous):
+            self._last_contact[neighbor] = now
+
+    def watched(self) -> List[Address]:
+        """Monitored neighbors, sorted."""
+        return sorted(self._last_contact, key=component_key)
+
+    def last_contact(self, neighbor: Address) -> int:
+        """The last time ``neighbor`` was heard from."""
+        try:
+            return self._last_contact[neighbor]
+        except KeyError:
+            raise MembershipError(
+                f"{self._owner} does not monitor {neighbor}"
+            ) from None
+
+    def suspects(self, now: int) -> List[Address]:
+        """Neighbors silent for more than the timeout, sorted."""
+        return sorted(
+            (
+                neighbor
+                for neighbor, last in self._last_contact.items()
+                if now - last > self._timeout
+            ),
+            key=component_key,
+        )
 
 
 class TestFailureDetector:
@@ -77,37 +143,14 @@ class TestFailureDetector:
         detector.watch(PEER, now=0)
         assert detector.suspects(now=5) == [PEER, OTHER]
 
-
-class TestSuspicionQuorum:
-    def test_quorum_reached(self):
-        quorum = SuspicionQuorum(quorum=2)
-        assert not quorum.accuse(PEER, OWNER)
-        assert quorum.accuse(PEER, OTHER)
-        assert quorum.convicted() == [PEER]
-
-    def test_duplicate_accusers_count_once(self):
-        quorum = SuspicionQuorum(quorum=2)
-        quorum.accuse(PEER, OWNER)
-        assert not quorum.accuse(PEER, OWNER)
-        assert quorum.accusation_count(PEER) == 1
-
-    def test_retraction(self):
-        quorum = SuspicionQuorum(quorum=2)
-        quorum.accuse(PEER, OWNER)
-        quorum.accuse(PEER, OTHER)
-        quorum.retract(PEER, OWNER)
-        assert quorum.convicted() == []
-        quorum.retract(PEER, OTHER)
-        assert quorum.accusation_count(PEER) == 0
-
-    def test_retract_unknown_is_noop(self):
-        quorum = SuspicionQuorum(quorum=1)
-        quorum.retract(PEER, OWNER)
-        assert quorum.convicted() == []
-
-    def test_invalid_quorum(self):
-        with pytest.raises(MembershipError):
-            SuspicionQuorum(quorum=0)
+    def test_only_leaf_mates_are_watched(self):
+        detector = FailureDetector(OWNER, timeout=1)
+        far = Address((0, 1, 0))
+        detector.watch(far, now=0)
+        detector.record_contact(far, now=1)
+        detector.record_contact(PEER, now=1)   # a leaf-mate: a watch starts
+        assert detector.watched() == [PEER]
+        assert detector.suspects(now=9) == [PEER]
 
 
 class TestContactFloorFastPath:
@@ -233,13 +276,10 @@ TRAFFIC = st.lists(
 )
 
 
-def near_key(address):
-    return component_key(address)[:2]
-
-
 class TestContactTableMatchesReferenceDetectors:
-    """One ContactTable == N independent FailureDetectors (the
-    last-contact dict + sorted scan), under generated traffic."""
+    """One ContactTable == N independent leaf-mate FailureDetectors
+    (the last-contact dict + sorted scan), under generated traffic that
+    mixes leaf-mates and processes of other leaves."""
 
     @given(
         order=st.permutations(range(len(GROUP))),
@@ -251,7 +291,7 @@ class TestContactTableMatchesReferenceDetectors:
         # Slots are handed out in a drawn order, not component order.
         slots = {GROUP[i]: table.slot(GROUP[i]) for i in order}
         detectors = {
-            address: FailureDetector(address, TIMEOUT, near_key=near_key(address))
+            address: FailureDetector(address, TIMEOUT)
             for address in GROUP
         }
         crashed = set()
@@ -303,9 +343,7 @@ class TestContactTableMatchesReferenceDetectors:
             elif kind == "return":
                 address = GROUP[arg]
                 if address not in detectors:
-                    detectors[address] = FailureDetector(
-                        address, TIMEOUT, near_key=near_key(address)
-                    )
+                    detectors[address] = FailureDetector(address, TIMEOUT)
             elif kind == "tick":
                 now += arg
             monitors = live()
@@ -315,11 +353,9 @@ class TestContactTableMatchesReferenceDetectors:
             counts = table.suspect_counts(ids, now).tolist()
             near = table.near_suspects(ids, now)
             for monitor, count, suspects in zip(monitors, counts, near):
-                reference = detectors[monitor]
-                assert count == len(reference.suspects(now)), monitor
-                assert [table.addresses[s] for s in suspects] == (
-                    reference.near_suspects(now)
-                ), monitor
+                expected = detectors[monitor].suspects(now)
+                assert count == len(expected), monitor
+                assert [table.addresses[s] for s in suspects] == expected, monitor
 
 
 class TestContactTable:
@@ -334,12 +370,14 @@ class TestContactTable:
         assert self.table.slot(Address((0, 0, 1))) == self.b
         assert self.table.addresses[self.far] == Address((1, 0, 0))
 
-    def test_far_pairs_are_reported_but_never_near(self):
-        table, a = self.table, self.a
-        table.contact([a, a], [self.b, self.far], now=0)
-        monitors = np.array([a])
-        assert table.suspect_counts(monitors, 3).tolist() == [2]
-        assert table.near_suspects(monitors, 3) == [[self.b]]
+    def test_far_pairs_are_never_recorded(self):
+        table, a, far = self.table, self.a, self.far
+        table.contact([a, far], [far, a], now=0)
+        table.watch([a, far], [far, a], now=0)
+        monitors = np.array([a, far])
+        for now in range(0, 12):
+            assert table.suspect_counts(monitors, now).tolist() == [0, 0]
+            assert table.near_suspects(monitors, now) == [[], []]
 
     def test_a_forgotten_detector_watches_nobody(self):
         table = self.table
@@ -358,14 +396,6 @@ class TestContactTable:
         monitors = np.array([monitor])
         assert table.near_suspects(monitors, 1) == [[]]  # exactly the timeout
         assert table.near_suspects(monitors, 2) == [[early, late]]
-
-    def test_an_unwatch_reaches_both_stores(self):
-        table = self.table
-        table.contact([self.a, self.b, self.far], [self.far, self.c, self.a], now=0)
-        table.unwatch(self.far)
-        table.unwatch(self.c)
-        monitors = np.array([self.a, self.b, self.far])
-        assert table.suspect_counts(monitors, 9).tolist() == [0, 0, 1]
 
     def accusers(self, slot):
         return int(self.table.accusers(np.array([slot]))[0])

@@ -2,7 +2,7 @@
 
 ``_pull`` moves a state from one table version to another through a
 memoised per-version merge; the reference below is §2.3 spelled out
-line by line (``fresher_rows`` -> same-prefix filter -> ``apply``) on
+line by line (fresher lines -> same-prefix filter -> ``apply``) on
 private clones.  Generated pairs must agree on the resulting rows, the
 lines installed and the synced verdict, and sharing must never leak a
 write from one holder to another.
@@ -17,7 +17,7 @@ from repro.config import PmcastConfig, SimConfig
 from repro.errors import MembershipError
 from repro.interests import StaticInterest
 from repro.membership import MembershipState, ViewRow, ViewTable
-from repro.membership.gossip_pull import _pull
+from repro.membership.gossip_pull import _fresher, _pull
 from repro.sim.runtime import GroupRuntime
 
 DEPTH = 3
@@ -80,8 +80,8 @@ def reference_pull(gossiper, receiver):
     )
     updates = [
         (depth, row)
-        for depth, row in receiver.fresher_rows(private.digest())
-        if depth in shared
+        for depth in shared
+        for row in _fresher(receiver.tables[depth], private.digest().get(depth) or {})
     ]
     return rows_of(private), private.apply(updates), synced, private
 

@@ -73,6 +73,34 @@ class TestFailureDetection:
         # Detection cannot beat the timeout itself.
         assert excluded > 5
 
+    def test_only_the_victims_leaf_mates_report_it(self):
+        # A process watches its leaf-mates only (§2.3), so after one
+        # crash a round adds at most one suspicion report per live
+        # leaf-mate of the victim: peers of other leaves it pulled from,
+        # or heard an event from, are never reported.
+        registry = MetricsRegistry()
+        runtime, addresses = make_runtime(
+            arity=4, depth=3, timeout=12, observer=Observer(registry=registry)
+        )
+        victim = addresses[21]
+        mates = [
+            a for a in addresses if a != victim and a.prefix(3) == victim.prefix(3)
+        ]
+        runtime.publish(addresses[0], Event({}, event_id=1))
+        runtime.run(20)
+        runtime.crash(victim)
+
+        def reports():
+            return registry.snapshot()["detector"]["suspicion_reports"]
+
+        before = reports()
+        for __ in range(30):
+            runtime.step()
+            assert reports() - before <= len(mates)
+            before = reports()
+        assert runtime.exclusion_round(victim) is not None
+        assert before > 0
+
     def test_no_false_exclusions_without_crash(self):
         runtime, addresses = make_runtime(timeout=8)
         runtime.run(60)

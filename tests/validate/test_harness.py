@@ -43,13 +43,11 @@ class TestToleranceBand:
 
     def test_asymmetry(self):
         band = ToleranceBand(0.0, 1.0, ci_z=0.0)
-        assert band.admits(5.0, 5.9)
-        assert not band.admits(5.0, 4.9)
+        assert band.bounds(5.0) == (5.0, 6.0)
 
     def test_exact_band_admits_only_the_prediction(self):
         band = ToleranceBand(0.0, 0.0, 0.0, 0.0)
-        assert band.admits(3.0, 3.0)
-        assert not band.admits(3.0, 3.0000001)
+        assert band.bounds(3.0, stderr=0.5) == (3.0, 3.0)
 
     def test_to_dict_is_json_ready(self):
         data = ToleranceBand(0.1, 0.2, relative=0.05).to_dict()
