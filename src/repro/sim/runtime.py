@@ -466,7 +466,9 @@ class GroupRuntime:
         self._obs.emit(self._round, "leave", address)
         self._crashed.discard(address)
         self._crashed_at.pop(address, None)
-        self._nodes.pop(address, None)
+        node = self._nodes.pop(address, None)
+        if node is not None and not node.is_idle:
+            self._kernel.flats.release(node.buffers, self._nodes.values())
         slot = self._contacts.slot_of[address]
         del self._member_slots[slot]
         self._crashed_flag[slot] = False

@@ -137,10 +137,10 @@ class _Flats:
     compat kernel, a contact slot in the live round.  A flat is keyed
     by (table, cache token, event): it is replaced at its next lookup
     once its table's token moved, dropped when :meth:`forget` names its
-    table, and dropped with its event by :meth:`prune`.  A lookup
-    served from a flat counts the ``match_cache`` table hit the scalar
-    step's lookup would; any other goes through
-    :meth:`GossipContext.table_match
+    table, and dropped with its event by :meth:`prune` or
+    :meth:`release`.  A lookup served from a flat counts the
+    ``match_cache`` table hit the scalar step's lookup would; any other
+    goes through :meth:`GossipContext.table_match
     <repro.core.context.GossipContext.table_match>`, which counts
     itself.
     """
@@ -169,6 +169,18 @@ class _Flats:
     def prune(self, live: set) -> None:
         """Drop the flats of every event not in ``live``."""
         for event_id in [e for e in self._flats if e not in live]:
+            del self._flats[event_id]
+
+    def release(self, buffers, nodes) -> None:
+        """Drop the flats of the events in ``buffers`` that none of
+        ``nodes`` buffers (the buffers of a process that left)."""
+        orphans = {entry.event.event_id for __, entry in buffers} & self._flats.keys()
+        for node in nodes:
+            if not orphans:
+                return
+            if not node.is_idle:
+                orphans = {e for e in orphans if e not in node.buffers._located}
+        for event_id in orphans:
             del self._flats[event_id]
 
     def cell(self, table, event: Event) -> _DepthMatch:
@@ -597,8 +609,9 @@ class LiveRound:
     emission of its own (:meth:`carried`).
 
     **Flats.**  ``flats``, one :class:`_Flats` over contact slots, is
-    kept across rounds: the runtime has it forget a table it refreshes,
-    and :meth:`exchange` prunes it to the events still buffered.
+    kept across rounds: the runtime has it forget a table it refreshes
+    and release the events a leaving process alone buffered, and
+    :meth:`exchange` prunes it to the events still buffered.
     A lookup served from the round's cells counts the ``match_cache``
     table hit the scalar step's lookup would, as one served from a flat
     does, so the counters read per round what the loop's read.

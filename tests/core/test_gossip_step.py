@@ -160,7 +160,9 @@ class TestGossipStepEquivalence:
             )
             pair.append((node, ctx))
         (node, ctx), (twin, twin_ctx) = pair
-        for __ in range(40):
+        # An entry spends at most max_rounds_per_depth + 1 steps at a
+        # depth: a rate near 0 draws the window's top bound.
+        for __ in range(node.tree_depth * (config.max_rounds_per_depth + 1)):
             assert node.gossip_step(ctx) == reference_step(
                 twin, twin_ctx, config
             )

@@ -367,6 +367,28 @@ class TestCacheCorrectnessUnderChurn:
         runtime.run_until_idle()
         assert churner in runtime.delivered_to(event_3)
 
+    def test_leaving_holders_take_their_events_flats(self):
+        # The kernel's flat cache holds no event that no buffer holds,
+        # between rounds too: once every process buffering an event has
+        # left, its flats are gone before the next round prunes.
+        runtime, addresses = make_runtime()
+        event = Event({}, event_id=7)
+        runtime.publish(addresses[0], event)
+        runtime.step()
+        flats = runtime._kernel.flats._flats
+        assert event.event_id in flats
+        holders = [a for a in addresses if runtime.node(a).buffers.holds(event)]
+        assert holders
+        for address in holders:
+            runtime.leave(address)
+            buffered = {
+                entry.event.event_id
+                for node in runtime._nodes.values()
+                for __, entry in node.buffers
+            }
+            assert set(flats) <= buffered
+        assert event.event_id not in flats
+
     def test_runtime_cache_stats_exposed(self):
         runtime, addresses = make_runtime()
         runtime.publish(addresses[0], Event({}, event_id=9))
