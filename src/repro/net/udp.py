@@ -27,7 +27,7 @@ The run's :class:`~repro.obs.probes.Observer` receives round-less
 ``publish``/``timer_fire``/``send``/``recv``/``receive``/``deliver``
 records ordered by ``time_us`` on its trace and/or sink, and one ``net``
 collector (the :class:`UdpRunStats` counters) on its registry; no
-timeline spans yet (ROADMAP item 5).
+timeline spans yet (ROADMAP item 6).
 """
 
 from __future__ import annotations

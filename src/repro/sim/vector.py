@@ -1393,18 +1393,22 @@ def _segments(keys: np.ndarray):
     """``(key, start, stop)`` of each run of equal values in ``keys``."""
     if not keys.size:
         return []
-    starts = np.flatnonzero(np.diff(keys)) + 1
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     bounds = [0, *starts.tolist(), int(keys.size)]
-    return [
-        (int(keys[start]), start, stop)
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    return list(zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:]))
 
 
 def _repeats(draws: np.ndarray) -> np.ndarray:
-    """Indices of the rows of ``draws`` that hold a repeated value."""
-    ordered = np.sort(draws, axis=1)
-    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    """Indices of the rows of ``draws`` that hold a repeated value.
+
+    A row repeats iff two of its k columns are equal: k(k-1)/2 column
+    compares, no sort.
+    """
+    equal = np.zeros(draws.shape[0], dtype=bool)
+    for right in range(1, draws.shape[1]):
+        for left in range(right):
+            equal |= draws[:, left] == draws[:, right]
+    return np.flatnonzero(equal)
 
 
 def _redraw(gen, draws: np.ndarray, rows: np.ndarray, n: int) -> None:
@@ -1531,17 +1535,20 @@ def gossip_pass(task: Tuple) -> Tuple:
                     _redraw(stream(shard), draws, bad[start:stop], candidates)
             if has_self:
                 draws = draws + (draws >= selfpos[pick][:, None])
+            # Flat row-major gathers: envelope (row, j) is element
+            # row * count + j of every column.
             sub_p = sub[pick]
-            keep_env = table.eff_mask[sub_p[:, None], draws]
-            shape = (rows, count)
+            wanted = table.eff_mask.ravel()[
+                (sub_p * table.length)[:, None] + draws
+            ].ravel()
             parts.append(
                 (
-                    (sub_p[:, None] * table.block + table.template[draws])[
-                        keep_env
-                    ],
-                    np.full(int(keep_env.sum()), depth, dtype=np.int8),
-                    np.broadcast_to(rounds[pick][:, None], shape)[keep_env],
-                    np.broadcast_to(gossipers[pick][:, None], shape)[keep_env],
+                    (
+                        (sub_p * table.block)[:, None] + table.template[draws]
+                    ).ravel()[wanted],
+                    np.full(int(np.count_nonzero(wanted)), depth, dtype=np.int8),
+                    np.repeat(rounds[pick], count)[wanted],
+                    np.repeat(gossipers[pick], count)[wanted],
                 )
             )
 

@@ -13,7 +13,9 @@ member (one shard a pass) and of the whole tree — every report field,
 ``subtree.*`` counter and trace record must be equal.  The reference's
 infection curve books a cross-shard reception in the round after its
 send; the kernel's books it in the send's round, which must match the
-first-receipt counts of the run's own full trace.
+first-receipt counts of the run's own full trace.  The pass's row
+helpers, ``_repeats`` and ``_segments``, are held to the sort- and
+``np.diff``-based forms they replaced.
 """
 
 import dataclasses
@@ -44,6 +46,46 @@ def _whole_matrix_distinct(gen, rows, n, k):
         if not bad.any():
             return draws
         draws[bad] = gen.integers(0, n, size=(int(bad.sum()), k))
+
+
+def _sorted_repeats(draws):
+    """The reference repeat check: sort each row, compare neighbours."""
+    ordered = np.sort(draws, axis=1)
+    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+
+
+def _diff_segments(keys):
+    """The reference segmentation: one numpy scalar read per run."""
+    if not keys.size:
+        return []
+    starts = np.flatnonzero(np.diff(keys)) + 1
+    bounds = [0, *starts.tolist(), int(keys.size)]
+    return [
+        (int(keys[start]), start, stop)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+
+
+@st.composite
+def small_matrices(draw):
+    """Int draw matrices whose small value range makes repeats common."""
+    rows = draw(st.integers(0, 300))
+    cols = draw(st.integers(1, 6))
+    high = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(0, high, size=(rows, cols))
+
+
+@st.composite
+def sorted_keys(draw):
+    """Sorted non-negative int64 keys in runs of 1-60 equal values."""
+    values = sorted(set(draw(st.lists(st.integers(0, 2**63 - 1), max_size=12))))
+    lengths = draw(
+        st.lists(
+            st.integers(1, 60), min_size=len(values), max_size=len(values)
+        )
+    )
+    return np.repeat(np.array(values, dtype=np.int64), lengths)
 
 
 @dataclasses.dataclass
@@ -527,3 +569,18 @@ class TestPassCuts:
     )
     def test_whole_shards_within_budget(self, bounds, budget, cuts):
         assert vector._pass_cuts(np.array(bounds), budget) == cuts
+
+
+class TestHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(draws=small_matrices())
+    def test_repeats_match_the_sorted_reference(self, draws):
+        got = vector._repeats(draws)
+        assert got.tolist() == _sorted_repeats(draws).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=sorted_keys())
+    def test_segments_match_the_diff_reference(self, keys):
+        got = vector._segments(keys)
+        assert got == _diff_segments(keys)
+        assert all(type(value) is int for segment in got for value in segment)
