@@ -21,9 +21,7 @@ tree_false_reception      Eqs 16–17 (infected-entity counts) feeding
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.markov import expected_infected, state_distribution
+from repro.analysis.markov import expected_infected
 from repro.analysis.reliability import (
     delivery_probability,
     false_reception_estimate,
@@ -33,7 +31,6 @@ from repro.core.rounds import loss_adjusted_rounds
 __all__ = [
     "EQUATIONS",
     "flat_infection_prediction",
-    "flat_infection_spread",
     "saturation_rounds_prediction",
     "tree_delivery_prediction",
     "tree_false_reception_prediction",
@@ -65,23 +62,6 @@ def flat_infection_prediction(
     return expected_infected(
         n, fanout, rounds, loss_probability, crash_fraction
     )
-
-
-def flat_infection_spread(
-    n: int,
-    fanout: float,
-    rounds: int,
-    loss_probability: float = 0.0,
-    crash_fraction: float = 0.0,
-) -> float:
-    """The model's own std of ``s_t`` — scale for the tolerance band."""
-    distribution = state_distribution(
-        n, fanout, rounds, loss_probability, crash_fraction
-    )
-    states = np.arange(len(distribution))
-    mean = float(distribution @ states)
-    second = float(distribution @ (states.astype(float) ** 2))
-    return max(second - mean * mean, 0.0) ** 0.5
 
 
 def saturation_rounds_prediction(

@@ -7,7 +7,7 @@ algorithms (:class:`~repro.variants.pmcast.PmcastVariant`,
 ablations the paper's evaluation is compared against:
 
 * :func:`~repro.variants.lazy_pull.lazy_pull_broadcast` — epidemic
-  push until an infection threshold, then pull-based recovery;
+  push until a horizon round, then pull-based recovery;
 * :func:`~repro.variants.bounded_view.bounded_view_broadcast` —
   lpbcast-style gossip over bounded random partial views.
 

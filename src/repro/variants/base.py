@@ -6,8 +6,8 @@ dissemination variants (:mod:`repro.variants.lazy_pull`,
 :mod:`repro.variants.bounded_view`) all share one round skeleton:
 
 1. crash the processes scheduled for this round,
-2. **fan out**: every live process with something to say emits its
-   envelopes for the round,
+2. **fan out**: each of the round's ``senders`` emits its envelopes
+   (``fan_out_one``), acting on its own state alone (§4.1),
 3. **exchange**: the link — the lossy network, or the fault plan
    wrapping it — drops each envelope independently, survivors are
    received.
@@ -34,7 +34,7 @@ Determinism rules every strategy must follow (docs/VARIANTS.md):
 * all randomness comes from RNG streams derived with
   :func:`repro.sim.rng.derive_rng` labels owned by the variant;
 * randomness is consumed in a schedule-independent order (fan-out in
-  active order, receptions in envelope order).
+  ``senders`` order, receptions in envelope order).
 """
 
 from __future__ import annotations
@@ -156,35 +156,26 @@ class DisseminationVariant(ABC):
         """True while some process still has protocol work pending."""
 
     @abstractmethod
-    def fan_out(self, rounds: int) -> List[Any]:
-        """The round's envelopes, in deterministic sender order."""
+    def senders(self, rounds: int) -> List[Address]:
+        """The processes that fire in round ``rounds``, in the order
+        their draws are taken (the order feeds the shared streams)."""
 
+    @abstractmethod
     def fan_out_one(self, address: Address, rounds: int) -> List[Any]:
-        """One process's envelopes for its timer fire (event runtimes).
+        """One process's envelopes for round ``rounds``, from its own
+        state only: :func:`run_variant` fires each :meth:`senders`
+        entry once a round, the event-driven runtime
+        (:mod:`repro.net.runtime`) each process from its own timer."""
 
-        The per-process half of :meth:`fan_out`: the event-driven
-        runtime (:mod:`repro.net.runtime`) drives each process from its
-        own timer instead of walking the active set.  A variant that
-        supports event-driven execution must make firing every active
-        process once, in active-set order, consume RNG exactly like one
-        :meth:`fan_out` call — that is what keeps the zero-jitter
-        event run bit-identical.  Variants without per-process state
-        simply do not override this.
-        """
-        raise NotImplementedError(
-            f"variant {self.name!r} does not support per-process fan-out"
-        )
-
+    @abstractmethod
     def is_process_active(self, address: Address) -> bool:
         """Whether ``address`` still has protocol work pending.
 
-        Event runtimes use this for lazy timer cancellation: a popped
-        timer whose process went idle or crashed is skipped without
+        Every :meth:`senders` entry is active when it fires.  Event
+        runtimes use this for lazy timer cancellation: a popped timer
+        whose process went idle or crashed is skipped without
         consuming any randomness.
         """
-        raise NotImplementedError(
-            f"variant {self.name!r} does not support per-process fan-out"
-        )
 
     @abstractmethod
     def receive(
@@ -281,9 +272,10 @@ def run_variant(
 ) -> DisseminationReport:
     """Drive one dissemination strategy through the shared round loop.
 
-    The round skeleton — crash step, ``fan_out`` span, ``exchange``
-    span, infection curve, trace dispositions — is the engine's,
-    verbatim; the strategy hooks plug into it.  The caller prepares the
+    The round skeleton — crash step, ``fan_out`` span (one
+    ``fan_out_one`` per ``senders`` entry), ``exchange`` span,
+    infection curve, trace dispositions — is the engine's, verbatim;
+    the strategy hooks plug into it.  The caller prepares the
     RNG-bearing collaborators (link, crash schedule) so each variant
     keeps its own stream labels.
 
@@ -322,7 +314,11 @@ def run_variant(
         rounds = round_index + 1
 
         with timeline.span("fan_out", variant.subsystem, rounds):
-            envelopes = variant.fan_out(rounds)
+            envelopes = [
+                envelope
+                for address in variant.senders(rounds)
+                for envelope in variant.fan_out_one(address, rounds)
+            ]
             for envelope in envelopes:
                 hops = distance(envelope.message.sender, envelope.destination)
                 messages_by_distance[max(hops, 1) - 1] += 1

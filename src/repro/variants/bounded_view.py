@@ -98,38 +98,28 @@ class BoundedViewVariant(FlatPushVariant):
         meta["shuffle_size"] = self.shuffle_size
         return meta
 
-    def fan_out(self, rounds: int) -> List[VariantEnvelope]:
-        envelopes: List[VariantEnvelope] = []
-        senders = [
-            address
-            for address, budget in self.rounds_left.items()
-            if budget > 0 and address not in self.dead
-        ]
-        for sender in senders:
-            self.rounds_left[sender] -= 1
-            view = self.views[sender]
-            if not view:
-                continue
-            picks = self.gossip_rng.sample(
-                view, min(self.fanout, len(view))
+    def push(self, sender: Address) -> List[VariantEnvelope]:
+        """Gossip to ``fanout`` picks from the sender's own view, each
+        envelope piggybacking a fresh ``shuffle_size`` view sample."""
+        view = self.views[sender]
+        if not view:
+            return []
+        picks = self.gossip_rng.sample(view, min(self.fanout, len(view)))
+        envelopes = []
+        for destination in picks:
+            sample = (
+                self.shuffle_rng.sample(
+                    view, min(self.shuffle_size, len(view))
+                )
+                if self.shuffle_size
+                else None
             )
-            for destination in picks:
-                sample = (
-                    self.shuffle_rng.sample(
-                        view, min(self.shuffle_size, len(view))
-                    )
-                    if self.shuffle_size
-                    else None
+            envelopes.append(
+                VariantEnvelope(
+                    destination,
+                    VariantMessage(sender, PAYLOAD, self.event, view=sample),
                 )
-                self.messages_sent += 1
-                envelopes.append(
-                    VariantEnvelope(
-                        destination,
-                        VariantMessage(
-                            sender, PAYLOAD, self.event, view=sample
-                        ),
-                    )
-                )
+            )
         return envelopes
 
     def receive(

@@ -121,8 +121,8 @@ class FlatPushVariant(DisseminationVariant):
             self.targets = list(self.addresses)
 
         # rounds_left[address] = gossip budget; present only once
-        # infected.  Insertion-ordered on purpose: sender order feeds
-        # the shared gossip stream.
+        # infected, popped at a crash.  Insertion-ordered on purpose:
+        # sender order feeds the shared gossip stream.
         self.rounds_left: Dict[Address, int] = {publisher: self.bound}
         self.infected: Set[Address] = {publisher}
         self.dead: Set[Address] = set()
@@ -166,37 +166,47 @@ class FlatPushVariant(DisseminationVariant):
         return True
 
     def is_active(self) -> bool:
-        return any(
-            budget > 0 and address not in self.dead
-            for address, budget in self.rounds_left.items()
-        )
+        return any(budget > 0 for budget in self.rounds_left.values())
 
-    def fan_out(self, rounds: int) -> List[VariantEnvelope]:
-        return self.push_step()
-
-    def push_step(self) -> List[VariantEnvelope]:
-        """One budgeted push round (the flat baseline's sender loop)."""
-        envelopes: List[VariantEnvelope] = []
-        senders = [
+    def senders(self, rounds: int) -> List[Address]:
+        return [
             address
             for address, budget in self.rounds_left.items()
-            if budget > 0 and address not in self.dead
+            if budget > 0
         ]
-        for sender in senders:
-            self.rounds_left[sender] -= 1
-            if len(self.targets) <= 1 and self.targets == [sender]:
-                continue
-            # Draw one extra candidate so a self-hit can be discarded
-            # without copying the whole target list per sender.
-            drawn = self.gossip_rng.sample(
-                self.targets, min(self.fanout + 1, len(self.targets))
-            )
-            picks = [t for t in drawn if t != sender][: self.fanout]
-            message = VariantMessage(sender, PAYLOAD, self.event)
-            for destination in picks:
-                self.messages_sent += 1
-                envelopes.append(VariantEnvelope(destination, message))
+
+    def is_process_active(self, address: Address) -> bool:
+        return self.rounds_left.get(address, 0) > 0
+
+    def fan_out_one(
+        self, address: Address, rounds: int
+    ) -> List[VariantEnvelope]:
+        """One budgeted push: spend a round of budget, then gossip."""
+        self.rounds_left[address] -= 1
+        envelopes = self.push(address)
+        self.messages_sent += len(envelopes)
         return envelopes
+
+    def push(self, sender: Address) -> List[VariantEnvelope]:
+        """The payload envelopes of one push by ``sender``."""
+        message = VariantMessage(sender, PAYLOAD, self.event)
+        return [
+            VariantEnvelope(destination, message)
+            for destination in self.draw_peers(sender, self.fanout)
+        ]
+
+    def draw_peers(self, sender: Address, count: int) -> List[Address]:
+        """``count`` uniform picks from the targets, never ``sender``.
+
+        One extra candidate is drawn so a self-hit can be discarded
+        without copying the whole target list per sender.
+        """
+        if self.targets == [sender]:
+            return []
+        drawn = self.gossip_rng.sample(
+            self.targets, min(count + 1, len(self.targets))
+        )
+        return [t for t in drawn if t != sender][:count]
 
     def emit_dispositions(
         self, envelopes, arrived, diverted, emit, rounds
@@ -259,7 +269,8 @@ class FlatPushVariant(DisseminationVariant):
             self.duplicate_receptions += 1
             return
         self.infected.add(destination)
-        self.grant_push_budget(destination)
+        # A freshly infected process starts gossiping next round.
+        self.rounds_left[destination] = self.bound
         if emit is not None and destination in self.interested:
             emit(
                 rounds,
@@ -268,10 +279,6 @@ class FlatPushVariant(DisseminationVariant):
                 event_id=message.event.event_id,
             )
         self.on_first_infection(destination, rounds)
-
-    def grant_push_budget(self, destination: Address) -> None:
-        """A freshly infected process starts gossiping next round."""
-        self.rounds_left[destination] = self.bound
 
     def on_first_infection(self, destination: Address, rounds: int) -> None:
         """Subclass hook: called once per process, at infection time."""

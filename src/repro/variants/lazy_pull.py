@@ -12,6 +12,12 @@ replies travel through the same ε-lossy network as payload gossip, and
 every control message is billed to the run's message cost, so the
 bench comparison against pure push and pmcast is apples to apples.
 
+No process can count the infected, so the threshold is met in
+expectation: every process switches at the horizon round
+:func:`pull_horizon` computes from (n, F, threshold) alone, and from
+it on nobody pushes.  The run stays active until then, so a push phase
+that stalled early (every envelope lost) still reaches the pull phase.
+
 Three knobs bound the recovery phase:
 
 * ``pull_fanout`` — peers asked per uninfected process per round;
@@ -25,20 +31,19 @@ Three knobs bound the recovery phase:
 Degenerations (pinned by ``tests/variants``):
 
 * ``infection_threshold=1.0`` is the pure-push flat baseline,
-  **bit-identically**: the threshold can only be crossed when nobody
-  is left to pull, so the push phase runs to budget exhaustion on
-  exactly the flat baseline's RNG streams (:class:`FlatPushVariant` is
-  the superclass *and* the stream labels are shared);
-* ``infection_threshold=0.0`` is pure pull: only the publisher ever
-  pushes nothing, everyone else must ask.
+  **bit-identically**: the pull phase never starts, so push runs to
+  budget exhaustion on exactly the flat baseline's RNG streams
+  (:class:`FlatPushVariant` is the superclass *and* the labels match);
+* ``infection_threshold=0.0`` is pure pull: the horizon is round 1.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.addressing import Address
+from repro.analysis.markov import reach_probability
 from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.interests.events import Event
@@ -50,11 +55,33 @@ from repro.sim.rng import derive_rng
 from repro.variants.base import Emit, VariantEnvelope, VariantMessage
 from repro.variants.flat_push import FlatPushVariant, run_flat_style
 
-__all__ = ["LazyPullVariant", "lazy_pull_broadcast"]
+__all__ = ["LazyPullVariant", "lazy_pull_broadcast", "pull_horizon"]
+
+
+def pull_horizon(
+    n: int, fanout: int, infection_threshold: float
+) -> Optional[int]:
+    """The first pull round: one more than the first round at which
+    the flat chain's expected infected count reaches threshold · n.
+
+    The count is Eq 10's mean in mean-field form, ``I ← I + (n − I)(1 −
+    q^I)`` from ``I = 1`` (Eq 8's ``q``), without the n × n chain.  It
+    only approaches n: ``None`` (never) when it cannot get there.
+    """
+    if infection_threshold >= 1.0:
+        return None
+    q = 1.0 - reach_probability(n, fanout)
+    expected, rounds = 1.0, 0
+    while expected < infection_threshold * n:
+        grown = expected + (n - expected) * (1.0 - q ** expected)
+        if grown == expected:
+            return None
+        expected, rounds = grown, rounds + 1
+    return rounds + 1
 
 
 class LazyPullVariant(FlatPushVariant):
-    """Push to an infection threshold, then pull-based recovery."""
+    """Push until the horizon round, then pull-based recovery."""
 
     name = "lazy_pull"
     producer = "repro.variants.lazy_pull"
@@ -92,36 +119,24 @@ class LazyPullVariant(FlatPushVariant):
         self.pull_fanout = pull_fanout
         self.retry_budget = retry_budget
         self.store_horizon = store_horizon
-        self.pushing = True
+        #: the first pull round; push budgets are never read from it on.
+        self.switch_round = pull_horizon(
+            len(self.addresses), fanout, infection_threshold
+        )
+        self.pulling = False
         #: round each process got infected (the store-horizon clock).
         self.infection_round: Dict[Address, int] = {publisher: 0}
-        #: (replier, requester) pairs answered next round, in the
-        #: deterministic order the requests arrived.
-        self.pending_replies: List[Tuple[Address, Address]] = []
+        #: replier -> the requesters it answers next round, in the
+        #: order the requests arrived.
+        self.pending_replies: Dict[Address, List[Address]] = {}
         #: pull attempts left per uninfected process (set at the
-        #: phase switch; insertion order = address order).
+        #: switch, in address order; a process leaves once infected).
         self.retries: Dict[Address, int] = {}
 
     def trace_meta(self):
         meta = super().trace_meta()
         meta["infection_threshold"] = self.infection_threshold
         return meta
-
-    # -- phase machinery -------------------------------------------------
-
-    def _should_switch(self) -> bool:
-        """Cross into the pull phase?  Only when the threshold is met
-        *and* someone is left to recover — with nobody uninfected the
-        pull phase has no purpose and push runs to exhaustion, which is
-        what makes ``infection_threshold=1.0`` the exact baseline."""
-        if len(self.infected) < self.infection_threshold * len(
-            self.addresses
-        ):
-            return False
-        return any(
-            address not in self.infected and address not in self.dead
-            for address in self.addresses
-        )
 
     def _stores(self, holder: Address, rounds: int) -> bool:
         if self.store_horizon is None:
@@ -130,74 +145,63 @@ class LazyPullVariant(FlatPushVariant):
 
     def on_first_infection(self, destination: Address, rounds: int) -> None:
         self.infection_round[destination] = rounds
-
-    def grant_push_budget(self, destination: Address) -> None:
-        # Processes infected during the pull phase deliver but do not
-        # resume pushing — the push phase is over.
-        if self.pushing:
-            super().grant_push_budget(destination)
+        self.retries.pop(destination, None)
 
     def crash(self, victim: Address) -> bool:
         crashed = super().crash(victim)
         if crashed:
             self.retries.pop(victim, None)
+            self.pending_replies.pop(victim, None)
         return crashed
-
-    def is_active(self) -> bool:
-        if self.pushing:
-            return super().is_active()
-        if self.pending_replies:
-            return True
-        return any(
-            budget > 0
-            and address not in self.infected
-            and address not in self.dead
-            for address, budget in self.retries.items()
-        )
 
     # -- driver hooks ----------------------------------------------------
 
-    def fan_out(self, rounds: int) -> List[VariantEnvelope]:
-        if self.pushing:
-            if not self._should_switch():
-                return self.push_step()
-            self.pushing = False
-            self.rounds_left.clear()
+    def is_active(self) -> bool:
+        if not self.pulling:
+            # A stalled push phase still reaches the pull phase.
+            return self.switch_round is not None or super().is_active()
+        return bool(self.pending_replies) or any(
+            budget > 0 for budget in self.retries.values()
+        )
+
+    def senders(self, rounds: int) -> List[Address]:
+        if self.switch_round is None or rounds < self.switch_round:
+            return super().senders(rounds)
+        if not self.pulling:
+            # Round H on every process's clock: the uninfected pull.
+            self.pulling = True
             self.retries = {
                 address: self.retry_budget
                 for address in self.addresses
                 if address not in self.infected
                 and address not in self.dead
             }
-        envelopes: List[VariantEnvelope] = []
-        for replier, requester in self.pending_replies:
-            if replier in self.dead:
-                continue  # crashed while the reply was queued
-            self.messages_sent += 1
-            self.control_messages += 1
-            envelopes.append(
-                VariantEnvelope(
-                    requester,
-                    VariantMessage(replier, "pull_reply", self.event),
-                )
-            )
-        self.pending_replies = []
-        for address in self.addresses:
-            if address in self.infected or address in self.dead:
-                continue
-            budget = self.retries.get(address, 0)
-            if budget <= 0:
-                continue
-            self.retries[address] = budget - 1
-            drawn = self.gossip_rng.sample(
-                self.targets, min(self.pull_fanout + 1, len(self.targets))
-            )
-            picks = [t for t in drawn if t != address][: self.pull_fanout]
+        return list(self.pending_replies) + [
+            address for address, budget in self.retries.items() if budget > 0
+        ]
+
+    def is_process_active(self, address: Address) -> bool:
+        if not self.pulling:
+            return super().is_process_active(address)
+        pending = address in self.pending_replies
+        return pending or self.retries.get(address, 0) > 0
+
+    def fan_out_one(
+        self, address: Address, rounds: int
+    ) -> List[VariantEnvelope]:
+        if not self.pulling:
+            return super().fan_out_one(address, rounds)
+        # A replier holds the event and a puller lacks it: never both.
+        if address in self.pending_replies:
+            message = VariantMessage(address, "pull_reply", self.event)
+            peers = self.pending_replies.pop(address)
+        else:
+            self.retries[address] -= 1
             message = VariantMessage(address, "pull_request", self.event)
-            for peer in picks:
-                self.messages_sent += 1
-                self.control_messages += 1
-                envelopes.append(VariantEnvelope(peer, message))
+            peers = self.draw_peers(address, self.pull_fanout)
+        envelopes = [VariantEnvelope(peer, message) for peer in peers]
+        self.messages_sent += len(envelopes)
+        self.control_messages += len(envelopes)
         return envelopes
 
     def receive(
@@ -217,7 +221,9 @@ class LazyPullVariant(FlatPushVariant):
             if destination in self.infected and self._stores(
                 destination, rounds
             ):
-                self.pending_replies.append((destination, message.sender))
+                self.pending_replies.setdefault(destination, []).append(
+                    message.sender
+                )
             return
         # pull_reply carries the event: receiving one is receiving the
         # payload (receive/deliver records, duplicate accounting).

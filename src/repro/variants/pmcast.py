@@ -157,22 +157,13 @@ class PmcastVariant(DisseminationVariant):
     def is_active(self) -> bool:
         return bool(self.active)
 
-    def fan_out(self, rounds: int) -> List[Envelope]:
-        envelopes: List[Envelope] = []
-        idle: List[Address] = []
-        for address, node in self.active.items():
-            envelopes.extend(node.gossip_step(self.ctx))
-            if node.is_idle:
-                idle.append(address)
-        for address in idle:
-            del self.active[address]
-        return envelopes
+    def senders(self, rounds: int) -> List[Address]:
+        return list(self.active)
 
     def fan_out_one(self, address: Address, rounds: int) -> List[Envelope]:
-        # The per-timer half of fan_out: one gossip_step on the shared
-        # RNG, idle nodes leave the active set immediately.  (The batch
-        # path defers the deletes to after its loop, but gossip_step
-        # never reads the active set, so the timing is unobservable.)
+        # One gossip_step on the shared RNG; an idle node leaves the
+        # active set at once (gossip_step never reads the active set,
+        # so the round's later senders draw the same either way).
         node = self.active[address]
         envelopes = node.gossip_step(self.ctx)
         if node.is_idle:

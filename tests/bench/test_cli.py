@@ -130,6 +130,6 @@ class TestCli:
         for algorithm in ("pmcast", "flat_push", "lazy_pull", "bounded_view"):
             assert algorithm in captured.out
         assert (
-            "rows sha1: 928b1b413447f5834c1e1012a17bf8937339e1f3"
+            "rows sha1: 899e86e0a56f1d7b93f8224b2776a7d7555adcdc"
             in captured.out
         )

@@ -66,7 +66,7 @@ GOLDEN_TABLES = {
     "figure7": "7e49c710d50934fa19a8f5eb7836552496441e96",
     "locality": "0a8fccd498e131c09f57c8afd3ac6bdaef7a3c65",
     "baselines": "303c0ba60147062073102b720223f3623218c5ae",
-    "variants": "928b1b413447f5834c1e1012a17bf8937339e1f3",
+    "variants": "899e86e0a56f1d7b93f8224b2776a7d7555adcdc",
     "rounds_model": "0b4fc7ca5d1a02e5288cfc3d375a8d10fae3c4c3",
     "markov_chain": "29034cce28c1181dd0db26137c35de88d4566494",
     "view_sizes": "4d83bea2063af5d5c174c7c707317b4f3d4ba80e",

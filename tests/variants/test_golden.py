@@ -45,7 +45,7 @@ GOLDEN = {
     ((0.05, 0.0), "lazy_pull"): "cb158b2a7eed04d5873f31f3da784a4918ff0dd9",
     ((0.05, 0.0), "bounded_view"): "a8219c1c035a4ffd637c0ed6b6055cef2c47992f",
     ((0.1, 0.05), "flat_push"): "b0cd1c6762a60a15465c2e26a61b7b4e8a69c6cd",
-    ((0.1, 0.05), "lazy_pull"): "da5424402dd85daddcdaa68da334d19bd35d67bf",
+    ((0.1, 0.05), "lazy_pull"): "07906241cbdc3fd46107fd97b9acfdde7213546a",
     ((0.1, 0.05), "bounded_view"): "44428f807b0f66e3e229b164e8eb1a2dbd4e7c88",
 }
 
@@ -55,10 +55,10 @@ GOLDEN_PAPER = {
     ((0.0, 0.0), "lazy_pull"): "3a3f7f59e0703b122b432894655dc3a489ed4e76",
     ((0.0, 0.0), "bounded_view"): "19ee28eab3bcf475f3fd21571328b1d8000a42d1",
     ((0.05, 0.0), "flat_push"): "cf606d5a9c206318a0f7967cb92c4e76b3664d91",
-    ((0.05, 0.0), "lazy_pull"): "9a0f0c42f815d1da763af4f487b02104521111fe",
+    ((0.05, 0.0), "lazy_pull"): "1e3be06af315b26579fad4cf5a0db73f7e4f8845",
     ((0.05, 0.0), "bounded_view"): "8090376fc224f3735852cd08d08f036bf7584a0f",
     ((0.1, 0.05), "flat_push"): "7e40b824d1645821be2f51dcd008503302d288e2",
-    ((0.1, 0.05), "lazy_pull"): "c22e4050c5c8469c46b290121182db4449bc04e7",
+    ((0.1, 0.05), "lazy_pull"): "2f94fa7dbb1b7f5109905d87c723be29abcdda4f",
     ((0.1, 0.05), "bounded_view"): "3e77d51c96795705cfd1a68213ac738e18e28608",
 }
 

@@ -15,6 +15,11 @@ Four invariants pinned here, the first three under Hypothesis:
   ``infection_threshold=1.0`` the pull phase can never engage, and the
   run reproduces ``flat_gossip_broadcast`` *bit for bit* (every report
   field, including the infection curve and distance histogram).
+
+Beside them: every variant keeps the per-process contract in every
+round (a sender is active when it fires and signs its own envelopes),
+and lazy pull switches at a horizon from (n, F, threshold) alone,
+which a run that infects nobody by that round still reaches.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,10 +34,15 @@ from repro.baselines import flat_gossip_broadcast
 from repro.sim import bernoulli_interests, derive_rng
 from repro.variants import (
     BoundedViewVariant,
+    FlatPushVariant,
     LazyPullVariant,
+    PmcastVariant,
     bounded_view_broadcast,
     lazy_pull_broadcast,
+    run_flat_style,
+    run_variant,
 )
+from repro.variants.lazy_pull import pull_horizon
 
 
 def make_members(arity=4, depth=2, rate=0.4, seed=0):
@@ -47,14 +57,18 @@ def make_members(arity=4, depth=2, rate=0.4, seed=0):
 def drive(variant, rounds=64):
     """Step a variant loss- and crash-free, yielding after each round.
 
-    A miniature of ``run_variant``'s round anatomy (fan-out, then
-    exchange) without the network, so tests can observe the variant's
-    state between rounds.
+    A miniature of ``run_variant``'s round anatomy (each sender fires
+    once through the per-process contract, then exchange) without the
+    network, so tests can observe the variant's state between rounds.
     """
     round_number = 0
     while variant.is_active() and round_number < rounds:
         round_number += 1
-        envelopes = variant.fan_out(round_number)
+        envelopes = [
+            envelope
+            for address in variant.senders(round_number)
+            for envelope in variant.fan_out_one(address, round_number)
+        ]
         for envelope in envelopes:
             variant.receive(envelope, None, round_number)
         yield round_number
@@ -266,6 +280,120 @@ class TestFaultPlane:
         }
         assert all(r.depth == 0 for r in fault_records)
         assert report.crashed >= 1
+
+
+def checked(variant):
+    """Assert the per-process contract on each fire of ``variant``;
+    returns the list the fired addresses are appended to."""
+    fired = []
+    fire = variant.fan_out_one
+
+    def fan_out_one(address, rounds):
+        assert variant.is_process_active(address), (rounds, address)
+        envelopes = fire(address, rounds)
+        assert all(e.message.sender == address for e in envelopes)
+        fired.append(address)
+        return envelopes
+
+    variant.fan_out_one = fan_out_one
+    return fired
+
+
+def contract_run(name, seed, sim_config):
+    """One run of variant ``name`` through its driver, contract-checked;
+    returns the fired addresses."""
+    from repro.config import PmcastConfig
+    from repro.sim.group import PmcastGroup
+    from repro.variants.pmcast import prepare_pmcast_run
+
+    addresses, members = make_members(depth=3, seed=seed)
+    event = Event({}, event_id=11)
+    publisher = addresses[0]
+    if name == "pmcast":
+        group = PmcastGroup.build(
+            members, PmcastConfig(fanout=2, redundancy=2)
+        )
+        link, crash_schedule, ctx = prepare_pmcast_run(
+            group, publisher, event, sim_config, None, None, None
+        )
+        variant = PmcastVariant(group, publisher, event, ctx, sim_config)
+        fired = checked(variant)
+        run_variant(variant, sim_config, link, crash_schedule)
+        return fired
+    gossip_rng = derive_rng(seed, "flat-gossip", 11)
+    args = (members, publisher, event, 2, gossip_rng, seed)
+    if name == "flat_push":
+        variant = FlatPushVariant(*args)
+    elif name == "lazy_pull":
+        variant = LazyPullVariant(*args)
+    else:
+        variant = BoundedViewVariant(
+            *args,
+            view_rng=derive_rng(seed, "variant-views", 11),
+            shuffle_rng=derive_rng(seed, "variant-shuffle", 11),
+        )
+    fired = checked(variant)
+    run_flat_style(variant, sim_config)
+    return fired
+
+
+class TestPerProcessContract:
+    @given(
+        name=st.sampled_from(
+            ["pmcast", "flat_push", "lazy_pull", "bounded_view"]
+        ),
+        eps=st.sampled_from([0.0, 0.05, 0.2]),
+        tau=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_senders_are_active_and_sign_their_envelopes(
+        self, name, eps, tau, seed
+    ):
+        fired = contract_run(
+            name,
+            seed,
+            SimConfig(seed=seed, loss_probability=eps, crash_fraction=tau),
+        )
+        assert fired, "no process ever fired"
+
+
+class TestPullHorizon:
+    @pytest.mark.parametrize("arity, horizon", [(5, 5), (10, 6)])
+    def test_horizon_follows_the_flat_chain(self, arity, horizon):
+        from repro.analysis.markov import expected_infected
+
+        n = arity ** 3
+        first = 0
+        while expected_infected(n, 3, first) < n / 2:
+            first += 1
+        assert pull_horizon(n, 3, 0.5) == first + 1 == horizon
+
+    def test_degenerate_thresholds(self):
+        assert pull_horizon(125, 3, 1.0) is None
+        assert pull_horizon(125, 3, 0.0) == 1
+
+    def test_total_loss_until_the_horizon_still_recovers(self):
+        # Every envelope of rounds 1-6 is lost: push dies with the
+        # publisher's budget, and the pull phase, which starts on
+        # schedule at round 5, recovers the event.
+        from repro.faults import FaultPlan
+        from repro.obs import Observer, TraceLog
+
+        addresses, members = make_members(arity=5, depth=3, seed=0)
+        event = Event({}, event_id=1)
+        plan = FaultPlan(name="blackout").with_loss_burst(0, 6, 1.0)
+        trace = TraceLog()
+        lazy = lazy_pull_broadcast(
+            members, addresses[0], event, 3, SimConfig(seed=0),
+            faults=plan, observer=Observer(trace=trace),
+        )
+        flat = flat_gossip_broadcast(
+            members, addresses[0], event, 3, SimConfig(seed=0), faults=plan
+        )
+        assert flat.delivery_ratio == 0.0
+        assert lazy.delivery_ratio >= 0.9
+        assert trace.counts().get("pull_request", 0) > 0
 
 
 class TestParameterValidation:
