@@ -380,7 +380,7 @@ class PmcastNode:
         mask = match.mask
         message = None  # built at the first interested draw, if any
         count = min(self._config.fanout, size)
-        for j in sample_positions(ctx.rng._randbelow, size, count):
+        for j in sample_positions(ctx.rng, size, count):
             if 0 <= own <= j:
                 j += 1
             if mask[j]:

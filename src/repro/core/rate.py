@@ -17,13 +17,23 @@ firing reads: lines 9–14 draw F *positions* with
 ``range(n)``), so the scalar step and the compat kernel
 (:mod:`repro.sim.vector`) consume a stream identically without ever
 building a candidate list.
+
+This module also holds the one integer draw every sequential stream of
+the simulators goes through.  :func:`sample_positions` and its batch
+form :func:`randbelow_each` (a membership round's peer draws) inline
+CPython's ``Random._randbelow_with_getrandbits`` over
+``rng.getrandbits``: the same raw calls in the same order, so the values
+and the final state equal ``random.Random``'s, without a Python frame
+per draw.  A generator whose class draws integers another way is
+refused.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address
 from repro.config import PmcastConfig
@@ -34,7 +44,15 @@ from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
-__all__ = ["TableMatch", "match_table", "sample_positions"]
+__all__ = ["TableMatch", "match_table", "randbelow_each", "sample_positions"]
+
+#: The integer draw both primitives inline; a class whose ``_randbelow``
+#: is anything else draws a different stream.
+_RANDBELOW = random.Random._randbelow_with_getrandbits
+_UNSUPPORTED = (
+    "{} does not draw integers through getrandbits; only "
+    "random.Random's _randbelow_with_getrandbits stream is mirrored"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,25 +125,30 @@ class TableMatch:
         return bound
 
 
-def sample_positions(randbelow, n: int, k: int) -> List[int]:
+def sample_positions(rng: random.Random, n: int, k: int) -> List[int]:
     """Draw ``k`` distinct positions from ``range(n)``, mirroring
-    ``random.Random.sample``.
+    ``rng.sample(range(n), k)``.
 
     This is CPython's ``Random.sample`` with the population replaced by
     positions: the same ``setsize`` heuristic, the same pool-shuffle /
-    selection-set branches, the same number and order of
-    ``_randbelow`` draws.  Because ``sample`` only consumes randomness
-    as a function of ``(len(population), k)``, feeding the same
-    underlying ``Random`` through this mirror yields positions ``j``
-    such that ``population[j]`` reproduces ``sample(population, k)``
-    element for element.
+    selection-set branches, the same raw ``getrandbits`` calls in the
+    same order, with ``_randbelow_with_getrandbits`` inlined rather than
+    called once per draw.  Because ``sample`` only consumes randomness
+    as a function of ``(len(population), k)``, the positions ``j`` it
+    returns make ``population[j]`` reproduce ``rng.sample(population,
+    k)`` element for element, and ``rng`` ends in the same state.
 
     Raises:
+        TypeError: if ``rng``'s class does not draw integers through
+            ``getrandbits`` (:func:`randbelow_each` says why).
         ValueError: if ``k`` is negative or larger than ``n``, as
             ``random.sample`` does.
     """
+    if getattr(type(rng), "_randbelow", None) is not _RANDBELOW:
+        raise TypeError(_UNSUPPORTED.format(type(rng).__name__))
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} of {n} positions")
+    getrandbits = rng.getrandbits
     result = [0] * k
     setsize = 21
     if k > 5:
@@ -133,19 +156,57 @@ def sample_positions(randbelow, n: int, k: int) -> List[int]:
     if n <= setsize:
         pool = list(range(n))
         for i in range(k):
-            j = randbelow(n - i)
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
             result[i] = pool[j]
-            pool[j] = pool[n - i - 1]
+            pool[j] = pool[m - 1]
     else:
+        # A draw past ``n`` and a repeat are both drawn again: the raw
+        # calls of ``randbelow(n)`` re-run while the result was selected.
+        bits = n.bit_length()
         selected = set()
         selected_add = selected.add
         for i in range(k):
-            j = randbelow(n)
-            while j in selected:
-                j = randbelow(n)
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
             selected_add(j)
             result[i] = j
     return result
+
+
+def randbelow_each(rng: random.Random, sizes: Sequence[int]) -> List[int]:
+    """``[rng._randbelow(size) for size in sizes]``, drawn without a
+    Python frame per size.
+
+    Every size must be at least 1 (``_randbelow(0)`` never returns).
+    The draws are CPython's ``_randbelow_with_getrandbits`` inlined, so
+    ``rng`` must be of a class that draws through it — ``random.Random``
+    or a subclass that keeps or overrides ``getrandbits``.  A class that
+    overrides only ``random()`` draws by ``_randbelow_without_getrandbits``
+    instead, a different stream, and is refused rather than drawn
+    differently.
+
+    Raises:
+        TypeError: if ``rng`` does not draw through ``getrandbits``.
+        ValueError: if a size is below 1.
+    """
+    if getattr(type(rng), "_randbelow", None) is not _RANDBELOW:
+        raise TypeError(_UNSUPPORTED.format(type(rng).__name__))
+    if sizes and min(sizes) < 1:
+        raise ValueError(f"cannot draw below {min(sizes)}")
+    getrandbits = rng.getrandbits
+    out = [0] * len(sizes)
+    for i, n in enumerate(sizes):
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        out[i] = r
+    return out
 
 
 def _direct_verdict(interest: Interest, event: Event) -> bool:

@@ -21,12 +21,16 @@ The crucial soundness invariant, property-tested in the suite:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.errors import PredicateError
 from repro.interests.subscriptions import Interest, StaticInterest, Subscription
 
 __all__ = ["regroup", "RegroupPolicy"]
+
+_STATIC_ONLY = frozenset({StaticInterest})
+_is_interested = attrgetter("_interested")  # the slot, not the property
 
 
 class RegroupPolicy:
@@ -102,9 +106,12 @@ def regroup(
     interests = list(interests)
     if not interests:
         raise PredicateError("cannot regroup an empty set of interests")
+    first = interests[0]
+    if isinstance(first, StaticInterest) and set(map(type, interests)) == _STATIC_ONLY:
+        # The fold of ORs, with no union per member; no policy applies.
+        return StaticInterest(any(map(_is_interested, interests)))
     policy = policy or RegroupPolicy.exact()
 
-    first = interests[0]
     if isinstance(first, StaticInterest):
         summary: Interest = StaticInterest(False)
     elif isinstance(first, Subscription):

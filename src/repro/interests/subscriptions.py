@@ -11,10 +11,18 @@ Two interest implementations share the :class:`Interest` interface:
 * :class:`Subscription` — full content-based matching;
 * :class:`StaticInterest` — a plain boolean, the i.i.d. Bernoulli(p_d)
   model of the paper's analysis (§4.1) and evaluation (§5), where each
-  process is interested in "the single observed event" or not.
+  process is interested in "the single observed event" or not.  The
+  coin has two outcomes, so the class has two instances:
+  ``StaticInterest(x)`` returns the shared one for ``bool(x)``, and a
+  group of any size allocates no interest and fingerprints none.
 
 Both support :meth:`Interest.union`, the primitive that interest
 regrouping (:mod:`repro.interests.regrouping`) folds over a subgroup.
+
+An interest's fingerprint (:meth:`Interest.fingerprint`) is a small int
+local to one process.  Pickling rebuilds an interest from its structure
+alone, so an unpickled interest is fingerprinted afresh where it lands
+(and an unpickled :class:`StaticInterest` is the shared instance).
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ _FINGERPRINTS: Dict["Interest", int] = {}
 
 
 class Interest(ABC):
-    """Anything that can decide interest in an event and be regrouped."""
+    """Anything that can decide interest in an event and be regrouped.
+
+    A subclass sets ``_fp`` at construction: ``0`` (not fingerprinted
+    yet) or its interned fingerprint.
+    """
 
     __slots__ = ("_fp",)
 
@@ -58,18 +70,16 @@ class Interest(ABC):
         survives membership churn — unlike ``id(table)`` keys, which die
         (or worse, get recycled) whenever views are rebuilt.
 
+        The int is local to this process: it is never pickled, so an
+        interest sent to another process cannot name a structure the
+        other process numbered differently.
+
         Relies on subclasses being immutable with structural
         ``__eq__``/``__hash__``, which both implementations are.
         """
-        try:
-            return self._fp
-        except AttributeError:
-            pass
-        fp = _FINGERPRINTS.get(self)
-        if fp is None:
-            fp = len(_FINGERPRINTS) + 1
-            _FINGERPRINTS[self] = fp
-        self._fp = fp
+        fp = self._fp
+        if not fp:
+            fp = self._fp = _FINGERPRINTS.setdefault(self, len(_FINGERPRINTS) + 1)
         return fp
 
 
@@ -106,6 +116,12 @@ class Subscription(Interest):
                     cleaned[name] = constraint
         self._constraints = cleaned
         self._never = _never
+        self._fp = 0
+
+    def __reduce__(self):
+        if self._never:
+            return Subscription.nothing, ()
+        return Subscription, (self._constraints,)
 
     @classmethod
     def everything(cls) -> "Subscription":
@@ -126,11 +142,6 @@ class Subscription(Interest):
     def is_nothing(self) -> bool:
         """True if no event matches."""
         return self._never
-
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        """The attributes this subscription constrains, sorted."""
-        return tuple(sorted(self._constraints))
 
     def constraint(self, name: str) -> Constraint:
         """The constraint on ``name`` (wildcard if unconstrained)."""
@@ -242,12 +253,19 @@ class StaticInterest(Interest):
     The paper's analysis (§4.1) models interest as an i.i.d. coin flip
     per process for a single observed event; this class is that coin's
     outcome, with union = logical OR.
+
+    There are exactly two instances: ``StaticInterest(x)`` returns the
+    shared one for ``bool(x)`` — so equality is identity — and copying
+    or unpickling one returns it too.
     """
 
     __slots__ = ("_interested",)
 
-    def __init__(self, interested: bool):
-        self._interested = bool(interested)
+    def __new__(cls, interested: bool) -> "StaticInterest":
+        return _INTERESTED if interested else _UNINTERESTED
+
+    def __reduce__(self):
+        return StaticInterest, (self._interested,)
 
     @property
     def interested(self) -> bool:
@@ -263,15 +281,22 @@ class StaticInterest(Interest):
             raise PredicateError(
                 f"cannot union a StaticInterest with {type(other).__name__}"
             )
-        return StaticInterest(self._interested or other._interested)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StaticInterest):
-            return NotImplemented
-        return self._interested == other._interested
+        return self if self._interested else other
 
     def __hash__(self) -> int:
         return hash(("StaticInterest", self._interested))
 
     def __repr__(self) -> str:
         return f"StaticInterest({self._interested})"
+
+
+def _intern(interested: bool) -> StaticInterest:
+    """The shared instance for one coin outcome, fingerprinted at birth."""
+    interest = object.__new__(StaticInterest)
+    interest._interested = interested
+    interest._fp = _FINGERPRINTS.setdefault(interest, len(_FINGERPRINTS) + 1)
+    return interest
+
+
+_UNINTERESTED = _intern(False)
+_INTERESTED = _intern(True)

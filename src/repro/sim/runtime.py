@@ -59,6 +59,7 @@ from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.node import PmcastNode
+from repro.core.rate import randbelow_each
 from repro.errors import MembershipError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -876,16 +877,17 @@ class GroupRuntime:
         """Dedicated membership gossips — one near pull, one far pull
         per live member — then every contact of the round.
 
-        Every peer is drawn by one ``map(randbelow, sizes)``: ``sizes``
-        holds each live member's near-pool size then its far-pool size,
-        in member order, empty pools skipped — the calls, in the order,
-        of a walk drawing ``pool[rng._randbelow(len(pool))]`` per pool
-        (``rng.choice``'s implementation, minus a Python frame per
-        draw).  A pull draws nothing, so drawing every peer first
-        consumes the stream exactly as interleaving would.  Near and far
-        pools are slices of one array (:meth:`_pools`), so every peer is
-        one gather: the draw ``d`` names ``pool[start + d + (d >=
-        place)]``, the member itself skipped.
+        Every peer is drawn by one ``randbelow_each(rng, sizes)``
+        (:mod:`repro.core.rate`): ``sizes`` holds each live member's
+        near-pool size then its far-pool size, in member order, empty
+        pools skipped — the draws, in the order, of a walk drawing
+        ``pool[rng._randbelow(len(pool))]`` per pool (``rng.choice``'s
+        implementation, minus a Python frame per draw).  A pull draws
+        nothing, so drawing every peer first consumes the stream exactly
+        as interleaving would.  Near and far pools are slices of one
+        array (:meth:`_pools`), so every peer is one gather: the draw
+        ``d`` names ``pool[start + d + (d >= place)]``, the member
+        itself skipped.
 
         The pulls then run in draw order (:meth:`_pull_round`).  Each
         pull is a contact both ways (the peer answered) and each event
@@ -900,8 +902,9 @@ class GroupRuntime:
             self._point_listings(slots)
             pool, start, size, place = self._pools(slots)
             drawn = np.flatnonzero(size)
-            randbelow = self._membership_rng._randbelow
-            d = np.fromiter(map(randbelow, size[drawn].tolist()), np.int64, len(drawn))
+            d = np.array(
+                randbelow_each(self._membership_rng, size[drawn].tolist()), np.int64
+            )
             g = slots[drawn >> 1]
             p = pool[start[drawn] + d + (d >= place[drawn])]
         if len(g):

@@ -266,7 +266,7 @@ def try_run_vectorized(
     tree_depth = group.tree.depth
     config = group.config
     fanout = config.fanout
-    randbelow = ctx.rng._randbelow
+    rng = ctx.rng
     flats = _Flats(ctx, config, index_of)
     flat_at: List[Optional[_DepthMatch]] = [None] * (n * tree_depth)
 
@@ -394,7 +394,7 @@ def try_run_vectorized(
                         m = len(entries) - (selfpos >= 0)
                         if m > 0:
                             count = fanout if fanout < m else m
-                            for j in sample_positions(randbelow, m, count):
+                            for j in sample_positions(rng, m, count):
                                 if selfpos >= 0 and j >= selfpos:
                                     j += 1
                                 if entries[j] >= 0:
@@ -649,7 +649,7 @@ class LiveRound:
         leaf = self._depth
         config = self._config
         fanout = config.fanout
-        randbelow = self._ctx.rng._randbelow
+        rng = self._ctx.rng
         cell = self.flats.cell
         local: Dict[Tuple[int, int], _DepthMatch] = {}  # the round's cells
         hits = 0  # lookups served from them
@@ -690,7 +690,7 @@ class LiveRound:
                         size = len(entries) - (own >= 0)
                         if size:
                             for j in sample_positions(
-                                randbelow, size, fanout if fanout < size else size
+                                rng, size, fanout if fanout < size else size
                             ):
                                 if 0 <= own <= j:
                                     j += 1

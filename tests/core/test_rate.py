@@ -1,9 +1,14 @@
-"""Tests for GETRATE (Figure 3, lines 28-33) and the tuned audience."""
+"""Tests for GETRATE (Figure 3, lines 28-33), the tuned audience and
+the draw primitive a GOSSIP firing and a membership round consume."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addressing import Address, Prefix
-from repro.core.rate import match_table
+from repro.core.rate import match_table, randbelow_each, sample_positions
 from repro.errors import ProtocolError
 from repro.interests import Event, StaticInterest
 from repro.membership import ViewRow, ViewTable
@@ -120,3 +125,81 @@ class TestTunedMatching:
         table = table_with_flags([False] * 6)
         match = match_table(table, Event({}), threshold_h=4)
         assert match.rate == pytest.approx(4 / 12)
+
+
+class _RandomOnly(random.Random):
+    """Overrides ``random()`` alone: CPython then draws integers by
+    ``_randbelow_without_getrandbits``, a different stream."""
+
+    def random(self):
+        return super().random()
+
+
+class _OwnBits(random.Random):
+    """Overrides ``getrandbits``: CPython keeps
+    ``_randbelow_with_getrandbits`` over the override."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+
+seeds = st.integers(0, 2**64)
+
+
+class TestDrawPrimitive:
+    """``sample_positions`` and ``randbelow_each`` inline CPython's
+    ``_randbelow_with_getrandbits``: same values, same final state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=seeds, n=st.integers(0, 5000), data=st.data())
+    def test_sample_positions_is_random_sample(self, seed, n, data):
+        k = data.draw(st.integers(0, min(n, 12)), label="k")
+        reference, rng = random.Random(seed), random.Random(seed)
+        assert sample_positions(rng, n, k) == reference.sample(range(n), k)
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=seeds,
+        sizes=st.lists(
+            st.one_of(st.integers(1, 40), st.integers(1, 2**70)), max_size=60
+        ),
+    )
+    def test_randbelow_each_is_sequential_randbelow(self, seed, sizes):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected = [reference._randbelow(size) for size in sizes]
+        assert randbelow_each(rng, sizes) == expected
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=seeds, sizes=st.lists(st.integers(1, 100), max_size=20))
+    def test_an_overridden_getrandbits_is_drawn_from(self, seed, sizes):
+        reference, rng = _OwnBits(seed), _OwnBits(seed)
+        assert randbelow_each(rng, sizes) == [reference._randbelow(s) for s in sizes]
+        assert sample_positions(rng, 50, 4) == reference.sample(range(50), 4)
+
+    def test_a_random_only_class_is_refused(self):
+        rng = _RandomOnly(0)
+        assert type(rng)._randbelow is not random.Random._randbelow
+        state = rng.getstate()
+        with pytest.raises(TypeError):
+            sample_positions(rng, 10, 3)
+        with pytest.raises(TypeError):
+            randbelow_each(rng, [3, 4])
+        with pytest.raises(TypeError):
+            randbelow_each(object(), [3])
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("sizes", [[0], [4, 0, 2], [3, -1]])
+    def test_randbelow_each_rejects_sizes_below_one(self, sizes):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            randbelow_each(rng, sizes)
+        assert rng.getstate() == state
+
+    def test_no_sizes_draw_nothing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert randbelow_each(rng, []) == []
+        assert rng.getstate() == state

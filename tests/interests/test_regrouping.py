@@ -1,5 +1,7 @@
 """Property tests for interest regrouping (§2.3): never miss a member."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,27 @@ class TestRegroupStatic:
         summary = regroup([StaticInterest(flag) for flag in flags])
         assert summary.interested == any(flags)
 
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=40),
+        st.sampled_from([None, RegroupPolicy.exact(), RegroupPolicy.near_root()]),
+    )
+    def test_fast_path_is_the_union_fold(self, flags, policy):
+        members = [StaticInterest(flag) for flag in flags]
+        fold = reduce(StaticInterest.union, members, StaticInterest(False))
+        assert regroup(members, policy) is fold
+        assert regroup(iter(members), policy) is fold
+
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=12),
+        subscriptions(),
+        st.data(),
+    )
+    def test_a_subscription_anywhere_is_rejected(self, flags, subscription, data):
+        members = [StaticInterest(flag) for flag in flags]
+        members.insert(data.draw(st.integers(0, len(members))), subscription)
+        with pytest.raises(PredicateError):
+            regroup(members)
+
 
 class TestRegroupErrors:
     def test_empty_rejected(self):
@@ -144,6 +167,6 @@ class TestRegroupCompaction:
         # The paper's depth-3 row for infix 73 is "b > 0, c > 20.0":
         # b is the only attribute constrained by all, and its union is
         # b > 0 over the sampled members.
-        assert summary.attribute_names == ("b",)
+        assert [name for name, __ in summary] == ["b"]
         assert summary.matches(Event({"b": 2, "c": 41.0, "z": 20000}))
         assert not summary.matches(Event({"b": 0}))

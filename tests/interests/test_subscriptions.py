@@ -1,5 +1,10 @@
 """Tests for Subscription / StaticInterest semantics."""
 
+import copy
+import multiprocessing
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import PredicateError
@@ -11,6 +16,7 @@ from repro.interests import (
     between,
     eq,
     gt,
+    le,
     one_of,
     wildcard,
 )
@@ -52,7 +58,7 @@ class TestSubscriptionMatching:
 
     def test_attribute_names_sorted(self):
         subscription = Subscription({"z": gt(0), "a": gt(0)})
-        assert subscription.attribute_names == ("a", "z")
+        assert [name for name, __ in subscription] == ["a", "z"]
 
     def test_constraint_accessor_defaults_to_wildcard(self):
         subscription = Subscription({"b": gt(0)})
@@ -65,7 +71,7 @@ class TestSubscriptionUnion:
         a = Subscription({"b": gt(3), "c": between(10.0, 20.0)})
         b = Subscription({"b": eq(2), "e": one_of(["Bob"])})
         union = a.union(b)
-        assert union.attribute_names == ("b",)
+        assert [name for name, __ in union] == ["b"]
         # c and e became wildcards: events failing them still match.
         assert union.matches(Event({"b": 2}))
         assert union.matches(Event({"b": 9}))
@@ -131,3 +137,83 @@ class TestStaticInterest:
         assert StaticInterest(True) == StaticInterest(True)
         assert StaticInterest(True) != StaticInterest(False)
         assert len({StaticInterest(True), StaticInterest(True)}) == 1
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 1, 0, 2.5, "", "x", None, [], [0], np.bool_(True)]
+    )
+    def test_two_shared_instances(self, value):
+        interest = StaticInterest(value)
+        assert interest is StaticInterest(bool(value))
+        assert interest.interested is bool(value)
+
+    def test_union_allocates_nothing(self):
+        yes, no = StaticInterest(True), StaticInterest(False)
+        assert yes.union(no) is yes and no.union(yes) is yes
+        assert no.union(no) is no
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_copies_and_pickles_are_the_shared_instance(self, flag):
+        interest = StaticInterest(flag)
+        assert copy.copy(interest) is interest
+        assert copy.deepcopy(interest) is interest
+        assert copy.deepcopy([interest, interest]) == [interest, interest]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(interest, protocol)) is interest
+
+    def test_fingerprints_are_fixed_and_distinct(self):
+        yes, no = StaticInterest(True), StaticInterest(False)
+        assert yes.fingerprint() == StaticInterest(1).fingerprint()
+        assert yes.fingerprint() != no.fingerprint()
+        assert Subscription({}).fingerprint() not in (yes.fingerprint(), no.fingerprint())
+
+
+def _fingerprinted_pickle() -> bytes:
+    """A fresh process fingerprints a subscription, then pickles it."""
+    subscription = Subscription({"b": gt(5)})
+    subscription.fingerprint()
+    return pickle.dumps([subscription, StaticInterest(True)])
+
+
+def _load_after_others(blob: bytes):
+    """Another fresh process numbers eight other structures first, then
+    loads ``blob``: what the loaded interests are and how they number."""
+    taken = [Subscription({"b": le(1000 + i)}).fingerprint() for i in range(8)]
+    subscription, static = pickle.loads(blob)
+    return (
+        subscription == Subscription({"b": gt(5)}),
+        subscription.fingerprint(),
+        taken,
+        static is StaticInterest(True),
+    )
+
+
+class TestPickledFingerprints:
+    """A fingerprint is local to one process: pickling rebuilds an
+    interest from its structure, never from the int it had."""
+
+    def test_round_trip_keeps_structure_and_fingerprint(self):
+        subscriptions = [
+            Subscription({"b": gt(3), "e": one_of(["Bob"])}),
+            Subscription.nothing(),
+            Subscription.everything(),
+        ]
+        for subscription in subscriptions:
+            fingerprint = subscription.fingerprint()
+            for clone in (
+                pickle.loads(pickle.dumps(subscription)),
+                copy.deepcopy(subscription),
+                copy.copy(subscription),
+            ):
+                assert clone == subscription
+                assert clone.fingerprint() == fingerprint
+        assert pickle.loads(pickle.dumps(Subscription.nothing())).is_nothing
+
+    def test_a_pickled_fingerprint_never_names_another_structure(self):
+        spawn = multiprocessing.get_context("spawn")
+        with spawn.Pool(1) as pool:
+            blob = pool.apply_async(_fingerprinted_pickle).get(timeout=120)
+        with spawn.Pool(1) as pool:
+            loaded = pool.apply_async(_load_after_others, (blob,)).get(timeout=120)
+        same, fingerprint, taken, shared = loaded
+        assert same and shared
+        assert fingerprint not in taken

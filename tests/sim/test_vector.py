@@ -68,23 +68,22 @@ class TestSamplePositions:
     def test_matches_random_sample(self, n, k):
         for seed in range(5):
             expected = random.Random(seed).sample(range(n), k)
-            mirrored = sample_positions(
-                random.Random(seed)._randbelow, n, k
-            )
+            mirrored = sample_positions(random.Random(seed), n, k)
             assert mirrored == expected
 
     @pytest.mark.parametrize("n,k", [(2, 3), (0, 1), (5, -1), (30, 31)])
     def test_rejects_impossible_sizes_like_random_sample(self, n, k):
         # A draw below 1 would spin for ever on a real stream
         # (getrandbits(0) is always 0); the stub fails it instead.
-        def randbelow(bound):
-            assert bound > 0, f"randbelow({bound})"
-            return 0
+        class Stub(random.Random):
+            def getrandbits(self, bits):
+                assert bits > 0, f"getrandbits({bits})"
+                return 0
 
         with pytest.raises(ValueError):
             random.Random(0).sample(range(n), k)
         with pytest.raises(ValueError):
-            sample_positions(randbelow, n, k)
+            sample_positions(Stub(0), n, k)
 
 
 def _build_group(config, seed=11, arity=4, depth=3):
