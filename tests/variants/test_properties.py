@@ -22,7 +22,7 @@ and lazy pull switches at a horizon from (n, F, threshold) alone,
 which a run that infects nobody by that round still reaches.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -284,9 +284,12 @@ class TestFaultPlane:
 
 def checked(variant):
     """Assert the per-process contract on each fire of ``variant``;
-    returns the list the fired addresses are appended to."""
+    returns the lists the fired and the crashed addresses are appended
+    to."""
     fired = []
+    crashed = []
     fire = variant.fan_out_one
+    crash = variant.crash
 
     def fan_out_one(address, rounds):
         assert variant.is_process_active(address), (rounds, address)
@@ -295,13 +298,18 @@ def checked(variant):
         fired.append(address)
         return envelopes
 
+    def crash_one(address):
+        crashed.append(address)
+        return crash(address)
+
     variant.fan_out_one = fan_out_one
-    return fired
+    variant.crash = crash_one
+    return fired, crashed
 
 
 def contract_run(name, seed, sim_config):
     """One run of variant ``name`` through its driver, contract-checked;
-    returns the fired addresses."""
+    returns the publisher, the fired and the crashed addresses."""
     from repro.config import PmcastConfig
     from repro.sim.group import PmcastGroup
     from repro.variants.pmcast import prepare_pmcast_run
@@ -317,9 +325,9 @@ def contract_run(name, seed, sim_config):
             group, publisher, event, sim_config, None, None, None
         )
         variant = PmcastVariant(group, publisher, event, ctx, sim_config)
-        fired = checked(variant)
+        fired, crashed = checked(variant)
         run_variant(variant, sim_config, link, crash_schedule)
-        return fired
+        return publisher, fired, crashed
     gossip_rng = derive_rng(seed, "flat-gossip", 11)
     args = (members, publisher, event, 2, gossip_rng, seed)
     if name == "flat_push":
@@ -332,9 +340,9 @@ def contract_run(name, seed, sim_config):
             view_rng=derive_rng(seed, "variant-views", 11),
             shuffle_rng=derive_rng(seed, "variant-shuffle", 11),
         )
-    fired = checked(variant)
+    fired, crashed = checked(variant)
     run_flat_style(variant, sim_config)
-    return fired
+    return publisher, fired, crashed
 
 
 class TestPerProcessContract:
@@ -346,16 +354,26 @@ class TestPerProcessContract:
         tau=st.sampled_from([0.0, 0.1]),
         seed=st.integers(0, 2**16),
     )
+    # Seed 1 at tau 0.1 crashes the publisher in round 0, before its
+    # first push: a push-only variant then has nobody to fire.
+    @example(name="flat_push", eps=0.0, tau=0.1, seed=1)
+    @example(name="lazy_pull", eps=0.0, tau=0.1, seed=1)
     @settings(max_examples=40, deadline=None)
     def test_senders_are_active_and_sign_their_envelopes(
         self, name, eps, tau, seed
     ):
-        fired = contract_run(
+        publisher, fired, crashed = contract_run(
             name,
             seed,
             SimConfig(seed=seed, loss_probability=eps, crash_fraction=tau),
         )
-        assert fired, "no process ever fired"
+        if name == "lazy_pull":
+            # The pull phase starts on schedule whoever crashed.
+            assert fired, "no process ever fired"
+        else:
+            # A push-only run fires nobody only if its publisher, the
+            # one process that can fire in round 1, crashed first.
+            assert fired or publisher in crashed, "no process ever fired"
 
 
 class TestPullHorizon:
