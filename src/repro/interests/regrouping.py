@@ -107,24 +107,21 @@ def regroup(
     if not interests:
         raise PredicateError("cannot regroup an empty set of interests")
     first = interests[0]
-    if isinstance(first, StaticInterest) and set(map(type, interests)) == _STATIC_ONLY:
+    if isinstance(first, StaticInterest):
         # The fold of ORs, with no union per member; no policy applies.
+        if set(map(type, interests)) != _STATIC_ONLY:
+            raise PredicateError("cannot regroup StaticInterest with other types")
         return StaticInterest(any(map(_is_interested, interests)))
+    if not isinstance(first, Subscription):
+        raise PredicateError(f"cannot regroup {type(first).__name__} interests")
     policy = policy or RegroupPolicy.exact()
 
-    if isinstance(first, StaticInterest):
-        summary: Interest = StaticInterest(False)
-    elif isinstance(first, Subscription):
-        summary = Subscription.nothing()
-    else:
-        raise PredicateError(f"cannot regroup {type(first).__name__} interests")
-
+    summary = Subscription.nothing()
     for interest in interests:
         summary = summary.union(interest)
 
     if (
-        isinstance(summary, Subscription)
-        and policy.max_complexity is not None
+        policy.max_complexity is not None
         and summary.complexity() > policy.max_complexity
     ):
         summary = summary.approximate(
