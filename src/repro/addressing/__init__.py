@@ -3,16 +3,12 @@
 Exports:
     Address, Prefix       -- dotted hierarchical identifiers
     AddressSpace          -- the set of valid addresses of a group
-    distance, shared_prefix_depth, same_subgroup -- the paper's metric
+    distance, shared_prefix_depth -- the paper's metric
 """
 
 from repro.addressing.address import Address, Prefix, component_key
 from repro.addressing.allocation import AddressAllocator
-from repro.addressing.distance import (
-    distance,
-    same_subgroup,
-    shared_prefix_depth,
-)
+from repro.addressing.distance import distance, shared_prefix_depth
 from repro.addressing.space import AddressSpace
 
 __all__ = [
@@ -23,5 +19,4 @@ __all__ = [
     "AddressAllocator",
     "distance",
     "shared_prefix_depth",
-    "same_subgroup",
 ]

@@ -19,7 +19,6 @@ from repro.errors import AddressError
 __all__ = [
     "shared_prefix_depth",
     "distance",
-    "same_subgroup",
 ]
 
 
@@ -53,12 +52,3 @@ def distance(left: Address, right: Address) -> int:
         return 0
     depth = shared_prefix_depth(left, right)
     return left.depth - depth + 1
-
-
-def same_subgroup(left: Address, right: Address, depth: int) -> bool:
-    """True if both addresses fall in the same subgroup of tree ``depth``.
-
-    The subgroup of depth ``i`` of an address is identified by its
-    prefix of depth ``i``.
-    """
-    return left.prefix(depth) == right.prefix(depth)

@@ -49,11 +49,6 @@ class AddressSpace:
             raise AddressError(f"depth {depth} must be >= 1")
         return cls((arity,) * depth)
 
-    @classmethod
-    def ipv4(cls) -> "AddressSpace":
-        """The IPv4-shaped space the paper cites: d = 4, a_i = 2**8."""
-        return cls((256, 256, 256, 256))
-
     @property
     def arities(self) -> Tuple[int, ...]:
         """Per-level arities ``(a_1, .., a_d)``."""

@@ -28,10 +28,6 @@ class MembershipError(ReproError):
     """The membership tree or a view table is in an inconsistent state."""
 
 
-class ElectionError(MembershipError):
-    """A subgroup cannot elect the required number of delegates."""
-
-
 class ProtocolError(ReproError):
     """The pmcast protocol state machine received an invalid input."""
 

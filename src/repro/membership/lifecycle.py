@@ -21,13 +21,17 @@ change to stale replicas — the loose coordination the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.errors import MembershipError
 from repro.interests.regrouping import RegroupPolicy
 from repro.interests.subscriptions import Interest
-from repro.membership.knowledge import build_process_views, build_view
+from repro.membership.knowledge import (
+    build_all_views,
+    build_process_views,
+    refresh_path,
+)
 from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
 
@@ -46,11 +50,12 @@ class JoinResult:
 class GroupDirectory:
     """The converged shared views of a running group, keyed by prefix.
 
-    The directory pairs the :class:`MembershipTree` with the view
-    tables it induces and keeps a logical clock, so every structural
-    change (join/leave/failure removal) bumps the timestamps of exactly
-    the lines it touches.  Stale per-process replicas then catch up via
-    gossip pull.
+    The one store of a group's shared tables: it pairs the
+    :class:`MembershipTree` with the view tables it induces and keeps a
+    logical clock, so every structural change restamps exactly the
+    lines on the changed prefix path.  Tables are refreshed in place:
+    whoever holds one sees the change without re-wiring, and stale
+    per-process replicas catch up via gossip pull.
     """
 
     def __init__(
@@ -61,11 +66,7 @@ class GroupDirectory:
         self._tree = tree
         self._policy = policy
         self._clock = 0
-        self._tables: Dict[Prefix, ViewTable] = {}
-        for address in tree.members():
-            for prefix in address.prefixes():
-                if prefix not in self._tables:
-                    self._tables[prefix] = build_view(tree, prefix, 0, policy)
+        self._tables = build_all_views(tree, 0, policy)
 
     @property
     def tree(self) -> MembershipTree:
@@ -76,6 +77,11 @@ class GroupDirectory:
     def clock(self) -> int:
         """The current logical time (last stamped timestamp)."""
         return self._clock
+
+    @property
+    def tables(self) -> Dict[Prefix, ViewTable]:
+        """Every populated prefix's table (the live mapping: read only)."""
+        return self._tables
 
     def tick(self) -> int:
         """Advance and return the logical clock."""
@@ -89,20 +95,19 @@ class GroupDirectory:
         except KeyError:
             raise MembershipError(f"no view for prefix {prefix}") from None
 
-    def refresh_path(self, address: Address) -> None:
-        """Rebuild every table on ``address``'s prefix path at a new time.
+    def path(self, address: Address) -> Dict[int, ViewTable]:
+        """The tables on ``address``'s prefix path, by depth: a member's
+        whole view (Figure 1's shaded knowledge)."""
+        tables = self._tables
+        return {prefix.depth: tables[prefix] for prefix in address.prefixes()}
 
-        Tables whose prefix is no longer populated (last member of a
-        subtree left) are dropped instead.
-        """
-        now = self.tick()
-        for prefix in address.prefixes():
-            if self._tree.is_populated(prefix):
-                self._tables[prefix] = build_view(
-                    self._tree, prefix, now, self._policy
-                )
-            else:
-                self._tables.pop(prefix, None)
+    def refresh_path(self, address: Address) -> Tuple[list, list, list]:
+        """Refresh the tables on ``address``'s prefix path in place at a
+        new time; ``(written, created, dropped)`` as
+        :func:`~repro.membership.knowledge.refresh_path` returns them."""
+        return refresh_path(
+            self._tree, self._tables, address, self.tick(), self._policy
+        )
 
 
 def join(

@@ -40,7 +40,6 @@ ignore it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Tuple
 
@@ -434,20 +433,17 @@ class TraceLog:
     def to_jsonl(self, path: str) -> int:
         """Write the whole log as a JSONL trace file; returns records written.
 
-        The first line is a header object carrying :data:`TRACE_SCHEMA`
-        and :attr:`meta`; every further line is one record.  A ``.gz``
-        path is transparently compressed.  Use
-        :func:`repro.obs.sink.read_trace` (or :meth:`from_jsonl`) to
+        Written through a :class:`~repro.obs.sink.JsonlSink`: a header
+        object carrying :data:`TRACE_SCHEMA` and :attr:`meta`, then one
+        line per record.  A ``.gz`` path is transparently compressed.
+        Use :func:`repro.obs.sink.read_trace` (or :meth:`from_jsonl`) to
         load it back.
         """
-        from repro.obs.sink import open_text
+        from repro.obs.sink import JsonlSink
 
-        with open_text(path, "w") as handle:
-            header = {"schema": TRACE_SCHEMA, "meta": self.meta}
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
+        with JsonlSink(path, meta=self.meta) as sink:
             for record in self._records:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True))
-                handle.write("\n")
+                sink.emit(record)
         return len(self._records)
 
     @classmethod

@@ -143,11 +143,13 @@ def _emit_trace(
 def run_sharded_dissemination(
     spec: RegularTreeSpec,
     executor: Optional[TrialExecutor] = None,
-    publisher_immune: bool = True,
     observer: Optional[Observer] = None,
     timeline: Optional[TimelineRecorder] = None,
 ) -> DisseminationReport:
     """Disseminate one event over the sharded regular-tree kernel.
+
+    The publisher is exempt from the crash plan (the conformance
+    harness's sampling convention: a dead publisher measures nothing).
 
     Args:
         spec: the flattened tree (see
@@ -157,8 +159,6 @@ def run_sharded_dissemination(
             (:func:`~repro.sim.vector.gossip_pass`); they run in the
             calling process when omitted.  Report, trace and counters
             are identical at any job count.
-        publisher_immune: exempt the publisher from the crash plan (the
-            conformance harness's sampling convention).
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
             trace/sink destinations receive the run as one globally
             round-monotone trace — every record, or the subset its
@@ -176,7 +176,7 @@ def run_sharded_dissemination(
     if observer.tracing:
         sampler = observer.sampler
         trace_rate = 1.0 if sampler is None else sampler.rate
-    state = TreeState.create(spec, publisher_immune, trace_rate)
+    state = TreeState.create(spec, trace_rate)
     rounds = 0
     for round_index in range(spec.max_rounds):
         if not state.step(round_index, executor, observer):

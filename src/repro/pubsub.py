@@ -4,8 +4,9 @@ The lower layers expose every moving part of the paper; this module is
 the API a downstream application actually wants:
 
 * :class:`PubSubSystem` owns a live group — membership tree, converged
-  views, one :class:`~repro.core.node.PmcastNode` per process — and
-  offers ``subscribe`` / ``unsubscribe`` / ``publish`` / ``crash``.
+  views (one :class:`~repro.membership.lifecycle.GroupDirectory`), one
+  :class:`~repro.core.node.PmcastNode` per process — and offers
+  ``subscribe`` / ``unsubscribe`` / ``publish`` / ``crash``.
 * Membership changes immediately refresh the affected shared view
   tables in place (the converged end-state that gossip-pull
   anti-entropy reaches in a running deployment; §2.3); only a
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.addressing import Address, AddressSpace, Prefix
+from repro.addressing import Address, AddressSpace
 from repro.addressing.allocation import AddressAllocator
 from repro.config import PmcastConfig, SimConfig
 from repro.core.node import PmcastNode
@@ -30,9 +31,8 @@ from repro.errors import MembershipError, SimulationError
 from repro.interests.events import Event
 from repro.interests.regrouping import RegroupPolicy
 from repro.interests.subscriptions import Interest
-from repro.membership.knowledge import refresh_path
+from repro.membership.lifecycle import GroupDirectory
 from repro.membership.tree import MembershipTree
-from repro.membership.views import ViewTable
 from repro.sim.engine import run_dissemination
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
@@ -60,11 +60,9 @@ class PubSubSystem:
     ):
         self._config = config or PmcastConfig()
         self._sim_config = sim_config or SimConfig()
-        self._policy = regroup_policy
         self._tree = MembershipTree(depth, self._config.redundancy)
-        self._tables: Dict[Prefix, ViewTable] = {}
+        self._directory = GroupDirectory(self._tree, regroup_policy)
         self._nodes: Dict[Address, PmcastNode] = {}
-        self._clock = 0
         self._publish_count = 0
         if space is not None and space.depth != depth:
             raise MembershipError(
@@ -203,10 +201,7 @@ class PubSubSystem:
         protocols themselves are implemented and tested in
         :mod:`repro.membership`.
         """
-        self._clock += 1
-        refresh_path(
-            self._tree, self._tables, changed, self._clock, self._policy
-        )
+        self._directory.refresh_path(changed)
         # Existing tables were refreshed in place, so every node that
         # holds one already sees the new rows.  A table created on the
         # path describes a prefix that was empty before the change: the
@@ -215,14 +210,11 @@ class PubSubSystem:
             self._nodes[changed] = PmcastNode(
                 changed,
                 self._tree.interest_of(changed),
-                {
-                    prefix.depth: self._tables[prefix]
-                    for prefix in changed.prefixes()
-                },
+                self._directory.path(changed),
                 self._config,
             )
 
     def _as_group(self) -> PmcastGroup:
         return PmcastGroup(
-            self._tree, dict(self._tables), dict(self._nodes), self._config
+            self._tree, dict(self._directory.tables), dict(self._nodes), self._config
         )

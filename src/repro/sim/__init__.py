@@ -11,7 +11,7 @@ from repro.sim.churn import ChurnEvent, ChurnSchedule, poisson_churn, run_with_c
 from repro.sim.crashes import CrashSchedule
 from repro.sim.engine import run_dissemination
 from repro.sim.group import PmcastGroup
-from repro.sim.metrics import DisseminationReport, ReportSummary, summarize_reports
+from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runtime import GroupRuntime
@@ -23,8 +23,6 @@ from repro.sim.vector import (
 )
 from repro.sim.workload import (
     bernoulli_interests,
-    clustered_interests,
-    exact_count_interests,
     random_event,
     random_subscriptions,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "run_dissemination",
     "PmcastGroup",
     "DisseminationReport",
-    "ReportSummary",
-    "summarize_reports",
     "LossyNetwork",
     "GroupRuntime",
     "TraceLog",
@@ -51,8 +47,6 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "bernoulli_interests",
-    "clustered_interests",
-    "exact_count_interests",
     "random_event",
     "random_subscriptions",
 ]

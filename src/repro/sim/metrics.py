@@ -17,13 +17,12 @@ one like any other process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["DisseminationReport", "summarize_reports", "ReportSummary"]
+__all__ = ["DisseminationReport"]
 
 
 @dataclass(frozen=True)
@@ -128,73 +127,3 @@ class DisseminationReport:
         if total == 0:
             return 0.0
         return self.messages_by_distance[-1] / total
-
-
-@dataclass(frozen=True)
-class ReportSummary:
-    """Mean and spread of a metric across repeated trials."""
-
-    mean: float
-    stddev: float
-    minimum: float
-    maximum: float
-    trials: int
-
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean."""
-        if self.trials < 1:
-            return 0.0
-        return self.stddev / math.sqrt(self.trials)
-
-
-def _summary(values: Sequence[float]) -> ReportSummary:
-    if not values:
-        raise SimulationError("cannot summarize zero trials")
-    count = len(values)
-    mean = sum(values) / count
-    variance = sum((value - mean) ** 2 for value in values) / count
-    return ReportSummary(
-        mean=mean,
-        stddev=math.sqrt(variance),
-        minimum=min(values),
-        maximum=max(values),
-        trials=count,
-    )
-
-
-def summarize_reports(
-    reports: Sequence[DisseminationReport],
-) -> Dict[str, ReportSummary]:
-    """Aggregate repeated trials into per-metric summaries.
-
-    Returns summaries for ``delivery_ratio``, ``false_reception_ratio``,
-    ``rounds``, ``messages_sent``, ``network_overhead``,
-    ``cost_per_delivery``, ``control_messages``,
-    ``boundary_crossing_fraction`` (the §3.1 topology claim),
-    ``duplicate_receptions`` and ``messages_lost``.
-    """
-    if not reports:
-        raise SimulationError("cannot summarize zero reports")
-    return {
-        "delivery_ratio": _summary([r.delivery_ratio for r in reports]),
-        "false_reception_ratio": _summary(
-            [r.false_reception_ratio for r in reports]
-        ),
-        "rounds": _summary([float(r.rounds) for r in reports]),
-        "messages_sent": _summary([float(r.messages_sent) for r in reports]),
-        "network_overhead": _summary([r.network_overhead for r in reports]),
-        "cost_per_delivery": _summary(
-            [r.cost_per_delivery for r in reports]
-        ),
-        "control_messages": _summary(
-            [float(r.control_messages) for r in reports]
-        ),
-        "boundary_crossing_fraction": _summary(
-            [r.boundary_crossing_fraction for r in reports]
-        ),
-        "duplicate_receptions": _summary(
-            [float(r.duplicate_receptions) for r in reports]
-        ),
-        "messages_lost": _summary([float(r.messages_lost) for r in reports]),
-    }

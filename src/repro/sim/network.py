@@ -20,6 +20,7 @@ fault-plan clauses, never network state.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Dict, Iterable, List, Optional
 
 from repro.addressing import Address
@@ -80,12 +81,12 @@ class LossyNetwork:
     def transmit_flags(self, count: int) -> Optional[List[bool]]:
         """Draw ``count`` delivery verdicts without materializing envelopes.
 
-        The vectorized engine's transport: consumes exactly the draws
-        :meth:`transmit` would for ``count`` envelopes (one ``random()``
-        per envelope when ε > 0, none otherwise) and updates the same
-        sent/lost counters, so a vectorized run stays stream- and
-        metric-identical to the scalar one.  Returns None when ε <= 0
-        (everything delivered, nothing drawn).
+        The link's one loss draw: one ``random()`` per envelope when
+        ε > 0, none otherwise, and the sent/lost counters.  The kernels
+        call it directly and :meth:`transmit` applies it to envelope
+        objects, so a vectorized run stays stream- and metric-identical
+        to the scalar one.  Returns None when ε <= 0 (everything
+        delivered, nothing drawn).
         """
         self._sent += count
         if self._loss_probability <= 0.0:
@@ -97,15 +98,8 @@ class LossyNetwork:
         return flags
 
     def transmit(self, envelopes: Iterable[Envelope]) -> List[Envelope]:
-        """Deliver the surviving subset of ``envelopes``, in order."""
-        delivered: List[Envelope] = []
-        for envelope in envelopes:
-            self._sent += 1
-            if (
-                self._loss_probability > 0.0
-                and self._rng.random() < self._loss_probability
-            ):
-                self._lost += 1
-                continue
-            delivered.append(envelope)
-        return delivered
+        """Deliver the surviving subset of ``envelopes``, in order: one
+        :meth:`transmit_flags` batch applied to them."""
+        envelopes = list(envelopes)
+        flags = self.transmit_flags(len(envelopes))
+        return envelopes if flags is None else list(compress(envelopes, flags))

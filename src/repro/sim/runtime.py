@@ -73,14 +73,13 @@ from repro.membership.gossip_pull import (
     _pull,
     exchange,
 )
-from repro.membership.knowledge import build_view, refresh_path
+from repro.membership.lifecycle import GroupDirectory
 from repro.membership.tree import MembershipTree
-from repro.membership.views import ViewTable
 from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
-from repro.sim.vector import LiveEmission, LiveRound
+from repro.sim.vector import LiveEmission, LiveRound, trace_arrivals, trace_sends
 from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime"]
@@ -167,9 +166,8 @@ class GroupRuntime:
         self._schedule = schedule
         self._schedule_keys: Dict[Address, str] = {}
         self._tree = MembershipTree.build(members, self._config.redundancy)
-        self._clock = 0
+        self._directory = GroupDirectory(self._tree)
         self._round = 0
-        self._tables: Dict[Prefix, ViewTable] = {}
         self._nodes: Dict[Address, PmcastNode] = {}
         self._replicas: Dict[Address, MembershipState] = {}
         # The same replicas by slot (None once their owner left).
@@ -617,9 +615,16 @@ class GroupRuntime:
         if self._obs.enabled:
             self._m_deliveries.inc(sum(arrivals.delivered))
         if self._obs.tracing:
+            columns = (
+                self._obs.emit, self._round, self._contacts.addresses,
+                *emission.columns(),
+            )
             if not faulted:
-                self._trace_sends(emission, flags)
-            self._trace_arrivals(emission, arrivals)
+                trace_sends(*columns, flags)
+            trace_arrivals(
+                *columns, arrivals.at.tolist(),
+                set(compress(arrivals.fresh.tolist(), arrivals.delivered)),
+            )
         node_at = self._node_at
         for slot in arrivals.receivers:
             if not node_at[slot].is_idle:
@@ -634,40 +639,6 @@ class GroupRuntime:
                 if sender_replica is not None and receiver_replica is not None:
                     exchange(receiver_replica, sender_replica, self._reg)
         return receivers, senders
-
-    def _trace_sends(self, emission: LiveEmission, flags) -> None:
-        """One send/loss disposition per envelope of an ε-only round, in
-        send order (a fault plan's link has them written by
-        :func:`~repro.variants.base.emit_dispositions`)."""
-        emit, now = self._obs.emit, self._round
-        addresses = self._contacts.addresses
-        events, index = emission.event_list, emission.event_index.tolist()
-        depths = emission.depths.tolist()
-        for i, (to, by, r) in enumerate(
-            zip(emission.dest.tolist(), emission.sender.tolist(), emission.row.tolist())
-        ):
-            emit(
-                now, "send" if flags is None or flags[i] else "loss", addresses[by],
-                peer=addresses[to], event_id=events[index[r]].event_id, depth=depths[r],
-            )
-
-    def _trace_arrivals(self, emission: LiveEmission, arrivals) -> None:
-        """Per arrival, in send order, a receive and, at a first
-        reception that delivers, a deliver."""
-        emit, now = self._obs.emit, self._round
-        addresses = self._contacts.addresses
-        events, index = emission.event_list, emission.event_index.tolist()
-        dest, sender = emission.dest.tolist(), emission.sender.tolist()
-        row, depths = emission.row.tolist(), emission.depths.tolist()
-        delivering = set(compress(arrivals.fresh.tolist(), arrivals.delivered))
-        for n, i in enumerate(arrivals.at.tolist()):
-            event_id = events[index[row[i]]].event_id
-            emit(
-                now, "receive", addresses[dest[i]], peer=addresses[sender[i]],
-                event_id=event_id, depth=depths[row[i]],
-            )
-            if n in delivering:
-                emit(now, "deliver", addresses[dest[i]], event_id=event_id)
 
     def run(self, rounds: int) -> None:
         """Execute several rounds."""
@@ -690,13 +661,7 @@ class GroupRuntime:
 
     def _wire(self, address: Address) -> None:
         """(Re)build node, replica and detector state for a member."""
-        views = {}
-        for prefix in address.prefixes():
-            table = self._tables.get(prefix)
-            if table is None:
-                table = build_view(self._tree, prefix, self._clock)
-                self._tables[prefix] = table
-            views[prefix.depth] = table
+        views = self._directory.path(address)
         existing = self._nodes.get(address)
         if existing is None:
             self._nodes[address] = PmcastNode(
@@ -1060,22 +1025,19 @@ class GroupRuntime:
     def _refresh_path(self, address: Address, cause: str) -> None:
         """Refresh the tables on a changed prefix path, in place.
 
-        The table half is :func:`~repro.membership.knowledge.
-        refresh_path`; around it the runtime keeps its own books: a
-        fresh table wired into the (new) members of a prefix a join
-        newly populated, and the match-cache entries of a table a
-        removal emptied.
+        The table half is the directory's
+        :meth:`~repro.membership.lifecycle.GroupDirectory.refresh_path`;
+        around it the runtime keeps its own books: a fresh table wired
+        into the (new) members of a prefix a join newly populated, and
+        the match-cache entries of a table a removal emptied.
 
         ``cause`` ("join" / "leave" / "crash" / "interest-update") is
         recorded in the match cache's invalidation-cause breakdown so
         churn-driven hit-rate collapses are attributable.
         """
         self._ctx.note_invalidation(cause)
-        self._clock += 1
         self._live_cache = None
-        __, created, dropped = refresh_path(
-            self._tree, self._tables, address, self._clock
-        )
+        __, created, dropped = self._directory.refresh_path(address)
         for fresh in created:
             for member in self._tree.subtree_members(fresh.prefix):
                 node = self._nodes.get(member)

@@ -47,7 +47,9 @@ and any fault plan, draw for draw with a per-node loop (one
 ``gossip_step`` per fire, one ``receive`` per surviving envelope): its
 fan-out is that loop's walk, over node objects.  It and the compat kernel look
 their destinations up in one kind of flat match (:class:`_Flats`), each
-built when a node first gossips an event at a view.
+built when a node first gossips an event at a view, and write their
+send, loss, receive and deliver records through the same two functions
+(:func:`trace_sends`, :func:`trace_arrivals`).
 
 Determinism rules (all kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
@@ -88,6 +90,8 @@ __all__ = [
     "RegularTreeSpec",
     "TreeState",
     "gossip_pass",
+    "trace_sends",
+    "trace_arrivals",
 ]
 
 
@@ -438,21 +442,16 @@ def try_run_vectorized(
             if emit is not None:
                 # The scalar engine records every envelope's disposition
                 # (send/loss) before any reception — same order here.
-                for position, envelope in enumerate(envelopes):
-                    dest, depth, __, ___, sender = envelope
-                    kind = (
-                        "send"
-                        if flags is None or flags[position]
-                        else "loss"
-                    )
-                    emit(
-                        rounds,
-                        kind,
-                        addresses[sender],
-                        peer=addresses[dest],
-                        event_id=event.event_id,
-                        depth=depth,
-                    )
+                columns = (
+                    emit, rounds, addresses,
+                    [envelope[0] for envelope in envelopes],
+                    [envelope[4] for envelope in envelopes],
+                    [envelope[1] for envelope in envelopes],
+                    [event.event_id] * len(envelopes),
+                )
+                trace_sends(*columns, flags)
+                arrived: List[int] = []
+                delivering: Set[int] = set()
             for position, envelope in enumerate(envelopes):
                 if flags is not None and not flags[position]:
                     continue
@@ -461,14 +460,7 @@ def try_run_vectorized(
                     continue
                 recv_count[dest] += 1
                 if emit is not None:
-                    emit(
-                        rounds,
-                        "receive",
-                        addresses[dest],
-                        peer=addresses[sender],
-                        event_id=event.event_id,
-                        depth=depth,
-                    )
+                    arrived.append(position)
                 if received[dest]:
                     if not infected[dest]:
                         infected[dest] = True
@@ -478,12 +470,7 @@ def try_run_vectorized(
                 if own_match[dest]:
                     delivered[dest] = True
                     if emit is not None:
-                        emit(
-                            rounds,
-                            "deliver",
-                            addresses[dest],
-                            event_id=event.event_id,
-                        )
+                        delivering.add(len(arrived) - 1)
                 buf_depth[dest] = depth
                 buf_round[dest] = entry_round
                 buf_rate[dest] = entry_rate
@@ -494,6 +481,8 @@ def try_run_vectorized(
                     in_active[dest] = True
                     active_list.append(dest)
                     active_count += 1
+            if emit is not None:
+                trace_arrivals(*columns, arrived, delivering)
 
         infection_curve.append(infected_count)
         if metering:
@@ -547,6 +536,34 @@ def try_run_vectorized(
     )
 
 
+def trace_sends(emit, now, addresses, dest, sender, depth, event_id, flags) -> None:
+    """Both draw-for-draw kernels' send/loss records: one per envelope,
+    in send order, before any reception.  Per envelope: ``dest`` and
+    ``sender`` (indices into ``addresses``), its message's ``depth`` and
+    ``event_id``; ``flags`` are the link's verdicts (None: all sent)."""
+    verdicts = repeat(True) if flags is None else flags
+    for to, by, at_depth, eid, kept in zip(dest, sender, depth, event_id, verdicts):
+        emit(
+            now, "send" if kept else "loss", addresses[by],
+            peer=addresses[to], event_id=eid, depth=at_depth,
+        )
+
+
+def trace_arrivals(emit, now, addresses, dest, sender, depth, event_id, at, delivering) -> None:
+    """Per arrival, in send order, a receive and, at a first reception
+    that delivers, a deliver: ``at`` are the positions of the envelopes
+    (the columns of :func:`trace_sends`) that reached a live receiver,
+    ``delivering`` the indices into ``at`` of those that delivered."""
+    for n, i in enumerate(at):
+        eid, receiver = event_id[i], addresses[dest[i]]
+        emit(
+            now, "receive", receiver, peer=addresses[sender[i]],
+            event_id=eid, depth=depth[i],
+        )
+        if n in delivering:
+            emit(now, "deliver", receiver, event_id=eid)
+
+
 # ---------------------------------------------------------------------------
 # Live-round kernel: GroupRuntime's fan-out and exchange, draw for draw.
 # ---------------------------------------------------------------------------
@@ -571,6 +588,19 @@ class LiveEmission(NamedTuple):
     rounds: List[int]
     event_list: List[Event]
     live: Set[int]
+
+    def columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Per envelope, as lists: ``dest``, ``sender``, its message's
+        depth and event id — the columns :func:`trace_sends` and
+        :func:`trace_arrivals` take."""
+        rows = self.row
+        ids = [event.event_id for event in self.event_list]
+        return (
+            self.dest.tolist(),
+            self.sender.tolist(),
+            self.depths[rows].tolist(),
+            [ids[k] for k in self.event_index[rows].tolist()],
+        )
 
 
 class LiveArrivals(NamedTuple):
@@ -888,38 +918,6 @@ class _DepthTables:
     flood: Optional[np.ndarray] = None  # (num_sub,) leaf flood verdict
 
 
-def _vector_bounds(length: int, rate: np.ndarray, config: PmcastConfig) -> np.ndarray:
-    """`repro.core.rounds` (Eqs 3/11 + clamp), elementwise over subgroups."""
-    n_eff = length * rate
-    f_eff = config.fanout * rate
-    c = config.pittel_c
-    if config.loss_aware_rounds:
-        scale = (1.0 - config.assumed_loss) * (1.0 - config.assumed_crash)
-        n_eff = n_eff * scale
-        f_eff = f_eff * scale
-    estimate = np.full(rate.shape, max(c, 0.0))
-    live = n_eff > 1.0
-    if live.any():
-        # rate > 0 wherever n_eff > 1, so f_eff > 0 there too.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (
-                np.log(n_eff)
-                * (1.0 / f_eff + 1.0 / np.log(f_eff + 1.0))
-                + c
-            )
-        estimate[live] = np.maximum(raw[live], 0.0)
-    bounds = np.where(
-        np.isinf(estimate),
-        config.max_rounds_per_depth,
-        np.clip(
-            np.ceil(estimate),
-            config.min_rounds_per_depth,
-            config.max_rounds_per_depth,
-        ),
-    )
-    return bounds.astype(np.int64)
-
-
 @dataclass
 class RegularTreeSpec:
     """A synthetic full regular tree, flattened for the numpy kernel.
@@ -1055,6 +1053,12 @@ class RegularTreeSpec:
                     # §5.3: conscript the first h view entries.
                     ent[need] |= np.arange(length) < config.threshold_h
             rate = ent.sum(axis=1) / length
+            # Line 7's bound, once per distinct rate (at most length + 1).
+            rates, which = np.unique(rate, return_inverse=True)
+            bound = np.array(
+                [depth_round_bound(length, float(x), config) for x in rates],
+                np.int64,
+            )[which]
             tables.append(
                 _DepthTables(
                     block=block,
@@ -1063,7 +1067,7 @@ class RegularTreeSpec:
                     template=template,
                     eff_mask=ent,
                     rate=rate,
-                    bound=_vector_bounds(length, rate, config),
+                    bound=bound,
                     flood=(
                         rate >= config.leaf_flood_threshold
                         if depth == d
@@ -1124,15 +1128,13 @@ class TreeState:
     def create(
         cls,
         spec: RegularTreeSpec,
-        publisher_immune: bool = True,
         trace_rate: Optional[float] = None,
     ) -> "TreeState":
         """Initial state: the publisher buffered, crash plan pre-drawn.
 
-        Each shard's plan comes from its own ``"vcrash"`` stream.
-        ``publisher_immune`` mirrors the conformance harness's
-        convention of never crashing the publisher (a dead publisher
-        measures nothing).  ``trace_rate`` (None = untraced, 1.0 =
+        Each shard's plan comes from its own ``"vcrash"`` stream, and
+        the publisher is never doomed: the conformance harness's
+        convention (a dead publisher measures nothing).  ``trace_rate`` (None = untraced, 1.0 =
         every record) is the coordinator's
         :class:`~repro.obs.probes.Observer` sampling rate; sampling keys
         are the dotted address strings, so the kept subset is the one
@@ -1152,8 +1154,7 @@ class TreeState:
                     0, spec.max_rounds, block, dtype=np.int32
                 )
         publisher = spec.publisher
-        if publisher_immune:
-            doomed[publisher] = False
+        doomed[publisher] = False
         victims = np.flatnonzero(doomed)
         victims = victims[np.argsort(doom_round[victims], kind="stable")]
         state = cls(
@@ -1274,7 +1275,7 @@ class TreeState:
                 self.dist += dist
                 self.sent += int(dest.size)
                 if self.trace is not None:
-                    self._trace_sends(trace_round, dest, depths, senders, kept)
+                    self._record_dispositions(trace_round, dest, depths, senders, kept)
                 if kept is not None:
                     self.lost += int(dest.size - kept.sum())
                     dest, depths, env_rounds, senders = (
@@ -1348,7 +1349,7 @@ class TreeState:
             )
         return uniq
 
-    def _trace_sends(self, trace_round, dest, depths, senders, kept) -> None:
+    def _record_dispositions(self, trace_round, dest, depths, senders, kept) -> None:
         """Send/loss disposition per envelope, pre-filter (the loss
         records need the dropped envelopes), keyed by the sender."""
         trace = self.trace

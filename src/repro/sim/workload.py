@@ -5,18 +5,10 @@ analysis (§4.1): every process is interested in the observed event with
 probability ``p_d``, interests uniformly distributed over the group —
 :func:`bernoulli_interests`.
 
-Beyond that, the library provides:
-
-* :func:`clustered_interests` — topic locality: whole leaf subgroups
-  flip one coin with probability ``correlation``, modelling the
-  network/interest commonality the tree is designed to exploit (§1's
-  "commonalities in the interests of processes");
-* :func:`exact_count_interests` — exactly ``k`` interested processes
-  (variance-free ground truth for small-rate experiments);
-* :func:`random_subscriptions` / :func:`random_event` — a content-based
-  pub/sub universe in the style of Figure 2 (attributes ``b`` int,
-  ``c`` float, ``e`` string, ``z`` int) for end-to-end tests and the
-  examples.
+Beyond that, :func:`random_subscriptions` / :func:`random_event` build
+a content-based pub/sub universe in the style of Figure 2 (attributes
+``b`` int, ``c`` float, ``e`` string, ``z`` int) for end-to-end tests
+and the examples.
 """
 
 from __future__ import annotations
@@ -32,8 +24,6 @@ from repro.interests.subscriptions import Interest, StaticInterest, Subscription
 
 __all__ = [
     "bernoulli_interests",
-    "clustered_interests",
-    "exact_count_interests",
     "random_subscriptions",
     "random_event",
 ]
@@ -50,56 +40,6 @@ def bernoulli_interests(
     return {
         address: StaticInterest(rng.random() < matching_rate)
         for address in addresses
-    }
-
-
-def clustered_interests(
-    addresses: Sequence[Address],
-    matching_rate: float,
-    correlation: float,
-    rng: random.Random,
-) -> Dict[Address, Interest]:
-    """Interests correlated within leaf subgroups.
-
-    With probability ``correlation`` a process inherits its leaf
-    subgroup's shared coin (one flip per depth-d prefix); otherwise it
-    flips its own.  ``correlation = 0`` degenerates to the Bernoulli
-    model; ``correlation = 1`` makes whole leaf subgroups uniformly
-    interested or not — the friendliest case for the tree, since entire
-    subtrees can be skipped.
-    """
-    if not 0.0 <= matching_rate <= 1.0:
-        raise SimulationError(f"matching rate {matching_rate} not in [0, 1]")
-    if not 0.0 <= correlation <= 1.0:
-        raise SimulationError(f"correlation {correlation} not in [0, 1]")
-    subgroup_coin: Dict[object, bool] = {}
-    out: Dict[Address, Interest] = {}
-    for address in addresses:
-        prefix = address.prefix(address.depth)
-        if prefix not in subgroup_coin:
-            subgroup_coin[prefix] = rng.random() < matching_rate
-        if rng.random() < correlation:
-            interested = subgroup_coin[prefix]
-        else:
-            interested = rng.random() < matching_rate
-        out[address] = StaticInterest(interested)
-    return out
-
-
-def exact_count_interests(
-    addresses: Sequence[Address],
-    interested_count: int,
-    rng: random.Random,
-) -> Dict[Address, Interest]:
-    """Exactly ``interested_count`` uniformly chosen interested processes."""
-    if not 0 <= interested_count <= len(addresses):
-        raise SimulationError(
-            f"cannot make {interested_count} of {len(addresses)} "
-            "processes interested"
-        )
-    chosen = set(rng.sample(list(addresses), interested_count))
-    return {
-        address: StaticInterest(address in chosen) for address in addresses
     }
 
 

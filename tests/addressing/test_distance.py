@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.addressing import (
-    Address,
-    distance,
-    same_subgroup,
-    shared_prefix_depth,
-)
+from repro.addressing import Address, distance, shared_prefix_depth
 from repro.errors import AddressError
 
 
@@ -55,13 +50,15 @@ class TestDistance:
 
 class TestSameSubgroup:
     def test_same_subgroup_by_depth(self):
+        # The subgroup of depth i of an address is its prefix of depth
+        # i (the root's is empty), so two addresses share it iff they
+        # share i - 1 components.
         a, b = addr(1, 2, 3), addr(1, 2, 9)
-        assert same_subgroup(a, b, 1)
-        assert same_subgroup(a, b, 2)
-        assert same_subgroup(a, b, 3)
+        for depth in (1, 2, 3):
+            assert a.prefix(depth) == b.prefix(depth)
         c = addr(1, 5, 3)
-        assert same_subgroup(a, c, 2)
-        assert not same_subgroup(a, c, 3)
+        assert a.prefix(2) == c.prefix(2)
+        assert a.prefix(3) != c.prefix(3)
 
 
 addresses_3 = st.tuples(

@@ -18,7 +18,7 @@ class TestConstruction:
     def test_ipv4_space_matches_paper(self):
         # "to cover all possible IP addresses, one could choose d = 4
         # and a_i = 2^8"
-        space = AddressSpace.ipv4()
+        space = AddressSpace((2 ** 8,) * 4)
         assert space.depth == 4
         assert space.capacity == 2 ** 32
 

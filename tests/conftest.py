@@ -1,4 +1,5 @@
-"""Suite-wide pytest plumbing: the tier-1 durations gate.
+"""Suite-wide pytest plumbing: the tier-1 durations gate, and the
+Hypothesis profile of the mutant gate.
 
 Tier-1 stays fast by policy (ROADMAP.md): anything long-running must
 carry the ``slow`` marker so it can be deselected.  ``--durations-gate
@@ -7,9 +8,18 @@ unmarked test's call phase exceeds the threshold — so a slow test
 cannot creep into the default selection unnoticed.  CI passes
 ``--durations-gate 5``; the audit that introduced the gate found no
 unmarked test above 2.4 s.
+
+``--hypothesis-profile=mutants`` (``tests/mutants/run.py``) skips
+shrinking: a mutant run needs a failure, not a minimal one, and
+shrinking a failing live-round script takes minutes.
 """
 
 import pytest
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
 
 
 def pytest_addoption(parser):

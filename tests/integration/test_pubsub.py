@@ -50,15 +50,15 @@ class TestRefreshInPlace:
         system = populated_system()
         first = Address((0, 0, 7))
         system.subscribe(first, parse_subscription("topic >= 1"))
-        tables = dict(system._tables)
+        tables = dict(system._directory.tables)
         nodes = dict(system._nodes)
         newcomer = Address((0, 0, 8))
         system.subscribe(newcomer, parse_subscription("topic >= 1"))
         # Refreshed in place: no table on (or off) the path is a new
         # object, and the only node built is the newcomer's.
-        assert set(system._tables) == set(tables)
+        assert set(system._directory.tables) == set(tables)
         for prefix, table in tables.items():
-            assert system._tables[prefix] is table
+            assert system._directory.tables[prefix] is table
         assert set(system._nodes) - set(nodes) == {newcomer}
         for address, node in nodes.items():
             assert system._nodes[address] is node
@@ -77,7 +77,7 @@ class TestRefreshInPlace:
         for prefix in newcomer.prefixes():
             assert (
                 system.node(newcomer).view(prefix.depth)
-                is system._tables[prefix]
+                is system._directory.tables[prefix]
             )
         event = Event({"topic": 2})
         system.publish(Address((0, 0, 1)), event)

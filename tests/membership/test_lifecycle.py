@@ -11,6 +11,7 @@ from repro.membership import (
     join,
     leave,
 )
+from repro.membership.knowledge import build_view
 
 
 def make_directory(arity=3, depth=3, redundancy=2):
@@ -38,6 +39,49 @@ class TestGroupDirectory:
         directory = make_directory()
         first = directory.tick()
         assert directory.tick() == first + 1
+
+    def test_path_is_the_tables_on_the_prefix_path(self):
+        directory = make_directory()
+        address = Address((2, 0, 1))
+        path = directory.path(address)
+        assert sorted(path) == [1, 2, 3]
+        for prefix in address.prefixes():
+            assert path[prefix.depth] is directory.table(prefix)
+
+
+class TestOneStore:
+    """The directory refreshes its tables in place: every table held
+    before a join or leave is still the directory's, and the path's
+    rows are a fresh build's at the new clock."""
+
+    @staticmethod
+    def _check(directory, held, changed):
+        for prefix, table in held.items():
+            if directory.tree.is_populated(prefix):
+                assert directory.table(prefix) is table
+        for prefix in changed.prefixes():
+            if directory.tree.is_populated(prefix):
+                fresh = build_view(directory.tree, prefix, directory.clock)
+                assert directory.table(prefix).rows() == fresh.rows()
+
+    def test_join_and_leave_keep_every_held_table(self):
+        directory = make_directory()
+        new_leaf = Prefix((0, 4))
+        for change, address in (
+            (join, Address((1, 2, 3))),  # into a populated leaf subgroup
+            (join, Address((0, 4, 0))),  # populates new_leaf
+            (leave, Address((2, 2, 2))),
+            (leave, Address((0, 4, 0))),  # empties new_leaf again
+        ):
+            held = dict(directory.tables)
+            if change is join:
+                join(directory, Address((0, 0, 0)), address, StaticInterest(False))
+            else:
+                leave(directory, address)
+            self._check(directory, held, address)
+            assert (new_leaf in directory.tables) == (
+                Address((0, 4, 0)) in directory.tree
+            )
 
 
 class TestJoin:

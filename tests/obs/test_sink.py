@@ -1,5 +1,6 @@
 """Tests for the streaming JSONL sink and the trace loaders."""
 
+import gzip
 import json
 
 import pytest
@@ -62,6 +63,33 @@ class TestJsonlSink:
         log.to_jsonl(log_path)
         with open(sink_path) as left, open(log_path) as right:
             assert left.read() == right.read()
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("plain.jsonl", 3), ("packed.jsonl.gz", 3), ("empty.jsonl", 0)],
+    )
+    def test_to_jsonl_is_a_sink_capture(self, tmp_path, name, count):
+        """TraceLog.to_jsonl writes through the sink: its bytes (for a
+        .gz path, its decompressed bytes) are a sink capture's."""
+        records = [
+            record(round=1),
+            record(round=2, peer=None, kind="crash"),
+            record(round=2, kind="receive", process=(0, 1), peer=(0, 0)),
+        ][:count]
+        log = TraceLog()
+        log.annotate(seed=3, size=9)
+        for item in records:
+            log.append(item)
+        log_path, sink_path = str(tmp_path / name), str(tmp_path / f"sink-{name}")
+        assert log.to_jsonl(log_path) == count
+        with JsonlSink(sink_path, meta={"seed": 3, "size": 9}) as sink:
+            for item in records:
+                sink.emit(item)
+        read = gzip.open if name.endswith(".gz") else open
+        with read(log_path, "rb") as left, read(sink_path, "rb") as right:
+            written = left.read()
+            assert written == right.read()
+        assert len(written.splitlines()) == 1 + count
 
     def test_capacity_rotation(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")

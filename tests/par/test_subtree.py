@@ -95,8 +95,8 @@ class TestReportShape:
         assert report.received_total >= 1
 
     def test_crash_immunity_default(self):
-        # With publisher_immune the publisher's doom is cleared, so the
-        # dissemination always starts.
+        # The publisher is never doomed, so the dissemination always
+        # starts.
         spec = _spec(tau=0.5)
         report = run_sharded_dissemination(spec)
         assert report.received_total >= 1

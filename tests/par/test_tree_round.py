@@ -109,7 +109,7 @@ class ShardWave:
     trace: Optional[Dict[str, object]] = None
 
     @classmethod
-    def create(cls, spec, shard, publisher_immune, trace_rate):
+    def create(cls, spec, shard, trace_rate):
         size = spec.shard_size
         base = shard * size
         rng = np.random.default_rng(
@@ -144,8 +144,7 @@ class ShardWave:
         publisher = spec.publisher
         if base <= publisher < base + size:
             local = publisher - base
-            if publisher_immune:
-                state.doomed[local] = False
+            state.doomed[local] = False
             state.received[local] = True
             state.buf_depth[local] = 1
             if state.trace is not None:
@@ -343,10 +342,10 @@ class ShardWave:
         return dest[cross], rounds[cross]
 
 
-def run_waves(spec, publisher_immune=True, trace_rate=None):
+def run_waves(spec, trace_rate=None):
     """The per-shard wave coordinator: ``(report, counters, records)``."""
     states = [
-        ShardWave.create(spec, shard, publisher_immune, trace_rate)
+        ShardWave.create(spec, shard, trace_rate)
         for shard in range(spec.num_shards)
     ]
     busy = [state.busy for state in states]
@@ -414,7 +413,7 @@ def run_waves(spec, publisher_immune=True, trace_rate=None):
     return report, counters, records
 
 
-def _kernel(spec, publisher_immune=True, trace_rate=None, budget=None):
+def _kernel(spec, trace_rate=None, budget=None):
     """The kernel's ``(report, counters, records)`` for one run."""
     registry = MetricsRegistry()
     trace = None if trace_rate is None else TraceLog()
@@ -426,9 +425,7 @@ def _kernel(spec, publisher_immune=True, trace_rate=None, budget=None):
     with pytest.MonkeyPatch.context() as patch:
         if budget is not None:
             patch.setattr(vector, "_PASS_BUDGET", budget)
-        report = run_sharded_dissemination(
-            spec, publisher_immune=publisher_immune, observer=observer
-        )
+        report = run_sharded_dissemination(spec, observer=observer)
     records = [
         (
             record.round, record.kind, str(record.process),
@@ -462,7 +459,6 @@ specs = st.builds(
     threshold_h=st.sampled_from([0, 2]),
     flood=st.booleans(),
     min_rounds=st.integers(1, 3),
-    immune=st.booleans(),
     rate=st.sampled_from([0.1, 0.4, 0.9]),
     seed=st.integers(0, 10_000),
 )
@@ -498,9 +494,9 @@ class TestTreeRound:
     @given(params=specs, whole=st.booleans())
     def test_reports_and_counters_match_the_waves(self, params, whole):
         spec = _build(params)
-        expected, counters, _ = run_waves(spec, params["immune"])
+        expected, counters, _ = run_waves(spec)
         budget = spec.size if whole else 1
-        report, got, _ = _kernel(spec, params["immune"], budget=budget)
+        report, got, _ = _kernel(spec, budget=budget)
         assert _no_curve(report) == _no_curve(expected)
         assert len(report.infection_curve) == report.rounds
         assert got == counters
@@ -509,9 +505,9 @@ class TestTreeRound:
     @given(params=specs, rate=st.sampled_from([1.0, 0.5]), whole=st.booleans())
     def test_traces_match_the_waves(self, params, rate, whole):
         spec = _build(params)
-        report, _, expected = run_waves(spec, params["immune"], rate)
+        report, _, expected = run_waves(spec, rate)
         budget = spec.size if whole else 1
-        got, _, records = _kernel(spec, params["immune"], rate, budget)
+        got, _, records = _kernel(spec, rate, budget)
         assert _no_curve(got) == _no_curve(report)
         assert records == expected
 
@@ -521,7 +517,7 @@ class TestTreeRound:
         """Each round's curve entry counts the members holding the event
         after it — cross-shard receivers in their send's round."""
         spec = _build(params)
-        report, _, records = _kernel(spec, params["immune"], 1.0)
+        report, _, records = _kernel(spec, 1.0)
         curve = list(report.infection_curve)
         assert curve == _first_receipts(records, report.rounds)
         assert not curve or curve[-1] == report.received_total

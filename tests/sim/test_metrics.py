@@ -1,9 +1,9 @@
-"""Tests for dissemination metrics and trial aggregation."""
+"""Tests for dissemination metrics."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import DisseminationReport, summarize_reports
+from repro.sim import DisseminationReport
 
 
 def report(**overrides):
@@ -59,63 +59,6 @@ class TestDisseminationReport:
         # Degenerate: nothing delivered, cost is the raw message count.
         r = report(delivered_interested=0)
         assert r.cost_per_delivery == pytest.approx(900.0)
-
-
-class TestSummaries:
-    def test_mean_and_spread(self):
-        reports = [
-            report(delivered_interested=40),
-            report(delivered_interested=20),
-        ]
-        summary = summarize_reports(reports)["delivery_ratio"]
-        assert summary.mean == pytest.approx(0.75)
-        assert summary.minimum == pytest.approx(0.5)
-        assert summary.maximum == pytest.approx(1.0)
-        assert summary.trials == 2
-        assert summary.stddev == pytest.approx(0.25)
-        assert summary.stderr == pytest.approx(0.25 / 2 ** 0.5)
-
-    def test_all_metrics_present(self):
-        summaries = summarize_reports([report()])
-        assert set(summaries) == {
-            "delivery_ratio",
-            "false_reception_ratio",
-            "rounds",
-            "messages_sent",
-            "network_overhead",
-            "cost_per_delivery",
-            "control_messages",
-            "boundary_crossing_fraction",
-            "duplicate_receptions",
-            "messages_lost",
-        }
-
-    def test_accounting_metrics_aggregate(self):
-        reports = [
-            report(
-                messages_lost=10,
-                duplicate_receptions=100,
-                messages_by_distance=(90, 10),
-            ),
-            report(
-                messages_lost=30,
-                duplicate_receptions=300,
-                messages_by_distance=(50, 50),
-            ),
-        ]
-        summaries = summarize_reports(reports)
-        assert summaries["messages_lost"].mean == pytest.approx(20.0)
-        assert summaries["duplicate_receptions"].mean == pytest.approx(200.0)
-        assert summaries["boundary_crossing_fraction"].mean == pytest.approx(
-            (0.1 + 0.5) / 2
-        )
-        assert summaries["boundary_crossing_fraction"].maximum == pytest.approx(
-            0.5
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            summarize_reports([])
 
 
 class TestDistanceAccounting:

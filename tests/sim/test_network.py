@@ -1,6 +1,7 @@
 """Tests for the lossy network (§4.1)."""
 
 import random
+from itertools import compress
 
 import pytest
 
@@ -46,6 +47,25 @@ class TestLoss:
             LossyNetwork(1.0, random.Random(0))
         with pytest.raises(SimulationError):
             LossyNetwork(-0.1, random.Random(0))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_transmit_is_one_flags_batch(self, epsilon, count):
+        """transmit(envelopes) is compress(envelopes, transmit_flags(n)):
+        the same survivors, draws and counters."""
+        envelopes = [envelope((0, 0), (0, 1), eid=i) for i in range(count)]
+        whole = LossyNetwork(epsilon, random.Random(11))
+        split = LossyNetwork(epsilon, random.Random(11))
+        for __ in range(3):
+            delivered = whole.transmit(iter(envelopes))
+            flags = split.transmit_flags(count)
+            expected = (
+                envelopes if flags is None else list(compress(envelopes, flags))
+            )
+            assert delivered == expected
+            assert whole._rng.getstate() == split._rng.getstate()
+            assert whole.messages_sent == split.messages_sent
+            assert whole.messages_lost == split.messages_lost
 
     def test_deterministic_under_seed(self):
         envelopes = [envelope((0, 0), (0, 1), eid=i) for i in range(50)]

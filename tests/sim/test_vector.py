@@ -52,6 +52,7 @@ from repro.sim import (
 from repro.sim import vector
 from repro.sim.crashes import CrashSchedule
 from repro.core.rate import sample_positions
+from repro.core.rounds import depth_round_bound
 
 
 class TestSamplePositions:
@@ -662,6 +663,48 @@ class TestRegularTreeSpec:
         assert spec.size == 27
         assert spec.num_shards == 3
         assert spec.shard_size == 9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arity=st.integers(2, 9),
+        depth=st.integers(2, 3),
+        redundancy=st.integers(1, 4),
+        fanout=st.integers(1, 4),
+        threshold_h=st.sampled_from([0, 1, 3, 12]),
+        loss_aware=st.booleans(),
+        assumed=st.sampled_from([0.0, 0.1, 0.4]),
+        window=st.tuples(st.integers(0, 3), st.integers(1, 64)).filter(
+            lambda w: w[0] <= w[1]
+        ),
+        pittel_c=st.sampled_from([0.0, 1.0, 1.5, 4.0]),
+        seed=st.integers(0, 2 ** 16),
+        rate=st.sampled_from([0.0, 0.05, 0.3, 0.8, 1.0]),
+    )
+    def test_bounds_are_line_7s_bound(
+        self, arity, depth, redundancy, fanout, threshold_h, loss_aware,
+        assumed, window, pittel_c, seed, rate,
+    ):
+        """Every subgroup's precomputed bound is depth_round_bound of
+        its view length and rate — the one line-7 implementation."""
+        config = PmcastConfig(
+            fanout=fanout,
+            redundancy=min(redundancy, arity),
+            threshold_h=threshold_h,
+            loss_aware_rounds=loss_aware,
+            assumed_loss=assumed,
+            assumed_crash=assumed / 2,
+            min_rounds_per_depth=window[0],
+            max_rounds_per_depth=window[1],
+            pittel_c=pittel_c,
+        )
+        own = np.random.default_rng(seed).random(arity ** depth) < rate
+        spec = RegularTreeSpec.build(arity, depth, own, config=config)
+        for table in spec.tables:
+            assert table.bound.dtype == np.int64
+            assert table.bound.tolist() == [
+                depth_round_bound(table.length, float(r), config)
+                for r in table.rate
+            ]
 
 
 class TestTreeRoundInvariants:

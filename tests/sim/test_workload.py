@@ -9,8 +9,6 @@ from repro.errors import SimulationError
 from repro.interests import Subscription
 from repro.sim import (
     bernoulli_interests,
-    clustered_interests,
-    exact_count_interests,
     random_event,
     random_subscriptions,
 )
@@ -37,47 +35,6 @@ class TestBernoulli:
     def test_invalid_rate(self):
         with pytest.raises(SimulationError):
             bernoulli_interests(addresses(), 1.5, random.Random(0))
-
-
-class TestClustered:
-    def test_full_correlation_uniform_leaf_groups(self):
-        members = clustered_interests(
-            addresses(), 0.5, correlation=1.0, rng=random.Random(1)
-        )
-        by_group = {}
-        for address, interest in members.items():
-            by_group.setdefault(address.prefix(3), set()).add(
-                interest.interested
-            )
-        assert all(len(flags) == 1 for flags in by_group.values())
-
-    def test_zero_correlation_is_bernoulli_like(self):
-        members = clustered_interests(
-            addresses(), 0.5, correlation=0.0, rng=random.Random(1)
-        )
-        interested = sum(1 for i in members.values() if i.interested)
-        assert interested / len(members) == pytest.approx(0.5, abs=0.15)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(SimulationError):
-            clustered_interests(addresses(), 0.5, 1.5, random.Random(0))
-        with pytest.raises(SimulationError):
-            clustered_interests(addresses(), -0.5, 0.5, random.Random(0))
-
-
-class TestExactCount:
-    def test_exact(self):
-        members = exact_count_interests(addresses(), 7, random.Random(2))
-        interested = sum(1 for i in members.values() if i.interested)
-        assert interested == 7
-
-    def test_bounds(self):
-        all_addresses = addresses()
-        with pytest.raises(SimulationError):
-            exact_count_interests(all_addresses, len(all_addresses) + 1,
-                                  random.Random(0))
-        with pytest.raises(SimulationError):
-            exact_count_interests(all_addresses, -1, random.Random(0))
 
 
 class TestContentUniverse:

@@ -73,7 +73,6 @@ class TestPublicApi:
             AddressError,
             AnalysisError,
             ConfigError,
-            ElectionError,
             MembershipError,
             NetError,
             ParseError,
@@ -86,7 +85,6 @@ class TestPublicApi:
             AddressError,
             AnalysisError,
             ConfigError,
-            ElectionError,
             MembershipError,
             NetError,
             ParseError,
