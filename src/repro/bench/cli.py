@@ -13,8 +13,7 @@ Examples::
 defaults regenerate the paper-scale figures (n ≈ 10 000 — expect a few
 minutes per figure on a laptop).  ``--jobs N|auto`` fans the trial
 loops out over a process pool **without changing any output bit**
-(see docs/VALIDATION.md, "Parallel execution"); ``--checkpoint
-PREFIX`` makes sweeps resumable after an interruption.
+(see docs/VALIDATION.md, "Parallel execution").
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ _PARAMETERS = {
     "crash": ("crash_fraction", float, "crash fraction tau (default 0)"),
     "threshold": ("threshold_h", int,
                   "tuning threshold h for figure 7 (default 12)"),
-    "checkpoint": ("checkpoint", str, "PREFIX of the JSONL shard files of "
-                   "resumable sweeps: an interrupted run re-invoked with "
-                   "the same arguments skips completed trials and produces "
-                   "identical tables"),
 }
 
 
@@ -66,9 +61,7 @@ def _figure6(arity: Optional[int] = None, **sweep: object) -> ExperimentResult:
     return figures.figure6(**sweep)
 
 
-_SWEEP = frozenset(
-    {"arity", "trials", "seed", "loss", "crash", "checkpoint", "jobs"}
-)
+_SWEEP = frozenset({"arity", "trials", "seed", "loss", "crash", "jobs"})
 _SEEDED = frozenset({"arity", "seed"})
 _GRID = _SEEDED | {"jobs"}
 
@@ -180,8 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for name in selected:
                 run, accepts = REGISTRY[name]
                 kwargs = dict(forwarded)
-                if "checkpoint" in kwargs:
-                    kwargs["checkpoint"] = f"{args.checkpoint}.{name}"
                 if "jobs" in accepts:
                     kwargs["executor"] = executor
                 started = time.time()
@@ -189,17 +180,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"[{name} in {time.time() - started:.1f}s]")
                 print()
     except ReproError as exc:
-        # A bad --jobs, an arity no address space accepts, a corrupt or
-        # mismatched checkpoint shard: a usage/environment error like
-        # any other, never a traceback.
+        # A bad --jobs or an arity no address space accepts: a usage
+        # error like any other, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if executor.trials_total:
+    if executor.trials_run:
         # stderr, so stdout stays bit-identical for every --jobs value.
         print(
             f"[dispatch: {executor.trials_run} trials run, "
-            f"{executor.trials_resumed} resumed from "
-            f"checkpoint, jobs={executor.jobs}]",
+            f"jobs={executor.jobs}]",
             file=sys.stderr,
         )
     return 0

@@ -131,7 +131,6 @@ def reliability_sweep(
     crash_fraction: float = 0.0,
     threshold_h: int = 0,
     executor: Optional[TrialExecutor] = None,
-    checkpoint: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """One row per matching rate: mean delivery / false-reception etc.
 
@@ -144,8 +143,7 @@ def reliability_sweep(
     serial executor by default); the rows are **bit-identical for any
     worker count**, because every trial's randomness is a pure
     function of ``(seed, rate, trial)`` and aggregation runs over the
-    task-ordered result list.  ``checkpoint`` names a JSONL shard file
-    for resumable sweeps (see :mod:`repro.par.checkpoint`).
+    task-ordered result list.
     """
     if trials < 1:
         raise ReproError(f"trials {trials} must be >= 1")
@@ -160,7 +158,6 @@ def reliability_sweep(
         matching_rates,
         trials,
         lambda rate, trial: (rate, trial, *common),
-        checkpoint=checkpoint,
     )
     return [
         {
@@ -238,7 +235,6 @@ def _pd_figure(
     loss_probability: float,
     crash_fraction: float,
     executor: Optional[TrialExecutor],
-    checkpoint: Optional[str],
 ) -> ExperimentResult:
     """Row ``number`` of :data:`_PD_FIGURES`: one untuned and/or one
     tuned :func:`reliability_sweep`, each curve a column of one."""
@@ -248,8 +244,6 @@ def _pd_figure(
             matching_rates, arity, depth, redundancy, fanout, trials,
             seed, loss_probability, crash_fraction,
             threshold_h if tuned else 0, executor,
-            None if checkpoint is None
-            else f"{checkpoint}.{'tuned' if tuned else 'original'}",
         )
         for tuned in sorted({tuned for __, tuned, __ in curves})
     }
@@ -288,7 +282,6 @@ def figure4(
     loss_probability: float = 0.0,
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
-    checkpoint: Optional[str] = None,
 ) -> ExperimentResult:
     """Figure 4 — P(delivery) for interested processes vs p_d.
 
@@ -298,7 +291,7 @@ def figure4(
     """
     return _pd_figure(
         4, arity, depth, redundancy, fanout, matching_rates, trials, 0,
-        seed, loss_probability, crash_fraction, executor, checkpoint,
+        seed, loss_probability, crash_fraction, executor,
     )
 
 
@@ -313,7 +306,6 @@ def figure5(
     loss_probability: float = 0.0,
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
-    checkpoint: Optional[str] = None,
 ) -> ExperimentResult:
     """Figure 5 — P(reception) for uninterested processes vs p_d.
 
@@ -322,7 +314,7 @@ def figure5(
     """
     return _pd_figure(
         5, arity, depth, redundancy, fanout, matching_rates, trials, 0,
-        seed, loss_probability, crash_fraction, executor, checkpoint,
+        seed, loss_probability, crash_fraction, executor,
     )
 
 
@@ -337,7 +329,6 @@ def figure6(
     loss_probability: float = 0.0,
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
-    checkpoint: Optional[str] = None,
 ) -> ExperimentResult:
     """Figure 6 — scalability: P(delivery) vs subgroup size a.
 
@@ -350,9 +341,6 @@ def figure6(
             [rate], arity, depth, redundancy, fanout, trials, seed,
             loss_probability, crash_fraction,
             executor=executor,
-            checkpoint=None
-            if checkpoint is None
-            else f"{checkpoint}.p{rate}-a{arity}",
         )[0]["delivery"]
         for rate in matching_rates
         for arity in arities
@@ -393,7 +381,6 @@ def figure7(
     loss_probability: float = 0.0,
     crash_fraction: float = 0.0,
     executor: Optional[TrialExecutor] = None,
-    checkpoint: Optional[str] = None,
 ) -> ExperimentResult:
     """Figure 7 — tuned (threshold h) vs untuned delivery vs p_d.
 
@@ -405,5 +392,4 @@ def figure7(
     return _pd_figure(
         7, arity, depth, redundancy, fanout, matching_rates, trials,
         threshold_h, seed, loss_probability, crash_fraction, executor,
-        checkpoint,
     )

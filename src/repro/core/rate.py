@@ -105,10 +105,6 @@ class TableMatch:
         """The number of gossipable entries (``|view| * R`` below d)."""
         return len(self.entries)
 
-    def is_interested(self, address: Address) -> bool:
-        """True if ``address`` should be sent the event (line 13)."""
-        return address in self.matching
-
     def round_bound(self, rate: float, config: PmcastConfig) -> int:
         """Line 7: ``T(|entries|·rate, F·rate)`` for an entry buffered
         at ``rate``, memoized per rate.

@@ -57,7 +57,7 @@ class ValidationError(ReproError):
 
 
 class ParallelError(ReproError):
-    """The parallel trial executor was misused or a checkpoint is corrupt."""
+    """The parallel trial executor was misused."""
 
 
 class NetError(ReproError):

@@ -10,43 +10,36 @@ guarantee: **the returned result list is identical for every
 1. trials are pure functions of their task (all randomness derives
    from seeds inside the task — ``repro.sim.rng.derive_seed(root,
    *grid_point, trial)``);
-2. results are reassembled by task *index*, never by completion order;
+2. results come back in task order, never in completion order;
 3. aggregation happens in the caller, over the ordered result list —
    exactly the order the historical serial loops used.
 
 Dispatch is *chunked*: contiguous runs of tasks, about four chunks per
 worker, travel to a worker in one submission, amortising pickling
-overhead.  Each completed trial may be appended to a JSONL
-**checkpoint shard** (:mod:`repro.par.checkpoint`), from which an
-interrupted sweep resumes without recomputing finished trials — and,
-because results are replayed verbatim, with byte-identical final
-aggregates.
+overhead; ``ProcessPoolExecutor.map`` hands the chunks back in
+submission order, and they are flattened in that order.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import closing
-from itertools import islice
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import chain, islice
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParallelError
-from repro.par.checkpoint import ShardFile, run_fingerprint, task_key
 
 __all__ = ["TrialExecutor", "resolve_jobs"]
-
-#: One dispatched chunk: (index, task) pairs, contiguous in task order.
-_Chunk = List[Tuple[int, Any]]
 
 
 def resolve_jobs(jobs: Union[int, str, None]) -> int:
     """Normalise a ``--jobs`` value: an int, a digit string, or "auto".
 
-    ``"auto"`` (or ``None``) resolves to the machine's usable CPU
-    count — the scheduler-visible affinity set where the platform
-    exposes one, so a container limited to 2 of 64 cores gets 2
-    workers, not 64.
+    ``None`` resolves to 1.  ``"auto"`` resolves to the machine's
+    usable CPU count — the scheduler-visible affinity set where the
+    platform exposes one, so a container limited to 2 of 64 cores gets
+    2 workers, not 64.
 
     Raises:
         ParallelError: on a non-positive or unparseable value.
@@ -71,9 +64,9 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
     return jobs
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: _Chunk) -> _Chunk:
-    """Worker-side chunk body: (index, result) for each trial."""
-    return [(index, fn(task)) for index, task in chunk]
+def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> List[Any]:
+    """Worker-side chunk body: one result per task, in chunk order."""
+    return [fn(task) for task in chunk]
 
 
 class TrialExecutor:
@@ -88,15 +81,12 @@ class TrialExecutor:
     The executor is reusable across :meth:`run` calls (one pool serves
     a whole ``--all`` figure regeneration) and is a context manager;
     :meth:`close` shuts the pool down.  Across those calls it counts
-    ``trials_total`` (tasks handed to :meth:`run`), ``trials_resumed``
-    (replayed from a checkpoint) and ``trials_run`` (computed) — the
-    ``[dispatch: …]`` line of ``python -m repro.bench``.
+    ``trials_run`` — the ``[dispatch: …]`` line of
+    ``python -m repro.bench``.
     """
 
     def __init__(self, jobs: Union[int, str, None] = 1):
         self.jobs = resolve_jobs(jobs)
-        self.trials_total = 0
-        self.trials_resumed = 0
         self.trials_run = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -121,64 +111,32 @@ class TrialExecutor:
 
     # -- execution -------------------------------------------------------
 
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        checkpoint: Optional[str] = None,
-    ) -> List[Any]:
+    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         """Run ``fn`` over every task; results in task order.
 
         Args:
             fn: the trial function — a **module-level** callable (the
                 process pool pickles it by reference) taking one task
-                and returning its result.  When checkpointing, results
-                must round-trip through JSON.
+                and returning its result.
             tasks: picklable task tuples; each trial's randomness must
                 derive from seeds carried *in the task*.
-            checkpoint: optional path of a JSONL shard file.  Completed
-                trials found there are replayed instead of recomputed;
-                newly completed trials are appended as they finish.
 
         Returns:
             one result per task, indexed like ``tasks`` — regardless of
             ``jobs``, chunking, or worker scheduling.
-
-        Raises:
-            ParallelError: on a corrupt or mismatched checkpoint.
         """
         tasks = list(tasks)
-        shard: Optional[ShardFile] = None
-        done: dict = {}
-        if checkpoint is not None:
-            keys = [task_key(task) for task in tasks]
-            name = f"{getattr(fn, '__module__', '?')}.{fn.__qualname__}"
-            shard = ShardFile(checkpoint, run_fingerprint(name, keys), keys)
-            done = shard.load()
-        results: List[Any] = [None] * len(tasks)
-        for index, result in done.items():
-            results[index] = result
-        pending: _Chunk = [
-            (index, task)
-            for index, task in enumerate(tasks)
-            if index not in done
-        ]
-        self.trials_total += len(tasks)
-        self.trials_resumed += len(done)
-        if not pending:
-            return results
-        try:
-            if shard is not None:
-                shard.open_for_append()
-            with closing(self._completions(fn, pending)) as completions:
-                for index, result in completions:
-                    results[index] = result
-                    self.trials_run += 1
-                    if shard is not None:
-                        shard.append(index, result)
-        finally:
-            if shard is not None:
-                shard.close()
+        if self.jobs == 1 or not tasks:
+            results = [fn(task) for task in tasks]
+        else:
+            size = -(-len(tasks) // (self.jobs * 4))
+            chunks = self._ensure_pool().map(
+                partial(_run_chunk, fn),
+                [tasks[start:start + size]
+                 for start in range(0, len(tasks), size)],
+            )
+            results = list(chain.from_iterable(chunks))
+        self.trials_run += len(results)
         return results
 
     def run_grid(
@@ -187,14 +145,12 @@ class TrialExecutor:
         points: Sequence[Any],
         trials: int,
         make_task: Callable[[Any, int], Any],
-        checkpoint: Optional[str] = None,
     ) -> List[Tuple[Any, List[Any]]]:
         """Run ``trials`` trials of ``fn`` at every grid point.
 
         The task list is ``make_task(point, trial)`` in point-major,
-        trial-minor order — one :meth:`run` call, so chunking,
-        checkpointing and the any-``jobs`` guarantee are exactly
-        :meth:`run`'s.
+        trial-minor order — one :meth:`run` call, so chunking and
+        the any-``jobs`` guarantee are exactly :meth:`run`'s.
 
         Returns:
             ``[(point, outcomes)]`` in ``points`` order, ``outcomes``
@@ -206,35 +162,5 @@ class TrialExecutor:
             for point in points
             for trial in range(trials)
         ]
-        outcomes = iter(self.run(fn, tasks, checkpoint=checkpoint))
+        outcomes = iter(self.run(fn, tasks))
         return [(point, list(islice(outcomes, trials))) for point in points]
-
-    def _completions(
-        self, fn: Callable[[Any], Any], pending: _Chunk
-    ) -> Iterator[Tuple[int, Any]]:
-        """``(index, result)`` for every pending trial, as each finishes.
-
-        Serial: in task order.  Pool: chunk by chunk in completion
-        order (nondeterministic) — which is why checkpoint appends are
-        keyed by index and never by position.
-        """
-        if self.jobs == 1:
-            for index, task in pending:
-                yield index, fn(task)
-            return
-        size = max(1, -(-len(pending) // (self.jobs * 4)))
-        pool = self._ensure_pool()
-        futures = {
-            pool.submit(_run_chunk, fn, pending[start:start + size])
-            for start in range(0, len(pending), size)
-        }
-        try:
-            while futures:
-                completed, futures = wait(
-                    futures, return_when=FIRST_COMPLETED
-                )
-                for future in completed:
-                    yield from future.result()
-        finally:
-            for future in futures:
-                future.cancel()

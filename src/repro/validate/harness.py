@@ -859,7 +859,6 @@ def run_conformance(
     quick: bool = False,
     settings: Optional[Sequence[Tuple[float, float]]] = None,
     jobs: object = 1,
-    executor: Optional[TrialExecutor] = None,
 ) -> ValidationReport:
     """Run the conformance suites and return the report.
 
@@ -881,9 +880,6 @@ def run_conformance(
             aggregated in task order.  ``jobs`` is deliberately *not*
             recorded in the report's config, so serial and parallel
             reports compare equal byte for byte.
-        executor: an externally managed :class:`~repro.par.executor.
-            TrialExecutor` to dispatch through (overrides ``jobs``);
-            the caller keeps ownership and must close it.
 
     Raises:
         ValidationError: on an unknown suite name.
@@ -898,11 +894,8 @@ def run_conformance(
     grid = tuple(settings) if settings else (
         DEFAULT_SETTINGS if quick else FULL_SETTINGS
     )
-    owns_executor = executor is None
-    if executor is None:
-        executor = TrialExecutor(jobs=jobs)  # type: ignore[arg-type]
     checks: List[CheckResult] = []
-    try:
+    with TrialExecutor(jobs=jobs) as executor:  # type: ignore[arg-type]
         for suite, (calibrated, runner) in _REGISTRY.items():
             if suite not in chosen:
                 continue
@@ -918,9 +911,6 @@ def run_conformance(
                         f"got {count}"
                     )
             checks.extend(runner(_Run(grid, count, seed, executor, quick)))
-    finally:
-        if owns_executor:
-            executor.close()
     return ValidationReport(
         checks=tuple(checks),
         config={

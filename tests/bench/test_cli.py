@@ -79,10 +79,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, complaint",
         [
-            (["--experiment", "baselines", "--trials", "7", "--loss", "0.1",
-              "--checkpoint", "X"],
-             "baselines does not take --checkpoint; baselines does not "
-             "take --loss; baselines does not take --trials"),
+            (["--experiment", "baselines", "--trials", "7", "--loss", "0.1"],
+             "baselines does not take --loss; baselines does not take "
+             "--trials"),
             (["--figure", "4", "--figure", "7", "--threshold", "5"],
              "figure4 does not take --threshold"),
             (["--experiment", "rounds_model", "--seed", "3"],
@@ -104,7 +103,7 @@ class TestCli:
         # Experiments over the trial grid report their dispatch too...
         assert main(["--experiment", "membership_convergence"]) == 0
         assert capsys.readouterr().err == (
-            "[dispatch: 8 trials run, 0 resumed from checkpoint, jobs=1]\n"
+            "[dispatch: 8 trials run, jobs=1]\n"
         )
         # ...and a closed-form table, which ran none, does not.
         assert main(["--experiment", "view_sizes", "--jobs", "2"]) == 0

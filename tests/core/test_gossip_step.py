@@ -55,7 +55,7 @@ def reference_step(node, ctx, config):
                 )
                 count = min(config.fanout, len(candidates))
                 for destination in ctx.rng.sample(candidates, count):
-                    if match.is_interested(destination):
+                    if destination in match.matching:
                         out.append(Envelope(destination, message))
             elif depth < leaf:
                 next_match = ctx.table_match(

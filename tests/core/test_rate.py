@@ -53,9 +53,9 @@ class TestMatchTable:
     def test_matching_set_is_row_based(self):
         table = table_with_flags([True, False])
         match = match_table(table, Event({}))
-        assert match.is_interested(Address((0, 0, 0)))
-        assert match.is_interested(Address((0, 0, 1)))
-        assert not match.is_interested(Address((0, 1, 0)))
+        assert Address((0, 0, 0)) in match.matching
+        assert Address((0, 0, 1)) in match.matching
+        assert Address((0, 1, 0)) not in match.matching
 
     def test_entries_in_view_order(self):
         table = table_with_flags([True, True])
@@ -93,9 +93,9 @@ class TestTunedMatching:
         assert match.inflated
         assert match.natural_hits == 2          # one row, R=2 delegates
         # First 3 entries: (0,0,0), (0,0,1), (0,1,0) plus row-2 matches.
-        assert match.is_interested(Address((0, 0, 0)))
-        assert match.is_interested(Address((0, 1, 0)))
-        assert match.is_interested(Address((0, 2, 0)))
+        assert Address((0, 0, 0)) in match.matching
+        assert Address((0, 1, 0)) in match.matching
+        assert Address((0, 2, 0)) in match.matching
         assert len(match.matching) == 5
         assert match.rate == pytest.approx(5 / 8)
 

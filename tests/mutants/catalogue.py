@@ -112,4 +112,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "        return None",
         ("tests/net/test_transport.py::TestWireFormat::test_malformed_datagrams_raise_net_error",),
     ),
+    Mutant(
+        "the trial pool drops the last chunk",
+        "repro/par/executor.py",
+        "                 for start in range(0, len(tasks), size)],",
+        "                 for start in range(0, len(tasks) - size, size)],",
+        ("tests/par/test_executor.py::TestOrdering::test_uneven_chunks_keep_every_task_in_order",),
+    ),
 )

@@ -47,9 +47,17 @@ class TestOrdering:
 
     def test_results_in_task_order_pool(self):
         # Ten tasks over three workers is one task a chunk: ten chunks
-        # racing, reassembled by index.
+        # racing, handed back in submission order.
         with TrialExecutor(jobs=3) as executor:
             assert executor.run(echo_fn, TASKS) == TASKS
+
+    def test_uneven_chunks_keep_every_task_in_order(self):
+        # 23 tasks over two workers travel as seven chunks of three and
+        # a last chunk of two: every chunk comes back, in task order.
+        tasks = list(range(23))
+        with TrialExecutor(jobs=2) as executor:
+            assert executor.run(echo_fn, tasks) == tasks
+        assert executor.trials_run == 23
 
     def test_pool_matches_serial_for_seeded_trials(self):
         with TrialExecutor(jobs=1) as executor:
@@ -77,7 +85,7 @@ class TestRunGrid:
     def make_task(point, trial):
         return (*point, trial)
 
-    def old_slicing(self, executor, checkpoint=None):
+    def old_slicing(self, executor):
         """The hand-rolled loop ``run_grid`` replaced, verbatim."""
         trials = self.TRIALS
         tasks = [
@@ -85,7 +93,7 @@ class TestRunGrid:
             for point in self.POINTS
             for trial in range(trials)
         ]
-        outcomes = executor.run(draw_fn, tasks, checkpoint=checkpoint)
+        outcomes = executor.run(draw_fn, tasks)
         return [
             (point, outcomes[offset * trials:(offset + 1) * trials])
             for offset, point in enumerate(self.POINTS)
@@ -111,25 +119,6 @@ class TestRunGrid:
             for trial in range(self.TRIALS)
         ]
 
-    def test_checkpoint_is_the_one_run_would_write(self, tmp_path):
-        # Same trial function, same task list -> same shard
-        # fingerprint: a sweep checkpointed through the old loop
-        # resumes through run_grid without recomputing anything.
-        shard = str(tmp_path / "grid.jsonl")
-        with TrialExecutor(jobs=1) as executor:
-            first = self.old_slicing(executor, checkpoint=shard)
-        with TrialExecutor(jobs=1) as executor:
-            resumed = executor.run_grid(
-                draw_fn,
-                self.POINTS,
-                self.TRIALS,
-                self.make_task,
-                checkpoint=shard,
-            )
-        assert resumed == first
-        assert executor.trials_run == 0
-        assert executor.trials_resumed == len(self.POINTS) * self.TRIALS
-
     def test_empty_grid(self):
         with TrialExecutor(jobs=1) as executor:
             assert executor.run_grid(echo_fn, [], 3, self.make_task) == []
@@ -140,9 +129,7 @@ class TestMetrics:
         with TrialExecutor(jobs=1) as executor:
             executor.run(echo_fn, [1, 2, 3, 4, 5])
             executor.run(echo_fn, [6, 7])
-        assert executor.trials_total == 7
         assert executor.trials_run == 7
-        assert executor.trials_resumed == 0
 
 
 class TestFailures:
