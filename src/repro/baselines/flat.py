@@ -26,7 +26,7 @@ points below build the variant on the historical RNG streams
 (``flat-gossip`` / ``flat-network`` / ``flat-crash``) and drive it
 through :func:`repro.variants.base.run_variant` — reports are
 bit-identical to the pre-extraction loop, and the baselines gained
-``faults`` and ``observer`` (trace, sink, sampling, timeline) support
+``faults`` and ``observer`` (trace, sampling, timeline) support
 for free.
 """
 

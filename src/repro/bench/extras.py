@@ -487,7 +487,7 @@ def latency(arity: int = 8, seed: int = 0) -> ExperimentResult:
         SimConfig(seed=7000 + seed),
         trace=trace,
     )
-    rounds = sorted(record.round for record in trace.deliveries())
+    rounds = sorted(record.round for record in trace.filter(kind="deliver"))
     count = len(rounds)
     budget, per_depth = tree_total_rounds(0.5, arity, DEPTH, 3, 2)
     return _table(

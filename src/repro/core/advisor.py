@@ -76,6 +76,10 @@ def _predict(
     }
 
 
+#: The values of Pittel's additive constant c the search tries.
+_C_CANDIDATES = (0.0, 1.0, 2.0)
+
+
 def recommend_parameters(
     arity: int,
     depth: int,
@@ -86,7 +90,6 @@ def recommend_parameters(
     crash_fraction: float = 0.0,
     max_fanout: int = 6,
     max_threshold: Optional[int] = None,
-    c_candidates: Sequence[float] = (0.0, 1.0, 2.0),
 ) -> Recommendation:
     """Search the §4 model for the cheapest config meeting a target.
 
@@ -109,7 +112,6 @@ def recommend_parameters(
         max_fanout: largest F to consider.
         max_threshold: largest h to consider (defaults to the inner
             view size R*a).
-        c_candidates: values of Pittel's additive constant to try.
 
     Returns:
         a :class:`Recommendation`; ``achieved`` is False if even the
@@ -135,7 +137,7 @@ def recommend_parameters(
     best: Optional[Tuple[Dict[float, float], PmcastConfig]] = None
     for fanout in range(1, max_fanout + 1):
         for threshold_h in threshold_steps:
-            for pittel_c in c_candidates:
+            for pittel_c in _C_CANDIDATES:
                 predicted = _predict(
                     arity,
                     depth,

@@ -11,7 +11,7 @@ While a process has protocol work its gossip timer is a
 (first fire after a seeded start offset, so timers do not herd) and
 parks when the work runs out; a datagram enqueues into the mailbox and
 restarts a parked timer.  The run quiesces when no send or receive
-happened for ``quiet_periods`` periods and every timer parked, or at
+happened for :data:`QUIET_PERIODS` periods and every timer parked, or at
 the ``hard_timeout_s`` wall-clock cap.
 
 The protocol logic is the engine's own :class:`PmcastNode`, untouched,
@@ -25,7 +25,7 @@ runtime (:mod:`repro.net.runtime`).
 
 The run's :class:`~repro.obs.probes.Observer` receives round-less
 ``publish``/``timer_fire``/``send``/``recv``/``receive``/``deliver``
-records ordered by ``time_us`` on its trace and/or sink, and one ``net``
+records ordered by ``time_us`` on its trace destination, and one ``net``
 collector (the :class:`UdpRunStats` counters) on its registry; no
 timeline spans yet (ROADMAP item 6).
 """
@@ -50,6 +50,10 @@ from repro.sim.rng import derive_rng
 
 __all__ = ["UdpRunStats", "run_udp_dissemination"]
 
+#: The quiescence window: a run ends after this many gossip periods
+#: with no send, receive, or pending mailbox.
+QUIET_PERIODS = 5
+
 
 @dataclass(frozen=True)
 class UdpRunStats:
@@ -57,7 +61,7 @@ class UdpRunStats:
 
     ``events`` counts protocol events processed — timer fires, protocol
     sends, and drained receptions.  ``completed`` is True when the run
-    quiesced on its own (no activity for the configured quiet window)
+    quiesced on its own (no activity for the quiet window)
     rather than hitting the hard timeout.  ``undrained`` counts the
     received datagrams still queued in a mailbox when the run stopped
     (0 for a completed run), so ``datagrams_received == receptions +
@@ -98,7 +102,6 @@ def run_udp_dissemination(
     seed: int = 0,
     loss_probability: float = 0.0,
     period_s: float = 0.05,
-    quiet_periods: int = 5,
     hard_timeout_s: float = 30.0,
     trace: Optional[TraceLog] = None,
     host: str = "127.0.0.1",
@@ -114,16 +117,17 @@ def run_udp_dissemination(
         loss_probability: software ε applied at send per transport —
             seeded, so the *loss model* is reproducible even though
             datagram timing is not.
-        period_s: the gossip period P, real seconds.
-        quiet_periods: quiescence window — the run ends after this many
-            periods with no send, receive, or pending mailbox.
+        period_s: the gossip period P, real seconds; the run ends after
+            :data:`QUIET_PERIODS` periods with no send, receive, or
+            pending mailbox.
         hard_timeout_s: wall-clock cap; hitting it reports
             ``completed=False`` instead of hanging a test or bench.
         trace: shorthand for ``observer=Observer(trace=...)``
             (:func:`~repro.obs.probes.fold_shorthands`).
         observer: optional :class:`~repro.obs.probes.Observer`: the
             round-less event trace (``time_us`` ordered) goes to its
-            trace/sink, the run's counters to its registry (``net``).
+            trace destination, the run's counters to its registry
+            (``net``).
 
     Returns:
         ``(report, stats)``.
@@ -138,7 +142,7 @@ def run_udp_dissemination(
     return asyncio.run(
         _run_udp(
             group, publisher, event, seed, loss_probability, period_s,
-            quiet_periods, hard_timeout_s, observer, host,
+            hard_timeout_s, observer, host,
         )
     )
 
@@ -150,7 +154,6 @@ async def _run_udp(
     seed: int,
     loss_probability: float,
     period_s: float,
-    quiet_periods: int,
     hard_timeout_s: float,
     observer: Observer,
     host: str,
@@ -338,7 +341,7 @@ async def _run_udp(
             await asyncio.sleep(period_s)
             infection_curve.append(infected[0])
             quiet = loop.time() - last_activity[0]
-            if not driving and quiet >= quiet_periods * period_s:
+            if not driving and quiet >= QUIET_PERIODS * period_s:
                 completed = True
                 break
     finally:

@@ -9,19 +9,20 @@ which match.  This subpackage is that substrate:
   subsystem, with a zero-overhead null implementation
   (:data:`NULL_REGISTRY`) when disabled;
 * :mod:`repro.obs.trace` — the versioned record schema
-  (:data:`TRACE_SCHEMA`) and the indexed :class:`TraceLog`, shared by
-  the dissemination engine and the live runtime;
+  (:data:`TRACE_SCHEMA`) and the in-memory, kind-indexed
+  :class:`TraceLog`;
 * :mod:`repro.obs.probes` — the :class:`Observer` handle components
-  take to emit records and counters through one argument;
-* :mod:`repro.obs.sink` — streaming JSONL export with capacity and
-  rotation, plus loaders and schema validation;
+  take to emit records and counters through one argument, into one
+  trace destination (a ``TraceLog`` or a ``JsonlSink``);
+* :mod:`repro.obs.sink` — the streaming JSONL :class:`JsonlSink`, the
+  :func:`read_trace` loader and schema validation;
 * :mod:`repro.obs.sampling` — deterministic hash-based trace sampling
   (:class:`TraceSampler`), so million-member kernels emit
   O(rate · n · rounds) records with bit-identical sampled subsets at
   any worker count;
 * :mod:`repro.obs.timeline` — the ``repro.obs.timeline/v1`` wall-clock
-  phase-span schema (:class:`TimelineRecorder`) plus RSS/tracemalloc
-  probes, strictly out of band;
+  phase-span schema (:class:`TimelineRecorder`) plus RSS probes,
+  strictly out of band;
 * :mod:`repro.obs.cli` — ``python -m repro.obs
   summarize|diff|validate|render`` for offline analysis.
 
@@ -45,9 +46,7 @@ from repro.obs.sampling import (
 )
 from repro.obs.sink import (
     JsonlSink,
-    iter_records,
     open_text,
-    read_meta,
     read_trace,
     validate_trace,
 )
@@ -70,9 +69,7 @@ __all__ = [
     "Observer",
     "NULL_OBSERVER",
     "JsonlSink",
-    "iter_records",
     "open_text",
-    "read_meta",
     "read_trace",
     "validate_trace",
     "SAMPLING_SCHEME",

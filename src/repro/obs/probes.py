@@ -1,14 +1,16 @@
 """The :class:`Observer`: one handle bundling metrics and trace output.
 
 Components that want to be observable take a single ``observer``
-argument instead of separate registry/trace/sink plumbing:
+argument instead of separate registry/trace plumbing:
 
 * :attr:`Observer.registry` hands out counters/gauges/histograms (the
   shared :data:`~repro.obs.registry.NULL_REGISTRY` when metrics are
   off);
 * :meth:`Observer.emit` appends one :class:`~repro.obs.trace.
-  TraceRecord` to the in-memory log and/or the streaming sink —
-  whichever is attached — filtered through the optional
+  TraceRecord` to the observer's one trace destination — an in-memory
+  :class:`~repro.obs.trace.TraceLog` or a streaming
+  :class:`~repro.obs.sink.JsonlSink`, both of which take ``append``
+  and ``annotate`` — filtered through the optional
   :class:`~repro.obs.sampling.TraceSampler` first;
 * :attr:`Observer.tracing` is the cheap guard hot loops check before
   assembling per-record arguments;
@@ -26,7 +28,7 @@ timelines only read the wall clock.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.addressing import Address
 from repro.errors import ObservabilityError
@@ -45,40 +47,38 @@ class Observer:
     Args:
         registry: instrument store; ``None`` selects the shared null
             registry (all instruments no-op).
-        trace: an in-memory :class:`TraceLog` receiving every record.
-        sink: a streaming :class:`JsonlSink` receiving every record.
+        trace: the destination receiving every record — an in-memory
+            :class:`TraceLog` or a streaming :class:`JsonlSink`.
         sampler: an optional :class:`TraceSampler`; when set, a record
-            reaches the destinations only if its ``(kind, process,
+            reaches the destination only if its ``(kind, process,
             event_id)`` key survives the hash decision, and the
-            sampling block is stamped into every destination's
-            metadata so offline tooling can rescale.
+            sampling block is stamped into the destination's metadata
+            so offline tooling can rescale.
         timeline: an optional :class:`TimelineRecorder` for wall-clock
             phase spans (out of band: never sampled, never traced);
             ``None`` selects the shared null timeline.
     """
 
-    __slots__ = ("registry", "trace", "sink", "sampler", "timeline")
+    __slots__ = ("registry", "trace", "sampler", "timeline")
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceLog] = None,
-        sink: Optional[JsonlSink] = None,
+        trace: Optional[Union[TraceLog, JsonlSink]] = None,
         sampler: Optional[TraceSampler] = None,
         timeline: Optional[TimelineRecorder] = None,
     ):
         self.registry = registry_or_null(registry)
         self.trace = trace
-        self.sink = sink
         self.sampler = sampler
         self.timeline = NULL_TIMELINE if timeline is None else timeline
-        if sampler is not None and (trace is not None or sink is not None):
-            self.annotate(sampling=sampler.meta())
+        if sampler is not None and trace is not None:
+            trace.annotate(sampling=sampler.meta())
 
     @property
     def tracing(self) -> bool:
-        """True when at least one trace destination is attached."""
-        return self.trace is not None or self.sink is not None
+        """True when a trace destination is attached."""
+        return self.trace is not None
 
     @property
     def enabled(self) -> bool:
@@ -96,32 +96,28 @@ class Observer:
         value: int = 0,
         time_us: Optional[int] = None,
     ) -> None:
-        """Record one protocol action on every attached destination.
+        """Record one protocol action on the trace destination.
 
         The one place a running driver's record is built: hot loops
         read ``observer.emit if observer.tracing else None`` once and
         call that.
         """
-        if self.trace is None and self.sink is None:
+        if self.trace is None:
             return
         if self.sampler is not None and not self.sampler.keep(
             kind, process, event_id
         ):
             return
-        record = TraceRecord(
-            round, kind, process, peer, event_id, depth, value, time_us
+        self.trace.append(
+            TraceRecord(
+                round, kind, process, peer, event_id, depth, value, time_us
+            )
         )
-        if self.trace is not None:
-            self.trace.append(record)
-        if self.sink is not None:
-            self.sink.emit(record)
 
     def annotate(self, **meta: object) -> None:
-        """Attach run metadata to every trace destination."""
+        """Attach run metadata to the trace destination."""
         if self.trace is not None:
             self.trace.annotate(**meta)
-        if self.sink is not None:
-            self.sink.annotate(**meta)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """The registry's rolled-up metrics."""
@@ -160,7 +156,6 @@ def fold_shorthands(
     return Observer(
         registry=observer.registry,
         trace=observer.trace if trace is None else trace,
-        sink=observer.sink,
         sampler=observer.sampler,
         timeline=observer.timeline if timeline is None else timeline,
     )

@@ -31,9 +31,10 @@ The decision is a pure function of the key:
   and the trace's explanation of any damage — and ``summarize`` reports
   those kinds as counted, never divided by the rate.
 
-The stateless :func:`keep` is what array kernels use to precompute
-per-member keep masks (:func:`keep_mask`); the :class:`TraceSampler`
-adds memoization for record-at-a-time emitters.  A run is sampled by
+Every verdict — the stateless :func:`keep`, the per-member keep masks
+array kernels precompute (:func:`keep_mask`) and the memoizing
+:class:`TraceSampler` of record-at-a-time emitters — comes from one
+function that builds and judges the key.  A run is sampled by
 handing its driver ``Observer(trace=..., sampler=TraceSampler(rate))``:
 :meth:`Observer.emit <repro.obs.probes.Observer.emit>` applies the
 filter and the observer stamps the sampling block into the header.
@@ -73,26 +74,41 @@ def _threshold(rate: float) -> int:
 def is_exact(kind: str) -> bool:
     """Whether records of ``kind`` are outside sampling (``fault_*``).
 
-    The one statement of the rule: :func:`keep` and
-    :meth:`TraceSampler.keep` keep such a record at any rate, and
-    ``summarize`` leaves its count unscaled.
+    The one statement of the rule: every verdict keeps such a record at
+    any rate, and ``summarize`` leaves its count unscaled.
     """
     return kind.startswith("fault_")
 
 
-def keep(kind: str, process: object, event_id: int, rate: float) -> bool:
-    """The stateless sampling verdict for one record key.
+def _verdicts(
+    kind: str, processes: Sequence[object], event_id: int, threshold: int
+) -> List[bool]:
+    """The one place the sampling key is built and judged.
 
-    ``process`` is keyed by its string form (the dotted address), so
-    index-space kernels and the object-model engine agree on every
-    verdict.
+    One verdict per process: kept iff the first 8 bytes (big-endian) of
+    ``sha256(f"{kind}|{process}|{event_id}")`` fall below ``threshold``,
+    or the kind is exact.  ``process`` is keyed by its string form (the
+    dotted address), so index-space kernels and the object-model engine
+    agree on every verdict.
     """
-    threshold = _threshold(rate)
     if threshold >= _SCALE or is_exact(kind):
-        return True
-    key = f"{kind}|{process}|{event_id}".encode("utf-8")
-    word = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    return word < threshold
+        return [True] * len(processes)
+    sha256 = hashlib.sha256
+    prefix = f"{kind}|".encode("utf-8")
+    suffix = f"|{event_id}".encode("utf-8")
+    return [
+        int.from_bytes(
+            sha256(prefix + str(process).encode("utf-8") + suffix).digest()[:8],
+            "big",
+        )
+        < threshold
+        for process in processes
+    ]
+
+
+def keep(kind: str, process: object, event_id: int, rate: float) -> bool:
+    """The stateless sampling verdict for one record key."""
+    return _verdicts(kind, (process,), event_id, _threshold(rate))[0]
 
 
 def keep_mask(
@@ -103,19 +119,7 @@ def keep_mask(
     Returns a plain bool list (callers wanting ``numpy`` wrap it) with
     one entry per process, each the same verdict :func:`keep` returns.
     """
-    threshold = _threshold(rate)
-    if threshold >= _SCALE or is_exact(kind):
-        return [True] * len(processes)
-    sha256 = hashlib.sha256
-    prefix = f"{kind}|".encode("utf-8")
-    suffix = f"|{event_id}".encode("utf-8")
-    out = []
-    for process in processes:
-        key = prefix + str(process).encode("utf-8") + suffix
-        out.append(
-            int.from_bytes(sha256(key).digest()[:8], "big") < threshold
-        )
-    return out
+    return _verdicts(kind, processes, event_id, _threshold(rate))
 
 
 def rescale(count: float, rate: float) -> float:
@@ -153,12 +157,9 @@ class TraceSampler:
         key = (kind, str(process), event_id)
         verdict = self._memo.get(key)
         if verdict is None:
-            raw = f"{key[0]}|{key[1]}|{key[2]}".encode("utf-8")
-            verdict = is_exact(kind) or (
-                int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
-                < self._threshold
-            )
-            self._memo[key] = verdict
+            verdict = self._memo[key] = _verdicts(
+                kind, (key[1],), event_id, self._threshold
+            )[0]
         return verdict
 
     def meta(self) -> Dict[str, object]:

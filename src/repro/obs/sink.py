@@ -1,30 +1,29 @@
-"""Streaming JSONL trace sinks and loaders.
+"""The streaming JSONL trace sink and the trace loaders.
 
 A paper-scale run produces hundreds of thousands of records; keeping
 them all in memory (a :class:`~repro.obs.trace.TraceLog`) is fine for
 tests but wrong for long-lived captures.  :class:`JsonlSink` streams
 records straight to disk — one JSON object per line, after a header
-line carrying the schema tag and run metadata — with an optional
-per-file capacity and rotation, so a runaway run rolls files instead of
-filling the disk.  The header is written with the file's first record,
-so it carries everything annotated before the run emitted anything;
-what is annotated later (the final round count, a fault plan's tallies)
-goes into one more header-shaped line when the file is closed or
-rotated, which every loader folds into the metadata.
+line carrying the schema tag and run metadata.  It takes the same
+``append`` / ``annotate`` calls as a ``TraceLog``, so either is an
+:class:`~repro.obs.probes.Observer`'s trace destination.  The header is
+written with the file's first record, so it carries everything
+annotated before the run emitted anything; what is annotated later
+(the final round count, a fault plan's tallies) goes into one more
+header-shaped line when the file is closed, which the loaders fold
+into the metadata.
 
-The loaders are the inverse: :func:`iter_records` streams a file,
-:func:`read_trace` materializes it as a ``TraceLog``, and
-:func:`validate_trace` checks a file against the schema without
-materializing anything (the CI smoke job runs it via the
-``python -m repro.obs validate`` CLI).
+The loaders are the inverse: :func:`read_trace` materializes a file as
+a ``TraceLog``, and :func:`validate_trace` checks a file against the
+schema without materializing anything (the CI smoke job runs it via
+the ``python -m repro.obs validate`` CLI).
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.trace import TRACE_SCHEMA, TraceLog, TraceRecord
@@ -32,9 +31,7 @@ from repro.obs.trace import TRACE_SCHEMA, TraceLog, TraceRecord
 __all__ = [
     "JsonlSink",
     "open_text",
-    "iter_records",
     "read_trace",
-    "read_meta",
     "validate_trace",
 ]
 
@@ -52,41 +49,22 @@ def open_text(path: str, mode: str = "r"):
 
 
 class JsonlSink:
-    """A streaming JSONL trace writer with capacity-based rotation.
+    """A streaming JSONL trace writer.
 
     Args:
         path: the trace file to write.
-        capacity: records per file; when reached, the file is rotated
-            (``path`` -> ``path.1`` -> ``path.2`` ...) and a fresh one
-            is started.  ``None`` disables rotation.
-        keep: how many rotated files to keep (older ones are deleted).
-        meta: run metadata written into every file's header line
-            (extended by :meth:`annotate`).
+        meta: run metadata written into the header line (extended by
+            :meth:`annotate`).
 
     The sink is also a context manager; :meth:`close` is idempotent.
     """
 
-    def __init__(
-        self,
-        path: str,
-        capacity: Optional[int] = None,
-        keep: int = 3,
-        meta: Optional[Dict[str, object]] = None,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ObservabilityError(f"capacity {capacity} must be >= 1")
-        if keep < 1:
-            raise ObservabilityError(f"keep {keep} must be >= 1")
+    def __init__(self, path: str, meta: Optional[Dict[str, object]] = None):
         self._path = path
-        self._capacity = capacity
-        self._keep = keep
         self._meta = dict(meta or {})
-        #: What was annotated since the live file's header was written
-        #: (``None`` while the header itself is still pending).
+        #: What was annotated since the header was written (``None``
+        #: while the header itself is still pending).
         self._late: Optional[Dict[str, object]] = None
-        self._in_file = 0
-        self._total = 0
-        self._rotations = 0
         self._handle = open_text(self._path, "w")
 
     def _write_meta(self, meta: Dict[str, object]) -> None:
@@ -102,60 +80,25 @@ class JsonlSink:
         self._late = None
         self._handle.close()
 
-    def _rotate(self) -> None:
-        self._finish_file()
-        for index in range(self._keep, 0, -1):
-            older = f"{self._path}.{index}"
-            if index == self._keep:
-                if os.path.exists(older):
-                    os.remove(older)
-                continue
-            if os.path.exists(older):
-                os.replace(older, f"{self._path}.{index + 1}")
-        os.replace(self._path, f"{self._path}.1")
-        self._rotations += 1
-        self._handle = open_text(self._path, "w")
-        self._in_file = 0
-
-    @property
-    def path(self) -> str:
-        """The live trace file."""
-        return self._path
-
-    @property
-    def records_written(self) -> int:
-        """Total records emitted across all rotations."""
-        return self._total
-
-    @property
-    def rotations(self) -> int:
-        """How many times the file has been rotated."""
-        return self._rotations
-
     def annotate(self, **meta: object) -> None:
         """Extend the run metadata: into the header while it is still
-        pending, else into the live file's closing line (and every
-        later file's header)."""
+        pending, else into the file's closing line."""
         self._meta.update(meta)
         if self._late is not None:
             self._late.update(meta)
 
-    def emit(self, record: TraceRecord) -> None:
-        """Write one record, rotating first if the file is full."""
+    def append(self, record: TraceRecord) -> None:
+        """Write one record (the header first, if still pending)."""
         if self._handle is None:
             raise ObservabilityError(f"sink {self._path} is closed")
-        if self._capacity is not None and self._in_file >= self._capacity:
-            self._rotate()
         if self._late is None:
             self._write_meta(self._meta)
             self._late = {}
         self._handle.write(json.dumps(record.to_dict(), sort_keys=True))
         self._handle.write("\n")
-        self._in_file += 1
-        self._total += 1
 
     def close(self) -> None:
-        """Flush and close the live file (idempotent)."""
+        """Flush and close the file (idempotent)."""
         if self._handle is not None:
             self._finish_file()
             self._handle = None
@@ -190,22 +133,12 @@ def _is_closing_line(data: object) -> bool:
     return isinstance(data, dict) and "schema" in data and "kind" not in data
 
 
-def read_meta(path: str) -> Dict[str, object]:
-    """A trace file's metadata: its header line's, extended by the
-    closing line a sink wrote for what the run annotated later."""
+def read_trace(path: str) -> TraceLog:
+    """Load a whole JSONL trace file into an indexed :class:`TraceLog`,
+    its metadata the header's extended by any closing line."""
+    log = TraceLog()
     with open_text(path, "r") as handle:
-        meta = _read_header(handle.readline(), path)
-        for line in handle:
-            if '"schema"' in line:  # no record carries the key
-                meta.update(_read_header(line, path))
-    return meta
-
-
-def _load(path: str, meta: Dict[str, object]) -> Iterator[TraceRecord]:
-    """Stream ``path``'s records, merging its metadata into ``meta`` as
-    the scan passes the header and any closing line."""
-    with open_text(path, "r") as handle:
-        meta.update(_read_header(handle.readline(), path))
+        log.meta.update(_read_header(handle.readline(), path))
         for number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
@@ -217,21 +150,9 @@ def _load(path: str, meta: Dict[str, object]) -> Iterator[TraceRecord]:
                     f"{path}:{number}: not JSON"
                 ) from exc
             if _is_closing_line(data):
-                meta.update(_read_header(line, path))
+                log.meta.update(_read_header(line, path))
             else:
-                yield TraceRecord.from_dict(data)
-
-
-def iter_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a JSONL trace file, validating the header."""
-    return _load(path, {})
-
-
-def read_trace(path: str) -> TraceLog:
-    """Load a whole JSONL trace file into an indexed :class:`TraceLog`."""
-    log = TraceLog()
-    for record in _load(path, log.meta):
-        log.append(record)
+                log.append(TraceRecord.from_dict(data))
     return log
 
 
@@ -239,8 +160,8 @@ def validate_trace(path: str) -> Tuple[int, List[str]]:
     """Check a trace file against the schema, without materializing it.
 
     Returns ``(records_seen, problems)``; an empty problem list means
-    the file is a well-formed :data:`TRACE_SCHEMA` trace.  Unlike the
-    loaders, validation collects every problem instead of raising on
+    the file is a well-formed :data:`TRACE_SCHEMA` trace.  Unlike
+    :func:`read_trace`, validation collects every problem instead of raising on
     the first one.
     """
     problems: List[str] = []

@@ -4,8 +4,7 @@ The trace plane answers *what the protocol did*; this module answers
 *where the time and memory went*.  A :class:`TimelineRecorder` collects
 **spans** — one wall-clock interval per ``(subsystem, phase)`` per
 round, e.g. the fan-out loop of round 12 or the envelope exchange of
-wave 3 — plus point-in-time **memory probes** (RSS from ``/proc``, and
-``tracemalloc`` when the caller enabled it).
+wave 3 — plus point-in-time **memory probes** (RSS from ``/proc``).
 
 Timelines are strictly out of band:
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-import tracemalloc
 from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
@@ -73,28 +71,16 @@ class TimelineRecorder:
 
     Args:
         meta: run metadata written into the JSONL header.
-        trace_malloc: also start :mod:`tracemalloc` (if not already
-            tracing) so memory probes carry allocation totals.  Off by
-            default — tracemalloc slows allocation-heavy code, whereas
-            the RSS probe is a single ``/proc`` read.
 
     One recorder may span several measured components (the bench suite
     threads one through every scenario); spans carry their subsystem so
     the rollup stays attributable.
     """
 
-    def __init__(
-        self,
-        meta: Optional[Dict[str, object]] = None,
-        trace_malloc: bool = False,
-    ):
+    def __init__(self, meta: Optional[Dict[str, object]] = None):
         self.meta: Dict[str, object] = dict(meta or {})
         self._entries: List[Dict[str, Any]] = []
         self._origin = time.perf_counter()
-        self._own_tracemalloc = False
-        if trace_malloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._own_tracemalloc = True
 
     @contextlib.contextmanager
     def span(
@@ -138,10 +124,6 @@ class TimelineRecorder:
             "start": round(time.perf_counter() - self._origin, 6),
             "rss_kb": _rss_kb(),
         }
-        if tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            entry["tracemalloc_kb"] = current // 1024
-            entry["tracemalloc_peak_kb"] = peak // 1024
         self._entries.append(entry)
         return entry
 
@@ -169,12 +151,6 @@ class TimelineRecorder:
             key = (entry["subsystem"], entry["phase"])
             out[key] = round(out.get(key, 0.0) + entry["seconds"], 6)
         return out
-
-    def close(self) -> None:
-        """Stop tracemalloc if this recorder started it (idempotent)."""
-        if self._own_tracemalloc:
-            tracemalloc.stop()
-            self._own_tracemalloc = False
 
     def to_jsonl(self, path: str) -> int:
         """Write header + entries as JSONL; returns entries written.

@@ -41,7 +41,7 @@ ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Collection, Dict, Iterator, List, Optional, Tuple
 
 from repro.addressing import Address
 from repro.errors import SimulationError
@@ -290,25 +290,15 @@ class TraceRecord:
 
 
 class TraceLog:
-    """An append-only, indexed log of :class:`TraceRecord` s.
+    """An append-only log of :class:`TraceRecord` s, indexed by kind.
 
-    Two indexes are maintained incrementally so post-run analysis of a
-    large trace never rescans the whole log: a per-kind record list
-    (serving :meth:`filter` by kind) and a ``(process, event_id) ->
-    round`` delivery index (serving :meth:`delivery_round`).
-
-    Args:
-        capacity: optional hard cap; appending past it raises, so a
-            runaway simulation cannot silently eat memory.
+    The per-kind index is maintained incrementally, so :meth:`filter`
+    by kind and :meth:`counts` never rescan the whole log.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity {capacity} must be >= 1")
+    def __init__(self) -> None:
         self._records: List[TraceRecord] = []
-        self._capacity = capacity
         self._by_kind: Dict[str, List[TraceRecord]] = {}
-        self._delivered_at: Dict[Tuple[Address, int], int] = {}
         #: Run-level metadata carried into the JSONL header (see
         #: :meth:`annotate`): publisher, interest ground truth, final
         #: round count — whatever the producer knows and analyzers need.
@@ -328,7 +318,7 @@ class TraceLog:
         """Validate and append one record.
 
         The kind is checked *before* the record is allocated: a typo'd
-        probe fails fast without consuming capacity.
+        probe fails fast without touching the log.
         """
         if kind not in _KIND_SET:
             raise SimulationError(f"unknown trace kind {kind!r}")
@@ -339,20 +329,12 @@ class TraceLog:
         )
 
     def append(self, record: TraceRecord) -> None:
-        """Append an already-built record, maintaining the indexes."""
-        if self._capacity is not None and len(self._records) >= self._capacity:
-            raise SimulationError(
-                f"trace capacity {self._capacity} exhausted"
-            )
+        """Append an already-built record, maintaining the kind index."""
         self._records.append(record)
         per_kind = self._by_kind.get(record.kind)
         if per_kind is None:
             per_kind = self._by_kind[record.kind] = []
         per_kind.append(record)
-        if record.kind == "deliver" and record.round is not None:
-            self._delivered_at.setdefault(
-                (record.process, record.event_id), record.round
-            )
 
     def annotate(self, **meta: object) -> None:
         """Merge run-level metadata into :attr:`meta`."""
@@ -376,7 +358,6 @@ class TraceLog:
         kind: Optional[str] = None,
         process: Optional[Address] = None,
         event_id: Optional[int] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
     ) -> List[TraceRecord]:
         """Records matching every given criterion.
 
@@ -387,40 +368,12 @@ class TraceLog:
             candidates = self._by_kind.get(kind, [])
         else:
             candidates = self._records
-        out = []
-        for record in candidates:
-            if process is not None and record.process != process:
-                continue
-            if event_id is not None and record.event_id != event_id:
-                continue
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
-        return out
-
-    def sends(self) -> List[TraceRecord]:
-        """All send records."""
-        return list(self._by_kind.get("send", ()))
-
-    def losses(self) -> List[TraceRecord]:
-        """All loss records."""
-        return list(self._by_kind.get("loss", ()))
-
-    def receives(self) -> List[TraceRecord]:
-        """All receive records."""
-        return list(self._by_kind.get("receive", ()))
-
-    def deliveries(self) -> List[TraceRecord]:
-        """All delivery records."""
-        return list(self._by_kind.get("deliver", ()))
-
-    def delivery_round(self, process: Address, event_id: int) -> Optional[int]:
-        """The round ``process`` delivered ``event_id``, or None.
-
-        Served by the incrementally maintained delivery index — O(1)
-        regardless of trace length.
-        """
-        return self._delivered_at.get((process, event_id))
+        return [
+            record
+            for record in candidates
+            if (process is None or record.process == process)
+            and (event_id is None or record.event_id == event_id)
+        ]
 
     def render(self, limit: Optional[int] = None) -> str:
         """The timeline as text, optionally truncated to ``limit`` lines."""
@@ -436,19 +389,11 @@ class TraceLog:
         Written through a :class:`~repro.obs.sink.JsonlSink`: a header
         object carrying :data:`TRACE_SCHEMA` and :attr:`meta`, then one
         line per record.  A ``.gz`` path is transparently compressed.
-        Use :func:`repro.obs.sink.read_trace` (or :meth:`from_jsonl`) to
-        load it back.
+        :func:`repro.obs.sink.read_trace` loads it back.
         """
         from repro.obs.sink import JsonlSink
 
         with JsonlSink(path, meta=self.meta) as sink:
             for record in self._records:
-                sink.emit(record)
+                sink.append(record)
         return len(self._records)
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "TraceLog":
-        """Load a JSONL trace written by :meth:`to_jsonl` or a sink."""
-        from repro.obs.sink import read_trace
-
-        return read_trace(path)

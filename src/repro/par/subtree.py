@@ -13,7 +13,7 @@ two-worker pool measures about the one-process time, so parallelism is
 bought one level up, across trials.
 
 The run is observed like every other plane: records reach the caller's
-:class:`~repro.obs.probes.Observer` trace/sink as **one** globally
+:class:`~repro.obs.probes.Observer` trace destination as **one** globally
 round-monotone ``repro.obs.trace/v1`` trace, sampled at the observer's
 rate, under the shared dissemination header (interest *counts*, not the
 list).
@@ -160,7 +160,7 @@ def run_sharded_dissemination(
             calling process when omitted.  Report, trace and counters
             are identical at any job count.
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
-            trace/sink destinations receive the run as one globally
+            trace destination receives the run as one globally
             round-monotone trace — every record, or the subset its
             ``sampler`` keeps — its registry the run's ``subtree.*``
             counters, and its timeline per-round ``fan_out``/``exchange``

@@ -22,8 +22,8 @@ records, node state — and ``SimConfig(vectorized=False)`` forces the
 reference loop so a test can diff them.
 
 Either loop is observed through the one
-:class:`~repro.obs.probes.Observer` the run is handed (trace and/or
-sink, sampler, timeline, registry); ``trace=`` and ``timeline=`` are
+:class:`~repro.obs.probes.Observer` the run is handed (trace
+destination, sampler, timeline, registry); ``trace=`` and ``timeline=`` are
 shorthands folded into it on the first line.
 """
 
@@ -77,7 +77,7 @@ def run_dissemination(
             therefore every unfaulted result — untouched.  Injected
             faults appear in the trace as ``fault_*`` records.
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
-            trace and/or sink receive one record per publish/send/loss/
+            trace destination receives one record per publish/send/loss/
             receive/delivery/crash — all of them, or the subset its
             sampler keeps (never a ``fault_*`` record:
             :func:`repro.obs.sampling.is_exact`) — under a header

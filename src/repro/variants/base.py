@@ -288,10 +288,10 @@ def run_variant(
             Per round the driver calls ``begin_round`` then
             ``transmit``.
         crash_schedule: the τ-model crash plan.
-        observer: what the run is observed through — its trace/sink
-            get the ``repro.obs.trace/v1`` records (sampled by its
-            sampler; ``fault_*`` records are kept at any rate:
-            :func:`repro.obs.sampling.is_exact`), its timeline the
+        observer: what the run is observed through — its trace
+            destination gets the ``repro.obs.trace/v1`` records
+            (sampled by its sampler; ``fault_*`` records are kept at
+            any rate: :func:`repro.obs.sampling.is_exact`), its timeline the
             per-round ``fan_out``/``exchange`` spans under
             ``variant.subsystem``.
 

@@ -117,20 +117,22 @@ class TestEngineInvariants:
             record.process: record.round
             for record in trace.filter(kind="crash")
         }
+        sends = trace.filter(kind="send")
+        receives = trace.filter(kind="receive")
         dead_letters = sum(
             1
-            for record in trace.sends()
+            for record in sends
             if crashed_at.get(record.peer, record.round + 1) <= record.round
         )
-        assert len(trace.receives()) == len(trace.sends()) - dead_letters
+        assert len(receives) == len(sends) - dead_letters
         if not crashed_at:
-            assert len(trace.receives()) == len(trace.sends())
+            assert len(receives) == len(sends)
         assert (
-            len(trace.sends()) + len(trace.losses()) == report.messages_sent
+            len(sends) + len(trace.filter(kind="loss")) == report.messages_sent
         )
         # Every receiver in the trace was somebody's destination.
-        receivers = {record.process for record in trace.receives()}
-        targets = {record.peer for record in trace.sends()}
+        receivers = {record.process for record in receives}
+        targets = {record.peer for record in sends}
         assert receivers <= targets
 
     @given(scenarios())

@@ -31,8 +31,7 @@ from repro.obs import (
     Observer,
     TraceLog,
     TraceSampler,
-    iter_records,
-    read_meta,
+    read_trace,
     validate_trace,
 )
 from repro.obs.cli import summarize_trace
@@ -144,17 +143,17 @@ class TestUdpLocalhost:
         rate = 0.25
         with JsonlSink(path) as sink:
             report, stats = run_udp(
-                seed=8, observer=Observer(sink=sink, sampler=TraceSampler(rate))
+                seed=8, observer=Observer(trace=sink, sampler=TraceSampler(rate))
             )
-            written = sink.records_written
         count, problems = validate_trace(path)
-        assert problems == [] and count == written > 0
-        meta = read_meta(path)
+        trace = read_trace(path)
+        assert problems == [] and count == len(trace) > 0
+        meta = trace.meta
         assert meta["sampling"] == {"rate": rate, "scheme": SAMPLING_SCHEME}
         assert meta["producer"] == "repro.net.udp"
         assert meta["rounds"] == report.rounds  # annotated after the run
         kinds = set()
-        for record in iter_records(path):
+        for record in trace:
             assert keep(record.kind, record.process, record.event_id, rate)
             kinds.add(record.kind)
         assert {"timer_fire", "send", "recv", "receive"} <= kinds
@@ -289,7 +288,7 @@ class TestPerDatagramCost:
             with pytest.raises(OSError) as caught:
                 await udp_module._run_udp(
                     group, addresses[0], Event({"udp": 1}, event_id=9),
-                    13, 0.0, 0.02, 5, 20.0, NULL_OBSERVER, "127.0.0.1",
+                    13, 0.0, 0.02, 20.0, NULL_OBSERVER, "127.0.0.1",
                 )
             assert caught.value.errno == errno.EMFILE
             assert len(opened) == fail_at

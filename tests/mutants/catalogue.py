@@ -119,4 +119,24 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "                 for start in range(0, len(tasks) - size, size)],",
         ("tests/par/test_executor.py::TestOrdering::test_uneven_chunks_keep_every_task_in_order",),
     ),
+    Mutant(
+        "a keep verdict that ignores the record kind",
+        "repro/obs/sampling.py",
+        '    prefix = f"{kind}|".encode("utf-8")',
+        '    prefix = b"send|"',
+        (
+            "tests/obs/test_sampling.py::TestKeep::test_kinds_sample_independently",
+            "tests/par/test_subtree.py::TestShardTraces",
+        ),
+    ),
+    Mutant(
+        "a sink drops its closing line",
+        "repro/obs/sink.py",
+        "        elif self._late:",
+        "        elif False:",
+        (
+            "tests/obs/test_observer_matrix.py::test_sink_summarizes_like_the_log",
+            "tests/obs/test_sink.py::TestJsonlSink::test_header_waits_for_the_first_record",
+        ),
+    ),
 )

@@ -14,7 +14,7 @@ import pytest
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.interests.events import Event
-from repro.obs import Observer, TraceLog
+from repro.obs import Observer, TraceLog, read_trace
 from repro.obs.cli import diff_traces, main, summarize_trace
 from repro.sim import CrashSchedule, PmcastGroup, run_dissemination
 from repro.sim.rng import derive_rng
@@ -200,8 +200,9 @@ class TestCliMain:
         assert "error" in capsys.readouterr().err
 
 
-def sharded_trace(sampler=None, sink=None):
-    """A sharded run observed into one trace; returns (report, trace)."""
+def sharded_trace(sampler=None, trace=None):
+    """A sharded run observed into one trace destination (a fresh
+    ``TraceLog`` by default); returns (report, destination)."""
     from repro.par.subtree import (
         build_regular_spec,
         run_sharded_dissemination,
@@ -217,9 +218,9 @@ def sharded_trace(sampler=None, sink=None):
         ),
         event_id=7,
     )
-    trace = TraceLog()
+    trace = TraceLog() if trace is None else trace
     report = run_sharded_dissemination(
-        spec, observer=Observer(trace=trace, sink=sink, sampler=sampler)
+        spec, observer=Observer(trace=trace, sampler=sampler)
     )
     return report, trace
 
@@ -279,10 +280,10 @@ class TestShardedSummaries:
 
         path = str(tmp_path / "sharded.jsonl.gz")
         with JsonlSink(path) as sink:
-            __, trace = sharded_trace(sink=sink)
-            assert sink.records_written == len(trace)
+            sharded_trace(trace=sink)
+        __, trace = sharded_trace()
         assert main(["validate", path]) == 0
-        assert list(TraceLog.from_jsonl(path)) == list(trace)
+        assert list(read_trace(path)) == list(trace)
 
     def test_removed_merge_and_multi_path_are_usage_errors(self, capsys):
         for argv in (["merge", "out.jsonl", "a.jsonl"],

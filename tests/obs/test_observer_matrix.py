@@ -1,8 +1,8 @@
 """Every driver records through its ``Observer`` — and only through it.
 
 One seeded 5³ run per (driver, destination, rate): whatever the
-observer's destinations are — an in-memory ``TraceLog``, a streaming
-``JsonlSink``, or both — the same record lines and the same header come
+observer's trace destination is — an in-memory ``TraceLog`` or a
+streaming ``JsonlSink`` — the same record lines and the same header come
 out; a sampled run is exactly the full trace filtered by
 :func:`repro.obs.sampling.keep`; ``fault_*`` records are outside
 sampling; and observing never changes the run.  At the parent the
@@ -120,32 +120,22 @@ FAULTABLE = [name for name in DRIVERS if name != "sharded"]
 
 
 def observed(name, destination, rate, tmp_path, faults=None):
-    """One run of ``DRIVERS[name]`` observed into ``destination``:
-    ``(report, {destination: (meta, record dicts)})`` — the sink's half
-    read back from its file."""
-    log = TraceLog() if destination in ("trace", "both") else None
+    """One run of ``DRIVERS[name]`` observed into ``destination``
+    (``"trace"`` or ``"sink"``): ``(report, (meta, record dicts))`` —
+    a sink's read back from its file."""
     path = str(tmp_path / f"{name}-{destination}-{rate}.jsonl")
-    sink = JsonlSink(path) if destination in ("sink", "both") else None
+    target = TraceLog() if destination == "trace" else JsonlSink(path)
     sampler = None if rate is None else TraceSampler(rate)
     try:
-        report = DRIVERS[name](
-            Observer(trace=log, sink=sink, sampler=sampler), faults
-        )
+        report = DRIVERS[name](Observer(trace=target, sampler=sampler), faults)
     finally:
-        if sink is not None:
-            sink.close()
-    captured = {}
-    if log is not None:
-        captured["trace"] = log
-    if sink is not None:
-        captured["sink"] = read_trace(path)
-    return report, {
-        where: (
-            json.loads(json.dumps(trace.meta)),
-            [record.to_dict() for record in trace],
-        )
-        for where, trace in captured.items()
-    }
+        if destination == "sink":
+            target.close()
+    trace = target if destination == "trace" else read_trace(path)
+    return report, (
+        json.loads(json.dumps(trace.meta)),
+        [record.to_dict() for record in trace],
+    )
 
 
 @pytest.mark.parametrize("rate", [None, RATE])
@@ -153,9 +143,8 @@ def observed(name, destination, rate, tmp_path, faults=None):
 class TestDestinationsAgree:
     def test_same_lines_same_header_same_report(self, name, rate, tmp_path):
         bare = DRIVERS[name](Observer())
-        report, captured = observed(name, "trace", rate, tmp_path)
+        report, (meta, records) = observed(name, "trace", rate, tmp_path)
         assert report == bare, "observing changed the run"
-        meta, records = captured["trace"]
         assert records
         if name != "runtime":  # a live group closes no run
             assert meta["rounds"] > 0
@@ -165,19 +154,15 @@ class TestDestinationsAgree:
             assert meta["sampling"] == {
                 "rate": rate, "scheme": SAMPLING_SCHEME,
             }
-        for destination in ("sink", "both"):
-            other, captured = observed(name, destination, rate, tmp_path)
-            assert other == bare
-            for where, got in captured.items():
-                assert got == (meta, records), (destination, where)
+        other, captured = observed(name, "sink", rate, tmp_path)
+        assert other == bare
+        assert captured == (meta, records)
 
 
 @pytest.mark.parametrize("name", DRIVERS)
 def test_sampled_is_the_full_trace_filtered_by_keep(name, tmp_path):
-    __, captured = observed(name, "trace", None, tmp_path)
-    full = captured["trace"][1]
-    __, captured = observed(name, "trace", RATE, tmp_path)
-    sampled = captured["trace"][1]
+    __, (__, full) = observed(name, "trace", None, tmp_path)
+    __, (__, sampled) = observed(name, "trace", RATE, tmp_path)
     assert sampled == [
         record for record in full
         if keep(record["kind"], record["process"], record["event_id"], RATE)
@@ -191,13 +176,16 @@ def test_fault_records_are_kept_at_any_rate(name, tmp_path):
         return [record for record in records if is_exact(record["kind"])]
 
     bare = DRIVERS[name](Observer(), PLAN)
-    report, captured = observed(name, "trace", None, tmp_path, PLAN)
-    full = faults_of(captured["trace"][1])
-    sampled_report, captured = observed(name, "both", RATE, tmp_path, PLAN)
-    assert report == sampled_report == bare
+    report, (__, records) = observed(name, "trace", None, tmp_path, PLAN)
+    full = faults_of(records)
+    assert report == bare
     assert full, "the plan never fired"
-    for where, (meta, records) in captured.items():
-        assert faults_of(records) == full, where
+    for destination in ("trace", "sink"):
+        sampled_report, (meta, records) = observed(
+            name, destination, RATE, tmp_path, PLAN
+        )
+        assert sampled_report == bare
+        assert faults_of(records) == full, destination
         if name != "runtime":  # a live group closes no run
             assert meta["fault_plan"]["name"] == "matrix"
             assert meta["fault_stats"]["injected_losses"] > 0
@@ -215,7 +203,7 @@ def test_sink_summarizes_like_the_log(name, rate, tmp_path):
     DRIVERS[name](Observer(trace=log, sampler=TraceSampler(rate)))
     path = str(tmp_path / "sink.jsonl.gz")
     with JsonlSink(path) as sink:
-        DRIVERS[name](Observer(sink=sink, sampler=TraceSampler(rate)))
+        DRIVERS[name](Observer(trace=sink, sampler=TraceSampler(rate)))
     summary = summarize_trace(log)
     assert summarize_trace(path) == summary
     assert summary["sampling"]["rate"] == rate
@@ -241,13 +229,14 @@ class TestSurvivingShorthands:
 
     def test_run_dissemination_timeline(self, tmp_path):
         timeline = TimelineRecorder()
-        with JsonlSink(str(tmp_path / "t.jsonl")) as sink:
+        path = str(tmp_path / "t.jsonl")
+        with JsonlSink(path) as sink:
             # A shorthand joins what the observer already names.
             run_dissemination(
                 group(), ADDRESSES[0], EVENT, SIM,
-                timeline=timeline, observer=Observer(sink=sink),
+                timeline=timeline, observer=Observer(trace=sink),
             )
-            assert sink.records_written > 0
+        assert len(read_trace(path)) > 0
         assert {span["phase"] for span in timeline.spans()} >= {
             "fan_out", "exchange",
         }

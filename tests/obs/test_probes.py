@@ -18,6 +18,7 @@ from repro.obs import (
     MetricsRegistry,
     Observer,
     TraceLog,
+    read_trace,
 )
 from repro.sim import PmcastGroup, run_dissemination
 from repro.sim.runtime import GroupRuntime
@@ -52,20 +53,23 @@ class TestObserver:
         assert observer.tracing is False
         observer.emit(0, "publish", Address((0,)))  # no destination: no-op
 
-    def test_emit_fans_out_to_trace_and_sink(self, tmp_path):
+    def test_emit_reaches_a_sink(self, tmp_path):
+        """A sink is a trace destination like a log: the same records
+        and metadata come back from its file."""
         trace = TraceLog()
         path = str(tmp_path / "trace.jsonl")
         with JsonlSink(path) as sink:
-            observer = Observer(trace=trace, sink=sink)
-            assert observer.tracing is True
-            observer.emit(1, "send", Address((0, 0)), peer=Address((0, 1)),
-                          event_id=3, depth=1)
-            observer.annotate(seed=9)
+            for destination in (trace, sink):
+                observer = Observer(trace=destination)
+                assert observer.tracing is True
+                observer.emit(1, "send", Address((0, 0)),
+                              peer=Address((0, 1)), event_id=3, depth=1)
+                observer.annotate(seed=9)
         assert len(trace) == 1
         assert trace.meta == {"seed": 9}
-        loaded = TraceLog.from_jsonl(path)
+        loaded = read_trace(path)
         assert compact(loaded) == compact(trace)
-
+        assert loaded.meta == trace.meta
 
     def test_emit_carries_time_us(self):
         """Round-less (event-plane) records go through the same emit."""
@@ -241,7 +245,6 @@ class TestOverhead:
         assert delivered  # the run itself worked
         assert NULL_OBSERVER.snapshot() == {}
         assert NULL_OBSERVER.trace is None
-        assert NULL_OBSERVER.sink is None
 
     def test_observed_run_identical_and_bounded(self):
         started = time.perf_counter()

@@ -8,7 +8,7 @@ import pytest
 from repro.addressing import Address
 from repro.errors import ObservabilityError
 from repro.obs import JsonlSink, TraceLog, TraceRecord
-from repro.obs.sink import iter_records, read_meta, read_trace, validate_trace
+from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TRACE_SCHEMA
 
 
@@ -37,10 +37,9 @@ class TestJsonlSink:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with JsonlSink(path, meta={"seed": 7}) as sink:
-            sink.emit(record(round=1))
-            sink.emit(record(round=2, kind="receive",
-                             process=(0, 1), peer=(0, 0), value=3))
-        assert sink.records_written == 2
+            sink.append(record(round=1))
+            sink.append(record(round=2, kind="receive",
+                               process=(0, 1), peer=(0, 0), value=3))
         log = read_trace(path)
         assert len(log) == 2
         assert log.meta == {"seed": 7}
@@ -55,7 +54,7 @@ class TestJsonlSink:
         records = [record(round=1), record(round=2, peer=None, kind="crash")]
         with JsonlSink(sink_path, meta={"a": 1}) as sink:
             for item in records:
-                sink.emit(item)
+                sink.append(item)
         log = TraceLog()
         log.annotate(a=1)
         for item in records:
@@ -84,55 +83,33 @@ class TestJsonlSink:
         assert log.to_jsonl(log_path) == count
         with JsonlSink(sink_path, meta={"seed": 3, "size": 9}) as sink:
             for item in records:
-                sink.emit(item)
+                sink.append(item)
         read = gzip.open if name.endswith(".gz") else open
         with read(log_path, "rb") as left, read(sink_path, "rb") as right:
             written = left.read()
             assert written == right.read()
         assert len(written.splitlines()) == 1 + count
 
-    def test_capacity_rotation(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        with JsonlSink(path, capacity=2, keep=2, meta={"n": 1}) as sink:
-            for index in range(7):
-                sink.emit(record(round=index))
-        assert sink.rotations == 3
-        assert sink.records_written == 7
-        # Live file holds the last record; rotated files hold 2 each,
-        # and only `keep` rotated files survive.
-        assert len(list(iter_records(path))) == 1
-        assert len(list(iter_records(path + ".1"))) == 2
-        assert len(list(iter_records(path + ".2"))) == 2
-        assert not (tmp_path / "trace.jsonl.3").exists()
-        # Every file (including rotated ones) carries the header.
-        assert read_meta(path + ".2") == {"n": 1}
-
     def test_emit_after_close_raises(self, tmp_path):
         sink = JsonlSink(str(tmp_path / "trace.jsonl"))
         sink.close()
         sink.close()  # idempotent
         with pytest.raises(ObservabilityError):
-            sink.emit(record())
-
-    def test_bad_parameters(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        with pytest.raises(ObservabilityError):
-            JsonlSink(path, capacity=0)
-        with pytest.raises(ObservabilityError):
-            JsonlSink(path, keep=0)
+            sink.append(record())
 
     def test_annotate_affects_next_header(self, tmp_path):
+        """Once the header is out, annotations merge into the one
+        header-shaped closing line; the loader folds it in last."""
         path = str(tmp_path / "trace.jsonl")
-        with JsonlSink(path, capacity=1) as sink:
-            sink.emit(record(round=0))
-            sink.annotate(late=True)
-            sink.emit(record(round=1))  # rotates, new header
-        # The rotated file learns it from its closing line, the live
-        # one from its header.
-        assert header_line(path + ".1")["meta"] == {}
-        assert read_meta(path + ".1") == {"late": True}
-        assert header_line(path)["meta"] == {"late": True}
-        assert len(lines_of(path)) == 2  # nothing late: no closing line
+        with JsonlSink(path, meta={"n": 1}) as sink:
+            sink.append(record(round=0))
+            sink.annotate(late=True, n=2)
+            sink.append(record(round=1))
+            sink.annotate(later=True)
+        header, __, __, closing = lines_of(path)
+        assert header["meta"] == {"n": 1}
+        assert closing["meta"] == {"late": True, "n": 2, "later": True}
+        assert read_trace(path).meta == {"n": 2, "late": True, "later": True}
 
     def test_header_waits_for_the_first_record(self, tmp_path):
         """What a run annotates before it emits anything — the sampling
@@ -141,17 +118,15 @@ class TestJsonlSink:
         path = str(tmp_path / "trace.jsonl")
         with JsonlSink(path) as sink:
             sink.annotate(sampling={"rate": 0.5}, producer="test")
-            sink.emit(record(round=1))
+            sink.append(record(round=1))
             sink.annotate(rounds=13)
         header, only, closing = lines_of(path)
         assert header["meta"] == {"sampling": {"rate": 0.5}, "producer": "test"}
         assert only["kind"] == "send"
         assert closing == {"schema": TRACE_SCHEMA, "meta": {"rounds": 13}}
         expected = {"sampling": {"rate": 0.5}, "producer": "test", "rounds": 13}
-        assert read_meta(path) == expected
         log = read_trace(path)
         assert log.meta == expected and len(log) == 1
-        assert len(list(iter_records(path))) == 1
         assert validate_trace(path) == (1, [])
 
     def test_recordless_sink_still_writes_its_header(self, tmp_path):
@@ -183,8 +158,9 @@ class TestLoaders:
         log.record(0, "publish", Address((0, 0)), event_id=5)
         log.record(1, "deliver", Address((0, 1)), event_id=5)
         log.to_jsonl(path)
-        loaded = TraceLog.from_jsonl(path)
-        assert loaded.delivery_round(Address((0, 1)), 5) == 1
+        loaded = read_trace(path)
+        (delivery,) = loaded.filter(kind="deliver", event_id=5)
+        assert (delivery.round, delivery.process) == (1, Address((0, 1)))
         assert loaded.counts() == {"deliver": 1, "publish": 1}
 
     def test_missing_file(self, tmp_path):
@@ -201,7 +177,7 @@ class TestLoaders:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"round": 0}\n')
         with pytest.raises(ObservabilityError):
-            list(iter_records(str(path)))
+            read_trace(str(path))
 
 
 class TestValidateTrace:

@@ -17,11 +17,15 @@ holds.
 A schedule's extra fires are extra visits in the kernel's walk, and a
 round that fires a process zero times leaves it out.  A fault plan's
 link decides the kernel's envelopes one by one; no round falls back.
+
+The two script properties never shrink a failing example: shrinking a
+broken live round's churn script takes minutes, so they report the
+first failing script as drawn, with its reproduction blob.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.addressing import AddressSpace
@@ -288,13 +292,22 @@ def check_script(params, script, traced, tmp_path=None):
     assert "sim" not in kernel[1].snapshot()
 
 
+#: Draw and replay examples, never shrink one; print the blob that
+#: reproduces a failure.
+NO_SHRINK = dict(
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    print_blob=True,
+)
+
+
 class TestKernelEqualsTheLoop:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, **NO_SHRINK)
     @given(params=PARAMS, script=SCRIPTS)
     def test_untraced_scripts(self, params, script):
         check_script(params, script, traced=False)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12, **NO_SHRINK)
     @given(params=PARAMS, script=SCRIPTS)
     def test_traced_scripts(self, params, script, tmp_path_factory):
         check_script(params, script, traced=True, tmp_path=tmp_path_factory.mktemp("t"))

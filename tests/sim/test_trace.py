@@ -23,9 +23,9 @@ class TestTraceLog:
                    event_id=5, depth=2)
         log.record(2, "deliver", Address((0, 1)), event_id=5)
         assert len(log) == 3
-        assert len(log.sends()) == 1
-        assert len(log.receives()) == 1
-        assert len(log.deliveries()) == 1
+        assert len(log.filter(kind="send")) == 1
+        assert len(log.filter(kind="receive")) == 1
+        assert len(log.filter(kind="deliver")) == 1
         assert log.filter(process=Address((0, 1)), kind="deliver")
 
     def test_unknown_kind_rejected(self):
@@ -66,19 +66,6 @@ class TestTraceLog:
         log.annotate(rounds=12, seed=8)
         assert log.meta == {"seed": 8, "rounds": 12}
 
-    def test_capacity_enforced(self):
-        log = TraceLog(capacity=2)
-        log.record(0, "publish", Address((0,)))
-        log.record(0, "send", Address((0,)), peer=Address((1,)))
-        with pytest.raises(SimulationError):
-            log.record(0, "send", Address((0,)), peer=Address((1,)))
-
-    def test_delivery_round(self):
-        log = TraceLog()
-        log.record(3, "deliver", Address((0, 0)), event_id=7)
-        assert log.delivery_round(Address((0, 0)), 7) == 3
-        assert log.delivery_round(Address((0, 0)), 8) is None
-
     def test_render(self):
         log = TraceLog()
         log.record(1, "send", Address((0, 0)), peer=Address((0, 1)),
@@ -115,15 +102,18 @@ class TestEngineTracing:
 
     def test_trace_matches_report_counts(self):
         report, trace, event = self.run_traced()
-        assert len(trace.sends()) + len(trace.losses()) == report.messages_sent
-        assert len(trace.receives()) == len(trace.sends())
+        counts = trace.counts()
+        assert counts["send"] + counts.get("loss", 0) == report.messages_sent
+        assert len(trace.filter(kind="receive")) == counts["send"]
         # One delivery record per delivered process (incl. publisher).
-        assert len(trace.deliveries()) == report.delivered_interested
+        assert len(trace.filter(kind="deliver")) == report.delivered_interested
 
     def test_losses_recorded(self):
         report, trace, __ = self.run_traced(loss=0.3)
-        assert len(trace.losses()) == report.messages_lost
-        assert len(trace.sends()) == report.messages_sent - report.messages_lost
+        assert len(trace.filter(kind="loss")) == report.messages_lost
+        assert len(trace.filter(kind="send")) == (
+            report.messages_sent - report.messages_lost
+        )
 
     def test_chronological_order(self):
         __, trace, __ = self.run_traced()
