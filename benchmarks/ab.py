@@ -13,16 +13,17 @@ Every workload then runs as alternating pairs of fresh processes: pair
 alternates.  Nothing else heavy may run meanwhile.
 
 OUT.json (``repro.ledger.ab/v1``) lists every run and gives one verdict
-per workload x end-to-end metric:
+per workload x end-to-end metric, from the pairs: each pair's log-ratio
+(change over parent, same seed, signed so that positive is worse), their
+median, and a seeded bootstrap 95 % interval of that median, against
+the metric's BENCHMARK.json bound as a factor ``1 + bound``:
 
-* ``regressed`` — the change's median is worse than the parent's by more
-  than the metric's BENCHMARK.json bound *and* the change lost every
-  pair;
-* ``unresolved`` — past the bound without losing every pair, or inside
-  it while the parent's own quartile spread is wider than the bound
-  (unless every pair tied, or every run of the change beat every run of
-  the parent);
-* ``ok`` — otherwise.
+* ``regressed`` — the whole interval lies past ``1 + bound``;
+* ``ok`` — the whole interval lies inside it;
+* ``unresolved`` — otherwise; the interval is printed.
+
+The parent's and the change's quartiles across seeds stay in the file
+as context; no verdict reads them.
 
 Exit 0; 1 if anything regressed or a workload's share of passing events
 fell; 2 if a run could not measure (then nothing else is judged safe).
@@ -32,8 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -46,6 +49,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = "repro.ledger.ab/v1"
 SIDES = ("parent", "change")
 KINDS = ("regressed", "unresolved", "lower_ok_share", "unmeasured")
+#: Bootstrap resamples of the pairs, and the seed that draws them: the
+#: same runs always give the same interval.
+RESAMPLES = 4000
+BOOTSTRAP_SEED = 0
 
 
 def spread(values: Sequence[float]) -> Dict[str, float]:
@@ -53,33 +60,53 @@ def spread(values: Sequence[float]) -> Dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def log_ratio(parent: float, change: float) -> float:
+    """``log(change / parent)``; a move from or to zero is infinite."""
+    if change == parent:
+        return 0.0
+    if parent > 0 and change > 0:
+        return math.log(change / parent)
+    return math.copysign(math.inf, change - parent)
+
+
+def paired_interval(worse: Sequence[float]) -> Tuple[float, float, float]:
+    """The median of ``worse`` and a seeded bootstrap 95 % interval of it."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(worse, k=len(worse))) for __ in range(RESAMPLES)
+    )
+    low = medians[round(0.025 * (RESAMPLES - 1))]
+    high = medians[round(0.975 * (RESAMPLES - 1))]
+    return statistics.median(worse), low, high
+
+
 def judge(metric: dict, parent: Sequence[float], change: Sequence[float]) -> dict:
     """The verdict on one workload x metric; values are paired by index."""
     bound = metric["bound"]
     sign = 1.0 if metric["better"] == "lower" else -1.0
     before, after = spread(parent), spread(change)
-    # The ledger has no zero-valued metric; if one appears, compare absolutely.
-    scale = abs(before["median"]) or 1.0
-    worse_by = sign * (after["median"] - before["median"]) / scale
-    parent_iqr = before["q3"] - before["q1"]
-    deltas = [sign * (c - p) for p, c in zip(parent, change)]
-    wins = sum(d < 0 for d in deltas)
-    ties = sum(d == 0 for d in deltas)
-    beats_every_run = max(sign * c for c in change) < min(sign * p for p in parent)
-    if worse_by > bound:
-        verdict = "regressed" if wins + ties == 0 else "unresolved"
-    elif parent_iqr / scale > bound and ties < len(deltas) and not beats_every_run:
-        verdict = "unresolved"
-    else:
+    worse = [sign * log_ratio(p, c) for p, c in zip(parent, change)]
+    median, low, high = paired_interval(worse)
+    limit = math.log1p(bound)
+    if low > limit:
+        verdict = "regressed"
+    elif high <= limit:
         verdict = "ok"
+    else:
+        verdict = "unresolved"
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": bound,
         "parent": before, "change": after,
         "change_over_parent_median": after["median"] / before["median"]
         if before["median"] else None,
-        "worse_by": worse_by, "within_bound": worse_by <= bound,
-        "parent_iqr": parent_iqr,
-        "change_wins": wins, "ties": ties, "pairs": len(deltas),
+        "parent_iqr": before["q3"] - before["q1"],
+        # Per pair, how many times worse the change is (1 = unchanged,
+        # below 1 = better): the median and its 95 % interval.
+        "worse_factor": {key: math.exp(value) for key, value in
+                         (("median", median), ("low", low), ("high", high))},
+        "limit": 1.0 + bound,
+        "change_wins": sum(w < 0 for w in worse),
+        "ties": sum(w == 0 for w in worse), "pairs": len(worse),
         "verdict": verdict,
     }
 
@@ -228,7 +255,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command": " ".join(command) + " --workload <W> --seed <pair> --trace 0",
         "pairs": args.pairs,
         "method": "benchmarks/ab.py: fresh-process alternating pairs, seed = "
-        "pair index, inclusive quartiles; its docstring has the verdict rule",
+        "pair index; verdict = seeded bootstrap 95 % interval of the median "
+        "per-pair log-ratio against 1 + bound (its docstring has the rule)",
         "environment": {"platform": platform.platform(),
                         "python": platform.python_version(),
                         "nproc": os.cpu_count()},
@@ -240,6 +268,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handle.write("\n")
     for kind in KINDS:
         print(f"{kind}: {', '.join(overall[kind]) or '-'}")
+    for name in overall["regressed"] + overall["unresolved"]:
+        workload, metric = name.split(".", 1)
+        entry = workloads[workload]["end_to_end"][metric]
+        factor = entry["worse_factor"]
+        print(f"  {name} {entry['verdict']}: worse x{factor['median']:.3f} "
+              f"[{factor['low']:.3f}, {factor['high']:.3f}] against x{entry['limit']:.2f}")
     print(f"wrote {args.output} (exit {overall['exit_code']})")
     return overall["exit_code"]
 

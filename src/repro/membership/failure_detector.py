@@ -42,6 +42,20 @@ def _fit(array: np.ndarray, shape: Tuple[int, ...], fill) -> np.ndarray:
     return out
 
 
+def _running(keys: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per position, how many ``flags`` are set at or before it among
+    the positions holding the same key."""
+    if not len(keys):
+        return np.zeros(0, np.int64)
+    order = np.argsort(keys, kind="stable")
+    total = np.cumsum(flags[order])
+    first = np.flatnonzero(np.r_[True, keys[order][1:] != keys[order][:-1]])
+    before = (total - flags[order])[first]
+    out = np.empty(len(keys), np.int64)
+    out[order] = total - np.repeat(before, np.diff(np.r_[first, len(keys)]))
+    return out
+
+
 class ContactTable:
     """Every process's last-contact detector of one group, as arrays,
     with the §6 accusations beside them.
@@ -168,23 +182,33 @@ class ContactTable:
         The accusations it made stay."""
         self._near[slot] = _UNWATCHED
 
-    def suspect_counts(self, monitors: np.ndarray, now: int) -> np.ndarray:
-        """How many leaf-mates each of ``monitors`` suspects."""
-        return np.count_nonzero(self._near[monitors] < now - self._timeout, axis=1)
+    def stale(self, monitors: np.ndarray, now: int) -> np.ndarray:
+        """Per monitor and column, whether the monitor suspects that
+        leaf-mate at ``now``: the one mask a detection round computes
+        for :meth:`suspect_counts`, :meth:`near_suspects` and
+        :meth:`accuse_all`."""
+        return self._near[monitors] < now - self._timeout
 
-    def _stale_near(self, monitors: np.ndarray, now: int):
+    @staticmethod
+    def suspect_counts(stale: np.ndarray) -> np.ndarray:
+        """How many leaf-mates each monitor of ``stale`` suspects."""
+        return np.count_nonzero(stale, axis=1)
+
+    def _stale_near(self, monitors: np.ndarray, stale: np.ndarray):
         """(row in ``monitors``, column, suspect slot) of every stale
         near pair, row by row."""
-        rows, cols = np.nonzero(self._near[monitors] < now - self._timeout)
+        rows, cols = np.divmod(np.flatnonzero(stale), stale.shape[1])
         return rows, cols, self._leaf_slots[self._leaf[monitors[rows]], cols]
 
-    def near_suspects(self, monitors: np.ndarray, now: int) -> List[List[int]]:
-        """Per monitor, its suspect leaf-mates' slots in component order."""
-        rows, __, suspects = self._stale_near(monitors, now)
+    def near_suspects(
+        self, monitors: np.ndarray, stale: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every stale pair (``stale``: :meth:`stale` of ``monitors``) as
+        (row in ``monitors``, suspect slot): monitor by monitor, each
+        one's suspect leaf-mates in component order."""
+        rows, __, suspects = self._stale_near(monitors, stale)
         order = np.lexsort((self._last[suspects], rows))
-        rows, suspects = rows[order], suspects[order].tolist()
-        bounds = np.searchsorted(rows, np.arange(len(monitors) + 1)).tolist()
-        return [suspects[low:high] for low, high in zip(bounds, bounds[1:])]
+        return rows[order], suspects[order]
 
     def accusers(self, suspects: np.ndarray) -> np.ndarray:
         """How many slots accuse each of ``suspects``."""
@@ -204,34 +228,65 @@ class ContactTable:
         neighbors -= live[suspects]
         return np.where(required > 0, required, np.maximum(neighbors, 1))
 
-    def accuse(self, monitor: int, suspect: int, live: np.ndarray) -> Tuple[bool, int]:
-        """``monitor`` accuses ``suspect``.  Returns (a new accusation,
-        the suspect's quorum) — see :meth:`_quorums` for ``live``."""
-        col = self._col[suspect]
-        new = not self._accused[monitor, col]
-        self._accused[monitor, col] = True
-        if not self._required[suspect]:
-            self._required[suspect] = self._quorums(np.array([suspect]), live)[0]
-        return new, int(self._required[suspect])
+    def play(
+        self,
+        monitors: np.ndarray,
+        rows: np.ndarray,
+        suspects: np.ndarray,
+        live: np.ndarray,
+        values: bool = False,
+    ) -> Tuple[int, np.ndarray, Optional[np.ndarray]]:
+        """``monitors[rows[i]]`` accuses ``suspects[i]``, in ``i`` order
+        (each pair once), until an accusation convicts: its suspect's
+        accusers reach its quorum, captured at its first accusation
+        (see :meth:`_quorums` for ``live``).
+
+        Records every accusation up to and including that one.  Returns
+        (the convicting pair's index, -1 if none; per recorded pair,
+        whether it is new; with ``values``, per recorded pair its
+        suspect's accuser count after it, else None).
+        """
+        accusers, cols = monitors[rows], self._col[suspects]
+        new = ~self._accused[accusers, cols]
+        named, which = np.unique(suspects, return_inverse=True)
+        required = self._quorums(named, live)
+        held = self.accusers(named)
+        reach = held + np.bincount(which, new, len(named)) >= required
+        convicted = -1
+        hot = np.flatnonzero(reach[which])  # the pairs of who may be convicted
+        if len(hot):
+            count = held[which[hot]] + _running(which[hot], new[hot])
+            hits = hot[count >= required[which[hot]]]
+            if len(hits):
+                convicted = int(hits[0])
+        end = len(suspects) if convicted < 0 else convicted + 1
+        fresh = new[:end]
+        self._accused[accusers[:end][fresh], cols[:end][fresh]] = True
+        seen = np.unique(which[:end])
+        self._required[named[seen]] = required[seen]
+        after = None
+        if values:
+            after = held[which[:end]] + _running(which[:end], fresh)
+        return convicted, fresh, after
 
     def accuse_all(
-        self, monitors: np.ndarray, now: int, members: np.ndarray
+        self, monitors: np.ndarray, stale: np.ndarray, members: np.ndarray
     ) -> Optional[int]:
         """Every one of ``monitors`` — the live processes — accuses each
-        suspect leaf-mate that is a member (``members`` flags slots),
-        unless that would convict someone.
+        suspect leaf-mate (``stale``: :meth:`stale` of ``monitors``)
+        that is a member (``members`` flags slots), unless that would
+        convict someone.
 
         Returns the number of new accusations, or ``None`` with nothing
         recorded when a suspect would reach its quorum: a conviction
         changes the group mid-round, so such a round is the caller's
         to play one accusation at a time.
         """
-        rows, cols, suspects = self._stale_near(monitors, now)
-        accusers = monitors[rows]
-        new = members[suspects] & ~self._accused[accusers, cols]
+        rows, cols, suspects = self._stale_near(monitors, stale & ~self._accused[monitors])
+        new = members[suspects]
         if not new.any():
             return 0
-        accusers, cols, suspects = accusers[new], cols[new], suspects[new]
+        accusers, cols, suspects = monitors[rows[new]], cols[new], suspects[new]
         gained = np.bincount(suspects)
         touched = np.flatnonzero(gained)
         live = np.zeros(len(self.addresses), bool)

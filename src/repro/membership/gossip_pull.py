@@ -11,7 +11,9 @@ gossiper's timestamps are smaller."
 :class:`MembershipState` is one process's complete knowledge (one
 table per depth); :func:`exchange` performs one gossiper->receiver pull
 interaction; :func:`anti_entropy_round` drives a whole group for the
-convergence tests.
+convergence tests.  :func:`pull_batch` is the same pull for a whole
+round of pairs at once, over a matrix of table versions — what a
+long-running :class:`~repro.sim.runtime.GroupRuntime` keeps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.addressing import Address
 from repro.errors import MembershipError
@@ -32,6 +36,7 @@ __all__ = [
     "exchange",
     "anti_entropy_round",
     "anti_entropy_until_quiescent",
+    "pull_batch",
 ]
 
 # depth -> (infix -> timestamp): the gossiper's lines, one map per
@@ -234,11 +239,7 @@ def _pull(gossiper: MembershipState, receiver: MembershipState) -> int:
         if mine is None or mine is theirs or mine.prefix != theirs.prefix:
             continue
         # A table its owner may still write is never adopted as-is.
-        theirs = theirs.snapshot()
-        outcome = mine._pulls.get(theirs._token)
-        if outcome is None:
-            outcome = mine._pulls[theirs._token] = _merge(mine, theirs)
-        merged, lines, equal = outcome
+        merged, lines, equal = _outcome(mine, theirs.snapshot())
         if lines:
             tables[depth] = merged
             installed += lines
@@ -248,6 +249,14 @@ def _pull(gossiper: MembershipState, receiver: MembershipState) -> int:
         gossiper._seq = tuple(tables.values())
         return installed
     return -1 if synced else 0
+
+
+def _outcome(mine: ViewTable, theirs: ViewTable) -> _Merge:
+    """:func:`_merge`, memoised on ``mine`` by ``theirs``' token."""
+    outcome = mine._pulls.get(theirs._token)
+    if outcome is None:
+        outcome = mine._pulls[theirs._token] = _merge(mine, theirs)
+    return outcome
 
 
 def _merge(mine: ViewTable, theirs: ViewTable) -> _Merge:
@@ -266,6 +275,81 @@ def _merge(mine: ViewTable, theirs: ViewTable) -> _Merge:
     if merged.rows() == theirs.rows():
         merged = theirs
     return merged, len(fresher), False
+
+
+def pull_batch(
+    tokens: np.ndarray,
+    addr_tokens: np.ndarray,
+    prefix_ids: np.ndarray,
+    versions: Dict[int, ViewTable],
+    gossipers: np.ndarray,
+    peers: np.ndarray,
+) -> np.ndarray:
+    """Slot ``gossipers[j]`` pulls from slot ``peers[j]``, every reply
+    carrying the peer's tables as the batch starts.
+
+    A row of ``tokens`` is one replica: the cache token of its table at
+    each depth (``addr_tokens``: their addresses_tokens; ``prefix_ids``:
+    an id of their prefixes), each token a frozen table of ``versions``.
+    A gossiper applies its replies in ``j`` order, so its second pull
+    starts from what its first installed, while every reply is read off
+    the batch-start copy: a line moves at most one hop per batch.  Per
+    depth the pair shares (same prefix), a pull is :func:`_pull`'s
+    transition (:func:`_merge`, memoised on the version pair): each
+    distinct (mine, theirs) pair of a rank — a gossiper's first pulls,
+    then its second, ... — is merged once and the outcome scattered to
+    every pull making it.  ``tokens``, ``addr_tokens`` and ``versions``
+    (which gains every merged table) are updated in place.
+
+    Returns per pull what :func:`_pull` would: ``-1`` when the pair is
+    in sync, else the lines installed.
+    """
+    n = len(gossipers)
+    if not n:
+        return np.zeros(0, np.int64)
+    heads = np.flatnonzero(np.r_[True, gossipers[1:] != gossipers[:-1]])
+    if np.bincount(gossipers[heads]).max() > 1:
+        # Some gossiper's pulls are apart: group each one's, in order.
+        order = np.argsort(gossipers, kind="stable")
+        values = np.empty(n, np.int64)
+        values[order] = pull_batch(
+            tokens, addr_tokens, prefix_ids, versions, gossipers[order], peers[order]
+        )
+        return values
+    replies = tokens.copy()
+    rank = np.arange(n) - np.repeat(heads, np.diff(np.r_[heads, n]))
+    lines = np.zeros(n, np.int64)
+    unequal = np.zeros(n, bool)
+    for k in range(int(rank.max()) + 1):
+        at = np.flatnonzero(rank == k)
+        g, p = gossipers[at], peers[at]
+        mine = tokens[g]
+        pull, depth = np.divmod(np.flatnonzero(mine != replies[p]), mine.shape[1])
+        shared = prefix_ids[g[pull], depth] == prefix_ids[p[pull], depth]
+        pull, depth = pull[shared], depth[shared]
+        if not len(pull):
+            continue
+        # The distinct (mine, theirs) pairs, tokens first made dense.
+        pair = np.stack((mine[pull, depth], replies[p[pull], depth]))
+        known, dense = np.unique(pair, return_inverse=True)
+        dense = dense.reshape(2, -1)
+        __, first, which = np.unique(
+            dense[0] * len(known) + dense[1], return_index=True, return_inverse=True
+        )
+        distinct = pair[:, first].T.tolist()
+        outcomes = [_outcome(versions[m], versions[t]) for m, t in distinct]
+        took = np.array([o[1] for o in outcomes], np.int64)[which]
+        equal = np.array([o[2] for o in outcomes], bool)[which]
+        np.add.at(lines, at[pull], took)
+        unequal[at[pull[~equal]]] = True
+        moved = took > 0
+        if moved.any():
+            tables = [o[0] if o[1] else versions[m] for o, (m, __) in zip(outcomes, distinct)]
+            versions.update(zip(map(_CACHE_TOKENS, tables), tables))
+            cells = g[pull[moved]], depth[moved]
+            tokens[cells] = np.fromiter(map(_CACHE_TOKENS, tables), np.int64)[which[moved]]
+            addr_tokens[cells] = np.fromiter(map(_ADDR_TOKENS, tables), np.int64)[which[moved]]
+    return np.where(lines > 0, lines, np.where(unequal, 0, -1))
 
 
 def anti_entropy_round(

@@ -49,9 +49,8 @@ invalidates anything.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
-from operator import is_not
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain, compress
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,11 +69,11 @@ from repro.membership.gossip_pull import (
     _ADDR_TOKENS,
     _CACHE_TOKENS,
     MembershipState,
-    _pull,
-    exchange,
+    pull_batch,
 )
 from repro.membership.lifecycle import GroupDirectory
 from repro.membership.tree import MembershipTree
+from repro.membership.views import ViewTable
 from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
@@ -169,25 +168,21 @@ class GroupRuntime:
         self._directory = GroupDirectory(self._tree)
         self._round = 0
         self._nodes: Dict[Address, PmcastNode] = {}
-        self._replicas: Dict[Address, MembershipState] = {}
-        # The same replicas by slot (None once their owner left).
-        self._replica_at: List[Optional[MembershipState]] = []
         # Every process's failure detector and the §6 accusations, one
         # slot per address ever wired (kept across leave and re-join).
         self._contacts = ContactTable(
             detector_timeout, self._tree.depth, exclusion_quorum
         )
-        # Per slot and depth: the cache token of the table the replica
-        # holds, and an id of that table's prefix.  Two replicas are in
-        # sync iff their tokens agree wherever their prefixes do, so a
-        # round's pulls are sorted out in one array compare.  The tokens
-        # are those of the ``_seq`` tuple kept beside them (a replica
-        # replaces the tuple whenever it changes a table).  Beside them,
-        # the tables' addresses_tokens, which the far-peer listings key on.
+        # The replicas: per slot and depth, the cache token of the
+        # frozen table the replica holds (a row of zeros once its owner
+        # left), that table's addresses_token (the far-peer listings key
+        # on it) and an id of its prefix.  ``_tables`` maps each token to
+        # its table, pruned to the tokens some row holds (:meth:`_prune`).
         depth = self._tree.depth
         self._tokens = np.zeros((0, depth), np.int64)
         self._addr_tokens = np.zeros((0, depth), np.int64)
-        self._tokens_of: List[Optional[tuple]] = []
+        self._tables: Dict[int, ViewTable] = {}
+        self._held = 0  # len(_tables) as last pruned
         self._prefix_ids = np.zeros((0, depth), np.int64)
         self._prefix_id: Dict[Prefix, int] = {}
         # Materialized with the first accusation, so registry snapshots
@@ -217,15 +212,17 @@ class GroupRuntime:
         self._node_at: List[Optional[PmcastNode]] = []
         self._receiving = np.zeros(0, bool)
         # Far-peer listings (:meth:`_point_listings`), a function of an
-        # _addr_tokens row alone: by id, the listing, its row and how
-        # many slots point at it (dropped with the last one); by row,
-        # the id.  Per slot, the listing it draws from (_far_id), the
-        # row that listing was read for (_far_from; the listing is
-        # current iff that row is the replica's row now) and the
-        # member's own place in it (_far_self, -1 if not listed).
-        self._listings: Dict[int, list] = {}
+        # _addr_tokens row alone: by id, the listing and its row, and
+        # how many slots point at it (_listing_refs; the listing is
+        # dropped with the last one and its id reused); by row, the id.
+        # Per slot, the listing it draws from (_far_id), the row that
+        # listing was read for (_far_from; the listing is current iff
+        # that row is the replica's row now) and the member's own place
+        # in it (_far_self, -1 if not listed).
+        self._listings: Dict[int, Tuple[np.ndarray, tuple]] = {}
         self._listing_of: Dict[tuple, int] = {}
-        self._listing_ids = count()
+        self._listing_refs = np.zeros(0, np.int64)
+        self._free_ids: List[int] = []
         self._far_from = np.full((0, depth), -1, np.int64)
         self._far_id = np.full(0, -1, np.int64)
         self._far_self = np.full(0, -1, np.int64)
@@ -260,10 +257,7 @@ class GroupRuntime:
         self._m_far_misses = self._reg.counter(
             "membership", "far_cache_misses"
         )
-        # The membership round performs two exchanges per live member
-        # per round; prefetch the gossip_pull counters once instead of
-        # paying a registry lookup per exchange (same counters, same
-        # counting semantics).
+        # What every pull batch counts (:meth:`_pull_batch`).
         self._x_counters = (
             self._reg.counter("gossip_pull", "exchanges"),
             self._reg.counter("gossip_pull", "synced_exchanges"),
@@ -473,8 +467,7 @@ class GroupRuntime:
         self._crashed_flag[slot] = False
         self._receiving[slot] = False
         self._node_at[slot] = None
-        if self._replicas.pop(address, None) is not None:
-            self._replica_at[slot] = None
+        self._tokens[slot] = 0
         self._contacts.forget(slot)
         self._active.discard(slot)
         self._refresh_path(address, cause="leave")
@@ -632,12 +625,9 @@ class GroupRuntime:
         receivers = emission.dest[arrivals.at]
         senders = emission.sender[arrivals.at]
         if self._piggyback_membership:
-            replica_at = self._replica_at
-            for receiver, sender in zip(receivers.tolist(), senders.tolist()):
-                sender_replica = replica_at[sender]
-                receiver_replica = replica_at[receiver]
-                if sender_replica is not None and receiver_replica is not None:
-                    exchange(receiver_replica, sender_replica, self._reg)
+            # A delayed envelope may come from a process that since left.
+            held = self._tokens[senders, 0] != 0
+            self._pull_batch(receivers[held], senders[held])
         return receivers, senders
 
     def run(self, rounds: int) -> None:
@@ -673,7 +663,20 @@ class GroupRuntime:
         else:
             for depth, table in views.items():
                 existing.replace_view(depth, table)
-        if address not in self._replicas:
+        slot = self._contacts.slot(address)
+        if slot == len(self._node_at):  # a first-time member
+            self._node_at.append(None)
+            self._seq_at.append(0)
+            if slot == len(self._receiving):  # the per-slot arrays double
+                for name in _PER_SLOT:
+                    held = getattr(self, name)
+                    fill = -1 if name.startswith("_far") else 0
+                    setattr(self, name, _fit(held, (slot + 1, *held.shape[1:]), fill))
+            self._prefix_ids[slot] = [
+                self._prefix_id.setdefault(prefix, len(self._prefix_id))
+                for prefix in address.prefixes()
+            ]
+        if not self._tokens[slot, 0]:
             # Staleness is per-process, yet the replica shares its
             # tables: it holds the frozen snapshot of each shared path
             # table's current state (one per state, whoever asks), and a
@@ -681,45 +684,37 @@ class GroupRuntime:
             # The shared tables carry exactly the rows a fresh
             # per-process build would produce (built or refreshed at
             # the current clock).
-            replica = self._replicas[address] = MembershipState(
-                address,
-                {depth: table.snapshot() for depth, table in views.items()},
-            )
-            slot = self._contacts.slot(address)
-            if slot == len(self._replica_at):  # a first-time member
-                self._replica_at.append(None)
-                self._node_at.append(None)
-                self._seq_at.append(0)
-                self._tokens_of.append(None)
-                if slot == len(self._receiving):  # the per-slot arrays double
-                    for name in _PER_SLOT:
-                        held = getattr(self, name)
-                        fill = -1 if name.startswith("_far") else 0
-                        setattr(self, name, _fit(held, (slot + 1, *held.shape[1:]), fill))
-                self._prefix_ids[slot] = [
-                    self._prefix_id.setdefault(prefix, len(self._prefix_id))
-                    for prefix in address.prefixes()
-                ]
-            self._replica_at[slot] = replica
+            self._install(slot, [table.snapshot() for table in views.values()])
             if existing is None:
                 self._node_at[slot] = self._nodes[address]
                 self._seq_at[slot] = self._wire_seq
                 self._wire_seq += 1
                 self._receiving[slot] = True
 
-    def _versions(self) -> np.ndarray:
-        """``_tokens`` (and ``_addr_tokens``), first brought up to date
-        for every replica whose ``_seq`` is not the tuple they were read
-        from."""
-        seqs = list(map(getattr, self._replica_at, repeat("_seq"), repeat(None)))
-        changed = compress(count(), map(is_not, seqs, self._tokens_of))
-        moved = list(filter(seqs.__getitem__, changed))  # and holding a replica
-        if moved:
-            tables = list(chain.from_iterable(map(seqs.__getitem__, moved)))
-            for tokens, read in ((self._tokens, _CACHE_TOKENS), (self._addr_tokens, _ADDR_TOKENS)):
-                tokens[moved] = np.fromiter(map(read, tables), np.int64).reshape(len(moved), -1)
-        self._tokens_of = seqs
-        return self._tokens
+    def _install(self, slot: int, tables: Sequence[ViewTable]) -> None:
+        """Slot ``slot``'s replica holds ``tables`` (frozen, in depth
+        order) from now on."""
+        self._tables.update(zip(map(_CACHE_TOKENS, tables), tables))
+        self._tokens[slot] = list(map(_CACHE_TOKENS, tables))
+        self._addr_tokens[slot] = list(map(_ADDR_TOKENS, tables))
+
+    def _replica(self, address: Address) -> Optional[MembershipState]:
+        """The replica of ``address`` as a state over the tables it
+        holds (None once it left); installing into it changes nothing
+        here (see :meth:`_install`)."""
+        row = self._tokens[self._contacts.slot_of[address]].tolist()
+        if not row[0]:
+            return None
+        return MembershipState(
+            address, {depth: self._tables[t] for depth, t in enumerate(row, 1)}
+        )
+
+    def _prune(self) -> None:
+        """Drop the tables no row holds, once they outnumber the held."""
+        if len(self._tables) > 2 * self._held + 64:
+            held = np.unique(self._tokens).tolist()
+            self._tables = {t: self._tables[t] for t in held if t}
+            self._held = len(self._tables)
 
     def _watch_neighbors(self, addresses: List[Address]) -> None:
         """Each of ``addresses`` starts watching its leaf subgroup."""
@@ -778,27 +773,44 @@ class GroupRuntime:
         slot_of = self._contacts.slot_of.__getitem__
         listings, listing_of = self._listings, self._listing_of
         named_by: Dict[int, List[int]] = {}  # addresses_token -> the table's slots
-        stale = slots[moved]
-        for slot, row in zip(stale.tolist(), map(tuple, rows[moved].tolist())):
+        stale, rows = slots[moved], rows[moved]
+        distinct, group = np.unique(rows, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        order = np.argsort(group, kind="stable")
+        bounds = np.r_[0, np.cumsum(np.bincount(group))].tolist()
+        ids = np.empty(len(distinct), np.int64)
+        place = np.empty(len(stale), np.int64)
+        for k, row in enumerate(map(tuple, distinct.tolist())):
             at = listing_of.get(row)
             if at is None:
-                for table in self._replica_at[slot]._seq:
+                holder = int(stale[order[bounds[k]]])
+                for table in map(self._tables.__getitem__, self._tokens[holder].tolist()):
                     if table.addresses_token not in named_by:
                         named_by[table.addresses_token] = list(map(slot_of, table.addresses()))
                 first = dict.fromkeys(chain.from_iterable(map(named_by.__getitem__, row)))
-                at = listing_of[row] = next(self._listing_ids)
-                listings[at] = [np.fromiter(first, np.int64, len(first)), row, 0]
-            listing = listings[at]
-            listing[2] += 1
-            old = int(self._far_id[slot])
-            if old >= 0:
-                listings[old][2] -= 1
-                if not listings[old][2]:
-                    del listing_of[listings.pop(old)[1]]
-            self._far_id[slot] = at
-            own = np.flatnonzero(listing[0] == slot)
-            self._far_self[slot] = own[0] if len(own) else -1
-        self._far_from[stale] = rows[moved]
+                at = self._free_ids.pop() if self._free_ids else len(listings)
+                listing_of[row] = at
+                listings[at] = (np.fromiter(first, np.int64, len(first)), row)
+            ids[k] = at
+            # Each member's own place in the listing (never empty: a
+            # replica's tables only gain lines), -1 if not listed.
+            listing, members = listings[at][0], order[bounds[k]:bounds[k + 1]]
+            sort = np.argsort(listing)
+            at_or_past = np.searchsorted(listing, stale[members], sorter=sort)
+            found = sort[at_or_past.clip(max=len(sort) - 1)]
+            place[members] = np.where(listing[found] == stale[members], found, -1)
+        old = self._far_id[stale]
+        old = old[old >= 0]
+        size = (len(listings) + len(self._free_ids),)
+        self._listing_refs = refs = _fit(self._listing_refs, size, 0)
+        refs += np.bincount(ids[group], minlength=len(refs))
+        refs -= np.bincount(old, minlength=len(refs))
+        for at in filter(lambda at: not refs[at], np.unique(old).tolist()):
+            del listing_of[listings.pop(at)[1]]
+            self._free_ids.append(at)
+        self._far_id[stale] = ids[group]
+        self._far_self[stale] = place
+        self._far_from[stale] = rows
 
     def _pools(self, slots: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Every pool of the round as a slice of one array.
@@ -854,13 +866,13 @@ class GroupRuntime:
         ``d`` names ``pool[start + d + (d >= place)]``, the member
         itself skipped.
 
-        The pulls then run in draw order (:meth:`_pull_round`).  Each
-        pull is a contact both ways (the peer answered) and each event
-        arrival (``heard``) one way; the round's contacts reach the
-        contact table in one batch, before detection reads it, and it
-        keeps those between leaf-mates.
+        The pulls are one synchronous batch (:meth:`_pull_batch`): every
+        reply carries the peer's round-start tables, and a member applies
+        its near reply, then its far one.  Each pull is a contact both
+        ways (the peer answered) and each event arrival (``heard``) one
+        way; the round's contacts reach the contact table in one batch,
+        before detection reads it, and it keeps those between leaf-mates.
         """
-        tokens = self._versions()
         slots = self._live()[0]
         g = p = slots[:0]
         if len(slots):  # else every member has crashed: nobody pulls
@@ -873,59 +885,36 @@ class GroupRuntime:
             g = slots[drawn >> 1]
             p = pool[start[drawn] + d + (d >= place[drawn])]
         if len(g):
-            self._pull_round(g, p, tokens)
+            values = self._pull_batch(g, p)
+            self._m_pulls.inc(len(g))
+            if self._obs.tracing:
+                emit, addresses = self._obs.emit, self._contacts.addresses
+                for gossiper, peer, value in zip(
+                    g.tolist(), p.tolist(), np.maximum(values, 0).tolist()
+                ):
+                    emit(
+                        self._round, "pull", addresses[gossiper],
+                        peer=addresses[peer], value=value,
+                    )
         r, s = heard
         self._contacts.contact(
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
         )
 
-    def _pull_round(self, g: np.ndarray, p: np.ndarray, tokens: np.ndarray) -> None:
-        """Slot ``g[j]`` pulls from slot ``p[j]``, in ``j`` order.
-
-        Replicas share frozen table versions, so a pair is in sync when
-        it holds the same version of every table it shares (same
-        prefix).  One compare over the round-start versions (``tokens``
-        from :meth:`_versions`, ``_prefix_ids``) finds the pairs that
-        are not; only those pay a
-        :func:`~repro.membership.gossip_pull._pull`, plus any pair one
-        of whose replicas an earlier pull this round changed.  Every
-        other pull is synced, exactly as a pull-by-pull walk would find
-        it.
-        """
-        prefix_ids = self._prefix_ids
-        unsynced = (
-            (tokens[g] != tokens[p]) & (prefix_ids[g] == prefix_ids[p])
-        ).any(axis=1)
-        replica_at = self._replica_at
-        outcomes: Dict[int, int] = {}  # pull index -> _pull's answer
-        changed = bytearray(len(tokens))  # per slot: took lines this round
-        for j, (needed, gossiper, peer) in enumerate(
-            zip(unsynced.tolist(), g.tolist(), p.tolist())
-        ):
-            if needed or changed[gossiper] or changed[peer]:
-                outcome = outcomes[j] = _pull(
-                    replica_at[gossiper], replica_at[peer]
-                )
-                if outcome > 0:
-                    changed[gossiper] = 1
-        pulls, answered = len(g), list(outcomes.values())
-        self._m_pulls.inc(pulls)
+    def _pull_batch(self, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Slot ``g[j]`` pulls from slot ``p[j]``'s tables as the batch
+        starts (:func:`~repro.membership.gossip_pull.pull_batch`), on the
+        replica rows, counted as that many ``exchange`` calls.  Returns
+        each pull's value: -1 synced, else the lines installed."""
+        values = pull_batch(
+            self._tokens, self._addr_tokens, self._prefix_ids, self._tables, g, p
+        )
         exchanges, synced, lines = self._x_counters
-        exchanges.inc(pulls)
-        n_synced = pulls - sum(outcome >= 0 for outcome in answered)
-        if n_synced:
-            synced.inc(n_synced)
-        n_lines = sum(outcome for outcome in answered if outcome > 0)
-        if n_lines:
-            lines.inc(n_lines)
-        if self._obs.tracing:
-            emit = self._obs.emit
-            addresses = self._contacts.addresses
-            for j, (gossiper, peer) in enumerate(zip(g.tolist(), p.tolist())):
-                emit(
-                    self._round, "pull", addresses[gossiper],
-                    peer=addresses[peer], value=max(outcomes.get(j, -1), 0),
-                )
+        exchanges.inc(len(g))
+        synced.inc(int(np.count_nonzero(values < 0)))
+        lines.inc(int(values[values > 0].sum()))
+        self._prune()
+        return values
 
     def _detection_round(self) -> None:
         """Collect suspicions; exclude once the quorum concurs.
@@ -939,16 +928,19 @@ class GroupRuntime:
         (:meth:`_play_detection`).
         """
         slots, members = self._live()[:2]
-        counts = self._contacts.suspect_counts(slots, self._round)
+        stale = self._contacts.stale(slots, self._round)
+        counts = self._contacts.suspect_counts(stale)
         if not self._obs.tracing:
-            accused = self._contacts.accuse_all(slots, self._round, members)
+            accused = self._contacts.accuse_all(slots, stale, members)
             if accused is not None:
                 self._count_detection(int(counts.sum()), accused, 0)
                 return
-        self._play_detection(slots, counts)
+        self._play_detection(slots, stale, counts)
 
-    def _play_detection(self, slots: np.ndarray, counts: np.ndarray) -> None:
-        """The detection round, one accusation at a time.
+    def _play_detection(
+        self, slots: np.ndarray, stale: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """The detection round as if played one accusation at a time.
 
         Monitors take turns in member order; each accuses its suspect
         leaf-mates in component order.  Three behaviours follow, and
@@ -960,49 +952,47 @@ class GroupRuntime:
            monitor's turn; later monitors find it out of the tree (and
            no longer watch it, so it leaves their report counts too);
         3. suspects are accused in component order.
+
+        Between two convictions the accusations are one array step
+        (:meth:`~repro.membership.failure_detector.ContactTable.play`).
         """
-        tracing = self._obs.tracing
         contacts = self._contacts
         addresses = contacts.addresses
-        now = self._round
-        # tree.__contains__ is a Python-level frame; the accusation
-        # loop runs it for every (monitor, suspect) pair.
-        in_tree = self._tree._interests.__contains__
+        members = self._live()[1].copy()  # who may be accused: in the tree
         may_concur = np.zeros(len(addresses), bool)
         may_concur[slots] = True
-        reports = dict(zip(slots.tolist(), counts.tolist()))
-        suspect_lists = contacts.near_suspects(slots, now)
-        # Accuser counts of everyone who may be accused, kept up to date
-        # here as accusations land.
-        touched = list(set().union(*suspect_lists))
-        accusers = dict(
-            zip(touched, contacts.accusers(np.array(touched, np.int64)).tolist())
-        )
+        rows, suspects = contacts.near_suspects(slots, stale)
         n_reports = n_accusations = n_convictions = 0
-        for slot, suspects in zip(slots.tolist(), suspect_lists):
-            n_reports += reports[slot]
-            for suspect_slot in suspects:
-                suspect = addresses[suspect_slot]
-                if not in_tree(suspect):
-                    continue
-                new, required = contacts.accuse(slot, suspect_slot, may_concur)
-                if new:
-                    n_accusations += 1
-                    accusers[suspect_slot] += 1
-                if tracing:
+        turn = start = 0  # the first monitor not reported, pair not played
+        while True:
+            pairs = start + np.flatnonzero(members[suspects[start:]])
+            convicted, new, values = contacts.play(
+                slots, rows[pairs], suspects[pairs], may_concur, self._obs.tracing
+            )
+            n_accusations += int(np.count_nonzero(new))
+            if values is not None:
+                for monitor, suspect, value in zip(
+                    slots[rows[pairs[: len(new)]]].tolist(),
+                    suspects[pairs[: len(new)]].tolist(), values.tolist(),
+                ):
                     self._obs.emit(
-                        self._round, "suspect", addresses[slot], peer=suspect,
-                        value=accusers[suspect_slot],
+                        self._round, "suspect", addresses[monitor],
+                        peer=addresses[suspect], value=value,
                     )
-                if accusers[suspect_slot] >= required:
-                    n_convictions += 1
-                    may_concur[suspect_slot] = False
-                    self._exclude(suspect)
-                    # Nobody watches the excluded process any more: it
-                    # leaves the later monitors' report counts.
-                    counts = contacts.suspect_counts(slots, now)
-                    reports = dict(zip(slots.tolist(), counts.tolist()))
-                    break
+            if convicted < 0:
+                n_reports += int(counts[turn:].sum())
+                break
+            # The conviction ends its monitor's turn.
+            row, suspect = int(rows[pairs[convicted]]), int(suspects[pairs[convicted]])
+            n_reports += int(counts[turn:row + 1].sum())
+            n_convictions += 1
+            may_concur[suspect] = members[suspect] = False
+            self._exclude(addresses[suspect])
+            # Nobody watches the excluded process any more: it leaves
+            # the later monitors' report counts.
+            counts = contacts.suspect_counts(contacts.stale(slots, self._round))
+            turn = row + 1
+            start = int(np.searchsorted(rows, row, side="right"))
         self._count_detection(n_reports, n_accusations, n_convictions)
 
     def _count_detection(

@@ -42,40 +42,52 @@ class TestJudge:
     def test_within_bound_is_ok(self):
         entry = ab.judge(LOWER, [1.0, 1.02, 0.98, 1.01], [1.1, 1.0, 1.05, 1.12])
         assert entry["verdict"] == "ok"
-        assert entry["within_bound"]
-        assert 0 < entry["worse_by"] < 0.25
+        factor = entry["worse_factor"]
+        assert factor["low"] <= factor["median"] <= factor["high"] < 1.25
+        assert entry["limit"] == 1.25
         assert entry["change_wins"] == 1 and entry["pairs"] == 4
 
-    def test_past_bound_needs_every_pair_lost(self):
+    def test_an_interval_past_the_bound_regressed(self):
         parent = [1.0, 1.0, 1.0, 1.0]
-        assert ab.judge(LOWER, parent, [1.5, 1.5, 1.5, 0.9])["verdict"] == (
-            "unresolved"
-        )
-        assert ab.judge(LOWER, parent, [1.5, 1.5, 1.5, 1.0])["verdict"] == (
-            "unresolved"  # a tie is not a loss
-        )
         lost = ab.judge(LOWER, parent, [1.5, 1.5, 1.5, 1.3])
         assert lost["verdict"] == "regressed"
-        assert not lost["within_bound"] and lost["change_wins"] == 0
+        assert lost["worse_factor"]["low"] > 1.25 and lost["change_wins"] == 0
+
+    def test_an_interval_across_the_bound_is_unresolved(self):
+        parent = [1.0, 1.0, 1.0, 1.0]
+        for change in ([1.5, 1.5, 1.5, 0.9], [1.5, 1.5, 1.5, 1.0]):
+            entry = ab.judge(LOWER, parent, change)
+            assert entry["verdict"] == "unresolved"
+            assert entry["worse_factor"]["low"] < 1.25 < entry["worse_factor"]["high"]
 
     def test_higher_is_better_flips_the_sign(self):
         parent = [10.0, 10.0, 10.0]
         slower = ab.judge(HIGHER, parent, [7.0, 7.0, 7.0])
         assert slower["verdict"] == "regressed"
-        assert slower["worse_by"] == pytest.approx(0.3)
+        assert slower["worse_factor"]["median"] == pytest.approx(10 / 7)
         faster = ab.judge(HIGHER, parent, [13.0, 13.0, 13.0])
         assert faster["verdict"] == "ok"
-        assert faster["change_wins"] == 3 and faster["worse_by"] < 0
+        assert faster["change_wins"] == 3 and faster["worse_factor"]["high"] < 1
 
-    def test_wide_parent_spread_is_unresolved_not_unchanged(self):
-        parent = [1.0, 2.0, 1.0, 2.0]  # IQR / median > bound
-        assert ab.judge(LOWER, parent, [1.1, 1.9, 1.1, 1.9])["verdict"] == (
-            "unresolved"
+    def test_a_seed_dependent_metric_is_judged_by_its_pairs(self):
+        # The parent's spread across seeds is wider than the bound; the
+        # pairs agree within 2 %, so the change is resolved either way.
+        parent = [1.0, 2.0, 1.0, 2.0, 1.5, 1.2]
+        assert ab.judge(LOWER, parent, [1.02 * p for p in parent])["verdict"] == "ok"
+        assert ab.judge(LOWER, parent, [1.4 * p for p in parent])["verdict"] == (
+            "regressed"
         )
-        # ... unless every pair ties (deterministic per seed) or every
-        # run of the change beats every run of the parent.
-        assert ab.judge(LOWER, parent, parent)["verdict"] == "ok"
-        assert ab.judge(LOWER, parent, [0.5, 0.9, 0.5, 0.9])["verdict"] == "ok"
+        assert ab.judge(LOWER, parent, parent)["worse_factor"]["high"] == 1.0
+
+    def test_the_interval_is_seeded(self):
+        parent = [1.0, 1.3, 0.9, 1.1, 1.2]
+        change = [1.2, 1.1, 1.3, 1.0, 1.6]
+        assert ab.judge(LOWER, parent, change) == ab.judge(LOWER, parent, change)
+
+    def test_a_move_from_zero_is_infinitely_worse(self):
+        assert ab.log_ratio(0.0, 0.0) == 0.0
+        assert ab.log_ratio(0.0, 0.1) == float("inf")
+        assert ab.judge(LOWER, [0.0] * 3, [0.1] * 3)["verdict"] == "regressed"
 
 
 class TestCompare:

@@ -350,12 +350,30 @@ class TestContactTableMatchesReferenceDetectors:
             if kind != "query" or not monitors:
                 continue
             ids = np.array([slots[a] for a in monitors], np.int64)
-            counts = table.suspect_counts(ids, now).tolist()
-            near = table.near_suspects(ids, now)
+            stale = table.stale(ids, now)
+            counts = table.suspect_counts(stale).tolist()
+            near = suspect_lists(table, ids, stale)
             for monitor, count, suspects in zip(monitors, counts, near):
                 expected = detectors[monitor].suspects(now)
                 assert count == len(expected), monitor
                 assert [table.addresses[s] for s in suspects] == expected, monitor
+
+
+def suspect_lists(table, monitors, stale):
+    """``near_suspects`` as one list of suspect slots per monitor."""
+    rows, suspects = table.near_suspects(monitors, stale)
+    lists = [[] for __ in monitors]
+    for row, suspect in zip(rows.tolist(), suspects.tolist()):
+        lists[row].append(suspect)
+    return lists
+
+
+def accuse(table, monitor, suspect, live):
+    """One accusation through ``play``: (new, the suspect's quorum)."""
+    __, new, ___ = table.play(
+        np.array([monitor]), np.array([0]), np.array([suspect]), live
+    )
+    return bool(new[0]), int(table._required[suspect])
 
 
 class TestContactTable:
@@ -376,16 +394,18 @@ class TestContactTable:
         table.watch([a, far], [far, a], now=0)
         monitors = np.array([a, far])
         for now in range(0, 12):
-            assert table.suspect_counts(monitors, now).tolist() == [0, 0]
-            assert table.near_suspects(monitors, now) == [[], []]
+            stale = table.stale(monitors, now)
+            assert table.suspect_counts(stale).tolist() == [0, 0]
+            assert suspect_lists(table, monitors, stale) == [[], []]
 
     def test_a_forgotten_detector_watches_nobody(self):
         table = self.table
         table.contact([self.a, self.a, self.b], [self.b, self.far, self.a], now=0)
         table.forget(self.a)
         monitors = np.array([self.a, self.b])
-        assert table.suspect_counts(monitors, 9).tolist() == [0, 1]
-        assert table.near_suspects(monitors, 9) == [[], [self.a]]
+        stale = table.stale(monitors, 9)
+        assert table.suspect_counts(stale).tolist() == [0, 1]
+        assert suspect_lists(table, monitors, stale) == [[], [self.a]]
 
     def test_near_suspects_come_in_component_order(self):
         table = ContactTable(timeout=1, depth=2)
@@ -394,8 +414,8 @@ class TestContactTable:
         )
         table.watch([monitor, monitor], [late, early], now=0)
         monitors = np.array([monitor])
-        assert table.near_suspects(monitors, 1) == [[]]  # exactly the timeout
-        assert table.near_suspects(monitors, 2) == [[early, late]]
+        for now, expected in ((1, [[]]), (2, [[early, late]])):  # 1: exactly the timeout
+            assert suspect_lists(table, monitors, table.stale(monitors, now)) == expected
 
     def accusers(self, slot):
         return int(self.table.accusers(np.array([slot]))[0])
@@ -404,33 +424,51 @@ class TestContactTable:
         table, live = self.table, np.ones(4, bool)
         table.watch([self.a], [self.c], now=0)
         # Two live leaf-mates: the quorum is both of them.
-        assert table.accuse(self.a, self.c, live) == (True, 2)
-        assert table.accuse(self.a, self.c, live) == (False, 2)
+        assert accuse(table, self.a, self.c, live) == (True, 2)
+        assert accuse(table, self.a, self.c, live) == (False, 2)
         table.forget(self.a)  # the accuser left: its detector is gone
-        assert table.accuse(self.b, self.c, live) == (True, 2)
+        assert accuse(table, self.b, self.c, live) == (True, 2)
         assert self.accusers(self.c) == 2
         table.unwatch(self.c)  # excluded: nobody accuses it any more
         assert self.accusers(self.c) == 0
         live[self.b] = False
-        assert table.accuse(self.b, self.c, live) == (True, 1)
+        assert accuse(table, self.b, self.c, live) == (True, 1)
 
     def test_hearing_from_the_suspect_retracts(self):
         table, live = self.table, np.ones(4, bool)
-        table.accuse(self.a, self.c, live)
-        table.accuse(self.b, self.c, live)
+        accuse(table, self.a, self.c, live)
+        accuse(table, self.b, self.c, live)
         table.contact([self.a], [self.c], now=5)
         assert self.accusers(self.c) == 1
+
+    def test_play_stops_at_the_first_conviction(self):
+        table = ContactTable(timeout=2, depth=3, quorum=2)
+        a, b, c, d = (table.slot(Address((0, 0, i))) for i in range(4))
+        monitors, live = np.array([a, b]), np.ones(4, bool)
+        convicted, new, values = table.play(
+            monitors, np.array([0, 0, 1, 1]), np.array([c, d, c, d]), live, values=True
+        )
+        # b's accusation of c makes two: b -> d is never made.
+        assert convicted == 2
+        assert new.tolist() == [True, True, True]
+        assert values.tolist() == [1, 1, 2]
+        assert table.accusers(np.array([c, d])).tolist() == [2, 1]
 
     def test_accuse_all_stops_short_of_a_conviction(self):
         table = ContactTable(timeout=2, depth=3, quorum=2)
         a, b, c = (table.slot(Address((0, 0, i))) for i in range(3))
         table.watch([a, b], [c, c], now=0)
         members = np.ones(3, bool)
-        assert table.accuse_all(np.array([a]), 3, members) == 1
-        assert table.accuse_all(np.array([a]), 4, members) == 0
+
+        def accuse_all(monitors, now):
+            monitors = np.array(monitors)
+            return table.accuse_all(monitors, table.stale(monitors, now), members)
+
+        assert accuse_all([a], 3) == 1
+        assert accuse_all([a], 4) == 0
         # b's accusation would make two: nothing is recorded.
-        assert table.accuse_all(np.array([a, b]), 4, members) is None
-        assert table.accuse(b, c, members) == (True, 2)
+        assert accuse_all([a, b], 4) is None
+        assert accuse(table, b, c, members) == (True, 2)
         assert table.accusers(np.array([c])).tolist() == [2]
 
     def test_invalid_arguments(self):

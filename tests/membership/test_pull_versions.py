@@ -170,7 +170,7 @@ class TestSharingNeverLeaks:
 
     def test_a_write_through_a_replica_held_table_raises(self):
         runtime = churned_runtime(rounds=0)
-        replica = next(iter(runtime._replicas.values()))
+        replica = replicas(runtime)[0]
         for table in replica.tables.values():
             row = table.rows()[0]
             with pytest.raises(MembershipError):
@@ -207,12 +207,16 @@ def play_churn(runtime, rounds):
         runtime.step()
 
 
+def replicas(runtime):
+    """Every replica the runtime holds, in slot order."""
+    held = map(runtime._replica, runtime._contacts.addresses)
+    return [replica for replica in held if replica is not None]
+
+
 def memo_entries(runtime):
     """Outcomes remembered on the versions some replica still holds."""
     versions = {
-        id(table): table
-        for replica in runtime._replicas.values()
-        for table in replica._seq
+        id(table): table for replica in replicas(runtime) for table in replica._seq
     }
     return sum(len(table._pulls) for table in versions.values())
 

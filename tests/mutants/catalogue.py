@@ -139,4 +139,18 @@ CATALOGUE: Tuple[Mutant, ...] = (
             "tests/obs/test_sink.py::TestJsonlSink::test_header_waits_for_the_first_record",
         ),
     ),
+    Mutant(
+        "a reply carries the replier's current versions",
+        "repro/membership/gossip_pull.py",
+        "    replies = tokens.copy()\n",
+        "    replies = tokens\n",
+        ("tests/sim/test_runtime_kernel.py::TestPullBatchEqualsThePulls",),
+    ),
+    Mutant(
+        "the shared stale mask uses <=",
+        "repro/membership/failure_detector.py",
+        "        return self._near[monitors] < now - self._timeout",
+        "        return self._near[monitors] <= now - self._timeout",
+        ("tests/sim/test_membership_rounds.py::TestMembershipRounds",),
+    ),
 )

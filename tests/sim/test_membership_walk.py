@@ -40,13 +40,13 @@ class WalkRuntime(GroupRuntime):
         randbelow = self._membership_rng._randbelow
         crashed = self._crashed
         slot_of = self._contacts.slot_of.__getitem__
-        replica_at = self._replica_at
+        replica_of = self._replica
         depth = self._tree.depth
         gossipers, peers = [], []
         hits = misses = 0
         for address in [a for a in self._tree.members() if a not in crashed]:
             slot = slot_of(address)
-            replica = replica_at[slot]
+            replica = replica_of(address)
             near = [
                 mate
                 for mate in self._tree.subtree_members(address.prefix(depth))
@@ -64,7 +64,7 @@ class WalkRuntime(GroupRuntime):
             far = [
                 peer
                 for peer in replica.peers()
-                if peer not in crashed and replica_at[slot_of(peer)] is not None
+                if peer not in crashed and replica_of(peer) is not None
             ]
             if far:
                 gossipers.append(slot)
@@ -74,7 +74,8 @@ class WalkRuntime(GroupRuntime):
         g = np.array(gossipers, np.int64)
         p = np.fromiter(map(slot_of, peers), np.int64, len(peers))
         if len(g):
-            self._pull_round(g, p, self._versions())
+            self._pull_batch(g, p)
+            self._m_pulls.inc(len(g))
         r, s = heard
         self._contacts.contact(
             np.concatenate((g, p, r)), np.concatenate((p, g, s)), now=self._round
@@ -82,12 +83,12 @@ class WalkRuntime(GroupRuntime):
 
 
 def recording(cls):
-    """``cls`` noting every round's (gossipers, peers) slot lists."""
+    """``cls`` noting every pull batch's (gossipers, peers) slot lists."""
 
     class Recording(cls):
-        def _pull_round(self, g, p, tokens):
+        def _pull_batch(self, g, p):
             self.pulls.append((g.tolist(), p.tolist()))
-            super()._pull_round(g, p, tokens)
+            return super()._pull_batch(g, p)
 
     return Recording
 

@@ -146,6 +146,15 @@ class TestFailureDetection:
             make_runtime(exclusion_quorum=quorum)
 
 
+def plant(runtime, replica, updates):
+    """Install ``updates`` into ``replica`` (read off ``runtime``) and
+    make the runtime's replica hold the result."""
+    replica.apply(updates)
+    runtime._install(
+        runtime._contacts.slot_of[replica.owner], list(replica.tables.values())
+    )
+
+
 class TestMembershipGossip:
     def test_replicas_receive_contacts(self):
         runtime, addresses = make_runtime()
@@ -170,16 +179,54 @@ class TestMembershipGossip:
         # show there as changed.
         runtime, addresses = make_runtime()
         runtime.run(3)
-        source = runtime._replicas[addresses[0]]
+        source = runtime._replica(addresses[0])
         fresher = source.tables[2].rows()[0].with_timestamp(50)
-        source.apply([(2, fresher)])
+        plant(runtime, source, [(2, fresher)])
         runtime.run(8)
         holders = [
             address
             for address in addresses[:3]  # the leaf subgroup of 0.0
-            if runtime._replicas[address].tables[2].rows()[0].timestamp == 50
+            if runtime._replica(address).tables[2].rows()[0].timestamp == 50
         ]
         assert holders == addresses[:3]
+
+
+#: Quiet rounds within which every replica holds its directory path
+#: after joins stop at 5^3, ε = 0: at most 13 were needed over 80
+#: scripted runs of 4 or 8 joins (a line moves one hop per round).
+CONVERGED_WITHIN = 20
+
+
+class TestReplicasConverge:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_replica_holds_its_path_once_joins_stop(self, seed):
+        # Joins only: the newcomer's tables are how a refreshed version
+        # enters the replicas; a leave's refreshed version enters none.
+        addresses = sorted(AddressSpace.regular(5, 3).enumerate_regular(5))
+        spare = addresses[seed::17]
+        runtime = GroupRuntime(
+            {a: StaticInterest(True) for a in addresses if a not in spare},
+            config=PmcastConfig(fanout=2, redundancy=3, min_rounds_per_depth=2),
+            sim_config=SimConfig(seed=seed, loss_probability=0.0),
+            detector_timeout=40,
+        )
+
+        def behind():
+            return [
+                (address, depth)
+                for address in runtime.tree.members()
+                for depth, table in runtime._directory.path(address).items()
+                if runtime._replica(address).tables[depth].rows() != table.rows()
+            ]
+
+        for address in spare:
+            runtime.join(address, StaticInterest(True))
+            runtime.step()
+        assert behind()
+        for __ in range(CONVERGED_WITHIN):
+            runtime.step()
+        assert behind() == []
+        assert runtime.size == len(addresses)
 
 
 class TestContentBasedRuntime:
@@ -218,15 +265,15 @@ class TestPiggybackMembership:
             arity=3, depth=2, observer=Observer(registry=registry), **options
         )
         # Make one process's leaf line fresher; others are stale.
-        source = runtime._replicas[addresses[0]]
+        source = runtime._replica(addresses[0])
         bumped = source.tables[2].rows()[0].with_timestamp(50)
-        source.apply([(2, bumped)])
+        plant(runtime, source, [(2, bumped)])
         runtime.publish(addresses[0], Event({}, event_id=777))
         runtime.run(4)
         staleness = sum(
             row.timestamp
             for address in addresses
-            for table in runtime._replicas[address].tables.values()
+            for table in runtime._replica(address).tables.values()
             for row in table.rows()
         )
         return staleness, registry.snapshot()["gossip_pull"]["exchanges"]

@@ -52,7 +52,7 @@ class PoolReader(GroupRuntime):
         self.listed = {
             address: (
                 list(self.tree.subtree_members(address.prefix(DEPTH))),
-                list(self._replicas[address].peers()),
+                list(self._replica(address).peers()),
             )
             for address in self.tree.members()
         }

@@ -141,10 +141,10 @@ CHURN = {
 
 class TestChurnedTraceBytes:
     def test_membership_plane_changes_keep_every_trace_byte(self, tmp_path):
-        # Recorded at 620fbc9, when every replica held private clones
-        # and pulled row by row: each pull record's value (lines
-        # installed) is in these bytes, so is every suspicion and
-        # exclusion the contacts led to.
+        # Re-recorded when a round's pulls became one synchronous batch
+        # (every reply carrying its replier's round-start tables): each
+        # pull record's value (lines installed) is in these bytes, so
+        # is every suspicion and exclusion the contacts led to.
         members = bernoulli_interests(
             ADDRESSES, 0.25, derive_rng(SEED, "interests")
         )
@@ -172,14 +172,15 @@ class TestChurnedTraceBytes:
                     getattr(runtime, kind)(address)
             runtime.step()
         path = tmp_path / "churned.jsonl"
-        assert trace.to_jsonl(str(path)) == 11710
+        assert trace.to_jsonl(str(path)) == 11740
         assert (
             hashlib.sha1(path.read_bytes()).hexdigest()
-            == "974041a49db8cf962c1df772572f3d582f76ccf5"
+            == "832cc5914fbb3e68c46a809fcc4afa2dfded82e9"
         )
         gossip = registry.snapshot()["gossip_pull"]
         assert gossip["exchanges"] == 7750
-        assert gossip["lines_updated"] == 2950
-        # 5562 at 620fbc9, which compared tables the pair does not share.
-        assert gossip["synced_exchanges"] == 6852
+        assert gossip["lines_updated"] == 2755
+        # 5562 at 620fbc9, which compared tables the pair does not
+        # share; 6852 while pulls ran one after another.
+        assert gossip["synced_exchanges"] == 6685
         assert registry.snapshot()["membership"]["exclusions"] == 3

@@ -18,7 +18,16 @@ A schedule's extra fires are extra visits in the kernel's walk, and a
 round that fires a process zero times leaves it out.  A fault plan's
 link decides the kernel's envelopes one by one; no round falls back.
 
-The two script properties never shrink a failing example: shrinking a
+Its detection round is the per-accusation loop of every round, which
+both array forms — ``ContactTable.accuse_all`` for a round that convicts
+nobody, ``ContactTable.play`` between convictions — must reproduce.
+
+Every pull batch (the membership round's, and the piggybacked pulls
+after an exchange) is held the same way to the pulls it stands for:
+each gossiper, in draw order, running ``_pull`` against a frozen copy
+of its peer's replica taken as the batch starts (:class:`PullRuntime`).
+
+The script properties never shrink a failing example: shrinking a
 broken live round's churn script takes minutes, so they report the
 first failing script as drawn, with its reproduction blob.
 """
@@ -31,7 +40,7 @@ from hypothesis import strategies as st
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults.plan import FaultPlan
-from repro.membership.gossip_pull import exchange
+from repro.membership.gossip_pull import _pull
 from repro.net.scheduler import JitteredSchedule, RoundSchedule, StragglerSchedule
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
@@ -45,7 +54,8 @@ HELD_BACK = (ADDRESSES[7], ADDRESSES[60], ADDRESSES[124], ADDRESSES[31])
 
 
 class LoopRuntime(GroupRuntime):
-    """The per-node loop: the reference the kernel is held to."""
+    """The per-node loop, and detection one accusation at a time: the
+    reference the kernel is held to."""
 
     def _event_round(self):
         timeline = self._obs.timeline
@@ -82,6 +92,7 @@ class LoopRuntime(GroupRuntime):
                 self._link.last_diverted, self._obs.emit, self._round,
             )
         undeliverable = 0
+        pulls = []
         for envelope in survivors:
             message, destination = envelope.message, envelope.destination
             receiver = self._nodes.get(destination)
@@ -103,13 +114,82 @@ class LoopRuntime(GroupRuntime):
             senders.append(slot_of[message.sender])
             if not receiver.is_idle:
                 self._active.add(receivers[-1])
-            if self._piggyback_membership:
-                sender_replica = self._replicas.get(message.sender)
-                receiver_replica = self._replicas.get(destination)
-                if sender_replica is not None and receiver_replica is not None:
-                    exchange(receiver_replica, sender_replica, self._reg)
+            if self._piggyback_membership and self._replica(message.sender) is not None:
+                pulls.append((receivers[-1], senders[-1]))
+        if pulls:
+            pull_by_pull(self, *zip(*pulls), registry=self._reg)
         self._m_undeliverable.inc(undeliverable)
         return np.array(receivers, np.int64), np.array(senders, np.int64)
+
+    def _detection_round(self):
+        """Every round played one accusation at a time."""
+        slots = self._live()[0]
+        stale = self._contacts.stale(slots, self._round)
+        self._play_detection(slots, stale, self._contacts.suspect_counts(stale))
+
+    def _play_detection(self, slots, stale, counts):
+        """Monitors in member order, each accusing its suspects in
+        component order until one is convicted: the loop
+        ``ContactTable.play`` replaced."""
+        contacts, now = self._contacts, self._round
+        addresses = contacts.addresses
+        may_concur = np.zeros(len(addresses), bool)
+        may_concur[slots] = True
+        reports = dict(zip(slots.tolist(), counts.tolist()))
+        rows, suspects = contacts.near_suspects(slots, stale)
+        accusers = dict(zip(suspects.tolist(), contacts.accusers(suspects).tolist()))
+        n_reports = n_accusations = n_convictions = 0
+        for row, slot in enumerate(slots.tolist()):
+            n_reports += reports[slot]
+            for suspect_slot in suspects[rows == row].tolist():
+                suspect = addresses[suspect_slot]
+                if suspect not in self._tree:
+                    continue
+                col = contacts._col[suspect_slot]
+                new = not contacts._accused[slot, col]
+                contacts._accused[slot, col] = True
+                if not contacts._required[suspect_slot]:
+                    contacts._required[suspect_slot] = contacts._quorums(
+                        np.array([suspect_slot]), may_concur
+                    )[0]
+                if new:
+                    n_accusations += 1
+                    accusers[suspect_slot] += 1
+                if self._obs.tracing:
+                    self._obs.emit(
+                        now, "suspect", addresses[slot], peer=suspect,
+                        value=accusers[suspect_slot],
+                    )
+                if accusers[suspect_slot] >= contacts._required[suspect_slot]:
+                    n_convictions += 1
+                    may_concur[suspect_slot] = False
+                    self._exclude(suspect)
+                    counts = contacts.suspect_counts(contacts.stale(slots, now))
+                    reports = dict(zip(slots.tolist(), counts.tolist()))
+                    break
+        self._count_detection(n_reports, n_accusations, n_convictions)
+
+
+def pull_by_pull(runtime, gossipers, peers, registry):
+    """A pull batch as pulls: ``gossipers[j]``, in ``j`` order, runs
+    ``_pull`` against a frozen copy of ``peers[j]``'s replica taken as
+    the batch starts, counted as ``exchange`` counts; each gossiper ends
+    holding what its last pull left.  Returns every pull's value."""
+    addresses = runtime._contacts.addresses
+    replies = {peer: runtime._replica(addresses[peer]) for peer in set(peers)}
+    states, values = {}, []
+    for gossiper, peer in zip(gossipers, peers):
+        if gossiper not in states:
+            states[gossiper] = runtime._replica(addresses[gossiper])
+        values.append(_pull(states[gossiper], replies[peer]))
+        registry.counter("gossip_pull", "exchanges").inc()
+        if values[-1] < 0:
+            registry.counter("gossip_pull", "synced_exchanges").inc()
+        else:
+            registry.counter("gossip_pull", "lines_updated").inc(values[-1])
+    for slot, state in states.items():
+        runtime._install(slot, list(state.tables.values()))
+    return values
 
 
 PLANS = [
@@ -325,6 +405,58 @@ class TestKernelEqualsTheLoop:
                   ("publish", 90, 0), ("leave", 33, 0), ("update", 8, 3),
                   ("publish", 61, 0)] + [("step", 0, 2)] * 8
         check_script(params, script, traced=False)
+
+
+class PullRuntime(GroupRuntime):
+    """Every pull batch played pull by pull (:func:`pull_by_pull`)."""
+
+    def _pull_batch(self, g, p):
+        values = pull_by_pull(self, g.tolist(), p.tolist(), self._reg)
+        return np.array(values, np.int64)
+
+
+def batches_noted(cls):
+    """``cls`` noting every pull batch: gossipers, peers, values."""
+
+    class Noting(cls):
+        def _pull_batch(self, g, p):
+            values = super()._pull_batch(g, p)
+            self.batches.append((g.tolist(), p.tolist(), values.tolist()))
+            return values
+
+    return Noting
+
+
+def replica_rows(runtime):
+    """Every slot's replica as rows per depth (None once it left)."""
+    return [
+        None if replica is None else [table.rows() for table in replica._seq]
+        for replica in map(runtime._replica, runtime._contacts.addresses)
+    ]
+
+
+class TestPullBatchEqualsThePulls:
+    """The array pull batch against the pulls it stands for: each
+    gossiper, in draw order, pulling from a frozen copy of its peer's
+    replica taken as the batch starts — on the membership round and on
+    the piggybacked pulls alike."""
+
+    @settings(max_examples=20, **NO_SHRINK)
+    @given(params=PARAMS, script=SCRIPTS)
+    def test_scripts(self, params, script):
+        arrays = build(batches_noted(GroupRuntime), params, False)
+        pulls = build(batches_noted(PullRuntime), params, False)
+        for runtime, *__ in (arrays, pulls):
+            runtime.batches = []
+        published_a, published_p = [], []
+        for op in script + [("step", 0, 2)]:
+            play(arrays[0], op, arrays[3], published_a)
+            play(pulls[0], op, pulls[3], published_p)
+            assert arrays[0].batches == pulls[0].batches, op
+            assert replica_rows(arrays[0]) == replica_rows(pulls[0]), op
+            moved = difference(state(*arrays[:3]), state(*pulls[:3]))
+            assert moved is None, f"{op}: {moved}"
+        assert arrays[0].batches
 
 
 def fallback_pair(schedule=None, plan=None):
