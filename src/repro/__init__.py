@@ -9,7 +9,7 @@ implements the full system of Eugster & Guerraoui's paper:
 * :mod:`repro.interests` — events, predicates, subscriptions, interest
   regrouping;
 * :mod:`repro.membership` — delegate election, per-depth views,
-  gossip-pull anti-entropy, join/leave, failure detection;
+  gossip-pull anti-entropy, the group directory, failure detection;
 * :mod:`repro.core` — the pmcast algorithm (Figure 3) with Pittel round
   bounds and the §5.3 small-rate tuning;
 * :mod:`repro.sim` — the round-synchronous evaluation substrate (loss,
@@ -59,7 +59,7 @@ from repro.interests import (
     regroup,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.membership import GroupDirectory, MembershipTree, join, leave
+from repro.membership import GroupDirectory, MembershipTree
 from repro.pubsub import PubSubSystem
 from repro.sim import (
     CrashSchedule,
@@ -89,8 +89,6 @@ __all__ = [
     "regroup",
     "MembershipTree",
     "GroupDirectory",
-    "join",
-    "leave",
     "PubSubSystem",
     "CrashSchedule",
     "FaultPlan",

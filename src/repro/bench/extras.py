@@ -48,13 +48,7 @@ from repro.interests import (
     Subscription,
     between,
 )
-from repro.membership import (
-    MembershipState,
-    MembershipTree,
-    build_process_views,
-    regular_total_view_size,
-)
-from repro.membership.gossip_pull import anti_entropy_until_quiescent
+from repro.membership import regular_total_view_size
 from repro.par.executor import TrialExecutor
 from repro.sim import (
     CrashSchedule,
@@ -631,46 +625,44 @@ def fault_sensitivity(
 
 
 def _convergence_trial(task: Tuple) -> Tuple:
-    """Freshen one root-view line on one replica, then gossip-pull
-    until quiescent; converged = every replica's root digest agrees."""
-    (arity, depth, fanout), __, seed = task
-    members = {
-        address: StaticInterest(True)
-        for address in AddressSpace.regular(arity, depth).enumerate_regular(arity)
-    }
-    tree = MembershipTree.build(members, redundancy=2)
-    states = {
-        address: MembershipState(address, build_process_views(tree, address, 0))
-        for address in tree.members()
-    }
-    first = next(iter(states.values())).tables[1]
-    first.upsert(first.rows()[0].with_timestamp(99))
-    rounds = anti_entropy_until_quiescent(
-        states, random.Random(seed + arity * 10 + fanout), fanout=fanout,
-        quiet_rounds=3, max_rounds=256,
+    """Leave one address out, join it, then step the runtime until every
+    live replica holds its path's tables (``stale_replicas() == 0``):
+    the rounds gossip pull takes to carry one join's refreshed lines
+    everywhere.  No member may be excluded on the way."""
+    (arity, depth), __, seed = task
+    addresses = AddressSpace.regular(arity, depth).enumerate_regular(arity)
+    rng = derive_rng(seed, "convergence", arity, depth)
+    newcomer = rng.choice(addresses)
+    runtime = GroupRuntime(
+        {address: StaticInterest(True) for address in addresses if address != newcomer},
+        config=PmcastConfig(redundancy=2),
+        sim_config=SimConfig(seed=rng.randrange(2**31), loss_probability=0.0),
+        detector_timeout=64,
     )
-    digest = first.digest()
-    converged = all(
-        state.tables[1].digest() == digest for state in states.values()
-    )
-    return arity ** depth, arity, depth, fanout, rounds, converged
+    runtime.join(newcomer, StaticInterest(True))
+    rounds = 0
+    while runtime.stale_replicas() and rounds < 256:
+        runtime.step()
+        rounds += 1
+    if runtime.size != len(addresses):
+        raise ReproError(
+            f"membership convergence at {arity}^{depth} excluded a live member"
+        )
+    return len(addresses), arity, depth, rounds, not runtime.stale_replicas()
 
 
 def membership_convergence(
     seed: int = 0, executor: Optional[TrialExecutor] = None
 ) -> ExperimentResult:
-    """M1 — §2.3 anti-entropy rounds until every replica agrees again
-    after one stale view line (epidemic theory: O(log n))."""
-    points = [
-        (arity, depth, fanout)
-        for arity, depth in ((3, 2), (4, 2), (3, 3), (4, 3))
-        for fanout in (1, 2)
-    ]
+    """M1 — §2.3 gossip-pull rounds until every live replica agrees with
+    the directory again after one join (epidemic theory: O(log n))."""
+    points = [(3, 2), (4, 2), (3, 3), (4, 3)]
     grid = _grid(executor, _convergence_trial, points, 1, seed)
     return _table(
-        "Anti-entropy rounds to re-converge after one stale root "
-        "line (3 quiet rounds of quiescence detection included):",
-        ["n", "arity", "depth", "fanout", "rounds", "converged"],
+        "GroupRuntime rounds until every live replica holds its path's "
+        "tables after one join (R = 2, eps = 0, near + far pull per "
+        "member per round):",
+        ["n", "arity", "depth", "rounds", "converged"],
         [row for __, (row,) in grid],
     )
 

@@ -3,16 +3,12 @@
 Implements §2 of the paper: delegate election over hierarchical
 addresses (:mod:`tree`), per-depth view tables (:mod:`views`), view
 derivation and the Eq 2 / Eq 12 knowledge accounting (:mod:`knowledge`),
-gossip-pull anti-entropy (:mod:`gossip_pull`), join/leave protocols
-(:mod:`lifecycle`), and last-contact failure detection
-(:mod:`failure_detector`).
+gossip-pull anti-entropy (:mod:`gossip_pull`), the group directory that
+join and leave refresh (:mod:`lifecycle`), and last-contact failure
+detection (:mod:`failure_detector`).
 """
 
-from repro.membership.gossip_pull import (
-    MembershipState,
-    anti_entropy_round,
-    exchange,
-)
+from repro.membership.gossip_pull import MembershipState
 from repro.membership.knowledge import (
     build_all_views,
     build_process_views,
@@ -23,7 +19,7 @@ from repro.membership.knowledge import (
     regular_total_view_size,
     regular_view_sizes,
 )
-from repro.membership.lifecycle import GroupDirectory, JoinResult, join, leave
+from repro.membership.lifecycle import GroupDirectory
 from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewRow, ViewTable
 
@@ -40,10 +36,5 @@ __all__ = [
     "regular_view_sizes",
     "regular_total_view_size",
     "MembershipState",
-    "exchange",
-    "anti_entropy_round",
     "GroupDirectory",
-    "JoinResult",
-    "join",
-    "leave",
 ]

@@ -8,43 +8,27 @@ every line in every table.  The receiver compares all the timestamps to
 its own timestamps, and updates the gossiper for all lines in which the
 gossiper's timestamps are smaller."
 
-:class:`MembershipState` is one process's complete knowledge (one
-table per depth); :func:`exchange` performs one gossiper->receiver pull
-interaction; :func:`anti_entropy_round` drives a whole group for the
-convergence tests.  :func:`pull_batch` is the same pull for a whole
-round of pairs at once, over a matrix of table versions — what a
-long-running :class:`~repro.sim.runtime.GroupRuntime` keeps.
+:func:`pull_batch` runs that rule for a whole round of pairs at once,
+over a matrix of table versions — what a long-running
+:class:`~repro.sim.runtime.GroupRuntime` keeps, and the one place a
+replica learns a line.  :func:`_pull` is one gossiper->receiver pull
+between two :class:`MembershipState` objects (one process's tables, one
+per depth): the pair-by-pair reference the batch is tested against.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.addressing import Address
 from repro.errors import MembershipError
 from repro.membership.views import ViewRow, ViewTable
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
-__all__ = [
-    "MembershipState",
-    "Digest",
-    "exchange",
-    "anti_entropy_round",
-    "anti_entropy_until_quiescent",
-    "pull_batch",
-]
-
-# depth -> (infix -> timestamp): the gossiper's lines, one map per
-# table.  Grouped by depth so a state's digest can *share* the tables'
-# own memoized digest maps (zero-copy) and the receiver's freshness
-# scan indexes plain-int keys instead of allocating (depth, infix)
-# tuples per line.
-Digest = Dict[int, Dict[int, int]]
+__all__ = ["MembershipState", "pull_batch"]
 
 # C-speed token readers: the version keys below are read on every
 # interaction of a long-running group.
@@ -61,18 +45,15 @@ _Merge = Tuple[Optional[ViewTable], int, bool]
 class MembershipState:
     """One process's membership knowledge: a table per depth 1..d.
 
-    A state never writes into a table: :meth:`apply` and
-    :func:`exchange` *replace* ``tables[depth]`` with another frozen
-    version (copy-on-write), so states may share table objects — in a
-    long-running group every replica holding the same lines of a
-    subgroup holds the same object, and "same object" is the sync test.
-    A hand-built state may own writable tables and mutate them
-    directly; every memo here is keyed on tokens, which follow.
+    A pull never writes into a table: :func:`_pull` *replaces*
+    ``tables[depth]`` with another frozen version (copy-on-write), so
+    states may share table objects — in a long-running group every
+    replica holding the same lines of a subgroup holds the same object,
+    and "same object" is the sync test.
 
-    ``digest()`` and ``peers()`` only change when a table does; both
-    are memoized against the table tokens (:meth:`version`, and the
-    structure-only ``addresses_token`` tuple, which timestamp churn
-    leaves alone).  Treat the returned containers as read-only.
+    ``peers()`` only changes when a table's structure does: it is
+    memoized against the tables' ``addresses_token`` tuple, which
+    timestamp churn leaves alone.  Treat the returned list as read-only.
     """
 
     owner: Address
@@ -88,83 +69,16 @@ class MembershipState:
                 raise MembershipError(
                     f"table {table.prefix} is not on {self.owner}'s path"
                 )
-        self._digest_version: Tuple[int, ...] = ()
-        self._digest_memo: Digest = {}
         self._peers_version: Tuple[int, ...] = ()
         self._peers_memo: List[Address] = []
-        # The tables as a flat tuple, rebuilt whenever one is replaced:
-        # two states hold the same versions iff their tuples match
-        # element by element under ``is``, and a tuple iterates
-        # measurably faster than a dict view.  The *set* of depths is
-        # fixed at construction.
-        self._seq: Tuple[ViewTable, ...] = tuple(self.tables.values())
-
-    def version(self) -> Tuple[int, ...]:
-        """The tuple of table cache tokens: changes iff a table does
-        (by replacement or, for a writable table, by mutation).
-
-        A token names one state of one table and is never reused, but
-        a state can *adopt* a version older than the one it held, so
-        only equality of the whole tuple means anything — tokens do not
-        order versions and their sum identifies nothing.
-        """
-        return tuple(map(_CACHE_TOKENS, self._seq))
-
-    def digest(self) -> Digest:
-        """(line, timestamp) pairs for every line, grouped by depth.
-
-        Zero-copy: the per-depth maps *are* the tables' own memoized
-        digest maps, so rebuilding after a change costs one small
-        outer dict.
-        """
-        version = self.version()
-        if version != self._digest_version:
-            self._digest_memo = {
-                depth: table.digest() for depth, table in self.tables.items()
-            }
-            self._digest_version = version
-        return self._digest_memo
-
-    def apply(self, updates: Sequence[Tuple[int, ViewRow]]) -> int:
-        """Install every update line that is fresher than ours.
-
-        Copy-on-write: a table that takes a line is replaced by a new
-        frozen version, never written, so nobody sharing the old one
-        sees the change.  Returns the number of lines actually changed.
-        Lines for depths this process does not maintain (different
-        prefix path) are ignored — each process only keeps the tables
-        along its own prefix chain.
-        """
-        changed = 0
-        taken: Dict[int, Dict[int, ViewRow]] = {}
-        for depth, row in updates:
-            table = self.tables.get(depth)
-            if table is None:
-                continue
-            lines = taken.setdefault(depth, {})
-            held = lines.get(row.infix)
-            if held is None and table.has_row(row.infix):
-                held = table.row(row.infix)
-            if held is not None and not row.newer_than(held):
-                continue
-            lines[row.infix] = row
-            changed += 1
-        if changed:
-            for depth, lines in taken.items():
-                if lines:
-                    self.tables[depth] = self.tables[depth].overlay(
-                        lines.values()
-                    )
-            self._seq = tuple(self.tables.values())
-        return changed
 
     def peers(self) -> List[Address]:
         """Every process appearing in any table (gossip candidates)."""
-        version = tuple(map(_ADDR_TOKENS, self._seq))
+        version = tuple(map(_ADDR_TOKENS, self.tables.values()))
         if version != self._peers_version:
             seen = []
             seen_set = set()
-            for table in self._seq:
+            for table in self.tables.values():
                 for address in table.addresses():
                     if address != self.owner and address not in seen_set:
                         seen_set.add(address)
@@ -186,39 +100,11 @@ def _fresher(table: ViewTable, known: Dict[int, int]) -> List[ViewRow]:
     return fresher
 
 
-def exchange(
-    gossiper: MembershipState,
-    receiver: MembershipState,
-    registry: MetricsRegistry = NULL_REGISTRY,
-) -> int:
-    """One gossip-pull interaction: the *gossiper* gets updated.
-
-    The gossiper sends its digest; the receiver replies with every line
-    on which its timestamp is larger; the gossiper installs them.
-    Only lines for subgroups both processes maintain can flow (their
-    common prefix path).
-
-    ``registry`` (``gossip_pull`` subsystem) counts every digest
-    exchange, the already-synced ones (every table the pair shares is
-    the same version, or digest-equal), and the view lines actually
-    updated.
-
-    Returns the number of lines the gossiper updated.
-    """
-    registry.counter("gossip_pull", "exchanges").inc()
-    changed = _pull(gossiper, receiver)
-    if changed < 0:
-        registry.counter("gossip_pull", "synced_exchanges").inc()
-        return 0
-    registry.counter("gossip_pull", "lines_updated").inc(changed)
-    return changed
-
-
 def _pull(gossiper: MembershipState, receiver: MembershipState) -> int:
     """Digest comparison + transfer over the tables the pair shares.
 
-    The counter-free core of :func:`exchange`, shared with the
-    simulator's membership round.  Per shared depth (same prefix): the
+    One pull of :func:`pull_batch`, pair by pair: the reference the
+    batch is compared against.  Per shared depth (same prefix): the
     same object is in sync by construction; otherwise the outcome of
     this version pulling from that one is computed once
     (:func:`_merge`), kept on the gossiper's version, and every state
@@ -246,7 +132,6 @@ def _pull(gossiper: MembershipState, receiver: MembershipState) -> int:
         elif not equal:
             synced = False
     if installed:
-        gossiper._seq = tuple(tables.values())
         return installed
     return -1 if synced else 0
 
@@ -350,55 +235,3 @@ def pull_batch(
             tokens[cells] = np.fromiter(map(_CACHE_TOKENS, tables), np.int64)[which[moved]]
             addr_tokens[cells] = np.fromiter(map(_ADDR_TOKENS, tables), np.int64)[which[moved]]
     return np.where(lines > 0, lines, np.where(unequal, 0, -1))
-
-
-def anti_entropy_round(
-    states: Mapping[Address, MembershipState],
-    rng: random.Random,
-    fanout: int = 1,
-) -> int:
-    """Every process pulls from ``fanout`` random known peers.
-
-    Returns the total number of line updates in the round.  A single
-    quiet round does not prove convergence (random pairing may have
-    matched only already-synced peers); use
-    :func:`anti_entropy_until_quiescent` to drive until convergence.
-    """
-    total = 0
-    for state in states.values():
-        candidates = [peer for peer in state.peers() if peer in states]
-        if not candidates:
-            continue
-        count = min(fanout, len(candidates))
-        for peer in rng.sample(candidates, count):
-            total += exchange(state, states[peer])
-    return total
-
-
-def anti_entropy_until_quiescent(
-    states: Mapping[Address, MembershipState],
-    rng: random.Random,
-    fanout: int = 1,
-    quiet_rounds: int = 3,
-    max_rounds: int = 256,
-) -> int:
-    """Run anti-entropy rounds until the group looks converged.
-
-    One quiet round proves nothing under randomized peer selection (the
-    round may simply have paired already-synced processes), so the loop
-    only stops after ``quiet_rounds`` consecutive rounds without a
-    single line update, or at the ``max_rounds`` safety cap.
-
-    Returns the number of rounds executed.
-    """
-    if quiet_rounds < 1:
-        raise MembershipError(f"quiet_rounds {quiet_rounds} must be >= 1")
-    quiet = 0
-    for round_index in range(max_rounds):
-        if anti_entropy_round(states, rng, fanout) == 0:
-            quiet += 1
-            if quiet >= quiet_rounds:
-                return round_index + 1
-        else:
-            quiet = 0
-    return max_rounds

@@ -161,7 +161,7 @@ class ViewTable:
         if self._frozen:
             raise MembershipError(
                 f"view of {self._prefix} is a frozen, shared version; "
-                "install lines with overlay() or MembershipState.apply()"
+                "install lines with overlay()"
             )
 
     @property

@@ -127,13 +127,7 @@ class PubSubSystem:
         """Remove a subscriber entirely (graceful leave)."""
         if address not in self._tree:
             raise MembershipError(f"{address} is not subscribed")
-        self._tree.remove(address)
-        self._nodes.pop(address, None)
-        if self._allocator is not None and self._allocator.is_allocated(
-            address
-        ):
-            self._allocator.release(address)
-        self._refresh(address)
+        self._remove(address)
 
     def crash(self, address: Address) -> None:
         """Silently crash a process: it stays in views until excluded.
@@ -150,9 +144,7 @@ class PubSubSystem:
         """Remove a crashed process from the membership (post-detection)."""
         if address not in self._tree:
             raise MembershipError(f"{address} is not a member")
-        self._tree.remove(address)
-        self._nodes.pop(address, None)
-        self._refresh(address)
+        self._remove(address)
 
     # -- publishing -------------------------------------------------------
 
@@ -193,13 +185,23 @@ class PubSubSystem:
             raise MembershipError(f"{address} has no live node")
         return node
 
+    def _remove(self, address: Address) -> None:
+        """Drop a member, free its address for reallocation, refresh."""
+        self._tree.remove(address)
+        self._nodes.pop(address, None)
+        if self._allocator is not None and self._allocator.is_allocated(
+            address
+        ):
+            self._allocator.release(address)
+        self._refresh(address)
+
     def _refresh(self, changed: Address) -> None:
         """Refresh the tables on ``changed``'s prefix path, wire a newcomer.
 
         This realizes the *converged* outcome of the §2.3 protocols
         (join contact chain + gossip-pull propagation) in one step; the
-        protocols themselves are implemented and tested in
-        :mod:`repro.membership`.
+        live protocol, replicas pulling the refreshed versions, is
+        :class:`~repro.sim.runtime.GroupRuntime`'s.
         """
         self._directory.refresh_path(changed)
         # Existing tables were refreshed in place, so every node that

@@ -356,6 +356,21 @@ class GroupRuntime:
         except KeyError:
             raise MembershipError(f"{address} has no node") from None
 
+    def stale_replicas(self) -> int:
+        """How many (live member, depth) replica tables differ from the
+        directory's table on the member's path — 0 once gossip pull has
+        carried every refreshed line to every live replica."""
+        slots = self._live()[0]
+        cells = np.stack((self._tokens[slots].ravel(), self._prefix_ids[slots].ravel()))
+        pairs, counts = np.unique(cells, axis=1, return_counts=True)
+        prefix_of = dict(zip(self._prefix_id.values(), self._prefix_id))
+        truth = self._directory.tables
+        return sum(
+            count
+            for (token, prefix), count in zip(pairs.T.tolist(), counts.tolist())
+            if self._tables[token].rows() != truth[prefix_of[prefix]].rows()
+        )
+
     def exclusion_round(self, address: Address) -> Optional[int]:
         """The round a crashed process was excluded, or None."""
         return self._excluded_at.get(address)
@@ -418,13 +433,13 @@ class GroupRuntime:
     def join(self, address: Address, interest: Interest) -> None:
         """Add a process to the running group (§2.3 join, converged).
 
-        The tree gains the member, the tables on its prefix path are
-        refreshed in place at a fresh timestamp (what the contact-chain
-        protocol of :func:`repro.membership.lifecycle.join` converges
-        to), the newcomer is wired onto the shared tables, and it and
-        its immediate neighbors start watching each other.  No other
-        member is touched: they hold the very table objects that were
-        just refreshed.
+        The tree gains the member, the directory's tables on its prefix
+        path are refreshed in place at a fresh timestamp (what §2.3's
+        contact chain converges to), the newcomer's replica is wired
+        onto snapshots of them, and it and its immediate neighbors start
+        watching each other.  No other replica is touched: the other
+        members learn the refreshed lines by pulling them, from the
+        newcomer first (:meth:`stale_replicas` counts who has not yet).
         """
         if address in self._tree:
             raise SimulationError(f"{address} is already a member")

@@ -103,7 +103,7 @@ class TestCli:
         # Experiments over the trial grid report their dispatch too...
         assert main(["--experiment", "membership_convergence"]) == 0
         assert capsys.readouterr().err == (
-            "[dispatch: 8 trials run, jobs=1]\n"
+            "[dispatch: 4 trials run, jobs=1]\n"
         )
         # ...and a closed-form table, which ran none, does not.
         assert main(["--experiment", "view_sizes", "--jobs", "2"]) == 0

@@ -171,16 +171,10 @@ class TestTableClaims:
         assert cells[0.3, 0.0]["aware"] > 0.9
 
     def test_membership_convergence_everywhere(self):
-        rounds = {}
         for row in table("membership_convergence").rows:
             assert row["converged"] and row["rounds"] < 256, row
-            rounds[row["arity"], row["depth"], row["fanout"]] = row["rounds"]
-        # Higher fanout never converges (meaningfully) slower.
-        assert all(
-            rounds[arity, depth, 2] <= slow + 10
-            for (arity, depth, fanout), slow in rounds.items()
-            if fanout == 1
-        )
+            # Epidemic spreading: O(log n) rounds.
+            assert row["rounds"] <= 4 * math.log2(row["n"]), row
 
     def test_ablations_every_knob_moves_a_cell(self):
         rows = {(row["knob"], row["setting"]): row for row in table("ablations").rows}

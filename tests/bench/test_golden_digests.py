@@ -74,7 +74,7 @@ GOLDEN_TABLES = {
     "latency": "732490b8e3de1548c4de670df514402ecdbd589b",
     "churn": "46650d5e0499b847075991d8a1f620d12ca4c7c2",
     "fault_sensitivity": "56b5ce0860c5012d6f3852ec6899f8a013d2525e",
-    "membership_convergence": "2bda9fa72325518df08653ad3a3d0c4dc2d28f9a",
+    "membership_convergence": "e35b1123d5991baa1569e8231ac5a11fa83d6a0f",
     "ablations": "92f8a7f47b3d5a1756e73637f098228bf2d64a2e",
 }
 
@@ -83,10 +83,10 @@ GOLDEN_TABLES = {
 FIGURE_PASS = {"arity": 5, "trials": 2}
 
 #: What the PYTHONHASHSEED subprocess leg re-derives: two runtime
-#: scenarios and three tables (B3 drives ``GroupRuntime``, M1 the bare
-#: gossip-pull exchange, Figure 4 the reliability sweep, whose output
-#: once moved with the hash seed; all cheap enough for the 5 s
-#: durations gate).
+#: scenarios and three tables (B3 drives ``GroupRuntime``'s event
+#: rounds, M1 its pull batches until every replica converges, Figure 4
+#: the reliability sweep, whose output once moved with the hash seed;
+#: all cheap enough for the 5 s durations gate).
 HASH_SEED_LEG = (
     ["churn_refresh", "membership_plane"],
     ["throughput", "membership_convergence", "figure4"],

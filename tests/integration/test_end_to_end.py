@@ -6,7 +6,7 @@ import random
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.interests import Event, parse_subscription
-from repro.membership import GroupDirectory, MembershipTree, join, leave
+from repro.pubsub import PubSubSystem
 from repro.sim import (
     PmcastGroup,
     derive_rng,
@@ -69,71 +69,47 @@ class TestContentBasedDissemination:
 
 
 class TestChurnThenDisseminate:
-    def build_directory(self):
-        space = AddressSpace.regular(3, 3)
-        members = {
-            address: parse_subscription("kind >= 1")
-            for address in space.enumerate_regular(3)
-        }
-        tree = MembershipTree.build(dict(members), redundancy=2)
-        return members, GroupDirectory(tree)
-
-    def rebuilt_group(self, directory):
-        members = {
-            address: directory.tree.interest_of(address)
-            for address in directory.tree.members()
-        }
-        return PmcastGroup.build(members, CONFIG)
+    def build_system(self):
+        system = PubSubSystem(3, config=CONFIG)
+        for address in AddressSpace.regular(3, 3).enumerate_regular(3):
+            system.subscribe(address, parse_subscription("kind >= 1"))
+        return system
 
     def test_join_then_deliver_to_newcomer(self):
-        members, directory = self.build_directory()
+        system = self.build_system()
         newcomer = Address((1, 1, 2))
-        # 1.1.2 doesn't exist yet in arity-3 regular population? It does
-        # (components < 3), so first remove it, then re-join.
-        leave(directory, newcomer)
-        result = join(
-            directory, Address((0, 0, 0)), newcomer,
-            parse_subscription("kind >= 1"),
-        )
-        assert result.new_member == newcomer
-        group = self.rebuilt_group(directory)
+        # 1.1.2 is part of the arity-3 regular population, so first
+        # remove it, then re-join.
+        system.unsubscribe(newcomer)
+        system.subscribe(newcomer, parse_subscription("kind >= 1"))
+        assert newcomer in system.members()
         event = Event({"kind": 2}, event_id=5000)
-        report = run_dissemination(
-            group, Address((0, 0, 0)), event, SimConfig(seed=9)
-        )
-        assert group.node(newcomer).has_delivered(event)
+        report = system.publish(Address((0, 0, 0)), event, SimConfig(seed=9))
+        assert system.node(newcomer).has_delivered(event)
         assert report.delivery_ratio == 1.0
 
     def test_delegate_leaves_tree_reroutes(self):
-        members, directory = self.build_directory()
+        system = self.build_system()
         # 0.0.0 is the smallest address: a delegate at every depth.
-        leave(directory, Address((0, 0, 0)))
-        group = self.rebuilt_group(directory)
+        system.unsubscribe(Address((0, 0, 0)))
         event = Event({"kind": 2}, event_id=5001)
-        report = run_dissemination(
-            group, Address((2, 2, 2)), event, SimConfig(seed=10)
-        )
+        report = system.publish(Address((2, 2, 2)), event, SimConfig(seed=10))
         assert report.delivery_ratio == 1.0
         assert report.group_size == 26
 
     def test_mass_churn_sequence(self):
-        members, directory = self.build_directory()
+        system = self.build_system()
         rng = random.Random(11)
         # Ten joins into fresh addresses and ten leaves, interleaved.
         space = AddressSpace.regular(6, 3)
         fresh = [a for a in space.sample(60, rng)
-                 if a not in directory.tree][:10]
-        victims = rng.sample(sorted(directory.tree.members()), 10)
+                 if a not in system.tree][:10]
+        victims = rng.sample(system.members(), 10)
         for newcomer, victim in zip(fresh, victims):
-            contact = next(iter(directory.tree.members()))
-            join(directory, contact, newcomer,
-                 parse_subscription("kind >= 1"))
-            if victim in directory.tree:
-                leave(directory, victim)
-        group = self.rebuilt_group(directory)
+            system.subscribe(newcomer, parse_subscription("kind >= 1"))
+            if victim in system.tree:
+                system.unsubscribe(victim)
         event = Event({"kind": 3}, event_id=5002)
-        publisher = sorted(directory.tree.members())[0]
-        report = run_dissemination(
-            group, publisher, event, SimConfig(seed=12)
-        )
+        publisher = system.members()[0]
+        report = system.publish(publisher, event, SimConfig(seed=12))
         assert report.delivery_ratio > 0.95

@@ -200,6 +200,22 @@ class TestAutoJoin:
         again = system.join(parse_subscription("topic >= 1"))
         assert again == first
 
+    def test_exclude_releases_address(self):
+        # 2^2 holds four addresses: three joins, an exclusion and an
+        # unsubscribe leave one member, so three more joins fit.
+        system = PubSubSystem(
+            depth=2, config=CONFIG, space=AddressSpace.regular(2, 2)
+        )
+        first, second, __ = (
+            system.join(parse_subscription("topic >= 1")) for __ in range(3)
+        )
+        system.crash(first)
+        system.exclude(first)
+        system.unsubscribe(second)
+        for __ in range(3):
+            system.join(parse_subscription("topic >= 1"))
+        assert system.members() == sorted(AddressSpace.regular(2, 2).enumerate_regular(2))
+
     def test_mixed_manual_and_auto(self):
         from repro.addressing import Address
 

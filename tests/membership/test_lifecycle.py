@@ -1,27 +1,38 @@
-"""Tests for the join/leave protocols (§2.3) and GroupDirectory."""
+"""Tests for GroupDirectory and the join/leave that refresh it (§2.3).
+
+A join or leave is the tree change plus
+:meth:`GroupDirectory.refresh_path`, as :class:`GroupRuntime` and
+:class:`PubSubSystem` run it.
+"""
 
 import pytest
 
 from repro.addressing import Address, AddressSpace, Prefix
-from repro.errors import MembershipError
+from repro.config import PmcastConfig
+from repro.errors import MembershipError, SimulationError
 from repro.interests import StaticInterest
-from repro.membership import (
-    GroupDirectory,
-    MembershipTree,
-    join,
-    leave,
-)
+from repro.membership import GroupDirectory, MembershipTree
 from repro.membership.knowledge import build_view
+from repro.sim.runtime import GroupRuntime
 
 
-def make_directory(arity=3, depth=3, redundancy=2):
+def make_members(arity=3, depth=3):
     space = AddressSpace.regular(arity, depth)
-    members = {
+    return {
         address: StaticInterest(True)
         for address in space.enumerate_regular(arity)
     }
-    tree = MembershipTree.build(members, redundancy=redundancy)
+
+
+def make_directory(arity=3, depth=3, redundancy=2):
+    tree = MembershipTree.build(make_members(arity, depth), redundancy=redundancy)
     return GroupDirectory(tree)
+
+
+def make_runtime(arity=3, depth=3, redundancy=2):
+    return GroupRuntime(
+        make_members(arity, depth), config=PmcastConfig(redundancy=redundancy)
+    )
 
 
 class TestGroupDirectory:
@@ -67,17 +78,18 @@ class TestOneStore:
     def test_join_and_leave_keep_every_held_table(self):
         directory = make_directory()
         new_leaf = Prefix((0, 4))
-        for change, address in (
-            (join, Address((1, 2, 3))),  # into a populated leaf subgroup
-            (join, Address((0, 4, 0))),  # populates new_leaf
-            (leave, Address((2, 2, 2))),
-            (leave, Address((0, 4, 0))),  # empties new_leaf again
+        for joins, address in (
+            (True, Address((1, 2, 3))),  # into a populated leaf subgroup
+            (True, Address((0, 4, 0))),  # populates new_leaf
+            (False, Address((2, 2, 2))),
+            (False, Address((0, 4, 0))),  # empties new_leaf again
         ):
             held = dict(directory.tables)
-            if change is join:
-                join(directory, Address((0, 0, 0)), address, StaticInterest(False))
+            if joins:
+                directory.tree.add(address, StaticInterest(False))
             else:
-                leave(directory, address)
+                directory.tree.remove(address)
+            directory.refresh_path(address)
             self._check(directory, held, address)
             assert (new_leaf in directory.tables) == (
                 Address((0, 4, 0)) in directory.tree
@@ -86,108 +98,73 @@ class TestOneStore:
 
 class TestJoin:
     def test_join_adds_member_and_updates_views(self):
-        directory = make_directory()
+        runtime = make_runtime()
         newcomer = Address((1, 2, 3))
-        result = join(
-            directory, Address((0, 0, 0)), newcomer, StaticInterest(True)
-        )
-        assert newcomer in directory.tree
-        assert result.new_member == newcomer
+        runtime.join(newcomer, StaticInterest(True))
+        assert newcomer in runtime.tree
         # The newcomer's leaf view now lists 4 neighbors (3 old + self).
-        assert directory.table(Prefix((1, 2))).row_count == 4
-        # Transmitted views cover every depth.
-        assert sorted(result.views) == [1, 2, 3]
-
-    def test_join_contact_trace_walks_prefix_path(self):
-        directory = make_directory()
-        newcomer = Address((2, 1, 3))
-        contact = Address((0, 0, 0))
-        result = join(directory, contact, newcomer, StaticInterest(True))
-        trace = result.contact_trace
-        assert trace[0] == contact
-        # Root delegates (the overall R smallest) come first...
-        assert Address((0, 0, 1)) in trace
-        # ...then the delegates of the newcomer's subtrees...
-        assert Address((2, 0, 0)) in trace       # delegates of prefix (2,)
-        assert Address((2, 1, 0)) in trace       # delegates of prefix (2,1)
-        # ...and finally all immediate depth-d neighbors.
-        for neighbor in [Address((2, 1, 0)), Address((2, 1, 1)), Address((2, 1, 2))]:
-            assert neighbor in trace
+        assert runtime._directory.table(Prefix((1, 2))).row_count == 4
+        # Its replica holds a table at every depth.
+        assert sorted(runtime._replica(newcomer).tables) == [1, 2, 3]
 
     def test_join_into_empty_subtree(self):
-        directory = make_directory()
+        runtime = make_runtime()
         newcomer = Address((2, 2, 3))
         # Remove the whole 2.2 subtree first.
         for last in range(3):
-            leave(directory, Address((2, 2, last)))
-        result = join(
-            directory, Address((0, 0, 0)), newcomer, StaticInterest(True)
-        )
-        assert directory.table(Prefix((2, 2))).row_count == 1
-        assert newcomer in directory.tree
-        assert result.contact_trace  # at least the contact itself
+            runtime.leave(Address((2, 2, last)))
+        runtime.join(newcomer, StaticInterest(True))
+        assert runtime._directory.table(Prefix((2, 2))).row_count == 1
+        assert newcomer in runtime.tree
+        assert runtime.node(newcomer).alive
 
     def test_join_refreshes_timestamps(self):
-        directory = make_directory()
-        before = directory.table(Prefix((1, 2))).rows()[0].timestamp
-        join(
-            directory, Address((0, 0, 0)), Address((1, 2, 3)),
-            StaticInterest(True),
-        )
-        after = directory.table(Prefix((1, 2))).rows()[0].timestamp
+        runtime = make_runtime()
+        table = runtime._directory.table(Prefix((1, 2)))
+        before = table.rows()[0].timestamp
+        runtime.join(Address((1, 2, 3)), StaticInterest(True))
+        after = table.rows()[0].timestamp
         assert after > before
 
     def test_join_duplicate_rejected(self):
-        directory = make_directory()
-        with pytest.raises(MembershipError):
-            join(
-                directory, Address((0, 0, 0)), Address((1, 1, 1)),
-                StaticInterest(True),
-            )
-
-    def test_join_unknown_contact_rejected(self):
-        directory = make_directory()
-        with pytest.raises(MembershipError):
-            join(
-                directory, Address((9, 9, 9)), Address((1, 2, 3)),
-                StaticInterest(True),
-            )
+        runtime = make_runtime()
+        with pytest.raises(SimulationError):
+            runtime.join(Address((1, 1, 1)), StaticInterest(True))
 
     def test_join_wrong_depth_rejected(self):
-        directory = make_directory()
+        runtime = make_runtime()
         with pytest.raises(MembershipError):
-            join(
-                directory, Address((0, 0, 0)), Address((1, 2)),
-                StaticInterest(True),
-            )
+            runtime.join(Address((1, 2)), StaticInterest(True))
 
 
 class TestLeave:
     def test_leave_removes_and_informs_neighbors(self):
-        directory = make_directory()
+        runtime = make_runtime()
         leaver = Address((1, 1, 1))
-        informed = leave(directory, leaver)
-        assert leaver not in directory.tree
-        assert set(informed) == {Address((1, 1, 0)), Address((1, 1, 2))}
-        assert directory.table(Prefix((1, 1))).row_count == 2
+        runtime.leave(leaver)
+        assert leaver not in runtime.tree
+        assert set(runtime.tree.subtree_members(Prefix((1, 1)))) == {
+            Address((1, 1, 0)), Address((1, 1, 2)),
+        }
+        assert runtime._directory.table(Prefix((1, 1))).row_count == 2
 
     def test_leave_of_delegate_promotes_next(self):
-        directory = make_directory()
+        runtime = make_runtime()
         # 0.0.0 is a root delegate; after it leaves, 0.0.1 and 0.0.2
         # are the two smallest in subtree 0.
-        leave(directory, Address((0, 0, 0)))
-        root_row = directory.table(Prefix(())).row(0)
+        runtime.leave(Address((0, 0, 0)))
+        root_row = runtime._directory.table(Prefix(())).row(0)
         assert root_row.delegates == (Address((0, 0, 1)), Address((0, 0, 2)))
 
     def test_leave_last_member_drops_table(self):
-        directory = make_directory(arity=2, depth=2, redundancy=1)
-        leave(directory, Address((1, 0)))
-        leave(directory, Address((1, 1)))
+        runtime = make_runtime(arity=2, depth=2, redundancy=1)
+        runtime.leave(Address((1, 0)))
+        runtime.leave(Address((1, 1)))
         with pytest.raises(MembershipError):
-            directory.table(Prefix((1,)))
-        assert directory.table(Prefix(())).row_count == 1
+            runtime._directory.table(Prefix((1,)))
+        assert runtime._directory.table(Prefix(())).row_count == 1
 
     def test_leave_nonmember_rejected(self):
-        directory = make_directory()
-        with pytest.raises(MembershipError):
-            leave(directory, Address((9, 9, 9)))
+        runtime = make_runtime()
+        with pytest.raises(SimulationError):
+            runtime.leave(Address((9, 9, 9)))

@@ -2,7 +2,7 @@
 
 ``_pull`` moves a state from one table version to another through a
 memoised per-version merge; the reference below is §2.3 spelled out
-line by line (fresher lines -> same-prefix filter -> ``apply``) on
+line by line (same-prefix filter -> fresher lines -> ``upsert``) on
 private clones.  Generated pairs must agree on the resulting rows, the
 lines installed and the synced verdict, and sharing must never leak a
 write from one holder to another.
@@ -78,12 +78,13 @@ def reference_pull(gossiper, receiver):
         private.tables[depth].digest() == receiver.tables[depth].digest()
         for depth in shared
     )
-    updates = [
-        (depth, row)
-        for depth in shared
-        for row in _fresher(receiver.tables[depth], private.digest().get(depth) or {})
-    ]
-    return rows_of(private), private.apply(updates), synced, private
+    lines = 0
+    for depth in shared:
+        table = private.tables[depth]
+        for row in _fresher(receiver.tables[depth], table.digest()):
+            table.upsert(row)
+            lines += 1
+    return rows_of(private), lines, synced, private
 
 
 PAIRS = st.tuples(
@@ -105,7 +106,6 @@ class TestPullMatchesTheRowRule:
         assert outcome == (-1 if synced else lines)
         assert rows_of(gossiper) == rows_of(expected)
         assert rows_of(receiver) == before
-        assert gossiper._seq == tuple(gossiper.tables.values())
         # Pulling again finds nothing new either way.
         assert _pull(gossiper, receiver) in (-1, 0)
         assert rows_of(gossiper) == rows_of(expected)
@@ -150,7 +150,9 @@ def chain():
     a = build_state(GOSSIPER, lines, True)
     b = MembershipState(Address((0, 0, 1)), dict(a.tables))
     c = MembershipState(Address((0, 0, 2)), dict(a.tables))
-    c.apply([(DEPTH, row.with_timestamp(5)) for row in c.tables[DEPTH].rows()])
+    c.tables[DEPTH] = c.tables[DEPTH].overlay(
+        [row.with_timestamp(5) for row in c.tables[DEPTH].rows()]
+    )
     assert _pull(b, c) == 4 and _pull(a, b) == 4
     assert a.tables[DEPTH] is b.tables[DEPTH] is c.tables[DEPTH]
     return a, b, c
@@ -161,8 +163,8 @@ class TestSharingNeverLeaks:
     def test_an_apply_on_one_state_never_shows_in_the_others(self, writer):
         states = chain()
         before = [rows_of(state) for state in states]
-        fresher = states[writer].tables[DEPTH].rows()[2].with_timestamp(9)
-        assert states[writer].apply([(DEPTH, fresher)]) == 1
+        tables = states[writer].tables
+        tables[DEPTH] = tables[DEPTH].overlay([tables[DEPTH].rows()[2].with_timestamp(9)])
         assert states[writer].tables[DEPTH].row(2).timestamp == 9
         for index, state in enumerate(states):
             if index != writer:
@@ -216,7 +218,7 @@ def replicas(runtime):
 def memo_entries(runtime):
     """Outcomes remembered on the versions some replica still holds."""
     versions = {
-        id(table): table for replica in replicas(runtime) for table in replica._seq
+        id(table): table for replica in replicas(runtime) for table in replica.tables.values()
     }
     return sum(len(table._pulls) for table in versions.values())
 

@@ -147,6 +147,16 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/sim/test_runtime_kernel.py::TestPullBatchEqualsThePulls",),
     ),
     Mutant(
+        "a pull batch never installs at depth 1",
+        "repro/membership/gossip_pull.py",
+        "        moved = took > 0\n",
+        "        moved = (took > 0) & (depth > 0)\n",
+        (
+            "tests/sim/test_runtime.py::TestReplicasConverge",
+            "tests/membership/test_gossip_pull.py::TestConvergence::test_anti_entropy_converges",
+        ),
+    ),
+    Mutant(
         "the shared stale mask uses <=",
         "repro/membership/failure_detector.py",
         "        return self._near[monitors] < now - self._timeout",

@@ -55,7 +55,7 @@ class WalkRuntime(GroupRuntime):
             if near:
                 gossipers.append(slot)
                 peers.append(near[randbelow(len(near))])
-            structure = tuple(table.addresses_token for table in replica._seq)
+            structure = tuple(table.addresses_token for table in replica.tables.values())
             if self._walk_structure.get(address) == structure:
                 hits += 1
             else:

@@ -147,9 +147,14 @@ class TestFailureDetection:
 
 
 def plant(runtime, replica, updates):
-    """Install ``updates`` into ``replica`` (read off ``runtime``) and
-    make the runtime's replica hold the result."""
-    replica.apply(updates)
+    """Install ``updates`` (depth, line) over ``replica`` (read off
+    ``runtime``), copy-on-write, and make the runtime's replica hold the
+    result."""
+    tables = replica.tables
+    for depth in dict.fromkeys(depth for depth, __ in updates):
+        tables[depth] = tables[depth].overlay(
+            [row for at, row in updates if at == depth]
+        )
     runtime._install(
         runtime._contacts.slot_of[replica.owner], list(replica.tables.values())
     )
@@ -211,22 +216,41 @@ class TestReplicasConverge:
             detector_timeout=40,
         )
 
-        def behind():
-            return [
-                (address, depth)
-                for address in runtime.tree.members()
-                for depth, table in runtime._directory.path(address).items()
-                if runtime._replica(address).tables[depth].rows() != table.rows()
-            ]
-
         for address in spare:
             runtime.join(address, StaticInterest(True))
             runtime.step()
-        assert behind()
+        assert runtime.stale_replicas()
         for __ in range(CONVERGED_WITHIN):
             runtime.step()
-        assert behind() == []
+        assert runtime.stale_replicas() == 0
         assert runtime.size == len(addresses)
+
+    def test_stale_replicas_counts_what_differs_from_the_path(self):
+        # The count is the by-hand comparison of every live member's
+        # replica against its directory path, table by table.
+        addresses = sorted(AddressSpace.regular(4, 3).enumerate_regular(4))
+        runtime = GroupRuntime(
+            {a: StaticInterest(True) for a in addresses[1:]},
+            config=PmcastConfig(fanout=2, redundancy=2),
+            sim_config=SimConfig(seed=4, loss_probability=0.0),
+            detector_timeout=40,
+        )
+        assert runtime.stale_replicas() == 0
+        runtime.join(addresses[0], StaticInterest(True))
+        runtime.crash(addresses[-1])
+        seen = set()
+        for __ in range(CONVERGED_WITHIN):
+            behind = [
+                (address, depth)
+                for address in runtime.tree.members()
+                if runtime.node(address).alive
+                for depth, table in runtime._directory.path(address).items()
+                if runtime._replica(address).tables[depth].rows() != table.rows()
+            ]
+            assert runtime.stale_replicas() == len(behind)
+            seen.add(len(behind))
+            runtime.step()
+        assert len(seen) > 2 and 0 in seen
 
 
 class TestContentBasedRuntime:

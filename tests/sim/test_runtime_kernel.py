@@ -430,7 +430,7 @@ def batches_noted(cls):
 def replica_rows(runtime):
     """Every slot's replica as rows per depth (None once it left)."""
     return [
-        None if replica is None else [table.rows() for table in replica._seq]
+        None if replica is None else [table.rows() for table in replica.tables.values()]
         for replica in map(runtime._replica, runtime._contacts.addresses)
     ]
 
