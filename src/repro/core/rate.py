@@ -12,20 +12,18 @@ as interested as well (see :mod:`repro.core.tuning`).
 
 A :class:`TableMatch` also carries its flat form — entry positions, the
 per-entry verdict mask and a round-bound memo — which is what a GOSSIP
-firing reads: lines 9–14 draw F *positions* with
-:func:`sample_positions` (CPython's ``random.sample`` over
-``range(n)``), so the scalar step and the compat kernel
-(:mod:`repro.sim.vector`) consume a stream identically without ever
-building a candidate list.
+firing reads: lines 9–14 draw F *positions*, never a candidate list.
 
 This module also holds the one integer draw every sequential stream of
-the simulators goes through.  :func:`sample_positions` and its batch
-form :func:`randbelow_each` (a membership round's peer draws) inline
-CPython's ``Random._randbelow_with_getrandbits`` over
+the simulators goes through.  :func:`sample_positions_each` draws a
+batch of CPython ``random.sample`` calls over ``range(n)`` — a compat-kernel
+or live round's destinations, a membership round's peers (``k = 1``) —
+and :func:`sample_positions`, the scalar step's, is its one-size call.
+It inlines ``Random._randbelow_with_getrandbits`` over
 ``rng.getrandbits``: the same raw calls in the same order, so the values
 and the final state equal ``random.Random``'s, without a Python frame
-per draw.  A generator whose class draws integers another way is
-refused.
+per draw or per sample.  A generator whose class draws integers another
+way is refused.
 """
 
 from __future__ import annotations
@@ -44,11 +42,13 @@ from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
-__all__ = ["TableMatch", "match_table", "randbelow_each", "sample_positions"]
+__all__ = ["TableMatch", "match_table", "sample_positions", "sample_positions_each"]
 
-#: The integer draw both primitives inline; a class whose ``_randbelow``
+#: The integer draw the primitive inlines; a class whose ``_randbelow``
 #: is anything else draws a different stream.
 _RANDBELOW = random.Random._randbelow_with_getrandbits
+#: ``range(21)``, the pool every sample of at most 5 draws slices (never written).
+_POSITIONS = list(range(21))
 _UNSUPPORTED = (
     "{} does not draw integers through getrandbits; only "
     "random.Random's _randbelow_with_getrandbits stream is mirrored"
@@ -122,8 +122,24 @@ class TableMatch:
 
 
 def sample_positions(rng: random.Random, n: int, k: int) -> List[int]:
-    """Draw ``k`` distinct positions from ``range(n)``, mirroring
-    ``rng.sample(range(n), k)``.
+    """``rng.sample(range(n), k)``: :func:`sample_positions_each` over
+    the one size ``n``.
+
+    Raises:
+        TypeError: as :func:`sample_positions_each` does.
+        ValueError: if ``k`` is negative or larger than ``n``, as
+            ``random.sample`` does.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot sample {k} of {n} positions")
+    return sample_positions_each(rng, (n,) if k else (), k)
+
+
+def sample_positions_each(
+    rng: random.Random, sizes: Sequence[int], k: int
+) -> List[int]:
+    """``rng.sample(range(n), min(k, n))`` for each ``n`` of ``sizes``
+    in turn, concatenated, drawn in one Python frame.
 
     This is CPython's ``Random.sample`` with the population replaced by
     positions: the same ``setsize`` heuristic, the same pool-shuffle /
@@ -132,76 +148,63 @@ def sample_positions(rng: random.Random, n: int, k: int) -> List[int]:
     called once per draw.  Because ``sample`` only consumes randomness
     as a function of ``(len(population), k)``, the positions ``j`` it
     returns make ``population[j]`` reproduce ``rng.sample(population,
-    k)`` element for element, and ``rng`` ends in the same state.
+    k)`` element for element, and ``rng`` ends in the state the calls
+    one size at a time leave.  At ``k = 1`` both branches are one
+    ``rng._randbelow(n)``, drawn without a pool or a set.
 
-    Raises:
-        TypeError: if ``rng``'s class does not draw integers through
-            ``getrandbits`` (:func:`randbelow_each` says why).
-        ValueError: if ``k`` is negative or larger than ``n``, as
-            ``random.sample`` does.
-    """
-    if getattr(type(rng), "_randbelow", None) is not _RANDBELOW:
-        raise TypeError(_UNSUPPORTED.format(type(rng).__name__))
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot sample {k} of {n} positions")
-    getrandbits = rng.getrandbits
-    result = [0] * k
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            m = n - i
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            result[i] = pool[j]
-            pool[j] = pool[m - 1]
-    else:
-        # A draw past ``n`` and a repeat are both drawn again: the raw
-        # calls of ``randbelow(n)`` re-run while the result was selected.
-        bits = n.bit_length()
-        selected = set()
-        selected_add = selected.add
-        for i in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            selected_add(j)
-            result[i] = j
-    return result
-
-
-def randbelow_each(rng: random.Random, sizes: Sequence[int]) -> List[int]:
-    """``[rng._randbelow(size) for size in sizes]``, drawn without a
-    Python frame per size.
-
-    Every size must be at least 1 (``_randbelow(0)`` never returns).
-    The draws are CPython's ``_randbelow_with_getrandbits`` inlined, so
-    ``rng`` must be of a class that draws through it — ``random.Random``
-    or a subclass that keeps or overrides ``getrandbits``.  A class that
-    overrides only ``random()`` draws by ``_randbelow_without_getrandbits``
-    instead, a different stream, and is refused rather than drawn
-    differently.
+    ``rng`` must therefore draw through ``_randbelow_with_getrandbits``
+    (a ``random.Random``, or a subclass that keeps or overrides
+    ``getrandbits``); one overriding only ``random()`` draws by
+    ``_randbelow_without_getrandbits``, another stream, and is refused.
 
     Raises:
         TypeError: if ``rng`` does not draw through ``getrandbits``.
-        ValueError: if a size is below 1.
+        ValueError: if a size is below 1 (``_randbelow(0)`` never
+            returns) or ``k`` is negative.
     """
     if getattr(type(rng), "_randbelow", None) is not _RANDBELOW:
         raise TypeError(_UNSUPPORTED.format(type(rng).__name__))
-    if sizes and min(sizes) < 1:
-        raise ValueError(f"cannot draw below {min(sizes)}")
+    if k < 0 or (sizes and min(sizes) < 1):
+        raise ValueError(f"cannot sample {k} positions of sizes down to {min(sizes, default=1)}")
     getrandbits = rng.getrandbits
-    out = [0] * len(sizes)
-    for i, n in enumerate(sizes):
-        bits = n.bit_length()
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        out[i] = r
+    out: List[int] = []
+    append = out.append
+    if k == 1:
+        for n in sizes:
+            bits = n.bit_length()
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+            append(j)
+        return out
+    # ``sample``'s branch rule at min(k, n) draws: a size at most k
+    # takes the pool branch under either count, as setsize > 3k.
+    setsize, positions = 21, _POSITIONS
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        positions = list(range(setsize))
+    for n in sizes:
+        if n <= setsize:
+            pool = positions[:n]
+            for m in range(n, n - k if k < n else 0, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            # A draw past ``n`` and a repeat are both drawn again: the
+            # raw calls of ``randbelow(n)`` re-run while the result was
+            # selected.
+            bits = n.bit_length()
+            selected = set()
+            for __ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                append(j)
     return out
 
 

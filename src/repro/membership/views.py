@@ -79,10 +79,6 @@ class ViewRow:
                 f"row {self.infix} has process_count {self.process_count}"
             )
 
-    def newer_than(self, other: "ViewRow") -> bool:
-        """True if this line supersedes ``other`` under anti-entropy."""
-        return self.timestamp > other.timestamp
-
     def with_timestamp(self, timestamp: int) -> "ViewRow":
         """A copy of this row carrying a new timestamp."""
         return replace(self, timestamp=timestamp)

@@ -58,7 +58,7 @@ from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.node import PmcastNode
-from repro.core.rate import randbelow_each
+from repro.core.rate import sample_positions_each
 from repro.errors import MembershipError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -869,8 +869,8 @@ class GroupRuntime:
         """Dedicated membership gossips — one near pull, one far pull
         per live member — then every contact of the round.
 
-        Every peer is drawn by one ``randbelow_each(rng, sizes)``
-        (:mod:`repro.core.rate`): ``sizes`` holds each live member's
+        Every peer is drawn by one ``sample_positions_each(rng, sizes,
+        1)`` (:mod:`repro.core.rate`): ``sizes`` holds each live member's
         near-pool size then its far-pool size, in member order, empty
         pools skipped — the draws, in the order, of a walk drawing
         ``pool[rng._randbelow(len(pool))]`` per pool (``rng.choice``'s
@@ -894,9 +894,8 @@ class GroupRuntime:
             self._point_listings(slots)
             pool, start, size, place = self._pools(slots)
             drawn = np.flatnonzero(size)
-            d = np.array(
-                randbelow_each(self._membership_rng, size[drawn].tolist()), np.int64
-            )
+            sizes = size[drawn].tolist()
+            d = np.array(sample_positions_each(self._membership_rng, sizes, 1), np.int64)
             g = slots[drawn >> 1]
             p = pool[start[drawn] + d + (d >= place[drawn])]
         if len(g):

@@ -3,12 +3,11 @@
 Three kernels live here.  Two run a single-event dissemination, with
 different contracts:
 
-**Compat kernel** (:func:`try_run_vectorized`) — a flattened re-
-implementation of :func:`repro.sim.engine.run_dissemination`'s round
-loop over dense integer indices instead of the per-member object model.
-It consumes the *same* ``random.Random`` streams in the *same* order as
-the scalar engine (destination draws via the scalar step's own
-:func:`~repro.core.rate.sample_positions` over the same flat
+**Compat kernel** (:func:`try_run_vectorized`) — :func:`repro.sim.engine.run_dissemination`'s
+round loop as array passes over the active set instead of the per-member
+object model.  It consumes the *same* ``random.Random`` streams in the
+*same* order as the scalar engine (a round's destinations via one
+:func:`~repro.core.rate.sample_positions_each` over the same flat
 :class:`~repro.core.rate.TableMatch`, loss draws via
 :meth:`~repro.sim.network.LossyNetwork.transmit_flags`), so its
 :class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
@@ -60,7 +59,7 @@ iterates arrays or insertion-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import contains
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -71,7 +70,7 @@ from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
 from repro.core import node as node_state
-from repro.core.rate import sample_positions
+from repro.core.rate import sample_positions_each
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
@@ -142,11 +141,18 @@ class _Flats:
     by (table, cache token, event): it is replaced at its next lookup
     once its table's token moved, dropped when :meth:`forget` names its
     table, and dropped with its event by :meth:`prune` or
-    :meth:`release`.  A lookup served from a flat counts the
-    ``match_cache`` table hit the scalar step's lookup would; any other
-    goes through :meth:`GossipContext.table_match
+    :meth:`release`.  A lookup served from a flat counts one
+    ``match_cache`` table hit; any other goes through
+    :meth:`GossipContext.table_match
     <repro.core.context.GossipContext.table_match>`, which counts
     itself.
+
+    What a run counts follows its kernel's lookups: :class:`LiveRound`
+    looks up where the per-node loop's ``gossip_step`` would, so its
+    counters read the loop's; the compat kernel once per (node, depth),
+    where the reference loop looks up at every firing — so far fewer hits
+    (4 678 against 25 918, 506 misses on both, in a ``static_tree``-shaped
+    22³ trial), which nothing reads: ``run_dissemination`` has no collector.
     """
 
     __slots__ = ("_ctx", "_config", "_slot_of", "_flats", "_wiring", "_bounds")
@@ -222,6 +228,97 @@ class _Flats:
 # Compat kernel: bit-identical to the scalar engine.
 # ---------------------------------------------------------------------------
 
+class _FlatColumns:
+    """The compat kernel's flats as columns over dense flat ids, each
+    taken from :meth:`_Flats.cell` the first time :meth:`at` asks.
+    ``pool`` holds every flat's entries (member indices, -1 where line
+    13 skips) then its flood targets.  Per flat id: ``start``, ``size``,
+    ``flood_count``, ``floods``, ``rate`` and ``bound`` (line 7's at its
+    own rate; -1 where it floods).  Per key ``node * d + depth - 1``:
+    ``flat`` (-1 until asked) and ``own``, the node's entry position.
+    """
+
+    def __init__(self, flats: _Flats, nodes: List, event: Event, depth: int, config: PmcastConfig):
+        self._cell, self._nodes, self._event = flats.cell, nodes, event
+        self._depth, self._config = depth, config
+        self.flat, self.own = np.full((2, len(nodes) * depth), -1, np.int64)
+        self._ids: Dict[int, int] = {}  # id(_DepthMatch) -> flat id
+        self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
+        self.floods, self.rate = np.empty(0, bool), np.empty(0)
+
+    def at(self, nodes: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """The flat ids of the pairs (``nodes``, ``depths``); the pairs
+        never asked for are looked up now, in the order given."""
+        keys = nodes * self._depth + depths - 1
+        ids = self.flat[keys]
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            asking, views, cell = nodes[missing].tolist(), self._nodes, self._cell
+            pairs = zip(asking, depths[missing].tolist())
+            matches = [cell(views[i]._views[d], self._event) for i, d in pairs]
+            known, before = self._ids, len(self._ids)
+            found = [known.setdefault(id(match), len(known)) for match in matches]
+            if len(known) > before:
+                new = dict(zip(found, matches))
+                self._add([new[f] for f in range(before, len(known))])
+            self.flat[keys[missing]] = ids[missing] = found
+            self.own[keys[missing]] = [match.pos.get(i, -1) for match, i in zip(matches, asking)]
+        return ids
+
+    def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Line 7's bound per row of flat ``ids`` for an entry buffered at
+        ``rate``: the flat's own but where a message brought another."""
+        bound = self.bound[ids]
+        other = np.flatnonzero(rate != self.rate[ids])
+        if len(other):
+            sizes, rates = self.size[ids[other]].tolist(), rate[other].tolist()
+            bound[other] = [depth_round_bound(*row, self._config) for row in zip(sizes, rates)]
+        return bound
+
+    def _add(self, matches: List[_DepthMatch]) -> None:
+        """Columns and pool slots for the next flat ids, ``matches``."""
+        size = np.array([len(match.entries) for match in matches], np.int64)
+        flood_count = np.array([len(match.flood_targets) for match in matches], np.int64)
+        bound = [-1 if m.floods else m.round_bound(m.rate, self._config) for m in matches]
+        slots = chain.from_iterable(chain(m.entries, m.flood_targets) for m in matches)
+        tails = {
+            "pool": np.fromiter(slots, np.int64),
+            "start": len(self.pool) + np.cumsum(size + flood_count) - size - flood_count,
+            "size": size, "flood_count": flood_count, "bound": np.array(bound, np.int64),
+            "floods": np.array([match.floods for match in matches], bool),
+            "rate": np.array([match.rate for match in matches], float),
+        }
+        for name, tail in tails.items():
+            setattr(self, name, np.concatenate((getattr(self, name), tail)))
+
+
+def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tuple[np.ndarray, ...]:
+    """Figure 3's GOSSIP task for all of ``active`` at once, settling
+    their buffered ``depth``, ``round_`` and ``rate`` in place in at most
+    ``leaf`` masked passes (§6 flood, gossip, demotion or retirement).
+    Returns per row whether it gossips, whether it floods, its last flat.
+    """
+    gossips, floods = np.zeros((2, len(active)), bool)
+    flat = np.empty(len(active), np.int64)
+    todo = np.arange(len(active))
+    ids = flats.at(active, depth)
+    while len(todo):
+        flat[todo] = ids
+        flooding = flats.floods[ids]
+        floods[todo[flooding]] = True
+        todo, ids = todo[~flooding], ids[~flooding]
+        going = round_[todo] < flats.bound_at(ids, rate[todo])
+        gossips[todo[going]] = True
+        round_[todo[going]] += 1
+        todo = todo[~going]
+        todo = todo[depth[todo] < leaf]
+        depth[todo] += 1
+        round_[todo] = 0
+        ids = flats.at(active[todo], depth[todo])
+        rate[todo] = flats.rate[ids]
+    return gossips, floods, flat
+
+
 def try_run_vectorized(
     group: PmcastGroup,
     publisher: Address,
@@ -246,99 +343,76 @@ def try_run_vectorized(
     ``observer.registry`` receives per-round ``vector.*`` counters;
     ``observer.timeline`` receives ``engine`` ``fan_out``/``exchange``
     spans under the names the reference loop uses — both out of band.
+
+    A round is array passes (:func:`_settle`), one ``sample_positions_each``
+    and one gather of destinations (docs/PROTOCOL.md).
     """
     addresses = group.addresses()
     nodes = group.ordered_nodes()
     # Node state is read through node_state's attrgetter maps: no Python
     # frame per member.
-    alive = list(map(node_state.alive_of, nodes))
+    alive_now = list(map(node_state.alive_of, nodes))
     # A live node mid-event lives on the object model, which the
     # single-event arrays cannot represent.  A crashed one never gossips
     # or receives again on either path, so its leftover buffer is inert.
-    if any(compress(map(node_state.buffered_ids, nodes), alive)):
+    if any(compress(map(node_state.buffered_ids, nodes), alive_now)):
         return None
-    registry = observer.registry
-    timeline = observer.timeline
+    registry, timeline = observer.registry, observer.timeline
 
     n = len(addresses)
-    index_of = dict(zip(addresses, range(n)))
-    components = list(map(component_key, addresses))
-    own_match = [i.matches(event) for i in map(node_state.interest_of, nodes)]
-    ids = repeat(event.event_id)
-    received = list(map(contains, map(node_state.received_ids, nodes), ids))
-    delivered = list(map(contains, map(node_state.delivered_ids, nodes), ids))
     tree_depth = group.tree.depth
-    config = group.config
+    index_of = dict(zip(addresses, range(n)))
+    components = np.fromiter(chain.from_iterable(map(component_key, addresses)), int).reshape(n, -1)
+    own_list = [i.matches(event) for i in map(node_state.interest_of, nodes)]
+    own_match = np.array(own_list, bool)
+    alive = np.array(alive_now, bool)
+    received = np.fromiter(
+        map(contains, map(node_state.received_ids, nodes), repeat(event.event_id)), bool, n
+    )
+    # The run's deliveries (one made before it is already on the node),
+    # the run's crashes, and who holds the event now.
+    delivered, crashed, infected = np.zeros((3, n), bool)
+    config, rng = group.config, ctx.rng
     fanout = config.fanout
-    rng = ctx.rng
-    flats = _Flats(ctx, config, index_of)
-    flat_at: List[Optional[_DepthMatch]] = [None] * (n * tree_depth)
-
-    def flat_for(i: int, depth: int) -> _DepthMatch:
-        """Node ``i``'s flat at ``depth``."""
-        at = i * tree_depth + depth - 1
-        flat = flat_at[at]
-        if flat is None:
-            flat = flat_at[at] = flats.cell(nodes[i].view(depth), event)
-        return flat
+    flats = _FlatColumns(_Flats(ctx, config, index_of), nodes, event, tree_depth, config)
 
     pub = index_of.get(publisher)
     if pub is None:
         raise SimulationError(f"{publisher} is not in the group")
 
     # Ground truth before anybody crashes (exactly the scalar order);
-    # own_match already holds it, in address order.
-    interested = set(compress(addresses, own_match))
+    # own_list already holds it, in address order.
+    interested = set(compress(addresses, own_list))
     sent_before = sum(map(node_state.sent_of, nodes))
     receptions_before = sum(map(node_state.receptions_of, nodes))
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
     if received[pub]:
         raise ProtocolError(f"event {event.event_id} already published")
-    received[pub] = True
-    if own_match[pub]:
-        delivered[pub] = True
-    publish_depth = (
-        nodes[pub].shortcut_depth(event)
-        if config.local_interest_shortcut
-        else 1
-    )
-    crashed: List[int] = []
-    buf_depth = [0] * n
-    buf_round = [0] * n
-    buf_rate = [0.0] * n
-    buf_depth[pub] = publish_depth
-    buf_rate[pub] = flat_for(pub, publish_depth).rate
-    sent_count = [0] * n
-    recv_count = [0] * n
+    received[pub] = infected[pub] = True
+    delivered[pub] = own_list[pub]
+    buf_depth, buf_round, sent_count, recv_count = np.zeros((4, n), np.int64)
+    buf_rate = np.zeros(n)
+    active = np.array([pub], np.int64)
+    buf_depth[pub] = nodes[pub].shortcut_depth(event) if config.local_interest_shortcut else 1
+    published = flats.at(active, buf_depth[active])
+    buf_rate[pub] = flats.rate[published[0]]
 
     emit = observer.emit if observer.tracing else None
     if emit is not None:
         # Byte-identical metadata to the scalar engine's: offline
         # tooling cannot (and must not) tell the producers apart.
-        observer.annotate(
-            **dissemination_meta(
-                "repro.sim.engine",
-                publisher,
-                event.event_id,
-                group.size,
-                interested,
-                sim_config.seed,
-            )
-        )
+        observer.annotate(**dissemination_meta(
+            "repro.sim.engine", publisher, event.event_id, group.size, interested,
+            sim_config.seed,
+        ))
         emit(0, "publish", publisher, event_id=event.event_id)
-        if delivered[pub]:
+        if own_list[pub]:
             emit(0, "deliver", publisher, event_id=event.event_id)
 
-    active_list = [pub]
-    in_active = [False] * n
-    in_active[pub] = True
-    active_count = 1
-    infected = [False] * n
-    infected[pub] = True
     infected_count = 1
     infection_curve: List[int] = []
-    messages_by_distance = [0] * tree_depth
+    messages_by_distance = np.zeros(tree_depth, np.int64)
     rounds = 0
 
     metering = registry.enabled
@@ -355,184 +429,112 @@ def try_run_vectorized(
                 raise SimulationError(f"{victim} is not in the group")
             if not alive[vi]:
                 continue
-            alive[vi] = False
-            crashed.append(vi)
-            if in_active[vi]:
-                in_active[vi] = False
-                active_count -= 1
+            alive[vi], crashed[vi] = False, True
             if emit is not None:
                 emit(round_index + 1, "crash", victim)
-        if active_count == 0:
+        active = active[alive[active]]
+        if not len(active):
             break
         rounds = round_index + 1
 
         # GOSSIP firings, in active-set insertion order (the scalar
         # engine's dict order), depths ascending with same-firing
         # demotion cascades.
-        envelopes: List[Tuple[int, int, int, float, int]] = []
         with timeline.span("fan_out", "engine", rounds):
-            next_active: List[int] = []
-            for i in active_list:
-                if not in_active[i]:
-                    continue
-                depth = buf_depth[i]
-                entry_round = buf_round[i]
-                entry_rate = buf_rate[i]
-                emitted = 0
-                while True:
-                    flat = flat_for(i, depth)
-                    if flat.floods:
-                        # §6 leaf flood: round NOT incremented, retire.
-                        for target in flat.flood_targets:
-                            if target != i:
-                                envelopes.append(
-                                    (target, depth, entry_round, entry_rate, i)
-                                )
-                                emitted += 1
-                        depth = 0
-                        break
-                    if entry_round < flat.round_bound(entry_rate, config):
-                        entry_round += 1
-                        entries = flat.entries
-                        selfpos = flat.pos.get(i, -1)
-                        m = len(entries) - (selfpos >= 0)
-                        if m > 0:
-                            count = fanout if fanout < m else m
-                            for j in sample_positions(rng, m, count):
-                                if selfpos >= 0 and j >= selfpos:
-                                    j += 1
-                                if entries[j] >= 0:
-                                    envelopes.append(
-                                        (
-                                            entries[j], depth, entry_round,
-                                            entry_rate, i,
-                                        )
-                                    )
-                                    emitted += 1
-                        break
-                    elif depth < tree_depth:
-                        depth += 1
-                        entry_round = 0
-                        entry_rate = flat_for(i, depth).rate
-                    else:
-                        depth = 0
-                        break
-                sent_count[i] += emitted
-                buf_depth[i] = depth
-                buf_round[i] = entry_round
-                buf_rate[i] = entry_rate
-                if depth == 0:
-                    in_active[i] = False
-                    active_count -= 1
-                else:
-                    next_active.append(i)
-            active_list = next_active
+            depth, round_, rate = buf_depth[active], buf_round[active], buf_rate[active]
+            gossips, floods, flat = _settle(flats, active, depth, round_, rate, tree_depth)
+            own = flats.own[active * tree_depth + depth - 1]
+            size = flats.size[flat] - (own >= 0)
+            count = np.where(gossips, np.minimum(size, fanout), floods * flats.flood_count[flat])
+            # One candidate per draw or flood target, rows in active
+            # order: its row and its place in the row.
+            row = np.repeat(np.arange(len(active)), count)
+            place = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+            drawn = np.flatnonzero(gossips[row])
+            sizes = size[gossips & (size > 0)].tolist()
+            j = np.array(sample_positions_each(rng, sizes, fanout), int)
+            skip = own[row[drawn]]
+            place[drawn] = j + ((skip >= 0) & (j >= skip))
+            base = flats.start[flat] + np.where(floods, flats.size[flat], 0)
+            dest = flats.pool[base[row] + place]
+            sender = active[row]
+            kept = (dest >= 0) & (dest != sender)
+            dest, row, sender = dest[kept], row[kept], sender[kept]
+            sent_count[active] += np.bincount(row, minlength=len(active))
+            buf_depth[active] = np.where(gossips, depth, 0)
+            buf_round[active], buf_rate[active] = round_, rate
+            active = active[gossips]
 
             # Distance accounting: every envelope, before loss (§2.2).
-            for dest, __, ___, ____, sender in envelopes:
-                sc = components[sender]
-                dc = components[dest]
-                common = 0
-                while common < tree_depth and sc[common] == dc[common]:
-                    common += 1
-                messages_by_distance[tree_depth - 1 - common] += 1
+            same = components[sender] == components[dest]
+            common = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+            messages_by_distance += np.bincount(tree_depth - 1 - common, minlength=tree_depth)
 
         with timeline.span("exchange", "engine", rounds):
-            flags = network.transmit_flags(len(envelopes))
+            flags = network.transmit_flags(len(dest))
+            reaching = alive[dest]
+            if flags is not None:
+                reaching &= np.array(flags, bool)
+            at = np.flatnonzero(reaching)
+            receiver = dest[at]
+            recv_count += np.bincount(receiver, minlength=n)
+            infected[receiver] = True
+            # First in send order wins a node; new actives join in that
+            # order, each buffering the message that reached it first.
+            fresh = np.flatnonzero(~received[receiver])
+            fresh = np.sort(fresh[np.unique(receiver[fresh], return_index=True)[1]])
+            joined, firsts = receiver[fresh], row[at[fresh]]
+            received[joined] = True
+            delivers = own_match[joined]
+            delivered[joined] = delivers
+            buf_depth[joined] = depth[firsts]
+            buf_round[joined] = round_[firsts]
+            buf_rate[joined] = rate[firsts]
+            active = np.concatenate((active, joined))
+            infected_count = int(np.count_nonzero(infected))
             if emit is not None:
                 # The scalar engine records every envelope's disposition
                 # (send/loss) before any reception — same order here.
                 columns = (
-                    emit, rounds, addresses,
-                    [envelope[0] for envelope in envelopes],
-                    [envelope[4] for envelope in envelopes],
-                    [envelope[1] for envelope in envelopes],
-                    [event.event_id] * len(envelopes),
+                    emit, rounds, addresses, dest.tolist(), sender.tolist(),
+                    depth[row].tolist(), [event.event_id] * len(dest),
                 )
                 trace_sends(*columns, flags)
-                arrived: List[int] = []
-                delivering: Set[int] = set()
-            for position, envelope in enumerate(envelopes):
-                if flags is not None and not flags[position]:
-                    continue
-                dest, depth, entry_round, entry_rate, sender = envelope
-                if not alive[dest]:
-                    continue
-                recv_count[dest] += 1
-                if emit is not None:
-                    arrived.append(position)
-                if received[dest]:
-                    if not infected[dest]:
-                        infected[dest] = True
-                        infected_count += 1
-                    continue
-                received[dest] = True
-                if own_match[dest]:
-                    delivered[dest] = True
-                    if emit is not None:
-                        delivering.add(len(arrived) - 1)
-                buf_depth[dest] = depth
-                buf_round[dest] = entry_round
-                buf_rate[dest] = entry_rate
-                if not infected[dest]:
-                    infected[dest] = True
-                    infected_count += 1
-                if not in_active[dest]:
-                    in_active[dest] = True
-                    active_list.append(dest)
-                    active_count += 1
-            if emit is not None:
-                trace_arrivals(*columns, arrived, delivering)
+                trace_arrivals(*columns, at.tolist(), set(fresh[delivers].tolist()))
 
         infection_curve.append(infected_count)
         if metering:
             meter_rounds.inc()
-            meter_envelopes.inc(len(envelopes))
+            meter_envelopes.inc(len(dest))
             if flags is not None:
-                meter_losses.inc(sum(1 for flag in flags if not flag))
+                meter_losses.inc(flags.count(False))
             meter_infected.set(infected_count)
 
     timeline.probe_memory(subsystem="engine", round_index=rounds)
     observer.annotate(rounds=rounds)
     if metering:
         registry.counter("vector", "runs").inc()
-        registry.counter("vector", "receptions").inc(sum(recv_count))
+        registry.counter("vector", "receptions").inc(int(recv_count.sum()))
 
     # Write the outcome back through the object model so every scalar
-    # inspection API stays truthful after a vectorized run.  Only a node
-    # the run touched — infected (received, sent, buffering) or crashed
-    # — has anything to write; for every other node the call would be
-    # a no-op.
-    touched = set(crashed)
-    touched.update(compress(range(n), infected))
-    for i in touched:
-        node = nodes[i]
-        buffered = None
-        if buf_depth[i] > 0:
-            buffered = (buf_depth[i], buf_rate[i], buf_round[i])
-        node.restore_outcome(
-            event,
-            alive=alive[i],
-            received=received[i],
-            delivered=delivered[i],
-            sent_delta=sent_count[i],
-            receptions_delta=recv_count[i],
-            buffered=buffered,
+    # inspection API stays truthful after a vectorized run: only a node
+    # the run infected or crashed has anything to write.
+    touched = np.flatnonzero(infected | crashed)
+    columns = (alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round)
+    for i, alive_i, received_i, delivered_i, sent, receptions, depth_i, rate_i, round_i in zip(
+        touched.tolist(), *(column[touched].tolist() for column in columns)
+    ):
+        nodes[i].restore_outcome(
+            event, alive=alive_i, received=received_i, delivered=delivered_i,
+            sent_delta=sent, receptions_delta=receptions,
+            buffered=(depth_i, rate_i, round_i) if depth_i else None,
         )
 
     return assemble_pmcast_report(
-        group,
-        publisher,
-        event,
-        interested,
-        infected_count,
-        rounds,
-        tuple(infection_curve),
-        tuple(messages_by_distance),
-        network.messages_lost,
-        crash_schedule.victim_count,
-        sent_before=sent_before,
-        receptions_before=receptions_before,
+        group, publisher, event, interested, infected_count, rounds,
+        tuple(infection_curve), tuple(messages_by_distance.tolist()),
+        network.messages_lost, crash_schedule.victim_count,
+        sent_before=sent_before, receptions_before=receptions_before,
     )
 
 
@@ -626,11 +628,11 @@ class LiveRound:
     node in turn, in the order given (a node once per fire): buckets
     depth-ascending, each snapshotted when the walk reaches it, so an
     entry demoted to the end of the next bucket is met again in the
-    same visit.  An entry floods (§6), gossips (round + 1, one
-    :func:`~repro.core.rate.sample_positions` over the view minus the
-    gossiper), is demoted or is removed in place — the calls, in the
-    order, of ``gossip_step``.  A destination is kept where its flat
-    holds a slot (-1 where line 13 skips the entry).
+    same visit.  An entry floods (§6), gossips (round + 1, a sample
+    over the view minus the gossiper), is demoted or is removed in
+    place — the calls, in the order, of ``gossip_step``.  A destination
+    is kept where its flat holds a slot (-1 where line 13 skips the
+    entry).
 
     **The link.**  :meth:`exchange` applies the verdicts of one
     ``transmit_flags`` batch.  A link that decides envelope by envelope
@@ -675,28 +677,21 @@ class LiveRound:
 
     def fan_out(self, nodes: List, slots: List[int]) -> LiveEmission:
         """GOSSIP for ``nodes`` (live, in walk order, a node once per
-        fire; ``slots`` their contact slots), written back as it goes."""
+        fire; ``slots`` their contact slots), written back as it goes.
+        One ``sample_positions_each`` after the walk draws, in walk order,
+        what one ``sample_positions`` per gossip would: no draw feeds the walk."""
         leaf = self._depth
         config = self._config
         fanout = config.fanout
-        rng = self._ctx.rng
         cell = self.flats.cell
         local: Dict[Tuple[int, int], _DepthMatch] = {}  # the round's cells
         hits = 0  # lookups served from them
-        event_index: Dict[int, int] = {}  # event_id -> its place in event_list
-        event_list: List[Event] = []
-        dest: List[int] = []
-        # Per row: its envelope count, sender, event, depth, rate, round.
-        count: List[int] = []
-        sender: List[int] = []
-        index: List[int] = []
-        depths: List[int] = []
-        rates: List[float] = []
-        rounds: List[int] = []
+        # Per row: its message as sent, then flood targets or None and a draw.
+        walked: List[tuple] = []
+        sizes: List[int] = []
         for node, slot in zip(nodes, slots):
             buffers = node._buffers
             views = node._views
-            first = len(dest)
             for depth, bucket in enumerate(buffers._buffers, 1):
                 if not bucket:
                     continue
@@ -709,23 +704,18 @@ class LiveRound:
                         flat = local[key] = cell(table, event)
                     else:
                         hits += 1
-                    sent = len(dest)
                     if flat.floods:
-                        dest += [target for target in flat.flood_targets if target != slot]
+                        targets = [target for target in flat.flood_targets if target != slot]
+                        walked.append((node, slot, event, depth, entry.rate, entry.round, targets))
                         buffers.remove(depth, event)
                     elif entry.round < flat.round_bound(entry.rate, config):
                         entry.round += 1
-                        entries = flat.entries
                         own = flat.pos.get(slot, -1)
-                        size = len(entries) - (own >= 0)
+                        size = len(flat.entries) - (own >= 0)
                         if size:
-                            for j in sample_positions(
-                                rng, size, fanout if fanout < size else size
-                            ):
-                                if 0 <= own <= j:
-                                    j += 1
-                                if entries[j] >= 0:
-                                    dest.append(entries[j])
+                            sizes.append(size)
+                            row = (node, slot, event, depth, entry.rate, entry.round, None)
+                            walked.append((*row, size, own, flat.entries))
                     elif depth < leaf:
                         table = views[depth + 1]
                         key = (id(table), event.event_id)
@@ -737,21 +727,33 @@ class LiveRound:
                         buffers.demote(depth, event, below.rate)
                     else:
                         buffers.remove(depth, event)
-                    if len(dest) > sent:
-                        at = event_index.get(event.event_id)
-                        if at is None:
-                            at = event_index[event.event_id] = len(event_list)
-                            event_list.append(event)
-                        count.append(len(dest) - sent)
-                        sender.append(slot)
-                        index.append(at)
-                        depths.append(depth)
-                        rates.append(entry.rate)
-                        rounds.append(entry.round)
-            if len(dest) > first:
-                node.restore_counts(len(dest) - first, 0)
         self._ctx.cache_stats.table_hits += hits
 
+        picks = iter(sample_positions_each(self._ctx.rng, sizes, fanout))
+        event_index: Dict[int, int] = {}  # event_id -> its place in event_list
+        event_list: List[Event] = []
+        dest: List[int] = []
+        sent = []  # per row that sent: sender, event index, depth, rate, round, count
+        for node, slot, event, depth, rate, round_, targets, *draw in walked:
+            first = len(dest)
+            if targets is not None:
+                dest += targets
+            else:
+                size, own, entries = draw
+                for j in islice(picks, fanout if fanout < size else size):
+                    if 0 <= own <= j:
+                        j += 1
+                    if entries[j] >= 0:
+                        dest.append(entries[j])
+            if len(dest) > first:
+                at = event_index.get(event.event_id)
+                if at is None:
+                    at = event_index[event.event_id] = len(event_list)
+                    event_list.append(event)
+                sent.append((slot, at, depth, rate, round_, len(dest) - first))
+                node.restore_counts(len(dest) - first, 0)
+        columns = zip(*sent) if sent else ((),) * 6
+        sender, index, depths, rates, rounds, count = map(list, columns)
         counts = np.array(count, np.int64)
         emission = LiveEmission(
             np.array(dest, np.int64),

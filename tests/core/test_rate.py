@@ -2,13 +2,14 @@
 the draw primitive a GOSSIP firing and a membership round consume."""
 
 import random
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.addressing import Address, Prefix
-from repro.core.rate import match_table, randbelow_each, sample_positions
+from repro.core.rate import match_table, sample_positions, sample_positions_each
 from repro.errors import ProtocolError
 from repro.interests import Event, StaticInterest
 from repro.membership import ViewRow, ViewTable
@@ -147,8 +148,11 @@ seeds = st.integers(0, 2**64)
 
 
 class TestDrawPrimitive:
-    """``sample_positions`` and ``randbelow_each`` inline CPython's
-    ``_randbelow_with_getrandbits``: same values, same final state."""
+    """``sample_positions_each`` inlines CPython's
+    ``_randbelow_with_getrandbits``: same values, same final state as
+    ``random.Random`` one call at a time.  At ``k = 1`` it is
+    ``_randbelow`` for each size (a membership round's peer draws);
+    ``sample_positions`` is its one-size call."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=seeds, n=st.integers(0, 5000), data=st.data())
@@ -161,6 +165,27 @@ class TestDrawPrimitive:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=seeds,
+        # Both sides of the pool / selection-set switch (setsize is 21
+        # up to k = 5 and grows past it).
+        sizes=st.lists(
+            st.one_of(st.integers(1, 30), st.integers(1, 300)), max_size=40
+        ),
+        k=st.integers(0, 8),
+    )
+    @example(seed=0, sizes=[65, 66, 21, 22, 65, 21, 66, 22], k=3)
+    def test_each_is_one_random_sample_per_size(self, seed, sizes, k):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected = list(
+            chain.from_iterable(
+                reference.sample(range(n), min(k, n)) for n in sizes
+            )
+        )
+        assert sample_positions_each(rng, sizes, k) == expected
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=seeds,
         sizes=st.lists(
             st.one_of(st.integers(1, 40), st.integers(1, 2**70)), max_size=60
         ),
@@ -168,14 +193,16 @@ class TestDrawPrimitive:
     def test_randbelow_each_is_sequential_randbelow(self, seed, sizes):
         reference, rng = random.Random(seed), random.Random(seed)
         expected = [reference._randbelow(size) for size in sizes]
-        assert randbelow_each(rng, sizes) == expected
+        assert sample_positions_each(rng, sizes, 1) == expected
         assert rng.getstate() == reference.getstate()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=seeds, sizes=st.lists(st.integers(1, 100), max_size=20))
     def test_an_overridden_getrandbits_is_drawn_from(self, seed, sizes):
         reference, rng = _OwnBits(seed), _OwnBits(seed)
-        assert randbelow_each(rng, sizes) == [reference._randbelow(s) for s in sizes]
+        assert sample_positions_each(rng, sizes, 1) == [
+            reference._randbelow(s) for s in sizes
+        ]
         assert sample_positions(rng, 50, 4) == reference.sample(range(50), 4)
 
     def test_a_random_only_class_is_refused(self):
@@ -185,21 +212,25 @@ class TestDrawPrimitive:
         with pytest.raises(TypeError):
             sample_positions(rng, 10, 3)
         with pytest.raises(TypeError):
-            randbelow_each(rng, [3, 4])
+            sample_positions_each(rng, [3, 4], 1)
         with pytest.raises(TypeError):
-            randbelow_each(object(), [3])
+            sample_positions_each(rng, [30, 4], 3)
+        with pytest.raises(TypeError):
+            sample_positions_each(object(), [3], 1)
         assert rng.getstate() == state
 
     @pytest.mark.parametrize("sizes", [[0], [4, 0, 2], [3, -1]])
     def test_randbelow_each_rejects_sizes_below_one(self, sizes):
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(ValueError):
-            randbelow_each(rng, sizes)
+        for k in (1, 3):
+            with pytest.raises(ValueError):
+                sample_positions_each(rng, sizes, k)
         assert rng.getstate() == state
 
     def test_no_sizes_draw_nothing(self):
         rng = random.Random(0)
         state = rng.getstate()
-        assert randbelow_each(rng, []) == []
+        assert sample_positions_each(rng, [], 1) == []
+        assert sample_positions_each(rng, [], 3) == []
         assert rng.getstate() == state

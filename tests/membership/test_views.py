@@ -27,13 +27,6 @@ class TestViewRow:
         with pytest.raises(MembershipError):
             ViewRow(0, (Address((1, 1)),), StaticInterest(True), 0)
 
-    def test_newer_than(self):
-        old = row(1, [(1, 0)], timestamp=3)
-        new = row(1, [(1, 0)], timestamp=5)
-        assert new.newer_than(old)
-        assert not old.newer_than(new)
-        assert not old.newer_than(old)
-
     def test_with_timestamp(self):
         fresh = row(1, [(1, 0)]).with_timestamp(9)
         assert fresh.timestamp == 9

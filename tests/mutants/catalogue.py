@@ -64,9 +64,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "the compat kernel draws one destination fewer",
         "repro/sim/vector.py",
-        "count = fanout if fanout < m else m",
-        "count = fanout - 1 if fanout < m else m - 1",
+        "    fanout = config.fanout\n    flats = _FlatColumns(",
+        "    fanout = config.fanout - 1\n    flats = _FlatColumns(",
         ("tests/sim/test_vector.py::TestCompatBitIdentity",),
+    ),
+    Mutant(
+        "the batched draw's set branch accepts a repeat",
+        "repro/core/rate.py",
+        "                while j >= n or j in selected:\n",
+        "                while j >= n:\n",
+        ("tests/core/test_rate.py::TestDrawPrimitive::test_each_is_one_random_sample_per_size",),
+    ),
+    Mutant(
+        "the array kernel appends new infections in receiver order, not first-arrival order",
+        "repro/sim/vector.py",
+        "            fresh = np.sort(fresh[np.unique(receiver[fresh], return_index=True)[1]])\n",
+        "            fresh = fresh[np.unique(receiver[fresh], return_index=True)[1]]\n",
+        (
+            "tests/sim/test_vector.py::TestCompatBitIdentity",
+            "tests/sim/test_vector.py::TestGeneratedEquivalence",
+        ),
     ),
     Mutant(
         "an uninterested receiver delivers on the live round",

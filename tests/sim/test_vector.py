@@ -35,7 +35,9 @@ from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
+from repro.interests import StaticInterest
 from repro.interests.events import Event
+from repro.membership import ViewTable
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.obs.sampling import TraceSampler
 from repro.obs.timeline import TimelineRecorder
@@ -166,6 +168,33 @@ class TestCompatBitIdentity:
         )
         assert vector_report == scalar_report
         assert vector_nodes == scalar_nodes
+
+    def test_a_view_apart_from_its_subgroups(self):
+        # Every third member holds its own depth-2 table with every row
+        # interested, so a message at depth 2 can carry a rate its
+        # receiver's flat does not have: line 7's bound is then read at
+        # the carried rate, on both paths.
+        config = PmcastConfig(fanout=2, redundancy=2)
+        event = Event({"golden": 1}, event_id=42)
+        outcomes = []
+        for flag in ({"vectorized": False}, {}):
+            group, addresses = _build_group(config)
+            for address in addresses[1::3]:
+                node = group.node(address)
+                table = node.view(2)
+                rows = [
+                    dataclasses.replace(row, interest=StaticInterest(True))
+                    for row in table.rows()
+                ]
+                node.replace_view(
+                    2, ViewTable(table.prefix, group.tree.depth, rows)
+                )
+            report = run_dissemination(
+                group, addresses[0], event,
+                SimConfig(seed=11, loss_probability=0.05, **flag),
+            )
+            outcomes.append((report, _node_state(group, addresses, event)))
+        assert outcomes[1] == outcomes[0]
 
     def test_multiple_seeds(self):
         config = PmcastConfig(fanout=2, redundancy=2)
