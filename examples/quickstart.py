@@ -24,23 +24,27 @@ def main() -> None:
     space = AddressSpace.regular(4, 3)
     addresses = space.enumerate_regular(4)
 
-    # Interests in the style of the paper's Figure 2.  Processes in
-    # even-numbered sites follow small values of b, odd-numbered sites
-    # follow large ones; a few follow a specific sender.
-    members = {}
-    for address in addresses:
-        site = address.components[0]
-        if site % 2 == 0:
-            members[address] = parse_subscription("b <= 4")
-        else:
-            members[address] = parse_subscription("b > 4, 0.0 < c < 50.0")
+    # The four interests of the paper's Figure 2, one per site.
+    figure_2 = (
+        "b > 3, 10.0 < c < 220.0",
+        'b = 2, e = "Bob" | "Tom"',
+        "b > 4, 20.0 < c < 35.0, z < 23002",
+        "z <= 50000, c >= 35.997, b != 2",
+    )
+    members = {
+        address: parse_subscription(figure_2[address.components[0]])
+        for address in addresses
+    }
 
     group = PmcastGroup.build(
         members, PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
     )
 
     publisher = addresses[0]
-    for payload in ({"b": 2, "c": 10.0}, {"b": 7, "c": 25.0}):
+    for payload in (
+        {"b": 2, "c": 10.0, "e": "Bob", "z": 100},
+        {"b": 7, "c": 25.0, "z": 100},
+    ):
         event = Event(payload)
         report = run_dissemination(
             group, publisher, event, SimConfig(seed=42)

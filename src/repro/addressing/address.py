@@ -18,7 +18,7 @@ which the membership layer relies on for deterministic delegate election
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import AddressError
 
@@ -106,16 +106,6 @@ class Prefix:
         """Return the prefix one level deeper obtained by appending ``component``."""
         return Prefix(self._components + (component,))
 
-    def parent(self) -> "Prefix":
-        """Return the prefix one level shallower.
-
-        Raises:
-            AddressError: if this is the empty (root) prefix.
-        """
-        if not self._components:
-            raise AddressError("the empty prefix has no parent")
-        return Prefix(self._components[:-1])
-
     def is_prefix_of(self, address: "Address") -> bool:
         """True if ``address`` starts with this prefix's components."""
         return address.components[: len(self._components)] == self._components
@@ -134,21 +124,10 @@ class Prefix:
             raise AddressError(f"cannot parse prefix {text!r}") from exc
         return cls(components)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._components)
-
-    def __len__(self) -> int:
-        return len(self._components)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prefix):
             return NotImplemented
         return self._components == other._components
-
-    def __lt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._components < other._components
 
     def __hash__(self) -> int:
         return self._hash
@@ -230,14 +209,6 @@ class Address:
             self._prefixes = cached
         return cached
 
-    def component(self, index: int) -> int:
-        """Return component ``x(index)`` using the paper's 1-based indexing."""
-        if not 1 <= index <= self.depth:
-            raise AddressError(
-                f"component index {index} out of range [1, {self.depth}]"
-            )
-        return self._components[index - 1]
-
     @classmethod
     def parse(cls, text: str) -> "Address":
         """Parse a dotted string such as ``"128.178.73.3"``."""
@@ -246,12 +217,6 @@ class Address:
         except ValueError as exc:
             raise AddressError(f"cannot parse address {text!r}") from exc
         return cls(components)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._components)
-
-    def __len__(self) -> int:
-        return len(self._components)
 
     def __eq__(self, other: object) -> bool:
         # Exact-type check first: address equality runs millions of
@@ -268,21 +233,6 @@ class Address:
         if not isinstance(other, Address):
             return NotImplemented
         return self._components < other._components
-
-    def __le__(self, other: "Address") -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return self._components <= other._components
-
-    def __gt__(self, other: "Address") -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return self._components > other._components
-
-    def __ge__(self, other: "Address") -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return self._components >= other._components
 
     def __hash__(self) -> int:
         return self._hash

@@ -53,11 +53,6 @@ class AddressAllocator:
         self._allocated: Set[Address] = set()
         self._hints: Dict[Hashable, Prefix] = {}
 
-    @property
-    def space(self) -> AddressSpace:
-        """The space being allocated from."""
-        return self._space
-
     def is_allocated(self, address: Address) -> bool:
         """True if ``address`` is currently handed out."""
         return address in self._allocated

@@ -13,7 +13,6 @@ the same populated arity ``a``, giving ``n = a**d`` processes;
 from __future__ import annotations
 
 import itertools
-import random
 from typing import List, Sequence, Tuple
 
 from repro.addressing.address import Address
@@ -67,15 +66,6 @@ class AddressSpace:
             total *= arity
         return total
 
-    def contains(self, address: Address) -> bool:
-        """True if ``address`` has depth ``d`` and in-range components."""
-        if address.depth != self.depth:
-            return False
-        return all(
-            0 <= component < arity
-            for component, arity in zip(address.components, self._arities)
-        )
-
     def validate(self, address: Address) -> Address:
         """Return ``address`` unchanged, or raise :class:`AddressError`."""
         if address.depth != self.depth:
@@ -113,33 +103,6 @@ class AddressSpace:
             Address(components)
             for components in itertools.product(range(arity), repeat=self.depth)
         ]
-
-    def sample(self, count: int, rng: random.Random) -> List[Address]:
-        """Sample ``count`` distinct addresses uniformly at random.
-
-        Raises:
-            AddressError: if ``count`` exceeds the space capacity.
-        """
-        if count > self.capacity:
-            raise AddressError(
-                f"cannot sample {count} distinct addresses from a space "
-                f"of capacity {self.capacity}"
-            )
-        chosen = set()
-        while len(chosen) < count:
-            components = tuple(
-                rng.randrange(arity) for arity in self._arities
-            )
-            chosen.add(components)
-        return sorted(Address(components) for components in chosen)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AddressSpace):
-            return NotImplemented
-        return self._arities == other._arities
-
-    def __hash__(self) -> int:
-        return hash(("AddressSpace", self._arities))
 
     def __repr__(self) -> str:
         return f"AddressSpace(arities={self._arities!r})"

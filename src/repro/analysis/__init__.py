@@ -5,12 +5,6 @@ never run the protocol.  Comparing their predictions with the
 simulator's measurements is itself part of the test suite.
 """
 
-from repro.analysis.distributions import (
-    delivered_count_distribution,
-    probability_reliability_at_least,
-    reliability_cdf,
-    reliability_quantile,
-)
 from repro.analysis.markov import (
     InfectionChain,
     expected_infected,
@@ -37,10 +31,6 @@ from repro.analysis.tree_model import (
 )
 
 __all__ = [
-    "delivered_count_distribution",
-    "probability_reliability_at_least",
-    "reliability_cdf",
-    "reliability_quantile",
     "InfectionChain",
     "reach_probability",
     "transition_matrix",

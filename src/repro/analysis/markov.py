@@ -213,28 +213,13 @@ def expected_infected(
 
 @dataclass(frozen=True)
 class InfectionChain:
-    """A reusable chain for one (n, F, ε, τ) quadruple.
-
-    Precomputes the transition matrix once; :meth:`after` then answers
-    repeated queries cheaply — the tree model (Eq 14) asks for several
-    round counts on the same chain.
-    """
+    """The chain of one (n, F, ε, τ) quadruple, queried at several
+    round counts (the tree model, Eq 14, asks for several)."""
 
     n: float
     fanout: float
     loss_probability: float = 0.0
     crash_fraction: float = 0.0
-
-    @property
-    def size(self) -> int:
-        """The integer state-space size."""
-        return _effective_size(self.n)
-
-    def matrix(self) -> np.ndarray:
-        """The Eq 9 transition matrix."""
-        return transition_matrix(
-            self.n, self.fanout, self.loss_probability, self.crash_fraction
-        )
 
     def after(self, rounds: int) -> np.ndarray:
         """The Eq 10 distribution after ``rounds`` rounds."""

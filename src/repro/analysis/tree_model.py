@@ -119,11 +119,6 @@ class TreeAnalysis:
     expected_infected_processes: float
     reliability_degree: float
 
-    @property
-    def group_size(self) -> int:
-        """n = a^d."""
-        return self.arity ** self.depth
-
 
 def analyze_tree(
     matching_rate: float,

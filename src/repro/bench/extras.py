@@ -105,19 +105,6 @@ class ExperimentResult:
             raise ReproError(f"row missing columns {missing}")
         self.rows.append(values)
 
-    def column(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise ReproError(f"unknown column {name!r}")
-        return [row[name] for row in self.rows]
-
-    def row(self, key_column: str, key: object) -> Dict[str, object]:
-        """The first row whose ``key_column`` equals ``key``."""
-        for row in self.rows:
-            if row[key_column] == key:
-                return row
-        raise ReproError(f"no row with {key_column}={key!r}")
-
     def digest(self) -> str:
         """sha1 over the rows (canonical JSON, one per line): what a
         golden test pins, so *any* changed cell shows."""

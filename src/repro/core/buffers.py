@@ -11,7 +11,7 @@ the bound itself is computed by the node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import ProtocolError
 from repro.interests.events import Event
@@ -54,11 +54,6 @@ class DepthBuffers:
         # event_id -> depth currently buffering it.
         self._located: Dict[int, int] = {}
 
-    @property
-    def tree_depth(self) -> int:
-        """The number of per-depth buffers ``d``."""
-        return self._depth
-
     def _bucket(self, depth: int) -> Dict[int, BufferedEvent]:
         if not 1 <= depth <= self._depth:
             raise ProtocolError(
@@ -69,10 +64,6 @@ class DepthBuffers:
     def holds(self, event: Event) -> bool:
         """Figure 3 line 20: is the event buffered at *any* depth?"""
         return event.event_id in self._located
-
-    def depth_of(self, event: Event) -> Optional[int]:
-        """The depth currently buffering ``event``, or None."""
-        return self._located.get(event.event_id)
 
     def add(self, depth: int, event: Event, rate: float, round: int = 0) -> bool:
         """Insert an event at ``depth`` unless buffered anywhere already.
@@ -112,26 +103,10 @@ class DepthBuffers:
         self._located[event.event_id] = depth + 1
         return fresh
 
-    def entries(self, depth: int) -> List[BufferedEvent]:
-        """A snapshot of ``gossips[depth]`` (stable iteration order)."""
-        return list(self._bucket(depth).values())
-
-    def entry(self, depth: int, event: Event) -> BufferedEvent:
-        """The buffered triple for ``event`` at ``depth``."""
-        entry = self._bucket(depth).get(event.event_id)
-        if entry is None:
-            raise ProtocolError(
-                f"event {event.event_id} is not buffered at depth {depth}"
-            )
-        return entry
-
     @property
     def is_empty(self) -> bool:
         """True when no event is buffered at any depth (node is idle)."""
         return not self._located
-
-    def __len__(self) -> int:
-        return len(self._located)
 
     def __iter__(self) -> Iterator[Tuple[int, BufferedEvent]]:
         """Yield ``(depth, entry)`` pairs over all buffers, depth-ascending.

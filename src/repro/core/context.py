@@ -138,11 +138,6 @@ class GossipContext:
         return sibling
 
     @property
-    def threshold_h(self) -> int:
-        """The tuning threshold in force for this run."""
-        return self._threshold_h
-
-    @property
     def cache_stats(self) -> CacheStats:
         """Live hit/miss counters for both cache layers."""
         return self._stats

@@ -177,11 +177,6 @@ class PmcastNode:
         return self._interest
 
     @property
-    def tree_depth(self) -> int:
-        """The tree depth ``d``."""
-        return self._tree_depth
-
-    @property
     def buffers(self) -> DepthBuffers:
         """The per-depth gossip buffers (exposed for tests/metrics)."""
         return self._buffers
@@ -190,11 +185,6 @@ class PmcastNode:
     def is_idle(self) -> bool:
         """True when no event is being gossiped by this node."""
         return self._buffers.is_empty
-
-    @property
-    def delivered(self) -> List[Event]:
-        """Events HPDELIVERed to the application, in delivery order."""
-        return list(self._delivered)
 
     @property
     def messages_sent(self) -> int:
@@ -213,13 +203,6 @@ class PmcastNode:
     def has_delivered(self, event: Event) -> bool:
         """True if the event was HPDELIVERed here."""
         return event.event_id in self._delivered_ids
-
-    def view(self, depth: int) -> ViewTable:
-        """The node's view table at ``depth``."""
-        try:
-            return self._views[depth]
-        except KeyError:
-            raise ProtocolError(f"no view at depth {depth}") from None
 
     def replace_view(self, depth: int, table: ViewTable) -> None:
         """Install a fresh view table (membership change)."""

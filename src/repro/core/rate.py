@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.addressing import Address
 from repro.config import PmcastConfig
@@ -99,11 +99,6 @@ class TableMatch:
             self, "mask", tuple(map(self.matching.__contains__, entries))
         )
         object.__setattr__(self, "_bounds", {})
-
-    @property
-    def total(self) -> int:
-        """The number of gossipable entries (``|view| * R`` below d)."""
-        return len(self.entries)
 
     def round_bound(self, rate: float, config: PmcastConfig) -> int:
         """Line 7: ``T(|entries|·rate, F·rate)`` for an entry buffered
@@ -208,15 +203,12 @@ def sample_positions_each(
     return out
 
 
-def _direct_verdict(interest: Interest, event: Event) -> bool:
-    return interest.matches(event)
-
-
 def match_table(
     table: ViewTable,
     event: Event,
     threshold_h: int = 0,
-    verdict: Optional[Callable[[Interest, Event], bool]] = None,
+    *,
+    verdict: Callable[[Interest, Event], bool],
 ) -> TableMatch:
     """GETRATE plus the effective interested-entry set.
 
@@ -224,10 +216,10 @@ def match_table(
         table: the view of the subgroup being gossiped in.
         event: the event being multicast.
         threshold_h: the §5.3 tuning threshold (0 disables tuning).
-        verdict: optional replacement for ``interest.matches(event)`` —
-            the hook :class:`~repro.core.context.GossipContext` uses to
-            serve per-(interest, event) verdicts from its cache.  Must
-            be extensionally equal to ``Interest.matches``.
+        verdict: ``interest.matches(event)`` as
+            :class:`~repro.core.context.GossipContext` serves it, per
+            (interest, event) from its cache.  Must be extensionally
+            equal to ``Interest.matches``.
 
     Raises:
         ProtocolError: if the table has no entries (an unpopulated view
@@ -235,8 +227,6 @@ def match_table(
     """
     if threshold_h < 0:
         raise ProtocolError(f"threshold h={threshold_h} must be >= 0")
-    if verdict is None:
-        verdict = _direct_verdict
     flattened: List[Address] = []
     matching: List[Address] = []
     for row in table.rows():

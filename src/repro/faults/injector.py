@@ -135,11 +135,6 @@ class FaultInjector:
     # -- inspection -------------------------------------------------------
 
     @property
-    def messages_sent(self) -> int:
-        """Envelopes that reached the network underneath."""
-        return self._network.messages_sent
-
-    @property
     def messages_lost(self) -> int:
         """Envelopes the network's ε dropped (injected losses apart)."""
         return self._network.messages_lost

@@ -58,12 +58,6 @@ def _as_prefix(value: Union[str, Prefix, None]) -> Optional[Prefix]:
     return Prefix.parse(value)
 
 
-def _as_address(value: Union[str, Address]) -> Address:
-    if isinstance(value, Address):
-        return value
-    return Address.parse(value)
-
-
 def _check_window(clause: str, start: int, end: int) -> None:
     if start < 0:
         raise FaultError(f"{clause} start {start} is negative")
@@ -375,12 +369,6 @@ class FaultPlan:
                         _as_prefix(dest_prefix))
         )
 
-    def with_crash(
-        self, round: int, address: Union[str, Address]
-    ) -> "FaultPlan":
-        """Add a :class:`TargetedCrash` clause."""
-        return self._extend(TargetedCrash(round, _as_address(address)))
-
     def with_delegate_crash(
         self, round: int, prefix: Union[str, Prefix], count: int = 1
     ) -> "FaultPlan":
@@ -389,35 +377,10 @@ class FaultPlan:
             DelegateCrash(round, _as_prefix(prefix), count)
         )
 
-    def with_depth_crash(
-        self, round: int, depth: int, count: int = 1
-    ) -> "FaultPlan":
-        """Add a :class:`DepthCrash` clause."""
-        return self._extend(DepthCrash(round, depth, count))
-
     # -- inspection -------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan injects nothing."""
-        return not self.clauses
-
-    @property
-    def last_round(self) -> int:
-        """The last round index any clause can still act at (-1 if empty)."""
-        last = -1
-        for clause in self.clauses:
-            if isinstance(clause, (LossBurst, Partition, DelayWindow)):
-                last = max(last, clause.end - 1)
-            else:
-                last = max(last, clause.round)
-        return last
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
 
     # -- serialization ----------------------------------------------------
 

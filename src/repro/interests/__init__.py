@@ -9,7 +9,7 @@ never misses an event a member wanted.
 
 from repro.interests.events import AttributeValue, Event
 from repro.interests.intervals import Interval, IntervalSet
-from repro.interests.language import parse_subscription, render_subscription
+from repro.interests.language import parse_subscription
 from repro.interests.predicates import (
     Constraint,
     between,
@@ -20,7 +20,6 @@ from repro.interests.predicates import (
     lt,
     ne,
     one_of,
-    wildcard,
 )
 from repro.interests.regrouping import RegroupPolicy, regroup
 from repro.interests.subscriptions import Interest, StaticInterest, Subscription
@@ -39,9 +38,7 @@ __all__ = [
     "lt",
     "le",
     "one_of",
-    "wildcard",
     "parse_subscription",
-    "render_subscription",
     "RegroupPolicy",
     "regroup",
     "Interest",

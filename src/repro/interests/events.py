@@ -9,7 +9,7 @@ from an event simply fails every non-wildcard constraint on it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 from repro.errors import PredicateError
 
@@ -68,15 +68,6 @@ class Event:
     def get(self, name: str) -> Optional[AttributeValue]:
         """Value of attribute ``name``, or None if absent."""
         return self._attributes.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._attributes
-
-    def __getitem__(self, name: str) -> AttributeValue:
-        return self._attributes[name]
-
-    def __iter__(self) -> Iterator[Tuple[str, AttributeValue]]:
-        return iter(self._attributes.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):

@@ -63,11 +63,6 @@ class Interval:
         return cls(float(value), float(value), True, True)
 
     @classmethod
-    def everything(cls) -> "Interval":
-        """The full real line ``(-inf, +inf)``."""
-        return cls(-math.inf, math.inf, False, False)
-
-    @classmethod
     def at_least(cls, value: Numeric, closed: bool = True) -> "Interval":
         """``[value, +inf)`` or ``(value, +inf)``."""
         return cls(float(value), math.inf, closed, False)
@@ -127,25 +122,6 @@ class Interval:
             return False
         return True
 
-    def widen(self, fraction: float) -> "Interval":
-        """Grow each finite end by ``fraction`` of the span (or 1.0 for points).
-
-        Used to approximate filters near the root (paper §6 item 2):
-        a widened interval matches a superset of the original.
-        """
-        if fraction < 0:
-            raise PredicateError(f"widen fraction {fraction} must be >= 0")
-        if fraction == 0:
-            return self
-        span = self.hi - self.lo
-        if math.isinf(span):
-            span = 0.0
-        pad = fraction * (span if span > 0 else 1.0)
-        lo = self.lo if math.isinf(self.lo) else self.lo - pad
-        hi = self.hi if math.isinf(self.hi) else self.hi + pad
-        return Interval(lo, hi, self.lo_closed or not math.isinf(lo),
-                        self.hi_closed or not math.isinf(hi))
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -185,16 +161,6 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         """The set matching no value."""
         return cls(())
-
-    @classmethod
-    def everything(cls) -> "IntervalSet":
-        """The set matching every value."""
-        return cls((Interval.everything(),))
-
-    @property
-    def intervals(self) -> Tuple[Interval, ...]:
-        """The canonical disjoint intervals, in increasing order."""
-        return self._intervals
 
     @property
     def is_empty(self) -> bool:
@@ -238,19 +204,6 @@ class IntervalSet:
             any(mine.covers(theirs) for mine in self._intervals)
             for theirs in other._intervals
         )
-
-    def hull(self) -> "IntervalSet":
-        """The single-interval convex hull: a conservative approximation."""
-        if not self._intervals:
-            return IntervalSet.empty()
-        first, last = self._intervals[0], self._intervals[-1]
-        return IntervalSet(
-            (Interval(first.lo, last.hi, first.lo_closed, last.hi_closed),)
-        )
-
-    def widen(self, fraction: float) -> "IntervalSet":
-        """Widen every member interval (see :meth:`Interval.widen`)."""
-        return IntervalSet(iv.widen(fraction) for iv in self._intervals)
 
     def simplify(self, max_intervals: int) -> "IntervalSet":
         """Reduce to at most ``max_intervals`` pieces by merging nearest gaps.

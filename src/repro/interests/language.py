@@ -39,7 +39,7 @@ from repro.interests.predicates import (
 )
 from repro.interests.subscriptions import Subscription
 
-__all__ = ["parse_subscription", "render_subscription"]
+__all__ = ["parse_subscription"]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -224,88 +224,5 @@ def parse_subscription(text: str) -> Subscription:
     """
     tokens = _tokenize(text)
     if not tokens:
-        return Subscription.everything()
+        return Subscription({})
     return _Parser(tokens, text).parse()
-
-
-def render_subscription(subscription: Subscription) -> str:
-    """Render a subscription back into the Figure 2 textual syntax.
-
-    The inverse of :func:`parse_subscription` for every subscription
-    the language can express: single-interval or finite-set constraints
-    per attribute.  The match-everything subscription renders as ``""``.
-
-    Raises:
-        ParseError: if a constraint is outside the language (several
-            disjoint numeric intervals on one attribute, a mixed
-            numeric/string constraint, or the match-nothing
-            subscription, which the syntax cannot write down).
-    """
-    import math
-
-    if subscription.is_nothing:
-        raise ParseError("the match-nothing subscription has no syntax")
-    clauses = []
-    for name, constraint in subscription:
-        numeric = constraint.numeric
-        strings = constraint.strings
-        has_numeric = not numeric.is_empty
-        has_strings = strings is not None and len(strings) > 0
-        if has_numeric and has_strings:
-            raise ParseError(
-                f"attribute {name!r} mixes numeric and string constraints"
-            )
-        if has_strings:
-            values = " | ".join(f'"{value}"' for value in sorted(strings))
-            clauses.append(f"{name} = {values}")
-            continue
-        if not has_numeric:
-            raise ParseError(
-                f"attribute {name!r} has an unrenderable constraint"
-            )
-        intervals = numeric.intervals
-        if all(iv.lo == iv.hi for iv in intervals):
-            points = " | ".join(f"{_render_number(iv.lo)}" for iv in intervals)
-            clauses.append(f"{name} = {points}")
-            continue
-        if (
-            len(intervals) == 2
-            and math.isinf(intervals[0].lo)
-            and math.isinf(intervals[1].hi)
-            and not intervals[0].hi_closed
-            and not intervals[1].lo_closed
-            and intervals[0].hi == intervals[1].lo
-        ):
-            # (-inf, v) U (v, +inf): the != form.
-            clauses.append(f"{name} != {_render_number(intervals[0].hi)}")
-            continue
-        if len(intervals) != 1:
-            raise ParseError(
-                f"attribute {name!r} needs {len(intervals)} intervals; "
-                "the syntax expresses one"
-            )
-        interval = intervals[0]
-        lo_inf = math.isinf(interval.lo)
-        hi_inf = math.isinf(interval.hi)
-        if lo_inf and hi_inf:
-            continue  # wildcard: omitted entirely
-        if lo_inf:
-            op = "<=" if interval.hi_closed else "<"
-            clauses.append(f"{name} {op} {_render_number(interval.hi)}")
-        elif hi_inf:
-            op = ">=" if interval.lo_closed else ">"
-            clauses.append(f"{name} {op} {_render_number(interval.lo)}")
-        else:
-            lo_op = "<=" if interval.lo_closed else "<"
-            hi_op = "<=" if interval.hi_closed else "<"
-            clauses.append(
-                f"{_render_number(interval.lo)} {lo_op} {name} "
-                f"{hi_op} {_render_number(interval.hi)}"
-            )
-    return ", ".join(clauses)
-
-
-def _render_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)

@@ -23,7 +23,6 @@ from repro.interests.intervals import Interval, IntervalSet
 
 __all__ = [
     "Constraint",
-    "wildcard",
     "eq",
     "ne",
     "gt",
@@ -67,11 +66,6 @@ class Constraint:
         self._strings = strings
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def wildcard(cls) -> "Constraint":
-        """Accept every value ("the absence of a criterion")."""
-        return cls(IntervalSet.everything(), _ANY_STRINGS)
 
     @classmethod
     def nothing(cls) -> "Constraint":
@@ -145,21 +139,16 @@ class Constraint:
             return False
         return other._strings <= self._strings
 
-    def approximate(
-        self, max_intervals: int = 1, widen_fraction: float = 0.0
-    ) -> "Constraint":
+    def approximate(self, max_intervals: int = 1) -> "Constraint":
         """A conservative, cheaper approximation (paper §6, item 2).
 
-        Reduces the numeric side to at most ``max_intervals`` pieces and
-        optionally widens them; the string side is kept exact (string
-        sets are already cheap).  The result covers the original.
+        Reduces the numeric side to at most ``max_intervals`` pieces;
+        the string side is kept exact (string sets are already cheap).
+        The result covers the original.
         """
-        if self._numeric.is_empty:
-            numeric = self._numeric
-        else:
-            numeric = self._numeric.simplify(max_intervals)
-            if widen_fraction > 0:
-                numeric = numeric.widen(widen_fraction)
+        numeric = self._numeric
+        if not numeric.is_empty:
+            numeric = numeric.simplify(max_intervals)
         return Constraint(numeric, self._strings)
 
     def complexity(self) -> int:
@@ -193,11 +182,6 @@ class Constraint:
 
 
 # -- factory functions -------------------------------------------------
-
-
-def wildcard() -> Constraint:
-    """Accept any value; "the absence of a criterion ... is a wildcard"."""
-    return Constraint.wildcard()
 
 
 def _as_numeric(value: Numeric) -> float:

@@ -43,27 +43,21 @@ class RegroupPolicy:
             disables compaction (exact union).
         max_intervals_per_attribute: interval budget per attribute when
             compacting.
-        widen_fraction: extra widening applied when compacting (the
-            paper suggests *approximating* filters near the root).
     """
 
-    __slots__ = ("max_complexity", "max_intervals_per_attribute", "widen_fraction")
+    __slots__ = ("max_complexity", "max_intervals_per_attribute")
 
     def __init__(
         self,
         max_complexity: Optional[int] = None,
         max_intervals_per_attribute: int = 1,
-        widen_fraction: float = 0.0,
     ):
         if max_complexity is not None and max_complexity < 1:
             raise PredicateError("max_complexity must be >= 1 or None")
         if max_intervals_per_attribute < 1:
             raise PredicateError("max_intervals_per_attribute must be >= 1")
-        if widen_fraction < 0:
-            raise PredicateError("widen_fraction must be >= 0")
         self.max_complexity = max_complexity
         self.max_intervals_per_attribute = max_intervals_per_attribute
-        self.widen_fraction = widen_fraction
 
     @classmethod
     def exact(cls) -> "RegroupPolicy":
@@ -73,14 +67,12 @@ class RegroupPolicy:
     @classmethod
     def near_root(cls) -> "RegroupPolicy":
         """Aggressive compaction suited to views close to the root."""
-        return cls(max_complexity=8, max_intervals_per_attribute=1,
-                   widen_fraction=0.0)
+        return cls(max_complexity=8, max_intervals_per_attribute=1)
 
     def __repr__(self) -> str:
         return (
             f"RegroupPolicy(max_complexity={self.max_complexity}, "
-            f"max_intervals_per_attribute={self.max_intervals_per_attribute}, "
-            f"widen_fraction={self.widen_fraction})"
+            f"max_intervals_per_attribute={self.max_intervals_per_attribute})"
         )
 
 
@@ -125,7 +117,6 @@ def regroup(
         and summary.complexity() > policy.max_complexity
     ):
         summary = summary.approximate(
-            max_intervals=policy.max_intervals_per_attribute,
-            widen_fraction=policy.widen_fraction,
+            max_intervals=policy.max_intervals_per_attribute
         )
     return summary

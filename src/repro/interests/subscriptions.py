@@ -124,30 +124,14 @@ class Subscription(Interest):
         return Subscription, (self._constraints,)
 
     @classmethod
-    def everything(cls) -> "Subscription":
-        """The subscription matching every event (no criteria at all)."""
-        return cls({})
-
-    @classmethod
     def nothing(cls) -> "Subscription":
         """The subscription matching no event (union identity)."""
         return cls({}, _never=True)
 
     @property
-    def is_everything(self) -> bool:
-        """True if every event matches."""
-        return not self._never and not self._constraints
-
-    @property
     def is_nothing(self) -> bool:
         """True if no event matches."""
         return self._never
-
-    def constraint(self, name: str) -> Constraint:
-        """The constraint on ``name`` (wildcard if unconstrained)."""
-        if self._never:
-            return Constraint.nothing()
-        return self._constraints.get(name, Constraint.wildcard())
 
     def matches(self, event: Event) -> bool:
         """True if the event satisfies every constraint.
@@ -205,15 +189,13 @@ class Subscription(Interest):
                 return False
         return True
 
-    def approximate(
-        self, max_intervals: int = 1, widen_fraction: float = 0.0
-    ) -> "Subscription":
+    def approximate(self, max_intervals: int = 1) -> "Subscription":
         """Approximate every constraint (filters near the root, §6)."""
         if self._never:
             return self
         return Subscription(
             {
-                name: constraint.approximate(max_intervals, widen_fraction)
+                name: constraint.approximate(max_intervals)
                 for name, constraint in self._constraints.items()
             }
         )

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.addressing import Address, Prefix
-from repro.errors import MembershipError
 from repro.interests.regrouping import RegroupPolicy
 from repro.membership.knowledge import build_all_views, refresh_path
 from repro.membership.tree import MembershipTree
@@ -59,16 +58,6 @@ class GroupDirectory:
         self._tables = build_all_views(tree, 0, policy)
 
     @property
-    def tree(self) -> MembershipTree:
-        """The membership ground truth."""
-        return self._tree
-
-    @property
-    def clock(self) -> int:
-        """The current logical time (last stamped timestamp)."""
-        return self._clock
-
-    @property
     def tables(self) -> Dict[Prefix, ViewTable]:
         """Every populated prefix's table (the live mapping: read only)."""
         return self._tables
@@ -77,13 +66,6 @@ class GroupDirectory:
         """Advance and return the logical clock."""
         self._clock += 1
         return self._clock
-
-    def table(self, prefix: Prefix) -> ViewTable:
-        """The converged table of a populated prefix."""
-        try:
-            return self._tables[prefix]
-        except KeyError:
-            raise MembershipError(f"no view for prefix {prefix}") from None
 
     def path(self, address: Address) -> Dict[int, ViewTable]:
         """The tables on ``address``'s prefix path, by depth: a member's

@@ -16,9 +16,8 @@ prefix (an exact-memory optimization, not a semantic change).
 
 Tables are read far more often than they change (every node consults
 its whole view path every round; membership changes are rare), so the
-flattened forms — :meth:`ViewTable.rows`, :meth:`ViewTable.entries`,
-:meth:`ViewTable.addresses`, :attr:`ViewTable.entry_count` — are
-memoized and invalidated on mutation.  Every mutation also advances the
+flattened forms — :meth:`ViewTable.rows` and :meth:`ViewTable.addresses`
+— are memoized and invalidated on mutation.  Every mutation also advances the
 table's :attr:`ViewTable.cache_token`, a process-wide unique version
 number: unlike ``id()``, a token is never reused after the table (or a
 table state) is gone, so external caches may key on it safely.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, Prefix, component_key
 from repro.errors import MembershipError
@@ -102,9 +101,7 @@ class ViewTable:
         "_token",
         "_addr_token",
         "_memo_rows",
-        "_memo_entries",
         "_memo_addresses",
-        "_memo_entry_count",
         "_memo_digest",
         "_memo_snapshot",
         "_frozen",
@@ -138,9 +135,7 @@ class ViewTable:
 
     def _clear_memos(self) -> None:
         self._memo_rows: Optional[List[ViewRow]] = None
-        self._memo_entries: Optional[List[Tuple[Address, ViewRow]]] = None
         self._memo_addresses: Optional[List[Address]] = None
-        self._memo_entry_count: Optional[int] = None
         self._memo_digest: Optional[Dict[int, int]] = None
         self._memo_snapshot: Optional["ViewTable"] = None
         # What pulling from another version (by its cache token) gives
@@ -205,20 +200,6 @@ class ViewTable:
         """True if rows are individual processes (depth == d)."""
         return self.depth == self._tree_depth
 
-    @property
-    def row_count(self) -> int:
-        """``|view|`` in Figure 3 — the number of lines."""
-        return len(self._rows)
-
-    @property
-    def entry_count(self) -> int:
-        """Total gossipable processes: ``|view| * R`` below depth d."""
-        if self._memo_entry_count is None:
-            self._memo_entry_count = sum(
-                len(row.delegates) for row in self._rows.values()
-            )
-        return self._memo_entry_count
-
     def rows(self) -> List[ViewRow]:
         """All lines, sorted by infix (deterministic iteration order)."""
         if self._memo_rows is None:
@@ -249,10 +230,8 @@ class ViewTable:
             # Same structure (a restamp or interest refresh): keep the
             # memos that depend only on infix -> delegates.
             memo_addresses = self._memo_addresses
-            memo_entry_count = self._memo_entry_count
             self._touch()
             self._memo_addresses = memo_addresses
-            self._memo_entry_count = memo_entry_count
         else:
             self._touch()
             self._addr_token = next(_TOKENS)
@@ -290,29 +269,11 @@ class ViewTable:
         self._rows = fresh
         if same_structure:
             memo_addresses = self._memo_addresses
-            memo_entry_count = self._memo_entry_count
             self._touch()
             self._memo_addresses = memo_addresses
-            self._memo_entry_count = memo_entry_count
         else:
             self._touch()
             self._addr_token = next(_TOKENS)
-
-    def entries(self) -> List[Tuple[Address, ViewRow]]:
-        """Flattened gossip targets: every delegate with its row.
-
-        This is the population the Figure 3 ``RANDOM(view[depth])``
-        draws from; a delegate's *effective* interest when filtering a
-        send is its row's regrouped interest (the delegate is
-        susceptible on behalf of the subtree it represents).
-        """
-        if self._memo_entries is None:
-            out: List[Tuple[Address, ViewRow]] = []
-            for row in self.rows():
-                for delegate in row.delegates:
-                    out.append((delegate, row))
-            self._memo_entries = out
-        return self._memo_entries
 
     def addresses(self) -> List[Address]:
         """All delegate addresses, sorted by (infix, address)."""
@@ -342,7 +303,6 @@ class ViewTable:
         copy = ViewTable(self._prefix, self._tree_depth, self._rows.values())
         copy._addr_token = self._addr_token
         copy._memo_addresses = self._memo_addresses
-        copy._memo_entry_count = self._memo_entry_count
         return copy
 
     def freeze(self) -> "ViewTable":
@@ -375,17 +335,11 @@ class ViewTable:
                 restructured = True
         if restructured:
             copy._addr_token = next(_TOKENS)
-            copy._memo_addresses = copy._memo_entry_count = None
+            copy._memo_addresses = None
         return copy.freeze()
-
-    def __iter__(self) -> Iterator[ViewRow]:
-        return iter(self.rows())
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     def __repr__(self) -> str:
         return (
             f"ViewTable(prefix={str(self._prefix)!r}, depth={self.depth}, "
-            f"rows={self.row_count})"
+            f"rows={len(self._rows)})"
         )

@@ -62,11 +62,6 @@ class VirtualClock:
         """The current virtual time (time of the last popped event)."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """How many events are queued."""
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)
 

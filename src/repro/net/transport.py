@@ -64,16 +64,6 @@ class Transport(ABC):
     def send(self, envelope: Envelope) -> None:
         """Queue one envelope for delivery (may be dropped per ε)."""
 
-    @property
-    @abstractmethod
-    def messages_sent(self) -> int:
-        """Envelopes handed to the transport so far."""
-
-    @property
-    @abstractmethod
-    def messages_lost(self) -> int:
-        """Envelopes known dropped (model ε; never kernel losses)."""
-
 
 class SimTransport(Transport):
     """Deterministic virtual-clock transport over the seeded ε model.
@@ -103,22 +93,9 @@ class SimTransport(Transport):
         self._batches: Dict[int, List[Envelope]] = {}
 
     @property
-    def latency_us(self) -> int:
-        """The fixed virtual wire latency."""
-        return self._latency_us
-
-    @property
     def in_flight(self) -> bool:
         """Whether any flush batch is still pending on the clock."""
         return bool(self._batches)
-
-    @property
-    def messages_sent(self) -> int:
-        return self._network.messages_sent
-
-    @property
-    def messages_lost(self) -> int:
-        return self._network.messages_lost
 
     def send(self, envelope: Envelope) -> None:
         """Queue ``envelope`` for the flush at ``now + latency``.
@@ -255,9 +232,6 @@ class UdpEndpointRegistry:
         except KeyError:
             raise NetError(f"no UDP endpoint registered for {address}")
 
-    def __len__(self) -> int:
-        return len(self._endpoints)
-
 
 class FairLossUdpTransport(Transport):
     """One process's UDP endpoint: real datagrams on localhost.
@@ -338,10 +312,6 @@ class FairLossUdpTransport(Transport):
         transport._sock = sock
         registry.register(address, sock_host, sock_port)
         return transport
-
-    @property
-    def messages_sent(self) -> int:
-        return self._sent
 
     @property
     def messages_lost(self) -> int:

@@ -88,12 +88,6 @@ class UdpRunStats:
     def events(self) -> int:
         return self.timer_fires + self.messages_sent + self.receptions
 
-    @property
-    def events_per_sec(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.events / self.elapsed_seconds
-
 
 def run_udp_dissemination(
     group: PmcastGroup,

@@ -28,7 +28,7 @@ timelines only read the wall clock.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.addressing import Address
 from repro.errors import ObservabilityError
@@ -118,10 +118,6 @@ class Observer:
         """Attach run metadata to the trace destination."""
         if self.trace is not None:
             self.trace.annotate(**meta)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """The registry's rolled-up metrics."""
-        return self.registry.snapshot()
 
 
 #: The shared disabled observer: the default for every component.

@@ -79,10 +79,6 @@ class Gauge:
         """Record the current level."""
         self._value = value
 
-    def inc(self, amount: Number = 1) -> None:
-        """Adjust the level by ``amount`` (may be negative)."""
-        self._value += amount
-
     @property
     def value(self) -> Number:
         """The current level."""
@@ -131,16 +127,6 @@ class Histogram:
                 self._counts[index] += 1
                 return
         self._counts[-1] += 1
-
-    @property
-    def count(self) -> int:
-        """Total observations."""
-        return self._count
-
-    @property
-    def total(self) -> Number:
-        """Sum of all observed values."""
-        return self._sum
 
     @property
     def mean(self) -> float:
@@ -243,16 +229,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -261,12 +237,13 @@ class _NullHistogram(Histogram):
 
 
 class NullRegistry(MetricsRegistry):
-    """The disabled registry: shared no-op instruments, empty snapshots.
+    """The disabled registry: shared no-op counters and histograms.
 
     Handing out one shared instrument per type keeps the disabled path
     allocation-free: a component may create its instruments in a loop
-    without ever growing memory, and every ``inc``/``set``/``observe``
-    is a single no-op method call.
+    without ever growing memory, and every ``inc``/``observe`` is a
+    single no-op method call.  Gauges are asked for only under
+    ``registry.enabled``.
     """
 
     enabled = False
@@ -274,14 +251,10 @@ class NullRegistry(MetricsRegistry):
     def __init__(self) -> None:
         super().__init__()
         self._counter = _NullCounter("null", "counter")
-        self._gauge = _NullGauge("null", "gauge")
         self._histogram = _NullHistogram("null", "histogram")
 
     def counter(self, subsystem: str, name: str) -> Counter:
         return self._counter
-
-    def gauge(self, subsystem: str, name: str) -> Gauge:
-        return self._gauge
 
     def histogram(
         self,
@@ -295,9 +268,6 @@ class NullRegistry(MetricsRegistry):
         self, subsystem: str, collect: Callable[[], Dict[str, object]]
     ) -> None:
         pass
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {}
 
 
 #: The shared disabled registry: the default everywhere.

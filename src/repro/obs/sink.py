@@ -173,9 +173,9 @@ def validate_trace(path: str) -> Tuple[int, List[str]]:
             except ObservabilityError as exc:
                 return 0, [str(exc)]
             # Round-keyed and event-keyed records each have their own
-            # ordering domain (TraceRecord.order_key): rounds must be
-            # monotone among round-keyed records, timestamps among
-            # round-less ones.  A producer may interleave the two.
+            # ordering domain: rounds must be monotone among round-keyed
+            # records, timestamps among round-less ones.  A producer may
+            # interleave the two.
             last_round: Optional[int] = None
             last_time: Optional[int] = None
             for number, line in enumerate(handle, start=2):

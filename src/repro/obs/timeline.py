@@ -127,17 +127,6 @@ class TimelineRecorder:
         self._entries.append(entry)
         return entry
 
-    def annotate(self, **meta: object) -> None:
-        """Merge run-level metadata into the header block."""
-        self.meta.update(meta)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> List[Dict[str, Any]]:
-        """Every recorded span/probe, in emission order."""
-        return list(self._entries)
-
     def spans(self) -> List[Dict[str, Any]]:
         """Only the wall-clock spans."""
         return [e for e in self._entries if e["type"] == "span"]

@@ -41,7 +41,7 @@ ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Collection, Dict, Iterator, List, Optional
 
 from repro.addressing import Address
 from repro.errors import SimulationError
@@ -220,17 +220,6 @@ class TraceRecord:
         if self.depth < 0:
             raise SimulationError(f"negative depth {self.depth}")
 
-    def order_key(self) -> Tuple[int, int]:
-        """A total order within one producer's stream.
-
-        Round-keyed records order by round; round-less event records by
-        timestamp.  The leading element keeps the two domains apart so
-        a mixed comparison never interleaves rounds with microseconds.
-        """
-        if self.round is not None:
-            return (0, self.round)
-        return (1, self.time_us or 0)
-
     def render(self) -> str:
         """One human-readable line."""
         peer = f" -> {self.peer}" if self.kind in _PEER_OUT else (
@@ -382,18 +371,3 @@ class TraceLog:
         if limit is not None and len(self._records) > limit:
             lines.append(f"... {len(self._records) - limit} more records")
         return "\n".join(lines)
-
-    def to_jsonl(self, path: str) -> int:
-        """Write the whole log as a JSONL trace file; returns records written.
-
-        Written through a :class:`~repro.obs.sink.JsonlSink`: a header
-        object carrying :data:`TRACE_SCHEMA` and :attr:`meta`, then one
-        line per record.  A ``.gz`` path is transparently compressed.
-        :func:`repro.obs.sink.read_trace` loads it back.
-        """
-        from repro.obs.sink import JsonlSink
-
-        with JsonlSink(path, meta=self.meta) as sink:
-            for record in self._records:
-                sink.append(record)
-        return len(self._records)

@@ -64,11 +64,6 @@ class ChurnSchedule:
         """How many membership changes the schedule holds."""
         return sum(len(batch) for batch in self._events.values())
 
-    @property
-    def horizon(self) -> int:
-        """The last scheduled round (0 when empty)."""
-        return max(self._events, default=0)
-
     def at(self, round_index: int) -> List[ChurnEvent]:
         """The changes scheduled for one round, in insertion order."""
         return list(self._events.get(round_index, ()))
@@ -110,8 +105,8 @@ def poisson_churn(
     """A randomized churn script with per-round Bernoulli arrivals.
 
     Args:
-        allocator: hands out addresses for joiners (must already have
-            the initial members reserved).
+        allocator: hands out addresses for joiners and takes back each
+            leaver's (must already have the initial members reserved).
         initial_members: the members leaves/crashes may pick from
             (updated as the script evolves).
         interest_factory: builds each joiner's subscription.
@@ -141,6 +136,9 @@ def poisson_churn(
         if alive and rng.random() < leave_rate:
             victim = alive.pop(rng.randrange(len(alive)))
             events.append(ChurnEvent(round_index, "leave", victim))
+            # A leaver's address goes back to the pool for a later join;
+            # a crashed member's is never freed.
+            allocator.release(victim)
         if alive and rng.random() < crash_rate:
             victim = alive.pop(rng.randrange(len(alive)))
             events.append(ChurnEvent(round_index, "crash", victim))

@@ -40,16 +40,6 @@ class CrashSchedule:
         self._crash_rounds = rounds
 
     @classmethod
-    def none(cls) -> "CrashSchedule":
-        """No crashes (the failure-free baseline)."""
-        return cls({})
-
-    @classmethod
-    def at_start(cls, victims: Iterable[Address]) -> "CrashSchedule":
-        """Crash ``victims`` before the first round (worst case)."""
-        return cls({address: 0 for address in victims})
-
-    @classmethod
     def sample(
         cls,
         members: Iterable[Address],
@@ -81,27 +71,10 @@ class CrashSchedule:
                     rounds[address] = rng.randrange(horizon)
         return cls(rounds)
 
-    def merge(self, other: "CrashSchedule") -> "CrashSchedule":
-        """Combine two schedules; on conflict the *earlier* round wins.
-
-        Useful for composing a sampled τ schedule with the static
-        crash clauses of a fault plan.
-        """
-        rounds = dict(self._crash_rounds)
-        for address, crash_round in other._crash_rounds.items():
-            existing = rounds.get(address)
-            if existing is None or crash_round < existing:
-                rounds[address] = crash_round
-        return CrashSchedule(rounds)
-
     @property
     def victim_count(self) -> int:
         """f — how many processes crash during the run."""
         return len(self._crash_rounds)
-
-    def victims(self) -> List[Address]:
-        """The doomed processes, sorted."""
-        return sorted(self._crash_rounds)
 
     def crashes_at(self, round_index: int) -> List[Address]:
         """Processes whose crash round is exactly ``round_index``."""
@@ -110,17 +83,3 @@ class CrashSchedule:
             for address, crash_round in self._crash_rounds.items()
             if crash_round == round_index
         )
-
-    def crash_round(self, address: Address) -> int:
-        """The crash round of a victim.
-
-        Raises:
-            SimulationError: if the address never crashes.
-        """
-        try:
-            return self._crash_rounds[address]
-        except KeyError:
-            raise SimulationError(f"{address} never crashes") from None
-
-    def __contains__(self, address: Address) -> bool:
-        return address in self._crash_rounds

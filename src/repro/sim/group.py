@@ -129,13 +129,6 @@ class PmcastGroup:
         """All member addresses, sorted (a fresh list each call)."""
         return list(self._sorted)
 
-    def table(self, prefix: Prefix) -> ViewTable:
-        """The shared converged view table of a populated prefix."""
-        try:
-            return self._tables[prefix]
-        except KeyError:
-            raise SimulationError(f"no view table for prefix {prefix}") from None
-
     def interested_members(self, event: Event) -> List[Address]:
         """Ground truth: members whose own interest matches ``event``."""
         return [

@@ -100,19 +100,14 @@ class DisseminationReport:
         return self.received_uninterested / self.uninterested
 
     @property
-    def network_overhead(self) -> float:
-        """Messages per process actually interested (cost-of-delivery)."""
-        return self.messages_sent / max(self.interested, 1)
-
-    @property
     def cost_per_delivery(self) -> float:
         """Messages spent per interested process that actually delivered.
 
         The per-event message cost the variant comparison reports: the
         total envelope count (payload *and* control) divided by
-        successful deliveries.  Unlike :attr:`network_overhead` it
-        penalizes undelivered interest — an algorithm that floods but
-        misses half its audience pays for the misses here.
+        successful deliveries, so it penalizes undelivered interest — an
+        algorithm that floods but misses half its audience pays for the
+        misses here.
         """
         return self.messages_sent / max(self.delivered_interested, 1)
 

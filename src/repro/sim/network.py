@@ -49,16 +49,6 @@ class LossyNetwork:
         self._lost = 0
 
     @property
-    def loss_probability(self) -> float:
-        """ε, the i.i.d. message-loss probability."""
-        return self._loss_probability
-
-    @property
-    def messages_sent(self) -> int:
-        """Envelopes handed to the network so far."""
-        return self._sent
-
-    @property
     def messages_lost(self) -> int:
         """Envelopes dropped by ε."""
         return self._lost

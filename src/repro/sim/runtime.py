@@ -295,7 +295,7 @@ class GroupRuntime:
                 self._obs.emit if self._obs.tracing else None,
             )
             self._reg.register_collector("faults", self._faults.stats)
-            if len(fault_plan):
+            if fault_plan.clauses:
                 # An empty plan injects nothing and draws nothing: its
                 # rounds keep the bare network, and so the kernel.
                 self._link = self._faults
@@ -329,25 +329,6 @@ class GroupRuntime:
     def tree(self) -> MembershipTree:
         """The current membership ground truth."""
         return self._tree
-
-    @property
-    def active_count(self) -> int:
-        """How many processes currently buffer an event (are *infected*).
-
-        This is the per-round event-gossip cost: only these processes
-        are visited by a round's fan-out.
-        """
-        return len(self._active)
-
-    @property
-    def observer(self) -> Observer:
-        """The attached observer (the shared null observer by default)."""
-        return self._obs
-
-    @property
-    def fault_stats(self) -> Optional[Dict[str, int]]:
-        """Injection counters when a fault plan is attached, else None."""
-        return None if self._faults is None else self._faults.stats()
 
     def node(self, address: Address) -> PmcastNode:
         """The protocol node of a (possibly crashed) process."""
@@ -644,11 +625,6 @@ class GroupRuntime:
             held = self._tokens[senders, 0] != 0
             self._pull_batch(receivers[held], senders[held])
         return receivers, senders
-
-    def run(self, rounds: int) -> None:
-        """Execute several rounds."""
-        for __ in range(rounds):
-            self.step()
 
     def run_until_idle(self, max_rounds: int = 256) -> int:
         """Step until no event is buffered anywhere; returns rounds run.

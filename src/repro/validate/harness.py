@@ -125,14 +125,6 @@ class ToleranceBand:
         widen = self.relative * abs(predicted) + self.ci_z * stderr
         return predicted - self.lower - widen, predicted + self.upper + widen
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "relative": self.relative,
-            "ci_z": self.ci_z,
-        }
-
 
 #: An exact band for the deterministic fault-plane oracles.
 EXACT = ToleranceBand(lower=0.0, upper=0.0, relative=0.0, ci_z=0.0)

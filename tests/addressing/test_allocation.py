@@ -15,7 +15,7 @@ class TestBasicAllocation:
         allocator = AddressAllocator(space, min_subgroup=2)
         addresses = [allocator.allocate() for __ in range(20)]
         assert len(set(addresses)) == 20
-        assert all(space.contains(address) for address in addresses)
+        assert all(space.validate(address) is address for address in addresses)
         assert all(map(allocator.is_allocated, addresses))
 
     def test_fills_subgroup_to_minimum_before_opening_sibling(self):

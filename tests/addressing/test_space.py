@@ -1,7 +1,5 @@
 """Unit tests for AddressSpace (paper §2.2, Eq 1 and Eq 6)."""
 
-import random
-
 import pytest
 
 from repro.addressing import Address, AddressSpace
@@ -42,9 +40,10 @@ class TestConstruction:
 class TestMembershipChecks:
     def test_contains_in_range(self):
         space = AddressSpace.regular(4, 2)
-        assert space.contains(Address((3, 3)))
-        assert not space.contains(Address((4, 0)))
-        assert not space.contains(Address((0, 0, 0)))
+        assert space.validate(Address((3, 3))) == Address((3, 3))
+        for outside in (Address((4, 0)), Address((0, 0, 0))):
+            with pytest.raises(AddressError):
+                space.validate(outside)
 
     def test_validate_raises_with_context(self):
         space = AddressSpace.regular(4, 2)
@@ -71,27 +70,3 @@ class TestEnumeration:
         with pytest.raises(AddressError):
             space.enumerate_regular(4)
 
-
-class TestSampling:
-    def test_sample_distinct(self):
-        space = AddressSpace.regular(4, 3)
-        sample = space.sample(30, random.Random(1))
-        assert len(sample) == 30
-        assert len(set(sample)) == 30
-        assert all(space.contains(address) for address in sample)
-
-    def test_sample_is_sorted(self):
-        space = AddressSpace.regular(4, 3)
-        sample = space.sample(10, random.Random(2))
-        assert sample == sorted(sample)
-
-    def test_sample_reproducible(self):
-        space = AddressSpace.regular(5, 2)
-        assert space.sample(8, random.Random(7)) == space.sample(
-            8, random.Random(7)
-        )
-
-    def test_sample_overflow_rejected(self):
-        space = AddressSpace.regular(2, 2)
-        with pytest.raises(AddressError):
-            space.sample(5, random.Random(0))

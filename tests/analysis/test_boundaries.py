@@ -18,7 +18,6 @@ from repro.analysis import (
     false_reception_estimate,
     loss_adjusted_rounds,
     pittel_rounds,
-    reliability_cdf,
     round_bound,
     state_distribution,
     transition_matrix,
@@ -123,11 +122,6 @@ class TestDepthOneTrees:
         assert dist.sum() == pytest.approx(1.0)
         with pytest.raises(AnalysisError):
             entity_count_distribution(analysis, 2)
-
-    def test_depth_one_reliability_cdf(self):
-        fractions, cdf = reliability_cdf(analyze_tree(0.5, 8, 1, 2, 3))
-        assert cdf[-1] == pytest.approx(1.0)
-        assert fractions[0] == 0.0
 
     def test_full_interest_has_no_false_receptions(self):
         assert false_reception_estimate(1.0, 4, 2, 2, 3) == 0.0

@@ -114,10 +114,9 @@ class TestStateDistribution:
 class TestInfectionChain:
     def test_wrapper_consistency(self):
         chain = InfectionChain(25, 2, 0.1, 0.0)
-        assert chain.size == 25
         assert chain.expected_after(4) == pytest.approx(
             expected_infected(25, 2, 4, 0.1, 0.0)
         )
         assert np.allclose(chain.after(4),
                            state_distribution(25, 2, 4, 0.1, 0.0))
-        assert chain.matrix().shape == (26, 26)
+        assert chain.after(4).shape == (26,)

@@ -3,18 +3,16 @@
 Each property is a mathematical fact the closed-form models must obey
 for *every* admissible parameter choice, not just the pinned examples
 of the unit suites: stochasticity of the Eq 9 chain, monotonicity of
-expected infection in time and fanout, monotonicity of the reliability
-CDF, and probability-ness of the Eq 18 reliability degree.
+expected infection in time and fanout, and probability-ness of the
+Eq 18 reliability degree.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    analyze_tree,
     delivery_probability,
     expected_infected,
-    reliability_cdf,
     state_distribution,
     transition_matrix,
 )
@@ -74,24 +72,6 @@ class TestMarkovProperties:
 
 
 class TestTreeProperties:
-    @COMMON
-    @given(rate=rates,
-           arity=st.integers(min_value=2, max_value=6),
-           depth=st.integers(min_value=1, max_value=3),
-           redundancy=st.integers(min_value=1, max_value=3),
-           fanout=st.integers(min_value=1, max_value=6),
-           eps=losses)
-    def test_reliability_cdf_monotone_ending_at_one(
-        self, rate, arity, depth, redundancy, fanout, eps
-    ):
-        analysis = analyze_tree(
-            rate, arity, depth, redundancy, fanout, eps
-        )
-        fractions, cdf = reliability_cdf(analysis)
-        assert np.all(np.diff(cdf) >= -1e-9)
-        assert np.all(np.diff(fractions) >= -1e-12)
-        assert abs(cdf[-1] - 1.0) < 1e-9
-
     @COMMON
     @given(rate=rates,
            arity=st.integers(min_value=2, max_value=6),

@@ -55,7 +55,7 @@ class TestAnalyzeTree:
     def test_full_interest_high_reliability(self):
         analysis = analyze_tree(1.0, 10, 3, 3, 3)
         assert analysis.reliability_degree > 0.95
-        assert analysis.group_size == 1000
+        assert analysis.arity ** analysis.depth == 1000
 
     def test_reliability_degrades_for_small_rates(self):
         # The §5.1 observation behind Figure 4.

@@ -91,7 +91,7 @@ class TestGenuineMulticast:
     def test_crashes_accounted(self):
         members = make_members(rate=1.0)
         addresses = sorted(members)
-        schedule = CrashSchedule.at_start(addresses[1:4])
+        schedule = CrashSchedule({victim: 0 for victim in addresses[1:4]})
         report = flat_genuine_multicast(
             members, addresses[0], Event({}), 3, SimConfig(seed=7),
             crash_schedule=schedule,

@@ -63,13 +63,13 @@ class TestIsolation:
         # Root row for subtree 1: both delegates (1.0.0, 1.0.1) are
         # uninterested, so the row summary is uninterested — even though
         # the subtree contains interested processes.
-        root = group.table(Prefix(()))
+        root = group._tables[Prefix(())]
         assert not root.row(1).interest.matches(Event({}))
         # The real pmcast view disagrees.
         real = PmcastGroup.build(
             members, PmcastConfig(fanout=2, redundancy=2)
         )
-        assert real.table(Prefix(())).row(1).interest.matches(Event({}))
+        assert real._tables[Prefix(())].row(1).interest.matches(Event({}))
 
     def test_no_difference_when_delegates_interested(self):
         space = AddressSpace.regular(2, 2)

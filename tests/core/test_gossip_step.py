@@ -24,10 +24,10 @@ from repro.membership import ViewRow, ViewTable
 def reference_step(node, ctx, config):
     """Figure 3 lines 4–18 over a per-entry candidate list."""
     out = []
-    leaf = node.tree_depth
+    leaf = node.address.depth
     for depth in range(1, leaf + 1):
-        for entry in node.buffers.entries(depth):
-            table = node.view(depth)
+        for entry in list(node.buffers._buffers[depth - 1].values()):
+            table = node._views[depth]
             match = ctx.table_match(table, entry.event)
             if depth == leaf and match.rate >= config.leaf_flood_threshold:
                 message = GossipMessage(
@@ -40,7 +40,7 @@ def reference_step(node, ctx, config):
                 )
                 node.buffers.remove(depth, entry.event)
                 continue
-            bound = depth_round_bound(table.entry_count, entry.rate, config)
+            bound = depth_round_bound(sum(len(row.delegates) for row in table.rows()), entry.rate, config)
             if entry.round < bound:
                 entry.round += 1
                 candidates = [
@@ -59,7 +59,7 @@ def reference_step(node, ctx, config):
                         out.append(Envelope(destination, message))
             elif depth < leaf:
                 next_match = ctx.table_match(
-                    node.view(depth + 1), entry.event
+                    node._views[depth + 1], entry.event
                 )
                 node.buffers.demote(depth, entry.event, next_match.rate)
             else:
@@ -162,7 +162,7 @@ class TestGossipStepEquivalence:
         (node, ctx), (twin, twin_ctx) = pair
         # An entry spends at most max_rounds_per_depth + 1 steps at a
         # depth: a rate near 0 draws the window's top bound.
-        for __ in range(node.tree_depth * (config.max_rounds_per_depth + 1)):
+        for __ in range(node.address.depth * (config.max_rounds_per_depth + 1)):
             assert node.gossip_step(ctx) == reference_step(
                 twin, twin_ctx, config
             )

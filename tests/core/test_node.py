@@ -70,14 +70,14 @@ class TestConstruction:
         direct = PmcastNode(sibling, members[sibling], views, config)
         for node in (wired, direct):
             assert node.address == sibling
-            assert node.tree_depth == 2
+            assert node.address.depth == 2
             assert node.alive and node.is_idle
-            assert [node.view(d) for d in (1, 2)] == [views[1], views[2]]
+            assert [node._views[d] for d in (1, 2)] == [views[1], views[2]]
         # Each node owns its mapping: a membership change on one
         # sibling never rewires the other.
-        wired.replace_view(2, direct.view(2))
+        wired.replace_view(2, direct._views[2])
         views.clear()
-        assert wired.view(1) is direct.view(1)
+        assert wired._views[1] is direct._views[1]
 
     def test_check_views_is_what_construction_runs(self):
         members = four_members()
@@ -95,7 +95,7 @@ class TestPmcast:
         event = Event({})
         node.pmcast(event, ctx())
         assert node.has_delivered(event)
-        assert node.delivered == [event]
+        assert node._delivered == [event]
 
     def test_uninterested_publisher_does_not_deliver(self):
         node = build_node(
@@ -110,7 +110,7 @@ class TestPmcast:
         node = build_node(Address((0, 0)), four_members())
         event = Event({})
         node.pmcast(event, ctx())
-        assert node.buffers.depth_of(event) == 1
+        assert node.buffers._located.get(event.event_id) == 1
 
     def test_double_publish_rejected(self):
         node = build_node(Address((0, 0)), four_members())
@@ -135,7 +135,7 @@ class TestGossipStep:
         node.pmcast(event, context)
         envelopes = node.gossip_step(context)
         assert envelopes
-        assert len(envelopes) <= 2 * node.tree_depth  # F per depth at most
+        assert len(envelopes) <= 2 * node.address.depth  # F per depth at most
         for envelope in envelopes:
             assert envelope.destination != node.address
             assert envelope.message.event == event
@@ -162,12 +162,12 @@ class TestGossipStep:
         context = ctx()
         node.pmcast(event, context)
         node.gossip_step(context)
-        assert node.buffers.entry(1, event).round == 1
+        assert node.buffers._buffers[0][event.event_id].round == 1
         node.gossip_step(context)
-        assert node.buffers.entry(1, event).round == 2
+        assert node.buffers._buffers[0][event.event_id].round == 2
         # Third step: bound reached -> demoted to depth 2, round reset.
         node.gossip_step(context)
-        assert node.buffers.depth_of(event) == 2
+        assert node.buffers._located.get(event.event_id) == 2
 
     def test_expiry_at_leaf_removes(self):
         config = PmcastConfig(
@@ -178,7 +178,7 @@ class TestGossipStep:
         event = Event({})
         context = ctx()
         node.pmcast(event, context)
-        for __ in range(2 * node.tree_depth + 2):
+        for __ in range(2 * node.address.depth + 2):
             node.gossip_step(context)
         assert node.is_idle
 
@@ -197,7 +197,7 @@ class TestGossipStep:
         envelopes = node.gossip_step(context)  # expiry -> depth 2 + gossip
         depths = {envelope.message.depth for envelope in envelopes}
         assert depths == {2}
-        assert node.buffers.entry(2, event).round == 1
+        assert node.buffers._buffers[1][event.event_id].round == 1
 
     def test_crashed_node_is_silent(self):
         node = build_node(Address((0, 0)), four_members())
@@ -232,7 +232,7 @@ class TestReceive:
         event = Event({})
         node.receive(self.make_message(event), ctx())
         assert node.has_delivered(event)
-        assert node.buffers.depth_of(event) == 2
+        assert node.buffers._located.get(event.event_id) == 2
 
     def test_uninterested_receiver_buffers_but_does_not_deliver(self):
         node = build_node(
@@ -250,16 +250,16 @@ class TestReceive:
         context = ctx()
         node.receive(self.make_message(event), context)
         node.receive(self.make_message(event, depth=1), context)
-        assert len(node.delivered) == 1
+        assert len(node._delivered) == 1
         assert node.receptions == 2
         # Line 20: still buffered at the original depth only.
-        assert node.buffers.depth_of(event) == 2
+        assert node.buffers._located.get(event.event_id) == 2
 
     def test_received_round_resumed(self):
         node = build_node(Address((0, 0)), four_members())
         event = Event({})
         node.receive(self.make_message(event, round=3), ctx())
-        assert node.buffers.entry(2, event).round == 3
+        assert node.buffers._buffers[1][event.event_id].round == 3
 
     def test_crashed_receiver_drops_silently(self):
         node = build_node(Address((0, 0)), four_members())
@@ -287,7 +287,7 @@ class TestLocalInterestShortcut:
         )
         event = Event({})
         node.pmcast(event, ctx())
-        assert node.buffers.depth_of(event) == 2
+        assert node.buffers._located.get(event.event_id) == 2
 
     def test_no_skip_when_remote_subtree_interested(self):
         config = PmcastConfig(
@@ -297,7 +297,7 @@ class TestLocalInterestShortcut:
         node = build_node(Address((0, 0)), four_members(), config)
         event = Event({})
         node.pmcast(event, ctx())
-        assert node.buffers.depth_of(event) == 1
+        assert node.buffers._located.get(event.event_id) == 1
 
     def test_disabled_by_default(self):
         node = build_node(
@@ -305,7 +305,7 @@ class TestLocalInterestShortcut:
         )
         event = Event({})
         node.pmcast(event, ctx())
-        assert node.buffers.depth_of(event) == 1
+        assert node.buffers._located.get(event.event_id) == 1
 
 
 class TestLeafFlood:
@@ -380,7 +380,7 @@ class TestPassiveGarbageCollection:
         assert node.is_idle
         node.receive(message, context)   # late duplicate
         assert node.is_idle              # stays garbage-collected
-        assert len(node.delivered) == 1
+        assert len(node._delivered) == 1
 
     def test_flood_ping_pong_terminates(self):
         """Two flooding neighbors exchange the event finitely."""

@@ -9,10 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.addressing import Address, Prefix
-from repro.core.rate import match_table, sample_positions, sample_positions_each
+from repro.core import rate
+from repro.core.rate import sample_positions, sample_positions_each
 from repro.errors import ProtocolError
 from repro.interests import Event, StaticInterest
 from repro.membership import ViewRow, ViewTable
+
+
+def match_table(table, event, threshold_h=0):
+    """``rate.match_table`` with every verdict evaluated directly."""
+    return rate.match_table(
+        table, event, threshold_h,
+        verdict=lambda interest, event: interest.matches(event),
+    )
 
 
 def table_with_flags(flags, redundancy=2):
@@ -43,13 +52,13 @@ class TestMatchTable:
         # hits / (|view| * R) = 4 / 8
         assert match.rate == pytest.approx(0.5)
         assert match.natural_hits == 4
-        assert match.total == 8
+        assert len(match.entries) == 8
 
     def test_leaf_rate_counts_processes(self):
         table = leaf_table([True, False, False, False])
         match = match_table(table, Event({}))
         assert match.rate == pytest.approx(0.25)
-        assert match.total == 4
+        assert len(match.entries) == 4
 
     def test_matching_set_is_row_based(self):
         table = table_with_flags([True, False])

@@ -14,6 +14,7 @@ from repro.sim import (
     run_dissemination,
 )
 from repro.core.messages import Envelope, GossipMessage
+from tests.faults.clauses import with_crash, with_depth_crash
 
 
 def make_tree(arity=4, depth=2, redundancy=2):
@@ -81,7 +82,7 @@ class TestTransmit:
         assert rng.getstate() == before
         assert injector.stats()["partition_drops"] == 2
         # The tallies a report reads are the network's underneath.
-        assert injector.messages_sent == 4
+        assert injector._network._sent == 4
         assert injector.messages_lost == 0
 
     def test_full_burst_drops_without_randomness(self):
@@ -141,7 +142,7 @@ class TestCrashResolution:
 
     def test_depth_crash_picks_depth_delegates(self):
         tree, addrs = make_tree(redundancy=2)
-        plan = FaultPlan().with_depth_crash(1, 2, count=3)
+        plan = with_depth_crash(FaultPlan(), 1, 2, count=3)
         injector = make_link(plan, tree)
         victims = injector.begin_round(1)
         assert len(victims) == 3
@@ -150,10 +151,9 @@ class TestCrashResolution:
 
     def test_targeted_crash_skips_non_members(self):
         tree, addrs = make_tree()
-        plan = (
-            FaultPlan()
-            .with_crash(0, str(addrs[3]))
-            .with_crash(0, "9.9")  # never a member
+        plan = with_crash(
+            with_crash(FaultPlan(), 0, str(addrs[3])),
+            0, "9.9",  # never a member
         )
         injector = make_link(plan, tree)
         assert injector.begin_round(0) == [addrs[3]]
@@ -167,13 +167,11 @@ class TestCrashResolution:
         tree, addrs = make_tree(redundancy=2)
         delegate = tree.delegates(Prefix((2,)))[0]
         log = TraceLog()
-        plan = (
-            FaultPlan()
-            .with_crash(1, str(addrs[3]))
-            .with_crash(3, str(addrs[3]))
+        plan = with_crash(
+            with_crash(with_crash(FaultPlan(), 1, str(addrs[3])), 3, str(addrs[3]))
             .with_delegate_crash(1, "2", count=1)
-            .with_delegate_crash(2, "2", count=1)
-            .with_crash(3, str(delegate))
+            .with_delegate_crash(2, "2", count=1),
+            3, str(delegate),
         )
         injector = make_link(plan, tree, emit=log.record)
         assert injector.begin_round(1) == sorted([addrs[3], delegate])
@@ -188,12 +186,12 @@ class TestTraceEmission:
     def test_every_fault_kind_emitted(self):
         tree, addrs = make_tree()
         log = TraceLog()
-        plan = (
+        plan = with_crash(
             FaultPlan()
             .with_partition(0, 2, "0", "1")
             .with_loss_burst(0, 2, 1.0, dest_prefix="2")
-            .with_delay(0, 1, 1, dest_prefix="3")
-            .with_crash(1, str(addrs[-1]))
+            .with_delay(0, 1, 1, dest_prefix="3"),
+            1, str(addrs[-1]),
         )
         injector = make_link(plan, tree, emit=log.record)
         transmit(

@@ -28,6 +28,8 @@ from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests
+from tests.faults import clauses
+from tests.traces import write_jsonl
 
 ARITY, DEPTH = 4, 3
 ADDRESSES = AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY)
@@ -72,7 +74,10 @@ CLAUSES = st.one_of(
 def plans(draw):
     plan = FaultPlan(name="generated")
     for method, args, kwargs in draw(st.lists(CLAUSES, max_size=5)):
-        plan = getattr(plan, method)(*args, **kwargs)
+        if method in ("with_crash", "with_depth_crash"):
+            plan = getattr(clauses, method)(plan, *args, **kwargs)
+        else:
+            plan = getattr(plan, method)(*args, **kwargs)
     return plan
 
 
@@ -95,7 +100,7 @@ def check_conservation(trace, messages_sent, pending):
 
 
 def trace_bytes(trace, path):
-    trace.to_jsonl(str(path))
+    write_jsonl(trace, str(path))
     return path.read_bytes()
 
 
@@ -142,7 +147,7 @@ class TestEveryEnvelopeHasOneDisposition:
         check_conservation(
             runtime_trace,
             registry.counter("runtime", "envelopes_sent").value,
-            runtime.fault_stats["pending"],
+            runtime._faults.stats()["pending"],
         )
 
 
@@ -187,8 +192,8 @@ class TestEmptyPlanIsTheBareNetwork:
             assert link.last_diverted == bare.last_diverted == frozenset()
         assert not link.has_pending and not bare.has_pending
         assert link.scripted_crashes == bare.scripted_crashes == 0
-        assert (link.messages_sent, link.messages_lost) == (
-            bare.messages_sent, bare.messages_lost,
+        assert (link._network._sent, link.messages_lost) == (
+            bare._sent, bare.messages_lost,
         )
         assert wrapped_rng.getstate() == bare_rng.getstate()
         assert fault_rng.getstate() == untouched

@@ -16,6 +16,7 @@ from repro.faults import (
     Partition,
     TargetedCrash,
 )
+from tests.faults.clauses import with_crash, with_depth_crash
 
 #: JSON-shaped values, biased toward what a clause field could hold.
 JSON = st.recursive(
@@ -52,14 +53,16 @@ PLANS = JSON | st.builds(
 
 
 def episode():
-    return (
-        FaultPlan(name="episode")
-        .with_partition(1, 5, "0", "1")
-        .with_delegate_crash(2, "2", count=2)
-        .with_loss_burst(3, 8, 0.5, dest_prefix="1")
-        .with_delay(1, 3, 2, probability=0.5)
-        .with_crash(4, "3.1")
-        .with_depth_crash(5, 2, count=2)
+    return with_depth_crash(
+        with_crash(
+            FaultPlan(name="episode")
+            .with_partition(1, 5, "0", "1")
+            .with_delegate_crash(2, "2", count=2)
+            .with_loss_burst(3, 8, 0.5, dest_prefix="1")
+            .with_delay(1, 3, 2, probability=0.5),
+            4, "3.1",
+        ),
+        5, 2, count=2,
     )
 
 
@@ -124,13 +127,9 @@ class TestClauses:
 class TestPlan:
     def test_builders_do_not_mutate(self):
         base = FaultPlan(name="base")
-        extended = base.with_crash(0, "1.1")
-        assert base.is_empty and not extended.is_empty
-        assert len(extended) == 1
-
-    def test_last_round_spans_windows_and_crashes(self):
-        plan = episode()
-        assert plan.last_round == 7  # the burst window ends at 8
+        extended = base.with_delay(0, 1, 1)
+        assert not base.clauses and extended.clauses
+        assert len(extended.clauses) == 1
 
     def test_json_round_trip(self):
         plan = episode()

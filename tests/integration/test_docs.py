@@ -1,5 +1,6 @@
 """Documentation guards: the README quickstart runs; DESIGN targets exist."""
 
+import ast
 import pathlib
 import re
 from decimal import ROUND_HALF_UP, Decimal
@@ -53,6 +54,26 @@ class TestReadmeQuickstart:
         assert false_reception < 0.5
 
 
+def _definitions(path):
+    """Names a module defines: functions, classes and methods, each both
+    qualified (``Class.method``) and bare (docs cite ``space.py::
+    enumerate_regular``), and its module-level assignment targets."""
+    names = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.update((prefix + child.name, child.name))
+                walk(child, f"{prefix}{child.name}.")
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    walk(tree, "")
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
 class TestDesignDocConsistency:
     def test_bench_targets_exist(self):
         # Every `--experiment name` / `--figure n` the docs write is a
@@ -69,6 +90,32 @@ class TestDesignDocConsistency:
             assert cited[name], f"{name} cites no bench command"
             assert cited[name] <= set(REGISTRY), name
         assert cited["EXPERIMENTS.md"] == set(REGISTRY)
+
+    def test_code_references_resolve(self):
+        # Every `path.py::name` the docs cite names a definition (a
+        # function, class, method or module-level assignment) in a file
+        # under src/, tests/ or benchmarks/ whose path ends in ``path``:
+        # deleting the code cannot strand the reference.
+        texts = [(ROOT / name).read_text() for name in ("README.md", "DESIGN.md")]
+        texts += [path.read_text() for path in sorted((ROOT / "docs").glob("*.md"))]
+        cited = {
+            ref
+            for text in texts
+            for span in re.findall(r"`([^`]+)`", text)
+            for ref in re.findall(r"([\w./-]+\.py)::([\w.]+)", span)
+        }
+        assert cited, "no doc cites a path::name"
+        sources = [
+            path
+            for top in ("src", "tests", "benchmarks")
+            for path in (ROOT / top).rglob("*.py")
+        ]
+        stranded = []
+        for path, name in sorted(cited):
+            files = [s for s in sources if s.as_posix().endswith("/" + path)]
+            if not any(name in _definitions(source) for source in files):
+                stranded.append(f"{path}::{name}")
+        assert stranded == []
 
     def test_module_inventory_exists(self):
         # §3 "Package layout" lists every module of every subpackage,

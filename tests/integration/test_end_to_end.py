@@ -102,7 +102,7 @@ class TestChurnThenDisseminate:
         rng = random.Random(11)
         # Ten joins into fresh addresses and ten leaves, interleaved.
         space = AddressSpace.regular(6, 3)
-        fresh = [a for a in space.sample(60, rng)
+        fresh = [a for a in sorted(rng.sample(space.enumerate_regular(6), 60))
                  if a not in system.tree][:10]
         victims = rng.sample(system.members(), 10)
         for newcomer, victim in zip(fresh, victims):

@@ -58,7 +58,7 @@ class TestSubgroupWipeout:
         group, addresses = build_group()
         victims = [a for a in addresses if a.prefix(3) == addresses[0].prefix(3)]
         publisher = addresses[-1]
-        schedule = CrashSchedule.at_start(victims)
+        schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=603)
         report = run_dissemination(
             group, publisher, event, SimConfig(seed=63),
@@ -87,7 +87,7 @@ class TestSubgroupWipeout:
         subtree = [a for a in addresses if a.components[0] == 2]
         victims = subtree[:2]          # its two smallest = its delegates
         publisher = addresses[0]
-        schedule = CrashSchedule.at_start(victims)
+        schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=604)
         run_dissemination(
             group, publisher, event, SimConfig(seed=64),

@@ -64,9 +64,9 @@ class TestRefreshInPlace:
             assert system._nodes[address] is node
         # ... and everybody sees the newcomer through the shared table.
         leaf = newcomer.prefixes()[-1]
-        assert system.node(first).view(leaf.depth) is tables[leaf]
+        assert system.node(first)._views[leaf.depth] is tables[leaf]
         assert tables[leaf].has_row(8)
-        assert system.node(newcomer).view(leaf.depth) is tables[leaf]
+        assert system.node(newcomer)._views[leaf.depth] is tables[leaf]
 
     def test_new_subgroup_is_wired_into_the_newcomer_only(self):
         system = populated_system()
@@ -76,7 +76,7 @@ class TestRefreshInPlace:
         assert set(system._nodes) - set(nodes) == {newcomer}
         for prefix in newcomer.prefixes():
             assert (
-                system.node(newcomer).view(prefix.depth)
+                system.node(newcomer)._views[prefix.depth]
                 is system._directory.tables[prefix]
             )
         event = Event({"topic": 2})

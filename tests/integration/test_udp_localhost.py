@@ -38,6 +38,7 @@ from repro.obs.cli import summarize_trace
 from repro.obs.sampling import keep
 from repro.sim import PmcastGroup, bernoulli_interests, derive_rng
 from repro.validate.oracles import tree_delivery_prediction
+from tests.traces import write_jsonl
 
 ARITY = 6
 DEPTH = 3  # 6^3 = 216 live processes
@@ -104,7 +105,7 @@ class TestUdpLocalhost:
         assert report.received_total <= report.group_size
         assert report.messages_sent > 0
         assert stats.events > 0
-        assert stats.events_per_sec > 0
+        assert stats.events / stats.elapsed_seconds > 0
         assert stats.members == report.group_size
         # The software ε was off: every loss would be a kernel drop,
         # which localhost should not produce at this rate.
@@ -121,7 +122,7 @@ class TestUdpLocalhost:
         trace = TraceLog()
         report, __ = run_udp(seed=8, trace=trace)
         path = tmp_path / "udp.jsonl"
-        trace.to_jsonl(str(path))
+        write_jsonl(trace, str(path))
         count, problems = validate_trace(str(path))
         assert problems == []
         assert count == len(trace)
@@ -245,7 +246,7 @@ class TestPerDatagramCost:
         # per process holding it.
         assert all(stats_ is caches[0] for stats_ in caches)
         tables = {
-            id(group.node(address).view(depth))
+            id(group.node(address)._views[depth])
             for address in built
             for depth in range(1, group.tree.depth + 1)
         }

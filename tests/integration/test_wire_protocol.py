@@ -71,7 +71,7 @@ class TestWireProtocol:
         group, addresses, __ = self.run_over_the_wire(event)
         # Dedup across wire hops: nobody delivered twice.
         for node in group.nodes():
-            assert len(node.delivered) == len(set(node.delivered))
+            assert len(node._delivered) == len(set(node._delivered))
 
     def test_view_transfer_over_json(self):
         # A §2.3 join transfer: all tables of a process, through JSON.

@@ -9,20 +9,16 @@ from repro.interests import Event
 class TestEventConstruction:
     def test_attributes_readable(self):
         event = Event({"b": 3, "c": 1.5, "e": "Bob"})
-        assert event["b"] == 3
+        assert event.get("b") == 3
         assert event.get("c") == 1.5
         assert event.get("missing") is None
-        assert "e" in event and "q" not in event
+        assert "e" in event.attributes and "q" not in event.attributes
 
     def test_attributes_copy_is_returned(self):
         event = Event({"b": 3})
         snapshot = event.attributes
         snapshot["b"] = 99
-        assert event["b"] == 3
-
-    def test_iteration(self):
-        event = Event({"b": 1, "c": 2})
-        assert dict(event) == {"b": 1, "c": 2}
+        assert event.get("b") == 3
 
     def test_bad_attribute_value_rejected(self):
         with pytest.raises(PredicateError):

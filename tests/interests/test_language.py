@@ -111,89 +111,3 @@ class TestParseErrors:
     def test_error_mentions_offset(self):
         with pytest.raises(ParseError, match="offset"):
             parse_subscription("b > 3, c !! 2")
-
-
-class TestRenderSubscription:
-    """render_subscription is parse_subscription's inverse."""
-
-    from repro.interests import render_subscription as _render  # noqa
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "b > 3, 10.0 < c < 220.0",
-            'b = 2, e = "Bob" | "Tom"',
-            "z <= 50000",
-            "b != 7",
-            "b >= 3",
-            "1 <= b <= 3",
-            "b = 1 | 3 | 5",
-            "",
-        ],
-    )
-    def test_round_trip(self, text):
-        from repro.interests import render_subscription
-
-        subscription = parse_subscription(text)
-        rendered = render_subscription(subscription)
-        assert parse_subscription(rendered) == subscription
-
-    def test_nothing_unrenderable(self):
-        from repro.interests import Subscription, render_subscription
-
-        with pytest.raises(ParseError):
-            render_subscription(Subscription.nothing())
-
-    def test_disjoint_ranges_unrenderable(self):
-        from repro.interests import Subscription, between, render_subscription
-
-        constraint = between(0, 1).union(between(5, 6))
-        with pytest.raises(ParseError):
-            render_subscription(Subscription({"b": constraint}))
-
-    def test_mixed_types_unrenderable(self):
-        from repro.interests import Subscription, eq, render_subscription
-
-        constraint = eq(1).union(eq("Bob"))
-        with pytest.raises(ParseError):
-            render_subscription(Subscription({"e": constraint}))
-
-
-class TestRenderRoundTripProperty:
-    from hypothesis import given, strategies as st
-
-    simple_texts = st.one_of(
-        st.builds(
-            lambda n, v: f"{n} > {v}",
-            st.sampled_from("bcz"), st.integers(-50, 50),
-        ),
-        st.builds(
-            lambda n, lo, width: f"{lo} < {n} < {lo + width}",
-            st.sampled_from("bcz"), st.integers(-50, 50),
-            st.integers(1, 40),
-        ),
-        st.builds(
-            lambda n, values: f"{n} = " + " | ".join(
-                f'"{value}"' for value in values
-            ),
-            st.sampled_from("eg"),
-            st.lists(
-                st.sampled_from(["Bob", "Tom", "Alice"]),
-                min_size=1, max_size=3, unique=True,
-            ),
-        ),
-    )
-
-    @given(st.lists(simple_texts, max_size=3))
-    def test_parse_render_parse_fixed_point(self, clauses):
-        from hypothesis import assume
-        from repro.errors import ParseError as PE
-        from repro.interests import render_subscription
-
-        text = ", ".join(clauses)
-        try:
-            subscription = parse_subscription(text)
-        except PE:
-            assume(False)  # duplicate attribute: not a valid input
-        rendered = render_subscription(subscription)
-        assert parse_subscription(rendered) == subscription

@@ -132,8 +132,6 @@ class TestRegroupErrors:
             RegroupPolicy(max_complexity=0)
         with pytest.raises(PredicateError):
             RegroupPolicy(max_intervals_per_attribute=0)
-        with pytest.raises(PredicateError):
-            RegroupPolicy(widen_fraction=-1.0)
 
 
 class TestRegroupCompaction:

@@ -18,8 +18,8 @@ from repro.interests import (
     gt,
     le,
     one_of,
-    wildcard,
 )
+from tests.interests.test_predicates import wildcard
 
 
 class TestSubscriptionMatching:
@@ -39,7 +39,7 @@ class TestSubscriptionMatching:
 
     def test_wildcard_constraints_dropped(self):
         subscription = Subscription({"b": wildcard()})
-        assert subscription.is_everything
+        assert subscription == Subscription({})
         assert subscription.matches(Event({"anything": 1}))
 
     def test_unsatisfiable_conjunct_voids_subscription(self):
@@ -49,7 +49,7 @@ class TestSubscriptionMatching:
 
     def test_everything_and_nothing(self):
         event = Event({"x": 1})
-        assert Subscription.everything().matches(event)
+        assert Subscription({}).matches(event)
         assert not Subscription.nothing().matches(event)
 
     def test_non_constraint_rejected(self):
@@ -59,12 +59,6 @@ class TestSubscriptionMatching:
     def test_attribute_names_sorted(self):
         subscription = Subscription({"z": gt(0), "a": gt(0)})
         assert [name for name, __ in subscription] == ["a", "z"]
-
-    def test_constraint_accessor_defaults_to_wildcard(self):
-        subscription = Subscription({"b": gt(0)})
-        assert subscription.constraint("missing").is_wildcard
-        assert Subscription.nothing().constraint("b").is_nothing
-
 
 class TestSubscriptionUnion:
     def test_union_keeps_only_shared_attributes(self):
@@ -90,7 +84,7 @@ class TestSubscriptionUnion:
 
     def test_union_with_everything_is_everything(self):
         a = Subscription({"b": gt(3)})
-        assert a.union(Subscription.everything()).is_everything
+        assert a.union(Subscription({})) == Subscription({})
 
     def test_union_type_mismatch_rejected(self):
         with pytest.raises(PredicateError):
@@ -195,7 +189,7 @@ class TestPickledFingerprints:
         subscriptions = [
             Subscription({"b": gt(3), "e": one_of(["Bob"])}),
             Subscription.nothing(),
-            Subscription.everything(),
+            Subscription({}),
         ]
         for subscription in subscriptions:
             fingerprint = subscription.fingerprint()

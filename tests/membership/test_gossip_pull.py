@@ -125,7 +125,7 @@ class TestMembershipState:
         tree = make_tree()
         state = make_states(tree)[Address((0, 0, 0))]
         for table in state.tables.values():
-            assert len(table.digest()) == table.row_count
+            assert len(table.digest()) == len(table.rows())
 
     def test_wrong_prefix_table_rejected(self):
         tree = make_tree()

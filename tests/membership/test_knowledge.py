@@ -34,15 +34,15 @@ class TestBuildView:
     def test_inner_view_rows(self):
         tree = regular_tree()
         table = build_view(tree, Prefix((1,)))
-        assert table.row_count == 3
-        assert table.entry_count == 6   # R=2 delegates per row
+        assert len(table.rows()) == 3
+        assert sum(len(row.delegates) for row in table.rows()) == 6   # R=2 delegates per row
         assert all(row.process_count == 3 for row in table.rows())
 
     def test_leaf_view_rows_are_individuals(self):
         tree = regular_tree()
         table = build_view(tree, Prefix((1, 2)))
-        assert table.row_count == 3
-        assert table.entry_count == 3
+        assert len(table.rows()) == 3
+        assert sum(len(row.delegates) for row in table.rows()) == 3
         assert all(len(row.delegates) == 1 for row in table.rows())
 
     def test_row_interest_is_subtree_union(self):

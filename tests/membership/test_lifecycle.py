@@ -38,13 +38,8 @@ def make_runtime(arity=3, depth=3, redundancy=2):
 class TestGroupDirectory:
     def test_tables_cover_populated_prefixes(self):
         directory = make_directory()
-        assert directory.table(Prefix(())).row_count == 3
-        assert directory.table(Prefix((1, 2))).row_count == 3
-
-    def test_unknown_prefix_rejected(self):
-        directory = make_directory()
-        with pytest.raises(MembershipError):
-            directory.table(Prefix((9,)))
+        assert len(directory._tables[Prefix(())].rows()) == 3
+        assert len(directory._tables[Prefix((1, 2))].rows()) == 3
 
     def test_clock_ticks(self):
         directory = make_directory()
@@ -57,7 +52,7 @@ class TestGroupDirectory:
         path = directory.path(address)
         assert sorted(path) == [1, 2, 3]
         for prefix in address.prefixes():
-            assert path[prefix.depth] is directory.table(prefix)
+            assert path[prefix.depth] is directory._tables[prefix]
 
 
 class TestOneStore:
@@ -68,12 +63,12 @@ class TestOneStore:
     @staticmethod
     def _check(directory, held, changed):
         for prefix, table in held.items():
-            if directory.tree.is_populated(prefix):
-                assert directory.table(prefix) is table
+            if directory._tree.is_populated(prefix):
+                assert directory._tables[prefix] is table
         for prefix in changed.prefixes():
-            if directory.tree.is_populated(prefix):
-                fresh = build_view(directory.tree, prefix, directory.clock)
-                assert directory.table(prefix).rows() == fresh.rows()
+            if directory._tree.is_populated(prefix):
+                fresh = build_view(directory._tree, prefix, directory._clock)
+                assert directory._tables[prefix].rows() == fresh.rows()
 
     def test_join_and_leave_keep_every_held_table(self):
         directory = make_directory()
@@ -86,13 +81,13 @@ class TestOneStore:
         ):
             held = dict(directory.tables)
             if joins:
-                directory.tree.add(address, StaticInterest(False))
+                directory._tree.add(address, StaticInterest(False))
             else:
-                directory.tree.remove(address)
+                directory._tree.remove(address)
             directory.refresh_path(address)
             self._check(directory, held, address)
             assert (new_leaf in directory.tables) == (
-                Address((0, 4, 0)) in directory.tree
+                Address((0, 4, 0)) in directory._tree
             )
 
 
@@ -103,7 +98,7 @@ class TestJoin:
         runtime.join(newcomer, StaticInterest(True))
         assert newcomer in runtime.tree
         # The newcomer's leaf view now lists 4 neighbors (3 old + self).
-        assert runtime._directory.table(Prefix((1, 2))).row_count == 4
+        assert len(runtime._directory._tables[Prefix((1, 2))].rows()) == 4
         # Its replica holds a table at every depth.
         assert sorted(runtime._replica(newcomer).tables) == [1, 2, 3]
 
@@ -114,13 +109,13 @@ class TestJoin:
         for last in range(3):
             runtime.leave(Address((2, 2, last)))
         runtime.join(newcomer, StaticInterest(True))
-        assert runtime._directory.table(Prefix((2, 2))).row_count == 1
+        assert len(runtime._directory._tables[Prefix((2, 2))].rows()) == 1
         assert newcomer in runtime.tree
         assert runtime.node(newcomer).alive
 
     def test_join_refreshes_timestamps(self):
         runtime = make_runtime()
-        table = runtime._directory.table(Prefix((1, 2)))
+        table = runtime._directory._tables[Prefix((1, 2))]
         before = table.rows()[0].timestamp
         runtime.join(Address((1, 2, 3)), StaticInterest(True))
         after = table.rows()[0].timestamp
@@ -146,23 +141,22 @@ class TestLeave:
         assert set(runtime.tree.subtree_members(Prefix((1, 1)))) == {
             Address((1, 1, 0)), Address((1, 1, 2)),
         }
-        assert runtime._directory.table(Prefix((1, 1))).row_count == 2
+        assert len(runtime._directory._tables[Prefix((1, 1))].rows()) == 2
 
     def test_leave_of_delegate_promotes_next(self):
         runtime = make_runtime()
         # 0.0.0 is a root delegate; after it leaves, 0.0.1 and 0.0.2
         # are the two smallest in subtree 0.
         runtime.leave(Address((0, 0, 0)))
-        root_row = runtime._directory.table(Prefix(())).row(0)
+        root_row = runtime._directory._tables[Prefix(())].row(0)
         assert root_row.delegates == (Address((0, 0, 1)), Address((0, 0, 2)))
 
     def test_leave_last_member_drops_table(self):
         runtime = make_runtime(arity=2, depth=2, redundancy=1)
         runtime.leave(Address((1, 0)))
         runtime.leave(Address((1, 1)))
-        with pytest.raises(MembershipError):
-            runtime._directory.table(Prefix((1,)))
-        assert runtime._directory.table(Prefix(())).row_count == 1
+        assert Prefix((1,)) not in runtime._directory._tables
+        assert len(runtime._directory._tables[Prefix(())].rows()) == 1
 
     def test_leave_nonmember_rejected(self):
         runtime = make_runtime()

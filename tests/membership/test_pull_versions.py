@@ -233,7 +233,9 @@ class TestMemoStaysSmall:
         play_churn(runtime, 60)
         assert 0 < memo_entries(runtime) <= 2 * early
         # A quiet group converges and then remembers nothing new.
-        runtime.run(40)
+        for __ in range(40):
+            runtime.step()
         settled = memo_entries(runtime)
-        runtime.run(40)
+        for __ in range(40):
+            runtime.step()
         assert memo_entries(runtime) == settled <= early

@@ -46,9 +46,8 @@ class TestViewTable:
 
     def test_row_and_entry_counts(self):
         table = self.make_table()
-        assert table.row_count == 3
-        assert table.entry_count == 6
-        assert len(table) == 3
+        assert len(table.rows()) == 3
+        assert sum(len(row.delegates) for row in table.rows()) == 6
 
     def test_depth_properties(self):
         table = self.make_table()
@@ -74,13 +73,6 @@ class TestViewTable:
     def test_prefix_depth_must_fit_tree(self):
         with pytest.raises(MembershipError):
             ViewTable(Prefix((1, 2, 3)), 3)
-
-    def test_entries_flatten_delegates_with_rows(self):
-        table = self.make_table()
-        entries = table.entries()
-        assert len(entries) == 6
-        assert entries[0][0] == Address((1, 0, 0))
-        assert entries[0][1].infix == 0
 
     def test_matching_rows(self):
         table = self.make_table()
@@ -157,7 +149,6 @@ class TestViewTableCaching:
     def test_flattened_forms_are_memoized(self):
         table = self.make_table()
         assert table.rows() is table.rows()
-        assert table.entries() is table.entries()
         assert table.addresses() is table.addresses()
         assert table.digest() is table.digest()
 
@@ -170,7 +161,7 @@ class TestViewTableCaching:
         assert Address((1, 7, 0)) in after
         table.discard(7)
         assert Address((1, 7, 0)) not in table.addresses()
-        assert table.entry_count == 6
+        assert sum(len(row.delegates) for row in table.rows()) == 6
 
     def test_noop_discard_keeps_token(self):
         table = self.make_table()
@@ -194,7 +185,7 @@ class TestViewTableCaching:
         table_id = id(table)
         table.replace_rows([row(4, [(1, 4, 0)], count=2)])
         assert id(table) == table_id
-        assert table.row_count == 1
+        assert len(table.rows()) == 1
         assert table.row(4).process_count == 2
 
     def test_replace_rows_rejects_duplicate_infix(self):
@@ -202,7 +193,7 @@ class TestViewTableCaching:
         with pytest.raises(MembershipError):
             table.replace_rows([row(1, [(1, 1, 0)]), row(1, [(1, 1, 1)])])
         # The failed swap must not have corrupted the table.
-        assert table.row_count == 3
+        assert len(table.rows()) == 3
 
 
 class TestFrozenVersions:
@@ -219,7 +210,7 @@ class TestFrozenVersions:
             table.discard(0)
         with pytest.raises(MembershipError):
             table.replace_rows([row(0, [(1, 0, 0)])])
-        assert table.cache_token == token and table.row_count == 3
+        assert table.cache_token == token and len(table.rows()) == 3
         # A clone is its holder's own again.
         table.clone().discard(0)
 
@@ -251,6 +242,6 @@ class TestFrozenVersions:
         moved = table.overlay([row(1, [(1, 1, 5)]), row(9, [(1, 9, 0)])])
         assert moved.addresses_token != table.addresses_token
         assert Address((1, 9, 0)) in moved.addresses()
-        assert moved.entry_count == 6
+        assert sum(len(row.delegates) for row in moved.rows()) == 6
         with pytest.raises(MembershipError):
             moved.discard(9)

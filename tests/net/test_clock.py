@@ -80,6 +80,6 @@ class TestGuards:
         assert not clock
         clock.schedule(1, PRIORITY_TIMER, None)
         assert clock
-        assert clock.pending == 1
+        assert len(clock._heap) == 1
         clock.pop()
         assert not clock

@@ -37,6 +37,7 @@ from repro.sim import (
     derive_rng,
     run_dissemination,
 )
+from tests.faults.clauses import with_crash
 
 #: Engine trace digests (sha256 over sorted-JSON meta + records), as
 #: produced by the round engine at seed 11, ε = 0.05, rate 0.3,
@@ -149,12 +150,11 @@ class TestGoldenEquivalence:
         # and inside the exchange in the engine — same calls, same RNG
         # order, same trace.
         def plan():
-            return (
+            return with_crash(
                 FaultPlan(name="equiv")
                 .with_loss_burst(1, 3, 0.5)
-                .with_delay(2, 4, 2, probability=0.5)
-                .with_crash(3, AddressSpace.regular(4, 3)
-                            .enumerate_regular(4)[5])
+                .with_delay(2, 4, 2, probability=0.5),
+                3, AddressSpace.regular(4, 3).enumerate_regular(4)[5],
             )
 
         engine_report, engine_trace = engine_run(4, 3, faults=plan())
@@ -184,10 +184,9 @@ class TestGoldenEquivalence:
         crashes = {addresses[5]: 1, addresses[20]: 2, addresses[41]: 2}
 
         def plan():
-            return (
-                FaultPlan(name="equiv-crash")
-                .with_delegate_crash(1, "2", count=1)
-                .with_crash(2, addresses[20])
+            return with_crash(
+                FaultPlan(name="equiv-crash").with_delegate_crash(1, "2", count=1),
+                2, addresses[20],
             )
 
         engine_report, engine_trace = engine_run(

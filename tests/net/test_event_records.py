@@ -26,6 +26,7 @@ from repro.obs.cli import summarize_trace
 from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TraceLog, TraceRecord
 from repro.sim import PmcastGroup, bernoulli_interests, derive_rng, run_dissemination
+from tests.traces import write_jsonl
 
 A1 = Address.parse("0.0.1")
 A2 = Address.parse("0.0.2")
@@ -54,29 +55,6 @@ class TestRecordConstruction:
         record = TraceRecord(3, "send", A1, A2, 7, 1)
         assert record.round == 3
         assert record.time_us is None
-
-
-class TestOrdering:
-    def test_order_key_separates_domains(self):
-        # Round-keyed and time-keyed records never interleave: the
-        # leading element keeps the domains apart.
-        round_keyed = TraceRecord(5, "send", A1, A2, 7, 1)
-        timed = TraceRecord(None, "send", A1, A2, 7, 1, time_us=3)
-        assert round_keyed.order_key() == (0, 5)
-        assert timed.order_key() == (1, 3)
-        assert round_keyed.order_key() < timed.order_key()
-
-    def test_sorting_a_mixed_stream_is_stable(self):
-        records = [
-            TraceRecord(None, "timer_fire", A1, None, 7, 0, time_us=200),
-            TraceRecord(2, "send", A1, A2, 7, 1),
-            TraceRecord(None, "recv", A2, A1, 7, 1, time_us=100),
-            TraceRecord(0, "publish", A1, None, 7, 0),
-        ]
-        ordered = sorted(records, key=TraceRecord.order_key)
-        assert [r.order_key() for r in ordered] == [
-            (0, 0), (0, 2), (1, 100), (1, 200),
-        ]
 
 
 class TestSerialization:
@@ -115,7 +93,7 @@ def _write_event_trace(path, times):
         trace.record(
             None, "timer_fire", A1, event_id=7, time_us=stamp
         )
-    trace.to_jsonl(str(path))
+    write_jsonl(trace, str(path))
     return trace
 
 
@@ -142,7 +120,7 @@ class TestFileValidation:
         trace.record(None, "timer_fire", A1, event_id=7, time_us=500)
         trace.record(1, "send", A1, peer=A2, event_id=7, depth=1)
         trace.record(None, "timer_fire", A1, event_id=7, time_us=900)
-        trace.to_jsonl(str(path))
+        write_jsonl(trace, str(path))
         __, problems = validate_trace(str(path))
         assert problems == []
 
@@ -186,7 +164,7 @@ class TestEventLoopWritesThemWhenItHasNoRounds:
             observer=Observer(trace=trace),
         )
         path = str(tmp_path / "loop.jsonl")
-        trace.to_jsonl(path)
+        write_jsonl(trace, path)
         return trace, path
 
     @pytest.mark.parametrize("schedule", [
@@ -220,6 +198,6 @@ class TestEventLoopWritesThemWhenItHasNoRounds:
         engine = TraceLog()
         run_dissemination(*self.arguments(), trace=engine)
         engine_path = str(tmp_path / "engine.jsonl")
-        engine.to_jsonl(engine_path)
+        write_jsonl(engine, engine_path)
         with open(path, "rb") as ours, open(engine_path, "rb") as theirs:
             assert ours.read() == theirs.read()

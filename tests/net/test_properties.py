@@ -52,7 +52,7 @@ def flush(transport, network, batch):
     flush: hand the taken batch to the link."""
     for envelope in batch:
         transport.send(envelope)
-    taken = transport.take(transport.latency_us) if batch else []
+    taken = transport.take(transport._latency_us) if batch else []
     return network.transmit(taken)
 
 
@@ -70,7 +70,7 @@ class TestFairLoss:
         delivered = flush(transport, network, batch)
         # Conservation: each envelope is delivered once or counted lost.
         assert len(delivered) + network.messages_lost == count
-        assert transport.messages_lost == network.messages_lost
+        assert transport._network.messages_lost == network.messages_lost
         # No creation, no duplication: delivered is a subsequence of
         # sent, by identity.
         sent_ids = [id(envelope) for envelope in batch]

@@ -19,6 +19,7 @@ from repro.obs.cli import diff_traces, main, summarize_trace
 from repro.sim import CrashSchedule, PmcastGroup, run_dissemination
 from repro.sim.rng import derive_rng
 from repro.sim.workload import bernoulli_interests
+from tests.traces import write_jsonl
 
 
 def traced_run(seed=11, loss=0.0, crash_victims=0, event_id=42):
@@ -74,7 +75,7 @@ class TestSummarizeReproducesReport:
     def test_summary_survives_jsonl_round_trip(self, tmp_path):
         report, trace = traced_run(loss=0.05)
         path = str(tmp_path / "trace.jsonl")
-        trace.to_jsonl(path)
+        write_jsonl(trace, path)
         summary = summarize_trace(path)
         entry = summary["events"]["42"]
         assert entry["delivery_ratio"] == pytest.approx(
@@ -147,7 +148,7 @@ class TestCliMain:
     def write_trace(self, tmp_path, name="trace.jsonl", **kwargs):
         __, trace = traced_run(**kwargs)
         path = str(tmp_path / name)
-        trace.to_jsonl(path)
+        write_jsonl(trace, path)
         return path
 
     def test_summarize_text(self, tmp_path, capsys):
@@ -232,7 +233,7 @@ class TestShardedSummaries:
     def test_unsampled_shard_trace_reproduces_report(self, tmp_path):
         report, trace = sharded_trace()
         path = str(tmp_path / "sharded.jsonl")
-        assert trace.to_jsonl(path) == 551
+        assert write_jsonl(trace, path) == 551
         assert main(["validate", path]) == 0
         entry = summarize_trace(path)["events"]["7"]
         # Exact with no sampler — count-based path, not the
@@ -270,8 +271,8 @@ class TestShardedSummaries:
         __, trace = traced_run(loss=0.05)
         plain = str(tmp_path / "trace.jsonl")
         gzipped = str(tmp_path / "trace.jsonl.gz")
-        trace.to_jsonl(plain)
-        trace.to_jsonl(gzipped)
+        write_jsonl(trace, plain)
+        write_jsonl(trace, gzipped)
         assert summarize_trace(gzipped) == summarize_trace(plain)
         assert main(["validate", gzipped]) == 0
 

@@ -45,7 +45,7 @@ class TestObserver:
         assert NULL_OBSERVER.tracing is False
         NULL_OBSERVER.emit(0, "publish", Address((0,)))
         NULL_OBSERVER.annotate(ignored=True)
-        assert NULL_OBSERVER.snapshot() == {}
+        assert NULL_OBSERVER.registry.snapshot() == {}
 
     def test_registry_only_observer(self):
         observer = Observer(registry=MetricsRegistry())
@@ -175,7 +175,8 @@ class TestGoldenMembershipEpisode:
         )
         runtime.join(addresses[-1], StaticInterest(True))
         runtime.crash(addresses[0])
-        runtime.run(12)
+        for __ in range(12):
+            runtime.step()
         return runtime
 
     def test_exact_episode_sequence(self):
@@ -201,7 +202,7 @@ class TestGoldenMembershipEpisode:
     def test_metrics_match_episode(self):
         observer = Observer(registry=MetricsRegistry(), trace=TraceLog())
         self.run(observer)
-        snapshot = observer.snapshot()
+        snapshot = observer.registry.snapshot()
         assert snapshot["membership"]["joins"] == 1
         assert snapshot["membership"]["crashes"] == 1
         assert snapshot["membership"]["exclusions"] == 1
@@ -243,7 +244,7 @@ class TestOverhead:
     def test_null_observer_produces_nothing(self):
         delivered = self.build_and_run(NULL_OBSERVER)
         assert delivered  # the run itself worked
-        assert NULL_OBSERVER.snapshot() == {}
+        assert NULL_OBSERVER.registry.snapshot() == {}
         assert NULL_OBSERVER.trace is None
 
     def test_observed_run_identical_and_bounded(self):

@@ -10,6 +10,7 @@ from repro.errors import ObservabilityError
 from repro.obs import JsonlSink, TraceLog, TraceRecord
 from repro.obs.sink import read_trace, validate_trace
 from repro.obs.trace import TRACE_SCHEMA
+from tests.traces import write_jsonl
 
 
 def record(round=0, kind="send", process=(0, 0), peer=(0, 1), **kwargs):
@@ -59,7 +60,7 @@ class TestJsonlSink:
         log.annotate(a=1)
         for item in records:
             log.append(item)
-        log.to_jsonl(log_path)
+        write_jsonl(log, log_path)
         with open(sink_path) as left, open(log_path) as right:
             assert left.read() == right.read()
 
@@ -80,7 +81,7 @@ class TestJsonlSink:
         for item in records:
             log.append(item)
         log_path, sink_path = str(tmp_path / name), str(tmp_path / f"sink-{name}")
-        assert log.to_jsonl(log_path) == count
+        assert write_jsonl(log, log_path) == count
         with JsonlSink(sink_path, meta={"seed": 3, "size": 9}) as sink:
             for item in records:
                 sink.append(item)
@@ -157,7 +158,7 @@ class TestLoaders:
         log = TraceLog()
         log.record(0, "publish", Address((0, 0)), event_id=5)
         log.record(1, "deliver", Address((0, 1)), event_id=5)
-        log.to_jsonl(path)
+        write_jsonl(log, path)
         loaded = read_trace(path)
         (delivery,) = loaded.filter(kind="deliver", event_id=5)
         assert (delivery.round, delivery.process) == (1, Address((0, 1)))
@@ -189,7 +190,7 @@ class TestValidateTrace:
         log = TraceLog()
         log.record(0, "publish", Address((0,)))
         log.record(1, "send", Address((0,)), peer=Address((1,)))
-        log.to_jsonl(path)
+        write_jsonl(log, path)
         count, problems = validate_trace(path)
         assert count == 2
         assert problems == []

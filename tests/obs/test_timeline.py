@@ -175,7 +175,7 @@ class TestOverheadBound:
             with timeline.span("fan_out", "bench", index):
                 pass
         elapsed = time.perf_counter() - started
-        assert len(timeline) == spans
+        assert len(timeline._entries) == spans
         assert elapsed < spans * 50e-6, (
             f"{elapsed / spans * 1e6:.1f}µs per span"
         )

@@ -22,6 +22,7 @@ from repro.par import (
     run_sharded_dissemination,
 )
 from repro.sim.vector import TreeState
+from tests.traces import write_jsonl
 
 CONFIG = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
 
@@ -121,7 +122,7 @@ def _traced_run(rate=None, jobs=1, spec=None, registry=None):
 
 def _serialised(trace, tmp_path, name):
     path = str(tmp_path / name)
-    trace.to_jsonl(path)
+    write_jsonl(trace, path)
     with open(path, "rb") as handle:
         return path, handle.read()
 

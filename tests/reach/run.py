@@ -4,6 +4,7 @@ Usage, from the repository root::
 
     python tests/reach/run.py                 # every entry point
     python tests/reach/run.py --only bench    # entry points whose label has "bench"
+    python tests/reach/run.py --check tests/reach/uncalled.txt
 
 Each entry point of :func:`entry_points` — every ``examples/*.py``,
 every ``python -m repro.bench --experiment`` plus ``--all --arity 6
@@ -19,13 +20,21 @@ runner then parses every ``src/repro`` module with :mod:`ast` and
 prints each function or method whose code never ran, grouped by file,
 with its line count.
 
-What it shows is evidence for deleting code, not a verdict: a function
-only tests call is listed, and so is one that runs only on paths no
-entry point takes (an error branch's helper, a fault kind no plan
-uses).  Standard library only; not a CI job (a full pass takes a few
-minutes).  Exit status 0, or 1 if an entry point crashed (wrote a
-traceback; a conformance failure's or a diff's nonzero exit is not a
-crash).
+Each function is keyed ``path::Qualified.name`` (``Class.method``,
+``outer.inner``; no line numbers, so an edit elsewhere in the file does
+not move a key).  Two kinds are exempt by rule and never listed: a
+``__repr__`` or ``__str__``, and an ``@abstractmethod`` whose body is
+only its docstring.
+
+With ``--check FILE`` the run is a ratchet against the committed list
+(``tests/reach/uncalled.txt``: one key a line, ``#`` comments): a
+listed name the file lacks is ``new:`` and fails the run, a key of the
+file that is no longer listed is ``reached:`` and does not, so the file
+can only shrink.  ``--check`` needs every entry point, not ``--only``.
+
+Exit status 0; 1 if an entry point crashed (wrote a traceback; a
+conformance failure's or a diff's nonzero exit is not a crash) or
+``--check`` found a new name.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -160,51 +169,82 @@ def called(out: Path) -> Set[Tuple[str, int]]:
     return seen
 
 
-def definitions(path: Path) -> List[Tuple[int, str, int]]:
-    """``(code first line, qualified name, line count)`` per function.
+class Definition(NamedTuple):
+    """One function or method of a module."""
 
-    The first line is what a code object reports: its first
-    decorator's line when it has one.
-    """
-    found: List[Tuple[int, str, int]] = []
+    first: int  # what its code object reports: the first decorator's line
+    name: str   # qualified: ``Class.method``, ``outer.inner``
+    lines: int
+    exempt: bool
+
+
+def is_exempt(node: ast.FunctionDef) -> bool:
+    """A ``__repr__`` / ``__str__``, or a docstring-only abstract method."""
+    if node.name in ("__repr__", "__str__"):
+        return True
+    abstract = any(
+        (isinstance(d, ast.Name) and d.id == "abstractmethod")
+        or (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
+        for d in node.decorator_list
+    )
+    body = node.body
+    return (
+        abstract
+        and len(body) == 1
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    )
+
+
+def definitions(source: str) -> List[Definition]:
+    """Every function and method of a module's source, in source order."""
+    found: List[Definition] = []
 
     def walk(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found.append(
-                    (first, prefix + child.name, child.end_lineno - first + 1)
-                )
+                found.append(Definition(
+                    first, prefix + child.name, child.end_lineno - first + 1,
+                    is_exempt(child),
+                ))
                 walk(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, f"{prefix}{child.name}.")
             else:
                 walk(child, prefix)
 
-    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    walk(ast.parse(source), "")
     return found
 
 
-def report(ran: Set[Tuple[str, int]]) -> None:
-    """Print the uncalled functions by file, then the totals."""
-    uncalled = lines = total = 0
+def uncalled(ran: Set[Tuple[str, int]]) -> Tuple[List[Tuple[str, int]], int]:
+    """``(key, line count)`` of every non-exempt function that never ran,
+    and how many functions ``src/repro`` defines."""
+    listed: List[Tuple[str, int]] = []
+    total = 0
     for path in sorted(PACKAGE.rglob("*.py")):
-        defined = definitions(path)
-        missing = [
-            (first, name, count)
-            for first, name, count in defined
-            if (str(path), first) not in ran
-        ]
-        total += len(defined)
-        if not missing:
-            continue
-        size = sum(count for __, __, count in missing)
-        uncalled += len(missing)
-        lines += size
-        print(f"{path.relative_to(ROOT)}: {len(missing)} uncalled, {size} lines")
-        for first, name, count in missing:
-            print(f"    l.{first:<5} {name} ({count})")
-    print(f"total: {uncalled} of {total} functions uncalled, {lines} lines")
+        relative = path.relative_to(ROOT).as_posix()
+        for definition in definitions(path.read_text(encoding="utf-8")):
+            total += 1
+            if not definition.exempt and (str(path), definition.first) not in ran:
+                listed.append((f"{relative}::{definition.name}", definition.lines))
+    return listed, total
+
+
+def read_keys(path: Path) -> Set[str]:
+    """The keys of a committed list: every line but blanks and comments."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {line.strip() for line in lines if line.strip() and not line.startswith("#")}
+
+
+def report(listed: List[Tuple[str, int]], total: int) -> None:
+    """Print one key a line with its line count, then the totals."""
+    for key, count in listed:
+        print(f"{key} ({count})")
+    lines = sum(count for __, count in listed)
+    print(f"total: {len(listed)} of {total} functions uncalled, {lines} lines")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -212,7 +252,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--only", help="run only the entry points whose label contains this text"
     )
+    parser.add_argument(
+        "--check", type=Path, metavar="FILE",
+        help="fail on a listed name that FILE lacks (tests/reach/uncalled.txt)",
+    )
     args = parser.parse_args(argv)
+    if args.check and args.only:
+        parser.error("--check needs every entry point; drop --only")
     crashed = []
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
         work_dir = Path(work)
@@ -241,10 +287,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if "Traceback (most recent call last)" in done.stderr:
                 crashed.append(label)
         seen = called(out)
-    report(seen)
+    listed, total = uncalled(seen)
+    report(listed, total)
+    failed = bool(crashed)
+    if args.check:
+        committed = read_keys(args.check)
+        names = {key for key, __ in listed}
+        for key in sorted(names - committed):
+            print(f"new: {key}")
+        for key in sorted(committed - names):
+            print(f"reached: {key}")
+        failed = failed or bool(names - committed)
     for label in crashed:
         print(f"crashed: {label}", file=sys.stderr)
-    return 1 if crashed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -94,7 +94,8 @@ class TestRuntimeJoinLeave:
         runtime.join(newcomer, StaticInterest(True))
         runtime.join(peer, StaticInterest(True))
         runtime.crash(newcomer)
-        runtime.run(40)
+        for __ in range(40):
+            runtime.step()
         assert newcomer not in runtime.tree
         assert peer in runtime.tree
 
@@ -105,7 +106,8 @@ class TestRuntimeJoinLeave:
         loner = Address((4, 0))
         runtime.join(loner, StaticInterest(True))
         runtime.crash(loner)
-        runtime.run(40)
+        for __ in range(40):
+            runtime.step()
         assert loner in runtime.tree
 
 
@@ -127,7 +129,6 @@ class TestChurnSchedule:
             ]
         )
         assert schedule.total_events == 2
-        assert schedule.horizon == 1
         assert schedule.apply(runtime, 0) == 1
         assert Address((4, 0)) in runtime.tree
         assert schedule.apply(runtime, 1) == 1
@@ -208,6 +209,36 @@ class TestPoissonChurn:
             if event.action == "join"
         )
         assert joins > 5
+
+    def test_full_space_rejoins_a_left_address(self):
+        # Every address is reserved, so a join can only take one that a
+        # scripted leave gave back.
+        space = AddressSpace.regular(3, 2)
+        addresses = space.enumerate_regular(3)
+        allocator = AddressAllocator(space, min_subgroup=2)
+        for address in addresses:
+            allocator.reserve(address)
+        schedule = poisson_churn(
+            allocator,
+            list(addresses),
+            lambda rng: StaticInterest(True),
+            rounds=30,
+            join_rate=0.5,
+            leave_rate=0.3,
+            crash_rate=0.0,
+            rng=random.Random(5),
+        )
+        left = set()
+        joins = 0
+        for round_index in range(30):
+            for event in schedule.at(round_index):
+                if event.action == "leave":
+                    left.add(event.address)
+                elif event.action == "join":
+                    assert event.address in left
+                    left.discard(event.address)
+                    joins += 1
+        assert joins >= 1
 
     def test_invalid_rate_rejected(self):
         space = AddressSpace.regular(4, 2)

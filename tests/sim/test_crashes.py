@@ -15,27 +15,19 @@ def addresses(count):
 
 class TestConstruction:
     def test_none(self):
-        schedule = CrashSchedule.none()
+        schedule = CrashSchedule()
         assert schedule.victim_count == 0
         assert schedule.crashes_at(0) == []
 
     def test_at_start(self):
         victims = addresses(3)
-        schedule = CrashSchedule.at_start(victims)
+        schedule = CrashSchedule({victim: 0 for victim in victims})
         assert schedule.crashes_at(0) == sorted(victims)
         assert schedule.crashes_at(1) == []
 
     def test_negative_round_rejected(self):
         with pytest.raises(SimulationError):
             CrashSchedule({Address((0, 0)): -1})
-
-    def test_contains_and_crash_round(self):
-        schedule = CrashSchedule({Address((0, 0)): 5})
-        assert Address((0, 0)) in schedule
-        assert Address((0, 1)) not in schedule
-        assert schedule.crash_round(Address((0, 0))) == 5
-        with pytest.raises(SimulationError):
-            schedule.crash_round(Address((0, 1)))
 
 
 class TestSampling:
@@ -51,8 +43,8 @@ class TestSampling:
         schedule = CrashSchedule.sample(
             members, 0.5, horizon=7, rng=random.Random(1)
         )
-        for victim in schedule.victims():
-            assert 0 <= schedule.crash_round(victim) < 7
+        for crash_round in schedule._crash_rounds.values():
+            assert 0 <= crash_round < 7
 
     def test_zero_fraction_no_victims(self):
         schedule = CrashSchedule.sample(
@@ -64,7 +56,7 @@ class TestSampling:
         members = addresses(100)
         a = CrashSchedule.sample(members, 0.3, 10, random.Random(9))
         b = CrashSchedule.sample(members, 0.3, 10, random.Random(9))
-        assert a.victims() == b.victims()
+        assert a._crash_rounds == b._crash_rounds
 
     def test_invalid_parameters(self):
         with pytest.raises(SimulationError):

@@ -147,9 +147,9 @@ class TestLossAndCrashes:
 
     def test_crashes_reported(self):
         group, addresses = build_group(arity=4)
-        schedule = CrashSchedule.at_start(
+        schedule = CrashSchedule({victim: 0 for victim in 
             [addresses[-1], addresses[-2], addresses[-3]]
-        )
+        })
         report = run_dissemination(
             group, addresses[0], Event({}), SimConfig(seed=1),
             crash_schedule=schedule,
@@ -161,7 +161,7 @@ class TestLossAndCrashes:
     def test_survivors_still_delivered_despite_crashes(self):
         group, addresses = build_group(arity=4, redundancy=3)
         victims = addresses[1:9]
-        schedule = CrashSchedule.at_start(victims)
+        schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=20_001)
         report = run_dissemination(
             group, addresses[0], event, SimConfig(seed=8),

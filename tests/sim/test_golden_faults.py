@@ -17,6 +17,8 @@ from repro.sim.engine import run_dissemination
 from repro.sim.group import PmcastGroup
 from repro.sim.rng import derive_rng
 from repro.sim.workload import bernoulli_interests
+from tests.faults.clauses import with_crash
+from tests.traces import write_jsonl
 
 
 def episode_plan():
@@ -58,7 +60,7 @@ class TestGoldenFaultEpisode:
             trace = TraceLog()
             reports.append(run_episode(episode_plan(), trace))
             path = tmp_path / f"episode-{run}.jsonl"
-            trace.to_jsonl(str(path))
+            write_jsonl(trace, str(path))
             paths.append(path)
         assert reports[0] == reports[1]
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -79,8 +81,8 @@ class TestGoldenFaultEpisode:
         assert report_bare == report_empty
         bare_path = tmp_path / "bare.jsonl"
         empty_path = tmp_path / "empty.jsonl"
-        bare.to_jsonl(str(bare_path))
-        empty.to_jsonl(str(empty_path))
+        write_jsonl(bare, str(bare_path))
+        write_jsonl(empty, str(empty_path))
         # The faulted trace's *header* carries fault_plan/fault_stats
         # annotations; every record line must match byte for byte.
         assert [r.to_dict() for r in bare] == [
@@ -104,7 +106,7 @@ class TestScriptedCrashCountedOnce:
             members, PmcastConfig(fanout=3, redundancy=2)
         )
         victim = addresses[9]
-        plan = FaultPlan().with_crash(1, victim).with_crash(3, victim)
+        plan = with_crash(with_crash(FaultPlan(), 1, victim), 3, victim)
         trace = TraceLog()
         report = run_dissemination(
             group, addresses[0], Event({"golden": "twice"}, event_id=78),

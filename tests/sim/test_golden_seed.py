@@ -98,17 +98,20 @@ class TestRuntimeGolden:
         )
         event_a = Event({"golden": 1}, event_id=201)
         runtime.publish(addresses[0], event_a)
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         runtime.join(joiner, members[joiner])
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         crashed = addresses[1]
         runtime.crash(crashed)
         event_b = Event({"golden": 2}, event_id=202)
         runtime.publish(addresses[2], event_b)
-        runtime.run(16)
+        for __ in range(16):
+            runtime.step()
         runtime.leave(addresses[3])
-        runtime.run(4)
-
+        for __ in range(4):
+            runtime.step()
         assert runtime.round == 24
         assert runtime.size == 7
         assert [str(a) for a in runtime.delivered_to(event_a)] == ["0.1", "0.2"]
@@ -118,4 +121,4 @@ class TestRuntimeGolden:
             runtime.node(a).messages_sent for a in runtime.tree.members()
         )
         assert sent == 31
-        assert runtime.active_count == 0
+        assert len(runtime._active) == 0

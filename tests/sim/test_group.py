@@ -47,11 +47,11 @@ class TestBuild:
         group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
         a = group.node(Address((0, 0)))
         b = group.node(Address((0, 1)))
-        assert a.view(1) is b.view(1)
-        assert a.view(2) is b.view(2)
+        assert a._views[1] is b._views[1]
+        assert a._views[2] is b._views[2]
         c = group.node(Address((1, 0)))
-        assert a.view(1) is c.view(1)
-        assert a.view(2) is not c.view(2)
+        assert a._views[1] is c._views[1]
+        assert a._views[2] is not c._views[2]
 
     def test_ragged_subgroups_are_wired_per_leaf(self):
         members = make_members(arity=3, depth=3)
@@ -61,11 +61,11 @@ class TestBuild:
         for address in group.addresses():
             node = group.node(address)
             for prefix in address.prefixes():
-                assert node.view(prefix.depth) is group.table(prefix)
+                assert node._views[prefix.depth] is group._tables[prefix]
         # Siblings share tables but not the mapping that holds them.
         a, b = group.node(Address((1, 1, 0))), group.node(Address((1, 1, 1)))
-        a.replace_view(3, group.table(Prefix((1, 0))))
-        assert b.view(3) is group.table(Prefix((1, 1)))
+        a.replace_view(3, group._tables[Prefix((1, 0))])
+        assert b._views[3] is group._tables[Prefix((1, 1))]
 
     def test_addresses_is_a_fresh_sorted_list(self):
         group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
@@ -75,12 +75,6 @@ class TestBuild:
         assert group.addresses() == sorted(node.address for node in group.nodes())
         assert group.interested_members(Event({})) == group.addresses()
 
-    def test_table_accessor(self):
-        group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
-        assert group.table(Prefix(())).row_count == 3
-        with pytest.raises(SimulationError):
-            group.table(Prefix((9,)))
-
     def test_unknown_node_rejected(self):
         group = PmcastGroup.build(make_members())
         with pytest.raises(SimulationError):
@@ -89,7 +83,8 @@ class TestBuild:
     def test_redundancy_comes_from_config(self):
         group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=3))
         assert group.tree.redundancy == 3
-        assert group.table(Prefix(())).entry_count == 9
+        root = group._tables[Prefix(())]
+        assert sum(len(row.delegates) for row in root.rows()) == 9
 
 
 class TestInterestedMembers:
@@ -180,8 +175,8 @@ def node_fields(node):
         elif name == "_buffers":
             value = [
                 (depth, [(e.event.event_id, e.rate, e.round) for e in entries])
-                for depth in range(1, value.tree_depth + 1)
-                for entries in [value.entries(depth)]
+                for depth in range(1, len(value._buffers) + 1)
+                for entries in [list(value._buffers[depth - 1].values())]
             ]
         fields[name] = value
     return fields
@@ -225,12 +220,12 @@ class TestBuiltEqualsPerMemberReference:
         assert list(built) == list(tables)
         for prefix, table in tables.items():
             assert built[prefix].rows() == table.rows()
-            assert group.table(prefix).rows() == table.rows()
+            assert group._tables[prefix].rows() == table.rows()
         for address in members:
             node = group.node(address)
             assert node_fields(node) == node_fields(nodes[address])
             for prefix in address.prefixes():
-                assert node.view(prefix.depth) is group.table(prefix)
+                assert node._views[prefix.depth] is group._tables[prefix]
         assert [node.address for node in group.nodes()] == list(members)
         assert group.addresses() == sorted(members)
         assert [node.address for node in group.ordered_nodes()] == sorted(

@@ -29,7 +29,6 @@ class TestDisseminationReport:
         r = report()
         assert r.delivery_ratio == pytest.approx(38 / 40)
         assert r.false_reception_ratio == pytest.approx(5 / 59)
-        assert r.network_overhead == pytest.approx(900 / 40)
 
     def test_degenerate_denominators(self):
         r = report(interested=0, delivered_interested=0)

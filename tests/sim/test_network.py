@@ -24,7 +24,7 @@ class TestLoss:
         network = LossyNetwork(0.0, random.Random(0))
         envelopes = [envelope((0, 0), (0, i)) for i in range(1, 10)]
         assert network.transmit(envelopes) == envelopes
-        assert network.messages_sent == 9
+        assert network._sent == 9
         assert network.messages_lost == 0
 
     def test_loss_rate_approximates_epsilon(self):
@@ -64,7 +64,7 @@ class TestLoss:
             )
             assert delivered == expected
             assert whole._rng.getstate() == split._rng.getstate()
-            assert whole.messages_sent == split.messages_sent
+            assert whole._sent == split._sent
             assert whole.messages_lost == split.messages_lost
 
     def test_deterministic_under_seed(self):

@@ -66,7 +66,8 @@ class TestFailureDetection:
         runtime, addresses = make_runtime(timeout=5)
         victim = addresses[4]          # 1.1: an inner member
         runtime.crash(victim)
-        runtime.run(40)
+        for __ in range(40):
+            runtime.step()
         assert victim not in runtime.tree
         excluded = runtime.exclusion_round(victim)
         assert excluded is not None
@@ -87,7 +88,8 @@ class TestFailureDetection:
             a for a in addresses if a != victim and a.prefix(3) == victim.prefix(3)
         ]
         runtime.publish(addresses[0], Event({}, event_id=1))
-        runtime.run(20)
+        for __ in range(20):
+            runtime.step()
         runtime.crash(victim)
 
         def reports():
@@ -103,26 +105,29 @@ class TestFailureDetection:
 
     def test_no_false_exclusions_without_crash(self):
         runtime, addresses = make_runtime(timeout=8)
-        runtime.run(60)
+        for __ in range(60):
+            runtime.step()
         assert runtime.size == len(addresses)
 
     def test_crashed_delegate_excluded_and_replaced(self):
         runtime, addresses = make_runtime(timeout=5)
         victim = addresses[0]          # 0.0: delegate everywhere
         runtime.crash(victim)
-        runtime.run(50)
+        for __ in range(50):
+            runtime.step()
         assert victim not in runtime.tree
         # The root view row for subtree 0 now leads with 0.1.
         # (Tables were refreshed on exclusion.)
         node = runtime.node(addresses[1])
-        root_row = node.view(1).row(0)
+        root_row = node._views[1].row(0)
         assert victim not in root_row.delegates
 
     def test_dissemination_heals_after_exclusion(self):
         runtime, addresses = make_runtime(timeout=5)
         victim = addresses[0]
         runtime.crash(victim)
-        runtime.run(50)
+        for __ in range(50):
+            runtime.step()
         assert victim not in runtime.tree
         event = Event({}, event_id=99)
         publisher = addresses[-1]
@@ -135,7 +140,8 @@ class TestFailureDetection:
         runtime, addresses = make_runtime(timeout=5, exclusion_quorum=1)
         victim = addresses[4]
         runtime.crash(victim)
-        runtime.run(30)
+        for __ in range(30):
+            runtime.step()
         assert victim not in runtime.tree
 
     @pytest.mark.parametrize("quorum", [0, -1])
@@ -163,7 +169,8 @@ def plant(runtime, replica, updates):
 class TestMembershipGossip:
     def test_replicas_receive_contacts(self):
         runtime, addresses = make_runtime()
-        runtime.run(5)
+        for __ in range(5):
+            runtime.step()
         # Every live process has heard from someone by now.
         for address in addresses:
             node = runtime.node(address)
@@ -171,7 +178,8 @@ class TestMembershipGossip:
 
     def test_runtime_round_counter(self):
         runtime, __ = make_runtime()
-        runtime.run(7)
+        for __ in range(7):
+            runtime.step()
         assert runtime.round == 7
 
     def test_empty_rejected(self):
@@ -183,11 +191,13 @@ class TestMembershipGossip:
         # replica holds; a replica changed from outside a round must
         # show there as changed.
         runtime, addresses = make_runtime()
-        runtime.run(3)
+        for __ in range(3):
+            runtime.step()
         source = runtime._replica(addresses[0])
         fresher = source.tables[2].rows()[0].with_timestamp(50)
         plant(runtime, source, [(2, fresher)])
-        runtime.run(8)
+        for __ in range(8):
+            runtime.step()
         holders = [
             address
             for address in addresses[:3]  # the leaf subgroup of 0.0
@@ -293,7 +303,8 @@ class TestPiggybackMembership:
         bumped = source.tables[2].rows()[0].with_timestamp(50)
         plant(runtime, source, [(2, bumped)])
         runtime.publish(addresses[0], Event({}, event_id=777))
-        runtime.run(4)
+        for __ in range(4):
+            runtime.step()
         staleness = sum(
             row.timestamp
             for address in addresses
@@ -320,22 +331,24 @@ class TestPiggybackMembership:
 class TestActiveSetScheduling:
     def test_active_count_tracks_infection(self):
         runtime, addresses = make_runtime()
-        assert runtime.active_count == 0
+        assert len(runtime._active) == 0
         runtime.publish(addresses[0], Event({}, event_id=5))
-        assert runtime.active_count == 1
-        runtime.run(2)
-        assert runtime.active_count > 1
+        assert len(runtime._active) == 1
+        for __ in range(2):
+            runtime.step()
+        assert len(runtime._active) > 1
         runtime.run_until_idle()
-        assert runtime.active_count == 0
+        assert len(runtime._active) == 0
 
     def test_crash_and_leave_deactivate(self):
         runtime, addresses = make_runtime()
         runtime.publish(addresses[0], Event({}, event_id=6))
-        runtime.run(1)
-        infected = runtime.active_count
+        for __ in range(1):
+            runtime.step()
+        infected = len(runtime._active)
         assert infected >= 1
         runtime.crash(addresses[0])
-        assert runtime.active_count == infected - 1
+        assert len(runtime._active) == infected - 1
 
     def test_a_wrongly_excluded_buffering_process_leaves_the_set(self):
         # Heavy loss and a hair-trigger detector convict live processes,
@@ -355,7 +368,7 @@ class TestActiveSetScheduling:
         addresses = sorted(members)
         runtime.publish(addresses[0], Event({}, event_id=1))
         assert runtime.run_until_idle(max_rounds=200) < 200
-        assert runtime.active_count == 0
+        assert len(runtime._active) == 0
         stranded = [
             address
             for address in addresses
@@ -366,7 +379,7 @@ class TestActiveSetScheduling:
         assert stranded
         # Back through join(), such a process gossips its buffer out.
         runtime.join(stranded[0], StaticInterest(True))
-        assert runtime.active_count == 1
+        assert len(runtime._active) == 1
         assert runtime.run_until_idle(max_rounds=200) > 0
         assert runtime.node(stranded[0]).is_idle
 
@@ -380,13 +393,15 @@ class TestActiveSetScheduling:
         runtime, addresses = make_runtime(timeout=5)
         event_a = Event({}, event_id=71)
         runtime.publish(addresses[0], event_a)
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         runtime.crash(addresses[4])
         joiner = Address((2, 9))
         runtime.join(joiner, StaticInterest(True))
         event_b = Event({}, event_id=72)
         runtime.publish(addresses[-1], event_b)
-        runtime.run(30)
+        for __ in range(30):
+            runtime.step()
         runtime.leave(addresses[2])
         idle = runtime.run_until_idle()
         assert [str(a) for a in runtime.delivered_to(event_a)] == [
@@ -556,6 +571,6 @@ class TestRuntimeCounters:
             runtime.leave(QUICK[90])
             runtime.publish(QUICK[40], Event({"k": 2}, event_id=2))
             runtime.run_until_idle(64)
-            assert runtime.fault_stats["delayed"] > 0
+            assert runtime._faults.stats()["delayed"] > 0
             assert registry.snapshot()["runtime"]["envelopes_undeliverable"] > 0
             assert accounted(registry) == 0

@@ -89,13 +89,16 @@ class TestRuntimeEdges:
             observer=Observer(registry=registry, trace=trace),
         )
         victim = addresses[-1]
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         runtime.crash(victim)
-        runtime.run(2)
+        for __ in range(2):
+            runtime.step()
         runtime.crash(victim)           # e.g. a fault plan hitting it again
         assert registry.snapshot()["membership"]["crashes"] == 1
         assert len(trace.filter(kind="crash")) == 1
-        runtime.run(12)
+        for __ in range(12):
+            runtime.step()
         excluded_at = runtime.exclusion_round(victim)
         assert excluded_at is not None
         runtime.crash(victim)           # excluded, still wired: same

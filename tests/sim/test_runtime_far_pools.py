@@ -271,7 +271,8 @@ class TestPoolsStayExact:
         for kind, index in operations:
             script.apply(kind, index)
         for runtime in (scoped, wholesale):
-            runtime.run(3)
+            for __ in range(3):
+                runtime.step()
         assert (
             scoped._membership_rng.getstate()
             == wholesale._membership_rng.getstate()

@@ -16,6 +16,8 @@ from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests
+from tests.faults.clauses import with_crash
+from tests.traces import write_jsonl
 
 ARITY, DEPTH, SEED = 5, 3, 0
 ADDRESSES = AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY)
@@ -51,7 +53,7 @@ def disseminate(fault_plan, loss_probability=0.0):
     return {
         "rounds": rounds,
         "delivered": runtime.delivered_to(event),
-        "fault_stats": runtime.fault_stats,
+        "fault_stats": runtime._faults and runtime._faults.stats(),
         "snapshot": registry.snapshot(),
     }
 
@@ -98,12 +100,14 @@ class TestRuntimeUnderFaults:
     def test_a_victim_named_twice_is_scripted_once(self):
         # Same delegate picked by two clauses (and named by a third):
         # one crash, one fault_crash record, one count.
-        plan = (
-            FaultPlan()
-            .with_delegate_crash(1, "2", count=1)
-            .with_delegate_crash(3, "2", count=1)
-            .with_crash(4, ADDRESSES[60])
-            .with_crash(5, ADDRESSES[60])
+        plan = with_crash(
+            with_crash(
+                FaultPlan()
+                .with_delegate_crash(1, "2", count=1)
+                .with_delegate_crash(3, "2", count=1),
+                4, ADDRESSES[60],
+            ),
+            5, ADDRESSES[60],
         )
         members = bernoulli_interests(
             ADDRESSES, 0.25, derive_rng(SEED, "interests")
@@ -117,10 +121,11 @@ class TestRuntimeUnderFaults:
             fault_plan=plan,
         )
         runtime.publish(ADDRESSES[0], Event({"k": 1}, event_id=1))
-        runtime.run(8)
+        for __ in range(8):
+            runtime.step()
         counts = trace.counts()
         assert counts["crash"] == counts["fault_crash"] == 2
-        assert runtime.fault_stats["targeted_crashes"] == 2
+        assert runtime._faults.stats()["targeted_crashes"] == 2
 
 
 #: Round -> what happens before its step: joins (three never-members
@@ -172,7 +177,7 @@ class TestChurnedTraceBytes:
                     getattr(runtime, kind)(address)
             runtime.step()
         path = tmp_path / "churned.jsonl"
-        assert trace.to_jsonl(str(path)) == 11740
+        assert write_jsonl(trace, str(path)) == 11740
         assert (
             hashlib.sha1(path.read_bytes()).hexdigest()
             == "832cc5914fbb3e68c46a809fcc4afa2dfded82e9"

@@ -47,6 +47,8 @@ from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import random_event, random_subscriptions
 from repro.variants.base import emit_dispositions
+from tests.faults.clauses import with_crash, with_depth_crash
+from tests.traces import write_jsonl
 
 ARITY, DEPTH = 5, 3
 ADDRESSES = sorted(AddressSpace.regular(ARITY, DEPTH).enumerate_regular(ARITY))
@@ -198,12 +200,15 @@ PLANS = [
     FaultPlan().with_loss_burst(1, 6, 0.4),
     FaultPlan().with_delay(0, 8, 2, probability=0.5),
     FaultPlan().with_partition(1, 5, "0", "1").with_delay(2, 6, 1),
-    FaultPlan()
-    .with_loss_burst(0, 9, 1.0, sender_prefix="2")
-    .with_loss_burst(3, 7, 1.0, dest_prefix="3")
-    .with_crash(2, "1.1.1")
-    .with_delegate_crash(3, "4", count=1)
-    .with_depth_crash(4, 2, count=1),
+    with_depth_crash(
+        with_crash(
+            FaultPlan()
+            .with_loss_burst(0, 9, 1.0, sender_prefix="2")
+            .with_loss_burst(3, 7, 1.0, dest_prefix="3"),
+            2, "1.1.1",
+        ).with_delegate_crash(3, "4", count=1),
+        4, 2, count=1,
+    ),
     FaultPlan().with_delay(1, 12, 3, dest_prefix="4").with_loss_burst(2, 7, 0.2),
 ]
 
@@ -273,12 +278,12 @@ def node_state(node):
     return (
         node.alive,
         sorted(node._received),
-        [event.event_id for event in node.delivered],
+        [event.event_id for event in node._delivered],
         node.messages_sent,
         node.receptions,
         list(buffers._located.items()),
         [
-            [(entry.event.event_id, entry.rate, entry.round) for entry in buffers.entries(depth)]
+            [(entry.event.event_id, entry.rate, entry.round) for entry in buffers._buffers[depth - 1].values()]
             for depth in range(1, DEPTH + 1)
         ],
     )
@@ -322,7 +327,7 @@ def buffered_events(runtime):
         entry.event.event_id
         for node in runtime._nodes.values()
         for depth in range(1, DEPTH + 1)
-        for entry in node.buffers.entries(depth)
+        for entry in list(node.buffers._buffers[depth - 1].values())
     }
 
 
@@ -366,8 +371,8 @@ def check_script(params, script, traced, tmp_path=None):
         assert set(kernel[0]._kernel.flats._flats) <= buffered_events(kernel[0])
     if tmp_path is not None:
         paths = tmp_path / "kernel.jsonl", tmp_path / "loop.jsonl"
-        kernel[2].to_jsonl(str(paths[0]))
-        loop[2].to_jsonl(str(paths[1]))
+        write_jsonl(kernel[2], str(paths[0]))
+        write_jsonl(loop[2], str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
     assert "sim" not in kernel[1].snapshot()
 
@@ -491,7 +496,7 @@ class TestFallbacks:
         kernel, loop = fallback_pair(plan=plan)
         self.run_pair(kernel, loop, 12)
         assert "sim" not in kernel[1].snapshot()
-        assert kernel[0].fault_stats["released"] > 0
+        assert kernel[0]._faults.stats()["released"] > 0
 
     def test_a_jittered_schedule_takes_the_kernel(self):
         schedule = JitteredSchedule(jitter=1.5, seed=3)

@@ -105,8 +105,8 @@ def _node_state(group, addresses, event):
         node = group.node(address)
         buffered = tuple(
             (depth, entry.event.event_id, entry.rate, entry.round)
-            for depth in range(1, node.tree_depth + 1)
-            for entry in node.buffers.entries(depth)
+            for depth in range(1, node.address.depth + 1)
+            for entry in list(node.buffers._buffers[depth - 1].values())
         )
         state[str(address)] = (
             node.alive,
@@ -181,7 +181,7 @@ class TestCompatBitIdentity:
             group, addresses = _build_group(config)
             for address in addresses[1::3]:
                 node = group.node(address)
-                table = node.view(2)
+                table = node._views[2]
                 rows = [
                     dataclasses.replace(row, interest=StaticInterest(True))
                     for row in table.rows()
@@ -634,7 +634,7 @@ class TestTimelineContract:
         assert self._per_round(timeline, "fan_out") == every_round
         assert self._per_round(timeline, "exchange") == every_round
         # The memory probe moved with the spans.
-        assert {entry["subsystem"] for entry in timeline.entries()} == {
+        assert {entry["subsystem"] for entry in timeline._entries} == {
             "engine"
         }
 

@@ -49,10 +49,6 @@ class TestToleranceBand:
         band = ToleranceBand(0.0, 0.0, 0.0, 0.0)
         assert band.bounds(3.0, stderr=0.5) == (3.0, 3.0)
 
-    def test_to_dict_is_json_ready(self):
-        data = ToleranceBand(0.1, 0.2, relative=0.05).to_dict()
-        assert data["lower"] == 0.1 and data["ci_z"] == 2.58
-
 
 class TestValidationReport:
     def test_passed_and_failures(self):

@@ -43,6 +43,7 @@ from repro.variants import (
     run_variant,
 )
 from repro.variants.lazy_pull import pull_horizon
+from tests.faults.clauses import with_crash
 
 
 def make_members(arity=4, depth=2, rate=0.4, seed=0):
@@ -262,10 +263,9 @@ class TestFaultPlane:
 
         addresses, members = make_members()
         event = Event({}, event_id=8)
-        plan = (
-            FaultPlan(name="variant-faults")
-            .with_loss_burst(1, 4, 1.0)
-            .with_crash(2, addresses[-1])
+        plan = with_crash(
+            FaultPlan(name="variant-faults").with_loss_burst(1, 4, 1.0),
+            2, addresses[-1],
         )
         trace = TraceLog()
         report = lazy_pull_broadcast(
