@@ -22,7 +22,6 @@ from typing import Dict, Mapping, Optional
 
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig
-from repro.core.node import PmcastNode
 from repro.errors import SimulationError
 from repro.interests.regrouping import regroup
 from repro.interests.subscriptions import Interest
@@ -59,14 +58,8 @@ def build_genuine_group(
     config = config or PmcastConfig()
     tree = MembershipTree.build(members, redundancy=config.redundancy)
     tables: Dict[Prefix, ViewTable] = {}
-    nodes: Dict[Address, PmcastNode] = {}
     for address in members:
         for prefix in address.prefixes():
             if prefix not in tables:
                 tables[prefix] = _genuine_view(tree, prefix)
-    for address, interest in members.items():
-        views = {
-            prefix.depth: tables[prefix] for prefix in address.prefixes()
-        }
-        nodes[address] = PmcastNode(address, interest, views, config)
-    return PmcastGroup(tree, tables, nodes, config)
+    return PmcastGroup(tree, tables, config)

@@ -114,13 +114,12 @@ class SimConfig:
         seed: master seed for all randomness of a run.
         max_rounds: hard stop for the simulation loop.
         vectorized: ``True`` (the default) lets
-            :func:`~repro.sim.engine.run_dissemination` dispatch on
-            eligibility: a run the struct-of-arrays compat kernel
-            (:mod:`repro.sim.vector`) can express takes it, bit-identical
-            to the scalar loop in report, trace records and node state;
-            a run it cannot (the engine's docstring lists them) takes
-            the scalar reference loop, counted by reason in
-            ``sim.vector_fallback_<reason>``.  ``False`` means only
+            :func:`~repro.sim.engine.run_dissemination` dispatch on the
+            link: an unfaulted run takes the struct-of-arrays compat
+            kernel (:mod:`repro.sim.vector`), bit-identical to the
+            scalar loop in report, trace records and outcome; a run
+            under a fault plan takes the scalar reference loop, counted
+            in ``sim.vector_fallback_faults``.  ``False`` means only
             "the reference loop": what the equivalence tests compare
             the kernel against.
     """

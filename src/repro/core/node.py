@@ -33,8 +33,7 @@ Fidelity notes (each tied to a Figure 3 line):
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.addressing import Address
 from repro.config import PmcastConfig
@@ -48,19 +47,6 @@ from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
 __all__ = ["PmcastNode"]
-
-# C-level readers of node state for passes over a whole group (the
-# compat kernel's prologue and the run report): mapped over the nodes,
-# an attrgetter opens no Python frame per node.
-alive_of = attrgetter("alive")
-interest_of = attrgetter("_interest")
-received_ids = attrgetter("_received")
-delivered_ids = attrgetter("_delivered_ids")
-sent_of = attrgetter("_messages_sent")
-receptions_of = attrgetter("_receptions")
-#: event_id -> buffering depth; empty iff the node is idle.
-buffered_ids = attrgetter("_buffers._located")
-
 
 class PmcastNode:
     """One pmcast process: views, buffers, and the Figure 3 tasks.
@@ -222,36 +208,18 @@ class PmcastNode:
         self._interest = interest
 
     def restore_outcome(
-        self,
-        event: Event,
-        *,
-        alive: bool,
-        received: bool,
-        delivered: bool,
-        sent_delta: int,
-        receptions_delta: int,
-        buffered: Optional[Tuple[int, float, int]] = None,
+        self, event: Event, *, delivered: bool, buffered: Tuple[int, float, int]
     ) -> None:
-        """Install one dissemination's outcome computed out-of-band.
-
-        The vectorized engine (:mod:`repro.sim.vector`) simulates a run
-        on flat arrays and writes each node's final protocol state back
-        through this single seam — liveness, the seen/delivered sets,
-        the message counters, and any still-buffered entry
-        ``(depth, rate, round)`` — so every scalar inspection API stays
-        truthful after a vectorized run.
-        """
-        self.alive = alive
-        if received:
-            self._received.add(event.event_id)
+        """Install a first reception computed out-of-band: the live-round
+        kernel (:class:`repro.sim.vector.LiveRound`) marks ``event``
+        received, HPDELIVERed if ``delivered``, and buffered as
+        ``(depth, rate, round)``."""
+        self._received.add(event.event_id)
         if delivered and event.event_id not in self._delivered_ids:
             self._delivered.append(event)
             self._delivered_ids.add(event.event_id)
-        self._messages_sent += sent_delta
-        self._receptions += receptions_delta
-        if buffered is not None:
-            depth, rate, round_ = buffered
-            self._buffers.add(depth, event, rate, round=round_)
+        depth, rate, round_ = buffered
+        self._buffers.add(depth, event, rate, round=round_)
 
     def restore_counts(self, sent_delta: int, receptions_delta: int) -> None:
         """Add message counts computed out-of-band: the live-round

@@ -37,8 +37,8 @@ class AsyncProcess:
     """A :class:`PmcastNode` driven by mailbox and timer events.
 
     Args:
-        node: the protocol state machine (borrowed, like the engine
-            borrows group nodes for a run).
+        node: the protocol state machine, wired for this run
+            (:meth:`~repro.sim.group.PmcastGroup.node`).
         ctx: this process's gossip context — event-driven processes do
             not share an RNG stream, each draws from its own (the match
             cache behind it may be a run-wide one:

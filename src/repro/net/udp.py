@@ -15,7 +15,8 @@ happened for :data:`QUIET_PERIODS` periods and every timer parked, or at
 the ``hard_timeout_s`` wall-clock cap.
 
 The protocol logic is the engine's own :class:`PmcastNode`, untouched,
-and the outcome is scored by the same arithmetic
+one wired from the group per process the run builds, and the outcome is
+scored by the same arithmetic
 (:func:`~repro.sim.group.assemble_pmcast_report`) — so a UDP
 run's :class:`~repro.sim.metrics.DisseminationReport` is directly
 comparable against the Eqs 12–18 oracle bands, which is exactly what
@@ -34,17 +35,17 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.addressing import Address, distance
 from repro.core.context import GossipContext
-from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.net.process import AsyncProcess
 from repro.net.transport import FairLossUdpTransport, UdpEndpointRegistry
 from repro.obs.probes import Observer, fold_shorthands
 from repro.obs.trace import TraceLog, dissemination_meta
-from repro.sim.group import PmcastGroup, assemble_pmcast_report
+from repro.sim.group import PmcastGroup, RunOutcome, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
 
@@ -104,8 +105,7 @@ def run_udp_dissemination(
     """Multicast one event through live UDP processes; score the outcome.
 
     Args:
-        group: the wired group; node state is borrowed like the engine
-            borrows it.
+        group: the wired group; the run builds its own nodes from it.
         seed: derives every per-process RNG stream (gossip draws,
             software-loss draws, timer start offsets).
         loss_probability: software ε applied at send per transport —
@@ -130,8 +130,7 @@ def run_udp_dissemination(
         SimulationError: if ``publisher`` is not a live member — checked
             before any socket is bound, as the simulated drivers do.
     """
-    if not group.node(publisher).alive:
-        raise SimulationError(f"publisher {publisher} has crashed")
+    group.check_publisher(publisher)
     observer = fold_shorthands(observer, trace)
     return asyncio.run(
         _run_udp(
@@ -155,9 +154,8 @@ async def _run_udp(
     loop = asyncio.get_running_loop()
     registry = UdpEndpointRegistry()
     addresses = group.addresses()
-    interested = set(group.interested_members(event))
-    sent_before = sum(node.messages_sent for node in group.nodes())
-    receptions_before = sum(node.receptions for node in group.nodes())
+    wanted = group.interest_mask(event)
+    interested = set(compress(addresses, wanted))
     depth = group.tree.depth
 
     started_at = loop.time()
@@ -193,8 +191,8 @@ async def _run_udp(
     counters = {"timer_fires": 0, "messages_sent": 0, "receptions": 0}
     messages_by_distance = [0] * depth
     last_activity = [loop.time()]
-    # One scan, then a running count kept where a drain first infects.
-    infected = [sum(1 for node in group.nodes() if node.has_received(event))]
+    # A running count, kept where a drain first infects.
+    infected = [0]
     # One match cache for the run; each process forks it around its own
     # stream (this one is never drawn from).
     match_cache = GossipContext(
@@ -350,19 +348,19 @@ async def _run_udp(
     observer.registry.register_collector("net", totals.copy)
     rounds = len(infection_curve)
     observer.annotate(rounds=rounds)
+    outcome = RunOutcome.from_nodes(
+        group, (process.node for process in processes.values()), event
+    )
     report = assemble_pmcast_report(
         group,
         publisher,
-        event,
-        interested,
-        infected[0],
+        outcome,
+        wanted,
         rounds,
         tuple(infection_curve),
         tuple(messages_by_distance),
         totals["messages_lost"],
         crashed=0,
-        sent_before=sent_before,
-        receptions_before=receptions_before,
     )
     stats = UdpRunStats(
         members=group.size,

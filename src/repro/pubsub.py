@@ -4,16 +4,18 @@ The lower layers expose every moving part of the paper; this module is
 the API a downstream application actually wants:
 
 * :class:`PubSubSystem` owns a live group — membership tree, converged
-  views (one :class:`~repro.membership.lifecycle.GroupDirectory`), one
-  :class:`~repro.core.node.PmcastNode` per process — and offers
-  ``subscribe`` / ``unsubscribe`` / ``publish`` / ``crash``.
+  views (one :class:`~repro.membership.lifecycle.GroupDirectory`), the
+  members that are down — and offers ``subscribe`` / ``unsubscribe`` /
+  ``publish`` / ``crash``.
 * Membership changes immediately refresh the affected shared view
   tables in place (the converged end-state that gossip-pull
-  anti-entropy reaches in a running deployment; §2.3); only a
-  newcomer's node needs wiring.
-* ``publish`` multicasts one event through the simulated network and
+  anti-entropy reaches in a running deployment; §2.3).
+* ``publish`` multicasts one event through the simulated network on a
+  :class:`~repro.sim.group.PmcastGroup` wired from those tables and
   returns its :class:`~repro.sim.metrics.DisseminationReport`;
-  ``delivered_to`` answers exactly which subscribers got it.
+  what the system keeps of the run is who crashed in it and who
+  delivered the event, so ``delivered_to`` answers exactly which
+  subscribers got it.
 
 This is also what the churn-heavy example and integration tests drive.
 """
@@ -21,19 +23,19 @@ This is also what the churn-heavy example and integration tests drive.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from itertools import compress
+from typing import Dict, List, Optional, Set
 
 from repro.addressing import Address, AddressSpace
 from repro.addressing.allocation import AddressAllocator
 from repro.config import PmcastConfig, SimConfig
-from repro.core.node import PmcastNode
 from repro.errors import MembershipError, SimulationError
 from repro.interests.events import Event
 from repro.interests.regrouping import RegroupPolicy
 from repro.interests.subscriptions import Interest
 from repro.membership.lifecycle import GroupDirectory
 from repro.membership.tree import MembershipTree
-from repro.sim.engine import run_dissemination
+from repro.sim.engine import run_dissemination_outcome
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 
@@ -62,7 +64,9 @@ class PubSubSystem:
         self._sim_config = sim_config or SimConfig()
         self._tree = MembershipTree(depth, self._config.redundancy)
         self._directory = GroupDirectory(self._tree, regroup_policy)
-        self._nodes: Dict[Address, PmcastNode] = {}
+        self._down: Set[Address] = set()
+        # event_id -> the members that delivered it
+        self._delivered: Dict[int, Set[Address]] = {}
         self._publish_count = 0
         if space is not None and space.depth != depth:
             raise MembershipError(
@@ -91,7 +95,6 @@ class PubSubSystem:
         """Add a subscriber (or replace an existing one's interest)."""
         if address in self._tree:
             self._tree.update_interest(address, interest)
-            self._nodes[address].update_interest(interest)
         else:
             self._tree.add(address, interest)
         self._refresh(address)
@@ -137,8 +140,9 @@ class PubSubSystem:
         real failure opens before detectors fire.  Call
         :meth:`exclude` once the §2.3 detector would have convicted it.
         """
-        node = self._node(address)
-        node.alive = False
+        if address not in self._tree:
+            raise MembershipError(f"{address} is not a member")
+        self._down.add(address)
 
     def exclude(self, address: Address) -> None:
         """Remove a crashed process from the membership (post-detection)."""
@@ -163,32 +167,23 @@ class PubSubSystem:
             self._sim_config,
             seed=self._sim_config.seed + self._publish_count,
         )
-        return run_dissemination(group, publisher, event, sim)
+        report, outcome = run_dissemination_outcome(group, publisher, event, sim)
+        addresses = group.addresses()
+        self._down.update(compress(addresses, ~outcome.alive))
+        self._delivered[event.event_id] = set(compress(addresses, outcome.delivered))
+        return report
 
     def delivered_to(self, event: Event) -> List[Address]:
         """Which current members have delivered ``event``."""
-        return sorted(
-            address
-            for address, node in self._nodes.items()
-            if node.has_delivered(event)
-        )
-
-    def node(self, address: Address) -> PmcastNode:
-        """The live protocol node of a member (for inspection)."""
-        return self._node(address)
+        delivered = self._delivered.get(event.event_id, ())
+        return sorted(address for address in delivered if address in self._tree)
 
     # -- internals ---------------------------------------------------------
-
-    def _node(self, address: Address) -> PmcastNode:
-        node = self._nodes.get(address)
-        if node is None:
-            raise MembershipError(f"{address} has no live node")
-        return node
 
     def _remove(self, address: Address) -> None:
         """Drop a member, free its address for reallocation, refresh."""
         self._tree.remove(address)
-        self._nodes.pop(address, None)
+        self._down.discard(address)
         if self._allocator is not None and self._allocator.is_allocated(
             address
         ):
@@ -196,7 +191,7 @@ class PubSubSystem:
         self._refresh(address)
 
     def _refresh(self, changed: Address) -> None:
-        """Refresh the tables on ``changed``'s prefix path, wire a newcomer.
+        """Refresh the tables on ``changed``'s prefix path.
 
         This realizes the *converged* outcome of the §2.3 protocols
         (join contact chain + gossip-pull propagation) in one step; the
@@ -204,19 +199,8 @@ class PubSubSystem:
         :class:`~repro.sim.runtime.GroupRuntime`'s.
         """
         self._directory.refresh_path(changed)
-        # Existing tables were refreshed in place, so every node that
-        # holds one already sees the new rows.  A table created on the
-        # path describes a prefix that was empty before the change: the
-        # only member under it is the newcomer, wired here.
-        if changed in self._tree and changed not in self._nodes:
-            self._nodes[changed] = PmcastNode(
-                changed,
-                self._tree.interest_of(changed),
-                self._directory.path(changed),
-                self._config,
-            )
 
     def _as_group(self) -> PmcastGroup:
         return PmcastGroup(
-            self._tree, dict(self._directory.tables), dict(self._nodes), self._config
+            self._tree, dict(self._directory.tables), self._config, self._down
         )

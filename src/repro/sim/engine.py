@@ -12,13 +12,14 @@ received.  The run ends when every node is idle (passive garbage
 collection emptied all buffers) or at the ``max_rounds`` safety cap.
 
 Two loops implement that round, and :func:`run_dissemination` picks by
-eligibility, not by request: a run the struct-of-arrays compat kernel
-(:func:`repro.sim.vector.try_run_vectorized`) can express takes it; a
-run it cannot (a fault plan, a node still buffering an event) takes the
-scalar reference loop (:func:`repro.variants.base.run_variant`) and is
-counted by reason.
-The two are bit-identical on every eligible run — report, trace
-records, node state — and ``SimConfig(vectorized=False)`` forces the
+the link, not by request: an unfaulted run takes the struct-of-arrays
+compat kernel (:func:`repro.sim.vector.try_run_vectorized`); a run
+under a fault plan takes the scalar reference loop
+(:func:`repro.variants.base.run_variant`) and is counted.  Both start
+from the group's wiring alone and return the run's outcome
+(:class:`~repro.sim.group.RunOutcome`) with its report.
+The two are bit-identical on every unfaulted run — report, trace
+records, outcome — and ``SimConfig(vectorized=False)`` forces the
 reference loop so a test can diff them.
 
 Either loop is observed through the one
@@ -29,21 +30,21 @@ shorthands folded into it on the first line.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.addressing import Address
 from repro.config import SimConfig
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.obs.probes import Observer, fold_shorthands
+from repro.obs.probes import NULL_OBSERVER, Observer, fold_shorthands
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
-from repro.sim.group import PmcastGroup
+from repro.sim.group import PmcastGroup, RunOutcome
 from repro.sim.metrics import DisseminationReport
 from repro.sim.vector import try_run_vectorized
 
-__all__ = ["run_dissemination"]
+__all__ = ["run_dissemination", "run_dissemination_outcome"]
 
 
 def run_dissemination(
@@ -85,19 +86,35 @@ def run_dissemination(
             which ``python -m repro.obs summarize`` reproduces this
             function's report.  Its timeline receives per-round
             ``engine`` ``fan_out``/``exchange`` spans from either loop;
-            its registry the kernel's ``vector.*`` counters and, by
-            reason, the runs the kernel could not express
-            (``sim.vector_fallback`` and
-            ``sim.vector_fallback_<reason>``).  Observation draws no
-            randomness: the report is the same observed or not.
+            its registry the kernel's ``vector.*`` counters and the
+            faulted runs the kernel could not express
+            (``sim.vector_fallback`` and ``sim.vector_fallback_faults``).
+            Observation draws no randomness: the report is the same
+            observed or not.
         timeline: shorthand for ``observer=Observer(timeline=...)``.
 
     Returns:
         the :class:`~repro.sim.metrics.DisseminationReport` of the run.
     """
-    observer = fold_shorthands(observer, trace, timeline)
+    return run_dissemination_outcome(
+        group, publisher, event, sim_config, crash_schedule, faults,
+        fold_shorthands(observer, trace, timeline),
+    )[0]
+
+
+def run_dissemination_outcome(
+    group: PmcastGroup,
+    publisher: Address,
+    event: Event,
+    sim_config: Optional[SimConfig] = None,
+    crash_schedule: Optional[CrashSchedule] = None,
+    faults: Optional[FaultPlan] = None,
+    observer: Observer = NULL_OBSERVER,
+) -> Tuple[DisseminationReport, RunOutcome]:
+    """:func:`run_dissemination`, returning the run's outcome too: who
+    is alive, received, delivered, what each member sent and received,
+    and what it still buffers, as columns over ``group.addresses()``."""
     sim_config = sim_config or SimConfig()
-    registry = observer.registry
     # Imported here: repro.variants itself imports from repro.sim.
     from repro.variants.base import run_variant
     from repro.variants.pmcast import PmcastVariant, prepare_pmcast_run
@@ -111,28 +128,14 @@ def run_dissemination(
         if hasattr(link, "transmit_flags"):
             # The struct-of-arrays kernel consumes the same RNG streams
             # in the same order — and emits the same trace records — so
-            # an eligible run is bit-identical to the reference loop
-            # below; an ineligible one returns None with the streams
-            # untouched and takes that loop instead.
-            report = try_run_vectorized(
-                group,
-                publisher,
-                event,
-                sim_config,
-                ctx,
-                link,
-                crash_schedule,
-                observer,
+            # its run is bit-identical to the reference loop below.
+            return try_run_vectorized(
+                group, publisher, event, sim_config, ctx, link, crash_schedule, observer,
             )
-            if report is not None:
-                return report
-            reason = "ineligible"
-        else:
-            # A fault plan's link decides envelope by envelope; it has
-            # no draw-only transmit for the kernel to call.
-            reason = "faults"
-        registry.counter("sim", "vector_fallback").inc()
-        registry.counter("sim", f"vector_fallback_{reason}").inc()
+        # A fault plan's link decides envelope by envelope; it has no
+        # draw-only transmit for the kernel to call.
+        observer.registry.counter("sim", "vector_fallback").inc()
+        observer.registry.counter("sim", "vector_fallback_faults").inc()
 
     # The reference loop is the pmcast dissemination strategy running
     # on the shared round driver (the strategy seam extracted from this
@@ -141,4 +144,5 @@ def run_dissemination(
     # active set, same RNG draw order, same trace records,
     # bit-identical reports.
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
-    return run_variant(variant, sim_config, link, crash_schedule, observer)
+    report = run_variant(variant, sim_config, link, crash_schedule, observer)
+    return report, variant.outcome

@@ -1,21 +1,25 @@
-"""Building a runnable pmcast group.
+"""Building a runnable pmcast group, and scoring a run on it.
 
-:class:`PmcastGroup` assembles the whole stack for a set of members:
-the :class:`~repro.membership.tree.MembershipTree`, the converged view
+:class:`PmcastGroup` is the immutable wiring of a set of members: the
+:class:`~repro.membership.tree.MembershipTree`, the converged view
 tables (shared per prefix — every process of a subgroup sees the same
-converged table, see :mod:`repro.membership.knowledge`), and one
-:class:`~repro.core.node.PmcastNode` per member.
+converged table, see :mod:`repro.membership.knowledge`), the protocol
+parameters, the members already down, and the static columns every run
+reads.  It holds no per-run state: a run wires the
+:class:`~repro.core.node.PmcastNode` objects it steps from the group
+(:meth:`PmcastGroup.node`), or steps arrays, and returns its
+:class:`RunOutcome`, which :func:`assemble_pmcast_report` scores.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import contains
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import chain, compress
+from typing import Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.addressing import Address, Prefix
+import numpy as np
+
+from repro.addressing import Address, Prefix, component_key
 from repro.config import PmcastConfig
-from repro.core import node as node_state
 from repro.core.node import PmcastNode
 from repro.errors import SimulationError
 from repro.interests.events import Event
@@ -26,34 +30,65 @@ from repro.membership.tree import MembershipTree
 from repro.membership.views import ViewTable
 from repro.sim.metrics import DisseminationReport
 
-__all__ = ["PmcastGroup", "assemble_pmcast_report"]
+__all__ = ["PmcastGroup", "RunOutcome", "assemble_pmcast_report"]
 
 
 class PmcastGroup:
-    """A fully wired group of pmcast nodes.
+    """The wiring of a pmcast group: what every run on it starts from.
 
     Build with :meth:`PmcastGroup.build`; then hand it to
-    :func:`repro.sim.engine.run_dissemination` (or drive the nodes
-    yourself for custom experiments).
+    :func:`repro.sim.engine.run_dissemination` (or step the nodes
+    :meth:`node` wires yourself for custom experiments).
+
+    Columns over :meth:`addresses` order, read by the compat kernel and
+    the report: ``index_of`` (address -> index), ``interests``, ``views``
+    (each member's depth -> table mapping, one object per leaf
+    subgroup), ``components`` (an ``n × d`` array) and ``alive`` (False
+    at the members in ``down``).  None of them changes after
+    construction.
     """
 
     def __init__(
         self,
         tree: MembershipTree,
         tables: Dict[Prefix, ViewTable],
-        nodes: Dict[Address, PmcastNode],
         config: PmcastConfig,
+        down: Collection[Address] = (),
     ):
         self._tree = tree
         self._tables = tables
-        self._nodes = nodes
         self._config = config
-        # The membership of a group object is fixed once it is built
-        # (PubSubSystem snapshots a new one per publish), so the sorted
-        # order every run asks for several times is read once, off the
-        # tree's root list.
         self._sorted = tree.subtree_members(Prefix(()))
-        self._in_order = list(map(nodes.__getitem__, self._sorted))
+        n = len(self._sorted)
+        if not n:
+            raise SimulationError("cannot build an empty group")
+        self.index_of: Dict[Address, int] = dict(zip(self._sorted, range(n)))
+        self._down = frozenset(down)
+        stray = self._down - self.index_of.keys()
+        if stray:
+            raise SimulationError(f"{min(stray)} is not in the group")
+        self.interests: List[Interest] = list(tree.interests_of(self._sorted))
+        # The members of a leaf subgroup share every table on their
+        # prefix path, so the depth -> table mapping is assembled and
+        # checked once per subgroup, not once per member.
+        wiring: Dict[Prefix, Dict[int, ViewTable]] = {}
+        self.views: List[Dict[int, ViewTable]] = []
+        for address in self._sorted:
+            prefixes = address.prefixes()
+            views = wiring.get(prefixes[-1])
+            if views is None:
+                views = {prefix.depth: tables[prefix] for prefix in prefixes}
+                PmcastNode.check_views(address, views)
+                wiring[prefixes[-1]] = views
+            self.views.append(views)
+        self.components = np.fromiter(
+            chain.from_iterable(map(component_key, self._sorted)), np.int64
+        ).reshape(n, -1)
+        self.alive = np.ones(n, bool)
+        for address in self._down:
+            self.alive[self.index_of[address]] = False
+        for column in (self.components, self.alive):
+            column.flags.writeable = False
 
     @classmethod
     def build(
@@ -61,6 +96,7 @@ class PmcastGroup:
         members: Mapping[Address, Interest],
         config: Optional[PmcastConfig] = None,
         regroup_policy: Optional[RegroupPolicy] = None,
+        down: Collection[Address] = (),
     ) -> "PmcastGroup":
         """Wire a group from a member -> interest mapping.
 
@@ -70,26 +106,15 @@ class PmcastGroup:
                 :class:`~repro.config.PmcastConfig`'s defaults).
             regroup_policy: interest-regrouping compaction (exact union
                 by default).
+            down: members that have already crashed: still in every
+                view (nobody has excluded them), but they never gossip,
+                receive or publish.
         """
         if not members:
             raise SimulationError("cannot build an empty group")
         config = config or PmcastConfig()
         tree = MembershipTree.build(members, redundancy=config.redundancy)
-        tables = build_all_views(tree, policy=regroup_policy)
-        nodes: Dict[Address, PmcastNode] = {}
-        # The members of a leaf subgroup share every table on their
-        # prefix path, so the depth -> table mapping is assembled and
-        # checked once per subgroup, not once per member.
-        wiring: Dict[Prefix, Dict[int, ViewTable]] = {}
-        for address, interest in members.items():
-            prefixes = address.prefixes()
-            views = wiring.get(prefixes[-1])
-            if views is None:
-                views = {prefix.depth: tables[prefix] for prefix in prefixes}
-                PmcastNode.check_views(address, views)
-                wiring[prefixes[-1]] = views
-            nodes[address] = PmcastNode.wired(address, interest, views, config)
-        return cls(tree, tables, nodes, config)
+        return cls(tree, build_all_views(tree, policy=regroup_policy), config, down)
 
     @property
     def tree(self) -> MembershipTree:
@@ -104,92 +129,124 @@ class PmcastGroup:
     @property
     def size(self) -> int:
         """The number of processes n."""
-        return len(self._nodes)
+        return len(self._sorted)
 
     def node(self, address: Address) -> PmcastNode:
-        """The node at ``address``."""
-        try:
-            return self._nodes[address]
-        except KeyError:
-            raise SimulationError(f"{address} is not in the group") from None
-
-    def nodes(self) -> Iterator[PmcastNode]:
-        """All nodes (unspecified order)."""
-        return iter(self._nodes.values())
-
-    def ordered_nodes(self) -> List[PmcastNode]:
-        """All nodes in :meth:`addresses` order (a fresh list each call)."""
-        return list(self._in_order)
-
-    def nodes_at(self, addresses: Iterable[Address]) -> Iterator[PmcastNode]:
-        """The nodes at ``addresses``, in the order given (members only)."""
-        return map(self._nodes.__getitem__, addresses)
+        """A fresh, idle node for ``address``, wired from the group's
+        tables: alive unless the member is down.  Each call builds a new
+        one, so a driver keeps the nodes it steps."""
+        index = self.index_of.get(address)
+        if index is None:
+            raise SimulationError(f"{address} is not in the group")
+        node = PmcastNode.wired(
+            address, self.interests[index], self.views[index], self._config
+        )
+        node.alive = address not in self._down
+        return node
 
     def addresses(self) -> List[Address]:
         """All member addresses, sorted (a fresh list each call)."""
         return list(self._sorted)
 
+    def interest_mask(self, event: Event) -> np.ndarray:
+        """Ground truth per member, in :meth:`addresses` order: whether
+        its own interest matches ``event``."""
+        return np.fromiter(
+            (interest.matches(event) for interest in self.interests), bool, self.size
+        )
+
     def interested_members(self, event: Event) -> List[Address]:
         """Ground truth: members whose own interest matches ``event``."""
-        return [
-            address
-            for address in self.addresses()
-            if self._tree.interest_of(address).matches(event)
-        ]
+        return list(compress(self._sorted, self.interest_mask(event)))
+
+    def check_publisher(self, publisher: Address) -> None:
+        """Raise :class:`SimulationError` unless ``publisher`` is a live
+        member (every driver checks this before its first draw)."""
+        if publisher not in self.index_of:
+            raise SimulationError(f"{publisher} is not in the group")
+        if publisher in self._down:
+            raise SimulationError(f"publisher {publisher} has crashed")
+
+
+class RunOutcome(NamedTuple):
+    """One dissemination's per-member state when it ends, as columns
+    over :meth:`PmcastGroup.addresses`: whether the member is ``alive``,
+    has ``received`` and ``delivered`` the event, how many gossip
+    messages it ``sent`` and how many ``receptions`` it had (duplicates
+    included), and its leftover buffer entry — ``buf_depth`` (0: none),
+    ``buf_rate`` and ``buf_round``."""
+
+    alive: np.ndarray
+    received: np.ndarray
+    delivered: np.ndarray
+    sent: np.ndarray
+    receptions: np.ndarray
+    buf_depth: np.ndarray
+    buf_rate: np.ndarray
+    buf_round: np.ndarray
+
+    @classmethod
+    def from_nodes(
+        cls, group: PmcastGroup, nodes: Iterable[PmcastNode], event: Event
+    ) -> "RunOutcome":
+        """The outcome of a run that stepped ``nodes`` (one per member it
+        touched, wired by :meth:`PmcastGroup.node`): an untouched member
+        reads as the group left it."""
+        n = group.size
+        alive = group.alive.copy()
+        received, delivered = np.zeros((2, n), bool)
+        sent, receptions, buf_depth, buf_round = np.zeros((4, n), np.int64)
+        buf_rate = np.zeros(n)
+        index_of = group.index_of
+        for node in nodes:
+            i = index_of[node.address]
+            alive[i] = node.alive
+            received[i] = node.has_received(event)
+            delivered[i] = node.has_delivered(event)
+            sent[i] = node.messages_sent
+            receptions[i] = node.receptions
+            for depth, entry in node.buffers:
+                buf_depth[i], buf_rate[i], buf_round[i] = depth, entry.rate, entry.round
+        return cls(alive, received, delivered, sent, receptions, buf_depth, buf_rate, buf_round)
 
 
 def assemble_pmcast_report(
     group: PmcastGroup,
     publisher: Address,
-    event: Event,
-    interested: set,
-    infected_count: int,
+    outcome: RunOutcome,
+    interested: np.ndarray,
     rounds: int,
     infection_curve: Tuple[int, ...],
     messages_by_distance: Tuple[int, ...],
     messages_lost: int,
     crashed: int,
-    sent_before: int = 0,
-    receptions_before: int = 0,
 ) -> DisseminationReport:
-    """Read a run's outcome back out of the group's nodes.
+    """Score a run: its outcome, the ground truth ``interested`` (a mask
+    in :meth:`PmcastGroup.addresses` order, before anybody crashed) and
+    the tallies its driver kept.
 
-    The report is a pure function of the node state after the last
-    round plus the run-level tallies the caller tracked — shared by
-    :meth:`~repro.variants.pmcast.PmcastVariant.finalize`, the compat
-    kernel (after its ``restore_outcome`` write-back) and the
-    event-driven runtimes in :mod:`repro.net`, so every execution
-    style scores a run with the same arithmetic.
+    Shared by the scalar loop, the compat kernel and the event-driven
+    runtimes in :mod:`repro.net`, so every execution style scores a run
+    with the same arithmetic.
     """
-    def holding(reader, nodes) -> int:
-        """How many of ``nodes`` hold the event in the set ``reader`` reads."""
-        return sum(map(contains, map(reader, nodes), repeat(event.event_id)))
-
-    interested_nodes = list(group.nodes_at(interested))
-    delivered_interested = holding(node_state.delivered_ids, interested_nodes)
-    # The uninterested are the members neither interested nor the
-    # publisher: their receptions are everyone's less those two sets'.
-    outside = publisher not in interested
-    received_uninterested = (
-        holding(node_state.received_ids, group.nodes())
-        - holding(node_state.received_ids, interested_nodes)
-        - (outside and group.node(publisher).has_received(event))
-    )
-    messages_sent = sum(map(node_state.sent_of, group.nodes())) - sent_before
-    receptions = (
-        sum(map(node_state.receptions_of, group.nodes())) - receptions_before
-    )
-    first_receptions = infected_count - 1  # the publisher never receives
+    outside = not interested[group.index_of[publisher]]
+    wanted = int(np.count_nonzero(interested))
+    received_total = int(np.count_nonzero(outcome.received))
+    received_interested = int(np.count_nonzero(outcome.received & interested))
+    first_receptions = received_total - 1  # the publisher never receives
+    receptions = int(outcome.receptions.sum())
     return DisseminationReport(
         group_size=group.size,
-        interested=len(interested),
-        uninterested=group.size - len(interested) - outside,
-        delivered_interested=delivered_interested,
-        received_uninterested=received_uninterested,
-        received_total=infected_count,
+        interested=wanted,
+        uninterested=group.size - wanted - outside,
+        delivered_interested=int(np.count_nonzero(outcome.delivered & interested)),
+        # The uninterested are the members neither interested nor the
+        # publisher, who always holds the event.
+        received_uninterested=received_total - received_interested - outside,
+        received_total=received_total,
         crashed=crashed,
         rounds=rounds,
-        messages_sent=messages_sent,
+        messages_sent=int(outcome.sent.sum()),
         messages_lost=messages_lost,
         duplicate_receptions=max(receptions - first_receptions, 0),
         infection_curve=infection_curve,

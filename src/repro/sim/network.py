@@ -23,6 +23,8 @@ import random
 from itertools import compress
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
 from repro.addressing import Address
 from repro.core.messages import Envelope
 from repro.errors import SimulationError
@@ -68,23 +70,24 @@ class LossyNetwork:
         """What the link adds to a trace header: nothing."""
         return {}
 
-    def transmit_flags(self, count: int) -> Optional[List[bool]]:
+    def transmit_flags(self, count: int) -> Optional[np.ndarray]:
         """Draw ``count`` delivery verdicts without materializing envelopes.
 
         The link's one loss draw: one ``random()`` per envelope when
         ε > 0, none otherwise, and the sent/lost counters.  The kernels
         call it directly and :meth:`transmit` applies it to envelope
         objects, so a vectorized run stays stream- and metric-identical
-        to the scalar one.  Returns None when ε <= 0 (everything
-        delivered, nothing drawn).
+        to the scalar one.  Returns a bool mask (True: delivered), or
+        None when ε <= 0 (everything delivered, nothing drawn).
         """
         self._sent += count
         if self._loss_probability <= 0.0:
             return None
-        probability = self._loss_probability
-        rand = self._rng.random
-        flags = [rand() >= probability for __ in range(count)]
-        self._lost += count - sum(flags)
+        # iter(random, None) calls random() until it returns None, which
+        # it never does: fromiter takes exactly ``count`` draws.
+        flags = np.fromiter(iter(self._rng.random, None), float, count)
+        flags = flags >= self._loss_probability
+        self._lost += count - int(np.count_nonzero(flags))
         return flags
 
     def transmit(self, envelopes: Iterable[Envelope]) -> List[Envelope]:
@@ -92,4 +95,4 @@ class LossyNetwork:
         :meth:`transmit_flags` batch applied to them."""
         envelopes = list(envelopes)
         flags = self.transmit_flags(len(envelopes))
-        return envelopes if flags is None else list(compress(envelopes, flags))
+        return envelopes if flags is None else list(compress(envelopes, flags.tolist()))

@@ -11,15 +11,17 @@ object model.  It consumes the *same* ``random.Random`` streams in the
 :class:`~repro.core.rate.TableMatch`, loss draws via
 :meth:`~repro.sim.network.LossyNetwork.transmit_flags`), so its
 :class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
-scalar path's for any eligible run — and so is its trace: the kernel
-emits the same ``repro.obs.trace/v1`` records in the same order (through
-the same :meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so
-sampled alike), and a traced run takes it too.  It is the path
-:func:`~repro.sim.engine.run_dissemination` takes whenever the run is
-eligible; a run on a group where a live node still buffers an event (or,
-decided by the engine, under a fault plan, whose link offers no
-``transmit_flags``) takes the scalar reference loop and is counted by
-reason.  ``SimConfig(vectorized=False)`` forces the reference loop.
+scalar path's for any unfaulted run, and so are its trace and its
+:class:`~repro.sim.group.RunOutcome`: the kernel emits the same
+``repro.obs.trace/v1`` records in the same order (through the same
+:meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so sampled
+alike), and a traced run takes it too.  It starts from the group's
+static columns and fills the outcome from its arrays; no node object is
+read or written.  It is the path
+:func:`~repro.sim.engine.run_dissemination` takes unless the run has a
+fault plan, whose link offers no ``transmit_flags``: that run takes the
+scalar reference loop and is counted.  ``SimConfig(vectorized=False)``
+forces the reference loop.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` / :class:`TreeState`)
 — a fully vectorized numpy round for the synthetic full regular tree
@@ -60,16 +62,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import contains
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.addressing import Address, component_key
+from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
-from repro.core import node as node_state
 from repro.core.rate import sample_positions_each
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
@@ -78,7 +78,7 @@ from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.obs.sampling import keep, keep_mask
 from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
-from repro.sim.group import PmcastGroup, assemble_pmcast_report
+from repro.sim.group import PmcastGroup, RunOutcome, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_seed
@@ -234,14 +234,18 @@ class _FlatColumns:
     ``pool`` holds every flat's entries (member indices, -1 where line
     13 skips) then its flood targets.  Per flat id: ``start``, ``size``,
     ``flood_count``, ``floods``, ``rate`` and ``bound`` (line 7's at its
-    own rate; -1 where it floods).  Per key ``node * d + depth - 1``:
+    rate; -1 where it floods).  Per key ``node * d + depth - 1``:
     ``flat`` (-1 until asked) and ``own``, the node's entry position.
+
+    A flat's rate is the rate of every entry buffered at it: a depth-k
+    message stays among the members of one depth-k table, and publish
+    and demotion take the rate from that table.
     """
 
-    def __init__(self, flats: _Flats, nodes: List, event: Event, depth: int, config: PmcastConfig):
-        self._cell, self._nodes, self._event = flats.cell, nodes, event
+    def __init__(self, flats: _Flats, views: List, event: Event, depth: int, config: PmcastConfig):
+        self._cell, self._views, self._event = flats.cell, views, event
         self._depth, self._config = depth, config
-        self.flat, self.own = np.full((2, len(nodes) * depth), -1, np.int64)
+        self.flat, self.own = np.full((2, len(views) * depth), -1, np.int64)
         self._ids: Dict[int, int] = {}  # id(_DepthMatch) -> flat id
         self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
         self.floods, self.rate = np.empty(0, bool), np.empty(0)
@@ -253,9 +257,9 @@ class _FlatColumns:
         ids = self.flat[keys]
         missing = np.flatnonzero(ids < 0)
         if len(missing):
-            asking, views, cell = nodes[missing].tolist(), self._nodes, self._cell
+            asking, views, cell = nodes[missing].tolist(), self._views, self._cell
             pairs = zip(asking, depths[missing].tolist())
-            matches = [cell(views[i]._views[d], self._event) for i, d in pairs]
+            matches = [cell(views[i][d], self._event) for i, d in pairs]
             known, before = self._ids, len(self._ids)
             found = [known.setdefault(id(match), len(known)) for match in matches]
             if len(known) > before:
@@ -264,16 +268,6 @@ class _FlatColumns:
             self.flat[keys[missing]] = ids[missing] = found
             self.own[keys[missing]] = [match.pos.get(i, -1) for match, i in zip(matches, asking)]
         return ids
-
-    def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """Line 7's bound per row of flat ``ids`` for an entry buffered at
-        ``rate``: the flat's own but where a message brought another."""
-        bound = self.bound[ids]
-        other = np.flatnonzero(rate != self.rate[ids])
-        if len(other):
-            sizes, rates = self.size[ids[other]].tolist(), rate[other].tolist()
-            bound[other] = [depth_round_bound(*row, self._config) for row in zip(sizes, rates)]
-        return bound
 
     def _add(self, matches: List[_DepthMatch]) -> None:
         """Columns and pool slots for the next flat ids, ``matches``."""
@@ -307,7 +301,7 @@ def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tupl
         flooding = flats.floods[ids]
         floods[todo[flooding]] = True
         todo, ids = todo[~flooding], ids[~flooding]
-        going = round_[todo] < flats.bound_at(ids, rate[todo])
+        going = round_[todo] < flats.bound[ids]
         gossips[todo[going]] = True
         round_[todo[going]] += 1
         todo = todo[~going]
@@ -328,18 +322,15 @@ def try_run_vectorized(
     network: LossyNetwork,
     crash_schedule: CrashSchedule,
     observer: Observer = NULL_OBSERVER,
-) -> Optional[DisseminationReport]:
-    """Run one dissemination on the compat kernel, or None if a live
-    node still buffers an event.
+) -> Tuple[DisseminationReport, RunOutcome]:
+    """Run one dissemination on the compat kernel: its report and its
+    outcome.
 
     Stream-compatible with the reference loop: same gossip/loss draws
-    in the same order, same report, the same trace records in the same
-    order (through ``observer.emit``, so sampled alike), and the object
-    model (node liveness, delivery sets, message counters, leftover
-    buffers) is written back so post-run inspection cannot tell the
-    paths apart.  The decline reads node state only, so it leaves the
-    run's RNG streams untouched for the reference loop.  A node's flat
-    at a depth is looked up when it first gossips there.
+    in the same order, same report and outcome, the same trace records
+    in the same order (through ``observer.emit``, so sampled alike).
+    The run starts from the group's static columns; a node's flat at a
+    depth is looked up when it first gossips there.
     ``observer.registry`` receives per-round ``vector.*`` counters;
     ``observer.timeline`` receives ``engine`` ``fan_out``/``exchange``
     spans under the names the reference loop uses — both out of band.
@@ -347,54 +338,26 @@ def try_run_vectorized(
     A round is array passes (:func:`_settle`), one ``sample_positions_each``
     and one gather of destinations (docs/PROTOCOL.md).
     """
-    addresses = group.addresses()
-    nodes = group.ordered_nodes()
-    # Node state is read through node_state's attrgetter maps: no Python
-    # frame per member.
-    alive_now = list(map(node_state.alive_of, nodes))
-    # A live node mid-event lives on the object model, which the
-    # single-event arrays cannot represent.  A crashed one never gossips
-    # or receives again on either path, so its leftover buffer is inert.
-    if any(compress(map(node_state.buffered_ids, nodes), alive_now)):
-        return None
     registry, timeline = observer.registry, observer.timeline
-
+    addresses = group.addresses()
     n = len(addresses)
     tree_depth = group.tree.depth
-    index_of = dict(zip(addresses, range(n)))
-    components = np.fromiter(chain.from_iterable(map(component_key, addresses)), int).reshape(n, -1)
-    own_list = [i.matches(event) for i in map(node_state.interest_of, nodes)]
-    own_match = np.array(own_list, bool)
-    alive = np.array(alive_now, bool)
-    received = np.fromiter(
-        map(contains, map(node_state.received_ids, nodes), repeat(event.event_id)), bool, n
-    )
-    # The run's deliveries (one made before it is already on the node),
-    # the run's crashes, and who holds the event now.
-    delivered, crashed, infected = np.zeros((3, n), bool)
+    index_of, components = group.index_of, group.components
+    own_match = group.interest_mask(event)
+    alive = group.alive.copy()
+    received, delivered = np.zeros((2, n), bool)
     config, rng = group.config, ctx.rng
     fanout = config.fanout
-    flats = _FlatColumns(_Flats(ctx, config, index_of), nodes, event, tree_depth, config)
-
-    pub = index_of.get(publisher)
-    if pub is None:
-        raise SimulationError(f"{publisher} is not in the group")
-
-    # Ground truth before anybody crashes (exactly the scalar order);
-    # own_list already holds it, in address order.
-    interested = set(compress(addresses, own_list))
-    sent_before = sum(map(node_state.sent_of, nodes))
-    receptions_before = sum(map(node_state.receptions_of, nodes))
+    flats = _FlatColumns(_Flats(ctx, config, index_of), group.views, event, tree_depth, config)
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
-    if received[pub]:
-        raise ProtocolError(f"event {event.event_id} already published")
-    received[pub] = infected[pub] = True
-    delivered[pub] = own_list[pub]
+    pub = index_of[publisher]
+    received[pub] = True
+    delivered[pub] = own_match[pub]
     buf_depth, buf_round, sent_count, recv_count = np.zeros((4, n), np.int64)
     buf_rate = np.zeros(n)
     active = np.array([pub], np.int64)
-    buf_depth[pub] = nodes[pub].shortcut_depth(event) if config.local_interest_shortcut else 1
+    buf_depth[pub] = group.node(publisher).shortcut_depth(event) if config.local_interest_shortcut else 1
     published = flats.at(active, buf_depth[active])
     buf_rate[pub] = flats.rate[published[0]]
 
@@ -403,11 +366,11 @@ def try_run_vectorized(
         # Byte-identical metadata to the scalar engine's: offline
         # tooling cannot (and must not) tell the producers apart.
         observer.annotate(**dissemination_meta(
-            "repro.sim.engine", publisher, event.event_id, group.size, interested,
-            sim_config.seed,
+            "repro.sim.engine", publisher, event.event_id, group.size,
+            set(compress(addresses, own_match)), sim_config.seed,
         ))
         emit(0, "publish", publisher, event_id=event.event_id)
-        if own_list[pub]:
+        if own_match[pub]:
             emit(0, "deliver", publisher, event_id=event.event_id)
 
     infected_count = 1
@@ -429,7 +392,7 @@ def try_run_vectorized(
                 raise SimulationError(f"{victim} is not in the group")
             if not alive[vi]:
                 continue
-            alive[vi], crashed[vi] = False, True
+            alive[vi] = False
             if emit is not None:
                 emit(round_index + 1, "crash", victim)
         active = active[alive[active]]
@@ -472,13 +435,10 @@ def try_run_vectorized(
 
         with timeline.span("exchange", "engine", rounds):
             flags = network.transmit_flags(len(dest))
-            reaching = alive[dest]
-            if flags is not None:
-                reaching &= np.array(flags, bool)
+            reaching = alive[dest] if flags is None else alive[dest] & flags
             at = np.flatnonzero(reaching)
             receiver = dest[at]
             recv_count += np.bincount(receiver, minlength=n)
-            infected[receiver] = True
             # First in send order wins a node; new actives join in that
             # order, each buffering the message that reached it first.
             fresh = np.flatnonzero(~received[receiver])
@@ -491,7 +451,7 @@ def try_run_vectorized(
             buf_round[joined] = round_[firsts]
             buf_rate[joined] = rate[firsts]
             active = np.concatenate((active, joined))
-            infected_count = int(np.count_nonzero(infected))
+            infected_count += len(joined)
             if emit is not None:
                 # The scalar engine records every envelope's disposition
                 # (send/loss) before any reception — same order here.
@@ -507,7 +467,7 @@ def try_run_vectorized(
             meter_rounds.inc()
             meter_envelopes.inc(len(dest))
             if flags is not None:
-                meter_losses.inc(flags.count(False))
+                meter_losses.inc(len(flags) - int(np.count_nonzero(flags)))
             meter_infected.set(infected_count)
 
     timeline.probe_memory(subsystem="engine", round_index=rounds)
@@ -516,34 +476,27 @@ def try_run_vectorized(
         registry.counter("vector", "runs").inc()
         registry.counter("vector", "receptions").inc(int(recv_count.sum()))
 
-    # Write the outcome back through the object model so every scalar
-    # inspection API stays truthful after a vectorized run: only a node
-    # the run infected or crashed has anything to write.
-    touched = np.flatnonzero(infected | crashed)
-    columns = (alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round)
-    for i, alive_i, received_i, delivered_i, sent, receptions, depth_i, rate_i, round_i in zip(
-        touched.tolist(), *(column[touched].tolist() for column in columns)
-    ):
-        nodes[i].restore_outcome(
-            event, alive=alive_i, received=received_i, delivered=delivered_i,
-            sent_delta=sent, receptions_delta=receptions,
-            buffered=(depth_i, rate_i, round_i) if depth_i else None,
-        )
-
-    return assemble_pmcast_report(
-        group, publisher, event, interested, infected_count, rounds,
+    # A retired entry leaves its rate and round behind; the outcome has
+    # none where nothing is buffered.
+    idle = buf_depth == 0
+    buf_rate[idle], buf_round[idle] = 0.0, 0
+    outcome = RunOutcome(
+        alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round
+    )
+    report = assemble_pmcast_report(
+        group, publisher, outcome, own_match, rounds,
         tuple(infection_curve), tuple(messages_by_distance.tolist()),
         network.messages_lost, crash_schedule.victim_count,
-        sent_before=sent_before, receptions_before=receptions_before,
     )
+    return report, outcome
 
 
 def trace_sends(emit, now, addresses, dest, sender, depth, event_id, flags) -> None:
     """Both draw-for-draw kernels' send/loss records: one per envelope,
     in send order, before any reception.  Per envelope: ``dest`` and
     ``sender`` (indices into ``addresses``), its message's ``depth`` and
-    ``event_id``; ``flags`` are the link's verdicts (None: all sent)."""
-    verdicts = repeat(True) if flags is None else flags
+    ``event_id``; ``flags`` is the link's verdict mask (None: all sent)."""
+    verdicts = repeat(True) if flags is None else flags.tolist()
     for to, by, at_depth, eid, kept in zip(dest, sender, depth, event_id, verdicts):
         emit(
             now, "send" if kept else "loss", addresses[by],
@@ -651,7 +604,7 @@ class LiveRound:
     **Write-back.**  Node objects stay the only state between rounds:
     :meth:`fan_out` advances round counters, demotes and removes
     through :class:`~repro.core.buffers.DepthBuffers` and adds the
-    messages sent; :meth:`exchange` buffers first receptions through
+    messages sent; :meth:`exchange` writes each first reception through
     :meth:`PmcastNode.restore_outcome
     <repro.core.node.PmcastNode.restore_outcome>` and adds receptions.
     The walk reads a node's buckets and view tables straight off its
@@ -835,7 +788,7 @@ class LiveRound:
     def exchange(
         self,
         emission: LiveEmission,
-        flags: Optional[List[bool]],
+        flags: Optional[np.ndarray],
         node_at: List,
         receiving: np.ndarray,
     ) -> LiveArrivals:
@@ -846,7 +799,7 @@ class LiveRound:
         reads the receiver's interest now.  Written back, and the flat
         cache pruned to the events still buffered, before it returns."""
         dest = emission.dest
-        kept = np.ones(len(dest), bool) if flags is None else np.array(flags, bool)
+        kept = np.ones(len(dest), bool) if flags is None else flags
         at = np.flatnonzero(kept & receiving[dest])
         receiver = dest[at]
         rows = emission.row[at]
@@ -877,11 +830,7 @@ class LiveRound:
             delivers = node.interest.matches(event)
             node.restore_outcome(
                 event,
-                alive=True,
-                received=True,
                 delivered=delivers,
-                sent_delta=0,
-                receptions_delta=0,
                 buffered=(int(emission.depths[row]), emission.rates[row], emission.rounds[row]),
             )
             delivered.append(delivers)

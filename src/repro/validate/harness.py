@@ -48,6 +48,7 @@ machine-readable gate.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,6 +64,7 @@ from repro.sim import (
     PmcastGroup,
     bernoulli_interests,
     run_dissemination,
+    run_dissemination_outcome,
 )
 from repro.sim.rng import derive_rng, derive_seed
 from repro.validate import oracles
@@ -799,10 +801,10 @@ def _run_faults_suite(run: _Run) -> Iterator[CheckResult]:
     for name, plan, statistic, predicted in cases:
         group, addresses = _all_interested_group(4, 2, 2, 3)
         event = Event({}, event_id=1)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=run.seed), faults=plan
         )
-        held = [a for a in addresses if group.node(a).has_received(event)]
+        held = list(compress(group.addresses(), outcome.received))
         yield _check(
             "faults",
             name,

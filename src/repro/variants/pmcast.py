@@ -12,6 +12,7 @@ the pre-extraction engine, which the golden-seed suites pin.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.addressing import Address
@@ -19,13 +20,12 @@ from repro.config import SimConfig
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope
 from repro.core.node import PmcastNode
-from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.obs.trace import dissemination_meta
 from repro.sim.crashes import CrashSchedule
-from repro.sim.group import PmcastGroup, assemble_pmcast_report
+from repro.sim.group import PmcastGroup, RunOutcome, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
@@ -78,18 +78,18 @@ def prepare_pmcast_run(
             emit,
         )
     ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
-    if not group.node(publisher).alive:
-        raise SimulationError(f"publisher {publisher} has crashed")
+    group.check_publisher(publisher)
     return link, crash_schedule, ctx
 
 
 class PmcastVariant(DisseminationVariant):
     """Tree-structured gossip over a wired :class:`PmcastGroup`.
 
-    The variant borrows the group's node state for the duration of one
-    run (like the engine always has); ``finalize`` reads the outcome
-    back out of the nodes, so the report is a pure function of the
-    group after the last round.
+    The variant wires a node from the group the first time the run
+    touches a member (publish, crash or reception) and steps only
+    those; ``finalize`` reads them into the run's
+    :class:`~repro.sim.group.RunOutcome`, kept as ``outcome``, and
+    scores it.
     """
 
     name = "pmcast"
@@ -109,18 +109,22 @@ class PmcastVariant(DisseminationVariant):
         self.event = event
         self.ctx = ctx
         self.seed = sim_config.seed
-        self.origin = group.node(publisher)
+        # The nodes the run touched, by address.
+        self.nodes: Dict[Address, PmcastNode] = {}
+        self.origin = self._node(publisher)
         # Ground truth for the metrics, before anybody crashes.
-        self.interested = set(group.interested_members(event))
-        self.sent_before = sum(
-            node.messages_sent for node in group.nodes()
-        )
-        self.receptions_before = sum(
-            node.receptions for node in group.nodes()
-        )
+        self.wanted = group.interest_mask(event)
         # Insertion-ordered on purpose (see module docstring).
         self.active: Dict[Address, PmcastNode] = {publisher: self.origin}
         self.infected = {publisher}
+        self.outcome: Optional[RunOutcome] = None
+
+    def _node(self, address: Address) -> PmcastNode:
+        """The run's node at ``address``, wired on first touch."""
+        node = self.nodes.get(address)
+        if node is None:
+            node = self.nodes[address] = self.group.node(address)
+        return node
 
     @property
     def depth(self) -> int:
@@ -132,7 +136,7 @@ class PmcastVariant(DisseminationVariant):
             self.publisher,
             self.event.event_id,
             self.group.size,
-            self.interested,
+            set(compress(self.group.addresses(), self.wanted)),
             self.seed,
         )
 
@@ -147,7 +151,7 @@ class PmcastVariant(DisseminationVariant):
                 )
 
     def crash(self, victim: Address) -> bool:
-        node = self.group.node(victim)
+        node = self._node(victim)
         if not node.alive:
             return False
         node.alive = False
@@ -176,7 +180,7 @@ class PmcastVariant(DisseminationVariant):
     def receive(
         self, envelope: Envelope, emit: Optional[Emit], rounds: int
     ) -> None:
-        receiver = self.group.node(envelope.destination)
+        receiver = self._node(envelope.destination)
         freshly_delivered = (
             emit is not None
             and not receiver.has_delivered(envelope.message.event)
@@ -219,17 +223,15 @@ class PmcastVariant(DisseminationVariant):
         link: LossyNetwork,
         crash_schedule: CrashSchedule,
     ) -> DisseminationReport:
+        self.outcome = RunOutcome.from_nodes(self.group, self.nodes.values(), self.event)
         return assemble_pmcast_report(
             self.group,
             self.publisher,
-            self.event,
-            self.interested,
-            len(self.infected),
+            self.outcome,
+            self.wanted,
             rounds,
             infection_curve,
             messages_by_distance,
             link.messages_lost,
             crash_schedule.victim_count + link.scripted_crashes,
-            sent_before=self.sent_before,
-            receptions_before=self.receptions_before,
         )

@@ -4,7 +4,7 @@
 from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.interests import Event, StaticInterest
-from repro.sim import PmcastGroup, run_dissemination
+from repro.sim import PmcastGroup, run_dissemination, run_dissemination_outcome
 
 
 class TestSingleMemberGroup:
@@ -12,12 +12,12 @@ class TestSingleMemberGroup:
         members = {Address((0, 0)): StaticInterest(True)}
         group = PmcastGroup.build(members, PmcastConfig(redundancy=1))
         event = Event({}, event_id=50_001)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, Address((0, 0)), event, SimConfig(seed=1)
         )
         assert report.delivery_ratio == 1.0
         assert report.messages_sent == 0
-        assert group.node(Address((0, 0))).has_delivered(event)
+        assert outcome.delivered.tolist() == [True]
 
 
 class TestTwoMemberGroup:

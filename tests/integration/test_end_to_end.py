@@ -85,7 +85,7 @@ class TestChurnThenDisseminate:
         assert newcomer in system.members()
         event = Event({"kind": 2}, event_id=5000)
         report = system.publish(Address((0, 0, 0)), event, SimConfig(seed=9))
-        assert system.node(newcomer).has_delivered(event)
+        assert newcomer in system.delivered_to(event)
         assert report.delivery_ratio == 1.0
 
     def test_delegate_leaves_tree_reroutes(self):

@@ -10,6 +10,8 @@ must satisfy the structural invariants regardless of outcome quality:
 * reports are internally consistent with the trace.
 """
 
+from itertools import compress
+
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import AddressSpace
@@ -20,8 +22,9 @@ from repro.sim import (
     TraceLog,
     bernoulli_interests,
     derive_rng,
-    run_dissemination,
+    run_dissemination_outcome,
 )
+from repro.obs import Observer
 
 
 @st.composite
@@ -60,7 +63,7 @@ def run_scenario(params):
     trace = TraceLog()
     event = Event({}, event_id=params["seed"])
     publisher = addresses[params["seed"] % len(addresses)]
-    report = run_dissemination(
+    report, outcome = run_dissemination_outcome(
         group,
         publisher,
         event,
@@ -69,35 +72,33 @@ def run_scenario(params):
             loss_probability=params["loss"],
             crash_fraction=params["crash"],
         ),
-        trace=trace,
+        observer=Observer(trace=trace),
     )
-    return group, report, trace, event, publisher
+    return group, report, trace, event, publisher, outcome
 
 
 class TestEngineInvariants:
     @given(scenarios())
     @settings(max_examples=40, deadline=None)
     def test_delivery_exactly_at_interested_receivers(self, params):
-        group, report, trace, event, publisher = run_scenario(params)
+        group, report, trace, event, publisher, outcome = run_scenario(params)
         interested = set(group.interested_members(event))
-        for node in group.nodes():
-            received = node.has_received(event)
-            delivered = node.has_delivered(event)
+        for address, received, delivered in zip(
+            group.addresses(), outcome.received, outcome.delivered
+        ):
             if delivered:
                 assert received
-                assert node.address in interested
-            if received and node.address in interested:
+                assert address in interested
+            if received and address in interested:
                 assert delivered
 
     @given(scenarios())
     @settings(max_examples=40, deadline=None)
     def test_report_consistent_with_nodes(self, params):
-        group, report, trace, event, publisher = run_scenario(params)
+        group, report, trace, event, publisher, outcome = run_scenario(params)
         interested = set(group.interested_members(event))
-        delivered = sum(
-            1
-            for address in interested
-            if group.node(address).has_delivered(event)
+        delivered = len(
+            interested & set(compress(group.addresses(), outcome.delivered))
         )
         assert report.delivered_interested == delivered
         assert report.interested == len(interested)
@@ -108,7 +109,7 @@ class TestEngineInvariants:
     @given(scenarios())
     @settings(max_examples=40, deadline=None)
     def test_trace_conservation(self, params):
-        group, report, trace, event, publisher = run_scenario(params)
+        group, report, trace, event, publisher, outcome = run_scenario(params)
         # Every receive pairs with a send that survived the network,
         # except dead letters: a crashed receiver performs no protocol
         # action, so envelopes arriving from its crash round onward get
@@ -141,23 +142,20 @@ class TestEngineInvariants:
         if params["threshold"] != 0:
             return  # tuning deliberately contacts uninterested processes
         params = dict(params, loss=0.0, crash=0.0)
-        group, report, trace, event, publisher = run_scenario(params)
+        group, report, trace, event, publisher, outcome = run_scenario(params)
         interested = set(group.interested_members(event))
         depth = group.tree.depth
-        for node in group.nodes():
-            address = node.address
+        for address, received in zip(group.addresses(), outcome.received):
             if address in interested or address == publisher:
                 continue
             if group.tree.is_delegate(address, depth):
                 continue  # a delegate: susceptible on others' behalf
             # A plain uninterested leaf process must never be touched.
-            assert not node.has_received(event)
+            assert not received
 
     @given(scenarios())
     @settings(max_examples=30, deadline=None)
     def test_termination_and_idle(self, params):
-        group, report, trace, event, publisher = run_scenario(params)
+        group, report, trace, event, publisher, outcome = run_scenario(params)
         assert report.rounds < SimConfig().max_rounds
-        for node in group.nodes():
-            if node.alive:
-                assert node.is_idle
+        assert not outcome.buf_depth[outcome.alive].any()

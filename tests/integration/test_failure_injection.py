@@ -1,11 +1,18 @@
 """Failure-injection scenarios beyond the i.i.d. model of §4.1."""
 
 
+from itertools import compress
+
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults import FaultPlan
 from repro.interests import Event, StaticInterest
-from repro.sim import CrashSchedule, PmcastGroup, run_dissemination
+from repro.sim import (
+    CrashSchedule,
+    PmcastGroup,
+    run_dissemination,
+    run_dissemination_outcome,
+)
 
 
 def build_group(arity=4, depth=3, redundancy=3, fanout=3):
@@ -21,6 +28,11 @@ def build_group(arity=4, depth=3, redundancy=3, fanout=3):
         ),
     )
     return group, sorted(members)
+
+
+def holding(group, column):
+    """The members whose outcome ``column`` is set."""
+    return set(compress(group.addresses(), column))
 
 
 class TestPublisherCrash:
@@ -60,7 +72,7 @@ class TestSubgroupWipeout:
         publisher = addresses[-1]
         schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=603)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, publisher, event, SimConfig(seed=63),
             crash_schedule=schedule,
         )
@@ -73,13 +85,9 @@ class TestSubgroupWipeout:
             if a.components[0] == 0 and a not in set(victims)
         ]
         others = [a for a in addresses if a.components[0] != 0]
-        delivered_others = [
-            a for a in others if group.node(a).has_delivered(event)
-        ]
+        delivered_others = set(others) & holding(group, outcome.delivered)
         assert len(delivered_others) >= 0.9 * len(others)
-        assert not any(
-            group.node(a).has_received(event) for a in stranded
-        )
+        assert not set(stranded) & holding(group, outcome.received)
 
     def test_all_root_delegates_of_one_subtree_crash(self):
         group, addresses = build_group(redundancy=2)
@@ -89,13 +97,11 @@ class TestSubgroupWipeout:
         publisher = addresses[0]
         schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=604)
-        run_dissemination(
+        __, outcome = run_dissemination_outcome(
             group, publisher, event, SimConfig(seed=64),
             crash_schedule=schedule,
         )
-        reached = [
-            a for a in subtree[2:] if group.node(a).has_received(event)
-        ]
+        reached = set(subtree[2:]) & holding(group, outcome.received)
         # With its only root representatives dead and no membership
         # repair in a single static run, subtree 2 is unreachable —
         # this is exactly why R must exceed the tolerated failures and
@@ -120,22 +126,19 @@ class TestPartitionHealing:
         # at this size) is still live — cross-subtree traffic only
         # flows at the root depth.
         event = Event({}, event_id=605)
-        run_dissemination(
+        __, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=65),
             faults=cut_plan(0, 1),
         )
-        delivered = [
-            a for a in addresses if group.node(a).has_delivered(event)
-        ]
+        delivered = holding(group, outcome.delivered)
         assert len(delivered) >= 0.9 * len(addresses)
 
     def test_permanent_partition_contains_the_event(self):
         group, addresses = build_group()
         event = Event({}, event_id=606)
-        run_dissemination(
+        __, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=66),
             faults=cut_plan(0, 64),
         )
-        for address in addresses:
-            if address.components[0] >= 2:
-                assert not group.node(address).has_received(event)
+        for address in holding(group, outcome.received):
+            assert address.components[0] < 2

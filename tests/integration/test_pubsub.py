@@ -1,5 +1,7 @@
 """Tests for the high-level PubSubSystem facade."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.addressing import Address, AddressSpace
@@ -7,6 +9,7 @@ from repro.config import PmcastConfig, SimConfig
 from repro.errors import MembershipError, SimulationError
 from repro.interests import Event, parse_subscription
 from repro.pubsub import PubSubSystem
+from repro.sim import CrashSchedule, derive_rng
 
 CONFIG = PmcastConfig(fanout=2, redundancy=2, min_rounds_per_depth=2)
 
@@ -33,7 +36,6 @@ class TestSubscribe:
         system.subscribe(address, parse_subscription("topic >= 100"))
         event = Event({"topic": 6})
         report = system.publish(Address((2, 2, 2)), event)
-        assert not system.node(address).has_delivered(event)
         assert address not in system.delivered_to(event)
         assert report.delivery_ratio > 0.9
 
@@ -51,34 +53,27 @@ class TestRefreshInPlace:
         first = Address((0, 0, 7))
         system.subscribe(first, parse_subscription("topic >= 1"))
         tables = dict(system._directory.tables)
-        nodes = dict(system._nodes)
         newcomer = Address((0, 0, 8))
         system.subscribe(newcomer, parse_subscription("topic >= 1"))
         # Refreshed in place: no table on (or off) the path is a new
-        # object, and the only node built is the newcomer's.
+        # object...
         assert set(system._directory.tables) == set(tables)
         for prefix, table in tables.items():
             assert system._directory.tables[prefix] is table
-        assert set(system._nodes) - set(nodes) == {newcomer}
-        for address, node in nodes.items():
-            assert system._nodes[address] is node
         # ... and everybody sees the newcomer through the shared table.
+        group = system._as_group()
         leaf = newcomer.prefixes()[-1]
-        assert system.node(first)._views[leaf.depth] is tables[leaf]
+        assert group.node(first)._views[leaf.depth] is tables[leaf]
         assert tables[leaf].has_row(8)
-        assert system.node(newcomer)._views[leaf.depth] is tables[leaf]
+        assert group.node(newcomer)._views[leaf.depth] is tables[leaf]
 
     def test_new_subgroup_is_wired_into_the_newcomer_only(self):
         system = populated_system()
-        nodes = dict(system._nodes)
         newcomer = Address((5, 0, 0))
         system.subscribe(newcomer, parse_subscription("topic >= 1"))
-        assert set(system._nodes) - set(nodes) == {newcomer}
+        node = system._as_group().node(newcomer)
         for prefix in newcomer.prefixes():
-            assert (
-                system.node(newcomer)._views[prefix.depth]
-                is system._directory.tables[prefix]
-            )
+            assert node._views[prefix.depth] is system._directory.tables[prefix]
         event = Event({"topic": 2})
         system.publish(Address((0, 0, 1)), event)
         assert newcomer in system.delivered_to(event)
@@ -138,6 +133,45 @@ class TestChurnDuringOperation:
         follow_up = Event({"topic": 2})
         report = system.publish(Address((2, 2, 2)), follow_up)
         assert report.delivery_ratio == 1.0
+
+    def test_a_member_crashed_by_a_publish_stays_down(self):
+        # Publish 1 samples a crash schedule; whoever it crashed before
+        # the run ended is still down in publish 2, which crashes nobody.
+        # A short horizon, so the sampled crash rounds fall inside a run.
+        sim = SimConfig(seed=99, crash_fraction=0.3, max_rounds=16)
+
+        def system(crash_fraction):
+            built = PubSubSystem(
+                depth=3, config=CONFIG,
+                sim_config=replace(sim, crash_fraction=crash_fraction),
+            )
+            for address in AddressSpace.regular(3, 3).enumerate_regular(3):
+                built.subscribe(address, parse_subscription("topic >= 1"))
+            return built
+
+        crashy = system(0.3)
+        first = Event({"topic": 2}, event_id=1)
+        report = crashy.publish(Address((2, 2, 2)), first)
+        # The schedule publish 1 sampled (seed 99 + its publish count).
+        schedule = CrashSchedule.sample(
+            crashy.members(), 0.3, horizon=16,
+            rng=derive_rng(100, "crash", first.event_id),
+        )
+        crashed = {
+            address
+            for address in crashy.members()
+            for r in range(report.rounds + 1)
+            if address in schedule.crashes_at(r)
+        }
+        assert crashed
+        publisher = next(a for a in crashy.members() if a not in crashed)
+        second = Event({"topic": 2}, event_id=2)
+        crashy.publish(publisher, second, SimConfig(seed=7))
+        assert not crashed & set(crashy.delivered_to(second))
+        # Without publish 1, the same publish reaches every one of them.
+        fresh = system(0.0)
+        fresh.publish(publisher, second, SimConfig(seed=7))
+        assert crashed <= set(fresh.delivered_to(second))
 
     def test_delegate_departure_heals(self):
         system = populated_system()

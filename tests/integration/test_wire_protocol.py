@@ -36,31 +36,32 @@ def build_group():
 class TestWireProtocol:
     def run_over_the_wire(self, event):
         group, addresses = build_group()
+        nodes = {address: group.node(address) for address in addresses}
         ctx = GossipContext(derive_rng(55, "wire"))
-        group.node(addresses[0]).pmcast(event, ctx)
+        nodes[addresses[0]].pmcast(event, ctx)
         wire_messages = 0
         for __ in range(64):
             envelopes = []
-            for node in group.nodes():
+            for node in nodes.values():
                 envelopes.extend(node.gossip_step(ctx))
             for envelope in envelopes:
                 # The actual wire boundary: dict -> JSON text -> dict.
                 payload = json.dumps(encode_message(envelope.message))
                 message = decode_message(json.loads(payload))
-                group.node(envelope.destination).receive(message, ctx)
+                nodes[envelope.destination].receive(message, ctx)
                 wire_messages += 1
-            if all(node.is_idle for node in group.nodes()):
+            if all(node.is_idle for node in nodes.values()):
                 break
-        return group, addresses, wire_messages
+        return group, nodes, wire_messages
 
     def test_dissemination_over_json(self):
         event = Event({"b": 3}, event_id=30_001)
-        group, addresses, wire_messages = self.run_over_the_wire(event)
+        group, nodes, wire_messages = self.run_over_the_wire(event)
         assert wire_messages > 0
         interested = set(group.interested_members(event))
         delivered = {
             node.address
-            for node in group.nodes()
+            for node in nodes.values()
             if node.has_delivered(event)
         }
         assert delivered == interested  # "b > 0" half, loss-free
@@ -68,9 +69,9 @@ class TestWireProtocol:
 
     def test_event_identity_survives_the_wire(self):
         event = Event({"b": 9}, event_id=30_002)
-        group, addresses, __ = self.run_over_the_wire(event)
+        __, nodes, __ = self.run_over_the_wire(event)
         # Dedup across wire hops: nobody delivered twice.
-        for node in group.nodes():
+        for node in nodes.values():
             assert len(node._delivered) == len(set(node._delivered))
 
     def test_view_transfer_over_json(self):

@@ -47,7 +47,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "transmit ignores the loss verdicts",
         "repro/sim/network.py",
-        "return envelopes if flags is None else list(compress(envelopes, flags))",
+        "return envelopes if flags is None else list(compress(envelopes, flags.tolist()))",
         "return envelopes",
         ("tests/sim/test_network.py::TestLoss::test_transmit_is_one_flags_batch",),
     ),
@@ -67,6 +67,13 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "    fanout = config.fanout\n    flats = _FlatColumns(",
         "    fanout = config.fanout - 1\n    flats = _FlatColumns(",
         ("tests/sim/test_vector.py::TestCompatBitIdentity",),
+    ),
+    Mutant(
+        "the compat kernel's outcome reports no leftover buffer",
+        "repro/sim/vector.py",
+        "        alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round\n",
+        "        alive, received, delivered, sent_count, recv_count, 0 * buf_depth, buf_rate, buf_round\n",
+        ("tests/sim/test_vector.py::TestCompatBitIdentity::test_report_and_node_state_identical",),
     ),
     Mutant(
         "the batched draw's set branch accepts a repeat",

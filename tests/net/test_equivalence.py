@@ -59,13 +59,13 @@ def trace_digest(trace):
     return hashlib.sha256(payload).hexdigest()
 
 
-def build_group(arity, depth, seed=11, rate=0.3):
+def build_group(arity, depth, seed=11, rate=0.3, down=()):
     addresses = AddressSpace.regular(arity, depth).enumerate_regular(arity)
     members = bernoulli_interests(
         addresses, rate, derive_rng(seed, "golden-int")
     )
     group = PmcastGroup.build(
-        members, PmcastConfig(fanout=2, redundancy=2)
+        members, PmcastConfig(fanout=2, redundancy=2), down=down
     )
     return group, addresses
 
@@ -250,8 +250,7 @@ class TestPublisherIsCheckedFirst:
 
     @pytest.mark.parametrize("driver", sorted(DRIVERS))
     def test_crashed(self, driver):
-        group, addresses = build_group(4, 2)
-        group.node(addresses[0]).alive = False
+        group, addresses = build_group(4, 2, down=[Address((0, 0))])
         with pytest.raises(SimulationError, match="has crashed"):
             self.DRIVERS[driver](group, addresses[0], Event({}, event_id=1))
 

@@ -1,8 +1,10 @@
 """Integration tests for the round-synchronous engine."""
 
+from itertools import compress
+
 import pytest
 
-from repro.addressing import AddressSpace
+from repro.addressing import Address, AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
@@ -13,17 +15,23 @@ from repro.sim import (
     bernoulli_interests,
     derive_rng,
     run_dissemination,
+    run_dissemination_outcome,
 )
 
 
-def build_group(arity=3, depth=3, rate=1.0, redundancy=2, seed=0, **config):
+def build_group(arity=3, depth=3, rate=1.0, redundancy=2, seed=0, down=(), **config):
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
     members = bernoulli_interests(addresses, rate, derive_rng(seed, "w"))
     pm = PmcastConfig(
         fanout=2, redundancy=redundancy, min_rounds_per_depth=2, **config
     )
-    return PmcastGroup.build(members, pm), addresses
+    return PmcastGroup.build(members, pm, down=down), addresses
+
+
+def holding(group, column):
+    """The members whose outcome ``column`` is set."""
+    return set(compress(group.addresses(), column))
 
 
 class TestLossFreeDissemination:
@@ -60,11 +68,11 @@ class TestLossFreeDissemination:
 
     def test_terminates_and_goes_idle(self):
         group, addresses = build_group()
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], Event({}), SimConfig(seed=5)
         )
         assert report.rounds < SimConfig().max_rounds
-        assert all(node.is_idle for node in group.nodes())
+        assert not outcome.buf_depth.any()
 
     def test_infection_curve_monotone(self):
         group, addresses = build_group()
@@ -87,8 +95,7 @@ class TestLossFreeDissemination:
         assert reports[0] == reports[1]
 
     def test_crashed_publisher_rejected(self):
-        group, addresses = build_group()
-        group.node(addresses[0]).alive = False
+        group, addresses = build_group(down=[Address((0, 0, 0))])
         with pytest.raises(SimulationError):
             run_dissemination(group, addresses[0], Event({}), SimConfig())
 
@@ -97,15 +104,11 @@ class TestConservationInvariants:
     def test_delivered_subset_of_received_subset_of_group(self):
         group, addresses = build_group(arity=4, rate=0.4, seed=7)
         event = Event({})
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=3)
         )
-        delivered = {
-            node.address for node in group.nodes() if node.has_delivered(event)
-        }
-        received = {
-            node.address for node in group.nodes() if node.has_received(event)
-        }
+        delivered = holding(group, outcome.delivered)
+        received = holding(group, outcome.received)
         assert delivered <= received
         assert len(received) == report.received_total
         # Delivery happens exactly at interested receivers.
@@ -150,20 +153,21 @@ class TestLossAndCrashes:
         schedule = CrashSchedule({victim: 0 for victim in 
             [addresses[-1], addresses[-2], addresses[-3]]
         })
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], Event({}), SimConfig(seed=1),
             crash_schedule=schedule,
         )
         assert report.crashed == 3
-        for victim in [addresses[-1], addresses[-2], addresses[-3]]:
-            assert not group.node(victim).has_delivered(Event({}, event_id=0))
+        victims = {addresses[-1], addresses[-2], addresses[-3]}
+        assert not victims & holding(group, outcome.received)
+        assert victims <= holding(group, ~outcome.alive)
 
     def test_survivors_still_delivered_despite_crashes(self):
         group, addresses = build_group(arity=4, redundancy=3)
         victims = addresses[1:9]
         schedule = CrashSchedule({victim: 0 for victim in victims})
         event = Event({}, event_id=20_001)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=8),
             crash_schedule=schedule,
         )
@@ -172,7 +176,7 @@ class TestLossAndCrashes:
         ]
         delivered = [
             a for a in survivors_interested
-            if group.node(a).has_delivered(event)
+            if a in holding(group, outcome.delivered)
         ]
         assert len(delivered) / len(survivors_interested) > 0.9
 
@@ -185,11 +189,10 @@ class TestLossAndCrashes:
             .with_partition(0, 64, "1", "2")
         )
         event = Event({})
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[0], event, SimConfig(seed=4), faults=plan
         )
-        for address in sorted(side_b):
-            assert not group.node(address).has_received(event)
+        assert not side_b & holding(group, outcome.received)
         assert report.delivery_ratio <= (27 - len(side_b)) / 27
 
 
@@ -198,16 +201,14 @@ class TestMultipleEvents:
         group, addresses = build_group(rate=1.0)
         first = Event({})
         second = Event({})
-        report_1 = run_dissemination(
+        report_1, outcome_1 = run_dissemination_outcome(
             group, addresses[0], first, SimConfig(seed=1)
         )
-        report_2 = run_dissemination(
+        report_2, outcome_2 = run_dissemination_outcome(
             group, addresses[-1], second, SimConfig(seed=2)
         )
         assert report_1.delivery_ratio == 1.0
         assert report_2.delivery_ratio == 1.0
         # Message accounting is per-run, not cumulative.
         assert report_2.messages_sent < report_1.messages_sent * 3
-        for node in group.nodes():
-            assert node.has_delivered(first)
-            assert node.has_delivered(second)
+        assert outcome_1.delivered.all() and outcome_2.delivered.all()

@@ -14,10 +14,12 @@ Two guarantees are pinned here:
   process, not just one with a lucky hash seed.
 """
 
+from itertools import compress
+
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.interests.events import Event
-from repro.sim.engine import run_dissemination
+from repro.sim.engine import run_dissemination_outcome
 from repro.sim.group import PmcastGroup
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
@@ -33,7 +35,7 @@ class TestEngineGolden:
         )
         group = PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=2))
         event = Event({"golden": 1}, event_id=42)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group,
             addresses[0],
             event,
@@ -52,7 +54,7 @@ class TestEngineGolden:
         ]
         assert list(report.messages_by_distance) == [49, 101, 17]
         delivered = sorted(
-            str(a) for a in addresses if group.node(a).has_delivered(event)
+            str(a) for a in compress(group.addresses(), outcome.delivered)
         )
         assert delivered == [
             "0.2.0", "0.2.3", "0.3.0", "0.3.2", "1.2.0", "1.3.2", "1.3.3",
@@ -65,7 +67,7 @@ class TestEngineGolden:
         members = random_subscriptions(addresses, derive_rng(7, "golden-subs"))
         group = PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=2))
         event = Event({"b": 3, "c": 26.0, "z": 500}, event_id=43)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group, addresses[4], event, SimConfig(seed=7)
         )
         assert report.interested == 3
@@ -74,7 +76,7 @@ class TestEngineGolden:
         assert report.rounds == 7
         assert report.messages_sent == 74
         delivered = sorted(
-            str(a) for a in addresses if group.node(a).has_delivered(event)
+            str(a) for a in compress(group.addresses(), outcome.delivered)
         )
         assert delivered == ["1.0.0", "1.1.0", "2.1.0"]
 

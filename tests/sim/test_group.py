@@ -1,5 +1,7 @@
 """Tests for PmcastGroup wiring."""
 
+from itertools import compress
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,12 @@ from repro.interests import (
 from repro.membership import MembershipTree
 from repro.membership.knowledge import build_all_views
 from repro.membership.views import ViewRow, ViewTable
-from repro.sim import PmcastGroup, bernoulli_interests, derive_rng, run_dissemination
+from repro.sim import (
+    PmcastGroup,
+    bernoulli_interests,
+    derive_rng,
+    run_dissemination_outcome,
+)
 from repro.sim.crashes import CrashSchedule
 
 
@@ -36,8 +43,43 @@ class TestBuild:
     def test_size_and_nodes(self):
         group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
         assert group.size == 9
-        assert len(list(group.nodes())) == 9
+        assert len(group.addresses()) == 9
         assert group.addresses() == sorted(group.addresses())
+
+    def test_build_wires_no_node(self, monkeypatch):
+        # The group is wiring: a node exists only where a driver asks
+        # for one, and each ask wires a fresh, idle one.
+        built = []
+        wired = PmcastNode.wired.__func__
+
+        def counting(cls, *args):
+            built.append(args[0])
+            return wired(cls, *args)
+
+        monkeypatch.setattr(PmcastNode, "wired", classmethod(counting))
+        monkeypatch.setattr(
+            PmcastNode, "__init__", lambda *a: pytest.fail("built a node")
+        )
+        group = PmcastGroup.build(make_members(), PmcastConfig(redundancy=2))
+        assert built == []
+        first = group.node(Address((0, 0)))
+        assert group.node(Address((0, 0))) is not first
+        assert built == [Address((0, 0))] * 2
+        assert first.alive and first.is_idle
+
+    def test_down_members_are_wired_dead(self):
+        down = Address((1, 2))
+        group = PmcastGroup.build(
+            make_members(), PmcastConfig(redundancy=2), down=[down]
+        )
+        assert not group.node(down).alive
+        assert group.alive.tolist() == [
+            address != down for address in group.addresses()
+        ]
+        with pytest.raises(SimulationError, match="has crashed"):
+            group.check_publisher(down)
+        with pytest.raises(SimulationError, match="not in the group"):
+            PmcastGroup.build(make_members(), down=[Address((9, 9))])
 
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
@@ -72,7 +114,7 @@ class TestBuild:
         first = group.addresses()
         first.reverse()
         first.pop()
-        assert group.addresses() == sorted(node.address for node in group.nodes())
+        assert group.addresses() == sorted(make_members())
         assert group.interested_members(Event({})) == group.addresses()
 
     def test_unknown_node_rejected(self):
@@ -226,11 +268,8 @@ class TestBuiltEqualsPerMemberReference:
             assert node_fields(node) == node_fields(nodes[address])
             for prefix in address.prefixes():
                 assert node._views[prefix.depth] is group._tables[prefix]
-        assert [node.address for node in group.nodes()] == list(members)
         assert group.addresses() == sorted(members)
-        assert [node.address for node in group.ordered_nodes()] == sorted(
-            members
-        )
+        assert list(group.index_of) == sorted(members)
 
 
 @st.composite
@@ -265,6 +304,8 @@ class TestTouchedOnlyWriteBack:
     @given(crash_runs())
     @settings(max_examples=25, deadline=None)
     def test_kernel_state_equals_reference_loop(self, run):
+        # Two publishes, the second on a group built with the first
+        # one's crashed members down: outcomes equal on both paths.
         seed, publishers, schedules, silent = run
         addresses = AddressSpace.regular(4, 3).enumerate_regular(4)
         members = bernoulli_interests(addresses, 0.4, derive_rng(seed, "w"))
@@ -276,8 +317,8 @@ class TestTouchedOnlyWriteBack:
             zip(publishers, schedules)
         ):
             event = Event({}, event_id=index + 1)
-            reports = {
-                flag: run_dissemination(
+            runs = {
+                flag: run_dissemination_outcome(
                     group,
                     publisher,
                     event,
@@ -288,12 +329,19 @@ class TestTouchedOnlyWriteBack:
                 )
                 for flag, group in groups.items()
             }
-            assert reports[True] == reports[False]
-            for address in addresses:
-                assert node_fields(groups[True].node(address)) == node_fields(
-                    groups[False].node(address)
+            assert runs[True][0] == runs[False][0]
+            for column, reference in zip(runs[True][1], runs[False][1]):
+                assert column.tolist() == reference.tolist()
+            outcome = runs[True][1]
+            groups = {
+                flag: PmcastGroup.build(
+                    members, config, down=compress(addresses, ~outcome.alive)
                 )
+                for flag in groups
+            }
+            if index == 0:
+                i = addresses.index(silent)
+                assert not outcome.alive[i]
+                assert not outcome.received[i]
         for group in groups.values():
-            node = group.node(silent)
-            assert not node.alive
-            assert not node.has_received(Event({}, event_id=1))
+            assert not group.alive[addresses.index(silent)]

@@ -4,14 +4,14 @@ Two kernels live in :mod:`repro.sim.vector`:
 
 * the **compat kernel** (``try_run_vectorized``) replays the scalar
   reference loop's RNG draws position-for-position and is what
-  ``run_dissemination`` runs whenever the run is eligible, so a
+  ``run_dissemination`` runs unless the run has a fault plan, so a
   default-config run must be *bit-identical* to the same run under
   ``SimConfig(vectorized=False)`` — same report, same trace records,
-  same per-node outcome.  The suite sweeps the protocol switch matrix
+  same per-member outcome.  The suite sweeps the protocol switch matrix
   (loss, crashes, §5.3 tuning, §6 leaf flood, §3.2 shortcut), then
-  draws the whole configuration space with Hypothesis; an ineligible
-  run (fault plan, a node mid-event) must take the reference loop
-  without a warning, counted once by reason.
+  draws the whole configuration space with Hypothesis; a run under a
+  fault plan must take the reference loop without a warning, counted
+  once.
 * the **regular-tree kernel** (``RegularTreeSpec``/``TreeState``)
   has its own per-``(shard, round)`` seed contract; its round
   invariants are property-tested here (the statistical validation
@@ -25,6 +25,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -35,9 +36,7 @@ from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.interests import StaticInterest
 from repro.interests.events import Event
-from repro.membership import ViewTable
 from repro.obs import MetricsRegistry, Observer, TraceLog
 from repro.obs.sampling import TraceSampler
 from repro.obs.timeline import TimelineRecorder
@@ -50,9 +49,9 @@ from repro.sim import (
     bernoulli_interests,
     derive_rng,
     run_dissemination,
+    run_dissemination_outcome,
 )
 from repro.sim import vector
-from repro.sim.crashes import CrashSchedule
 from repro.core.rate import sample_positions
 from repro.core.rounds import depth_round_bound
 
@@ -98,24 +97,14 @@ def _build_group(config, seed=11, arity=4, depth=3):
     return PmcastGroup.build(members, config), addresses
 
 
-def _node_state(group, addresses, event):
-    """What post-run inspection can see of every node."""
+def _node_state(outcome, addresses, event):
+    """What a run's outcome says of every member: the six fields the
+    node objects of a run used to carry."""
     state = {}
-    for address in addresses:
-        node = group.node(address)
-        buffered = tuple(
-            (depth, entry.event.event_id, entry.rate, entry.round)
-            for depth in range(1, node.address.depth + 1)
-            for entry in list(node.buffers._buffers[depth - 1].values())
-        )
-        state[str(address)] = (
-            node.alive,
-            node.has_received(event),
-            node.has_delivered(event),
-            node.messages_sent,
-            node.receptions,
-            buffered,
-        )
+    columns = zip(addresses, *(column.tolist() for column in outcome))
+    for address, alive, received, delivered, sent, receptions, depth, rate, round_ in columns:
+        buffered = ((depth, event.event_id, rate, round_),) if depth else ()
+        state[str(address)] = (alive, received, delivered, sent, receptions, buffered)
     return state
 
 
@@ -126,14 +115,14 @@ def _run_pair(config, sim_kwargs, seed=11, arity=4, depth=3, **run_kwargs):
     outcomes = []
     for flag in ({"vectorized": False}, {}):
         group, addresses = _build_group(config, seed, arity, depth)
-        report = run_dissemination(
+        report, outcome = run_dissemination_outcome(
             group,
             addresses[0],
             event,
             SimConfig(seed=seed, **flag, **sim_kwargs),
             **run_kwargs,
         )
-        outcomes.append((report, _node_state(group, addresses, event)))
+        outcomes.append((report, _node_state(outcome, addresses, event)))
     return outcomes
 
 
@@ -154,6 +143,9 @@ MATRIX = [
     ("min_rounds", PmcastConfig(fanout=3, redundancy=3,
                                 min_rounds_per_depth=2),
      {"loss_probability": 0.1, "crash_fraction": 0.02}),
+    # Cut off by the round cap: live members are left buffering.
+    ("capped", PmcastConfig(fanout=2, redundancy=2),
+     {"loss_probability": 0.05, "max_rounds": 3}),
 ]
 
 
@@ -169,46 +161,19 @@ class TestCompatBitIdentity:
         assert vector_report == scalar_report
         assert vector_nodes == scalar_nodes
 
-    def test_a_view_apart_from_its_subgroups(self):
-        # Every third member holds its own depth-2 table with every row
-        # interested, so a message at depth 2 can carry a rate its
-        # receiver's flat does not have: line 7's bound is then read at
-        # the carried rate, on both paths.
-        config = PmcastConfig(fanout=2, redundancy=2)
-        event = Event({"golden": 1}, event_id=42)
-        outcomes = []
-        for flag in ({"vectorized": False}, {}):
-            group, addresses = _build_group(config)
-            for address in addresses[1::3]:
-                node = group.node(address)
-                table = node._views[2]
-                rows = [
-                    dataclasses.replace(row, interest=StaticInterest(True))
-                    for row in table.rows()
-                ]
-                node.replace_view(
-                    2, ViewTable(table.prefix, group.tree.depth, rows)
-                )
-            report = run_dissemination(
-                group, addresses[0], event,
-                SimConfig(seed=11, loss_probability=0.05, **flag),
-            )
-            outcomes.append((report, _node_state(group, addresses, event)))
-        assert outcomes[1] == outcomes[0]
-
     def test_multiple_seeds(self):
         config = PmcastConfig(fanout=2, redundancy=2)
         for seed in range(3):
             scalar, vector = _run_pair(
                 config, {"loss_probability": 0.05}, seed=seed
             )
-            assert vector[0] == scalar[0]
+            assert vector == scalar
 
     @pytest.mark.slow
     def test_paper_scale_identical(self):
         config = PmcastConfig(fanout=3, redundancy=3)
         scalar, vector = _run_pair(config, {}, arity=22, depth=3)
-        assert vector[0] == scalar[0]
+        assert vector == scalar
 
     def test_faulted_run_falls_back_and_stays_equal(self):
         # A fault plan is the reference loop's business (the injector
@@ -274,19 +239,17 @@ class TestCompatBitIdentity:
 
 
 class TestFallbackObservability:
-    """An ineligible run is ordinary dispatch: no warning, the reason
-    counter incremented once, the outcome equal to ``vectorized=False``."""
+    """A faulted run is ordinary dispatch: no warning, the fault counter
+    incremented once, the outcome equal to ``vectorized=False``."""
 
-    def _run(self, faults=None, group=None, **sim_kwargs):
+    def _run(self, faults=None, **sim_kwargs):
         """One run under ``simplefilter("error")`` -> (registry, outcome)."""
         registry = MetricsRegistry()
-        if group is None:
-            group, __ = _build_group(PmcastConfig(fanout=2, redundancy=2))
-        addresses = group.addresses()
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
         event = Event({"golden": 1}, event_id=42)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = run_dissemination(
+            report, outcome = run_dissemination_outcome(
                 group,
                 addresses[0],
                 event,
@@ -294,12 +257,12 @@ class TestFallbackObservability:
                 faults=faults,
                 observer=Observer(registry=registry),
             )
-        return registry, (report, _node_state(group, addresses, event))
+        return registry, (report, _node_state(outcome, addresses, event))
 
     def _fallbacks(self, registry):
         return {
             reason: registry.counter("sim", f"vector_fallback{reason}").value
-            for reason in ("", "_faults", "_ineligible")
+            for reason in ("", "_faults")
         }
 
     def test_eligible_run_is_silent_and_uncounted(self):
@@ -316,82 +279,17 @@ class TestFallbackObservability:
     def test_fault_fallback_counted_by_reason(self):
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
         registry, outcome = self._run(faults=plan)
-        assert self._fallbacks(registry) == {
-            "": 1, "_faults": 1, "_ineligible": 0,
-        }
+        assert self._fallbacks(registry) == {"": 1, "_faults": 1}
         assert outcome == self._run(faults=plan, vectorized=False)[1]
-
-    def _mid_event_group(self):
-        """A group whose first event was cut off by the round cap, so
-        live nodes still buffer it."""
-        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
-        run_dissemination(
-            group,
-            addresses[5],
-            Event({"golden": 1}, event_id=7),
-            SimConfig(seed=3, max_rounds=2, vectorized=False),
-        )
-        assert any(not node.is_idle for node in group.nodes())
-        return group
-
-    def test_buffered_event_is_ineligible_before_any_flattening(
-        self, monkeypatch
-    ):
-        reference = self._run(group=self._mid_event_group(), vectorized=False)
-        # Declined by the cheap pass: not one table is flattened.
-        monkeypatch.setattr(
-            vector,
-            "_DepthMatch",
-            lambda *args: pytest.fail("flattened an ineligible run"),
-        )
-        registry, outcome = self._run(group=self._mid_event_group())
-        assert self._fallbacks(registry) == {
-            "": 1, "_faults": 0, "_ineligible": 1,
-        }
-        assert outcome == reference[1]
-
-
-    def _crashed_holder_group(self):
-        """A group whose first event ran to the end with its publisher
-        crashed in round 1, still buffering the event."""
-        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
-        run_dissemination(
-            group,
-            addresses[5],
-            Event({"golden": 1}, event_id=7),
-            SimConfig(seed=3, loss_probability=0.05),
-            crash_schedule=CrashSchedule({addresses[5]: 1}),
-        )
-        nodes = list(group.nodes())
-        assert not group.node(addresses[5]).is_idle
-        assert all(node.is_idle for node in nodes if node.alive)
-        return group, addresses
-
-    def test_a_crashed_nodes_leftover_buffer_takes_the_kernel(self):
-        event = Event({"golden": 2}, event_id=8)
-        outcomes, registries = [], []
-        for flag in ({}, {"vectorized": False}):
-            group, addresses = self._crashed_holder_group()
-            registry, trace = MetricsRegistry(), TraceLog()
-            report = run_dissemination(
-                group,
-                addresses[0],
-                event,
-                SimConfig(seed=11, loss_probability=0.05, **flag),
-                observer=Observer(registry=registry, trace=trace),
-            )
-            outcomes.append((report, _node_state(group, addresses, event), list(trace)))
-            registries.append(registry)
-        assert set(self._fallbacks(registries[0]).values()) == {0}
-        assert registries[0].counter("vector", "runs").value == 1
-        assert outcomes[0] == outcomes[1]
 
 
 class TestPubSubPublish:
-    """The kernel as ``PubSubSystem.publish`` now meets it: several
-    events, one after the other, on one set of nodes."""
+    """The kernel as ``PubSubSystem.publish`` meets it: several events,
+    one after the other, on one system."""
 
-    def _publish_twice(self, **flag):
+    def _publish_twice(self, monkeypatch, **flag):
+        import repro.pubsub
+
         system = PubSubSystem(
             depth=3,
             config=PmcastConfig(fanout=2, redundancy=2),
@@ -405,6 +303,14 @@ class TestPubSubPublish:
             system.subscribe(address, interest)
         addresses = system.members()
         events = [Event({"n": n}, event_id=100 + n) for n in range(2)]
+        outcomes = []
+
+        def spy(*args, **kwargs):
+            report, outcome = run_dissemination_outcome(*args, **kwargs)
+            outcomes.append(outcome)
+            return report, outcome
+
+        monkeypatch.setattr(repro.pubsub, "run_dissemination_outcome", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = [
@@ -412,40 +318,28 @@ class TestPubSubPublish:
                 for n, event in enumerate(events)
             ]
         state = [
-            (
-                system.delivered_to(event),
-                [
-                    (
-                        system.node(a).has_received(event),
-                        system.node(a).messages_sent,
-                        system.node(a).receptions,
-                        system.node(a).is_idle,
-                    )
-                    for a in addresses
-                ],
-            )
-            for event in events
+            (system.delivered_to(event), _node_state(outcome, addresses, event))
+            for event, outcome in zip(events, outcomes)
         ]
         return reports, state
 
     def test_two_publishes_equal_the_reference_loop(self, monkeypatch):
         from repro.sim import engine
 
-        kernel_ran = []
+        kernel_runs = []
 
         def spy(*args, **kwargs):
-            report = vector.try_run_vectorized(*args, **kwargs)
-            kernel_ran.append(report is not None)
-            return report
+            kernel_runs.append(1)
+            return vector.try_run_vectorized(*args, **kwargs)
 
         monkeypatch.setattr(engine, "try_run_vectorized", spy)
-        default = self._publish_twice()
-        # Both publishes were eligible (the first left every node idle)...
-        assert kernel_ran == [True, True]
+        default = self._publish_twice(monkeypatch)
+        # Both publishes took the kernel...
+        assert len(kernel_runs) == 2
         # ...and equal the reference loop, which never asks the kernel
         # (publish() must hand the system's whole SimConfig down).
-        assert default == self._publish_twice(vectorized=False)
-        assert kernel_ran == [True, True]
+        assert default == self._publish_twice(monkeypatch, vectorized=False)
+        assert len(kernel_runs) == 2
         assert all(report.received_total > 1 for report in default[0])
 
 
@@ -556,18 +450,18 @@ class TestGeneratedEquivalence:
             seed=scenario["seed"],
             **flag,
         )
-        outcome = []
+        played = []
         for event_id, pick in enumerate(
             (scenario["publisher"], scenario["second_publisher"]), start=1
         ):
             if pick is None:
                 continue
-            alive = [a for a in addresses if group.node(a).alive]
+            alive = list(compress(group.addresses(), group.alive))
             if not alive:
                 continue
             event = Event({"n": event_id}, event_id=event_id)
             trace = TraceLog()
-            report = run_dissemination(
+            report, outcome = run_dissemination_outcome(
                 group,
                 alive[pick % len(alive)],
                 event,
@@ -580,15 +474,20 @@ class TestGeneratedEquivalence:
                     ),
                 ),
             )
-            outcome.append(
+            played.append(
                 (
                     report,
                     dict(trace.meta),
                     [record.to_dict() for record in trace],
-                    _node_state(group, addresses, event),
+                    _node_state(outcome, group.addresses(), event),
                 )
             )
-        return outcome
+            # The next event starts with this one's crashed members down.
+            group = PmcastGroup.build(
+                members, scenario["config"],
+                down=compress(group.addresses(), ~outcome.alive),
+            )
+        return played
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(scenario=_scenarios())
