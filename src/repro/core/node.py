@@ -33,7 +33,7 @@ Fidelity notes (each tied to a Figure 3 line):
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.addressing import Address
 from repro.config import PmcastConfig
@@ -46,7 +46,7 @@ from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
 from repro.membership.views import ViewTable
 
-__all__ = ["PmcastNode"]
+__all__ = ["PmcastNode", "shortcut_depth"]
 
 class PmcastNode:
     """One pmcast process: views, buffers, and the Figure 3 tasks.
@@ -158,11 +158,6 @@ class PmcastNode:
         return self._address
 
     @property
-    def interest(self) -> Interest:
-        """This process's own subscription."""
-        return self._interest
-
-    @property
     def buffers(self) -> DepthBuffers:
         """The per-depth gossip buffers (exposed for tests/metrics)."""
         return self._buffers
@@ -189,44 +184,6 @@ class PmcastNode:
     def has_delivered(self, event: Event) -> bool:
         """True if the event was HPDELIVERed here."""
         return event.event_id in self._delivered_ids
-
-    def replace_view(self, depth: int, table: ViewTable) -> None:
-        """Install a fresh view table (membership change)."""
-        if table.depth != depth:
-            raise ProtocolError(
-                f"table for depth {table.depth} installed at {depth}"
-            )
-        self._views[depth] = table
-
-    def update_interest(self, interest: Interest) -> None:
-        """Replace this process's own subscription (re-subscription).
-
-        Applies to future deliveries only: already-delivered events are
-        not retracted, and already-buffered events are still forwarded
-        (the process may be serving as a susceptible delegate).
-        """
-        self._interest = interest
-
-    def restore_outcome(
-        self, event: Event, *, delivered: bool, buffered: Tuple[int, float, int]
-    ) -> None:
-        """Install a first reception computed out-of-band: the live-round
-        kernel (:class:`repro.sim.vector.LiveRound`) marks ``event``
-        received, HPDELIVERed if ``delivered``, and buffered as
-        ``(depth, rate, round)``."""
-        self._received.add(event.event_id)
-        if delivered and event.event_id not in self._delivered_ids:
-            self._delivered.append(event)
-            self._delivered_ids.add(event.event_id)
-        depth, rate, round_ = buffered
-        self._buffers.add(depth, event, rate, round=round_)
-
-    def restore_counts(self, sent_delta: int, receptions_delta: int) -> None:
-        """Add message counts computed out-of-band: the live-round
-        kernel's (:class:`repro.sim.vector.LiveRound`) write-back of a
-        round's gossips sent and received."""
-        self._messages_sent += sent_delta
-        self._receptions += receptions_delta
 
     # -- the three Figure 3 entry points ---------------------------------
 
@@ -373,17 +330,23 @@ class PmcastNode:
         self._buffers.remove(depth, entry.event)
 
     def shortcut_depth(self, event: Event) -> int:
-        """§3.2: the depth a publish of ``event`` starts at — root depths
-        where only our own subtree is interested are skipped."""
-        depth = 1
-        while depth < self._tree_depth:
-            table = self._views[depth]
-            own_infix = self._address.components[depth - 1]
-            interested_infixes = {
-                row.infix for row in table.matching_rows(event)
-            }
-            if interested_infixes <= {own_infix}:
-                depth += 1
-            else:
-                break
-        return depth
+        """§3.2: the depth a publish of ``event`` starts at (see
+        :func:`shortcut_depth`)."""
+        return shortcut_depth(self._address, self._views, event)
+
+
+def shortcut_depth(address: Address, views: Dict[int, ViewTable], event: Event) -> int:
+    """§3.2: the depth a publish of ``event`` by ``address`` (whose view
+    tables are ``views``, by depth) starts at — root depths where only
+    its own subtree is interested are skipped."""
+    depth = 1
+    while depth < len(views):
+        own_infix = address.components[depth - 1]
+        interested_infixes = {
+            row.infix for row in views[depth].matching_rows(event)
+        }
+        if interested_infixes <= {own_infix}:
+            depth += 1
+        else:
+            break
+    return depth

@@ -23,20 +23,25 @@ Processes crash silently through :meth:`GroupRuntime.crash`; the
 runtime exposes how long detection and exclusion took, and publishes
 keep flowing before, during and after.
 
+The runtime keeps no node objects: its event state is one
+:class:`~repro.sim.vector.RowTable` (a row per buffered (process, event),
+per-process columns), which :meth:`GroupRuntime.node` reads a process off.
+
 Scheduling is **active-set** based: an event round only visits the
 processes that actually buffer an event (*infected* processes), so a
-round costs O(infected), not O(n) — at paper scale almost every node
-is idle almost always.  Skipping an idle node is free of side effects:
-its GOSSIP task returns immediately without drawing randomness, so the
-active-set walk consumes the shared RNG exactly like the full scan,
-provided the visit *order* matches.  The runtime therefore stamps each
-node with a wiring sequence number and walks the active set in that
-order — the same order the full scan would use.  Every round's fan-out
-and exchange run on :class:`~repro.sim.vector.LiveRound`, draw for draw
-with one ``gossip_step`` per fire and one ``receive`` per arrival.  A
-schedule's extra fires are extra visits in the kernel's walk; a fault
-plan's link sees the round's envelopes, and its survivors are the
-arrivals.
+round costs O(infected), not O(n) — at paper scale almost every process
+is idle almost always.  Skipping an idle process is free of side
+effects: its GOSSIP task returns immediately without drawing
+randomness, so the active-set walk consumes the shared RNG exactly like
+the full scan, provided the visit *order* matches.  The runtime
+therefore stamps each process with a wiring sequence number and walks
+the active set in that order — the same order the full scan would use.
+Every round's fan-out and exchange run on
+:class:`~repro.sim.vector.LiveRound` as array passes over the rows of
+the walked slots, draw for draw with one ``gossip_step`` per fire and
+one ``receive`` per arrival.  A schedule's extra fires are extra passes
+over a slot's rows; a fault plan's link sees the round's envelopes, and
+its survivors are the arrivals.
 
 The membership round draws each live member's near and far pull
 partner the same way: a pool is a slice of the round's reachable view
@@ -57,9 +62,9 @@ import numpy as np
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.node import PmcastNode
+from repro.core.node import shortcut_depth
 from repro.core.rate import sample_positions_each
-from repro.errors import MembershipError, SimulationError
+from repro.errors import MembershipError, ProtocolError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
@@ -78,16 +83,46 @@ from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
-from repro.sim.vector import LiveEmission, LiveRound, trace_arrivals, trace_sends
+from repro.sim.vector import LiveEmission, LiveRound, RowTable, trace_arrivals, trace_sends
 from repro.variants.base import emit_dispositions
 
-__all__ = ["GroupRuntime"]
+__all__ = ["GroupRuntime", "LiveNode"]
 
 #: The runtime's arrays with one row per slot, grown together.
 _PER_SLOT = (
     "_tokens", "_addr_tokens", "_prefix_ids", "_far_from", "_far_id", "_far_self",
     "_crashed_flag", "_receiving",
 )
+
+
+class LiveNode:
+    """A process as :meth:`GroupRuntime.node` read it off the runtime's
+    columns: what a :class:`~repro.core.node.PmcastNode`'s readers read
+    (``_views``: the tables on its prefix path).  :meth:`has_received`
+    and :meth:`has_delivered` read the columns when asked."""
+
+    __slots__ = (
+        "alive", "is_idle", "messages_sent", "receptions", "buffers", "_views", "_rows", "_slot",
+    )
+
+    def __init__(self, alive: bool, rows: RowTable, slot: int, views):
+        self.alive = alive
+        self.buffers = rows.buffered(slot)
+        self.is_idle = not self.buffers
+        self.messages_sent = int(rows.sent[slot])
+        self.receptions = int(rows.receptions[slot])
+        self._views = views
+        self._rows, self._slot = rows, slot
+
+    def has_received(self, event: Event) -> bool:
+        """True if the process ever received (or published) ``event``."""
+        col = self._rows.event_col.get(event.event_id)
+        return col is not None and bool(self._rows.received[self._slot, col])
+
+    def has_delivered(self, event: Event) -> bool:
+        """True if ``event`` was HPDELIVERed at the process."""
+        col = self._rows.event_col.get(event.event_id)
+        return col is not None and bool(self._rows.delivered[self._slot, col])
 
 
 class GroupRuntime:
@@ -167,7 +202,8 @@ class GroupRuntime:
         self._tree = MembershipTree.build(members, self._config.redundancy)
         self._directory = GroupDirectory(self._tree)
         self._round = 0
-        self._nodes: Dict[Address, PmcastNode] = {}
+        # Every process's buffers, seen-sets and counters (§3, Figure 3).
+        self._rows = RowTable()
         # Every process's failure detector and the §6 accusations, one
         # slot per address ever wired (kept across leave and re-join).
         self._contacts = ContactTable(
@@ -192,11 +228,10 @@ class GroupRuntime:
         self._excluded_at: Dict[Address, int] = {}
         self._crashed: Set[Address] = set()
         self._crashed_at: Dict[Address, int] = {}
-        # Active-set scheduling: the slots whose nodes buffer at least
-        # one event.  Walked in wiring order (_seq_at: the _nodes
-        # insertion order a full scan would use) so the shared gossip
-        # RNG is consumed exactly as a scan over every node would
-        # consume it.
+        # Active-set scheduling: the slots that buffer at least one
+        # event.  Walked in wiring order (_seq_at: the order a full scan
+        # would use) so the shared gossip RNG is consumed exactly as a
+        # scan over every process would consume it.
         self._active: Set[int] = set()
         self._seq_at: List[int] = []
         self._wire_seq = 0
@@ -207,9 +242,7 @@ class GroupRuntime:
         self._live_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._member_slots: Dict[int, None] = {}
         self._crashed_flag = np.zeros(0, bool)
-        # Who an event gossip can reach, by slot: the node (None once
-        # its process left) and whether it is there and alive.
-        self._node_at: List[Optional[PmcastNode]] = []
+        # Who an event gossip can reach, by slot: there and alive.
         self._receiving = np.zeros(0, bool)
         # Far-peer listings (:meth:`_point_listings`), a function of an
         # _addr_tokens row alone: by id, the listing and its row, and
@@ -301,7 +334,7 @@ class GroupRuntime:
                 self._link = self._faults
         # The event round on arrays: fan-out and exchange.
         self._kernel = LiveRound(
-            self._ctx, self._config, self._contacts.slot_of, self._tree.depth
+            self._ctx, self._config, self._contacts.slot_of, self._tree.depth, self._rows
         )
         self._m_suspicion_reports = self._reg.counter(
             "detector", "suspicion_reports"
@@ -330,12 +363,15 @@ class GroupRuntime:
         """The current membership ground truth."""
         return self._tree
 
-    def node(self, address: Address) -> PmcastNode:
-        """The protocol node of a (possibly crashed) process."""
-        try:
-            return self._nodes[address]
-        except KeyError:
-            raise MembershipError(f"{address} has no node") from None
+    def node(self, address: Address) -> LiveNode:
+        """A (possibly crashed) process as it stands now: one wired and
+        not left since, as long as it holds a replica."""
+        slot = self._contacts.slot_of.get(address)
+        if slot is None or not self._tokens[slot, 0]:
+            raise MembershipError(f"{address} has no node")
+        tables = self._directory.tables
+        views = {p.depth: tables[p] for p in address.prefixes() if p in tables}
+        return LiveNode(not self._crashed_flag[slot], self._rows, slot, views)
 
     def stale_replicas(self) -> int:
         """How many (live member, depth) replica tables differ from the
@@ -358,11 +394,11 @@ class GroupRuntime:
 
     def delivered_to(self, event: Event) -> List[Address]:
         """Which processes have delivered ``event``."""
-        return sorted(
-            address
-            for address, node in self._nodes.items()
-            if node.has_delivered(event)
-        )
+        col = self._rows.event_col.get(event.event_id)
+        if col is None:
+            return []
+        slots = np.flatnonzero(self._rows.delivered[:, col]).tolist()
+        return sorted(map(self._contacts.addresses.__getitem__, slots))
 
     # -- mutation -----------------------------------------------------------
 
@@ -370,24 +406,43 @@ class GroupRuntime:
         """PMCAST ``event``; it disseminates over subsequent rounds."""
         if publisher not in self._tree:
             raise SimulationError(f"{publisher} is not a member")
-        node = self._nodes[publisher]
-        if not node.alive:
+        slot = self._contacts.slot_of[publisher]
+        if self._crashed_flag[slot]:
             raise SimulationError(f"{publisher} has crashed")
-        node.pmcast(event, self._ctx)
-        if not node.is_idle:
-            self._active.add(self._contacts.slot_of[publisher])
+        delivers = self._pmcast(slot, publisher, event)
+        self._active.add(slot)
         self._m_publishes.inc()
-        if self._obs.enabled and node.has_delivered(event):
+        if self._obs.enabled and delivers:
             self._m_deliveries.inc()
         if self._obs.tracing:
             self._obs.emit(
                 self._round, "publish", publisher, event_id=event.event_id
             )
-            if node.has_delivered(event):
+            if delivers:
                 self._obs.emit(
                     self._round, "deliver", publisher,
                     event_id=event.event_id,
                 )
+
+    def _pmcast(self, slot: int, publisher: Address, event: Event) -> bool:
+        """PMCAST (Figure 3 lines 24–25) at a live member: ``event`` is
+        received, delivered if the publisher's interest matches, and
+        buffered at the root, or the §3.2 shortcut's depth, at that
+        table's rate.  Returns whether it delivered."""
+        rows = self._rows
+        col = rows.column(event)
+        if rows.received[slot, col]:
+            raise ProtocolError(f"event {event.event_id} already published")
+        views = self._directory.path(publisher)
+        depth = 1
+        if self._config.local_interest_shortcut:
+            depth = shortcut_depth(publisher, views, event)
+        rate = self._ctx.table_match(views[depth], event).rate
+        delivers = rows.interests[slot].matches(event)
+        rows.received[slot, col] = True
+        rows.delivered[slot, col] = delivers
+        rows.add([slot], [col], [depth], [rate], [0])
+        return delivers
 
     def crash(self, address: Address) -> None:
         """Silently crash a process (it stays in views until excluded).
@@ -397,13 +452,12 @@ class GroupRuntime:
         ``detector.exclusion_latency_rounds``, the ``crashes`` counter
         and the trace all describe the first crash only.
         """
-        node = self.node(address)
+        self.node(address)  # raises for an address with no process
         if address in self._crashed:
             return
-        node.alive = False
+        slot = self._contacts.slot_of[address]
         self._crashed.add(address)
         self._crashed_at[address] = self._round
-        slot = self._contacts.slot_of[address]
         self._crashed_flag[slot] = True
         self._receiving[slot] = False
         self._active.discard(slot)
@@ -430,11 +484,11 @@ class GroupRuntime:
         self._refresh_path(address, cause="join")
         self._wire(address)
         slot_of = self._contacts.slot_of
-        self._member_slots[slot_of[address]] = None
-        node = self._nodes[address]
-        if node.alive and not node.is_idle:
+        slot = slot_of[address]
+        self._member_slots[slot] = None
+        if not self._crashed_flag[slot] and (self._rows.slot == slot).any():
             # A wrongly excluded process comes back still buffering.
-            self._active.add(slot_of[address])
+            self._active.add(slot)
         self._watch_neighbors([address])
         crashed = self._crashed
         live = [
@@ -455,14 +509,12 @@ class GroupRuntime:
         self._obs.emit(self._round, "leave", address)
         self._crashed.discard(address)
         self._crashed_at.pop(address, None)
-        node = self._nodes.pop(address, None)
-        if node is not None and not node.is_idle:
-            self._kernel.flats.release(node.buffers, self._nodes.values())
         slot = self._contacts.slot_of[address]
+        self._rows.clear(slot)
+        self._kernel.flats.prune(self._rows.live_events())
         del self._member_slots[slot]
         self._crashed_flag[slot] = False
         self._receiving[slot] = False
-        self._node_at[slot] = None
         self._tokens[slot] = 0
         self._contacts.forget(slot)
         self._active.discard(slot)
@@ -473,8 +525,8 @@ class GroupRuntime:
         """Re-subscribe a live member (§2.3 "subscriptions and
         unsubscriptions are updates of the membership information").
 
-        The tree records the new interest, the member's node matches
-        future events against it, and the tables along its prefix path
+        The tree records the new interest, the member matches future
+        events against it, and the tables along its prefix path
         are refreshed in place — the regrouped subtree interests near
         the root absorb the change, exactly as a converged
         re-subscription would.  Mirrors :meth:`join`/:meth:`leave`:
@@ -482,11 +534,11 @@ class GroupRuntime:
         """
         if address not in self._tree:
             raise SimulationError(f"{address} is not a member")
-        node = self._nodes[address]
-        if not node.alive:
+        slot = self._contacts.slot_of[address]
+        if self._crashed_flag[slot]:
             raise SimulationError(f"{address} has crashed")
         self._tree.update_interest(address, interest)
-        node.update_interest(interest)
+        self._rows.interests[slot] = interest
         self._m_interest_updates.inc()
         self._refresh_path(address, cause="interest-update")
 
@@ -528,9 +580,9 @@ class GroupRuntime:
         processes that crashed or left the tree, which drop off the set
         (:meth:`join` re-adds a live process excluded while buffering)."""
         walk = []
-        node_at, members = self._node_at, self._member_slots
+        crashed, members = self._crashed_flag, self._member_slots
         for slot in sorted(self._active, key=self._seq_at.__getitem__):
-            if node_at[slot].alive and slot in members:
+            if not crashed[slot] and slot in members:
                 walk.append(slot)
             else:
                 self._active.discard(slot)
@@ -553,19 +605,20 @@ class GroupRuntime:
         return self._schedule.fires_in_round(key, self._round)
 
     def _kernel_fan_out(self, walk: List[int]) -> LiveEmission:
-        """The walk's gossip on the kernel, each slot visited once per
-        fire (none: it sits the round out, still active); idle nodes
-        drop off the set."""
+        """The walk's gossip on the kernel, each slot once per fire
+        (none: it sits the round out, still active); idle slots drop off
+        the set."""
+        fires = None
         if self._schedule is not None:
             addresses = self._contacts.addresses
-            walk = [
-                slot for slot in walk for __ in range(self._fires_for(addresses[slot]))
-            ]
-        nodes = list(map(self._node_at.__getitem__, walk))
-        emission = self._kernel.fan_out(nodes, walk)
-        for slot, node in zip(walk, nodes):
-            if node.is_idle:
-                self._active.discard(slot)
+            fires = np.array([self._fires_for(addresses[slot]) for slot in walk], np.int64)
+        slots = np.array(walk, np.int64)
+        # A prefix's id is its place in _prefix_id's insertion order.
+        tables, prefixes = self._directory.tables, list(self._prefix_id)
+        emission = self._kernel.fan_out(
+            slots, fires, self._prefix_ids, lambda at: tables[prefixes[at]]
+        )
+        self._active.difference_update(slots[~np.isin(slots, self._rows.slot)].tolist())
         return emission
 
     def _kernel_exchange(self, emission: LiveEmission) -> Tuple[np.ndarray, np.ndarray]:
@@ -591,14 +644,12 @@ class GroupRuntime:
                     envelopes, {id(envelope) for envelope in survivors},
                     link.last_diverted, self._obs.emit, self._round,
                 )
-            emission = LiveRound.carried(survivors, self._contacts.slot_of, emission.live)
+            emission = self._kernel.carried(survivors, self._contacts.slot_of)
             flags = None
         else:
             flags = link.transmit_flags(len(emission.dest))
         self._m_lost.inc(link.messages_lost - lost)
-        arrivals = self._kernel.exchange(
-            emission, flags, self._node_at, self._receiving
-        )
+        arrivals = self._kernel.exchange(emission, flags, self._receiving)
         self._m_undeliverable.inc(arrivals.undeliverable)
         self._m_receptions.inc(len(arrivals.at))
         if self._obs.enabled:
@@ -614,12 +665,9 @@ class GroupRuntime:
                 *columns, arrivals.at.tolist(),
                 set(compress(arrivals.fresh.tolist(), arrivals.delivered)),
             )
-        node_at = self._node_at
-        for slot in arrivals.receivers:
-            if not node_at[slot].is_idle:
-                self._active.add(slot)
         receivers = emission.dest[arrivals.at]
         senders = emission.sender[arrivals.at]
+        self._active.update(receivers[np.isin(receivers, self._rows.slot)].tolist())
         if self._piggyback_membership:
             # A delayed envelope may come from a process that since left.
             held = self._tokens[senders, 0] != 0
@@ -641,28 +689,21 @@ class GroupRuntime:
     # -- internals ---------------------------------------------------------
 
     def _wire(self, address: Address) -> None:
-        """(Re)build node, replica and detector state for a member."""
-        views = self._directory.path(address)
-        existing = self._nodes.get(address)
-        if existing is None:
-            self._nodes[address] = PmcastNode(
-                address,
-                self._tree.interest_of(address),
-                views,
-                self._config,
-            )
-        else:
-            for depth, table in views.items():
-                existing.replace_view(depth, table)
+        """(Re)build process, replica and detector state for a member.
+
+        A process re-joining after an exclusion keeps its state, its
+        interest included; one wired anew starts idle, with the tree's
+        interest.  Its view tables are the directory's on its prefix
+        path, looked up by prefix id as it gossips."""
         slot = self._contacts.slot(address)
-        if slot == len(self._node_at):  # a first-time member
-            self._node_at.append(None)
+        if slot == len(self._seq_at):  # a first-time member
             self._seq_at.append(0)
             if slot == len(self._receiving):  # the per-slot arrays double
                 for name in _PER_SLOT:
                     held = getattr(self, name)
                     fill = -1 if name.startswith("_far") else 0
                     setattr(self, name, _fit(held, (slot + 1, *held.shape[1:]), fill))
+                self._rows.fit(len(self._receiving))
             self._prefix_ids[slot] = [
                 self._prefix_id.setdefault(prefix, len(self._prefix_id))
                 for prefix in address.prefixes()
@@ -675,12 +716,12 @@ class GroupRuntime:
             # The shared tables carry exactly the rows a fresh
             # per-process build would produce (built or refreshed at
             # the current clock).
+            views = self._directory.path(address)
             self._install(slot, [table.snapshot() for table in views.values()])
-            if existing is None:
-                self._node_at[slot] = self._nodes[address]
-                self._seq_at[slot] = self._wire_seq
-                self._wire_seq += 1
-                self._receiving[slot] = True
+            self._seq_at[slot] = self._wire_seq
+            self._wire_seq += 1
+            self._receiving[slot] = True
+            self._rows.interests[slot] = self._tree.interest_of(address)
 
     def _install(self, slot: int, tables: Sequence[ViewTable]) -> None:
         """Slot ``slot``'s replica holds ``tables`` (frozen, in depth
@@ -1007,9 +1048,10 @@ class GroupRuntime:
 
         The table half is the directory's
         :meth:`~repro.membership.lifecycle.GroupDirectory.refresh_path`;
-        around it the runtime keeps its own books: a fresh table wired
-        into the (new) members of a prefix a join newly populated, and
-        the match-cache entries of a table a removal emptied.
+        around it the runtime keeps its own books: the match-cache
+        entries of a table a removal emptied.  (A table a join newly
+        creates needs no wiring: a process's tables are looked up by
+        prefix as it gossips.)
 
         ``cause`` ("join" / "leave" / "crash" / "interest-update") is
         recorded in the match cache's invalidation-cause breakdown so
@@ -1017,12 +1059,7 @@ class GroupRuntime:
         """
         self._ctx.note_invalidation(cause)
         self._live_cache = None
-        __, created, dropped = self._directory.refresh_path(address)
-        for fresh in created:
-            for member in self._tree.subtree_members(fresh.prefix):
-                node = self._nodes.get(member)
-                if node is not None:
-                    node.replace_view(fresh.depth, fresh)
+        dropped = self._directory.refresh_path(address)[2]
         for table in dropped:
             self._ctx.invalidate_table(table)
             self._kernel.flats.forget(table)

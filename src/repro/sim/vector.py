@@ -45,12 +45,13 @@ that plays the rounds (and hands the trace to an Observer) lives in
 The third, :class:`LiveRound`, is :class:`~repro.sim.runtime.GroupRuntime`'s
 fan-out and exchange over any number of buffered events, any schedule
 and any fault plan, draw for draw with a per-node loop (one
-``gossip_step`` per fire, one ``receive`` per surviving envelope): its
-fan-out is that loop's walk, over node objects.  It and the compat kernel look
-their destinations up in one kind of flat match (:class:`_Flats`), each
-built when a node first gossips an event at a view, and write their
-send, loss, receive and deliver records through the same two functions
-(:func:`trace_sends`, :func:`trace_arrivals`).
+``gossip_step`` per fire, one ``receive`` per surviving envelope): array
+passes over the runtime's :class:`RowTable`, one row per buffered
+(process, event), through the compat kernel's cascade (:func:`_settle`).
+Both kernels look their destinations up in one kind of flat match
+(:class:`_Flats`), each built when a process first gossips an event at a
+view, and write their send, loss, receive and deliver records through
+the same two functions (:func:`trace_sends`, :func:`trace_arrivals`).
 
 Determinism rules (all kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
@@ -61,19 +62,21 @@ iterates arrays or insertion-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
+from repro.core.buffers import BufferedEvent
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
 from repro.core.rate import sample_positions_each
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
+from repro.membership.failure_detector import _fit
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.obs.sampling import keep, keep_mask
 from repro.obs.trace import dissemination_meta
@@ -140,12 +143,10 @@ class _Flats:
     compat kernel, a contact slot in the live round.  A flat is keyed
     by (table, cache token, event): it is replaced at its next lookup
     once its table's token moved, dropped when :meth:`forget` names its
-    table, and dropped with its event by :meth:`prune` or
-    :meth:`release`.  A lookup served from a flat counts one
-    ``match_cache`` table hit; any other goes through
-    :meth:`GossipContext.table_match
-    <repro.core.context.GossipContext.table_match>`, which counts
-    itself.
+    table, and dropped with its event by :meth:`prune`.  A lookup served
+    from a flat counts one ``match_cache`` table hit; any other goes
+    through :meth:`GossipContext.table_match
+    <repro.core.context.GossipContext.table_match>`, which counts itself.
 
     What a run counts follows its kernel's lookups: :class:`LiveRound`
     looks up where the per-node loop's ``gossip_step`` would, so its
@@ -179,18 +180,6 @@ class _Flats:
     def prune(self, live: set) -> None:
         """Drop the flats of every event not in ``live``."""
         for event_id in [e for e in self._flats if e not in live]:
-            del self._flats[event_id]
-
-    def release(self, buffers, nodes) -> None:
-        """Drop the flats of the events in ``buffers`` that none of
-        ``nodes`` buffers (the buffers of a process that left)."""
-        orphans = {entry.event.event_id for __, entry in buffers} & self._flats.keys()
-        for node in nodes:
-            if not orphans:
-                return
-            if not node.is_idle:
-                orphans = {e for e in orphans if e not in node.buffers._located}
-        for event_id in orphans:
             del self._flats[event_id]
 
     def cell(self, table, event: Event) -> _DepthMatch:
@@ -239,7 +228,8 @@ class _FlatColumns:
 
     A flat's rate is the rate of every entry buffered at it: a depth-k
     message stays among the members of one depth-k table, and publish
-    and demotion take the rate from that table.
+    and demotion take the rate from that table.  So line 7's bound is
+    the flat's own (:meth:`bound_at`).
     """
 
     def __init__(self, flats: _Flats, views: List, event: Event, depth: int, config: PmcastConfig):
@@ -269,6 +259,11 @@ class _FlatColumns:
             self.own[keys[missing]] = [match.pos.get(i, -1) for match, i in zip(matches, asking)]
         return ids
 
+    def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Line 7's bound of rows at flats ``ids`` buffered at ``rate``:
+        the flats' own."""
+        return self.bound[ids]
+
     def _add(self, matches: List[_DepthMatch]) -> None:
         """Columns and pool slots for the next flat ids, ``matches``."""
         size = np.array([len(match.entries) for match in matches], np.int64)
@@ -290,6 +285,8 @@ def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tupl
     """Figure 3's GOSSIP task for all of ``active`` at once, settling
     their buffered ``depth``, ``round_`` and ``rate`` in place in at most
     ``leaf`` masked passes (§6 flood, gossip, demotion or retirement).
+    ``flats`` looks rows up by (``active`` row, depth): :class:`_FlatColumns`
+    for the compat kernel, :class:`_LiveColumns` for the live round.
     Returns per row whether it gossips, whether it floods, its last flat.
     """
     gossips, floods = np.zeros((2, len(active)), bool)
@@ -301,7 +298,7 @@ def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tupl
         flooding = flats.floods[ids]
         floods[todo[flooding]] = True
         todo, ids = todo[~flooding], ids[~flooding]
-        going = round_[todo] < flats.bound[ids]
+        going = round_[todo] < flats.bound_at(ids, rate[todo])
         gossips[todo[going]] = True
         round_[todo[going]] += 1
         todo = todo[~going]
@@ -311,6 +308,28 @@ def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tupl
         ids = flats.at(active[todo], depth[todo])
         rate[todo] = flats.rate[ids]
     return gossips, floods, flat
+
+
+def _destinations(flats: _FlatColumns, rng, fanout: int, gossips, floods, flat, own, senders):
+    """Per envelope of rows that gossip or flood at flats ``flat``, in
+    row order: destination, row and sender (``senders[row]``, at entry
+    position ``own[row]``, -1 if none).  One ``sample_positions_each``
+    draws every gossip; entries line 13 skips and sends to oneself drop."""
+    size = flats.size[flat] - (own >= 0)
+    count = np.where(gossips, np.minimum(size, fanout), floods * flats.flood_count[flat])
+    # One candidate per draw or flood target: its row and its place in the row.
+    row = np.repeat(np.arange(len(flat)), count)
+    place = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    drawn = np.flatnonzero(gossips[row])
+    sizes = size[gossips & (size > 0)].tolist()
+    j = np.array(sample_positions_each(rng, sizes, fanout), int)
+    skip = own[row[drawn]]
+    place[drawn] = j + ((skip >= 0) & (j >= skip))
+    base = flats.start[flat] + np.where(floods, flats.size[flat], 0)
+    dest = flats.pool[base[row] + place]
+    sender = senders[row]
+    kept = (dest >= 0) & (dest != sender)
+    return dest[kept], row[kept], sender[kept]
 
 
 def try_run_vectorized(
@@ -407,22 +426,7 @@ def try_run_vectorized(
             depth, round_, rate = buf_depth[active], buf_round[active], buf_rate[active]
             gossips, floods, flat = _settle(flats, active, depth, round_, rate, tree_depth)
             own = flats.own[active * tree_depth + depth - 1]
-            size = flats.size[flat] - (own >= 0)
-            count = np.where(gossips, np.minimum(size, fanout), floods * flats.flood_count[flat])
-            # One candidate per draw or flood target, rows in active
-            # order: its row and its place in the row.
-            row = np.repeat(np.arange(len(active)), count)
-            place = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-            drawn = np.flatnonzero(gossips[row])
-            sizes = size[gossips & (size > 0)].tolist()
-            j = np.array(sample_positions_each(rng, sizes, fanout), int)
-            skip = own[row[drawn]]
-            place[drawn] = j + ((skip >= 0) & (j >= skip))
-            base = flats.start[flat] + np.where(floods, flats.size[flat], 0)
-            dest = flats.pool[base[row] + place]
-            sender = active[row]
-            kept = (dest >= 0) & (dest != sender)
-            dest, row, sender = dest[kept], row[kept], sender[kept]
+            dest, row, sender = _destinations(flats, rng, fanout, gossips, floods, flat, own, active)
             sent_count[active] += np.bincount(row, minlength=len(active))
             buf_depth[active] = np.where(gossips, depth, 0)
             buf_round[active], buf_rate[active] = round_, rate
@@ -523,38 +527,190 @@ def trace_arrivals(emit, now, addresses, dest, sender, depth, event_id, at, deli
 # Live-round kernel: GroupRuntime's fan-out and exchange, draw for draw.
 # ---------------------------------------------------------------------------
 
+#: A :class:`RowTable`'s columns with one entry per row.
+_ROW_COLUMNS = ("slot", "event", "depth", "rate", "round", "seq")
+
+
+class Buffered(tuple):
+    """``(depth, BufferedEvent)`` pairs in ``DepthBuffers`` order."""
+
+    __slots__ = ()
+
+    def holds(self, event: Event) -> bool:
+        """Figure 3 line 20: is ``event`` buffered at any depth?"""
+        return any(entry.event.event_id == event.event_id for __, entry in self)
+
+
+_IDLE = Buffered()
+
+
+class RowTable:
+    """:class:`~repro.sim.runtime.GroupRuntime`'s event state over
+    contact slots: every process's ``gossips[1..d]`` at once.
+
+    One row per buffered (slot, event): ``slot``, ``event`` (a column
+    of :attr:`events`, by id), ``depth``, ``rate``, ``round`` and
+    ``seq``, a stamp taken at each add or demotion, so a bucket in
+    ``DepthBuffers`` order is its rows in ``seq`` order.  Per slot:
+    ``sent``, ``receptions``, the process's own ``interests`` and slot ×
+    event flags ``received`` (line 20's seen-set) and ``delivered``.
+    """
+
+    def __init__(self) -> None:
+        for name in _ROW_COLUMNS:
+            setattr(self, name, np.zeros(0, float if name == "rate" else np.int64))
+        self._stamps = 0
+        # Grown by fit, which gives each its own array.
+        self.sent = self.receptions = np.zeros(0, np.int64)
+        self.received = self.delivered = np.zeros((0, 0), bool)
+        self.interests: List = []
+        self.events: List[Event] = []
+        self.event_col: Dict[int, int] = {}
+        # The rows in bucket order, and each slot's range of them; None
+        # once the rows changed.
+        self._order: Optional[Tuple[np.ndarray, List[int]]] = None
+
+    def fit(self, slots: int, events: int = 0) -> None:
+        """Columns for slots ``0 .. slots - 1`` and events ``0 .. events - 1``."""
+        self.sent = _fit(self.sent, (slots,), 0)
+        self.receptions = _fit(self.receptions, (slots,), 0)
+        self.received = _fit(self.received, (slots, events), False)
+        self.delivered = _fit(self.delivered, (slots, events), False)
+        self.interests += [None] * (len(self.sent) - len(self.interests))
+
+    def column(self, event: Event) -> int:
+        """``event``'s column, added on its first ask."""
+        col = self.event_col.get(event.event_id)
+        if col is None:
+            col = self.event_col[event.event_id] = len(self.events)
+            self.events.append(event)
+            self.fit(len(self.sent), col + 1)
+        return col
+
+    def stamp(self, count: int) -> np.ndarray:
+        """The next ``count`` stamps, ascending."""
+        self._stamps += count
+        return np.arange(self._stamps - count, self._stamps)
+
+    def add(self, slots, cols, depths, rates, rounds) -> None:
+        """Buffer event ``cols[i]`` at slot ``slots[i]`` (each at the end
+        of its bucket, in the order given)."""
+        tails = (slots, cols, depths, rates, rounds, self.stamp(len(slots)))
+        for name, tail in zip(_ROW_COLUMNS, tails):
+            held = getattr(self, name)
+            setattr(self, name, np.concatenate((held, np.asarray(tail, held.dtype))))
+        self._order = None
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is False."""
+        for name in _ROW_COLUMNS:
+            setattr(self, name, getattr(self, name)[mask])
+        self._order = None
+
+    def clear(self, slot: int) -> None:
+        """Forget what slot ``slot`` buffers, saw and counted."""
+        self.keep(self.slot != slot)
+        self.sent[slot] = self.receptions[slot] = 0
+        self.received[slot] = self.delivered[slot] = False
+
+    def live_events(self) -> Set[int]:
+        """The ids of the events some row buffers."""
+        events = self.events
+        return {events[col].event_id for col in np.unique(self.event).tolist()}
+
+    def buffered(self, slot: int) -> Buffered:
+        """Slot ``slot``'s rows in bucket order: depth, then ``seq``."""
+        if self._order is None:
+            order = np.lexsort((self.seq, self.depth, self.slot))
+            bounds = np.searchsorted(self.slot[order], np.arange(len(self.sent) + 1))
+            self._order = order, bounds.tolist()
+        order, bounds = self._order
+        if bounds[slot] == bounds[slot + 1]:
+            return _IDLE
+        at = order[bounds[slot]:bounds[slot + 1]]
+        events = self.events
+        return Buffered(
+            (depth, BufferedEvent(events[col], rate, round_))
+            for depth, col, rate, round_ in zip(
+                self.depth[at].tolist(), self.event[at].tolist(),
+                self.rate[at].tolist(), self.round[at].tolist(),
+            )
+        )
+
+
+class _LiveColumns(_FlatColumns):
+    """The live round's flats as :class:`_FlatColumns`' columns, for
+    :func:`_settle`: a row's flat is the (table, event) flat of its
+    slot's prefix at its depth (``prefix_ids``; ``table_of`` gives a
+    prefix id's table), taken from :meth:`_Flats.cell` the first time
+    the round meets that (prefix, event) pair.  ``matches`` holds the
+    flats by id.
+    """
+
+    def __init__(self, flats: _Flats, rows: RowTable, prefix_ids, table_of, config: PmcastConfig):
+        self._cell, self._config = flats.cell, config
+        self._slot, self._event, self._events = rows.slot, rows.event, rows.events
+        self._prefix_ids, self._table_of = prefix_ids, table_of
+        self._ids: Dict[int, int] = {}  # prefix id * events + event -> flat id
+        self.matches: List[_DepthMatch] = []
+        self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
+        self.floods, self.rate = np.empty(0, bool), np.empty(0)
+
+    def at(self, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """The flat ids of ``rows`` at ``depths``."""
+        n = len(self._events)
+        keys = self._prefix_ids[self._slot[rows], depths - 1] * n + self._event[rows]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct, ids = distinct.tolist(), self._ids
+        new = [key for key in distinct if key not in ids]
+        if new:
+            table_of, events = self._table_of, self._events
+            matches = [self._cell(table_of(key // n), events[key % n]) for key in new]
+            ids.update(zip(new, range(len(self.matches), len(self.matches) + len(new))))
+            self.matches += matches
+            self._add(matches)
+        return np.fromiter(map(ids.__getitem__, distinct), np.int64, len(distinct))[inverse]
+
+    def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Line 7's bound of rows at flats ``ids`` buffered at ``rate``:
+        the flat's own, unless a refresh moved the flat's rate off the
+        row's (a ``(entry count, rate)`` memo)."""
+        bound = self.bound[ids]
+        odd = np.flatnonzero(rate != self.rate[ids])
+        for at, flat, row_rate in zip(odd.tolist(), ids[odd].tolist(), rate[odd].tolist()):
+            bound[at] = self.matches[flat].round_bound(row_rate, self._config)
+        return bound
+
+
 class LiveEmission(NamedTuple):
     """One live round's envelopes, in send order, and the messages
     behind them.
 
     Per envelope: ``dest`` and ``sender`` (contact slots) and ``row``,
-    its message.  Per row, one GOSSIP message as it was sent:
-    ``event_index`` (its event in ``event_list``), ``depths``, ``rates``
-    and ``rounds``.  ``live`` holds the events the walked nodes still
-    buffer.
+    its message.  Per message, one GOSSIP message as it was sent:
+    ``event`` (its column in ``events``, a :class:`RowTable`'s),
+    ``depths``, ``rates`` and ``rounds``.
     """
 
     dest: np.ndarray
     sender: np.ndarray
     row: np.ndarray
-    event_index: np.ndarray
+    event: np.ndarray
     depths: np.ndarray
-    rates: List[float]
-    rounds: List[int]
-    event_list: List[Event]
-    live: Set[int]
+    rates: np.ndarray
+    rounds: np.ndarray
+    events: List[Event]
 
     def columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
         """Per envelope, as lists: ``dest``, ``sender``, its message's
         depth and event id — the columns :func:`trace_sends` and
         :func:`trace_arrivals` take."""
-        rows = self.row
-        ids = [event.event_id for event in self.event_list]
+        ids = [self.events[col].event_id for col in self.event.tolist()]
         return (
             self.dest.tolist(),
             self.sender.tolist(),
-            self.depths[rows].tolist(),
-            [ids[k] for k in self.event_index[rows].tolist()],
+            self.depths[self.row].tolist(),
+            [ids[k] for k in self.row.tolist()],
         )
 
 
@@ -562,30 +718,31 @@ class LiveArrivals(NamedTuple):
     """What the exchange applied: ``at``, the envelopes that reached a
     live receiver, in send order; ``fresh``, the indices into ``at`` of
     the first receptions, and ``delivered`` whether each one was
-    HPDELIVERed; ``receivers``, every receiving slot once;
-    ``undeliverable``, the survivors addressed to a crashed or departed
-    process."""
+    HPDELIVERed; ``undeliverable``, the survivors addressed to a crashed
+    or departed process."""
 
     at: np.ndarray
     fresh: np.ndarray
     delivered: List[bool]
-    receivers: List[int]
     undeliverable: int
 
 
 class LiveRound:
-    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange,
-    stream-compatible with the per-node loop.
+    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange
+    over its :class:`RowTable`, stream-compatible with the per-node loop
+    (one ``gossip_step`` per fire, one ``receive`` per surviving
+    envelope).
 
-    **The walk.**  :meth:`fan_out` is Figure 3's GOSSIP task for each
-    node in turn, in the order given (a node once per fire): buckets
-    depth-ascending, each snapshotted when the walk reaches it, so an
-    entry demoted to the end of the next bucket is met again in the
-    same visit.  An entry floods (§6), gossips (round + 1, a sample
-    over the view minus the gossiper), is demoted or is removed in
-    place — the calls, in the order, of ``gossip_step``.  A destination
-    is kept where its flat holds a slot (-1 where line 13 skips the
-    entry).
+    **Passes.**  :meth:`fan_out` settles the rows of the walked slots in
+    :func:`_settle`'s passes (§6 flood, gossip with round + 1, demotion
+    or retirement), once per fire.  A demoted row is stamped anew, in
+    the order the loop appends it to the next bucket: by walk position,
+    then the depth it started the fire at, deepest first, then its old
+    ``seq``.  The rows that send are then ordered by (walk position,
+    fire, depth, ``seq``): a visit's buckets depth-ascending, each in
+    bucket order, a demoted entry met again at its new depth — the order
+    of the loop's walk.  A destination is kept where its flat holds a
+    slot (-1 where line 13 skips the entry).
 
     **The link.**  :meth:`exchange` applies the verdicts of one
     ``transmit_flags`` batch.  A link that decides envelope by envelope
@@ -594,252 +751,193 @@ class LiveRound:
     emission of its own (:meth:`carried`).
 
     **Flats.**  ``flats``, one :class:`_Flats` over contact slots, is
-    kept across rounds: the runtime has it forget a table it refreshes
-    and release the events a leaving process alone buffered, and
-    :meth:`exchange` prunes it to the events still buffered.
-    A lookup served from the round's cells counts the ``match_cache``
-    table hit the scalar step's lookup would, as one served from a flat
-    does, so the counters read per round what the loop's read.
+    kept across rounds: the runtime has it forget a table it refreshes,
+    and it is pruned to the events some row still buffers after every
+    exchange and every leave.  A lookup served from the round's columns
+    counts the ``match_cache`` table hit the scalar step's lookup would,
+    as one served from a flat does, so the counters read per round what
+    the loop's read.
 
-    **Write-back.**  Node objects stay the only state between rounds:
-    :meth:`fan_out` advances round counters, demotes and removes
-    through :class:`~repro.core.buffers.DepthBuffers` and adds the
-    messages sent; :meth:`exchange` writes each first reception through
-    :meth:`PmcastNode.restore_outcome
-    <repro.core.node.PmcastNode.restore_outcome>` and adds receptions.
-    The walk reads a node's buckets and view tables straight off its
-    internals (``_buffers``, ``_views``).  The checks the objects make
-    run on the arrays instead: ``GossipMessage``'s fields once per
-    message, ``Envelope``'s no-self-send per envelope, ``receive``'s
-    depth range per arrival.
+    The checks the objects make run on the arrays: ``GossipMessage``'s
+    fields once per message, ``receive``'s depth range per arrival.
     """
 
-    __slots__ = ("_ctx", "_config", "_depth", "flats")
+    __slots__ = ("_ctx", "_config", "_depth", "flats", "rows")
 
     def __init__(
-        self,
-        ctx: GossipContext,
-        config: PmcastConfig,
-        slot_of: Dict[Address, int],
-        tree_depth: int,
+        self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int],
+        tree_depth: int, rows: RowTable,
     ):
         self._ctx = ctx
         self._config = config
         self._depth = tree_depth
         self.flats = _Flats(ctx, config, slot_of)
+        self.rows = rows
 
-    def fan_out(self, nodes: List, slots: List[int]) -> LiveEmission:
-        """GOSSIP for ``nodes`` (live, in walk order, a node once per
-        fire; ``slots`` their contact slots), written back as it goes.
-        One ``sample_positions_each`` after the walk draws, in walk order,
-        what one ``sample_positions`` per gossip would: no draw feeds the walk."""
-        leaf = self._depth
-        config = self._config
-        fanout = config.fanout
-        cell = self.flats.cell
-        local: Dict[Tuple[int, int], _DepthMatch] = {}  # the round's cells
-        hits = 0  # lookups served from them
-        # Per row: its message as sent, then flood targets or None and a draw.
-        walked: List[tuple] = []
-        sizes: List[int] = []
-        for node, slot in zip(nodes, slots):
-            buffers = node._buffers
-            views = node._views
-            for depth, bucket in enumerate(buffers._buffers, 1):
-                if not bucket:
-                    continue
-                for entry in list(bucket.values()):
-                    event = entry.event
-                    table = views[depth]
-                    key = (id(table), event.event_id)
-                    flat = local.get(key)
-                    if flat is None:
-                        flat = local[key] = cell(table, event)
-                    else:
-                        hits += 1
-                    if flat.floods:
-                        targets = [target for target in flat.flood_targets if target != slot]
-                        walked.append((node, slot, event, depth, entry.rate, entry.round, targets))
-                        buffers.remove(depth, event)
-                    elif entry.round < flat.round_bound(entry.rate, config):
-                        entry.round += 1
-                        own = flat.pos.get(slot, -1)
-                        size = len(flat.entries) - (own >= 0)
-                        if size:
-                            sizes.append(size)
-                            row = (node, slot, event, depth, entry.rate, entry.round, None)
-                            walked.append((*row, size, own, flat.entries))
-                    elif depth < leaf:
-                        table = views[depth + 1]
-                        key = (id(table), event.event_id)
-                        below = local.get(key)
-                        if below is None:
-                            below = local[key] = cell(table, event)
-                        else:
-                            hits += 1
-                        buffers.demote(depth, event, below.rate)
-                    else:
-                        buffers.remove(depth, event)
-        self._ctx.cache_stats.table_hits += hits
+    def fan_out(
+        self, walk: np.ndarray, fires: Optional[np.ndarray], prefix_ids: np.ndarray, table_of
+    ) -> LiveEmission:
+        """GOSSIP for the slots of ``walk`` (live, in walk order), each
+        ``fires[k]`` times (None: once); ``prefix_ids`` and ``table_of``
+        name each slot's view table per depth.  One
+        ``sample_positions_each`` after the passes draws, in send order,
+        what one ``sample_positions`` per gossip would: no draw feeds
+        the passes."""
+        rows, leaf = self.rows, self._depth
+        columns = _LiveColumns(self.flats, rows, prefix_ids, table_of, self._config)
+        place = np.full(len(rows.sent), -1, np.int64)
+        place[walk] = np.arange(len(walk))
+        visit = place[rows.slot]
+        todo = np.flatnonzero(visit >= 0)
+        if fires is not None:
+            todo = todo[fires[visit[todo]] > 0]
+        kept = np.ones(len(visit), bool)
+        lookups = fire = 0
+        # Per pass, the rows that sent: row, fire, floods, flat, depth,
+        # rate, round and seq as sent.
+        none = np.empty(0, np.int64)
+        parts = [(none, none, none.astype(bool), none, none, none.astype(float), none, none)]
+        while len(todo):
+            depth, round_, rate = rows.depth[todo], rows.round[todo], rows.rate[todo]
+            start, seq = depth.copy(), rows.seq[todo]
+            gossips, floods, flat = _settle(columns, todo, depth, round_, rate, leaf)
+            moved = np.flatnonzero(depth > start)
+            moved = moved[np.lexsort((seq[moved], -start[moved], visit[todo[moved]]))]
+            seq[moved] = rows.stamp(len(moved))
+            rows.depth[todo], rows.round[todo] = depth, round_
+            rows.rate[todo], rows.seq[todo] = rate, seq
+            # The loop looks up once per entry it meets, and a demoted
+            # entry twice more: as it moves, and as it is met below.
+            lookups += len(todo) + 2 * int((depth - start).sum())
+            sends = gossips | floods
+            parts.append((todo[sends], np.full(np.count_nonzero(sends), fire), *(
+                column[sends] for column in (floods, flat, depth, rate, round_, seq)
+            )))
+            kept[todo[~gossips]] = False
+            fire += 1
+            todo = todo[gossips]
+            todo = todo[fires[visit[todo]] > fire] if fires is not None else todo[:0]
+        self._ctx.cache_stats.table_hits += lookups - len(columns.matches)
 
-        picks = iter(sample_positions_each(self._ctx.rng, sizes, fanout))
-        event_index: Dict[int, int] = {}  # event_id -> its place in event_list
-        event_list: List[Event] = []
-        dest: List[int] = []
-        sent = []  # per row that sent: sender, event index, depth, rate, round, count
-        for node, slot, event, depth, rate, round_, targets, *draw in walked:
-            first = len(dest)
-            if targets is not None:
-                dest += targets
-            else:
-                size, own, entries = draw
-                for j in islice(picks, fanout if fanout < size else size):
-                    if 0 <= own <= j:
-                        j += 1
-                    if entries[j] >= 0:
-                        dest.append(entries[j])
-            if len(dest) > first:
-                at = event_index.get(event.event_id)
-                if at is None:
-                    at = event_index[event.event_id] = len(event_list)
-                    event_list.append(event)
-                sent.append((slot, at, depth, rate, round_, len(dest) - first))
-                node.restore_counts(len(dest) - first, 0)
-        columns = zip(*sent) if sent else ((),) * 6
-        sender, index, depths, rates, rounds, count = map(list, columns)
-        counts = np.array(count, np.int64)
+        at, fired, flood, flat, depth, rate, round_, seq = map(np.concatenate, zip(*parts))
+        order = np.lexsort((seq, depth, fired, visit[at]))
+        at, flood, flat, depth, rate, round_ = (
+            column[order] for column in (at, flood, flat, depth, rate, round_)
+        )
+        slot, event = rows.slot[at], rows.event[at]
+        gossip = ~flood
+        own = np.full(len(at), -1, np.int64)
+        matches = columns.matches
+        own[gossip] = [
+            matches[f].pos.get(s, -1) for f, s in zip(flat[gossip].tolist(), slot[gossip].tolist())
+        ]
+        dest, row, sender = _destinations(
+            columns, self._ctx.rng, self._config.fanout, gossip, flood, flat, own, slot
+        )
+        per_row = np.bincount(row, minlength=len(at))
+        messages = np.flatnonzero(per_row)
+        rows.sent += np.bincount(sender, minlength=len(rows.sent))
+        rows.keep(kept)
         emission = LiveEmission(
-            np.array(dest, np.int64),
-            np.repeat(np.array(sender, np.int64), counts),
-            np.repeat(np.arange(len(count)), counts),
-            np.array(index, np.int64),
-            np.array(depths, np.int64),
-            rates,
-            rounds,
-            event_list,
-            set(chain.from_iterable(node._buffers._located for node in nodes)),
+            dest, sender, (np.cumsum(per_row > 0) - 1)[row], event[messages],
+            depth[messages], rate[messages], round_[messages], rows.events,
         )
         self._check(emission)
         return emission
 
     @staticmethod
     def _check(emission: LiveEmission) -> None:
-        """What ``GossipMessage`` checks once per message and
-        ``Envelope`` once per envelope."""
-        rate = np.array(emission.rates, float)
+        """What ``GossipMessage`` checks once per message (the gather
+        drops what ``Envelope`` would refuse: a send to oneself)."""
+        rate = emission.rates
         bad = ~((rate >= 0.0) & (rate <= 1.0))
         if bad.any():
             raise ProtocolError(f"matching rate {rate[bad][0].item()} not in [0, 1]")
-        round_ = np.array(emission.rounds, np.int64)
+        round_ = emission.rounds
         if (round_ < 0).any():
             raise ProtocolError(f"round {round_[round_ < 0][0].item()} must be >= 0")
         depth = emission.depths
         if (depth < 1).any():
             raise ProtocolError(f"depth {depth[depth < 1][0].item()} must be >= 1")
-        if (emission.dest == emission.sender).any():
-            raise ProtocolError("a process does not gossip to itself")
 
     @staticmethod
     def envelopes(emission: LiveEmission, addresses: List[Address]) -> List[Envelope]:
         """The emission as the per-node loop sends it, for a link that
         decides envelope by envelope: one ``Envelope`` per entry, in send
-        order, its row's ``GossipMessage`` as sent (``addresses``: the
-        address by slot).  Both validate themselves."""
-        events, index = emission.event_list, emission.event_index.tolist()
-        depths = emission.depths.tolist()
+        order, its message's ``GossipMessage`` as sent (``addresses``:
+        the address by slot).  Both validate themselves."""
+        events, event = emission.events, emission.event.tolist()
+        depths, rates, rounds = (
+            column.tolist() for column in (emission.depths, emission.rates, emission.rounds)
+        )
         out: List[Envelope] = []
-        last = -1  # rows are in send order, so a row's envelopes are adjacent
+        last = -1  # messages are in send order, so a message's envelopes are adjacent
         for to, by, row in zip(
             emission.dest.tolist(), emission.sender.tolist(), emission.row.tolist()
         ):
             if row != last:
                 last = row
                 message = GossipMessage(
-                    events[index[row]], emission.rates[row], emission.rounds[row],
-                    depths[row], addresses[by],
+                    events[event[row]], rates[row], rounds[row], depths[row], addresses[by],
                 )
             out.append(Envelope(addresses[to], message))
         return out
 
-    @staticmethod
-    def carried(
-        survivors: List[Envelope], slot_of: Dict[Address, int], live: Set[int]
-    ) -> LiveEmission:
+    def carried(self, survivors: List[Envelope], slot_of: Dict[Address, int]) -> LiveEmission:
         """What a link returned, as the emission :meth:`exchange` applies:
-        one row per survivor, in the order given — this round's envelopes,
-        then any the link released from an earlier round."""
+        one message per survivor, in the order given — this round's
+        envelopes, then any the link released from an earlier round."""
         messages = [envelope.message for envelope in survivors]
-        events: Dict[int, Event] = {}  # event_id -> event, first seen first
-        for message in messages:
-            events.setdefault(message.event.event_id, message.event)
-        event_at = dict(zip(events, range(len(events))))
+        column = self.rows.event_col.__getitem__
         return LiveEmission(
             np.array([slot_of[envelope.destination] for envelope in survivors], np.int64),
             np.array([slot_of[message.sender] for message in messages], np.int64),
             np.arange(len(messages)),
-            np.array([event_at[message.event.event_id] for message in messages], np.int64),
+            np.array([column(message.event.event_id) for message in messages], np.int64),
             np.array([message.depth for message in messages], np.int64),
-            [message.rate for message in messages],
-            [message.round for message in messages],
-            list(events.values()),
-            live,
+            np.array([message.rate for message in messages], float),
+            np.array([message.round for message in messages], np.int64),
+            self.rows.events,
         )
 
     def exchange(
-        self,
-        emission: LiveEmission,
-        flags: Optional[np.ndarray],
-        node_at: List,
-        receiving: np.ndarray,
+        self, emission: LiveEmission, flags: Optional[np.ndarray], receiving: np.ndarray
     ) -> LiveArrivals:
         """RECEIVE for every envelope the link kept (``flags``, None =
-        all): ``node_at`` is the node by slot, ``receiving`` whether it
-        is there and alive.  First in send order wins a (process,
-        event) pair; every arrival counts one reception; HPDELIVER
-        reads the receiver's interest now.  Written back, and the flat
-        cache pruned to the events still buffered, before it returns."""
+        all) that reaches a slot ``receiving`` (there and alive).  Every
+        arrival counts one reception; the first in send order to a
+        (slot, event) pair not yet received buffers the event at the end
+        of its bucket, and HPDELIVER reads the receiver's interest now —
+        the one verdict taken in Python, once per fresh pair.  The flat
+        cache is pruned to the events still buffered before it returns."""
+        rows = self.rows
         dest = emission.dest
         kept = np.ones(len(dest), bool) if flags is None else flags
         at = np.flatnonzero(kept & receiving[dest])
         receiver = dest[at]
-        rows = emission.row[at]
-        depths = emission.depths[rows]
+        message = emission.row[at]
+        depths = emission.depths[message]
         foreign = (depths < 1) | (depths > self._depth)
         if foreign.any():
             raise ProtocolError(f"gossip for foreign depth {depths[foreign][0].item()}")
-        receivers, counts = np.unique(receiver, return_counts=True)
-        receivers = receivers.tolist()
-        for slot, count in zip(receivers, counts.tolist()):
-            node_at[slot].restore_counts(0, count)
-        events = emission.event_list
-        n_events = len(events)
-        pairs, first = np.unique(
-            receiver * n_events + emission.event_index[rows], return_index=True
+        rows.receptions += np.bincount(receiver, minlength=len(rows.receptions))
+        cols = emission.event[message]
+        __, first = np.unique(receiver * len(rows.events) + cols, return_index=True)
+        fresh = np.sort(first[~rows.received[receiver[first], cols[first]]])
+        slots, cols, message = receiver[fresh], cols[fresh], message[fresh]
+        events, interests = rows.events, rows.interests
+        delivered = [
+            interests[slot].matches(events[col])
+            for slot, col in zip(slots.tolist(), cols.tolist())
+        ]
+        rows.received[slots, cols] = True
+        rows.delivered[slots, cols] = delivered
+        rows.add(
+            slots, cols, emission.depths[message], emission.rates[message],
+            emission.rounds[message],
         )
-        fresh = sorted(
-            at_pair
-            for pair, at_pair in zip(pairs.tolist(), first.tolist())
-            if not node_at[pair // n_events].has_received(events[pair % n_events])
-        )
-        delivered = []
-        buffered = set()  # the events first received here
-        receiver, rows = receiver.tolist(), rows.tolist()
-        for index in fresh:
-            node, row = node_at[receiver[index]], rows[index]
-            event = events[emission.event_index[row]]
-            delivers = node.interest.matches(event)
-            node.restore_outcome(
-                event,
-                delivered=delivers,
-                buffered=(int(emission.depths[row]), emission.rates[row], emission.rounds[row]),
-            )
-            delivered.append(delivers)
-            buffered.add(event.event_id)
-        self.flats.prune(emission.live | buffered)
-        return LiveArrivals(
-            at, np.array(fresh, np.int64), delivered, receivers,
-            undeliverable=int(np.count_nonzero(kept)) - len(at),
-        )
+        self.flats.prune(rows.live_events())
+        return LiveArrivals(at, fresh, delivered, int(np.count_nonzero(kept)) - len(at))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestConstruction:
             assert [node._views[d] for d in (1, 2)] == [views[1], views[2]]
         # Each node owns its mapping: a membership change on one
         # sibling never rewires the other.
-        wired.replace_view(2, direct._views[2])
+        wired._views[2] = direct._views[2]
         views.clear()
         assert wired._views[1] is direct._views[1]
 

@@ -95,8 +95,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "an uninterested receiver delivers on the live round",
         "repro/sim/vector.py",
-        "            delivers = node.interest.matches(event)",
-        "            delivers = True",
+        "            interests[slot].matches(events[col])\n",
+        "            True\n",
         (
             "tests/sim/test_runtime.py::TestContentBasedRuntime::test_selective_delivery_in_runtime",
             "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
@@ -112,6 +112,24 @@ CATALOGUE: Tuple[Mutant, ...] = (
         (
             "tests/sim/test_runtime.py::TestFailureDetection::test_only_the_victims_leaf_mates_report_it",
             "tests/sim/test_runtime.py::TestActiveSetScheduling::test_both_modes_identical_through_churn",
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
+        ),
+    ),
+    Mutant(
+        "a demoted row keeps its old seq",
+        "repro/sim/vector.py",
+        "            seq[moved] = rows.stamp(len(moved))\n",
+        "            rows.stamp(len(moved))\n",
+        (
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
+        ),
+    ),
+    Mutant(
+        "the live exchange applies an envelope the link dropped",
+        "repro/sim/vector.py",
+        "        at = np.flatnonzero(kept & receiving[dest])\n",
+        "        at = np.flatnonzero(receiving[dest])\n",
+        (
             "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
         ),
     ),

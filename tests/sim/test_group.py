@@ -106,7 +106,7 @@ class TestBuild:
                 assert node._views[prefix.depth] is group._tables[prefix]
         # Siblings share tables but not the mapping that holds them.
         a, b = group.node(Address((1, 1, 0))), group.node(Address((1, 1, 1)))
-        a.replace_view(3, group._tables[Prefix((1, 0))])
+        a._views[3] = group._tables[Prefix((1, 0))]
         assert b._views[3] is group._tables[Prefix((1, 1))]
 
     def test_addresses_is_a_fresh_sorted_list(self):

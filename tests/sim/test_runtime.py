@@ -469,8 +469,8 @@ class TestCacheCorrectnessUnderChurn:
             runtime.leave(address)
             buffered = {
                 entry.event.event_id
-                for node in runtime._nodes.values()
-                for __, entry in node.buffers
+                for member in runtime.tree.members()
+                for __, entry in runtime.node(member).buffers
             }
             assert set(flats) <= buffered
         assert event.event_id not in flats
