@@ -200,7 +200,7 @@ class PmcastNode:
         self._note_first_reception(event)
         depth = 1
         if self._config.local_interest_shortcut:
-            depth = self.shortcut_depth(event)
+            depth = shortcut_depth(self._address, self._views, event)
         match = ctx.table_match(self._views[depth], event)
         self._buffers.add(depth, event, match.rate, round=0)
 
@@ -328,11 +328,6 @@ class PmcastNode:
             if destination != self._address:
                 out.append(Envelope(destination, message))
         self._buffers.remove(depth, entry.event)
-
-    def shortcut_depth(self, event: Event) -> int:
-        """§3.2: the depth a publish of ``event`` starts at (see
-        :func:`shortcut_depth`)."""
-        return shortcut_depth(self._address, self._views, event)
 
 
 def shortcut_depth(address: Address, views: Dict[int, ViewTable], event: Event) -> int:

@@ -54,6 +54,7 @@ invalidates anything.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -83,7 +84,7 @@ from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
-from repro.sim.vector import LiveEmission, LiveRound, RowTable, trace_arrivals, trace_sends
+from repro.sim.vector import Buffered, LiveEmission, LiveRound, RowTable, trace_arrivals, trace_sends
 from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime", "LiveNode"]
@@ -98,21 +99,27 @@ _PER_SLOT = (
 class LiveNode:
     """A process as :meth:`GroupRuntime.node` read it off the runtime's
     columns: what a :class:`~repro.core.node.PmcastNode`'s readers read
-    (``_views``: the tables on its prefix path).  :meth:`has_received`
-    and :meth:`has_delivered` read the columns when asked."""
+    (``_views``: the tables on its prefix path), each built when read."""
 
-    __slots__ = (
-        "alive", "is_idle", "messages_sent", "receptions", "buffers", "_views", "_rows", "_slot",
-    )
+    def __init__(self, alive: bool, rows: RowTable, slot: int, address: Address, tables) -> None:
+        self.alive, self._rows, self._slot = alive, rows, slot
+        self.messages_sent, self.receptions = int(rows.sent[slot]), int(rows.receptions[slot])
+        self._address, self._tables = address, tables
 
-    def __init__(self, alive: bool, rows: RowTable, slot: int, views):
-        self.alive = alive
-        self.buffers = rows.buffered(slot)
-        self.is_idle = not self.buffers
-        self.messages_sent = int(rows.sent[slot])
-        self.receptions = int(rows.receptions[slot])
-        self._views = views
-        self._rows, self._slot = rows, slot
+    @cached_property
+    def buffers(self) -> Buffered:
+        """The process's buffered events in bucket order (``holds``)."""
+        return self._rows.buffered(self._slot)
+
+    @property
+    def is_idle(self) -> bool:
+        """True if the process buffers nothing."""
+        return not self.buffers
+
+    @property
+    def _views(self) -> Dict[int, ViewTable]:
+        tables = self._tables
+        return {p.depth: tables[p] for p in self._address.prefixes() if p in tables}
 
     def has_received(self, event: Event) -> bool:
         """True if the process ever received (or published) ``event``."""
@@ -369,9 +376,7 @@ class GroupRuntime:
         slot = self._contacts.slot_of.get(address)
         if slot is None or not self._tokens[slot, 0]:
             raise MembershipError(f"{address} has no node")
-        tables = self._directory.tables
-        views = {p.depth: tables[p] for p in address.prefixes() if p in tables}
-        return LiveNode(not self._crashed_flag[slot], self._rows, slot, views)
+        return LiveNode(not self._crashed_flag[slot], self._rows, slot, address, self._directory.tables)
 
     def stale_replicas(self) -> int:
         """How many (live member, depth) replica tables differ from the
@@ -452,10 +457,11 @@ class GroupRuntime:
         ``detector.exclusion_latency_rounds``, the ``crashes`` counter
         and the trace all describe the first crash only.
         """
-        self.node(address)  # raises for an address with no process
+        slot = self._contacts.slot_of.get(address)
+        if slot is None or not self._tokens[slot, 0]:
+            raise MembershipError(f"{address} has no node")
         if address in self._crashed:
             return
-        slot = self._contacts.slot_of[address]
         self._crashed.add(address)
         self._crashed_at[address] = self._round
         self._crashed_flag[slot] = True

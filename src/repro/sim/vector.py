@@ -72,6 +72,7 @@ from repro.config import PmcastConfig, SimConfig
 from repro.core.buffers import BufferedEvent
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
+from repro.core.node import shortcut_depth
 from repro.core.rate import sample_positions_each
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
@@ -376,7 +377,7 @@ def try_run_vectorized(
     buf_depth, buf_round, sent_count, recv_count = np.zeros((4, n), np.int64)
     buf_rate = np.zeros(n)
     active = np.array([pub], np.int64)
-    buf_depth[pub] = group.node(publisher).shortcut_depth(event) if config.local_interest_shortcut else 1
+    buf_depth[pub] = shortcut_depth(publisher, group.views[pub], event) if config.local_interest_shortcut else 1
     published = flats.at(active, buf_depth[active])
     buf_rate[pub] = flats.rate[published[0]]
 
@@ -541,9 +542,6 @@ class Buffered(tuple):
         return any(entry.event.event_id == event.event_id for __, entry in self)
 
 
-_IDLE = Buffered()
-
-
 class RowTable:
     """:class:`~repro.sim.runtime.GroupRuntime`'s event state over
     contact slots: every process's ``gossips[1..d]`` at once.
@@ -572,6 +570,8 @@ class RowTable:
 
     def fit(self, slots: int, events: int = 0) -> None:
         """Columns for slots ``0 .. slots - 1`` and events ``0 .. events - 1``."""
+        if slots > len(self.sent):
+            self._order = None  # its slot ranges end at the old count
         self.sent = _fit(self.sent, (slots,), 0)
         self.receptions = _fit(self.receptions, (slots,), 0)
         self.received = _fit(self.received, (slots, events), False)
@@ -625,8 +625,6 @@ class RowTable:
             bounds = np.searchsorted(self.slot[order], np.arange(len(self.sent) + 1))
             self._order = order, bounds.tolist()
         order, bounds = self._order
-        if bounds[slot] == bounds[slot + 1]:
-            return _IDLE
         at = order[bounds[slot]:bounds[slot + 1]]
         events = self.events
         return Buffered(

@@ -205,4 +205,14 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "        return self._near[monitors] <= now - self._timeout",
         ("tests/sim/test_membership_rounds.py::TestMembershipRounds",),
     ),
+    Mutant(
+        "the row order outlives a slot doubling",
+        "repro/sim/vector.py",
+        "        if slots > len(self.sent):\n            self._order = None",
+        "        if False:\n            self._order = None",
+        (
+            "tests/sim/test_runtime.py::TestActiveSetScheduling::"
+            "test_a_join_that_doubles_the_slots_keeps_node_reads",
+        ),
+    ),
 )

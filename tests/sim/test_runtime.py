@@ -350,6 +350,19 @@ class TestActiveSetScheduling:
         runtime.crash(addresses[0])
         assert len(runtime._active) == infected - 1
 
+    def test_a_join_that_doubles_the_slots_keeps_node_reads(self):
+        # 4³ = 64 slots: the 65th address doubles the per-slot columns
+        # right after a node's buffers were read, with no step between.
+        runtime, addresses = make_runtime(arity=4, depth=3)
+        runtime.crash(addresses[0])
+        assert runtime.node(addresses[1]).is_idle
+        newcomer = Address((0, 0, 4))
+        runtime.join(newcomer, StaticInterest(True))
+        assert runtime.node(newcomer).is_idle
+        runtime.crash(newcomer)
+        assert not runtime.node(newcomer).alive
+        assert not runtime.node(addresses[0]).alive
+
     def test_a_wrongly_excluded_buffering_process_leaves_the_set(self):
         # Heavy loss and a hair-trigger detector convict live processes,
         # some of them while they still buffer the event.
