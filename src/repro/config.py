@@ -113,15 +113,12 @@ class SimConfig:
             uniformly random round of the run).
         seed: master seed for all randomness of a run.
         max_rounds: hard stop for the simulation loop.
-        vectorized: ``True`` (the default) lets
-            :func:`~repro.sim.engine.run_dissemination` dispatch on the
-            link: an unfaulted run takes the struct-of-arrays compat
-            kernel (:mod:`repro.sim.vector`), bit-identical to the
-            scalar loop in report, trace records and outcome; a run
-            under a fault plan takes the scalar reference loop, counted
-            in ``sim.vector_fallback_faults``.  ``False`` means only
-            "the reference loop": what the equivalence tests compare
-            the kernel against.
+        vectorized: ``True`` (the default) runs
+            :func:`~repro.sim.engine.run_dissemination` on the array
+            kernel (:mod:`repro.sim.vector`), fault plan or not,
+            bit-identical to the scalar loop in report, trace records
+            and outcome.  ``False`` means only "the reference loop":
+            what the equivalence tests compare the kernel against.
     """
 
     loss_probability: float = 0.0

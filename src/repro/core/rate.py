@@ -16,8 +16,8 @@ firing reads: lines 9–14 draw F *positions*, never a candidate list.
 
 This module also holds the one integer draw every sequential stream of
 the simulators goes through.  :func:`sample_positions_each` draws a
-batch of CPython ``random.sample`` calls over ``range(n)`` — a compat-kernel
-or live round's destinations, a membership round's peers (``k = 1``) —
+batch of CPython ``random.sample`` calls over ``range(n)`` — a live
+round's destinations, a membership round's peers (``k = 1``) —
 and :func:`sample_positions`, the scalar step's, is its one-size call.
 It inlines ``Random._randbelow_with_getrandbits`` over
 ``rng.getrandbits``: the same raw calls in the same order, so the values

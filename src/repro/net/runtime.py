@@ -161,7 +161,7 @@ def run_sim_dissemination(
                 infection_curve.append(variant.infected_count())
             if round_index >= sim_config.max_rounds:
                 break
-            crash_step(variant, crash_schedule, link, round_index, emit)
+            crash_step(variant.crash, crash_schedule, link, round_index, emit)
             if (
                 not variant.is_active()
                 and not transport.in_flight

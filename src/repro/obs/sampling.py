@@ -14,7 +14,7 @@ The decision is a pure function of the key:
   unsampled one (all simulation draws untouched) and the *sampled
   subset* itself is identical across interpreter launches,
   ``PYTHONHASHSEED`` values, worker counts, and engines: the scalar
-  engine and the vectorized compat kernel — which emit identical record
+  engine and the array kernel — which emit identical record
   streams — produce identical sampled traces, and the sharded kernel's
   trace is identical at any worker count.
 * **Per-process coherent.**  All ``send`` records of one sender are

@@ -149,7 +149,7 @@ def dissemination_meta(
     the run's report ratios — the interested ground truth before anybody
     crashed, with the publisher counted on neither side of the
     false-reception ratio.  Every execution style of one run (scalar
-    engine, compat kernel, event-driven runtimes) writes this same
+    engine, array kernel, event-driven runtimes) writes this same
     header, so offline tooling cannot tell the producers apart by it.
     """
     meta = dissemination_counts(

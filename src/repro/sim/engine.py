@@ -11,16 +11,15 @@ each envelope independently with probability ε, (4) survivors are
 received.  The run ends when every node is idle (passive garbage
 collection emptied all buffers) or at the ``max_rounds`` safety cap.
 
-Two loops implement that round, and :func:`run_dissemination` picks by
-the link, not by request: an unfaulted run takes the struct-of-arrays
-compat kernel (:func:`repro.sim.vector.try_run_vectorized`); a run
-under a fault plan takes the scalar reference loop
-(:func:`repro.variants.base.run_variant`) and is counted.  Both start
-from the group's wiring alone and return the run's outcome
-(:class:`~repro.sim.group.RunOutcome`) with its report.
-The two are bit-identical on every unfaulted run — report, trace
-records, outcome — and ``SimConfig(vectorized=False)`` forces the
-reference loop so a test can diff them.
+Two loops implement that round.  :func:`run_dissemination` runs it on
+the array kernel (:func:`repro.sim.vector.try_run_vectorized`, the
+live round's :class:`~repro.sim.vector.LiveRound` over one event),
+fault plan or not; ``SimConfig(vectorized=False)`` selects the scalar
+reference loop (:func:`repro.variants.base.run_variant`) so a test can
+diff them.  Both start from the group's wiring alone and return the
+run's outcome (:class:`~repro.sim.group.RunOutcome`) with its report,
+and the two are bit-identical on every run — report, trace records,
+outcome.
 
 Either loop is observed through the one
 :class:`~repro.obs.probes.Observer` the run is handed (trace
@@ -86,9 +85,7 @@ def run_dissemination(
             which ``python -m repro.obs summarize`` reproduces this
             function's report.  Its timeline receives per-round
             ``engine`` ``fan_out``/``exchange`` spans from either loop;
-            its registry the kernel's ``vector.*`` counters and the
-            faulted runs the kernel could not express
-            (``sim.vector_fallback`` and ``sim.vector_fallback_faults``).
+            its registry the kernel's ``vector.*`` counters.
             Observation draws no randomness: the report is the same
             observed or not.
         timeline: shorthand for ``observer=Observer(timeline=...)``.
@@ -125,24 +122,18 @@ def run_dissemination_outcome(
     )
 
     if sim_config.vectorized:
-        if hasattr(link, "transmit_flags"):
-            # The struct-of-arrays kernel consumes the same RNG streams
-            # in the same order — and emits the same trace records — so
-            # its run is bit-identical to the reference loop below.
-            return try_run_vectorized(
-                group, publisher, event, sim_config, ctx, link, crash_schedule, observer,
-            )
-        # A fault plan's link decides envelope by envelope; it has no
-        # draw-only transmit for the kernel to call.
-        observer.registry.counter("sim", "vector_fallback").inc()
-        observer.registry.counter("sim", "vector_fallback_faults").inc()
+        # The array kernel consumes the same RNG streams in the same
+        # order — and emits the same trace records — so its run is
+        # bit-identical to the reference loop below.
+        return try_run_vectorized(
+            group, publisher, event, sim_config, ctx, link, crash_schedule, observer,
+        )
 
     # The reference loop is the pmcast dissemination strategy running
     # on the shared round driver (the strategy seam extracted from this
-    # very loop — see repro.variants.base), and the home of fault
-    # plans.  PmcastVariant is an exact port: same insertion-ordered
-    # active set, same RNG draw order, same trace records,
-    # bit-identical reports.
+    # very loop — see repro.variants.base).  PmcastVariant is an exact
+    # port: same insertion-ordered active set, same RNG draw order,
+    # same trace records, bit-identical reports.
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
     report = run_variant(variant, sim_config, link, crash_schedule, observer)
     return report, variant.outcome

@@ -40,10 +40,11 @@ class PmcastGroup:
     :func:`repro.sim.engine.run_dissemination` (or step the nodes
     :meth:`node` wires yourself for custom experiments).
 
-    Columns over :meth:`addresses` order, read by the compat kernel and
-    the report: ``index_of`` (address -> index), ``interests``, ``views``
-    (each member's depth -> table mapping, one object per leaf
-    subgroup), ``components`` (an ``n × d`` array) and ``alive`` (False
+    Columns over :meth:`addresses` order, read by the array kernel and
+    the report: ``index_of`` (address -> index), ``interests``,
+    ``table_ids`` (an ``n × d`` array: the id of each member's view
+    table per depth, ``tables_by_id`` the table; :meth:`views` per
+    member as a mapping), ``components`` (an ``n × d`` array) and ``alive`` (False
     at the members in ``down``).  None of them changes after
     construction.
     """
@@ -68,26 +69,31 @@ class PmcastGroup:
         if stray:
             raise SimulationError(f"{min(stray)} is not in the group")
         self.interests: List[Interest] = list(tree.interests_of(self._sorted))
-        # The members of a leaf subgroup share every table on their
-        # prefix path, so the depth -> table mapping is assembled and
-        # checked once per subgroup, not once per member.
-        wiring: Dict[Prefix, Dict[int, ViewTable]] = {}
-        self.views: List[Dict[int, ViewTable]] = []
-        for address in self._sorted:
-            prefixes = address.prefixes()
-            views = wiring.get(prefixes[-1])
-            if views is None:
-                views = {prefix.depth: tables[prefix] for prefix in prefixes}
-                PmcastNode.check_views(address, views)
-                wiring[prefixes[-1]] = views
-            self.views.append(views)
         self.components = np.fromiter(
             chain.from_iterable(map(component_key, self._sorted)), np.int64
         ).reshape(n, -1)
+        # The members of a leaf subgroup share every table on their
+        # prefix path, and, sorted, they are a run of rows: their tables
+        # are looked up and checked at a run's first member only.  A
+        # table's id is its prefix's place in first-seen order.
+        moved = np.any(np.diff(self.components[:, :-1], axis=0) != 0, axis=1)
+        self._leaf_of = np.concatenate(([0], np.cumsum(moved)))
+        table_id: Dict[Prefix, int] = {}
+        self._leaf_views: List[Dict[int, ViewTable]] = []
+        leaf_ids: List[List[int]] = []
+        for first in np.flatnonzero(np.concatenate(([True], moved))).tolist():
+            address = self._sorted[first]
+            prefixes = address.prefixes()
+            views = {prefix.depth: tables[prefix] for prefix in prefixes}
+            PmcastNode.check_views(address, views)
+            self._leaf_views.append(views)
+            leaf_ids.append([table_id.setdefault(p, len(table_id)) for p in prefixes])
+        self.table_ids = np.array(leaf_ids, np.int64)[self._leaf_of]
+        self.tables_by_id: List[ViewTable] = [tables[prefix] for prefix in table_id]
         self.alive = np.ones(n, bool)
         for address in self._down:
             self.alive[self.index_of[address]] = False
-        for column in (self.components, self.alive):
+        for column in (self.components, self.alive, self.table_ids):
             column.flags.writeable = False
 
     @classmethod
@@ -138,11 +144,14 @@ class PmcastGroup:
         index = self.index_of.get(address)
         if index is None:
             raise SimulationError(f"{address} is not in the group")
-        node = PmcastNode.wired(
-            address, self.interests[index], self.views[index], self._config
-        )
+        node = PmcastNode.wired(address, self.interests[index], self.views(index), self._config)
         node.alive = address not in self._down
         return node
+
+    def views(self, index: int) -> Dict[int, ViewTable]:
+        """Member ``index``'s view tables by depth: its leaf subgroup's
+        mapping, shared by the subgroup, so read only."""
+        return self._leaf_views[self._leaf_of[index]]
 
     def addresses(self) -> List[Address]:
         """All member addresses, sorted (a fresh list each call)."""
@@ -225,7 +234,7 @@ def assemble_pmcast_report(
     in :meth:`PmcastGroup.addresses` order, before anybody crashed) and
     the tallies its driver kept.
 
-    Shared by the scalar loop, the compat kernel and the event-driven
+    Shared by the scalar loop, the array kernel and the event-driven
     runtimes in :mod:`repro.net`, so every execution style scores a run
     with the same arithmetic.
     """

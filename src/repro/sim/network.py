@@ -74,8 +74,8 @@ class LossyNetwork:
         """Draw ``count`` delivery verdicts without materializing envelopes.
 
         The link's one loss draw: one ``random()`` per envelope when
-        ε > 0, none otherwise, and the sent/lost counters.  The kernels
-        call it directly and :meth:`transmit` applies it to envelope
+        ε > 0, none otherwise, and the sent/lost counters.  The kernel
+        calls it directly and :meth:`transmit` applies it to envelope
         objects, so a vectorized run stays stream- and metric-identical
         to the scalar one.  Returns a bool mask (True: delivered), or
         None when ε <= 0 (everything delivered, nothing drawn).

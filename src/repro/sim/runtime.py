@@ -55,7 +55,7 @@ invalidates anything.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -63,9 +63,8 @@ import numpy as np
 from repro.addressing import Address, Prefix
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.node import shortcut_depth
 from repro.core.rate import sample_positions_each
-from repro.errors import MembershipError, ProtocolError, SimulationError
+from repro.errors import MembershipError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
@@ -84,8 +83,7 @@ from repro.net.scheduler import Schedule
 from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
-from repro.sim.vector import Buffered, LiveEmission, LiveRound, RowTable, trace_arrivals, trace_sends
-from repro.variants.base import emit_dispositions
+from repro.sim.vector import Buffered, LiveEmission, LiveRound, RowTable
 
 __all__ = ["GroupRuntime", "LiveNode"]
 
@@ -341,7 +339,8 @@ class GroupRuntime:
                 self._link = self._faults
         # The event round on arrays: fan-out and exchange.
         self._kernel = LiveRound(
-            self._ctx, self._config, self._contacts.slot_of, self._tree.depth, self._rows
+            self._ctx, self._config, self._contacts.slot_of, self._contacts.addresses,
+            self._tree.depth, self._rows,
         )
         self._m_suspicion_reports = self._reg.counter(
             "detector", "suspicion_reports"
@@ -430,24 +429,10 @@ class GroupRuntime:
                 )
 
     def _pmcast(self, slot: int, publisher: Address, event: Event) -> bool:
-        """PMCAST (Figure 3 lines 24–25) at a live member: ``event`` is
-        received, delivered if the publisher's interest matches, and
-        buffered at the root, or the §3.2 shortcut's depth, at that
-        table's rate.  Returns whether it delivered."""
-        rows = self._rows
-        col = rows.column(event)
-        if rows.received[slot, col]:
-            raise ProtocolError(f"event {event.event_id} already published")
-        views = self._directory.path(publisher)
-        depth = 1
-        if self._config.local_interest_shortcut:
-            depth = shortcut_depth(publisher, views, event)
-        rate = self._ctx.table_match(views[depth], event).rate
-        delivers = rows.interests[slot].matches(event)
-        rows.received[slot, col] = True
-        rows.delivered[slot, col] = delivers
-        rows.add([slot], [col], [depth], [rate], [0])
-        return delivers
+        """PMCAST at a live member, over its directory path
+        (:meth:`LiveRound.publish <repro.sim.vector.LiveRound.publish>`).
+        Returns whether it delivered."""
+        return self._kernel.publish(slot, publisher, self._directory.path(publisher), event)
 
     def crash(self, address: Address) -> None:
         """Silently crash a process (it stays in views until excluded).
@@ -621,56 +606,29 @@ class GroupRuntime:
         slots = np.array(walk, np.int64)
         # A prefix's id is its place in _prefix_id's insertion order.
         tables, prefixes = self._directory.tables, list(self._prefix_id)
-        emission = self._kernel.fan_out(
-            slots, fires, self._prefix_ids, lambda at: tables[prefixes[at]]
-        )
+        columns = self._kernel.columns(self._prefix_ids, lambda at: tables[prefixes[at]])
+        emission = self._kernel.fan_out(slots, fires, columns)
         self._active.difference_update(slots[~np.isin(slots, self._rows.slot)].tolist())
         return emission
 
     def _kernel_exchange(self, emission: LiveEmission) -> Tuple[np.ndarray, np.ndarray]:
-        """Transmit the kernel's envelopes and apply every arrival.
-
-        The link call is the round's only fork.  The ε network draws one
-        verdict per envelope (``transmit_flags``).  A fault plan decides
-        envelope by envelope: the emission becomes ``Envelope`` objects
-        for its ``transmit``, and what it returns — this round's
-        survivors, then whatever it released from an earlier round — is
-        the emission applied.  Either way the round's ε drops count as
-        lost (a delayed envelope is not lost; injected losses are in the
-        ``faults`` collector)."""
-        link = self._link
+        """Transmit the kernel's envelopes and apply every arrival
+        (:meth:`LiveRound.transmit <repro.sim.vector.LiveRound.transmit>`),
+        then drop the flats of the events no row buffers any more.  The
+        round's ε drops count as lost (a delayed envelope is not lost;
+        injected losses are in the ``faults`` collector)."""
+        link, obs = self._link, self._obs
         lost = link.messages_lost
         self._m_sent.inc(len(emission.dest))
-        faulted = not hasattr(link, "transmit_flags")
-        if faulted:
-            envelopes = LiveRound.envelopes(emission, self._contacts.addresses)
-            survivors = link.transmit(envelopes)
-            if self._obs.tracing and envelopes:
-                emit_dispositions(
-                    envelopes, {id(envelope) for envelope in survivors},
-                    link.last_diverted, self._obs.emit, self._round,
-                )
-            emission = self._kernel.carried(survivors, self._contacts.slot_of)
-            flags = None
-        else:
-            flags = link.transmit_flags(len(emission.dest))
+        emission, arrivals = self._kernel.transmit(
+            emission, link, self._receiving, obs.emit if obs.tracing else None, self._round
+        )
+        self._kernel.flats.prune(self._rows.live_events())
         self._m_lost.inc(link.messages_lost - lost)
-        arrivals = self._kernel.exchange(emission, flags, self._receiving)
         self._m_undeliverable.inc(arrivals.undeliverable)
         self._m_receptions.inc(len(arrivals.at))
-        if self._obs.enabled:
+        if obs.enabled:
             self._m_deliveries.inc(sum(arrivals.delivered))
-        if self._obs.tracing:
-            columns = (
-                self._obs.emit, self._round, self._contacts.addresses,
-                *emission.columns(),
-            )
-            if not faulted:
-                trace_sends(*columns, flags)
-            trace_arrivals(
-                *columns, arrivals.at.tolist(),
-                set(compress(arrivals.fresh.tolist(), arrivals.delivered)),
-            )
         receivers = emission.dest[arrivals.at]
         senders = emission.sender[arrivals.at]
         self._active.update(receivers[np.isin(receivers, self._rows.slot)].tolist())

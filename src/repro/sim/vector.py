@@ -1,27 +1,26 @@
 """Struct-of-arrays fast paths for the simulation hot loop.
 
-Three kernels live here.  Two run a single-event dissemination, with
-different contracts:
+Two kernels live here, with different contracts:
 
-**Compat kernel** (:func:`try_run_vectorized`) — :func:`repro.sim.engine.run_dissemination`'s
-round loop as array passes over the active set instead of the per-member
-object model.  It consumes the *same* ``random.Random`` streams in the
-*same* order as the scalar engine (a round's destinations via one
-:func:`~repro.core.rate.sample_positions_each` over the same flat
-:class:`~repro.core.rate.TableMatch`, loss draws via
-:meth:`~repro.sim.network.LossyNetwork.transmit_flags`), so its
-:class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
-scalar path's for any unfaulted run, and so are its trace and its
-:class:`~repro.sim.group.RunOutcome`: the kernel emits the same
-``repro.obs.trace/v1`` records in the same order (through the same
-:meth:`Observer.emit <repro.obs.probes.Observer.emit>`, so sampled
-alike), and a traced run takes it too.  It starts from the group's
-static columns and fills the outcome from its arrays; no node object is
-read or written.  It is the path
-:func:`~repro.sim.engine.run_dissemination` takes unless the run has a
-fault plan, whose link offers no ``transmit_flags``: that run takes the
-scalar reference loop and is counted.  ``SimConfig(vectorized=False)``
-forces the reference loop.
+**Draw-for-draw kernel** (:class:`LiveRound`) — Figure 3's round as
+array passes over a :class:`RowTable`, one row per buffered (process,
+event), stream-compatible with the per-node loop (one ``gossip_step``
+per fire, one ``receive`` per surviving envelope).  It consumes the
+*same* ``random.Random`` streams in the *same* order (a round's
+destinations via one :func:`~repro.core.rate.sample_positions_each`
+over the same flat :class:`~repro.core.rate.TableMatch` objects, loss draws
+via :meth:`~repro.sim.network.LossyNetwork.transmit_flags`, a fault
+plan's through its link, which gets the round's envelopes as objects)
+and writes the same ``repro.obs.trace/v1`` records in the same order
+(through the same :meth:`Observer.emit <repro.obs.probes.Observer.emit>`,
+so sampled alike).  Two drivers play it:
+:class:`~repro.sim.runtime.GroupRuntime` (any number of events, any
+schedule, any fault plan) and :func:`try_run_vectorized`, the static
+run :func:`~repro.sim.engine.run_dissemination` takes by default — one
+event over a :class:`~repro.sim.group.PmcastGroup`'s static columns,
+whose :class:`~repro.sim.metrics.DisseminationReport`, trace and
+:class:`~repro.sim.group.RunOutcome` equal the scalar reference loop's
+(``SimConfig(vectorized=False)``), faulted or not.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` / :class:`TreeState`)
 — a fully vectorized numpy round for the synthetic full regular tree
@@ -42,18 +41,7 @@ kernel is validated statistically against the Eqs 8–18 oracles (the
 that plays the rounds (and hands the trace to an Observer) lives in
 :mod:`repro.par.subtree`.
 
-The third, :class:`LiveRound`, is :class:`~repro.sim.runtime.GroupRuntime`'s
-fan-out and exchange over any number of buffered events, any schedule
-and any fault plan, draw for draw with a per-node loop (one
-``gossip_step`` per fire, one ``receive`` per surviving envelope): array
-passes over the runtime's :class:`RowTable`, one row per buffered
-(process, event), through the compat kernel's cascade (:func:`_settle`).
-Both kernels look their destinations up in one kind of flat match
-(:class:`_Flats`), each built when a process first gossips an event at a
-view, and write their send, loss, receive and deliver records through
-the same two functions (:func:`trace_sends`, :func:`trace_arrivals`).
-
-Determinism rules (all kernels): no wall clock, no ``hash()`` of
+Determinism rules (both kernels): no wall clock, no ``hash()`` of
 interned objects, no set-iteration order — every draw is derived from
 the master seed via :func:`repro.sim.rng.derive_seed`, and every loop
 iterates arrays or insertion-ordered lists.
@@ -86,6 +74,7 @@ from repro.sim.group import PmcastGroup, RunOutcome, assemble_pmcast_report
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_seed
+from repro.variants.base import crash_step, emit_dispositions
 
 __all__ = [
     "VectorUnsupported",
@@ -103,7 +92,7 @@ class VectorUnsupported(SimulationError):
 
 
 # ---------------------------------------------------------------------------
-# Flat matches: one cache for both draw-for-draw kernels.
+# The draw-for-draw kernel's parts: flats, passes, gather, records.
 # ---------------------------------------------------------------------------
 
 class _DepthMatch:
@@ -140,21 +129,14 @@ class _Flats:
     """The flat matches of one run or runtime, each built on its first
     lookup.
 
-    ``slot_of`` gives an address its dense index: a member index in the
-    compat kernel, a contact slot in the live round.  A flat is keyed
-    by (table, cache token, event): it is replaced at its next lookup
-    once its table's token moved, dropped when :meth:`forget` names its
+    ``slot_of`` gives an address its dense index: a member index in a
+    static run, a contact slot in the runtime.  A flat is keyed by
+    (table, cache token, event): it is replaced at its next lookup once
+    its table's token moved, dropped when :meth:`forget` names its
     table, and dropped with its event by :meth:`prune`.  A lookup served
     from a flat counts one ``match_cache`` table hit; any other goes
     through :meth:`GossipContext.table_match
     <repro.core.context.GossipContext.table_match>`, which counts itself.
-
-    What a run counts follows its kernel's lookups: :class:`LiveRound`
-    looks up where the per-node loop's ``gossip_step`` would, so its
-    counters read the loop's; the compat kernel once per (node, depth),
-    where the reference loop looks up at every firing — so far fewer hits
-    (4 678 against 25 918, 506 misses on both, in a ``static_tree``-shaped
-    22³ trial), which nothing reads: ``run_dissemination`` has no collector.
     """
 
     __slots__ = ("_ctx", "_config", "_slot_of", "_flats", "_wiring", "_bounds")
@@ -214,56 +196,79 @@ class _Flats:
         return flat
 
 
-# ---------------------------------------------------------------------------
-# Compat kernel: bit-identical to the scalar engine.
-# ---------------------------------------------------------------------------
+class _LiveColumns:
+    """The flats one kernel run reads, as columns over dense flat ids,
+    for :func:`_settle` and :func:`_destinations`.
 
-class _FlatColumns:
-    """The compat kernel's flats as columns over dense flat ids, each
-    taken from :meth:`_Flats.cell` the first time :meth:`at` asks.
-    ``pool`` holds every flat's entries (member indices, -1 where line
-    13 skips) then its flood targets.  Per flat id: ``start``, ``size``,
-    ``flood_count``, ``floods``, ``rate`` and ``bound`` (line 7's at its
-    rate; -1 where it floods).  Per key ``node * d + depth - 1``:
-    ``flat`` (-1 until asked) and ``own``, the node's entry position.
+    A row's flat is the (table, event) flat of its slot's table at its
+    depth: ``table_ids`` names each slot's table per depth and
+    ``table_of`` gives a table id's table.  Each flat is taken from
+    :meth:`_Flats.cell` the first time the columns meet its (table id,
+    event) pair; ``matches`` holds them by flat id.  ``pool`` holds every
+    flat's entries (slots, -1 where line 13 skips) then its flood
+    targets.  Per flat id: ``start``, ``size``, ``flood_count``,
+    ``floods``, ``rate`` and ``bound`` (line 7's at its rate; -1 where it
+    floods).
 
-    A flat's rate is the rate of every entry buffered at it: a depth-k
-    message stays among the members of one depth-k table, and publish
-    and demotion take the rate from that table.  So line 7's bound is
-    the flat's own (:meth:`bound_at`).
+    The caller owns the columns' lifetime: the tables ``table_of`` names
+    must not change while they are read — a static run keeps one for the
+    run, the runtime takes one per round.
     """
 
-    def __init__(self, flats: _Flats, views: List, event: Event, depth: int, config: PmcastConfig):
-        self._cell, self._views, self._event = flats.cell, views, event
-        self._depth, self._config = depth, config
-        self.flat, self.own = np.full((2, len(views) * depth), -1, np.int64)
-        self._ids: Dict[int, int] = {}  # id(_DepthMatch) -> flat id
+    def __init__(self, flats: _Flats, rows: "RowTable", table_ids, table_of, config: PmcastConfig):
+        self._cell, self._config, self._rows = flats.cell, config, rows
+        self._table_ids, self._table_of = table_ids, table_of
+        # The event columns some row buffers, ascending; per key table id
+        # * len(events) + place among them: its flat id, -1 until asked.
+        self._events = np.flatnonzero(np.bincount(rows.event))
+        self._flat = np.full((int(table_ids.max()) + 1) * len(self._events), -1, np.int64)
+        # Per (slot, depth): the slot's entry position in its table (-1:
+        # not an entry), -2 until asked.
+        self._own = np.full(table_ids.shape, -2, np.int64)
+        self.matches: List[_DepthMatch] = []
         self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
         self.floods, self.rate = np.empty(0, bool), np.empty(0)
 
-    def at(self, nodes: np.ndarray, depths: np.ndarray) -> np.ndarray:
-        """The flat ids of the pairs (``nodes``, ``depths``); the pairs
-        never asked for are looked up now, in the order given."""
-        keys = nodes * self._depth + depths - 1
-        ids = self.flat[keys]
-        missing = np.flatnonzero(ids < 0)
-        if len(missing):
-            asking, views, cell = nodes[missing].tolist(), self._views, self._cell
-            pairs = zip(asking, depths[missing].tolist())
-            matches = [cell(views[i][d], self._event) for i, d in pairs]
-            known, before = self._ids, len(self._ids)
-            found = [known.setdefault(id(match), len(known)) for match in matches]
-            if len(known) > before:
-                new = dict(zip(found, matches))
-                self._add([new[f] for f in range(before, len(known))])
-            self.flat[keys[missing]] = ids[missing] = found
-            self.own[keys[missing]] = [match.pos.get(i, -1) for match, i in zip(matches, asking)]
+    def at(self, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """The flat ids of ``rows`` at ``depths``."""
+        table, n = self._rows, len(self._events)
+        place = np.searchsorted(self._events, table.event[rows])
+        keys = self._table_ids[table.slot[rows], depths - 1] * n + place
+        ids = self._flat[keys]
+        missing = ids < 0
+        if missing.any():
+            new = np.unique(keys[missing]).tolist()
+            table_of, cols, events = self._table_of, self._events.tolist(), table.events
+            matches = [self._cell(table_of(key // n), events[cols[key % n]]) for key in new]
+            self._flat[new] = np.arange(len(self.matches), len(self.matches) + len(new))
+            self.matches += matches
+            self._add(matches)
+            ids = self._flat[keys]
         return ids
 
     def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
         """Line 7's bound of rows at flats ``ids`` buffered at ``rate``:
-        the flats' own."""
-        return self.bound[ids]
+        the flat's own, unless a refresh moved the flat's rate off the
+        row's (a ``(entry count, rate)`` memo)."""
+        bound = self.bound[ids]
+        odd = np.flatnonzero(rate != self.rate[ids])
+        for at, flat, row_rate in zip(odd.tolist(), ids[odd].tolist(), rate[odd].tolist()):
+            bound[at] = self.matches[flat].round_bound(row_rate, self._config)
+        return bound
+
+    def own(self, slots: np.ndarray, depths: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Where each of ``slots`` is an entry of its flat ``ids`` at
+        ``depths`` (-1: it is not), read once per (slot, depth)."""
+        held = self._own[slots, depths - 1]
+        asked = np.flatnonzero(held == -2)
+        if len(asked):
+            matches = self.matches
+            held[asked] = [
+                matches[flat].pos.get(slot, -1)
+                for flat, slot in zip(ids[asked].tolist(), slots[asked].tolist())
+            ]
+            self._own[slots[asked], depths[asked] - 1] = held[asked]
+        return held
 
     def _add(self, matches: List[_DepthMatch]) -> None:
         """Columns and pool slots for the next flat ids, ``matches``."""
@@ -282,13 +287,12 @@ class _FlatColumns:
             setattr(self, name, np.concatenate((getattr(self, name), tail)))
 
 
-def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tuple[np.ndarray, ...]:
+def _settle(flats: _LiveColumns, active, depth, round_, rate, leaf: int) -> Tuple[np.ndarray, ...]:
     """Figure 3's GOSSIP task for all of ``active`` at once, settling
     their buffered ``depth``, ``round_`` and ``rate`` in place in at most
     ``leaf`` masked passes (§6 flood, gossip, demotion or retirement).
-    ``flats`` looks rows up by (``active`` row, depth): :class:`_FlatColumns`
-    for the compat kernel, :class:`_LiveColumns` for the live round.
-    Returns per row whether it gossips, whether it floods, its last flat.
+    ``flats`` looks rows up by (``active`` row, depth).  Returns per row
+    whether it gossips, whether it floods, its last flat.
     """
     gossips, floods = np.zeros((2, len(active)), bool)
     flat = np.empty(len(active), np.int64)
@@ -311,7 +315,7 @@ def _settle(flats: _FlatColumns, active, depth, round_, rate, leaf: int) -> Tupl
     return gossips, floods, flat
 
 
-def _destinations(flats: _FlatColumns, rng, fanout: int, gossips, floods, flat, own, senders):
+def _destinations(flats: _LiveColumns, rng, fanout: int, gossips, floods, flat, own, senders):
     """Per envelope of rows that gossip or flood at flats ``flat``, in
     row order: destination, row and sender (``senders[row]``, at entry
     position ``own[row]``, -1 if none).  One ``sample_positions_each``
@@ -333,174 +337,12 @@ def _destinations(flats: _FlatColumns, rng, fanout: int, gossips, floods, flat, 
     return dest[kept], row[kept], sender[kept]
 
 
-def try_run_vectorized(
-    group: PmcastGroup,
-    publisher: Address,
-    event: Event,
-    sim_config: SimConfig,
-    ctx: GossipContext,
-    network: LossyNetwork,
-    crash_schedule: CrashSchedule,
-    observer: Observer = NULL_OBSERVER,
-) -> Tuple[DisseminationReport, RunOutcome]:
-    """Run one dissemination on the compat kernel: its report and its
-    outcome.
-
-    Stream-compatible with the reference loop: same gossip/loss draws
-    in the same order, same report and outcome, the same trace records
-    in the same order (through ``observer.emit``, so sampled alike).
-    The run starts from the group's static columns; a node's flat at a
-    depth is looked up when it first gossips there.
-    ``observer.registry`` receives per-round ``vector.*`` counters;
-    ``observer.timeline`` receives ``engine`` ``fan_out``/``exchange``
-    spans under the names the reference loop uses — both out of band.
-
-    A round is array passes (:func:`_settle`), one ``sample_positions_each``
-    and one gather of destinations (docs/PROTOCOL.md).
-    """
-    registry, timeline = observer.registry, observer.timeline
-    addresses = group.addresses()
-    n = len(addresses)
-    tree_depth = group.tree.depth
-    index_of, components = group.index_of, group.components
-    own_match = group.interest_mask(event)
-    alive = group.alive.copy()
-    received, delivered = np.zeros((2, n), bool)
-    config, rng = group.config, ctx.rng
-    fanout = config.fanout
-    flats = _FlatColumns(_Flats(ctx, config, index_of), group.views, event, tree_depth, config)
-
-    # PMCAST bootstrap (Figure 3 lines 24-25).
-    pub = index_of[publisher]
-    received[pub] = True
-    delivered[pub] = own_match[pub]
-    buf_depth, buf_round, sent_count, recv_count = np.zeros((4, n), np.int64)
-    buf_rate = np.zeros(n)
-    active = np.array([pub], np.int64)
-    buf_depth[pub] = shortcut_depth(publisher, group.views[pub], event) if config.local_interest_shortcut else 1
-    published = flats.at(active, buf_depth[active])
-    buf_rate[pub] = flats.rate[published[0]]
-
-    emit = observer.emit if observer.tracing else None
-    if emit is not None:
-        # Byte-identical metadata to the scalar engine's: offline
-        # tooling cannot (and must not) tell the producers apart.
-        observer.annotate(**dissemination_meta(
-            "repro.sim.engine", publisher, event.event_id, group.size,
-            set(compress(addresses, own_match)), sim_config.seed,
-        ))
-        emit(0, "publish", publisher, event_id=event.event_id)
-        if own_match[pub]:
-            emit(0, "deliver", publisher, event_id=event.event_id)
-
-    infected_count = 1
-    infection_curve: List[int] = []
-    messages_by_distance = np.zeros(tree_depth, np.int64)
-    rounds = 0
-
-    metering = registry.enabled
-    if metering:
-        meter_rounds = registry.counter("vector", "rounds")
-        meter_envelopes = registry.counter("vector", "envelopes")
-        meter_losses = registry.counter("vector", "losses")
-        meter_infected = registry.gauge("vector", "infected")
-
-    for round_index in range(sim_config.max_rounds):
-        for victim in crash_schedule.crashes_at(round_index):
-            vi = index_of.get(victim)
-            if vi is None:
-                raise SimulationError(f"{victim} is not in the group")
-            if not alive[vi]:
-                continue
-            alive[vi] = False
-            if emit is not None:
-                emit(round_index + 1, "crash", victim)
-        active = active[alive[active]]
-        if not len(active):
-            break
-        rounds = round_index + 1
-
-        # GOSSIP firings, in active-set insertion order (the scalar
-        # engine's dict order), depths ascending with same-firing
-        # demotion cascades.
-        with timeline.span("fan_out", "engine", rounds):
-            depth, round_, rate = buf_depth[active], buf_round[active], buf_rate[active]
-            gossips, floods, flat = _settle(flats, active, depth, round_, rate, tree_depth)
-            own = flats.own[active * tree_depth + depth - 1]
-            dest, row, sender = _destinations(flats, rng, fanout, gossips, floods, flat, own, active)
-            sent_count[active] += np.bincount(row, minlength=len(active))
-            buf_depth[active] = np.where(gossips, depth, 0)
-            buf_round[active], buf_rate[active] = round_, rate
-            active = active[gossips]
-
-            # Distance accounting: every envelope, before loss (§2.2).
-            same = components[sender] == components[dest]
-            common = np.logical_and.accumulate(same, axis=1).sum(axis=1)
-            messages_by_distance += np.bincount(tree_depth - 1 - common, minlength=tree_depth)
-
-        with timeline.span("exchange", "engine", rounds):
-            flags = network.transmit_flags(len(dest))
-            reaching = alive[dest] if flags is None else alive[dest] & flags
-            at = np.flatnonzero(reaching)
-            receiver = dest[at]
-            recv_count += np.bincount(receiver, minlength=n)
-            # First in send order wins a node; new actives join in that
-            # order, each buffering the message that reached it first.
-            fresh = np.flatnonzero(~received[receiver])
-            fresh = np.sort(fresh[np.unique(receiver[fresh], return_index=True)[1]])
-            joined, firsts = receiver[fresh], row[at[fresh]]
-            received[joined] = True
-            delivers = own_match[joined]
-            delivered[joined] = delivers
-            buf_depth[joined] = depth[firsts]
-            buf_round[joined] = round_[firsts]
-            buf_rate[joined] = rate[firsts]
-            active = np.concatenate((active, joined))
-            infected_count += len(joined)
-            if emit is not None:
-                # The scalar engine records every envelope's disposition
-                # (send/loss) before any reception — same order here.
-                columns = (
-                    emit, rounds, addresses, dest.tolist(), sender.tolist(),
-                    depth[row].tolist(), [event.event_id] * len(dest),
-                )
-                trace_sends(*columns, flags)
-                trace_arrivals(*columns, at.tolist(), set(fresh[delivers].tolist()))
-
-        infection_curve.append(infected_count)
-        if metering:
-            meter_rounds.inc()
-            meter_envelopes.inc(len(dest))
-            if flags is not None:
-                meter_losses.inc(len(flags) - int(np.count_nonzero(flags)))
-            meter_infected.set(infected_count)
-
-    timeline.probe_memory(subsystem="engine", round_index=rounds)
-    observer.annotate(rounds=rounds)
-    if metering:
-        registry.counter("vector", "runs").inc()
-        registry.counter("vector", "receptions").inc(int(recv_count.sum()))
-
-    # A retired entry leaves its rate and round behind; the outcome has
-    # none where nothing is buffered.
-    idle = buf_depth == 0
-    buf_rate[idle], buf_round[idle] = 0.0, 0
-    outcome = RunOutcome(
-        alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round
-    )
-    report = assemble_pmcast_report(
-        group, publisher, outcome, own_match, rounds,
-        tuple(infection_curve), tuple(messages_by_distance.tolist()),
-        network.messages_lost, crash_schedule.victim_count,
-    )
-    return report, outcome
-
-
 def trace_sends(emit, now, addresses, dest, sender, depth, event_id, flags) -> None:
-    """Both draw-for-draw kernels' send/loss records: one per envelope,
-    in send order, before any reception.  Per envelope: ``dest`` and
-    ``sender`` (indices into ``addresses``), its message's ``depth`` and
-    ``event_id``; ``flags`` is the link's verdict mask (None: all sent)."""
+    """The kernel's send/loss records on the ε network: one per
+    envelope, in send order, before any reception.  Per envelope:
+    ``dest`` and ``sender`` (indices into ``addresses``), its message's
+    ``depth`` and ``event_id``; ``flags`` is the link's verdict mask
+    (None: all sent)."""
     verdicts = repeat(True) if flags is None else flags.tolist()
     for to, by, at_depth, eid, kept in zip(dest, sender, depth, event_id, verdicts):
         emit(
@@ -525,7 +367,7 @@ def trace_arrivals(emit, now, addresses, dest, sender, depth, event_id, at, deli
 
 
 # ---------------------------------------------------------------------------
-# Live-round kernel: GroupRuntime's fan-out and exchange, draw for draw.
+# The draw-for-draw kernel's round: LiveRound over a RowTable.
 # ---------------------------------------------------------------------------
 
 #: A :class:`RowTable`'s columns with one entry per row.
@@ -551,7 +393,9 @@ class RowTable:
     ``seq``, a stamp taken at each add or demotion, so a bucket in
     ``DepthBuffers`` order is its rows in ``seq`` order.  Per slot:
     ``sent``, ``receptions``, the process's own ``interests`` and slot ×
-    event flags ``received`` (line 20's seen-set) and ``delivered``.
+    event flags ``received`` (line 20's seen-set) and ``delivered``;
+    ``wanted``, slot × event interest verdicts a static run knows before
+    it starts (None: HPDELIVER reads each process's interest).
     """
 
     def __init__(self) -> None:
@@ -562,6 +406,7 @@ class RowTable:
         self.sent = self.receptions = np.zeros(0, np.int64)
         self.received = self.delivered = np.zeros((0, 0), bool)
         self.interests: List = []
+        self.wanted: Optional[np.ndarray] = None
         self.events: List[Event] = []
         self.event_col: Dict[int, int] = {}
         # The rows in bucket order, and each slot's range of them; None
@@ -613,6 +458,17 @@ class RowTable:
         self.sent[slot] = self.receptions[slot] = 0
         self.received[slot] = self.delivered[slot] = False
 
+    def wants(self, slots: np.ndarray, cols: np.ndarray) -> List[bool]:
+        """HPDELIVER's verdict per (slot, event) pair: ``wanted`` where
+        given, else the process's own interest, read now."""
+        if self.wanted is not None:
+            return self.wanted[slots, cols].tolist()
+        events, interests = self.events, self.interests
+        return [
+            interests[slot].matches(events[col])
+            for slot, col in zip(slots.tolist(), cols.tolist())
+        ]
+
     def live_events(self) -> Set[int]:
         """The ids of the events some row buffers."""
         events = self.events
@@ -634,50 +490,6 @@ class RowTable:
                 self.rate[at].tolist(), self.round[at].tolist(),
             )
         )
-
-
-class _LiveColumns(_FlatColumns):
-    """The live round's flats as :class:`_FlatColumns`' columns, for
-    :func:`_settle`: a row's flat is the (table, event) flat of its
-    slot's prefix at its depth (``prefix_ids``; ``table_of`` gives a
-    prefix id's table), taken from :meth:`_Flats.cell` the first time
-    the round meets that (prefix, event) pair.  ``matches`` holds the
-    flats by id.
-    """
-
-    def __init__(self, flats: _Flats, rows: RowTable, prefix_ids, table_of, config: PmcastConfig):
-        self._cell, self._config = flats.cell, config
-        self._slot, self._event, self._events = rows.slot, rows.event, rows.events
-        self._prefix_ids, self._table_of = prefix_ids, table_of
-        self._ids: Dict[int, int] = {}  # prefix id * events + event -> flat id
-        self.matches: List[_DepthMatch] = []
-        self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
-        self.floods, self.rate = np.empty(0, bool), np.empty(0)
-
-    def at(self, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
-        """The flat ids of ``rows`` at ``depths``."""
-        n = len(self._events)
-        keys = self._prefix_ids[self._slot[rows], depths - 1] * n + self._event[rows]
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        distinct, ids = distinct.tolist(), self._ids
-        new = [key for key in distinct if key not in ids]
-        if new:
-            table_of, events = self._table_of, self._events
-            matches = [self._cell(table_of(key // n), events[key % n]) for key in new]
-            ids.update(zip(new, range(len(self.matches), len(self.matches) + len(new))))
-            self.matches += matches
-            self._add(matches)
-        return np.fromiter(map(ids.__getitem__, distinct), np.int64, len(distinct))[inverse]
-
-    def bound_at(self, ids: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """Line 7's bound of rows at flats ``ids`` buffered at ``rate``:
-        the flat's own, unless a refresh moved the flat's rate off the
-        row's (a ``(entry count, rate)`` memo)."""
-        bound = self.bound[ids]
-        odd = np.flatnonzero(rate != self.rate[ids])
-        for at, flat, row_rate in zip(odd.tolist(), ids[odd].tolist(), rate[odd].tolist()):
-            bound[at] = self.matches[flat].round_bound(row_rate, self._config)
-        return bound
 
 
 class LiveEmission(NamedTuple):
@@ -726,10 +538,10 @@ class LiveArrivals(NamedTuple):
 
 
 class LiveRound:
-    """:class:`~repro.sim.runtime.GroupRuntime`'s fan-out and exchange
-    over its :class:`RowTable`, stream-compatible with the per-node loop
-    (one ``gossip_step`` per fire, one ``receive`` per surviving
-    envelope).
+    """Figure 3's round over a :class:`RowTable`, stream-compatible with
+    the per-node loop (one ``gossip_step`` per fire, one ``receive`` per
+    surviving envelope): :class:`~repro.sim.runtime.GroupRuntime`'s
+    rounds and :func:`try_run_vectorized`'s.
 
     **Passes.**  :meth:`fan_out` settles the rows of the walked slots in
     :func:`_settle`'s passes (§6 flood, gossip with round + 1, demotion
@@ -742,47 +554,76 @@ class LiveRound:
     of the loop's walk.  A destination is kept where its flat holds a
     slot (-1 where line 13 skips the entry).
 
-    **The link.**  :meth:`exchange` applies the verdicts of one
-    ``transmit_flags`` batch.  A link that decides envelope by envelope
+    **The link.**  :meth:`transmit` is the round's one fork.  The ε
+    network draws one verdict per envelope (``transmit_flags``), which
+    :meth:`exchange` applies.  A link that decides envelope by envelope
     gets the emission as objects (:meth:`envelopes`), and what it
     returns, releases from earlier rounds included, is applied as an
     emission of its own (:meth:`carried`).
 
-    **Flats.**  ``flats``, one :class:`_Flats` over contact slots, is
-    kept across rounds: the runtime has it forget a table it refreshes,
-    and it is pruned to the events some row still buffers after every
-    exchange and every leave.  A lookup served from the round's columns
-    counts the ``match_cache`` table hit the scalar step's lookup would,
-    as one served from a flat does, so the counters read per round what
-    the loop's read.
+    **Flats.**  ``flats``, one :class:`_Flats` over slots, is kept
+    across rounds; the runtime has it forget a table it refreshes and
+    prunes it to the events some row still buffers.  A round reads them
+    through the :class:`_LiveColumns` its driver passes (:meth:`columns`).
+    A lookup served from the columns counts the ``match_cache`` table
+    hit the scalar step's lookup would, as one served from a flat does,
+    so the counters read per round what the loop's read.
 
-    The checks the objects make run on the arrays: ``GossipMessage``'s
+    ``slot_of`` and ``addresses`` map addresses to slots and back.  The
+    checks the objects make run on the arrays: ``GossipMessage``'s
     fields once per message, ``receive``'s depth range per arrival.
     """
 
-    __slots__ = ("_ctx", "_config", "_depth", "flats", "rows")
+    __slots__ = ("_ctx", "_config", "_depth", "_slot_of", "_addresses", "flats", "rows")
 
     def __init__(
         self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int],
-        tree_depth: int, rows: RowTable,
+        addresses: List[Address], tree_depth: int, rows: RowTable,
     ):
         self._ctx = ctx
         self._config = config
         self._depth = tree_depth
+        self._slot_of = slot_of
+        self._addresses = addresses
         self.flats = _Flats(ctx, config, slot_of)
         self.rows = rows
 
+    def columns(self, table_ids: np.ndarray, table_of) -> _LiveColumns:
+        """Flat columns over the events some row buffers now and the tables
+        ``table_ids`` names per (slot, depth), ``table_of`` giving a
+        table id's table."""
+        return _LiveColumns(self.flats, self.rows, table_ids, table_of, self._config)
+
+    def publish(self, slot: int, address: Address, views, event: Event) -> bool:
+        """PMCAST (Figure 3 lines 24–25) at live slot ``slot``, whose
+        tables by depth are ``views``: ``event`` is received, delivered
+        if the process's interest matches, and buffered at the root, or
+        the §3.2 shortcut's depth, at that table's rate.  Returns
+        whether it delivered."""
+        rows = self.rows
+        col = rows.column(event)
+        if rows.received[slot, col]:
+            raise ProtocolError(f"event {event.event_id} already published")
+        depth = 1
+        if self._config.local_interest_shortcut:
+            depth = shortcut_depth(address, views, event)
+        rate = self._ctx.table_match(views[depth], event).rate
+        delivers = rows.wants(np.array([slot]), np.array([col]))[0]
+        rows.received[slot, col] = True
+        rows.delivered[slot, col] = delivers
+        rows.add([slot], [col], [depth], [rate], [0])
+        return delivers
+
     def fan_out(
-        self, walk: np.ndarray, fires: Optional[np.ndarray], prefix_ids: np.ndarray, table_of
+        self, walk: np.ndarray, fires: Optional[np.ndarray], columns: _LiveColumns
     ) -> LiveEmission:
         """GOSSIP for the slots of ``walk`` (live, in walk order), each
-        ``fires[k]`` times (None: once); ``prefix_ids`` and ``table_of``
-        name each slot's view table per depth.  One
-        ``sample_positions_each`` after the passes draws, in send order,
-        what one ``sample_positions`` per gossip would: no draw feeds
-        the passes."""
+        ``fires[k]`` times (None: once), their flats read off
+        ``columns``.  One ``sample_positions_each`` after the passes
+        draws, in send order, what one ``sample_positions`` per gossip
+        would: no draw feeds the passes."""
         rows, leaf = self.rows, self._depth
-        columns = _LiveColumns(self.flats, rows, prefix_ids, table_of, self._config)
+        matched = len(columns.matches)
         place = np.full(len(rows.sent), -1, np.int64)
         place[walk] = np.arange(len(walk))
         visit = place[rows.slot]
@@ -793,9 +634,8 @@ class LiveRound:
         lookups = fire = 0
         # Per pass, the rows that sent: row, fire, floods, flat, depth,
         # rate, round and seq as sent.
-        none = np.empty(0, np.int64)
-        parts = [(none, none, none.astype(bool), none, none, none.astype(float), none, none)]
-        while len(todo):
+        parts = []
+        while True:
             depth, round_, rate = rows.depth[todo], rows.round[todo], rows.rate[todo]
             start, seq = depth.copy(), rows.seq[todo]
             gossips, floods, flat = _settle(columns, todo, depth, round_, rate, leaf)
@@ -815,20 +655,23 @@ class LiveRound:
             fire += 1
             todo = todo[gossips]
             todo = todo[fires[visit[todo]] > fire] if fires is not None else todo[:0]
-        self._ctx.cache_stats.table_hits += lookups - len(columns.matches)
+            if not len(todo):
+                break
+        self._ctx.cache_stats.table_hits += lookups - (len(columns.matches) - matched)
 
-        at, fired, flood, flat, depth, rate, round_, seq = map(np.concatenate, zip(*parts))
-        order = np.lexsort((seq, depth, fired, visit[at]))
-        at, flood, flat, depth, rate, round_ = (
-            column[order] for column in (at, flood, flat, depth, rate, round_)
-        )
+        if len(parts) > 1:
+            parts = [tuple(map(np.concatenate, zip(*parts)))]
+        at, fired, flood, flat, depth, rate, round_, seq = parts[0]
+        key = visit[at]
+        if np.any(key[1:] <= key[:-1]):  # not one sending row per slot in walk order
+            order = np.lexsort((seq, depth, fired, key))
+            at, flood, flat, depth, rate, round_ = (
+                column[order] for column in (at, flood, flat, depth, rate, round_)
+            )
         slot, event = rows.slot[at], rows.event[at]
         gossip = ~flood
         own = np.full(len(at), -1, np.int64)
-        matches = columns.matches
-        own[gossip] = [
-            matches[f].pos.get(s, -1) for f, s in zip(flat[gossip].tolist(), slot[gossip].tolist())
-        ]
+        own[gossip] = columns.own(slot[gossip], depth[gossip], flat[gossip])
         dest, row, sender = _destinations(
             columns, self._ctx.rng, self._config.fanout, gossip, flood, flat, own, slot
         )
@@ -858,13 +701,12 @@ class LiveRound:
         if (depth < 1).any():
             raise ProtocolError(f"depth {depth[depth < 1][0].item()} must be >= 1")
 
-    @staticmethod
-    def envelopes(emission: LiveEmission, addresses: List[Address]) -> List[Envelope]:
+    def envelopes(self, emission: LiveEmission) -> List[Envelope]:
         """The emission as the per-node loop sends it, for a link that
         decides envelope by envelope: one ``Envelope`` per entry, in send
-        order, its message's ``GossipMessage`` as sent (``addresses``:
-        the address by slot).  Both validate themselves."""
-        events, event = emission.events, emission.event.tolist()
+        order, its message's ``GossipMessage`` as sent.  Both validate
+        themselves."""
+        addresses, events, event = self._addresses, emission.events, emission.event.tolist()
         depths, rates, rounds = (
             column.tolist() for column in (emission.depths, emission.rates, emission.rounds)
         )
@@ -881,12 +723,12 @@ class LiveRound:
             out.append(Envelope(addresses[to], message))
         return out
 
-    def carried(self, survivors: List[Envelope], slot_of: Dict[Address, int]) -> LiveEmission:
+    def carried(self, survivors: List[Envelope]) -> LiveEmission:
         """What a link returned, as the emission :meth:`exchange` applies:
         one message per survivor, in the order given — this round's
         envelopes, then any the link released from an earlier round."""
         messages = [envelope.message for envelope in survivors]
-        column = self.rows.event_col.__getitem__
+        slot_of, column = self._slot_of, self.rows.event_col.__getitem__
         return LiveEmission(
             np.array([slot_of[envelope.destination] for envelope in survivors], np.int64),
             np.array([slot_of[message.sender] for message in messages], np.int64),
@@ -898,6 +740,45 @@ class LiveRound:
             self.rows.events,
         )
 
+    def transmit(
+        self, emission: LiveEmission, link, receiving: np.ndarray, emit, now: int
+    ) -> Tuple[LiveEmission, LiveArrivals]:
+        """Send ``emission`` over ``link`` and :meth:`exchange` what it
+        lets through at the slots ``receiving``; returns the emission
+        applied and its arrivals.
+
+        The link is the round's one fork.  The ε network draws a verdict
+        per envelope (``transmit_flags``).  A fault plan decides envelope
+        by envelope: the emission crosses it as objects
+        (:meth:`envelopes`), and what it returns — this round's
+        survivors, then whatever it released from an earlier round — is
+        the emission applied (:meth:`carried`).  ``emit`` (None:
+        untraced) gets, stamped ``now``, each envelope's send or loss
+        record (none for one the plan diverted: it wrote a ``fault_*``),
+        then each arrival's receive and deliver."""
+        faulted = not hasattr(link, "transmit_flags")
+        if faulted:
+            envelopes = self.envelopes(emission)
+            survivors = link.transmit(envelopes)
+            if emit is not None:
+                emit_dispositions(
+                    envelopes, {id(envelope) for envelope in survivors},
+                    link.last_diverted, emit, now,
+                )
+            emission, flags = self.carried(survivors), None
+        else:
+            flags = link.transmit_flags(len(emission.dest))
+        arrivals = self.exchange(emission, flags, receiving)
+        if emit is not None:
+            columns = (emit, now, self._addresses, *emission.columns())
+            if not faulted:
+                trace_sends(*columns, flags)
+            trace_arrivals(
+                *columns, arrivals.at.tolist(),
+                set(compress(arrivals.fresh.tolist(), arrivals.delivered)),
+            )
+        return emission, arrivals
+
     def exchange(
         self, emission: LiveEmission, flags: Optional[np.ndarray], receiving: np.ndarray
     ) -> LiveArrivals:
@@ -905,9 +786,7 @@ class LiveRound:
         all) that reaches a slot ``receiving`` (there and alive).  Every
         arrival counts one reception; the first in send order to a
         (slot, event) pair not yet received buffers the event at the end
-        of its bucket, and HPDELIVER reads the receiver's interest now —
-        the one verdict taken in Python, once per fresh pair.  The flat
-        cache is pruned to the events still buffered before it returns."""
+        of its bucket, and HPDELIVER takes its verdict (:meth:`RowTable.wants`)."""
         rows = self.rows
         dest = emission.dest
         kept = np.ones(len(dest), bool) if flags is None else flags
@@ -920,22 +799,124 @@ class LiveRound:
             raise ProtocolError(f"gossip for foreign depth {depths[foreign][0].item()}")
         rows.receptions += np.bincount(receiver, minlength=len(rows.receptions))
         cols = emission.event[message]
-        __, first = np.unique(receiver * len(rows.events) + cols, return_index=True)
-        fresh = np.sort(first[~rows.received[receiver[first], cols[first]]])
+        unseen = np.flatnonzero(~rows.received[receiver, cols])
+        __, first = np.unique(receiver[unseen] * len(rows.events) + cols[unseen], return_index=True)
+        fresh = np.sort(unseen[first])
         slots, cols, message = receiver[fresh], cols[fresh], message[fresh]
-        events, interests = rows.events, rows.interests
-        delivered = [
-            interests[slot].matches(events[col])
-            for slot, col in zip(slots.tolist(), cols.tolist())
-        ]
+        delivered = rows.wants(slots, cols)
         rows.received[slots, cols] = True
         rows.delivered[slots, cols] = delivered
         rows.add(
             slots, cols, emission.depths[message], emission.rates[message],
             emission.rounds[message],
         )
-        self.flats.prune(rows.live_events())
         return LiveArrivals(at, fresh, delivered, int(np.count_nonzero(kept)) - len(at))
+
+
+# ---------------------------------------------------------------------------
+# The static run: one event over a group's columns, on the live round.
+# ---------------------------------------------------------------------------
+
+def try_run_vectorized(
+    group: PmcastGroup,
+    publisher: Address,
+    event: Event,
+    sim_config: SimConfig,
+    ctx: GossipContext,
+    link: LossyNetwork,
+    crash_schedule: CrashSchedule,
+    observer: Observer = NULL_OBSERVER,
+) -> Tuple[DisseminationReport, RunOutcome]:
+    """Run one dissemination on :class:`LiveRound`, stream-compatible
+    with the reference loop, fault plan or not: its report and outcome.
+
+    A slot is a member index; the event is one row per process that
+    buffers it, the publisher's, then each receiver's in the order of
+    its first arrival.  :class:`RowTable` keeps rows in add order, so
+    the walk — the rows of live members — is the reference loop's
+    insertion-ordered active set.  One :class:`_LiveColumns` serves the
+    run: the group's tables never change.  ``observer.registry`` gets
+    the run's ``vector.*`` counters, ``observer.timeline`` the
+    reference loop's ``engine`` spans — both out of band.
+    """
+    registry, timeline = observer.registry, observer.timeline
+    addresses = group.addresses()
+    n, tree_depth = len(addresses), group.tree.depth
+    index_of, components = group.index_of, group.components
+    own_match = group.interest_mask(event)
+    alive = group.alive.copy()
+    rows = RowTable()
+    rows.fit(n)
+    rows.wanted = own_match[:, None]
+    kernel = LiveRound(ctx, group.config, index_of, addresses, tree_depth, rows)
+    pub = index_of[publisher]
+    kernel.publish(pub, publisher, group.views(pub), event)
+    columns = kernel.columns(group.table_ids, group.tables_by_id.__getitem__)
+
+    emit = observer.emit if observer.tracing else None
+    if emit is not None:
+        # Byte-identical metadata to the scalar engine's: offline
+        # tooling cannot (and must not) tell the producers apart.
+        observer.annotate(**dissemination_meta(
+            "repro.sim.engine", publisher, event.event_id, group.size,
+            set(compress(addresses, own_match)), sim_config.seed,
+        ))
+        emit(0, "publish", publisher, event_id=event.event_id)
+        if own_match[pub]:
+            emit(0, "deliver", publisher, event_id=event.event_id)
+
+    def crash(victim: Address) -> bool:
+        vi = index_of.get(victim)
+        if vi is None:
+            raise SimulationError(f"{victim} is not in the group")
+        was, alive[vi] = alive[vi], False
+        return bool(was)
+
+    infection_curve: List[int] = []
+    messages_by_distance = np.zeros(tree_depth, np.int64)
+    rounds = 0
+    for round_index in range(sim_config.max_rounds):
+        crash_step(crash, crash_schedule, link, round_index, emit)
+        walk = rows.slot[alive[rows.slot]]
+        if not len(walk) and not link.has_pending:
+            break
+        rounds = round_index + 1
+
+        with timeline.span("fan_out", "engine", rounds):
+            emission = kernel.fan_out(walk, None, columns)
+            # Distance accounting: every envelope, before loss (§2.2).
+            same = components[emission.sender] == components[emission.dest]
+            common = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+            messages_by_distance += np.bincount(tree_depth - 1 - common, minlength=tree_depth)
+
+        with timeline.span("exchange", "engine", rounds):
+            kernel.transmit(emission, link, alive, emit, rounds)
+        infection_curve.append(int(np.count_nonzero(rows.received)))
+
+    timeline.probe_memory(subsystem="engine", round_index=rounds)
+    observer.annotate(rounds=rounds, **link.trace_meta())
+    if registry.enabled:
+        for name, value in (
+            ("runs", 1), ("rounds", rounds), ("envelopes", rows.sent.sum()),
+            ("losses", link.messages_lost), ("receptions", rows.receptions.sum()),
+        ):
+            registry.counter("vector", name).inc(int(value))
+        registry.gauge("vector", "infected").set(int(np.count_nonzero(rows.received)))
+
+    # What is still buffered when the run ends: a crashed member's row
+    # stays, as its node keeps its buffers.
+    left = np.zeros((3, n))
+    left[:, rows.slot] = rows.depth, rows.rate, rows.round
+    outcome = RunOutcome(
+        alive, rows.received[:, 0], rows.delivered[:, 0], rows.sent, rows.receptions,
+        left[0].astype(np.int64), left[1], left[2].astype(np.int64),
+    )
+    report = assemble_pmcast_report(
+        group, publisher, outcome, own_match, rounds,
+        tuple(infection_curve), tuple(messages_by_distance.tolist()),
+        link.messages_lost, crash_schedule.victim_count + link.scripted_crashes,
+    )
+    return report, outcome
 
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,16 @@ def emit_dispositions(
 
 
 def crash_step(
-    variant: DisseminationVariant,
+    crash: Callable[[Address], bool],
     crash_schedule: CrashSchedule,
     link: LossyNetwork,
     round_index: int,
     emit: Optional[Emit],
 ) -> None:
     """Open ``round_index`` on the link and crash the round's victims:
-    the τ-model schedule's, then whoever the link scripted."""
+    the τ-model schedule's, then whoever the link scripted.  ``crash``
+    applies one (a variant's :meth:`~DisseminationVariant.crash`), True
+    when the victim was alive."""
     victims = crash_schedule.crashes_at(round_index)
     victims = victims + [
         victim
@@ -259,7 +261,7 @@ def crash_step(
         if victim not in victims
     ]
     for victim in victims:
-        if variant.crash(victim) and emit is not None:
+        if crash(victim) and emit is not None:
             emit(round_index + 1, "crash", victim)
 
 
@@ -308,7 +310,7 @@ def run_variant(
     messages_by_distance = [0] * variant.depth
     rounds = 0
     for round_index in range(sim_config.max_rounds):
-        crash_step(variant, crash_schedule, link, round_index, emit)
+        crash_step(variant.crash, crash_schedule, link, round_index, emit)
         if not variant.is_active() and not link.has_pending:
             break
         rounds = round_index + 1

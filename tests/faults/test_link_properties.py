@@ -37,50 +37,6 @@ CONFIG = PmcastConfig(fanout=3, redundancy=2, min_rounds_per_depth=2)
 EVENT = Event({"k": 1}, event_id=5)
 DISPOSITIONS = ("send", "loss", "fault_loss", "fault_delay")
 
-rounds = st.integers(0, 8)
-windows = st.tuples(rounds, st.integers(1, 4)).map(
-    lambda pair: (pair[0], pair[0] + pair[1])
-)
-subtrees = st.sampled_from(["0", "1", "2", "0.1", "3.2"])
-scopes = st.one_of(st.none(), subtrees)
-
-CLAUSES = st.one_of(
-    st.tuples(
-        st.just("with_loss_burst"), windows,
-        st.sampled_from([0.3, 1.0]), scopes,
-    ).map(lambda c: (c[0], (*c[1], c[2]), {"dest_prefix": c[3]})),
-    st.tuples(
-        st.just("with_partition"), windows,
-        st.sampled_from([("0", "1"), ("1", "2"), ("0.0", "3")]),
-    ).map(lambda c: (c[0], (*c[1], *c[2]), {})),
-    st.tuples(
-        st.just("with_delay"), windows, st.integers(1, 3),
-        st.sampled_from([0.5, 1.0]), scopes,
-    ).map(lambda c: (c[0], (*c[1], c[2], c[3]), {"dest_prefix": c[4]})),
-    st.tuples(
-        st.just("with_crash"), rounds, st.sampled_from(ADDRESSES[1:]),
-    ).map(lambda c: (c[0], (c[1], c[2]), {})),
-    st.tuples(
-        st.just("with_delegate_crash"), rounds, subtrees, st.integers(1, 2),
-    ).map(lambda c: (c[0], (c[1], c[2]), {"count": c[3]})),
-    st.tuples(
-        st.just("with_depth_crash"), rounds, st.integers(1, DEPTH),
-        st.integers(1, 3),
-    ).map(lambda c: (c[0], (c[1], c[2]), {"count": c[3]})),
-)
-
-
-@st.composite
-def plans(draw):
-    plan = FaultPlan(name="generated")
-    for method, args, kwargs in draw(st.lists(CLAUSES, max_size=5)):
-        if method in ("with_crash", "with_depth_crash"):
-            plan = getattr(clauses, method)(plan, *args, **kwargs)
-        else:
-            plan = getattr(plan, method)(*args, **kwargs)
-    return plan
-
-
 def members(seed):
     return bernoulli_interests(ADDRESSES, 0.4, derive_rng(seed, "interests"))
 
@@ -106,7 +62,7 @@ def trace_bytes(trace, path):
 
 class TestEveryEnvelopeHasOneDisposition:
     @given(
-        plan=plans(),
+        plan=clauses.plans(ADDRESSES[1:], DEPTH),
         epsilon=st.sampled_from([0.0, 0.05]),
         seed=st.integers(0, 50),
     )

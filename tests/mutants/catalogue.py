@@ -64,15 +64,18 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "the compat kernel draws one destination fewer",
         "repro/sim/vector.py",
-        "    fanout = config.fanout\n    flats = _FlatColumns(",
-        "    fanout = config.fanout - 1\n    flats = _FlatColumns(",
-        ("tests/sim/test_vector.py::TestCompatBitIdentity",),
+        "            columns, self._ctx.rng, self._config.fanout, gossip,",
+        "            columns, self._ctx.rng, self._config.fanout - 1, gossip,",
+        (
+            "tests/sim/test_vector.py::TestCompatBitIdentity",
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
+        ),
     ),
     Mutant(
         "the compat kernel's outcome reports no leftover buffer",
         "repro/sim/vector.py",
-        "        alive, received, delivered, sent_count, recv_count, buf_depth, buf_rate, buf_round\n",
-        "        alive, received, delivered, sent_count, recv_count, 0 * buf_depth, buf_rate, buf_round\n",
+        "    left[:, rows.slot] = rows.depth, rows.rate, rows.round\n",
+        "    left[:, rows.slot] = 0 * rows.depth, rows.rate, rows.round\n",
         ("tests/sim/test_vector.py::TestCompatBitIdentity::test_report_and_node_state_identical",),
     ),
     Mutant(
@@ -85,11 +88,29 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "the array kernel appends new infections in receiver order, not first-arrival order",
         "repro/sim/vector.py",
-        "            fresh = np.sort(fresh[np.unique(receiver[fresh], return_index=True)[1]])\n",
-        "            fresh = fresh[np.unique(receiver[fresh], return_index=True)[1]]\n",
+        "        fresh = np.sort(unseen[first])\n",
+        "        fresh = unseen[first]\n",
         (
             "tests/sim/test_vector.py::TestCompatBitIdentity",
             "tests/sim/test_vector.py::TestGeneratedEquivalence",
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
+        ),
+    ),
+    Mutant(
+        "a static run walks a crashed member's row",
+        "repro/sim/vector.py",
+        "        walk = rows.slot[alive[rows.slot]]\n",
+        "        walk = rows.slot\n",
+        ("tests/sim/test_vector.py::TestGeneratedEquivalence",),
+    ),
+    Mutant(
+        "the kernel's fault fork writes no dispositions",
+        "repro/sim/vector.py",
+        "            if emit is not None:\n                emit_dispositions(",
+        "            if False:\n                emit_dispositions(",
+        (
+            "tests/sim/test_vector.py::TestGeneratedEquivalence",
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_traced_scripts",
         ),
     ),
     Mutant(

@@ -2,16 +2,15 @@
 
 Two kernels live in :mod:`repro.sim.vector`:
 
-* the **compat kernel** (``try_run_vectorized``) replays the scalar
-  reference loop's RNG draws position-for-position and is what
-  ``run_dissemination`` runs unless the run has a fault plan, so a
-  default-config run must be *bit-identical* to the same run under
-  ``SimConfig(vectorized=False)`` — same report, same trace records,
-  same per-member outcome.  The suite sweeps the protocol switch matrix
-  (loss, crashes, §5.3 tuning, §6 leaf flood, §3.2 shortcut), then
-  draws the whole configuration space with Hypothesis; a run under a
-  fault plan must take the reference loop without a warning, counted
-  once.
+* the **draw-for-draw kernel** (``LiveRound``, driven for a static run
+  by ``try_run_vectorized``) replays the scalar reference loop's RNG
+  draws position-for-position and is what ``run_dissemination`` runs,
+  fault plan or not, so a default-config run must be *bit-identical* to
+  the same run under ``SimConfig(vectorized=False)`` — same report, same
+  trace records, same per-member outcome.  The suite sweeps the
+  protocol switch matrix (loss, crashes, §5.3 tuning, §6 leaf flood,
+  §3.2 shortcut), then draws the whole configuration space, fault plans
+  included, with Hypothesis; nothing falls back and nothing warns.
 * the **regular-tree kernel** (``RegularTreeSpec``/``TreeState``)
   has its own per-``(shard, round)`` seed contract; its round
   invariants are property-tested here (the statistical validation
@@ -54,6 +53,7 @@ from repro.sim import (
 from repro.sim import vector
 from repro.core.rate import sample_positions
 from repro.core.rounds import depth_round_bound
+from tests.faults import clauses
 
 
 class TestSamplePositions:
@@ -175,12 +175,11 @@ class TestCompatBitIdentity:
         scalar, vector = _run_pair(config, {}, arity=22, depth=3)
         assert vector == scalar
 
-    def test_faulted_run_falls_back_and_stays_equal(self):
-        # A fault plan is the reference loop's business (the injector
-        # owns the transmit step): the default config must reproduce
-        # the vectorized=False faulted run exactly, because the dispatch
-        # declines before touching any RNG stream — and it is ordinary
-        # dispatch, not an ignored request, so nothing warns.
+    def test_faulted_run_takes_the_kernel_and_stays_equal(self):
+        # A fault plan's link decides envelope by envelope, and the
+        # kernel hands it the round's envelopes as objects: the default
+        # config must reproduce the vectorized=False faulted run exactly,
+        # and nothing warns.
         config = PmcastConfig(fanout=2, redundancy=2)
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
         with warnings.catch_warnings():
@@ -190,9 +189,9 @@ class TestCompatBitIdentity:
             )
         assert default == scalar
 
-    def test_partition_plan_falls_back(self):
+    def test_partition_plan_takes_the_kernel(self):
         # A deterministic cut (no fault draw at all) over a loss-free
-        # network: still the reference loop's, still equal.
+        # network: the kernel's, still equal.
         config = PmcastConfig(fanout=2, redundancy=2)
         plan = FaultPlan(name="cut").with_partition(0, 64, "0.0", "0.1")
         with warnings.catch_warnings():
@@ -239,8 +238,9 @@ class TestCompatBitIdentity:
 
 
 class TestFallbackObservability:
-    """A faulted run is ordinary dispatch: no warning, the fault counter
-    incremented once, the outcome equal to ``vectorized=False``."""
+    """Nothing falls back: every default-config run, faulted or not, is
+    one kernel run, counted in ``vector.runs``, and no ``sim`` counter
+    is registered; ``vectorized=False`` is a choice and is not counted."""
 
     def _run(self, faults=None, **sim_kwargs):
         """One run under ``simplefilter("error")`` -> (registry, outcome)."""
@@ -260,26 +260,25 @@ class TestFallbackObservability:
         return registry, (report, _node_state(outcome, addresses, event))
 
     def _fallbacks(self, registry):
-        return {
-            reason: registry.counter("sim", f"vector_fallback{reason}").value
-            for reason in ("", "_faults")
-        }
+        """The ``sim`` counters the run registered (a fallback's)."""
+        return registry.snapshot().get("sim", {})
 
     def test_eligible_run_is_silent_and_uncounted(self):
         registry, __ = self._run(loss_probability=0.05)
-        assert set(self._fallbacks(registry).values()) == {0}
+        assert self._fallbacks(registry) == {}
         assert registry.counter("vector", "runs").value == 1
 
     def test_reference_loop_is_uncounted(self):
         # vectorized=False is a choice, not a fallback.
         registry, __ = self._run(vectorized=False)
-        assert set(self._fallbacks(registry).values()) == {0}
+        assert self._fallbacks(registry) == {}
         assert registry.counter("vector", "runs").value == 0
 
-    def test_fault_fallback_counted_by_reason(self):
+    def test_faulted_default_run_is_a_kernel_run(self):
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
         registry, outcome = self._run(faults=plan)
-        assert self._fallbacks(registry) == {"": 1, "_faults": 1}
+        assert registry.counter("vector", "runs").value == 1
+        assert self._fallbacks(registry) == {}
         assert outcome == self._run(faults=plan, vectorized=False)[1]
 
 
@@ -403,6 +402,7 @@ def _scenarios(draw):
     arity = draw(st.integers(2, 5))
     depth = draw(st.integers(2, 3))
     min_rounds = draw(st.integers(0, 2))
+    victims = AddressSpace.regular(arity, depth).enumerate_regular(arity)
     return {
         "arity": arity,
         "depth": depth,
@@ -426,13 +426,15 @@ def _scenarios(draw):
             st.none() | st.integers(0, arity ** depth - 1)
         ),
         "sample_rate": draw(st.sampled_from([0.2, 0.5, 0.9])),
+        "plan": draw(st.none() | clauses.plans(victims, depth)),
     }
 
 
 class TestGeneratedEquivalence:
-    """Default dispatch ≡ ``vectorized=False`` on generated runs: the
-    kernel carries every figure and every conformance band, so its
-    proof cannot be eight hand-picked rows."""
+    """Default dispatch ≡ ``vectorized=False`` on generated runs, under
+    no fault plan or a generated one: the kernel carries every figure
+    and every conformance band, so its proof cannot be eight hand-picked
+    rows."""
 
     def _play(self, scenario, flag, sampled):
         rng = random.Random(scenario["population_seed"])
@@ -466,6 +468,7 @@ class TestGeneratedEquivalence:
                 alive[pick % len(alive)],
                 event,
                 sim,
+                faults=scenario["plan"],
                 observer=Observer(
                     trace=trace,
                     sampler=(
