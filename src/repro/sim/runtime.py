@@ -502,7 +502,7 @@ class GroupRuntime:
         self._crashed_at.pop(address, None)
         slot = self._contacts.slot_of[address]
         self._rows.clear(slot)
-        self._kernel.flats.prune(self._rows.live_events())
+        self._kernel.flats.prune(self._rows.live_events(), self._link.has_pending)
         del self._member_slots[slot]
         self._crashed_flag[slot] = False
         self._receiving[slot] = False
@@ -529,7 +529,7 @@ class GroupRuntime:
         if self._crashed_flag[slot]:
             raise SimulationError(f"{address} has crashed")
         self._tree.update_interest(address, interest)
-        self._rows.interests[slot] = interest
+        self._rows.set_interest(slot, interest)
         self._m_interest_updates.inc()
         self._refresh_path(address, cause="interest-update")
 
@@ -623,7 +623,7 @@ class GroupRuntime:
         emission, arrivals = self._kernel.transmit(
             emission, link, self._receiving, obs.emit if obs.tracing else None, self._round
         )
-        self._kernel.flats.prune(self._rows.live_events())
+        self._kernel.flats.prune(self._rows.live_events(), self._link.has_pending)
         self._m_lost.inc(link.messages_lost - lost)
         self._m_undeliverable.inc(arrivals.undeliverable)
         self._m_receptions.inc(len(arrivals.at))
@@ -685,7 +685,7 @@ class GroupRuntime:
             self._seq_at[slot] = self._wire_seq
             self._wire_seq += 1
             self._receiving[slot] = True
-            self._rows.interests[slot] = self._tree.interest_of(address)
+            self._rows.set_interest(slot, self._tree.interest_of(address))
 
     def _install(self, slot: int, tables: Sequence[ViewTable]) -> None:
         """Slot ``slot``'s replica holds ``tables`` (frozen, in depth

@@ -8,7 +8,8 @@ event), stream-compatible with the per-node loop (one ``gossip_step``
 per fire, one ``receive`` per surviving envelope).  It consumes the
 *same* ``random.Random`` streams in the *same* order (a round's
 destinations via one :func:`~repro.core.rate.sample_positions_each`
-over the same flat :class:`~repro.core.rate.TableMatch` objects, loss draws
+over flats equal to the step's :class:`~repro.core.rate.TableMatch`
+objects, built in batches off per-event verdict columns, loss draws
 via :meth:`~repro.sim.network.LossyNetwork.transmit_flags`, a fault
 plan's through its link, which gets the round's envelopes as objects)
 and writes the same ``repro.obs.trace/v1`` records in the same order
@@ -51,11 +52,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.addressing import Address
+from repro.addressing import Address, component_key
 from repro.config import PmcastConfig, SimConfig
 from repro.core.buffers import BufferedEvent
 from repro.core.context import GossipContext
@@ -64,6 +65,7 @@ from repro.core.node import shortcut_depth
 from repro.core.rate import sample_positions_each
 from repro.core.rounds import depth_round_bound
 from repro.errors import ProtocolError, SimulationError
+from repro.interests.columns import VerdictColumns
 from repro.interests.events import Event
 from repro.membership.failure_detector import _fit
 from repro.obs.probes import NULL_OBSERVER, Observer
@@ -95,61 +97,112 @@ class VectorUnsupported(SimulationError):
 # The draw-for-draw kernel's parts: flats, passes, gather, records.
 # ---------------------------------------------------------------------------
 
-class _DepthMatch:
-    """One (view table, event) match in dense indices.
+class _Wiring:
+    """A view table state in dense indices, shared by every event's flat:
+    per row its interest's position in :attr:`_Flats.interests`
+    (``rows``); per entry, in view order, its row's interest position
+    (``interest``) and its slot (``slots``); ``pos`` the inverse of
+    ``slots`` for self-exclusion; ``leaf`` whether §6's flood applies;
+    and, built for the first flat that floods, the entries in address
+    order (:meth:`order`)."""
 
-    The index-space image of a :class:`repro.core.rate.TableMatch`:
-    its ``rate``; ``entries``, the entries' indices in view order, -1
-    at every entry line 13 skips, so one read both names and filters a
-    destination; ``pos`` the inverse mapping for self-exclusion;
-    ``floods`` whether §6's leaf flood applies, and ``flood_targets``
-    its recipients in address order.  ``bounds`` is line 7's bound per
-    rate, shared by every flat with as many entries.
-    """
+    __slots__ = ("token", "rows", "interest", "slots", "pos", "leaf", "_addresses", "_order")
 
-    __slots__ = ("rate", "entries", "pos", "floods", "flood_targets", "bounds")
+    def __init__(self, table, interests: VerdictColumns, slot_of: Dict[Address, int]):
+        rows = table.rows()
+        positions = interests.positions([row.interest for row in rows])
+        counts = [len(row.delegates) for row in rows]
+        self._addresses = [a for row in rows for a in row.delegates]
+        if not self._addresses:
+            raise ProtocolError(f"view of {table.prefix} has no entries")
+        slots = list(map(slot_of.__getitem__, self._addresses))
+        self.token = table.cache_token
+        self.rows = np.array(positions, np.int64)
+        self.interest = np.repeat(self.rows, counts)
+        self.slots = np.array(slots, np.int64)
+        self.pos = dict(zip(slots, range(len(slots))))
+        self.leaf = table.is_leaf_level
+        self._order: Optional[np.ndarray] = None
 
-    def __init__(self, rate, entries, pos, floods, flood_targets, bounds):
-        self.rate = rate
-        self.entries = entries
-        self.pos = pos
-        self.floods = floods
-        self.flood_targets = flood_targets
-        self.bounds = bounds
+    def order(self) -> np.ndarray:
+        """The entries' indices in address order."""
+        if self._order is None:
+            key = self._addresses.__getitem__
+            self._order = np.array(
+                sorted(range(len(self._addresses)), key=lambda i: component_key(key(i))), np.int64
+            )
+        return self._order
 
-    def round_bound(self, rate: float, config: PmcastConfig) -> int:
-        """Line 7's bound for an entry buffered at ``rate``."""
-        bound = self.bounds.get(rate)
-        if bound is None:
-            bound = self.bounds[rate] = depth_round_bound(len(self.entries), rate, config)
-        return bound
+
+class _Flat(NamedTuple):
+    """One (view table state, event) match in dense indices — the index
+    image of a :class:`repro.core.rate.TableMatch`: its ``rate``;
+    ``entries``, the entries' slots in view order, -1 at every entry
+    line 13 skips, so one read both names and filters a destination;
+    ``floods`` whether §6's leaf flood applies, and ``targets`` its
+    recipients in address order; ``pos``, its table's slot -> entry
+    position; ``token``, the table state it holds for."""
+
+    token: int
+    rate: float
+    floods: bool
+    entries: np.ndarray
+    targets: np.ndarray
+    pos: Dict[int, int]
 
 
 class _Flats:
-    """The flat matches of one run or runtime, each built on its first
-    lookup.
+    """The flat matches of one run or runtime, built a batch at a time
+    off one verdict column per event.
 
     ``slot_of`` gives an address its dense index: a member index in a
-    static run, a contact slot in the runtime.  A flat is keyed by
-    (table, cache token, event): it is replaced at its next lookup once
-    its table's token moved, dropped when :meth:`forget` names its
-    table, and dropped with its event by :meth:`prune`.  A lookup served
-    from a flat counts one ``match_cache`` table hit; any other goes
-    through :meth:`GossipContext.table_match
-    <repro.core.context.GossipContext.table_match>`, which counts itself.
+    static run, a contact slot in the runtime.  ``interests`` compiles
+    every interest a table row holds, once (its *position*); an event's
+    **verdict column** holds its verdict per compiled position and is
+    extended, at its next read, over the positions compiled since
+    (:meth:`verdicts`).  A table's :class:`_Wiring` is kept per table
+    while its cache token holds.
+
+    :meth:`lookup` serves the flats of many (table, event) pairs at
+    once.  A flat is kept under (table, event) with the token it holds
+    for: a pair whose table moved on is built again.  Every flat the
+    batch builds is a set of gathers over wirings and verdict columns —
+    the entry mask, the rate, §5.3's first ``h`` entries and §6's flood
+    targets — none of which runs a Python frame per entry.
+
+    The batch counts ``match_cache`` as the scalar step's
+    :meth:`GossipContext.table_match
+    <repro.core.context.GossipContext.table_match>` would, without
+    filling its memos: a pair served from a kept flat is a table hit,
+    any other a miss, whose rows count one verdict each — a miss the
+    first time the event's verdict at that row's position is asked
+    (``asked``, kept beside the column), a hit after.
+
+    A flat is dropped when :meth:`forget` names its table, and with its
+    event by :meth:`prune`: the event's flats and column go, unless the
+    link may still carry it back (then they wait, *dormant*, until it
+    lands or the link empties).  An event id published again after every
+    copy of it retired and left the link is matched afresh and counted
+    so.
     """
 
-    __slots__ = ("_ctx", "_config", "_slot_of", "_flats", "_wiring", "_bounds")
+    __slots__ = (
+        "_ctx", "_config", "_slot_of", "interests", "_flats", "_columns", "_dormant",
+        "_wiring", "_bounds",
+    )
 
     def __init__(self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int]):
         self._ctx = ctx
         self._config = config
         self._slot_of = slot_of
-        # event_id -> {id(table): (cache_token, _DepthMatch)}
-        self._flats: Dict[int, Dict[int, Tuple[int, _DepthMatch]]] = {}
-        # id(table) -> (addresses_token, entry indices, index -> position):
-        # a match's entries depend on the table's structure only.
-        self._wiring: Dict[int, Tuple[int, List[int], Dict[int, int]]] = {}
+        self.interests = VerdictColumns()
+        # event_id -> {id(table): _Flat}
+        self._flats: Dict[int, Dict[int, _Flat]] = {}
+        # event_id -> (verdicts, asked) over the compiled positions
+        self._columns: Dict[int, List[np.ndarray]] = {}
+        # event_id -> (flats, column) of an event no row buffers
+        self._dormant: Dict[int, tuple] = {}
+        self._wiring: Dict[int, _Wiring] = {}
         # entry count -> {rate -> line 7's bound}: the bound depends on
         # the table through its entry count only.
         self._bounds: Dict[int, Dict[float, int]] = {}
@@ -157,43 +210,124 @@ class _Flats:
     def forget(self, table) -> None:
         """Drop every flat of ``table`` (its match-cache entries went)."""
         self._wiring.pop(id(table), None)
-        for per_event in self._flats.values():
+        for per_event in chain(self._flats.values(), (d[0] for d in self._dormant.values())):
             per_event.pop(id(table), None)
 
-    def prune(self, live: set) -> None:
-        """Drop the flats of every event not in ``live``."""
-        for event_id in [e for e in self._flats if e not in live]:
-            del self._flats[event_id]
+    def prune(self, live: set, carried: bool) -> None:
+        """Drop the flats and verdict column of every event not in
+        ``live``; ``carried``: the link may still deliver one of them,
+        so they wait dormant instead."""
+        for event_id in [e for e in self._dormant if e in live]:
+            self._flats[event_id], column = self._dormant.pop(event_id)
+            if column is not None:
+                self._columns[event_id] = column
+        if not carried:
+            self._dormant.clear()
+        for event_id in [e for e in set(self._flats).union(self._columns) if e not in live]:
+            flats, column = self._flats.pop(event_id, {}), self._columns.pop(event_id, None)
+            if carried:
+                self._dormant[event_id] = flats, column
 
-    def cell(self, table, event: Event) -> _DepthMatch:
-        """The flat of (``table``, ``event``)."""
-        per_event = self._flats.get(event.event_id)
-        if per_event is None:
-            per_event = self._flats[event.event_id] = {}
-        token = table.cache_token
-        held = per_event.get(id(table))
-        if held is not None and held[0] == token:
-            self._ctx.cache_stats.table_hits += 1
-            return held[1]
-        match = self._ctx.table_match(table, event)
+    def round_bound(self, size: int, rate: float) -> int:
+        """Line 7's bound for an entry buffered at ``rate`` in a view of
+        ``size`` entries."""
+        bounds = self._bounds.setdefault(size, {})
+        bound = bounds.get(rate)
+        if bound is None:
+            bound = bounds[rate] = depth_round_bound(size, rate, self._config)
+        return bound
+
+    def verdicts(self, event: Event) -> np.ndarray:
+        """``event``'s verdict per compiled interest position."""
+        return self._column(event)[0]
+
+    def _column(self, event: Event) -> List[np.ndarray]:
+        column = self._columns.get(event.event_id)
+        if column is None:
+            column = self._columns[event.event_id] = [np.zeros(0, bool), np.zeros(0, bool)]
+        done = len(column[0])
+        if done < len(self.interests):
+            fresh = self.interests.evaluate(event, done)
+            column[0] = np.concatenate((column[0], fresh))
+            column[1] = np.concatenate((column[1], np.zeros(len(fresh), bool)))
+        return column
+
+    def _wired(self, table) -> _Wiring:
         wiring = self._wiring.get(id(table))
-        if wiring is None or wiring[0] != table.addresses_token:
-            slots = list(map(self._slot_of.__getitem__, match.entries))
-            wiring = self._wiring[id(table)] = (
-                table.addresses_token, slots, dict(zip(slots, range(len(slots))))
-            )
-        __, slots, pos = wiring
-        floods = table.is_leaf_level and match.rate >= self._config.leaf_flood_threshold
-        flat = _DepthMatch(
-            match.rate,
-            [slot if interested else -1 for slot, interested in zip(slots, match.mask)],
-            pos,
-            floods,
-            list(map(self._slot_of.__getitem__, sorted(match.matching))) if floods else [],
-            self._bounds.setdefault(len(slots), {}),
-        )
-        per_event[id(table)] = (token, flat)
-        return flat
+        if wiring is None or wiring.token != table.cache_token:
+            wiring = self._wiring[id(table)] = _Wiring(table, self.interests, self._slot_of)
+        return wiring
+
+    def lookup(self, tables: Sequence, events: Sequence[Event]) -> List[_Flat]:
+        """The flat of each (``tables[k]``, ``events[k]``) pair, the
+        missing ones built in one batch."""
+        flats: List[Optional[_Flat]] = []
+        todo: List[int] = []
+        for k, (table, event) in enumerate(zip(tables, events)):
+            per_event = self._flats.get(event.event_id)
+            if per_event is None:
+                per_event = self._flats[event.event_id] = {}
+            flat = per_event.get(id(table))
+            if flat is None or flat.token != table.cache_token:
+                todo.append(k)
+                flat = None
+            flats.append(flat)
+        stats = self._ctx.cache_stats
+        stats.table_hits += len(flats) - len(todo)
+        stats.table_misses += len(todo)
+        if todo:
+            todo.sort(key=lambda k: events[k].event_id)
+            built = self._build([tables[k] for k in todo], [events[k] for k in todo])
+            for k, flat in zip(todo, built):
+                flats[k] = self._flats[events[k].event_id][id(tables[k])] = flat
+        return flats
+
+    def _build(self, tables: List, events: List[Event]) -> List[_Flat]:
+        """The flats of (``tables[k]``, ``events[k]``), events adjacent."""
+        wirings = [self._wired(table) for table in tables]  # compiles first
+        stats = self._ctx.cache_stats
+        sizes = np.array([len(w.slots) for w in wirings], np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        interest = np.concatenate([w.interest for w in wirings])
+        natural = np.empty(len(interest), bool)
+        first = 0
+        for last in range(1, len(events) + 1):
+            if last < len(events) and events[last].event_id == events[first].event_id:
+                continue
+            verdicts, asked = self._column(events[first])
+            rows = np.concatenate([w.rows for w in wirings[first:last]])
+            fresh = np.unique(rows[~asked[rows]])
+            asked[fresh] = True
+            stats.verdict_misses += len(fresh)
+            stats.verdict_hits += len(rows) - len(fresh)
+            span = slice(starts[first], ends[last - 1])
+            natural[span] = verdicts[interest[span]]
+            first = last
+        key = np.repeat(np.arange(len(wirings)), sizes)
+        effective = natural
+        h = self._config.threshold_h
+        if h > 0:
+            # §5.3: where fewer than h entries match, the first h do too.
+            short = np.bincount(key, natural, len(wirings)) < h
+            effective = natural | (short[key] & (np.arange(len(key)) - starts[key] < h))
+        rate = (np.bincount(key, effective, len(wirings)) / sizes).tolist()
+        entries = np.where(effective, np.concatenate([w.slots for w in wirings]), -1)
+        threshold = self._config.leaf_flood_threshold
+        out = []
+        for k, wiring in enumerate(wirings):
+            mine = entries[starts[k]:ends[k]]
+            floods = wiring.leaf and rate[k] >= threshold
+            targets = _NONE
+            if floods:
+                order = wiring.order()
+                targets = wiring.slots[order][mine[order] >= 0]
+            out.append(_Flat(wiring.token, rate[k], floods, mine, targets, wiring.pos))
+        return out
+
+
+#: No flood targets.
+_NONE = np.zeros(0, np.int64)
 
 
 class _LiveColumns:
@@ -202,21 +336,21 @@ class _LiveColumns:
 
     A row's flat is the (table, event) flat of its slot's table at its
     depth: ``table_ids`` names each slot's table per depth and
-    ``table_of`` gives a table id's table.  Each flat is taken from
-    :meth:`_Flats.cell` the first time the columns meet its (table id,
-    event) pair; ``matches`` holds them by flat id.  ``pool`` holds every
-    flat's entries (slots, -1 where line 13 skips) then its flood
-    targets.  Per flat id: ``start``, ``size``, ``flood_count``,
-    ``floods``, ``rate`` and ``bound`` (line 7's at its rate; -1 where it
-    floods).
+    ``table_of`` gives a table id's table.  The (table id, event) pairs
+    a call of :meth:`at` meets for the first time are asked of
+    :meth:`_Flats.lookup` together; ``pool`` holds every flat's entries
+    (slots, -1 where line 13 skips) then its flood targets.  Per flat
+    id: ``start``, ``size``, ``flood_count``, ``floods``, ``rate`` and
+    ``bound`` (line 7's at its rate; -1 where it floods); ``pos``, its
+    table's slot -> entry position.
 
     The caller owns the columns' lifetime: the tables ``table_of`` names
     must not change while they are read — a static run keeps one for the
     run, the runtime takes one per round.
     """
 
-    def __init__(self, flats: _Flats, rows: "RowTable", table_ids, table_of, config: PmcastConfig):
-        self._cell, self._config, self._rows = flats.cell, config, rows
+    def __init__(self, flats: _Flats, rows: "RowTable", table_ids, table_of):
+        self._flats, self._rows = flats, rows
         self._table_ids, self._table_of = table_ids, table_of
         # The event columns some row buffers, ascending; per key table id
         # * len(events) + place among them: its flat id, -1 until asked.
@@ -225,9 +359,12 @@ class _LiveColumns:
         # Per (slot, depth): the slot's entry position in its table (-1:
         # not an entry), -2 until asked.
         self._own = np.full(table_ids.shape, -2, np.int64)
-        self.matches: List[_DepthMatch] = []
+        self.pos: List[Dict[int, int]] = []
         self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
         self.floods, self.rate = np.empty(0, bool), np.empty(0)
+
+    def __len__(self) -> int:
+        return len(self.pos)
 
     def at(self, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """The flat ids of ``rows`` at ``depths``."""
@@ -237,12 +374,13 @@ class _LiveColumns:
         ids = self._flat[keys]
         missing = ids < 0
         if missing.any():
-            new = np.unique(keys[missing]).tolist()
-            table_of, cols, events = self._table_of, self._events.tolist(), table.events
-            matches = [self._cell(table_of(key // n), events[cols[key % n]]) for key in new]
-            self._flat[new] = np.arange(len(self.matches), len(self.matches) + len(new))
-            self.matches += matches
-            self._add(matches)
+            new = np.unique(keys[missing])
+            cols, events = self._events[new % n].tolist(), table.events
+            flats = self._flats.lookup(
+                list(map(self._table_of, (new // n).tolist())), [events[col] for col in cols]
+            )
+            self._flat[new] = np.arange(len(self), len(self) + len(new))
+            self._add(flats)
             ids = self._flat[keys]
         return ids
 
@@ -252,8 +390,9 @@ class _LiveColumns:
         row's (a ``(entry count, rate)`` memo)."""
         bound = self.bound[ids]
         odd = np.flatnonzero(rate != self.rate[ids])
-        for at, flat, row_rate in zip(odd.tolist(), ids[odd].tolist(), rate[odd].tolist()):
-            bound[at] = self.matches[flat].round_bound(row_rate, self._config)
+        sizes = self.size[ids[odd]].tolist()
+        for at, size, row_rate in zip(odd.tolist(), sizes, rate[odd].tolist()):
+            bound[at] = self._flats.round_bound(size, row_rate)
         return bound
 
     def own(self, slots: np.ndarray, depths: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -262,29 +401,32 @@ class _LiveColumns:
         held = self._own[slots, depths - 1]
         asked = np.flatnonzero(held == -2)
         if len(asked):
-            matches = self.matches
+            pos = self.pos
             held[asked] = [
-                matches[flat].pos.get(slot, -1)
+                pos[flat].get(slot, -1)
                 for flat, slot in zip(ids[asked].tolist(), slots[asked].tolist())
             ]
             self._own[slots[asked], depths[asked] - 1] = held[asked]
         return held
 
-    def _add(self, matches: List[_DepthMatch]) -> None:
-        """Columns and pool slots for the next flat ids, ``matches``."""
-        size = np.array([len(match.entries) for match in matches], np.int64)
-        flood_count = np.array([len(match.flood_targets) for match in matches], np.int64)
-        bound = [-1 if m.floods else m.round_bound(m.rate, self._config) for m in matches]
-        slots = chain.from_iterable(chain(m.entries, m.flood_targets) for m in matches)
+    def _add(self, flats: List[_Flat]) -> None:
+        """Columns and pool slots for the next flat ids, ``flats``."""
+        size = np.array([len(flat.entries) for flat in flats], np.int64)
+        flood_count = np.array([len(flat.targets) for flat in flats], np.int64)
+        bound = [
+            -1 if flat.floods else self._flats.round_bound(len(flat.entries), flat.rate)
+            for flat in flats
+        ]
         tails = {
-            "pool": np.fromiter(slots, np.int64),
+            "pool": np.concatenate([part for f in flats for part in (f.entries, f.targets)]),
             "start": len(self.pool) + np.cumsum(size + flood_count) - size - flood_count,
             "size": size, "flood_count": flood_count, "bound": np.array(bound, np.int64),
-            "floods": np.array([match.floods for match in matches], bool),
-            "rate": np.array([match.rate for match in matches], float),
+            "floods": np.array([flat.floods for flat in flats], bool),
+            "rate": np.array([flat.rate for flat in flats], float),
         }
         for name, tail in tails.items():
             setattr(self, name, np.concatenate((getattr(self, name), tail)))
+        self.pos += [flat.pos for flat in flats]
 
 
 def _settle(flats: _LiveColumns, active, depth, round_, rate, leaf: int) -> Tuple[np.ndarray, ...]:
@@ -392,10 +534,13 @@ class RowTable:
     of :attr:`events`, by id), ``depth``, ``rate``, ``round`` and
     ``seq``, a stamp taken at each add or demotion, so a bucket in
     ``DepthBuffers`` order is its rows in ``seq`` order.  Per slot:
-    ``sent``, ``receptions``, the process's own ``interests`` and slot ×
-    event flags ``received`` (line 20's seen-set) and ``delivered``;
-    ``wanted``, slot × event interest verdicts a static run knows before
-    it starts (None: HPDELIVER reads each process's interest).
+    ``sent``, ``receptions``, the process's own ``interests`` (written
+    through :meth:`set_interest`) with ``interest_at``, each one's
+    position among a :class:`_Flats`' compiled interests once read (-1
+    before), and slot × event flags ``received`` (line 20's seen-set) and
+    ``delivered``; ``wanted``, slot × event interest verdicts a static
+    run knows before it starts (None: HPDELIVER reads each process's
+    interest).
     """
 
     def __init__(self) -> None:
@@ -403,7 +548,7 @@ class RowTable:
             setattr(self, name, np.zeros(0, float if name == "rate" else np.int64))
         self._stamps = 0
         # Grown by fit, which gives each its own array.
-        self.sent = self.receptions = np.zeros(0, np.int64)
+        self.sent = self.receptions = self.interest_at = np.zeros(0, np.int64)
         self.received = self.delivered = np.zeros((0, 0), bool)
         self.interests: List = []
         self.wanted: Optional[np.ndarray] = None
@@ -419,6 +564,7 @@ class RowTable:
             self._order = None  # its slot ranges end at the old count
         self.sent = _fit(self.sent, (slots,), 0)
         self.receptions = _fit(self.receptions, (slots,), 0)
+        self.interest_at = _fit(self.interest_at, (slots,), -1)
         self.received = _fit(self.received, (slots, events), False)
         self.delivered = _fit(self.delivered, (slots, events), False)
         self.interests += [None] * (len(self.sent) - len(self.interests))
@@ -458,16 +604,26 @@ class RowTable:
         self.sent[slot] = self.receptions[slot] = 0
         self.received[slot] = self.delivered[slot] = False
 
-    def wants(self, slots: np.ndarray, cols: np.ndarray) -> List[bool]:
+    def set_interest(self, slot: int, interest) -> None:
+        """Slot ``slot``'s process matches events against ``interest``
+        from now on."""
+        self.interests[slot] = interest
+        self.interest_at[slot] = -1
+
+    def wants(self, slots: np.ndarray, cols: np.ndarray, flats: "_Flats") -> List[bool]:
         """HPDELIVER's verdict per (slot, event) pair: ``wanted`` where
-        given, else the process's own interest, read now."""
+        given, else the process's own interest as it is now, read off
+        the event's verdict column in ``flats``."""
         if self.wanted is not None:
             return self.wanted[slots, cols].tolist()
-        events, interests = self.events, self.interests
-        return [
-            interests[slot].matches(events[col])
-            for slot, col in zip(slots.tolist(), cols.tolist())
-        ]
+        unread = np.unique(slots[self.interest_at[slots] < 0]).tolist()
+        self.interest_at[unread] = flats.interests.positions([self.interests[s] for s in unread])
+        at = self.interest_at[slots]
+        verdicts = np.zeros(len(slots), bool)
+        for col in np.unique(cols).tolist():
+            mine = cols == col
+            verdicts[mine] = flats.verdicts(self.events[col])[at[mine]]
+        return verdicts.tolist()
 
     def live_events(self) -> Set[int]:
         """The ids of the events some row buffers."""
@@ -564,10 +720,14 @@ class LiveRound:
     **Flats.**  ``flats``, one :class:`_Flats` over slots, is kept
     across rounds; the runtime has it forget a table it refreshes and
     prunes it to the events some row still buffers.  A round reads them
-    through the :class:`_LiveColumns` its driver passes (:meth:`columns`).
-    A lookup served from the columns counts the ``match_cache`` table
-    hit the scalar step's lookup would, as one served from a flat does,
-    so the counters read per round what the loop's read.
+    through the :class:`_LiveColumns` its driver passes (:meth:`columns`),
+    whose every :meth:`_LiveColumns.at` call builds the flats it first
+    meets in one batch; :meth:`publish` takes its rate through the same
+    cache, and HPDELIVER's verdicts (:meth:`RowTable.wants`) are read off
+    its verdict columns.  A lookup served from the columns counts the
+    ``match_cache`` table hit the scalar step's lookup would, as one
+    served from a flat does, so the counters read per round what the
+    loop's read; neither of the context's memos is filled.
 
     ``slot_of`` and ``addresses`` map addresses to slots and back.  The
     checks the objects make run on the arrays: ``GossipMessage``'s
@@ -592,7 +752,7 @@ class LiveRound:
         """Flat columns over the events some row buffers now and the tables
         ``table_ids`` names per (slot, depth), ``table_of`` giving a
         table id's table."""
-        return _LiveColumns(self.flats, self.rows, table_ids, table_of, self._config)
+        return _LiveColumns(self.flats, self.rows, table_ids, table_of)
 
     def publish(self, slot: int, address: Address, views, event: Event) -> bool:
         """PMCAST (Figure 3 lines 24–25) at live slot ``slot``, whose
@@ -607,8 +767,8 @@ class LiveRound:
         depth = 1
         if self._config.local_interest_shortcut:
             depth = shortcut_depth(address, views, event)
-        rate = self._ctx.table_match(views[depth], event).rate
-        delivers = rows.wants(np.array([slot]), np.array([col]))[0]
+        rate = self.flats.lookup([views[depth]], [event])[0].rate
+        delivers = rows.wants(np.array([slot]), np.array([col]), self.flats)[0]
         rows.received[slot, col] = True
         rows.delivered[slot, col] = delivers
         rows.add([slot], [col], [depth], [rate], [0])
@@ -623,7 +783,7 @@ class LiveRound:
         draws, in send order, what one ``sample_positions`` per gossip
         would: no draw feeds the passes."""
         rows, leaf = self.rows, self._depth
-        matched = len(columns.matches)
+        matched = len(columns)
         place = np.full(len(rows.sent), -1, np.int64)
         place[walk] = np.arange(len(walk))
         visit = place[rows.slot]
@@ -657,7 +817,7 @@ class LiveRound:
             todo = todo[fires[visit[todo]] > fire] if fires is not None else todo[:0]
             if not len(todo):
                 break
-        self._ctx.cache_stats.table_hits += lookups - (len(columns.matches) - matched)
+        self._ctx.cache_stats.table_hits += lookups - (len(columns) - matched)
 
         if len(parts) > 1:
             parts = [tuple(map(np.concatenate, zip(*parts)))]
@@ -803,7 +963,7 @@ class LiveRound:
         __, first = np.unique(receiver[unseen] * len(rows.events) + cols[unseen], return_index=True)
         fresh = np.sort(unseen[first])
         slots, cols, message = receiver[fresh], cols[fresh], message[fresh]
-        delivered = rows.wants(slots, cols)
+        delivered = rows.wants(slots, cols, self.flats)
         rows.received[slots, cols] = True
         rows.delivered[slots, cols] = delivered
         rows.add(

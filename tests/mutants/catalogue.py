@@ -116,8 +116,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "an uninterested receiver delivers on the live round",
         "repro/sim/vector.py",
-        "            interests[slot].matches(events[col])\n",
-        "            True\n",
+        "            verdicts[mine] = flats.verdicts(self.events[col])[at[mine]]\n",
+        "            verdicts[mine] = True\n",
         (
             "tests/sim/test_runtime.py::TestContentBasedRuntime::test_selective_delivery_in_runtime",
             "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
@@ -234,6 +234,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
         (
             "tests/sim/test_runtime.py::TestActiveSetScheduling::"
             "test_a_join_that_doubles_the_slots_keeps_node_reads",
+        ),
+    ),
+    Mutant(
+        "a verdict column is not extended for interests compiled after its first pass",
+        "repro/sim/vector.py",
+        "            fresh = self.interests.evaluate(event, done)\n",
+        "            fresh = np.zeros(len(self.interests) - done, bool)\n",
+        (
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_untraced_scripts",
+            "tests/sim/test_runtime_kernel.py::TestKernelEqualsTheLoop::test_traced_scripts",
+        ),
+    ),
+    Mutant(
+        "an open interval end is treated as closed",
+        "repro/interests/columns.py",
+        "(v == lo) & ~(sure & a[\"lo_closed\"][i0:])",
+        "(v == lo) & ~sure",
+        (
+            "tests/interests/test_columns.py::TestVerdictsAreMatches::test_one_constraint_on_its_ends",
+            "tests/interests/test_columns.py::TestVerdictsAreMatches::test_one_pass_is_every_match",
         ),
     ),
 )

@@ -488,6 +488,30 @@ class TestCacheCorrectnessUnderChurn:
             assert set(flats) <= buffered
         assert event.event_id not in flats
 
+    def test_memos_stay_bounded_over_many_events(self):
+        # A long-lived runtime publishes event after event: the kernel
+        # fills neither of the context's memos, and holds a verdict
+        # column only for an event some row buffers.
+        members = {
+            address: parse_subscription(f"{index % 6} <= k < {index % 6 + 4}")
+            for index, address in enumerate(QUICK)
+        }
+        runtime = GroupRuntime(members, config=QUICK_CONFIG, sim_config=SimConfig(seed=4))
+        ctx, flats = runtime._ctx, runtime._kernel.flats
+        sizes = {}
+        for index in range(1, 201):
+            runtime.publish(QUICK[index % len(QUICK)], Event({"k": index % 9}, event_id=index))
+            while runtime._active:
+                runtime.step()
+                assert len(flats._columns) <= len(runtime._rows.live_events())
+            if index in (50, 200):
+                sizes[index] = (
+                    len(ctx._verdicts),
+                    sum(len(per_event) for __, per_event in ctx._tables.values()),
+                )
+        assert sizes[200] == sizes[50]
+        assert runtime._ctx.cache_stats.verdict_misses > 0
+
     def test_runtime_cache_stats_exposed(self):
         runtime, addresses = make_runtime()
         runtime.publish(addresses[0], Event({}, event_id=9))
