@@ -82,16 +82,6 @@ class PmcastNode:
         views: Dict[int, ViewTable],
         config: PmcastConfig,
     ):
-        self.check_views(address, views)
-        self._install(address, interest, views, config)
-
-    @staticmethod
-    def check_views(address: Address, views: Dict[int, ViewTable]) -> None:
-        """Validate a depth -> table mapping for ``address``.
-
-        The verdict depends on ``address`` only through its prefix path,
-        so it holds for every member of ``address``'s leaf subgroup.
-        """
         depths = sorted(views)
         if not depths or depths != list(range(1, depths[-1] + 1)):
             raise ProtocolError(
@@ -106,6 +96,7 @@ class PmcastNode:
                 raise ProtocolError(
                     f"table {table.prefix} is not on {address}'s prefix path"
                 )
+        self._install(address, interest, views, config)
 
     @classmethod
     def wired(
@@ -115,10 +106,9 @@ class PmcastNode:
         views: Dict[int, ViewTable],
         config: PmcastConfig,
     ) -> "PmcastNode":
-        """Trusted constructor: ``views`` already passed
-        :meth:`check_views` for a member of ``address``'s leaf subgroup.
-        Lets a group builder check the shared tables once per subgroup
-        instead of once per member."""
+        """Trusted constructor: ``views`` are the tables on ``address``'s
+        prefix path, as :class:`~repro.sim.group.PmcastGroup` looks them
+        up by its table ids, so nothing is checked."""
         node = cls.__new__(cls)
         node._install(address, interest, views, config)
         return node

@@ -606,7 +606,8 @@ class GroupRuntime:
         slots = np.array(walk, np.int64)
         # A prefix's id is its place in _prefix_id's insertion order.
         tables, prefixes = self._directory.tables, list(self._prefix_id)
-        columns = self._kernel.columns(self._prefix_ids, lambda at: tables[prefixes[at]])
+        wired = self._kernel.flats.wired
+        columns = self._kernel.columns(self._prefix_ids, lambda at: wired(tables[prefixes[at]]))
         emission = self._kernel.fan_out(slots, fires, columns)
         self._active.difference_update(slots[~np.isin(slots, self._rows.slot)].tolist())
         return emission

@@ -98,40 +98,68 @@ class VectorUnsupported(SimulationError):
 # ---------------------------------------------------------------------------
 
 class _Wiring:
-    """A view table state in dense indices, shared by every event's flat:
-    per row its interest's position in :attr:`_Flats.interests`
-    (``rows``); per entry, in view order, its row's interest position
-    (``interest``) and its slot (``slots``); ``pos`` the inverse of
-    ``slots`` for self-exclusion; ``leaf`` whether §6's flood applies;
-    and, built for the first flat that floods, the entries in address
-    order (:meth:`order`)."""
+    """One view table state in dense indices, shared by every event's
+    flat: ``key``, what its flats are kept under, and ``token``, the
+    state they hold for; per row its interest's position in the flats'
+    compiled interests (``rows``); per entry, in view order, its row's
+    interest position (``interest``) and its slot (``slots``); ``pos``,
+    the inverse of ``slots`` for self-exclusion (None where the run
+    knows every slot's place: :meth:`of_group`); ``leaf``, whether §6's
+    flood applies.
 
-    __slots__ = ("token", "rows", "interest", "slots", "pos", "leaf", "_addresses", "_order")
+    Two producers: :meth:`of_table` reads a :class:`ViewTable`'s rows
+    (the runtime's tables change under it), :meth:`of_group` slices a
+    :class:`~repro.sim.group.PmcastGroup`'s columns (a static run)."""
 
-    def __init__(self, table, interests: VerdictColumns, slot_of: Dict[Address, int]):
-        rows = table.rows()
-        positions = interests.positions([row.interest for row in rows])
-        counts = [len(row.delegates) for row in rows]
-        self._addresses = [a for row in rows for a in row.delegates]
-        if not self._addresses:
-            raise ProtocolError(f"view of {table.prefix} has no entries")
-        slots = list(map(slot_of.__getitem__, self._addresses))
-        self.token = table.cache_token
-        self.rows = np.array(positions, np.int64)
-        self.interest = np.repeat(self.rows, counts)
-        self.slots = np.array(slots, np.int64)
-        self.pos = dict(zip(slots, range(len(slots))))
-        self.leaf = table.is_leaf_level
+    __slots__ = ("key", "token", "rows", "interest", "slots", "pos", "leaf", "_addresses", "_order")
+
+    def __init__(self, key, token, rows, interest, slots, pos, leaf, addresses=None):
+        self.key, self.token, self.leaf = key, token, leaf
+        self.rows, self.interest, self.slots, self.pos = rows, interest, slots, pos
+        # None: the slots ascend in address order.
+        self._addresses = addresses
         self._order: Optional[np.ndarray] = None
 
-    def order(self) -> np.ndarray:
-        """The entries' indices in address order."""
+    @classmethod
+    def of_table(cls, table, interests: VerdictColumns, slot_of: Dict[Address, int]) -> "_Wiring":
+        """``table`` as it is now, its interests compiled into ``interests``."""
+        rows = table.rows()
+        positions = np.array(interests.positions([row.interest for row in rows]), np.int64)
+        addresses = [a for row in rows for a in row.delegates]
+        if not addresses:
+            raise ProtocolError(f"view of {table.prefix} has no entries")
+        slots = list(map(slot_of.__getitem__, addresses))
+        return cls(
+            id(table), table.cache_token, positions,
+            np.repeat(positions, [len(row.delegates) for row in rows]),
+            np.array(slots, np.int64), dict(zip(slots, range(len(slots)))),
+            table.is_leaf_level, addresses,
+        )
+
+    @classmethod
+    def of_group(cls, group: PmcastGroup, table_id: int, bounds) -> "_Wiring":
+        """Table ``table_id`` of ``group``, off its columns; ``bounds``
+        are its ``entry_bounds`` and ``row_bounds`` as lists."""
+        entries, rows = bounds
+        at = slice(entries[table_id], entries[table_id + 1])
+        return cls(
+            table_id, 0, group.row_interest[rows[table_id]:rows[table_id + 1]],
+            group.entry_interest[at], group.entries[at], None,
+            group.table_depth[table_id] == group.tree.depth,
+        )
+
+    def targets(self, entries: np.ndarray) -> np.ndarray:
+        """§6's flood recipients in address order: the slots of
+        ``entries`` (one flat's, -1 where line 13 skips) that are kept."""
+        if self._addresses is None:
+            return entries[entries >= 0]
         if self._order is None:
             key = self._addresses.__getitem__
             self._order = np.array(
                 sorted(range(len(self._addresses)), key=lambda i: component_key(key(i))), np.int64
             )
-        return self._order
+        order = self._order
+        return self.slots[order][entries[order] >= 0]
 
 
 class _Flat(NamedTuple):
@@ -157,15 +185,16 @@ class _Flats:
 
     ``slot_of`` gives an address its dense index: a member index in a
     static run, a contact slot in the runtime.  ``interests`` compiles
-    every interest a table row holds, once (its *position*); an event's
+    every interest a table row holds, once (its *position*) — a static
+    run's are its group's, compiled with the group; an event's
     **verdict column** holds its verdict per compiled position and is
     extended, at its next read, over the positions compiled since
-    (:meth:`verdicts`).  A table's :class:`_Wiring` is kept per table
-    while its cache token holds.
+    (:meth:`verdicts`).  A table's :class:`_Wiring` off its rows is kept
+    per table while its cache token holds (:meth:`wired`).
 
-    :meth:`lookup` serves the flats of many (table, event) pairs at
-    once.  A flat is kept under (table, event) with the token it holds
-    for: a pair whose table moved on is built again.  Every flat the
+    :meth:`lookup` serves the flats of many (wiring, event) pairs at
+    once.  A flat is kept under (wiring key, event) with the token it
+    holds for: a pair whose table moved on is built again.  Every flat the
     batch builds is a set of gathers over wirings and verdict columns —
     the entry mask, the rate, §5.3's first ``h`` entries and §6's flood
     targets — none of which runs a Python frame per entry.
@@ -191,12 +220,15 @@ class _Flats:
         "_wiring", "_bounds",
     )
 
-    def __init__(self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int]):
+    def __init__(
+        self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int],
+        interests: Optional[VerdictColumns] = None,
+    ):
         self._ctx = ctx
         self._config = config
         self._slot_of = slot_of
-        self.interests = VerdictColumns()
-        # event_id -> {id(table): _Flat}
+        self.interests = VerdictColumns() if interests is None else interests
+        # event_id -> {wiring key: _Flat}
         self._flats: Dict[int, Dict[int, _Flat]] = {}
         # event_id -> (verdicts, asked) over the compiled positions
         self._columns: Dict[int, List[np.ndarray]] = {}
@@ -252,23 +284,25 @@ class _Flats:
             column[1] = np.concatenate((column[1], np.zeros(len(fresh), bool)))
         return column
 
-    def _wired(self, table) -> _Wiring:
+    def wired(self, table) -> _Wiring:
+        """``table``'s wiring, kept while its cache token holds."""
         wiring = self._wiring.get(id(table))
         if wiring is None or wiring.token != table.cache_token:
-            wiring = self._wiring[id(table)] = _Wiring(table, self.interests, self._slot_of)
+            wiring = _Wiring.of_table(table, self.interests, self._slot_of)
+            self._wiring[id(table)] = wiring
         return wiring
 
-    def lookup(self, tables: Sequence, events: Sequence[Event]) -> List[_Flat]:
-        """The flat of each (``tables[k]``, ``events[k]``) pair, the
+    def lookup(self, wirings: Sequence[_Wiring], events: Sequence[Event]) -> List[_Flat]:
+        """The flat of each (``wirings[k]``, ``events[k]``) pair, the
         missing ones built in one batch."""
         flats: List[Optional[_Flat]] = []
         todo: List[int] = []
-        for k, (table, event) in enumerate(zip(tables, events)):
+        for k, (wiring, event) in enumerate(zip(wirings, events)):
             per_event = self._flats.get(event.event_id)
             if per_event is None:
                 per_event = self._flats[event.event_id] = {}
-            flat = per_event.get(id(table))
-            if flat is None or flat.token != table.cache_token:
+            flat = per_event.get(wiring.key)
+            if flat is None or flat.token != wiring.token:
                 todo.append(k)
                 flat = None
             flats.append(flat)
@@ -277,14 +311,13 @@ class _Flats:
         stats.table_misses += len(todo)
         if todo:
             todo.sort(key=lambda k: events[k].event_id)
-            built = self._build([tables[k] for k in todo], [events[k] for k in todo])
+            built = self._build([wirings[k] for k in todo], [events[k] for k in todo])
             for k, flat in zip(todo, built):
-                flats[k] = self._flats[events[k].event_id][id(tables[k])] = flat
+                flats[k] = self._flats[events[k].event_id][wirings[k].key] = flat
         return flats
 
-    def _build(self, tables: List, events: List[Event]) -> List[_Flat]:
-        """The flats of (``tables[k]``, ``events[k]``), events adjacent."""
-        wirings = [self._wired(table) for table in tables]  # compiles first
+    def _build(self, wirings: List[_Wiring], events: List[Event]) -> List[_Flat]:
+        """The flats of (``wirings[k]``, ``events[k]``), events adjacent."""
         stats = self._ctx.cache_stats
         sizes = np.array([len(w.slots) for w in wirings], np.int64)
         ends = np.cumsum(sizes)
@@ -318,10 +351,7 @@ class _Flats:
         for k, wiring in enumerate(wirings):
             mine = entries[starts[k]:ends[k]]
             floods = wiring.leaf and rate[k] >= threshold
-            targets = _NONE
-            if floods:
-                order = wiring.order()
-                targets = wiring.slots[order][mine[order] >= 0]
+            targets = wiring.targets(mine) if floods else _NONE
             out.append(_Flat(wiring.token, rate[k], floods, mine, targets, wiring.pos))
         return out
 
@@ -336,29 +366,30 @@ class _LiveColumns:
 
     A row's flat is the (table, event) flat of its slot's table at its
     depth: ``table_ids`` names each slot's table per depth and
-    ``table_of`` gives a table id's table.  The (table id, event) pairs
-    a call of :meth:`at` meets for the first time are asked of
-    :meth:`_Flats.lookup` together; ``pool`` holds every flat's entries
-    (slots, -1 where line 13 skips) then its flood targets.  Per flat
-    id: ``start``, ``size``, ``flood_count``, ``floods``, ``rate`` and
-    ``bound`` (line 7's at its rate; -1 where it floods); ``pos``, its
-    table's slot -> entry position.
+    ``wiring_of`` gives a table id's :class:`_Wiring`.  The (table id,
+    event) pairs a call of :meth:`at` meets for the first time are asked
+    of :meth:`_Flats.lookup` together; ``pool`` holds every flat's
+    entries (slots, -1 where line 13 skips) then its flood targets.  Per
+    flat id: ``start``, ``size``, ``flood_count``, ``floods``, ``rate``
+    and ``bound`` (line 7's at its rate; -1 where it floods); ``pos``,
+    its table's slot -> entry position.  ``own``, where given, is every
+    slot's entry position in its table per depth (-1: none).
 
-    The caller owns the columns' lifetime: the tables ``table_of`` names
+    The caller owns the columns' lifetime: the tables ``wiring_of`` names
     must not change while they are read — a static run keeps one for the
     run, the runtime takes one per round.
     """
 
-    def __init__(self, flats: _Flats, rows: "RowTable", table_ids, table_of):
+    def __init__(self, flats: _Flats, rows: "RowTable", table_ids, wiring_of, own=None):
         self._flats, self._rows = flats, rows
-        self._table_ids, self._table_of = table_ids, table_of
+        self._table_ids, self._wiring_of = table_ids, wiring_of
         # The event columns some row buffers, ascending; per key table id
         # * len(events) + place among them: its flat id, -1 until asked.
         self._events = np.flatnonzero(np.bincount(rows.event))
         self._flat = np.full((int(table_ids.max()) + 1) * len(self._events), -1, np.int64)
         # Per (slot, depth): the slot's entry position in its table (-1:
         # not an entry), -2 until asked.
-        self._own = np.full(table_ids.shape, -2, np.int64)
+        self._own = np.full(table_ids.shape, -2, np.int64) if own is None else own
         self.pos: List[Dict[int, int]] = []
         self.pool = self.start = self.size = self.flood_count = self.bound = np.empty(0, np.int64)
         self.floods, self.rate = np.empty(0, bool), np.empty(0)
@@ -377,7 +408,7 @@ class _LiveColumns:
             new = np.unique(keys[missing])
             cols, events = self._events[new % n].tolist(), table.events
             flats = self._flats.lookup(
-                list(map(self._table_of, (new // n).tolist())), [events[col] for col in cols]
+                list(map(self._wiring_of, (new // n).tolist())), [events[col] for col in cols]
             )
             self._flat[new] = np.arange(len(self), len(self) + len(new))
             self._add(flats)
@@ -739,27 +770,29 @@ class LiveRound:
     def __init__(
         self, ctx: GossipContext, config: PmcastConfig, slot_of: Dict[Address, int],
         addresses: List[Address], tree_depth: int, rows: RowTable,
+        interests: Optional[VerdictColumns] = None,
     ):
         self._ctx = ctx
         self._config = config
         self._depth = tree_depth
         self._slot_of = slot_of
         self._addresses = addresses
-        self.flats = _Flats(ctx, config, slot_of)
+        self.flats = _Flats(ctx, config, slot_of, interests)
         self.rows = rows
 
-    def columns(self, table_ids: np.ndarray, table_of) -> _LiveColumns:
+    def columns(self, table_ids: np.ndarray, wiring_of, own=None) -> _LiveColumns:
         """Flat columns over the events some row buffers now and the tables
-        ``table_ids`` names per (slot, depth), ``table_of`` giving a
-        table id's table."""
-        return _LiveColumns(self.flats, self.rows, table_ids, table_of)
+        ``table_ids`` names per (slot, depth), ``wiring_of`` giving a
+        table id's :class:`_Wiring` (``own``: see :class:`_LiveColumns`)."""
+        return _LiveColumns(self.flats, self.rows, table_ids, wiring_of, own)
 
-    def publish(self, slot: int, address: Address, views, event: Event) -> bool:
+    def publish(self, slot: int, address: Address, views, event: Event, wire=None) -> bool:
         """PMCAST (Figure 3 lines 24–25) at live slot ``slot``, whose
         tables by depth are ``views``: ``event`` is received, delivered
         if the process's interest matches, and buffered at the root, or
-        the §3.2 shortcut's depth, at that table's rate.  Returns
-        whether it delivered."""
+        the §3.2 shortcut's depth, at that table's rate — read off
+        ``wire(depth)``, its :class:`_Wiring` (None: wired off
+        ``views``).  Returns whether it delivered."""
         rows = self.rows
         col = rows.column(event)
         if rows.received[slot, col]:
@@ -767,7 +800,8 @@ class LiveRound:
         depth = 1
         if self._config.local_interest_shortcut:
             depth = shortcut_depth(address, views, event)
-        rate = self.flats.lookup([views[depth]], [event])[0].rate
+        wiring = self.flats.wired(views[depth]) if wire is None else wire(depth)
+        rate = self.flats.lookup([wiring], [event])[0].rate
         delivers = rows.wants(np.array([slot]), np.array([col]), self.flats)[0]
         rows.received[slot, col] = True
         rows.delivered[slot, col] = delivers
@@ -995,7 +1029,9 @@ def try_run_vectorized(
     its first arrival.  :class:`RowTable` keeps rows in add order, so
     the walk — the rows of live members — is the reference loop's
     insertion-ordered active set.  One :class:`_LiveColumns` serves the
-    run: the group's tables never change.  ``observer.registry`` gets
+    run, wired off the group's columns (:meth:`_Wiring.of_group`): the
+    group never changes, and no table object is read but the
+    publisher's path, for the §3.2 shortcut.  ``observer.registry`` gets
     the run's ``vector.*`` counters, ``observer.timeline`` the
     reference loop's ``engine`` spans — both out of band.
     """
@@ -1003,15 +1039,25 @@ def try_run_vectorized(
     addresses = group.addresses()
     n, tree_depth = len(addresses), group.tree.depth
     index_of, components = group.index_of, group.components
-    own_match = group.interest_mask(event)
     alive = group.alive.copy()
     rows = RowTable()
     rows.fit(n)
+    kernel = LiveRound(ctx, group.config, index_of, addresses, tree_depth, rows, group.verdicts)
+    # Ground truth off the group's compiled interests: the event's
+    # verdict column, which its flats read too.
+    own_match = kernel.flats.verdicts(event)[group.interest_at]
     rows.wanted = own_match[:, None]
-    kernel = LiveRound(ctx, group.config, index_of, addresses, tree_depth, rows)
+    bounds = group.entry_bounds.tolist(), group.row_bounds.tolist()
+
+    def wiring_of(table_id: int) -> _Wiring:
+        return _Wiring.of_group(group, table_id, bounds)
+
     pub = index_of[publisher]
-    kernel.publish(pub, publisher, group.views(pub), event)
-    columns = kernel.columns(group.table_ids, group.tables_by_id.__getitem__)
+    kernel.publish(
+        pub, publisher, group.views(pub), event,
+        lambda depth: wiring_of(int(group.table_ids[pub, depth - 1])),
+    )
+    columns = kernel.columns(group.table_ids, wiring_of, group.own)
 
     emit = observer.emit if observer.tracing else None
     if emit is not None:

@@ -58,12 +58,11 @@ class TestConstruction:
             )
 
     def test_wired_equals_checked_construction(self):
-        # The trusted constructor a group builder uses after checking a
-        # leaf subgroup's shared views once.
+        # The trusted constructor a group uses for the tables it looks
+        # up on a member's prefix path.
         members = four_members()
         tree = MembershipTree.build(members, redundancy=1)
         views = build_process_views(tree, Address((0, 0)))
-        PmcastNode.check_views(Address((0, 0)), views)
         config = PmcastConfig()
         sibling = Address((0, 1))
         wired = PmcastNode.wired(sibling, members[sibling], views, config)
@@ -83,10 +82,9 @@ class TestConstruction:
         members = four_members()
         tree = MembershipTree.build(members, redundancy=1)
         foreign = build_process_views(tree, Address((1, 1)))
-        with pytest.raises(ProtocolError):
-            PmcastNode.check_views(Address((0, 0)), foreign)
-        with pytest.raises(ProtocolError):
-            PmcastNode.check_views(Address((0, 0)), {})
+        for views in (foreign, {}):
+            with pytest.raises(ProtocolError):
+                PmcastNode(Address((0, 0)), StaticInterest(True), views, PmcastConfig())
 
 
 class TestPmcast:

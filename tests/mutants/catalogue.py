@@ -62,7 +62,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "the compat kernel draws one destination fewer",
+        "the live round draws one destination fewer",
         "repro/sim/vector.py",
         "            columns, self._ctx.rng, self._config.fanout, gossip,",
         "            columns, self._ctx.rng, self._config.fanout - 1, gossip,",
@@ -72,11 +72,22 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "the compat kernel's outcome reports no leftover buffer",
+        "the static run's outcome reports no leftover buffer",
         "repro/sim/vector.py",
         "    left[:, rows.slot] = rows.depth, rows.rate, rows.round\n",
         "    left[:, rows.slot] = 0 * rows.depth, rows.rate, rows.round\n",
         ("tests/sim/test_vector.py::TestCompatBitIdentity::test_report_and_node_state_identical",),
+    ),
+    Mutant(
+        "a leaf run starts one member late",
+        "repro/sim/group.py",
+        "        runs = [np.cumsum(start) - 1 for start in starts]\n",
+        "        runs = [np.cumsum(start) - 1 for start in starts]\n"
+        "        runs[d - 1] = np.cumsum(np.r_[True, False, starts[d - 1][1:-1]][:n]) - 1\n",
+        (
+            "tests/sim/test_vector.py::TestGeneratedEquivalence",
+            "tests/sim/test_group.py::TestBuiltEqualsPerMemberReference::test_tables_nodes_and_order",
+        ),
     ),
     Mutant(
         "the batched draw's set branch accepts a repeat",

@@ -1,11 +1,14 @@
 """Tests for PmcastGroup wiring."""
 
+import dataclasses
 from itertools import compress
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, AddressSpace, Prefix
+from repro.baselines.genuine import build_genuine_group
 from repro.config import PmcastConfig, SimConfig
 from repro.core.node import PmcastNode
 from repro.errors import SimulationError
@@ -22,12 +25,14 @@ from repro.interests import (
 from repro.membership import MembershipTree
 from repro.membership.knowledge import build_all_views
 from repro.membership.views import ViewRow, ViewTable
+from repro.pubsub import PubSubSystem
 from repro.sim import (
     PmcastGroup,
     bernoulli_interests,
     derive_rng,
     run_dissemination_outcome,
 )
+from repro.sim import vector
 from repro.sim.crashes import CrashSchedule
 
 
@@ -247,6 +252,26 @@ def member_maps(draw):
     return {address: draw(interest) for address in addresses}
 
 
+def assert_columns_are_tables(group):
+    """Per table id, the wiring a static run reads off the group's
+    columns equals what the runtime's kernel reads off the table's rows
+    (entries, each entry's and each row's interest position, the flood
+    order), and every member's own entry position and interest position
+    are the table's."""
+    bounds = group.entry_bounds.tolist(), group.row_bounds.tolist()
+    for table_id, depth in enumerate(group.table_depth):
+        columns = vector._Wiring.of_group(group, table_id, bounds)
+        rows = vector._Wiring.of_table(group.table(table_id), group.verdicts, group.index_of)
+        for name in ("rows", "interest", "slots"):
+            assert getattr(columns, name).tolist() == getattr(rows, name).tolist()
+        assert columns.leaf == rows.leaf
+        assert columns.targets(columns.slots).tolist() == rows.targets(rows.slots).tolist()
+        members = np.flatnonzero(group.table_ids[:, depth - 1] == table_id)
+        own = group.own[members, depth - 1].tolist()
+        assert own == [rows.pos.get(i, -1) for i in members.tolist()]
+    assert group.interest_at.tolist() == group.verdicts.positions(group.interests)
+
+
 class TestBuiltEqualsPerMemberReference:
     @given(
         member_maps(),
@@ -257,19 +282,107 @@ class TestBuiltEqualsPerMemberReference:
     def test_tables_nodes_and_order(self, members, redundancy, policy):
         config = PmcastConfig(redundancy=redundancy)
         group = PmcastGroup.build(members, config, regroup_policy=policy)
+        tree_depth = group.tree.depth
+        # No leaf table exists before something asks for one.
+        assert all(prefix.depth < tree_depth for prefix in group._tables)
         tables, nodes = reference_build(members, config, policy)
         built = build_all_views(group.tree, policy=policy)
         assert list(built) == list(tables)
         for prefix, table in tables.items():
             assert built[prefix].rows() == table.rows()
-            assert group._tables[prefix].rows() == table.rows()
-        for address in members:
+        # Table ids follow the order the sorted members first reach a prefix.
+        by_id = [group.table(table_id) for table_id in range(len(group.table_depth))]
+        first_seen = dict.fromkeys(p for a in sorted(members) for p in a.prefixes())
+        assert [table.prefix for table in by_id] == list(first_seen)
+        assert [table.depth for table in by_id] == group.table_depth
+        for table_id, table in enumerate(by_id):
+            assert group.table(table_id) is table
+            reference = tables[table.prefix].rows()
+            assert table.rows() == reference
+            assert all(row.timestamp == 0 for row in table.rows())
+            if table.depth == tree_depth:
+                assert all(
+                    row.interest is mine.interest for row, mine in zip(table.rows(), reference)
+                )
+        for index, address in enumerate(group.addresses()):
+            views = group.views(index)
+            assert group.views(index) is views
+            assert [views[depth] for depth in sorted(views)] == [
+                by_id[table_id] for table_id in group.table_ids[index].tolist()
+            ]
             node = group.node(address)
             assert node_fields(node) == node_fields(nodes[address])
             for prefix in address.prefixes():
-                assert node._views[prefix.depth] is group._tables[prefix]
+                assert node._views[prefix.depth] is views[prefix.depth]
         assert group.addresses() == sorted(members)
         assert list(group.index_of) == sorted(members)
+        assert_columns_are_tables(group)
+
+    @given(member_maps(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_leaves_built_on_first_ask(self, members, redundancy):
+        # Each leaf table is built once, by whichever ask comes first.
+        group = PmcastGroup.build(members, PmcastConfig(redundancy=redundancy))
+        leaf = group.tree.depth
+        index = len(members) // 2
+        views = group.views(index)
+        asked = {prefix for prefix in group._tables if prefix.depth == leaf}
+        assert asked == {views[leaf].prefix}
+        assert group.table(int(group.table_ids[index, -1])) is views[leaf]
+        assert group.node(group.addresses()[index])._views[leaf] is views[leaf]
+
+
+class TestExplicitTables:
+    def test_pubsub_group_keeps_its_directory_tables(self):
+        system = PubSubSystem(depth=3, config=PmcastConfig(fanout=2, redundancy=2))
+        space = AddressSpace.regular(3, 3)
+        for index, address in enumerate(space.enumerate_regular(3)):
+            system.subscribe(address, StaticInterest(index % 2 == 0))
+        system.subscribe(Address((0, 0, 3)), StaticInterest(True))
+        system.unsubscribe(Address((1, 1, 1)))
+        directory = system._directory.tables
+        group = system._as_group()
+        by_id = [group.table(table_id) for table_id in range(len(group.table_depth))]
+        assert len(by_id) == len(directory)
+        assert all(directory[table.prefix] is table for table in by_id)
+        assert any(row.timestamp > 0 for table in by_id for row in table.rows())
+        assert_columns_are_tables(group)
+
+    def test_genuine_group_keeps_its_tables(self):
+        members = bernoulli_interests(
+            AddressSpace.regular(3, 3).enumerate_regular(3), 0.5, derive_rng(3, "w")
+        )
+        group = build_genuine_group(members, PmcastConfig(redundancy=2))
+        real = PmcastGroup.build(members, PmcastConfig(redundancy=2))
+        for table_id, depth in enumerate(group.table_depth):
+            table = group.table(table_id)
+            assert table is group._tables[table.prefix]
+            if depth == group.tree.depth:
+                assert table.rows() == real.table(table_id).rows()
+        assert_columns_are_tables(group)
+
+    @pytest.mark.parametrize("defect", ["row dropped", "row added", "foreign interest"])
+    def test_leaf_tables_that_are_not_the_runs_raise(self, defect):
+        tree = PmcastGroup.build(make_members(depth=3), PmcastConfig(redundancy=2)).tree
+        tables = build_all_views(tree)
+        prefix = Prefix((1, 2))
+        rows = tables[prefix].rows()
+        if defect == "row dropped":
+            rows = rows[1:]
+        elif defect == "row added":
+            rows = rows + [ViewRow(9, (Address((1, 2, 9)),), StaticInterest(True), 1)]
+        else:
+            rows = [dataclasses.replace(rows[0], interest=StaticInterest(False))] + rows[1:]
+        tables[prefix] = ViewTable(prefix, tree.depth, rows)
+        with pytest.raises(SimulationError, match=str(prefix)):
+            PmcastGroup(tree, tables, PmcastConfig(redundancy=2))
+
+    def test_a_missing_inner_table_raises(self):
+        tree = PmcastGroup.build(make_members(depth=3), PmcastConfig(redundancy=2)).tree
+        tables = build_all_views(tree)
+        del tables[Prefix((2,))]
+        with pytest.raises(SimulationError, match="no view table"):
+            PmcastGroup(tree, tables, PmcastConfig(redundancy=2))
 
 
 @st.composite
